@@ -7,7 +7,10 @@
 //	shbench [-dir path] all
 //	shbench e4 e7
 //	shbench list
-//	shbench json [path]    # machine-readable suite (default BENCH_9.json)
+//
+// Comparable performance numbers come from the end-to-end harness under
+// benchmark/ (bash benchmark/run.sh, contract in BENCHMARK.json), not from
+// these tables.
 //
 // -dir sets the parent directory for the file-backed experiment's heap
 // directories (E21); default is the OS temp dir. Point it at a real disk
@@ -42,18 +45,6 @@ func main() {
 			fmt.Println(f().Render())
 		}
 		fmt.Printf("suite completed in %s\n", time.Since(start).Round(time.Millisecond))
-		return
-	case "json":
-		path := "BENCH_9.json"
-		if len(args) > 1 {
-			path = args[1]
-		}
-		start := time.Now()
-		if err := bench.WriteJSON(path); err != nil {
-			fmt.Fprintf(os.Stderr, "shbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s in %s\n", path, time.Since(start).Round(time.Millisecond))
 		return
 	case "-h", "--help", "help":
 		usage()
@@ -96,5 +87,5 @@ func list() {
 }
 
 func usage() {
-	fmt.Println("usage: shbench all | list | json [path] | <experiment id>...")
+	fmt.Println("usage: shbench all | list | <experiment id>...")
 }

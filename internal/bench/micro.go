@@ -188,10 +188,3 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
-
-func safeDiv(d time.Duration, n int64) time.Duration {
-	if n == 0 {
-		return 0
-	}
-	return d / time.Duration(n)
-}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"stableheap"
-	"stableheap/internal/obs"
 	"stableheap/internal/repl"
 	"stableheap/internal/word"
 	"stableheap/internal/workload"
@@ -17,8 +16,6 @@ import (
 type failoverResult struct {
 	stats   repl.PromoteStats
 	shipped int64 // bytes the standby applied over its lifetime
-	primary obs.Snapshot
-	standby obs.Snapshot
 }
 
 // runFailover runs a primary+standby pair over an in-process pipe:
@@ -80,9 +77,7 @@ func runFailover(ckptEvery, tailOps int) (failoverResult, error) {
 		return out, fmt.Errorf("promoted bank total %d, want %d", total, 64*1000)
 	}
 	out.stats = stats
-	out.standby = sb.Metrics()
-	out.shipped = out.standby.Counter("repl_applied_bytes_total")
-	out.primary = prim.Metrics()
+	out.shipped = sb.Metrics().Counter("repl_applied_bytes_total")
 	return out, nil
 }
 
@@ -124,19 +119,4 @@ func E16Failover() Table {
 		"redo_window_B = promoted-heap analysis start to applied LSN (log bytes re-scanned at failover)",
 		"shipped_B = total log bytes the standby applied while warm (continuous redo, off the failover path)")
 	return t
-}
-
-// replicationReport runs one representative failover and returns the E16
-// table plus the primary's and standby's repl_* metrics for the JSON
-// report.
-func replicationReport() (Table, obs.Snapshot, error) {
-	tbl := E16Failover()
-	r, err := runFailover(200, 200)
-	if err != nil {
-		return tbl, obs.Snapshot{}, err
-	}
-	merged := obs.NewSnapshot()
-	merged.Merge(r.primary)
-	merged.Merge(r.standby)
-	return tbl, merged, nil
 }

@@ -12,7 +12,7 @@ import (
 func concSGCCfg() Config {
 	c := nurseryCfg()
 	c.ConcurrentSGC = true
-	c.ConcSGCManualScan = true
+	c.ManualScan = true
 	return c
 }
 
@@ -116,7 +116,7 @@ func TestConcurrentStableScanAbortRestoresOverwrite(t *testing.T) {
 // enabled — the -race battery for the flip/quantum/transport latching.
 func TestConcurrentStableScanRace(t *testing.T) {
 	cfg := concSGCCfg()
-	cfg.ConcSGCManualScan = false
+	cfg.ManualScan = false
 	cfg.ConcurrentVGC = true
 	hp := Open(cfg)
 	defer hp.Close()

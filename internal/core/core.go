@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,6 +39,7 @@ import (
 	"stableheap/internal/recovery"
 	"stableheap/internal/stability"
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/tx"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
@@ -94,13 +94,6 @@ type Config struct {
 	// quanta on a collector goroutine behind a read barrier and a
 	// snapshot-at-the-beginning deletion barrier. Requires Divided.
 	ConcurrentVGC bool
-	// ConcVGCManualScan suppresses the collector goroutine: an in-flight
-	// concurrent scan advances only through StepVolatileScan and the
-	// inline retirement points (the next collection, a stable flip,
-	// Close). Deterministic harnesses (chaos replay) use this to pace the
-	// scan from the seed instead of the goroutine scheduler, so runs stay
-	// bit-identical. Meaningless without ConcurrentVGC.
-	ConcVGCManualScan bool
 	// ConcurrentSGC makes stable collections mostly-concurrent: the stop
 	// latch is held only for the flip (the logged space swap plus root,
 	// handle, undo-value and cross-area slot translation) while the
@@ -114,12 +107,14 @@ type Config struct {
 	// while the scan runs allocate at the high end of to-space instead of
 	// forcing the collection to finish.
 	ConcurrentSGC bool
-	// ConcSGCManualScan suppresses the stable collector goroutine: an
-	// in-flight concurrent stable scan advances only through
-	// StepStableScan and the inline retirement points. Deterministic
-	// harnesses (chaos replay) pace the scan from the seed. Meaningless
-	// without ConcurrentSGC.
-	ConcSGCManualScan bool
+	// ManualScan suppresses the collector goroutines and the commit assist
+	// of both concurrent modes: an in-flight concurrent scan advances only
+	// through StepVolatileScan / StepStableScan and the inline retirement
+	// points (the next collection, a stable flip, Close). Deterministic
+	// harnesses (chaos replay) use this to pace the scans from the seed
+	// instead of the goroutine scheduler, so runs stay bit-identical.
+	// Meaningless without ConcurrentVGC or ConcurrentSGC.
+	ManualScan bool
 	// Divided enables the stable/volatile split of Chapter 5. When
 	// false, every object lives in the stable area and every update is
 	// logged (the Chapters 3–4 configuration, used as the E9 baseline).
@@ -297,19 +292,17 @@ type Heap struct {
 	shards []sync.Mutex
 	coarse atomic.Bool
 
-	// The concurrent-collection gate (latch.go): while a mostly-
-	// concurrent scan is in flight (cvgcOn for the volatile area, csgcOn
-	// for the stable area), ordinary actions additionally hold gate
-	// shared and the collector goroutine runs its quanta under gate
-	// exclusive — so copying excludes mutators without ever taking the
-	// stop latch. Both flags only transition with stop held exclusively.
-	// gateHeldExcl tracks whether the current exclusive section acquired
-	// the gate (single-writer under stop). scanWG joins the collector
-	// goroutines on Close/Crash.
+	// The concurrent-collection gate (latch.go) and the two concurrent-scan
+	// drivers (concscan.go): while either area's scan is in flight
+	// (scanning()), ordinary actions additionally hold gate shared and the
+	// collector goroutine runs its quanta under gate exclusive — so copying
+	// excludes mutators without ever taking the stop latch. gateHeldExcl
+	// tracks whether the current exclusive section acquired the gate
+	// (single-writer under stop). scanWG joins the collector goroutines on
+	// Close/Crash.
 	gate         sync.RWMutex
 	gateHeldExcl bool
-	cvgcOn       atomic.Bool
-	csgcOn       atomic.Bool
+	vscan, sscan concScan
 	scanWG       sync.WaitGroup
 
 	// grayQ is the snapshot-at-the-beginning gray stack: pointer values
@@ -374,8 +367,9 @@ type Heap struct {
 
 	// store is the file-backed device pair when the heap was opened with
 	// Config.Dir (nil otherwise); Close closes it after the final
-	// checkpoint so the files are released with everything flushed.
-	store io.Closer
+	// checkpoint so the files are released with everything flushed, Crash
+	// abandons it (closed, nothing flushed or synced).
+	store *filestore.Store
 }
 
 // Tx is an open transaction on a Heap.
@@ -486,6 +480,8 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		LockShards:  hp.lockShardsForCopy,
 	})
 	mem.SetTrapHandler(hp.sgc.Trap)
+	hp.sscan = concScan{hp: hp, c: hp.sgc, quantumEv: obs.EvSGCQuantum,
+		label: "sgc-scan", retire: hp.finishStableGCLocked}
 
 	if cfg.Divided {
 		hp.vgc = gc.NewVolatile(mem, h, log, hp.volLo, hp.volHi)
@@ -505,8 +501,10 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		hp.track = stability.New(h, hp.txm, locks, stability.Env{
 			InVolatile: hp.inVolatile,
 			AddLS:      func(a word.Addr) { hp.ls[a] = true },
-			Forward:    hp.volLoad,
+			Forward:    hp.vscan.load,
 		})
+		hp.vscan = concScan{hp: hp, c: hp.vgc, quantumEv: obs.EvVGCQuantum,
+			label: "vgc-scan", retire: hp.finishConcurrentLocked}
 	}
 	if cfg.GroupCommitWindow > 0 {
 		hp.group = newGroupCommitter(hp, cfg.GroupCommitWindow, cfg.GroupCommitBatch)
@@ -678,12 +676,7 @@ func (hp *Heap) onStableSlotFixed(slot, newPtr word.Addr, stillVolatile bool) {
 // registers aged slots that store nursery pointers in the nursery
 // remembered set.
 func (hp *Heap) onVolatilePtrWrite(slot, old, stored word.Addr) {
-	if hp.cvgcOn.Load() && hp.vgc.ConcFromContains(old) {
-		hp.grayMu.Lock()
-		hp.grayQ = append(hp.grayQ, old)
-		hp.grayMu.Unlock()
-		hp.met.satbGray.Inc()
-	}
+	hp.vscan.gray(old)
 	if hp.inNursery(stored) && !hp.inNursery(slot) {
 		hp.remMu.Lock()
 		hp.nrem[slot] = true
@@ -805,7 +798,7 @@ func (hp *Heap) forEachVolatileRoot(visit func(get func() word.Addr, set func(wo
 // volatile from-space would be missed. finishConcurrentLocked re-checks
 // the trigger when the scan retires.
 func (hp *Heap) maybeStartStableGC() {
-	if hp.sgc.Active() || hp.cvgcOn.Load() {
+	if hp.sgc.Active() || hp.vscan.on.Load() {
 		return
 	}
 	if float64(hp.sgc.FreeWords()) >= hp.cfg.GCTriggerFraction*float64(hp.cfg.StableWords) {
@@ -823,7 +816,7 @@ func (hp *Heap) startStableGC() {
 	if hp.cfg.ConcurrentSGC && hp.cfg.Incremental {
 		hp.rootObj = hp.sgc.StartConcurrentCollection(hp.rootObj)
 		hp.bb.Record(obs.EvGCFlip, 0, uint64(hp.sgc.Stats().Collections), 1)
-		hp.startStableConcScan()
+		hp.sscan.start()
 		return
 	}
 	hp.rootObj = hp.sgc.StartCollection(hp.rootObj)
@@ -836,7 +829,7 @@ func (hp *Heap) startStableGC() {
 // its collector goroutine and the commit assist instead — operations must
 // not scan from shared sections.
 func (hp *Heap) stepStableGC() {
-	if !hp.cfg.DisableOpPacing && hp.sgc.Active() && !hp.csgcOn.Load() {
+	if !hp.cfg.DisableOpPacing && hp.sgc.Active() && !hp.sscan.on.Load() {
 		hp.sgc.Step()
 	}
 }
@@ -901,7 +894,7 @@ func (hp *Heap) collectVolatile() error {
 			hp.vgc.StartConcurrent()
 			hp.bb.SetGCEpoch(hp.vgc.Epoch())
 			hp.bb.Record(obs.EvVGCFlip, 0, hp.vgc.Epoch(), 1)
-			hp.startConcurrentScan()
+			hp.vscan.start()
 			return nil
 		}
 		// Nursery could not be emptied (aged space too full): the full
@@ -1187,8 +1180,8 @@ func (t *Tx) Ptr(r *Ref, i int) (*Ref, error) {
 	hp.mem.EnsureAccessible(slot, word.WordSize)
 	p := word.Addr(hp.mem.ReadWord(slot))
 	p = hp.sgc.BarrierLoad(p) // Baker-mode transport
-	p = hp.stableLoad(p)      // mostly-concurrent stable transport
-	p = hp.volLoad(p)         // mostly-concurrent volatile transport
+	p = hp.sscan.load(p)      // mostly-concurrent stable transport
+	p = hp.vscan.load(p)      // mostly-concurrent volatile transport
 	if hp.hist != nil {
 		hp.hist.Read(t.t.ID(), a)
 	}
@@ -1304,13 +1297,8 @@ func (hp *Heap) writeWordAction(t *Tx, obj word.Addr, d heap.Descriptor, slot wo
 	var buf [word.WordSize]byte
 	word.PutWord(buf[:], 0, v)
 	if hp.isStableObject(obj, d) {
-		if isPtr && hp.csgcOn.Load() {
-			if old := word.Addr(hp.mem.ReadWord(slot)); hp.sgc.ConcFromContains(old) {
-				hp.grayMu.Lock()
-				hp.grayQ = append(hp.grayQ, old)
-				hp.grayMu.Unlock()
-				hp.met.satbGray.Inc()
-			}
+		if isPtr && hp.sscan.on.Load() {
+			hp.sscan.gray(word.Addr(hp.mem.ReadWord(slot)))
 		}
 		hp.txm.Update(t.t, obj, slot, buf[:], isPtr)
 	} else {
@@ -1391,8 +1379,8 @@ func (t *Tx) Root(i int) (*Ref, error) {
 	hp.mem.EnsureAccessible(slot, word.WordSize)
 	p := word.Addr(hp.mem.ReadWord(slot))
 	p = hp.sgc.BarrierLoad(p)
-	p = hp.stableLoad(p)
-	p = hp.volLoad(p)
+	p = hp.sscan.load(p)
+	p = hp.vscan.load(p)
 	if hp.hist != nil {
 		hp.hist.Read(t.t.ID(), hp.rootObj)
 	}
@@ -1457,7 +1445,7 @@ func (t *Tx) VolRoot(i int) (*Ref, error) {
 		return nil, fmt.Errorf("core: root index %d out of range", i)
 	}
 	p := word.Addr(hp.mem.ReadWord(hp.volRootObj + word.Addr(heap.PtrOffset(i))))
-	p = hp.volLoad(p)
+	p = hp.vscan.load(p)
 	if p.IsNil() {
 		return nil, nil
 	}
@@ -1559,8 +1547,8 @@ func (t *Tx) Commit() error {
 	hp.met.txCommit.Observe(uint64(d))
 	hp.tr.Complete("tx", "commit", start, d)
 	hp.bb.Record(obs.EvTxCommit, uint64(t.t.ID()), uint64(d), 0)
-	hp.assistVolatileScan()
-	hp.assistStableScan()
+	hp.vscan.assist()
+	hp.sscan.assist()
 	return nil
 }
 
@@ -1624,8 +1612,8 @@ func (t *Tx) commitExclusive(start time.Time) error {
 	hp.met.txCommit.Observe(uint64(d))
 	hp.tr.Complete("tx", "commit", start, d)
 	hp.bb.Record(obs.EvTxCommit, uint64(t.t.ID()), uint64(d), 0)
-	hp.assistVolatileScan()
-	hp.assistStableScan()
+	hp.vscan.assist()
+	hp.sscan.assist()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -40,8 +41,8 @@ import (
 //
 //   - gate is the mostly-concurrent collection gate (Config.ConcurrentVGC
 //     and Config.ConcurrentSGC). While a concurrent scan is in flight
-//     (cvgcOn for the volatile area, csgcOn for the stable area), ordinary
-//     actions additionally hold gate shared and the collector goroutine
+//     (scanning(): either area's concScan flag), ordinary actions
+//     additionally hold gate shared and the collector goroutine
 //     runs each scan quantum under gate exclusive: copying excludes
 //     mutators one quantum at a time without ever taking the stop latch,
 //     which is exactly how the scan stays off the mutator's critical path.
@@ -54,11 +55,11 @@ import (
 //     the collection is active but mutator actions keep running shared,
 //     which is the whole point.
 //
-// Lock order: stop → gate → {sgc.stransMu → shard, vgc.transMu} →
+// Lock order: stop → gate → {sgc.transMu → shard, vgc.transMu} →
 // {ckpt.mu, vm.mu → wal.mu, txm.mu → txm.undoMu, lock.mu, candMu, grayMu,
 // remMu}. Ordinary updates take their one shard directly; a stable
-// transport takes stransMu first, then the shards of the pages its logged
-// copy writes (no writer ever waits on stransMu while holding a shard, so
+// transport takes transMu first, then the shards of the pages its logged
+// copy writes (no writer ever waits on transMu while holding a shard, so
 // the nesting cannot deadlock). Subsystem mutexes never call back into
 // the latch.
 func (hp *Heap) rlock() (excl bool) {
@@ -74,7 +75,7 @@ func (hp *Heap) rlock() (excl bool) {
 			hp.stop.RUnlock()
 			continue
 		}
-		if hp.cvgcOn.Load() || hp.csgcOn.Load() {
+		if hp.scanning() {
 			// Neither flag can change while we hold stop shared, so the
 			// matching runlock releases the gate iff one is set here.
 			hp.gate.RLock()
@@ -83,13 +84,17 @@ func (hp *Heap) rlock() (excl bool) {
 	}
 }
 
+// scanning reports whether either area's concurrent scan is in flight (the
+// two atomic loads every action pays for the concurrent modes).
+func (hp *Heap) scanning() bool { return hp.vscan.on.Load() || hp.sscan.on.Load() }
+
 // runlock releases what rlock acquired.
 func (hp *Heap) runlock(excl bool) {
 	if excl {
 		hp.unlockExclusive()
 		return
 	}
-	if hp.cvgcOn.Load() || hp.csgcOn.Load() {
+	if hp.scanning() {
 		hp.gate.RUnlock()
 	}
 	hp.stop.RUnlock()
@@ -103,7 +108,7 @@ func (hp *Heap) runlock(excl bool) {
 func (hp *Heap) lockExclusive() {
 	start := time.Now()
 	hp.stop.Lock()
-	// The gate is taken unconditionally, not just when cvgcOn: a collector
+	// The gate is taken unconditionally, not just when scanning: a collector
 	// goroutine whose collection was retired inline can still be between
 	// quanta, and it re-checks liveness under the gate — so any exclusive
 	// section that might restart the collector state must already exclude
@@ -111,7 +116,7 @@ func (hp *Heap) lockExclusive() {
 	// paid for draining every shared action.
 	hp.gate.Lock()
 	hp.gateHeldExcl = true
-	if hp.cvgcOn.Load() || hp.csgcOn.Load() {
+	if hp.scanning() {
 		hp.drainGrayLocked()
 	}
 	wait := time.Since(start)
@@ -157,7 +162,7 @@ func (hp *Heap) drainGrayLocked() {
 			if hp.vgc != nil {
 				hp.vgc.EvacuateGray(p)
 			}
-			hp.sgc.EvacuateConcGray(p)
+			hp.sgc.EvacuateGray(p)
 		}
 	}
 }
@@ -168,11 +173,11 @@ func (hp *Heap) drainGrayLocked() {
 // shared behind the gate and the read barrier — and this is also where a
 // retired concurrent collection stops routing loads through the barrier.
 func (hp *Heap) syncCoarse() {
-	if hp.csgcOn.Load() && !hp.sgc.ConcurrentActive() {
-		hp.csgcOn.Store(false)
+	if hp.sscan.on.Load() && !hp.sgc.ConcurrentActive() {
+		hp.sscan.on.Store(false)
 		hp.bb.Record(obs.EvSGCFinish, 0, hp.sgc.Epoch(), 0)
 	}
-	hp.coarse.Store(hp.sgc.Active() && !hp.csgcOn.Load())
+	hp.coarse.Store(hp.sgc.Active() && !hp.sscan.on.Load())
 }
 
 // shardOf returns the writer stripe for the page containing a.
@@ -190,4 +195,29 @@ func (hp *Heap) lockShard(excl bool, slot word.Addr) func() {
 	sh := hp.shardOf(slot)
 	sh.Lock()
 	return sh.Unlock
+}
+
+// lockShardsForCopy pins the writer shards striping the pages of
+// [to, to+sizeWords), in index order, for a stable transport's logged copy.
+// Consecutive pages stripe to consecutive shards, so the first
+// min(pages, shards) of them are distinct and cover every page. Mutator
+// writers hold exactly one shard and never wait on the transport mutex, so
+// the multi-shard acquisition cannot deadlock against them.
+func (hp *Heap) lockShardsForCopy(to word.Addr, sizeWords int) func() {
+	ps, n := uint64(hp.cfg.PageSize), uint64(len(hp.shards))
+	first := uint64(to) / ps
+	last := (uint64(to.Add(sizeWords)) - 1) / ps
+	idx := make([]int, min(last-first+1, n))
+	for k := range idx {
+		idx[k] = int((first + uint64(k)) % n)
+	}
+	sort.Ints(idx)
+	for _, i := range idx {
+		hp.shards[i].Lock()
+	}
+	return func() {
+		for k := len(idx) - 1; k >= 0; k-- {
+			hp.shards[idx[k]].Unlock()
+		}
+	}
 }

@@ -96,7 +96,10 @@ func (hp *Heap) Close() {
 // Crash simulates a system failure (§2.2.2): main memory, the volatile
 // log tail, the lock table and the transaction table vanish; the disk and
 // the stable log survive. The heap is unusable afterwards; call Recover
-// with the surviving devices.
+// with the surviving devices — except on a heap that owns its files
+// (OpenDir/RecoverDir): there the crash also releases them, as a process
+// kill would (no flush, no fdatasync), the returned devices are dead, and
+// only RecoverDir on the directory reopens the heap.
 func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 	hp.stopWatchdog()
 	if hp.group != nil {
@@ -105,13 +108,11 @@ func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 	func() {
 		hp.lockExclusive()
 		defer hp.unlockExclusive()
-		// An in-flight concurrent volatile scan simply vanishes: it was
-		// pure unlogged copying, the flip record is already in the log,
-		// and recovery treats the whole volatile area as dead. A
-		// concurrent stable scan is abandoned too, but its steps are all
-		// in the log — recovery resumes that collection where it stopped.
-		hp.abandonConcurrentLocked()
-		hp.abandonStableConcLocked()
+		// In-flight concurrent scans are forgotten, not finished: recovery
+		// treats the whole volatile area as dead, and resumes a stable
+		// collection where its logged steps stopped.
+		hp.vscan.abandon()
+		hp.sscan.abandon()
 		// CrashDevice applies any planned torn writes (internal/faultfs)
 		// and records them as EvFault events — so crash THEN stamp the
 		// EvCrash marker, and the flushed timeline ends with the injected
@@ -127,6 +128,10 @@ func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 	// not among the crashed devices, so the flush below is what makes the
 	// pre-crash timeline readable after recovery.
 	hp.journal.Flush()
+	if hp.store != nil {
+		hp.store.Abandon()
+		hp.store = nil
+	}
 	return hp.disk, hp.logDev
 }
 
@@ -260,7 +265,7 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 		// may instead have finished the collection inline; then this is
 		// skipped and syncCoarse above already republished coarse.)
 		hp.lockExclusive()
-		hp.startStableConcScan()
+		hp.sscan.start()
 		hp.unlockExclusive()
 	}
 	hp.bb.Record(obs.EvRecovery, 0, uint64(res.RedoApplied), uint64(res.RedoScanned))
@@ -438,17 +443,34 @@ func (hp *Heap) CollectNursery() (int, error) {
 }
 
 // ConcurrentScanActive reports whether a mostly-concurrent volatile scan
-// is in flight on the collector goroutine.
-func (hp *Heap) ConcurrentScanActive() bool { return hp.cvgcOn.Load() }
+// is in flight.
+func (hp *Heap) ConcurrentScanActive() bool { return hp.vscan.on.Load() }
 
-// FinishVolatileScan retires an in-flight concurrent volatile scan
-// inline, blocking until from-space is discarded. A no-op when no scan is
-// active.
+// StableScanActive reports whether a concurrent stable scan is in flight.
+func (hp *Heap) StableScanActive() bool {
+	hp.stop.RLock()
+	defer hp.stop.RUnlock()
+	return hp.sscan.on.Load()
+}
+
+// StepVolatileScan and StepStableScan advance the area's in-flight scan by
+// one quantum from the calling goroutine (Config.ManualScan mode, where no
+// collector goroutine exists) and report whether scan work remains; the
+// caller retires a drained scan with FinishVolatileScan / FinishStableScan,
+// or leaves it in flight — a crash mid-scan is a valid state
+// (concScan.abandon). No-ops returning false when no scan is active.
+func (hp *Heap) StepVolatileScan() bool { return hp.vscan.step(0) }
+func (hp *Heap) StepStableScan() bool   { return hp.sscan.step(0) }
+
+// FinishVolatileScan and FinishStableScan retire the area's in-flight
+// concurrent scan inline, blocking until from-space is discarded. No-ops
+// when no scan is active.
 func (hp *Heap) FinishVolatileScan() {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
 	hp.finishConcurrentLocked()
 }
+func (hp *Heap) FinishStableScan() { hp.sscan.tryFinish(0) }
 
 // NurseryUsedWords returns the words currently allocated in the nursery
 // (0 without one).
@@ -459,18 +481,6 @@ func (hp *Heap) NurseryUsedWords() int {
 		return 0
 	}
 	return hp.vgc.NurseryUsedWords()
-}
-
-// VolatileFreeWords returns the free words of the current aged semispace
-// (0 without a volatile area) — with NurseryUsedWords, the occupancy view
-// behind generational pacing decisions.
-func (hp *Heap) VolatileFreeWords() int {
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	if hp.vgc == nil {
-		return 0
-	}
-	return hp.vgc.FreeWords()
 }
 
 // LSCount returns the number of newly stable objects awaiting evacuation.

@@ -261,7 +261,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 		// seed-chosen number of quanta per round.
 		cfg.NurseryBytes = 32 << 10
 		cfg.ConcurrentVGC = true
-		cfg.ConcVGCManualScan = true
+		cfg.ManualScan = true
 	}
 	if sc.StableConc {
 		// Same determinism argument as the nursery scenario: a collector
@@ -269,7 +269,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 		// stable scan itself with StepStableScan, a seed-chosen number of
 		// quanta per round, and most rounds crash with the scan in flight.
 		cfg.ConcurrentSGC = true
-		cfg.ConcSGCManualScan = true
+		cfg.ManualScan = true
 	}
 	// One journal device for the whole seed: each recovered heap appends
 	// its frames under a fresh boot id, so the accumulated dump holds the

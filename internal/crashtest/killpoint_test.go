@@ -262,7 +262,7 @@ func TestKillPointMatrix(t *testing.T) {
 func killScanCfg(dir string) core.Config {
 	cfg := killCfg(dir)
 	cfg.ConcurrentSGC = true
-	cfg.ConcSGCManualScan = true
+	cfg.ManualScan = true
 	return cfg
 }
 

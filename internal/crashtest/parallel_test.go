@@ -9,6 +9,7 @@ import (
 	"stableheap/internal/core"
 	"stableheap/internal/recovery"
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -127,7 +128,13 @@ func compareRecoveries(t *testing.T, pageSize int, disk storage.PageStore, logDe
 // subset of pages, and returns the surviving devices.
 func crashImage(t *testing.T, c core.Config, seed int64, steps int, flushFrac float64, midGC bool) (storage.PageStore, storage.LogDevice) {
 	t.Helper()
-	d := New(c, seed)
+	return crashImageOn(t, c, seed, steps, flushFrac, midGC, storage.NewDisk(c.PageSize), storage.NewLog(c.LogSegBytes))
+}
+
+// crashImageOn is crashImage over the given (empty) devices.
+func crashImageOn(t *testing.T, c core.Config, seed int64, steps int, flushFrac float64, midGC bool, disk storage.PageStore, logDev storage.LogDevice) (storage.PageStore, storage.LogDevice) {
+	t.Helper()
+	d := NewOn(c, seed, disk, logDev)
 	for i := 0; i < steps; i++ {
 		if err := d.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
@@ -153,8 +160,7 @@ func crashImage(t *testing.T, c core.Config, seed int64, steps int, flushFrac fl
 			mem.FlushPage(pg)
 		}
 	}
-	disk, logDev := d.Heap().Crash()
-	return disk, logDev
+	return d.Heap().Crash()
 }
 
 func TestParallelRedoEquivalentToSequential(t *testing.T) {
@@ -182,6 +188,30 @@ func TestParallelRedoEquivalentToSequential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestParallelRedoOverFilesEquivalent is the regression test for the bug
+// that kept tier-1 red on every machine with two cores: the file-backed
+// log recycled its read buffer between scan batches while the parallel
+// engine's workers still held zero-copy records aliasing it. The worker
+// count is forced, so the test bites on a one-core box too (there the
+// dispatcher runs a whole channel's worth of batches ahead of the workers).
+func TestParallelRedoOverFilesEquivalent(t *testing.T) {
+	c := cfg()
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			st, err := filestore.Open(t.TempDir(), filestore.Options{
+				PageSize: c.PageSize, SegmentBytes: c.LogSegBytes, NoWriteBack: true})
+			if err != nil {
+				t.Fatalf("filestore.Open: %v", err)
+			}
+			defer st.Close()
+			disk, logDev := crashImageOn(t, c, seed, 150, 0.4, true, st.Disk, st.Log)
+			for _, workers := range []int{2, 4} {
+				compareRecoveries(t, c.PageSize, disk, logDev, workers)
+			}
+		})
 	}
 }
 

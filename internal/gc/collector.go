@@ -20,7 +20,6 @@ package gc
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"stableheap/internal/heap"
@@ -108,16 +107,11 @@ type Stats struct {
 	ScannedSlots int64
 	FillerWords  int64
 	GCEndFlushes int64 // to-space pages written back at collection ends
-	// Concurrent-mode work (Config.ConcurrentSGC in the core): scan
-	// quanta run on the collector goroutine, transports on mutator load
-	// paths.
-	ConcCollections int
-	ConcQuanta      int64
-	ConcTransports  int64
-	Flip            obs.HistSnapshot
-	Step            obs.HistSnapshot
-	Trap            obs.HistSnapshot
-	Quantum         obs.HistSnapshot
+	ConcStats          // concurrent mode (Config.ConcurrentSGC in the core)
+	Flip         obs.HistSnapshot
+	Step         obs.HistSnapshot
+	Trap         obs.HistSnapshot
+	Quantum      obs.HistSnapshot
 }
 
 // Collector manages one area of the heap with two semispaces.
@@ -144,22 +138,15 @@ type Collector struct {
 	marked int
 	lot    *heap.LastObjTable
 
-	// Concurrent-mode state (concurrent_stable.go): the scan runs in
-	// quanta on a collector goroutine instead of under the stop latch.
-	// stransMu serializes mutator transports' logged copies against each
-	// other (the gate excludes them from scan quanta); concReserve is the
-	// to-space headroom kept free for copies still in flight.
-	concActive     bool
-	concReserve    int
-	concBaseCopied int64
-	stransMu       sync.Mutex
+	// Concurrent-mode state (concurrent.go): the scan runs in quanta on a
+	// collector goroutine instead of under the stop latch.
+	concState
 
-	stats    Stats
-	flipH    obs.Histogram
-	stepH    obs.Histogram
-	trapH    obs.Histogram
-	quantumH obs.Histogram
-	tr       *obs.Trace
+	stats Stats
+	flipH obs.Histogram
+	stepH obs.Histogram
+	trapH obs.Histogram
+	tr    *obs.Trace
 }
 
 // New creates a collector for the area [lo, mid) ∪ [mid, hi) split into two
@@ -188,13 +175,13 @@ func (c *Collector) SetHooks(h Hooks) { c.hooks = h }
 func (c *Collector) Config() Config { return c.cfg }
 
 // Stats returns accumulated counters and pause-histogram snapshots.
-// stransMu keeps the read coherent against concurrent transports; every
+// transMu keeps the read coherent against concurrent transports; every
 // other writer runs with the caller (who holds at least the shared stop
 // latch) excluded.
 func (c *Collector) Stats() Stats {
-	c.stransMu.Lock()
+	c.transMu.Lock()
 	s := c.stats
-	c.stransMu.Unlock()
+	c.transMu.Unlock()
 	s.Flip = c.flipH.Snapshot()
 	s.Step = c.stepH.Snapshot()
 	s.Trap = c.trapH.Snapshot()
@@ -204,9 +191,9 @@ func (c *Collector) Stats() Stats {
 
 // ResetStats zeroes the counters and pause histograms.
 func (c *Collector) ResetStats() {
-	c.stransMu.Lock()
+	c.transMu.Lock()
 	c.stats = Stats{}
-	c.stransMu.Unlock()
+	c.transMu.Unlock()
 	c.flipH.Reset()
 	c.stepH.Reset()
 	c.trapH.Reset()
@@ -246,7 +233,7 @@ func (c *Collector) InArea(a word.Addr) bool {
 // collection and retries.
 func (c *Collector) Alloc(sizeWords int) (word.Addr, bool) {
 	if c.active {
-		if c.concActive && c.to.FreeWords()-sizeWords < c.concRemainingWords() {
+		if c.concActive && c.to.FreeWords()-sizeWords < c.concRemainingWords(c.stats.CopiedWords) {
 			return word.NilAddr, false
 		}
 		return c.to.AllocHigh(sizeWords)
@@ -268,7 +255,7 @@ func (c *Collector) AllocForMove(sizeWords int) (word.Addr, bool) {
 		if !c.concActive {
 			panic("gc: AllocForMove during active collection")
 		}
-		if c.to.FreeWords()-sizeWords < c.concRemainingWords() {
+		if c.to.FreeWords()-sizeWords < c.concRemainingWords(c.stats.CopiedWords) {
 			return word.NilAddr, false
 		}
 		return c.to.AllocHigh(sizeWords)
@@ -283,7 +270,7 @@ func (c *Collector) FreeWords() int {
 	if c.active {
 		free := c.to.FreeWords()
 		if c.concActive {
-			free -= c.concRemainingWords()
+			free -= c.concRemainingWords(c.stats.CopiedWords)
 			if free < 0 {
 				free = 0
 			}
@@ -383,7 +370,7 @@ func (c *Collector) startCollection(rootObj word.Addr, concurrent bool) word.Add
 	// Arm the read barrier: protect all of to-space (Ellis). Baker mode
 	// needs no protection; the per-load check stands guard. In concurrent
 	// mode neither applies — the transporting read barrier
-	// (TransportStable) forwards every mutator load instead, and pages
+	// (Transport) forwards every mutator load instead, and pages
 	// are never protected.
 	if concurrent {
 		c.concActive = true
@@ -716,7 +703,7 @@ func (c *Collector) sequentialScan(quantum int) {
 // pointer p; if it refers to from-space, transport the object and return
 // the to-space address. In Ellis mode loads never see from-space pointers
 // (the page trap rewrote them), so p is returned unchanged. During a
-// concurrent collection TransportStable stands guard instead (it
+// concurrent collection Transport stands guard instead (it
 // serializes the logged copy; an unserialized forward here would race).
 func (c *Collector) BarrierLoad(p word.Addr) word.Addr {
 	if c.cfg.Barrier != Baker || !c.active || c.concActive || p.IsNil() || !c.from.Contains(p) {

@@ -1,30 +1,81 @@
 package gc
 
 import (
+	"sync"
 	"time"
 
 	"stableheap/internal/heap"
+	"stableheap/internal/obs"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
 
-// Mostly-concurrent volatile collection (Config.ConcurrentVGC), after
-// PyPy's MostlyConcurrentMarkSweepGC: the stop latch is held only for the
-// flip — root rewrites, remembered-set fixes and the logged evacuation of
-// every newly stable object — while the Cheney scan of to-space runs in
-// quanta on a collector goroutine. Mutators running during the scan are
-// protected by two barriers maintained by the core:
+// Mostly-concurrent collection (Config.ConcurrentVGC and Config.ConcurrentSGC
+// in the core), after PyPy's MostlyConcurrentMarkSweepGC: one machine that
+// both areas plug into. The stop latch is held only for the flip — the space
+// swap plus root, remembered-set, handle, undo and cross-area slot
+// translation — while the scan of to-space runs in quanta (ScanQuantum) on a
+// collector goroutine under the core's gate latch. Mutators running between
+// quanta are protected by two barriers the core maintains:
 //
-//   - a read barrier (Transport): every volatile pointer load forwards
+//   - a transporting read barrier (Transport): every pointer load forwards
 //     from-space targets, so mutators never observe — and so never store —
 //     a from-space address after the flip;
-//   - a snapshot-at-the-beginning deletion barrier: overwritten volatile
-//     pointers are grayed and evacuated before any abort can restore them,
-//     so undo never resurrects a from-space address either.
+//   - a snapshot-at-the-beginning deletion barrier (EvacuateGray):
+//     overwritten pointers are grayed and evacuated before any abort can
+//     restore them, so undo never resurrects a from-space address either.
 //
-// All logged work (V2SCopy, SFix, VFlip) happens at the flip; the scan is
-// purely unlogged volatile copying. A crash mid-scan is therefore
+// The areas differ only in what is logged. The volatile collector logs
+// everything at the flip (V2SCopy, SFix, VFlip — every LS move, reachable or
+// not); its scan is pure unlogged copying, so a crash mid-scan is
 // indistinguishable to recovery from a crash after a completed collection.
+// The stable collector's scan steps are the same WAL-logged, restartable
+// steps the incremental collector takes (§3.4.2): ScanRec and CopyRec
+// records keep appending from the collector goroutine, so a crash at any
+// quantum boundary recovers through the existing restartable-scan path —
+// only who holds which latch while the records are written changes. Because
+// stable transports append copy records, and recovery asserts copy records
+// arrive in copy-pointer order, every stable copier is serialized: the flip
+// runs under the exclusive stop latch, scan quanta and gray drains under the
+// exclusive gate, and transports under transMu while holding the shared
+// gate — each pair mutually exclusive.
+
+// ConcStats counts mostly-concurrent work: scan quanta run on the collector
+// goroutine (or a commit assist), transports on mutator load paths.
+type ConcStats struct {
+	ConcCollections int
+	ConcQuanta      int64
+	ConcTransports  int64
+}
+
+// concState is the bookkeeping either collector keeps for a mostly-
+// concurrent collection. transMu serializes mutator transports against each
+// other (the collector goroutine holds the gate exclusively, so it cannot
+// race them) and keeps Stats() coherent against them. concReserve is the
+// to-space headroom kept free for copies still in flight.
+type concState struct {
+	concActive     bool
+	concReserve    int   // from-space words still to copy at the flip
+	concBaseCopied int64 // the collector's CopiedWords at the flip
+	transMu        sync.Mutex
+	quantumH       obs.Histogram
+}
+
+// concRemainingWords returns the to-space words still reserved for
+// in-flight copies: the reserve minus what has been copied since the flip.
+func (s *concState) concRemainingWords(copied int64) int {
+	if rem := s.concReserve - int(copied-s.concBaseCopied); rem > 0 {
+		return rem
+	}
+	return 0
+}
+
+// ConcurrentActive reports whether a concurrent scan is in flight.
+func (s *concState) ConcurrentActive() bool { return s.concActive }
+
+func spaceUsedWords(s *heap.Space) int {
+	return word.BytesToWords(int(s.CopyPtr-s.Lo) + int(s.Hi-s.AllocPtr))
+}
 
 // StartConcurrent performs the stop-the-world flip of a mostly-concurrent
 // collection and returns the number of newly stable objects moved. The
@@ -92,10 +143,6 @@ func (v *VolatileCollector) StartConcurrent() int {
 	v.pauseH.Observe(uint64(d))
 	v.tr.Complete("vgc", "flip", start, d)
 	return moved
-}
-
-func spaceUsedWords(s *heap.Space) int {
-	return word.BytesToWords(int(s.CopyPtr-s.Lo) + int(s.Hi-s.AllocPtr))
 }
 
 // ScanQuantum advances the concurrent Cheney scan by roughly budgetWords
@@ -192,9 +239,6 @@ func (v *VolatileCollector) AbandonConcurrent() {
 	v.from = nil
 	v.to = nil
 }
-
-// ConcurrentActive reports whether a concurrent scan is in flight.
-func (v *VolatileCollector) ConcurrentActive() bool { return v.concActive }
 
 // ConcFromContains reports whether a falls in the from-space of the
 // in-flight concurrent collection.

@@ -6,43 +6,8 @@ import (
 	"stableheap/internal/word"
 )
 
-// Mostly-concurrent stable collection (Config.ConcurrentSGC in the core):
-// the stop latch is held only for the flip — the logged space swap plus
-// root, handle, undo and cross-area slot translation — while the logged
-// sweep of to-space runs in quanta on a collector goroutine under the gate
-// latch. The scan steps are the same WAL-logged, restartable steps the
-// incremental collector takes (§3.4.2): ScanRec and CopyRec records keep
-// appending from the collector goroutine, so a crash at any quantum
-// boundary recovers through the existing restartable-scan path — nothing
-// about the crash story changes, only who holds which latch while the
-// records are written.
-//
-// Mutators running during the scan are protected by two barriers the core
-// maintains, mirroring the volatile collector (concurrent.go):
-//
-//   - a transporting read barrier (TransportStable): every stable pointer
-//     load forwards from-space targets, so mutators never observe — and so
-//     never store — a from-space address after the flip;
-//   - a snapshot-at-the-beginning deletion barrier: overwritten stable
-//     pointers are grayed and evacuated before any abort can restore them,
-//     so undo never resurrects a from-space address.
-//
-// Unlike the volatile scan, transports here append copy records. Recovery
-// asserts copy records arrive in copy-pointer order, so every copier is
-// serialized: the flip runs under the exclusive stop latch, scan quanta
-// and gray drains under the exclusive gate, and transports under stransMu
-// while holding the shared gate — each pair mutually exclusive.
-
-// concRemainingWords returns the to-space words still reserved for
-// in-flight copies: the from-space occupancy at the flip minus what has
-// been copied since.
-func (c *Collector) concRemainingWords() int {
-	rem := c.concReserve - int(c.stats.CopiedWords-c.concBaseCopied)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
+// The stable area's half of the mostly-concurrent collector; concurrent.go
+// states the machine and what the two areas share.
 
 // StartConcurrentCollection flips like StartCollection but leaves the scan
 // to the collector goroutine: no page protection is armed (the
@@ -72,17 +37,17 @@ func (c *Collector) ScanQuantum(budgetWords int) bool {
 	return c.scanPtr < c.to.CopyPtr
 }
 
-// TransportStable is the mutator read barrier of a concurrent stable
-// collection: it forwards p out of from-space if the scan has not reached
-// it yet. Mutators call it on the load path under the shared gate.
-// stransMu serializes the logged copies of concurrent transports against
-// each other (and orders their copy records by copy pointer); the
+// Transport is the mutator read barrier of a concurrent stable collection:
+// it forwards p out of from-space if the scan has not reached it yet.
+// Mutators call it on the load path under the shared gate. transMu
+// serializes the logged copies of concurrent transports against each
+// other (and orders their copy records by copy pointer); the
 // LockShards hook pins the destination pages so the {CopyRec append,
 // memory write} pair cannot interleave with a mutator update's pair on
 // the same page — the lost-update hazard conditional redo cannot repair.
-func (c *Collector) TransportStable(p word.Addr) word.Addr {
-	c.stransMu.Lock()
-	defer c.stransMu.Unlock()
+func (c *Collector) Transport(p word.Addr) word.Addr {
+	c.transMu.Lock()
+	defer c.transMu.Unlock()
 	if !c.concActive || !c.from.Contains(p) {
 		return p
 	}
@@ -92,7 +57,7 @@ func (c *Collector) TransportStable(p word.Addr) word.Addr {
 	}
 	if c.hooks.LockShards != nil {
 		// The copy lands at the copy pointer: nothing else can allocate
-		// low while we hold stransMu and the shared gate.
+		// low while we hold transMu and the shared gate.
 		unlock := c.hooks.LockShards(c.to.CopyPtr, d.SizeWords())
 		defer unlock()
 	}
@@ -100,18 +65,15 @@ func (c *Collector) TransportStable(p word.Addr) word.Addr {
 	return c.forward(p)
 }
 
-// EvacuateConcGray evacuates one grayed (SATB-overwritten) stable pointer
+// EvacuateGray evacuates one grayed (SATB-overwritten) stable pointer
 // target. Called with mutators excluded (gate or stop held exclusively),
 // before any transaction abort can restore the overwritten value.
-func (c *Collector) EvacuateConcGray(p word.Addr) {
+func (c *Collector) EvacuateGray(p word.Addr) {
 	if !c.concActive || p.IsNil() || !c.from.Contains(p) {
 		return
 	}
 	c.forward(p)
 }
-
-// ConcurrentActive reports whether a concurrent stable scan is in flight.
-func (c *Collector) ConcurrentActive() bool { return c.concActive }
 
 // ConcFromContains reports whether a falls in the from-space of the
 // in-flight concurrent stable collection.
@@ -119,10 +81,10 @@ func (c *Collector) ConcFromContains(a word.Addr) bool {
 	return c.concActive && c.from.Contains(a)
 }
 
-// AbandonConcurrentStable drops the concurrent-mode flags without touching
+// AbandonConcurrent drops the concurrent-mode flags without touching
 // memory — the crash path. Every scan step taken so far is in the log, so
 // recovery restores the interrupted collection from its records and either
 // resumes it concurrently or finishes it inline.
-func (c *Collector) AbandonConcurrentStable() {
+func (c *Collector) AbandonConcurrent() {
 	c.concActive = false
 }

@@ -32,11 +32,6 @@ func (v *VolatileCollector) SetNursery(lo, hi word.Addr) {
 // Nursery returns the nursery space (nil when disabled).
 func (v *VolatileCollector) Nursery() *heap.Space { return v.nursery }
 
-// InNursery reports whether a falls inside the nursery.
-func (v *VolatileCollector) InNursery(a word.Addr) bool {
-	return v.nursery != nil && v.nursery.Contains(a)
-}
-
 // NurseryFits reports whether an allocation of sizeWords belongs in the
 // nursery (oversized objects go straight to the aged space).
 func (v *VolatileCollector) NurseryFits(sizeWords int) bool {
@@ -81,7 +76,7 @@ func (v *VolatileCollector) CanMinor() bool {
 	}
 	free := v.Current().FreeWords()
 	if v.concActive {
-		free -= v.concRemainingWords()
+		free -= v.concRemainingWords(v.stats.CopiedWords)
 	}
 	return free >= v.nurseryUsedWords()
 }

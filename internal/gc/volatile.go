@@ -2,7 +2,6 @@ package gc
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"stableheap/internal/heap"
@@ -62,11 +61,9 @@ type VolatileStats struct {
 	MinorPause        obs.HistSnapshot
 
 	// Mostly-concurrent mode.
-	ConcCollections int
-	ConcQuanta      int64
-	ConcTransports  int64
-	FlipPause       obs.HistSnapshot
-	QuantumPause    obs.HistSnapshot
+	ConcStats
+	FlipPause    obs.HistSnapshot
+	QuantumPause obs.HistSnapshot
 }
 
 // VolatileCollector is the plain, unlogged copying collector of the
@@ -104,19 +101,15 @@ type VolatileCollector struct {
 	copyQ       []word.Addr
 	movedQ      []word.Addr // stable-area addresses of moved objects to scan
 
-	// mostly-concurrent collection state
-	concActive     bool
-	scan           word.Addr // concurrent Cheney scan pointer (object base)
-	scanSlot       int       // next pointer slot within the object at scan
-	concReserve    int       // from-space words still to copy at the flip
-	concBaseCopied int64     // stats.CopiedWords at the flip
-	transMu        sync.Mutex
+	// mostly-concurrent collection state (concurrent.go)
+	concState
+	scan     word.Addr // concurrent Cheney scan pointer (object base)
+	scanSlot int       // next pointer slot within the object at scan
 
 	stats       VolatileStats
 	pauseH      obs.Histogram
 	minorPauseH obs.Histogram
 	flipPauseH  obs.Histogram
-	quantumH    obs.Histogram
 	tr          *obs.Trace
 }
 
@@ -189,22 +182,12 @@ func (v *VolatileCollector) inFrom(a word.Addr) bool {
 // headroom for the copies the scan has yet to make.
 func (v *VolatileCollector) Alloc(sizeWords int) (word.Addr, bool) {
 	if v.concActive {
-		if v.to.FreeWords()-sizeWords < v.concRemainingWords() {
+		if v.to.FreeWords()-sizeWords < v.concRemainingWords(v.stats.CopiedWords) {
 			return word.NilAddr, false
 		}
 		return v.to.AllocHigh(sizeWords)
 	}
 	return v.Current().AllocLow(sizeWords)
-}
-
-// concRemainingWords bounds the from-space words the in-flight concurrent
-// scan may still copy into to-space.
-func (v *VolatileCollector) concRemainingWords() int {
-	rem := v.concReserve - int(v.stats.CopiedWords-v.concBaseCopied)
-	if rem < 0 {
-		return 0
-	}
-	return rem
 }
 
 // FreeWords returns free space in the current volatile semispace.

@@ -77,9 +77,7 @@ func (m *shardedMem) page(pg word.PageID) *shardPage {
 	if p, ok := sh[pg]; ok {
 		return p
 	}
-	m.diskMu.Lock()
-	data, lsn, ok := m.disk.ReadPage(pg)
-	m.diskMu.Unlock()
+	data, lsn, ok := m.readDisk(pg)
 	if !ok {
 		data = make([]byte, m.ps)
 		lsn = word.NilLSN
@@ -87,6 +85,17 @@ func (m *shardedMem) page(pg word.PageID) *shardPage {
 	p := &shardPage{data: data, lsn: lsn, firstApplied: word.NilLSN}
 	sh[pg] = p
 	return p
+}
+
+// readDisk reads pg from the shared disk under diskMu. The unlock is
+// deferred: a fault-injecting disk reports corruption and surfaced I/O
+// errors as typed panics out of ReadPage, and a mutex leaked by that unwind
+// parks every other worker on its next page load forever (the panicking
+// worker itself recovers and keeps draining its channel).
+func (m *shardedMem) readDisk(pg word.PageID) ([]byte, word.LSN, bool) {
+	m.diskMu.Lock()
+	defer m.diskMu.Unlock()
+	return m.disk.ReadPage(pg)
 }
 
 // PageSize implements pageIO.

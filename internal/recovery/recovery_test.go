@@ -3,6 +3,7 @@ package recovery
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"stableheap/internal/heap"
 	"stableheap/internal/storage"
@@ -604,5 +605,45 @@ func TestStatsSkew(t *testing.T) {
 	}
 	if s := (Stats{ShardRecords: []int{0, 0}}).Skew(); s != 0 {
 		t.Fatalf("empty-shard skew = %v, want 0", s)
+	}
+}
+
+// rotDisk reports one page as corrupt the way a fault-injecting store
+// does: a typed panic out of ReadPage.
+type rotDisk struct {
+	*storage.Disk
+	bad word.PageID
+}
+
+func (d rotDisk) ReadPage(id word.PageID) ([]byte, word.LSN, bool) {
+	if id == d.bad {
+		panic(&storage.CorruptPageError{Page: id, Reason: "test rot"})
+	}
+	return d.Disk.ReadPage(id)
+}
+
+// A device fault surfacing inside one redo worker's page load must reach
+// the caller as that typed panic. It used to leak the shared disk mutex,
+// parking every other worker on its next page load forever (found by the
+// nursery chaos scenario the first time it ran with two redo workers).
+func TestParallelRedoDeviceFaultDoesNotHang(t *testing.T) {
+	disk, dev := buildShardImage(t)
+	log := wal.NewManager(dev.Snapshot())
+	// Page 1 is the first page the crash lost (page 0 was flushed, so redo
+	// skips it by page LSN alone): its load comes second in the log, and
+	// every other worker still has page loads ahead when the fault fires.
+	mem := vm.New(vm.Config{PageSize: ps, LogFetches: true}, rotDisk{disk.Snapshot(), 1}, log)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		RecoverWith(mem, log, Options{RedoWorkers: 4})
+	}()
+	select {
+	case v := <-done:
+		if _, ok := storage.AsDeviceError(v); !ok {
+			t.Fatalf("recovery ended with %v, want the typed device error", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parallel redo hung after a device fault in one worker")
 	}
 }

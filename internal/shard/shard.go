@@ -209,7 +209,10 @@ func RecoverDir(cfg Config) (*Cluster, error) {
 // Crash simulates a whole-cluster power failure: every partition's
 // volatile state is discarded (unforced log tails, dirty cache) and the
 // coordinator's unforced decisions vanish with it. The returned state is
-// what Recover rebuilds from.
+// what Recover rebuilds from — except for a file-backed cluster (OpenDir /
+// RecoverDir), whose crash also releases its files as a process kill would
+// (core.Heap.Crash): its returned devices are dead, and RecoverDir on the
+// directory is the way back.
 func (cl *Cluster) Crash() CrashState {
 	cs := CrashState{Parts: make([]PartDevices, 0, len(cl.parts))}
 	for _, hp := range cl.parts {
@@ -219,6 +222,10 @@ func (cl *Cluster) Crash() CrashState {
 	clog := cl.coord.Log()
 	clog.Crash()
 	cs.Coord = clog
+	if cl.coordStore != nil {
+		cl.coordStore.Abandon()
+		cl.coordStore = nil
+	}
 	return cs
 }
 

@@ -523,17 +523,23 @@ func (d *Disk) Clone() storage.PageStore {
 }
 
 // Close flushes the dirty cache, fdatasyncs and closes the slot file.
-func (d *Disk) Close() error {
+func (d *Disk) Close() error { return d.close(true) }
+
+// close releases the slot file. durable=false is the crash path
+// (Store.Abandon): nothing is flushed and nothing is synced.
+func (d *Disk) close(durable bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
 	d.closed = true
-	d.flushDirtyLocked()
-	if err := fdatasync(d.f); err != nil {
-		d.f.Close()
-		return err
+	if durable {
+		d.flushDirtyLocked()
+		if err := fdatasync(d.f); err != nil {
+			d.f.Close()
+			return err
+		}
 	}
 	return d.f.Close()
 }

@@ -129,16 +129,32 @@ func (s *Store) writeBackLoop(every time.Duration) {
 // Close stops write-back, forces the log tail, flushes the dirty cache
 // and fdatasyncs both files.
 func (s *Store) Close() error {
-	if s.stopWB != nil {
-		close(s.stopWB)
-		<-s.doneWB
-		s.stopWB = nil
-	}
+	s.stopWriteBack()
 	err := s.Log.Close()
 	if derr := s.Disk.Close(); err == nil {
 		err = derr
 	}
 	return err
+}
+
+// Abandon releases the store the way a process kill does, for in-process
+// crash simulation: write-back stops and the file descriptors close with
+// no flush, no force and no fdatasync — a crash must not make anything
+// durable that was not. Call it after the log's Crash/CrashTorn (which
+// drops the un-forced tail and pwrites the dirty frames, unsynced). The
+// devices are dead afterwards; only a fresh Open of the directory goes on.
+func (s *Store) Abandon() {
+	s.stopWriteBack()
+	s.Log.release()
+	s.Disk.close(false)
+}
+
+func (s *Store) stopWriteBack() {
+	if s.stopWB != nil {
+		close(s.stopWB)
+		<-s.doneWB
+		s.stopWB = nil
+	}
 }
 
 // atomicWriteFile replaces path with data atomically: tmp + fsync +

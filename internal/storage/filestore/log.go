@@ -588,12 +588,10 @@ func (l *Log) Truncate(keep word.LSN) {
 	}
 }
 
-// readRecordLocked returns the payload bytes of an indexed record.
-func (l *Log) readRecordLocked(m recMeta, buf []byte) []byte {
-	if cap(buf) < int(m.n) {
-		buf = make([]byte, m.n)
-	}
-	buf = buf[:m.n]
+// readRecordLocked returns the payload bytes of an indexed record in a
+// fresh buffer the caller owns.
+func (l *Log) readRecordLocked(m recMeta) []byte {
+	buf := make([]byte, m.n)
 	if _, err := l.segs[m.seg].f.ReadAt(buf, m.off+recHdrSize); err != nil {
 		l.ioPanic("read", m.lsn, err)
 	}
@@ -606,7 +604,7 @@ func (l *Log) ReadAt(lsn word.LSN) (data []byte, ok bool) {
 	defer l.mu.Unlock()
 	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= lsn })
 	if i < len(l.idx) && l.idx[i].lsn == lsn {
-		return l.readRecordLocked(l.idx[i], nil), true
+		return l.readRecordLocked(l.idx[i]), true
 	}
 	for _, t := range l.tail {
 		if t.lsn == lsn {
@@ -640,10 +638,11 @@ func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec
 // Scan calls fn for each retained record with lsn >= from in LSN order.
 func (l *Log) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool) {
 	idx, tail := l.scanSnapshot(from, stableOnly)
-	var buf []byte
 	for _, m := range idx {
+		// A fresh buffer per record: delivered bytes stay immutable until
+		// the scan returns (storage.LogDevice's ownership rule).
 		l.mu.Lock()
-		buf = l.readRecordLocked(m, buf)
+		buf := l.readRecordLocked(m)
 		l.mu.Unlock()
 		if !fn(m.lsn, buf) {
 			return
@@ -658,9 +657,11 @@ func (l *Log) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []
 
 // ScanBatches is Scan with batched delivery: each batch of physically
 // contiguous records is read with a single pread and sliced apart, so a
-// full recovery scan costs one syscall per batch, not per record. Both
-// delivered slices are reused across calls (same contract as the
-// in-memory device).
+// full recovery scan costs one syscall per batch, not per record. The two
+// slice headers are reused across calls; the bytes are not — every batch
+// is read into its own chunk, because zero-copy wal.Decode payloads alias
+// it and parallel redo workers apply them after fn has returned
+// (storage.LogDevice's ownership rule).
 func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
 	if batchSize <= 0 {
 		batchSize = 64
@@ -668,7 +669,6 @@ func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func
 	idx, tail := l.scanSnapshot(from, stableOnly)
 	lsns := make([]word.LSN, 0, batchSize)
 	frames := make([][]byte, 0, batchSize)
-	var chunk []byte
 	for start := 0; start < len(idx); {
 		// A run: up to batchSize records that are physically contiguous in
 		// one segment file.
@@ -680,10 +680,7 @@ func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func
 		}
 		first, lastRec := idx[start], idx[end-1]
 		span := lastRec.off + recHdrSize + int64(lastRec.n) - first.off
-		if cap(chunk) < int(span) {
-			chunk = make([]byte, span)
-		}
-		chunk = chunk[:span]
+		chunk := make([]byte, span)
 		l.mu.Lock()
 		seg := l.segs[first.seg]
 		if seg == nil {
@@ -772,6 +769,12 @@ func (l *Log) Clone() storage.LogDevice {
 // Close forces the remaining tail durable and closes the segment files.
 func (l *Log) Close() error {
 	l.ForceAll()
+	return l.release()
+}
+
+// release closes the segment files without forcing anything (on its own,
+// the crash path: Store.Abandon).
+func (l *Log) release() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

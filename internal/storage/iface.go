@@ -40,6 +40,16 @@ type PageStore interface {
 
 // LogDevice is the stable-log-device contract mirroring *Log, with the
 // same panic-on-corruption discipline as PageStore.
+//
+// Ownership of scanned bytes: the bytes Scan and ScanBatches deliver are
+// immutable until the scan returns, and the device lets go of them there —
+// it never overwrites or recycles a delivered buffer, neither between
+// callbacks nor afterwards. Consumers decode them zero-copy (wal.Decode)
+// and hand the aliasing payloads to other goroutines: parallel redo's
+// workers apply a record well after its callback returned, and are joined
+// just after the scan does. Only the two slice headers ScanBatches passes
+// (lsns, frames) may be reused from one callback to the next. storagetest
+// enforces this on every backend.
 type LogDevice interface {
 	// Append spools a record to the volatile tail and returns its LSN.
 	Append(data []byte) word.LSN
@@ -73,9 +83,11 @@ type LogDevice interface {
 	// ReadAt returns the record beginning exactly at lsn.
 	ReadAt(lsn word.LSN) (data []byte, ok bool)
 	// Scan calls fn for each retained record with lsn >= from in LSN order.
+	// fn returning false stops the scan.
 	Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool)
-	// ScanBatches is Scan with batched delivery (see Log.ScanBatches for
-	// the slice-reuse contract).
+	// ScanBatches is Scan with batched delivery: up to batchSize records
+	// per call as parallel lsns/frames slices (headers reused, bytes not —
+	// see the ownership rule above).
 	ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool)
 	// RetainedBytes returns the byte count of records still held.
 	RetainedBytes() int64

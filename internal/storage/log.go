@@ -229,10 +229,11 @@ func (l *Log) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []
 }
 
 // ScanBatches is Scan with batched delivery: fn receives up to batchSize
-// records at a time, as parallel lsns/frames slices. Both slices are reused
-// across calls — fn must not retain them past its return (the frame bytes
-// themselves are the retained log entries, as in Scan). fn returning false
-// stops the scan.
+// records at a time, as parallel lsns/frames slices. Both slice headers are
+// reused across calls — fn must not retain them past its return; the frame
+// bytes are the retained log entries themselves, so they satisfy
+// LogDevice's ownership rule (immutable until the scan returns) for free.
+// fn returning false stops the scan.
 func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
 	if batchSize <= 0 {
 		batchSize = 64

@@ -332,6 +332,54 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 	})
 
+	// LogDevice's ownership rule: a device never overwrites or recycles
+	// delivered bytes. Every delivered frame is retained (the slice as
+	// handed over, no copy) and compared against ReadAt only after the scan
+	// ends. Equal-sized records in one segment give every batch the same
+	// span — the case in which a recycled read buffer is reused in place.
+	t.Run("ScanRetainsDeliveredBytes", func(t *testing.T) {
+		l := mk(t, 4096)
+		for i := 0; i < 48; i++ {
+			l.Append(rec(24, byte(i+1)))
+		}
+		l.ForceAll()
+		for i := 0; i < 6; i++ {
+			l.Append(rec(24, byte(0x80+i))) // volatile tail
+		}
+		var lsns []word.LSN
+		var kept [][]byte
+		keep := func(lsn word.LSN, data []byte) bool {
+			lsns, kept = append(lsns, lsn), append(kept, data)
+			return true
+		}
+		check := func(name string) {
+			t.Helper()
+			if len(kept) != 54 {
+				t.Fatalf("%s delivered %d records, want 54", name, len(kept))
+			}
+			for i, data := range kept {
+				if want, _ := l.ReadAt(lsns[i]); !bytes.Equal(data, want) {
+					// Errorf: report each scan flavour that breaks the rule.
+					t.Errorf("%s: frame at lsn %d changed after its callback returned: retained %x, device has %x",
+						name, lsns[i], data, want)
+					break
+				}
+			}
+			lsns, kept = nil, nil
+		}
+		l.Scan(1, false, keep)
+		check("Scan")
+		for _, batch := range []int{1, 4, 64} {
+			l.ScanBatches(1, false, batch, func(ls []word.LSN, frames [][]byte) bool {
+				for i := range ls {
+					keep(ls[i], frames[i])
+				}
+				return true
+			})
+			check(fmt.Sprintf("ScanBatches(%d)", batch))
+		}
+	})
+
 	t.Run("TruncateBoundaries", func(t *testing.T) {
 		const seg = 64
 		l := mk(t, seg)

@@ -299,9 +299,9 @@ func encodeCheckpoint(e *enc, c CheckpointRec) {
 //
 // Decode reads in place: byte-slice fields of the returned record (Redo,
 // Undo, Object, Contents) alias the frame rather than copying it. The frame
-// must stay immutable for as long as the record is used; every producer in
-// this repository satisfies that (log entries are retained verbatim until
-// truncation, and ReadAt frames are private copies).
+// must stay immutable for as long as the record is used: scanned frames are
+// covered by storage.LogDevice's ownership rule (a device never recycles a
+// delivered buffer), and ReadAt frames are private copies.
 func Decode(frame []byte) (Record, error) {
 	if len(frame) < frameHeader+1 {
 		return nil, fmt.Errorf("wal: frame too short (%d bytes)", len(frame))

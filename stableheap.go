@@ -202,7 +202,9 @@ func (h *Heap) StepStable() bool { return h.inner.StepStable() }
 // Crash simulates a system failure: main memory, the volatile log tail,
 // the lock table and all active transactions are lost; the disk and the
 // stable log survive and are returned for Recover. The Heap is dead
-// afterwards.
+// afterwards. A heap opened with Config.Dir also releases its files, as a
+// process kill would: the returned devices are dead too, and RecoverDir
+// reopens the directory.
 func (h *Heap) Crash() (Disk, LogDevice) { return h.inner.Crash() }
 
 // Close shuts down cleanly: aborts active transactions, completes any
