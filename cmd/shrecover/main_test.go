@@ -64,3 +64,16 @@ func TestRunBadFlag(t *testing.T) {
 		t.Fatalf("bad flag: want exit 2, got %d", code)
 	}
 }
+
+// TestRunDir: with -dir the heap owns real files, which every crash closes;
+// both the primary and the twin recovery must come back from the directory.
+func TestRunDir(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-seed", "3", "-steps", "40", "-rounds", "2", "-midgc", "-workers", "4", "-dir", t.TempDir()}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "0 violations") {
+		t.Fatalf("summary line missing from output:\n%s", out.String())
+	}
+}

@@ -106,7 +106,11 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 
 	// Crash and recover: populates the recovery phase histograms.
 	disk, logDev := h.Crash()
-	h, err = stableheap.Recover(cfg, disk, logDev)
+	if cfg.Dir != "" {
+		h, err = stableheap.RecoverDir(cfg) // the crash closed the heap's own files
+	} else {
+		h, err = stableheap.Recover(cfg, disk, logDev)
+	}
 	if err != nil {
 		return err
 	}

@@ -55,3 +55,16 @@ func TestRunBadFlag(t *testing.T) {
 		t.Fatalf("want exit 2, got %d", code)
 	}
 }
+
+// TestRunDir: with -dir the mid-run crash closes the heap's own files and
+// the run continues on the heap recovered from the directory.
+func TestRunDir(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-ops", "150", "-accounts", "16", "-dir", t.TempDir()}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "filestore_") {
+		t.Fatalf("filestore counters missing from the summary:\n%s", out.String())
+	}
+}

@@ -219,9 +219,10 @@ func (hp *Heap) finishConcurrentLocked() {
 // targets push the copy pointer, and from-space must not be discarded with
 // live data behind an undrained gray — then the scan runs to completion
 // and the GCEnd work (write-back, discard) happens here. unlockExclusive's
-// syncCoarse then clears the flag and records the finish event. Callers
-// that previously called sgc.Finish directly go through here so the
-// concurrent flags cannot leak past the collection.
+// syncCoarse then clears the flag and records the finish event. A
+// collection that may be concurrent is only ever finished through here
+// (direct sgc.Finish calls are guarded by !ConcurrentActive or run in
+// recovery before any scan is published), so no gray is left undrained.
 func (hp *Heap) finishStableGCLocked() {
 	if hp.sgc.ConcurrentActive() {
 		hp.drainGrayLocked()

@@ -99,7 +99,7 @@ func (hp *Heap) Close() {
 // with the surviving devices — except on a heap that owns its files
 // (OpenDir/RecoverDir): there the crash also releases them, as a process
 // kill would (no flush, no fdatasync), the returned devices are dead, and
-// only RecoverDir on the directory reopens the heap.
+// only RecoverDir reopens the heap. RecoverCrashed takes either way back.
 func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 	hp.stopWatchdog()
 	if hp.group != nil {
@@ -147,6 +147,16 @@ func (hp *Heap) Devices() (storage.PageStore, storage.LogDevice) { return hp.dis
 // interrupted a collection (§3.5.3).
 func Recover(cfg Config, disk storage.PageStore, logDev storage.LogDevice) (*Heap, error) {
 	return recoverCommon(cfg, disk, logDev, false)
+}
+
+// RecoverCrashed rebuilds the heap that Crash just took down: from the
+// directory when cfg.Dir is set (the crash closed the heap's own files, so
+// the devices it returned are dead), else from those devices.
+func RecoverCrashed(cfg Config, disk storage.PageStore, logDev storage.LogDevice) (*Heap, error) {
+	if cfg.Dir != "" {
+		return RecoverDir(cfg)
+	}
+	return Recover(cfg, disk, logDev)
 }
 
 func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice, media bool) (hpOut *Heap, errOut error) {

@@ -18,7 +18,10 @@ package crashtest
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"stableheap/internal/core"
 	"stableheap/internal/storage"
@@ -65,7 +68,8 @@ type pendingPrepared struct {
 	commit   bool
 }
 
-// New creates a driver over a fresh heap.
+// New creates a driver over a fresh heap (one that owns its files when
+// cfg.Dir is set: each crash then closes them, see CrashAndRecover).
 func New(cfg core.Config, seed int64) *Driver {
 	d := &Driver{
 		cfg:     cfg,
@@ -408,14 +412,22 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	disk, logDev := d.hp.Crash()
 	d.stats.Crashes++
 
+	// The twin's crash image, taken before the primary's recovery writes to
+	// it: clones of the devices, or a copy of the directory they closed.
+	twinCfg := d.cfg
 	var twinDisk storage.PageStore
 	var twinLog storage.LogDevice
-	if checkTwin {
-		twinDisk = disk.Clone()
-		twinLog = logDev.Clone()
+	if checkTwin && d.cfg.Dir != "" {
+		twinCfg.Dir = d.cfg.Dir + ".twin"
+		defer os.RemoveAll(twinCfg.Dir)
+		if err := copyTree(d.cfg.Dir, twinCfg.Dir); err != nil {
+			return fmt.Errorf("twin copy: %w", err)
+		}
+	} else if checkTwin {
+		twinDisk, twinLog = disk.Clone(), logDev.Clone()
 	}
 
-	hp, err := core.Recover(d.cfg, disk, logDev)
+	hp, err := core.RecoverCrashed(d.cfg, disk, logDev)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -432,9 +444,12 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	}
 
 	if checkTwin {
-		twin, err := core.Recover(d.cfg, twinDisk, twinLog)
+		twin, err := core.RecoverCrashed(twinCfg, twinDisk, twinLog)
 		if err != nil {
 			return fmt.Errorf("twin recover: %w", err)
+		}
+		if twinCfg.Dir != "" {
+			defer twin.Crash() // releases the copy's files before its removal
 		}
 		// Deliver the same decisions to the twin.
 		if err := d.resolveInDoubt(twin); err != nil {
@@ -449,6 +464,25 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 		}
 	}
 	return nil
+}
+
+// copyTree copies the directory tree at src to dst.
+func copyTree(src, dst string) error {
+	return filepath.WalkDir(src, func(p string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, p)
+		to := filepath.Join(dst, rel)
+		if e.IsDir() {
+			return os.MkdirAll(to, 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(to, data, 0o644)
+	})
 }
 
 // Run executes steps operations, crashing with probability crashProb after
@@ -471,6 +505,9 @@ func (d *Driver) Run(steps int, crashProb, flushFrac float64, checkTwin bool) er
 // the heap is rebuilt from the log alone (which must be untruncated), then
 // verified against the model.
 func (d *Driver) MediaRecover() error {
+	if d.cfg.Dir != "" {
+		return errors.New("crashtest: media recovery needs a log device that survives Crash; a heap that owns its files has none")
+	}
 	_, logDev := d.hp.Crash()
 	d.stats.Crashes++
 	hp, err := core.RecoverFromLog(d.cfg, logDev)

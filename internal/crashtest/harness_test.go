@@ -1,6 +1,8 @@
 package crashtest
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"stableheap/internal/core"
@@ -223,4 +225,50 @@ func TestSoakLongRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDriverOverDir drives the harness over a heap that owns its files:
+// Heap.Crash closes them, so each crash recovers through RecoverDir and the
+// twin through a copy of the directory — which must be gone afterwards,
+// with the process's descriptor count flat.
+func TestDriverOverDir(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	c := cfg()
+	c.Dir = filepath.Join(t.TempDir(), "heap")
+	c.RecoveryWorkers = 2
+	d := New(c, 7)
+	var fds int
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 40; i++ {
+			if err := d.Step(); err != nil {
+				t.Fatalf("round %d step %d: %v", round, i, err)
+			}
+		}
+		if round%2 == 1 {
+			d.Heap().StartStableCollection()
+			d.Heap().StepStable()
+		}
+		if err := d.CrashAndRecover(0.5, round != 0); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if _, err := os.Stat(c.Dir + ".twin"); !os.IsNotExist(err) {
+			t.Fatalf("round %d: twin directory left behind (stat err %v)", round, err)
+		}
+		if round == 1 {
+			fds = openFDs()
+		}
+	}
+	if got := openFDs(); got > fds+2 {
+		t.Errorf("open fds grew from %d to %d over 4 crash/recover rounds with twins", fds, got)
+	}
+	if err := d.MediaRecover(); err == nil {
+		t.Fatal("MediaRecover on a heap that owns its files must refuse: Crash leaves no live log device")
+	}
+	d.Heap().Close()
 }

@@ -57,6 +57,7 @@ func (d *Driver) ReplicatedCrashAndPromote(steps int, midGC bool) (repl.PromoteS
 		return repl.PromoteStats{}, fmt.Errorf("promote: %w", err)
 	}
 	d.hp = hp
+	d.cfg.Dir = "" // the promoted heap lives on the standby's devices, not in the directory
 	d.stats.Recoveries++
 	if err := d.resolveInDoubt(hp); err != nil {
 		return pstats, err

@@ -152,14 +152,6 @@ func (in *Injector) Arm() {
 	in.armed = true
 }
 
-// Disarm stops injecting faults; detection (checksum verification on
-// read) continues.
-func (in *Injector) Disarm() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.armed = false
-}
-
 // Armed reports whether injection is live.
 func (in *Injector) Armed() bool {
 	in.mu.Lock()

@@ -133,9 +133,6 @@ type Heap struct {
 // New wraps a store.
 func New(mem *vm.Store) *Heap { return &Heap{mem: mem} }
 
-// Mem returns the underlying store.
-func (h *Heap) Mem() *vm.Store { return h.mem }
-
 // Descriptor reads the descriptor word of the object at a.
 func (h *Heap) Descriptor(a word.Addr) Descriptor {
 	return Descriptor(h.mem.ReadWord(a))

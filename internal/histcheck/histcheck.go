@@ -253,13 +253,6 @@ func (r *Recorder) History() History {
 	return History{Ops: append([]Op(nil), r.ops...)}
 }
 
-// Len returns the number of recorded ops.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ops)
-}
-
 // Violation is the checker's failure report: why, which transactions form
 // the cycle (if any), and the offending history for printing.
 type Violation struct {

@@ -228,14 +228,6 @@ func (bb *BlackBox) SetGCEpoch(e uint64) {
 	bb.epoch.Store(e)
 }
 
-// GCEpoch returns the last published volatile-GC epoch.
-func (bb *BlackBox) GCEpoch() uint64 {
-	if bb == nil {
-		return 0
-	}
-	return bb.epoch.Load()
-}
-
 // Record appends one event to the ring, overwriting the oldest when full.
 func (bb *BlackBox) Record(kind EventKind, tx, a, b uint64) {
 	if bb == nil {

@@ -211,10 +211,6 @@ func (ap *Applier) mirrorFlush(r wal.EndWriteRec) {
 	ap.stats.Flushes++
 }
 
-// CheckpointLSN returns the checkpoint currently named by the replica's
-// master block.
-func (ap *Applier) CheckpointLSN() word.LSN { return ap.cpLSN }
-
 // Stats returns a snapshot of applier activity.
 func (ap *Applier) Stats() ApplierStats {
 	s := ap.stats

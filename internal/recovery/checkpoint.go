@@ -115,13 +115,6 @@ func (c *Checkpointer) ForcePromote() {
 	c.promoteLocked()
 }
 
-// Stable returns the LSN of the checkpoint the master currently names.
-func (c *Checkpointer) Stable() word.LSN {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stableLSN
-}
-
 // TruncationPoint returns the lowest LSN the log must retain: everything
 // below it is covered by the stable checkpoint, flushed pages, and
 // completed transactions.

@@ -169,15 +169,10 @@ func RecoverWith(mem *vm.Store, log *wal.Manager, opts Options) (*Result, error)
 	return recover2(mem, log, false, opts)
 }
 
-// RecoverFromArchive is Recover for total media failure (§2.2.2): the disk
-// under mem is freshly formatted (empty) and the log is the full archive
-// copy. End-write records are ignored — the pages they certified died with
-// the disk — so redo reconstructs every page from history alone.
-func RecoverFromArchive(mem *vm.Store, log *wal.Manager) (*Result, error) {
-	return recover2(mem, log, true, Options{})
-}
-
-// RecoverFromArchiveWith is RecoverFromArchive with explicit tuning options.
+// RecoverFromArchiveWith is RecoverWith for total media failure (§2.2.2):
+// the disk under mem is freshly formatted (empty) and the log is the full
+// archive copy. End-write records are ignored — the pages they certified
+// died with the disk — so redo reconstructs every page from history alone.
 func RecoverFromArchiveWith(mem *vm.Store, log *wal.Manager, opts Options) (*Result, error) {
 	return recover2(mem, log, true, opts)
 }

@@ -135,10 +135,6 @@ func (s *Standby) Name() string { return s.cfg.Name }
 // point a reconnect would request.
 func (s *Standby) AppliedLSN() word.LSN { return word.LSN(s.applied.Load()) }
 
-// PrimaryStableLSN is the primary's stable horizon as of the last
-// received batch (0 before any batch arrives).
-func (s *Standby) PrimaryStableLSN() word.LSN { return word.LSN(s.primaryStable.Load()) }
-
 // LagBytes is the replication lag in log bytes: how far the applied
 // prefix trails the primary's stable horizon as last reported.
 func (s *Standby) LagBytes() int64 {

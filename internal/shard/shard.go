@@ -264,11 +264,12 @@ func (cl *Cluster) CrashCoordinator() {
 
 // CrashPartition simulates one partition's power failure while the rest
 // of the cluster — coordinator included — keeps running: the partition's
-// devices crash, its heap recovers in place, and its in-doubt branches
+// devices crash, its heap recovers in place (a file-backed partition from
+// its directory: the crash closed its devices), and its in-doubt branches
 // resolve against the live coordinator by presumed abort.
 func (cl *Cluster) CrashPartition(i int) error {
 	disk, log := cl.parts[i].Crash()
-	hp, err := core.Recover(cl.cfg.partCfg(i), disk, log)
+	hp, err := core.RecoverCrashed(cl.cfg.partCfg(i), disk, log)
 	if err != nil {
 		return err
 	}
@@ -334,9 +335,6 @@ func (cl *Cluster) Partitions() int { return len(cl.parts) }
 
 // Partition exposes one partition's heap (tests, metrics, maintenance).
 func (cl *Cluster) Partition(i int) *core.Heap { return cl.parts[i] }
-
-// Coordinator exposes the decision-log coordinator.
-func (cl *Cluster) Coordinator() *Coordinator { return cl.coord }
 
 // mix64 is a splitmix64-style finalizer: slot routing must be stable
 // across runs (placement is durable) and well-mixed (consecutive slots

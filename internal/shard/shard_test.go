@@ -273,6 +273,43 @@ func TestClusterDirPersistence(t *testing.T) {
 	}
 }
 
+// TestCrashPartitionFileBacked: one partition of a file-backed cluster
+// crashes (which closes that partition's files) and recovers in place from
+// its directory while the others keep running; committed data survives on
+// every partition, the recovered one takes new commits, and the cluster
+// still closes and reopens cleanly — the recovered heap owns its files.
+func TestCrashPartitionFileBacked(t *testing.T) {
+	cfg := Config{Partitions: 3, Part: testConfig(), Dir: t.TempDir()}
+	cl, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := slotsOnDistinctPartitions(t, cl, 3)
+	for i, slot := range slots {
+		setCounter(t, cl, slot, uint64(1000+i))
+	}
+	for round := 0; round < 3; round++ {
+		if err := cl.CrashPartition(cl.PartitionOf(slots[0])); err != nil {
+			t.Fatalf("round %d: CrashPartition: %v", round, err)
+		}
+		if err := transfer(cl, slots[0], slots[1], 5); err != nil {
+			t.Fatalf("round %d: cross-partition transfer after recovery: %v", round, err)
+		}
+	}
+	cl.Close()
+
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	for i, want := range []uint64{985, 1016, 1002} {
+		if got := readCounter(t, re, slots[i]); got != want {
+			t.Fatalf("slot %d = %d, want %d", slots[i], got, want)
+		}
+	}
+}
+
 // TestRoutingStable pins the routing hash: placement is durable, so the
 // slot → partition map must never change across processes or releases.
 func TestRoutingStable(t *testing.T) {

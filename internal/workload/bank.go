@@ -78,9 +78,6 @@ func NewBank(h *stableheap.Heap, slot, accounts, fanout int, initial uint64) (*B
 	return b, nil
 }
 
-// Accounts returns the account count.
-func (b *Bank) Accounts() int { return b.accounts }
-
 // account navigates to account i inside tx.
 func (b *Bank) account(tx *stableheap.Tx, i int) (*stableheap.Ref, error) {
 	root, err := tx.Root(b.slot)
