@@ -80,8 +80,8 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 	// the vgc_nursery_* and vgc_conc_* metrics populate and the summary can
 	// show the generational/concurrent pause story.
 	cfg.ConcurrentVGC = true
-	// Tracing is the one opt-in: turn it on whenever its output is wanted.
-	cfg.Trace = tracePath != "" || serveAddr != ""
+	// The flight recorder is the one opt-in: turn it on whenever its trace is wanted.
+	cfg.FlightRecorder = tracePath != "" || serveAddr != ""
 
 	rng := rand.New(rand.NewSource(42))
 	h := stableheap.Open(cfg)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"stableheap/internal/obs"
 )
 
 // recorderMeasure runs the E18 disjoint scaling workload with the flight
@@ -63,7 +65,7 @@ func E20Recorder() Table {
 	}
 	t.Notes = append(t.Notes,
 		"workload: E18 disjoint profile (private counters, no conflicts), best of 3 runs per cell",
-		fmt.Sprintf("recorder on = %d-slot ring + journal + watchdog ticking at 10ms; recorder off = the seed configuration", 4096),
+		fmt.Sprintf("recorder on = %d-slot ring + journal + watchdog ticking at 10ms; recorder off = the seed configuration", obs.BlackBoxEvents),
 		"negative overhead is measurement noise: both sides are bound by the simulated 250µs commit force")
 	return t
 }

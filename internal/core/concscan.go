@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
@@ -100,8 +101,9 @@ func (s *concScan) step(epoch uint64) bool {
 		return false
 	}
 	hp.drainGrayLocked()
+	start := time.Now()
 	more := s.c.ScanQuantum(scanQuantumWords)
-	hp.bb.Record(s.quantumEv, 0, s.c.Epoch(), 0)
+	hp.bb.Span(s.quantumEv, time.Since(start), 0, s.c.Epoch(), 0)
 	return more
 }
 
@@ -207,9 +209,10 @@ func (hp *Heap) finishConcurrentLocked() {
 	}
 	hp.drainGrayLocked()
 	epoch := hp.vgc.Epoch()
+	start := time.Now()
 	hp.vgc.FinishConcurrent()
 	hp.vscan.on.Store(false)
-	hp.bb.Record(obs.EvVGCFinish, 0, epoch, 0)
+	hp.bb.Span(obs.EvVGCFinish, time.Since(start), 0, epoch, 0)
 	hp.maybeStartStableGC()
 }
 

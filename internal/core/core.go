@@ -160,31 +160,19 @@ type Config struct {
 	// 1 forces sequential redo. The parallel replay is state-identical to
 	// the sequential one (see DESIGN.md "Parallel recovery").
 	RecoveryWorkers int
-	// Trace enables the trace-event ring: collector pauses, log forces,
-	// commits and recovery phases are recorded and exportable as Chrome
-	// trace_event JSON (Heap.TraceJSON). Latency histograms are always on
-	// regardless; tracing is the only opt-in piece.
-	Trace bool
-	// TraceEvents bounds the trace ring (default obs.DefaultTraceEvents);
-	// the oldest events are overwritten — and counted — beyond it.
-	TraceEvents int
 	// LatchShards is the number of per-page writer stripes in the sharded
 	// action latch (default 64; any negative value collapses to a single
 	// stripe, serializing all writers — the pre-sharding behaviour).
 	LatchShards int
-	// NoDeadlockDetect disables the lock manager's waits-for-graph
-	// deadlock detector, leaving only the LockWait timeout backstop (the
-	// pre-detector policy; useful for A/B measurement).
-	NoDeadlockDetect bool
-	// FlightRecorder enables the crash-surviving black-box ring
-	// (internal/obs): compact binary event records — tx begin/commit/abort,
-	// GC flips and quanta, WAL forces, latch stalls, injected faults —
-	// journaled through a dedicated log device so the pre-crash timeline is
-	// readable after recovery (Heap.FlightEvents, cmd/shtrace).
+	// FlightRecorder enables the heap's event ring (internal/obs): compact
+	// binary records — tx begin/commit/abort, collector flips, steps and
+	// quanta, WAL forces, latch stalls, recovery phases, injected faults —
+	// with durations, exportable as Chrome trace_event JSON
+	// (Heap.TraceJSON) and journaled through a dedicated log device so the
+	// pre-crash timeline is readable after recovery (Heap.FlightEvents,
+	// cmd/shtrace). Latency histograms are always on regardless; the
+	// recorder is the only opt-in piece.
 	FlightRecorder bool
-	// FlightRecorderEvents bounds the black-box ring (default
-	// obs.DefaultBlackBoxEvents); the oldest records are overwritten.
-	FlightRecorderEvents int
 	// FlightJournal, when set, is the device the recorder journals to —
 	// pass the same device across crash/recover cycles to accumulate the
 	// timeline of every run (frames are tagged per run; obs.ReadLatest
@@ -347,13 +335,12 @@ type Heap struct {
 	// group batches commit forces when Config.GroupCommitWindow > 0.
 	group *groupCommitter
 
-	// met holds the heap-level latency histograms (always on); tr is the
-	// optional trace ring (nil unless Config.Trace); bb/journal/wd are the
-	// flight recorder, its persistence journal and the stall watchdog (all
-	// nil unless Config.FlightRecorder / WatchdogInterval — and all their
-	// methods are nil-safe, so instrumentation sites call unconditionally).
+	// met holds the heap-level latency histograms (always on); bb/journal/wd
+	// are the flight recorder, its persistence journal and the stall
+	// watchdog (all nil unless Config.FlightRecorder / WatchdogInterval —
+	// and all their methods are nil-safe, so instrumentation sites call
+	// unconditionally).
 	met     heapMetrics
-	tr      *obs.Trace
 	bb      *obs.BlackBox
 	journal *obs.Journal
 	wd      *obs.Watchdog
@@ -413,8 +400,6 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	h := heap.New(mem)
 	locks := lock.NewManager(cfg.LockWait)
 
-	locks.SetDetection(!cfg.NoDeadlockDetect)
-
 	hp := &Heap{
 		cfg: cfg, disk: disk, logDev: logDev, log: log, mem: mem, h: h, locks: locks,
 		shards:     make([]sync.Mutex, cfg.LatchShards),
@@ -452,13 +437,8 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		CopyContents: cfg.CopyContents,
 	}, mem, h, log, hp.stableLo, hp.stableHi)
 
-	if cfg.Trace {
-		hp.tr = obs.NewTrace(cfg.TraceEvents)
-	}
-	log.SetTrace(hp.tr)
-	hp.sgc.SetTrace(hp.tr)
 	if cfg.FlightRecorder {
-		hp.bb = obs.NewBlackBox(cfg.FlightRecorderEvents)
+		hp.bb = obs.NewBlackBox(obs.BlackBoxEvents)
 		jd := cfg.FlightJournal
 		if jd == nil {
 			jd = storage.NewLog(1 << 20)
@@ -466,6 +446,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		hp.journal = obs.NewJournal(jd, hp.bb)
 	}
 	log.SetRecorder(hp.bb)
+	hp.sgc.SetRecorder(hp.bb)
 	// A file-backed disk records its barriers and write-back batches in
 	// the same flight-recorder timeline as everything else.
 	if sr, ok := disk.(interface{ SetRecorder(*obs.BlackBox) }); ok {
@@ -485,7 +466,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 
 	if cfg.Divided {
 		hp.vgc = gc.NewVolatile(mem, h, log, hp.volLo, hp.volHi)
-		hp.vgc.SetTrace(hp.tr)
+		hp.vgc.SetRecorder(hp.bb)
 		if hp.nurLo != 0 {
 			hp.vgc.SetNursery(hp.nurLo, hp.nurHi)
 		}
@@ -592,12 +573,18 @@ func (hp *Heap) isStableObject(a word.Addr, d heap.Descriptor) bool {
 	return d.AS()
 }
 
-// onStableSlotWrite maintains the remembered set for pointer stores into
-// stable slots (wired into the transaction manager's env). Only slots that
-// physically live in the stable area belong in SRem; slots inside AS
-// objects still at volatile addresses are covered by the move scan.
+// onStableSlotWrite maintains the remembered sets for logged pointer stores
+// (wired into the transaction manager's env; the slot already holds the new
+// value). Only slots that physically live in the stable area belong in
+// SRem; slots inside AS objects still at volatile addresses are covered by
+// the move scan — except that a logged store bypasses the volatile write
+// barrier, so an aged slot that now holds a nursery pointer enters the
+// nursery remembered set here.
 func (hp *Heap) onStableSlotWrite(slot word.Addr, ptrToVolatile bool) {
 	if !hp.inStableArea(slot) {
+		if ptrToVolatile {
+			hp.rememberNursery(slot, word.Addr(hp.mem.ReadWord(slot)))
+		}
 		return
 	}
 	hp.remMu.Lock()
@@ -661,6 +648,9 @@ func (hp *Heap) onMoveStable(from, to word.Addr, sizeWords int) {
 // onStableSlotFixed maintains SRem membership for slots the volatile
 // collector rewrote.
 func (hp *Heap) onStableSlotFixed(slot, newPtr word.Addr, stillVolatile bool) {
+	if !hp.inStableArea(slot) {
+		return // a slot of an LS object still in the aged space
+	}
 	hp.remMu.Lock()
 	if stillVolatile {
 		hp.srem[slot] = true
@@ -677,6 +667,12 @@ func (hp *Heap) onStableSlotFixed(slot, newPtr word.Addr, stillVolatile bool) {
 // remembered set.
 func (hp *Heap) onVolatilePtrWrite(slot, old, stored word.Addr) {
 	hp.vscan.gray(old)
+	hp.rememberNursery(slot, stored)
+}
+
+// rememberNursery enters slot in the nursery remembered set when it lies
+// outside the nursery and now holds the nursery pointer stored.
+func (hp *Heap) rememberNursery(slot, stored word.Addr) {
 	if hp.inNursery(stored) && !hp.inNursery(slot) {
 		hp.remMu.Lock()
 		hp.nrem[slot] = true
@@ -757,18 +753,38 @@ func (hp *Heap) forEachStableRoot(visit func(get func() word.Addr, set func(word
 // forEachVolatileSlot walks every object in the volatile area — the
 // current semispace's copy region and its high-end allocation region
 // (populated by allocations made during a concurrent scan), plus the
-// nursery — and visits its pointer slots (unlogged rewrites: volatile
-// state).
+// nursery — and visits its pointer slots. Rewrites are unlogged volatile
+// state, except inside newly stable (AS) objects: recovery rebuilds those
+// from their base record plus logged updates, so their slots are fixed by
+// one SFix record per page, as the volatile collector fixes stable slots.
 func (hp *Heap) forEachVolatileSlot(visit func(get func() word.Addr, set func(word.Addr))) {
+	ps := hp.mem.PageSize()
+	var fixes []wal.PtrFix
+	flush := func() {
+		if len(fixes) == 0 {
+			return
+		}
+		lsn := hp.log.Append(wal.SFixRec{Page: fixes[0].Addr.Page(ps), Fixes: fixes})
+		for _, f := range fixes {
+			hp.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
+		}
+		fixes = nil
+	}
 	walk := func(lo, hi word.Addr) {
 		for a := lo; a < hi; {
 			d := hp.h.Descriptor(a)
 			for i := 0; i < d.NPtrs(); i++ {
 				slot := a + word.Addr(heap.PtrOffset(i))
-				visit(
-					func() word.Addr { return word.Addr(hp.mem.ReadWord(slot)) },
-					func(na word.Addr) { hp.mem.WriteWord(slot, uint64(na), word.NilLSN) },
-				)
+				visit(func() word.Addr { return word.Addr(hp.mem.ReadWord(slot)) }, func(na word.Addr) {
+					if !d.AS() {
+						hp.mem.WriteWord(slot, uint64(na), word.NilLSN)
+						return
+					}
+					if len(fixes) > 0 && fixes[0].Addr.Page(ps) != slot.Page(ps) {
+						flush()
+					}
+					fixes = append(fixes, wal.PtrFix{Addr: slot, NewPtr: na})
+				})
 			}
 			a = a.Add(d.SizeWords())
 		}
@@ -779,6 +795,7 @@ func (hp *Heap) forEachVolatileSlot(visit func(get func() word.Addr, set func(wo
 	if n := hp.vgc.Nursery(); n != nil {
 		walk(n.Lo, n.CopyPtr)
 	}
+	flush()
 }
 
 // forEachVolatileRoot enumerates the volatile collector's roots: the
@@ -815,12 +832,10 @@ func (hp *Heap) startStableGC() {
 	hp.finishConcurrentLocked()
 	if hp.cfg.ConcurrentSGC && hp.cfg.Incremental {
 		hp.rootObj = hp.sgc.StartConcurrentCollection(hp.rootObj)
-		hp.bb.Record(obs.EvGCFlip, 0, uint64(hp.sgc.Stats().Collections), 1)
 		hp.sscan.start()
 		return
 	}
 	hp.rootObj = hp.sgc.StartCollection(hp.rootObj)
-	hp.bb.Record(obs.EvGCFlip, 0, uint64(hp.sgc.Stats().Collections), 0)
 }
 
 // stepStableGC advances an active incremental collection by one quantum
@@ -892,8 +907,6 @@ func (hp *Heap) collectVolatile() error {
 		if hp.vgc.NurseryUsedWords() == 0 {
 			hp.takeNRem() // stale entries must not dangle across the flip
 			hp.vgc.StartConcurrent()
-			hp.bb.SetGCEpoch(hp.vgc.Epoch())
-			hp.bb.Record(obs.EvVGCFlip, 0, hp.vgc.Epoch(), 1)
 			hp.vscan.start()
 			return nil
 		}
@@ -907,8 +920,6 @@ func (hp *Heap) collectVolatile() error {
 	// have the copy hook rebase entries throughout the collection.
 	hp.takeNRem()
 	hp.vgc.Collect()
-	hp.bb.SetGCEpoch(hp.vgc.Epoch())
-	hp.bb.Record(obs.EvVGCFlip, 0, hp.vgc.Epoch(), 0)
 	hp.ls = make(map[word.Addr]bool)
 	// Evacuations consumed stable space; if it is running low, start an
 	// incremental stable collection now so it finishes before the space
@@ -954,11 +965,7 @@ func (hp *Heap) collectNursery() error {
 			hp.sgc.Finish()
 		}
 	}
-	usedBefore := hp.vgc.NurseryUsedWords()
-	promotedBefore := hp.vgc.Stats().PromotedWords
 	hp.vgc.CollectNursery(hp.takeNRem())
-	hp.bb.Record(obs.EvMinorGC, 0,
-		uint64(hp.vgc.Stats().PromotedWords-promotedBefore), uint64(usedBefore))
 	hp.maybeStartStableGC()
 	// Proactive pacing: a minor collection can promote up to one nursery
 	// limit of words, and CanMinor fails once aged free space drops below
@@ -1512,26 +1519,39 @@ func (t *Tx) Commit() error {
 	// device, which a fault-injection wrapper can fail with a typed panic,
 	// and the latch must unwind with it.
 	var parked word.LSN
-	err := func() error {
+	func() {
 		excl := hp.rlock()
 		defer hp.runlock(excl)
-		if hp.group == nil {
-			hp.txm.Commit(t.t)
-			if hp.hist != nil {
-				hp.hist.Commit(t.t.ID())
-			}
-			hp.ckpt.Promote()
-			return nil
-		}
-		// Group commit: append the commit record here, park outside the
-		// latch until a shared force covers it, then finish. Locks stay
-		// held throughout, so isolation is unchanged.
-		parked = hp.txm.PrepareCommit(t.t)
-		return nil
+		parked = t.logCommit()
 	}()
-	if err != nil {
-		return err
+	t.finishCommit(start, parked)
+	return nil
+}
+
+// logCommit is the latched half of a successful commit (stop latch held,
+// shared or exclusive). Without group commit the transaction commits —
+// forced — right here. With it only the commit record is appended, and its
+// LSN returned for finishCommit to park on outside the latch until a
+// shared force covers it; locks stay held throughout, so isolation is
+// unchanged.
+func (t *Tx) logCommit() (parked word.LSN) {
+	hp := t.hp
+	if hp.group != nil {
+		return hp.txm.PrepareCommit(t.t)
 	}
+	hp.txm.Commit(t.t)
+	if hp.hist != nil {
+		hp.hist.Commit(t.t.ID())
+	}
+	hp.ckpt.Promote()
+	return word.NilLSN
+}
+
+// finishCommit is the tail of every successful commit, run with no latch
+// held: wait for the group force and finish under the shared latch, then
+// one histogram observation, one recorder span, and the scan assists.
+func (t *Tx) finishCommit(start time.Time, parked word.LSN) {
+	hp := t.hp
 	if hp.group != nil {
 		hp.group.waitDurable(parked)
 		func() {
@@ -1545,11 +1565,9 @@ func (t *Tx) Commit() error {
 	}
 	d := time.Since(start)
 	hp.met.txCommit.Observe(uint64(d))
-	hp.tr.Complete("tx", "commit", start, d)
-	hp.bb.Record(obs.EvTxCommit, uint64(t.t.ID()), uint64(d), 0)
+	hp.bb.Span(obs.EvTxCommit, d, uint64(t.t.ID()), 0, 0)
 	hp.vscan.assist()
 	hp.sscan.assist()
-	return nil
 }
 
 // commitExclusive is the stop-the-heap commit path: stability tracking,
@@ -1557,7 +1575,6 @@ func (t *Tx) Commit() error {
 func (t *Tx) commitExclusive(start time.Time) error {
 	hp := t.hp
 	var parked word.LSN
-	committed := false
 	err := func() error {
 		hp.lockExclusive()
 		defer hp.unlockExclusive()
@@ -1567,8 +1584,9 @@ func (t *Tx) commitExclusive(start time.Time) error {
 				if hp.hist != nil {
 					hp.hist.Abort(t.t.ID())
 				}
-				hp.met.txConflict.Since(start)
-				hp.bb.Record(obs.EvTxConflict, uint64(t.t.ID()), uint64(time.Since(start)), 0)
+				wait := time.Since(start)
+				hp.met.txConflict.Observe(uint64(wait))
+				hp.bb.Span(obs.EvTxConflict, wait, uint64(t.t.ID()), 0, 0)
 				return t.fail(ErrConflict)
 			}
 		}
@@ -1582,38 +1600,13 @@ func (t *Tx) commitExclusive(start time.Time) error {
 			hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
 			return t.err
 		}
-		if hp.group == nil {
-			hp.txm.Commit(t.t)
-			if hp.hist != nil {
-				hp.hist.Commit(t.t.ID())
-			}
-			hp.ckpt.Promote()
-			committed = true
-			return nil
-		}
-		parked = hp.txm.PrepareCommit(t.t)
+		parked = t.logCommit()
 		return nil
 	}()
 	if err != nil {
 		return err
 	}
-	if !committed {
-		hp.group.waitDurable(parked)
-		func() {
-			excl := hp.rlock()
-			defer hp.runlock(excl)
-			hp.txm.FinishCommit(t.t)
-			if hp.hist != nil {
-				hp.hist.Commit(t.t.ID())
-			}
-		}()
-	}
-	d := time.Since(start)
-	hp.met.txCommit.Observe(uint64(d))
-	hp.tr.Complete("tx", "commit", start, d)
-	hp.bb.Record(obs.EvTxCommit, uint64(t.t.ID()), uint64(d), 0)
-	hp.vscan.assist()
-	hp.sscan.assist()
+	t.finishCommit(start, parked)
 	return nil
 }
 

@@ -51,7 +51,7 @@ func (hp *Heap) startWatchdog() {
 		rules = append(rules, obs.ConvoyRule("group-commit-convoy", "group_commit_batch", uint64(batch)))
 	}
 	hp.wd = obs.NewWatchdog(hp.cfg.WatchdogInterval, hp.Metrics, hp.bb,
-		hp.flightFlush, rules)
+		hp.journal.Flush, rules)
 	hp.wd.Start()
 }
 
@@ -64,9 +64,6 @@ func (hp *Heap) stopWatchdog() {
 		hp.wd = nil
 	}
 }
-
-// flightFlush persists the ring's unflushed tail (nil-safe).
-func (hp *Heap) flightFlush() { hp.journal.Flush() }
 
 // FlightRecorder returns the black-box ring (nil when disabled). The
 // chaos harness hands it to the fault injector so injected faults land in

@@ -122,7 +122,7 @@ func (hp *Heap) lockExclusive() {
 	wait := time.Since(start)
 	hp.met.latchStop.Observe(uint64(wait))
 	if wait > latchStallThreshold {
-		hp.bb.Record(obs.EvLatchStall, 0, uint64(wait), 0)
+		hp.bb.Span(obs.EvLatchStall, wait, 0, 0, 0)
 	}
 }
 

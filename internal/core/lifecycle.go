@@ -177,7 +177,7 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 	hp := build(cfg, disk, logDev)
 	var res *recovery.Result
 	var err error
-	opts := recovery.Options{RedoWorkers: cfg.RecoveryWorkers, Trace: hp.tr}
+	opts := recovery.Options{RedoWorkers: cfg.RecoveryWorkers, Recorder: hp.bb}
 	if media {
 		res, err = recovery.RecoverFromArchiveWith(hp.mem, hp.log, opts)
 	} else {

@@ -1,6 +1,10 @@
 package core
 
-import "stableheap/internal/obs"
+import (
+	"bytes"
+
+	"stableheap/internal/obs"
+)
 
 // heapMetrics holds the heap-level latency histograms. All of them are
 // always on: Observe is a few atomic adds, so there is no measurement mode
@@ -28,8 +32,7 @@ type heapMetrics struct {
 // scheme: a subsystem prefix (tx_, gc_, vgc_, cache_, wal_, lock_,
 // checkpoint_, track_, group_, recovery_, obs_), counters end in _total,
 // nanosecond histograms in _ns; the one unitless histogram is
-// group_commit_batch (committers per force), and obs_trace_buffered is a
-// gauge (events currently retained in the ring).
+// group_commit_batch (committers per force).
 func (hp *Heap) Metrics() obs.Snapshot {
 	// Shared latch: subsystem stats that are not internally synchronized
 	// (collector counters, tracker counters) only mutate in exclusive
@@ -152,11 +155,6 @@ func (hp *Heap) Metrics() obs.Snapshot {
 		s.SetCounter("recovery_redo_applied_total", int64(hp.lastRecovery.RedoApplied))
 	}
 
-	if hp.tr != nil {
-		s.SetCounter("obs_trace_events_total", int64(hp.tr.Total()))
-		s.SetCounter("obs_trace_dropped_total", int64(hp.tr.Dropped()))
-		s.SetCounter("obs_trace_buffered", int64(hp.tr.Len()))
-	}
 	if hp.bb != nil {
 		s.SetCounter("obs_blackbox_events_total", int64(hp.bb.Seq()))
 		s.SetCounter("obs_blackbox_dropped_total", int64(hp.bb.Dropped()))
@@ -179,10 +177,11 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	return s
 }
 
-// Trace returns the heap's trace ring (nil unless Config.Trace).
-func (hp *Heap) Trace() *obs.Trace { return hp.tr }
-
-// TraceJSON returns the run's trace in Chrome trace_event JSON form,
-// loadable in about://tracing or ui.perfetto.dev. With tracing disabled it
+// TraceJSON renders the flight recorder's ring as Chrome trace_event JSON,
+// loadable in about://tracing or ui.perfetto.dev. With the recorder off it
 // returns an empty, still-loadable trace document.
-func (hp *Heap) TraceJSON() []byte { return hp.tr.JSON() }
+func (hp *Heap) TraceJSON() []byte {
+	var buf bytes.Buffer
+	obs.WriteEventsChrome(&buf, hp.bb.Events())
+	return buf.Bytes()
+}

@@ -72,33 +72,65 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
-func TestTraceEnabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Trace = true
-	hp := Open(cfg)
-	defer hp.Close()
-	obsWorkload(t, hp)
-
-	raw := hp.TraceJSON()
+// traceDoc parses TraceJSON and returns the names of its spans ("X") and
+// of its instants ("i").
+func traceDoc(t *testing.T, raw []byte) (spans, instants map[string]bool) {
+	t.Helper()
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
-			Cat  string `json:"cat"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
-	cats := map[string]bool{}
+	spans, instants = map[string]bool{}, map[string]bool{}
 	for _, ev := range doc.TraceEvents {
-		if ev.Cat != "" {
-			cats[ev.Cat] = true
+		switch ev.Ph {
+		case "X":
+			spans[ev.Name] = true
+		case "i":
+			instants[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"wal", "gc", "vgc", "tx"} {
-		if !cats[want] {
-			t.Errorf("trace has no %q events (categories: %v)", want, cats)
+	return spans, instants
+}
+
+func TestTraceEnabled(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FlightRecorder = true
+	cfg.ConcurrentVGC = false // so CollectVolatile is one stop-the-world span
+	hp := Open(cfg)
+	defer hp.Close()
+	// Enough survivors to fill the nursery: the minor-collection span.
+	for i := 0; i < 64; i++ {
+		tx := hp.Begin()
+		obj, err := tx.Alloc(1, 1, 62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.SetVolRoot(i%8, obj); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obsWorkload(t, hp)
+	hp.StartStableCollection()
+	for hp.StepStable() {
+	}
+
+	spans, instants := traceDoc(t, hp.TraceJSON())
+	for _, want := range []string{"tx-commit", "wal-force", "stable-gc-flip", "stable-gc-step", "vgc-flip", "vgc-minor"} {
+		if !spans[want] {
+			t.Errorf("trace has no %q span (spans: %v)", want, spans)
+		}
+	}
+	for _, want := range []string{"tx-begin", "tx-abort"} {
+		if !instants[want] {
+			t.Errorf("trace has no %q instant (instants: %v)", want, instants)
 		}
 	}
 }
@@ -107,19 +139,19 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	hp := Open(DefaultConfig())
 	defer hp.Close()
 	obsWorkload(t, hp)
-	if hp.Trace() != nil {
-		t.Fatal("trace ring exists without Config.Trace")
+	if hp.FlightRecorder() != nil {
+		t.Fatal("event ring exists without Config.FlightRecorder")
 	}
 	// Still a loadable (empty) document.
-	var doc map[string]any
-	if err := json.Unmarshal(hp.TraceJSON(), &doc); err != nil {
-		t.Fatalf("disabled trace JSON does not parse: %v", err)
+	spans, instants := traceDoc(t, hp.TraceJSON())
+	if len(spans)+len(instants) != 0 {
+		t.Fatalf("recorder-off heap traced %v %v", spans, instants)
 	}
 }
 
 func TestRecoveryMetrics(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Trace = true
+	cfg.FlightRecorder = true
 	hp := Open(cfg)
 	obsWorkload(t, hp)
 	disk, logDev := hp.Crash()
@@ -137,25 +169,11 @@ func TestRecoveryMetrics(t *testing.T) {
 	if m.Counter("recovery_redo_scanned_total") == 0 {
 		t.Error("no redo records scanned")
 	}
-	// The recovery phases landed in the trace.
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(h2.TraceJSON(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	phases := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Cat == "recovery" {
-			phases[ev.Name] = true
-		}
-	}
-	for _, want := range []string{"analysis", "redo", "undo"} {
-		if !phases[want] {
-			t.Errorf("trace missing recovery phase %q", want)
+	// The recovery phases landed in the trace, as spans.
+	spans, _ := traceDoc(t, h2.TraceJSON())
+	for _, want := range []string{"recovery-analysis", "recovery-redo", "recovery-undo"} {
+		if !spans[want] {
+			t.Errorf("trace missing recovery phase %q (spans: %v)", want, spans)
 		}
 	}
 }

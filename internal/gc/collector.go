@@ -146,7 +146,7 @@ type Collector struct {
 	flipH obs.Histogram
 	stepH obs.Histogram
 	trapH obs.Histogram
-	tr    *obs.Trace
+	bb    *obs.BlackBox
 }
 
 // New creates a collector for the area [lo, mid) ∪ [mid, hi) split into two
@@ -200,8 +200,9 @@ func (c *Collector) ResetStats() {
 	c.quantumH.Reset()
 }
 
-// SetTrace wires an optional trace ring; nil disables tracing.
-func (c *Collector) SetTrace(t *obs.Trace) { c.tr = t }
+// SetRecorder wires an optional flight recorder: flips, steps and traps
+// land in its timeline as spans. Nil disables.
+func (c *Collector) SetRecorder(b *obs.BlackBox) { c.bb = b }
 
 // Active reports whether a collection is in progress.
 func (c *Collector) Active() bool { return c.active }
@@ -385,7 +386,11 @@ func (c *Collector) startCollection(rootObj word.Addr, concurrent bool) word.Add
 	}
 	d := time.Since(start)
 	c.flipH.Observe(uint64(d))
-	c.tr.Complete("gc", "flip", start, d)
+	var mode uint64
+	if concurrent {
+		mode = 1
+	}
+	c.bb.Span(obs.EvGCFlip, d, 0, uint64(c.stats.Collections), mode)
 	return newRoot
 }
 
@@ -448,7 +453,7 @@ func (c *Collector) Step() bool {
 	// separately.
 	d := time.Since(start)
 	c.stepH.Observe(uint64(d))
-	c.tr.Complete("gc", "step", start, d)
+	c.bb.Span(obs.EvGCStep, d, 0, c.epoch, 0)
 	c.maybeFinish()
 	return c.active
 }
@@ -524,7 +529,7 @@ func (c *Collector) Trap(pg word.PageID) {
 	c.sequentialScan(c.cfg.StepPages * word.BytesToWords(c.pageSize()))
 	d := time.Since(start)
 	c.trapH.Observe(uint64(d))
-	c.tr.Complete("gc", "trap", start, d)
+	c.bb.Span(obs.EvGCTrap, d, 0, c.epoch, uint64(pg))
 	c.maybeFinish()
 }
 

@@ -141,7 +141,8 @@ func (v *VolatileCollector) StartConcurrent() int {
 	d := time.Since(start)
 	v.flipPauseH.Observe(uint64(d))
 	v.pauseH.Observe(uint64(d))
-	v.tr.Complete("vgc", "flip", start, d)
+	v.bb.SetGCEpoch(v.epoch)
+	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 1)
 	return moved
 }
 
@@ -217,7 +218,6 @@ func (v *VolatileCollector) FinishConcurrent() {
 	if !v.concActive {
 		return
 	}
-	start := time.Now()
 	for v.ScanQuantum(1 << 30) {
 	}
 	v.mem.DiscardRange(v.from.Lo, v.from.Hi)
@@ -225,7 +225,6 @@ func (v *VolatileCollector) FinishConcurrent() {
 	v.from = nil
 	v.to = nil
 	v.concActive = false
-	v.tr.Complete("vgc", "drain", start, time.Since(start))
 }
 
 // AbandonConcurrent forgets an in-flight concurrent collection without

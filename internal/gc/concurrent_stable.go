@@ -33,7 +33,6 @@ func (c *Collector) ScanQuantum(budgetWords int) bool {
 	c.sequentialScan(budgetWords)
 	c.stats.ConcQuanta++
 	c.quantumH.Since(start)
-	c.tr.Complete("gc", "quantum", start, time.Since(start))
 	return c.scanPtr < c.to.CopyPtr
 }
 

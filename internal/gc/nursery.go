@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"stableheap/internal/heap"
+	"stableheap/internal/obs"
 	"stableheap/internal/word"
 )
 
@@ -120,16 +121,18 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 	if v.hooks.StableSlots != nil {
 		v.fixStableSlots(v.hooks.StableSlots(), false)
 	}
-	v.fixVolatileSlots(volSlots)
+	var ls []word.Addr
+	if v.hooks.NewlyStable != nil {
+		ls = v.hooks.NewlyStable()
+	}
+	v.fixVolatileSlots(volSlots, ls)
 	// Newly stable nursery objects move out whether or not they are
 	// reachable: their LS entries must not dangle into the reset
 	// nursery. (Unreachable ones become stable garbage for the stable
 	// collector — the paper's discipline already covers that.)
-	if v.hooks.NewlyStable != nil {
-		for _, a := range v.hooks.NewlyStable() {
-			if v.inFrom(a) && !v.h.Descriptor(a).Forwarded() {
-				v.evacuate(a)
-			}
+	for _, a := range ls {
+		if v.inFrom(a) && !v.h.Descriptor(a).Forwarded() {
+			v.evacuate(a)
 		}
 	}
 	for len(v.copyQ) > 0 || len(v.movedQ) > 0 {
@@ -177,6 +180,6 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 	}
 	d := time.Since(start)
 	v.minorPauseH.Observe(uint64(d))
-	v.tr.Complete("vgc", "minor", start, d)
+	v.bb.Span(obs.EvMinorGC, d, 0, uint64(promotedW), uint64(usedWords))
 	return moved
 }

@@ -110,7 +110,7 @@ type VolatileCollector struct {
 	pauseH      obs.Histogram
 	minorPauseH obs.Histogram
 	flipPauseH  obs.Histogram
-	tr          *obs.Trace
+	bb          *obs.BlackBox
 }
 
 // NewVolatile creates the volatile-area collector over [lo, hi), split into
@@ -129,8 +129,10 @@ func NewVolatile(mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.Addr
 // SetHooks installs the environment callbacks.
 func (v *VolatileCollector) SetHooks(h VolatileHooks) { v.hooks = h }
 
-// SetTrace wires an optional trace ring; nil disables tracing.
-func (v *VolatileCollector) SetTrace(t *obs.Trace) { v.tr = t }
+// SetRecorder wires an optional flight recorder: flips and minor
+// collections land in its timeline as spans, stamped with the new epoch.
+// Nil disables.
+func (v *VolatileCollector) SetRecorder(b *obs.BlackBox) { v.bb = b }
 
 // Stats returns accumulated counters and the pause-histogram snapshots.
 func (v *VolatileCollector) Stats() VolatileStats {
@@ -287,7 +289,8 @@ func (v *VolatileCollector) Collect() int {
 	}
 	d := time.Since(start)
 	v.pauseH.Observe(uint64(d))
-	v.tr.Complete("vgc", "collect", start, d)
+	v.bb.SetGCEpoch(v.epoch)
+	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 0)
 	return moved
 }
 
@@ -483,13 +486,27 @@ func (v *VolatileCollector) fixStableSlots(slots []word.Addr, registerAll bool) 
 }
 
 // fixVolatileSlots rewrites volatile-area slots (the nursery remembered
-// set) whose targets the collection moved. Volatile writes are unlogged.
-func (v *VolatileCollector) fixVolatileSlots(slots []word.Addr) {
+// set, sorted) whose targets a minor collection moved. Volatile writes are
+// unlogged — except inside a newly stable object still at an aged address
+// (ls, sorted): recovery rebuilds it from its base record plus logged
+// updates, so its slots are fixed under the WAL protocol like stable ones.
+func (v *VolatileCollector) fixVolatileSlots(slots, ls []word.Addr) {
+	var logged []word.Addr
 	for _, slot := range slots {
+		// LS entries in the nursery (the from-space) may already be
+		// forwarded; remembered slots never lie there.
+		for len(ls) > 0 && (v.inFrom(ls[0]) || ls[0].Add(v.h.Descriptor(ls[0]).SizeWords()) <= slot) {
+			ls = ls[1:]
+		}
+		if len(ls) > 0 && ls[0] <= slot {
+			logged = append(logged, slot)
+			continue
+		}
 		p := word.Addr(v.mem.ReadWord(slot))
 		if p.IsNil() || !v.inFrom(p) {
 			continue
 		}
 		v.mem.WriteWord(slot, uint64(v.evacuate(p)), word.NilLSN)
 	}
+	v.fixStableSlots(logged, false)
 }

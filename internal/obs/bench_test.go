@@ -36,20 +36,18 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceComplete(b *testing.B) {
-	tr := NewTrace(1024)
-	start := tr.epoch
+func BenchmarkRecorderSpan(b *testing.B) {
+	bb := NewBlackBox(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Complete("bench", "span", start, 1)
+		bb.Span(EvTxCommit, time.Microsecond, uint64(i), 0, 0)
 	}
 }
 
-func BenchmarkTraceDisabled(b *testing.B) {
-	var tr *Trace
-	start := time.Now()
+func BenchmarkRecorderDisabled(b *testing.B) {
+	var bb *BlackBox
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Complete("bench", "span", start, 1)
+		bb.Span(EvTxCommit, time.Microsecond, uint64(i), 0, 0)
 	}
 }

@@ -1,104 +1,108 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
 // The black-box flight recorder: a fixed-size, lock-free ring of compact
-// binary event records — transaction begin/commit/abort, GC flips and scan
-// quanta, WAL forces, latch stalls, injected faults, watchdog trips. It is
-// the crash-surviving counterpart of the Chrome-trace ring: a Journal
+// binary event records — transaction begin/commit/abort, collector flips,
+// steps and scan quanta, WAL forces, latch stalls, recovery phases,
+// injected faults, watchdog trips. It is the heap's only event ring: the
+// Chrome trace (WriteEventsChrome) is a rendering of it, and a Journal
 // (journal.go) persists its contents through a dedicated storage.LogDevice
 // so the last moments before a crash are readable after recovery.
 //
 // Every record carries a monotonic sequence number, a timestamp relative
-// to recorder start, and the volatile-GC epoch that was active when it was
-// written, so a post-crash dump reconstructs what was in flight — which
-// transactions had begun but not committed, which collection had flipped
-// but not finished — at the instant of the torn write.
+// to recorder start, a duration (zero for an instant), and the volatile-GC
+// epoch that was active when it was written, so a post-crash dump
+// reconstructs what was in flight — which transactions had begun but not
+// committed, which collection had flipped but not finished — at the
+// instant of the torn write.
 
-// EventKind identifies what a flight-recorder record describes.
+// EventKind identifies what a flight-recorder record describes. A kind
+// marked "span" is recorded with the duration of what it names; the kinds
+// table below labels each kind's A and B operands.
 type EventKind uint16
 
 const (
 	EvNone EventKind = iota
 	EvTxBegin
-	EvTxCommit   // tx = id, a = commit latency ns
-	EvTxConflict // tx = id, a = wait ns before the conflict surfaced
-	EvTxAbort    // tx = id
-	EvGCFlip     // stable collection started; a = stable-GC collections count
-	EvVGCFlip    // volatile collection flip; a = epoch, b = 1 if concurrent
-	EvVGCQuantum // one concurrent scan quantum ran; a = epoch
-	EvVGCFinish  // concurrent scan retired; a = epoch
-	EvMinorGC    // nursery minor collection; a = promoted objects, b = scavenged words
-	EvWALForce   // a = forced LSN, b = force latency ns
-	EvLatchStall // exclusive stop-latch wait over threshold; a = wait ns
-	EvFault      // injected fault (faultfs); a = fault class, b = detail (page/LSN)
-	EvWatchdog   // watchdog rule tripped; a = rule code, b = detail
-	EvCheckpoint // a = checkpoint LSN
-	EvCrash      // heap crash entered; a = 1 when flushed from a panic
-	EvRecovery   // recovery completed; a = records applied, b = records scanned
+	EvTxCommit   // span: the commit
+	EvTxConflict // span: the wait before the conflict surfaced
+	EvTxAbort
+	EvGCFlip     // span: stable flip pause
+	EvGCStep     // span: one incremental stable scan step
+	EvGCTrap     // span: one read-barrier trap
+	EvSGCQuantum // span: one concurrent stable scan quantum
+	EvSGCFinish  // concurrent stable scan retired
+	EvVGCFlip    // span: volatile flip pause, or the whole stop-the-world collection
+	EvVGCQuantum // span: one concurrent volatile scan quantum
+	EvVGCFinish  // span: concurrent volatile scan drained and retired
+	EvMinorGC    // span: nursery minor collection
+	EvWALForce   // span: log force
+	EvLatchStall // span: exclusive stop-latch wait over threshold
+	EvFault      // injected fault (faultfs); detail = page or LSN
+	EvWatchdog   // watchdog rule tripped
+	EvCheckpoint
+	EvCrash       // heap crash entered; panic-flush = 1 when flushed from a panic
+	EvRecAnalysis // span: recovery analysis pass
+	EvRecRedo     // span: recovery redo pass
+	EvRecUndo     // span: recovery undo pass
+	EvRecovery    // recovery completed
 	EvStandbyApply
-	EvFileBarrier   // filestore SetMaster barrier; a = pages flushed, b = barrier ns
-	EvFileWriteBack // filestore background write-back batch; a = pages pushed
-	EvSGCQuantum    // one concurrent stable scan quantum ran; a = epoch
-	EvSGCFinish     // concurrent stable scan retired; a = epoch
+	EvFileBarrier   // span: filestore SetMaster barrier
+	EvFileWriteBack // filestore background write-back batch
 	evKindCount
 )
 
+// kinds is the one place event kinds are named: the short name used in
+// timelines and traces, the Chrome-trace track the kind renders on, and
+// the labels of its A and B operands ("" = unused; enum, when set, names
+// the values of A).
+var kinds = [evKindCount]struct {
+	name, track, a, b string
+	enum              func(uint64) string
+}{
+	EvNone:          {name: "none", track: "misc"},
+	EvTxBegin:       {name: "tx-begin", track: "tx"},
+	EvTxCommit:      {name: "tx-commit", track: "tx"},
+	EvTxConflict:    {name: "tx-conflict", track: "tx"},
+	EvTxAbort:       {name: "tx-abort", track: "tx"},
+	EvGCFlip:        {name: "stable-gc-flip", track: "gc", a: "collections", b: "concurrent"},
+	EvGCStep:        {name: "stable-gc-step", track: "gc", a: "epoch"},
+	EvGCTrap:        {name: "stable-gc-trap", track: "gc", a: "epoch", b: "page"},
+	EvSGCQuantum:    {name: "sgc-quantum", track: "gc", a: "epoch"},
+	EvSGCFinish:     {name: "sgc-finish", track: "gc", a: "epoch"},
+	EvVGCFlip:       {name: "vgc-flip", track: "vgc", a: "epoch", b: "concurrent"},
+	EvVGCQuantum:    {name: "vgc-quantum", track: "vgc", a: "epoch"},
+	EvVGCFinish:     {name: "vgc-finish", track: "vgc", a: "epoch"},
+	EvMinorGC:       {name: "vgc-minor", track: "vgc", a: "promoted-words", b: "scavenged-words"},
+	EvWALForce:      {name: "wal-force", track: "wal", a: "lsn"},
+	EvLatchStall:    {name: "latch-stall", track: "latch"},
+	EvFault:         {name: "fault", track: "fault", a: "class", b: "detail", enum: FaultClassName},
+	EvWatchdog:      {name: "watchdog-trip", track: "watchdog", a: "rule", b: "detail", enum: WatchdogRuleName},
+	EvCheckpoint:    {name: "checkpoint", track: "lifecycle", a: "lsn"},
+	EvCrash:         {name: "crash", track: "lifecycle", a: "panic-flush"},
+	EvRecAnalysis:   {name: "recovery-analysis", track: "recovery"},
+	EvRecRedo:       {name: "recovery-redo", track: "recovery", a: "applied", b: "scanned"},
+	EvRecUndo:       {name: "recovery-undo", track: "recovery", a: "losers"},
+	EvRecovery:      {name: "recovery", track: "recovery", a: "applied", b: "scanned"},
+	EvStandbyApply:  {name: "standby-apply", track: "repl", a: "lsn", b: "lag-bytes"},
+	EvFileBarrier:   {name: "file-barrier", track: "file", a: "flushed"},
+	EvFileWriteBack: {name: "file-writeback", track: "file", a: "pages"},
+}
+
 // String returns the stable short name used in timelines and traces.
 func (k EventKind) String() string {
-	switch k {
-	case EvTxBegin:
-		return "tx-begin"
-	case EvTxCommit:
-		return "tx-commit"
-	case EvTxConflict:
-		return "tx-conflict"
-	case EvTxAbort:
-		return "tx-abort"
-	case EvGCFlip:
-		return "stable-gc-flip"
-	case EvVGCFlip:
-		return "vgc-flip"
-	case EvVGCQuantum:
-		return "vgc-quantum"
-	case EvVGCFinish:
-		return "vgc-finish"
-	case EvMinorGC:
-		return "vgc-minor"
-	case EvWALForce:
-		return "wal-force"
-	case EvLatchStall:
-		return "latch-stall"
-	case EvFault:
-		return "fault"
-	case EvWatchdog:
-		return "watchdog-trip"
-	case EvCheckpoint:
-		return "checkpoint"
-	case EvCrash:
-		return "crash"
-	case EvRecovery:
-		return "recovery"
-	case EvStandbyApply:
-		return "standby-apply"
-	case EvFileBarrier:
-		return "file-barrier"
-	case EvFileWriteBack:
-		return "file-writeback"
-	case EvSGCQuantum:
-		return "sgc-quantum"
-	case EvSGCFinish:
-		return "sgc-finish"
-	default:
-		return fmt.Sprintf("ev-%d", uint16(k))
+	if k < evKindCount {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("ev-%d", uint16(k))
 }
 
 // Fault classes carried in EvFault's a field (written by internal/faultfs).
@@ -114,24 +118,8 @@ const (
 
 // FaultClassName names a fault class for timelines.
 func FaultClassName(c uint64) string {
-	switch c {
-	case FaultIOSurfaced:
-		return "io-error-surfaced"
-	case FaultIORetried:
-		return "io-error-retried"
-	case FaultTornPage:
-		return "torn-page"
-	case FaultTornForce:
-		return "torn-force"
-	case FaultPageRot:
-		return "page-bit-rot"
-	case FaultLogRot:
-		return "log-bit-rot"
-	case FaultChecksum:
-		return "checksum-detected"
-	default:
-		return fmt.Sprintf("class-%d", c)
-	}
+	return enumName(c, "class", "io-error-surfaced", "io-error-retried", "torn-page", "torn-force",
+		"page-bit-rot", "log-bit-rot", "checksum-detected")
 }
 
 // Watchdog rule codes carried in EvWatchdog's a field.
@@ -144,24 +132,22 @@ const (
 
 // WatchdogRuleName names a watchdog rule code for timelines.
 func WatchdogRuleName(c uint64) string {
-	switch c {
-	case WdStall:
-		return "stall"
-	case WdRate:
-		return "rate-runaway"
-	case WdThreshold:
-		return "threshold"
-	case WdConvoy:
-		return "commit-convoy"
-	default:
-		return fmt.Sprintf("rule-%d", c)
+	return enumName(c, "rule", "stall", "rate-runaway", "threshold", "commit-convoy")
+}
+
+// enumName names the 1-based code c from names, falling back to "what-c".
+func enumName(c uint64, what string, names ...string) string {
+	if c >= 1 && c <= uint64(len(names)) {
+		return names[c-1]
 	}
+	return fmt.Sprintf("%s-%d", what, c)
 }
 
 // Event is one decoded flight-recorder record.
 type Event struct {
 	Seq   uint64 // monotonic, 1-based; gaps mean the ring lapped
-	TS    int64  // nanoseconds since recorder start
+	TS    int64  // nanoseconds since recorder start (a span's end)
+	Dur   int64  // nanoseconds the span lasted; 0 for an instant
 	Kind  EventKind
 	Epoch uint64 // volatile-GC epoch active when the record was written
 	Tx    uint64 // transaction id, 0 when not transaction-scoped
@@ -176,6 +162,7 @@ type Event struct {
 type bbSlot struct {
 	seq   atomic.Uint64
 	ts    atomic.Int64
+	dur   atomic.Int64
 	kind  atomic.Uint64
 	epoch atomic.Uint64
 	tx    atomic.Uint64
@@ -183,9 +170,12 @@ type bbSlot struct {
 	b     atomic.Uint64
 }
 
-// DefaultBlackBoxEvents is the ring capacity when the config leaves it 0:
-// enough for the last few milliseconds of a busy heap at ~60 bytes a slot.
-const DefaultBlackBoxEvents = 4096
+// BlackBoxEvents is the ring capacity of every heap's recorder: 64 bytes a
+// slot, 1 MiB in all. A default `shstat -trace` run records about 10 500
+// events (three per transfer: begin, force, commit) and one shchaos round
+// 60 to 80, so the Chrome trace of the former is complete and a journal
+// flushed at every checkpoint loses nothing.
+const BlackBoxEvents = 16 * 1024
 
 // BlackBox is the lock-free flight-recorder ring. All methods are safe on
 // a nil receiver (recording disabled) and from any number of goroutines;
@@ -199,12 +189,9 @@ type BlackBox struct {
 	boot   int64 // wall-clock ns at creation: identifies this run's records
 }
 
-// NewBlackBox returns a recorder with the given ring capacity (0 means
-// DefaultBlackBoxEvents).
+// NewBlackBox returns a recorder with the given ring capacity (heaps use
+// BlackBoxEvents).
 func NewBlackBox(capacity int) *BlackBox {
-	if capacity <= 0 {
-		capacity = DefaultBlackBoxEvents
-	}
 	now := time.Now()
 	return &BlackBox{slots: make([]bbSlot, capacity), start: now, boot: now.UnixNano()}
 }
@@ -228,8 +215,12 @@ func (bb *BlackBox) SetGCEpoch(e uint64) {
 	bb.epoch.Store(e)
 }
 
-// Record appends one event to the ring, overwriting the oldest when full.
-func (bb *BlackBox) Record(kind EventKind, tx, a, b uint64) {
+// Record appends one instant event to the ring, overwriting the oldest
+// when full.
+func (bb *BlackBox) Record(kind EventKind, tx, a, b uint64) { bb.Span(kind, 0, tx, a, b) }
+
+// Span appends one event that ends now and lasted dur.
+func (bb *BlackBox) Span(kind EventKind, dur time.Duration, tx, a, b uint64) {
 	if bb == nil {
 		return
 	}
@@ -237,6 +228,7 @@ func (bb *BlackBox) Record(kind EventKind, tx, a, b uint64) {
 	s := &bb.slots[(seq-1)%uint64(len(bb.slots))]
 	s.seq.Store(0) // take the slot: readers skip it until republished
 	s.ts.Store(int64(time.Since(bb.start)))
+	s.dur.Store(int64(dur))
 	s.kind.Store(uint64(kind))
 	s.epoch.Store(bb.epoch.Load())
 	s.tx.Store(tx)
@@ -268,86 +260,66 @@ func (bb *BlackBox) Dropped() uint64 {
 // Events snapshots the ring: every fully published record, in sequence
 // order. Slots mid-overwrite by a concurrent writer are skipped — the
 // recorder never blocks a reader and a reader never tears a record.
-func (bb *BlackBox) Events() []Event {
+func (bb *BlackBox) Events() []Event { return bb.since(0) }
+
+// since returns the published records with a sequence number above after,
+// walking the ring by slot index from the oldest record still held.
+func (bb *BlackBox) since(after uint64) []Event {
 	if bb == nil {
 		return nil
 	}
-	evs := make([]Event, 0, len(bb.slots))
-	for i := range bb.slots {
-		s := &bb.slots[i]
-		v1 := s.seq.Load()
-		if v1 == 0 {
-			continue
+	end, n := bb.cursor.Load(), uint64(len(bb.slots))
+	if end > n && after < end-n {
+		after = end - n
+	}
+	evs := make([]Event, 0, end-after)
+	for seq := after + 1; seq <= end; seq++ {
+		s := &bb.slots[(seq-1)%n]
+		if s.seq.Load() != seq {
+			continue // not yet published, or already lapped
 		}
 		e := Event{
-			Seq:   v1,
+			Seq:   seq,
 			TS:    s.ts.Load(),
+			Dur:   s.dur.Load(),
 			Kind:  EventKind(s.kind.Load()),
 			Epoch: s.epoch.Load(),
 			Tx:    s.tx.Load(),
 			A:     s.a.Load(),
 			B:     s.b.Load(),
 		}
-		if s.seq.Load() != v1 {
-			continue // overwritten while reading; the new record will be seen on its slot
+		if s.seq.Load() != seq {
+			continue // overwritten while reading
 		}
 		evs = append(evs, e)
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 	return evs
 }
 
-// Describe renders one event's kind-specific payload for humans.
+// Describe renders one event for humans: its name, its transaction, its
+// operands under the kind table's labels and, for a span, how long it
+// lasted.
 func (e Event) Describe() string {
-	switch e.Kind {
-	case EvTxBegin:
-		return fmt.Sprintf("tx-begin tx=%d", e.Tx)
-	case EvTxCommit:
-		return fmt.Sprintf("tx-commit tx=%d dur=%v", e.Tx, time.Duration(e.A))
-	case EvTxConflict:
-		return fmt.Sprintf("tx-conflict tx=%d wait=%v", e.Tx, time.Duration(e.A))
-	case EvTxAbort:
-		return fmt.Sprintf("tx-abort tx=%d", e.Tx)
-	case EvGCFlip:
-		return fmt.Sprintf("stable-gc-flip collections=%d", e.A)
-	case EvVGCFlip:
-		mode := "stop-the-world"
-		if e.B != 0 {
-			mode = "concurrent"
-		}
-		return fmt.Sprintf("vgc-flip epoch=%d mode=%s", e.A, mode)
-	case EvVGCQuantum:
-		return fmt.Sprintf("vgc-quantum epoch=%d", e.A)
-	case EvVGCFinish:
-		return fmt.Sprintf("vgc-finish epoch=%d", e.A)
-	case EvMinorGC:
-		return fmt.Sprintf("vgc-minor promoted=%d scavenged-words=%d", e.A, e.B)
-	case EvWALForce:
-		return fmt.Sprintf("wal-force lsn=%d dur=%v", e.A, time.Duration(e.B))
-	case EvLatchStall:
-		return fmt.Sprintf("latch-stall wait=%v", time.Duration(e.A))
-	case EvFault:
-		return fmt.Sprintf("fault %s detail=%d", FaultClassName(e.A), e.B)
-	case EvWatchdog:
-		return fmt.Sprintf("watchdog-trip rule=%s detail=%d", WatchdogRuleName(e.A), e.B)
-	case EvCheckpoint:
-		return fmt.Sprintf("checkpoint lsn=%d", e.A)
-	case EvCrash:
-		if e.A != 0 {
-			return "crash (panic flush)"
-		}
-		return "crash"
-	case EvRecovery:
-		return fmt.Sprintf("recovery applied=%d scanned=%d", e.A, e.B)
-	case EvStandbyApply:
-		return fmt.Sprintf("standby-apply lsn=%d lag-bytes=%d", e.A, e.B)
-	case EvFileBarrier:
-		return fmt.Sprintf("file-barrier flushed=%d dur=%v", e.A, time.Duration(e.B))
-	case EvFileWriteBack:
-		return fmt.Sprintf("file-writeback pages=%d", e.A)
-	default:
+	if e.Kind >= evKindCount {
 		return fmt.Sprintf("%s a=%d b=%d", e.Kind, e.A, e.B)
 	}
+	k := kinds[e.Kind]
+	out := k.name
+	if e.Tx != 0 {
+		out += fmt.Sprintf(" tx=%d", e.Tx)
+	}
+	if k.enum != nil {
+		out += fmt.Sprintf(" %s=%s", k.a, k.enum(e.A))
+	} else if k.a != "" {
+		out += fmt.Sprintf(" %s=%d", k.a, e.A)
+	}
+	if k.b != "" {
+		out += fmt.Sprintf(" %s=%d", k.b, e.B)
+	}
+	if e.Dur > 0 {
+		out += fmt.Sprintf(" dur=%v", time.Duration(e.Dur))
+	}
+	return out
 }
 
 // FormatEvents renders events as an aligned human-readable timeline, one
@@ -370,26 +342,48 @@ func FormatTail(evs []Event, n int) string {
 	return FormatEvents(evs)
 }
 
-// WriteEventsChrome writes events as Chrome trace_event JSON (instant
-// events on per-kind tracks), loadable in about://tracing or Perfetto.
+// WriteEventsChrome writes events as Chrome trace_event JSON, loadable in
+// about://tracing or ui.perfetto.dev: an event with a duration is a
+// complete ("X") span starting at TS−Dur, any other a thread-scoped
+// instant, and each track of the kind table renders as one named thread.
+// It is the tree's only trace_event emitter; no events yields an empty,
+// still loadable document.
 func WriteEventsChrome(w io.Writer, evs []Event) error {
-	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
-		return err
-	}
-	for i, e := range evs {
-		sep := ""
-		if i > 0 {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"traceEvents":[`)
+	tids := map[string]int{}
+	sep := ""
+	for _, e := range evs {
+		track := "misc"
+		if e.Kind < evKindCount {
+			track = kinds[e.Kind].track
+		}
+		tid, ok := tids[track]
+		if !ok {
+			tid = len(tids) + 1
+			tids[track] = tid
+			fmt.Fprintf(bw, `%s{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%q}}`, sep, tid, track)
 			sep = ","
 		}
-		line := fmt.Sprintf(
-			`%s{"name":%q,"ph":"i","s":"t","pid":1,"tid":%d,"ts":%d.%03d,"args":{"seq":%d,"epoch":%d,"tx":%d,"a":%d,"b":%d,"detail":%q}}`,
-			sep, e.Kind.String(), uint16(e.Kind), e.TS/1000, e.TS%1000,
-			e.Seq, e.Epoch, e.Tx, e.A, e.B, e.Describe())
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
+		phase := `"ph":"i","s":"t"`
+		start := e.TS
+		if e.Dur > 0 {
+			start -= e.Dur
+			phase = fmt.Sprintf(`"ph":"X","dur":%d.%03d`, e.Dur/1000, e.Dur%1000)
 		}
+		if start < 0 {
+			start = 0 // a span that began before the recorder did
+		}
+		fmt.Fprintf(bw,
+			`%s{"name":%q,"cat":%q,%s,"pid":1,"tid":%d,"ts":%d.%03d,"args":{"seq":%d,"epoch":%d,"tx":%d,"a":%d,"b":%d,"detail":%q}}`,
+			sep, e.Kind.String(), track, phase, tid, start/1000, start%1000,
+			e.Seq, e.Epoch, e.Tx, e.A, e.B, e.Describe())
+		sep = ","
 	}
-	meta := `],"displayTimeUnit":"ns","otherData":{"source":"stableheap flight recorder"}}`
-	_, err := io.WriteString(w, meta)
-	return err
+	dropped := uint64(0)
+	if len(evs) > 0 {
+		dropped = evs[0].Seq - 1 // older records the ring no longer held
+	}
+	fmt.Fprintf(bw, `],"displayTimeUnit":"ns","otherData":{"source":"stableheap flight recorder","droppedEvents":"%d"}}`, dropped)
+	return bw.Flush()
 }

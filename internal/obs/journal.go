@@ -30,15 +30,18 @@ import (
 // Frame layout (little-endian):
 //
 //	magic   "SHBB"                     4 bytes
-//	version u8 = 1                     1
+//	version u8 = 2                     1
 //	boot    i64                        8
 //	count   u32                        4
-//	records count × 50 bytes: seq u64, ts i64, kind u16, epoch u64, tx u64, a u64, b u64
+//	records count × 58 bytes: seq u64, ts i64, dur i64, kind u16, epoch u64, tx u64, a u64, b u64
+//
+// Version 1 had no duration word (and numbered the kinds differently); its
+// frames are rejected, not reinterpreted.
 const (
 	bbMagic     = "SHBB"
-	bbVersion   = 1
+	bbVersion   = 2
 	bbHeaderLen = 4 + 1 + 8 + 4
-	bbRecordLen = 8 + 8 + 2 + 8 + 8 + 8 + 8
+	bbRecordLen = 8 + 8 + 8 + 2 + 8 + 8 + 8 + 8
 )
 
 var errBadFrame = errors.New("obs: malformed black-box frame")
@@ -79,13 +82,7 @@ func (j *Journal) Flush() {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	evs := j.bb.Events()
-	fresh := evs[:0:0]
-	for _, e := range evs {
-		if e.Seq > j.flushedSeq {
-			fresh = append(fresh, e)
-		}
-	}
+	fresh := j.bb.since(j.flushedSeq)
 	if len(fresh) == 0 {
 		return
 	}
@@ -105,11 +102,12 @@ func EncodeDump(boot int64, evs []Event) []byte {
 	for _, e := range evs {
 		binary.LittleEndian.PutUint64(buf[off:], e.Seq)
 		binary.LittleEndian.PutUint64(buf[off+8:], uint64(e.TS))
-		binary.LittleEndian.PutUint16(buf[off+16:], uint16(e.Kind))
-		binary.LittleEndian.PutUint64(buf[off+18:], e.Epoch)
-		binary.LittleEndian.PutUint64(buf[off+26:], e.Tx)
-		binary.LittleEndian.PutUint64(buf[off+34:], e.A)
-		binary.LittleEndian.PutUint64(buf[off+42:], e.B)
+		binary.LittleEndian.PutUint64(buf[off+16:], uint64(e.Dur))
+		binary.LittleEndian.PutUint16(buf[off+24:], uint16(e.Kind))
+		binary.LittleEndian.PutUint64(buf[off+26:], e.Epoch)
+		binary.LittleEndian.PutUint64(buf[off+34:], e.Tx)
+		binary.LittleEndian.PutUint64(buf[off+42:], e.A)
+		binary.LittleEndian.PutUint64(buf[off+50:], e.B)
 		off += bbRecordLen
 	}
 	return buf
@@ -133,11 +131,12 @@ func decodeFrame(b []byte) (boot int64, evs []Event, rest []byte, err error) {
 		evs[i] = Event{
 			Seq:   binary.LittleEndian.Uint64(b[off:]),
 			TS:    int64(binary.LittleEndian.Uint64(b[off+8:])),
-			Kind:  EventKind(binary.LittleEndian.Uint16(b[off+16:])),
-			Epoch: binary.LittleEndian.Uint64(b[off+18:]),
-			Tx:    binary.LittleEndian.Uint64(b[off+26:]),
-			A:     binary.LittleEndian.Uint64(b[off+34:]),
-			B:     binary.LittleEndian.Uint64(b[off+42:]),
+			Dur:   int64(binary.LittleEndian.Uint64(b[off+16:])),
+			Kind:  EventKind(binary.LittleEndian.Uint16(b[off+24:])),
+			Epoch: binary.LittleEndian.Uint64(b[off+26:]),
+			Tx:    binary.LittleEndian.Uint64(b[off+34:]),
+			A:     binary.LittleEndian.Uint64(b[off+42:]),
+			B:     binary.LittleEndian.Uint64(b[off+50:]),
 		}
 		off += bbRecordLen
 	}
@@ -194,24 +193,13 @@ func ReadLatest(dev storage.LogDevice) (evs []Event, boot int64, err error) {
 	if dev == nil {
 		return nil, 0, nil
 	}
-	var latest int64
-	perBoot := map[int64][]Event{}
-	dev.Scan(dev.TruncLSN(), false, func(_ word.LSN, data []byte) bool {
-		fb, fe, _, ferr := decodeFrame(data)
-		if ferr != nil {
-			err = ferr
-			return false
-		}
-		perBoot[fb] = append(perBoot[fb], fe...)
-		if fb >= latest {
-			latest = fb
-		}
+	var dump []byte
+	dev.Scan(dev.TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
+		dump = append(dump, frame...)
 		return true
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return sortBySeq(perBoot[latest]), latest, nil
+	boot, evs, err = DecodeDump(dump)
+	return evs, boot, err
 }
 
 // sortBySeq orders events by sequence, deduplicating on seq (a record can

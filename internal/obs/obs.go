@@ -1,22 +1,23 @@
 // Package obs is the stable heap's unified observability layer: lock-free
 // atomic counters and gauges, log-bucketed latency histograms with
-// mergeable snapshots, a bounded trace-event ring exportable as Chrome
-// trace_event JSON, and a live exposition endpoint (Prometheus text +
-// trace JSON over HTTP).
+// mergeable snapshots, one crash-surviving event ring (the flight
+// recorder) that also renders as Chrome trace_event JSON, and a live
+// exposition endpoint (Prometheus text + trace JSON over HTTP).
 //
-// The package is dependency-free (standard library only) and designed so
-// the hot recording paths — Counter.Add, Histogram.Observe — are a handful
-// of atomic adds with zero allocations, cheap enough to leave on in every
-// configuration. The paper's claims are quantitative (bounded pauses,
-// logging overhead, recovery time), and distributions, not averages, are
-// what bound them: every pause and latency source records into a
-// fixed-size power-of-two-bucketed histogram from which p50/p90/p99/max
-// are read off at snapshot time.
+// The package depends only on the standard library and the storage
+// interfaces, and is designed so the hot recording paths — Counter.Add,
+// Histogram.Observe — are a handful of atomic adds with zero allocations,
+// cheap enough to leave on in every configuration. The paper's claims are
+// quantitative (bounded pauses, logging overhead, recovery time), and
+// distributions, not averages, are what bound them: every pause and
+// latency source records into a fixed-size power-of-two-bucketed histogram
+// from which p50/p90/p99/max are read off at snapshot time.
 //
-// Tracing is the one opt-in piece: when a *Trace is wired in (Config.Trace
-// at the heap level), begin/end and instant events from the mutator, the
-// collectors, the log and recovery land in a bounded ring (oldest events
-// dropped, counted) and export as JSON loadable in about://tracing.
+// The flight recorder is the one opt-in piece: when a *BlackBox is wired
+// in (Config.FlightRecorder at the heap level), spans and instants from
+// the mutator, the collectors, the log and recovery land in a bounded
+// lock-free ring (oldest events overwritten, counted), are journaled so
+// they survive a crash, and export as JSON loadable in about://tracing.
 package obs
 
 import "sync/atomic"

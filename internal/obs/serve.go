@@ -8,7 +8,8 @@ import (
 )
 
 // Server is a live exposition endpoint: Prometheus-style text at /metrics,
-// the raw snapshot as JSON at /metrics.json, the Chrome trace at /trace,
+// the raw snapshot as JSON at /metrics.json, the flight recorder's events
+// as a Chrome trace at /trace,
 // and the Go profiler under /debug/pprof/ (the mux is private, so the
 // stdlib's DefaultServeMux registration does not reach it — the handlers
 // are wired explicitly). It holds no metric state itself — it re-evaluates
@@ -25,9 +26,10 @@ type Server struct {
 }
 
 // Serve starts an HTTP listener on addr (e.g. "localhost:0") exposing the
-// snapshot and trace. The trace may be nil, in which case /trace serves an
-// empty (still loadable) trace document.
-func Serve(addr string, snap func() Snapshot, trace *Trace) (*Server, error) {
+// snapshot and, at /trace, the flight recorder's events as a Chrome trace.
+// With the recorder off events returns none and /trace serves an empty
+// (still loadable) trace document.
+func Serve(addr string, snap func() Snapshot, events func() []Event) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -46,7 +48,7 @@ func Serve(addr string, snap func() Snapshot, trace *Trace) (*Server, error) {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
-		trace.WriteJSON(w)
+		WriteEventsChrome(w, events())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -16,15 +16,15 @@ func serveTestServer(t *testing.T) *Server {
 	commits.Add(42)
 	lat.Observe(1500)
 	lat.Observe(90000)
-	tr := NewTrace(16)
-	tr.Instant("tx", "commit")
+	bb := NewBlackBox(16)
+	bb.Record(EvTxAbort, 7, 0, 0)
 	snap := func() Snapshot {
 		s := NewSnapshot()
 		s.SetCounter("tx_committed_total", int64(commits.Load()))
 		s.SetHist("tx_commit_ns", lat.Snapshot())
 		return s
 	}
-	srv, err := Serve("127.0.0.1:0", snap, tr)
+	srv, err := Serve("127.0.0.1:0", snap, bb.Events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestServeTrace(t *testing.T) {
 	}
 	found := false
 	for _, ev := range doc.TraceEvents {
-		if ev.Name == "commit" {
+		if ev.Name == "tx-abort" {
 			found = true
 		}
 	}

@@ -26,9 +26,9 @@ type Options struct {
 	// min(GOMAXPROCS, 8); 1 forces sequential redo; values above 64 are
 	// clamped (the dispatcher routes with a 64-bit shard mask).
 	RedoWorkers int
-	// Trace, when non-nil, receives one span per recovery phase
-	// (analysis, redo, undo) under the "recovery" category.
-	Trace *obs.Trace
+	// Recorder, when non-nil, receives one span per recovery phase
+	// (analysis, redo, undo).
+	Recorder *obs.BlackBox
 }
 
 // workers resolves the effective shard count.
@@ -214,7 +214,7 @@ func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Resul
 
 	res := &Result{CP: a.cp, TornTail: torn}
 	res.Stats.Analysis = time.Since(phase)
-	opts.Trace.Complete("recovery", "analysis", phase, res.Stats.Analysis)
+	opts.Recorder.Span(obs.EvRecAnalysis, res.Stats.Analysis, 0, 0, 0)
 
 	// Redo: repeat history from the earliest recLSN of a dirty page. With
 	// more than one worker the log is replayed by the page-partitioned
@@ -243,7 +243,7 @@ func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Resul
 		}
 	}
 	res.Stats.Redo = time.Since(phase)
-	opts.Trace.Complete("recovery", "redo", phase, res.Stats.Redo)
+	opts.Recorder.Span(obs.EvRecRedo, res.Stats.Redo, 0, uint64(res.RedoApplied), uint64(res.RedoScanned))
 	phase = time.Now()
 
 	// Undo: abort every loser, translating undo addresses (and restored
@@ -264,7 +264,7 @@ func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Resul
 		}
 	}
 	res.Stats.Undo = time.Since(phase)
-	opts.Trace.Complete("recovery", "undo", phase, res.Stats.Undo)
+	opts.Recorder.Span(obs.EvRecUndo, res.Stats.Undo, 0, uint64(len(res.Losers)), 0)
 	res.translator = u
 	res.txMeta = a.txs
 	// Undo may have changed the remembered set; republish it.
@@ -547,8 +547,14 @@ func (a *analysis) gcAlloc(addr word.Addr, sizeWords int) {
 }
 
 // updateSRem maintains the stable→volatile remembered set: a flagged store
-// adds the slot; any other store to a remembered slot removes it.
+// adds the slot; any other store to a remembered slot removes it. As at run
+// time, only stable-area slots belong: a slot of a newly stable object
+// still at a volatile address is found by the scan that follows its move,
+// and nothing would rebase or retire its entry when the object leaves.
 func (a *analysis) updateSRem(addr word.Addr, ptrToVolatile bool) {
+	if a.inVolatile(addr) {
+		return
+	}
 	if ptrToVolatile {
 		a.srem[addr] = true
 	} else {

@@ -27,6 +27,9 @@ type undoer struct {
 	srem map[word.Addr]bool
 }
 
+// inVolatile reports whether a lies in the volatile area.
+func (u *undoer) inVolatile(a word.Addr) bool { return a >= u.volLo && a < u.volHi }
+
 // memWriter is the slice of vm.Store the undoer needs: physical undo
 // images travel in the records (write-only), but logical undo reads the
 // current word to apply its delta.
@@ -96,7 +99,7 @@ func (u *undoer) rollback(id word.TxID, info *txInfo) {
 					rv := u.translate(info, old, lsn)
 					restored = make([]byte, word.WordSize)
 					word.PutWord(restored, 0, uint64(rv))
-					if rv >= u.volLo && rv < u.volHi {
+					if u.inVolatile(rv) {
 						flags |= wal.UFPtrToVolatile
 					}
 				}
@@ -110,7 +113,7 @@ func (u *undoer) rollback(id word.TxID, info *txInfo) {
 			})
 			lastLSN = clr
 			u.mem.WriteBytes(cur, restored, clr)
-			if srem := u.srem; srem != nil && r.Flags&wal.UFPtrSlot != 0 {
+			if srem := u.srem; srem != nil && r.Flags&wal.UFPtrSlot != 0 && !u.inVolatile(cur) {
 				if flags&wal.UFPtrToVolatile != 0 {
 					srem[cur] = true
 				} else {

@@ -454,7 +454,7 @@ func (d *Disk) SetMaster(m storage.Master) {
 	d.fm.barriers.Add(1)
 	bb := d.bb
 	d.mu.Unlock()
-	bb.Record(obs.EvFileBarrier, 0, uint64(flushed), uint64(time.Since(start).Nanoseconds()))
+	bb.Span(obs.EvFileBarrier, time.Since(start), 0, uint64(flushed), 0)
 }
 
 // Stats returns accumulated traffic counters.

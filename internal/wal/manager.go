@@ -38,7 +38,6 @@ type Manager struct {
 	bytes  [maxType]int64
 	append obs.Histogram
 	force  obs.Histogram
-	tr     *obs.Trace
 	bb     *obs.BlackBox
 	// retain holds per-owner retention floors: Truncate never drops
 	// records at or above any floor. Replication connections register the
@@ -95,8 +94,7 @@ func (m *Manager) Force(lsn word.LSN) {
 	}()
 	d := time.Since(start)
 	m.force.Observe(uint64(d))
-	m.tr.Complete("wal", "force", start, d)
-	m.bb.Record(obs.EvWALForce, 0, uint64(lsn), uint64(d))
+	m.bb.Span(obs.EvWALForce, d, 0, uint64(lsn), 0)
 }
 
 // ForceAll forces the entire volatile tail.
@@ -111,8 +109,7 @@ func (m *Manager) ForceAll() {
 	}()
 	d := time.Since(start)
 	m.force.Observe(uint64(d))
-	m.tr.Complete("wal", "force-all", start, d)
-	m.bb.Record(obs.EvWALForce, 0, uint64(end), uint64(d))
+	m.bb.Span(obs.EvWALForce, d, 0, uint64(end), 0)
 }
 
 // AppendHist snapshots the Append latency histogram (nanoseconds).
@@ -120,9 +117,6 @@ func (m *Manager) AppendHist() obs.HistSnapshot { return m.append.Snapshot() }
 
 // ForceHist snapshots the Force latency histogram (nanoseconds).
 func (m *Manager) ForceHist() obs.HistSnapshot { return m.force.Snapshot() }
-
-// SetTrace wires an optional trace ring; nil disables tracing.
-func (m *Manager) SetTrace(t *obs.Trace) { m.tr = t }
 
 // SetRecorder wires an optional flight recorder: every force lands in the
 // black-box timeline with its LSN. Nil disables.

@@ -1,0 +1,111 @@
+package stableheap_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"stableheap"
+	"stableheap/internal/workload"
+)
+
+// Regression tests for two collector defects found by running the OO7 mix
+// under real mutator load (ROADMAP item 1(e)). Both were collectors
+// rewriting — or failing to find — pointer slots inside logically-stable
+// objects that still live at an aged-space address.
+
+// A mid-transaction minor promotes a fresh composite to the aged space
+// before commit makes it stable; the logged SetPtr that then stores a
+// nursery atom into it bypasses the volatile write barrier, so without a
+// nursery remembered-set entry the next minor resets the nursery under the
+// slot.
+func TestNurseryMinorAfterLoggedStoreIntoAgedObject(t *testing.T) {
+	h := stableheap.Open(stableheap.DefaultConfig())
+	defer h.Close()
+	rng := rand.New(rand.NewSource(7))
+	o, err := workload.BuildOO7(h, 0, workload.OO7Config{Assemblies: 16, Composites: 16, AtomsPerComp: 6, DocWords: 4, ConnPerAtom: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := o.ReplaceComposite(rng); err != nil {
+			t.Fatalf("replace %d: %v", i, err)
+		}
+		if err := o.Check(); err != nil {
+			t.Fatalf("after replace %d (%d minors): %v", i, h.Metrics().Counter("vgc_nursery_minor_total"), err)
+		}
+	}
+}
+
+// retryConflict runs op until it returns anything but ErrConflict (a lock
+// timeout or deadlock victim), backing off as an application would.
+func retryConflict(op func() error) error {
+	for try := 1; ; try++ {
+		err := op()
+		if !errors.Is(err, stableheap.ErrConflict) || try == 8 {
+			return err
+		}
+		time.Sleep(time.Duration(try) * 200 * time.Microsecond)
+	}
+}
+
+// Two clients churn composites while minors and stable flips rewrite
+// pointer slots of logically-stable objects still in the aged space. Those
+// rewrites must reach the log: recovery rebuilds such an object from its
+// base record plus logged updates, and an unlogged fix leaves the rebuilt
+// image pointing into the reset nursery or the freed stable from-space.
+func TestConcurrentChurnCrashRecover(t *testing.T) {
+	shape := workload.OO7Config{Assemblies: 16, Composites: 16, AtomsPerComp: 20, DocWords: 16, ConnPerAtom: 3}
+	for seed := int64(1); seed <= 6; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := stableheap.DefaultConfig()
+			cfg.StableWords = 96 << 10
+			cfg.VolatileWords = 64 << 10
+			cfg.LockWait = 50 * time.Millisecond
+			h := stableheap.Open(cfg)
+			o, err := workload.BuildOO7(h, 0, shape, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for c := range errs {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed*100 + int64(c)))
+					for i := 0; i < 500; i++ {
+						op := o.UpdateT2
+						if rng.Intn(3) < 2 {
+							op = o.ReplaceComposite
+						}
+						if err := retryConflict(func() error { return op(rng) }); err != nil {
+							errs[c] = fmt.Errorf("client %d op %d: %w", c, i, err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			disk, log := h.Crash()
+			h2, err := stableheap.Recover(cfg, disk, log)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			defer h2.Close()
+			o.Reattach(h2)
+			if err := o.Check(); err != nil {
+				t.Fatalf("after recovery: %v", err)
+			}
+		})
+	}
+}

@@ -288,10 +288,10 @@ type MetricsServer = obs.Server
 // report latency distributions without a measurement mode.
 func (h *Heap) Metrics() Metrics { return h.inner.Metrics() }
 
-// TraceJSON returns the run's trace in Chrome trace_event JSON form
-// (loadable in about://tracing or ui.perfetto.dev). Tracing records only
-// when Config.Trace is set; otherwise the document is empty but still
-// loadable.
+// TraceJSON renders the flight recorder's events — spans and instants — in
+// Chrome trace_event JSON form (loadable in about://tracing or
+// ui.perfetto.dev). The recorder runs only when Config.FlightRecorder is
+// set; otherwise the document is empty but still loadable.
 func (h *Heap) TraceJSON() []byte { return h.inner.TraceJSON() }
 
 // ServeMetrics starts an HTTP endpoint (e.g. addr "localhost:8077")
@@ -299,7 +299,7 @@ func (h *Heap) TraceJSON() []byte { return h.inner.TraceJSON() }
 // JSON) and /trace (Chrome trace JSON). Close the returned server when
 // done.
 func (h *Heap) ServeMetrics(addr string) (*MetricsServer, error) {
-	return obs.Serve(addr, h.inner.Metrics, h.inner.Trace())
+	return obs.Serve(addr, h.inner.Metrics, h.inner.FlightEvents)
 }
 
 // Internal exposes the underlying core heap for the benchmark harness and
