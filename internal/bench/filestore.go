@@ -19,9 +19,9 @@ var FileDir string
 // (reopen without a clean close, replaying the on-disk log).
 func E21Filestore() Table {
 	t := Table{
-		ID:    "E21",
-		Title: "file-backed heaps beyond RAM: bounded durable cache, real fsync, reopen + recovery",
-		Claim: "heaps 8–16x the durable page cache stay usable, survive reopen bit-exact, and recover from a kill via log replay",
+		ID:     "E21",
+		Title:  "file-backed heaps beyond RAM: bounded durable cache, real fsync, reopen + recovery",
+		Claim:  "heaps 8–16x the durable page cache stay usable, survive reopen bit-exact, and recover from a kill via log replay",
 		Header: []string{"heap/cache", "live objects", "build", "warm walk", "reopen cold walk", "kill+recover", "evictions", "fsyncs"},
 	}
 

@@ -125,9 +125,6 @@ type Config struct {
 	Barrier gc.Barrier
 	// Incremental interleaves stable collections with mutation.
 	Incremental bool
-	// StepPages / StepWords are the incremental quanta.
-	StepPages int
-	StepWords int
 	// GCTriggerFraction starts a stable collection when free space in
 	// the current semispace drops below this fraction (default 0.25).
 	GCTriggerFraction float64
@@ -160,10 +157,6 @@ type Config struct {
 	// 1 forces sequential redo. The parallel replay is state-identical to
 	// the sequential one (see DESIGN.md "Parallel recovery").
 	RecoveryWorkers int
-	// LatchShards is the number of per-page writer stripes in the sharded
-	// action latch (default 64; any negative value collapses to a single
-	// stripe, serializing all writers — the pre-sharding behaviour).
-	LatchShards int
 	// FlightRecorder enables the heap's event ring (internal/obs): compact
 	// binary records — tx begin/commit/abort, collector flips, steps and
 	// quanta, WAL forces, latch stalls, recovery phases, injected faults —
@@ -205,17 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GCTriggerFraction == 0 {
 		c.GCTriggerFraction = 0.25
-	}
-	if c.StepPages == 0 {
-		c.StepPages = 1
-	}
-	if c.StepWords == 0 {
-		c.StepWords = 128
-	}
-	if c.LatchShards == 0 {
-		c.LatchShards = 64
-	} else if c.LatchShards < 0 {
-		c.LatchShards = 1
 	}
 	return c
 }
@@ -402,7 +384,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 
 	hp := &Heap{
 		cfg: cfg, disk: disk, logDev: logDev, log: log, mem: mem, h: h, locks: locks,
-		shards:     make([]sync.Mutex, cfg.LatchShards),
+		shards:     make([]sync.Mutex, latchShards),
 		ls:         make(map[word.Addr]bool),
 		srem:       make(map[word.Addr]bool),
 		nrem:       make(map[word.Addr]bool),
@@ -431,9 +413,6 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	hp.sgc = gc.New(gc.Config{
 		Barrier:      cfg.Barrier,
 		Incremental:  cfg.Incremental,
-		Atomic:       true,
-		StepPages:    cfg.StepPages,
-		StepWords:    cfg.StepWords,
 		CopyContents: cfg.CopyContents,
 	}, mem, h, log, hp.stableLo, hp.stableHi)
 

@@ -51,18 +51,19 @@ func runHistoryRound(t *testing.T, round int) {
 	const initial = 100
 
 	cfg := concCfg()
+	shards := latchShards
 	switch round % 8 {
 	case 1:
-		cfg.LatchShards = -1 // single shard: every logged write serialized
+		shards = 1 // single shard: every logged write serialized
 	case 2:
-		cfg.LatchShards = 8 // high collision rate across pages
+		shards = 8 // high collision rate across pages
 	case 3:
 		cfg.NurseryBytes = 2 << 10 // small explicit nursery: frequent minors
 	case 4:
 		cfg.ConcurrentVGC = true // scans on the collector goroutine
 	case 5:
 		cfg.ConcurrentVGC = true
-		cfg.LatchShards = 8
+		shards = 8
 	case 6:
 		cfg.ConcurrentSGC = true // stable scans on the collector goroutine
 	case 7:
@@ -72,6 +73,7 @@ func runHistoryRound(t *testing.T, round int) {
 	}
 	hp := Open(cfg)
 	defer hp.Close()
+	restripe(hp, shards)
 
 	tr := hp.Begin()
 	for i := 0; i < counters; i++ {
@@ -167,12 +169,12 @@ func runHistoryRound(t *testing.T, round int) {
 			resum += v
 		}
 		tr3.Abort()
-		t.Fatalf("round %d (shards=%d workers=%d): worker error: %v; post-quiesce counters=%v sum=%d", round, cfg.LatchShards, workers, err, vals, resum)
+		t.Fatalf("round %d (shards=%d workers=%d): worker error: %v; post-quiesce counters=%v sum=%d", round, shards, workers, err, vals, resum)
 	default:
 	}
 
 	if err := histcheck.Check(rec.History()); err != nil {
-		t.Fatalf("round %d (shards=%d workers=%d): %v", round, cfg.LatchShards, workers, err)
+		t.Fatalf("round %d (shards=%d workers=%d): %v", round, shards, workers, err)
 	}
 
 	// Money conservation: transfers move value between counters, so any

@@ -180,6 +180,9 @@ func (hp *Heap) syncCoarse() {
 	hp.coarse.Store(hp.sgc.Active() && !hp.sscan.on.Load())
 }
 
+// latchShards is the number of per-page writer stripes.
+const latchShards = 64
+
 // shardOf returns the writer stripe for the page containing a.
 func (hp *Heap) shardOf(a word.Addr) *sync.Mutex {
 	return &hp.shards[(uint64(a)/uint64(hp.cfg.PageSize))%uint64(len(hp.shards))]

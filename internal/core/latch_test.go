@@ -7,6 +7,10 @@ import (
 	"stableheap/internal/word"
 )
 
+// restripe gives a freshly opened, still idle heap n writer stripes instead
+// of latchShards, so tests can force stripe collisions.
+func restripe(hp *Heap, n int) { hp.shards = make([]sync.Mutex, n) }
+
 // TestLockShardsForCopyPinsExactlyThePagesShards checks lockShardsForCopy
 // against the definition, not the arithmetic: for ranges from one word to
 // several times the shard count in pages, at every page alignment, the
@@ -14,9 +18,9 @@ import (
 // returned function releases them all.
 func TestLockShardsForCopyPinsExactlyThePagesShards(t *testing.T) {
 	cfg := smallCfg()
-	cfg.LatchShards = 4
 	hp := Open(cfg)
 	defer hp.Close()
+	restripe(hp, 4)
 	pageWords := cfg.PageSize / word.WordSize
 	held := func(m *sync.Mutex) bool {
 		if m.TryLock() {

@@ -321,7 +321,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 // journalBytes concatenates every journal frame ever flushed (all boots).
 func journalBytes(dev storage.LogDevice) []byte {
 	var out []byte
-	dev.Scan(dev.TruncLSN(), false, func(_ word.LSN, data []byte) bool {
+	storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, data []byte) bool {
 		out = append(out, data...)
 		return true
 	})

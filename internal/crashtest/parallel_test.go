@@ -40,7 +40,7 @@ func recoverImage(t *testing.T, pageSize int, disk storage.PageStore, logDev sto
 func logImage(dev storage.LogDevice) ([]word.LSN, [][]byte) {
 	var lsns []word.LSN
 	var frames [][]byte
-	dev.Scan(dev.TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(dev, dev.TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
 		lsns = append(lsns, lsn)
 		frames = append(frames, append([]byte(nil), data...))
 		return true

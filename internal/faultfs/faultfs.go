@@ -388,11 +388,10 @@ func (l *Log) ForceAll() {
 	l.inner.ForceAll()
 }
 
-func (l *Log) SegmentBytes() int          { return l.inner.SegmentBytes() }
-func (l *Log) StableLSN() word.LSN        { return l.inner.StableLSN() }
-func (l *Log) EndLSN() word.LSN           { return l.inner.EndLSN() }
-func (l *Log) TruncLSN() word.LSN         { return l.inner.TruncLSN() }
-func (l *Log) IsStable(lsn word.LSN) bool { return l.inner.IsStable(lsn) }
+func (l *Log) SegmentBytes() int   { return l.inner.SegmentBytes() }
+func (l *Log) StableLSN() word.LSN { return l.inner.StableLSN() }
+func (l *Log) EndLSN() word.LSN    { return l.inner.EndLSN() }
+func (l *Log) TruncLSN() word.LSN  { return l.inner.TruncLSN() }
 
 // Crash applies the plan's crash-time faults — a torn log tail and/or a
 // torn page write — then (or instead) performs the clean crash. This is
@@ -439,10 +438,6 @@ func (l *Log) ReadAt(lsn word.LSN) ([]byte, bool) {
 	return l.inner.ReadAt(lsn)
 }
 
-func (l *Log) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool) {
-	l.inner.Scan(from, stableOnly, fn)
-}
-
 func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
 	l.inner.ScanBatches(from, stableOnly, batchSize, fn)
 }
@@ -459,7 +454,7 @@ func (l *Log) flipOneBit() bool {
 		return false
 	}
 	var lsns []word.LSN
-	l.inner.Scan(l.inner.TruncLSN(), true, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(l.inner, l.inner.TruncLSN(), true, func(lsn word.LSN, data []byte) bool {
 		if len(data) > 8 {
 			lsns = append(lsns, lsn)
 		}

@@ -59,14 +59,11 @@ type Config struct {
 	// collection runs to completion inside StartCollection (stop the
 	// world).
 	Incremental bool
-	// Atomic coordinates the collector with recovery by logging flip,
-	// copy and scan records. The volatile area runs with Atomic false.
-	Atomic bool
 	// StepPages is the incremental quantum: how many unscanned pages a
-	// Step call processes (Ellis). Must be >= 1.
+	// Step call processes (Ellis). Default 1.
 	StepPages int
 	// StepWords is the Baker-mode quantum: how many to-space words a
-	// Step call scans.
+	// Step call scans. Default 128.
 	StepWords int
 	// CopyContents makes copy records carry the full object image (the
 	// E14 ablation of the paper's content-free copy records): replay
@@ -159,7 +156,7 @@ func New(cfg Config, mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.
 		cfg.StepPages = 1
 	}
 	if cfg.StepWords <= 0 {
-		cfg.StepWords = 64
+		cfg.StepWords = 128
 	}
 	mid := lo + (hi-lo)/2
 	c := &Collector{cfg: cfg, mem: mem, h: h, log: log}
@@ -324,37 +321,23 @@ func (c *Collector) startCollection(rootObj word.Addr, concurrent bool) word.Add
 	}
 
 	// The flip record precedes the root copy records so that recovery
-	// replays the space swap before the copies.
+	// replays the space swap before the copies. RootObjTo is known only
+	// after copying, so the record carries the *predicted* target: the
+	// root object is copied first and lands at to.Lo.
 	newRoot := rootObj
-	var flipLSN word.LSN
-	if c.cfg.Atomic {
-		// Reserve the record now; root translation below emits copy
-		// records after it. RootObjTo is known only after copying, so
-		// compute it first: copy the root object eagerly.
-		if c.from.Contains(rootObj) {
-			// Emit flip record with the *predicted* target: the first
-			// copy lands at to.Lo.
-			predicted := c.to.Lo
-			flipLSN = c.log.Append(wal.FlipRec{
-				Epoch: c.epoch, FromLo: c.from.Lo, FromHi: c.from.Hi,
-				ToLo: c.to.Lo, ToHi: c.to.Hi,
-				RootObjFrom: rootObj, RootObjTo: predicted,
-			})
-			c.flipLSN = flipLSN
-			newRoot = c.forward(rootObj)
-			if newRoot != predicted {
-				panic("gc: root object did not land at the predicted address")
-			}
-		} else {
-			flipLSN = c.log.Append(wal.FlipRec{
-				Epoch: c.epoch, FromLo: c.from.Lo, FromHi: c.from.Hi,
-				ToLo: c.to.Lo, ToHi: c.to.Hi,
-				RootObjFrom: rootObj, RootObjTo: rootObj,
-			})
-			c.flipLSN = flipLSN
+	moves := c.from.Contains(rootObj)
+	if moves {
+		newRoot = c.to.Lo
+	}
+	c.flipLSN = c.log.Append(wal.FlipRec{
+		Epoch: c.epoch, FromLo: c.from.Lo, FromHi: c.from.Hi,
+		ToLo: c.to.Lo, ToHi: c.to.Hi,
+		RootObjFrom: rootObj, RootObjTo: newRoot,
+	})
+	if moves {
+		if got := c.forward(rootObj); got != newRoot {
+			panic("gc: root object did not land at the predicted address")
 		}
-	} else if c.from.Contains(rootObj) {
-		newRoot = c.forward(rootObj)
 	}
 
 	// Translate the remaining roots: transaction handles, locked
@@ -407,21 +390,17 @@ func (c *Collector) forward(from word.Addr) word.Addr {
 		panic(fmt.Sprintf("gc: to-space exhausted copying %d words (live set exceeds semispace)", size))
 	}
 	img := c.mem.ReadBytes(from, word.WordsToBytes(size))
-	var lsn word.LSN
-	if c.cfg.Atomic {
-		// The copy record carries the descriptor word the forwarding
-		// pointer is about to destroy (Fig. 3.5's lost-descriptor crash)
-		// but not the object contents: repeating history reconstructs
-		// the from-space image (§3.4.1). The E14 ablation includes the
-		// contents instead.
-		rec := wal.CopyRec{
-			Epoch: c.epoch, From: from, To: to, SizeWords: size, Descriptor: uint64(d),
-		}
-		if c.cfg.CopyContents {
-			rec.Contents = img
-		}
-		lsn = c.log.Append(rec)
+	// The copy record carries the descriptor word the forwarding pointer
+	// is about to destroy (Fig. 3.5's lost-descriptor crash) but not the
+	// object contents: repeating history reconstructs the from-space
+	// image (§3.4.1). The E14 ablation includes the contents instead.
+	rec := wal.CopyRec{
+		Epoch: c.epoch, From: from, To: to, SizeWords: size, Descriptor: uint64(d),
 	}
+	if c.cfg.CopyContents {
+		rec.Contents = img
+	}
+	lsn := c.log.Append(rec)
 	c.mem.WriteBytes(to, img, lsn)
 	c.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), lsn)
 	c.lot.Record(to)
@@ -476,21 +455,19 @@ func (c *Collector) maybeFinish() {
 	if c.scanPtr < c.to.CopyPtr {
 		return
 	}
-	if c.cfg.Atomic {
-		c.log.Append(wal.GCEndRec{Epoch: c.epoch})
-		// Write the collection's results back before freeing from-space:
-		// replaying this epoch's copy steps reads the from-space image,
-		// so once the space is freed its content must never be needed —
-		// flushed to-space pages condition those replays away, and the
-		// space's later contributions (updates, moves) are self-contained
-		// records. This is the paper's constraint that copy and scan
-		// records before the last completed flip drop out of recovery
-		// (Fig. 4.6); the write-back happens once per collection, off the
-		// mutator's critical path. Content-carrying copy records (E14)
-		// are self-contained, so they skip it.
-		if !c.cfg.CopyContents {
-			c.stats.GCEndFlushes += int64(c.mem.FlushRange(c.to.Lo, c.to.Hi))
-		}
+	c.log.Append(wal.GCEndRec{Epoch: c.epoch})
+	// Write the collection's results back before freeing from-space:
+	// replaying this epoch's copy steps reads the from-space image, so
+	// once the space is freed its content must never be needed — flushed
+	// to-space pages condition those replays away, and the space's later
+	// contributions (updates, moves) are self-contained records. This is
+	// the paper's constraint that copy and scan records before the last
+	// completed flip drop out of recovery (Fig. 4.6); the write-back
+	// happens once per collection, off the mutator's critical path.
+	// Content-carrying copy records (E14) are self-contained, so they
+	// skip it.
+	if !c.cfg.CopyContents {
+		c.stats.GCEndFlushes += int64(c.mem.FlushRange(c.to.Lo, c.to.Hi))
 	}
 	// Free from-space: drop its pages without writing them back. Their
 	// dirty entries (forwarding-pointer writes) are discarded too — redo
@@ -567,7 +544,7 @@ func (c *Collector) scanPage(pg word.PageID) {
 		}
 	}
 	var lsn word.LSN
-	if c.cfg.Atomic && len(fixes) > 0 {
+	if len(fixes) > 0 {
 		lsn = c.log.Append(wal.ScanRec{Epoch: c.epoch, Page: pg, Full: true, Fixes: fixes})
 	}
 	for _, f := range fixes {
@@ -614,10 +591,7 @@ func (c *Collector) plantFiller(end word.Addr) {
 		panic("gc: to-space exhausted while padding a scanned page")
 	}
 	d := heap.NewDescriptor(FillerType, 0, gap-1)
-	var lsn word.LSN
-	if c.cfg.Atomic {
-		lsn = c.log.Append(wal.AllocRec{Addr: a, Descriptor: uint64(d), SizeWords: gap})
-	}
+	lsn := c.log.Append(wal.AllocRec{Addr: a, Descriptor: uint64(d), SizeWords: gap})
 	c.h.SetDescriptor(a, d, lsn)
 	c.lot.Record(a)
 	c.stats.FillerWords += int64(gap)
@@ -639,18 +613,15 @@ func (c *Collector) sequentialScan(quantum int) {
 		if len(fixes) == 0 {
 			return
 		}
-		var lsn word.LSN
-		if c.cfg.Atomic {
-			// Sweep records never claim their page complete: curPage is the
-			// page of the last *slot* fixed, which (for an object spanning a
-			// page boundary) can be ahead of the sweep. Completion is
-			// conveyed by ScanPtr — recovery marks every page wholly behind
-			// it scanned, exactly mirroring markThrough below. Only trap
-			// records (scanPage) set Full: they really scan a whole page.
-			lsn = c.log.Append(wal.ScanRec{
-				Epoch: c.epoch, Page: curPage, ScanPtr: c.scanPtr, Fixes: fixes,
-			})
-		}
+		// Sweep records never claim their page complete: curPage is the
+		// page of the last *slot* fixed, which (for an object spanning a
+		// page boundary) can be ahead of the sweep. Completion is conveyed
+		// by ScanPtr — recovery marks every page wholly behind it scanned,
+		// exactly mirroring markThrough below. Only trap records
+		// (scanPage) set Full: they really scan a whole page.
+		lsn := c.log.Append(wal.ScanRec{
+			Epoch: c.epoch, Page: curPage, ScanPtr: c.scanPtr, Fixes: fixes,
+		})
 		for _, f := range fixes {
 			c.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
 		}

@@ -91,100 +91,37 @@ func (v *VolatileCollector) StartConcurrent() int {
 		panic("gc: concurrent flip with a non-empty nursery")
 	}
 	start := time.Now()
-	v.epoch++
-	v.stats.Collections++
+	c := v.flip(false)
 	v.stats.ConcCollections++
-	v.from = v.spaces[v.cur]
-	v.cur = 1 - v.cur
-	v.to = v.spaces[v.cur]
-	v.to.Reset()
-	v.fromNursery = false
-	v.minor, v.queueCopies, v.allocHigh = false, false, false
-	v.movedQ = nil
-	moved := 0
-
-	if v.hooks.ForEachRoot != nil {
-		v.hooks.ForEachRoot(func(get func() word.Addr, set func(word.Addr)) {
-			p := get()
-			if !p.IsNil() && v.inFrom(p) {
-				set(v.evacuate(p))
-			}
-		})
-	}
-	if v.hooks.StableSlots != nil {
-		v.fixStableSlots(v.hooks.StableSlots(), false)
-	}
-	// Drain every LS entry out of from-space now, reachable or not: the
-	// moves are logged, and logged work may not run on the collector
-	// goroutine.
-	if v.hooks.NewlyStable != nil {
-		for _, a := range v.hooks.NewlyStable() {
-			if v.inFrom(a) && !v.h.Descriptor(a).Forwarded() {
-				v.evacuate(a)
-			}
-		}
-	}
-	for len(v.movedQ) > 0 {
-		obj := v.movedQ[0]
-		v.movedQ = v.movedQ[1:]
-		moved++
-		v.scanMoved(obj)
-	}
+	v.begin(c, nil, true)
+	v.fixMoved(c)
 	// The flip is the collection as far as the log is concerned; the
 	// scan that follows is pure unlogged copying.
-	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: moved})
-	v.scan = v.to.Lo
-	v.scanSlot = 0
-	v.concReserve = spaceUsedWords(v.from)
+	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})
+	v.concReserve = spaceUsedWords(c.from[0])
 	v.concBaseCopied = v.stats.CopiedWords
+	v.major = c
 	v.concActive = true
 	d := time.Since(start)
 	v.flipPauseH.Observe(uint64(d))
 	v.pauseH.Observe(uint64(d))
 	v.bb.SetGCEpoch(v.epoch)
 	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 1)
-	return moved
+	return c.nMoved
 }
 
-// ScanQuantum advances the concurrent Cheney scan by roughly budgetWords
-// of work — examined pointer slots plus the words any evacuation copies —
-// and reports whether work remains. The scan resumes mid-object (scanSlot)
-// so a single wide object cannot stretch one quantum past the budget:
-// slots before scanSlot are black, slots after are gray, and mutators
-// between quanta can only store to-space addresses (the read barrier
-// forwards every load), so slot granularity preserves the Cheney
-// invariant. The caller must exclude mutators (the core's collector
-// goroutine holds the gate exclusively per quantum).
+// ScanQuantum advances the parked cycle's scan by roughly budgetWords of
+// work and reports whether work remains. The caller must exclude mutators
+// (the core's collector goroutine holds the gate exclusively per quantum).
 func (v *VolatileCollector) ScanQuantum(budgetWords int) bool {
 	if !v.concActive {
 		return false
 	}
 	start := time.Now()
-	for budgetWords > 0 && v.scan < v.to.CopyPtr {
-		d := v.h.Descriptor(v.scan)
-		np := d.NPtrs()
-		for v.scanSlot < np {
-			if budgetWords <= 0 {
-				v.stats.ConcQuanta++
-				v.quantumH.Since(start)
-				return true
-			}
-			slot := v.scan + word.Addr(heap.PtrOffset(v.scanSlot))
-			v.scanSlot++
-			budgetWords--
-			p := word.Addr(v.mem.ReadWord(slot))
-			if !p.IsNil() && v.inFrom(p) {
-				to := v.evacuate(p)
-				v.mem.WriteWord(slot, uint64(to), word.NilLSN)
-				budgetWords -= v.h.Descriptor(to).SizeWords()
-			}
-		}
-		v.scan = v.scan.Add(d.SizeWords())
-		v.scanSlot = 0
-	}
+	more := v.scan(v.major, budgetWords)
 	v.stats.ConcQuanta++
 	v.quantumH.Since(start)
-	return v.scan < v.to.CopyPtr
+	return more
 }
 
 // Transport is the mutator read barrier: it forwards p out of from-space
@@ -195,21 +132,21 @@ func (v *VolatileCollector) ScanQuantum(budgetWords int) bool {
 func (v *VolatileCollector) Transport(p word.Addr) word.Addr {
 	v.transMu.Lock()
 	defer v.transMu.Unlock()
-	if !v.concActive || !v.inFrom(p) {
+	if !v.concActive || !v.major.inFrom(p) {
 		return p
 	}
 	v.stats.ConcTransports++
-	return v.evacuate(p)
+	return v.evacuate(v.major, p)
 }
 
 // EvacuateGray evacuates one grayed (SATB-overwritten) pointer target.
 // Called with mutators stopped, before any transaction abort can restore
 // the overwritten value.
 func (v *VolatileCollector) EvacuateGray(p word.Addr) {
-	if !v.concActive || p.IsNil() || !v.inFrom(p) {
+	if !v.concActive || p.IsNil() || !v.major.inFrom(p) {
 		return
 	}
-	v.evacuate(p)
+	v.evacuate(v.major, p)
 }
 
 // FinishConcurrent drains the remaining scan work inline and retires the
@@ -218,29 +155,22 @@ func (v *VolatileCollector) FinishConcurrent() {
 	if !v.concActive {
 		return
 	}
+	// The drain is a stall like any quantum: counted and timed as one.
 	for v.ScanQuantum(1 << 30) {
 	}
-	v.mem.DiscardRange(v.from.Lo, v.from.Hi)
-	v.from.Reset()
-	v.from = nil
-	v.to = nil
-	v.concActive = false
+	v.retire(v.major)
+	v.concActive, v.major = false, nil
 }
 
 // AbandonConcurrent forgets an in-flight concurrent collection without
 // touching memory — the crash path. The flip was fully logged, so recovery
 // treats the interrupted scan as a completed collection.
 func (v *VolatileCollector) AbandonConcurrent() {
-	if !v.concActive {
-		return
-	}
-	v.concActive = false
-	v.from = nil
-	v.to = nil
+	v.concActive, v.major = false, nil
 }
 
 // ConcFromContains reports whether a falls in the from-space of the
 // in-flight concurrent collection.
 func (v *VolatileCollector) ConcFromContains(a word.Addr) bool {
-	return v.concActive && v.from.Contains(a)
+	return v.concActive && v.major.inFrom(a)
 }

@@ -14,8 +14,8 @@ import (
 // transporting read barrier stands guard), and the call returns with the
 // collection active. Runs under the exclusive stop latch.
 func (c *Collector) StartConcurrentCollection(rootObj word.Addr) word.Addr {
-	if !c.cfg.Incremental || !c.cfg.Atomic {
-		panic("gc: concurrent stable collection requires the atomic incremental collector")
+	if !c.cfg.Incremental {
+		panic("gc: concurrent stable collection requires the incremental collector")
 	}
 	return c.startCollection(rootObj, true)
 }

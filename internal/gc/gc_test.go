@@ -178,7 +178,7 @@ func verifyGraph(t *testing.T, e *env, model []mobj, rootIdx []int) {
 
 func TestStopTheWorldPreservesGraph(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false, Atomic: false}, 4096)
+		e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false}, 4096)
 		rng := rand.New(rand.NewSource(seed))
 		model, roots := buildGraph(t, e, rng, 60)
 		e.c.StartCollection(word.NilAddr)
@@ -190,7 +190,7 @@ func TestStopTheWorldPreservesGraph(t *testing.T) {
 }
 
 func TestCollectionDropsGarbage(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Atomic: false}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
 	live := e.alloc(t, 1, 0, 1)
 	for i := 0; i < 20; i++ {
 		e.alloc(t, uint64(100+i), 0, 8) // garbage
@@ -208,7 +208,7 @@ func TestCollectionDropsGarbage(t *testing.T) {
 }
 
 func TestSharingPreserved(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Atomic: false}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
 	shared := e.alloc(t, 7, 0, 1)
 	a := e.alloc(t, 1, 1, 1)
 	b := e.alloc(t, 2, 1, 1)
@@ -224,7 +224,7 @@ func TestSharingPreserved(t *testing.T) {
 }
 
 func TestCyclePreserved(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Atomic: false}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
 	a := e.alloc(t, 1, 1, 1)
 	b := e.alloc(t, 2, 1, 1)
 	e.h.SetPtr(a, 0, b, word.NilLSN)
@@ -240,7 +240,7 @@ func TestCyclePreserved(t *testing.T) {
 
 func TestEllisIncrementalWithMutatorTraps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true, StepPages: 1}, 8192)
+		e := newEnv(t, Config{Barrier: Ellis, Incremental: true, StepPages: 1}, 8192)
 		rng := rand.New(rand.NewSource(seed))
 		model, roots := buildGraph(t, e, rng, 80)
 		e.c.StartCollection(word.NilAddr)
@@ -268,7 +268,7 @@ func TestEllisIncrementalWithMutatorTraps(t *testing.T) {
 
 func TestBakerIncremental(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		e := newEnv(t, Config{Barrier: Baker, Incremental: true, Atomic: true, StepWords: 16}, 8192)
+		e := newEnv(t, Config{Barrier: Baker, Incremental: true, StepWords: 16}, 8192)
 		rng := rand.New(rand.NewSource(seed))
 		model, roots := buildGraph(t, e, rng, 80)
 		e.c.StartCollection(word.NilAddr)
@@ -286,7 +286,7 @@ func TestBakerIncremental(t *testing.T) {
 }
 
 func TestMutatorAllocationDuringCollectionNotScanned(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true}, 8192)
+	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 8192)
 	a := e.alloc(t, 1, 1, 1)
 	e.roots = []word.Addr{a}
 	e.c.StartCollection(word.NilAddr)
@@ -311,7 +311,7 @@ func TestMutatorAllocationDuringCollectionNotScanned(t *testing.T) {
 }
 
 func TestAtomicCollectionLogsFlipCopyScanEnd(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true}, 8192)
+	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 8192)
 	rng := rand.New(rand.NewSource(42))
 	model, roots := buildGraph(t, e, rng, 40)
 	_ = model
@@ -345,20 +345,8 @@ func TestAtomicCollectionLogsFlipCopyScanEnd(t *testing.T) {
 	}
 }
 
-func TestNonAtomicCollectionLogsNothing(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Atomic: false}, 4096)
-	a := e.alloc(t, 1, 0, 1)
-	e.roots = []word.Addr{a}
-	e.c.StartCollection(word.NilAddr)
-	n := 0
-	e.log.Scan(1, false, func(word.LSN, wal.Record) bool { n++; return true })
-	if n != 0 {
-		t.Fatalf("non-atomic collection wrote %d log records", n)
-	}
-}
-
 func TestCopyRecordCarriesOverwrittenDescriptor(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false, Atomic: true}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false}, 4096)
 	a := e.alloc(t, 9, 2, 3)
 	d := e.h.Descriptor(a)
 	e.roots = []word.Addr{a}
@@ -382,7 +370,7 @@ func TestCopyRecordCarriesOverwrittenDescriptor(t *testing.T) {
 }
 
 func TestForwardingPointerWrittenInFromSpace(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true}, 4096)
+	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 4096)
 	a := e.alloc(t, 1, 0, 1)
 	e.roots = []word.Addr{a}
 	e.c.StartCollection(word.NilAddr)
@@ -394,7 +382,7 @@ func TestForwardingPointerWrittenInFromSpace(t *testing.T) {
 }
 
 func TestOnCopyHookFires(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Atomic: false}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
 	a := e.alloc(t, 1, 1, 1)
 	b := e.alloc(t, 2, 0, 1)
 	e.h.SetPtr(a, 0, b, word.NilLSN)
@@ -411,7 +399,7 @@ func TestOnCopyHookFires(t *testing.T) {
 }
 
 func TestRootObjectTranslationAndFlipRecord(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false, Atomic: true}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false}, 4096)
 	rootObj := e.alloc(t, 5, 0, 2)
 	newRoot := e.c.StartCollection(rootObj)
 	if newRoot == rootObj {
@@ -434,7 +422,7 @@ func TestRootObjectTranslationAndFlipRecord(t *testing.T) {
 }
 
 func TestRepeatedCollectionsAlternateSpaces(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Atomic: false}, 4096)
+	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
 	a := e.alloc(t, 1, 0, 1)
 	e.roots = []word.Addr{a}
 	s0 := e.c.CurrentIndex()
@@ -452,7 +440,7 @@ func TestRepeatedCollectionsAlternateSpaces(t *testing.T) {
 }
 
 func TestFillerPlantedOnFrontierTrap(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true, StepPages: 1}, 8192)
+	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, StepPages: 1}, 8192)
 	a := e.alloc(t, 1, 0, 1)
 	e.roots = []word.Addr{a}
 	e.c.StartCollection(word.NilAddr)
@@ -471,7 +459,7 @@ func TestFillerPlantedOnFrontierTrap(t *testing.T) {
 }
 
 func TestGCStateSnapshotRestoreMidCollection(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true, StepPages: 1}, 8192)
+	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, StepPages: 1}, 8192)
 	rng := rand.New(rand.NewSource(7))
 	model, roots := buildGraph(t, e, rng, 60)
 	e.c.StartCollection(word.NilAddr)
@@ -650,7 +638,7 @@ func TestVolatileResetEmptiesBothSpaces(t *testing.T) {
 }
 
 func TestPauseMeasurement(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, Atomic: true}, 8192)
+	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 8192)
 	rng := rand.New(rand.NewSource(3))
 	buildGraph(t, e, rng, 40)
 	e.c.StartCollection(word.NilAddr)

@@ -99,62 +99,9 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 	v.stats.MinorCollections++
 	basePromoted := v.stats.PromotedWords
 	usedWords := v.nurseryUsedWords()
-	v.minor = true
-	v.fromNursery = true
-	savedFrom := v.from // preserve the concurrent from-space, if any
-	v.from = nil
-	v.to = v.Current()
-	v.allocHigh = v.concActive
-	v.queueCopies = true
-	v.copyQ = nil
-	v.movedQ = nil
-	moved := 0
-
-	if v.hooks.ForEachRoot != nil {
-		v.hooks.ForEachRoot(func(get func() word.Addr, set func(word.Addr)) {
-			p := get()
-			if !p.IsNil() && v.inFrom(p) {
-				set(v.evacuate(p))
-			}
-		})
-	}
-	if v.hooks.StableSlots != nil {
-		v.fixStableSlots(v.hooks.StableSlots(), false)
-	}
-	var ls []word.Addr
-	if v.hooks.NewlyStable != nil {
-		ls = v.hooks.NewlyStable()
-	}
-	v.fixVolatileSlots(volSlots, ls)
-	// Newly stable nursery objects move out whether or not they are
-	// reachable: their LS entries must not dangle into the reset
-	// nursery. (Unreachable ones become stable garbage for the stable
-	// collector — the paper's discipline already covers that.)
-	for _, a := range ls {
-		if v.inFrom(a) && !v.h.Descriptor(a).Forwarded() {
-			v.evacuate(a)
-		}
-	}
-	for len(v.copyQ) > 0 || len(v.movedQ) > 0 {
-		for len(v.copyQ) > 0 {
-			obj := v.copyQ[0]
-			v.copyQ = v.copyQ[1:]
-			d := v.h.Descriptor(obj)
-			for i := 0; i < d.NPtrs(); i++ {
-				slot := obj + word.Addr(heap.PtrOffset(i))
-				p := word.Addr(v.mem.ReadWord(slot))
-				if !p.IsNil() && v.inFrom(p) {
-					v.mem.WriteWord(slot, uint64(v.evacuate(p)), word.NilLSN)
-				}
-			}
-		}
-		for len(v.movedQ) > 0 {
-			obj := v.movedQ[0]
-			v.movedQ = v.movedQ[1:]
-			moved++
-			v.scanMoved(obj)
-		}
-	}
+	c := &cycle{from: []*heap.Space{v.nursery}, to: v.Current(), high: v.concActive, minor: true}
+	v.begin(c, volSlots, true)
+	v.finish(c)
 
 	// RATIO growth: a high survival rate means the nursery is too small
 	// for the allocation pattern — grow the soft cap toward capacity.
@@ -168,18 +115,9 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 		v.nurLimit = nl
 	}
 
-	v.mem.DiscardRange(v.nursery.Lo, v.nursery.Hi)
-	v.nursery.Reset()
-	v.from = savedFrom
-	v.fromNursery = false
-	v.minor = false
-	v.queueCopies = false
-	v.allocHigh = false
-	if !v.concActive {
-		v.to = nil
-	}
+	v.retire(c)
 	d := time.Since(start)
 	v.minorPauseH.Observe(uint64(d))
 	v.bb.Span(obs.EvMinorGC, d, 0, uint64(promotedW), uint64(usedWords))
-	return moved
+	return c.nMoved
 }

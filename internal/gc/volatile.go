@@ -77,7 +77,8 @@ type VolatileStats struct {
 // Beyond the original stop-the-world Collect, the collector supports a
 // small nursery generation (CollectNursery) and a mostly-concurrent mode
 // (StartConcurrent / ScanQuantum / FinishConcurrent) where only the flip
-// is stop-the-world and the Cheney scan runs on a collector goroutine.
+// is stop-the-world and the scan runs on a collector goroutine. All of
+// them, and the post-recovery evacuation, run the one cycle below.
 type VolatileCollector struct {
 	mem   *vm.Store
 	h     *heap.Heap
@@ -92,19 +93,10 @@ type VolatileCollector struct {
 	nursery  *heap.Space
 	nurLimit int // soft allocation cap in words, RATIO growth
 
-	// collection-local state
-	from, to    *heap.Space
-	fromNursery bool // nursery is part of the from-set
-	minor       bool // minor (nursery-only) collection in progress
-	queueCopies bool // scan copies via copyQ instead of a scan pointer
-	allocHigh   bool // copies go to the high end (promotion during scan)
-	copyQ       []word.Addr
-	movedQ      []word.Addr // stable-area addresses of moved objects to scan
-
-	// mostly-concurrent collection state (concurrent.go)
+	// mostly-concurrent collection state (concurrent.go); major is the
+	// cycle parked between scan quanta, nil unless concActive.
 	concState
-	scan     word.Addr // concurrent Cheney scan pointer (object base)
-	scanSlot int       // next pointer slot within the object at scan
+	major *cycle
 
 	stats       VolatileStats
 	pauseH      obs.Histogram
@@ -168,26 +160,16 @@ func (v *VolatileCollector) InArea(a word.Addr) bool {
 	return v.nursery != nil && v.nursery.Contains(a)
 }
 
-// inFrom reports whether a falls in the from-set of the collection in
-// progress: the from semispace (full and concurrent collections) and/or
-// the nursery (minor and full collections).
-func (v *VolatileCollector) inFrom(a word.Addr) bool {
-	if v.from != nil && v.from.Contains(a) {
-		return true
-	}
-	return v.fromNursery && v.nursery.Contains(a)
-}
-
 // Alloc reserves a new aged object in the volatile area; ok is false when
 // full (the caller collects and retries). While a concurrent scan is in
 // flight, allocations go to the high end of to-space and must leave
 // headroom for the copies the scan has yet to make.
 func (v *VolatileCollector) Alloc(sizeWords int) (word.Addr, bool) {
 	if v.concActive {
-		if v.to.FreeWords()-sizeWords < v.concRemainingWords(v.stats.CopiedWords) {
+		if v.Current().FreeWords()-sizeWords < v.concRemainingWords(v.stats.CopiedWords) {
 			return word.NilAddr, false
 		}
-		return v.to.AllocHigh(sizeWords)
+		return v.Current().AllocHigh(sizeWords)
 	}
 	return v.Current().AllocLow(sizeWords)
 }
@@ -217,6 +199,149 @@ func (v *VolatileCollector) Reset() {
 	}
 }
 
+// cycle is one evacuation of a from-set into a to-space — the volatile
+// area's only collection procedure (Ch. 5). Every entry point builds one:
+//
+//	full (Collect)            from = old semispace + nursery, to = new semispace
+//	concurrent flip + quanta  from = old semispace,           to = new semispace
+//	minor (CollectNursery)    from = nursery,                 to = current semispace
+//	post-recovery             from = both semispaces + nursery, to = nil
+//
+// Copies are unlogged and queue in gray (FIFO, so they are scanned in
+// Cheney order); newly stable objects move into the stable area under the
+// WAL protocol instead and queue in moved until their slots are fixed.
+type cycle struct {
+	from []*heap.Space
+	to   *heap.Space // nil: nothing but newly stable objects may be live
+	// high sends copies to to's high end: a parked major cycle owns the
+	// low end, and objects born after its flip hold no from-space pointers.
+	high     bool
+	minor    bool        // copies count as promotions
+	gray     []word.Addr // copied, pointer slots not yet translated
+	graySlot int         // next slot of gray[0]: scan resumes mid-object
+	moved    []word.Addr // moved to the stable area, slots not yet fixed
+	nMoved   int         // moved objects whose slots are fixed
+}
+
+func (c *cycle) inFrom(a word.Addr) bool {
+	for _, s := range c.from {
+		if s.Contains(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// flip swaps the semispaces and returns the cycle that empties the old one
+// (and the nursery, if asked).
+func (v *VolatileCollector) flip(withNursery bool) *cycle {
+	v.epoch++
+	v.stats.Collections++
+	c := &cycle{from: []*heap.Space{v.spaces[v.cur]}}
+	if withNursery {
+		c.from = append(c.from, v.nursery)
+	}
+	v.cur = 1 - v.cur
+	c.to = v.spaces[v.cur]
+	c.to.Reset()
+	return c
+}
+
+// begin evacuates what the cycle's roots reach directly: volatile globals
+// and transaction handles; the stable→volatile remembered slots, whose
+// rewrites are stable-area modifications and follow the WAL protocol;
+// volSlots, the volatile remembered slots into the from-set (sorted); and,
+// with drainLS, every tracked newly stable object in the from-set,
+// reachable or not. Cycles whose from-set outlives the stop-the-world
+// section (concurrent flips: logged moves may not run on the collector
+// goroutine) or is reset without a full trace of the area (minors: no LS
+// entry may dangle into the reset nursery) drain; unreachable ones become
+// stable garbage for the stable collector.
+func (v *VolatileCollector) begin(c *cycle, volSlots []word.Addr, drainLS bool) {
+	if v.hooks.ForEachRoot != nil {
+		v.hooks.ForEachRoot(func(get func() word.Addr, set func(word.Addr)) {
+			p := get()
+			if !p.IsNil() && c.inFrom(p) {
+				set(v.evacuate(c, p))
+			}
+		})
+	}
+	if v.hooks.StableSlots != nil {
+		v.fixStableSlots(c, v.hooks.StableSlots(), false)
+	}
+	var ls []word.Addr
+	if drainLS && v.hooks.NewlyStable != nil {
+		ls = v.hooks.NewlyStable()
+	}
+	v.fixVolatileSlots(c, volSlots, ls)
+	for _, a := range ls {
+		if c.inFrom(a) && !v.h.Descriptor(a).Forwarded() {
+			v.evacuate(c, a)
+		}
+	}
+}
+
+// scan translates the pointer slots of gray objects for roughly budget
+// words of work — examined slots plus the words any evacuation copies —
+// and reports whether gray objects remain. It resumes mid-object
+// (graySlot), so one wide object cannot stretch a quantum past the budget:
+// slots before graySlot are black, slots after are gray, and mutators
+// between quanta can only store to-space addresses (the read barrier
+// forwards every load), so slot granularity preserves the Cheney
+// invariant.
+func (v *VolatileCollector) scan(c *cycle, budget int) bool {
+	for budget > 0 && len(c.gray) > 0 {
+		obj := c.gray[0]
+		for np := v.h.Descriptor(obj).NPtrs(); c.graySlot < np; {
+			if budget <= 0 {
+				return true
+			}
+			slot := obj + word.Addr(heap.PtrOffset(c.graySlot))
+			c.graySlot++
+			budget--
+			p := word.Addr(v.mem.ReadWord(slot))
+			if !p.IsNil() && c.inFrom(p) {
+				to := v.evacuate(c, p)
+				v.mem.WriteWord(slot, uint64(to), word.NilLSN)
+				budget -= v.h.Descriptor(to).SizeWords()
+			}
+		}
+		c.gray = c.gray[1:]
+		c.graySlot = 0
+	}
+	return len(c.gray) > 0
+}
+
+// fixMoved translates the slots of the objects that moved into the stable
+// area (the logged S4vscan fix-ups).
+func (v *VolatileCollector) fixMoved(c *cycle) {
+	for len(c.moved) > 0 {
+		obj := c.moved[0]
+		c.moved = c.moved[1:]
+		c.nMoved++
+		v.scanMoved(c, obj)
+	}
+}
+
+// finish runs the cycle to completion: each pass may feed the other.
+func (v *VolatileCollector) finish(c *cycle) {
+	for len(c.gray) > 0 || len(c.moved) > 0 {
+		for v.scan(c, 1<<30) {
+		}
+		v.fixMoved(c)
+	}
+}
+
+// retire frees the from-set. Its contents are dead and redo never reads
+// them (V2SCopy records are self-contained), so the pages are dropped
+// without ghosts.
+func (v *VolatileCollector) retire(c *cycle) {
+	for _, s := range c.from {
+		v.mem.DiscardRange(s.Lo, s.Hi)
+		s.Reset()
+	}
+}
+
 // Collect runs one stop-the-world volatile collection (nursery included in
 // the from-set), returning the number of newly stable objects moved into
 // the stable area.
@@ -225,140 +350,52 @@ func (v *VolatileCollector) Collect() int {
 		panic("gc: stop-the-world collect during a concurrent scan")
 	}
 	start := time.Now()
-	v.epoch++
-	v.stats.Collections++
-	v.from = v.spaces[v.cur]
-	v.cur = 1 - v.cur
-	v.to = v.spaces[v.cur]
-	v.to.Reset()
-	v.fromNursery = v.nursery != nil
-	v.minor, v.queueCopies, v.allocHigh = false, false, false
-	v.movedQ = nil
-	moved := 0
-
-	// Roots: volatile globals and transaction handles…
-	if v.hooks.ForEachRoot != nil {
-		v.hooks.ForEachRoot(func(get func() word.Addr, set func(word.Addr)) {
-			p := get()
-			if !p.IsNil() && v.inFrom(p) {
-				set(v.evacuate(p))
-			}
-		})
-	}
-	// …and the stable→volatile remembered slots, whose rewrites are
-	// stable-area modifications and follow the WAL protocol.
-	if v.hooks.StableSlots != nil {
-		v.fixStableSlots(v.hooks.StableSlots(), false)
-	}
-
-	// Cheney scan of the volatile to-space.
-	scan := v.to.Lo
-	for scan < v.to.CopyPtr || len(v.movedQ) > 0 {
-		for scan < v.to.CopyPtr {
-			d := v.h.Descriptor(scan)
-			for i := 0; i < d.NPtrs(); i++ {
-				slot := scan + word.Addr(heap.PtrOffset(i))
-				p := word.Addr(v.mem.ReadWord(slot))
-				if !p.IsNil() && v.inFrom(p) {
-					v.mem.WriteWord(slot, uint64(v.evacuate(p)), word.NilLSN)
-				}
-			}
-			scan = scan.Add(d.SizeWords())
-		}
-		// Scan objects that moved into the stable area: their slot
-		// rewrites are logged (the S4vscan fix-ups).
-		for len(v.movedQ) > 0 {
-			obj := v.movedQ[0]
-			v.movedQ = v.movedQ[1:]
-			moved++
-			v.scanMoved(obj)
-		}
-	}
-
-	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: moved})
-	// Volatile from-space contents are dead and unlogged reads never
-	// target them during redo (V2SCopy records are self-contained), so
-	// the pages are dropped without ghosts.
-	v.mem.DiscardRange(v.from.Lo, v.from.Hi)
-	v.from.Reset()
-	v.from = nil
-	if v.fromNursery {
-		v.mem.DiscardRange(v.nursery.Lo, v.nursery.Hi)
-		v.nursery.Reset()
-		v.fromNursery = false
-	}
+	c := v.flip(v.nursery != nil)
+	v.begin(c, nil, false)
+	v.finish(c)
+	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})
+	v.retire(c)
 	d := time.Since(start)
 	v.pauseH.Observe(uint64(d))
 	v.bb.SetGCEpoch(v.epoch)
 	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 0)
-	return moved
+	return c.nMoved
 }
 
 // CollectRecovered evacuates recovered newly stable objects out of the
 // volatile area after a crash. Redo re-materialized them at their pre-crash
 // volatile addresses — in either semispace or the nursery — and everything
 // else in the volatile area is dead (volatile state does not survive
-// crashes), so the whole area is treated as from-space and the only live
-// objects are AS objects reachable from the rebuilt stable→volatile
-// remembered set.
+// crashes), so the whole area is the from-set and there is no to-space: the
+// only live objects are AS objects reachable from the rebuilt
+// stable→volatile remembered set and from the undo-information roots of
+// transactions restored in-doubt (§3.5.2) — old pointer values their
+// eventual abort must restore, possibly reachable nowhere else.
 func (v *VolatileCollector) CollectRecovered() int {
 	v.epoch++
 	v.stats.Collections++
-	// Pseudo from-space spanning both semispaces and the nursery; no
-	// volatile to-space copies can occur (every reachable object carries
-	// the AS bit).
-	hi := v.spaces[1].Hi
+	c := &cycle{from: []*heap.Space{v.spaces[0], v.spaces[1]}}
 	if v.nursery != nil {
-		hi = v.nursery.Hi
+		c.from = append(c.from, v.nursery)
 	}
-	v.from = heap.NewSpace(v.spaces[0].Lo, hi)
-	v.to = nil
-	v.fromNursery = false
-	v.movedQ = nil
-	moved := 0
-	// Roots: besides the stable→volatile remembered slots, transactions
-	// restored in-doubt by recovery hold undo-information roots (§3.5.2)
-	// — old pointer values their eventual abort must restore, possibly
-	// reachable nowhere else.
-	if v.hooks.ForEachRoot != nil {
-		v.hooks.ForEachRoot(func(get func() word.Addr, set func(word.Addr)) {
-			p := get()
-			if !p.IsNil() && v.inFrom(p) {
-				set(v.evacuate(p))
-			}
-		})
-	}
-	if v.hooks.StableSlots != nil {
-		v.fixStableSlots(v.hooks.StableSlots(), false)
-	}
-	for len(v.movedQ) > 0 {
-		obj := v.movedQ[0]
-		v.movedQ = v.movedQ[1:]
-		moved++
-		v.scanMoved(obj)
-	}
-	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: moved})
-	v.mem.DiscardRange(v.from.Lo, v.from.Hi)
-	v.from = nil
-	v.spaces[0].Reset()
-	v.spaces[1].Reset()
-	if v.nursery != nil {
-		v.nursery.Reset()
-	}
-	return moved
+	v.begin(c, nil, false)
+	v.finish(c)
+	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})
+	v.retire(c)
+	return c.nMoved
 }
 
-// evacuate transports the volatile object at from: newly stable objects go
-// to the stable area (logged), the rest to the volatile to-space or the
-// aged space (unlogged). Returns the new address.
-func (v *VolatileCollector) evacuate(from word.Addr) word.Addr {
+// evacuate transports the volatile object at from on behalf of cycle c:
+// newly stable objects go to the stable area (logged), the rest to c's
+// to-space (unlogged). Returns the new address.
+func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	d := v.h.Descriptor(from)
 	if d.Forwarded() {
 		return d.ForwardAddr()
 	}
 	size := d.SizeWords()
 	if d.AS() {
-		if v.concActive && !v.minor {
+		if c == v.major {
 			// The flip drains every LS entry out of from-space, and
 			// commits only mark to-space or nursery objects AS, so
 			// the concurrent scan can never meet one: a logged move
@@ -366,18 +403,18 @@ func (v *VolatileCollector) evacuate(from word.Addr) word.Addr {
 			// protocol.
 			panic(fmt.Sprintf("gc: newly stable object %v reached by the concurrent scan", from))
 		}
-		return v.moveStable(from, d, size)
+		return v.moveStable(c, from, d, size)
 	}
-	if v.to == nil {
+	if c.to == nil {
 		// CollectRecovered: only AS objects can be live after a crash.
 		panic(fmt.Sprintf("gc: non-stable object %v reachable in the volatile area after recovery", from))
 	}
 	var to word.Addr
 	var ok bool
-	if v.allocHigh {
-		to, ok = v.to.AllocHigh(size)
+	if c.high {
+		to, ok = c.to.AllocHigh(size)
 	} else {
-		to, ok = v.to.AllocLow(size)
+		to, ok = c.to.AllocLow(size)
 	}
 	if !ok {
 		panic(fmt.Sprintf("gc: volatile to-space exhausted copying %d words", size))
@@ -385,16 +422,14 @@ func (v *VolatileCollector) evacuate(from word.Addr) word.Addr {
 	img := v.mem.ReadBytes(from, word.WordsToBytes(size))
 	v.mem.WriteBytes(to, img, word.NilLSN)
 	v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), word.NilLSN)
-	if v.minor {
+	if c.minor {
 		v.stats.PromotedObjs++
 		v.stats.PromotedWords += int64(size)
 	} else {
 		v.stats.CopiedObjs++
 		v.stats.CopiedWords += int64(size)
 	}
-	if v.queueCopies {
-		v.copyQ = append(v.copyQ, to)
-	}
+	c.gray = append(c.gray, to)
 	if v.hooks.OnCopy != nil {
 		v.hooks.OnCopy(from, to, size)
 	}
@@ -404,7 +439,7 @@ func (v *VolatileCollector) evacuate(from word.Addr) word.Addr {
 // moveStable evacuates a newly stable object into the stable area: the
 // V2SCopy record carries the full image (the volatile source page owes
 // recovery nothing once the move is logged).
-func (v *VolatileCollector) moveStable(from word.Addr, d heap.Descriptor, size int) word.Addr {
+func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descriptor, size int) word.Addr {
 	to := v.hooks.AllocStable(size)
 	img := v.mem.ReadBytes(from, word.WordsToBytes(size))
 	// The object is physically stable now: clear the tracking bits in
@@ -416,7 +451,7 @@ func (v *VolatileCollector) moveStable(from word.Addr, d heap.Descriptor, size i
 	v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), word.NilLSN)
 	v.stats.MovedObjs++
 	v.stats.MovedWords += int64(size)
-	v.movedQ = append(v.movedQ, to)
+	c.moved = append(c.moved, to)
 	if v.hooks.OnMoveStable != nil {
 		v.hooks.OnMoveStable(from, to, size)
 	}
@@ -428,13 +463,13 @@ func (v *VolatileCollector) moveStable(from word.Addr, d heap.Descriptor, size i
 // set: a slot of a freshly stable object pointing at a volatile object
 // outside the from-set (an aged survivor during a minor collection) still
 // must enter the remembered set, which a same-value SFix accomplishes.
-func (v *VolatileCollector) scanMoved(obj word.Addr) {
+func (v *VolatileCollector) scanMoved(c *cycle, obj word.Addr) {
 	d := v.h.Descriptor(obj)
 	var slots []word.Addr
 	for i := 0; i < d.NPtrs(); i++ {
 		slots = append(slots, obj+word.Addr(heap.PtrOffset(i)))
 	}
-	v.fixStableSlots(slots, true)
+	v.fixStableSlots(c, slots, true)
 }
 
 // fixStableSlots rewrites stable-area slots whose targets the collection
@@ -442,7 +477,7 @@ func (v *VolatileCollector) scanMoved(obj word.Addr) {
 // With registerAll set, slots holding volatile pointers outside the
 // from-set get a same-value fix so their replay registers them in the
 // remembered set.
-func (v *VolatileCollector) fixStableSlots(slots []word.Addr, registerAll bool) {
+func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr, registerAll bool) {
 	ps := v.mem.PageSize()
 	var fixes []wal.PtrFix
 	var results []bool // stillVolatile per fix
@@ -467,8 +502,8 @@ func (v *VolatileCollector) fixStableSlots(slots []word.Addr, registerAll bool) 
 		}
 		var newp word.Addr
 		switch {
-		case v.inFrom(p):
-			newp = v.evacuate(p)
+		case c.inFrom(p):
+			newp = v.evacuate(c, p)
 		case registerAll && v.InArea(p):
 			newp = p
 		default:
@@ -490,12 +525,12 @@ func (v *VolatileCollector) fixStableSlots(slots []word.Addr, registerAll bool) 
 // unlogged — except inside a newly stable object still at an aged address
 // (ls, sorted): recovery rebuilds it from its base record plus logged
 // updates, so its slots are fixed under the WAL protocol like stable ones.
-func (v *VolatileCollector) fixVolatileSlots(slots, ls []word.Addr) {
+func (v *VolatileCollector) fixVolatileSlots(c *cycle, slots, ls []word.Addr) {
 	var logged []word.Addr
 	for _, slot := range slots {
 		// LS entries in the nursery (the from-space) may already be
 		// forwarded; remembered slots never lie there.
-		for len(ls) > 0 && (v.inFrom(ls[0]) || ls[0].Add(v.h.Descriptor(ls[0]).SizeWords()) <= slot) {
+		for len(ls) > 0 && (c.inFrom(ls[0]) || ls[0].Add(v.h.Descriptor(ls[0]).SizeWords()) <= slot) {
 			ls = ls[1:]
 		}
 		if len(ls) > 0 && ls[0] <= slot {
@@ -503,10 +538,10 @@ func (v *VolatileCollector) fixVolatileSlots(slots, ls []word.Addr) {
 			continue
 		}
 		p := word.Addr(v.mem.ReadWord(slot))
-		if p.IsNil() || !v.inFrom(p) {
+		if p.IsNil() || !c.inFrom(p) {
 			continue
 		}
-		v.mem.WriteWord(slot, uint64(v.evacuate(p)), word.NilLSN)
+		v.mem.WriteWord(slot, uint64(v.evacuate(c, p)), word.NilLSN)
 	}
-	v.fixStableSlots(logged, false)
+	v.fixStableSlots(c, logged, false)
 }

@@ -269,10 +269,6 @@ func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Resul
 	res.txMeta = a.txs
 	// Undo may have changed the remembered set; republish it.
 	res.CP.SRem = sortedAddrs(a.srem)
-	// Losers' base records must not leave stale LS entries pointing at
-	// objects that were never committed stable: drop the volatile-area
-	// entries added by transactions that lost. (Entries already cleared
-	// by V2SCopy replay stay cleared.)
 	return res, nil
 }
 

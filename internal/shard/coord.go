@@ -58,7 +58,7 @@ func recoverCoordinator(log storage.LogDevice) *Coordinator {
 	c := newCoordinator(log)
 	var repair word.LSN
 	torn := false
-	log.Scan(log.TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(log, log.TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
 		rec, err := wal.Decode(data)
 		if err != nil {
 			repair, torn = lsn, true

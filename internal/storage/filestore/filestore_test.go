@@ -139,7 +139,7 @@ func TestReopenTornTail(t *testing.T) {
 		t.Fatalf("reopened end=%d stable=%d, want %d", r.Log.EndLSN(), r.Log.StableLSN(), cut)
 	}
 	var got []byte
-	r.Log.Scan(frag, false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(r.Log, frag, false, func(lsn word.LSN, data []byte) bool {
 		if lsn == frag {
 			got = append([]byte(nil), data...)
 		}

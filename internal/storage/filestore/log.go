@@ -422,13 +422,6 @@ func (l *Log) EndLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.nex
 // TruncLSN returns the lowest LSN still readable.
 func (l *Log) TruncLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.trunc }
 
-// IsStable reports whether the record at lsn is durable.
-func (l *Log) IsStable(lsn word.LSN) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return lsn < l.stable
-}
-
 // Crash simulates a process kill in-process: the user-space tail vanishes
 // (it was never written) and the sibling page store's buffered writes are
 // pushed to the OS — a completed WritePage survives a process exit, only
@@ -635,28 +628,8 @@ func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec
 	return idx, tail
 }
 
-// Scan calls fn for each retained record with lsn >= from in LSN order.
-func (l *Log) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool) {
-	idx, tail := l.scanSnapshot(from, stableOnly)
-	for _, m := range idx {
-		// A fresh buffer per record: delivered bytes stay immutable until
-		// the scan returns (storage.LogDevice's ownership rule).
-		l.mu.Lock()
-		buf := l.readRecordLocked(m)
-		l.mu.Unlock()
-		if !fn(m.lsn, buf) {
-			return
-		}
-	}
-	for _, t := range tail {
-		if !fn(t.lsn, t.data) {
-			return
-		}
-	}
-}
-
-// ScanBatches is Scan with batched delivery: each batch of physically
-// contiguous records is read with a single pread and sliced apart, so a
+// ScanBatches calls fn for the retained records with lsn >= from in LSN
+// order, a batch at a time: each batch of physically contiguous records is read with a single pread and sliced apart, so a
 // full recovery scan costs one syscall per batch, not per record. The two
 // slice headers are reused across calls; the bytes are not — every batch
 // is read into its own chunk, because zero-copy wal.Decode payloads alias

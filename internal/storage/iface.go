@@ -64,8 +64,6 @@ type LogDevice interface {
 	EndLSN() word.LSN
 	// TruncLSN returns the lowest LSN still readable.
 	TruncLSN() word.LSN
-	// IsStable reports whether the record at lsn is durable.
-	IsStable(lsn word.LSN) bool
 	// Crash discards the volatile tail (fault-injecting implementations
 	// may instead persist a torn byte prefix of it).
 	Crash()
@@ -82,12 +80,11 @@ type LogDevice interface {
 	RepairTail(from word.LSN)
 	// ReadAt returns the record beginning exactly at lsn.
 	ReadAt(lsn word.LSN) (data []byte, ok bool)
-	// Scan calls fn for each retained record with lsn >= from in LSN order.
-	// fn returning false stops the scan.
-	Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool)
-	// ScanBatches is Scan with batched delivery: up to batchSize records
-	// per call as parallel lsns/frames slices (headers reused, bytes not —
-	// see the ownership rule above).
+	// ScanBatches calls fn for the retained records with lsn >= from in
+	// LSN order (only the durable ones if stableOnly is set), up to
+	// batchSize per call as parallel lsns/frames slices (headers reused,
+	// bytes not — see the ownership rule above). fn returning false stops
+	// the scan.
 	ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool)
 	// RetainedBytes returns the byte count of records still held.
 	RetainedBytes() int64
@@ -98,6 +95,20 @@ type LogDevice interface {
 	// Clone returns an independent deep copy (stable and volatile parts).
 	// Fault-injecting implementations return a plain, fault-free copy.
 	Clone() LogDevice
+}
+
+// Scan is ScanBatches with a one-record callback: fn sees each retained
+// record with lsn >= from in LSN order and stops the scan by returning
+// false.
+func Scan(dev LogDevice, from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool) {
+	dev.ScanBatches(from, stableOnly, 0, func(lsns []word.LSN, frames [][]byte) bool {
+		for i, frame := range frames {
+			if !fn(lsns[i], frame) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 var (

@@ -102,9 +102,6 @@ func (l *Log) EndLSN() word.LSN { return l.nextLSN }
 // TruncLSN returns the lowest LSN still readable.
 func (l *Log) TruncLSN() word.LSN { return l.truncLSN }
 
-// IsStable reports whether the record at lsn is durable.
-func (l *Log) IsStable(lsn word.LSN) bool { return lsn < l.stableLSN }
-
 // SegmentBytes returns the segment granularity in bytes.
 func (l *Log) SegmentBytes() int { return l.segSize }
 
@@ -212,24 +209,9 @@ func (l *Log) ReadAt(lsn word.LSN) (data []byte, ok bool) {
 	return out, true
 }
 
-// Scan calls fn for each retained record with lsn >= from, in LSN order,
-// visiting only durable records if stableOnly is set. fn returning false
-// stops the scan.
-func (l *Log) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool) {
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= from })
-	for ; i < len(l.entries); i++ {
-		e := l.entries[i]
-		if stableOnly && e.lsn >= l.stableLSN {
-			return
-		}
-		if !fn(e.lsn, e.data) {
-			return
-		}
-	}
-}
-
-// ScanBatches is Scan with batched delivery: fn receives up to batchSize
-// records at a time, as parallel lsns/frames slices. Both slice headers are
+// ScanBatches calls fn for the retained records with lsn >= from, in LSN
+// order, visiting only durable records if stableOnly is set: fn receives up
+// to batchSize records at a time, as parallel lsns/frames slices. Both slice headers are
 // reused across calls — fn must not retain them past its return; the frame
 // bytes are the retained log entries themselves, so they satisfy
 // LogDevice's ownership rule (immutable until the scan returns) for free.

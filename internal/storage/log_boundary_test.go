@@ -83,7 +83,7 @@ func TestLogFrameAtSegmentEnd(t *testing.T) {
 				}
 			}
 			n := 0
-			l.Scan(l.TruncLSN(), false, func(word.LSN, []byte) bool { n++; return true })
+			Scan(l, l.TruncLSN(), false, func(word.LSN, []byte) bool { n++; return true })
 			if n != want {
 				t.Fatalf("Scan from TruncLSN saw %d records, want %d", n, want)
 			}
@@ -132,7 +132,7 @@ func TestLogCrashTornCuts(t *testing.T) {
 				t.Fatalf("end/stable = %d/%d, want both %d", l.EndLSN(), l.StableLSN(), tc.wantEnd)
 			}
 			var got []int
-			l.Scan(1, false, func(_ word.LSN, data []byte) bool {
+			Scan(l, 1, false, func(_ word.LSN, data []byte) bool {
 				got = append(got, len(data))
 				return true
 			})

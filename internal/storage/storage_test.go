@@ -178,7 +178,7 @@ func TestLogCrashDropsVolatileTail(t *testing.T) {
 	a := l.Append([]byte("stable"))
 	l.Force(a)
 	b := l.Append([]byte("volatile"))
-	if l.IsStable(b) {
+	if b < l.StableLSN() {
 		t.Fatal("unforced record must not be stable")
 	}
 	l.Crash()
@@ -209,7 +209,7 @@ func TestLogForceCoversWholeTail(t *testing.T) {
 	a := l.Append([]byte("one"))
 	b := l.Append([]byte("two"))
 	l.Force(a)
-	if !l.IsStable(b) {
+	if b >= l.StableLSN() {
 		t.Fatal("a force writes the whole tail (group commit)")
 	}
 	if l.Stats().Forces != 1 {
@@ -235,7 +235,7 @@ func TestLogScanOrderAndStop(t *testing.T) {
 		lsns = append(lsns, l.Append([]byte{byte('a' + i)}))
 	}
 	var seen []byte
-	l.Scan(lsns[1], false, func(lsn word.LSN, data []byte) bool {
+	Scan(l, lsns[1], false, func(lsn word.LSN, data []byte) bool {
 		seen = append(seen, data[0])
 		return data[0] != 'd'
 	})
@@ -250,7 +250,7 @@ func TestLogScanStableOnly(t *testing.T) {
 	l.Force(a)
 	l.Append([]byte("v"))
 	var seen []byte
-	l.Scan(1, true, func(_ word.LSN, data []byte) bool {
+	Scan(l, 1, true, func(_ word.LSN, data []byte) bool {
 		seen = append(seen, data[0])
 		return true
 	})
@@ -348,7 +348,7 @@ func TestLogAppendScanProperty(t *testing.T) {
 		}
 		i := 0
 		ok := true
-		l.Scan(1, false, func(lsn word.LSN, data []byte) bool {
+		Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
 			if i >= len(want) || !bytes.Equal(data, want[i]) || lsn != lsns[i] {
 				ok = false
 				return false

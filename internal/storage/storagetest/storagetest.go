@@ -229,11 +229,11 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l := mk(t, 64)
 		a := l.Append(rec(8, 1))
 		b := l.Append(rec(8, 2))
-		if l.IsStable(a) || l.IsStable(b) {
+		if a < l.StableLSN() || b < l.StableLSN() {
 			t.Fatal("unforced records claim stability")
 		}
 		l.Force(a) // forces the whole tail
-		if !l.IsStable(a) || !l.IsStable(b) {
+		if a >= l.StableLSN() || b >= l.StableLSN() {
 			t.Fatal("force did not stabilize the whole tail")
 		}
 		if l.StableLSN() != l.EndLSN() {
@@ -287,11 +287,11 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l.ForceAll()
 		l.Append(rec(6, 3)) // volatile
 		var all, stable []word.LSN
-		l.Scan(1, false, func(lsn word.LSN, data []byte) bool {
+		storage.Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
 			all = append(all, lsn)
 			return true
 		})
-		l.Scan(1, true, func(lsn word.LSN, data []byte) bool {
+		storage.Scan(l, 1, true, func(lsn word.LSN, data []byte) bool {
 			stable = append(stable, lsn)
 			return true
 		})
@@ -311,7 +311,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		for _, batch := range []int{1, 3, 64} {
 			var a, b []string
-			l.Scan(1, false, func(lsn word.LSN, data []byte) bool {
+			storage.Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
 				a = append(a, fmt.Sprintf("%d:%x", lsn, data))
 				return true
 			})
@@ -367,7 +367,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 			}
 			lsns, kept = nil, nil
 		}
-		l.Scan(1, false, keep)
+		storage.Scan(l, 1, false, keep)
 		check("Scan")
 		for _, batch := range []int{1, 4, 64} {
 			l.ScanBatches(1, false, batch, func(ls []word.LSN, frames [][]byte) bool {
@@ -484,7 +484,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		var got []byte
 		var gotLSN word.LSN
-		l.Scan(frag, false, func(lsn word.LSN, data []byte) bool {
+		storage.Scan(l, frag, false, func(lsn word.LSN, data []byte) bool {
 			gotLSN = lsn
 			got = append([]byte(nil), data...)
 			return false
@@ -592,7 +592,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 // volatile tail) in order.
 func recordStarts(l storage.LogDevice) []word.LSN {
 	var starts []word.LSN
-	l.Scan(1, false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
 		starts = append(starts, lsn)
 		return true
 	})
@@ -622,11 +622,11 @@ func compareLogs(t *testing.T, step int, dut, ref storage.LogDevice) {
 		t.Fatalf("step %d: retained bytes %d vs %d", step, dut.RetainedBytes(), ref.RetainedBytes())
 	}
 	var a, b []string
-	dut.Scan(1, false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(dut, 1, false, func(lsn word.LSN, data []byte) bool {
 		a = append(a, fmt.Sprintf("%d:%x", lsn, data))
 		return true
 	})
-	ref.Scan(1, false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(ref, 1, false, func(lsn word.LSN, data []byte) bool {
 		b = append(b, fmt.Sprintf("%d:%x", lsn, data))
 		return true
 	})

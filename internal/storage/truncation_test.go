@@ -25,7 +25,7 @@ func TestLogScanFromBelowTruncLSNSkipsToRetained(t *testing.T) {
 	// Scanning from LSN 1 (below TruncLSN) must deliver exactly the
 	// retained records, in order, without inventing or repeating any.
 	var seen []word.LSN
-	l.Scan(1, true, func(lsn word.LSN, data []byte) bool {
+	Scan(l, 1, true, func(lsn word.LSN, data []byte) bool {
 		seen = append(seen, lsn)
 		return true
 	})

@@ -485,7 +485,7 @@ func (m *Manager) FinishCommit(t *Tx) {
 func (m *Manager) Abort(t *Tx) {
 	m.mustBeActive(t)
 	t.lastLSN = m.log.Append(wal.AbortRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
-	m.undoFrom(t, t.lastLSN)
+	m.undoLogged(t)
 	// Unlogged volatile writes: restore from memory, newest first. Each
 	// restore is itself a volatile pointer store, so the barrier hook
 	// fires for it too (grayed overwrites, nursery remembered set).
@@ -510,11 +510,10 @@ func (m *Manager) Abort(t *Tx) {
 	}
 }
 
-// undoFrom walks the transaction's log chain backwards from the record
-// preceding start, undoing updates with CLRs. Undo addresses come from
-// the per-record UTT entries, matched by the record's LSN — never by
-// address, which aliases across from-space reuse.
-func (m *Manager) undoFrom(t *Tx, start word.LSN) {
+// undoLogged undoes the transaction's logged updates, newest first. Undo
+// addresses come from the per-record UTT entries, matched by the record's
+// LSN — never by address, which aliases across from-space reuse.
+func (m *Manager) undoLogged(t *Tx) {
 	slotCur := make(map[word.LSN]word.Addr, len(t.undoSlots))
 	for _, e := range t.undoSlots {
 		slotCur[e.lsn] = e.cur
@@ -523,80 +522,19 @@ func (m *Manager) undoFrom(t *Tx, start word.LSN) {
 	for _, e := range t.undoVals {
 		valCur[e.lsn] = e.cur
 	}
-	slotAt := func(lsn word.LSN, logged word.Addr) word.Addr {
-		if cur, ok := slotCur[lsn]; ok {
-			return cur
-		}
-		return logged
-	}
-	lsn := start
-	for lsn != word.NilLSN {
-		rec := m.log.MustReadAt(lsn)
-		switch r := rec.(type) {
-		case wal.UpdateRec:
-			cur := slotAt(lsn, r.Addr)
-			restored := r.Undo
-			var flags uint8
-			if r.Flags&wal.UFPtrSlot != 0 {
-				flags = wal.UFPtrSlot
-				// The restored value is itself a pointer the collector
-				// may have moved: translate it too (§3.5.2 roots in
-				// recovery information).
-				if old := word.Addr(word.GetWord(r.Undo, 0)); !old.IsNil() {
-					rv := old
-					if c, ok := valCur[lsn]; ok {
-						rv = c
-					}
-					restored = make([]byte, word.WordSize)
-					word.PutWord(restored, 0, uint64(rv))
-					if m.inVolatile(rv) {
-						flags |= wal.UFPtrToVolatile
-					}
-				}
+	var clrs int
+	t.lastLSN, clrs = UndoChain(m.log, m.mem, t.id, t.lastLSN, t.lastLSN,
+		func(lsn word.LSN, logged word.Addr, isValue bool) word.Addr {
+			utt := slotCur
+			if isValue {
+				utt = valCur
 			}
-			clr := m.log.Append(wal.CLRRec{
-				TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN},
-				Addr:  cur, Flags: flags, Redo: restored, UndoNext: r.PrevLSN,
-			})
-			t.lastLSN = clr
-			m.mem.WriteBytes(cur, restored, clr)
-			if r.Flags&wal.UFPtrSlot != 0 && m.env.OnStableSlotWrite != nil {
-				m.env.OnStableSlotWrite(cur, flags&wal.UFPtrToVolatile != 0)
+			if cur, ok := utt[lsn]; ok {
+				return cur
 			}
-			atomic.AddInt64(&m.stats.CLRs, 1)
-			lsn = r.PrevLSN
-		case wal.LogicalRec:
-			cur := slotAt(lsn, r.Addr)
-			neg := -r.Delta
-			buf := make([]byte, word.WordSize)
-			word.PutWord(buf, 0, neg)
-			clr := m.log.Append(wal.CLRRec{
-				TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN},
-				Addr:  cur, Flags: wal.CLRLogicalDelta, Redo: buf, UndoNext: r.PrevLSN,
-			})
-			t.lastLSN = clr
-			v := m.mem.ReadWord(cur)
-			m.mem.WriteWord(cur, v+neg, clr)
-			atomic.AddInt64(&m.stats.CLRs, 1)
-			lsn = r.PrevLSN
-		case wal.CLRRec:
-			lsn = r.UndoNext
-		case wal.BeginRec:
-			lsn = word.NilLSN
-		case wal.AbortRec:
-			lsn = r.PrevLSN
-		case wal.PrepareRec:
-			lsn = r.PrevLSN // the coordinator said abort; skip the prepare
-		case wal.AllocRec:
-			lsn = r.PrevLSN // allocation needs no undo
-		case wal.BaseRec:
-			lsn = r.PrevLSN // redo-only
-		case wal.CompleteRec:
-			lsn = r.PrevLSN
-		default:
-			panic(fmt.Sprintf("tx: unexpected record %T in undo chain", rec))
-		}
-	}
+			return logged
+		}, m.inVolatile, m.env.OnStableSlotWrite)
+	atomic.AddInt64(&m.stats.CLRs, int64(clrs))
 }
 
 // OnCopy rebases every active transaction's undo slot addresses, undo

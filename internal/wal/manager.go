@@ -140,7 +140,7 @@ func (m *Manager) EndLSN() word.LSN {
 func (m *Manager) IsStable(lsn word.LSN) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.dev.IsStable(lsn)
+	return lsn < m.dev.StableLSN()
 }
 
 // DeviceStats returns the device traffic counters under the WAL latch, so
@@ -208,7 +208,7 @@ func (m *Manager) MustReadAt(lsn word.LSN) Record {
 // convert the panic into a returned error (the detectable-failure
 // contract) rather than admitting a half-read log.
 func (m *Manager) Scan(from word.LSN, stableOnly bool, fn func(lsn word.LSN, r Record) bool) {
-	m.dev.Scan(from, stableOnly, func(lsn word.LSN, frame []byte) bool {
+	storage.Scan(m.dev, from, stableOnly, func(lsn word.LSN, frame []byte) bool {
 		r, err := Decode(frame)
 		if err != nil {
 			panic(&storage.CorruptFrameError{LSN: lsn, Reason: err.Error()})

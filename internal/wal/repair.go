@@ -27,7 +27,7 @@ func (m *Manager) RepairTornTail(from word.LSN) (word.LSN, error) {
 	badLSN := word.NilLSN
 	var badFrame []byte
 	tailBad := false
-	m.dev.Scan(from, true, func(lsn word.LSN, frame []byte) bool {
+	storage.Scan(m.dev, from, true, func(lsn word.LSN, frame []byte) bool {
 		if badLSN != word.NilLSN {
 			// A record follows the undecodable frame: interior corruption.
 			tailBad = false

@@ -2,6 +2,7 @@ package stableheap
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -13,6 +14,18 @@ func testCfg() Config {
 		Divided:       true,
 		Barrier:       Ellis,
 		Incremental:   true,
+	}
+}
+
+// TestConfigFieldBudget is a ratchet: lower the bound when a field goes,
+// never raise it.
+func TestConfigFieldBudget(t *testing.T) {
+	const budget = 25
+	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
+		t.Fatalf("Config has %d fields, budget %d. The simplicity rule: a new option is justified only "+
+			"when two callers that exist at the parent commit, not counting tests and examples, need "+
+			"different values; with one value in use it is a constant, and a value the code can work "+
+			"out from its inputs is not an option.", n, budget)
 	}
 }
 
