@@ -439,8 +439,6 @@ func TestBenchmarkHelpersConsistent(t *testing.T) {
 
 func BenchmarkE13GroupCommit(b *testing.B) {
 	cfg := benchCfg(64*1024, 32*1024)
-	cfg.GroupCommitWindow = 200 * time.Microsecond
-	cfg.GroupCommitBatch = 8
 	cfg.LockWait = 100 * time.Millisecond
 	h := stableheap.Open(cfg)
 	setup := h.Begin()
@@ -540,7 +538,6 @@ func BenchmarkE15CheckpointTruncate(b *testing.B) {
 // the real (instant-force) simulated log.
 func BenchmarkE18ParallelCommits(b *testing.B) {
 	cfg := benchCfg(64*1024, 16*1024)
-	cfg.GroupCommitWindow = 50 * time.Microsecond
 	h := stableheap.Open(cfg)
 	const counters = 16
 	tx := h.Begin()

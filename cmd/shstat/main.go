@@ -66,7 +66,6 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 	cfg := stableheap.DefaultConfig()
 	cfg.StableWords = 64 * 1024
 	cfg.VolatileWords = 16 * 1024
-	cfg.GroupCommitWindow = 200 * time.Microsecond
 	if dir != "" {
 		heapDir, err := os.MkdirTemp(dir, "shstat-")
 		if err != nil {
@@ -290,8 +289,8 @@ func printSummary(w io.Writer, m stableheap.Metrics) {
 	sort.Strings(names)
 	for _, n := range names {
 		h := m.Histograms[n]
-		if h.Count == 0 {
-			continue
+		if h.Count == 0 && !strings.HasPrefix(n, "wal_force_") && n != "wal_mutex_wait_ns" {
+			continue // the shared-force trio is shown even when nothing ever waited
 		}
 		if strings.HasSuffix(n, "_ns") {
 			fmt.Fprintf(w, "  %-34s %6d  %10v %10v %10v %10v\n", n, h.Count,

@@ -130,7 +130,6 @@ func counters(h *stableheap.Heap) (enq, deq uint64) {
 
 func main() {
 	cfg := stableheap.DefaultConfig()
-	cfg.GroupCommitWindow = 500 * time.Microsecond
 	cfg.LockWait = 250 * time.Millisecond
 	h := stableheap.Open(cfg)
 
@@ -194,11 +193,12 @@ func main() {
 	wg.Wait()
 	enq, deq := counters(h)
 	fmt.Printf("produced %d, consumed %d (queue holds %d)\n", enq, deq, enq-deq)
-	gs := h.Internal().GroupCommitStats()
-	fmt.Printf("group commit: %d commits, %d forces (largest batch %d) — a single queue\n",
-		gs.Commits, gs.Forces, gs.MaxWait)
+	m := h.Metrics()
+	batch := m.Histograms["wal_force_batch"]
+	fmt.Printf("shared commit force: %d commits, %d forces (largest batch %d) — a single queue\n",
+		m.Counters["tx_committed_total"], m.Counters["wal_forces_total"], batch.Max)
 	fmt.Println("  (the queue header serializes committers, so batches stay small here;")
-	fmt.Println("   see `shbench e13` for group commit on independent objects)")
+	fmt.Println("   see `shbench e13` for the shared force on independent objects)")
 
 	// Crash 1: ordinary system failure.
 	disk, logDev := h.Crash()

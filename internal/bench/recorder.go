@@ -22,7 +22,7 @@ func recorderMeasure(recorder bool, g, reps int, duration time.Duration) float64
 			cfg.FlightRecorder = true
 			cfg.WatchdogInterval = 10 * time.Millisecond
 		}
-		committed, _, _ := scalingMeasureCfg(cfg, g, duration, 16, disjoint)
+		committed, _, _, _ := scalingMeasureCfg(cfg, g, duration, 16, disjoint)
 		if rate := float64(committed) / duration.Seconds(); rate > best {
 			best = rate
 		}

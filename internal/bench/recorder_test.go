@@ -40,7 +40,7 @@ func TestRecorderOverheadBound(t *testing.T) {
 func TestRecorderMeasureRecordsEvents(t *testing.T) {
 	cfg := scalingConfig()
 	cfg.FlightRecorder = true
-	committed, _, _ := scalingMeasureCfg(cfg, 2, 50*time.Millisecond, 16,
+	committed, _, _, _ := scalingMeasureCfg(cfg, 2, 50*time.Millisecond, 16,
 		func(w int, rng *rand.Rand) int { return w })
 	if committed == 0 {
 		t.Fatal("no transactions committed under the recorder")

@@ -8,32 +8,14 @@ import (
 	"time"
 
 	"stableheap/internal/core"
+	"stableheap/internal/faultfs"
 	"stableheap/internal/storage"
-	"stableheap/internal/word"
 )
 
-// slowForceLog wraps a LogDevice with a fixed synchronous-force latency —
-// the model of a real disk, where the commit force, not the CPU, bounds
-// transaction throughput. It is what makes E18 meaningful on any machine:
+// scalingForceDelay is the simulated synchronous-force latency
+// (faultfs.SlowLog) that makes E13, E18 and E23 meaningful on any machine:
 // the measured scaling comes from concurrent transactions overlapping
-// their force waits (the sharded latch admits them, group commit batches
-// them), not from core count, so the shape reproduces even on one CPU.
-type slowForceLog struct {
-	storage.LogDevice
-	delay time.Duration
-}
-
-func (l *slowForceLog) Force(lsn word.LSN) {
-	time.Sleep(l.delay)
-	l.LogDevice.Force(lsn)
-}
-
-func (l *slowForceLog) ForceAll() {
-	time.Sleep(l.delay)
-	l.LogDevice.ForceAll()
-}
-
-// scalingForceDelay is the simulated synchronous-force latency. A few
+// their force waits, not from core count. A few
 // hundred microseconds sits between a capacitor-backed NVMe (~20µs) and a
 // 15k-RPM disk with a write cache (~1ms).
 const scalingForceDelay = 250 * time.Microsecond
@@ -43,24 +25,23 @@ func scalingConfig() core.Config {
 	cfg := core.Config{
 		PageSize: 1024, StableWords: 64 * 1024, VolatileWords: 16 * 1024,
 		Divided: true, Incremental: true,
-		GroupCommitWindow: 100 * time.Microsecond,
-		LockWait:          5 * time.Millisecond,
+		LockWait: 5 * time.Millisecond,
 	}
 	return cfg.WithDefaults()
 }
 
 // scalingMeasure runs g goroutines committing read-modify-write
 // transactions for the given duration and returns committed transactions,
-// conflicts and deadlock aborts. pick chooses each transaction's counter
-// slot from the worker's private rng.
-func scalingMeasure(g int, duration time.Duration, counters int, pick func(w int, rng *rand.Rand) int) (committed, conflicts, deadlocks int64) {
+// conflicts, deadlock aborts and the device forces the window took. pick
+// chooses each transaction's counter slot from the worker's private rng.
+func scalingMeasure(g int, duration time.Duration, counters int, pick func(w int, rng *rand.Rand) int) (committed, conflicts, deadlocks, forces int64) {
 	return scalingMeasureCfg(scalingConfig(), g, duration, counters, pick)
 }
 
 // scalingMeasureCfg is scalingMeasure over an explicit configuration —
 // E20 toggles the flight recorder on the otherwise identical workload.
-func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration, counters int, pick func(w int, rng *rand.Rand) int) (committed, conflicts, deadlocks int64) {
-	logDev := &slowForceLog{LogDevice: storage.NewLog(cfg.LogSegBytes), delay: scalingForceDelay}
+func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration, counters int, pick func(w int, rng *rand.Rand) int) (committed, conflicts, deadlocks, forces int64) {
+	logDev := faultfs.NewSlowLog(storage.NewLog(cfg.LogSegBytes), scalingForceDelay)
 	hp := core.OpenOn(cfg, storage.NewDisk(cfg.PageSize), logDev)
 	defer hp.Close()
 
@@ -84,6 +65,7 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration, counters 
 		panic(err)
 	}
 
+	forces0 := logDev.Stats().Forces
 	var stop atomic.Bool
 	var ok atomic.Int64
 	var wg sync.WaitGroup
@@ -120,7 +102,7 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration, counters 
 	wg.Wait()
 
 	ls := hp.LockStats()
-	return ok.Load(), ls.Conflicts, ls.DeadlockAborts
+	return ok.Load(), ls.Conflicts, ls.DeadlockAborts, logDev.Stats().Forces - forces0
 }
 
 // E18Scaling measures committed-transaction throughput as goroutines are
@@ -132,14 +114,14 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration, counters 
 //     pick, so lock conflicts and deadlock-victim aborts shape the curve.
 //
 // Every transaction is a locked read-modify-write that commits through
-// the group committer over a log whose Force costs scalingForceDelay, so
-// single-goroutine throughput is force-bound (~1/(window+delay) tx/sec)
-// and the headroom the sharded latch opens is visible as near-linear
-// scaling on the disjoint profile.
+// the shared force over a log whose Force costs scalingForceDelay, so
+// single-goroutine throughput is force-bound (~1/delay tx/sec) and the
+// headroom the sharded latch opens is visible as scaling on the disjoint
+// profile.
 func E18Scaling() Table {
 	t := Table{
 		ID:     "E18",
-		Title:  "multi-core scaling of the transaction path (sharded latch + group commit)",
+		Title:  "multi-core scaling of the transaction path (sharded latch + shared commit force)",
 		Claim:  "disjoint transactions overlap their commit forces: throughput scales with concurrency instead of being bound by one force per transaction",
 		Header: []string{"workload", "goroutines", "tx/sec", "speedup", "conflicts", "deadlock aborts"},
 	}
@@ -164,7 +146,7 @@ func E18Scaling() Table {
 	for _, p := range profiles {
 		var base float64
 		for _, g := range gs {
-			committed, conflicts, deadlocks := scalingMeasure(g, duration, p.counters, p.pick)
+			committed, conflicts, deadlocks, _ := scalingMeasure(g, duration, p.counters, p.pick)
 			rate := float64(committed) / duration.Seconds()
 			if g == 1 {
 				base = rate
@@ -180,7 +162,7 @@ func E18Scaling() Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("log force costs %v (slowForceLog); group-commit window 100µs — single-goroutine throughput is force-bound by design", scalingForceDelay),
+		fmt.Sprintf("log force costs %v (faultfs.SlowLog) — single-goroutine throughput is force-bound by design", scalingForceDelay),
 		"disjoint goroutines write private counters (no conflicts possible); contended goroutines skew onto 4 shared counters",
 		"serializability of exactly this transaction path is proven separately by the histcheck suite (internal/histcheck, TestConcurrentHistoriesSerializable)")
 	return t

@@ -142,13 +142,6 @@ type Config struct {
 	// read-barrier traps and explicit StepStable calls (the purely
 	// trap-driven Ellis flavor; used by the barrier experiments).
 	DisableOpPacing bool
-	// GroupCommitWindow enables group commit (§2.2.1 footnote): commits
-	// park up to this long so one log force covers the batch. Zero
-	// disables (every commit forces individually).
-	GroupCommitWindow time.Duration
-	// GroupCommitBatch forces early once this many committers are
-	// parked (default 16).
-	GroupCommitBatch int
 	// CopyContents makes the collector's copy records carry full object
 	// images (the E14 ablation of the paper's content-free records).
 	CopyContents bool
@@ -176,7 +169,7 @@ type Config struct {
 	// WatchdogInterval, when positive, starts a stall-watchdog goroutine
 	// that snapshots the metrics on this ticker and runs anomaly rules
 	// over consecutive windows (mutator stalls far beyond p99, nursery
-	// minor-collection runaway, group-commit convoys); trips count in
+	// minor-collection runaway, commit-force convoys); trips count in
 	// obs_watchdog_trips_total and record EvWatchdog events. Off (0) by
 	// default: deterministic harnesses must not host a background
 	// goroutine that perturbs scheduling.
@@ -314,8 +307,11 @@ type Heap struct {
 	// SetHistoryRecorder before any concurrent use.
 	hist *histcheck.Recorder
 
-	// group batches commit forces when Config.GroupCommitWindow > 0.
-	group *groupCommitter
+	// commitGate is held shared by a commit from its commit record to its
+	// end record, across the force it parks on outside every latch; Close
+	// and Crash take it exclusively first, so neither finds a transaction
+	// whose commit record is logged and whose fate is not.
+	commitGate sync.RWMutex
 
 	// met holds the heap-level latency histograms (always on); bb/journal/wd
 	// are the flight recorder, its persistence journal and the stall
@@ -466,9 +462,6 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		hp.vscan = concScan{hp: hp, c: hp.vgc, quantumEv: obs.EvVGCQuantum,
 			label: "vgc-scan", retire: hp.finishConcurrentLocked}
 	}
-	if cfg.GroupCommitWindow > 0 {
-		hp.group = newGroupCommitter(hp, cfg.GroupCommitWindow, cfg.GroupCommitBatch)
-	}
 	return hp
 }
 
@@ -494,7 +487,7 @@ func (hp *Heap) format() {
 	lsn := hp.txm.LogAlloc(t, addr, d)
 	hp.h.SetDescriptor(addr, d, lsn)
 	hp.rootObj = addr
-	hp.txm.Commit(t)
+	hp.finishCommit(t, hp.txm.PrepareCommit(t))
 	if hp.cfg.Divided {
 		hp.volRootObj = hp.allocVolRootObj()
 	}
@@ -1467,16 +1460,17 @@ func (t *Tx) SetVolRoot(i int, val *Ref) error {
 }
 
 // Commit runs stability tracking for the transaction's newly reachable
-// volatile objects, then writes and forces the commit record (through the
-// group committer when enabled, so one force covers a batch). On a
-// tracking conflict the transaction is aborted and ErrConflict returned.
+// volatile objects, writes the commit record, and returns once a log force
+// has covered it. On a tracking conflict the transaction is aborted and
+// ErrConflict returned.
 //
-// Routing: a plain commit — no sticky error, not prepared, no stability
-// candidates — runs under the shared latch, so independent transactions
-// commit in parallel and the group committer's force is the only shared
-// resource. Tracking (which moves object images into the log and mutates
-// the LS set), failed commits (undo writes anywhere), and 2PC commits take
-// the exclusive path.
+// The commit record is appended under the stop latch: shared for a plain
+// commit — no sticky error, not prepared, no stability candidates — so
+// independent transactions commit in parallel; exclusive for tracking
+// (which moves object images into the log and mutates the LS set), failed
+// commits (undo writes anywhere) and 2PC commits. The force is then waited
+// for with no latch held (finishCommit). Object locks are held throughout,
+// so isolation is unchanged.
 func (t *Tx) Commit() error {
 	if t.t.Status() != tx.Active {
 		return ErrTxDone
@@ -1486,107 +1480,83 @@ func (t *Tx) Commit() error {
 		defer hp.flushOnPanic()
 	}
 	start := time.Now()
+	hp.commitGate.RLock()
+	defer hp.commitGate.RUnlock()
 	// Candidates for THIS transaction are only appended by its own
 	// goroutine, so the peek is stable for the rest of the commit.
 	hp.candMu.Lock()
 	nCand := len(hp.candidates[t.t.ID()])
 	hp.candMu.Unlock()
+	var lsn word.LSN
 	if t.err != nil || t.t.Prepared() || (hp.track != nil && nCand > 0) {
-		return t.commitExclusive(start)
-	}
-	// The latched sections use deferred unlocks: commit touches the log
-	// device, which a fault-injection wrapper can fail with a typed panic,
-	// and the latch must unwind with it.
-	var parked word.LSN
-	func() {
-		excl := hp.rlock()
-		defer hp.runlock(excl)
-		parked = t.logCommit()
-	}()
-	t.finishCommit(start, parked)
-	return nil
-}
-
-// logCommit is the latched half of a successful commit (stop latch held,
-// shared or exclusive). Without group commit the transaction commits —
-// forced — right here. With it only the commit record is appended, and its
-// LSN returned for finishCommit to park on outside the latch until a
-// shared force covers it; locks stay held throughout, so isolation is
-// unchanged.
-func (t *Tx) logCommit() (parked word.LSN) {
-	hp := t.hp
-	if hp.group != nil {
-		return hp.txm.PrepareCommit(t.t)
-	}
-	hp.txm.Commit(t.t)
-	if hp.hist != nil {
-		hp.hist.Commit(t.t.ID())
-	}
-	hp.ckpt.Promote()
-	return word.NilLSN
-}
-
-// finishCommit is the tail of every successful commit, run with no latch
-// held: wait for the group force and finish under the shared latch, then
-// one histogram observation, one recorder span, and the scan assists.
-func (t *Tx) finishCommit(start time.Time, parked word.LSN) {
-	hp := t.hp
-	if hp.group != nil {
-		hp.group.waitDurable(parked)
+		var err error
+		if lsn, err = t.commitExclusive(start); err != nil {
+			return err
+		}
+	} else {
+		// The latched sections use deferred unlocks: commit touches the log
+		// device, which a fault-injection wrapper can fail with a typed
+		// panic, and the latch must unwind with it.
 		func() {
 			excl := hp.rlock()
 			defer hp.runlock(excl)
-			hp.txm.FinishCommit(t.t)
-			if hp.hist != nil {
-				hp.hist.Commit(t.t.ID())
-			}
+			lsn = hp.txm.PrepareCommit(t.t)
 		}()
 	}
+	hp.finishCommit(t.t, lsn)
 	d := time.Since(start)
 	hp.met.txCommit.Observe(uint64(d))
 	hp.bb.Span(obs.EvTxCommit, d, uint64(t.t.ID()), 0, 0)
 	hp.vscan.assist()
 	hp.sscan.assist()
+	return nil
 }
 
-// commitExclusive is the stop-the-heap commit path: stability tracking,
-// sticky-error aborts, and prepared (2PC) commits.
-func (t *Tx) commitExclusive(start time.Time) error {
+// finishCommit is the unlatched tail of every commit: wait until a force
+// covers the commit record at lsn — overlapping committers share it
+// (wal.Manager.Force) and nobody's action queues behind it — then spool
+// the end record and release the locks under the shared latch.
+func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
+	hp.log.Force(lsn)
+	hp.ckpt.Promote()
+	excl := hp.rlock()
+	defer hp.runlock(excl)
+	hp.txm.FinishCommit(t)
+	if hp.hist != nil {
+		hp.hist.Commit(t.ID())
+	}
+}
+
+// commitExclusive is the stop-the-heap first step of a commit: stability
+// tracking, sticky-error aborts, and prepared (2PC) commits. It returns the
+// commit record's LSN, or the error the transaction was aborted with.
+func (t *Tx) commitExclusive(start time.Time) (word.LSN, error) {
 	hp := t.hp
-	var parked word.LSN
-	err := func() error {
-		hp.lockExclusive()
-		defer hp.unlockExclusive()
-		if t.err == nil && hp.track != nil && !t.t.Prepared() {
-			if err := hp.track.Track(t.t, hp.takeCandidates(t.t.ID())); err != nil {
-				hp.txm.Abort(t.t)
-				if hp.hist != nil {
-					hp.hist.Abort(t.t.ID())
-				}
-				wait := time.Since(start)
-				hp.met.txConflict.Observe(uint64(wait))
-				hp.bb.Span(obs.EvTxConflict, wait, uint64(t.t.ID()), 0, 0)
-				return t.fail(ErrConflict)
-			}
-		}
-		hp.takeCandidates(t.t.ID())
-		if t.err != nil {
+	hp.lockExclusive()
+	defer hp.unlockExclusive()
+	if t.err == nil && hp.track != nil && !t.t.Prepared() {
+		if err := hp.track.Track(t.t, hp.takeCandidates(t.t.ID())); err != nil {
 			hp.txm.Abort(t.t)
 			if hp.hist != nil {
 				hp.hist.Abort(t.t.ID())
 			}
-			hp.met.txAbort.Since(start)
-			hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
-			return t.err
+			wait := time.Since(start)
+			hp.met.txConflict.Observe(uint64(wait))
+			hp.bb.Span(obs.EvTxConflict, wait, uint64(t.t.ID()), 0, 0)
+			return 0, t.fail(ErrConflict)
 		}
-		parked = t.logCommit()
-		return nil
-	}()
-	if err != nil {
-		return err
 	}
-	t.finishCommit(start, parked)
-	return nil
+	hp.takeCandidates(t.t.ID())
+	if t.err != nil {
+		hp.txm.Abort(t.t)
+		if hp.hist != nil {
+			hp.hist.Abort(t.t.ID())
+		}
+		hp.met.txAbort.Since(start)
+		hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
+		return 0, t.err
+	}
+	return hp.txm.PrepareCommit(t.t), nil
 }
 
 // takeCandidates removes and returns the transaction's pending stability
@@ -1613,26 +1583,35 @@ func (t *Tx) Prepare() error {
 	if hp.journal != nil {
 		defer hp.flushOnPanic()
 	}
-	hp.lockExclusive()
-	defer hp.unlockExclusive()
-	if t.err == nil && hp.track != nil {
-		if err := hp.track.Track(t.t, hp.takeCandidates(t.t.ID())); err != nil {
+	var lsn word.LSN
+	err := func() error {
+		hp.lockExclusive()
+		defer hp.unlockExclusive()
+		if t.err == nil && hp.track != nil {
+			if err := hp.track.Track(t.t, hp.takeCandidates(t.t.ID())); err != nil {
+				hp.txm.Abort(t.t)
+				if hp.hist != nil {
+					hp.hist.Abort(t.t.ID())
+				}
+				return t.fail(ErrConflict)
+			}
+		}
+		hp.takeCandidates(t.t.ID())
+		if t.err != nil {
 			hp.txm.Abort(t.t)
 			if hp.hist != nil {
 				hp.hist.Abort(t.t.ID())
 			}
-			return t.fail(ErrConflict)
+			return t.err
 		}
+		lsn = hp.txm.Prepare(t.t)
+		return nil
+	}()
+	if err != nil {
+		return err
 	}
-	hp.takeCandidates(t.t.ID())
-	if t.err != nil {
-		hp.txm.Abort(t.t)
-		if hp.hist != nil {
-			hp.hist.Abort(t.t.ID())
-		}
-		return t.err
-	}
-	hp.txm.Prepare(t.t)
+	// Like a commit, the prepare force is waited for with no latch held.
+	hp.log.Force(lsn)
 	hp.ckpt.Promote()
 	return nil
 }

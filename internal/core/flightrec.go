@@ -43,13 +43,9 @@ func (hp *Heap) startWatchdog() {
 		// are thrashing promotion instead of dying in the nursery.
 		rules = append(rules, obs.RateRule("nursery-runaway", "vgc_nursery_minor_total", 100))
 	}
-	if hp.cfg.GroupCommitWindow > 0 {
-		batch := hp.cfg.GroupCommitBatch
-		if batch == 0 {
-			batch = defaultGroupBatch
-		}
-		rules = append(rules, obs.ConvoyRule("group-commit-convoy", "group_commit_batch", uint64(batch)))
-	}
+	// Every log force in a window releasing a crowd (16 callers) means
+	// committers convoy behind the force rather than ride an occasional one.
+	rules = append(rules, obs.ConvoyRule("commit-force-convoy", "wal_force_batch", 16))
 	hp.wd = obs.NewWatchdog(hp.cfg.WatchdogInterval, hp.Metrics, hp.bb,
 		hp.journal.Flush, rules)
 	hp.wd.Start()
@@ -57,7 +53,7 @@ func (hp *Heap) startWatchdog() {
 
 // stopWatchdog halts the watchdog goroutine. Must run before the caller
 // takes the exclusive latch (the goroutine may be inside Metrics holding
-// it shared); Close and Crash call it first thing, like group.close.
+// it shared); Close and Crash call it first thing.
 func (hp *Heap) stopWatchdog() {
 	if hp.wd != nil {
 		hp.wd.Stop()

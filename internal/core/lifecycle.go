@@ -66,9 +66,9 @@ func (hp *Heap) Close() {
 	// The watchdog goroutine snapshots metrics under the shared latch:
 	// stop it before anything below goes exclusive.
 	hp.stopWatchdog()
-	if hp.group != nil {
-		hp.group.close()
-	}
+	// Let every commit parked on a force finish first (commitGate).
+	hp.commitGate.Lock()
+	defer hp.commitGate.Unlock()
 	func() {
 		hp.lockExclusive()
 		defer hp.unlockExclusive()
@@ -102,9 +102,9 @@ func (hp *Heap) Close() {
 // only RecoverDir reopens the heap. RecoverCrashed takes either way back.
 func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 	hp.stopWatchdog()
-	if hp.group != nil {
-		hp.group.close()
-	}
+	// A commit parked on a force is acknowledged first (commitGate).
+	hp.commitGate.Lock()
+	defer hp.commitGate.Unlock()
 	func() {
 		hp.lockExclusive()
 		defer hp.unlockExclusive()
@@ -113,11 +113,12 @@ func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 		// collection where its logged steps stopped.
 		hp.vscan.abandon()
 		hp.sscan.abandon()
-		// CrashDevice applies any planned torn writes (internal/faultfs)
-		// and records them as EvFault events — so crash THEN stamp the
-		// EvCrash marker, and the flushed timeline ends with the injected
-		// fault followed by the crash, exactly the order things happened.
-		hp.log.CrashDevice()
+		// The device's Crash applies any planned torn writes
+		// (internal/faultfs) and records them as EvFault events — so crash
+		// THEN stamp the EvCrash marker, and the flushed timeline ends with
+		// the injected fault followed by the crash, exactly the order
+		// things happened.
+		hp.logDev.Crash()
 		hp.mem.Crash()
 		hp.locks.Reset()
 		hp.txm.Crash()
@@ -322,15 +323,23 @@ func (hp *Heap) InDoubt() []word.TxID {
 // ResolveCommit applies the coordinator's commit decision to an in-doubt
 // transaction.
 func (hp *Heap) ResolveCommit(id word.TxID) error {
-	hp.lockExclusive()
-	defer hp.unlockExclusive()
-	t := hp.txm.Lookup(id)
-	if t == nil || !t.Prepared() {
-		return fmt.Errorf("core: no in-doubt transaction %d", id)
+	hp.commitGate.RLock()
+	defer hp.commitGate.RUnlock()
+	var t *tx.Tx
+	var lsn word.LSN
+	err := func() error {
+		hp.lockExclusive()
+		defer hp.unlockExclusive()
+		if t = hp.txm.Lookup(id); t == nil || !t.Prepared() {
+			return fmt.Errorf("core: no in-doubt transaction %d", id)
+		}
+		lsn = hp.txm.PrepareCommit(t)
+		return nil
+	}()
+	if err == nil {
+		hp.finishCommit(t, lsn)
 	}
-	hp.txm.Commit(t)
-	hp.ckpt.Promote()
-	return nil
+	return err
 }
 
 // ResolveAbort applies the coordinator's abort decision to an in-doubt
@@ -546,14 +555,6 @@ func (hp *Heap) CheckpointStats() recovery.CheckpointStats { return hp.ckpt.Stat
 
 // LockStats returns lock-manager counters.
 func (hp *Heap) LockStats() lock.Stats { return hp.locks.Stats() }
-
-// GroupCommitStats returns group-commit counters (zero when disabled).
-func (hp *Heap) GroupCommitStats() GroupCommitStats {
-	if hp.group == nil {
-		return GroupCommitStats{}
-	}
-	return hp.group.Stats()
-}
 
 // RecoverFromLog rebuilds the entire stable heap from the log alone — the
 // total-media-failure case of §2.2.2: the disk is gone, but "our recovery

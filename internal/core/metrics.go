@@ -11,15 +11,14 @@ import (
 // to enable and every run can answer "what was the p99 commit latency".
 // Subsystem histograms (WAL append/force, GC pauses) live with their
 // subsystems; this struct covers the latencies only the core can see —
-// whole-commit latency including the group-commit park, lock waits, and
-// recovery phase times.
+// whole-commit latency including the park on the log force, lock waits,
+// and recovery phase times.
 type heapMetrics struct {
 	txCommit    obs.Histogram // Tx.Commit wall time (tracking + force + finish)
 	txAbort     obs.Histogram // Tx.Abort / failed-commit rollback wall time
 	txConflict  obs.Histogram // commits rejected by stability-tracking conflicts
 	lockWait    obs.Histogram // contended lock-acquire wait time
 	latchStop   obs.Histogram // wait to stop the heap (exclusive latch acquire)
-	groupBatch  obs.Histogram // committers released per group-commit force
 	recAnalysis obs.Histogram // recovery analysis pass wall time
 	recRedo     obs.Histogram // recovery redo pass wall time
 	recUndo     obs.Histogram // recovery undo pass wall time
@@ -30,9 +29,9 @@ type heapMetrics struct {
 // Metrics returns the unified observability snapshot: every subsystem's
 // counters and latency histograms under one namespace. Names follow one
 // scheme: a subsystem prefix (tx_, gc_, vgc_, cache_, wal_, lock_,
-// checkpoint_, track_, group_, recovery_, obs_), counters end in _total,
+// checkpoint_, track_, recovery_, obs_), counters end in _total,
 // nanosecond histograms in _ns; the one unitless histogram is
-// group_commit_batch (committers per force).
+// wal_force_batch (callers released per log force).
 func (hp *Heap) Metrics() obs.Snapshot {
 	// Shared latch: subsystem stats that are not internally synchronized
 	// (collector counters, tracker counters) only mutate in exclusive
@@ -104,13 +103,16 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetCounter("gc_barrier_traps_total", ms.Traps)
 	s.SetCounter("wal_constraint_forces_total", ms.LogForces)
 
-	ls := hp.log.DeviceStats()
+	ls := hp.logDev.Stats()
 	s.SetCounter("wal_appends_total", ls.Appends)
 	s.SetCounter("wal_forces_total", ls.Forces)
 	s.SetCounter("wal_bytes_appended_total", ls.BytesAppended)
 	s.SetCounter("wal_bytes_stable_total", ls.BytesStable)
 	s.SetHist("wal_append_ns", hp.log.AppendHist())
 	s.SetHist("wal_force_ns", hp.log.ForceHist())
+	s.SetHist("wal_force_wait_ns", hp.log.ForceWaitHist())
+	s.SetHist("wal_force_batch", hp.log.ForceBatchHist())
+	s.SetHist("wal_mutex_wait_ns", hp.log.MutexWaitHist())
 
 	ks := hp.locks.Stats()
 	s.SetCounter("lock_acquires_total", ks.Acquires)
@@ -129,13 +131,6 @@ func (hp *Heap) Metrics() obs.Snapshot {
 		s.SetCounter("track_batches_total", rs.Batches)
 		s.SetCounter("track_objects_total", rs.Objects)
 		s.SetCounter("track_words_total", rs.Words)
-	}
-
-	if hp.group != nil {
-		gcs := hp.group.Stats()
-		s.SetCounter("group_commits_total", gcs.Commits)
-		s.SetCounter("group_forces_total", gcs.Forces)
-		s.SetHist("group_commit_batch", hp.met.groupBatch.Snapshot())
 	}
 
 	s.SetHist("tx_commit_ns", hp.met.txCommit.Snapshot())

@@ -22,11 +22,11 @@ func (hp *Heap) BaseBackup() (storage.PageStore, storage.LogDevice) {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
 	// Publish any pending checkpoint first: with pendingLSN cleared, a
-	// concurrent group-commit flusher's Promote is a no-op and cannot
-	// rewrite the master block mid-clone.
+	// concurrent committer's Promote (commits finish outside the latch) is
+	// a no-op and cannot rewrite the master block mid-clone.
 	hp.ckpt.ForcePromote()
 	disk := hp.disk.Clone()
-	logCopy := hp.log.CloneDevice()
+	logCopy := hp.logDev.Clone()
 	logCopy.Crash() // stable prefix only: unforced records never ship
 	return disk, logCopy
 }

@@ -85,8 +85,8 @@ type Scenario struct {
 	// goroutine steps the stable collector, all with faults armed. Each
 	// burst's history is checked for conflict serializability, and after
 	// every crash the recovery audit additionally verifies each counter
-	// equals its last acknowledged commit — group commit is off in
-	// ChaosConfig, so a returned Commit means durable, even if the round
+	// equals its last acknowledged commit — a returned Commit means its
+	// record was covered by a completed force, so durable, even if the round
 	// ended in a device fault one operation later.
 	Mutators int
 	// Nursery runs the heap with a small nursery and the mostly-concurrent
@@ -142,9 +142,9 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// ChaosConfig is the heap configuration chaos runs use: group commit off
-// (a returned Commit means the commit record was forced — the harness
-// relies on acked commits surviving any torn force), one huge log
+// ChaosConfig is the heap configuration chaos runs use (a returned Commit
+// means a completed force covered the commit record — the harness relies
+// on acked commits surviving any torn force): one huge log
 // segment (truncation never reclaims, so RecoverFromLog's full-log
 // archive discipline holds and the media-repair path stays live), and
 // the flight recorder on (the explorer shares one journal device across
@@ -154,7 +154,6 @@ func (sc Scenario) withDefaults() Scenario {
 func ChaosConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.LogSegBytes = 1 << 30
-	cfg.GroupCommitWindow = 0
 	cfg.FlightRecorder = true
 	return cfg.WithDefaults()
 }
@@ -557,7 +556,7 @@ func (r *chaosRun) concurrentBurst() (online bool) {
 					faults <- fault
 					return
 				case err == nil:
-					committed[w] = acked // durable: group commit is off
+					committed[w] = acked // durable: Commit returned
 				case errors.Is(err, core.ErrConflict):
 					// Lock conflict (e.g. the driver's in-doubt prepared
 					// transaction holds the root array): not counted.

@@ -64,13 +64,12 @@ func (s crashSubset) String() string {
 }
 
 // twoPCConfig is the per-partition heap configuration: the same ack
-// discipline as ChaosConfig (group commit off, one huge segment), without
+// discipline as ChaosConfig (one huge segment), without
 // the flight recorder (the protocol explorer's failures replay from the
 // seed alone).
 func twoPCConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.LogSegBytes = 1 << 30
-	cfg.GroupCommitWindow = 0
 	return cfg.WithDefaults()
 }
 

@@ -12,6 +12,7 @@ import (
 	"stableheap/internal/core"
 	"stableheap/internal/gc"
 	"stableheap/internal/shard"
+	"stableheap/internal/storage/filestore"
 )
 
 // The kill-point harness is the half of the file-backed crash model the
@@ -46,6 +47,10 @@ const (
 	killBeforeCommit = iota // top of the loop: nothing in flight
 	killAfterCommit         // after Commit returns, before the ack line
 	killAfterCheckpoint
+	// killMidTruncate dies inside the log's Truncate, between the log.meta
+	// rewrite that names the new truncation point and the unlink of the
+	// segment files below it (filestore.Log.TruncateHook).
+	killMidTruncate
 	numKillModes
 )
 
@@ -81,9 +86,22 @@ func TestKillPointChild(t *testing.T) {
 		t.Fatalf("child acks: %v", err)
 	}
 
+	truncArmed := false
+	if mode == killMidTruncate {
+		_, logDev := hp.Devices()
+		logDev.(*filestore.Log).TruncateHook = func() {
+			if truncArmed {
+				os.Exit(killExitCode) // log.meta rewritten, nothing unlinked yet
+			}
+		}
+	}
+
 	// Boot: find (or create) the counter object in root slot 0.
 	v := readCounter(t, hp)
 	for op := 0; ; op++ {
+		if op > killOp+400 {
+			t.Fatalf("no kill point reached by op %d (mode %d)", op, mode)
+		}
 		if mode == killBeforeCommit && op == killOp {
 			os.Exit(killExitCode)
 		}
@@ -105,6 +123,7 @@ func TestKillPointChild(t *testing.T) {
 			}
 		}
 		if op%13 == 12 {
+			truncArmed = op >= killOp
 			hp.TruncateLog()
 		}
 	}

@@ -383,11 +383,6 @@ func (l *Log) Force(lsn word.LSN) {
 	l.inner.Force(lsn)
 }
 
-func (l *Log) ForceAll() {
-	l.in.maybeIO("force", 0, l.inner.EndLSN())
-	l.inner.ForceAll()
-}
-
 func (l *Log) SegmentBytes() int   { return l.inner.SegmentBytes() }
 func (l *Log) StableLSN() word.LSN { return l.inner.StableLSN() }
 func (l *Log) EndLSN() word.LSN    { return l.inner.EndLSN() }

@@ -82,7 +82,7 @@ var kinds = [evKindCount]struct {
 	EvVGCQuantum:    {name: "vgc-quantum", track: "vgc", a: "epoch"},
 	EvVGCFinish:     {name: "vgc-finish", track: "vgc", a: "epoch"},
 	EvMinorGC:       {name: "vgc-minor", track: "vgc", a: "promoted-words", b: "scavenged-words"},
-	EvWALForce:      {name: "wal-force", track: "wal", a: "lsn"},
+	EvWALForce:      {name: "wal-force", track: "wal", a: "lsn", b: "batch"},
 	EvLatchStall:    {name: "latch-stall", track: "latch"},
 	EvFault:         {name: "fault", track: "fault", a: "class", b: "detail", enum: FaultClassName},
 	EvWatchdog:      {name: "watchdog-trip", track: "watchdog", a: "rule", b: "detail", enum: WatchdogRuleName},

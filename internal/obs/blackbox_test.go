@@ -420,7 +420,7 @@ func TestJournalRejectsVersion1Frame(t *testing.T) {
 	}
 	dev := storage.NewLog(1 << 12)
 	dev.Append(frame)
-	dev.ForceAll()
+	storage.ForceAll(dev)
 	if _, _, err := ReadLatest(dev); !errors.Is(err, errBadFrame) {
 		t.Errorf("ReadLatest over a version-1 frame: err = %v, want errBadFrame", err)
 	}

@@ -87,7 +87,7 @@ func (j *Journal) Flush() {
 		return
 	}
 	j.dev.Append(EncodeDump(j.bb.Boot(), fresh))
-	j.dev.ForceAll()
+	storage.ForceAll(j.dev)
 	j.flushedSeq = fresh[len(fresh)-1].Seq
 }
 

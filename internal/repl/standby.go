@@ -242,7 +242,7 @@ func (s *Standby) applyBatch(start word.LSN, data []byte) (word.LSN, error) {
 		recs = append(recs, pending{s.logDev.Append(data[off : off+n]), rec})
 		off += n
 	}
-	s.logDev.ForceAll()
+	storage.ForceAll(s.logDev)
 	for _, pr := range recs {
 		s.ap.Apply(pr.lsn, pr.rec)
 	}

@@ -19,7 +19,9 @@ import (
 //
 //   - BEGIN is appended unforced — losing it in a crash costs nothing;
 //   - a COMMIT decision is FORCED before any participant branch commits
-//     (the single point of no return);
+//     (the single point of no return) — through wal.Manager.Force, with the
+//     coordinator's mutex released, so concurrent cluster transactions share
+//     the decision force exactly as local commits share the commit force;
 //   - ABORT decisions are unforced audit trail: an in-doubt branch with no
 //     durable commit decision resolves to abort, record or not;
 //   - END is appended unforced once every branch applied the decision, so
@@ -30,7 +32,7 @@ import (
 // move out of process — keeping the recovery protocol network-ready.
 type Coordinator struct {
 	mu  sync.Mutex
-	log storage.LogDevice
+	log *wal.Manager
 	// commits maps a prepared branch (partition, local txid) to the gid of
 	// its durable commit decision. Presumed abort: absence means abort.
 	commits map[wal.TwoPCParticipant]uint64
@@ -42,7 +44,7 @@ type Coordinator struct {
 // newCoordinator wraps a fresh (empty) decision log.
 func newCoordinator(log storage.LogDevice) *Coordinator {
 	return &Coordinator{
-		log:     log,
+		log:     wal.NewManager(log),
 		commits: make(map[wal.TwoPCParticipant]uint64),
 		decided: make(map[uint64]bool),
 		ended:   make(map[uint64]bool),
@@ -96,17 +98,16 @@ func (c *Coordinator) begin(parts []wal.TwoPCParticipant) uint64 {
 	defer c.mu.Unlock()
 	gid := c.nextGID
 	c.nextGID++
-	c.log.Append(wal.Encode(wal.TwoPCBeginRec{GID: gid, Parts: parts}))
+	c.log.Append(wal.TwoPCBeginRec{GID: gid, Parts: parts})
 	return gid
 }
 
 // decideCommit forces the commit decision: after this returns, the global
 // transaction is committed no matter who crashes.
 func (c *Coordinator) decideCommit(gid uint64, parts []wal.TwoPCParticipant) {
+	c.log.Force(c.log.Append(wal.TwoPCDecideRec{GID: gid, Commit: true, Parts: parts}))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lsn := c.log.Append(wal.Encode(wal.TwoPCDecideRec{GID: gid, Commit: true, Parts: parts}))
-	c.log.Force(lsn)
 	c.decided[gid] = true
 	for _, p := range parts {
 		c.commits[p] = gid
@@ -118,7 +119,7 @@ func (c *Coordinator) decideCommit(gid uint64, parts []wal.TwoPCParticipant) {
 func (c *Coordinator) decideAbort(gid uint64, parts []wal.TwoPCParticipant) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.log.Append(wal.Encode(wal.TwoPCDecideRec{GID: gid, Commit: false, Parts: parts}))
+	c.log.Append(wal.TwoPCDecideRec{GID: gid, Commit: false, Parts: parts})
 	c.decided[gid] = false
 }
 
@@ -129,7 +130,7 @@ func (c *Coordinator) end(gid uint64) {
 	if c.ended[gid] {
 		return
 	}
-	c.log.Append(wal.Encode(wal.TwoPCEndRec{GID: gid}))
+	c.log.Append(wal.TwoPCEndRec{GID: gid})
 	c.ended[gid] = true
 }
 
@@ -140,7 +141,7 @@ func (c *Coordinator) endAllDecided() {
 	defer c.mu.Unlock()
 	for gid := range c.decided {
 		if !c.ended[gid] {
-			c.log.Append(wal.Encode(wal.TwoPCEndRec{GID: gid}))
+			c.log.Append(wal.TwoPCEndRec{GID: gid})
 			c.ended[gid] = true
 		}
 	}
@@ -155,11 +156,7 @@ func (c *Coordinator) outcome(part uint32, id word.TxID) (commit bool, gid uint6
 }
 
 // Log exposes the decision log device (introspection, crash harnesses).
-func (c *Coordinator) Log() storage.LogDevice {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log
-}
+func (c *Coordinator) Log() storage.LogDevice { return c.log.Device() }
 
 // ServeResolve answers RESOLVE_QUERY messages on conn until EOF — the
 // coordinator side of the recovery protocol. One goroutine per connection.

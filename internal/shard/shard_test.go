@@ -7,12 +7,10 @@ import (
 	"stableheap/internal/core"
 )
 
-// testConfig mirrors the chaos discipline: group commit off so a returned
-// Commit means the record was forced, one huge segment so truncation never
-// interferes with a test's replay window.
+// testConfig mirrors the chaos discipline: one huge segment so truncation
+// never interferes with a test's replay window.
 func testConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.GroupCommitWindow = 0
 	cfg.LogSegBytes = 1 << 30
 	return cfg
 }

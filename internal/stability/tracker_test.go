@@ -192,7 +192,8 @@ func TestSecondTrackerSkipsStabilized(t *testing.T) {
 	if err := r.tr.Track(t1, []*tx.Handle{r.handle(t1, a)}); err != nil {
 		t.Fatal(err)
 	}
-	r.txm.Commit(t1)
+	r.txm.PrepareCommit(t1)
+	r.txm.FinishCommit(t1)
 	t2 := r.txm.Begin()
 	if err := r.tr.Track(t2, []*tx.Handle{r.handle(t2, a)}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"reflect"
 	"testing"
 
 	"stableheap/internal/storage"
@@ -21,4 +22,15 @@ func TestLogConformance(t *testing.T) {
 	storagetest.RunLogDevice(t, func(t *testing.T, segBytes int) storage.LogDevice {
 		return storage.NewLog(segBytes)
 	})
+}
+
+// TestLogDeviceMethodBudget is a ratchet: every method here is written
+// three times (memory, files, fault wrapper) and proved by storagetest.
+// Lower the bound when a method goes, never raise it.
+func TestLogDeviceMethodBudget(t *testing.T) {
+	const budget = 15
+	if n := reflect.TypeOf((*storage.LogDevice)(nil)).Elem().NumMethod(); n > budget {
+		t.Fatalf("storage.LogDevice has %d methods, budget %d: express the new operation with the "+
+			"ones there are (as storage.ForceAll and storage.Scan do) instead of adding one", n, budget)
+	}
 }

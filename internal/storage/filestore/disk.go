@@ -45,6 +45,10 @@ import (
 // in-memory-identical crash behavior (the true loss path is exercised by
 // the kill-point harness).
 type Disk struct {
+	// wbMu is held by a write-back batch across its pwrites; whatever
+	// flushes every dirty frame under mu (the SetMaster barrier, crashFlush,
+	// Clone, Close) takes it first, ReadPage and WritePage never. Before mu.
+	wbMu     sync.Mutex
 	mu       sync.Mutex
 	dir      string
 	f        *os.File
@@ -75,6 +79,11 @@ type frame struct {
 	lsn   word.LSN
 	dirty bool
 	ref   bool
+	// A write-back batch pwrites with mu released: writing keeps the frame
+	// off the eviction path meanwhile (two pwrites of one slot must not race)
+	// and seq, which counts WritePages, tells it on re-lock what it wrote.
+	seq     uint64
+	writing bool
 }
 
 const (
@@ -287,6 +296,7 @@ func (d *Disk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
 		fr.lsn = lsn
 		fr.dirty = true
 		fr.ref = true
+		fr.seq++
 		return
 	}
 	fr := &frame{data: make([]byte, d.pageSize), lsn: lsn, dirty: true, ref: true}
@@ -307,7 +317,9 @@ func (d *Disk) insertLocked(id word.PageID, fr *frame) {
 		}
 		victim := d.ring[d.hand]
 		vf := d.cache[victim]
-		if vf.ref {
+		if vf.ref || vf.writing {
+			// writeBackStep marks at most half the frames, so the sweep
+			// always finds one that is not.
 			vf.ref = false
 			d.hand++
 			continue
@@ -324,16 +336,21 @@ func (d *Disk) insertLocked(id word.PageID, fr *frame) {
 	}
 }
 
-// flushFrameLocked pwrites one frame's slot (header + body). No fsync:
-// durability is the barrier's job.
-func (d *Disk) flushFrameLocked(id word.PageID, fr *frame) {
+// encodeSlot returns the frame's slot image: header + body.
+func (d *Disk) encodeSlot(fr *frame) []byte {
 	buf := make([]byte, d.slotSize)
 	binary.LittleEndian.PutUint32(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(fr.lsn))
 	binary.LittleEndian.PutUint64(buf[16:], storage.PageChecksum(fr.data, fr.lsn))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[:slotHdrSize], crcTable))
 	copy(buf[slotHdrSize:], fr.data)
-	if _, err := d.f.WriteAt(buf, int64(id)*d.slotSize); err != nil {
+	return buf
+}
+
+// flushFrameLocked pwrites one frame's slot. No fsync: durability is the
+// barrier's job.
+func (d *Disk) flushFrameLocked(id word.PageID, fr *frame) {
+	if _, err := d.f.WriteAt(d.encodeSlot(fr), int64(id)*d.slotSize); err != nil {
 		d.ioPanicPage("write", id, err)
 	}
 	fr.dirty = false
@@ -358,30 +375,60 @@ func (d *Disk) flushDirtyLocked() int {
 // and any flush — is exercised by the kill-point harness, where recovery
 // must rebuild those pages by redo from the mastered checkpoint.
 func (d *Disk) crashFlush() {
+	d.wbMu.Lock()
+	defer d.wbMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.flushDirtyLocked()
 }
 
 // writeBackStep flushes up to limit dirty frames (oldest-hand-first) to
-// the OS. Returns pages written.
+// the OS and returns how many. The slots are encoded under mu and pwritten
+// with it released — ReadPage and WritePage never wait on the batch — and
+// a frame rewritten meanwhile stays dirty.
 func (d *Disk) writeBackStep(limit int) int {
+	d.wbMu.Lock()
+	defer d.wbMu.Unlock()
+	type slot struct {
+		id  word.PageID
+		fr  *frame
+		seq uint64
+		buf []byte
+	}
+	var batch []slot
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for i := 0; i < len(d.ring) && n < limit; i++ {
-		pos := (d.hand + i) % len(d.ring)
-		id := d.ring[pos]
+	limit = min(limit, d.budget/2) // eviction needs frames it may take (insertLocked)
+	for i := 0; i < len(d.ring) && len(batch) < limit; i++ {
+		id := d.ring[(d.hand+i)%len(d.ring)]
 		if fr := d.cache[id]; fr != nil && fr.dirty {
-			d.flushFrameLocked(id, fr)
-			n++
+			fr.writing = true
+			batch = append(batch, slot{id, fr, fr.seq, d.encodeSlot(fr)})
 		}
 	}
-	if n > 0 {
-		d.fm.writeBacks.Add(uint64(n))
-		d.bb.Record(obs.EvFileWriteBack, 0, uint64(n), 0)
+	bb := d.bb
+	d.mu.Unlock()
+	written := 0
+	defer func() { // also on an I/O panic: the frames go back to eviction
+		d.mu.Lock()
+		for i, s := range batch {
+			s.fr.writing = false
+			if i < written && s.fr.seq == s.seq {
+				s.fr.dirty = false
+			}
+		}
+		d.mu.Unlock()
+	}()
+	for _, s := range batch {
+		if _, err := d.f.WriteAt(s.buf, int64(s.id)*d.slotSize); err != nil {
+			d.ioPanicPage("write", s.id, err)
+		}
+		written++
 	}
-	return n
+	if written > 0 {
+		d.fm.writeBacks.Add(uint64(written))
+		bb.Record(obs.EvFileWriteBack, 0, uint64(written), 0)
+	}
+	return written
 }
 
 // dirtyCount returns the number of dirty frames in the cache.
@@ -438,6 +485,8 @@ func (d *Disk) Master() storage.Master {
 // on disk.
 func (d *Disk) SetMaster(m storage.Master) {
 	start := time.Now()
+	d.wbMu.Lock()
+	defer d.wbMu.Unlock()
 	d.mu.Lock()
 	flushed := d.flushDirtyLocked()
 	if err := fdatasync(d.f); err != nil {
@@ -484,6 +533,8 @@ func (d *Disk) SetRecorder(bb *obs.BlackBox) {
 // are passive twin-recovery/backup worlds). The clone dies with the
 // parent directory, or earlier via Close.
 func (d *Disk) Clone() storage.PageStore {
+	d.wbMu.Lock()
+	defer d.wbMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cloneSeq++
@@ -528,6 +579,8 @@ func (d *Disk) Close() error { return d.close(true) }
 // close releases the slot file. durable=false is the crash path
 // (Store.Abandon): nothing is flushed and nothing is synced.
 func (d *Disk) close(durable bool) error {
+	d.wbMu.Lock()
+	defer d.wbMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {

@@ -2,8 +2,11 @@ package filestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,7 +49,7 @@ func TestReopenRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		lsns = append(lsns, s.Log.Append(page(30+i, byte(0xA0+i))))
 	}
-	s.Log.ForceAll()
+	storage.ForceAll(s.Log)
 	m := s.Disk.Master()
 	m.Formatted = true
 	m.CheckpointLSN = lsns[7]
@@ -93,19 +96,20 @@ func TestReopenAfterTruncate(t *testing.T) {
 	s := openAt(t, dir, Options{PageSize: 512, SegmentBytes: 64})
 	for i := 0; i < 12; i++ {
 		s.Log.Append(page(16, byte(i)))
+		if i%4 == 3 {
+			storage.ForceAll(s.Log) // one 64-byte segment per force: the file rolls each time
+		}
 	}
-	s.Log.ForceAll()
-	s.Log.Truncate(129) // segments 0 and 1 (LSNs 1..128) freed
+	s.Log.Truncate(129) // the files holding LSNs 1..64 and 65..128 freed
 	if got := s.Log.TruncLSN(); got != 129 {
 		t.Fatalf("TruncLSN = %d", got)
 	}
 	s.Close()
 
 	// Physical reclamation: the freed segment files are gone.
-	for _, k := range []int64{0, 1} {
-		if _, err := os.Stat(filepath.Join(dir, "log", segName(k))); !os.IsNotExist(err) {
-			t.Fatalf("segment %d still on disk (err=%v)", k, err)
-		}
+	names, _ := filepath.Glob(filepath.Join(dir, "log", "seg-*.seg"))
+	if len(names) != 1 || filepath.Base(names[0]) != segName(129) {
+		t.Fatalf("segment files after truncate+close: %v, want only %s", names, segName(129))
 	}
 	r := openAt(t, dir, Options{})
 	defer r.Close()
@@ -128,7 +132,7 @@ func TestReopenTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openAt(t, dir, Options{PageSize: 512, SegmentBytes: 256})
 	first := s.Log.Append(page(20, 0x11))
-	s.Log.ForceAll()
+	storage.ForceAll(s.Log)
 	frag := s.Log.Append(page(40, 0x22))
 	cut := frag + 13
 	s.Log.CrashTorn(cut) // persists header + 13 of 40 payload bytes
@@ -154,7 +158,7 @@ func TestReopenTornTail(t *testing.T) {
 	if relsn != frag {
 		t.Fatalf("post-repair append at %d, want %d", relsn, frag)
 	}
-	r.Log.ForceAll()
+	storage.ForceAll(r.Log)
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -304,7 +308,7 @@ func TestCloneIsIndependentDirectory(t *testing.T) {
 	defer s.Close()
 	s.Disk.WritePage(1, page(512, 0x11), 7)
 	s.Log.Append(page(16, 0x22))
-	s.Log.ForceAll()
+	storage.ForceAll(s.Log)
 
 	cd := s.Disk.Clone()
 	cl := s.Log.Clone()
@@ -315,5 +319,254 @@ func TestCloneIsIndependentDirectory(t *testing.T) {
 	}
 	if cl.EndLSN() == s.Log.EndLSN() {
 		t.Fatal("clone log sees parent append")
+	}
+}
+
+// logFsyncs reads the log-force fdatasync counter.
+func logFsyncs(s *Store) int64 { return s.Log.FileMetrics()["log_fsyncs_total"] }
+
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "log", "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	return names
+}
+
+// TestForceIsOneFdatasync: a force writes its whole batch into the active
+// segment file — one fdatasync whatever the batch size, many segment
+// sizes or a fraction of one — and the file rolls only between forces,
+// taking the next batch's first LSN as its name.
+func TestForceIsOneFdatasync(t *testing.T) {
+	dir := t.TempDir()
+	s := openAt(t, dir, Options{SegmentBytes: 256})
+	defer s.Close()
+	var firsts []word.LSN // first LSN of each batch that must open a new file
+	roll := true
+	for _, batch := range []int{1, 3, 40, 2, 200, 1, 1} { // records of 50 bytes
+		first := s.Log.EndLSN()
+		if roll {
+			firsts = append(firsts, first)
+		}
+		for i := 0; i < batch; i++ {
+			s.Log.Append(page(50, byte(batch)))
+		}
+		before := logFsyncs(s)
+		s.Log.Force(first)
+		if got := logFsyncs(s) - before; got != 1 {
+			t.Fatalf("force of %d records cost %d fdatasyncs, want 1", batch, got)
+		}
+		if s.Log.StableLSN() != s.Log.EndLSN() {
+			t.Fatalf("force left stable=%d end=%d", s.Log.StableLSN(), s.Log.EndLSN())
+		}
+		// The active file takes batches until it holds segSize bytes.
+		roll = s.Log.segs[len(s.Log.segs)-1].size >= 256
+	}
+	var want []string
+	for _, first := range firsts {
+		want = append(want, segName(first))
+	}
+	if got := segFiles(t, dir); len(got) != len(want) {
+		t.Fatalf("segment files %v, want %v", got, want)
+	} else {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("segment files %v, want %v", got, want)
+			}
+		}
+	}
+	// Truncation stays logical and segSize-aligned, like the in-memory
+	// device's; only files wholly below it go.
+	end := s.Log.EndLSN()
+	s.Log.Truncate(end)
+	if want := (end-1)/256*256 + 1; s.Log.TruncLSN() != want {
+		t.Fatalf("TruncLSN = %d, want %d", s.Log.TruncLSN(), want)
+	}
+	for len(firsts) > 1 && firsts[1] <= s.Log.TruncLSN() {
+		firsts, want = firsts[1:], want[1:]
+	}
+	if got := segFiles(t, dir); len(got) != len(want) || got[0] != want[0] {
+		t.Fatalf("after truncating to the end: files %v, want %v", got, want)
+	}
+}
+
+// TestForceHoldsNoLockAppendNeeds: with a force held inside its fdatasync,
+// Append, ReadAt (of a stable record, of one in the batch in flight, of a
+// fresh one), the scans and the LSN getters all return — none of them can
+// block behind the force's I/O — and what was appended meanwhile is still
+// volatile when the force ends.
+func TestForceHoldsNoLockAppendNeeds(t *testing.T) {
+	s := openAt(t, t.TempDir(), Options{})
+	defer s.Close()
+	old := s.Log.Append(page(30, 1))
+	s.Log.Force(old)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.Log.sync = func(f *os.File) error {
+		close(entered)
+		<-release
+		return fdatasync(f)
+	}
+	flying := s.Log.Append(page(30, 2))
+	forced := make(chan struct{})
+	go func() {
+		defer close(forced)
+		s.Log.Force(flying)
+	}()
+	<-entered
+
+	done := make(chan string, 1)
+	go func() {
+		fresh := s.Log.Append(page(30, 3))
+		for lsn, fill := range map[word.LSN]byte{old: 1, flying: 2, fresh: 3} {
+			if data, ok := s.Log.ReadAt(lsn); !ok || !bytes.Equal(data, page(30, fill)) {
+				done <- "record unreadable during the force"
+				return
+			}
+		}
+		n := 0
+		storage.Scan(s.Log, 1, false, func(word.LSN, []byte) bool { n++; return true })
+		switch {
+		case n != 3:
+			done <- "scan during the force missed records"
+		case s.Log.StableLSN() != flying:
+			done <- "stable LSN moved before the fdatasync returned"
+		case s.Log.EndLSN() != fresh+30 || s.Log.TruncLSN() != 1 || s.Log.RetainedBytes() != 90:
+			done <- "getters disagree with the appends"
+		default:
+			done <- ""
+		}
+	}()
+	select {
+	case msg := <-done:
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an append, read or getter blocked behind the force's fdatasync")
+	}
+	close(release)
+	<-forced
+	s.Log.sync = fdatasync
+	if got := s.Log.StableLSN(); got != flying+30 {
+		t.Fatalf("stable = %d after the force, want %d: it must cover its batch and nothing appended later", got, flying+30)
+	}
+}
+
+// TestTruncateKillBetweenMetaAndUnlink: Truncate persists the new
+// truncation point before it unlinks anything, so a kill between the two
+// leaves files that reopening deletes — not a truncation point to guess.
+func TestTruncateKillBetweenMetaAndUnlink(t *testing.T) {
+	dir := t.TempDir()
+	s := openAt(t, dir, Options{SegmentBytes: 64})
+	for i := 0; i < 12; i++ {
+		s.Log.Append(page(16, byte(i)))
+		if i%4 == 3 {
+			storage.ForceAll(s.Log)
+		}
+	}
+	if got := segFiles(t, dir); len(got) != 3 {
+		t.Fatalf("setup: files %v, want 3", got)
+	}
+	s.Log.TruncateHook = func() { panic("killed") }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("hook did not fire")
+			}
+		}()
+		s.Log.Truncate(150)
+	}()
+	s.Abandon() // the process is gone: nothing more is written
+	if got := segFiles(t, dir); len(got) != 3 {
+		t.Fatalf("the kill landed after the unlink: files %v", got)
+	}
+
+	r := openAt(t, dir, Options{})
+	defer r.Close()
+	if r.Log.TruncLSN() != 129 || r.Log.EndLSN() != 193 {
+		t.Fatalf("reopened trunc=%d end=%d, want 129/193", r.Log.TruncLSN(), r.Log.EndLSN())
+	}
+	if got := segFiles(t, dir); len(got) != 1 || got[0] != segName(129) {
+		t.Fatalf("reopen left files %v, want only %s", got, segName(129))
+	}
+	if _, ok := r.Log.ReadAt(113); ok {
+		t.Fatal("record below the truncation point readable")
+	}
+	if data, ok := r.Log.ReadAt(129); !ok || !bytes.Equal(data, page(16, 8)) {
+		t.Fatal("record above the truncation point lost")
+	}
+}
+
+// TestIndexNamedLayoutRejected: a log directory written before segment
+// files were named by first LSN is refused with an error that says so.
+func TestIndexNamedLayoutRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := openAt(t, dir, Options{})
+	s.Close()
+	meta := filepath.Join(dir, "log", "log.meta")
+	raw, err := os.ReadFile(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[0:], metaMagicV1)
+	if err := os.WriteFile(meta, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), "earlier build") {
+		t.Fatalf("Open of an index-named layout: %v, want a refusal naming the layout", err)
+	}
+}
+
+// TestWriteBackRacesWriters: write-back pwrites with the disk mutex
+// released, so a page rewritten between the encode and the re-lock must
+// stay dirty — the last write of every page is what a reopen finds.
+func TestWriteBackRacesWriters(t *testing.T) {
+	dir := t.TempDir()
+	s := openAt(t, dir, Options{PageSize: 256, CachePages: 8})
+	const pages, rounds = 4, 400
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Disk.writeBackStep(64)
+			}
+		}
+	}()
+	for r := 1; r <= rounds; r++ {
+		for p := 0; p < pages; p++ {
+			s.Disk.WritePage(word.PageID(p), page(256, byte(r+p)), word.LSN(r))
+			if data, lsn, ok := s.Disk.ReadPage(word.PageID(p)); !ok || lsn != word.LSN(r) || data[0] != byte(r+p) {
+				t.Fatalf("page %d round %d: read back lsn=%d data[0]=%d", p, r, lsn, data[0])
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for s.Disk.writeBackStep(64) > 0 {
+	}
+	if n := s.Disk.dirtyCount(); n != 0 {
+		t.Fatalf("%d frames still dirty after draining write-back", n)
+	}
+	s.Abandon() // no flush: what write-back pwrote is all there is
+
+	r := openAt(t, dir, Options{})
+	defer r.Close()
+	for p := 0; p < pages; p++ {
+		data, lsn, ok := r.Disk.ReadPage(word.PageID(p))
+		if !ok || lsn != rounds || !bytes.Equal(data, page(256, byte(rounds+p))) {
+			t.Fatalf("page %d after reopen: ok=%v lsn=%d, want the last write (lsn %d)", p, ok, lsn, rounds)
+		}
 	}
 }

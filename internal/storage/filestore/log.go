@@ -21,15 +21,18 @@ import (
 //
 //	log/
 //	  log.meta            segment size + truncation point
-//	  seg-<k>.seg         records whose START LSN falls in segment k
+//	  seg-<first>.seg     a run of whole force batches; <first> is the LSN
+//	                      of the file's first record
 //
 // LSNs keep the in-memory device's meaning: the 1-based byte offset of the
 // record's payload in the conceptual infinite log, so Append(data) advances
 // the end LSN by exactly len(data) and replication ships identical LSNs.
-// Segment k logically covers LSNs [k*segSize+1, (k+1)*segSize+1); a record
-// is stored whole in the segment its first LSN falls in, so a segment file
-// may physically run a little past its logical range (the straddler) and a
-// very large record may skip segment indices entirely.
+// A force writes its whole batch into the active (last) segment file and
+// fdatasyncs that one file: one force, one fdatasync. The active file rolls
+// only between forces, once it has reached segSize bytes, so the files
+// tile the LSN space: each ends where the next one's name begins.
+// Truncation stays logical and segSize-aligned (the in-memory device's); a
+// file wholly below the truncation point is unlinked, the active one never.
 //
 // Each record is framed with a recHdrSize-byte device header —
 //
@@ -48,37 +51,56 @@ import (
 //
 // Crash semantics (ISSUE 8 satellite): for a file backend, "crash" means
 // process-exit-without-fdatasync. Append only spools to a user-space tail;
-// Force writes the whole tail to its segment files and fdatasyncs them, so
+// Force writes the whole tail to the active segment and fdatasyncs it, so
 // a killed process loses exactly the unforced tail — the volatile log. The
 // in-process Crash()/CrashTorn() hooks used by the chaos harness reproduce
 // that same end state without exiting (and additionally push the sibling
 // page store's buffered writes to the OS, see Disk.crashFlush, since a
 // completed WritePage survives a process kill). The kill-point harness in
 // internal/crashtest exercises the real thing with re-exec'd children.
+//
+// Locking (storage.LogDevice's concurrency contract): forceMu admits one
+// force at a time and is held across its write and fdatasync; the
+// structural operations (Truncate, RepairTail, Crash, CrashTorn, Clone,
+// release) take it too, and it alone guards segs, segment sizes and wbuf.
+// mu guards the other fields and is never held across I/O on the force
+// path: a force takes the tail under mu, writes it with mu released — the
+// batch stays readable in flight — and publishes the new stable LSN under
+// mu again. Append, ReadAt, ScanBatches and the LSN getters take only mu
+// (the getters not even that). Order: forceMu, mu.
 type Log struct {
-	mu       sync.Mutex
-	dir      string
-	segSize  int
-	idx      []recMeta // stable retained records (ascending LSN)
-	tail     []tailRec // volatile records, user-space only
-	segs     map[int64]*segment
-	nextLSN  word.LSN
-	stable   word.LSN
-	trunc    word.LSN
-	retained int64 // bytes over idx + tail
+	forceMu sync.Mutex
+	segs    []*segment // open segment files, ascending; the last is active
+	wbuf    []byte     // the force path's write buffer
+	mu      sync.Mutex
+	dir     string
+	segSize int
+	idx     []recMeta // stable retained records (ascending LSN)
+	flight  []tailRec // the batch a force is writing: out of tail, not yet in idx
+	tail    []tailRec // volatile records spooled since, user-space only
+	end     storage.AtomicLSN
+	stable  storage.AtomicLSN
+	trunc   word.LSN
+	// retained counts the bytes over idx + flight + tail.
+	retained int64
 	stats    storage.LogStats
 	fm       *fileMetrics
 	disk     *Disk // sibling page store; crash hooks couple to it (may be nil)
 	cloneSeq int
 	closed   bool
+	// sync is fdatasync; a test gates it to hold a force in flight.
+	sync func(*os.File) error
+	// TruncateHook, when set, runs inside Truncate after log.meta names the
+	// new truncation point and before the files below it are unlinked: the
+	// kill-point harness exits there.
+	TruncateHook func()
 }
 
 type recMeta struct {
-	lsn  word.LSN
-	n    int32 // payload bytes physically present
-	full int32 // declared payload length (> n only for a torn tail fragment)
-	seg  int64
-	off  int64 // header offset within the segment file
+	lsn word.LSN
+	n   int32 // payload bytes physically present (a torn tail fragment: fewer than declared)
+	seg *segment
+	off int64 // header offset within the segment file
 }
 
 type tailRec struct {
@@ -87,22 +109,26 @@ type tailRec struct {
 }
 
 type segment struct {
-	f    *os.File
-	size int64 // append offset: end of the last record written
+	first word.LSN // LSN of the file's first record: its name
+	f     *os.File
+	size  int64 // append offset: end of the last record written (forceMu)
 }
 
 const (
 	recMagic   = 0x53484C52 // "SHLR"
 	recHdrSize = 20
-	metaMagic  = 0x53484C4D // "SHLM"
-	metaSize   = 24
+	metaMagic  = 0x53484C32 // "SHL2"
+	// metaMagicV1 marked the layout that named a segment file by its
+	// index (LSN / segSize) and split a force across files.
+	metaMagicV1 = 0x53484C4D // "SHLM"
+	metaSize    = 24
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func segName(k int64) string { return fmt.Sprintf("seg-%016x.seg", k) }
+func segName(first word.LSN) string { return fmt.Sprintf("seg-%016x.seg", uint64(first)) }
 
-func (l *Log) segOf(lsn word.LSN) int64 { return int64(lsn-1) / int64(l.segSize) }
+func (l *Log) segPath(first word.LSN) string { return filepath.Join(l.dir, segName(first)) }
 
 // openLog opens (or creates) the segmented log under dir. segSize is used
 // on creation; on reopen the on-disk metadata is authoritative.
@@ -113,8 +139,7 @@ func openLog(dir string, segSize int, fm *fileMetrics) (*Log, error) {
 	if segSize <= 0 {
 		segSize = storage.DefaultSegmentSize
 	}
-	l := &Log{dir: dir, segSize: segSize, segs: make(map[int64]*segment),
-		nextLSN: 1, stable: 1, trunc: 1, fm: fm}
+	l := &Log{dir: dir, segSize: segSize, trunc: 1, fm: fm, sync: fdatasync}
 	metaPath := filepath.Join(dir, "log.meta")
 	if raw, err := os.ReadFile(metaPath); err == nil {
 		ss, tr, err := decodeLogMeta(raw)
@@ -123,14 +148,13 @@ func openLog(dir string, segSize int, fm *fileMetrics) (*Log, error) {
 		}
 		l.segSize = ss
 		l.trunc = tr
-		l.nextLSN, l.stable = tr, tr
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	} else if err := l.writeMeta(); err != nil {
 		return nil, err
 	}
 	if err := l.load(); err != nil {
-		l.closeFiles()
+		l.release()
 		return nil, err
 	}
 	return l, nil
@@ -149,7 +173,11 @@ func decodeLogMeta(raw []byte) (segSize int, trunc word.LSN, err error) {
 	if len(raw) < metaSize {
 		return 0, 0, fmt.Errorf("log metadata too short (%d bytes)", len(raw))
 	}
-	if binary.LittleEndian.Uint32(raw[0:]) != metaMagic {
+	switch binary.LittleEndian.Uint32(raw[0:]) {
+	case metaMagic:
+	case metaMagicV1:
+		return 0, 0, fmt.Errorf("log directory is in the index-named segment layout of an earlier build, which this one cannot read")
+	default:
 		return 0, 0, fmt.Errorf("bad log metadata magic")
 	}
 	if binary.LittleEndian.Uint32(raw[16:]) != crc32.Checksum(raw[:16], crcTable) {
@@ -164,30 +192,42 @@ func decodeLogMeta(raw []byte) (segSize int, trunc word.LSN, err error) {
 }
 
 // load re-parses every segment file, rebuilding the record index. Called
-// with the log otherwise empty.
+// with the log otherwise empty and l.trunc read from log.meta, which is
+// authoritative: Truncate persists it before it unlinks anything, so a
+// file wholly below it is the residue of a kill between the two steps and
+// is unlinked here.
 func (l *Log) load() error {
 	names, err := filepath.Glob(filepath.Join(l.dir, "seg-*.seg"))
 	if err != nil {
 		return err
 	}
 	sort.Strings(names)
-	var segIdxs []int64
-	for _, name := range names {
-		var k int64
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%016x.seg", &k); err != nil {
+	firsts := make([]word.LSN, len(names))
+	for i, name := range names {
+		var first uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%016x.seg", &first); err != nil || first == 0 {
 			return fmt.Errorf("filestore: unrecognized segment file %s", name)
 		}
-		segIdxs = append(segIdxs, k)
+		firsts[i] = word.LSN(first)
 	}
-	var prevEnd word.LSN // end LSN of the previous parsed record, 0 if none
-	for i, k := range segIdxs {
-		last := i == len(segIdxs)-1
-		f, err := os.OpenFile(filepath.Join(l.dir, segName(k)), os.O_RDWR, 0o644)
+	for len(firsts) > 1 && firsts[1] <= l.trunc {
+		if err := os.Remove(l.segPath(firsts[0])); err != nil {
+			return err
+		}
+		firsts = firsts[1:]
+	}
+	if len(firsts) > 0 && firsts[0] > l.trunc {
+		return fmt.Errorf("filestore: log starts at LSN %d, above the truncation point %d: a segment file is missing", firsts[0], l.trunc)
+	}
+	prevEnd := l.trunc // end LSN of the previous parsed record
+	for i, first := range firsts {
+		last := i == len(firsts)-1
+		f, err := os.OpenFile(l.segPath(first), os.O_RDWR, 0o644)
 		if err != nil {
 			return err
 		}
-		seg := &segment{f: f}
-		l.segs[k] = seg
+		seg := &segment{first: first, f: f}
+		l.segs = append(l.segs, seg)
 		fi, err := f.Stat()
 		if err != nil {
 			return err
@@ -196,81 +236,65 @@ func (l *Log) load() error {
 		var off int64
 		hdr := make([]byte, recHdrSize)
 		for off < size {
-			if size-off < recHdrSize {
-				// Trailing bytes too short to be a header: a torn header
-				// write at the moment of the kill. Only legal at the very
-				// end of the log; rewind it away.
-				if !last {
-					return fmt.Errorf("filestore: segment %d: %d trailing bytes mid-log", k, size-off)
-				}
-				if err := f.Truncate(off); err != nil {
+			// Records tile the LSN space: each starts where the previous one
+			// ended, a file's first record carries the file's name, and a
+			// file starts where the one before it ended.
+			var n uint32
+			var lsn word.LSN
+			okHdr := size-off >= recHdrSize
+			if okHdr {
+				if _, err := f.ReadAt(hdr, off); err != nil {
 					return err
 				}
-				size = off
-				break
-			}
-			if _, err := f.ReadAt(hdr, off); err != nil {
-				return err
-			}
-			magic := binary.LittleEndian.Uint32(hdr[0:])
-			n := binary.LittleEndian.Uint32(hdr[4:])
-			lsn := word.LSN(binary.LittleEndian.Uint64(hdr[8:]))
-			sum := binary.LittleEndian.Uint32(hdr[16:])
-			okHdr := magic == recMagic && sum == crc32.Checksum(hdr[:16], crcTable) &&
-				n > 0 && (prevEnd == 0 || lsn == prevEnd) && l.segOf(lsn) == k &&
-				(prevEnd != 0 || off == 0)
-			if !okHdr {
-				// An undecodable header at the physical end of the last
-				// segment is a torn header write; anywhere else the log is
-				// damaged beyond self-repair.
-				if !last {
-					return fmt.Errorf("filestore: segment %d: corrupt record header at offset %d", k, off)
+				n = binary.LittleEndian.Uint32(hdr[4:])
+				lsn = word.LSN(binary.LittleEndian.Uint64(hdr[8:]))
+				want := prevEnd
+				if off == 0 {
+					want = first
 				}
-				if err := f.Truncate(off); err != nil {
-					return err
-				}
-				size = off
-				break
+				okHdr = binary.LittleEndian.Uint32(hdr[0:]) == recMagic &&
+					binary.LittleEndian.Uint32(hdr[16:]) == crc32.Checksum(hdr[:16], crcTable) &&
+					n > 0 && lsn == want && (i == 0 || off > 0 || first == prevEnd)
 			}
 			avail := size - off - recHdrSize
-			if int64(n) > avail {
-				// Torn payload: the header landed but only a prefix of the
-				// payload did. Deliver it as a fragment (exactly what the
-				// in-memory device's CrashTorn leaves) so the layer above
-				// classifies and repairs it; only legal as the log's very
-				// last record.
+			if !okHdr || int64(n) > avail {
+				// A torn tail — the kill caught the last force mid-write — is
+				// legal only at the very end of the log; anywhere else the
+				// log is damaged beyond self-repair.
 				if !last {
-					return fmt.Errorf("filestore: segment %d: short record at offset %d mid-log", k, off)
+					return fmt.Errorf("filestore: segment %d: torn or corrupt record at offset %d mid-log", first, off)
 				}
-				if avail > 0 {
-					l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(avail), full: int32(n), seg: k, off: off})
+				if okHdr && avail > 0 {
+					// The header landed and a prefix of the payload: deliver
+					// it as a fragment (exactly what the in-memory device's
+					// CrashTorn leaves) for the layer above to classify and
+					// repair.
+					l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(avail), seg: seg, off: off})
 					l.retained += avail
-				} else if err := f.Truncate(off); err != nil { // bare header, no payload: rewind
+					prevEnd = lsn + word.LSN(avail)
+					off = size
+				} else if err := f.Truncate(off); err != nil { // not even a whole header, or a bare one: rewind
 					return err
 				}
-				prevEnd = lsn + word.LSN(avail)
-				off = size
 				break
 			}
-			l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(n), full: int32(n), seg: k, off: off})
+			l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(n), seg: seg, off: off})
 			l.retained += int64(n)
 			prevEnd = lsn + word.LSN(n)
 			off += recHdrSize + int64(n)
 		}
 		seg.size = off
 	}
-	if prevEnd != 0 {
-		l.nextLSN, l.stable = prevEnd, prevEnd
+	// A file with no record in it (a kill between its creation and its
+	// first write, or a torn first header) is not a segment yet.
+	if n := len(l.segs); n > 0 && l.segs[n-1].size == 0 {
+		l.dropSegments(n - 1)
 	}
-	if len(segIdxs) > 0 {
-		base := word.LSN(segIdxs[0]*int64(l.segSize)) + 1
-		if l.trunc < base {
-			l.trunc = base
-		}
-	}
+	l.end.Store(prevEnd)
+	l.stable.Store(prevEnd)
 	// Re-apply logical truncation: records entirely below the truncation
-	// point were only physically retained because their segment held a
-	// straddler.
+	// point were only physically retained because their file holds later
+	// ones.
 	drop := 0
 	for drop < len(l.idx) && l.idx[drop].lsn+word.LSN(l.idx[drop].n) <= l.trunc {
 		l.retained -= int64(l.idx[drop].n)
@@ -280,10 +304,13 @@ func (l *Log) load() error {
 	return nil
 }
 
-func (l *Log) closeFiles() {
-	for _, s := range l.segs {
-		s.f.Close()
+// dropSegments closes and unlinks l.segs[from:].
+func (l *Log) dropSegments(from int) {
+	for _, seg := range l.segs[from:] {
+		seg.f.Close()
+		os.Remove(l.segPath(seg.first))
 	}
+	l.segs = l.segs[:from]
 }
 
 func (l *Log) ioPanic(op string, lsn word.LSN, err error) {
@@ -299,178 +326,179 @@ func (l *Log) Append(data []byte) word.LSN {
 	if len(data) == 0 {
 		panic("filestore: empty log record")
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	stored := make([]byte, len(data))
 	copy(stored, data)
-	lsn := l.nextLSN
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn := l.end.Load()
 	l.tail = append(l.tail, tailRec{lsn: lsn, data: stored})
-	l.nextLSN += word.LSN(len(data))
+	l.end.Store(lsn + word.LSN(len(data)))
 	l.retained += int64(len(data))
 	l.stats.Appends++
 	l.stats.BytesAppended += int64(len(data))
 	return lsn
 }
 
-// Force writes the whole volatile tail to its segment files and
-// fdatasyncs them, making every spooled record durable. Forcing an
-// already-stable LSN is a no-op.
+// Force writes the whole volatile tail into the active segment file and
+// fdatasyncs it, making every record spooled before the call durable.
+// Forcing an already-stable LSN is a no-op. Records appended while the
+// force is in flight are not covered by it.
 func (l *Log) Force(lsn word.LSN) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lsn < l.stable {
+	if lsn < l.stable.Load() {
 		return
 	}
-	before := l.stable
-	l.forceTailLocked(l.nextLSN)
-	l.stats.Forces++
-	l.stats.BytesStable += int64(l.stable - before)
-}
-
-// ForceAll forces the entire volatile tail.
-func (l *Log) ForceAll() {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
+	before := l.stable.Load()
+	if lsn < before {
+		return // the force this one waited for covered it
+	}
 	l.mu.Lock()
-	tailEnd := l.nextLSN
+	through := l.end.Load()
+	l.takeTailLocked()
 	l.mu.Unlock()
-	if tailEnd > 1 {
-		l.Force(tailEnd - 1)
-	}
+	l.persist(through)
+	l.mu.Lock()
+	l.stats.Forces++
+	l.stats.BytesStable += int64(through - before)
+	l.mu.Unlock()
 }
 
-// forceTailLocked persists tail records with end LSN <= through (writing a
-// full-header + payload-prefix fragment for a record cut mid-way by a torn
-// force, when through lands inside it), then fdatasyncs every touched
-// segment in order.
-func (l *Log) forceTailLocked(through word.LSN) {
-	type pending struct {
-		seg *segment
-		buf []byte
-		off int64
+// takeTailLocked moves the spooled tail into flight. A batch still there
+// was left by a force that failed mid-write; it is written again, first.
+func (l *Log) takeTailLocked() {
+	if len(l.flight) == 0 {
+		l.flight = l.tail
+	} else {
+		l.flight = append(l.flight, l.tail...)
 	}
-	var writes []*pending
-	var touched []*pending
-	bySeg := make(map[int64]*pending)
-	emit := func(lsn word.LSN, data []byte, full int) recMeta {
-		k := l.segOf(lsn)
-		seg := l.segs[k]
-		if seg == nil {
-			f, err := os.OpenFile(filepath.Join(l.dir, segName(k)), os.O_RDWR|os.O_CREATE, 0o644)
-			if err != nil {
-				l.ioPanic("force", lsn, err)
-			}
-			seg = &segment{f: f}
-			l.segs[k] = seg
+	l.tail = nil
+}
+
+// persist writes the in-flight batch up to through — whole records, and a
+// full-header + payload-prefix fragment for one a torn force cuts mid-way —
+// into the active segment with one write and one fdatasync, then indexes it
+// and publishes through as the stable LSN. forceMu is held, mu is not.
+func (l *Log) persist(through word.LSN) {
+	batch := l.flight
+	var metas []recMeta
+	var seg *segment
+	buf := l.wbuf[:0]
+	var lost int64 // payload bytes a torn cut discards
+	for _, t := range batch {
+		data := t.data
+		if t.lsn >= through {
+			data = nil
+		} else if end := t.lsn + word.LSN(len(data)); end > through {
+			data = data[:through-t.lsn]
 		}
-		p := bySeg[k]
-		if p == nil {
-			p = &pending{seg: seg, off: seg.size}
-			bySeg[k] = p
-			writes = append(writes, p)
-		}
-		off := p.off + int64(len(p.buf))
-		var hdr [recHdrSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], recMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(full))
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(lsn))
-		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], crcTable))
-		p.buf = append(p.buf, hdr[:]...)
-		p.buf = append(p.buf, data...)
-		return recMeta{lsn: lsn, n: int32(len(data)), full: int32(full), seg: k, off: off}
-	}
-	for _, t := range l.tail {
-		end := t.lsn + word.LSN(len(t.data))
-		switch {
-		case end <= through:
-			l.idx = append(l.idx, emit(t.lsn, t.data, len(t.data)))
-		case t.lsn < through:
-			// Straddler of a torn cut: only its first through-lsn payload
-			// bytes land.
-			frag := t.data[:through-t.lsn]
-			l.idx = append(l.idx, emit(t.lsn, frag, len(t.data)))
-			l.retained -= int64(len(t.data) - len(frag))
-		default:
-			l.retained -= int64(len(t.data))
-		}
-	}
-	for _, p := range writes {
-		if len(p.buf) == 0 {
+		lost += int64(len(t.data) - len(data))
+		if data == nil {
 			continue
 		}
-		if _, err := p.seg.f.WriteAt(p.buf, p.off); err != nil {
-			l.ioPanic("force", l.stable, err)
+		if seg == nil {
+			seg = l.activeSegment(t.lsn)
 		}
-		p.seg.size = p.off + int64(len(p.buf))
-		touched = append(touched, p)
+		metas = append(metas, recMeta{lsn: t.lsn, n: int32(len(data)), seg: seg, off: seg.size + int64(len(buf))})
+		var hdr [recHdrSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:], recMagic)
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(t.data)))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(t.lsn))
+		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], crcTable))
+		buf = append(buf, hdr[:]...)
+		buf = append(buf, data...)
 	}
-	for _, p := range touched {
-		if err := fdatasync(p.seg.f); err != nil {
-			l.ioPanic("force", l.stable, err)
+	if len(buf) > 0 {
+		if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
+			l.ioPanic("force", l.stable.Load(), err)
+		}
+		if err := l.sync(seg.f); err != nil {
+			l.ioPanic("force", l.stable.Load(), err)
 		}
 		l.fm.logFsyncs.Add(1)
+		seg.size += int64(len(buf))
 	}
-	l.tail = l.tail[:0]
-	l.stable = through
-	l.nextLSN = through
+	l.wbuf = buf[:0]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.idx = append(l.idx, metas...)
+	l.flight = nil
+	l.retained -= lost
+	l.stable.Store(through)
+}
+
+// activeSegment returns the file the batch starting at first goes into:
+// the last one, or — when there is none, or it has reached segSize — a new
+// one named first. Rolling here, between forces, is what keeps a batch in
+// one file.
+func (l *Log) activeSegment(first word.LSN) *segment {
+	if n := len(l.segs); n > 0 && l.segs[n-1].size < int64(l.segSize) {
+		return l.segs[n-1]
+	}
+	f, err := os.OpenFile(l.segPath(first), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		l.ioPanic("force", first, err)
+	}
+	l.segs = append(l.segs, &segment{first: first, f: f})
+	return l.segs[len(l.segs)-1]
 }
 
 // StableLSN returns the first LSN not guaranteed durable.
-func (l *Log) StableLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.stable }
+func (l *Log) StableLSN() word.LSN { return l.stable.Load() }
 
 // EndLSN returns the LSN the next record will receive.
-func (l *Log) EndLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.nextLSN }
+func (l *Log) EndLSN() word.LSN { return l.end.Load() }
 
 // TruncLSN returns the lowest LSN still readable.
 func (l *Log) TruncLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.trunc }
 
 // Crash simulates a process kill in-process: the user-space tail vanishes
 // (it was never written) and the sibling page store's buffered writes are
-// pushed to the OS — a completed WritePage survives a process exit, only
-// an OS or power failure could lose it (see package comment). The chaos
-// harness relies on this making a file-backed crash observably identical
-// to the in-memory device's.
-func (l *Log) Crash() {
-	l.mu.Lock()
-	for _, t := range l.tail {
-		l.retained -= int64(len(t.data))
-	}
-	l.tail = l.tail[:0]
-	l.nextLSN = l.stable
-	l.mu.Unlock()
-	if l.disk != nil {
-		l.disk.crashFlush()
-	}
-}
+// pushed to the OS — a completed WritePage survives a process exit (see
+// package comment) — so a file-backed crash is observably the in-memory one.
+func (l *Log) Crash() { l.CrashTorn(word.NilLSN) }
 
 // CrashTorn models a crash arriving while a final force of the tail is in
 // flight: the stable prefix grows to cut — possibly mid-record, leaving a
 // physically short record on disk — and everything beyond is lost. The
 // fragment is what a reopened directory parses back out, so the faultfs
-// byte-prefix cut composes with the file backend unchanged.
+// byte-prefix cut composes unchanged. NilLSN cuts at the stable LSN: Crash.
 func (l *Log) CrashTorn(cut word.LSN) {
+	l.forceMu.Lock()
 	l.mu.Lock()
-	if cut < l.stable || cut > l.nextLSN {
-		l.mu.Unlock()
-		panic(fmt.Sprintf("filestore: torn crash at %d outside volatile region [%d, %d]", cut, l.stable, l.nextLSN))
+	if cut == word.NilLSN {
+		cut = l.stable.Load()
 	}
-	l.forceTailLocked(cut)
+	if cut < l.stable.Load() || cut > l.end.Load() {
+		l.mu.Unlock()
+		l.forceMu.Unlock()
+		panic(fmt.Sprintf("filestore: torn crash at %d outside volatile region [%d, %d]", cut, l.stable.Load(), l.end.Load()))
+	}
+	l.takeTailLocked()
+	l.end.Store(cut)
 	l.mu.Unlock()
+	l.persist(cut)
+	l.forceMu.Unlock()
 	if l.disk != nil {
 		l.disk.crashFlush()
 	}
 }
 
 // RepairTail rewinds the log to from as a physical rewind: the segment
-// holding the first dropped record is ftruncated at its header and every
-// later segment file is deleted, so the discarded bytes are gone from disk
-// too and a subsequent reopen parses a clean tail.
+// holding the first dropped record is ftruncated at its header (unlinked,
+// if that is its first record) and every later segment file is deleted, so
+// the discarded bytes are gone from disk too and a subsequent reopen parses
+// a clean tail.
 func (l *Log) RepairTail(from word.LSN) {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from < l.trunc {
 		panic(fmt.Sprintf("filestore: repair tail at %d below truncation point %d", from, l.trunc))
 	}
-	if from > l.nextLSN {
-		panic(fmt.Sprintf("filestore: repair tail at %d beyond end LSN %d", from, l.nextLSN))
+	if from > l.end.Load() {
+		panic(fmt.Sprintf("filestore: repair tail at %d beyond end LSN %d", from, l.end.Load()))
 	}
 	for len(l.tail) > 0 && l.tail[len(l.tail)-1].lsn >= from {
 		l.retained -= int64(len(l.tail[len(l.tail)-1].data))
@@ -483,27 +511,23 @@ func (l *Log) RepairTail(from word.LSN) {
 			l.retained -= int64(m.n)
 		}
 		l.idx = l.idx[:i]
-		if seg := l.segs[first.seg]; seg != nil {
-			if err := seg.f.Truncate(first.off); err != nil {
+		k := sort.Search(len(l.segs), func(k int) bool { return l.segs[k].first >= first.seg.first })
+		if first.off > 0 {
+			if err := first.seg.f.Truncate(first.off); err != nil {
 				l.ioPanic("repair", from, err)
 			}
-			seg.size = first.off
-			if err := fdatasync(seg.f); err != nil {
+			first.seg.size = first.off
+			if err := l.sync(first.seg.f); err != nil {
 				l.ioPanic("repair", from, err)
 			}
 			l.fm.logFsyncs.Add(1)
+			k++
 		}
-		for k, seg := range l.segs {
-			if k > first.seg {
-				seg.f.Close()
-				os.Remove(filepath.Join(l.dir, segName(k)))
-				delete(l.segs, k)
-			}
-		}
+		l.dropSegments(k)
 	}
-	l.nextLSN = from
-	if l.stable > from {
-		l.stable = from
+	l.end.Store(from)
+	if l.stable.Load() > from {
+		l.stable.Store(from)
 	}
 }
 
@@ -514,41 +538,38 @@ func (l *Log) RepairTail(from word.LSN) {
 func (l *Log) CorruptEntry(lsn word.LSN, fn func(data []byte)) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= lsn })
-	if i < len(l.idx) && l.idx[i].lsn == lsn {
-		m := l.idx[i]
-		buf := make([]byte, m.n)
-		if _, err := l.segs[m.seg].f.ReadAt(buf, m.off+recHdrSize); err != nil {
-			l.ioPanic("corrupt", lsn, err)
-		}
+	if m, ok := l.findStable(lsn); ok {
+		buf := l.readRecord(m)
 		fn(buf)
-		if _, err := l.segs[m.seg].f.WriteAt(buf, m.off+recHdrSize); err != nil {
+		if _, err := m.seg.f.WriteAt(buf, m.off+recHdrSize); err != nil {
 			l.ioPanic("corrupt", lsn, err)
 		}
 		return true
 	}
-	for j := range l.tail {
-		if l.tail[j].lsn == lsn {
-			fn(l.tail[j].data)
-			return true
-		}
+	if t, ok := findTail(l.tail, lsn); ok {
+		fn(t.data)
+		return true
 	}
 	return false
 }
 
-// Truncate discards log space below keep at segment granularity, deleting
-// whole segment files that no longer hold any retained record. A segment
-// whose last record straddles the boundary is kept on disk but its dropped
-// records leave the readable index, so the observable contract matches the
-// in-memory device exactly.
+// Truncate discards log space below keep at segment granularity: the
+// truncation point moves to the largest multiple of segSize at or below
+// keep, as on the in-memory device, and records wholly below it leave the
+// index. log.meta is rewritten first; only then are the files wholly below
+// the new point unlinked (never the active one), so a kill in between
+// leaves files load deletes, not a truncation point it has to guess.
 func (l *Log) Truncate(keep word.LSN) {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if keep > l.stable {
-		panic(fmt.Sprintf("filestore: truncate(%d) beyond stable LSN %d", keep, l.stable))
+	if keep > l.stable.Load() {
+		l.mu.Unlock()
+		panic(fmt.Sprintf("filestore: truncate(%d) beyond stable LSN %d", keep, l.stable.Load()))
 	}
 	boundary := word.LSN((uint64(keep-1)/uint64(l.segSize))*uint64(l.segSize)) + 1
 	if boundary <= l.trunc {
+		l.mu.Unlock()
 		return
 	}
 	var dropped int64
@@ -562,56 +583,73 @@ func (l *Log) Truncate(keep word.LSN) {
 	l.trunc = boundary
 	l.stats.Truncations++
 	l.stats.BytesDropped += dropped
-	// Reclaim segment files with no surviving records.
-	lowest := int64(1<<62 - 1)
-	if len(l.idx) > 0 {
-		lowest = l.idx[0].seg
-	} else {
-		lowest = l.segOf(boundary)
-	}
-	for k, seg := range l.segs {
-		if k < lowest {
-			seg.f.Close()
-			os.Remove(filepath.Join(l.dir, segName(k)))
-			delete(l.segs, k)
-		}
-	}
+	l.mu.Unlock()
 	if err := l.writeMeta(); err != nil {
 		l.ioPanic("truncate", keep, err)
 	}
+	if l.TruncateHook != nil {
+		l.TruncateHook()
+	}
+	for len(l.segs) > 1 && l.segs[1].first <= boundary {
+		l.segs[0].f.Close()
+		os.Remove(l.segPath(l.segs[0].first))
+		l.segs = l.segs[1:]
+	}
 }
 
-// readRecordLocked returns the payload bytes of an indexed record in a
-// fresh buffer the caller owns.
-func (l *Log) readRecordLocked(m recMeta) []byte {
+// findStable returns the index entry of the record beginning at lsn.
+func (l *Log) findStable(lsn word.LSN) (recMeta, bool) {
+	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= lsn })
+	if i < len(l.idx) && l.idx[i].lsn == lsn {
+		return l.idx[i], true
+	}
+	return recMeta{}, false
+}
+
+// findTail returns the record beginning at lsn in a spooled run.
+func findTail(recs []tailRec, lsn word.LSN) (tailRec, bool) {
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].lsn >= lsn })
+	if i < len(recs) && recs[i].lsn == lsn {
+		return recs[i], true
+	}
+	return tailRec{}, false
+}
+
+// readRecord returns the payload bytes of an indexed record in a fresh
+// buffer the caller owns.
+func (l *Log) readRecord(m recMeta) []byte {
 	buf := make([]byte, m.n)
-	if _, err := l.segs[m.seg].f.ReadAt(buf, m.off+recHdrSize); err != nil {
+	if _, err := m.seg.f.ReadAt(buf, m.off+recHdrSize); err != nil {
 		l.ioPanic("read", m.lsn, err)
 	}
 	return buf
 }
 
-// ReadAt returns the record beginning exactly at lsn.
+// ReadAt returns the record beginning exactly at lsn: a stable one by a
+// pread with the device unlocked, one in flight or in the tail from memory.
 func (l *Log) ReadAt(lsn word.LSN) (data []byte, ok bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= lsn })
-	if i < len(l.idx) && l.idx[i].lsn == lsn {
-		return l.readRecordLocked(l.idx[i]), true
-	}
-	for _, t := range l.tail {
-		if t.lsn == lsn {
-			out := make([]byte, len(t.data))
-			copy(out, t.data)
-			return out, true
+	m, stable := l.findStable(lsn)
+	var t tailRec
+	if !stable {
+		if t, ok = findTail(l.flight, lsn); !ok {
+			t, ok = findTail(l.tail, lsn)
 		}
 	}
-	return nil, false
+	l.mu.Unlock()
+	if stable {
+		return l.readRecord(m), true
+	}
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), t.data...), true
 }
 
-// snapshotLocked copies the scan state out so record delivery can run
+// scanSnapshot copies the scan state out so record delivery can run
 // without the device lock (fn may re-enter the device, e.g. a recovery
-// redo callback forcing the log while evicting a page).
+// redo callback forcing the log while evicting a page). Spooled records
+// are immutable once appended, so the volatile ones are shared, not copied.
 func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -619,10 +657,9 @@ func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec
 	idx := append([]recMeta(nil), l.idx[i:]...)
 	var tail []tailRec
 	if !stableOnly {
-		for _, t := range l.tail {
-			if t.lsn >= from {
-				tail = append(tail, tailRec{lsn: t.lsn, data: append([]byte(nil), t.data...)})
-			}
+		for _, recs := range [][]tailRec{l.flight, l.tail} {
+			j := sort.Search(len(recs), func(j int) bool { return recs[j].lsn >= from })
+			tail = append(tail, recs[j:]...)
 		}
 	}
 	return idx, tail
@@ -654,17 +691,9 @@ func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func
 		first, lastRec := idx[start], idx[end-1]
 		span := lastRec.off + recHdrSize + int64(lastRec.n) - first.off
 		chunk := make([]byte, span)
-		l.mu.Lock()
-		seg := l.segs[first.seg]
-		if seg == nil {
-			l.mu.Unlock()
-			l.ioPanic("scan", first.lsn, fmt.Errorf("segment %d gone", first.seg))
-		}
-		if _, err := seg.f.ReadAt(chunk, first.off); err != nil {
-			l.mu.Unlock()
+		if _, err := first.seg.f.ReadAt(chunk, first.off); err != nil {
 			l.ioPanic("scan", first.lsn, err)
 		}
-		l.mu.Unlock()
 		lsns = lsns[:0]
 		frames = frames[:0]
 		for _, m := range idx[start:end] {
@@ -709,6 +738,8 @@ func (l *Log) ResetStats() { l.mu.Lock(); defer l.mu.Unlock(); l.stats = storage
 // device there. The clone dies with the parent directory (twin recovery
 // and base backups are transient), or earlier via Close.
 func (l *Log) Clone() storage.LogDevice {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.cloneSeq++
@@ -716,13 +747,12 @@ func (l *Log) Clone() storage.LogDevice {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		l.ioPanic("clone", 0, err)
 	}
-	for k, seg := range l.segs {
-		if err := copyFileRange(seg.f, filepath.Join(dir, segName(k)), seg.size); err != nil {
+	for _, seg := range l.segs {
+		if err := copyFileRange(seg.f, filepath.Join(dir, segName(seg.first)), seg.size); err != nil {
 			l.ioPanic("clone", 0, err)
 		}
 	}
-	nl := &Log{dir: dir, segSize: l.segSize, segs: make(map[int64]*segment),
-		nextLSN: 1, stable: 1, trunc: l.trunc, fm: &fileMetrics{}}
+	nl := &Log{dir: dir, segSize: l.segSize, trunc: l.trunc, fm: &fileMetrics{}, sync: fdatasync}
 	if err := nl.writeMeta(); err != nil {
 		l.ioPanic("clone", 0, err)
 	}
@@ -733,21 +763,23 @@ func (l *Log) Clone() storage.LogDevice {
 		nl.tail = append(nl.tail, tailRec{lsn: t.lsn, data: append([]byte(nil), t.data...)})
 		nl.retained += int64(len(t.data))
 	}
-	nl.nextLSN = l.nextLSN
-	nl.stable = l.stable
+	nl.end.Store(l.end.Load())
+	nl.stable.Store(l.stable.Load())
 	nl.stats = l.stats
 	return nl
 }
 
 // Close forces the remaining tail durable and closes the segment files.
 func (l *Log) Close() error {
-	l.ForceAll()
+	storage.ForceAll(l)
 	return l.release()
 }
 
 // release closes the segment files without forcing anything (on its own,
 // the crash path: Store.Abandon).
 func (l *Log) release() error {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -41,6 +41,18 @@ type PageStore interface {
 // LogDevice is the stable-log-device contract mirroring *Log, with the
 // same panic-on-corruption discipline as PageStore.
 //
+// Concurrency: every method is safe for concurrent use, and the device
+// holds no lock across a Force's I/O that Append, ReadAt, ScanBatches,
+// StableLSN, EndLSN, TruncLSN, RetainedBytes or Stats needs. Force takes
+// the spooled tail under the device's mutex, writes and syncs it with the
+// mutex released — the batch in flight stays readable the whole time — and
+// publishes the new StableLSN when the sync returns. Records appended
+// while a Force is in flight are not covered by it. At most one Force is
+// in flight: a second one, and the structural operations (Truncate,
+// RepairTail, Crash, Clone), wait for it. wal.Manager builds the shared
+// commit force on exactly this: callers whose LSN the in-flight Force
+// covers wait for it outside every mutex, the rest append meanwhile.
+//
 // Ownership of scanned bytes: the bytes Scan and ScanBatches deliver are
 // immutable until the scan returns, and the device lets go of them there —
 // it never overwrites or recycles a delivered buffer, neither between
@@ -49,15 +61,14 @@ type PageStore interface {
 // workers apply a record well after its callback returned, and are joined
 // just after the scan does. Only the two slice headers ScanBatches passes
 // (lsns, frames) may be reused from one callback to the next. storagetest
-// enforces this on every backend.
+// enforces both rules on every backend.
 type LogDevice interface {
 	// Append spools a record to the volatile tail and returns its LSN.
 	Append(data []byte) word.LSN
-	// Force synchronously writes the tail through at least lsn to stable
-	// storage.
+	// Force synchronously writes the whole volatile tail to stable storage
+	// if lsn is not yet stable (a no-op otherwise, and then not counted
+	// as a force).
 	Force(lsn word.LSN)
-	// ForceAll forces the entire volatile tail.
-	ForceAll()
 	// StableLSN returns the first LSN not guaranteed durable.
 	StableLSN() word.LSN
 	// EndLSN returns the LSN the next record will receive.
@@ -96,6 +107,9 @@ type LogDevice interface {
 	// Fault-injecting implementations return a plain, fault-free copy.
 	Clone() LogDevice
 }
+
+// ForceAll forces the device's entire volatile tail.
+func ForceAll(dev LogDevice) { dev.Force(dev.EndLSN() - 1) }
 
 // Scan is ScanBatches with a one-record callback: fn sees each retained
 // record with lsn >= from in LSN order and stops the scan by returning

@@ -3,9 +3,19 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"stableheap/internal/word"
 )
+
+// AtomicLSN is an LSN a device writes under its mutex and publishes for
+// lock-free reads: StableLSN, EndLSN and wal.Manager.IsStable are one
+// atomic load, never a wait behind an append or a force.
+type AtomicLSN struct{ v atomic.Uint64 }
+
+func (a *AtomicLSN) Load() word.LSN     { return word.LSN(a.v.Load()) }
+func (a *AtomicLSN) Store(lsn word.LSN) { a.v.Store(uint64(lsn)) }
 
 // LogStats counts log device traffic. Forces are the synchronous writes the
 // paper is careful to minimize (its collector performs none).
@@ -26,13 +36,17 @@ type LogStats struct {
 // An LSN is the 1-based byte offset of the record in the conceptual infinite
 // log; LSNs keep growing across truncation, so every record ever written has
 // a unique LSN and ordering between any two records is just integer order.
+//
+// One mutex guards everything (LogDevice's concurrency contract); a force
+// here is a single assignment, so nothing is ever in flight.
 type Log struct {
+	mu      sync.Mutex
 	segSize int
 	entries []logEntry // retained records, ascending LSN
-	nextLSN word.LSN   // LSN the next appended record will receive
+	nextLSN AtomicLSN  // LSN the next appended record will receive
 	// stableLSN: every record with lsn < stableLSN is on stable storage.
 	// Records at or beyond it are in the volatile tail and die at Crash.
-	stableLSN word.LSN
+	stableLSN AtomicLSN
 	// truncLSN: records below it have been discarded; reading them fails.
 	truncLSN word.LSN
 	stats    LogStats
@@ -51,7 +65,10 @@ func NewLog(segSize int) *Log {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
-	return &Log{segSize: segSize, nextLSN: 1, stableLSN: 1, truncLSN: 1}
+	l := &Log{segSize: segSize, truncLSN: 1}
+	l.nextLSN.Store(1)
+	l.stableLSN.Store(1)
+	return l
 }
 
 // Append spools a record to the volatile tail and returns its LSN.
@@ -62,54 +79,57 @@ func (l *Log) Append(data []byte) word.LSN {
 	}
 	stored := make([]byte, len(data))
 	copy(stored, data)
-	lsn := l.nextLSN
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn := l.nextLSN.Load()
 	l.entries = append(l.entries, logEntry{lsn: lsn, data: stored})
-	l.nextLSN += word.LSN(len(data))
+	l.nextLSN.Store(lsn + word.LSN(len(data)))
 	l.stats.Appends++
 	l.stats.BytesAppended += int64(len(data))
 	return lsn
 }
 
-// Force synchronously writes the volatile tail through at least lsn to
-// stable storage. Forcing an already-stable LSN is a no-op and does not
-// count as a synchronous write. Force(EndLSN()-1) forces everything.
+// Force synchronously writes the volatile tail to stable storage. Forcing
+// an already-stable LSN is a no-op and does not count as a synchronous
+// write. Force(EndLSN()-1) forces everything.
 func (l *Log) Force(lsn word.LSN) {
-	if lsn < l.stableLSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	before := l.stableLSN.Load()
+	if lsn < before {
 		return
 	}
 	// The whole tail is written in one synchronous operation (group
 	// commit's benefit falls out: one force covers many records).
-	before := l.stableLSN
-	l.stableLSN = l.nextLSN
+	l.stableLSN.Store(l.nextLSN.Load())
 	l.stats.Forces++
-	l.stats.BytesStable += int64(l.stableLSN - before)
-}
-
-// ForceAll forces the entire volatile tail.
-func (l *Log) ForceAll() {
-	if l.stableLSN < l.nextLSN {
-		l.Force(l.nextLSN - 1)
-	}
+	l.stats.BytesStable += int64(l.nextLSN.Load() - before)
 }
 
 // StableLSN returns the first LSN NOT guaranteed durable: every record whose
 // lsn is below it survives a crash.
-func (l *Log) StableLSN() word.LSN { return l.stableLSN }
+func (l *Log) StableLSN() word.LSN { return l.stableLSN.Load() }
 
 // EndLSN returns the LSN the next record will receive.
-func (l *Log) EndLSN() word.LSN { return l.nextLSN }
+func (l *Log) EndLSN() word.LSN { return l.nextLSN.Load() }
 
 // TruncLSN returns the lowest LSN still readable.
-func (l *Log) TruncLSN() word.LSN { return l.truncLSN }
+func (l *Log) TruncLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.truncLSN }
 
 // SegmentBytes returns the segment granularity in bytes.
 func (l *Log) SegmentBytes() int { return l.segSize }
 
+// search returns the index of the first retained record with LSN >= lsn.
+func (l *Log) search(lsn word.LSN) int {
+	return sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= lsn })
+}
+
 // Crash discards the volatile tail: every record at or beyond StableLSN.
 func (l *Log) Crash() {
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= l.stableLSN })
-	l.entries = l.entries[:i]
-	l.nextLSN = l.stableLSN
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entries = l.entries[:l.search(l.stableLSN.Load())]
+	l.nextLSN.Store(l.stableLSN.Load())
 }
 
 // CrashTorn models a crash that arrives while a final force of the tail is
@@ -119,8 +139,10 @@ func (l *Log) Crash() {
 // LSN were already durable (and possibly acknowledged), so a tear can
 // never reach them. Recovery discards the fragment with RepairTail.
 func (l *Log) CrashTorn(cut word.LSN) {
-	if cut < l.stableLSN || cut > l.nextLSN {
-		panic(fmt.Sprintf("storage: torn crash at %d outside volatile region [%d, %d]", cut, l.stableLSN, l.nextLSN))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cut < l.stableLSN.Load() || cut > l.nextLSN.Load() {
+		panic(fmt.Sprintf("storage: torn crash at %d outside volatile region [%d, %d]", cut, l.stableLSN.Load(), l.nextLSN.Load()))
 	}
 	i := 0
 	for i < len(l.entries) && l.entries[i].lsn+word.LSN(len(l.entries[i].data)) <= cut {
@@ -134,8 +156,8 @@ func (l *Log) CrashTorn(cut word.LSN) {
 		i++
 	}
 	l.entries = l.entries[:i]
-	l.nextLSN = cut
-	l.stableLSN = cut
+	l.nextLSN.Store(cut)
+	l.stableLSN.Store(cut)
 }
 
 // RepairTail rewinds the log to from: every record (or fragment) at or
@@ -144,17 +166,18 @@ func (l *Log) CrashTorn(cut word.LSN) {
 // the interrupted force was never acknowledged, so the bytes never
 // logically existed.
 func (l *Log) RepairTail(from word.LSN) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if from < l.truncLSN {
 		panic(fmt.Sprintf("storage: repair tail at %d below truncation point %d", from, l.truncLSN))
 	}
-	if from > l.nextLSN {
-		panic(fmt.Sprintf("storage: repair tail at %d beyond end LSN %d", from, l.nextLSN))
+	if from > l.nextLSN.Load() {
+		panic(fmt.Sprintf("storage: repair tail at %d beyond end LSN %d", from, l.nextLSN.Load()))
 	}
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= from })
-	l.entries = l.entries[:i]
-	l.nextLSN = from
-	if l.stableLSN > from {
-		l.stableLSN = from
+	l.entries = l.entries[:l.search(from)]
+	l.nextLSN.Store(from)
+	if l.stableLSN.Load() > from {
+		l.stableLSN.Store(from)
 	}
 }
 
@@ -163,7 +186,9 @@ func (l *Log) RepairTail(from word.LSN) {
 // fault-injection hook for at-rest bit rot (internal/faultfs); nothing in
 // the production paths calls it.
 func (l *Log) CorruptEntry(lsn word.LSN, fn func(data []byte)) bool {
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= lsn })
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := l.search(lsn)
 	if i >= len(l.entries) || l.entries[i].lsn != lsn {
 		return false
 	}
@@ -175,8 +200,10 @@ func (l *Log) CorruptEntry(lsn word.LSN, fn func(data []byte)) bool {
 // segments entirely below keep are freed, so the readable prefix may retain
 // a little more than asked. Truncating beyond the stable LSN is an error.
 func (l *Log) Truncate(keep word.LSN) {
-	if keep > l.stableLSN {
-		panic(fmt.Sprintf("storage: truncate(%d) beyond stable LSN %d", keep, l.stableLSN))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if keep > l.stableLSN.Load() {
+		panic(fmt.Sprintf("storage: truncate(%d) beyond stable LSN %d", keep, l.stableLSN.Load()))
 	}
 	// Largest segment boundary at or below keep.
 	boundary := word.LSN((uint64(keep-1) / uint64(l.segSize)) * uint64(l.segSize))
@@ -199,14 +226,13 @@ func (l *Log) Truncate(keep word.LSN) {
 // ReadAt returns the record beginning exactly at lsn. ok is false if no
 // record starts there or it has been truncated away.
 func (l *Log) ReadAt(lsn word.LSN) (data []byte, ok bool) {
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= lsn })
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := l.search(lsn)
 	if i >= len(l.entries) || l.entries[i].lsn != lsn {
 		return nil, false
 	}
-	e := l.entries[i]
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return out, true
+	return append([]byte(nil), l.entries[i].data...), true
 }
 
 // ScanBatches calls fn for the retained records with lsn >= from, in LSN
@@ -215,17 +241,21 @@ func (l *Log) ReadAt(lsn word.LSN) (data []byte, ok bool) {
 // reused across calls — fn must not retain them past its return; the frame
 // bytes are the retained log entries themselves, so they satisfy
 // LogDevice's ownership rule (immutable until the scan returns) for free.
-// fn returning false stops the scan.
+// fn returning false stops the scan. The scan works on the records retained
+// when it starts and calls fn with the device unlocked: fn may re-enter the
+// device, and records appended meanwhile are not visited.
 func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
+	l.mu.Lock()
+	entries := l.entries[l.search(from):]
+	stable := l.stableLSN.Load()
+	l.mu.Unlock()
 	lsns := make([]word.LSN, 0, batchSize)
 	frames := make([][]byte, 0, batchSize)
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= from })
-	for ; i < len(l.entries); i++ {
-		e := l.entries[i]
-		if stableOnly && e.lsn >= l.stableLSN {
+	for _, e := range entries {
+		if stableOnly && e.lsn >= stable {
 			break
 		}
 		lsns = append(lsns, e.lsn)
@@ -246,6 +276,8 @@ func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func
 // RetainedBytes returns the byte count of records still held by the device
 // (stable and volatile): the quantity truncation exists to bound.
 func (l *Log) RetainedBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var n int64
 	for _, e := range l.entries {
 		n += int64(len(e.data))
@@ -254,25 +286,25 @@ func (l *Log) RetainedBytes() int64 {
 }
 
 // Stats returns accumulated traffic counters.
-func (l *Log) Stats() LogStats { return l.stats }
+func (l *Log) Stats() LogStats { l.mu.Lock(); defer l.mu.Unlock(); return l.stats }
 
 // ResetStats zeroes the traffic counters.
-func (l *Log) ResetStats() { l.stats = LogStats{} }
+func (l *Log) ResetStats() { l.mu.Lock(); defer l.mu.Unlock(); l.stats = LogStats{} }
 
 // Snapshot deep-copies the log device (both stable and volatile parts).
 func (l *Log) Snapshot() *Log {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	nl := &Log{
-		segSize:   l.segSize,
-		entries:   make([]logEntry, len(l.entries)),
-		nextLSN:   l.nextLSN,
-		stableLSN: l.stableLSN,
-		truncLSN:  l.truncLSN,
-		stats:     l.stats,
+		segSize:  l.segSize,
+		entries:  make([]logEntry, len(l.entries)),
+		truncLSN: l.truncLSN,
+		stats:    l.stats,
 	}
+	nl.nextLSN.Store(l.nextLSN.Load())
+	nl.stableLSN.Store(l.stableLSN.Load())
 	for i, e := range l.entries {
-		data := make([]byte, len(e.data))
-		copy(data, e.data)
-		nl.entries[i] = logEntry{lsn: e.lsn, data: data}
+		nl.entries[i] = logEntry{lsn: e.lsn, data: append([]byte(nil), e.data...)}
 	}
 	return nl
 }

@@ -62,7 +62,7 @@ func TestLogFrameAtSegmentEnd(t *testing.T) {
 			for i, n := range tc.sizes {
 				lsns[i] = l.Append(make([]byte, n))
 			}
-			l.ForceAll()
+			ForceAll(l)
 			l.Truncate(lsns[tc.keep])
 			if l.TruncLSN() != tc.wantTrunc {
 				t.Fatalf("TruncLSN = %d, want %d", l.TruncLSN(), tc.wantTrunc)
@@ -98,7 +98,7 @@ func TestLogCrashTornCuts(t *testing.T) {
 	build := func() (*Log, []word.LSN) {
 		l := NewLog(0)
 		first := l.Append(make([]byte, 8))
-		l.ForceAll() // stable prefix: [1, 9)
+		ForceAll(l) // stable prefix: [1, 9)
 		tail := []word.LSN{first}
 		for i := 0; i < 3; i++ {
 			tail = append(tail, l.Append(make([]byte, 8)))
@@ -166,7 +166,7 @@ func TestLogCrashTornCuts(t *testing.T) {
 func TestLogRepairTailBoundaries(t *testing.T) {
 	l := NewLog(0)
 	a := l.Append(make([]byte, 8))
-	l.ForceAll()
+	ForceAll(l)
 	b := l.Append(make([]byte, 8)) // volatile: the force of b is the one torn
 	l.CrashTorn(b + 3)             // record b survives as a 3-byte fragment
 
@@ -191,7 +191,7 @@ func TestLogRepairTailBoundaries(t *testing.T) {
 	l2 := NewLog(8)
 	l2.Append(make([]byte, 8))
 	keep := l2.Append(make([]byte, 8))
-	l2.ForceAll()
+	ForceAll(l2)
 	l2.Truncate(keep)
 	mustPanic(t, "RepairTail(below trunc)", func() { l2.RepairTail(1) })
 	// At exactly the truncation point it is legal: the whole retained
@@ -207,7 +207,7 @@ func TestLogRepairTailBoundaries(t *testing.T) {
 func TestLogCorruptEntryTargets(t *testing.T) {
 	l := NewLog(0)
 	a := l.Append([]byte{1, 2, 3, 4})
-	l.ForceAll()
+	ForceAll(l)
 	if l.CorruptEntry(a+1, func([]byte) { t.Fatal("fn called for non-boundary LSN") }) {
 		t.Fatal("CorruptEntry succeeded at a non-boundary LSN")
 	}

@@ -265,7 +265,7 @@ func TestLogTruncateSegmentGranularity(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		lsns = append(lsns, l.Append([]byte("12345678"))) // 8 bytes each
 	}
-	l.ForceAll()
+	ForceAll(l)
 	// Ask to keep from record 4 (LSN 25): segment boundary below is 17.
 	l.Truncate(lsns[3])
 	if l.TruncLSN() != 17 {
@@ -296,7 +296,7 @@ func TestLogTruncateBeyondStablePanics(t *testing.T) {
 func TestLogLSNsMonotoneAcrossTruncation(t *testing.T) {
 	l := NewLog(8)
 	a := l.Append([]byte("aaaaaaaa"))
-	l.ForceAll()
+	ForceAll(l)
 	l.Truncate(l.StableLSN())
 	b := l.Append([]byte("b"))
 	if b <= a {
@@ -325,7 +325,7 @@ func TestLogRetainedBytes(t *testing.T) {
 	if l.RetainedBytes() != 6 {
 		t.Fatalf("RetainedBytes = %d, want 6", l.RetainedBytes())
 	}
-	l.ForceAll()
+	ForceAll(l)
 	l.Truncate(5)
 	if l.RetainedBytes() != 2 {
 		t.Fatalf("after truncation RetainedBytes = %d, want 2", l.RetainedBytes())

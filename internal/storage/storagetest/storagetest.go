@@ -18,6 +18,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"stableheap/internal/storage"
@@ -267,7 +269,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l := mk(t, 64)
 		l.Append(rec(10, 1))
 		second := l.Append(rec(10, 2))
-		l.ForceAll()
+		storage.ForceAll(l)
 		if _, ok := l.ReadAt(second); !ok {
 			t.Fatal("record start not readable")
 		}
@@ -284,7 +286,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l := mk(t, 64)
 		l.Append(rec(6, 1))
 		l.Append(rec(6, 2))
-		l.ForceAll()
+		storage.ForceAll(l)
 		l.Append(rec(6, 3)) // volatile
 		var all, stable []word.LSN
 		storage.Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
@@ -306,7 +308,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		for i := 0; i < 40; i++ {
 			l.Append(rec(1+r.Intn(30), byte(i)))
 			if r.Intn(4) == 0 {
-				l.ForceAll()
+				storage.ForceAll(l)
 			}
 		}
 		for _, batch := range []int{1, 3, 64} {
@@ -342,7 +344,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		for i := 0; i < 48; i++ {
 			l.Append(rec(24, byte(i+1)))
 		}
-		l.ForceAll()
+		storage.ForceAll(l)
 		for i := 0; i < 6; i++ {
 			l.Append(rec(24, byte(0x80+i))) // volatile tail
 		}
@@ -387,7 +389,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		for i := 0; i < 12; i++ {
 			l.Append(rec(16, byte(i)))
 		}
-		l.ForceAll()
+		storage.ForceAll(l)
 		// keep mid-segment-1: only segment 0 (LSNs 1..64) can go.
 		l.Truncate(word.LSN(seg) + 17)
 		if l.TruncLSN() != word.LSN(seg)+1 {
@@ -422,7 +424,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l.Append(rec(60, 1))
 		straddler := l.Append(rec(20, 2)) // LSN 61, ends at 81: straddles seg 1 boundary (65)
 		after := l.Append(rec(10, 3))     // LSN 81
-		l.ForceAll()
+		storage.ForceAll(l)
 		l.Truncate(after)
 		// Boundary rounds down to 65; the straddler (61..80) is retained.
 		if l.TruncLSN() != seg+1 {
@@ -440,7 +442,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l := mk(t, 64)
 		l.Append(rec(8, 1))
 		second := l.Append(rec(8, 2))
-		l.ForceAll()
+		storage.ForceAll(l)
 		l.RepairTail(second)
 		if l.EndLSN() != second || l.StableLSN() != second {
 			t.Fatalf("after repair: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), second)
@@ -452,7 +454,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		if got := l.Append(rec(4, 9)); got != second {
 			t.Fatalf("append after repair got LSN %d, want %d", got, second)
 		}
-		l.ForceAll()
+		storage.ForceAll(l)
 		if data, ok := l.ReadAt(second); !ok || !bytes.Equal(data, rec(4, 9)) {
 			t.Fatal("reused LSN does not read back the new record")
 		}
@@ -474,7 +476,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 			t.Skip("device does not expose CrashTorn")
 		}
 		l.Append(rec(8, 1))
-		l.ForceAll()
+		storage.ForceAll(l)
 		frag := l.Append(rec(16, 2))
 		l.Append(rec(8, 3))
 		cut := frag + 10 // mid-record: 10 of 16 bytes land
@@ -502,7 +504,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 	t.Run("CloneIndependence", func(t *testing.T) {
 		l := mk(t, 64)
 		l.Append(rec(8, 1))
-		l.ForceAll()
+		storage.ForceAll(l)
 		vol := l.Append(rec(8, 2)) // clone carries the volatile tail too
 		c := l.Clone()
 		if c.EndLSN() != l.EndLSN() || c.StableLSN() != l.StableLSN() {
@@ -519,6 +521,105 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		c.Crash()
 		if _, ok := l.ReadAt(vol); !ok {
 			t.Fatal("clone crash leaked into parent")
+		}
+	})
+
+	// LogDevice's concurrency contract: appenders, a reader and a forcer run
+	// at once (under -race in CI). Every force covers what was appended
+	// before it; a record appended meanwhile is covered or still volatile,
+	// never lost; every record stays readable throughout, the batch in
+	// flight included; LSNs tile; and a backend that counts them pays one
+	// segment fdatasync per force whatever the batch size.
+	t.Run("AppendsDuringForce", func(t *testing.T) {
+		l := mk(t, 256)
+		type entry struct {
+			lsn  word.LSN
+			data []byte
+		}
+		var mu sync.Mutex
+		var all []entry
+		syncs := func() int64 {
+			if fm, ok := l.(interface{ FileMetrics() map[string]int64 }); ok {
+				return fm.FileMetrics()["log_fsyncs_total"]
+			}
+			return -1
+		}
+		syncs0 := syncs()
+		stop := make(chan struct{})
+		var bg, appenders sync.WaitGroup
+		background := func(step func(i int) bool) {
+			bg.Add(1)
+			go func() {
+				defer bg.Done()
+				for i := 0; step(i); i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		background(func(int) bool { // forcer
+			end := l.EndLSN()
+			if l.Force(end - 1); l.StableLSN() < end {
+				t.Errorf("force returned with stable=%d, below the end LSN %d it was asked to cover", l.StableLSN(), end)
+				return false
+			}
+			return true
+		})
+		background(func(i int) bool { // reader
+			mu.Lock()
+			var e entry
+			if len(all) > 0 {
+				e = all[i*7919%len(all)]
+			}
+			mu.Unlock()
+			if got, ok := l.ReadAt(e.lsn); e.data != nil && (!ok || !bytes.Equal(got, e.data)) {
+				t.Errorf("record at %d unreadable while appends and forces run (ok=%v)", e.lsn, ok)
+				return false
+			}
+			return true
+		})
+		for a := 0; a < 4; a++ {
+			appenders.Add(1)
+			go func(a int) {
+				defer appenders.Done()
+				for i := 0; i < 150; i++ {
+					data := rec(1+(a*31+i*7)%300, byte(a<<6|i&63))
+					lsn := l.Append(data)
+					mu.Lock()
+					all = append(all, entry{lsn, data})
+					mu.Unlock()
+				}
+			}(a)
+		}
+		appenders.Wait()
+		close(stop)
+		bg.Wait()
+		if got, forces := syncs()-syncs0, l.Stats().Forces; syncs0 >= 0 && got != forces {
+			t.Fatalf("%d forces cost %d segment fdatasyncs, want one each", forces, got)
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
+		next := word.LSN(1)
+		for _, e := range all {
+			if e.lsn != next {
+				t.Fatalf("LSNs do not tile: record at %d, want %d", e.lsn, next)
+			}
+			next += word.LSN(len(e.data))
+		}
+		// What the last force left volatile dies at a crash; what any force
+		// covered does not.
+		stable := l.StableLSN()
+		l.Crash()
+		if l.EndLSN() != stable || next < stable {
+			t.Fatalf("EndLSN = %d after crash, want the stable LSN %d (appended through %d)", l.EndLSN(), stable, next)
+		}
+		for _, e := range all {
+			got, ok := l.ReadAt(e.lsn)
+			if covered := e.lsn < stable; ok != covered || (ok && !bytes.Equal(got, e.data)) {
+				t.Fatalf("record at %d (stable LSN %d): readable=%v after crash", e.lsn, stable, ok)
+			}
 		}
 	})
 

@@ -13,7 +13,7 @@ func fillLog(t *testing.T, l *Log, n int) []word.LSN {
 	for i := 0; i < n; i++ {
 		lsns = append(lsns, l.Append([]byte("12345678")))
 	}
-	l.ForceAll()
+	ForceAll(l)
 	return lsns
 }
 

@@ -130,7 +130,7 @@ type Env struct {
 //
 // Concurrency: the table map and the id generator are guarded by an
 // internal mutex and the outcome counters are atomics, so Begin, Update,
-// Commit and Abort may run from concurrent transactions (each Tx is owned
+// PrepareCommit, FinishCommit and Abort may run from concurrent transactions (each Tx is owned
 // by a single goroutine). OnCopy additionally locks the table and the undo
 // lists (undoMu), because the mostly-concurrent collector's read barrier
 // copies objects from mutator contexts. The remaining whole-table walks
@@ -365,15 +365,15 @@ func (m *Manager) LogComplete(t *Tx) {
 	})
 }
 
-// Prepare makes the transaction's effects durable without deciding its
-// fate (the participant side of two-phase commit): the prepare record is
-// forced, locks stay held, and after a crash the transaction is restored
-// in-doubt until the coordinator's decision arrives.
+// Prepare appends the prepare record (the participant side of two-phase
+// commit) and returns its LSN; once the caller has forced it, the
+// transaction's effects are durable without its fate being decided: locks
+// stay held, and after a crash the transaction is restored in-doubt until
+// the coordinator's decision arrives.
 func (m *Manager) Prepare(t *Tx) word.LSN {
 	m.mustBeActive(t)
 	lsn := m.log.Append(wal.PrepareRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
 	t.lastLSN = lsn
-	m.log.Force(lsn)
 	t.prepared = true
 	return lsn
 }
@@ -440,19 +440,11 @@ func (m *Manager) RestoreInDoubt(id word.TxID, lastLSN word.LSN, translate func(
 	return t, objs
 }
 
-// Commit makes the transaction durable: the commit record is the only
-// synchronous log write in the system (§2.2.1). Locks are released and the
-// end record spooled.
-func (m *Manager) Commit(t *Tx) {
-	lsn := m.PrepareCommit(t)
-	m.log.Force(lsn)
-	m.FinishCommit(t)
-}
-
-// PrepareCommit appends the commit record and returns its LSN. The caller
-// must make the record durable — directly or through group commit, which
-// lets one force cover a batch of committers (the paper's §2.2.1
-// footnote) — before calling FinishCommit.
+// PrepareCommit appends the commit record — the only record whose force a
+// transaction waits for (§2.2.1) — and returns its LSN. The caller makes
+// it durable with wal.Manager.Force, holding no latch, so that overlapping
+// committers share one synchronous write (the paper's footnote 1), and
+// then calls FinishCommit.
 func (m *Manager) PrepareCommit(t *Tx) word.LSN {
 	m.mustBeActive(t)
 	lsn := m.log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})

@@ -31,6 +31,13 @@ func newFixture() *fixture {
 	return &fixture{log: log, mem: mem, h: h, locks: locks, m: NewManager(log, mem, h, locks, Env{})}
 }
 
+// commit is the protocol every committer follows: commit record, force,
+// end record.
+func (f *fixture) commit(t *Tx) {
+	f.log.Force(f.m.PrepareCommit(t))
+	f.m.FinishCommit(t)
+}
+
 func w64(v uint64) []byte {
 	b := make([]byte, 8)
 	word.PutWord(b, 0, v)
@@ -90,7 +97,7 @@ func TestCommitForcesLog(t *testing.T) {
 	if f.log.StableLSN() != 1 {
 		t.Fatal("nothing should be forced yet")
 	}
-	f.m.Commit(tr)
+	f.commit(tr)
 	// Everything through the commit record must be stable; the end
 	// record may be volatile.
 	var commitLSN word.LSN
@@ -205,7 +212,7 @@ func TestCommitReleasesLocks(t *testing.T) {
 	if err := f.locks.Acquire(tr.ID(), 0x100, lock.Write); err != nil {
 		t.Fatal(err)
 	}
-	f.m.Commit(tr)
+	f.commit(tr)
 	other := f.m.Begin()
 	if err := f.locks.Acquire(other.ID(), 0x100, lock.Write); err != nil {
 		t.Fatal("lock must be free after commit:", err)
@@ -280,7 +287,7 @@ func TestHandlesVisitedAndRewritten(t *testing.T) {
 	if h.Addr() != 0x900 {
 		t.Fatal("handle must be rewritten by the visitor")
 	}
-	f.m.Commit(tr)
+	f.commit(tr)
 	n := 0
 	f.m.ForEachHandle(func(func() word.Addr, func(word.Addr)) { n++ })
 	if n != 0 {
@@ -296,7 +303,7 @@ func TestBaseAndCompleteRecords(t *testing.T) {
 	word.PutWord(img, 8, 42)
 	f.m.LogBase(tr, 0x300, img)
 	f.m.LogComplete(tr)
-	f.m.Commit(tr)
+	f.commit(tr)
 	var base wal.BaseRec
 	var complete wal.CompleteRec
 	f.log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
@@ -320,7 +327,7 @@ func TestCompleteSkippedWhenNothingStabilized(t *testing.T) {
 	f := newFixture()
 	tr := f.m.Begin()
 	f.m.LogComplete(tr)
-	f.m.Commit(tr)
+	f.commit(tr)
 	f.log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
 		if r.Type() == wal.TComplete {
 			t.Fatal("no complete record expected")
@@ -405,7 +412,7 @@ func TestNextTxIDSurvivesRestore(t *testing.T) {
 func TestOperationsOnFinishedTxPanic(t *testing.T) {
 	f := newFixture()
 	tr := f.m.Begin()
-	f.m.Commit(tr)
+	f.commit(tr)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

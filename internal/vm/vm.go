@@ -9,8 +9,10 @@
 // The write-ahead constraint is enforced at flush time: a dirty page whose
 // page LSN is beyond the stable log forces the log before it is written,
 // which is equivalent to the paper's "unpin after the redo record is in the
-// stable log". Page-fetch and end-write records (§2.2.4) are spooled so
-// recovery can deduce the dirty page set.
+// stable log" — and replacement prefers any other victim to such a page, as
+// it would to a pinned one, so eviction does not normally force. Page-fetch
+// and end-write records (§2.2.4) are spooled so recovery can deduce the
+// dirty page set.
 package vm
 
 import (
@@ -174,7 +176,12 @@ func (s *Store) resident(id word.PageID) *page {
 
 // makeRoom evicts one page if the cache is at capacity. Pinned and
 // protected pages are skipped (a protected page's content is owed a scan;
-// evicting it would lose the protection state).
+// evicting it would lose the protection state), and so — for two laps of
+// the clock, one to clear reference bits and one to look — is a dirty page
+// whose last record is not yet in the stable log: writing it back means a
+// log force under the store's write lock, when its transaction's commit is
+// about to make it stable for nothing. Only when nothing else can go does
+// the sweep take such a page; flushPage keeps the WAL rule either way.
 func (s *Store) makeRoom() {
 	if s.cfg.CachePages <= 0 || len(s.pages) < s.cfg.CachePages {
 		return
@@ -182,7 +189,8 @@ func (s *Store) makeRoom() {
 	// Clock sweep: give each referenced page a second chance. Bound the
 	// sweep so a fully pinned cache degrades to over-commit rather than
 	// spinning forever.
-	for tries := 0; tries < 2*len(s.ring)+2; tries++ {
+	laps := 2 * len(s.ring)
+	for tries := 0; tries < 2*laps+2; tries++ {
 		if len(s.ring) == 0 {
 			return
 		}
@@ -193,29 +201,29 @@ func (s *Store) makeRoom() {
 			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
 			continue
 		}
-		if _, prot := s.prot[id]; p.pins > 0 || prot {
-			s.hand++
-			if s.hand >= len(s.ring) {
-				s.hand = 0
-			}
-			continue
-		}
-		if p.ref.Load() {
+		_, prot := s.prot[id]
+		switch {
+		case p.pins > 0 || prot:
+		case p.ref.Load():
 			p.ref.Store(false)
-			s.hand++
-			if s.hand >= len(s.ring) {
-				s.hand = 0
+		case tries < laps && p.dirty && s.unstable(p):
+		default:
+			if p.dirty {
+				s.flushPage(p)
 			}
-			continue
+			delete(s.pages, id)
+			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
+			s.stats.Evictions++
+			return
 		}
-		if p.dirty {
-			s.flushPage(p)
-		}
-		delete(s.pages, id)
-		s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
-		s.stats.Evictions++
-		return
+		s.hand++
 	}
+}
+
+// unstable reports whether the page's last logged modification is still in
+// the volatile log, so that writing the page back needs a log force first.
+func (s *Store) unstable(p *page) bool {
+	return s.log != nil && p.lsn != word.NilLSN && !s.log.IsStable(p.lsn)
 }
 
 // flushPage writes a dirty page to disk, honoring the WAL constraint and
@@ -224,7 +232,7 @@ func (s *Store) flushPage(p *page) {
 	if !p.dirty {
 		return
 	}
-	if s.log != nil && p.lsn != word.NilLSN && !s.log.IsStable(p.lsn) {
+	if s.unstable(p) {
 		// WAL: the redo record for the page's last modification must be
 		// in the stable log before the page reaches disk.
 		s.log.Force(p.lsn)

@@ -384,3 +384,80 @@ func TestFlushRangeSkipsClean(t *testing.T) {
 		t.Fatalf("clean page reflushed: %d", n)
 	}
 }
+
+// walCheckDisk fails the test if a page reaches the disk ahead of its log
+// record — the write-ahead rule, checked where it matters.
+type walCheckDisk struct {
+	*storage.Disk
+	t   *testing.T
+	log *wal.Manager
+}
+
+func (d *walCheckDisk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
+	if lsn != word.NilLSN && !d.log.IsStable(lsn) {
+		d.t.Errorf("page %d written with page LSN %d, stable LSN %d", id, lsn, d.log.StableLSN())
+	}
+	d.Disk.WritePage(id, data, lsn)
+}
+
+// logged writes w at addr under a freshly appended (volatile) record.
+func logged(s *Store, log *wal.Manager, addr word.Addr, w uint64) {
+	s.WriteWord(addr, w, log.Append(wal.BeginRec{}))
+}
+
+// TestEvictionPrefersStableVictim: the clock passes over a dirty page whose
+// last record is still volatile, as it would over a pinned one, while any
+// other victim exists — so making room does not force the log.
+func TestEvictionPrefersStableVictim(t *testing.T) {
+	disk := storage.NewDisk(ps)
+	log := wal.NewManager(storage.NewLog(0))
+	s := New(Config{PageSize: ps, CachePages: 3}, &walCheckDisk{disk, t, log}, log)
+	logged(s, log, 0*ps, 10) // page 0: dirty, unstable — first under the hand
+	logged(s, log, 1*ps, 11) // page 1: dirty, unstable
+	s.ReadWord(2 * ps)       // page 2: clean
+	s.ReadWord(3 * ps)       // needs room
+	st := s.Stats()
+	if st.LogForces != 0 || log.Device().Stats().Forces != 0 {
+		t.Fatalf("making room forced the log (%d constraint forces) with a clean victim in the cache", st.LogForces)
+	}
+	if st.Evictions != 1 || st.Flushes != 0 || disk.HasPage(0) || disk.HasPage(1) {
+		t.Fatalf("evictions=%d flushes=%d: the clean page was not the victim", st.Evictions, st.Flushes)
+	}
+	if got := s.ReadWord(0); got != 10 {
+		t.Fatalf("unstable page lost its contents: %d", got)
+	}
+	// Once a commit's force has made them stable they are ordinary victims.
+	log.ForceAll()
+	forces := log.Device().Stats().Forces
+	s.ReadWord(4 * ps)
+	s.ReadWord(5 * ps)
+	if st := s.Stats(); st.LogForces != 0 || st.Flushes == 0 || log.Device().Stats().Forces != forces {
+		t.Fatalf("after the force: constraint forces=%d flushes=%d", st.LogForces, st.Flushes)
+	}
+}
+
+// TestEvictionForcesWhenEveryVictimIsUnstable: when a full sweep finds
+// nothing else, the page goes — after exactly one log force, so the
+// write-ahead rule holds (walCheckDisk) and the same force covers the rest.
+func TestEvictionForcesWhenEveryVictimIsUnstable(t *testing.T) {
+	disk := storage.NewDisk(ps)
+	log := wal.NewManager(storage.NewLog(0))
+	s := New(Config{PageSize: ps, CachePages: 3}, &walCheckDisk{disk, t, log}, log)
+	for p := 0; p < 3; p++ {
+		logged(s, log, word.Addr(p*ps), uint64(20+p))
+	}
+	s.ReadWord(3 * ps)
+	s.ReadWord(4 * ps)
+	st := s.Stats()
+	if st.LogForces != 1 || log.Device().Stats().Forces != 1 {
+		t.Fatalf("constraint forces=%d device forces=%d, want one force for the whole tail", st.LogForces, log.Device().Stats().Forces)
+	}
+	if st.Evictions != 2 || st.Flushes != 2 {
+		t.Fatalf("evictions=%d flushes=%d, want 2 and 2", st.Evictions, st.Flushes)
+	}
+	for p := 0; p < 3; p++ {
+		if got := s.ReadWord(word.Addr(p * ps)); got != uint64(20+p) {
+			t.Fatalf("page %d holds %d after eviction and refetch", p, got)
+		}
+	}
+}

@@ -23,16 +23,16 @@ var ErrTruncated = errors.New("wal: LSN below the truncation point")
 // overhead experiments (E6); always-on latency histograms over Append and
 // Force feed the logging-overhead distributions.
 //
-// The manager owns the WAL latch: Append/Force and the cursor and
-// truncation methods serialize on an internal mutex, so concurrent
-// transactions append and force without any coarser heap latch (group
-// commit absorbs the force). Scan and ScanBatch are the deliberate
-// exception — they stay unsynchronized because redo work inside a scan
-// callback may itself force the log (page eviction), which would deadlock
-// on a held manager mutex; they are only called from single-threaded
-// contexts (recovery, tooling, quiesced experiments).
+// Two locks, neither held across device I/O. mu is the append mutex: it
+// orders Append's device call with the per-type counters, and guards the
+// retention floors. fmu is the force gate (see Force): held to pick a
+// leader and to release followers, never while the leader writes. ReadAt,
+// StableLSN, EndLSN, IsStable and the scans go straight to the device,
+// which is safe for concurrent use (storage.LogDevice's contract) — so a
+// transaction appends, reads its undo chain and tests stability while
+// another one's commit force is on the platter.
 type Manager struct {
-	mu     sync.Mutex // serializes device access (see doc above)
+	mu     sync.Mutex
 	dev    storage.LogDevice
 	count  [maxType]int64
 	bytes  [maxType]int64
@@ -43,11 +43,24 @@ type Manager struct {
 	// records at or above any floor. Replication connections register the
 	// LSN their standby still needs (see SetRetainFloor).
 	retain map[string]word.LSN
+
+	// The one force path (Force): at most one device force is in flight;
+	// parked holds the LSNs of the callers waiting for it to end.
+	fmu     sync.Mutex
+	fdone   *sync.Cond
+	forcing bool
+	parked  []word.LSN
+
+	mutexWait obs.Histogram // ns an Append that found mu taken waited for it
+	forceWait obs.Histogram // ns a follower spent parked
+	batch     obs.Histogram // callers released per device force
 }
 
 // NewManager wraps a log device.
 func NewManager(dev storage.LogDevice) *Manager {
-	return &Manager{dev: dev}
+	m := &Manager{dev: dev}
+	m.fdone = sync.NewCond(&m.fmu)
+	return m
 }
 
 // Device exposes the underlying log device (for crash simulation and stats).
@@ -74,9 +87,13 @@ func (m *Manager) Append(r Record) word.LSN {
 }
 
 // appendLocked is the mutex-held device section of Append, deferred so a
-// fault-injection panic from the device cannot leak the WAL latch.
+// fault-injection panic from the device cannot leak the append mutex.
 func (m *Manager) appendLocked(frame []byte, t Type) word.LSN {
-	m.mu.Lock()
+	if !m.mu.TryLock() {
+		start := time.Now()
+		m.mu.Lock()
+		m.mutexWait.Since(start)
+	}
 	defer m.mu.Unlock()
 	lsn := m.dev.Append(frame)
 	m.count[t]++
@@ -84,88 +101,90 @@ func (m *Manager) appendLocked(frame []byte, t Type) word.LSN {
 	return lsn
 }
 
-// Force synchronously writes the log through lsn to stable storage.
+// Force returns once the record at lsn is on stable storage. It is the
+// only force path in the system — commit, prepare, the 2PC decision, the
+// WAL constraint at page write-back and checkpoint promotion all come
+// here — and it shares the device's synchronous write among them
+// (§2.2.1, footnote 1):
+//
+//   - lsn already stable: one atomic load, no lock;
+//   - a force in flight: park until it ends. If it covered lsn, done —
+//     the caller was a follower and paid no I/O;
+//   - otherwise become the leader: force the device's whole tail with no
+//     mutex held, then release everyone that force covered.
+//
+// No timer and no helper goroutine: a lone committer leads at once — one
+// force per commit — and batching appears only when committers overlap.
 func (m *Manager) Force(lsn word.LSN) {
+	if lsn < m.dev.StableLSN() {
+		return
+	}
 	start := time.Now()
-	func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.dev.Force(lsn)
-	}()
+	m.fmu.Lock()
+	for m.forcing {
+		m.parked = append(m.parked, lsn)
+		m.fdone.Wait()
+		if lsn < m.dev.StableLSN() {
+			m.fmu.Unlock()
+			m.forceWait.Since(start)
+			return
+		}
+	}
+	m.forcing = true
+	m.fmu.Unlock()
+	defer m.endForce(start)
+	m.dev.Force(lsn)
+}
+
+// endForce ends the leader's turn, also when the device panicked (an I/O
+// error): the parked callers wake, still volatile, and one leads the retry.
+func (m *Manager) endForce(start time.Time) {
+	stable := m.dev.StableLSN()
+	m.fmu.Lock()
+	released := uint64(1)
+	for _, lsn := range m.parked {
+		if lsn < stable {
+			released++
+		}
+	}
+	m.parked = m.parked[:0]
+	m.forcing = false
+	m.fdone.Broadcast()
+	m.fmu.Unlock()
 	d := time.Since(start)
 	m.force.Observe(uint64(d))
-	m.bb.Span(obs.EvWALForce, d, 0, uint64(lsn), 0)
+	m.batch.Observe(released)
+	m.bb.Span(obs.EvWALForce, d, 0, uint64(stable), released)
 }
 
 // ForceAll forces the entire volatile tail.
-func (m *Manager) ForceAll() {
-	start := time.Now()
-	var end word.LSN
-	func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.dev.ForceAll()
-		end = m.dev.StableLSN()
-	}()
-	d := time.Since(start)
-	m.force.Observe(uint64(d))
-	m.bb.Span(obs.EvWALForce, d, 0, uint64(end), 0)
-}
+func (m *Manager) ForceAll() { m.Force(m.dev.EndLSN() - 1) }
 
 // AppendHist snapshots the Append latency histogram (nanoseconds).
 func (m *Manager) AppendHist() obs.HistSnapshot { return m.append.Snapshot() }
 
-// ForceHist snapshots the Force latency histogram (nanoseconds).
+// ForceHist snapshots the latency of the forces led (ns, queueing included).
 func (m *Manager) ForceHist() obs.HistSnapshot { return m.force.Snapshot() }
+
+// ForceWaitHist snapshots how long followers parked on another caller's
+// force; ForceBatchHist how many callers each device force released, its
+// leader included; MutexWaitHist how long Appends waited for a taken mu.
+func (m *Manager) ForceWaitHist() obs.HistSnapshot  { return m.forceWait.Snapshot() }
+func (m *Manager) ForceBatchHist() obs.HistSnapshot { return m.batch.Snapshot() }
+func (m *Manager) MutexWaitHist() obs.HistSnapshot  { return m.mutexWait.Snapshot() }
 
 // SetRecorder wires an optional flight recorder: every force lands in the
 // black-box timeline with its LSN. Nil disables.
 func (m *Manager) SetRecorder(b *obs.BlackBox) { m.bb = b }
 
 // StableLSN returns the first LSN not guaranteed durable.
-func (m *Manager) StableLSN() word.LSN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dev.StableLSN()
-}
+func (m *Manager) StableLSN() word.LSN { return m.dev.StableLSN() }
 
 // EndLSN returns the LSN the next record will receive.
-func (m *Manager) EndLSN() word.LSN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dev.EndLSN()
-}
+func (m *Manager) EndLSN() word.LSN { return m.dev.EndLSN() }
 
 // IsStable reports whether the record at lsn is durable.
-func (m *Manager) IsStable(lsn word.LSN) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return lsn < m.dev.StableLSN()
-}
-
-// DeviceStats returns the device traffic counters under the WAL latch, so
-// metrics snapshots do not race a concurrent group-commit force.
-func (m *Manager) DeviceStats() storage.LogStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dev.Stats()
-}
-
-// CloneDevice deep-copies the log device under the WAL latch (base
-// backups run while the group-commit flusher may be forcing).
-func (m *Manager) CloneDevice() storage.LogDevice {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dev.Clone()
-}
-
-// CrashDevice drops the device's volatile tail under the WAL latch, so a
-// simulated crash serializes against in-flight shipping scans and forces.
-func (m *Manager) CrashDevice() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dev.Crash()
-}
+func (m *Manager) IsStable(lsn word.LSN) bool { return lsn < m.dev.StableLSN() }
 
 // ReadAt decodes the record at lsn. An LSN below the truncation point
 // returns an error wrapping ErrTruncated (the record is gone, not
@@ -173,8 +192,6 @@ func (m *Manager) CrashDevice() {
 // storage.CorruptFrameError (match with errors.Is(err,
 // storage.ErrCorrupt)); any other failure means no record starts at lsn.
 func (m *Manager) ReadAt(lsn word.LSN) (Record, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	frame, ok := m.dev.ReadAt(lsn)
 	if !ok {
 		if lsn < m.dev.TruncLSN() {
@@ -246,9 +263,7 @@ func (m *Manager) ScanBatch(from word.LSN, stableOnly bool, batchSize int, fn fu
 // not acknowledged past a floor keeps its resume window alive no matter how
 // far checkpoints advance.
 func (m *Manager) Truncate(keep word.LSN) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f := m.retainFloorLocked(); f != word.NilLSN && f < keep {
+	if f := m.RetainFloor(); f != word.NilLSN && f < keep {
 		keep = f
 	}
 	// Round down to the device's own segment boundary before deciding
@@ -263,7 +278,7 @@ func (m *Manager) Truncate(keep word.LSN) {
 	if boundary <= m.dev.TruncLSN() {
 		return // nothing new to free (possibly floor-clamped to zero work)
 	}
-	m.dev.Truncate(keep)
+	m.dev.Truncate(keep) // not under mu: it waits for a force in flight
 }
 
 // SetRetainFloor registers (or moves) owner's retention floor: Truncate will
@@ -315,8 +330,6 @@ func (m *Manager) retainFloorLocked() word.LSN {
 // below the truncation point returns an error wrapping ErrTruncated (the
 // resume point is unserviceable — the standby needs a fresh base backup).
 func (m *Manager) CopyStableTail(from word.LSN, maxBytes int) ([]byte, word.LSN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if from < m.dev.TruncLSN() {
 		return nil, from, fmt.Errorf("wal: cannot ship from LSN %d (truncation point %d): %w",
 			from, m.dev.TruncLSN(), ErrTruncated)

@@ -30,7 +30,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		{
 			name: "whole log is untouched",
 			mutate: func(dev *storage.Log, _ []word.LSN) word.LSN {
-				dev.ForceAll()
+				storage.ForceAll(dev)
 				return word.NilLSN
 			},
 			survivors: 4,
@@ -64,7 +64,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		{
 			name: "complete final frame with rotted payload is corruption, not a tear",
 			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
-				dev.ForceAll()
+				storage.ForceAll(dev)
 				dev.CorruptEntry(lsns[3], func(b []byte) { b[len(b)-1] ^= 0x01 })
 				return lsns[3]
 			},
@@ -73,7 +73,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		{
 			name: "complete final frame with rotted CRC word is corruption",
 			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
-				dev.ForceAll()
+				storage.ForceAll(dev)
 				dev.CorruptEntry(lsns[3], func(b []byte) { b[4] ^= 0x80 })
 				return lsns[3]
 			},
@@ -82,7 +82,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		{
 			name: "undecodable interior frame with records after it is corruption",
 			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
-				dev.ForceAll()
+				storage.ForceAll(dev)
 				dev.CorruptEntry(lsns[1], func(b []byte) { b[frameHeader] ^= 0xff })
 				return lsns[1]
 			},

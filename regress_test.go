@@ -1,6 +1,9 @@
 package stableheap_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +12,8 @@ import (
 	"time"
 
 	"stableheap"
+	"stableheap/internal/storage"
+	"stableheap/internal/word"
 	"stableheap/internal/workload"
 )
 
@@ -107,5 +112,54 @@ func TestConcurrentChurnCrashRecover(t *testing.T) {
 				t.Fatalf("after recovery: %v", err)
 			}
 		})
+	}
+}
+
+// The commit path moved from "force under the stop latch" to "park on the
+// shared force outside it" (ISSUE 16). With one goroutine nothing overlaps,
+// so that must be invisible: the same records at the same LSNs, and exactly
+// one device force per commit. The digest is the one commit f77d9b2 (the
+// last with tx.Manager.Commit) produces for this seeded OO7 run — every
+// frame with its LSN — and must be regenerated, by running this test there,
+// only by a change that means to alter what a transaction logs. No
+// checkpoint is taken: a checkpoint record lists the LS set in map order.
+func TestSingleGoroutineWALUnchanged(t *testing.T) {
+	const want = "cf7eab590e4d801c46d1bf44c9c362274dce8dc3d2381a09a734514ebf67db12"
+	h := stableheap.Open(stableheap.DefaultConfig())
+	defer h.Close()
+	rng := rand.New(rand.NewSource(16))
+	o, err := workload.BuildOO7(h, 0, workload.OO7Config{Assemblies: 8, Composites: 12, AtomsPerComp: 5, DocWords: 4, ConnPerAtom: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 120; i++ {
+		switch i % 4 {
+		case 0:
+			err = o.ReplaceComposite(rng)
+		case 1, 2:
+			err = o.UpdateT2(rng)
+		default:
+			_, err = o.TraverseT1()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := h.Internal().Log().Device()
+	sum := sha256.New()
+	storage.Scan(dev, 1, false, func(lsn word.LSN, frame []byte) bool {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(lsn))
+		sum.Write(b[:])
+		sum.Write(frame)
+		return true
+	})
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Errorf("WAL digest %s, want %s", got, want)
+	}
+	// Format forces once more, to publish its checkpoint.
+	forces, commits := dev.Stats().Forces, h.Internal().TxStats().Committed
+	if forces != commits+1 {
+		t.Errorf("%d device forces for %d commits, want one each (+1 at format)", forces, commits)
 	}
 }
