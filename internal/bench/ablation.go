@@ -33,7 +33,7 @@ func E13GroupCommit() Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("log force costs %v (faultfs.SlowLog); a lone committer leads its own force at once — 1.00 — and a force in flight does not cover records appended after it took its batch, so k overlapping committers settle between 1/k and 2/k", scalingForceDelay),
+		fmt.Sprintf("log force costs %v (faultfs.SlowLog); a lone committer leads its own force at once — 1.00 — and a batch closes when the force before it ends, so the committers of one force wait out the next: k ≥ 2 overlapping committers settle at 2/k, whatever the force costs", scalingForceDelay),
 		"durability is unchanged: a committer returns only once a completed force has covered its commit record, and holds its locks until then")
 	return t
 }

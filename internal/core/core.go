@@ -1490,7 +1490,7 @@ func (t *Tx) Commit() error {
 	var lsn word.LSN
 	if t.err != nil || t.t.Prepared() || (hp.track != nil && nCand > 0) {
 		var err error
-		if lsn, err = t.commitExclusive(start); err != nil {
+		if lsn, err = t.commitExclusive(start, hp.txm.PrepareCommit); err != nil {
 			return err
 		}
 	} else {
@@ -1527,10 +1527,11 @@ func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
 	}
 }
 
-// commitExclusive is the stop-the-heap first step of a commit: stability
-// tracking, sticky-error aborts, and prepared (2PC) commits. It returns the
-// commit record's LSN, or the error the transaction was aborted with.
-func (t *Tx) commitExclusive(start time.Time) (word.LSN, error) {
+// commitExclusive is the stop-the-heap first step of a commit or a prepare:
+// stability tracking, sticky-error aborts, and prepared (2PC) commits. It
+// returns the LSN of the record logOutcome (PrepareCommit, Prepare) wrote,
+// or the error the transaction was aborted with.
+func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) (word.LSN, error) {
 	hp := t.hp
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
@@ -1556,7 +1557,7 @@ func (t *Tx) commitExclusive(start time.Time) (word.LSN, error) {
 		hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
 		return 0, t.err
 	}
-	return hp.txm.PrepareCommit(t.t), nil
+	return logOutcome(t.t), nil
 }
 
 // takeCandidates removes and returns the transaction's pending stability
@@ -1583,30 +1584,7 @@ func (t *Tx) Prepare() error {
 	if hp.journal != nil {
 		defer hp.flushOnPanic()
 	}
-	var lsn word.LSN
-	err := func() error {
-		hp.lockExclusive()
-		defer hp.unlockExclusive()
-		if t.err == nil && hp.track != nil {
-			if err := hp.track.Track(t.t, hp.takeCandidates(t.t.ID())); err != nil {
-				hp.txm.Abort(t.t)
-				if hp.hist != nil {
-					hp.hist.Abort(t.t.ID())
-				}
-				return t.fail(ErrConflict)
-			}
-		}
-		hp.takeCandidates(t.t.ID())
-		if t.err != nil {
-			hp.txm.Abort(t.t)
-			if hp.hist != nil {
-				hp.hist.Abort(t.t.ID())
-			}
-			return t.err
-		}
-		lsn = hp.txm.Prepare(t.t)
-		return nil
-	}()
+	lsn, err := t.commitExclusive(time.Now(), hp.txm.Prepare)
 	if err != nil {
 		return err
 	}

@@ -51,8 +51,8 @@ import (
 //
 // Crash semantics (ISSUE 8 satellite): for a file backend, "crash" means
 // process-exit-without-fdatasync. Append only spools to a user-space tail;
-// Force writes the whole tail to the active segment and fdatasyncs it, so
-// a killed process loses exactly the unforced tail — the volatile log. The
+// Force writes the tail through its LSN to the active segment and fdatasyncs
+// it, so a killed process loses exactly the unforced tail — the volatile log. The
 // in-process Crash()/CrashTorn() hooks used by the chaos harness reproduce
 // that same end state without exiting (and additionally push the sibling
 // page store's buffered writes to the OS, see Disk.crashFlush, since a
@@ -64,7 +64,7 @@ import (
 // structural operations (Truncate, RepairTail, Crash, CrashTorn, Clone,
 // release) take it too, and it alone guards segs, segment sizes and wbuf.
 // mu guards the other fields and is never held across I/O on the force
-// path: a force takes the tail under mu, writes it with mu released — the
+// path: a force takes its batch under mu, writes it with mu released — the
 // batch stays readable in flight — and publishes the new stable LSN under
 // mu again. Append, ReadAt, ScanBatches and the LSN getters take only mu
 // (the getters not even that). Order: forceMu, mu.
@@ -339,10 +339,9 @@ func (l *Log) Append(data []byte) word.LSN {
 	return lsn
 }
 
-// Force writes the whole volatile tail into the active segment file and
-// fdatasyncs it, making every record spooled before the call durable.
-// Forcing an already-stable LSN is a no-op. Records appended while the
-// force is in flight are not covered by it.
+// Force writes the spooled records that start at or below lsn into the
+// active segment file and fdatasyncs it. Forcing an already-stable LSN is a
+// no-op. Records above lsn, or appended during the force, stay volatile.
 func (l *Log) Force(lsn word.LSN) {
 	if lsn < l.stable.Load() {
 		return
@@ -354,8 +353,7 @@ func (l *Log) Force(lsn word.LSN) {
 		return // the force this one waited for covered it
 	}
 	l.mu.Lock()
-	through := l.end.Load()
-	l.takeTailLocked()
+	through := l.takeTailLocked(lsn)
 	l.mu.Unlock()
 	l.persist(through)
 	l.mu.Lock()
@@ -364,15 +362,17 @@ func (l *Log) Force(lsn word.LSN) {
 	l.mu.Unlock()
 }
 
-// takeTailLocked moves the spooled tail into flight. A batch still there
-// was left by a force that failed mid-write; it is written again, first.
-func (l *Log) takeTailLocked() {
-	if len(l.flight) == 0 {
-		l.flight = l.tail
-	} else {
-		l.flight = append(l.flight, l.tail...)
+// takeTailLocked moves the spooled records that start at or below lsn into
+// flight and returns the LSN the batch ends at. A batch still there was
+// left by a force that failed mid-write; it is written again, first.
+func (l *Log) takeTailLocked(lsn word.LSN) word.LSN {
+	n := sort.Search(len(l.tail), func(i int) bool { return l.tail[i].lsn > lsn })
+	l.flight = append(l.flight, l.tail[:n]...)
+	if l.tail = l.tail[n:]; len(l.tail) == 0 {
+		l.tail = nil
+		return l.end.Load()
 	}
-	l.tail = nil
+	return l.tail[0].lsn
 }
 
 // persist writes the in-flight batch up to through — whole records, and a
@@ -474,7 +474,7 @@ func (l *Log) CrashTorn(cut word.LSN) {
 		l.forceMu.Unlock()
 		panic(fmt.Sprintf("filestore: torn crash at %d outside volatile region [%d, %d]", cut, l.stable.Load(), l.end.Load()))
 	}
-	l.takeTailLocked()
+	l.takeTailLocked(l.end.Load())
 	l.end.Store(cut)
 	l.mu.Unlock()
 	l.persist(cut)

@@ -43,15 +43,16 @@ type PageStore interface {
 //
 // Concurrency: every method is safe for concurrent use, and the device
 // holds no lock across a Force's I/O that Append, ReadAt, ScanBatches,
-// StableLSN, EndLSN, TruncLSN, RetainedBytes or Stats needs. Force takes
-// the spooled tail under the device's mutex, writes and syncs it with the
-// mutex released — the batch in flight stays readable the whole time — and
-// publishes the new StableLSN when the sync returns. Records appended
-// while a Force is in flight are not covered by it. At most one Force is
-// in flight: a second one, and the structural operations (Truncate,
-// RepairTail, Crash, Clone), wait for it. wal.Manager builds the shared
-// commit force on exactly this: callers whose LSN the in-flight Force
-// covers wait for it outside every mutex, the rest append meanwhile.
+// StableLSN, EndLSN, TruncLSN, RetainedBytes or Stats needs. Force(lsn)
+// takes the spooled records that start at or below lsn under the device's
+// mutex, writes and syncs them with the mutex released — the batch in
+// flight stays readable the whole time — and publishes the new StableLSN
+// when the sync returns. The caller's lsn bounds the batch, not the
+// instant the device takes it: records above lsn, and those appended
+// while a Force is in flight, stay volatile. At most one Force is in
+// flight: a second one, and the structural operations (Truncate,
+// RepairTail, Crash, Clone), wait for it. wal.Manager.Force builds the
+// shared commit force on exactly this.
 //
 // Ownership of scanned bytes: the bytes Scan and ScanBatches deliver are
 // immutable until the scan returns, and the device lets go of them there —
@@ -65,9 +66,9 @@ type PageStore interface {
 type LogDevice interface {
 	// Append spools a record to the volatile tail and returns its LSN.
 	Append(data []byte) word.LSN
-	// Force synchronously writes the whole volatile tail to stable storage
-	// if lsn is not yet stable (a no-op otherwise, and then not counted
-	// as a force).
+	// Force synchronously writes the spooled records that start at or below
+	// lsn (all of them for EndLSN()-1) to stable storage if lsn is not yet
+	// stable (a no-op otherwise, and then not counted as a force).
 	Force(lsn word.LSN)
 	// StableLSN returns the first LSN not guaranteed durable.
 	StableLSN() word.LSN

@@ -89,9 +89,9 @@ func (l *Log) Append(data []byte) word.LSN {
 	return lsn
 }
 
-// Force synchronously writes the volatile tail to stable storage. Forcing
-// an already-stable LSN is a no-op and does not count as a synchronous
-// write. Force(EndLSN()-1) forces everything.
+// Force synchronously writes the records that start at or below lsn to
+// stable storage; Force(EndLSN()-1) forces everything. Forcing an already-
+// stable LSN is a no-op and does not count as a synchronous write.
 func (l *Log) Force(lsn word.LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -99,11 +99,13 @@ func (l *Log) Force(lsn word.LSN) {
 	if lsn < before {
 		return
 	}
-	// The whole tail is written in one synchronous operation (group
-	// commit's benefit falls out: one force covers many records).
-	l.stableLSN.Store(l.nextLSN.Load())
+	through := l.nextLSN.Load()
+	if i := l.search(lsn + 1); i < len(l.entries) {
+		through = l.entries[i].lsn
+	}
+	l.stableLSN.Store(through)
 	l.stats.Forces++
-	l.stats.BytesStable += int64(l.nextLSN.Load() - before)
+	l.stats.BytesStable += int64(through - before)
 }
 
 // StableLSN returns the first LSN NOT guaranteed durable: every record whose

@@ -208,12 +208,17 @@ func TestLogForceCoversWholeTail(t *testing.T) {
 	l := NewLog(1024)
 	a := l.Append([]byte("one"))
 	b := l.Append([]byte("two"))
-	l.Force(a)
-	if b >= l.StableLSN() {
-		t.Fatal("a force writes the whole tail (group commit)")
+	l.Force(b)
+	if a >= l.StableLSN() || b >= l.StableLSN() {
+		t.Fatal("a force writes the whole tail through its LSN (group commit)")
 	}
 	if l.Stats().Forces != 1 {
 		t.Fatal("one force expected")
+	}
+	c := l.Append([]byte("three"))
+	d := l.Append([]byte("four"))
+	if l.Force(c); l.StableLSN() != d {
+		t.Fatalf("stable=%d after a force through %d, want %d: the LSN bounds the batch", l.StableLSN(), c, d)
 	}
 }
 
@@ -386,10 +391,8 @@ func TestLogCrashPreservesForcedPrefixProperty(t *testing.T) {
 		l.Force(lsns[fi])
 		l.Crash()
 		for i, lsn := range lsns {
-			_, ok := l.ReadAt(lsn)
-			// A force covers the whole tail, so everything survives.
-			_ = i
-			if !ok {
+			// A force covers the tail through its LSN and no further.
+			if _, ok := l.ReadAt(lsn); ok != (i <= fi) {
 				return false
 			}
 		}

@@ -234,11 +234,11 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		if a < l.StableLSN() || b < l.StableLSN() {
 			t.Fatal("unforced records claim stability")
 		}
-		l.Force(a) // forces the whole tail
-		if a >= l.StableLSN() || b >= l.StableLSN() {
-			t.Fatal("force did not stabilize the whole tail")
+		c := l.Append(rec(8, 3))
+		if l.Force(b); l.StableLSN() != c { // a rides along, c stays volatile
+			t.Fatalf("stable=%d after a force through %d, want %d: the LSN bounds the batch", l.StableLSN(), b, c)
 		}
-		if l.StableLSN() != l.EndLSN() {
+		if l.Force(l.EndLSN() - 1); l.StableLSN() != l.EndLSN() {
 			t.Fatalf("stable=%d end=%d after full force", l.StableLSN(), l.EndLSN())
 		}
 		forces := l.Stats().Forces

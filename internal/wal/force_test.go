@@ -160,3 +160,68 @@ func TestForceLeaderPanicFreesTheGate(t *testing.T) {
 		t.Fatal("retry did not force")
 	}
 }
+
+// lateLog is a log device whose force waits for the test before it takes
+// its batch: whatever the test appends meanwhile is in the tail by then.
+type lateLog struct {
+	storage.LogDevice
+	arrived chan struct{} // one token per force about to take its batch
+	proceed chan struct{} // one token lets one force take it and finish
+}
+
+func (l *lateLog) Force(lsn word.LSN) {
+	l.arrived <- struct{}{}
+	<-l.proceed
+	l.LogDevice.Force(lsn)
+}
+
+// TestForceBatchClosesWhenTheCallersSay: what a force covers is fixed when
+// its leader takes the gate, or when the force before it ends with callers
+// still volatile — not when the device gets round to taking its tail. So a
+// record appended in between waits for the next force however slow the
+// leader's wake-up or the device was, and the forces a set of callers
+// costs does not move with either.
+func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
+	dev := &lateLog{LogDevice: storage.NewLog(0), arrived: make(chan struct{}), proceed: make(chan struct{})}
+	m := NewManager(dev)
+	var wg sync.WaitGroup
+	force := func(lsn word.LSN) {
+		wg.Add(1)
+		go func() { defer wg.Done(); m.Force(lsn) }()
+	}
+	parked := func(n int) {
+		for m.parkedCount() < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	a := m.Append(begin(1))
+	force(a)
+	<-dev.arrived // a leads; its batch closed at a
+	b := m.Append(begin(2))
+	force(b)
+	parked(1)
+	dev.proceed <- struct{}{} // the device takes its batch with b already spooled
+	<-dev.arrived             // ... yet b is volatile and leads the second force
+	if !m.IsStable(a) || m.IsStable(b) {
+		t.Fatalf("after the first force: IsStable(a)=%v IsStable(b)=%v, want true false", m.IsStable(a), m.IsStable(b))
+	}
+
+	c := m.Append(begin(3)) // the first caller's next commit, before b's leader reached the device
+	force(c)
+	parked(1)
+	dev.proceed <- struct{}{}
+	<-dev.arrived // the second batch closed when the first force ended: c leads a third
+	if !m.IsStable(b) || m.IsStable(c) {
+		t.Fatalf("after the second force: IsStable(b)=%v IsStable(c)=%v, want true false", m.IsStable(b), m.IsStable(c))
+	}
+	dev.proceed <- struct{}{}
+	wg.Wait()
+
+	if got := dev.Stats().Forces; got != 3 || !m.IsStable(c) {
+		t.Fatalf("%d device forces for three alternating callers (c stable: %v), want 3", got, m.IsStable(c))
+	}
+	if batch := m.ForceBatchHist(); batch.Count != 3 || batch.Max != 1 {
+		t.Fatalf("wal_force_batch = %+v, want three forces of one caller each", batch)
+	}
+}

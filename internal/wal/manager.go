@@ -23,14 +23,12 @@ var ErrTruncated = errors.New("wal: LSN below the truncation point")
 // overhead experiments (E6); always-on latency histograms over Append and
 // Force feed the logging-overhead distributions.
 //
-// Two locks, neither held across device I/O. mu is the append mutex: it
-// orders Append's device call with the per-type counters, and guards the
-// retention floors. fmu is the force gate (see Force): held to pick a
-// leader and to release followers, never while the leader writes. ReadAt,
-// StableLSN, EndLSN, IsStable and the scans go straight to the device,
-// which is safe for concurrent use (storage.LogDevice's contract) — so a
-// transaction appends, reads its undo chain and tests stability while
-// another one's commit force is on the platter.
+// Two locks, neither held across device I/O: mu, the append mutex, orders
+// Append's device call with the per-type counters and guards the retention
+// floors; fmu is the force gate (see Force), held to pick a leader and to
+// release followers. ReadAt, StableLSN, EndLSN, IsStable and the scans go
+// straight to the device (storage.LogDevice's contract), so a transaction
+// appends and reads its undo chain while another's force is on the platter.
 type Manager struct {
 	mu     sync.Mutex
 	dev    storage.LogDevice
@@ -45,10 +43,12 @@ type Manager struct {
 	retain map[string]word.LSN
 
 	// The one force path (Force): at most one device force is in flight;
-	// parked holds the LSNs of the callers waiting for it to end.
+	// parked holds the LSNs of the callers waiting for it to end, next the
+	// LSN the following force goes through while its leader is yet to wake.
 	fmu     sync.Mutex
 	fdone   *sync.Cond
 	forcing bool
+	next    word.LSN
 	parked  []word.LSN
 
 	mutexWait obs.Histogram // ns an Append that found mu taken waited for it
@@ -110,18 +110,25 @@ func (m *Manager) appendLocked(frame []byte, t Type) word.LSN {
 //   - lsn already stable: one atomic load, no lock;
 //   - a force in flight: park until it ends. If it covered lsn, done —
 //     the caller was a follower and paid no I/O;
-//   - otherwise become the leader: force the device's whole tail with no
-//     mutex held, then release everyone that force covered.
+//   - otherwise become the leader: force the device with no mutex held,
+//     then release everyone that force covered.
 //
-// No timer and no helper goroutine: a lone committer leads at once — one
-// force per commit — and batching appears only when committers overlap.
+// The callers close a batch, not the instant the device takes its tail
+// (DESIGN.md §11): a leader that finds the gate free forces through the
+// log's end as it stands then; a force that ends with callers still
+// volatile closes the next batch there and then (next), and the first of
+// them to wake leads it. So what overlapping callers cost depends on who
+// was waiting, not on how long an fdatasync or a wake-up took. No timer
+// and no helper goroutine: a lone committer leads at once, two alternate —
+// one force per commit either way — and sharing starts at three.
 func (m *Manager) Force(lsn word.LSN) {
 	if lsn < m.dev.StableLSN() {
 		return
 	}
 	start := time.Now()
 	m.fmu.Lock()
-	for m.forcing {
+	through := word.NilLSN
+	for m.forcing && through == word.NilLSN {
 		m.parked = append(m.parked, lsn)
 		m.fdone.Wait()
 		if lsn < m.dev.StableLSN() {
@@ -129,15 +136,20 @@ func (m *Manager) Force(lsn word.LSN) {
 			m.forceWait.Since(start)
 			return
 		}
+		through, m.next = m.next, word.NilLSN
+	}
+	if through == word.NilLSN {
+		through = m.dev.EndLSN() - 1
 	}
 	m.forcing = true
 	m.fmu.Unlock()
 	defer m.endForce(start)
-	m.dev.Force(lsn)
+	m.dev.Force(through)
 }
 
 // endForce ends the leader's turn, also when the device panicked (an I/O
 // error): the parked callers wake, still volatile, and one leads the retry.
+// The gate stays taken for it: newcomers park behind the batch closed here.
 func (m *Manager) endForce(start time.Time) {
 	stable := m.dev.StableLSN()
 	m.fmu.Lock()
@@ -147,8 +159,10 @@ func (m *Manager) endForce(start time.Time) {
 			released++
 		}
 	}
+	if m.forcing = int(released) <= len(m.parked); m.forcing { // a parked caller is still volatile
+		m.next = m.dev.EndLSN() - 1
+	}
 	m.parked = m.parked[:0]
-	m.forcing = false
 	m.fdone.Broadcast()
 	m.fmu.Unlock()
 	d := time.Since(start)
