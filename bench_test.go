@@ -528,58 +528,3 @@ func BenchmarkE15CheckpointTruncate(b *testing.B) {
 	dev := h.Internal().Log().Device()
 	b.ReportMetric(float64(dev.RetainedBytes()), "retained-log-bytes")
 }
-
-// --- E18: concurrent commit path ----------------------------------------
-
-// BenchmarkE18ParallelCommits drives the commit path from GOMAXPROCS
-// goroutines over disjoint counters — the sharded-latch kernel behind
-// experiment E18. `shbench e18` measures the full scaling curve over a
-// slow-force log; this kernel measures the raw concurrent commit rate on
-// the real (instant-force) simulated log.
-func BenchmarkE18ParallelCommits(b *testing.B) {
-	cfg := benchCfg(64*1024, 16*1024)
-	h := stableheap.Open(cfg)
-	const counters = 16
-	tx := h.Begin()
-	for i := 0; i < counters; i++ {
-		c, err := tx.Alloc(1, 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.SetRoot(i, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := h.CollectVolatile(); err != nil {
-		b.Fatal(err)
-	}
-	var nextSlot int32
-	var mu sync.Mutex
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		mu.Lock()
-		slot := int(nextSlot) % counters
-		nextSlot++
-		mu.Unlock()
-		for pb.Next() {
-			tr := h.Begin()
-			c, err := tr.Root(slot)
-			if err != nil {
-				panic(err)
-			}
-			v, err := tr.Data(c, 0)
-			if err != nil {
-				panic(err)
-			}
-			if err := tr.SetData(c, 0, v+1); err != nil {
-				panic(err)
-			}
-			if err := tr.Commit(); err != nil {
-				panic(err)
-			}
-		}
-	})
-}

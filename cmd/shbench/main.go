@@ -4,21 +4,16 @@
 //
 // Usage:
 //
-//	shbench [-dir path] all
+//	shbench all
 //	shbench e4 e7
 //	shbench list
 //
 // Comparable performance numbers come from the end-to-end harness under
 // benchmark/ (bash benchmark/run.sh, contract in BENCHMARK.json), not from
 // these tables.
-//
-// -dir sets the parent directory for the file-backed experiment's heap
-// directories (E21); default is the OS temp dir. Point it at a real disk
-// to measure spinning-rust or NVMe fsyncs instead of tmpfs.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -27,10 +22,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "", "parent directory for file-backed experiment heaps (default: OS temp dir)")
-	flag.Parse()
-	bench.FileDir = *dir
-	args := flag.Args()
+	args := os.Args[1:]
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
@@ -78,10 +70,8 @@ func list() {
   e14  ablation: content-free vs content-carrying copy records
   e15  extension: log space bounded by truncation
   e16  extension: log-shipping failover time vs replication lag
-  e18  extension: multi-core transaction-path scaling
   e19  extension: nursery + mostly-concurrent volatile GC pauses
   e20  extension: flight recorder + watchdog overhead on the hot path
-  e21  extension: file-backed heaps beyond the durable page cache
   e22  extension: mostly-concurrent stable GC stalls vs stop-the-world
   e23  extension: partitioned multi-heap scaling and the cross-partition 2PC tax`)
 }

@@ -300,7 +300,31 @@ func printSummary(w io.Writer, m stableheap.Metrics) {
 				h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Max)
 		}
 	}
+	printRecoverySummary(w, m)
 	printVGCSummary(w, m)
+}
+
+// printRecoverySummary answers "why did restart take that long and how many
+// workers did it really use" from the last recovery's metrics.
+func printRecoverySummary(w io.Writer, m stableheap.Metrics) {
+	workers, ok := m.Counters["recovery_redo_workers"]
+	if !ok {
+		return
+	}
+	fmt.Fprintln(w, "\nrecovery (last restart):")
+	for _, p := range []struct{ label, hist string }{
+		{"analysis", "recovery_analysis_ns"},
+		{"redo", "recovery_redo_ns"},
+		{"undo", "recovery_undo_ns"},
+		{"evacuation", "recovery_evacuate_ns"},
+	} {
+		if h := m.Histograms[p.hist]; h.Count > 0 {
+			fmt.Fprintf(w, "  %-11s %v\n", p.label+":", h.MaxDur())
+		}
+	}
+	fmt.Fprintf(w, "  records:    %d scanned, %d applied by %d redo worker(s); %d cross-shard barriers, shard skew %.2f\n",
+		m.Counters["recovery_redo_scanned_total"], m.Counters["recovery_redo_applied_total"], workers,
+		m.Counters["recovery_redo_barriers_total"], float64(m.Counters["recovery_redo_shard_skew_milli"])/1000)
 }
 
 // printVGCSummary derives the generational/concurrent volatile-GC story

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"stableheap"
@@ -13,8 +12,8 @@ import (
 // E13GroupCommit measures group commit (§2.2.1 footnote): committers that
 // overlap share one log force — the first leads it, the ones whose commit
 // record it covers wait for it — so forces per commit falls as committers
-// are added, with no window or batch size to tune. It is E18's disjoint
-// kernel with the forces counted; over a free force nothing would overlap.
+// are added, with no window or batch size to tune. It is the disjoint
+// scaling kernel with the forces counted; over a free force nothing would overlap.
 func E13GroupCommit() Table {
 	t := Table{
 		ID:     "E13",
@@ -24,7 +23,7 @@ func E13GroupCommit() Table {
 	}
 	const window = 250 * time.Millisecond
 	for _, workers := range []int{1, 2, 4, 8} {
-		commits, _, _, forces := scalingMeasure(workers, window, 8, func(w int, _ *rand.Rand) int { return w })
+		commits, forces := scalingMeasure(workers, window)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", workers),
 			fmt.Sprintf("%d", commits), fmt.Sprintf("%d", forces),

@@ -78,8 +78,7 @@ func All() []func() Table {
 		E6LogVolume, E7CrashDuringGC, E8Tracking, E9Division,
 		E10Barrier, E11Throughput, E12CrashMatrix,
 		E13GroupCommit, E14CopyContents, E15Truncation, E16Failover,
-		E18Scaling, E19Nursery, E20Recorder, E21Filestore, E22StableConc,
-		E23Shard,
+		E19Nursery, E20Recorder, E22StableConc, E23Shard,
 	}
 }
 
@@ -91,9 +90,8 @@ func ByID(id string) (func() Table, bool) {
 		"e8": E8Tracking, "e9": E9Division, "e10": E10Barrier,
 		"e11": E11Throughput, "e12": E12CrashMatrix,
 		"e13": E13GroupCommit, "e14": E14CopyContents, "e15": E15Truncation,
-		"e16": E16Failover, "e18": E18Scaling, "e19": E19Nursery,
-		"e20": E20Recorder, "e21": E21Filestore, "e22": E22StableConc,
-		"e23": E23Shard,
+		"e16": E16Failover, "e19": E19Nursery, "e20": E20Recorder,
+		"e22": E22StableConc, "e23": E23Shard,
 	}
 	f, ok := m[strings.ToLower(id)]
 	return f, ok

@@ -2,19 +2,17 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"stableheap/internal/obs"
 )
 
-// recorderMeasure runs the E18 disjoint scaling workload with the flight
+// recorderMeasure runs the disjoint scaling kernel (scaling.go) with the flight
 // recorder (and, when withWatchdog, the stall watchdog) toggled, and
 // returns the best committed-transaction rate over reps runs. Best-of
 // damps scheduler noise: the claim is about the recorder's intrinsic
 // cost, not about run-to-run variance.
 func recorderMeasure(recorder bool, g, reps int, duration time.Duration) float64 {
-	disjoint := func(w int, rng *rand.Rand) int { return w }
 	best := 0.0
 	for i := 0; i < reps; i++ {
 		cfg := scalingConfig()
@@ -22,7 +20,7 @@ func recorderMeasure(recorder bool, g, reps int, duration time.Duration) float64
 			cfg.FlightRecorder = true
 			cfg.WatchdogInterval = 10 * time.Millisecond
 		}
-		committed, _, _, _ := scalingMeasureCfg(cfg, g, duration, 16, disjoint)
+		committed, _ := scalingMeasureCfg(cfg, g, duration)
 		if rate := float64(committed) / duration.Seconds(); rate > best {
 			best = rate
 		}
@@ -31,7 +29,7 @@ func recorderMeasure(recorder bool, g, reps int, duration time.Duration) float64
 }
 
 // E20Recorder measures the flight recorder's overhead on the hot path:
-// the E18 disjoint-transaction throughput with the recorder (ring events
+// the disjoint-transaction throughput with the recorder (ring events
 // on every begin/commit/force plus the ticking watchdog) against the
 // identical workload without it. The paper's observability bargain is
 // that a crash-surviving recording must cost nothing worth measuring;
@@ -64,7 +62,7 @@ func E20Recorder() Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"workload: E18 disjoint profile (private counters, no conflicts), best of 3 runs per cell",
+		"workload: disjoint scaling kernel (private counters, no conflicts), best of 3 runs per cell",
 		fmt.Sprintf("recorder on = %d-slot ring + journal + watchdog ticking at 10ms; recorder off = the seed configuration", obs.BlackBoxEvents),
 		"negative overhead is measurement noise: both sides are bound by the simulated 250µs commit force")
 	return t

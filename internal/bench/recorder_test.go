@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -40,8 +39,7 @@ func TestRecorderOverheadBound(t *testing.T) {
 func TestRecorderMeasureRecordsEvents(t *testing.T) {
 	cfg := scalingConfig()
 	cfg.FlightRecorder = true
-	committed, _, _, _ := scalingMeasureCfg(cfg, 2, 50*time.Millisecond, 16,
-		func(w int, rng *rand.Rand) int { return w })
+	committed, _ := scalingMeasureCfg(cfg, 2, 50*time.Millisecond)
 	if committed == 0 {
 		t.Fatal("no transactions committed under the recorder")
 	}

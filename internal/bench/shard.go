@@ -7,23 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stableheap/internal/core"
 	"stableheap/internal/faultfs"
 	"stableheap/internal/shard"
 	"stableheap/internal/storage"
 )
-
-// shardPartCfg is the per-partition heap configuration for E23 — the E18
-// scaling config, so the single-partition cluster row is directly
-// comparable to the single-heap baseline.
-func shardPartCfg() core.Config {
-	cfg := core.Config{
-		PageSize: 1024, StableWords: 64 * 1024, VolatileWords: 16 * 1024,
-		Divided: true, Incremental: true,
-		LockWait: 5 * time.Millisecond,
-	}
-	return cfg.WithDefaults()
-}
 
 // shardMeasure runs g goroutines against a cluster of the given partition
 // count for the duration. Each transaction is a read-modify-write on one
@@ -33,7 +20,9 @@ func shardPartCfg() core.Config {
 // partition log and the coordinator's decision log pay scalingForceDelay
 // per force, so the measured shape is force-overlap, not CPU.
 func shardMeasure(partitions, g int, duration time.Duration, counters int, crossFrac float64) (committed, twopc int64, err error) {
-	part := shardPartCfg()
+	// The scaling kernel's config per partition, so the single-partition
+	// cluster row is directly comparable to the single-heap baseline.
+	part := scalingConfig()
 	devs := make([]shard.PartDevices, partitions)
 	for i := range devs {
 		devs[i] = shard.PartDevices{
@@ -135,7 +124,7 @@ func shardMeasure(partitions, g int, duration time.Duration, counters int, cross
 //     two partitions and commit through 2PC, paying one forced prepare per
 //     branch plus the forced coordinator decision.
 //
-// The single-heap row is the E18 disjoint kernel on the same force delay:
+// The single-heap row is the disjoint scaling kernel on the same force delay:
 // the cost of the cluster API itself is partitions=1 vs that baseline. The
 // 2PC tax dominates the cross mixes — each distributed commit serializes
 // two extra forced writes — so the cross curves sit at or below the
@@ -154,10 +143,10 @@ func E23Shard() Table {
 		counters = 32
 	)
 
-	base, _, _, _ := scalingMeasure(g, duration, 32, func(w int, rng *rand.Rand) int { return w })
+	base, _ := scalingMeasure(g, duration)
 	baseRate := float64(base) / duration.Seconds()
 	t.Rows = append(t.Rows, []string{
-		"single-heap (E18 disjoint)", "-", fmt.Sprintf("%d", g),
+		"single heap, private counters", "-", fmt.Sprintf("%d", g),
 		fmt.Sprintf("%.0f", baseRate), "-", "1.00x",
 	})
 

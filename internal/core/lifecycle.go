@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"stableheap/internal/gc"
 	"stableheap/internal/lock"
@@ -176,14 +177,8 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 	}()
 	cfg = cfg.withDefaults()
 	hp := build(cfg, disk, logDev)
-	var res *recovery.Result
-	var err error
-	opts := recovery.Options{RedoWorkers: cfg.RecoveryWorkers, Recorder: hp.bb}
-	if media {
-		res, err = recovery.RecoverFromArchiveWith(hp.mem, hp.log, opts)
-	} else {
-		res, err = recovery.RecoverWith(hp.mem, hp.log, opts)
-	}
+	res, err := recovery.Recover(hp.mem, hp.log, recovery.Options{
+		RedoWorkers: cfg.RecoveryWorkers, Recorder: hp.bb, Media: media})
 	if err != nil {
 		return nil, err
 	}
@@ -249,10 +244,12 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 		// Evacuate recovered newly stable objects into the stable area;
 		// everything else in the volatile area died with the crash.
 		if len(hp.ls) > 0 {
+			start := time.Now()
 			if err := hp.ensureStableSpaceRecovered(); err != nil {
 				return nil, err
 			}
 			hp.vgc.CollectRecovered()
+			hp.met.recEvacuate.Since(start)
 		}
 		hp.ls = make(map[word.Addr]bool)
 		hp.volRootObj = hp.allocVolRootObj()

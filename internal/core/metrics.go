@@ -22,6 +22,7 @@ type heapMetrics struct {
 	recAnalysis obs.Histogram // recovery analysis pass wall time
 	recRedo     obs.Histogram // recovery redo pass wall time
 	recUndo     obs.Histogram // recovery undo pass wall time
+	recEvacuate obs.Histogram // post-recovery evacuation of recovered newly stable objects
 	nurseryRem  obs.Counter   // generational write-barrier hits (aged slot → nursery)
 	satbGray    obs.Counter   // SATB deletion-barrier hits during concurrent scans
 }
@@ -148,6 +149,14 @@ func (hp *Heap) Metrics() obs.Snapshot {
 		s.SetHist("recovery_undo_ns", hp.met.recUndo.Snapshot())
 		s.SetCounter("recovery_redo_scanned_total", int64(hp.lastRecovery.RedoScanned))
 		s.SetCounter("recovery_redo_applied_total", int64(hp.lastRecovery.RedoApplied))
+		// What replay decided: the shard count actually used (1 when the
+		// configured workers fell back to sequential redo), the cross-shard
+		// barriers it paid, and max/mean records per shard ×1000.
+		st := hp.lastRecovery.Stats
+		s.SetCounter("recovery_redo_workers", int64(st.RedoWorkers))
+		s.SetCounter("recovery_redo_barriers_total", int64(st.Barriers))
+		s.SetCounter("recovery_redo_shard_skew_milli", int64(st.Skew()*1000))
+		s.SetHist("recovery_evacuate_ns", hp.met.recEvacuate.Snapshot())
 	}
 
 	if hp.bb != nil {

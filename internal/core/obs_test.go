@@ -152,6 +152,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 func TestRecoveryMetrics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlightRecorder = true
+	cfg.RecoveryWorkers = 3
 	hp := Open(cfg)
 	obsWorkload(t, hp)
 	disk, logDev := hp.Crash()
@@ -168,6 +169,19 @@ func TestRecoveryMetrics(t *testing.T) {
 	}
 	if m.Counter("recovery_redo_scanned_total") == 0 {
 		t.Error("no redo records scanned")
+	}
+	// The shard count is the one redo really used, not the one configured.
+	if got := m.Counter("recovery_redo_workers"); got != 3 {
+		t.Errorf("recovery_redo_workers = %d, want 3", got)
+	}
+	if got := m.Counter("recovery_redo_shard_skew_milli"); got < 1000 {
+		t.Errorf("recovery_redo_shard_skew_milli = %d, want ≥ 1000 once records were sharded", got)
+	}
+	if _, ok := m.Counters["recovery_redo_barriers_total"]; !ok {
+		t.Error("counter recovery_redo_barriers_total missing")
+	}
+	if _, ok := m.Histograms["recovery_evacuate_ns"]; !ok {
+		t.Error("histogram recovery_evacuate_ns missing")
 	}
 	// The recovery phases landed in the trace, as spans.
 	spans, _ := traceDoc(t, h2.TraceJSON())

@@ -28,7 +28,7 @@ func recoverImage(t *testing.T, pageSize int, disk storage.PageStore, logDev sto
 	t.Helper()
 	mgr := wal.NewManager(logDev)
 	mem := vm.New(vm.Config{PageSize: pageSize, LogFetches: true}, disk, mgr)
-	res, err := recovery.RecoverWith(mem, mgr, recovery.Options{RedoWorkers: workers})
+	res, err := recovery.Recover(mem, mgr, recovery.Options{RedoWorkers: workers})
 	if err != nil {
 		t.Fatalf("recover (workers=%d): %v", workers, err)
 	}

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"time"
 
 	"stableheap/internal/storage"
 	"stableheap/internal/vm"
@@ -20,8 +19,8 @@ import (
 // The invariant Apply maintains is what makes promotion trivial: after
 // applying the shipped prefix through LSN L, the standby's (disk, stable
 // log) pair is byte-equivalent — up to volatile-area noise recovery ignores
-// — to a primary that crashed at L. In particular, shipped end-write
-// records are mirrored: when the primary certifies a page flush, the
+// — to a primary that crashed at L. In particular, a shipped end-write
+// record is replayed too: when the primary certifies a page flush, the
 // standby flushes its own replayed copy of that page, so a later recovery's
 // analysis (which prunes the dirty page table at end-write records) finds
 // the page image it expects on the standby's disk. Promotion is therefore
@@ -29,21 +28,17 @@ import (
 // argument of Ch. 4 carries over verbatim (see DESIGN.md §9).
 type Applier struct {
 	mem   *vm.Store
-	log   *wal.Manager
-	red   *redoer
-	cpLSN word.LSN // latest fully-shipped checkpoint (master candidate)
+	red   *redoer // red.dpt is the standby's dirty page table
 	stats ApplierStats
 }
 
 // ApplierStats reports bootstrap and continuous-apply activity.
 type ApplierStats struct {
 	// Bootstrap is the base-backup catch-up pass (analysis + redo over the
-	// retained stable log).
-	BootstrapAnalysis time.Duration
-	BootstrapRedo     time.Duration
-	BootstrapScanned  int
-	BootstrapApplied  int
-	RedoWorkers       int
+	// retained stable log) with its redo record counts.
+	Bootstrap        Stats
+	BootstrapScanned int
+	BootstrapApplied int
 	// Continuous apply.
 	Applied       int // records that modified a page
 	Flushes       int // mirrored end-write page flushes
@@ -71,61 +66,18 @@ func StartApplier(mem *vm.Store, log *wal.Manager, opts Options) (ap *Applier, e
 		}
 	}()
 	mem.SetLogFetches(false)
-
-	master := mem.Disk().Master()
-	if !master.Formatted {
-		return nil, fmt.Errorf("recovery: applier base backup is not a formatted stable heap")
-	}
-	cpLSN := master.CheckpointLSN
-	if cpLSN == word.NilLSN {
-		return nil, fmt.Errorf("recovery: applier base backup has no checkpoint")
-	}
-	rec, err := log.ReadAt(cpLSN)
+	a, res, err := replay(mem, log, opts)
 	if err != nil {
-		return nil, fmt.Errorf("recovery: applier cannot read checkpoint at %d: %v", cpLSN, err)
+		return nil, fmt.Errorf("recovery: applier bootstrap failed: %w", err)
 	}
-	cp, ok := rec.(wal.CheckpointRec)
-	if !ok {
-		return nil, fmt.Errorf("recovery: record at %d is %v, not a checkpoint", cpLSN, rec.Type())
-	}
-
-	ap = &Applier{mem: mem, log: log, cpLSN: cpLSN}
-
-	phase := time.Now()
-	a := newAnalysis(mem, cp, cpLSN)
-	a.scan(log)
-	ap.stats.BootstrapAnalysis = time.Since(phase)
-
-	phase = time.Now()
-	ap.stats.RedoWorkers = 1
-	if redoStart := a.redoStart(); redoStart != word.NilLSN {
-		// Reuse the recovery engines: parallel partitioned replay when the
-		// store is fresh, sequential otherwise. A scratch Result collects
-		// the counters.
-		var res Result
-		if workers := opts.workers(); workers > 1 && len(mem.ResidentPages()) == 0 {
-			runParallelRedo(mem, log, a.dpt, redoStart, workers, &res)
-			ap.stats.RedoWorkers = res.Stats.RedoWorkers
-		} else {
-			r := &redoer{mem: mem, dpt: a.dpt}
-			log.ScanBatch(redoStart, true, redoBatchSize, func(lsns []word.LSN, recs []wal.Record) bool {
-				for i, rec := range recs {
-					res.RedoScanned++
-					if r.apply(lsns[i], rec) {
-						res.RedoApplied++
-					}
-				}
-				return true
-			})
-		}
-		ap.stats.BootstrapScanned = res.RedoScanned
-		ap.stats.BootstrapApplied = res.RedoApplied
-	}
-	ap.stats.BootstrapRedo = time.Since(phase)
-
-	// The post-analysis dirty page table seeds continuous apply: it is
-	// exactly the table a crash-now recovery would reconstruct.
-	ap.red = &redoer{mem: mem, dpt: a.dpt}
+	// The post-analysis dirty page table seeds continuous apply, and Apply
+	// maintains it with the same dirtyPages.note analysis uses: after the
+	// shipped prefix through L it is the table a crash at L would
+	// reconstruct (TestApplierTableEqualsAnalysis).
+	ap = &Applier{mem: mem, red: &redoer{mem: mem, dpt: a.dpt}}
+	ap.stats.Bootstrap = res.Stats
+	ap.stats.BootstrapScanned = res.RedoScanned
+	ap.stats.BootstrapApplied = res.RedoApplied
 	return ap, nil
 }
 
@@ -136,84 +88,38 @@ func StartApplier(mem *vm.Store, log *wal.Manager, opts Options) (ap *Applier, e
 func (ap *Applier) Apply(lsn word.LSN, rec wal.Record) {
 	switch r := rec.(type) {
 	case wal.EndWriteRec:
-		ap.mirrorFlush(r)
+		// Replay the primary's page-flush certificate before note prunes
+		// the table: the standby writes its own replayed image of the page
+		// to its disk, so table and disk track the primary's. Pages the
+		// applier never dirtied carry no logged content and are skipped —
+		// recovery reconstructs nothing from them.
+		if _, dirty := ap.red.dpt.recLSN[r.Page]; dirty {
+			ap.mem.FlushPage(r.Page)
+			ap.stats.Flushes++
+		} else {
+			ap.stats.EndWriteSkips++
+		}
 	case wal.CheckpointRec:
 		// The checkpoint is in the standby's stable log (the caller forced
 		// it), so it can become the master: promotion after this point
-		// starts analysis here, exactly as on the primary.
-		ap.cpLSN = lsn
+		// starts analysis here, exactly as on the primary — and so does
+		// the table, which otherwise kept every page the primary discarded
+		// unflushed (a freed from-space logs no end-write).
 		ap.mem.Disk().SetMaster(storage.Master{
 			Formatted: true, CheckpointLSN: lsn, PageSize: ap.mem.PageSize(),
 		})
+		*ap.red.dpt = *newDirtyPages(ap.red.dpt.pageSize, r.Dirty, false)
 		ap.stats.Checkpoints++
-	default:
-		ap.markDirty(lsn, rec)
-		if ap.red.apply(lsn, rec) {
-			ap.stats.Applied++
-		}
 	}
-}
-
-// markDirty grows the dirty page table for an incoming record, mirroring
-// the analysis pass's dirty-marking rules: a page absent from the table
-// gets this record's LSN as its recLSN (first post-flush dirtier).
-func (ap *Applier) markDirty(lsn word.LSN, rec wal.Record) {
-	switch r := rec.(type) {
-	case wal.UpdateRec:
-		ap.dirtyRange(r.Addr, len(r.Redo), lsn)
-	case wal.CLRRec:
-		ap.dirtyRange(r.Addr, len(r.Redo), lsn)
-	case wal.LogicalRec:
-		ap.dirtyRange(r.Addr, word.WordSize, lsn)
-	case wal.AllocRec:
-		ap.dirtyRange(r.Addr, word.WordsToBytes(r.SizeWords), lsn)
-	case wal.CopyRec:
-		ap.dirtyRange(r.To, word.WordsToBytes(r.SizeWords), lsn)
-		ap.dirtyRange(r.From, word.WordSize, lsn)
-	case wal.ScanRec:
-		if len(r.Fixes) > 0 {
-			ap.dirtyRange(r.Fixes[0].Addr, word.WordSize, lsn)
-		}
-	case wal.SFixRec:
-		if len(r.Fixes) > 0 {
-			ap.dirtyRange(r.Fixes[0].Addr, word.WordSize, lsn)
-		}
-	case wal.BaseRec:
-		ap.dirtyRange(r.Addr, len(r.Object), lsn)
-	case wal.V2SCopyRec:
-		ap.dirtyRange(r.To, len(r.Object), lsn)
+	ap.red.dpt.note(lsn, rec)
+	if ap.red.apply(lsn, rec) {
+		ap.stats.Applied++
 	}
-}
-
-// dirtyRange marks every page overlapped by [addr, addr+n) dirty at lsn if
-// not already tracked.
-func (ap *Applier) dirtyRange(addr word.Addr, n int, lsn word.LSN) {
-	ps := ap.mem.PageSize()
-	for pg := addr.Page(ps); pg.Base(ps) < addr+word.Addr(n); pg++ {
-		if _, ok := ap.red.dpt[pg]; !ok {
-			ap.red.dpt[pg] = lsn
-		}
-	}
-}
-
-// mirrorFlush replays a primary page-flush certificate: the standby writes
-// its own replayed image of the page to its disk and prunes the dirty page
-// table, so the table (and the disk) track the primary's exactly. Pages the
-// applier never dirtied carry no logged content and are skipped — recovery
-// reconstructs nothing from them.
-func (ap *Applier) mirrorFlush(r wal.EndWriteRec) {
-	if _, ok := ap.red.dpt[r.Page]; !ok {
-		ap.stats.EndWriteSkips++
-		return
-	}
-	ap.mem.FlushPage(r.Page)
-	delete(ap.red.dpt, r.Page)
-	ap.stats.Flushes++
 }
 
 // Stats returns a snapshot of applier activity.
 func (ap *Applier) Stats() ApplierStats {
 	s := ap.stats
-	s.DirtyPages = len(ap.red.dpt)
+	s.DirtyPages = len(ap.red.dpt.recLSN)
 	return s
 }

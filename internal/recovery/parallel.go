@@ -25,9 +25,13 @@ import (
 // dispatcher alone while all shards are quiesced (a barrier). DESIGN.md
 // "Parallel recovery" gives the full argument.
 //
-// Workers replay into shard-private page caches (vm.Store is
-// single-threaded), which are merged back into the store after the join in
-// a way that reproduces the sequential recLSN/page-LSN/dirty state exactly.
+// Workers replay into shard-private page caches rather than into vm.Store.
+// The store is safe to share (it carries an RWMutex since the sharded
+// latch), but every page miss would take its write lock and its clock would
+// evict in an order that depends on how the workers interleave. Private
+// caches keep replay lock-free and its outcome independent of scheduling;
+// they are merged back after the join in a way that reproduces the
+// sequential recLSN/page-LSN/dirty state exactly.
 
 // redoBatchSize is how many records the dispatcher decodes per log read.
 const redoBatchSize = 128
@@ -199,13 +203,13 @@ type redoTask struct {
 // parallelRedo runs the dispatcher-plus-workers redo engine.
 type parallelRedo struct {
 	mem      *shardedMem
-	dpt      map[word.PageID]word.LSN
-	workers  int
+	dpt      *dirtyPages
 	chans    []chan redoTask
 	wg       sync.WaitGroup
-	applied  []int64 // per-worker applied counts for single-shard records
+	applied  []int   // per-worker records that modified a page
 	records  []int   // per-worker records delivered (skew stat)
-	multis   []*atomic.Bool
+	serial   *redoer // unfiltered; runs only while the workers are quiesced
+	barriers int
 	panicMu  sync.Mutex
 	panicVal any
 }
@@ -237,12 +241,9 @@ func (e *parallelRedo) worker(i int) {
 			continue
 		}
 		e.records[i]++
-		if r.apply(t.lsn, t.rec) {
-			if t.multi != nil {
-				t.multi.Store(true)
-			} else {
-				e.applied[i]++
-			}
+		// A record spanning shards counts once, for the first to apply it.
+		if r.apply(t.lsn, t.rec) && (t.multi == nil || t.multi.CompareAndSwap(false, true)) {
+			e.applied[i]++
 		}
 	}
 }
@@ -252,7 +253,7 @@ func (e *parallelRedo) worker(i int) {
 // dispatcher's next channel send publishes its own writes back.
 func (e *parallelRedo) drain() {
 	var fw sync.WaitGroup
-	fw.Add(e.workers)
+	fw.Add(len(e.chans))
 	for i := range e.chans {
 		e.chans[i] <- redoTask{flush: &fw}
 	}
@@ -265,73 +266,35 @@ func (e *parallelRedo) drain() {
 	}
 }
 
-// rangeMask returns the bitmask of shards owning pages of [addr, addr+n).
-func (e *parallelRedo) rangeMask(addr word.Addr, n int) uint64 {
-	var mask uint64
-	ps := e.mem.ps
-	for pg := addr.Page(ps); pg.Base(ps) < addr+word.Addr(n); pg++ {
-		mask |= 1 << uint(e.mem.shardOf(pg))
-	}
-	return mask
-}
-
-// route classifies a record: the shards it must visit, or barrier=true for
-// records that must be applied serially against the combined view
-// (content-free copy records, which read from-space to write to-space).
-// Mask 0 means the record has no page effects. The page spans mirror
-// redoer.apply's writes exactly.
+// route classifies a record from its footprint: the shards owning the pages
+// it writes (mask 0: no page effects), or barrier=true when replay reads a
+// page it does not write and so must run serially against the combined view.
 func (e *parallelRedo) route(rec wal.Record) (mask uint64, barrier bool) {
-	switch t := rec.(type) {
-	case wal.UpdateRec:
-		return e.rangeMask(t.Addr, len(t.Redo)), false
-	case wal.CLRRec:
-		if t.Flags&wal.CLRLogicalDelta != 0 {
-			return e.rangeMask(t.Addr, word.WordSize), false
-		}
-		return e.rangeMask(t.Addr, len(t.Redo)), false
-	case wal.LogicalRec:
-		return e.rangeMask(t.Addr, word.WordSize), false
-	case wal.AllocRec:
-		return e.rangeMask(t.Addr, word.WordsToBytes(t.SizeWords)), false
-	case wal.CopyRec:
-		n := word.WordsToBytes(t.SizeWords)
-		if len(t.Contents) != n {
-			return 0, true
-		}
-		// Self-contained: to-space pages plus the from-space page that
-		// takes the forwarding pointer.
-		return e.rangeMask(t.To, n) | e.rangeMask(t.From, word.WordSize), false
-	case wal.ScanRec:
-		if len(t.Fixes) == 0 {
-			return 0, false
-		}
-		return 1 << uint(e.mem.shardOf(t.Page)), false
-	case wal.SFixRec:
-		if len(t.Fixes) == 0 {
-			return 0, false
-		}
-		return 1 << uint(e.mem.shardOf(t.Page)), false
-	case wal.BaseRec:
-		return e.rangeMask(t.Addr, len(t.Object)), false
-	case wal.V2SCopyRec:
-		return e.rangeMask(t.To, len(t.Object)), false
-	default:
-		return 0, false // control records have no page effects
+	writes, readsElsewhere := footprint(rec)
+	if readsElsewhere {
+		return 0, true
 	}
+	for _, s := range writes {
+		for pg, last := s.pages(e.mem.ps); pg <= last; pg++ {
+			mask |= 1 << uint(e.mem.shardOf(pg))
+		}
+	}
+	return mask, false
 }
 
-// runParallelRedo repeats history from start with the given worker count,
-// filling res.RedoScanned/RedoApplied and the redo fields of res.Stats.
-// mem must hold no resident pages (the recovery contract: a fresh store
-// over the surviving disk); the caller checks this and falls back to
-// sequential redo otherwise.
-func runParallelRedo(mem *vm.Store, log *wal.Manager, dpt map[word.PageID]word.LSN, start word.LSN, workers int, res *Result) {
+// startParallelRedo launches the workers of a sharded redo over mem's disk.
+// replay then feeds it every record, in LSN order, through dispatch and
+// calls finish. mem must hold no resident pages (the recovery contract: a
+// fresh store over the surviving disk); replay checks this and falls back
+// to sequential redo otherwise.
+func startParallelRedo(mem *vm.Store, dpt *dirtyPages, workers int) *parallelRedo {
 	sm := newShardedMem(mem.Disk(), mem.PageSize(), workers)
 	e := &parallelRedo{
-		mem: sm, dpt: dpt, workers: workers,
+		mem: sm, dpt: dpt,
 		chans:   make([]chan redoTask, workers),
-		applied: make([]int64, workers),
+		applied: make([]int, workers),
 		records: make([]int, workers),
+		serial:  &redoer{mem: sm, dpt: dpt},
 	}
 	for i := range e.chans {
 		e.chans[i] = make(chan redoTask, 4*redoBatchSize)
@@ -340,35 +303,32 @@ func runParallelRedo(mem *vm.Store, log *wal.Manager, dpt map[word.PageID]word.L
 	for i := 0; i < workers; i++ {
 		go e.worker(i)
 	}
+	return e
+}
 
-	barriers := 0
-	serial := &redoer{mem: sm, dpt: dpt} // unfiltered; runs only while quiesced
-	log.ScanBatch(start, true, redoBatchSize, func(lsns []word.LSN, recs []wal.Record) bool {
-		for i, rec := range recs {
-			res.RedoScanned++
-			mask, barrier := e.route(rec)
-			if barrier {
-				e.drain()
-				barriers++
-				if serial.apply(lsns[i], rec) {
-					res.RedoApplied++
-				}
-				continue
-			}
-			switch bits.OnesCount64(mask) {
-			case 0:
-			case 1:
-				e.chans[bits.TrailingZeros64(mask)] <- redoTask{lsn: lsns[i], rec: rec}
-			default:
-				flag := &atomic.Bool{}
-				e.multis = append(e.multis, flag)
-				for m := mask; m != 0; m &= m - 1 {
-					e.chans[bits.TrailingZeros64(m)] <- redoTask{lsn: lsns[i], rec: rec, multi: flag}
-				}
-			}
-		}
-		return true
-	})
+// dispatch hands one record to the shards it writes. A barrier record is
+// replayed here instead, with every worker quiesced; only then is the
+// result (a page was modified) known to the caller.
+func (e *parallelRedo) dispatch(lsn word.LSN, rec wal.Record) bool {
+	mask, barrier := e.route(rec)
+	if barrier {
+		e.drain()
+		e.barriers++
+		return e.serial.apply(lsn, rec)
+	}
+	task := redoTask{lsn: lsn, rec: rec}
+	if bits.OnesCount64(mask) > 1 {
+		task.multi = &atomic.Bool{}
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		e.chans[bits.TrailingZeros64(m)] <- task
+	}
+	return false
+}
+
+// finish joins the workers, adds their applied counts and the redo fields
+// of res.Stats to res, and merges the shard caches into mem.
+func (e *parallelRedo) finish(mem *vm.Store, res *Result) {
 	for i := range e.chans {
 		close(e.chans[i])
 	}
@@ -376,16 +336,11 @@ func runParallelRedo(mem *vm.Store, log *wal.Manager, dpt map[word.PageID]word.L
 	if e.panicVal != nil {
 		panic(e.panicVal)
 	}
-	for i := 0; i < workers; i++ {
-		res.RedoApplied += int(e.applied[i])
+	for _, n := range e.applied {
+		res.RedoApplied += n
 	}
-	for _, f := range e.multis {
-		if f.Load() {
-			res.RedoApplied++
-		}
-	}
-	res.Stats.RedoWorkers = workers
-	res.Stats.Barriers = barriers
+	res.Stats.RedoWorkers = len(e.chans)
+	res.Stats.Barriers = e.barriers
 	res.Stats.ShardRecords = e.records
-	sm.mergeInto(mem)
+	e.mem.mergeInto(mem)
 }

@@ -29,6 +29,11 @@ type Options struct {
 	// Recorder, when non-nil, receives one span per recovery phase
 	// (analysis, redo, undo).
 	Recorder *obs.BlackBox
+	// Media selects recovery from total media failure (§2.2.2): the disk is
+	// freshly formatted and the log is the full archive copy. End-write
+	// records are ignored — the pages they certified died with the disk —
+	// so redo reconstructs every page from history alone.
+	Media bool
 }
 
 // workers resolves the effective shard count.
@@ -108,7 +113,6 @@ type Result struct {
 	Stats Stats
 
 	translator *undoer
-	txMeta     map[word.TxID]*txInfo
 }
 
 // InDoubtTx describes one prepared transaction restored by recovery.
@@ -122,7 +126,7 @@ type InDoubtTx struct {
 // replayed after the record was written — earlier copies cannot have
 // moved an object whose address was current when logged).
 func (r *Result) Translate(id word.TxID, addr word.Addr, at word.LSN) word.Addr {
-	info := r.txMeta[id]
+	info := r.translator.a.txs[id]
 	if info == nil {
 		return addr
 	}
@@ -160,34 +164,52 @@ type copyEntry struct {
 // over the surviving disk; log must wrap the surviving (stable-only) log
 // device. The two-pass structure is §2.2.3's: repeat history, then abort
 // the transactions that were active at the crash.
-func Recover(mem *vm.Store, log *wal.Manager) (*Result, error) {
-	return recover2(mem, log, false, Options{})
-}
-
-// RecoverWith is Recover with explicit tuning options.
-func RecoverWith(mem *vm.Store, log *wal.Manager, opts Options) (*Result, error) {
-	return recover2(mem, log, false, opts)
-}
-
-// RecoverFromArchiveWith is RecoverWith for total media failure (§2.2.2):
-// the disk under mem is freshly formatted (empty) and the log is the full
-// archive copy. End-write records are ignored — the pages they certified
-// died with the disk — so redo reconstructs every page from history alone.
-func RecoverFromArchiveWith(mem *vm.Store, log *wal.Manager, opts Options) (*Result, error) {
-	return recover2(mem, log, true, opts)
-}
-
-func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Result, error) {
+func Recover(mem *vm.Store, log *wal.Manager, opts Options) (*Result, error) {
 	mem.SetLogFetches(false)
 	defer mem.SetLogFetches(true)
+	a, res, err := replay(mem, log, opts)
+	if err != nil {
+		return nil, err
+	}
 
+	// Undo: abort every loser (still open, uncommitted, unprepared) in
+	// begin order, translating undo addresses and restored pointer values
+	// through the checkpoint seeds plus the copies replayed after the
+	// checkpoint. Prepared transactions are in doubt, not losers.
+	phase := time.Now()
+	u := &undoer{mem: mem, log: log, a: a}
+	for _, id := range a.order {
+		info, open := a.txs[id]
+		switch {
+		case !open || info.committed:
+		case info.prepared:
+			res.InDoubt = append(res.InDoubt, InDoubtTx{ID: id, LastLSN: info.lastLSN})
+		default:
+			u.rollback(id, info)
+			res.Losers = append(res.Losers, id)
+		}
+	}
+	res.Stats.Undo = time.Since(phase)
+	opts.Recorder.Span(obs.EvRecUndo, res.Stats.Undo, 0, uint64(len(res.Losers)), 0)
+	res.translator = u
+	// Undo may have changed the remembered set; republish it.
+	res.CP.SRem = sortedAddrs(a.srem)
+	return res, nil
+}
+
+// replay is the forward half of restart, shared by crash recovery, archive
+// recovery and the standby's bootstrap: find the checkpoint the master
+// names, run analysis from it, and repeat history from the earliest recLSN
+// of a dirty page. It returns the analysis state (for undo, or to seed
+// continuous apply) and a Result filled in through the redo pass.
+func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, error) {
 	master := mem.Disk().Master()
 	if !master.Formatted {
-		return nil, fmt.Errorf("recovery: disk is not a formatted stable heap")
+		return nil, nil, fmt.Errorf("recovery: disk is not a formatted stable heap")
 	}
 	cpLSN := master.CheckpointLSN
 	if cpLSN == word.NilLSN {
-		return nil, fmt.Errorf("recovery: master block has no checkpoint")
+		return nil, nil, fmt.Errorf("recovery: master block has no checkpoint")
 	}
 	// A crash that interrupted a log force can leave a torn final record on
 	// the device. Classify and repair it before any scan: a physically
@@ -196,80 +218,54 @@ func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Resul
 	// proceed rather than repeat corrupted history.
 	torn, err := log.RepairTornTail(cpLSN)
 	if err != nil {
-		return nil, fmt.Errorf("recovery: log scan from checkpoint %d: %w", cpLSN, err)
+		return nil, nil, fmt.Errorf("recovery: log scan from checkpoint %d: %w", cpLSN, err)
 	}
 	rec, err := log.ReadAt(cpLSN)
 	if err != nil {
-		return nil, fmt.Errorf("recovery: cannot read checkpoint at %d: %w", cpLSN, err)
+		return nil, nil, fmt.Errorf("recovery: cannot read checkpoint at %d: %w", cpLSN, err)
 	}
 	cp, ok := rec.(wal.CheckpointRec)
 	if !ok {
-		return nil, fmt.Errorf("recovery: record at %d is %v, not a checkpoint", cpLSN, rec.Type())
+		return nil, nil, fmt.Errorf("recovery: record at %d is %v, not a checkpoint", cpLSN, rec.Type())
 	}
 
 	phase := time.Now()
-	a := newAnalysis(mem, cp, cpLSN)
-	a.media = media
+	a := newAnalysis(mem.PageSize(), cp, cpLSN, opts.Media)
 	a.scan(log)
-
-	res := &Result{CP: a.cp, TornTail: torn}
+	res := &Result{CP: a.cp, TornTail: torn, RedoStart: a.dpt.redoStart()}
 	res.Stats.Analysis = time.Since(phase)
 	opts.Recorder.Span(obs.EvRecAnalysis, res.Stats.Analysis, 0, 0, 0)
 
-	// Redo: repeat history from the earliest recLSN of a dirty page. With
-	// more than one worker the log is replayed by the page-partitioned
+	// With more than one worker the log is replayed by the page-partitioned
 	// parallel engine (parallel.go); its final store state is identical to
 	// the sequential replay. The parallel path requires the recovery
 	// contract's fresh store (no resident pages) so that shard caches can
 	// load pages straight from the disk.
 	phase = time.Now()
-	redoStart := a.redoStart()
-	res.RedoStart = redoStart
 	res.Stats.RedoWorkers = 1
-	if redoStart != word.NilLSN {
+	if res.RedoStart != word.NilLSN {
+		apply := (&redoer{mem: mem, dpt: a.dpt}).apply
+		var par *parallelRedo
 		if workers := opts.workers(); workers > 1 && len(mem.ResidentPages()) == 0 {
-			runParallelRedo(mem, log, a.dpt, redoStart, workers, res)
-		} else {
-			r := &redoer{mem: mem, dpt: a.dpt}
-			log.ScanBatch(redoStart, true, redoBatchSize, func(lsns []word.LSN, recs []wal.Record) bool {
-				for i, rec := range recs {
-					res.RedoScanned++
-					if r.apply(lsns[i], rec) {
-						res.RedoApplied++
-					}
+			par = startParallelRedo(mem, a.dpt, workers)
+			apply = par.dispatch
+		}
+		log.ScanBatch(res.RedoStart, true, redoBatchSize, func(lsns []word.LSN, recs []wal.Record) bool {
+			for i, rec := range recs {
+				res.RedoScanned++
+				if apply(lsns[i], rec) {
+					res.RedoApplied++
 				}
-				return true
-			})
+			}
+			return true
+		})
+		if par != nil {
+			par.finish(mem, res)
 		}
 	}
 	res.Stats.Redo = time.Since(phase)
 	opts.Recorder.Span(obs.EvRecRedo, res.Stats.Redo, 0, uint64(res.RedoApplied), uint64(res.RedoScanned))
-	phase = time.Now()
-
-	// Undo: abort every loser, translating undo addresses (and restored
-	// pointer values) through the checkpoint seeds plus the copies
-	// replayed after the checkpoint.
-	u := &undoer{
-		mem: mem, log: log, cpLSN: cpLSN, copies: a.copies,
-		volLo: a.cp.VolatileLo, volHi: a.cp.VolatileHi,
-		srem: a.srem,
-	}
-	for _, id := range a.loserIDs() {
-		u.rollback(id, a.txs[id])
-		res.Losers = append(res.Losers, id)
-	}
-	for _, id := range a.order {
-		if info, ok := a.txs[id]; ok && info.prepared && !info.committed {
-			res.InDoubt = append(res.InDoubt, InDoubtTx{ID: id, LastLSN: info.lastLSN})
-		}
-	}
-	res.Stats.Undo = time.Since(phase)
-	opts.Recorder.Span(obs.EvRecUndo, res.Stats.Undo, 0, uint64(len(res.Losers)), 0)
-	res.translator = u
-	res.txMeta = a.txs
-	// Undo may have changed the remembered set; republish it.
-	res.CP.SRem = sortedAddrs(a.srem)
-	return res, nil
+	return a, res, nil
 }
 
 // analysis reconstructs the system state by scanning forward from the
@@ -277,34 +273,23 @@ func recover2(mem *vm.Store, log *wal.Manager, media bool, opts Options) (*Resul
 // collector state, the stability sets, and the copy list for undo
 // translation.
 type analysis struct {
-	mem    *vm.Store
 	cp     wal.CheckpointRec
 	cpLSN  word.LSN
-	dpt    map[word.PageID]word.LSN
+	dpt    *dirtyPages
 	txs    map[word.TxID]*txInfo
 	copies []copyEntry
 	ls     map[word.Addr]bool
 	srem   map[word.Addr]bool
 	order  []word.TxID // begin order, for deterministic undo
-	// media: the disk is gone; end-write records certify nothing.
-	media bool
 }
 
-func newAnalysis(mem *vm.Store, cp wal.CheckpointRec, cpLSN word.LSN) *analysis {
+func newAnalysis(pageSize int, cp wal.CheckpointRec, cpLSN word.LSN, media bool) *analysis {
 	a := &analysis{
-		mem: mem, cp: cp, cpLSN: cpLSN,
-		dpt:  make(map[word.PageID]word.LSN),
+		cp: cp, cpLSN: cpLSN,
+		dpt:  newDirtyPages(pageSize, cp.Dirty, media),
 		txs:  make(map[word.TxID]*txInfo),
 		ls:   make(map[word.Addr]bool),
 		srem: make(map[word.Addr]bool),
-	}
-	for _, dp := range cp.Dirty {
-		// The checkpoint may carry several entries for one page (the
-		// live dirty table plus ghost sets from different collection
-		// epochs): redo must start at the earliest.
-		if cur, ok := a.dpt[dp.Page]; !ok || dp.RecLSN < cur {
-			a.dpt[dp.Page] = dp.RecLSN
-		}
 	}
 	for _, te := range cp.Txs {
 		info := &txInfo{firstLSN: te.FirstLSN, lastLSN: te.LastLSN, prepared: te.Prepared, seed: make(map[seedKey]word.Addr)}
@@ -323,24 +308,6 @@ func newAnalysis(mem *vm.Store, cp wal.CheckpointRec, cpLSN word.LSN) *analysis 
 	return a
 }
 
-// dirty notes that a record at lsn modifies the page containing addr.
-func (a *analysis) dirty(addr word.Addr, lsn word.LSN) {
-	pg := addr.Page(a.mem.PageSize())
-	if _, ok := a.dpt[pg]; !ok {
-		a.dpt[pg] = lsn
-	}
-}
-
-// dirtyRange marks every page overlapped by [addr, addr+n).
-func (a *analysis) dirtyRange(addr word.Addr, n int, lsn word.LSN) {
-	ps := a.mem.PageSize()
-	for pg := addr.Page(ps); pg.Base(ps) < addr+word.Addr(n); pg++ {
-		if _, ok := a.dpt[pg]; !ok {
-			a.dpt[pg] = lsn
-		}
-	}
-}
-
 // touch updates the transaction table for a chained record.
 func (a *analysis) touch(id word.TxID, lsn word.LSN) *txInfo {
 	info := a.txs[id]
@@ -355,34 +322,33 @@ func (a *analysis) touch(id word.TxID, lsn word.LSN) *txInfo {
 
 // gcPageIndex maps a to-space address to its Scanned/LastObj slot.
 func (a *analysis) gcPageIndex(addr word.Addr) int {
-	return int(addr-a.cp.GC.ToLo) / a.mem.PageSize()
+	return int(addr-a.cp.GC.ToLo) / a.dpt.pageSize
 }
 
+// scan folds every record from the checkpoint on into the dirty page table
+// (by footprint, see dirtyPages.note) and into the non-page state below.
 func (a *analysis) scan(log *wal.Manager) {
 	maxTx := a.cp.NextTx
 	log.Scan(a.cpLSN, true, func(lsn word.LSN, rec wal.Record) bool {
 		if id := rec.Tx(); id != word.SystemTx && id >= maxTx {
 			maxTx = id + 1
 		}
+		a.dpt.note(lsn, rec)
 		switch r := rec.(type) {
 		case wal.BeginRec:
 			a.touch(r.TxID, lsn)
 		case wal.UpdateRec:
 			a.touch(r.TxID, lsn)
-			a.dirty(r.Addr, lsn)
 			a.updateSRem(r.Addr, r.PtrToVolatile())
 		case wal.CLRRec:
 			a.touch(r.TxID, lsn)
-			a.dirty(r.Addr, lsn)
 			a.updateSRem(r.Addr, r.PtrToVolatile())
 		case wal.LogicalRec:
 			a.touch(r.TxID, lsn)
-			a.dirty(r.Addr, lsn)
 		case wal.AllocRec:
 			if r.TxID != word.SystemTx {
 				a.touch(r.TxID, lsn)
 			}
-			a.dirtyRange(r.Addr, word.WordsToBytes(r.SizeWords), lsn)
 			a.gcAlloc(r.Addr, r.SizeWords)
 		case wal.CommitRec:
 			a.touch(r.TxID, lsn).committed = true
@@ -393,15 +359,14 @@ func (a *analysis) scan(log *wal.Manager) {
 			delete(a.txs, r.TxID)
 		case wal.BaseRec:
 			a.touch(r.TxID, lsn)
-			a.dirtyRange(r.Addr, len(r.Object), lsn)
 			a.ls[r.Addr] = true
 		case wal.CompleteRec:
 			a.touch(r.TxID, lsn)
 		case wal.PrepareRec:
 			a.touch(r.TxID, lsn).prepared = true
 		case wal.FlipRec:
-			ps := a.mem.PageSize()
-			n := int((r.ToHi - r.ToLo + word.Addr(ps) - 1) / word.Addr(ps))
+			ps := word.Addr(a.dpt.pageSize)
+			n := int((r.ToHi - r.ToLo + ps - 1) / ps)
 			a.cp.GC = wal.GCState{
 				Active: true, Epoch: r.Epoch, FlipLSN: lsn,
 				FromLo: r.FromLo, FromHi: r.FromHi, ToLo: r.ToLo, ToHi: r.ToHi,
@@ -411,8 +376,6 @@ func (a *analysis) scan(log *wal.Manager) {
 			a.cp.StableCur = 1 - a.cp.StableCur
 			a.cp.RootObj = r.RootObjTo
 		case wal.CopyRec:
-			a.dirtyRange(r.To, word.WordsToBytes(r.SizeWords), lsn)
-			a.dirty(r.From, lsn)
 			a.copies = append(a.copies, copyEntry{lsn: lsn, from: r.From, to: r.To, size: r.SizeWords})
 			// Remembered-set slots live inside stable objects and move
 			// with them.
@@ -431,9 +394,6 @@ func (a *analysis) scan(log *wal.Manager) {
 				a.cp.GC.LastObj[a.gcPageIndex(r.To)] = r.To
 			}
 		case wal.ScanRec:
-			if len(r.Fixes) > 0 {
-				a.dirty(r.Fixes[0].Addr, lsn)
-			}
 			if a.cp.GC.Active {
 				// Full is set only by trap scans, which fix every slot on
 				// their page in this one record — the page is safe for the
@@ -443,13 +403,13 @@ func (a *analysis) scan(log *wal.Manager) {
 				// would over-claim: it names the page of the last slot
 				// fixed, which for an object spanning a page boundary lies
 				// ahead of the sweep and still has unscanned slots.
-				base := r.Page.Base(a.mem.PageSize())
+				base := r.Page.Base(a.dpt.pageSize)
 				if r.Full && base >= a.cp.GC.ToLo && base < a.cp.GC.ToHi {
 					a.cp.GC.Scanned[a.gcPageIndex(base)] = true
 				}
 				if r.ScanPtr > a.cp.GC.ScanPtr {
 					a.cp.GC.ScanPtr = r.ScanPtr
-					ps := word.Addr(a.mem.PageSize())
+					ps := word.Addr(a.dpt.pageSize)
 					for i := range a.cp.GC.Scanned {
 						if a.cp.GC.ToLo+word.Addr(i+1)*ps > r.ScanPtr {
 							break
@@ -465,7 +425,6 @@ func (a *analysis) scan(log *wal.Manager) {
 			a.cp.StableAllocHigh = a.cp.GC.AllocPtr
 			a.cp.GC = wal.GCState{Active: false, Epoch: r.Epoch}
 		case wal.V2SCopyRec:
-			a.dirtyRange(r.To, len(r.Object), lsn)
 			size := word.BytesToWords(len(r.Object))
 			a.copies = append(a.copies, copyEntry{lsn: lsn, from: r.From, to: r.To, size: size})
 			delete(a.ls, r.From)
@@ -482,9 +441,6 @@ func (a *analysis) scan(log *wal.Manager) {
 				a.cp.StableAlloc = end
 			}
 		case wal.SFixRec:
-			if len(r.Fixes) > 0 {
-				a.dirty(r.Fixes[0].Addr, lsn)
-			}
 			for _, f := range r.Fixes {
 				a.updateSRem(f.Addr, a.inVolatile(f.NewPtr))
 			}
@@ -492,17 +448,9 @@ func (a *analysis) scan(log *wal.Manager) {
 			a.ls = make(map[word.Addr]bool)
 			a.cp.VolatileCur = 1 - a.cp.VolatileCur
 			a.cp.NextEpoch = r.Epoch + 1
-		case wal.EndWriteRec:
-			// The page reached disk: redo for it can start later
-			// unless a subsequent record re-dirties it (§2.2.4). After
-			// a media failure that disk no longer exists, so the
-			// certificate is void.
-			if !a.media {
-				delete(a.dpt, r.Page)
-			}
-		case wal.PageFetchRec, wal.CheckpointRec:
-			// No page effects; mid-scan checkpoints are ignored (the
-			// master names the one we started from).
+		case wal.EndWriteRec, wal.PageFetchRec, wal.CheckpointRec:
+			// No state beyond the dirty page table; mid-scan checkpoints
+			// are ignored (the master names the one we started from).
 		default:
 			panic(fmt.Sprintf("recovery: analysis cannot handle %T", rec))
 		}
@@ -512,14 +460,7 @@ func (a *analysis) scan(log *wal.Manager) {
 	// Publish the rebuilt sets back into the checkpoint image.
 	a.cp.LS = sortedAddrs(a.ls)
 	a.cp.SRem = sortedAddrs(a.srem)
-	a.cp.Dirty = nil
-	for pg, rec := range a.dpt {
-		a.cp.Dirty = append(a.cp.Dirty, wal.DirtyPage{Page: pg, RecLSN: rec})
-	}
-	// Deterministic order (the map iteration above is not): downstream
-	// checkpoints re-log this table, and equivalent recoveries must
-	// produce byte-identical results.
-	sort.Slice(a.cp.Dirty, func(i, j int) bool { return a.cp.Dirty[i].Page < a.cp.Dirty[j].Page })
+	a.cp.Dirty = a.dpt.sorted()
 }
 
 // gcAlloc folds an alloc record into the collector state: a filler at the
@@ -562,29 +503,6 @@ func (a *analysis) updateSRem(addr word.Addr, ptrToVolatile bool) {
 // bounds travel in the checkpoint record.
 func (a *analysis) inVolatile(p word.Addr) bool {
 	return p >= a.cp.VolatileLo && p < a.cp.VolatileHi && !p.IsNil()
-}
-
-// redoStart returns the earliest recLSN across the dirty page table.
-func (a *analysis) redoStart() word.LSN {
-	start := word.NilLSN
-	for _, rec := range a.dpt {
-		if start == word.NilLSN || rec < start {
-			start = rec
-		}
-	}
-	return start
-}
-
-// loserIDs returns the still-open, uncommitted, unprepared transactions in
-// begin order (prepared transactions are in-doubt, not losers).
-func (a *analysis) loserIDs() []word.TxID {
-	var out []word.TxID
-	for _, id := range a.order {
-		if info, ok := a.txs[id]; ok && !info.committed && !info.prepared {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 func sortedAddrs(set map[word.Addr]bool) []word.Addr {

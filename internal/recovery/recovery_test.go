@@ -127,7 +127,7 @@ func TestTruncationPointFollowsCheckpoint(t *testing.T) {
 
 func TestRecoverRejectsUnformattedDisk(t *testing.T) {
 	mem, log, _, _ := newRig()
-	if _, err := Recover(mem, log); err == nil {
+	if _, err := Recover(mem, log, Options{}); err == nil {
 		t.Fatal("expected error for unformatted disk")
 	}
 }
@@ -145,7 +145,7 @@ func TestRecoverRedoConditionalOnPageLSN(t *testing.T) {
 	ck.ForcePromote()
 	dev.Crash()
 	mem.Crash()
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRecoverRedoesUnflushedCommitted(t *testing.T) {
 	if mem.ReadWord(0x10) != 0 {
 		t.Fatal("precondition: page content lost in crash")
 	}
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRecoverUndoesLoserWithCLR(t *testing.T) {
 	mem.FlushAll() // uncommitted value reaches disk (steal)
 	dev.Crash()
 	mem.Crash()
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestRecoverTranslatesUndoThroughCopies(t *testing.T) {
 	mem.FlushAll()
 	dev.Crash()
 	mem.Crash()
-	if _, err := Recover(mem, log); err != nil {
+	if _, err := Recover(mem, log, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ReadWord(0x918); got != 1 {
@@ -259,7 +259,7 @@ func TestRecoverResumesMidAbort(t *testing.T) {
 	mem.FlushAll()
 	dev.Crash()
 	mem.Crash()
-	if _, err := Recover(mem, log); err != nil {
+	if _, err := Recover(mem, log, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if mem.ReadWord(0x10) != 1 || mem.ReadWord(0x18) != 2 {
@@ -292,7 +292,7 @@ func TestAnalysisDeducesDirtySetFromEndWrite(t *testing.T) {
 	log.ForceAll()
 	dev.Crash()
 	mem.Crash()
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestAnalysisReconstructsGCStateFromRecords(t *testing.T) {
 	log.ForceAll()
 	dev.Crash()
 	mem.Crash()
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestAnalysisV2SCopyAdvancesStableAllocAndClearsLS(t *testing.T) {
 	log.ForceAll()
 	dev.Crash()
 	mem.Crash()
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestAnalysisSFixMaintainsSRem(t *testing.T) {
 	log.ForceAll()
 	dev.Crash()
 	mem.Crash()
-	res, err := Recover(mem, log)
+	res, err := Recover(mem, log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func replayImage(t *testing.T, disk *storage.Disk, dev *storage.Log, workers int
 	d, l := disk.Snapshot(), dev.Snapshot()
 	log := wal.NewManager(l)
 	mem := vm.New(vm.Config{PageSize: ps, LogFetches: true}, d, log)
-	res, err := RecoverWith(mem, log, Options{RedoWorkers: workers})
+	res, err := Recover(mem, log, Options{RedoWorkers: workers})
 	if err != nil {
 		t.Fatalf("recover with %d workers: %v", workers, err)
 	}
@@ -636,7 +636,7 @@ func TestParallelRedoDeviceFaultDoesNotHang(t *testing.T) {
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()
-		RecoverWith(mem, log, Options{RedoWorkers: 4})
+		Recover(mem, log, Options{RedoWorkers: 4})
 	}()
 	select {
 	case v := <-done:

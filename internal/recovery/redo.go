@@ -10,7 +10,8 @@ import (
 
 // pageIO is the page-granular store a redoer replays into. *vm.Store
 // implements it; the parallel engine substitutes per-shard page caches so
-// workers can replay without sharing the (single-threaded) buffer pool.
+// workers replay without taking the store's lock on every page miss or
+// depending on its eviction order (see parallel.go).
 type pageIO interface {
 	PageSize() int
 	PageLSN(word.PageID) word.LSN
@@ -26,7 +27,7 @@ type pageIO interface {
 // state the crash destroyed.
 type redoer struct {
 	mem pageIO
-	dpt map[word.PageID]word.LSN
+	dpt *dirtyPages
 	// owns filters which pages this redoer may touch (nil = all). The
 	// parallel engine gives each worker the filter for its shard; a record
 	// spanning several shards is delivered to each of them and every
@@ -34,21 +35,10 @@ type redoer struct {
 	owns func(word.PageID) bool
 }
 
-// ownsPage reports whether this redoer is responsible for pg.
-func (r *redoer) ownsPage(pg word.PageID) bool {
-	return r.owns == nil || r.owns(pg)
-}
-
-// relevant reports whether any page of [addr, addr+n) may need this record:
-// it is in the dirty page table with recLSN at or below lsn.
-func (r *redoer) relevant(addr word.Addr, n int, lsn word.LSN) bool {
-	ps := r.mem.PageSize()
-	for pg := addr.Page(ps); pg.Base(ps) < addr+word.Addr(n); pg++ {
-		if rec, ok := r.dpt[pg]; ok && rec <= lsn {
-			return true
-		}
-	}
-	return false
+// stale reports whether pg is this redoer's and does not yet reflect the
+// record at lsn.
+func (r *redoer) stale(pg word.PageID, lsn word.LSN) bool {
+	return (r.owns == nil || r.owns(pg)) && r.mem.PageLSN(pg) < lsn
 }
 
 // applyConditional writes data at addr page by page, skipping pages whose
@@ -65,7 +55,7 @@ func (r *redoer) applyConditional(addr word.Addr, data []byte, lsn word.LSN) boo
 		if max := int(pageEnd - cur); n > max {
 			n = max
 		}
-		if r.ownsPage(pg) && r.mem.PageLSN(pg) < lsn {
+		if r.stale(pg, lsn) {
 			r.mem.WriteBytes(cur, data[off:off+n], lsn)
 			applied = true
 		}
@@ -74,63 +64,44 @@ func (r *redoer) applyConditional(addr word.Addr, data []byte, lsn word.LSN) boo
 	return applied
 }
 
-// apply replays one record; returns true if a page was modified.
+// apply replays one record; returns true if a page was modified. A range of
+// the record's footprint is replayed only if the dirty page table says one
+// of its pages may need it.
 func (r *redoer) apply(lsn word.LSN, rec wal.Record) bool {
+	writes, _ := footprint(rec)
+	need0, need1 := r.dpt.relevant(writes[0], lsn), r.dpt.relevant(writes[1], lsn)
+	if !need0 && !need1 {
+		return false
+	}
 	switch t := rec.(type) {
 	case wal.UpdateRec:
-		if !r.relevant(t.Addr, len(t.Redo), lsn) {
-			return false
-		}
 		return r.applyConditional(t.Addr, t.Redo, lsn)
 	case wal.CLRRec:
-		if !r.relevant(t.Addr, len(t.Redo), lsn) {
-			return false
-		}
 		if t.Flags&wal.CLRLogicalDelta != 0 {
 			return r.applyDelta(t.Addr, word.GetWord(t.Redo, 0), lsn)
 		}
 		return r.applyConditional(t.Addr, t.Redo, lsn)
 	case wal.LogicalRec:
-		if !r.relevant(t.Addr, word.WordSize, lsn) {
-			return false
-		}
 		return r.applyDelta(t.Addr, t.Delta, lsn)
 	case wal.AllocRec:
-		n := word.WordsToBytes(t.SizeWords)
-		if !r.relevant(t.Addr, n, lsn) {
-			return false
-		}
-		img := make([]byte, n)
+		img := make([]byte, word.WordsToBytes(t.SizeWords))
 		word.PutWord(img, 0, t.Descriptor)
 		return r.applyConditional(t.Addr, img, lsn)
 	case wal.CopyRec:
-		return r.applyCopy(lsn, t)
+		return r.applyCopy(lsn, t, need0, need1)
 	case wal.ScanRec:
-		if len(t.Fixes) == 0 {
-			return false
-		}
-		return r.applyFixes(lsn, t.Page, t.Fixes)
+		return r.applyFixes(lsn, t.Fixes)
+	case wal.SFixRec:
+		return r.applyFixes(lsn, t.Fixes)
 	case wal.BaseRec:
-		if !r.relevant(t.Addr, len(t.Object), lsn) {
-			return false
-		}
 		return r.applyConditional(t.Addr, t.Object, lsn)
 	case wal.V2SCopyRec:
-		if !r.relevant(t.To, len(t.Object), lsn) {
-			return false
-		}
 		// Self-contained: the image travels in the record, because the
 		// volatile source page is not reconstructible once the move
 		// completes.
 		return r.applyConditional(t.To, t.Object, lsn)
-	case wal.SFixRec:
-		if len(t.Fixes) == 0 {
-			return false
-		}
-		return r.applyFixes(lsn, t.Page, t.Fixes)
-	default:
-		return false // control records have no page effects
 	}
+	panic(fmt.Sprintf("recovery: %T has a footprint but no redo", rec))
 }
 
 // applyCopy replays a copy step (§3.4.1). The to-space image is rebuilt
@@ -138,16 +109,14 @@ func (r *redoer) apply(lsn word.LSN, rec wal.Record) bool {
 // the record (the from-space word 0 may already hold the forwarding
 // pointer — the lost-descriptor crash of Fig. 3.5); then the forwarding
 // pointer itself is re-applied to the from-space page if it was lost
-// (Fig. 3.4).
-func (r *redoer) applyCopy(lsn word.LSN, t wal.CopyRec) bool {
+// (Fig. 3.4). needTo and needFrom are the two ranges' relevance.
+func (r *redoer) applyCopy(lsn word.LSN, t wal.CopyRec, needTo, needFrom bool) bool {
 	n := word.WordsToBytes(t.SizeWords)
 	applied := false
-	if r.relevant(t.To, n, lsn) {
-		var img []byte
-		if len(t.Contents) == n {
-			// Content-carrying ablation: self-contained replay.
-			img = t.Contents
-		} else {
+	if needTo {
+		// Content-carrying ablation: self-contained replay.
+		img := t.Contents
+		if len(img) != n {
 			// Content-free replay reads the replayed from-space image,
 			// which may live on pages owned by other shards: the parallel
 			// engine serializes these records at a barrier and applies
@@ -163,8 +132,7 @@ func (r *redoer) applyCopy(lsn word.LSN, t wal.CopyRec) bool {
 		}
 		applied = r.applyConditional(t.To, img, lsn)
 	}
-	fromPg := t.From.Page(r.mem.PageSize())
-	if rec, ok := r.dpt[fromPg]; ok && rec <= lsn && r.ownsPage(fromPg) && r.mem.PageLSN(fromPg) < lsn {
+	if needFrom && r.stale(t.From.Page(r.mem.PageSize()), lsn) {
 		r.mem.WriteWord(t.From, uint64(heap.ForwardingDescriptor(t.To)), lsn)
 		applied = true
 	}
@@ -174,8 +142,7 @@ func (r *redoer) applyCopy(lsn word.LSN, t wal.CopyRec) bool {
 // applyDelta replays a logical wrapping-add, apply-once by page-LSN
 // conditioning (the logical redo of §2.2.4).
 func (r *redoer) applyDelta(addr word.Addr, delta uint64, lsn word.LSN) bool {
-	pg := addr.Page(r.mem.PageSize())
-	if !r.ownsPage(pg) || r.mem.PageLSN(pg) >= lsn {
+	if !r.stale(addr.Page(r.mem.PageSize()), lsn) {
 		return false
 	}
 	r.mem.WriteWord(addr, r.mem.ReadWord(addr)+delta, lsn)
@@ -184,11 +151,8 @@ func (r *redoer) applyDelta(addr word.Addr, delta uint64, lsn word.LSN) bool {
 
 // applyFixes replays a scan or SFix record: all slots live on one page, so
 // one page-LSN test covers the batch.
-func (r *redoer) applyFixes(lsn word.LSN, pg word.PageID, fixes []wal.PtrFix) bool {
-	if rec, ok := r.dpt[pg]; !ok || rec > lsn {
-		return false
-	}
-	if !r.ownsPage(pg) || r.mem.PageLSN(pg) >= lsn {
+func (r *redoer) applyFixes(lsn word.LSN, fixes []wal.PtrFix) bool {
+	if !r.stale(fixes[0].Addr.Page(r.mem.PageSize()), lsn) {
 		return false
 	}
 	for _, f := range fixes {

@@ -16,19 +16,12 @@ import (
 // plus the copy records replayed after the checkpoint give the current
 // address.
 type undoer struct {
-	mem    *vm.Store
-	log    *wal.Manager
-	cpLSN  word.LSN
-	copies []copyEntry // in LSN order, all after cpLSN
-	// volLo/volHi bound the volatile area (from the checkpoint), for
-	// re-deriving the remembered-set flag of restored pointers.
-	volLo, volHi word.Addr
-	// srem is the analysis's remembered set, kept current through undo.
-	srem map[word.Addr]bool
+	mem *vm.Store
+	log *wal.Manager
+	// a supplies the checkpoint LSN, the copies replayed after it (in LSN
+	// order) and the remembered set, which undo keeps current.
+	a *analysis
 }
-
-// inVolatile reports whether a lies in the volatile area.
-func (u *undoer) inVolatile(a word.Addr) bool { return a >= u.volLo && a < u.volHi }
 
 // translate chases an undo address to the object slot's current location.
 // lsn is the LSN of the record that logged the address: the address was
@@ -40,17 +33,17 @@ func (u *undoer) inVolatile(a word.Addr) bool { return a >= u.volLo && a < u.vol
 // UTT seed first — looked up by (record LSN, address), since one
 // transaction can log the same reused address for two different objects
 // across collections — which brings them current as of the checkpoint;
-// every entry in u.copies is from after the checkpoint, so the same >
+// every entry in a.copies is from after the checkpoint, so the same >
 // filter then applies with the checkpoint as the baseline.
 func (u *undoer) translate(info *txInfo, a word.Addr, lsn word.LSN) word.Addr {
 	since := lsn
-	if lsn == word.NilLSN || lsn < u.cpLSN {
+	if lsn == word.NilLSN || lsn < u.a.cpLSN {
 		if cur, ok := info.seed[seedKey{at: lsn, orig: a}]; ok {
 			a = cur
 		}
-		since = u.cpLSN
+		since = u.a.cpLSN
 	}
-	for _, c := range u.copies {
+	for _, c := range u.a.copies {
 		if c.lsn > since && a >= c.from && a < c.from.Add(c.size) {
 			a = c.to + (a - c.from)
 		}
@@ -64,16 +57,6 @@ func (u *undoer) rollback(id word.TxID, info *txInfo) {
 	abort := u.log.Append(wal.AbortRec{TxHdr: wal.TxHdr{TxID: id, PrevLSN: info.lastLSN}})
 	last, _ := tx.UndoChain(u.log, u.mem, id, info.lastLSN, abort,
 		func(lsn word.LSN, a word.Addr, _ bool) word.Addr { return u.translate(info, a, lsn) },
-		u.inVolatile,
-		func(cur word.Addr, toVolatile bool) {
-			if u.srem == nil || u.inVolatile(cur) {
-				return
-			}
-			if toVolatile {
-				u.srem[cur] = true
-			} else {
-				delete(u.srem, cur)
-			}
-		})
+		u.a.inVolatile, u.a.updateSRem)
 	u.log.Append(wal.EndRec{TxHdr: wal.TxHdr{TxID: id, PrevLSN: last}})
 }
