@@ -22,9 +22,6 @@ func benchCfg(stableWords, volWords int) stableheap.Config {
 		PageSize:      1024,
 		StableWords:   stableWords,
 		VolatileWords: volWords,
-		Divided:       true,
-		Barrier:       stableheap.Ellis,
-		Incremental:   true,
 	}
 }
 
@@ -158,14 +155,13 @@ func BenchmarkE1Commit(b *testing.B) {
 
 // --- E2/E3: collections -------------------------------------------------
 
-func benchCollection(b *testing.B, barrier stableheap.Barrier, incremental bool, live int) {
+func benchCollection(b *testing.B, mode stableheap.GCMode, live int) {
 	cfg := benchCfg(live*4+16*1024, 16*1024)
-	cfg.Barrier = barrier
-	cfg.Incremental = incremental
+	cfg.StableGC = mode
 	h := openWithChain(b, cfg, live)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if incremental {
+		if mode != stableheap.StopTheWorld {
 			h.StartStableCollection()
 			for h.StepStable() {
 			}
@@ -176,9 +172,9 @@ func benchCollection(b *testing.B, barrier stableheap.Barrier, incremental bool,
 	b.ReportMetric(float64(h.Internal().GCStats().CopiedObjs)/float64(b.N), "objs/collection")
 }
 
-func BenchmarkE2CollectionEllis(b *testing.B) { benchCollection(b, stableheap.Ellis, true, 2048) }
-func BenchmarkE2CollectionBaker(b *testing.B) { benchCollection(b, stableheap.Baker, true, 2048) }
-func BenchmarkE3StopTheWorld(b *testing.B)    { benchCollection(b, stableheap.NoBarrier, false, 2048) }
+func BenchmarkE2CollectionEllis(b *testing.B) { benchCollection(b, stableheap.Ellis, 2048) }
+func BenchmarkE2CollectionBaker(b *testing.B) { benchCollection(b, stableheap.Baker, 2048) }
+func BenchmarkE3StopTheWorld(b *testing.B)    { benchCollection(b, stableheap.StopTheWorld, 2048) }
 
 // --- E4/E5/E7: recovery ---------------------------------------------------
 
@@ -270,7 +266,7 @@ func BenchmarkE6CollectionLogBytes(b *testing.B) {
 
 func benchChurn(b *testing.B, divided bool) {
 	cfg := benchCfg(32*1024, 32*1024)
-	cfg.Divided = divided
+	cfg.Undivided = !divided
 	h := stableheap.Open(cfg)
 	before := h.Stats().LogBytesAppended
 	b.ResetTimer()
@@ -340,9 +336,9 @@ func BenchmarkE8Tracking100(b *testing.B) { benchTracking(b, 100) }
 
 // --- E10: read barriers -----------------------------------------------------
 
-func benchWalkDuringGC(b *testing.B, barrier stableheap.Barrier) {
+func benchWalkDuringGC(b *testing.B, mode stableheap.GCMode) {
 	cfg := benchCfg(64*1024, 16*1024)
-	cfg.Barrier = barrier
+	cfg.StableGC = mode
 	h := openWithChain(b, cfg, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

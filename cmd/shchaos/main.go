@@ -22,7 +22,7 @@
 //
 // Every seed runs with the flight recorder on; -blackbox writes one
 // seed's recorder journal (the first violating seed's, else the last
-// swept seed's) to a file that cmd/shtrace decodes into the pre-crash
+// swept seed's) to a file that shstat -decode renders as the pre-crash
 // timeline.
 //
 // -scenario concurrent adds a concurrent mutator burst to every round:
@@ -95,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mutators := fs.Int("mutators", 0, "concurrent mutator goroutines per burst (0 = scenario default)")
 	shrink := fs.Bool("shrink", false, "greedily minimize the fault plan of each violating seed")
 	asJSON := fs.Bool("json", false, "print the verdict matrix and per-seed results as JSON")
-	blackbox := fs.String("blackbox", "", "write a seed's flight-recorder journal to this file (first violating seed, else the last seed; decode with shtrace)")
+	blackbox := fs.String("blackbox", "", "write a seed's flight-recorder journal to this file (first violating seed, else the last seed; decode with shstat -decode)")
 	dir := fs.String("dir", "", "run every seed over real files under this directory (per-seed subdirs, removed after each seed)")
 	if err := fs.Parse(args); err != nil {
 		return 2

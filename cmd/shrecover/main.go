@@ -27,7 +27,6 @@ import (
 	"os"
 	"time"
 
-	"stableheap"
 	"stableheap/internal/core"
 	"stableheap/internal/crashtest"
 )
@@ -84,9 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PageSize:        1024,
 		StableWords:     32 * 1024,
 		VolatileWords:   8 * 1024,
-		Divided:         true,
-		Barrier:         stableheap.Ellis,
-		Incremental:     true,
 		RecoveryWorkers: *workers,
 	}
 	if *dir != "" {

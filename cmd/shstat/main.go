@@ -10,6 +10,9 @@
 // generational/concurrent story: promotion rate, write-barrier hit counts,
 // and the pause percentiles of each collection flavor.
 //
+// With -decode it runs no workload: it reads a flight-recorder dump (what
+// shchaos -blackbox or Heap.FlightDump wrote) and prints its timeline.
+//
 // Usage:
 //
 //	shstat                          # human-readable summary
@@ -17,6 +20,10 @@
 //	shstat -prom                    # Prometheus text exposition
 //	shstat -trace trace.json        # also write a Chrome trace (about://tracing)
 //	shstat -serve localhost:8077    # keep serving /metrics, /metrics.json, /trace
+//	shstat -decode dump.bin              # timeline of the dump's newest boot
+//	shstat -decode dump.bin -tail 20     # only the last 20 events
+//	shstat -decode dump.bin -all         # every boot, oldest first
+//	shstat -decode dump.bin -chrome t.json  # also a Chrome trace of the newest boot
 package main
 
 import (
@@ -52,8 +59,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write Chrome trace_event JSON to this file")
 	serveAddr := fs.String("serve", "", "serve /metrics, /metrics.json and /trace on this address and block")
 	dir := fs.String("dir", "", "back the heap with real files in a fresh subdirectory of this path (filestore_ metrics populate)")
+	dump := fs.String("decode", "", "decode this flight-recorder dump instead of running the workload")
+	tail := fs.Int("tail", 0, "with -decode: print only the last N events per boot (0: all)")
+	all := fs.Bool("all", false, "with -decode: print every boot in the journal, oldest first (default: newest only)")
+	chrome := fs.String("chrome", "", "with -decode: also write the newest boot as Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *dump != "" {
+		if err := decode(*dump, *tail, *all, *chrome, stdout); err != nil {
+			fmt.Fprintf(stderr, "shstat: %v\n", err)
+			return 1
+		}
+		return 0
 	}
 	if err := body(*ops, *accounts, *asJSON, *asProm, *tracePath, *serveAddr, *dir, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "shstat: %v\n", err)

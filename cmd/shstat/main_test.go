@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"encoding/json"
-
 	"stableheap"
+	"stableheap/internal/crashtest"
+	"stableheap/internal/faultfs"
 )
 
 // TestRunSummary runs the full workload (two bursts, crash+recover,
@@ -66,5 +69,60 @@ func TestRunDir(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "filestore_") {
 		t.Fatalf("filestore counters missing from the summary:\n%s", out.String())
+	}
+}
+
+// TestRunDecode: -decode on a recorded dump — a chaos seed's journal, three
+// crashes and so four boots — prints the newest boot by default, every boot
+// with -all, the requested tail of each, and a loadable Chrome trace; an
+// unreadable dump exits 1.
+func TestRunDecode(t *testing.T) {
+	res := crashtest.RunSeedWithPlan(crashtest.Scenario{Steps: 30, Crashes: 3, MidGC: true},
+		faultfs.Plan{Seed: 11, TornPage: true, TornForce: true})
+	if res.Failed() || len(res.Dump) == 0 {
+		t.Fatalf("no dump to decode: failed=%v, %d bytes", res.Failed(), len(res.Dump))
+	}
+	dump := filepath.Join(t.TempDir(), "bb.bin")
+	if err := os.WriteFile(dump, res.Dump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	decodeRun := func(args ...string) string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run(append([]string{"-decode", dump}, args...), &out, &errOut); code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+		}
+		return out.String()
+	}
+
+	newest := decodeRun()
+	if strings.Count(newest, "boot ") != 1 || !strings.Contains(newest, "seq=") {
+		t.Fatalf("default output is not one boot's timeline:\n%s", newest)
+	}
+	chrome := filepath.Join(t.TempDir(), "t.json")
+	every := decodeRun("-all", "-tail", "5", "-chrome", chrome)
+	if n := strings.Count(every, "boot "); n < 2 {
+		t.Fatalf("-all printed %d boots of a run that crashed three times:\n%s", n, every)
+	}
+	if !strings.Contains(every, "crash") || !strings.Contains(every, "recovery") {
+		t.Fatalf("-all -tail 5 shows neither a crash nor a recovery:\n%s", every)
+	}
+	if len(every) >= len(decodeRun("-all")) {
+		t.Fatal("-tail did not shorten the timeline")
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	raw, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("Chrome trace does not load: %v (%d events)", err, len(doc.TraceEvents))
+	}
+
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-decode", filepath.Join(t.TempDir(), "absent.bin")}, &out, &errOut); code != 1 {
+		t.Fatalf("missing dump: exit %d, want 1", code)
 	}
 }

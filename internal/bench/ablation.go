@@ -68,7 +68,6 @@ func E14CopyContents() Table {
 		// Soundness sweep in this mode.
 		ccfg := core.Config{
 			PageSize: 256, StableWords: 16 * 1024, VolatileWords: 4 * 1024,
-			Divided: true, Barrier: stableheap.Ellis, Incremental: true,
 			CopyContents: carry,
 		}
 		d := crashtest.New(ccfg, 5)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"stableheap"
-	"stableheap/internal/gc"
 )
 
 // Table is one experiment's result.
@@ -97,16 +96,13 @@ func ByID(id string) (func() Table, bool) {
 	return f, ok
 }
 
-// cfgSized builds a divided Ellis-incremental config with the given
-// per-semispace sizes (in words).
+// cfgSized builds the paper's configuration (divided, Ellis incremental)
+// with the given per-semispace sizes (in words).
 func cfgSized(stableWords, volatileWords int) stableheap.Config {
 	return stableheap.Config{
 		PageSize:      1024,
 		StableWords:   stableWords,
 		VolatileWords: volatileWords,
-		Divided:       true,
-		Barrier:       stableheap.Ellis,
-		Incremental:   true,
 	}
 }
 
@@ -222,16 +218,4 @@ func ratio(a, b time.Duration) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
-}
-
-// barrierName names a barrier config.
-func barrierName(b stableheap.Barrier, incremental bool) string {
-	switch {
-	case !incremental:
-		return "stop-the-world"
-	case b == gc.Baker:
-		return "baker"
-	default:
-		return "ellis"
-	}
 }

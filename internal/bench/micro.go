@@ -129,7 +129,7 @@ func E2GCSteps() Table {
 	cfg := cfgSized(64*1024, 32*1024)
 	// Trap-driven for the reader (ops do not donate scan quanta), so the
 	// trap row measures genuine barrier faults.
-	cfg.DisableOpPacing = true
+	cfg.StableGC = stableheap.EllisTrapDriven
 	h := stableheap.Open(cfg)
 	if err := buildStableChains(h, 4096); err != nil {
 		panic(err)

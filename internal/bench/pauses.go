@@ -24,8 +24,7 @@ func E3Pauses() Table {
 
 		// Stop-the-world: the whole collection is one pause.
 		cfg := cfgSized(stableWords, 16*1024)
-		cfg.Barrier = stableheap.NoBarrier
-		cfg.Incremental = false
+		cfg.StableGC = stableheap.StopTheWorld
 		h := stableheap.Open(cfg)
 		if err := buildStableChains(h, live); err != nil {
 			panic(err)
@@ -79,15 +78,13 @@ func E10Barrier() Table {
 		Claim:  "Ellis: ≤1 trap per page, concentrated just after the flip; Baker: per-load checks, finer pauses, higher mutator overhead",
 		Header: []string{"barrier", "walk during GC", "walk idle", "overhead", "traps 1st half", "traps 2nd half"},
 	}
-	for _, mode := range []stableheap.Barrier{stableheap.Ellis, stableheap.Baker} {
-		// Trap-driven Ellis wastes up to a page per frontier trap (the
-		// paper's acknowledged space cost of page-granular scanning), so
-		// this experiment sizes the semispaces with that headroom.
+	// Trap-driven Ellis: ops do not donate scan quanta, so the trap
+	// distribution is the barrier's own. It wastes up to a page per frontier
+	// trap (the paper's acknowledged space cost of page-granular scanning),
+	// so this experiment sizes the semispaces with that headroom.
+	for _, mode := range []stableheap.GCMode{stableheap.EllisTrapDriven, stableheap.Baker} {
 		cfg := cfgSized(live*16+16*1024, 16*1024)
-		cfg.Barrier = mode
-		// Trap-driven mode: ops do not donate scan quanta, so the trap
-		// distribution is the barrier's own.
-		cfg.DisableOpPacing = mode == stableheap.Ellis
+		cfg.StableGC = mode
 		h := stableheap.Open(cfg)
 		if err := buildStableChains(h, live); err != nil {
 			panic(err)
@@ -124,7 +121,7 @@ func E10Barrier() Table {
 		for h.StepStable() {
 		}
 		t.Rows = append(t.Rows, []string{
-			barrierName(mode, true),
+			mode.String(),
 			dur(during), dur(idle), ratio(during, idle),
 			fmt.Sprintf("%d", trapsMid-trapsBefore),
 			fmt.Sprintf("%d", trapsAfter-trapsMid),

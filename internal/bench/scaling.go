@@ -22,7 +22,6 @@ const scalingForceDelay = 250 * time.Microsecond
 func scalingConfig() core.Config {
 	cfg := core.Config{
 		PageSize: 1024, StableWords: 64 * 1024, VolatileWords: 16 * 1024,
-		Divided: true, Incremental: true,
 		LockWait: 5 * time.Millisecond,
 	}
 	return cfg.WithDefaults()

@@ -18,7 +18,7 @@ import (
 //
 //	stop-the-world  CollectStable: flip + every scan step inside one
 //	                exclusive section — the whole collection is one stall
-//	concurrent      StartStableCollection under Config.ConcurrentSGC: only
+//	concurrent      StartStableCollection under StableGC: Concurrent: only
 //	                the flip stops the world; scan quanta run on the
 //	                collector goroutine (plus one per-commit assist) while
 //	                the mutator keeps committing
@@ -43,7 +43,9 @@ const (
 
 func e22Config(concurrent bool) stableheap.Config {
 	cfg := cfgSized(384*1024, 32*1024)
-	cfg.ConcurrentSGC = concurrent
+	if concurrent {
+		cfg.StableGC = stableheap.Concurrent
+	}
 	return cfg
 }
 

@@ -22,29 +22,23 @@ func E11Throughput() Table {
 		Claim:  "incremental atomic collection costs little throughput and removes the long pauses",
 		Header: []string{"workload", "collector", "tx/sec", "worst GC pause", "collections"},
 	}
-	type mode struct {
-		name        string
-		barrier     stableheap.Barrier
-		incremental bool
-		trigger     float64
-	}
-	modes := []mode{
-		{"idle (oversized heap)", stableheap.Ellis, true, 0.001},
-		{"incremental (ellis)", stableheap.Ellis, true, 0.5},
-		{"stop-the-world", stableheap.NoBarrier, false, 0.5},
+	// The collecting rows are sized so structural churn forces repeated
+	// collections of both areas — a flip once 3 Ki words of the 4 Ki
+	// semispace are in use, the collector's fixed 1/4-free trigger — while
+	// "idle" gets room to never collect.
+	modes := []struct {
+		name             string
+		gc               stableheap.GCMode
+		stable, volatile int
+	}{
+		{"idle (oversized heap)", stableheap.Ellis, 256 * 1024, 64 * 1024},
+		{"incremental (ellis)", stableheap.Ellis, 4 * 1024, 2 * 1024},
+		{"stop-the-world", stableheap.StopTheWorld, 4 * 1024, 2 * 1024},
 	}
 	for _, wl := range []string{"cad", "oo7"} {
 		for _, m := range modes {
-			// Sized so structural churn forces repeated collections of
-			// both areas; "idle" gets room to never collect.
-			stable, volatile := 6*1024, 2*1024
-			if m.trigger < 0.01 {
-				stable, volatile = 256*1024, 64*1024
-			}
-			cfg := cfgSized(stable, volatile)
-			cfg.Barrier = m.barrier
-			cfg.Incremental = m.incremental
-			cfg.GCTriggerFraction = m.trigger
+			cfg := cfgSized(m.stable, m.volatile)
+			cfg.StableGC = m.gc
 			h := stableheap.Open(cfg)
 			rng := rand.New(rand.NewSource(11))
 
@@ -103,7 +97,7 @@ func E11Throughput() Table {
 			if d := gcs.Trap.MaxDur(); d > worst {
 				worst = d
 			}
-			if !m.incremental {
+			if m.gc == stableheap.StopTheWorld {
 				// The whole STW collection is the pause; the flip
 				// histogram contains it all.
 				worst = gcs.Flip.MaxDur()
@@ -133,23 +127,20 @@ func E12CrashMatrix() Table {
 	}
 	modes := []struct {
 		name string
-		mut  func(*core.Config)
+		cfg  core.Config
 	}{
-		{"ellis incremental", func(c *core.Config) {}},
-		{"baker incremental", func(c *core.Config) { c.Barrier = stableheap.Baker }},
-		{"stop-the-world", func(c *core.Config) { c.Barrier = stableheap.NoBarrier; c.Incremental = false }},
-		{"all-stable (no division)", func(c *core.Config) { c.Divided = false }},
+		{"ellis incremental", core.Config{}},
+		{"baker incremental", core.Config{StableGC: stableheap.Baker}},
+		{"stop-the-world", core.Config{StableGC: stableheap.StopTheWorld}},
+		{"all-stable (no division)", core.Config{Undivided: true}},
 	}
 	for _, m := range modes {
 		var crashes, recoveries, steps int
 		violations := 0
 		const seeds = 4
 		for seed := int64(1); seed <= seeds; seed++ {
-			cfg := core.Config{
-				PageSize: 256, StableWords: 16 * 1024, VolatileWords: 4 * 1024,
-				Divided: true, Barrier: stableheap.Ellis, Incremental: true,
-			}
-			m.mut(&cfg)
+			cfg := m.cfg
+			cfg.PageSize, cfg.StableWords, cfg.VolatileWords = 256, 16*1024, 4*1024
 			d := crashtest.New(cfg, seed)
 			if err := d.Run(100, 0.1, 0.5, true); err != nil {
 				violations++

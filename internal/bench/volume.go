@@ -66,7 +66,7 @@ func E9Division() Table {
 	}
 	run := func(divided bool) (time.Duration, int64, int64, int64) {
 		cfg := cfgSized(64*1024, 32*1024)
-		cfg.Divided = divided
+		cfg.Undivided = !divided
 		h := stableheap.Open(cfg)
 		rng := rand.New(rand.NewSource(9))
 		// Small stable set...

@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"stableheap/internal/gc"
 )
 
 // bigCfg uses small pages so moderate objects span several of them.
@@ -12,9 +10,6 @@ func bigCfg() Config {
 		PageSize:      256, // 32 words: a 100-word object spans 4+ pages
 		StableWords:   16 * 1024,
 		VolatileWords: 8 * 1024,
-		Divided:       true,
-		Barrier:       gc.Ellis,
-		Incremental:   true,
 	}
 }
 

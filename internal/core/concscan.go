@@ -13,7 +13,7 @@ import (
 	"stableheap/internal/word"
 )
 
-// The concurrent-scan driver (Config.ConcurrentVGC, Config.ConcurrentSGC).
+// The concurrent-scan driver (Config.ConcurrentVGC, StableGC: gc.Concurrent).
 //
 // A mostly-concurrent collection (gc/concurrent.go) flips stop-the-world in
 // collectVolatile / startStableGC — all the logged root, remembered-set and
@@ -44,7 +44,7 @@ type scanCollector interface {
 	ConcurrentActive() bool
 	Epoch() uint64
 	ScanQuantum(budgetWords int) bool
-	Transport(p word.Addr) word.Addr
+	Load(p word.Addr) word.Addr
 	EvacuateGray(p word.Addr)
 	ConcFromContains(a word.Addr) bool
 	AbandonConcurrent()
@@ -183,7 +183,7 @@ func (s *concScan) load(p word.Addr) word.Addr {
 	if p.IsNil() || !s.on.Load() {
 		return p
 	}
-	return s.c.Transport(p)
+	return s.c.Load(p)
 }
 
 // gray is the snapshot-at-the-beginning deletion barrier: a from-space

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"stableheap/internal/gc"
 )
 
 // concSGCCfg enables the mostly-concurrent stable collector with manual
@@ -11,7 +13,7 @@ import (
 // when they mutate, read, or crash.
 func concSGCCfg() Config {
 	c := nurseryCfg()
-	c.ConcurrentSGC = true
+	c.StableGC = gc.Concurrent
 	c.ManualScan = true
 	return c
 }

@@ -78,7 +78,7 @@ type Config struct {
 	// (default 64Ki words = 512 KiB).
 	StableWords int
 	// VolatileWords is the size of each volatile semispace in words
-	// (default 16Ki words). Ignored when Divided is false.
+	// (default 16Ki words). Ignored on an Undivided heap.
 	VolatileWords int
 	// NurseryBytes sizes the nursery generation: a small unlogged space
 	// where new volatile objects are born; minor collections copy
@@ -86,48 +86,34 @@ type Config struct {
 	// the stable area) and reset the nursery wholesale. 0 picks the
 	// default — 256 KiB, an L2-cache-sized nursery in the CertiCoq
 	// style, clamped to half a volatile semispace — and a negative value
-	// disables the nursery. Ignored when Divided is false.
+	// disables the nursery. Ignored on an Undivided heap.
 	NurseryBytes int
 	// ConcurrentVGC makes full volatile collections mostly-concurrent:
 	// the stop latch is held only for the flip (roots, remembered-set
 	// fixes, logged LS evacuations) while the copying scan runs in
 	// quanta on a collector goroutine behind a read barrier and a
-	// snapshot-at-the-beginning deletion barrier. Requires Divided.
+	// snapshot-at-the-beginning deletion barrier. An Undivided heap has no
+	// volatile area to collect, so the combination is rejected at open.
 	ConcurrentVGC bool
-	// ConcurrentSGC makes stable collections mostly-concurrent: the stop
-	// latch is held only for the flip (the logged space swap plus root,
-	// handle, undo-value and cross-area slot translation) while the
-	// WAL-logged sweep runs in quanta on a collector goroutine behind a
-	// transporting read barrier and a snapshot-at-the-beginning deletion
-	// barrier. The scan steps stay logged and restartable, so a crash at
-	// any quantum boundary recovers exactly like a crash mid-incremental
-	// collection — and recovery resumes the scan concurrently. Requires
-	// Incremental; the Ellis page protection is never armed in this mode
-	// (the read barrier replaces it). Newly stable objects evacuated
-	// while the scan runs allocate at the high end of to-space instead of
-	// forcing the collection to finish.
-	ConcurrentSGC bool
 	// ManualScan suppresses the collector goroutines and the commit assist
 	// of both concurrent modes: an in-flight concurrent scan advances only
 	// through StepVolatileScan / StepStableScan and the inline retirement
 	// points (the next collection, a stable flip, Close). Deterministic
 	// harnesses (chaos replay) use this to pace the scans from the seed
 	// instead of the goroutine scheduler, so runs stay bit-identical.
-	// Meaningless without ConcurrentVGC or ConcurrentSGC.
+	// Meaningless without ConcurrentVGC or the gc.Concurrent stable collector.
 	ManualScan bool
-	// Divided enables the stable/volatile split of Chapter 5. When
-	// false, every object lives in the stable area and every update is
-	// logged (the Chapters 3–4 configuration, used as the E9 baseline).
-	Divided bool
-	// Barrier selects the stable collector's read barrier (Ellis
-	// default; Baker for the §3.8 variant; NoBarrier with
-	// Incremental=false for the stop-the-world baseline).
-	Barrier gc.Barrier
-	// Incremental interleaves stable collections with mutation.
-	Incremental bool
-	// GCTriggerFraction starts a stable collection when free space in
-	// the current semispace drops below this fraction (default 0.25).
-	GCTriggerFraction float64
+	// Undivided drops the stable/volatile split of Chapter 5: every object
+	// lives in the stable area and every update is logged (the Chapters 3–4
+	// configuration, the E9 baseline). A heap-layout choice, orthogonal to
+	// the collector.
+	Undivided bool
+	// StableGC names the stable area's collector. The zero value, gc.Ellis,
+	// is the paper's; gc.EllisTrapDriven, gc.Baker and gc.StopTheWorld are
+	// one ablation each (the barrier and pause experiments) and gc.Concurrent
+	// is the mostly-concurrent extension. Each is described at its constant;
+	// DESIGN.md "Collector modes" tabulates what each arms and who paces it.
+	StableGC gc.Mode
 	// CachePages caps the page cache (0 = unlimited).
 	CachePages int
 	// LogSegBytes is the log device's segment size.
@@ -137,13 +123,9 @@ type Config struct {
 	LockWait time.Duration
 	// NumRoots is the size of the stable root array (default 32).
 	NumRoots int
-	// DisableOpPacing stops heap operations from donating incremental
-	// collection quanta; the collection then advances only through
-	// read-barrier traps and explicit StepStable calls (the purely
-	// trap-driven Ellis flavor; used by the barrier experiments).
-	DisableOpPacing bool
 	// CopyContents makes the collector's copy records carry full object
-	// images (the E14 ablation of the paper's content-free records).
+	// images (the E14 ablation of the paper's content-free records). A
+	// log-format choice, orthogonal to the collector.
 	CopyContents bool
 	// RecoveryWorkers is the number of page-partitioned redo shards used
 	// when repeating history after a crash: 0 picks min(GOMAXPROCS, 8),
@@ -156,7 +138,7 @@ type Config struct {
 	// with durations, exportable as Chrome trace_event JSON
 	// (Heap.TraceJSON) and journaled through a dedicated log device so the
 	// pre-crash timeline is readable after recovery (Heap.FlightEvents,
-	// cmd/shtrace). Latency histograms are always on regardless; the
+	// shstat -decode). Latency histograms are always on regardless; the
 	// recorder is the only opt-in piece.
 	FlightRecorder bool
 	// FlightJournal, when set, is the device the recorder journals to —
@@ -176,7 +158,10 @@ type Config struct {
 	WatchdogInterval time.Duration
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with zero fields replaced by the
+// sizing Open would actually use (a standby building its own page store
+// outside the core matches the primary's geometry with it).
+func (c Config) WithDefaults() Config {
 	if c.PageSize == 0 {
 		c.PageSize = 1024
 	}
@@ -189,11 +174,25 @@ func (c Config) withDefaults() Config {
 	if c.NumRoots == 0 {
 		c.NumRoots = 32
 	}
-	if c.GCTriggerFraction == 0 {
-		c.GCTriggerFraction = 0.25
-	}
 	return c
 }
+
+// Validate rejects the configurations no heap can honour. Every entry point
+// runs it before any device is touched: Open and OpenOn panic with the
+// message, OpenDir and the Recover family return it.
+func (c Config) Validate() error {
+	if !c.StableGC.Valid() {
+		return fmt.Errorf("core: Config.StableGC %v names no collector", c.StableGC)
+	}
+	if c.ConcurrentVGC && c.Undivided {
+		return errors.New("core: Config.ConcurrentVGC on an Undivided heap: there is no volatile area to collect")
+	}
+	return nil
+}
+
+// gcTriggerFraction starts a stable collection when free space in the
+// current semispace drops below this fraction of it.
+const gcTriggerFraction = 0.25
 
 // defaultNurseryBytes sizes the nursery to a typical L2 cache, the
 // CertiCoq heuristic: minor collections then run mostly in cache.
@@ -204,7 +203,7 @@ const defaultNurseryBytes = 256 << 10
 // half a volatile semispace (the aged space must be able to absorb a full
 // nursery during a concurrent scan), and rounded down to whole pages.
 func (c Config) nurseryWords() int {
-	if !c.Divided || c.NurseryBytes < 0 {
+	if c.Undivided || c.NurseryBytes < 0 {
 		return 0
 	}
 	b := c.NurseryBytes
@@ -221,11 +220,10 @@ func (c Config) nurseryWords() int {
 	return word.BytesToWords(b)
 }
 
-// DefaultConfig is a small divided heap with the Ellis incremental
-// collector — the paper's recommended configuration.
-func DefaultConfig() Config {
-	return Config{Divided: true, Barrier: gc.Ellis, Incremental: true}.withDefaults()
-}
+// DefaultConfig is the zero Config with its sizes filled in: a small divided
+// heap with the Ellis incremental collector — the paper's recommended
+// configuration.
+func DefaultConfig() Config { return Config{}.WithDefaults() }
 
 // Ref is a stable reference to a heap object: a registered mutator root
 // the collectors keep current as objects move. Refs belong to the
@@ -243,7 +241,7 @@ type Heap struct {
 	locks  *lock.Manager
 	txm    *tx.Manager
 	sgc    *gc.Collector
-	vgc    *gc.VolatileCollector // nil when !Divided
+	vgc    *gc.VolatileCollector // nil when Undivided
 	ckpt   *recovery.Checkpointer
 	track  *stability.Tracker
 
@@ -279,7 +277,7 @@ type Heap struct {
 	// object with NumRoots pointer fields living in the stable area).
 	rootObj word.Addr
 	// volRootObj is the volatile root object; it does not survive
-	// crashes. NilAddr when !Divided.
+	// crashes. NilAddr when Undivided.
 	volRootObj word.Addr
 
 	// ls is the LS set: newly stable objects still at volatile
@@ -346,10 +344,10 @@ type Tx struct {
 
 // Open creates a stable heap on new simulated devices — or, when
 // Config.Dir is set, on real files there (formatting a fresh directory,
-// recovering an existing one), panicking on filesystem errors. Callers
-// that want the error use OpenDir.
+// recovering an existing one), panicking on filesystem errors and on a
+// Config that Validate rejects. Callers that want the error use OpenDir.
 func Open(cfg Config) *Heap {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.Dir != "" {
 		hp, err := OpenDir(cfg)
 		if err != nil {
@@ -364,7 +362,10 @@ func Open(cfg Config) *Heap {
 // the entry point for fault-injection wrappers (internal/faultfs) and any
 // other PageStore/LogDevice implementation. The devices must be empty.
 func OpenOn(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
-	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	cfg = cfg.WithDefaults()
 	hp := build(cfg, disk, logDev)
 	hp.format()
 	hp.startWatchdog()
@@ -390,7 +391,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	ps := word.Addr(cfg.PageSize)
 	hp.stableLo = ps
 	hp.stableHi = hp.stableLo + word.Addr(word.WordsToBytes(2*cfg.StableWords))
-	if cfg.Divided {
+	if !cfg.Undivided {
 		// Keep areas page aligned.
 		hp.volLo = alignUp(hp.stableHi, cfg.PageSize)
 		hp.volHi = hp.volLo + word.Addr(word.WordsToBytes(2*cfg.VolatileWords))
@@ -406,11 +407,8 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		OnVolatilePtrWrite: hp.onVolatilePtrWrite,
 	})
 
-	hp.sgc = gc.New(gc.Config{
-		Barrier:      cfg.Barrier,
-		Incremental:  cfg.Incremental,
-		CopyContents: cfg.CopyContents,
-	}, mem, h, log, hp.stableLo, hp.stableHi)
+	hp.sgc = gc.New(gc.Config{Mode: cfg.StableGC, CopyContents: cfg.CopyContents},
+		mem, h, log, hp.stableLo, hp.stableHi)
 
 	if cfg.FlightRecorder {
 		hp.bb = obs.NewBlackBox(obs.BlackBoxEvents)
@@ -439,7 +437,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	hp.sscan = concScan{hp: hp, c: hp.sgc, quantumEv: obs.EvSGCQuantum,
 		label: "sgc-scan", retire: hp.finishStableGCLocked}
 
-	if cfg.Divided {
+	if !cfg.Undivided {
 		hp.vgc = gc.NewVolatile(mem, h, log, hp.volLo, hp.volHi)
 		hp.vgc.SetRecorder(hp.bb)
 		if hp.nurLo != 0 {
@@ -488,7 +486,7 @@ func (hp *Heap) format() {
 	hp.h.SetDescriptor(addr, d, lsn)
 	hp.rootObj = addr
 	hp.finishCommit(t, hp.txm.PrepareCommit(t))
-	if hp.cfg.Divided {
+	if !hp.cfg.Undivided {
 		hp.volRootObj = hp.allocVolRootObj()
 	}
 	hp.Checkpoint()
@@ -509,7 +507,7 @@ func (hp *Heap) allocVolRootObj() word.Addr {
 // --- area predicates and hooks -----------------------------------------
 
 func (hp *Heap) inVolatile(a word.Addr) bool {
-	if !hp.cfg.Divided {
+	if hp.cfg.Undivided {
 		return false
 	}
 	if a >= hp.volLo && a < hp.volHi {
@@ -717,7 +715,7 @@ func (hp *Heap) forEachStableRoot(visit func(get func() word.Addr, set func(word
 		// valid; the rekey itself happens in the OnCopy hook.
 		visit(func() word.Addr { return a }, func(word.Addr) {})
 	}
-	if hp.cfg.Divided {
+	if !hp.cfg.Undivided {
 		hp.forEachVolatileSlot(visit)
 	}
 }
@@ -790,7 +788,7 @@ func (hp *Heap) maybeStartStableGC() {
 	if hp.sgc.Active() || hp.vscan.on.Load() {
 		return
 	}
-	if float64(hp.sgc.FreeWords()) >= hp.cfg.GCTriggerFraction*float64(hp.cfg.StableWords) {
+	if float64(hp.sgc.FreeWords()) >= gcTriggerFraction*float64(hp.cfg.StableWords) {
 		return
 	}
 	hp.startStableGC()
@@ -802,21 +800,39 @@ func (hp *Heap) startStableGC() {
 	// scan (with live objects still in volatile from-space) must retire
 	// first.
 	hp.finishConcurrentLocked()
-	if hp.cfg.ConcurrentSGC && hp.cfg.Incremental {
-		hp.rootObj = hp.sgc.StartConcurrentCollection(hp.rootObj)
-		hp.sscan.start()
-		return
-	}
 	hp.rootObj = hp.sgc.StartCollection(hp.rootObj)
+	if hp.sgc.ConcurrentActive() {
+		hp.sscan.start()
+	}
 }
 
-// stepStableGC advances an active incremental collection by one quantum
-// (called from heap operations: the paper's "the mutator calls the
-// collector to do some work", §3.2). A concurrent collection is paced by
-// its collector goroutine and the commit assist instead — operations must
-// not scan from shared sections.
-func (hp *Heap) stepStableGC() {
-	if !hp.cfg.DisableOpPacing && hp.sgc.Active() && !hp.sscan.on.Load() {
+// collectStableLocked runs (or finishes) a full stable collection inline.
+func (hp *Heap) collectStableLocked() {
+	if !hp.sgc.Active() {
+		hp.startStableGC()
+	}
+	hp.finishStableGCLocked()
+}
+
+// quiesceStableGC finishes an active stable collection ahead of LS moves,
+// which allocate at the stable copy frontier — unless it is a *concurrent*
+// one: that keeps running, the moves allocate at the high end of to-space,
+// which the scan never visits, and finishing it here would reintroduce
+// exactly the stall the mode removes.
+func (hp *Heap) quiesceStableGC() {
+	if hp.sgc.Active() && !hp.sgc.ConcurrentActive() {
+		hp.sgc.Finish()
+	}
+}
+
+// pace is the one pacing call: an operation on an op-paced collector
+// (gc.Mode.OpPaced) donates one scan quantum to the active collection — the
+// paper's "the mutator calls the collector to do some work", §3.2. The
+// trap-driven collector advances through its traps, a concurrent one through
+// its collector goroutine and the commit assist; operations run shared
+// there and must not scan.
+func (hp *Heap) pace() {
+	if hp.cfg.StableGC.OpPaced() && hp.sgc.Active() {
 		hp.sgc.Step()
 	}
 }
@@ -836,12 +852,7 @@ func (hp *Heap) ensureStableSpace(needWords int) error {
 	if hp.sgc.FreeWords() >= needWords {
 		return nil
 	}
-	if hp.sgc.Active() {
-		hp.finishStableGCLocked()
-	} else {
-		hp.startStableGC()
-		hp.finishStableGCLocked()
-	}
+	hp.collectStableLocked()
 	if hp.sgc.FreeWords() < needWords {
 		return ErrHeapFull
 	}
@@ -861,15 +872,7 @@ func (hp *Heap) collectVolatile() error {
 	if err := hp.ensureStableSpace(hp.lsWords()); err != nil {
 		return err
 	}
-	if hp.sgc.Active() && !hp.sgc.ConcurrentActive() {
-		// Policy: a stop-the-world or incremental stable collection is
-		// quiescent during a volatile collection (moves allocate at the
-		// stable copy frontier). A *concurrent* stable collection keeps
-		// running: LS moves allocate at the high end of to-space, which
-		// the scan never visits, so finishing it here would reintroduce
-		// exactly the stall this mode removes.
-		hp.sgc.Finish()
-	}
+	hp.quiesceStableGC()
 	if hp.cfg.ConcurrentVGC {
 		// The flip requires an empty nursery (the concurrent scan never
 		// visits it): run a minor collection first when possible.
@@ -928,14 +931,7 @@ func (hp *Heap) collectNursery() error {
 				return err
 			}
 		}
-		if hp.sgc.Active() && !hp.sgc.ConcurrentActive() {
-			// A stop-the-world or incremental stable collection is
-			// quiescent during LS moves; a concurrent one keeps running
-			// (nursery survivors that are already LS members promote
-			// straight into to-space's high end without stalling on the
-			// scan).
-			hp.sgc.Finish()
-		}
+		hp.quiesceStableGC()
 	}
 	hp.vgc.CollectNursery(hp.takeNRem())
 	hp.maybeStartStableGC()
@@ -1052,11 +1048,6 @@ func (t *Tx) lockAddr(read func() word.Addr, m lock.Mode) error {
 	}
 }
 
-// lockRef is lockAddr over a registered handle.
-func (t *Tx) lockRef(r *Ref, m lock.Mode) error {
-	return t.lockAddr(r.Addr, m)
-}
-
 // Alloc creates an object with nptrs pointer fields (nil) and ndata zero
 // data words, returning a registered reference. New objects are volatile
 // (divided mode) or stable (all-stable mode).
@@ -1075,7 +1066,7 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	d := heap.NewDescriptor(typeID, nptrs, ndata)
 	size := d.SizeWords()
 	var addr word.Addr
-	if hp.cfg.Divided {
+	if !hp.cfg.Undivided {
 		// New volatile objects are born in the nursery when one is
 		// configured and the object fits; a full nursery triggers a
 		// minor collection. Oversized objects and nursery overflow that
@@ -1119,7 +1110,7 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 		hp.h.SetDescriptor(addr, d, lsn)
 		hp.zeroObject(addr, d, lsn)
 	}
-	hp.stepStableGC()
+	hp.pace()
 	return hp.txm.Register(t.t, addr), nil
 }
 
@@ -1138,131 +1129,142 @@ func (hp *Heap) descriptorOf(a word.Addr) heap.Descriptor {
 	return hp.h.Descriptor(a)
 }
 
-// Ptr reads pointer field i of the referenced object, returning a new
-// registered reference (nil Ref for a nil pointer).
-func (t *Tx) Ptr(r *Ref, i int) (*Ref, error) {
-	if err := t.ok(); err != nil {
-		return nil, err
-	}
-	if err := t.lockRef(r, lock.Read); err != nil {
-		return nil, err
-	}
-	hp := t.hp
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	a := r.Addr()
-	d := hp.descriptorOf(a)
-	if i < 0 || i >= d.NPtrs() {
-		return nil, fmt.Errorf("core: pointer index %d out of range [0,%d)", i, d.NPtrs())
-	}
-	slot := a + word.Addr(heap.PtrOffset(i))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	p := word.Addr(hp.mem.ReadWord(slot))
-	p = hp.sgc.BarrierLoad(p) // Baker-mode transport
-	p = hp.sscan.load(p)      // mostly-concurrent stable transport
-	p = hp.vscan.load(p)      // mostly-concurrent volatile transport
-	if hp.hist != nil {
-		hp.hist.Read(t.t.ID(), a)
-	}
-	hp.stepStableGC()
-	if p.IsNil() {
-		return nil, nil
-	}
-	return hp.txm.Register(t.t, p), nil
+// rootAddr names the stable root object for access. Only the action latch
+// keeps the address still, so it is read under it.
+func (hp *Heap) rootAddr() word.Addr { return hp.rootObj }
+
+// field is what an operation acts on, resolved by access and ready to touch.
+type field struct {
+	excl bool            // the action holds the latch exclusively
+	obj  word.Addr       // the object's current address
+	d    heap.Descriptor // its descriptor
+	slot word.Addr       // the named word's address (NilAddr for wholeObject)
 }
 
-// Data reads data word j of the referenced object.
-func (t *Tx) Data(r *Ref, j int) (uint64, error) {
-	if err := t.ok(); err != nil {
-		return 0, err
-	}
-	if err := t.lockRef(r, lock.Read); err != nil {
-		return 0, err
-	}
-	hp := t.hp
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	a := r.Addr()
-	d := hp.descriptorOf(a)
-	if j < 0 || j >= d.NData() {
-		return 0, fmt.Errorf("core: data index %d out of range [0,%d)", j, d.NData())
-	}
-	slot := a + word.Addr(heap.DataOffset(d.NPtrs(), j))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	v := hp.mem.ReadWord(slot)
-	if hp.hist != nil {
-		hp.hist.Read(t.t.ID(), a)
-	}
-	hp.stepStableGC()
-	return v, nil
-}
+// slotKind says which word of its object an operation names.
+type slotKind uint8
 
-// SetPtr stores val (which may be nil) into pointer field i.
-func (t *Tx) SetPtr(r *Ref, i int, val *Ref) error {
+const (
+	wholeObject slotKind = iota // the descriptor alone (Shape)
+	ptrSlot                     // pointer field i
+	dataSlot                    // data word i
+)
+
+// access is the one path every object operation takes: the transaction must
+// be live; the object read() names is locked in mode m (waiting outside the
+// latch); then, as one indivisible action under the latch, its descriptor is
+// read through the read barrier, word i of kind k is bounds-checked against
+// it and made accessible through the barrier too, and fn runs on it. A word
+// access is then recorded for the history checker (rec is the Recorder
+// method for its kind) and paces the collector; wholeObject touches no word
+// and does neither.
+func (t *Tx) access(read func() word.Addr, m lock.Mode, k slotKind, i int,
+	rec func(*histcheck.Recorder, word.TxID, word.Addr), fn func(f field)) error {
 	if err := t.ok(); err != nil {
 		return err
 	}
-	if err := t.lockRef(r, lock.Write); err != nil {
+	if err := t.lockAddr(read, m); err != nil {
 		return err
 	}
 	hp := t.hp
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	a := r.Addr()
-	d := hp.descriptorOf(a)
-	if i < 0 || i >= d.NPtrs() {
-		return fmt.Errorf("core: pointer index %d out of range [0,%d)", i, d.NPtrs())
+	f := field{excl: hp.rlock()}
+	defer hp.runlock(f.excl)
+	f.obj = read()
+	f.d = hp.descriptorOf(f.obj)
+	switch k {
+	case wholeObject:
+		fn(f)
+		return nil
+	case ptrSlot:
+		if i < 0 || i >= f.d.NPtrs() {
+			return fmt.Errorf("core: pointer index %d out of range [0,%d)", i, f.d.NPtrs())
+		}
+		f.slot = f.obj + word.Addr(heap.PtrOffset(i))
+	case dataSlot:
+		if i < 0 || i >= f.d.NData() {
+			return fmt.Errorf("core: data index %d out of range [0,%d)", i, f.d.NData())
+		}
+		f.slot = f.obj + word.Addr(heap.DataOffset(f.d.NPtrs(), i))
 	}
+	hp.mem.EnsureAccessible(f.slot, word.WordSize)
+	fn(f)
+	if hp.hist != nil {
+		rec(hp.hist, t.t.ID(), f.obj)
+	}
+	hp.pace()
+	return nil
+}
+
+// loadPtr is the mutator's one pointer load: the word at slot, passed
+// through each collector's load barrier — the stable collector's (a Baker
+// or concurrent transport; the identity under page protection, where the
+// trap already rewrote the page) and the concurrent volatile scan's — so an
+// operation never hands out, and so never stores, a from-space address.
+func (hp *Heap) loadPtr(slot word.Addr) word.Addr {
+	return hp.vscan.load(hp.sgc.Load(word.Addr(hp.mem.ReadWord(slot))))
+}
+
+// storePtr is the mutator's one pointer store: the logged or unlogged write
+// under the slot's writer stripe, then the stability bookkeeping — a
+// volatile target stored into stable state is a candidate for commit-time
+// tracking.
+func (t *Tx) storePtr(f field, val *Ref) {
+	hp := t.hp
 	var v word.Addr
 	if val != nil {
 		v = val.Addr()
 	}
-	slot := a + word.Addr(heap.PtrOffset(i))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	unlock := hp.lockShard(excl, slot)
-	hp.writeWordAction(t, a, d, slot, uint64(v), true)
+	unlock := hp.lockShard(f.excl, f.slot)
+	hp.writeWordAction(t, f.obj, f.d, f.slot, uint64(v), true)
 	unlock()
-	// A volatile target stored into stable state is a stability
-	// candidate for commit-time tracking.
-	if hp.cfg.Divided && val != nil && hp.isStableObject(a, d) && hp.inVolatile(v) {
+	if val != nil && hp.isStableObject(f.obj, f.d) && hp.inVolatile(v) {
 		h := hp.txm.Register(t.t, v)
 		hp.candMu.Lock()
 		hp.candidates[t.t.ID()] = append(hp.candidates[t.t.ID()], h)
 		hp.candMu.Unlock()
 	}
-	if hp.hist != nil {
-		hp.hist.Write(t.t.ID(), a)
+}
+
+// ref registers p with the transaction (a nil Ref for a nil pointer).
+func (t *Tx) ref(p word.Addr) *Ref {
+	if p.IsNil() {
+		return nil
 	}
-	hp.stepStableGC()
-	return nil
+	return t.hp.txm.Register(t.t, p)
+}
+
+// Ptr reads pointer field i of the referenced object, returning a new
+// registered reference (nil Ref for a nil pointer).
+func (t *Tx) Ptr(r *Ref, i int) (out *Ref, err error) {
+	err = t.access(r.Addr, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
+		out = t.ref(t.hp.loadPtr(f.slot))
+	})
+	return out, err
+}
+
+// Data reads data word j of the referenced object.
+func (t *Tx) Data(r *Ref, j int) (v uint64, err error) {
+	err = t.access(r.Addr, lock.Read, dataSlot, j, (*histcheck.Recorder).Read, func(f field) {
+		v = t.hp.mem.ReadWord(f.slot)
+	})
+	return v, err
+}
+
+// SetPtr stores val (which may be nil) into pointer field i.
+func (t *Tx) SetPtr(r *Ref, i int, val *Ref) error {
+	return t.access(r.Addr, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
+		t.storePtr(f, val)
+	})
 }
 
 // SetData stores v into data word j.
 func (t *Tx) SetData(r *Ref, j int, v uint64) error {
-	if err := t.ok(); err != nil {
-		return err
-	}
-	if err := t.lockRef(r, lock.Write); err != nil {
-		return err
-	}
-	hp := t.hp
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	a := r.Addr()
-	d := hp.descriptorOf(a)
-	if j < 0 || j >= d.NData() {
-		return fmt.Errorf("core: data index %d out of range [0,%d)", j, d.NData())
-	}
-	slot := a + word.Addr(heap.DataOffset(d.NPtrs(), j))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	unlock := hp.lockShard(excl, slot)
-	hp.writeWordAction(t, a, d, slot, v, false)
-	unlock()
-	if hp.hist != nil {
-		hp.hist.Write(t.t.ID(), a)
-	}
-	hp.stepStableGC()
-	return nil
+	return t.access(r.Addr, lock.Write, dataSlot, j, (*histcheck.Recorder).Write, func(f field) {
+		hp := t.hp
+		unlock := hp.lockShard(f.excl, f.slot)
+		hp.writeWordAction(t, f.obj, f.d, f.slot, v, false)
+		unlock()
+	})
 }
 
 // writeWordAction dispatches a word store to the logged or unlogged path.
@@ -1291,154 +1293,55 @@ func (hp *Heap) writeWordAction(t *Tx, obj word.Addr, d heap.Descriptor, slot wo
 // third of a physical update's log traffic. Volatile objects fall back to
 // the ordinary in-memory-undo path.
 func (t *Tx) AddData(r *Ref, j int, delta uint64) error {
-	if err := t.ok(); err != nil {
-		return err
-	}
-	if err := t.lockRef(r, lock.Write); err != nil {
-		return err
-	}
-	hp := t.hp
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	a := r.Addr()
-	d := hp.descriptorOf(a)
-	if j < 0 || j >= d.NData() {
-		return fmt.Errorf("core: data index %d out of range [0,%d)", j, d.NData())
-	}
-	slot := a + word.Addr(heap.DataOffset(d.NPtrs(), j))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	unlock := hp.lockShard(excl, slot)
-	if hp.isStableObject(a, d) {
-		hp.txm.UpdateLogical(t.t, a, slot, delta)
-	} else {
-		cur := hp.mem.ReadWord(slot)
-		buf := make([]byte, word.WordSize)
-		word.PutWord(buf, 0, cur+delta)
-		hp.txm.VolatileWrite(t.t, slot, buf, false)
-	}
-	unlock()
-	if hp.hist != nil {
-		hp.hist.ReadWrite(t.t.ID(), a)
-	}
-	hp.stepStableGC()
-	return nil
+	return t.access(r.Addr, lock.Write, dataSlot, j, (*histcheck.Recorder).ReadWrite, func(f field) {
+		hp := t.hp
+		unlock := hp.lockShard(f.excl, f.slot)
+		if hp.isStableObject(f.obj, f.d) {
+			hp.txm.UpdateLogical(t.t, f.obj, f.slot, delta)
+		} else {
+			cur := hp.mem.ReadWord(f.slot)
+			buf := make([]byte, word.WordSize)
+			word.PutWord(buf, 0, cur+delta)
+			hp.txm.VolatileWrite(t.t, f.slot, buf, false)
+		}
+		unlock()
+	})
 }
 
 // Shape returns the referenced object's type id, pointer count and data
 // count.
 func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
-	if err := t.ok(); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := t.lockRef(r, lock.Read); err != nil {
-		return 0, 0, 0, err
-	}
-	hp := t.hp
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	d := hp.descriptorOf(r.Addr())
-	return d.TypeID(), d.NPtrs(), d.NData(), nil
+	err = t.access(r.Addr, lock.Read, wholeObject, 0, nil, func(f field) {
+		typeID, nptrs, ndata = f.d.TypeID(), f.d.NPtrs(), f.d.NData()
+	})
+	return typeID, nptrs, ndata, err
 }
 
 // Root returns stable root slot i (nil Ref if unset).
-func (t *Tx) Root(i int) (*Ref, error) {
-	if err := t.ok(); err != nil {
-		return nil, err
-	}
-	hp := t.hp
-	if err := t.lockAddr(func() word.Addr { return hp.rootObj }, lock.Read); err != nil {
-		return nil, err
-	}
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	if i < 0 || i >= hp.cfg.NumRoots {
-		return nil, fmt.Errorf("core: root index %d out of range", i)
-	}
-	slot := hp.rootObj + word.Addr(heap.PtrOffset(i))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	p := word.Addr(hp.mem.ReadWord(slot))
-	p = hp.sgc.BarrierLoad(p)
-	p = hp.sscan.load(p)
-	p = hp.vscan.load(p)
-	if hp.hist != nil {
-		hp.hist.Read(t.t.ID(), hp.rootObj)
-	}
-	hp.stepStableGC()
-	if p.IsNil() {
-		return nil, nil
-	}
-	return hp.txm.Register(t.t, p), nil
+func (t *Tx) Root(i int) (out *Ref, err error) {
+	err = t.access(t.hp.rootAddr, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
+		out = t.ref(t.hp.loadPtr(f.slot))
+	})
+	return out, err
 }
 
 // SetRoot stores val into stable root slot i: this is how objects become
 // reachable from stable state.
 func (t *Tx) SetRoot(i int, val *Ref) error {
-	if err := t.ok(); err != nil {
-		return err
-	}
-	hp := t.hp
-	if err := t.lockAddr(func() word.Addr { return hp.rootObj }, lock.Write); err != nil {
-		return err
-	}
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	if i < 0 || i >= hp.cfg.NumRoots {
-		return fmt.Errorf("core: root index %d out of range", i)
-	}
-	var v word.Addr
-	if val != nil {
-		v = val.Addr()
-	}
-	d := hp.h.Descriptor(hp.rootObj)
-	slot := hp.rootObj + word.Addr(heap.PtrOffset(i))
-	hp.mem.EnsureAccessible(slot, word.WordSize)
-	unlock := hp.lockShard(excl, slot)
-	hp.writeWordAction(t, hp.rootObj, d, slot, uint64(v), true)
-	unlock()
-	if hp.cfg.Divided && val != nil && hp.inVolatile(v) {
-		h := hp.txm.Register(t.t, v)
-		hp.candMu.Lock()
-		hp.candidates[t.t.ID()] = append(hp.candidates[t.t.ID()], h)
-		hp.candMu.Unlock()
-	}
-	if hp.hist != nil {
-		hp.hist.Write(t.t.ID(), hp.rootObj)
-	}
-	hp.stepStableGC()
-	return nil
+	return t.access(t.hp.rootAddr, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
+		t.storePtr(f, val)
+	})
 }
 
-// VolRoot returns volatile root slot i. Volatile roots do not survive
-// crashes.
-func (t *Tx) VolRoot(i int) (*Ref, error) {
-	if err := t.ok(); err != nil {
-		return nil, err
-	}
-	hp := t.hp
-	if !hp.cfg.Divided {
-		return nil, errors.New("core: volatile roots need a divided heap")
-	}
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	if i < 0 || i >= hp.cfg.NumRoots {
-		return nil, fmt.Errorf("core: root index %d out of range", i)
-	}
-	p := word.Addr(hp.mem.ReadWord(hp.volRootObj + word.Addr(heap.PtrOffset(i))))
-	p = hp.vscan.load(p)
-	if p.IsNil() {
-		return nil, nil
-	}
-	return hp.txm.Register(t.t, p), nil
-}
-
-// SetVolRoot stores val into volatile root slot i (unlogged; undone on
-// abort).
-func (t *Tx) SetVolRoot(i int, val *Ref) error {
+// volRoot is the volatile roots' counterpart of access: no object lock and no
+// descriptor (the volatile root object is unlocked, unlogged state sized by
+// NumRoots), just the latch, the bounds check and fn on slot i.
+func (t *Tx) volRoot(i int, fn func(excl bool, slot word.Addr)) error {
 	if err := t.ok(); err != nil {
 		return err
 	}
 	hp := t.hp
-	if !hp.cfg.Divided {
+	if hp.cfg.Undivided {
 		return errors.New("core: volatile roots need a divided heap")
 	}
 	excl := hp.rlock()
@@ -1446,17 +1349,29 @@ func (t *Tx) SetVolRoot(i int, val *Ref) error {
 	if i < 0 || i >= hp.cfg.NumRoots {
 		return fmt.Errorf("core: root index %d out of range", i)
 	}
-	var v word.Addr
-	if val != nil {
-		v = val.Addr()
-	}
-	buf := make([]byte, word.WordSize)
-	word.PutWord(buf, 0, uint64(v))
-	slot := hp.volRootObj + word.Addr(heap.PtrOffset(i))
-	unlock := hp.lockShard(excl, slot)
-	hp.txm.VolatileWrite(t.t, slot, buf, true)
-	unlock()
+	fn(excl, hp.volRootObj+word.Addr(heap.PtrOffset(i)))
 	return nil
+}
+
+// VolRoot returns volatile root slot i. Volatile roots do not survive
+// crashes.
+func (t *Tx) VolRoot(i int) (out *Ref, err error) {
+	err = t.volRoot(i, func(_ bool, slot word.Addr) { out = t.ref(t.hp.loadPtr(slot)) })
+	return out, err
+}
+
+// SetVolRoot stores val into volatile root slot i (unlogged; undone on
+// abort).
+func (t *Tx) SetVolRoot(i int, val *Ref) error {
+	return t.volRoot(i, func(excl bool, slot word.Addr) {
+		var buf [word.WordSize]byte
+		if val != nil {
+			word.PutWord(buf[:], 0, uint64(val.Addr()))
+		}
+		unlock := t.hp.lockShard(excl, slot)
+		t.hp.txm.VolatileWrite(t.t, slot, buf[:], true)
+		unlock()
+	})
 }
 
 // Commit runs stability tracking for the transaction's newly reachable

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"stableheap/internal/gc"
+	"stableheap/internal/storage"
 )
 
 // smallCfg is a tiny heap for tests.
@@ -12,15 +14,12 @@ func smallCfg() Config {
 		PageSize:      256,
 		StableWords:   8 * 1024,
 		VolatileWords: 4 * 1024,
-		Divided:       true,
-		Barrier:       gc.Ellis,
-		Incremental:   true,
 	}
 }
 
 func allStableCfg() Config {
 	c := smallCfg()
-	c.Divided = false
+	c.Undivided = true
 	return c
 }
 
@@ -189,22 +188,20 @@ func TestUncommittedVolatileTargetSurvivesVolatileGC(t *testing.T) {
 	commit(t, tr)
 }
 
+// The per-mode version, with a reader walking mid-collection and the crash
+// matrix behind it, is crashtest.TestStableGCModeTable.
 func TestStableCollectionPreservesGraph(t *testing.T) {
-	for _, barrier := range []gc.Barrier{gc.Ellis, gc.Baker} {
-		cfg := smallCfg()
-		cfg.Barrier = barrier
-		hp := Open(cfg)
-		buildList(t, hp, 0, 20, 500)
-		if _, err := hp.CollectVolatile(); err != nil { // move into stable area
-			t.Fatal(err)
-		}
-		hp.CollectStable()
-		checkList(t, hp, 0, 20, 500)
-		hp.CollectStable()
-		checkList(t, hp, 0, 20, 500)
-		if hp.GCStats().Collections != 2 {
-			t.Fatal("expected two collections")
-		}
+	hp := Open(smallCfg())
+	buildList(t, hp, 0, 20, 500)
+	if _, err := hp.CollectVolatile(); err != nil { // move into stable area
+		t.Fatal(err)
+	}
+	hp.CollectStable()
+	checkList(t, hp, 0, 20, 500)
+	hp.CollectStable()
+	checkList(t, hp, 0, 20, 500)
+	if hp.GCStats().Collections != 2 {
+		t.Fatal("expected two collections")
 	}
 }
 
@@ -655,5 +652,91 @@ func TestTruncationUnderLoadKeepsRecovering(t *testing.T) {
 	dev := hp.Log().Device()
 	if dev.RetainedBytes() >= dev.Stats().BytesAppended {
 		t.Fatal("truncation never reclaimed anything")
+	}
+}
+
+// TestValidateRejects: the two configurations no heap can honour are turned
+// away at every entry point, by the message that names the field.
+func TestValidateRejects(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Config.StableGC", func(c *Config) { c.StableGC = gc.Concurrent + 1 }},
+		{"Config.ConcurrentVGC", func(c *Config) { c.Undivided, c.ConcurrentVGC = true, true }},
+	} {
+		good := smallCfg()
+		disk, logDev := Open(good).Crash()
+		bad := good
+		tc.mut(&bad)
+		dirBad := bad
+		dirBad.Dir = t.TempDir()
+
+		panics := func(name string, open func()) {
+			t.Helper()
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.field) {
+					t.Fatalf("%s: panic %q does not name %s", name, msg, tc.field)
+				}
+			}()
+			open()
+		}
+		panics("Open", func() { Open(bad) })
+		panics("OpenOn", func() { OpenOn(bad, storage.NewDisk(256), storage.NewLog(0)) })
+		panics("Open with Dir", func() { Open(dirBad) })
+
+		for name, open := range map[string]func() (*Heap, error){
+			"OpenDir":        func() (*Heap, error) { return OpenDir(dirBad) },
+			"RecoverDir":     func() (*Heap, error) { return RecoverDir(dirBad) },
+			"Recover":        func() (*Heap, error) { return Recover(bad, disk, logDev) },
+			"RecoverCrashed": func() (*Heap, error) { return RecoverCrashed(bad, disk, logDev) },
+			"RecoverFromLog": func() (*Heap, error) { return RecoverFromLog(bad, logDev) },
+		} {
+			if _, err := open(); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("%s: error %v does not name %s", name, err, tc.field)
+			}
+		}
+		// The rejected calls touched nothing: the crashed devices still recover.
+		hp, err := Recover(good, disk, logDev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp.Close()
+	}
+}
+
+// TestZeroConfigIsDefault: a Config that states only sizes is the shipped
+// configuration — same resolved Config, same layout, same collector, and
+// the same log from the same work.
+func TestZeroConfigIsDefault(t *testing.T) {
+	def := DefaultConfig()
+	sized := Config{PageSize: def.PageSize, StableWords: def.StableWords,
+		VolatileWords: def.VolatileWords, NumRoots: def.NumRoots}
+	for _, cfg := range []Config{{}, sized} {
+		a, b := Open(cfg), Open(def)
+		if a.Config() != b.Config() {
+			t.Fatalf("resolved configs differ:\n%+v\n%+v", a.Config(), b.Config())
+		}
+		if a.Config().StableGC != gc.Ellis || a.Config().Undivided || a.vgc == nil {
+			t.Fatalf("zero Config is not the divided Ellis heap: %+v", a.Config())
+		}
+		for _, hp := range []*Heap{a, b} {
+			buildList(t, hp, 0, 40, 100)
+			if _, err := hp.CollectVolatile(); err != nil {
+				t.Fatal(err)
+			}
+			hp.StartStableCollection()
+			checkList(t, hp, 0, 40, 100)
+			hp.CollectStable()
+		}
+		if a.stableHi != b.stableHi || a.volHi != b.volHi || a.nurHi != b.nurHi {
+			t.Fatal("layouts differ")
+		}
+		if ea, eb := a.logDev.EndLSN(), b.logDev.EndLSN(); ea != eb {
+			t.Fatalf("same work, different logs: end LSN %d vs %d", ea, eb)
+		}
+		if ta, tb := a.mem.Stats().Traps, b.mem.Stats().Traps; ta != tb || ta == 0 {
+			t.Fatalf("read-barrier traps %d vs %d, want equal and nonzero", ta, tb)
+		}
 	}
 }

@@ -29,10 +29,13 @@ func OpenDir(cfg Config) (*Heap, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("core: OpenDir with empty Config.Dir")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if filestore.IsFormatted(cfg.Dir) {
 		return RecoverDir(cfg)
 	}
-	// Deliberately before withDefaults: a zero PageSize/LogSegBytes means
+	// Deliberately before WithDefaults: a zero PageSize/LogSegBytes means
 	// "the store decides" (its own defaults on a fresh directory), and the
 	// heap then adopts whatever geometry the files actually have.
 	s, err := filestore.Open(cfg.Dir, cfg.fileOptions())
@@ -53,6 +56,9 @@ func OpenDir(cfg Config) (*Heap, error) {
 func RecoverDir(cfg Config) (*Heap, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("core: RecoverDir with empty Config.Dir")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if !filestore.IsFormatted(cfg.Dir) {
 		return nil, fmt.Errorf("core: %s holds no formatted heap", cfg.Dir)

@@ -75,7 +75,7 @@ func (hp *Heap) FlightDevice() storage.LogDevice { return hp.journal.Device() }
 func (hp *Heap) FlightEvents() []obs.Event { return hp.bb.Events() }
 
 // FlightDump encodes the journal's newest run as a standalone dump file
-// for cmd/shtrace (nil when the recorder is off or nothing was flushed).
+// for shstat -decode (nil when the recorder is off or nothing was flushed).
 func (hp *Heap) FlightDump() []byte {
 	evs, boot, err := obs.ReadLatest(hp.FlightDevice())
 	if err != nil || len(evs) == 0 {

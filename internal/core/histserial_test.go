@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"stableheap/internal/gc"
 	"stableheap/internal/histcheck"
 )
 
@@ -65,9 +66,9 @@ func runHistoryRound(t *testing.T, round int) {
 		cfg.ConcurrentVGC = true
 		shards = 8
 	case 6:
-		cfg.ConcurrentSGC = true // stable scans on the collector goroutine
+		cfg.StableGC = gc.Concurrent // stable scans on the collector goroutine
 	case 7:
-		cfg.ConcurrentSGC = true // both concurrent collectors + nursery
+		cfg.StableGC = gc.Concurrent // both concurrent collectors + nursery
 		cfg.ConcurrentVGC = true
 		cfg.NurseryBytes = 2 << 10
 	}
@@ -134,7 +135,7 @@ func runHistoryRound(t *testing.T, round int) {
 	for running := true; running; {
 		if os.Getenv("HIST_NO_GC") == "" {
 			hp.StartStableCollection()
-			if cfg.ConcurrentSGC {
+			if cfg.StableGC == gc.Concurrent {
 				// The flip leaves a concurrent scan in flight: run a
 				// volatile collection underneath it (newly stable objects
 				// evacuate into the scan's to-space high end), then retire

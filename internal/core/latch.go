@@ -40,7 +40,7 @@ import (
 //     section.
 //
 //   - gate is the mostly-concurrent collection gate (Config.ConcurrentVGC
-//     and Config.ConcurrentSGC). While a concurrent scan is in flight
+//     and the gc.Concurrent stable collector). While a concurrent scan is in flight
 //     (scanning(): either area's concScan flag), ordinary actions
 //     additionally hold gate shared and the collector goroutine
 //     runs each scan quantum under gate exclusive: copying excludes

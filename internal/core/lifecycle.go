@@ -39,7 +39,7 @@ func (hp *Heap) checkpointLocked() word.LSN {
 		VolatileHi:      hp.volatileEnd(),
 		NextTx:          hp.txm.NextTxID(),
 	}
-	if hp.cfg.Divided {
+	if !hp.cfg.Undivided {
 		cp.VolatileCur = hp.vgc.CurrentIndex()
 		cp.NextEpoch = hp.vgc.Epoch() + 1
 		for a := range hp.ls {
@@ -175,7 +175,10 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 			panic(v)
 		}
 	}()
-	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
 	hp := build(cfg, disk, logDev)
 	res, err := recovery.Recover(hp.mem, hp.log, recovery.Options{
 		RedoWorkers: cfg.RecoveryWorkers, Recorder: hp.bb, Media: media})
@@ -208,15 +211,11 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 	}
 
 	// Restore the stable collector. When a collection was in progress it
-	// resumes — concurrently again, if the configuration allows, so the
-	// remaining scan stays off the stop latch after recovery too;
+	// resumes in the configured mode — a concurrent one concurrently again,
+	// so the remaining scan stays off the stop latch after recovery too;
 	// otherwise only the space choice and the allocation frontier are
 	// reinstated.
-	if cp.GC.Active && cfg.ConcurrentSGC && cfg.Incremental {
-		hp.sgc.RestoreConcurrent(cp.GC, cp.StableCur)
-	} else {
-		hp.sgc.Restore(cp.GC, cp.StableCur)
-	}
+	hp.sgc.Restore(cp.GC, cp.StableCur)
 	if !cp.GC.Active {
 		hp.sgc.SetAllocFrontier(cp.StableAlloc)
 		if cp.StableAllocHigh != 0 {
@@ -233,7 +232,7 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 		hp.mem.DiscardRange(lo, hi)
 	}
 
-	if cfg.Divided {
+	if !cfg.Undivided {
 		hp.vgc.SetCurrentIndex(cp.VolatileCur)
 		for _, a := range cp.LS {
 			hp.ls[a] = true
@@ -394,10 +393,7 @@ func (hp *Heap) StableCollector() interface {
 func (hp *Heap) CollectStable() {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
-	if !hp.sgc.Active() {
-		hp.startStableGC()
-	}
-	hp.finishStableGCLocked()
+	hp.collectStableLocked()
 }
 
 // StepStable advances an active stable collection by one quantum (the
@@ -431,7 +427,7 @@ func (hp *Heap) StartStableCollection() {
 func (hp *Heap) CollectVolatile() (int, error) {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
-	if !hp.cfg.Divided {
+	if hp.cfg.Undivided {
 		return 0, nil
 	}
 	before := hp.vgc.Stats().MovedObjs
@@ -448,7 +444,7 @@ func (hp *Heap) CollectVolatile() (int, error) {
 func (hp *Heap) CollectNursery() (int, error) {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
-	if !hp.cfg.Divided || hp.nurLo == 0 {
+	if hp.nurLo == 0 {
 		return 0, nil
 	}
 	before := hp.vgc.Stats().PromotedObjs
@@ -527,7 +523,7 @@ func (hp *Heap) GCStats() gc.Stats {
 	return hp.sgc.Stats()
 }
 
-// VGCStats returns volatile-collector counters (zero when !Divided). Taken
+// VGCStats returns volatile-collector counters (zero when Undivided). Taken
 // under the shared latch so a concurrent scan quantum never races the
 // snapshot.
 func (hp *Heap) VGCStats() gc.VolatileStats {
@@ -539,7 +535,7 @@ func (hp *Heap) VGCStats() gc.VolatileStats {
 	return hp.vgc.Stats()
 }
 
-// TrackerStats returns stability-tracker counters (zero when !Divided).
+// TrackerStats returns stability-tracker counters (zero when Undivided).
 func (hp *Heap) TrackerStats() stability.Stats {
 	if hp.track == nil {
 		return stability.Stats{}
@@ -549,9 +545,6 @@ func (hp *Heap) TrackerStats() stability.Stats {
 
 // CheckpointStats returns checkpointer counters.
 func (hp *Heap) CheckpointStats() recovery.CheckpointStats { return hp.ckpt.Stats() }
-
-// LockStats returns lock-manager counters.
-func (hp *Heap) LockStats() lock.Stats { return hp.locks.Stats() }
 
 // RecoverFromLog rebuilds the entire stable heap from the log alone — the
 // total-media-failure case of §2.2.2: the disk is gone, but "our recovery
@@ -571,7 +564,10 @@ func RecoverFromLog(cfg Config, logDev storage.LogDevice) (hpOut *Heap, errOut e
 			panic(v)
 		}
 	}()
-	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
 	if logDev.TruncLSN() > 1 {
 		// A truncated log cannot rebuild a lost disk: later checkpoints
 		// assume flushed pages that no longer exist. The archive

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 
+	"stableheap/internal/gc"
 	"stableheap/internal/obs"
 )
 
@@ -60,7 +61,7 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetHist("gc_flip_ns", gs.Flip)
 	s.SetHist("gc_step_ns", gs.Step)
 	s.SetHist("gc_trap_ns", gs.Trap)
-	if hp.cfg.ConcurrentSGC {
+	if hp.cfg.StableGC == gc.Concurrent {
 		s.SetCounter("gc_conc_collections_total", int64(gs.ConcCollections))
 		s.SetCounter("gc_conc_quanta_total", gs.ConcQuanta)
 		s.SetCounter("gc_conc_transports_total", gs.ConcTransports)

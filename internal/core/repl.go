@@ -57,8 +57,3 @@ func (hp *Heap) SetLogRetainFloor(owner string, lsn word.LSN) {
 func (hp *Heap) ClearLogRetainFloor(owner string) {
 	hp.log.ClearRetainFloor(owner)
 }
-
-// WithDefaults returns the configuration with zero fields replaced by
-// the sizing Open would actually use. A standby building its own page
-// store outside the core uses it to match the primary's geometry.
-func (c Config) WithDefaults() Config { return c.withDefaults() }

@@ -124,8 +124,8 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 }
 
 // TestChaosSeedDumpDecodes runs a real chaos seed end to end and asserts
-// the exported dump (what shchaos -blackbox writes) is shtrace-decodable
-// and non-trivial.
+// the exported dump (what shchaos -blackbox writes) decodes the way
+// shstat -decode reads it and is non-trivial.
 func TestChaosSeedDumpDecodes(t *testing.T) {
 	res := RunSeedWithPlan(Scenario{Steps: 30, Crashes: 3, MidGC: true},
 		faultfs.Plan{Seed: 11, TornPage: true, TornForce: true})
@@ -142,13 +142,13 @@ func TestChaosSeedDumpDecodes(t *testing.T) {
 	if boot == 0 || len(evs) == 0 {
 		t.Fatalf("decoded dump is empty (boot=%d, %d events)", boot, len(evs))
 	}
-	// The decoded timeline renders (what shtrace prints).
+	// The decoded timeline renders (what shstat -decode prints).
 	if out := obs.FormatEvents(evs); !strings.Contains(out, "seq=") {
 		t.Errorf("timeline rendering looks wrong:\n%s", out)
 	}
 }
 
-// DecodeChaosDump decodes a chaos dump exactly as cmd/shtrace does.
+// DecodeChaosDump decodes a chaos dump exactly as shstat -decode does.
 func DecodeChaosDump(t *testing.T, dump []byte) (int64, []obs.Event, error) {
 	t.Helper()
 	boot, evs, err := obs.DecodeDump(dump)

@@ -34,6 +34,7 @@ import (
 
 	"stableheap/internal/core"
 	"stableheap/internal/faultfs"
+	"stableheap/internal/gc"
 	"stableheap/internal/histcheck"
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
@@ -172,7 +173,7 @@ type SeedResult struct {
 	// from the message alone.
 	Failure string
 	// Dump is the seed's complete flight-recorder journal — every frame
-	// every boot flushed, decodable with obs.DecodeDump or cmd/shtrace.
+	// every boot flushed, decodable with obs.DecodeDump or shstat -decode.
 	// Excluded from JSON reports (binary, potentially large).
 	Dump []byte `json:"-"`
 }
@@ -267,7 +268,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 		// goroutine would race the fault schedule, so the burst paces the
 		// stable scan itself with StepStableScan, a seed-chosen number of
 		// quanta per round, and most rounds crash with the scan in flight.
-		cfg.ConcurrentSGC = true
+		cfg.StableGC = gc.Concurrent
 		cfg.ManualScan = true
 	}
 	// One journal device for the whole seed: each recovered heap appends

@@ -14,9 +14,6 @@ func cfg() core.Config {
 		PageSize:      256,
 		StableWords:   16 * 1024,
 		VolatileWords: 4 * 1024,
-		Divided:       true,
-		Barrier:       gc.Ellis,
-		Incremental:   true,
 	}
 }
 
@@ -126,29 +123,77 @@ func TestRepeatedCrashesBackToBack(t *testing.T) {
 
 func TestAllStableModeCrashMatrix(t *testing.T) {
 	c := cfg()
-	c.Divided = false
+	c.Undivided = true
 	d := New(c, 11)
 	if err := d.Run(80, 0.1, 0.5, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBakerModeCrashMatrix(t *testing.T) {
-	c := cfg()
-	c.Barrier = gc.Baker
-	d := New(c, 12)
-	if err := d.Run(80, 0.1, 0.5, false); err != nil {
-		t.Fatal(err)
-	}
-}
+// TestStableGCModeTable holds every stable collector to the same two
+// obligations. Graph preservation: the model's lists survive a collection
+// with a reader walking them between every two quanta (traps under page
+// protection, transports under Baker and Concurrent). Then the seeded crash
+// matrix, closed by a crash forced mid-collection with the twin check, after
+// which the resumed collection must finish and the workload carry on. Baker
+// and StopTheWorld keep the seeds of the single-mode tests this replaces.
+func TestStableGCModeTable(t *testing.T) {
+	seeds := map[gc.Mode]int64{gc.Ellis: 14, gc.EllisTrapDriven: 15, gc.Baker: 12, gc.StopTheWorld: 13, gc.Concurrent: 16}
+	for mode := gc.Mode(0); mode.Valid(); mode++ {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := cfg()
+			c.StableGC = mode
+			// The test paces a concurrent scan itself, so "mid-collection"
+			// does not depend on how far a collector goroutine got.
+			c.ManualScan = true
+			steps := func(d *Driver, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					if err := d.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 
-func TestStopTheWorldModeCrashMatrix(t *testing.T) {
-	c := cfg()
-	c.Barrier = gc.NoBarrier
-	c.Incremental = false
-	d := New(c, 13)
-	if err := d.Run(80, 0.1, 0.5, false); err != nil {
-		t.Fatal(err)
+			d := New(c, seeds[mode])
+			steps(d, 60)
+			d.Heap().CollectStable() // nothing in flight before the measured flip
+			flips := d.Heap().GCStats().Collections
+			d.Heap().StartStableCollection()
+			if active := d.Heap().StableCollector().Active(); active != (mode != gc.StopTheWorld) {
+				t.Fatalf("after the flip: collection active = %v", active)
+			}
+			for more := true; more; more = d.Heap().StepStable() {
+				if err := d.Verify(); err != nil {
+					t.Fatalf("reader during the collection: %v", err)
+				}
+			}
+			if err := d.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Heap().GCStats().Collections - flips; got != 1 {
+				t.Fatalf("%d collections ran, want the one walked through", got)
+			}
+
+			d = New(c, seeds[mode])
+			if err := d.Run(80, 0.1, 0.5, false); err != nil {
+				t.Fatal(err)
+			}
+			if d.Stats().Crashes == 0 {
+				t.Fatal("no crashes exercised")
+			}
+			d.Heap().CollectStable()
+			d.Heap().StartStableCollection()
+			d.Heap().StepStable()
+			if err := d.CrashAndRecover(0.5, true); err != nil {
+				t.Fatalf("crash mid-collection: %v", err)
+			}
+			steps(d, 20)
+			d.Heap().CollectStable()
+			if err := d.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

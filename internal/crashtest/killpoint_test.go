@@ -62,9 +62,6 @@ func killCfg(dir string) core.Config {
 		StableWords:    8 * 1024,
 		VolatileWords:  4 * 1024,
 		LogSegBytes:    4 * 1024, // several segments per run: truncation + kills interact
-		Divided:        true,
-		Barrier:        gc.Ellis,
-		Incremental:    true,
 	}
 }
 
@@ -280,7 +277,7 @@ func TestKillPointMatrix(t *testing.T) {
 // an exact quantum boundary).
 func killScanCfg(dir string) core.Config {
 	cfg := killCfg(dir)
-	cfg.ConcurrentSGC = true
+	cfg.StableGC = gc.Concurrent
 	cfg.ManualScan = true
 	return cfg
 }
@@ -505,9 +502,6 @@ func kill2PCCfg(dir string) shard.Config {
 			StableWords:    8 * 1024,
 			VolatileWords:  4 * 1024,
 			LogSegBytes:    4 * 1024,
-			Divided:        true,
-			Barrier:        gc.Ellis,
-			Incremental:    true,
 		},
 	}
 }

@@ -284,12 +284,10 @@ func (d *Disk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
 }
 
 func (d *Disk) PageLSN(id word.PageID) word.LSN { return d.inner.PageLSN(id) }
-func (d *Disk) HasPage(id word.PageID) bool     { return d.inner.HasPage(id) }
 func (d *Disk) Pages() []word.PageID            { return d.inner.Pages() }
 func (d *Disk) Master() storage.Master          { return d.inner.Master() }
 func (d *Disk) SetMaster(m storage.Master)      { d.inner.SetMaster(m) }
 func (d *Disk) Stats() storage.DiskStats        { return d.inner.Stats() }
-func (d *Disk) ResetStats()                     { d.inner.ResetStats() }
 
 // Clone returns a plain, fault-free deep copy of the durable state: twin
 // recoveries and base backups run on pristine hardware.
@@ -425,7 +423,6 @@ func (l *Log) Truncate(keep word.LSN)   { l.inner.Truncate(keep) }
 func (l *Log) RepairTail(from word.LSN) { l.inner.RepairTail(from) }
 func (l *Log) RetainedBytes() int64     { return l.inner.RetainedBytes() }
 func (l *Log) Stats() storage.LogStats  { return l.inner.Stats() }
-func (l *Log) ResetStats()              { l.inner.ResetStats() }
 func (l *Log) Clone() storage.LogDevice { return l.inner.Clone() }
 
 func (l *Log) ReadAt(lsn word.LSN) ([]byte, bool) {

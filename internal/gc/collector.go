@@ -1,13 +1,11 @@
 // Package gc implements the paper's garbage collectors:
 //
-//   - the atomic incremental copying collector of Chapter 3, based on the
-//     Ellis/Li/Appel page-protection read barrier, whose copy steps and
+//   - the atomic copying collector of the stable area, whose copy steps and
 //     scan steps follow the write-ahead log protocol so that a crash at any
-//     instant — including mid-collection — is recoverable;
-//   - the Baker-style variant of §3.8, which replaces the page-protection
-//     barrier with a per-reference check and slot-granular scanning;
-//   - the stop-the-world atomic collector of the author's earlier work,
-//     used as the pause-time baseline (E3);
+//     instant — including mid-collection — is recoverable. It is one
+//     machine (flip, forward, scan, finish) run in one of five Modes: the
+//     zero Mode is the paper's collector, each other Mode one ablation or
+//     extension of it;
 //   - a plain, unlogged copying collector for the volatile area of the
 //     divided heap (Ch. 5), including the evacuation of newly stable
 //     objects into the stable area (volatile.go).
@@ -29,42 +27,74 @@ import (
 	"stableheap/internal/word"
 )
 
-// Barrier selects the read-barrier implementation.
-type Barrier uint8
+// Mode names the stable collector: what stands between the mutator and an
+// in-progress collection, and who advances the scan. The modes share every
+// logged step; a Mode only decides what the flip arms and who calls the
+// scanner.
+type Mode uint8
 
-// Barrier kinds.
+// The stable collectors.
 const (
-	// Ellis protects unscanned to-space pages; a trapped access scans the
-	// whole page (§3.2.1).
-	Ellis Barrier = iota
+	// Ellis is the paper's collector (Ch. 3) and the zero value: the flip
+	// protects all of to-space, a trapped access scans the whole page
+	// (§3.2.1), and every heap operation donates one scan quantum (§3.2).
+	Ellis Mode = iota
+	// EllisTrapDriven arms the same page protection but takes no quanta
+	// from operations: the scan advances only through traps (and explicit
+	// Step calls) — the purely trap-driven flavor the barrier experiments
+	// measure.
+	EllisTrapDriven
 	// Baker checks every pointer the mutator loads and transports the
-	// target if it is in from-space (§3.8).
+	// target if it is in from-space (§3.8); no page is protected and the
+	// scan is slot-granular. Operations pace it like Ellis.
 	Baker
-	// NoBarrier is used by the stop-the-world collector: collections run
-	// to completion inside one pause, so the mutator never observes an
-	// in-progress collection.
-	NoBarrier
+	// StopTheWorld runs every collection to completion inside the flip, so
+	// the mutator never observes one in progress: the author's earlier
+	// atomic collector, the pause-time baseline (E3).
+	StopTheWorld
+	// Concurrent leaves the scan to a collector goroutine (concurrent.go):
+	// no page is protected, every pointer load transports under transMu,
+	// and overwritten pointers are grayed. The extension of E22.
+	Concurrent
 )
+
+var modeNames = [...]string{"ellis", "ellis-trap-driven", "baker", "stop-the-world", "concurrent"}
+
+func (m Mode) String() string {
+	if !m.Valid() {
+		return fmt.Sprintf("gc.Mode(%d)", uint8(m))
+	}
+	return modeNames[m]
+}
+
+// Valid reports whether m names a collector.
+func (m Mode) Valid() bool { return int(m) < len(modeNames) }
+
+// OpPaced reports whether heap operations donate scan quanta to an active
+// collection (the paper's "the mutator calls the collector to do some
+// work", §3.2).
+func (m Mode) OpPaced() bool { return m == Ellis || m == Baker }
+
+// protects reports whether the flip arms the page-protection read barrier.
+func (m Mode) protects() bool { return m == Ellis || m == EllisTrapDriven }
 
 // FillerType is the descriptor type id of gap-filler pseudo-objects the
 // Ellis collector plants when it rounds the copy pointer up to a page
 // boundary (so to-space stays parseable).
 const FillerType uint16 = 0xffff
 
+// The incremental quanta: how many unscanned pages a Step call (and a
+// trap's scan-ahead) sweeps under page protection, and how many to-space
+// words a Baker-mode Step scans.
+const (
+	stepPages = 1
+	stepWords = 128
+)
+
 // Config parameterizes a collector.
 type Config struct {
-	// Barrier selects the read-barrier implementation.
-	Barrier Barrier
-	// Incremental interleaves collection with mutation; when false every
-	// collection runs to completion inside StartCollection (stop the
-	// world).
-	Incremental bool
-	// StepPages is the incremental quantum: how many unscanned pages a
-	// Step call processes (Ellis). Default 1.
-	StepPages int
-	// StepWords is the Baker-mode quantum: how many to-space words a
-	// Step call scans. Default 128.
-	StepWords int
+	// Mode selects the collector; the zero value is the paper's.
+	Mode Mode
 	// CopyContents makes copy records carry the full object image (the
 	// E14 ablation of the paper's content-free copy records): replay
 	// becomes self-contained — no from-space reads, no GCEnd write-back
@@ -104,7 +134,7 @@ type Stats struct {
 	ScannedSlots int64
 	FillerWords  int64
 	GCEndFlushes int64 // to-space pages written back at collection ends
-	ConcStats          // concurrent mode (Config.ConcurrentSGC in the core)
+	ConcStats          // Concurrent mode
 	Flip         obs.HistSnapshot
 	Step         obs.HistSnapshot
 	Trap         obs.HistSnapshot
@@ -152,12 +182,6 @@ func New(cfg Config, mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.
 	if (hi-lo)%2 != 0 {
 		panic("gc: area not splittable into equal semispaces")
 	}
-	if cfg.StepPages <= 0 {
-		cfg.StepPages = 1
-	}
-	if cfg.StepWords <= 0 {
-		cfg.StepWords = 128
-	}
 	mid := lo + (hi-lo)/2
 	c := &Collector{cfg: cfg, mem: mem, h: h, log: log}
 	c.spaces[0] = heap.NewSpace(lo, mid)
@@ -167,9 +191,6 @@ func New(cfg Config, mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.
 
 // SetHooks installs the environment callbacks (done once by the core).
 func (c *Collector) SetHooks(h Hooks) { c.hooks = h }
-
-// Config returns the collector's configuration.
-func (c *Collector) Config() Config { return c.cfg }
 
 // Stats returns accumulated counters and pause-histogram snapshots.
 // transMu keeps the read coherent against concurrent transports; every
@@ -184,17 +205,6 @@ func (c *Collector) Stats() Stats {
 	s.Trap = c.trapH.Snapshot()
 	s.Quantum = c.quantumH.Snapshot()
 	return s
-}
-
-// ResetStats zeroes the counters and pause histograms.
-func (c *Collector) ResetStats() {
-	c.transMu.Lock()
-	c.stats = Stats{}
-	c.transMu.Unlock()
-	c.flipH.Reset()
-	c.stepH.Reset()
-	c.trapH.Reset()
-	c.quantumH.Reset()
 }
 
 // SetRecorder wires an optional flight recorder: flips, steps and traps
@@ -212,12 +222,6 @@ func (c *Collector) Current() *heap.Space { return c.spaces[c.cur] }
 
 // CurrentIndex returns which semispace is current (for checkpoints).
 func (c *Collector) CurrentIndex() int { return c.cur }
-
-// InFromSpace reports whether a falls in the from-space of the active
-// collection.
-func (c *Collector) InFromSpace(a word.Addr) bool {
-	return c.active && c.from.Contains(a)
-}
 
 // InArea reports whether a falls anywhere in the collector's area.
 func (c *Collector) InArea(a word.Addr) bool {
@@ -245,20 +249,14 @@ func (c *Collector) Alloc(sizeWords int) (word.Addr, bool) {
 // region of to-space instead (Fig. 3.3): the scan never visits it, and
 // post-flip volatile objects cannot hold stable from-space pointers (the
 // flip translated every volatile slot), so the image needs no further
-// translation. The reserve keeps room for the copies still in flight. A
-// stop-the-world or incremental collection must be finished first, as
-// before.
+// translation — which is where, and under which reserve, Alloc puts the
+// mutator's own objects. A collection in any other mode must be finished
+// first.
 func (c *Collector) AllocForMove(sizeWords int) (word.Addr, bool) {
-	if c.active {
-		if !c.concActive {
-			panic("gc: AllocForMove during active collection")
-		}
-		if c.to.FreeWords()-sizeWords < c.concRemainingWords(c.stats.CopiedWords) {
-			return word.NilAddr, false
-		}
-		return c.to.AllocHigh(sizeWords)
+	if c.active && !c.concActive {
+		panic("gc: AllocForMove during active collection")
 	}
-	return c.Current().AllocLow(sizeWords)
+	return c.Alloc(sizeWords)
 }
 
 // FreeWords returns the free words in the allocation space. During a
@@ -287,18 +285,18 @@ func (c *Collector) toPageIndex(a word.Addr) int {
 }
 
 // StartCollection flips (§3.2): swaps semispaces, translates every root,
-// logs the flip record, and protects to-space. rootObj is the current
+// logs the flip record, and arms what the mode arms. rootObj is the current
 // address of the global stable-root object; the translated address is
-// returned (the caller stores it and the flip record carries it). With
-// Config.Incremental false the collection also runs to completion here.
+// returned (the caller stores it and the flip record carries it). In
+// StopTheWorld mode the collection also runs to completion here; in
+// Concurrent mode the call returns with the collection active and the scan
+// left to the caller's collector goroutine (ScanQuantum). Runs under the
+// exclusive stop latch.
 func (c *Collector) StartCollection(rootObj word.Addr) word.Addr {
-	return c.startCollection(rootObj, false)
-}
-
-func (c *Collector) startCollection(rootObj word.Addr, concurrent bool) word.Addr {
 	if c.active {
 		panic("gc: flip during active collection")
 	}
+	concurrent := c.cfg.Mode == Concurrent
 	start := time.Now()
 	c.epoch++
 	c.active = true
@@ -351,20 +349,18 @@ func (c *Collector) startCollection(rootObj word.Addr, concurrent bool) word.Add
 		})
 	}
 
-	// Arm the read barrier: protect all of to-space (Ellis). Baker mode
-	// needs no protection; the per-load check stands guard. In concurrent
-	// mode neither applies — the transporting read barrier
-	// (Transport) forwards every mutator load instead, and pages
-	// are never protected.
-	if concurrent {
+	// Arm the read barrier: protect all of to-space (the Ellis modes).
+	// Baker and Concurrent protect nothing — Load stands guard on every
+	// pointer the mutator reads.
+	switch {
+	case concurrent:
 		c.concActive = true
-	} else if c.cfg.Barrier == Ellis {
+	case c.cfg.Mode.protects():
 		for pg := c.to.Lo.Page(c.pageSize()); pg.Base(c.pageSize()) < c.to.Hi; pg++ {
 			c.mem.Protect(pg)
 		}
-	}
-	if !concurrent && !c.cfg.Incremental {
-		// Stop the world: the whole collection is this one pause.
+	case c.cfg.Mode == StopTheWorld:
+		// The whole collection is this one pause.
 		c.Finish()
 	}
 	d := time.Since(start)
@@ -414,17 +410,17 @@ func (c *Collector) forward(from word.Addr) word.Addr {
 
 // Step performs one increment of collection work: the background scanner
 // sweeps up to one quantum of to-space words from the scan pointer
-// (StepPages pages' worth in Ellis mode, StepWords in Baker mode),
-// unprotecting pages as the sweep passes them. It returns true while the
-// collection is still active.
+// (stepPages pages' worth, or stepWords in Baker mode), unprotecting pages
+// as the sweep passes them. It returns true while the collection is still
+// active.
 func (c *Collector) Step() bool {
 	if !c.active {
 		return false
 	}
 	start := time.Now()
-	quantum := c.cfg.StepWords
-	if c.cfg.Barrier != Baker {
-		quantum = c.cfg.StepPages * word.BytesToWords(c.pageSize())
+	quantum := stepWords
+	if c.cfg.Mode != Baker {
+		quantum = stepPages * word.BytesToWords(c.pageSize())
 	}
 	c.sequentialScan(quantum)
 	// Collection-end work (the GCEnd write-back) is asynchronous disk
@@ -476,7 +472,7 @@ func (c *Collector) maybeFinish() {
 	c.from.Reset()
 	// Disarm any leftover protection (pages in the gap or the mutator
 	// allocation region that were never touched).
-	if c.cfg.Barrier == Ellis {
+	if c.cfg.Mode.protects() {
 		for pg := c.to.Lo.Page(c.pageSize()); pg.Base(c.pageSize()) < c.to.Hi; pg++ {
 			c.mem.Unprotect(pg)
 		}
@@ -503,7 +499,7 @@ func (c *Collector) Trap(pg word.PageID) {
 	// Scan-ahead: amortize the trap with one background quantum, so a
 	// pointer-chasing mutator does not take a trap (and plant a filler)
 	// on every page — the sweep catches up and unprotects ahead of it.
-	c.sequentialScan(c.cfg.StepPages * word.BytesToWords(c.pageSize()))
+	c.sequentialScan(stepPages * word.BytesToWords(c.pageSize()))
 	d := time.Since(start)
 	c.trapH.Observe(uint64(d))
 	c.bb.Span(obs.EvGCTrap, d, 0, c.epoch, uint64(pg))
@@ -675,17 +671,25 @@ func (c *Collector) sequentialScan(quantum int) {
 	markThrough(c.scanPtr)
 }
 
-// BarrierLoad implements the Baker read barrier: the mutator loaded
-// pointer p; if it refers to from-space, transport the object and return
-// the to-space address. In Ellis mode loads never see from-space pointers
-// (the page trap rewrote them), so p is returned unchanged. During a
-// concurrent collection Transport stands guard instead (it
-// serializes the logged copy; an unserialized forward here would race).
-func (c *Collector) BarrierLoad(p word.Addr) word.Addr {
-	if c.cfg.Barrier != Baker || !c.active || c.concActive || p.IsNil() || !c.from.Contains(p) {
+// Load is the collector's one pointer-load entry: the mutator read pointer
+// p out of the heap, and what it may keep is returned. Under page
+// protection loads never see from-space pointers (the page trap rewrote
+// them), between collections there is no from-space, so both return p
+// unchanged. Baker mode transports a from-space target here (§3.8); the
+// caller holds the action latch exclusively, as every action does while a
+// non-concurrent collection is active. During a Concurrent collection
+// mutators call it under the shared gate, and transport does the same under
+// transMu.
+func (c *Collector) Load(p word.Addr) word.Addr {
+	switch {
+	case p.IsNil() || !c.active:
 		return p
+	case c.concActive:
+		return c.transport(p)
+	case c.cfg.Mode == Baker && c.from.Contains(p):
+		return c.forward(p)
 	}
-	return c.forward(p)
+	return p
 }
 
 // State snapshots the collector for a checkpoint record.
@@ -707,24 +711,14 @@ func (c *Collector) State() wal.GCState {
 
 // Restore reinstates a collection from a checkpointed (and redo-advanced)
 // state after a crash: spaces, pointers, scanned set and Last Object Table
-// are installed, and — in Ellis mode — every unscanned to-space page is
-// re-protected, so the interrupted collection simply continues after
-// recovery (§3.5.3: recovery never traverses the heap).
+// are installed and the mode's barrier re-armed, so the interrupted
+// collection simply continues after recovery (§3.5.3: recovery never
+// traverses the heap). Under page protection every unscanned to-space page
+// is re-protected. In Concurrent mode nothing is protected (Load stands
+// guard) and the caller puts the scan back on the collector goroutine; the
+// from-space occupancy snapshot is gone after a crash, so the copy reserve
+// assumes the worst case — everything not yet copied.
 func (c *Collector) Restore(st wal.GCState, cur int) {
-	c.restore(st, cur, false)
-}
-
-// RestoreConcurrent reinstates like Restore but resumes the interrupted
-// collection in concurrent mode: no page re-protection (the transporting
-// read barrier stands guard), and the caller puts the scan back on the
-// collector goroutine. The from-space occupancy snapshot is gone after a
-// crash, so the copy reserve assumes the worst case — everything not yet
-// copied.
-func (c *Collector) RestoreConcurrent(st wal.GCState, cur int) {
-	c.restore(st, cur, true)
-}
-
-func (c *Collector) restore(st wal.GCState, cur int, concurrent bool) {
 	c.cur = cur
 	c.epoch = st.Epoch
 	c.active = st.Active
@@ -744,7 +738,7 @@ func (c *Collector) restore(st wal.GCState, cur int, concurrent bool) {
 	c.scanned = append([]bool(nil), st.Scanned...)
 	c.lot = heap.NewLastObjTable(c.to.Lo, c.to.Hi, c.pageSize())
 	c.lot.Restore(st.LastObj)
-	if concurrent {
+	if c.cfg.Mode == Concurrent {
 		c.concReserve = word.BytesToWords(int(st.FromHi-st.FromLo)) -
 			word.BytesToWords(int(st.CopyPtr-st.ToLo))
 		if c.concReserve < 0 {
@@ -754,7 +748,7 @@ func (c *Collector) restore(st wal.GCState, cur int, concurrent bool) {
 		c.concActive = true
 		return
 	}
-	if c.cfg.Barrier == Ellis {
+	if c.cfg.Mode.protects() {
 		ps := word.Addr(c.pageSize())
 		for i, done := range c.scanned {
 			if !done {

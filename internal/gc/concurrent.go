@@ -10,15 +10,15 @@ import (
 	"stableheap/internal/word"
 )
 
-// Mostly-concurrent collection (Config.ConcurrentVGC and Config.ConcurrentSGC
-// in the core), after PyPy's MostlyConcurrentMarkSweepGC: one machine that
+// Mostly-concurrent collection (Config.ConcurrentVGC and the Concurrent
+// stable-collector Mode), after PyPy's MostlyConcurrentMarkSweepGC: one machine that
 // both areas plug into. The stop latch is held only for the flip — the space
 // swap plus root, remembered-set, handle, undo and cross-area slot
 // translation — while the scan of to-space runs in quanta (ScanQuantum) on a
 // collector goroutine under the core's gate latch. Mutators running between
 // quanta are protected by two barriers the core maintains:
 //
-//   - a transporting read barrier (Transport): every pointer load forwards
+//   - a transporting read barrier (Load): every pointer load forwards
 //     from-space targets, so mutators never observe — and so never store —
 //     a from-space address after the flip;
 //   - a snapshot-at-the-beginning deletion barrier (EvacuateGray):
@@ -124,12 +124,12 @@ func (v *VolatileCollector) ScanQuantum(budgetWords int) bool {
 	return more
 }
 
-// Transport is the mutator read barrier: it forwards p out of from-space
+// Load is the mutator read barrier: it forwards p out of from-space
 // if the concurrent scan has not reached it yet. Mutators call it under
 // the shared gate; transMu serializes their copies against each other
 // (the collector goroutine holds the gate exclusively, so it cannot race
 // them).
-func (v *VolatileCollector) Transport(p word.Addr) word.Addr {
+func (v *VolatileCollector) Load(p word.Addr) word.Addr {
 	v.transMu.Lock()
 	defer v.transMu.Unlock()
 	if !v.concActive || !v.major.inFrom(p) {

@@ -9,17 +9,6 @@ import (
 // The stable area's half of the mostly-concurrent collector; concurrent.go
 // states the machine and what the two areas share.
 
-// StartConcurrentCollection flips like StartCollection but leaves the scan
-// to the collector goroutine: no page protection is armed (the
-// transporting read barrier stands guard), and the call returns with the
-// collection active. Runs under the exclusive stop latch.
-func (c *Collector) StartConcurrentCollection(rootObj word.Addr) word.Addr {
-	if !c.cfg.Incremental {
-		panic("gc: concurrent stable collection requires the incremental collector")
-	}
-	return c.startCollection(rootObj, true)
-}
-
 // ScanQuantum advances the logged sweep by roughly budgetWords and reports
 // whether scan work remains. Called on the collector goroutine (or the
 // commit assist) with the gate held exclusively: mutators are parked, so
@@ -36,15 +25,15 @@ func (c *Collector) ScanQuantum(budgetWords int) bool {
 	return c.scanPtr < c.to.CopyPtr
 }
 
-// Transport is the mutator read barrier of a concurrent stable collection:
-// it forwards p out of from-space if the scan has not reached it yet.
-// Mutators call it on the load path under the shared gate. transMu
+// transport is Load during a concurrent stable collection: it forwards p out
+// of from-space if the scan has not reached it yet. Mutators run it on the
+// load path under the shared gate. transMu
 // serializes the logged copies of concurrent transports against each
 // other (and orders their copy records by copy pointer); the
 // LockShards hook pins the destination pages so the {CopyRec append,
 // memory write} pair cannot interleave with a mutator update's pair on
 // the same page — the lost-update hazard conditional redo cannot repair.
-func (c *Collector) Transport(p word.Addr) word.Addr {
+func (c *Collector) transport(p word.Addr) word.Addr {
 	c.transMu.Lock()
 	defer c.transMu.Unlock()
 	if !c.concActive || !c.from.Contains(p) {

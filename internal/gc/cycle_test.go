@@ -169,7 +169,7 @@ func TestCycleFromSets(t *testing.T) {
 			}
 			// A mutator load mid-scan transports its from-space target.
 			tail := e.h.Ptr(e.h.Ptr(e.roots[1], 0), 0)
-			if !e.v.ConcFromContains(tail) || e.v.ConcFromContains(e.v.Transport(tail)) {
+			if !e.v.ConcFromContains(tail) || e.v.ConcFromContains(e.v.Load(tail)) {
 				t.Fatal("transport did not forward a from-space pointer")
 			}
 			quanta, midObject := 0, false

@@ -66,7 +66,7 @@ func (e *env) alloc(t *testing.T, id uint64, nptrs, ndata int) word.Addr {
 func (e *env) loadPtr(a word.Addr, i int) word.Addr {
 	slot := a + word.Addr(heap.PtrOffset(i))
 	e.mem.EnsureAccessible(slot, word.WordSize)
-	return e.c.BarrierLoad(word.Addr(e.mem.ReadWord(slot)))
+	return e.c.Load(word.Addr(e.mem.ReadWord(slot)))
 }
 
 func (e *env) loadDescriptor(a word.Addr) heap.Descriptor {
@@ -148,7 +148,7 @@ func verifyGraph(t *testing.T, e *env, model []mobj, rootIdx []int) {
 		if d.Forwarded() {
 			t.Fatalf("mutator saw forwarding pointer at %v", a)
 		}
-		if e.c.Active() && e.c.InFromSpace(a) {
+		if e.c.Active() && e.c.from.Contains(a) {
 			t.Fatalf("mutator saw from-space object at %v", a)
 		}
 		if d.NPtrs() != len(m.ptrs) || d.NData() != m.ndata {
@@ -178,7 +178,7 @@ func verifyGraph(t *testing.T, e *env, model []mobj, rootIdx []int) {
 
 func TestStopTheWorldPreservesGraph(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false}, 4096)
+		e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 		rng := rand.New(rand.NewSource(seed))
 		model, roots := buildGraph(t, e, rng, 60)
 		e.c.StartCollection(word.NilAddr)
@@ -190,7 +190,7 @@ func TestStopTheWorldPreservesGraph(t *testing.T) {
 }
 
 func TestCollectionDropsGarbage(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	live := e.alloc(t, 1, 0, 1)
 	for i := 0; i < 20; i++ {
 		e.alloc(t, uint64(100+i), 0, 8) // garbage
@@ -208,7 +208,7 @@ func TestCollectionDropsGarbage(t *testing.T) {
 }
 
 func TestSharingPreserved(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	shared := e.alloc(t, 7, 0, 1)
 	a := e.alloc(t, 1, 1, 1)
 	b := e.alloc(t, 2, 1, 1)
@@ -224,7 +224,7 @@ func TestSharingPreserved(t *testing.T) {
 }
 
 func TestCyclePreserved(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	a := e.alloc(t, 1, 1, 1)
 	b := e.alloc(t, 2, 1, 1)
 	e.h.SetPtr(a, 0, b, word.NilLSN)
@@ -240,7 +240,7 @@ func TestCyclePreserved(t *testing.T) {
 
 func TestEllisIncrementalWithMutatorTraps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		e := newEnv(t, Config{Barrier: Ellis, Incremental: true, StepPages: 1}, 8192)
+		e := newEnv(t, Config{}, 8192)
 		rng := rand.New(rand.NewSource(seed))
 		model, roots := buildGraph(t, e, rng, 80)
 		e.c.StartCollection(word.NilAddr)
@@ -268,7 +268,7 @@ func TestEllisIncrementalWithMutatorTraps(t *testing.T) {
 
 func TestBakerIncremental(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		e := newEnv(t, Config{Barrier: Baker, Incremental: true, StepWords: 16}, 8192)
+		e := newEnv(t, Config{Mode: Baker}, 8192)
 		rng := rand.New(rand.NewSource(seed))
 		model, roots := buildGraph(t, e, rng, 80)
 		e.c.StartCollection(word.NilAddr)
@@ -286,7 +286,7 @@ func TestBakerIncremental(t *testing.T) {
 }
 
 func TestMutatorAllocationDuringCollectionNotScanned(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 8192)
+	e := newEnv(t, Config{}, 8192)
 	a := e.alloc(t, 1, 1, 1)
 	e.roots = []word.Addr{a}
 	e.c.StartCollection(word.NilAddr)
@@ -311,7 +311,7 @@ func TestMutatorAllocationDuringCollectionNotScanned(t *testing.T) {
 }
 
 func TestAtomicCollectionLogsFlipCopyScanEnd(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 8192)
+	e := newEnv(t, Config{}, 8192)
 	rng := rand.New(rand.NewSource(42))
 	model, roots := buildGraph(t, e, rng, 40)
 	_ = model
@@ -346,7 +346,7 @@ func TestAtomicCollectionLogsFlipCopyScanEnd(t *testing.T) {
 }
 
 func TestCopyRecordCarriesOverwrittenDescriptor(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	a := e.alloc(t, 9, 2, 3)
 	d := e.h.Descriptor(a)
 	e.roots = []word.Addr{a}
@@ -370,7 +370,7 @@ func TestCopyRecordCarriesOverwrittenDescriptor(t *testing.T) {
 }
 
 func TestForwardingPointerWrittenInFromSpace(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 4096)
+	e := newEnv(t, Config{}, 4096)
 	a := e.alloc(t, 1, 0, 1)
 	e.roots = []word.Addr{a}
 	e.c.StartCollection(word.NilAddr)
@@ -382,7 +382,7 @@ func TestForwardingPointerWrittenInFromSpace(t *testing.T) {
 }
 
 func TestOnCopyHookFires(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	a := e.alloc(t, 1, 1, 1)
 	b := e.alloc(t, 2, 0, 1)
 	e.h.SetPtr(a, 0, b, word.NilLSN)
@@ -399,7 +399,7 @@ func TestOnCopyHookFires(t *testing.T) {
 }
 
 func TestRootObjectTranslationAndFlipRecord(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier, Incremental: false}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	rootObj := e.alloc(t, 5, 0, 2)
 	newRoot := e.c.StartCollection(rootObj)
 	if newRoot == rootObj {
@@ -422,7 +422,7 @@ func TestRootObjectTranslationAndFlipRecord(t *testing.T) {
 }
 
 func TestRepeatedCollectionsAlternateSpaces(t *testing.T) {
-	e := newEnv(t, Config{Barrier: NoBarrier}, 4096)
+	e := newEnv(t, Config{Mode: StopTheWorld}, 4096)
 	a := e.alloc(t, 1, 0, 1)
 	e.roots = []word.Addr{a}
 	s0 := e.c.CurrentIndex()
@@ -440,7 +440,7 @@ func TestRepeatedCollectionsAlternateSpaces(t *testing.T) {
 }
 
 func TestFillerPlantedOnFrontierTrap(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, StepPages: 1}, 8192)
+	e := newEnv(t, Config{}, 8192)
 	a := e.alloc(t, 1, 0, 1)
 	e.roots = []word.Addr{a}
 	e.c.StartCollection(word.NilAddr)
@@ -459,7 +459,7 @@ func TestFillerPlantedOnFrontierTrap(t *testing.T) {
 }
 
 func TestGCStateSnapshotRestoreMidCollection(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true, StepPages: 1}, 8192)
+	e := newEnv(t, Config{}, 8192)
 	rng := rand.New(rand.NewSource(7))
 	model, roots := buildGraph(t, e, rng, 60)
 	e.c.StartCollection(word.NilAddr)
@@ -470,7 +470,7 @@ func TestGCStateSnapshotRestoreMidCollection(t *testing.T) {
 	}
 	cur := e.c.CurrentIndex()
 	// Build a second collector (same memory) and restore.
-	c2 := New(e.c.Config(), e.mem, e.h, e.log, e.c.spaces[0].Lo, e.c.spaces[1].Hi)
+	c2 := New(e.c.cfg, e.mem, e.h, e.log, e.c.spaces[0].Lo, e.c.spaces[1].Hi)
 	c2.SetHooks(Hooks{ForEachRoot: e.forEachRoot})
 	e.mem.SetTrapHandler(c2.Trap)
 	c2.Restore(st, cur)
@@ -638,7 +638,7 @@ func TestVolatileResetEmptiesBothSpaces(t *testing.T) {
 }
 
 func TestPauseMeasurement(t *testing.T) {
-	e := newEnv(t, Config{Barrier: Ellis, Incremental: true}, 8192)
+	e := newEnv(t, Config{}, 8192)
 	rng := rand.New(rand.NewSource(3))
 	buildGraph(t, e, rng, 40)
 	e.c.StartCollection(word.NilAddr)
@@ -651,9 +651,5 @@ func TestPauseMeasurement(t *testing.T) {
 	}
 	if s.Flip.Max == 0 || s.Step.Sum == 0 {
 		t.Fatalf("pause histograms recorded zero time: flip max=%d step sum=%d", s.Flip.Max, s.Step.Sum)
-	}
-	e.c.ResetStats()
-	if s2 := e.c.Stats(); s2.Flip.Count != 0 || s2.Step.Count != 0 {
-		t.Fatalf("ResetStats left histogram counts: %+v", s2)
 	}
 }

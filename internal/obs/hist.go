@@ -71,17 +71,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Reset zeroes the histogram (counterpart of the subsystem ResetStats
-// conventions; not linearizable against concurrent Observe calls).
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // HistSnapshot is an immutable, mergeable histogram snapshot.
 type HistSnapshot struct {
 	Count   uint64             `json:"count"`

@@ -7,7 +7,6 @@ import (
 
 	"stableheap/internal/core"
 	"stableheap/internal/crashtest"
-	"stableheap/internal/gc"
 	"stableheap/internal/recovery"
 	"stableheap/internal/storage"
 	"stableheap/internal/vm"
@@ -25,8 +24,7 @@ import (
 // the end-write of its first page only, closes the log: the case on which
 // the applier and analysis used to disagree.
 func TestApplierTableEqualsAnalysis(t *testing.T) {
-	cfg := core.Config{PageSize: 256, StableWords: 16 * 1024, VolatileWords: 4 * 1024,
-		Divided: true, Barrier: gc.Ellis, Incremental: true}
+	cfg := core.Config{PageSize: 256, StableWords: 16 * 1024, VolatileWords: 4 * 1024}
 	for seed := int64(1); seed <= 3; seed++ {
 		d := crashtest.New(cfg, seed)
 		step := func(n int) {

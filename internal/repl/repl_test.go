@@ -22,9 +22,6 @@ func testConfig() core.Config {
 		StableWords:   16 * 1024,
 		VolatileWords: 4 * 1024,
 		LogSegBytes:   4 * 1024, // fine-grained truncation for floor tests
-		Divided:       true,
-		Barrier:       gc.Ellis,
-		Incremental:   true,
 	}
 }
 
@@ -212,7 +209,7 @@ func TestPromoteMidIncrementalGC(t *testing.T) {
 	// A larger live set, explicit pacing only (no per-op GC steps), so
 	// the incremental collection is still in flight at the failover.
 	cfg := testConfig()
-	cfg.DisableOpPacing = true
+	cfg.StableGC = gc.EllisTrapDriven
 	h := stableheap.Open(cfg)
 	bank, err := workload.NewBank(h, 0, 64, 8, 1000)
 	if err != nil {

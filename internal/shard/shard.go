@@ -108,6 +108,9 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.Dir != "" {
 		return OpenDir(cfg)
 	}
+	if err := cfg.Part.Validate(); err != nil {
+		return nil, err
+	}
 	cl := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Partitions; i++ {
 		cl.parts = append(cl.parts, core.Open(cfg.partCfg(i)))
@@ -123,6 +126,9 @@ func OpenOn(cfg Config, devs []PartDevices, coordLog storage.LogDevice) (*Cluste
 	cfg = cfg.withDefaults()
 	if len(devs) != cfg.Partitions {
 		return nil, fmt.Errorf("shard: OpenOn got %d device pairs for %d partitions", len(devs), cfg.Partitions)
+	}
+	if err := cfg.Part.Validate(); err != nil {
+		return nil, err
 	}
 	cfg.Dir = ""
 	cl := &Cluster{cfg: cfg}

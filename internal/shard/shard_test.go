@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"stableheap/internal/core"
@@ -329,5 +330,22 @@ func TestRoutingStable(t *testing.T) {
 	}
 	if len(hit) != 4 {
 		t.Fatalf("32 slots landed on only %d of 4 partitions", len(hit))
+	}
+}
+
+// TestOpenValidateRejects: a partition template core.Config.Validate refuses
+// comes back as Open's error — in memory, over caller devices and over
+// files — instead of core.Open's panic.
+func TestOpenValidateRejects(t *testing.T) {
+	bad := testConfig()
+	bad.Undivided, bad.ConcurrentVGC = true, true
+	for name, open := range map[string]func() (*Cluster, error){
+		"Open":     func() (*Cluster, error) { return Open(Config{Part: bad}) },
+		"OpenOn":   func() (*Cluster, error) { return OpenOn(Config{Partitions: 1, Part: bad}, make([]PartDevices, 1), nil) },
+		"Open dir": func() (*Cluster, error) { return Open(Config{Part: bad, Dir: t.TempDir()}) },
+	} {
+		if _, err := open(); err == nil || !strings.Contains(err.Error(), "Config.ConcurrentVGC") {
+			t.Fatalf("%s: error %v does not name the field", name, err)
+		}
 	}
 }

@@ -92,10 +92,6 @@ func (t *Tx) branch(p int) *core.Tx {
 	return t.branches[p]
 }
 
-// Branch exposes the live branch on partition p (nil if untouched); tests
-// use it to assert branch-level state.
-func (t *Tx) Branch(p int) *core.Tx { return t.branches[p] }
-
 // live returns the touched partitions in ascending order. Ascending is the
 // lock-order extension: every 2PC commit prepares its branches in the same
 // global partition order, so two distributed commits can never deadlock on

@@ -100,12 +100,6 @@ func (d *Disk) PageLSN(id word.PageID) word.LSN {
 	return d.pages[id].lsn
 }
 
-// HasPage reports whether the page has ever been written.
-func (d *Disk) HasPage(id word.PageID) bool {
-	_, ok := d.pages[id]
-	return ok
-}
-
 // Pages returns the ids of all pages ever written, in ascending order.
 func (d *Disk) Pages() []word.PageID {
 	ids := make([]word.PageID, 0, len(d.pages))
@@ -124,9 +118,6 @@ func (d *Disk) SetMaster(m Master) { d.master = m }
 
 // Stats returns accumulated traffic counters.
 func (d *Disk) Stats() DiskStats { return d.stats }
-
-// ResetStats zeroes the traffic counters.
-func (d *Disk) ResetStats() { d.stats = DiskStats{} }
 
 // Snapshot returns a deep copy of the disk, used by the test harness to
 // replay a log against a frozen image (the repeating-history check) and by

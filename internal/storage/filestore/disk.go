@@ -451,14 +451,6 @@ func (d *Disk) PageLSN(id word.PageID) word.LSN {
 	return d.lsns[id]
 }
 
-// HasPage reports whether the page has ever been written.
-func (d *Disk) HasPage(id word.PageID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.lsns[id]
-	return ok
-}
-
 // Pages returns the ids of all pages ever written, in ascending order.
 func (d *Disk) Pages() []word.PageID {
 	d.mu.Lock()
@@ -511,13 +503,6 @@ func (d *Disk) Stats() storage.DiskStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// ResetStats zeroes the traffic counters.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = storage.DiskStats{}
 }
 
 // SetRecorder routes barrier/write-back events to the flight recorder.

@@ -730,9 +730,6 @@ func (l *Log) RetainedBytes() int64 { l.mu.Lock(); defer l.mu.Unlock(); return l
 // Stats returns accumulated traffic counters.
 func (l *Log) Stats() storage.LogStats { l.mu.Lock(); defer l.mu.Unlock(); return l.stats }
 
-// ResetStats zeroes the traffic counters.
-func (l *Log) ResetStats() { l.mu.Lock(); defer l.mu.Unlock(); l.stats = storage.LogStats{} }
-
 // Clone copies the log — segment files, metadata and the volatile tail —
 // into a fresh directory under <dir>/clones and opens an independent
 // device there. The clone dies with the parent directory (twin recovery

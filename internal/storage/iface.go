@@ -20,8 +20,6 @@ type PageStore interface {
 	WritePage(id word.PageID, data []byte, lsn word.LSN)
 	// PageLSN returns the durable page LSN for id (NilLSN if never written).
 	PageLSN(id word.PageID) word.LSN
-	// HasPage reports whether the page has ever been written.
-	HasPage(id word.PageID) bool
 	// Pages returns the ids of all pages ever written, in ascending order.
 	Pages() []word.PageID
 	// Master returns the current master block.
@@ -30,8 +28,6 @@ type PageStore interface {
 	SetMaster(m Master)
 	// Stats returns accumulated traffic counters.
 	Stats() DiskStats
-	// ResetStats zeroes the traffic counters.
-	ResetStats()
 	// Clone returns an independent deep copy of the durable state, used to
 	// fork "what if we crashed here" worlds (twin recovery, base backups).
 	// Fault-injecting implementations return a plain, fault-free copy.
@@ -102,8 +98,6 @@ type LogDevice interface {
 	RetainedBytes() int64
 	// Stats returns accumulated traffic counters.
 	Stats() LogStats
-	// ResetStats zeroes the traffic counters.
-	ResetStats()
 	// Clone returns an independent deep copy (stable and volatile parts).
 	// Fault-injecting implementations return a plain, fault-free copy.
 	Clone() LogDevice

@@ -290,9 +290,6 @@ func (l *Log) RetainedBytes() int64 {
 // Stats returns accumulated traffic counters.
 func (l *Log) Stats() LogStats { l.mu.Lock(); defer l.mu.Unlock(); return l.stats }
 
-// ResetStats zeroes the traffic counters.
-func (l *Log) ResetStats() { l.mu.Lock(); defer l.mu.Unlock(); l.stats = LogStats{} }
-
 // Snapshot deep-copies the log device (both stable and volatile parts).
 func (l *Log) Snapshot() *Log {
 	l.mu.Lock()

@@ -154,10 +154,6 @@ func TestDiskStats(t *testing.T) {
 	if s.PageWrites != 1 || s.PageReads != 2 || s.BytesWritten != testPageSize {
 		t.Fatalf("stats = %+v", s)
 	}
-	d.ResetStats()
-	if d.Stats() != (DiskStats{}) {
-		t.Fatal("ResetStats must zero counters")
-	}
 }
 
 func TestLogAppendAssignsByteOffsetLSNs(t *testing.T) {

@@ -139,14 +139,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the counters.
-func (s *Store) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-	s.hits.Store(0)
-}
-
 // resident returns the cached page, fetching it from disk (or materializing
 // it zero-filled) if needed, possibly evicting another page first. The
 // store's write lock is held.

@@ -12,9 +12,6 @@ func testHeap() *stableheap.Heap {
 		PageSize:      512,
 		StableWords:   32 * 1024,
 		VolatileWords: 8 * 1024,
-		Divided:       true,
-		Barrier:       stableheap.Ellis,
-		Incremental:   true,
 	})
 }
 

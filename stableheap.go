@@ -53,25 +53,33 @@ import (
 	"stableheap/internal/word"
 )
 
-// Barrier selects the stable collector's read-barrier implementation.
-type Barrier = gc.Barrier
+// GCMode names the stable area's collector (Config.StableGC).
+type GCMode = gc.Mode
 
-// Read-barrier choices for Config.Barrier.
+// The stable collectors. Ellis, the zero value, is the paper's; each other
+// value is one ablation or extension of it.
 const (
 	// Ellis uses page protection: unscanned to-space pages trap on first
-	// access and are scanned whole (the paper's recommended design).
+	// access and are scanned whole, and every heap operation donates one
+	// scan quantum (the paper's recommended design).
 	Ellis = gc.Ellis
+	// EllisTrapDriven arms the same page protection but advances the scan
+	// only through traps (the barrier experiments' flavor).
+	EllisTrapDriven = gc.EllisTrapDriven
 	// Baker checks every loaded pointer and transports from-space
 	// targets (the §3.8 variant; higher mutator overhead, finer pauses).
 	Baker = gc.Baker
-	// NoBarrier runs collections to completion inside one pause
-	// (stop-the-world; the paper's earlier-work baseline).
-	NoBarrier = gc.NoBarrier
+	// StopTheWorld runs collections to completion inside one pause (the
+	// paper's earlier-work baseline).
+	StopTheWorld = gc.StopTheWorld
+	// Concurrent runs the logged scan on a collector goroutine behind a
+	// transporting read barrier; the stop latch is held only for the flip.
+	Concurrent = gc.Concurrent
 )
 
 // Config sizes and parameterizes a heap. The zero value of any field takes
-// a sensible default; DefaultConfig returns the paper's recommended
-// configuration.
+// a sensible default, so the zero Config is the paper's recommended
+// configuration; DefaultConfig returns it with the default sizes filled in.
 type Config = core.Config
 
 // DefaultConfig returns a divided heap with the Ellis-style atomic
@@ -116,32 +124,30 @@ type Heap struct {
 // Open creates and formats a fresh stable heap. With Config.Dir set, the
 // heap lives in real files under that directory instead of simulated
 // devices (formatting a fresh directory, recovering an existing one);
-// see OpenDir for the error-returning form.
+// see OpenDir for the error-returning form. A Config no heap can honour
+// (core.Config.Validate) panics here and is returned as the error there and
+// by the Recover family.
 func Open(cfg Config) *Heap {
 	return &Heap{inner: core.Open(cfg)}
 }
 
-// OpenDir opens a file-backed stable heap at cfg.Dir: a fresh directory
-// is formatted, an existing one is recovered.
-func OpenDir(cfg Config) (*Heap, error) {
-	inner, err := core.OpenDir(cfg)
+// adopt wraps what an error-returning core entry point produced.
+func adopt(inner *core.Heap, err error) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
 	return &Heap{inner: inner}, nil
 }
+
+// OpenDir opens a file-backed stable heap at cfg.Dir: a fresh directory
+// is formatted, an existing one is recovered.
+func OpenDir(cfg Config) (*Heap, error) { return adopt(core.OpenDir(cfg)) }
 
 // RecoverDir rebuilds a file-backed stable heap from an existing
 // directory — the process-restart analog of Recover. Torn log tails left
 // by a kill are redelivered by the file layer and repaired by ordinary
 // crash recovery.
-func RecoverDir(cfg Config) (*Heap, error) {
-	inner, err := core.RecoverDir(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Heap{inner: inner}, nil
-}
+func RecoverDir(cfg Config) (*Heap, error) { return adopt(core.RecoverDir(cfg)) }
 
 // Recover rebuilds a stable heap from the devices surviving a crash:
 // repeating history from the last checkpoint, rolling back the
@@ -150,11 +156,7 @@ func RecoverDir(cfg Config) (*Heap, error) {
 // newly stable objects out of the volatile area. Work is bounded by the
 // log written since the last checkpoint, never by heap size.
 func Recover(cfg Config, disk Disk, log LogDevice) (*Heap, error) {
-	inner, err := core.Recover(cfg, disk, log)
-	if err != nil {
-		return nil, err
-	}
-	return &Heap{inner: inner}, nil
+	return adopt(core.Recover(cfg, disk, log))
 }
 
 // RecoverFromLog rebuilds the entire heap from the log alone — the
@@ -163,11 +165,7 @@ func Recover(cfg Config, disk Disk, log LogDevice) (*Heap, error) {
 // log must be untruncated (the archive discipline); a truncated log is
 // refused.
 func RecoverFromLog(cfg Config, log LogDevice) (*Heap, error) {
-	inner, err := core.RecoverFromLog(cfg, log)
-	if err != nil {
-		return nil, err
-	}
-	return &Heap{inner: inner}, nil
+	return adopt(core.RecoverFromLog(cfg, log))
 }
 
 // Begin starts a transaction. Transactions are serializable (strict

@@ -11,16 +11,13 @@ func testCfg() Config {
 		PageSize:      256,
 		StableWords:   8 * 1024,
 		VolatileWords: 4 * 1024,
-		Divided:       true,
-		Barrier:       Ellis,
-		Incremental:   true,
 	}
 }
 
 // TestConfigFieldBudget is a ratchet: lower the bound when a field goes,
 // never raise it.
 func TestConfigFieldBudget(t *testing.T) {
-	const budget = 23
+	const budget = 19
 	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
 		t.Fatalf("Config has %d fields, budget %d. The simplicity rule: a new option is justified only "+
 			"when two callers that exist at the parent commit, not counting tests and examples, need "+
