@@ -16,32 +16,35 @@
 //
 // Usage:
 //
-//	shchaos [-seeds n | -seed n] [-steps n] [-crashes n] [-flush f]
-//	        [-midgc] [-repl] [-scenario default|concurrent|nursery|stable-conc]
-//	        [-mutators n] [-shrink] [-json] [-blackbox file]
+//	shchaos [-from n] [-seeds n | -seed n] [-steps n] [-crashes n] [-flush f]
+//	        [-scenario default|concurrent|nursery|stable-conc|2pc]
+//	        [-midgc] [-repl] [-mutators n] [-dir d]
+//	        [-shrink] [-json] [-blackbox file]
 //
+// -from and -seeds pick the seed range; -dir runs every seed over real
+// files under d (per-seed subdirectories, removed as each seed ends).
 // Every seed runs with the flight recorder on; -blackbox writes one
 // seed's recorder journal (the first violating seed's, else the last
 // swept seed's) to a file that shstat -decode renders as the pre-crash
 // timeline.
 //
-// -scenario concurrent adds a concurrent mutator burst to every round:
-// goroutines increment disjoint counters while the stable collector runs,
-// each burst's history is checked for conflict serializability, and the
-// post-crash audit pins every counter to its last acknowledged commit.
-// -mutators overrides the burst width (default 4).
+// -scenario names the one thing every round carries beside the driver's
+// single-threaded workload (crashtest.Kind; DESIGN.md §10 tabulates what
+// each burst exercises and what its post-crash audit pins):
 //
-// -scenario nursery runs the heap with a small nursery and the
-// mostly-concurrent volatile collector: every round commits chains of
-// nursery-born objects, forces a minor collection with faults armed, and
-// crashes with a concurrent scan in flight; the post-crash audit replays
-// each acknowledged chain node by node.
+//	default      nothing more
+//	concurrent   -mutators goroutines (default 4) increment counters while
+//	             the stable collector runs; histories checked serializable;
+//	             the one scenario that is not a function of the seed
+//	nursery      chains of nursery-born objects, a minor collection under
+//	             faults, a concurrent volatile scan in flight at the crash
+//	stable-conc  chains promoted into a concurrently flipped stable area,
+//	             crash mid-scan at a quantum boundary, scan resumed
+//	2pc          the partitioned heap instead of device faults: a crash at
+//	             every two-phase-commit protocol state
 //
-// -scenario stable-conc runs the heap with the mostly-concurrent stable
-// collector: every round commits chains of objects, promotes them to the
-// stable area, flips it concurrently, paces the scan with faults armed and
-// usually crashes with the scan still in flight at a quantum boundary;
-// recovery resumes the scan and the audit replays each acknowledged chain.
+// A flag the chosen scenario would ignore is a usage error: -mutators
+// without -scenario concurrent; -midgc, -repl or -flush with -scenario 2pc.
 //
 // Exit status: 0 = no violations, 1 = violations found, 2 = bad usage.
 package main
@@ -92,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	midGC := fs.Bool("midgc", false, "leave an incremental stable collection in flight at crashes")
 	repl := fs.Bool("repl", false, "end each seed with a primary/standby failover round")
 	scenario := fs.String("scenario", "default", "workload shape: default (single-threaded driver), concurrent (adds goroutine mutator bursts), nursery (generational + mostly-concurrent volatile GC under faults), stable-conc (mostly-concurrent stable GC, crashes mid-scan) or 2pc (partitioned multi-heap, crashes at every two-phase-commit protocol state)")
-	mutators := fs.Int("mutators", 0, "concurrent mutator goroutines per burst (0 = scenario default)")
+	mutators := fs.Int("mutators", 0, "goroutines per burst of -scenario concurrent (0 = 4)")
 	shrink := fs.Bool("shrink", false, "greedily minimize the fault plan of each violating seed")
 	asJSON := fs.Bool("json", false, "print the verdict matrix and per-seed results as JSON")
 	blackbox := fs.String("blackbox", "", "write a seed's flight-recorder journal to this file (first violating seed, else the last seed; decode with shstat -decode)")
@@ -105,33 +108,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	sc := crashtest.Scenario{
-		Steps: *steps, Crashes: *crashes, FlushFrac: *flush,
-		MidGC: *midGC, Repl: *repl, Mutators: *mutators, Dir: *dir,
-	}
-	switch *scenario {
-	case "default":
-	case "concurrent":
-		if sc.Mutators <= 0 {
-			sc.Mutators = 4
-		}
-	case "nursery":
-		sc.Nursery = true
-	case "stable-conc":
-		sc.StableConc = true
-	case "2pc":
-		sc.TwoPC = true
-	default:
-		fmt.Fprintf(stderr, "shchaos: unknown -scenario %q (want default, concurrent, nursery, stable-conc or 2pc)\n", *scenario)
+	kind, err := crashtest.ParseKind(*scenario)
+	if err != nil {
+		fmt.Fprintf(stderr, "shchaos: %v\n", err)
 		return 2
 	}
-
-	var rep crashtest.Report
-	if *oneSeed >= 0 {
-		rep = crashtest.Sweep(sc, *oneSeed, 1)
-	} else {
-		rep = crashtest.Sweep(sc, *from, *seeds)
+	ignored := map[string]bool{
+		"mutators": kind != crashtest.Concurrent,
+		"midgc":    kind == crashtest.TwoPC,
+		"repl":     kind == crashtest.TwoPC,
+		"flush":    kind == crashtest.TwoPC,
 	}
+	badUsage := false
+	fs.Visit(func(f *flag.Flag) {
+		if ignored[f.Name] {
+			fmt.Fprintf(stderr, "shchaos: -%s has no effect with -scenario %v\n", f.Name, kind)
+			badUsage = true
+		}
+	})
+	if badUsage {
+		return 2
+	}
+	sc := crashtest.Scenario{
+		Kind: kind, Steps: *steps, Crashes: *crashes, FlushFrac: *flush,
+		MidGC: *midGC, Repl: *repl, Mutators: *mutators, Dir: *dir,
+	}
+
+	if *oneSeed >= 0 {
+		*from, *seeds = *oneSeed, 1
+	}
+	rep := crashtest.Sweep(sc, *from, *seeds)
 
 	if *blackbox != "" {
 		var dump []byte

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -61,20 +62,43 @@ func TestRunSeedReplayIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBadUsage: unknown flags and stray arguments exit 2.
+// TestRunBadUsage: unknown flags, stray arguments, an unknown scenario and
+// every flag the chosen scenario would ignore exit 2 with one line on
+// stderr naming the offender, before any seed runs.
 func TestRunBadUsage(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad flag: want exit 2, got %d", code)
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-bogus"}, "-bogus"},
+		{[]string{"extra"}, "unexpected arguments"},
+		{[]string{"-scenario", "bogus"}, `unknown scenario "bogus"`},
+		{[]string{"-mutators", "4"}, "-mutators has no effect with -scenario default"},
+		{[]string{"-scenario", "nursery", "-mutators", "4"}, "-mutators has no effect with -scenario nursery"},
+		{[]string{"-scenario", "stable-conc", "-mutators", "16"}, "-mutators has no effect with -scenario stable-conc"},
+		{[]string{"-scenario", "2pc", "-midgc"}, "-midgc has no effect with -scenario 2pc"},
+		{[]string{"-scenario", "2pc", "-repl"}, "-repl has no effect with -scenario 2pc"},
+		{[]string{"-scenario", "2pc", "-flush", "0.2"}, "-flush has no effect with -scenario 2pc"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("%v: want exit 2, got %d", tc.args, code)
+		}
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%v: stderr %q does not name the offender (%q)", tc.args, errOut.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a sweep ran before the usage error:\n%s", tc.args, out.String())
+		}
 	}
-	if code := run([]string{"extra"}, &out, &errOut); code != 2 {
-		t.Fatalf("stray arg: want exit 2, got %d", code)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-scenario", "2pc", "-midgc", "-repl"}, &out, &errOut); code != 2 || strings.Count(errOut.String(), "\n") != 2 {
+		t.Errorf("two ignored flags: want exit 2 and one line each, got %d and %q", code, errOut.String())
 	}
 }
 
 // TestRunConcurrentScenario smokes -scenario concurrent: mutator bursts
 // ride every round and the detectability contract still holds (exit 0).
-// An unknown scenario name is a usage error.
 func TestRunConcurrentScenario(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-scenario", "concurrent", "-seeds", "3", "-steps", "20", "-crashes", "2", "-mutators", "3"}, &out, &errOut)
@@ -83,8 +107,5 @@ func TestRunConcurrentScenario(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("verdict matrix")) {
 		t.Fatalf("matrix missing from output:\n%s", out.String())
-	}
-	if code := run([]string{"-scenario", "bogus"}, &out, &errOut); code != 2 {
-		t.Fatalf("unknown scenario: want exit 2, got %d", code)
 	}
 }

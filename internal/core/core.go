@@ -347,14 +347,16 @@ type Tx struct {
 // recovering an existing one), panicking on filesystem errors and on a
 // Config that Validate rejects. Callers that want the error use OpenDir.
 func Open(cfg Config) *Heap {
-	cfg = cfg.WithDefaults()
 	if cfg.Dir != "" {
+		// Before WithDefaults: the geometry of an existing directory is
+		// the store's to say (see OpenDir).
 		hp, err := OpenDir(cfg)
 		if err != nil {
 			panic(fmt.Sprintf("core: open %s: %v", cfg.Dir, err))
 		}
 		return hp
 	}
+	cfg = cfg.WithDefaults()
 	return OpenOn(cfg, storage.NewDisk(cfg.PageSize), storage.NewLog(cfg.LogSegBytes))
 }
 

@@ -185,6 +185,29 @@ func TestOpenDelegatesToDir(t *testing.T) {
 	}
 }
 
+// TestOpenAdoptsStoredGeometry: Open on an existing directory must take
+// its geometry from the files, like OpenDir — a zero PageSize means "the
+// store decides", not "Open's default" (the filestore refuses a page size
+// other than the one it was formatted with).
+func TestOpenAdoptsStoredGeometry(t *testing.T) {
+	dir := t.TempDir()
+	hp, err := OpenDir(Config{Dir: dir, PageSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildList(t, hp, 0, 4, 11)
+	hp.Close()
+
+	hp2 := Open(Config{Dir: dir})
+	defer hp2.Close()
+	if got := hp2.cfg.PageSize; got != 4096 {
+		t.Fatalf("reopened page size %d, want the stored 4096", got)
+	}
+	if vals := readList(t, hp2, 0); len(vals) != 4 || vals[3] != 14 {
+		t.Fatalf("audit: %v", vals)
+	}
+}
+
 // TestRecoverDirGeometryFromFiles: recovery must use the persisted page
 // size, not the caller's guess.
 func TestRecoverDirGeometryFromFiles(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -56,66 +57,87 @@ const (
 )
 
 func (v Verdict) String() string {
-	switch v {
-	case Clean:
-		return "clean"
-	case DetectedOnline:
-		return "detected-online"
-	case Detected:
-		return "detected"
-	case Repaired:
-		return "repaired"
-	case Violation:
-		return "VIOLATION"
-	}
-	return fmt.Sprintf("verdict(%d)", int(v))
+	return [...]string{"clean", "detected-online", "detected", "repaired", "VIOLATION"}[v]
 }
 
-// Scenario shapes one chaos run (how much workload between crashes, how
-// many crash/recover rounds, which extra paths to exercise). The zero
-// value is normalized by withDefaults.
+// Kind names the one extra thing a seed exercises beside the driver's
+// single-threaded workload. A Scenario has exactly one; inside the package
+// a kind is one row of the kinds table, and what it does is documented at
+// the burst (or chassis) the row names.
+type Kind int
+
+const (
+	Default    Kind = iota // the driver's workload alone
+	Concurrent             // goroutine mutators race the stable collector (counterBurst); not seed-deterministic
+	Nursery                // small nursery, mostly-concurrent volatile collector, crash mid-scan (nurseryBurst)
+	StableConc             // mostly-concurrent stable collector, crash mid-scan (stableConcBurst)
+	TwoPC                  // crashes at 2PC protocol states of the partitioned heap, no device faults (chaos2pc.go); reads Steps, Crashes and Dir only
+)
+
+// kinds states each kind once: its name (shchaos -scenario) and either the
+// chassis that runs its seeds, or what it adds to the device-fault chassis —
+// an edit to ChaosConfig before the heap is formatted, and a burst with the
+// root slots it owns (the driver's are 0..7). Neither: the driver alone.
+//
+// auditTx is the kind's place in the post-recovery audit, see auditBurst.
+var kinds = [...]struct {
+	name      string
+	run       func(Scenario, faultfs.Plan) SeedResult
+	configure func(*core.Config)
+	burst     func(Scenario) burst
+	auditTx   int
+}{
+	Default: {name: "default"},
+	Concurrent: {name: "concurrent",
+		burst: func(sc Scenario) burst { return &counterBurst{slot0: 16, mutators: sc.Mutators} }},
+	Nursery: {name: "nursery", configure: nurseryConfig,
+		burst: func(Scenario) burst { return &nurseryBurst{chains{slot0: 24, typeID: 3, length: 5}} }},
+	StableConc: {name: "stable-conc", configure: stableConcConfig, auditTx: 1,
+		burst: func(Scenario) burst { return &stableConcBurst{chains{slot0: 28, typeID: 4, length: 4, salt: 7}} }},
+	TwoPC: {name: "2pc", run: run2PCSeed},
+}
+
+func (k Kind) String() string { return kinds[k].name }
+
+// ParseKind maps a kind's name back to it; the error lists the names.
+func ParseKind(name string) (Kind, error) {
+	names := make([]string, len(kinds))
+	for k := range kinds {
+		if kinds[k].name == name {
+			return Kind(k), nil
+		}
+		names[k] = kinds[k].name
+	}
+	return 0, fmt.Errorf("unknown scenario %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// burst is a kind's per-round phase and the model of what that phase was
+// acknowledged, held against the heap after every recovery. A burst keeps
+// its model to itself; one value lives for one seed.
+type burst interface {
+	// run is the round's phase, after the driver's steps and with faults
+	// armed. It reports whether the round has recorded an online detection
+	// (or died) and must go straight to its crash.
+	run(r *chaosRun, round int) (online bool)
+	// audit compares the recovered heap, read through tr, with what the
+	// burst was acknowledged, and returns how many items it compared.
+	audit(tr *core.Tx) (int, error)
+}
+
+// Scenario shapes one chaos run: which kind, how much workload between
+// crashes, how many crash/recover rounds. The zero value is the Default
+// kind at withDefaults' sizes.
 type Scenario struct {
+	Kind      Kind
 	Steps     int     // workload steps per round (default 40)
 	Crashes   int     // crash/recover rounds per seed (default 4)
 	FlushFrac float64 // fraction of resident pages flushed before a crash
 	MidGC     bool    // leave an incremental stable collection in flight at crashes
 	Repl      bool    // end the seed with a primary/standby failover round
-	// Mutators > 0 adds a concurrent burst to every round: that many
-	// goroutines increment private counters (root slots 16..16+N-1,
-	// disjoint from the single-threaded driver's 0..7) while the main
-	// goroutine steps the stable collector, all with faults armed. Each
-	// burst's history is checked for conflict serializability, and after
-	// every crash the recovery audit additionally verifies each counter
-	// equals its last acknowledged commit — a returned Commit means its
-	// record was covered by a completed force, so durable, even if the round
-	// ended in a device fault one operation later.
+	// Mutators is the width of the Concurrent kind's burst (default 4, at
+	// most 16: root slots 16..31). Only that burst reads it; every other
+	// kind ignores it.
 	Mutators int
-	// Nursery runs the heap with a small nursery and the mostly-concurrent
-	// volatile collector, and adds a burst per round that commits chains of
-	// nursery-born objects (root slots 24..27), forces a minor collection
-	// with faults armed, leaves a concurrent scan in flight at the crash,
-	// and abandons an uncommitted transaction holding nursery objects. The
-	// recovery audit verifies every acknowledged chain in full: promoted
-	// objects are atomic, discarded nursery contents stay dead.
-	Nursery bool
-	// StableConc runs the heap with the mostly-concurrent stable collector
-	// and adds a burst per round that commits chains of objects (root slots
-	// 28..31), promotes them to the stable area, flips the stable area
-	// concurrently (mutators keep running under the in-flight scan), paces
-	// the scan a seed-chosen number of quanta, commits an update through
-	// the transporting read barrier mid-scan, and abandons an uncommitted
-	// pointer overwrite that fires the SATB deletion barrier. Most rounds
-	// crash with the scan still in flight at a quantum boundary; recovery
-	// resumes the scan, and the audit replays every acknowledged chain node
-	// by node through whichever semispace the resumed scan left it in.
-	StableConc bool
-	// TwoPC switches the seed to the partitioned-heap protocol explorer
-	// (chaos2pc.go): instead of device-fault plans, each round freezes a
-	// cross-partition commit at a seed-chosen 2PC protocol state, crashes
-	// a seed-chosen subset (whole cluster, coordinator only, or one
-	// participant partition), recovers, and audits global atomicity.
-	// Honors Steps, Crashes and Dir; the other knobs don't apply.
-	TwoPC bool
 	// Dir, when set, runs every seed over real files: a filestore opened
 	// at <Dir>/seed-<seed> replaces the in-memory devices under the fault
 	// injector, and is removed when the seed finishes. The injector wraps
@@ -137,8 +159,11 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.FlushFrac == 0 {
 		sc.FlushFrac = 0.5
 	}
+	if sc.Mutators <= 0 {
+		sc.Mutators = 4
+	}
 	if sc.Mutators > 16 {
-		sc.Mutators = 16 // root slots 16..31: stay inside the default root array
+		sc.Mutators = 16 // stay inside the default root array
 	}
 	return sc
 }
@@ -167,6 +192,11 @@ type SeedResult struct {
 	Matrix   [numVerdicts]int
 	Retries  int // recovery attempts retried past transient I/O errors
 	Faults   faultfs.Stats
+	// Audited counts the acknowledged items the kind's own post-recovery
+	// audits compared with the heap (chain nodes, counters, 2PC balances;
+	// not the driver's lists, which every kind checks). Zero after a clean
+	// round means the kind's audit checked nothing.
+	Audited int `json:"-"`
 	// Failure carries the diagnostic for the worst round (always set for
 	// a Violation; set to the detection message otherwise when one
 	// occurred). It embeds Plan.String(), so the failure is reproducible
@@ -186,28 +216,54 @@ func (r SeedResult) Failed() bool { return r.Matrix[Violation] > 0 }
 func (r *SeedResult) record(v Verdict, msg string) {
 	r.Verdicts = append(r.Verdicts, v)
 	r.Matrix[v]++
-	if msg != "" {
-		detail := fmt.Sprintf("chaos: %s [%s] round=%d: %s", v, r.Plan, len(r.Verdicts)-1, msg)
-		if v == Violation && !containsViolation(r.Failure) {
-			r.Failure = detail
-		} else if r.Failure == "" || (!containsViolation(r.Failure) && v != Violation) {
-			r.Failure = detail
-		}
+	if msg != "" && !strings.HasPrefix(r.Failure, "chaos: VIOLATION") {
+		r.Failure = fmt.Sprintf("chaos: %s [%s] round=%d: %s", v, r.Plan, len(r.Verdicts)-1, msg)
 	}
 }
 
-func containsViolation(s string) bool {
-	return len(s) >= len("chaos: VIOLATION") && s[:len("chaos: VIOLATION")] == "chaos: VIOLATION"
+// seedDevices opens the devices a seed's heaps run on, as Scenario.Dir
+// says: in memory, or one filestore per heap under <Dir>/<name>.
+type seedDevices struct {
+	dir, name string // dir "" = in memory
+	stores    []*filestore.Store
+}
+
+// open returns the devices for one heap (files under dir/name/heap).
+func (sd *seedDevices) open(cfg core.Config, heap string) (storage.PageStore, storage.LogDevice, error) {
+	if sd.dir == "" {
+		return storage.NewDisk(cfg.PageSize), storage.NewLog(cfg.LogSegBytes), nil
+	}
+	st, err := filestore.Open(filepath.Join(sd.dir, sd.name, heap), filestore.Options{
+		PageSize:     cfg.PageSize,
+		SegmentBytes: cfg.LogSegBytes,
+		NoWriteBack:  true,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("filestore open: %v", err)
+	}
+	sd.stores = append(sd.stores, st)
+	return st.Disk, st.Log, nil
+}
+
+// close releases the files and removes the seed's directory.
+func (sd *seedDevices) close() {
+	for _, st := range sd.stores {
+		st.Close()
+	}
+	if sd.dir != "" {
+		os.RemoveAll(filepath.Join(sd.dir, sd.name))
+	}
 }
 
 // chaosRun carries one seed's state through its rounds.
 type chaosRun struct {
-	sc   Scenario
-	d    *Driver
-	inj  *faultfs.Injector
-	rng  *rand.Rand // flush-subset decisions (separate stream from Driver/Injector)
-	res  SeedResult
-	dead bool // devices unrecoverable or replaced; no further rounds
+	sc    Scenario
+	d     *Driver
+	inj   *faultfs.Injector
+	rng   *rand.Rand // flush-subset and scan-pacing decisions (separate stream from Driver/Injector)
+	burst burst      // the kind's per-round phase and its model; nil: none
+	res   SeedResult
+	dead  bool // devices unrecoverable or replaced; no further rounds
 
 	// jdev is the flight-recorder journal device, shared across the
 	// seed's crash/recover cycles (the model of battery-backed recorder
@@ -216,26 +272,6 @@ type chaosRun struct {
 	// the pre-crash flight recording, attached to violation verdicts.
 	jdev     storage.LogDevice
 	timeline []obs.Event
-
-	// Concurrent-mutator state (Scenario.Mutators > 0): expected[w] is
-	// mutator w's last acknowledged committed counter value — the exact
-	// value its counter must hold after any subsequent recovery.
-	expected []uint64
-	mutReady bool
-
-	// Nursery-burst state (Scenario.Nursery): nurBase[w] is the value tag
-	// of chain w's last acknowledged commit (nurLive[w] false until the
-	// first commit lands). The audit walks each chain and requires exactly
-	// the acknowledged nodes, in order.
-	nurBase [nurseryChains]uint64
-	nurLive [nurseryChains]bool
-
-	// Stable-conc-burst state (Scenario.StableConc): scBase[w] is chain w's
-	// last acknowledged value tag, scHead[w] the head node's expected value
-	// (it diverges from scBase[w] when a mid-scan update commits).
-	scBase [stableConcChains]uint64
-	scHead [stableConcChains]uint64
-	scLive [stableConcChains]bool
 }
 
 // RunSeed derives seed's fault plan and runs the scenario under it.
@@ -246,75 +282,47 @@ func RunSeed(sc Scenario, seed int64) SeedResult {
 // RunSeedWithPlan runs the scenario under an explicit plan (the shrinker
 // replays progressively weaker plans; -seed replay uses the derived one).
 func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
-	if sc.TwoPC {
-		return run2PCSeed(sc, plan)
-	}
 	sc = sc.withDefaults()
-	cfg := ChaosConfig()
-	if sc.Nursery {
-		// Small enough that every round's burst overflows it (minor
-		// collections fire mid-fault-plan), with concurrent scans on.
-		// Manual scan pacing keeps the run deterministic: a collector
-		// goroutine would race the fault schedule (object placement — and
-		// with it, which page each planned fault hits — would depend on
-		// scheduler interleaving), so the burst steps the scan itself, a
-		// seed-chosen number of quanta per round.
-		cfg.NurseryBytes = 32 << 10
-		cfg.ConcurrentVGC = true
-		cfg.ManualScan = true
+	kind := kinds[sc.Kind]
+	if kind.run != nil {
+		return kind.run(sc, plan)
 	}
-	if sc.StableConc {
-		// Same determinism argument as the nursery scenario: a collector
-		// goroutine would race the fault schedule, so the burst paces the
-		// stable scan itself with StepStableScan, a seed-chosen number of
-		// quanta per round, and most rounds crash with the scan in flight.
-		cfg.StableGC = gc.Concurrent
-		cfg.ManualScan = true
+	r := &chaosRun{
+		sc:  sc,
+		rng: rand.New(rand.NewSource(plan.Seed ^ 0x5eed)),
+		res: SeedResult{Seed: plan.Seed, Plan: plan},
+	}
+	cfg := ChaosConfig()
+	if kind.configure != nil {
+		kind.configure(&cfg)
+	}
+	if kind.burst != nil {
+		r.burst = kind.burst(sc)
 	}
 	// One journal device for the whole seed: each recovered heap appends
 	// its frames under a fresh boot id, so the accumulated dump holds the
 	// full multi-boot history and ReadLatest always yields the newest.
-	jdev := storage.NewLog(1 << 20)
-	cfg.FlightJournal = jdev
-	var disk storage.PageStore = storage.NewDisk(cfg.PageSize)
-	var logDev storage.LogDevice = storage.NewLog(cfg.LogSegBytes)
-	if sc.Dir != "" {
-		seedDir := filepath.Join(sc.Dir, fmt.Sprintf("seed-%d", plan.Seed))
-		fs, err := filestore.Open(seedDir, filestore.Options{
-			PageSize:     cfg.PageSize,
-			SegmentBytes: cfg.LogSegBytes,
-			NoWriteBack:  true, // determinism: no goroutine racing the fault schedule
-		})
-		if err != nil {
-			res := SeedResult{Seed: plan.Seed, Plan: plan}
-			res.record(Violation, fmt.Sprintf("filestore open: %v", err))
-			return res
-		}
-		defer func() {
-			fs.Close()
-			os.RemoveAll(seedDir)
-		}()
-		disk, logDev = fs.Disk, fs.Log
+	r.jdev = storage.NewLog(1 << 20)
+	cfg.FlightJournal = r.jdev
+	devs := seedDevices{dir: sc.Dir, name: fmt.Sprintf("seed-%d", plan.Seed)}
+	defer devs.close()
+	disk, logDev, err := devs.open(cfg, "")
+	if err != nil {
+		r.res.record(Violation, err.Error())
+		return r.res
 	}
-	inj := faultfs.New(plan, disk, logDev)
-	r := &chaosRun{
-		sc:   sc,
-		d:    NewOn(cfg, plan.Seed, inj.Disk, inj.Log),
-		inj:  inj,
-		rng:  rand.New(rand.NewSource(plan.Seed ^ 0x5eed)),
-		res:  SeedResult{Seed: plan.Seed, Plan: plan},
-		jdev: jdev,
-	}
-	inj.SetRecorder(r.d.hp.FlightRecorder())
-	inj.Arm()
+	r.inj = faultfs.New(plan, disk, logDev)
+	r.d = NewOn(cfg, plan.Seed, r.inj.Disk, r.inj.Log)
+	r.inj.SetRecorder(r.d.hp.FlightRecorder())
+	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
 		r.round(round)
 	}
 	if sc.Repl && !r.dead {
 		r.replRound()
 	}
-	r.res.Faults = inj.Stats()
-	r.res.Dump = journalBytes(jdev)
+	r.res.Faults = r.inj.Stats()
+	r.res.Dump = journalBytes(r.jdev)
 	return r.res
 }
 
@@ -328,14 +336,15 @@ func journalBytes(dev storage.LogDevice) []byte {
 	return out
 }
 
-// violation records a Violation verdict with the pre-crash flight
-// recording attached: the last events the recorder captured before the
-// most recent crash, decoded into a timeline.
+// violation records a Violation verdict, which ends the seed, with the
+// pre-crash flight recording attached: the last events the recorder
+// captured before the most recent crash, decoded into a timeline.
 func (r *chaosRun) violation(msg string) {
 	if len(r.timeline) > 0 {
 		msg += "\npre-crash flight recorder tail:\n" + obs.FormatTail(r.timeline, 12)
 	}
 	r.res.record(Violation, msg)
+	r.dead = true
 }
 
 // guard runs fn, converting a typed device panic into its error (second
@@ -353,203 +362,187 @@ func guard(fn func() error) (err, fault error) {
 	return fn(), nil
 }
 
+// try runs one step of a round under guard. A typed device fault surfacing
+// inside it is the round's online detection: it is recorded, and online
+// tells the caller to end the burst and go straight to the crash, as a real
+// deployment would after an unrecoverable device error. Whatever fn left in
+// flight stays there for recovery to undo.
+func (r *chaosRun) try(fn func() error) (online bool, err error) {
+	err, fault := guard(fn)
+	if fault != nil {
+		r.res.record(DetectedOnline, fault.Error())
+		return true, nil
+	}
+	return false, err
+}
+
+// armed is try for a step with nothing to report but a device fault.
+func (r *chaosRun) armed(fn func()) (online bool) {
+	online, _ = r.try(func() error { fn(); return nil })
+	return online
+}
+
+// commit runs one burst transaction under try and classifies how it
+// ended. Acked: fn returned nil, so its commit record is covered by a
+// completed force and the burst's model may move. Neither: a lock conflict
+// with the driver's in-doubt prepared transaction, which holds the root
+// array — the model keeps its previous state. Online: a device fault, or
+// any other error, which is a violation and ends the seed.
+func (r *chaosRun) commit(what string, fn func(tr *core.Tx) error) (acked, online bool) {
+	online, err := r.try(func() error {
+		_, err := inTx(r.d.hp, true, fn)
+		return err
+	})
+	switch {
+	case online:
+	case err == nil:
+		acked = true
+	case errors.Is(err, core.ErrConflict):
+	default:
+		r.violation(fmt.Sprintf("%s: %v", what, err))
+		online = true
+	}
+	return acked, online
+}
+
 // round is one armed workload burst, at-rest corruption, a partial
 // flush, a crash (with the plan's crash-time tears) and a classified
 // recovery.
 func (r *chaosRun) round(round int) {
 	online := r.workload(round)
-	if r.sc.Mutators > 0 && !online && !r.dead {
-		online = r.concurrentBurst()
-	}
-	if r.sc.Nursery && !online && !r.dead {
-		online = r.nurseryBurst(round)
-	}
-	if r.sc.StableConc && !online && !r.dead {
-		online = r.stableConcBurst(round)
+	if r.burst != nil && !online {
+		online = r.burst.run(r, round)
 	}
 	if r.dead {
 		return
 	}
 	r.inj.CorruptAtRest()
 	if !online {
-		// Flush a random page subset; a surfaced I/O fault mid-flush is
-		// an online detection and the run proceeds straight to the crash.
-		_, fault := guard(func() error {
-			mem := r.d.hp.Mem()
-			for _, pg := range mem.ResidentPages() {
-				if r.rng.Float64() < r.sc.FlushFrac {
-					mem.FlushPage(pg)
-					r.d.stats.PagesKept++
-				}
-			}
-			return nil
-		})
-		if fault != nil {
-			online = true
-			r.res.record(DetectedOnline, fault.Error())
-		}
+		// A surfaced I/O fault mid-flush is an online detection and the
+		// run proceeds straight to the crash.
+		online = r.armed(func() { r.d.flushSubset(r.rng, r.sc.FlushFrac) })
 	}
-	r.d.hp.Crash() // applies the plan's torn page write and torn log tail
-	r.d.stats.Crashes++
-	r.captureTimeline()
+	r.crash() // applies the plan's torn page write and torn log tail
 	r.recoverAndAudit(online)
 }
 
-// captureTimeline decodes the newest boot's flushed events — called
-// right after a crash, this is the flight recording of the run that just
-// died, ending in the injected fault and the crash marker.
-func (r *chaosRun) captureTimeline() {
+// crash kills the heap and decodes the newest boot's flushed events: the
+// flight recording of the run that just died, ending in the injected fault
+// and the crash marker.
+func (r *chaosRun) crash() {
+	r.d.hp.Crash()
 	if evs, _, err := obs.ReadLatest(r.jdev); err == nil && len(evs) > 0 {
 		r.timeline = evs
 	}
 }
 
-// workload runs the round's steps with faults armed. A typed fault
-// surfacing mid-step is recorded as an online detection and ends the
-// burst (true is returned); the caller crashes and recovers, as a real
-// deployment would after an unrecoverable device error.
+// workload runs the round's driver steps with faults armed; true means the
+// round is over but for its crash (an online detection, or a step that
+// failed with anything else — a violation that ends the seed).
 func (r *chaosRun) workload(round int) (online bool) {
 	for i := 0; i < r.sc.Steps; i++ {
-		stepErr, fault := guard(r.d.Step)
-		if fault != nil {
-			r.res.record(DetectedOnline, fault.Error())
-			return true
+		fault, err := r.try(r.d.Step)
+		if err != nil {
+			r.violation(fmt.Sprintf("workload step %d: %v", i, err))
 		}
-		if stepErr != nil {
-			r.violation(fmt.Sprintf("workload step %d: %v", i, stepErr))
-			r.dead = true
+		if fault || r.dead {
 			return true
 		}
 	}
 	if r.sc.MidGC && round%2 == 1 {
-		_, fault := guard(func() error {
+		online = r.armed(func() {
 			r.d.hp.Checkpoint()
-			r.d.stats.Checkpoints++
-			r.d.hp.StartStableCollection()
-			r.d.stats.StableGCs++
-			for i := 0; i < 4; i++ {
-				r.d.hp.StepStable()
-			}
-			return nil
+			r.stepCollector()
 		})
-		if fault != nil {
-			r.res.record(DetectedOnline, fault.Error())
-			return true
-		}
 	}
-	return false
+	return online
 }
 
-// mutatorSlot0 is the first root slot the concurrent burst owns; the
-// single-threaded driver workload uses slots 0..7.
-const mutatorSlot0 = 16
+// stepCollector starts a stable collection (a no-op while one runs) and
+// steps it four times, leaving it in flight.
+func (r *chaosRun) stepCollector() {
+	r.d.hp.StartStableCollection()
+	for i := 0; i < 4; i++ {
+		r.d.hp.StepStable()
+	}
+}
 
-// burstTxPerMutator is how many increment transactions each mutator
-// attempts per round's burst.
+// counterBurst is the Concurrent kind: one private counter per mutator (a
+// one-node list) under root slots slot0.., and acked[w], mutator w's
+// last acknowledged value — exactly what its counter must hold after any
+// later recovery (a returned Commit was covered by a completed force, so it
+// is durable even if the round ended in a device fault one operation
+// later). acked is nil until the set-up transaction commits.
+type counterBurst struct {
+	slot0, mutators int
+	acked           []uint64
+}
+
+// burstTxPerMutator is how many increments each mutator attempts per round.
 const burstTxPerMutator = 6
 
-// mutatorSetup creates one private counter per mutator under its root
-// slot, committed durably before any burst runs. Returns a surfaced
-// device fault, if one interrupted the setup (the round then proceeds to
-// its crash; setup retries next round).
-func (r *chaosRun) mutatorSetup() error {
-	g := r.sc.Mutators
-	err, fault := guard(func() error {
-		tr := r.d.hp.Begin()
-		for w := 0; w < g; w++ {
-			c, err := tr.Alloc(1, 0, 1)
-			if err != nil {
-				tr.Abort()
-				return err
-			}
-			if err := tr.SetData(c, 0, 0); err != nil {
-				tr.Abort()
-				return err
-			}
-			if err := tr.SetRoot(mutatorSlot0+w, c); err != nil {
-				tr.Abort()
+// setup commits the counters, all zero. A conflict or a fault leaves acked
+// nil and set-up retries next round.
+func (b *counterBurst) setup(r *chaosRun) (online bool) {
+	acked, online := r.commit("mutator setup", func(tr *core.Tx) error {
+		for w := 0; w < b.mutators; w++ {
+			if err := buildList(tr, b.slot0+w, 1, []uint64{0}); err != nil {
 				return err
 			}
 		}
-		return tr.Commit()
+		return nil
 	})
-	if fault != nil {
-		return fault
+	if acked {
+		b.acked = make([]uint64, b.mutators)
 	}
-	switch {
-	case err == nil:
-		r.expected = make([]uint64, g)
-		r.mutReady = true
-	case errors.Is(err, core.ErrConflict):
-		// The driver's in-doubt prepared transaction holds the root
-		// array; setup retries next round after resolution.
-	default:
-		r.violation(fmt.Sprintf("mutator setup: %v", err))
-		r.dead = true
-	}
-	return nil
+	return online
 }
 
-// concurrentBurst runs the round's concurrent mutator phase: Mutators
-// goroutines increment disjoint counters while the main goroutine steps
-// the stable collector, faults armed throughout. Each transaction is
-// individually guarded, so a surfaced device fault abandons that mutator's
-// in-flight transaction exactly where it stood (uncommitted work recovery
-// must undo) and winds the burst down as an online detection. When no
-// fault ends the burst early, one deliberately abandoned transaction is
-// left in flight so every crash still exercises undo of concurrent work.
-// The burst's history must check out conflict-serializable.
-func (r *chaosRun) concurrentBurst() (online bool) {
-	if !r.mutReady {
-		if fault := r.mutatorSetup(); fault != nil {
-			r.res.record(DetectedOnline, fault.Error())
-			return true
-		}
-		if r.dead || !r.mutReady {
-			return false
+// run is the round's concurrent phase: the mutators increment disjoint
+// counters while the main goroutine steps the stable collector, faults
+// armed throughout. Each transaction is individually guarded, so a
+// surfaced device fault abandons that mutator's in-flight transaction
+// exactly where it stood (uncommitted work recovery must undo) and winds
+// the burst down as an online detection. When no fault ends the burst
+// early, one deliberately abandoned transaction is left in flight so every
+// crash still exercises undo of concurrent work. The burst's history must
+// check out conflict-serializable.
+func (b *counterBurst) run(r *chaosRun, _ int) (online bool) {
+	if b.acked == nil {
+		if online = b.setup(r); online || b.acked == nil {
+			return online
 		}
 	}
 	hp := r.d.hp
-	g := r.sc.Mutators
 	rec := histcheck.NewRecorder()
 	hp.SetHistoryRecorder(rec)
 	defer hp.SetHistoryRecorder(nil)
 
 	var stop atomic.Bool
-	faults := make(chan error, g)
-	hardErrs := make(chan error, g)
-	committed := make([]uint64, g)
-	copy(committed, r.expected)
-
+	var live atomic.Int32 // mutators still running
+	faults := make(chan error, b.mutators)
+	hardErrs := make(chan error, b.mutators)
 	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
+	for w := 0; w < b.mutators; w++ {
 		wg.Add(1)
+		live.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			slot := mutatorSlot0 + w
+			defer live.Add(-1)
 			for i := 0; i < burstTxPerMutator && !stop.Load(); i++ {
-				var acked uint64
+				var v uint64
 				err, fault := guard(func() error {
-					tr := hp.Begin()
-					c, err := tr.Root(slot)
-					if err != nil {
-						tr.Abort()
-						return err
-					}
-					v, err := tr.Data(c, 0)
-					if err != nil {
-						tr.Abort()
-						return err
-					}
-					if err := tr.SetData(c, 0, v+1); err != nil {
-						tr.Abort()
-						return err
-					}
-					if err := tr.Commit(); err != nil {
-						return err
-					}
-					acked = v + 1
-					return nil
+					_, err := inTx(hp, true, func(tr *core.Tx) error {
+						c, err := tr.Root(b.slot0 + w)
+						if err == nil {
+							v, err = tr.Data(c, 0)
+						}
+						if err != nil {
+							return err
+						}
+						return tr.SetData(c, 0, v+1)
+					})
+					return err
 				})
 				switch {
 				case fault != nil:
@@ -557,10 +550,10 @@ func (r *chaosRun) concurrentBurst() (online bool) {
 					faults <- fault
 					return
 				case err == nil:
-					committed[w] = acked // durable: Commit returned
+					b.acked[w] = v + 1 // durable: Commit returned
 				case errors.Is(err, core.ErrConflict):
-					// Lock conflict (e.g. the driver's in-doubt prepared
-					// transaction holds the root array): not counted.
+					// E.g. the driver's in-doubt prepared transaction
+					// holds the root array: not counted.
 				default:
 					stop.Store(true)
 					hardErrs <- fmt.Errorf("mutator %d: %v", w, err)
@@ -572,40 +565,15 @@ func (r *chaosRun) concurrentBurst() (online bool) {
 
 	// The main goroutine keeps the stable collector flipping under the
 	// burst, so mutator histories span collector flips and object moves.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	for running := true; running; {
-		_, fault := guard(func() error {
-			hp.StartStableCollection()
-			for i := 0; i < 4; i++ {
-				hp.StepStable()
-			}
-			return nil
-		})
-		if fault != nil {
-			stop.Store(true)
-			r.res.record(DetectedOnline, fault.Error())
-			online = true
-			<-done
-			break
-		}
-		select {
-		case <-done:
-			running = false
-		default:
-		}
+	for live.Load() > 0 && !online {
+		online = r.armed(r.stepCollector)
 	}
-
-	// Acknowledged commits are durable regardless of how the burst ended.
-	r.expected = committed
+	stop.Store(true)
+	wg.Wait()
 
 	select {
 	case err := <-hardErrs:
 		r.violation(fmt.Sprintf("concurrent burst: %v", err))
-		r.dead = true
 		return true
 	default:
 	}
@@ -617,109 +585,118 @@ func (r *chaosRun) concurrentBurst() (online bool) {
 		default:
 		}
 	}
-
 	if err := histcheck.Check(rec.History()); err != nil {
 		r.violation(fmt.Sprintf("concurrent burst history: %v", err))
-		r.dead = true
 		return true
 	}
-
 	if !online {
 		// Leave one transaction abandoned mid-update: the crash that
 		// follows must undo it (the audit pins the counter to its last
 		// acknowledged value, so a surviving +1000 is a violation).
-		_, fault := guard(func() error {
+		online = r.armed(func() {
 			tr := hp.Begin()
-			c, err := tr.Root(mutatorSlot0)
+			var v uint64
+			c, err := tr.Root(b.slot0)
+			if err == nil {
+				v, err = tr.Data(c, 0)
+			}
 			if err != nil {
 				tr.Abort()
-				return nil
+				return
 			}
-			v, err := tr.Data(c, 0)
-			if err != nil {
-				tr.Abort()
-				return nil
-			}
-			_ = tr.SetData(c, 0, v+1000)
-			return nil // never committed, never aborted
+			_ = tr.SetData(c, 0, v+1000) // never committed, never aborted
 		})
-		if fault != nil {
-			r.res.record(DetectedOnline, fault.Error())
-			online = true
-		}
 	}
 	return online
 }
 
-// nurserySlot0 is the first root slot the nursery burst owns (driver:
-// 0..7, mutators: 16..16+N-1).
-const nurserySlot0 = 24
-
-// nurseryChains is how many committed chains the nursery burst maintains.
-const nurseryChains = 4
-
-// nurseryChainLen is the node count of each committed chain.
-const nurseryChainLen = 5
-
-// nurseryBurst exercises the generational and mostly-concurrent machinery
-// with faults armed: each round rebuilds committed chains of nursery-born
-// objects (overwriting last round's — instant garbage), forces a minor
-// collection (its logged LS evacuations run under the fault plan, so a
-// device fault here is a crash mid-minor), starts a volatile collection
-// that leaves the concurrent scan in flight at the round's crash, and
-// abandons an uncommitted transaction holding fresh nursery objects that
-// recovery must not resurrect.
-func (r *chaosRun) nurseryBurst(round int) (online bool) {
-	hp := r.d.hp
-	for w := 0; w < nurseryChains; w++ {
-		base := uint64(round)*1000 + uint64(w)*100
-		err, fault := guard(func() error {
-			tr := hp.Begin()
-			var head *core.Ref
-			for i := nurseryChainLen - 1; i >= 0; i-- {
-				n, err := tr.Alloc(3, 1, 1)
-				if err != nil {
-					tr.Abort()
-					return err
-				}
-				if err := tr.SetData(n, 0, base+uint64(i)); err != nil {
-					tr.Abort()
-					return err
-				}
-				if err := tr.SetPtr(n, 0, head); err != nil {
-					tr.Abort()
-					return err
-				}
-				head = n
-			}
-			if err := tr.SetRoot(nurserySlot0+w, head); err != nil {
-				tr.Abort()
-				return err
-			}
-			return tr.Commit()
-		})
-		switch {
-		case fault != nil:
-			r.res.record(DetectedOnline, fault.Error())
-			return true
-		case err == nil:
-			r.nurBase[w] = base
-			r.nurLive[w] = true
-		case errors.Is(err, core.ErrConflict):
-			// The driver's in-doubt prepared transaction holds the root
-			// array; this chain keeps its previous acknowledged state.
-		default:
-			r.violation(fmt.Sprintf("nursery burst chain %d: %v", w, err))
-			r.dead = true
-			return true
+// audit: committed increments survived the crash, the abandoned in-flight
+// update did not.
+func (b *counterBurst) audit(tr *core.Tx) (int, error) {
+	for w, want := range b.acked {
+		if err := checkList(tr, b.slot0+w, []uint64{want}); err != nil {
+			return w, fmt.Errorf("mutator counter: %v", err)
 		}
 	}
-	// A minor collection with faults armed (logged LS moves can tear), then
-	// a volatile collection whose concurrent scan is left in flight so the
-	// round's crash lands mid-scan.
-	_, fault := guard(func() error {
+	return len(b.acked), nil
+}
+
+// chains is the model both chain kinds share: four committed lists of
+// length nodes of type typeID under root slots slot0..slot0+3, rebuilt
+// every round (last round's become garbage), and the values each was last
+// acknowledged with — nil until a chain's first commit lands.
+type chains struct {
+	slot0  int
+	typeID uint16
+	length int
+	salt   uint64 // keeps the two kinds' values apart
+	acked  [4][]uint64
+}
+
+// rebuild commits every chain afresh with this round's values.
+func (c *chains) rebuild(r *chaosRun, round int) (online bool) {
+	for w := range c.acked {
+		vals := seq(uint64(round)*1000+uint64(w)*100+c.salt, c.length)
+		acked, stop := r.commit(fmt.Sprintf("%v burst chain %d", r.sc.Kind, w), func(tr *core.Tx) error {
+			return buildList(tr, c.slot0+w, c.typeID, vals)
+		})
+		if stop {
+			return true
+		}
+		if acked {
+			c.acked[w] = vals
+		}
+	}
+	return false
+}
+
+// audit requires every acknowledged chain to read back exactly as
+// committed — through whichever space a collection in flight at the crash
+// left each node in.
+func (c *chains) audit(tr *core.Tx) (n int, err error) {
+	for w, want := range c.acked {
+		if want == nil {
+			continue
+		}
+		if err := checkList(tr, c.slot0+w, want); err != nil {
+			return n, err
+		}
+		n += len(want)
+	}
+	return n, nil
+}
+
+// nurseryBurst is the Nursery kind: chains of nursery-born objects.
+type nurseryBurst struct{ chains }
+
+// nurseryConfig: a nursery small enough that every round's burst overflows it
+// (minor collections fire mid-fault-plan), with concurrent scans on. Manual
+// scan pacing keeps the run deterministic: a collector goroutine would race
+// the fault schedule (object placement — and with it, which page each
+// planned fault hits — would depend on scheduler interleaving), so the
+// burst steps the scan itself, a seed-chosen number of quanta per round.
+func nurseryConfig(cfg *core.Config) {
+	cfg.NurseryBytes = 32 << 10
+	cfg.ConcurrentVGC = true
+	cfg.ManualScan = true
+}
+
+// run rebuilds the chains, forces a minor collection (its logged LS
+// evacuations run under the fault plan, so a device fault here is a crash
+// mid-minor), starts a volatile collection that leaves the concurrent scan
+// in flight at the round's crash, and abandons an uncommitted transaction
+// holding fresh nursery objects that recovery must not resurrect.
+func (b *nurseryBurst) run(r *chaosRun, round int) (online bool) {
+	hp := r.d.hp
+	if b.rebuild(r, round) {
+		return true
+	}
+	// An error from a collection or the commit here is heap pressure or an
+	// in-doubt conflict: the step ends early, the round's crash and audit
+	// still run.
+	online = r.armed(func() {
 		if _, err := hp.CollectNursery(); err != nil {
-			return err
+			return
 		}
 		tr := hp.Begin()
 		n, err := tr.Alloc(3, 0, 2)
@@ -728,327 +705,192 @@ func (r *chaosRun) nurseryBurst(round int) (online bool) {
 		}
 		if err != nil {
 			tr.Abort()
-			return nil // heap pressure; skip the garnish, keep the scan
+			return // skip the garnish and the scan
 		}
 		if err := tr.Commit(); err != nil && !errors.Is(err, core.ErrConflict) {
-			return err
+			return
 		}
 		if _, err := hp.CollectVolatile(); err != nil {
-			return err
+			return
 		}
 		// Advance the scan a seed-chosen number of quanta (possibly zero,
 		// possibly to completion-but-unretired) so the crash lands at a
 		// deterministic mid-scan point.
-		for steps := r.rng.Intn(6); steps > 0; steps-- {
-			if !hp.StepVolatileScan() {
-				break
-			}
+		for steps := r.rng.Intn(6); steps > 0 && hp.StepVolatileScan(); steps-- {
 		}
-		return nil
 	})
-	if fault != nil {
-		r.res.record(DetectedOnline, fault.Error())
+	if online {
 		return true
 	}
 	// Abandon a transaction holding uncommitted nursery allocations and an
 	// uncommitted stable-slot overwrite: recovery must keep chain 0 at its
 	// acknowledged value and must not resurrect the orphan.
-	_, fault = guard(func() error {
+	return r.armed(func() {
 		tr := hp.Begin()
 		n, err := tr.Alloc(3, 1, 1)
+		if err == nil {
+			err = tr.SetData(n, 0, 0xdead)
+		}
 		if err != nil {
 			tr.Abort()
-			return nil
+			return
 		}
-		if err := tr.SetData(n, 0, 0xdead); err != nil {
-			tr.Abort()
-			return nil
+		// An in-doubt conflict leaves just the alloc in flight.
+		if c, err := tr.Root(b.slot0); err == nil && c != nil {
+			_ = tr.SetPtr(c, 0, n) // never committed, never aborted
 		}
-		c, err := tr.Root(nurserySlot0)
-		if err != nil || c == nil {
-			return nil // in-doubt conflict; leave the alloc in flight
-		}
-		_ = tr.SetPtr(c, 0, n)
-		return nil // never committed, never aborted
 	})
-	if fault != nil {
-		r.res.record(DetectedOnline, fault.Error())
-		return true
-	}
-	return false
 }
 
-// auditNursery verifies, post-recovery, that every acknowledged chain
-// reads back exactly as committed: nurseryChainLen nodes, in-order values.
-// A short, long, or misvalued chain means a promoted object was lost, torn
-// or resurrected.
-func (r *chaosRun) auditNursery(hp *core.Heap) error {
-	tr := hp.Begin()
-	defer tr.Abort()
-	for w := 0; w < nurseryChains; w++ {
-		if !r.nurLive[w] {
-			continue
-		}
-		c, err := tr.Root(nurserySlot0 + w)
-		if err != nil {
-			return fmt.Errorf("nursery chain %d: reading root: %v", w, err)
-		}
-		for i := 0; i < nurseryChainLen; i++ {
-			if c == nil {
-				return fmt.Errorf("nursery chain %d: truncated at node %d after recovery", w, i)
-			}
-			v, err := tr.Data(c, 0)
-			if err != nil {
-				return fmt.Errorf("nursery chain %d node %d: %v", w, i, err)
-			}
-			if want := r.nurBase[w] + uint64(i); v != want {
-				return fmt.Errorf("nursery chain %d node %d: value %d, want %d (lost or phantom promotion)", w, i, v, want)
-			}
-			if c, err = tr.Ptr(c, 0); err != nil {
-				return fmt.Errorf("nursery chain %d node %d: next: %v", w, i, err)
-			}
-		}
-		if c != nil {
-			return fmt.Errorf("nursery chain %d: trailing node after recovery (uncommitted write survived)", w)
-		}
-	}
-	return nil
+// stableConcBurst is the StableConc kind.
+type stableConcBurst struct{ chains }
+
+// stableConcConfig: the same determinism argument as the nursery kind — the burst
+// paces the stable scan itself with StepStableScan.
+func stableConcConfig(cfg *core.Config) {
+	cfg.StableGC = gc.Concurrent
+	cfg.ManualScan = true
 }
 
-// stableConcSlot0 is the first root slot the stable-conc burst owns
-// (driver: 0..7, mutators: 16..16+N-1, nursery: 24..27).
-const stableConcSlot0 = 28
-
-// stableConcChains is how many committed chains the stable-conc burst
-// maintains.
-const stableConcChains = 4
-
-// stableConcChainLen is the node count of each committed chain.
-const stableConcChainLen = 4
-
-// stableConcBurst exercises the mostly-concurrent stable collector with
-// faults armed: each round rebuilds committed chains (overwriting last
-// round's — stable garbage for the next flip), promotes them with a
-// volatile collection (high-end allocation when a scan is in flight),
-// flips the stable area concurrently, paces the scan a seed-chosen number
-// of quanta, commits an update through the in-flight scan, and abandons
-// an uncommitted pointer overwrite that fires the SATB deletion barrier.
-// Roughly every third round retires the scan so GCEnd and the space swap
-// also run under the fault plan; the rest crash mid-scan at a quantum
-// boundary, and recovery must resume the collection.
-func (r *chaosRun) stableConcBurst(round int) (online bool) {
+// run rebuilds the chains (stable garbage for the next flip), promotes
+// them with a volatile collection (high-end allocation when a scan is in
+// flight), flips the stable area concurrently, paces the scan a
+// seed-chosen number of quanta, commits an update through the in-flight
+// scan, and abandons an uncommitted pointer overwrite that fires the SATB
+// deletion barrier. Roughly every third round retires the scan so GCEnd
+// and the space swap also run under the fault plan; the rest crash mid-scan
+// at a quantum boundary, and recovery must resume the collection.
+func (b *stableConcBurst) run(r *chaosRun, round int) (online bool) {
 	hp := r.d.hp
+	pace := func(max int) {
+		for steps := r.rng.Intn(max); steps > 0 && hp.StepStableScan(); steps-- {
+		}
+	}
 	// A scan resumed from the previous round's mid-scan crash may still be
 	// in flight: advance it a few quanta first, so the rebuild below runs
 	// against a part-scanned stable area and its reads cross the
 	// transporting read barrier.
 	if hp.StableScanActive() {
-		_, fault := guard(func() error {
-			for steps := r.rng.Intn(4); steps > 0; steps-- {
-				if !hp.StepStableScan() {
-					break
-				}
-			}
-			return nil
-		})
-		if fault != nil {
-			r.res.record(DetectedOnline, fault.Error())
+		if r.armed(func() { pace(4) }) {
 			return true
 		}
 	}
-	for w := 0; w < stableConcChains; w++ {
-		base := uint64(round)*1000 + uint64(w)*100 + 7
-		err, fault := guard(func() error {
-			tr := hp.Begin()
-			var head *core.Ref
-			for i := stableConcChainLen - 1; i >= 0; i-- {
-				n, err := tr.Alloc(4, 1, 1)
-				if err != nil {
-					tr.Abort()
-					return err
-				}
-				if err := tr.SetData(n, 0, base+uint64(i)); err != nil {
-					tr.Abort()
-					return err
-				}
-				if err := tr.SetPtr(n, 0, head); err != nil {
-					tr.Abort()
-					return err
-				}
-				head = n
-			}
-			if err := tr.SetRoot(stableConcSlot0+w, head); err != nil {
-				tr.Abort()
-				return err
-			}
-			return tr.Commit()
-		})
-		switch {
-		case fault != nil:
-			r.res.record(DetectedOnline, fault.Error())
-			return true
-		case err == nil:
-			r.scBase[w] = base
-			r.scHead[w] = base
-			r.scLive[w] = true
-		case errors.Is(err, core.ErrConflict):
-			// The driver's in-doubt prepared transaction holds the root
-			// array; this chain keeps its previous acknowledged state.
-		default:
-			r.violation(fmt.Sprintf("stable-conc burst chain %d: %v", w, err))
-			r.dead = true
-			return true
-		}
+	if b.rebuild(r, round) {
+		return true
 	}
 	// Promote the fresh chains into the stable area, flip it concurrently
-	// (a no-op if the resumed scan is still running) and pace the scan a
-	// seed-chosen number of quanta so the round's crash lands at a
-	// deterministic quantum boundary.
+	// (a no-op if the resumed scan is still running) and pace the scan so
+	// the round's crash lands at a deterministic quantum boundary.
 	finished := false
-	_, fault := guard(func() error {
+	online = r.armed(func() {
 		if _, err := hp.CollectVolatile(); err != nil {
-			return err
+			return // heap pressure: the round goes on without the flip
 		}
 		hp.StartStableCollection()
-		for steps := r.rng.Intn(6); steps > 0; steps-- {
-			if !hp.StepStableScan() {
-				break
-			}
-		}
+		pace(6)
 		if r.rng.Intn(3) == 0 {
 			for hp.StepStableScan() {
 			}
 			hp.FinishStableScan()
 			finished = true
 		}
-		return nil
 	})
-	if fault != nil {
-		r.res.record(DetectedOnline, fault.Error())
+	if online {
 		return true
 	}
 	// A committed update through the (possibly) in-flight scan: the read
 	// transports the head to to-space if the scan hasn't reached it, and
 	// the acknowledged value must survive the crash either way.
-	if r.scLive[0] {
-		err, fault := guard(func() error {
-			tr := hp.Begin()
-			c, err := tr.Root(stableConcSlot0)
+	if head := b.acked[0]; head != nil {
+		// 50 past the value the head was built with, which is still one
+		// less than its successor's.
+		v := head[1] + 49
+		acked, stop := r.commit("stable-conc burst update", func(tr *core.Tx) error {
+			c, err := tr.Root(b.slot0)
 			if err != nil {
-				tr.Abort()
 				return err
 			}
-			if err := tr.SetData(c, 0, r.scBase[0]+50); err != nil {
-				tr.Abort()
-				return err
-			}
-			return tr.Commit()
+			return tr.SetData(c, 0, v)
 		})
-		switch {
-		case fault != nil:
-			r.res.record(DetectedOnline, fault.Error())
+		if stop {
 			return true
-		case err == nil:
-			r.scHead[0] = r.scBase[0] + 50
-		case errors.Is(err, core.ErrConflict):
-			// In-doubt conflict; the head keeps its previous value.
-		default:
-			r.violation(fmt.Sprintf("stable-conc burst update: %v", err))
-			r.dead = true
-			return true
+		}
+		if acked {
+			head[0] = v
 		}
 	}
 	// Abandon an uncommitted pointer overwrite mid-scan: severing chain 1's
 	// head link fires the SATB deletion barrier (the old target grays), one
 	// more paced quantum evacuates the gray, and recovery must undo the
 	// severing — the audit walks the full chain.
-	_, fault = guard(func() error {
+	return r.armed(func() {
 		tr := hp.Begin()
-		c, err := tr.Root(stableConcSlot0 + 1)
+		c, err := tr.Root(b.slot0 + 1)
 		if err != nil || c == nil {
-			return nil // in-doubt conflict; leave nothing in flight
+			return // in-doubt conflict; leave nothing in flight
 		}
-		_ = tr.SetPtr(c, 0, nil)
+		_ = tr.SetPtr(c, 0, nil) // never committed, never aborted
 		if !finished {
 			hp.StepStableScan()
 		}
-		return nil // never committed, never aborted
 	})
-	if fault != nil {
-		r.res.record(DetectedOnline, fault.Error())
-		return true
-	}
-	return false
 }
 
-// auditStableConc verifies, post-recovery, that every acknowledged chain
-// reads back exactly as committed, through whichever semispace the resumed
-// scan left each node in: the transporting read barrier must hand back the
-// live copy, committed mid-scan updates must have survived, and the
-// abandoned severing must be undone.
-func (r *chaosRun) auditStableConc(hp *core.Heap) error {
-	tr := hp.Begin()
-	defer tr.Abort()
-	for w := 0; w < stableConcChains; w++ {
-		if !r.scLive[w] {
-			continue
-		}
-		c, err := tr.Root(stableConcSlot0 + w)
+// auditTxs is how many transactions the burst audit spans after every
+// recovery, whatever the kind.
+const auditTxs = 2
+
+// auditBurst holds the recovered heap to the burst's model. The audit
+// reads in transaction kinds[].auditTx of auditTxs; the others are empty.
+// An empty transaction still logs a begin and an abort record, and every
+// later record's position — so which bytes a planned fault hits, and the
+// LSNs in detection messages — depends on them: the count and the kind's
+// place in it are part of the seed-deterministic schedule that
+// TestChaosMatrixGolden pins.
+func (r *chaosRun) auditBurst(hp *core.Heap) error {
+	for i := 0; i < auditTxs; i++ {
+		err := func() error {
+			tr := hp.Begin()
+			defer tr.Abort() // also when the audit reads rot and panics out
+			if r.burst == nil || i != kinds[r.sc.Kind].auditTx {
+				return nil
+			}
+			n, err := r.burst.audit(tr)
+			r.res.Audited += n
+			return err
+		}()
 		if err != nil {
-			return fmt.Errorf("stable-conc chain %d: reading root: %v", w, err)
-		}
-		for i := 0; i < stableConcChainLen; i++ {
-			if c == nil {
-				return fmt.Errorf("stable-conc chain %d: truncated at node %d after recovery (lost across the scan, or uncommitted severing survived)", w, i)
-			}
-			v, err := tr.Data(c, 0)
-			if err != nil {
-				return fmt.Errorf("stable-conc chain %d node %d: %v", w, i, err)
-			}
-			want := r.scBase[w] + uint64(i)
-			if i == 0 {
-				want = r.scHead[w]
-			}
-			if v != want {
-				return fmt.Errorf("stable-conc chain %d node %d: value %d, want %d (lost or phantom update across the concurrent scan)", w, i, v, want)
-			}
-			if c, err = tr.Ptr(c, 0); err != nil {
-				return fmt.Errorf("stable-conc chain %d node %d: next: %v", w, i, err)
-			}
-		}
-		if c != nil {
-			return fmt.Errorf("stable-conc chain %d: trailing node after recovery (uncommitted write survived)", w)
+			return err
 		}
 	}
 	return nil
 }
 
-// auditMutators verifies, post-recovery, that every mutator counter holds
-// exactly its last acknowledged committed value: committed increments
-// survived the crash, the abandoned in-flight update did not.
-func (r *chaosRun) auditMutators(hp *core.Heap) error {
-	if !r.mutReady {
-		return nil
+// adopt makes a recovered heap the run's and audits it — the driver's
+// model (in-doubt transactions resolved first), then the burst's — under
+// guard: rot on a page redo never touched is detected at first use, exactly
+// like production reads. what names the recovery in a violation. True
+// means the audit ran to its end and passed.
+func (r *chaosRun) adopt(hp *core.Heap, what string) (passed bool) {
+	// The recovered heap carries a fresh ring; re-point fault injections
+	// at it so the next crash's recording includes them.
+	r.inj.SetRecorder(hp.FlightRecorder())
+	online, err := r.try(func() error {
+		if err := r.d.adopt(hp); err != nil {
+			return err
+		}
+		return r.auditBurst(hp)
+	})
+	if err != nil {
+		r.violation(fmt.Sprintf("%s succeeded but the audit failed: %v", what, err))
 	}
-	tr := hp.Begin()
-	defer tr.Abort()
-	for w, want := range r.expected {
-		c, err := tr.Root(mutatorSlot0 + w)
-		if err != nil {
-			return fmt.Errorf("mutator %d: reading counter root: %v", w, err)
-		}
-		if c == nil {
-			return fmt.Errorf("mutator %d: counter root vanished after recovery", w)
-		}
-		v, err := tr.Data(c, 0)
-		if err != nil {
-			return fmt.Errorf("mutator %d: reading counter: %v", w, err)
-		}
-		if v != want {
-			return fmt.Errorf("mutator %d: counter = %d after recovery, want %d (lost or phantom committed increment)", w, v, want)
-		}
-	}
-	return nil
+	return !online && err == nil
+}
+
+// typedDeviceError reports whether a recovery refused the devices
+// detectably.
+func typedDeviceError(err error) bool {
+	return errors.Is(err, storage.ErrCorrupt) || errors.Is(err, storage.ErrIO)
 }
 
 // recoverAndAudit classifies recovery over the crashed wrapped devices.
@@ -1067,50 +909,19 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 		// A transient I/O burst failed the attempt; the operator retries.
 		r.res.Retries++
 	}
-	if err != nil {
-		if errors.Is(err, storage.ErrCorrupt) || errors.Is(err, storage.ErrIO) {
-			r.res.record(Detected, err.Error())
-			r.mediaRepair(logDev)
-			return
-		}
-		r.violation(fmt.Sprintf("recovery failed with an untyped error: %v", err))
-		r.dead = true
-		return
-	}
-
-	r.d.hp = hp
-	r.d.stats.Recoveries++
-	// The recovered heap carries a fresh ring; re-point fault injections
-	// at it so the next crash's recording includes them.
-	r.inj.SetRecorder(hp.FlightRecorder())
-	auditErr, fault := guard(func() error {
-		if err := r.d.resolveInDoubt(hp); err != nil {
-			return err
-		}
-		if err := r.d.Verify(); err != nil {
-			return err
-		}
-		if err := r.auditMutators(hp); err != nil {
-			return err
-		}
-		if err := r.auditNursery(hp); err != nil {
-			return err
-		}
-		return r.auditStableConc(hp)
-	})
 	switch {
-	case fault != nil:
-		// Recovery succeeded but the audit read rot on a page redo never
-		// touched: detected at first use, exactly like production reads.
-		r.res.record(DetectedOnline, fault.Error())
-	case auditErr != nil:
-		r.violation(fmt.Sprintf("recovery succeeded but the audit failed: %v", auditErr))
-		r.dead = true
-	case !onlineAlready:
-		r.res.record(Clean, "")
+	case err == nil:
+		// With an online detection already recorded, a clean recovery adds
+		// no verdict of its own: the round's classification stands.
+		if r.adopt(hp, "recovery") && !onlineAlready {
+			r.res.record(Clean, "")
+		}
+	case typedDeviceError(err):
+		r.res.record(Detected, err.Error())
+		r.mediaRepair(logDev)
+	default:
+		r.violation(fmt.Sprintf("recovery failed with an untyped error: %v", err))
 	}
-	// (With an online detection already recorded, a clean recovery adds
-	// no verdict of its own: the round's classification stands.)
 }
 
 // mediaRepair is the fallback after a Detected recovery failure: rebuild
@@ -1125,38 +936,15 @@ func (r *chaosRun) mediaRepair(logDev storage.LogDevice) {
 		return
 	}
 	hp, err := core.RecoverFromLog(r.d.cfg, logDev)
-	if err != nil {
-		if !errors.Is(err, storage.ErrCorrupt) && !errors.Is(err, storage.ErrIO) {
-			r.violation(fmt.Sprintf("media recovery failed with an untyped error: %v", err))
-		}
-		return // detected: the log itself is rotten; nothing was admitted
-	}
-	r.d.hp = hp
-	r.d.stats.Recoveries++
-	r.inj.SetRecorder(hp.FlightRecorder())
-	auditErr, fault := guard(func() error {
-		if err := r.d.resolveInDoubt(hp); err != nil {
-			return err
-		}
-		if err := r.d.Verify(); err != nil {
-			return err
-		}
-		if err := r.auditMutators(hp); err != nil {
-			return err
-		}
-		if err := r.auditNursery(hp); err != nil {
-			return err
-		}
-		return r.auditStableConc(hp)
-	})
 	switch {
-	case fault != nil:
-		r.res.record(DetectedOnline, fault.Error())
-	case auditErr != nil:
-		r.violation(fmt.Sprintf("media recovery succeeded but the audit failed: %v", auditErr))
-	default:
-		r.res.record(Repaired, "")
+	case err == nil:
+		if r.adopt(hp, "media recovery") {
+			r.res.record(Repaired, "")
+		}
+	case !typedDeviceError(err):
+		r.violation(fmt.Sprintf("media recovery failed with an untyped error: %v", err))
 	}
+	// (A typed error: the log itself is rotten; nothing was admitted.)
 }
 
 // replRound ends the seed with a failover: attach a warm standby (its
@@ -1165,20 +953,16 @@ func (r *chaosRun) mediaRepair(logDev storage.LogDevice) {
 // on the primary during the round is an online detection followed by
 // recover-in-place; otherwise the promoted heap must pass the audit.
 func (r *chaosRun) replRound() {
-	var pErr error
-	_, fault := guard(func() error {
-		_, pErr = r.d.ReplicatedCrashAndPromote(r.sc.Steps, r.sc.MidGC)
-		return pErr
+	online, err := r.try(func() error {
+		_, err := r.d.ReplicatedCrashAndPromote(r.sc.Steps, r.sc.MidGC)
+		return err
 	})
 	switch {
-	case fault != nil:
-		r.res.record(DetectedOnline, fault.Error())
-		r.d.hp.Crash()
-		r.d.stats.Crashes++
-		r.captureTimeline()
+	case online:
+		r.crash()
 		r.recoverAndAudit(true)
-	case pErr != nil:
-		r.violation(fmt.Sprintf("replicated failover: %v", pErr))
+	case err != nil:
+		r.violation(fmt.Sprintf("replicated failover: %v", err))
 	default:
 		r.res.record(Clean, "")
 		r.dead = true // the promoted heap runs on unwrapped devices
@@ -1187,7 +971,6 @@ func (r *chaosRun) replRound() {
 
 // Report aggregates a sweep.
 type Report struct {
-	Scenario Scenario
 	Results  []SeedResult
 	Matrix   [numVerdicts]int
 	Failures []string // one reproducible message per violating seed
@@ -1207,7 +990,7 @@ func (rep Report) MatrixMap() map[string]int {
 
 // Sweep runs the scenario over seeds [from, from+n).
 func Sweep(sc Scenario, from int64, n int) Report {
-	rep := Report{Scenario: sc.withDefaults()}
+	var rep Report
 	for i := 0; i < n; i++ {
 		res := RunSeed(sc, from+int64(i))
 		for v, c := range res.Matrix {
@@ -1243,35 +1026,21 @@ func ShrinkPlan(p faultfs.Plan, fails func(faultfs.Plan) bool) faultfs.Plan {
 // shrinkCandidates enumerates single-simplification neighbours of p.
 func shrinkCandidates(p faultfs.Plan) []faultfs.Plan {
 	var out []faultfs.Plan
-	add := func(q faultfs.Plan) {
-		if q != p {
+	for _, weaken := range []func(*faultfs.Plan){
+		func(q *faultfs.Plan) { q.TornPage = false },
+		func(q *faultfs.Plan) { q.TornForce = false },
+		func(q *faultfs.Plan) { q.PageFlips = 0 },
+		func(q *faultfs.Plan) { q.LogFlips = 0 },
+		func(q *faultfs.Plan) { q.IOProb = 0 },
+		// Halving one flip repeats the class's own candidate, which fails
+		// (being deterministic) answers the same way again.
+		func(q *faultfs.Plan) { q.PageFlips /= 2 },
+		func(q *faultfs.Plan) { q.LogFlips /= 2 },
+	} {
+		q := p
+		if weaken(&q); q != p {
 			out = append(out, q)
 		}
-	}
-	q := p
-	q.TornPage = false
-	add(q)
-	q = p
-	q.TornForce = false
-	add(q)
-	q = p
-	q.PageFlips = 0
-	add(q)
-	q = p
-	q.LogFlips = 0
-	add(q)
-	q = p
-	q.IOProb = 0
-	add(q)
-	if p.PageFlips > 1 {
-		q = p
-		q.PageFlips = p.PageFlips / 2
-		add(q)
-	}
-	if p.LogFlips > 1 {
-		q = p
-		q.LogFlips = p.LogFlips / 2
-		add(q)
 	}
 	return out
 }

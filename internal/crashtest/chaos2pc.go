@@ -25,14 +25,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 
-	"stableheap/internal/core"
 	"stableheap/internal/faultfs"
 	"stableheap/internal/shard"
-	"stableheap/internal/storage"
-	"stableheap/internal/storage/filestore"
 )
 
 const (
@@ -51,87 +46,43 @@ const (
 	numSubsets
 )
 
-func (s crashSubset) String() string {
-	switch s {
-	case crashAll:
-		return "all"
-	case crashCoordOnly:
-		return "coord"
-	case crashOnePartition:
-		return "partition"
-	}
-	return fmt.Sprintf("subset(%d)", int(s))
-}
-
-// twoPCConfig is the per-partition heap configuration: the same ack
-// discipline as ChaosConfig (one huge segment), without
-// the flight recorder (the protocol explorer's failures replay from the
-// seed alone).
-func twoPCConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.LogSegBytes = 1 << 30
-	return cfg.WithDefaults()
-}
+func (s crashSubset) String() string { return [...]string{"all", "coord", "partition"}[s] }
 
 // run2PCSeed is one seed's protocol exploration. The faultfs plan is
 // carried for report identity only: this chassis crashes protocol states,
 // not devices.
 func run2PCSeed(sc Scenario, plan faultfs.Plan) SeedResult {
-	sc = sc.withDefaults()
 	res := SeedResult{Seed: plan.Seed, Plan: plan}
-	rng := rand.New(rand.NewSource(plan.Seed ^ 0x2bc2bc))
-
-	cfg := shard.Config{Partitions: twoPCPartitions, Part: twoPCConfig()}
+	// Partitions run ChaosConfig (the same ack discipline) without the
+	// flight recorder: a protocol failure replays from the seed alone.
+	cfg := shard.Config{Partitions: twoPCPartitions, Part: ChaosConfig()}
+	cfg.Part.FlightRecorder = false
+	sd := seedDevices{dir: sc.Dir, name: fmt.Sprintf("seed2pc-%d", plan.Seed)}
+	defer sd.close()
 	var devs []shard.PartDevices
-	var coordLog storage.LogDevice
-	if sc.Dir == "" {
-		for i := 0; i < twoPCPartitions; i++ {
-			devs = append(devs, shard.PartDevices{
-				Disk: storage.NewDisk(cfg.Part.PageSize),
-				Log:  storage.NewLog(cfg.Part.LogSegBytes),
-			})
+	for i := 0; i <= twoPCPartitions; i++ {
+		name := fmt.Sprintf("p%d", i)
+		if i == twoPCPartitions {
+			name = "coord" // the coordinator's decision log; its page store stays empty
 		}
-		coordLog = storage.NewLog(cfg.Part.LogSegBytes)
-	} else {
-		seedDir := filepath.Join(sc.Dir, fmt.Sprintf("seed2pc-%d", plan.Seed))
-		opts := filestore.Options{
-			PageSize:     cfg.Part.PageSize,
-			SegmentBytes: cfg.Part.LogSegBytes,
-			NoWriteBack:  true, // determinism: no write-back goroutine
-		}
-		var stores []*filestore.Store
-		defer func() {
-			for _, st := range stores {
-				st.Close()
-			}
-			os.RemoveAll(seedDir)
-		}()
-		for i := 0; i < twoPCPartitions; i++ {
-			st, err := filestore.Open(filepath.Join(seedDir, fmt.Sprintf("p%d", i)), opts)
-			if err != nil {
-				res.record(Violation, fmt.Sprintf("filestore open: %v", err))
-				return res
-			}
-			stores = append(stores, st)
-			devs = append(devs, shard.PartDevices{Disk: st.Disk, Log: st.Log})
-		}
-		st, err := filestore.Open(filepath.Join(seedDir, "coord"), opts)
+		disk, log, err := sd.open(cfg.Part, name)
 		if err != nil {
-			res.record(Violation, fmt.Sprintf("filestore open: %v", err))
+			res.record(Violation, err.Error())
 			return res
 		}
-		stores = append(stores, st)
-		coordLog = st.Log
+		devs = append(devs, shard.PartDevices{Disk: disk, Log: log})
 	}
-
-	cl, err := shard.OpenOn(cfg, devs, coordLog)
+	cl, err := shard.OpenOn(cfg, devs[:twoPCPartitions], devs[twoPCPartitions].Log)
 	if err != nil {
 		res.record(Violation, fmt.Sprintf("open: %v", err))
 		return res
 	}
-	defer func() { cl.Close() }()
-
-	r := &twoPCRun{cfg: cfg, cl: cl, rng: rng, res: &res, expected: make(map[int]uint64, twoPCSlots)}
+	r := &twoPCRun{
+		cfg: cfg, cl: cl, res: &res,
+		rng:      rand.New(rand.NewSource(plan.Seed ^ 0x2bc2bc)),
+		expected: make(map[int]uint64, twoPCSlots),
+	}
+	defer func() { r.cl.Close() }() // whichever cluster incarnation is live
 	if err := r.setup(); err != nil {
 		res.record(Violation, fmt.Sprintf("setup: %v", err))
 		return res
@@ -139,7 +90,6 @@ func run2PCSeed(sc Scenario, plan faultfs.Plan) SeedResult {
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
 		r.round(sc.Steps)
 	}
-	cl = r.cl // defer closes whichever cluster incarnation is live
 	return res
 }
 
@@ -151,6 +101,12 @@ type twoPCRun struct {
 	res      *SeedResult
 	expected map[int]uint64 // slot → last acknowledged committed value
 	dead     bool
+}
+
+// fail records a violation that ends the seed.
+func (r *twoPCRun) fail(format string, args ...any) {
+	r.res.record(Violation, fmt.Sprintf(format, args...))
+	r.dead = true
 }
 
 func (r *twoPCRun) setup() error {
@@ -201,36 +157,30 @@ func (r *twoPCRun) pickSpan() []int {
 }
 
 // transfer moves amt between the given slots (first debits, rest credit)
-// in one cluster transaction and returns the commit error.
-func (r *twoPCRun) transfer(slots []int, amt uint64) error {
+// in one cluster transaction and returns it with the commit error — a
+// commit the crash hook froze mid-protocol is settled through the handle.
+func (r *twoPCRun) transfer(slots []int, amt uint64) (*shard.Tx, error) {
 	tx := r.cl.Begin()
 	refs := make([]shard.Ref, len(slots))
 	vals := make([]uint64, len(slots))
+	var err error
 	for i, slot := range slots {
-		ref, err := tx.Root(slot)
+		if refs[i], err = tx.Root(slot); err == nil {
+			vals[i], err = tx.Data(refs[i], 0)
+		}
 		if err != nil {
 			tx.Abort()
-			return err
+			return tx, err
 		}
-		refs[i] = ref
-		v, err := tx.Data(ref, 0)
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		vals[i] = v
 	}
-	if err := tx.SetData(refs[0], 0, vals[0]-amt*uint64(len(slots)-1)); err != nil {
-		tx.Abort()
-		return err
-	}
-	for i := 1; i < len(slots); i++ {
+	vals[0] -= amt * uint64(len(slots)) // the debit: every slot, this one too, is credited amt below
+	for i := range slots {
 		if err := tx.SetData(refs[i], 0, vals[i]+amt); err != nil {
 			tx.Abort()
-			return err
+			return tx, err
 		}
 	}
-	return tx.Commit()
+	return tx, tx.Commit()
 }
 
 // applyExpected folds a committed transfer into the acknowledged model.
@@ -241,18 +191,15 @@ func (r *twoPCRun) applyExpected(slots []int, amt uint64) {
 	}
 }
 
-func (r *twoPCRun) readSlot(slot int) (uint64, error) {
+func (r *twoPCRun) readSlot(slot int) (v uint64, err error) {
 	tx := r.cl.Begin()
 	ref, err := tx.Root(slot)
-	if err != nil {
-		tx.Abort()
-		return 0, err
+	if err == nil && ref.IsNil() {
+		err = fmt.Errorf("slot %d lost its counter", slot)
 	}
-	if ref.IsNil() {
-		tx.Abort()
-		return 0, fmt.Errorf("slot %d lost its counter", slot)
+	if err == nil {
+		v, err = tx.Data(ref, 0)
 	}
-	v, err := tx.Data(ref, 0)
 	if err != nil {
 		tx.Abort()
 		return 0, err
@@ -267,9 +214,8 @@ func (r *twoPCRun) round(steps int) {
 	for i := 0; i < steps; i++ {
 		slots := r.pickSpan()
 		amt := uint64(1 + r.rng.Intn(3))
-		if err := r.transfer(slots, amt); err != nil {
-			r.res.record(Violation, fmt.Sprintf("workload transfer: %v", err))
-			r.dead = true
+		if _, err := r.transfer(slots, amt); err != nil {
+			r.fail("workload transfer: %v", err)
 			return
 		}
 		r.applyExpected(slots, amt)
@@ -279,10 +225,6 @@ func (r *twoPCRun) round(steps int) {
 	subset := crashSubset(r.rng.Intn(int(numSubsets)))
 	slots := r.pickSpan()
 	amt := uint64(1 + r.rng.Intn(3))
-	touched := make([]int, len(slots))
-	for i, slot := range slots {
-		touched[i] = r.cl.PartitionOf(slot)
-	}
 
 	fired := false
 	r.cl.SetCrashHook(func(pt shard.CrashPoint, part int) bool {
@@ -294,36 +236,10 @@ func (r *twoPCRun) round(steps int) {
 	})
 	// The frozen transfer is issued exactly like a real one; the hook
 	// interrupts it mid-protocol.
-	tx := r.cl.Begin()
-	ferr := func() error {
-		refs := make([]shard.Ref, len(slots))
-		vals := make([]uint64, len(slots))
-		for i, slot := range slots {
-			ref, err := tx.Root(slot)
-			if err != nil {
-				return err
-			}
-			refs[i] = ref
-			v, err := tx.Data(ref, 0)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		if err := tx.SetData(refs[0], 0, vals[0]-amt*uint64(len(slots)-1)); err != nil {
-			return err
-		}
-		for i := 1; i < len(slots); i++ {
-			if err := tx.SetData(refs[i], 0, vals[i]+amt); err != nil {
-				return err
-			}
-		}
-		return tx.Commit()
-	}()
+	tx, ferr := r.transfer(slots, amt)
 	r.cl.SetCrashHook(nil)
 	if !errors.Is(ferr, shard.ErrInterrupted) || !fired {
-		r.res.record(Violation, fmt.Sprintf("frozen transfer at %v: fired=%v err=%v", point, fired, ferr))
-		r.dead = true
+		r.fail("frozen transfer at %v: fired=%v err=%v", point, fired, ferr)
 		return
 	}
 
@@ -336,8 +252,7 @@ func (r *twoPCRun) round(steps int) {
 	case crashAll:
 		rec, err := shard.Recover(r.cfg, r.cl.Crash())
 		if err != nil {
-			r.res.record(Violation, fmt.Sprintf("recover after %v/%v: %v", point, subset, err))
-			r.dead = true
+			r.fail("recover after %v/%v: %v", point, subset, err)
 			return
 		}
 		r.cl = rec
@@ -345,10 +260,9 @@ func (r *twoPCRun) round(steps int) {
 		r.cl.CrashCoordinator()
 		tx.Terminate()
 	case crashOnePartition:
-		crashed := touched[r.rng.Intn(len(touched))]
+		crashed := r.cl.PartitionOf(slots[r.rng.Intn(len(slots))]) // one the transfer touched
 		if err := r.cl.CrashPartition(crashed); err != nil {
-			r.res.record(Violation, fmt.Sprintf("partition recover after %v: %v", point, err))
-			r.dead = true
+			r.fail("partition recover after %v: %v", point, err)
 			return
 		}
 		tx.Terminate(crashed)
@@ -360,28 +274,33 @@ func (r *twoPCRun) round(steps int) {
 	r.audit(point, subset)
 }
 
-// audit checks the recovered cluster against the acknowledged model.
+// audit classifies the recovered cluster against the acknowledged model.
 func (r *twoPCRun) audit(point shard.CrashPoint, subset crashSubset) {
-	if doubt := r.cl.InDoubt(); len(doubt) != 0 {
-		r.res.record(Violation, fmt.Sprintf("%v/%v: orphaned prepared state: %v", point, subset, doubt))
+	if err := r.check(); err != nil {
+		r.res.record(Violation, fmt.Sprintf("%v/%v: %v", point, subset, err))
 		return
+	}
+	r.res.record(Clean, "")
+}
+
+func (r *twoPCRun) check() error {
+	if doubt := r.cl.InDoubt(); len(doubt) != 0 {
+		return fmt.Errorf("orphaned prepared state: %v", doubt)
 	}
 	var sum uint64
 	for slot := 0; slot < twoPCSlots; slot++ {
 		got, err := r.readSlot(slot)
 		if err != nil {
-			r.res.record(Violation, fmt.Sprintf("%v/%v: audit read slot %d: %v", point, subset, slot, err))
-			return
+			return fmt.Errorf("audit read slot %d: %v", slot, err)
 		}
 		if got != r.expected[slot] {
-			r.res.record(Violation, fmt.Sprintf("%v/%v: slot %d = %d, want %d (atomicity broken)", point, subset, slot, got, r.expected[slot]))
-			return
+			return fmt.Errorf("slot %d = %d, want %d (atomicity broken)", slot, got, r.expected[slot])
 		}
 		sum += got
+		r.res.Audited++
 	}
 	if sum != twoPCSlots*twoPCInitial {
-		r.res.record(Violation, fmt.Sprintf("%v/%v: money not conserved: %d", point, subset, sum))
-		return
+		return fmt.Errorf("money not conserved: %d", sum)
 	}
-	r.res.record(Clean, "")
+	return nil
 }

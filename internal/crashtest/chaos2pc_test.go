@@ -16,12 +16,17 @@ func TestChaos2PCSweepNoViolations(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	rep := Sweep(Scenario{TwoPC: true, Steps: 12, Crashes: 4}, 0, seeds)
+	rep := Sweep(Scenario{Kind: TwoPC, Steps: 12, Crashes: 4}, 0, seeds)
 	for _, f := range rep.Failures {
 		t.Errorf("%s", f)
 	}
 	if got := rep.Matrix[Clean]; got != seeds*4 {
 		t.Fatalf("clean rounds = %d, want %d (matrix %v)", got, seeds*4, rep.MatrixMap())
+	}
+	for _, res := range rep.Results {
+		if res.Audited != 4*twoPCSlots {
+			t.Fatalf("seed %d: %d balances audited over 4 rounds, want %d", res.Seed, res.Audited, 4*twoPCSlots)
+		}
 	}
 	t.Logf("verdict matrix: %v", rep.MatrixMap())
 }
@@ -34,7 +39,7 @@ func TestChaos2PCOverFiles(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	rep := Sweep(Scenario{TwoPC: true, Steps: 8, Crashes: 3, Dir: t.TempDir()}, 100, seeds)
+	rep := Sweep(Scenario{Kind: TwoPC, Steps: 8, Crashes: 3, Dir: t.TempDir()}, 100, seeds)
 	for _, f := range rep.Failures {
 		t.Errorf("%s", f)
 	}
@@ -47,7 +52,7 @@ func TestChaos2PCOverFiles(t *testing.T) {
 // the protocol explorer: a seed's crash points, subsets and verdicts
 // replay bit-identically.
 func TestChaos2PCDeterministicReplay(t *testing.T) {
-	sc := Scenario{TwoPC: true, Steps: 10, Crashes: 4}
+	sc := Scenario{Kind: TwoPC, Steps: 10, Crashes: 4}
 	for _, seed := range []int64{3, 17} {
 		a := RunSeed(sc, seed)
 		b := RunSeed(sc, seed)

@@ -71,29 +71,24 @@ type pendingPrepared struct {
 // New creates a driver over a fresh heap (one that owns its files when
 // cfg.Dir is set: each crash then closes them, see CrashAndRecover).
 func New(cfg core.Config, seed int64) *Driver {
-	d := &Driver{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
-		model:   make(map[int][]uint64),
-		slots:   8,
-		decided: make(map[word.TxID]pendingPrepared),
-	}
-	d.hp = core.Open(cfg)
-	return d
+	return newDriver(cfg, seed, core.Open(cfg))
 }
 
 // NewOn creates a driver over a fresh heap formatted onto the provided
 // devices — the chaos explorer passes fault-injection wrappers here.
 func NewOn(cfg core.Config, seed int64, disk storage.PageStore, logDev storage.LogDevice) *Driver {
-	d := &Driver{
+	return newDriver(cfg, seed, core.OpenOn(cfg, disk, logDev))
+}
+
+func newDriver(cfg core.Config, seed int64, hp *core.Heap) *Driver {
+	return &Driver{
 		cfg:     cfg,
+		hp:      hp,
 		rng:     rand.New(rand.NewSource(seed)),
 		model:   make(map[int][]uint64),
 		slots:   8,
 		decided: make(map[word.TxID]pendingPrepared),
 	}
-	d.hp = core.OpenOn(cfg, disk, logDev)
-	return d
 }
 
 // Heap returns the current heap instance.
@@ -156,35 +151,14 @@ func (d *Driver) prepareOrResolve() error {
 	}
 	slot := d.rng.Intn(d.slots)
 	n := 1 + d.rng.Intn(4)
-	base := d.rng.Uint64() % 1_000_000
+	vals := seq(d.rng.Uint64()%1_000_000, n)
 	tr := d.hp.Begin()
-	var head *core.Ref
-	for i := n - 1; i >= 0; i-- {
-		node, err := tr.Alloc(1, 1, 1)
-		if err != nil {
-			tr.Abort()
-			return benign(err)
-		}
-		if err := tr.SetData(node, 0, base+uint64(i)); err != nil {
-			tr.Abort()
-			return benign(err)
-		}
-		if err := tr.SetPtr(node, 0, head); err != nil {
-			tr.Abort()
-			return benign(err)
-		}
-		head = node
-	}
-	if err := tr.SetRoot(slot, head); err != nil {
+	if err := buildList(tr, slot, 1, vals); err != nil {
 		tr.Abort()
 		return benign(err)
 	}
 	if err := tr.Prepare(); err != nil {
 		return benign(err)
-	}
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = base + uint64(i)
 	}
 	d.pending = &pendingPrepared{id: word.TxID(tr.ID()), slot: slot, ifCommit: vals}
 	return nil
@@ -203,20 +177,17 @@ func (d *Driver) resolvePending() error {
 // applyDecision delivers a recorded decision to a heap (idempotent: the
 // model is keyed by the decision, not by how many times it is delivered).
 func (d *Driver) applyDecision(hp *core.Heap, p pendingPrepared) error {
+	resolve := hp.ResolveAbort
 	if p.commit {
-		if err := hp.ResolveCommit(p.id); err != nil {
-			return err
-		}
-		if hp == d.hp {
-			d.model[p.slot] = p.ifCommit
-			d.stats.Commits++
-		}
-		return nil
+		resolve = hp.ResolveCommit
 	}
-	if err := hp.ResolveAbort(p.id); err != nil {
+	if err := resolve(p.id); err != nil || hp != d.hp {
 		return err
 	}
-	if hp == d.hp {
+	if p.commit {
+		d.model[p.slot] = p.ifCommit
+		d.stats.Commits++
+	} else {
 		d.stats.Aborts++
 	}
 	return nil
@@ -246,58 +217,35 @@ func (d *Driver) resolveInDoubt(hp *core.Heap) error {
 	// A pending transaction that did NOT come back in-doubt lost its
 	// (unforced) prepare record in the crash and was rolled back as an
 	// ordinary loser: the decision never happened.
-	if d.pending != nil && hp == d.hp {
-		if d.hp.InDoubt() == nil {
-			d.pending = nil
-		}
+	if d.pending != nil && hp == d.hp && d.hp.InDoubt() == nil {
+		d.pending = nil
 	}
 	return nil
 }
 
-// rebuildSlot replaces one root slot's list in a transaction; half the
-// time the transaction aborts instead (and the model is untouched).
+// update is inTx on the driver's heap, counted.
+func (d *Driver) update(commit bool, fn func(tr *core.Tx) error) (bool, error) {
+	ok, err := inTx(d.hp, commit, fn)
+	if ok {
+		d.stats.Commits++
+	} else if err == nil {
+		d.stats.Aborts++
+	}
+	return ok, err
+}
+
+// rebuildSlot replaces one root slot's list in a transaction; a quarter of
+// the time the transaction aborts instead (and the model is untouched).
 func (d *Driver) rebuildSlot() error {
 	slot := d.rng.Intn(d.slots)
 	n := 1 + d.rng.Intn(6)
-	base := d.rng.Uint64() % 1_000_000
+	vals := seq(d.rng.Uint64()%1_000_000, n)
 	commit := d.rng.Intn(4) != 0
-
-	tr := d.hp.Begin()
-	var head *core.Ref
-	for i := n - 1; i >= 0; i-- {
-		node, err := tr.Alloc(1, 1, 1)
-		if err != nil {
-			tr.Abort()
-			return err
-		}
-		if err := tr.SetData(node, 0, base+uint64(i)); err != nil {
-			tr.Abort()
-			return err
-		}
-		if err := tr.SetPtr(node, 0, head); err != nil {
-			tr.Abort()
-			return err
-		}
-		head = node
+	ok, err := d.update(commit, func(tr *core.Tx) error { return buildList(tr, slot, 1, vals) })
+	if ok {
+		d.model[slot] = vals
 	}
-	if err := tr.SetRoot(slot, head); err != nil {
-		tr.Abort()
-		return err
-	}
-	if !commit {
-		d.stats.Aborts++
-		return tr.Abort()
-	}
-	if err := tr.Commit(); err != nil {
-		return err
-	}
-	d.stats.Commits++
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = base + uint64(i)
-	}
-	d.model[slot] = vals
-	return nil
+	return err
 }
 
 // mutateSlot updates one value in an existing committed list.
@@ -311,51 +259,36 @@ func (d *Driver) mutateSlot() error {
 	newVal := d.rng.Uint64() % 1_000_000
 	commit := d.rng.Intn(3) != 0
 
-	tr := d.hp.Begin()
-	node, err := tr.Root(slot)
-	if err != nil {
-		tr.Abort()
-		return err
-	}
-	for i := 0; i < idx; i++ {
-		if node, err = tr.Ptr(node, 0); err != nil {
-			tr.Abort()
+	ok, err := d.update(commit, func(tr *core.Tx) error {
+		node, err := tr.Root(slot)
+		for i := 0; i < idx && err == nil; i++ {
+			node, err = tr.Ptr(node, 0)
+		}
+		if err != nil {
 			return err
 		}
+		return tr.SetData(node, 0, newVal)
+	})
+	if ok {
+		fresh := append([]uint64(nil), vals...)
+		fresh[idx] = newVal
+		d.model[slot] = fresh
 	}
-	if err := tr.SetData(node, 0, newVal); err != nil {
-		tr.Abort()
-		return err
-	}
-	if !commit {
-		d.stats.Aborts++
-		return tr.Abort()
-	}
-	if err := tr.Commit(); err != nil {
-		return err
-	}
-	d.stats.Commits++
-	fresh := append([]uint64(nil), vals...)
-	fresh[idx] = newVal
-	d.model[slot] = fresh
-	return nil
+	return err
 }
 
 // churn allocates short-lived garbage (committed so it isn't undone —
 // garbage is the collector's job, not abort's).
 func (d *Driver) churn() error {
-	tr := d.hp.Begin()
-	for i := 0; i < 5+d.rng.Intn(20); i++ {
-		if _, err := tr.Alloc(1, 0, 1+d.rng.Intn(4)); err != nil {
-			tr.Abort()
-			return err
+	_, err := d.update(true, func(tr *core.Tx) error {
+		for i := 0; i < 5+d.rng.Intn(20); i++ {
+			if _, err := tr.Alloc(1, 0, 1+d.rng.Intn(4)); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tr.Commit(); err != nil {
-		return err
-	}
-	d.stats.Commits++
-	return nil
+		return nil
+	})
+	return err
 }
 
 // Verify checks the heap against the model: every committed list is intact
@@ -370,31 +303,36 @@ func (d *Driver) Verify() error {
 	tr := d.hp.Begin()
 	defer tr.Abort()
 	for slot := 0; slot < d.slots; slot++ {
-		want := d.model[slot]
-		node, err := tr.Root(slot)
-		if err != nil {
-			return fmt.Errorf("slot %d: root: %w", slot, err)
-		}
-		for i, w := range want {
-			if node == nil {
-				return fmt.Errorf("slot %d: list ends at %d, want %d values", slot, i, len(want))
-			}
-			v, err := tr.Data(node, 0)
-			if err != nil {
-				return fmt.Errorf("slot %d[%d]: %w", slot, i, err)
-			}
-			if v != w {
-				return fmt.Errorf("slot %d[%d] = %d, want %d", slot, i, v, w)
-			}
-			if node, err = tr.Ptr(node, 0); err != nil {
-				return fmt.Errorf("slot %d[%d].next: %w", slot, i, err)
-			}
-		}
-		if node != nil {
-			return fmt.Errorf("slot %d: list longer than the %d committed values", slot, len(want))
+		if err := checkList(tr, slot, d.model[slot]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// flushSubset writes back each resident page with probability frac, drawn
+// from rng: the part of the heap's volatile state a crash finds on disk.
+func (d *Driver) flushSubset(rng *rand.Rand, frac float64) {
+	mem := d.hp.Mem()
+	for _, pg := range mem.ResidentPages() {
+		if rng.Float64() < frac {
+			mem.FlushPage(pg)
+			d.stats.PagesKept++
+		}
+	}
+}
+
+// adopt makes a recovered (or promoted) heap the driver's and holds it to
+// the model. The coordinator first resolves every transaction restored
+// in-doubt (it holds locks the audit would trip over), repeating
+// remembered decisions exactly.
+func (d *Driver) adopt(hp *core.Heap) error {
+	d.hp = hp
+	d.stats.Recoveries++
+	if err := d.resolveInDoubt(hp); err != nil {
+		return err
+	}
+	return d.Verify()
 }
 
 // CrashAndRecover flushes a random subset of resident pages (flushFrac in
@@ -402,13 +340,7 @@ func (d *Driver) Verify() error {
 // also recovers an independent copy of the crash image and verifies it too
 // (recovery determinism).
 func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
-	mem := d.hp.Mem()
-	for _, pg := range mem.ResidentPages() {
-		if d.rng.Float64() < flushFrac {
-			mem.FlushPage(pg)
-			d.stats.PagesKept++
-		}
-	}
+	d.flushSubset(d.rng, flushFrac)
 	disk, logDev := d.hp.Crash()
 	d.stats.Crashes++
 
@@ -431,16 +363,8 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	d.hp = hp
-	d.stats.Recoveries++
-	// The coordinator resolves every transaction restored in-doubt
-	// before the audit (it holds locks the audit would trip over),
-	// repeating remembered decisions exactly.
-	if err := d.resolveInDoubt(hp); err != nil {
-		return err
-	}
-	if err := d.Verify(); err != nil {
-		return fmt.Errorf("post-recovery verify: %w", err)
+	if err := d.adopt(hp); err != nil {
+		return fmt.Errorf("post-recovery: %w", err)
 	}
 
 	if checkTwin {
@@ -514,10 +438,8 @@ func (d *Driver) MediaRecover() error {
 	if err != nil {
 		return fmt.Errorf("media recover: %w", err)
 	}
-	d.hp = hp
-	d.stats.Recoveries++
-	if err := d.Verify(); err != nil {
-		return fmt.Errorf("post-media-recovery verify: %w", err)
+	if err := d.adopt(hp); err != nil {
+		return fmt.Errorf("post-media-recovery: %w", err)
 	}
 	return nil
 }

@@ -56,14 +56,9 @@ func (d *Driver) ReplicatedCrashAndPromote(steps int, midGC bool) (repl.PromoteS
 	if err != nil {
 		return repl.PromoteStats{}, fmt.Errorf("promote: %w", err)
 	}
-	d.hp = hp
 	d.cfg.Dir = "" // the promoted heap lives on the standby's devices, not in the directory
-	d.stats.Recoveries++
-	if err := d.resolveInDoubt(hp); err != nil {
-		return pstats, err
-	}
-	if err := d.Verify(); err != nil {
-		return pstats, fmt.Errorf("post-promotion verify: %w", err)
+	if err := d.adopt(hp); err != nil {
+		return pstats, fmt.Errorf("post-promotion: %w", err)
 	}
 	return pstats, nil
 }
