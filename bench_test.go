@@ -524,3 +524,45 @@ func BenchmarkE15CheckpointTruncate(b *testing.B) {
 	dev := h.Internal().Log().Device()
 	b.ReportMetric(float64(dev.RetainedBytes()), "retained-log-bytes")
 }
+
+// --- bulk load: one transaction, many objects ---------------------------------
+
+// BenchmarkBulkLoadOneTx builds a 4 096-node chain in ONE transaction on the
+// default configuration, in memory: the minor collections it triggers run
+// with the transaction's whole undo list live, which is the case the
+// collectors' batched relocation exists for. The reported ratio is exact and
+// must stay near two (one data and one pointer entry per node, each searched
+// in the one cycle that moves its node); it grows with the node count the day
+// a collector goes back to sweeping the undo list per object copied.
+func BenchmarkBulkLoadOneTx(b *testing.B) {
+	var probes, moves int64
+	for i := 0; i < b.N; i++ {
+		h := stableheap.Open(stableheap.DefaultConfig())
+		tx := h.Begin()
+		var head *stableheap.Ref
+		for n := 0; n < 4096; n++ {
+			node, err := tx.Alloc(1, 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := tx.SetData(node, 0, uint64(n)); err != nil {
+				b.Fatal(err)
+			}
+			if err := tx.SetPtr(node, 0, head); err != nil {
+				b.Fatal(err)
+			}
+			head = node
+		}
+		if err := tx.SetRoot(0, head); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		c := h.Metrics().Counters
+		probes += c["tx_utt_probes_total"]
+		moves += c["gc_relocate_moves_total"]
+		h.Close()
+	}
+	b.ReportMetric(float64(probes)/float64(moves), "utt-probes/move")
+}

@@ -381,4 +381,8 @@ func printVGCSummary(w io.Writer, m stableheap.Metrics) {
 		fmt.Fprintf(w, "  %-26s p50 %v / p99 %v / max %v over %d\n",
 			p.label+":", h.QuantileDur(0.5), h.QuantileDur(0.99), h.MaxDur(), h.Count)
 	}
+	if moves := m.Counters["gc_relocate_moves_total"]; moves > 0 {
+		fmt.Fprintf(w, "  relocation: %d moves in %d batches, %.2f undo entries searched per move\n", moves,
+			m.Counters["gc_relocate_batches_total"], float64(m.Counters["tx_utt_probes_total"])/float64(moves))
+	}
 }

@@ -432,7 +432,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 
 	hp.sgc.SetHooks(gc.Hooks{
 		ForEachRoot: hp.forEachStableRoot,
-		OnCopy:      hp.onCopy,
+		Relocate:    hp.relocate,
 		LockShards:  hp.lockShardsForCopy,
 	})
 	mem.SetTrapHandler(hp.sgc.Trap)
@@ -450,8 +450,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 			StableSlots:       hp.stableSlots,
 			NewlyStable:       hp.newlyStable,
 			AllocStable:       hp.allocStableForMove,
-			OnCopy:            hp.onCopy,
-			OnMoveStable:      hp.onMoveStable,
+			Relocate:          hp.relocate,
 			OnStableSlotFixed: hp.onStableSlotFixed,
 		})
 		hp.track = stability.New(h, hp.txm, locks, stability.Env{
@@ -568,53 +567,38 @@ func (hp *Heap) onStableSlotWrite(slot word.Addr, ptrToVolatile bool) {
 	hp.remMu.Unlock()
 }
 
-// onCopy is every collector's copy hook: undo translations, lock rekeys,
-// remembered-slot rebasing, and history-recorder variable identity follow
-// the object. Besides the exclusive collection contexts, it runs from
-// shared mutator actions when the mostly-concurrent read barrier copies an
-// object, so the remembered sets are rebased under remMu (the transaction
-// manager and lock manager lock internally).
-func (hp *Heap) onCopy(from, to word.Addr, sizeWords int) {
-	hp.txm.OnCopy(from, to, sizeWords)
-	hp.locks.Rekey(from, to)
+// relocate is every collector's hand-off (gc.Hooks.Relocate): undo
+// translations, lock keys, LS entries, remembered slots and the history
+// recorder's variables follow one cycle's moves, each table in one pass. A
+// concurrent read barrier's transport calls it from a shared mutator action:
+// remMu guards the remembered sets, txm and locks lock internally.
+func (hp *Heap) relocate(ms word.Moves) {
+	hp.met.relocBatches.Inc()
+	hp.met.relocMoves.Add(uint64(len(ms)))
+	hp.txm.Relocate(ms)
+	for _, m := range ms {
+		hp.locks.Rekey(m.From, m.To)
+		if hp.inStableArea(m.To) && !hp.inStableArea(m.From) {
+			delete(hp.ls, m.From) // newly stable, moved with the heap stopped
+		}
+	}
 	if hp.hist != nil {
-		hp.hist.OnMove(from, to, sizeWords)
+		hp.hist.Relocate(ms)
 	}
-	hi := from.Add(sizeWords)
+	// Only a stable cycle moves srem's keys, stable-area slots; nrem's are
+	// aged slots, and a collection that empties the nursery drains it first.
 	hp.remMu.Lock()
-	// srem keys are stable-area slots, so a copy whose source lies in the
-	// volatile area can never overlap them; nrem keys are aged-volatile
-	// slots by construction (the write barrier filters nursery-internal
-	// stores, and stable slots holding nursery pointers live in srem), so
-	// only aged-volatile-sourced copies sweep that map — in particular
-	// stable evacuations, which a concurrent stable scan performs from
-	// the mutator's read barrier, skip both sweeps. Without the guards
-	// every evacuation pays an O(entries) sweep of both maps, which
-	// dominates collection pauses once the remembered sets carry a few
-	// hundred entries.
-	if len(hp.srem) > 0 && !hp.vgc.InArea(from) {
-		for slot := range hp.srem {
-			if slot >= from && slot < hi {
-				delete(hp.srem, slot)
-				hp.srem[to+(slot-from)] = true
-			}
+	defer hp.remMu.Unlock()
+	rem := hp.nrem
+	if hp.inStableArea(ms[0].From) {
+		rem = hp.srem
+	}
+	for slot := range rem {
+		if to := ms.Translate(slot); to != slot {
+			delete(rem, slot)
+			rem[to] = true
 		}
 	}
-	if len(hp.nrem) > 0 && hp.vgc.InArea(from) && !hp.inNursery(from) {
-		for slot := range hp.nrem {
-			if slot >= from && slot < hi {
-				delete(hp.nrem, slot)
-				hp.nrem[to+(slot-from)] = true
-			}
-		}
-	}
-	hp.remMu.Unlock()
-}
-
-// onMoveStable handles a newly stable object leaving the volatile area.
-func (hp *Heap) onMoveStable(from, to word.Addr, sizeWords int) {
-	delete(hp.ls, from)
-	hp.onCopy(from, to, sizeWords)
 }
 
 // onStableSlotFixed maintains SRem membership for slots the volatile
@@ -714,7 +698,7 @@ func (hp *Heap) forEachStableRoot(visit func(get func() word.Addr, set func(word
 	for _, a := range hp.locks.LockedAddrs() {
 		a := a
 		// Locked objects are copied so their lock-table keys stay
-		// valid; the rekey itself happens in the OnCopy hook.
+		// valid; the rekey itself happens in relocate.
 		visit(func() word.Addr { return a }, func(word.Addr) {})
 	}
 	if !hp.cfg.Undivided {
@@ -894,7 +878,7 @@ func (hp *Heap) collectVolatile() error {
 	// live slot during its Cheney scan, so the nursery remembered set is
 	// dead weight: drain it up front (it is discarded either way, and no
 	// mutator can repopulate it under the exclusive latch) rather than
-	// have the copy hook rebase entries throughout the collection.
+	// have relocate rebase its entries.
 	hp.takeNRem()
 	hp.vgc.Collect()
 	hp.ls = make(map[word.Addr]bool)

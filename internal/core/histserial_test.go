@@ -126,7 +126,7 @@ func runHistoryRound(t *testing.T, round int) {
 
 	// The main goroutine is the collector: both areas keep flipping until
 	// the workers finish, so histories span collector flips and object
-	// moves (the recorder's OnMove rebasing is live, not decorative).
+	// moves (the recorder's Relocate rebasing is live, not decorative).
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
@@ -199,7 +199,7 @@ func runHistoryRound(t *testing.T, round int) {
 	}
 }
 
-// TestHistRecorderFollowsConcurrentStableMoves pins the recorder's OnMove
+// TestHistRecorderFollowsConcurrentStableMoves pins the recorder's Relocate
 // rebasing for concurrent-stable-scan evacuations: a version installed at
 // an object's pre-flip address must be the version a later transaction
 // observes at the post-evacuation address, i.e. the wr-dependency edge
@@ -242,7 +242,7 @@ func TestHistRecorderFollowsConcurrentStableMoves(t *testing.T) {
 	commit(t, trA)
 
 	// Evacuate it: flip concurrently and drive the scan to completion
-	// (the counter's OnMove fires from a gate-held scan quantum).
+	// (the counter's Relocate fires from a gate-held scan quantum).
 	hp.StartStableCollection()
 	for hp.StepStableScan() {
 	}

@@ -15,17 +15,19 @@ import (
 // whole-commit latency including the park on the log force, lock waits,
 // and recovery phase times.
 type heapMetrics struct {
-	txCommit    obs.Histogram // Tx.Commit wall time (tracking + force + finish)
-	txAbort     obs.Histogram // Tx.Abort / failed-commit rollback wall time
-	txConflict  obs.Histogram // commits rejected by stability-tracking conflicts
-	lockWait    obs.Histogram // contended lock-acquire wait time
-	latchStop   obs.Histogram // wait to stop the heap (exclusive latch acquire)
-	recAnalysis obs.Histogram // recovery analysis pass wall time
-	recRedo     obs.Histogram // recovery redo pass wall time
-	recUndo     obs.Histogram // recovery undo pass wall time
-	recEvacuate obs.Histogram // post-recovery evacuation of recovered newly stable objects
-	nurseryRem  obs.Counter   // generational write-barrier hits (aged slot → nursery)
-	satbGray    obs.Counter   // SATB deletion-barrier hits during concurrent scans
+	txCommit     obs.Histogram // Tx.Commit wall time (tracking + force + finish)
+	txAbort      obs.Histogram // Tx.Abort / failed-commit rollback wall time
+	txConflict   obs.Histogram // commits rejected by stability-tracking conflicts
+	lockWait     obs.Histogram // contended lock-acquire wait time
+	latchStop    obs.Histogram // wait to stop the heap (exclusive latch acquire)
+	recAnalysis  obs.Histogram // recovery analysis pass wall time
+	recRedo      obs.Histogram // recovery redo pass wall time
+	recUndo      obs.Histogram // recovery undo pass wall time
+	recEvacuate  obs.Histogram // post-recovery evacuation of recovered newly stable objects
+	nurseryRem   obs.Counter   // generational write-barrier hits (aged slot → nursery)
+	satbGray     obs.Counter   // SATB deletion-barrier hits during concurrent scans
+	relocBatches obs.Counter   // batches the collectors handed to relocate
+	relocMoves   obs.Counter   // moves in them
 }
 
 // Metrics returns the unified observability snapshot: every subsystem's
@@ -49,6 +51,7 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetCounter("tx_updates_total", ts.Updates)
 	s.SetCounter("tx_volatile_writes_total", ts.VolWrites)
 	s.SetCounter("tx_clrs_total", ts.CLRs)
+	s.SetCounter("tx_utt_probes_total", ts.UTTProbes)
 
 	gs := hp.sgc.Stats()
 	s.SetCounter("gc_collections_total", int64(gs.Collections))
@@ -58,6 +61,8 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetCounter("gc_scanned_slots_total", gs.ScannedSlots)
 	s.SetCounter("gc_filler_words_total", gs.FillerWords)
 	s.SetCounter("gc_end_flushes_total", gs.GCEndFlushes)
+	s.SetCounter("gc_relocate_batches_total", int64(hp.met.relocBatches.Load()))
+	s.SetCounter("gc_relocate_moves_total", int64(hp.met.relocMoves.Load()))
 	s.SetHist("gc_flip_ns", gs.Flip)
 	s.SetHist("gc_step_ns", gs.Step)
 	s.SetHist("gc_trap_ns", gs.Trap)

@@ -17,7 +17,9 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"stableheap/internal/heap"
@@ -110,10 +112,10 @@ type Hooks struct {
 	// point into the stable area. visit reads a slot with get and, if
 	// the collector moved the target, rewrites it with set.
 	ForEachRoot func(visit func(get func() word.Addr, set func(word.Addr)))
-	// OnCopy is called after every copy step with the object's old and
-	// new addresses; the core rekeys locks, updates per-transaction undo
-	// translations, and rebases remembered-set entries.
-	OnCopy func(from, to word.Addr, sizeWords int)
+	// Relocate receives the copy steps queued since the last call (handOff);
+	// the core rekeys locks, updates per-transaction undo translations, and
+	// rebases remembered-set entries. The batch is only valid for the call.
+	Relocate func(ms word.Moves)
 	// LockShards pins the writer shards covering the to-space pages of
 	// [to, to+sizeWords) for a transport's logged copy (concurrent mode
 	// only). A mutator update holds its page's shard across the
@@ -121,6 +123,19 @@ type Hooks struct {
 	// a page could flush carrying the update's newer pageLSN but not the
 	// copy's bytes, and conditional redo would skip the copy record.
 	LockShards func(to word.Addr, sizeWords int) (unlock func())
+}
+
+// handOff delivers the moves a collector queued since its last hand-off to
+// the core's Relocate hook, sorted by source, and empties the queue. Every
+// scan, flip and transport ends with it — inside what its entry point times,
+// deferred where a device fault can cut a scan short — so control returns to
+// mutators with every table current and a batch never spans two cycles.
+func handOff(q *word.Moves, relocate func(word.Moves)) {
+	if len(*q) > 0 && relocate != nil {
+		slices.SortFunc(*q, func(a, b word.Move) int { return cmp.Compare(a.From, b.From) })
+		relocate(*q)
+	}
+	*q = (*q)[:0]
 }
 
 // Stats counts collector work. The pause histograms (flip, scan step,
@@ -164,6 +179,7 @@ type Collector struct {
 	// markThrough).
 	marked int
 	lot    *heap.LastObjTable
+	relocs word.Moves // copy steps not yet handed to hooks.Relocate
 
 	// Concurrent-mode state (concurrent.go): the scan runs in quanta on a
 	// collector goroutine instead of under the stop latch.
@@ -363,6 +379,7 @@ func (c *Collector) StartCollection(rootObj word.Addr) word.Addr {
 		// The whole collection is this one pause.
 		c.Finish()
 	}
+	handOff(&c.relocs, c.hooks.Relocate)
 	d := time.Since(start)
 	c.flipH.Observe(uint64(d))
 	var mode uint64
@@ -402,9 +419,7 @@ func (c *Collector) forward(from word.Addr) word.Addr {
 	c.lot.Record(to)
 	c.stats.CopiedObjs++
 	c.stats.CopiedWords += int64(size)
-	if c.hooks.OnCopy != nil {
-		c.hooks.OnCopy(from, to, size)
-	}
+	c.relocs = append(c.relocs, word.Move{From: from, To: to, Words: size})
 	return to
 }
 
@@ -601,6 +616,7 @@ func (c *Collector) plantFiller(end word.Addr) {
 // unprotected — once the sweep passes its end, at which point the copy
 // pointer is beyond it, so it can never receive another unscanned object.
 func (c *Collector) sequentialScan(quantum int) {
+	defer handOff(&c.relocs, c.hooks.Relocate)
 	budget := quantum
 	ps := c.pageSize()
 	var fixes []wal.PtrFix
@@ -687,6 +703,7 @@ func (c *Collector) Load(p word.Addr) word.Addr {
 	case c.concActive:
 		return c.transport(p)
 	case c.cfg.Mode == Baker && c.from.Contains(p):
+		defer handOff(&c.relocs, c.hooks.Relocate)
 		return c.forward(p)
 	}
 	return p

@@ -102,6 +102,7 @@ func (v *VolatileCollector) StartConcurrent() int {
 	v.concBaseCopied = v.stats.CopiedWords
 	v.major = c
 	v.concActive = true
+	handOff(&v.relocs, v.hooks.Relocate)
 	d := time.Since(start)
 	v.flipPauseH.Observe(uint64(d))
 	v.pauseH.Observe(uint64(d))
@@ -136,6 +137,7 @@ func (v *VolatileCollector) Load(p word.Addr) word.Addr {
 		return p
 	}
 	v.stats.ConcTransports++
+	defer handOff(&v.relocs, v.hooks.Relocate)
 	return v.evacuate(v.major, p)
 }
 
@@ -147,6 +149,7 @@ func (v *VolatileCollector) EvacuateGray(p word.Addr) {
 		return
 	}
 	v.evacuate(v.major, p)
+	handOff(&v.relocs, v.hooks.Relocate)
 }
 
 // FinishConcurrent drains the remaining scan work inline and retires the

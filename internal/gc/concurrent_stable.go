@@ -50,6 +50,7 @@ func (c *Collector) transport(p word.Addr) word.Addr {
 		defer unlock()
 	}
 	c.stats.ConcTransports++
+	defer handOff(&c.relocs, c.hooks.Relocate)
 	return c.forward(p)
 }
 
@@ -61,6 +62,7 @@ func (c *Collector) EvacuateGray(p word.Addr) {
 		return
 	}
 	c.forward(p)
+	handOff(&c.relocs, c.hooks.Relocate)
 }
 
 // ConcFromContains reports whether a falls in the from-space of the

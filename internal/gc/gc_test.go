@@ -2,6 +2,7 @@ package gc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stableheap/internal/heap"
@@ -387,14 +388,19 @@ func TestOnCopyHookFires(t *testing.T) {
 	b := e.alloc(t, 2, 0, 1)
 	e.h.SetPtr(a, 0, b, word.NilLSN)
 	e.roots = []word.Addr{a}
-	var moves []word.Addr
+	var batches []word.Moves
 	e.c.SetHooks(Hooks{
 		ForEachRoot: e.forEachRoot,
-		OnCopy:      func(from, to word.Addr, size int) { moves = append(moves, from, to) },
+		Relocate:    func(ms word.Moves) { batches = append(batches, slices.Clone(ms)) },
 	})
 	e.c.StartCollection(word.NilAddr)
-	if len(moves) != 4 {
-		t.Fatalf("OnCopy fired %d times, want 2 (got %v)", len(moves)/2, moves)
+	// One stop-the-world collection is one entry, so one batch: both copies,
+	// sorted by source, the root's landing where the root slot now points.
+	if len(batches) != 1 || len(batches[0]) != 2 || batches[0][0].From != a || batches[0][1].From != b {
+		t.Fatalf("Relocate batches = %v, want one batch of the two copies sorted by source", batches)
+	}
+	if m := batches[0][0]; m.To != e.roots[0] || m.Words != 3 {
+		t.Fatalf("move %+v disagrees with the translated root %v", m, e.roots[0])
 	}
 }
 
@@ -560,7 +566,7 @@ func TestVolatileMovesNewlyStableToStableArea(t *testing.T) {
 	h.SetPtr(sAddr, 0, o, 1)
 
 	roots := []word.Addr{q}
-	var moved [][2]word.Addr
+	var relocated word.Moves
 	var slotFixes []word.Addr
 	v.SetHooks(VolatileHooks{
 		ForEachRoot: func(visit func(get func() word.Addr, set func(word.Addr))) {
@@ -577,7 +583,7 @@ func TestVolatileMovesNewlyStableToStableArea(t *testing.T) {
 			}
 			return a
 		},
-		OnMoveStable:      func(from, to word.Addr, sz int) { moved = append(moved, [2]word.Addr{from, to}) },
+		Relocate:          func(ms word.Moves) { relocated = append(relocated, ms...) },
 		OnStableSlotFixed: func(slot, newPtr word.Addr, still bool) { slotFixes = append(slotFixes, slot) },
 	})
 	n := v.Collect()
@@ -618,8 +624,15 @@ func TestVolatileMovesNewlyStableToStableArea(t *testing.T) {
 	if kinds[wal.TVFlip] != 1 {
 		t.Fatal("expected one vflip record")
 	}
-	if len(moved) != 2 || len(slotFixes) == 0 {
-		t.Fatalf("hooks: moved=%d slotFixes=%d", len(moved), len(slotFixes))
+	// The batch carries the two stable moves and q's plain copy alike.
+	moved := 0
+	for _, m := range relocated {
+		if stableSpace.Contains(m.To) {
+			moved++
+		}
+	}
+	if moved != 2 || len(relocated) != 3 || len(slotFixes) == 0 {
+		t.Fatalf("hooks: %d moves (%d into the stable area), slotFixes=%d", len(relocated), moved, len(slotFixes))
 	}
 }
 

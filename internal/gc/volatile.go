@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stableheap/internal/heap"
@@ -29,12 +30,9 @@ type VolatileHooks struct {
 	// AllocStable reserves stable-area space for a newly stable object
 	// being evacuated (Ch. 5's "move at the next volatile collection").
 	AllocStable func(sizeWords int) word.Addr
-	// OnCopy is called for an ordinary volatile-area copy.
-	OnCopy func(from, to word.Addr, sizeWords int)
-	// OnMoveStable is called after a newly stable object moved into the
-	// stable area (its V2SCopy record is already in the log); the core
-	// clears its LS entry and rebases lock and translation state.
-	OnMoveStable func(from, to word.Addr, sizeWords int)
+	// Relocate is Hooks.Relocate for this collector's copies and stable
+	// moves; the core also clears a moved object's LS entry.
+	Relocate func(ms word.Moves)
 	// OnStableSlotFixed reports that a stable-area slot was rewritten;
 	// stillVolatile says whether the new target remains in the volatile
 	// area (the slot stays in the remembered set) or not (it leaves).
@@ -98,6 +96,9 @@ type VolatileCollector struct {
 	concState
 	major *cycle
 
+	relocs      word.Moves  // moves not yet handed to hooks.Relocate
+	img         []byte      // evacuate's object image, reused
+	slots       []word.Addr // scanMoved's slot list, reused
 	stats       VolatileStats
 	pauseH      obs.Histogram
 	minorPauseH obs.Histogram
@@ -290,6 +291,7 @@ func (v *VolatileCollector) begin(c *cycle, volSlots []word.Addr, drainLS bool) 
 // forwards every load), so slot granularity preserves the Cheney
 // invariant.
 func (v *VolatileCollector) scan(c *cycle, budget int) bool {
+	defer handOff(&v.relocs, v.hooks.Relocate)
 	for budget > 0 && len(c.gray) > 0 {
 		obj := c.gray[0]
 		for np := v.h.Descriptor(obj).NPtrs(); c.graySlot < np; {
@@ -323,13 +325,15 @@ func (v *VolatileCollector) fixMoved(c *cycle) {
 	}
 }
 
-// finish runs the cycle to completion: each pass may feed the other.
+// finish runs the cycle to completion — each pass may feed the other — and
+// hands the last moves over.
 func (v *VolatileCollector) finish(c *cycle) {
 	for len(c.gray) > 0 || len(c.moved) > 0 {
 		for v.scan(c, 1<<30) {
 		}
 		v.fixMoved(c)
 	}
+	handOff(&v.relocs, v.hooks.Relocate)
 }
 
 // retire frees the from-set. Its contents are dead and redo never reads
@@ -419,8 +423,9 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	if !ok {
 		panic(fmt.Sprintf("gc: volatile to-space exhausted copying %d words", size))
 	}
-	img := v.mem.ReadBytes(from, word.WordsToBytes(size))
-	v.mem.WriteBytes(to, img, word.NilLSN)
+	v.img = slices.Grow(v.img[:0], word.WordsToBytes(size))[:word.WordsToBytes(size)]
+	v.mem.ReadInto(from, v.img)
+	v.mem.WriteBytes(to, v.img, word.NilLSN)
 	v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), word.NilLSN)
 	if c.minor {
 		v.stats.PromotedObjs++
@@ -430,15 +435,14 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 		v.stats.CopiedWords += int64(size)
 	}
 	c.gray = append(c.gray, to)
-	if v.hooks.OnCopy != nil {
-		v.hooks.OnCopy(from, to, size)
-	}
+	v.relocs = append(v.relocs, word.Move{From: from, To: to, Words: size})
 	return to
 }
 
 // moveStable evacuates a newly stable object into the stable area: the
 // V2SCopy record carries the full image (the volatile source page owes
-// recovery nothing once the move is logged).
+// recovery nothing once the move is logged). The image is not the scratch
+// buffer: the log may retain it until Append returns.
 func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descriptor, size int) word.Addr {
 	to := v.hooks.AllocStable(size)
 	img := v.mem.ReadBytes(from, word.WordsToBytes(size))
@@ -452,9 +456,7 @@ func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descript
 	v.stats.MovedObjs++
 	v.stats.MovedWords += int64(size)
 	c.moved = append(c.moved, to)
-	if v.hooks.OnMoveStable != nil {
-		v.hooks.OnMoveStable(from, to, size)
-	}
+	v.relocs = append(v.relocs, word.Move{From: from, To: to, Words: size})
 	return to
 }
 
@@ -465,11 +467,11 @@ func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descript
 // must enter the remembered set, which a same-value SFix accomplishes.
 func (v *VolatileCollector) scanMoved(c *cycle, obj word.Addr) {
 	d := v.h.Descriptor(obj)
-	var slots []word.Addr
+	v.slots = v.slots[:0]
 	for i := 0; i < d.NPtrs(); i++ {
-		slots = append(slots, obj+word.Addr(heap.PtrOffset(i)))
+		v.slots = append(v.slots, obj+word.Addr(heap.PtrOffset(i)))
 	}
-	v.fixStableSlots(c, slots, true)
+	v.fixStableSlots(c, v.slots, true)
 }
 
 // fixStableSlots rewrites stable-area slots whose targets the collection

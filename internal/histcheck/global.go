@@ -7,7 +7,7 @@ import (
 )
 
 // This file extends the checker across a partitioned heap (internal/shard):
-// each partition runs its own Recorder (so OnMove rebasing and variable
+// each partition runs its own Recorder (so Relocate rebasing and variable
 // identity stay partition-scoped — address reuse in one partition can never
 // alias a variable of another), and the global checker merges the
 // per-partition histories into one trace over a partition-qualified

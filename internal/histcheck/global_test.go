@@ -94,7 +94,7 @@ func TestMergeGlobalKeepsAddressesPartitionScoped(t *testing.T) {
 	p0.Write(1, addr)
 	p0.Commit(1)
 	// Partition 0's collector moves the object; rebasing is local to p0.
-	p0.OnMove(addr, addr+0x80, 1)
+	p0.Relocate(word.Moves{{From: addr, To: addr + 0x80, Words: 1}})
 
 	p1 := NewRecorder()
 	p1.Begin(1)

@@ -13,7 +13,7 @@
 // one variable the recorder's mutex-ordered appends agree with the actual
 // memory order of conflicting accesses. Variables are identified by a
 // stable id allocated on first touch and rebased when the collector moves
-// an object (OnMove), so a history spans GC flips transparently.
+// an object (Relocate), so a history spans GC flips transparently.
 package histcheck
 
 import (
@@ -220,29 +220,18 @@ func (r *Recorder) Abort(tx word.TxID) {
 	r.ops = append(r.ops, Op{Tx: tx, Kind: OpAbort})
 }
 
-// OnMove rebases the variable identities of an object that moved from
-// [from, from+sizeWords words) to to — wire it to the collectors' copy
-// hook. Moves happen while the collector excludes all mutators, so no
-// concurrent Read/Write on the affected range is possible.
-func (r *Recorder) OnMove(from, to word.Addr, sizeWords int) {
+// Relocate rebases the variable identities of the objects one collection
+// cycle moved — wire it to the collectors' relocation hook. No Read/Write on
+// a moving object can be concurrent with its move. A cycle's targets are
+// never its sources, so an entry inserted mid-iteration translates to itself.
+func (r *Recorder) Relocate(ms word.Moves) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hi := from.Add(sizeWords)
-	type moved struct {
-		addr word.Addr
-		v    uint32
-	}
-	var ms []moved
 	for a, v := range r.varOf {
-		if a >= from && a < hi {
-			ms = append(ms, moved{a, v})
+		if to := ms.Translate(a); to != a {
+			delete(r.varOf, a)
+			r.varOf[to] = v
 		}
-	}
-	for _, m := range ms {
-		delete(r.varOf, m.addr)
-	}
-	for _, m := range ms {
-		r.varOf[to+(m.addr-from)] = m.v
 	}
 }
 

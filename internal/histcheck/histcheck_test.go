@@ -173,14 +173,14 @@ func TestAbortPopsVersions(t *testing.T) {
 	}
 }
 
-// OnMove rebases variable identity: ops recorded before and after a
+// Relocate rebases variable identity: ops recorded before and after a
 // collector move of the underlying object refer to the same variable.
 func TestOnMoveKeepsVarIdentity(t *testing.T) {
 	r := NewRecorder()
 	r.Begin(1)
 	r.Write(1, x)
 	r.Commit(1)
-	r.OnMove(x, y+0x1000, 1) // object moved
+	r.Relocate(word.Moves{{From: x, To: y + 0x1000, Words: 1}}) // object moved
 	r.Begin(2)
 	r.Read(2, y+0x1000)
 	r.Commit(2)

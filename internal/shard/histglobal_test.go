@@ -24,7 +24,7 @@ import (
 // never show them a sum other than the invariant total.
 //
 // Rounds rotate the partition count {2,3,4} and the per-partition
-// configuration (nursery, concurrent volatile collector), so the OnMove
+// configuration (nursery, concurrent volatile collector), so the Relocate
 // rebase stays partition-scoped under real object motion.
 func TestHistGlobalSerial(t *testing.T) {
 	rounds := 100

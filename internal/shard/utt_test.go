@@ -9,7 +9,7 @@ import (
 
 // TestAddressReuseAcrossPartitionsNoAliasing is the partition-scoping
 // regression for undo translation (wal.AddrPair / the UTT) and histcheck's
-// OnMove rebase. Every partition's address space starts at the same base,
+// Relocate rebase. Every partition's address space starts at the same base,
 // so two partitions allocating in lockstep hand out the SAME addresses for
 // unrelated objects. The test freezes a 2PC transaction with its undo
 // in flight (prepared, not decided) on partition 1, then drives partition
@@ -73,7 +73,7 @@ func TestAddressReuseAcrossPartitionsNoAliasing(t *testing.T) {
 	cl.SetCrashHook(nil)
 
 	// Partition 0's collector relocates its objects; any shared UTT or
-	// shared OnMove rebase would now redirect partition 1's undo address.
+	// shared Relocate rebase would now redirect partition 1's undo address.
 	cl.Partition(0).CollectStable()
 
 	// Crash and recover: no durable decision, so presumed abort must
@@ -93,7 +93,7 @@ func TestAddressReuseAcrossPartitionsNoAliasing(t *testing.T) {
 		t.Fatalf("partition 1 counter = %d, want 222 (undo aliased across partitions?)", got)
 	}
 
-	// The recorded histories — including partition 0's OnMove rebases —
+	// The recorded histories — including partition 0's Relocate rebases —
 	// must merge without false cross-partition conflicts.
 	if err := histcheck.CheckGlobal(cl.GlobalHistories()); err != nil {
 		t.Fatalf("global history check: %v", err)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -381,9 +382,14 @@ func (l *Log) takeTailLocked(lsn word.LSN) word.LSN {
 // and publishes through as the stable LSN. forceMu is held, mu is not.
 func (l *Log) persist(through word.LSN) {
 	batch := l.flight
-	var metas []recMeta
+	// Sized once per batch: a bulk load's first force is megabytes.
+	need := len(batch) * recHdrSize
+	for _, t := range batch {
+		need += len(t.data)
+	}
+	metas := make([]recMeta, 0, len(batch))
 	var seg *segment
-	buf := l.wbuf[:0]
+	buf := slices.Grow(l.wbuf[:0], need)
 	var lost int64 // payload bytes a torn cut discards
 	for _, t := range batch {
 		data := t.data
@@ -400,13 +406,12 @@ func (l *Log) persist(through word.LSN) {
 			seg = l.activeSegment(t.lsn)
 		}
 		metas = append(metas, recMeta{lsn: t.lsn, n: int32(len(data)), seg: seg, off: seg.size + int64(len(buf))})
-		var hdr [recHdrSize]byte
+		hdr := buf[len(buf) : len(buf)+recHdrSize] // encoded in place: need covers it
 		binary.LittleEndian.PutUint32(hdr[0:], recMagic)
 		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(t.data)))
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(t.lsn))
 		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], crcTable))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, data...)
+		buf = append(buf[:len(buf)+recHdrSize], data...)
 	}
 	if len(buf) > 0 {
 		if _, err := seg.f.WriteAt(buf, seg.size); err != nil {

@@ -75,14 +75,14 @@ type Tx struct {
 	lastLSN  word.LSN
 	handles  []*Handle
 	// volUndo records unlogged volatile writes, undone in reverse order
-	// on abort. Entries are rebased by OnCopy when objects move.
+	// on abort. Entries are rebased by Relocate when objects move.
 	volUndo []volWrite
 	// undoSlots lists the slot addresses of this transaction's update
 	// records; undoVals lists the pointer values its undo images hold
 	// (the paper's "roots in recovery information", §3.5.2: objects
 	// reachable only from undo information must be retained and
 	// translated by the collector). Each entry tracks its own current
-	// address, rebased by OnCopy on every collector move, and is keyed
+	// address, rebased by Relocate after every collector cycle, and is keyed
 	// by the LSN of the record that logged it: a translation map keyed
 	// by address alone aliases when the allocator reuses a from-space
 	// address for a different object after a collection, and an abort
@@ -131,7 +131,7 @@ type Env struct {
 // Concurrency: the table map and the id generator are guarded by an
 // internal mutex and the outcome counters are atomics, so Begin, Update,
 // PrepareCommit, FinishCommit and Abort may run from concurrent transactions (each Tx is owned
-// by a single goroutine). OnCopy additionally locks the table and the undo
+// by a single goroutine). Relocate additionally locks the table and the undo
 // lists (undoMu), because the mostly-concurrent collector's read barrier
 // copies objects from mutator contexts. The remaining whole-table walks
 // (ForEachHandle, ForEachUndoRoot, TableEntries, AbortAll, Crash) mutate
@@ -146,9 +146,9 @@ type Manager struct {
 	env   Env
 	mu    sync.Mutex // guards nextTx and the active map
 	// undoMu guards every transaction's undo lists (undoSlots, undoVals,
-	// volUndo) against OnCopy: during a mostly-concurrent volatile
+	// volUndo) against Relocate: during a mostly-concurrent volatile
 	// collection the read barrier evacuates objects from a mutator
-	// context, so OnCopy can run concurrently with other transactions
+	// context, so Relocate can run concurrently with other transactions
 	// appending undo entries. Order: m.mu before undoMu.
 	undoMu sync.Mutex
 	nextTx word.TxID
@@ -169,6 +169,7 @@ type Stats struct {
 	Updates   int64 // logged updates
 	VolWrites int64 // unlogged volatile writes
 	CLRs      int64
+	UTTProbes int64 // undo entries Relocate searched a batch for
 }
 
 // NewManager creates a transaction manager.
@@ -194,6 +195,7 @@ func (m *Manager) Stats() Stats {
 		Updates:   atomic.LoadInt64(&m.stats.Updates),
 		VolWrites: atomic.LoadInt64(&m.stats.VolWrites),
 		CLRs:      atomic.LoadInt64(&m.stats.CLRs),
+		UTTProbes: atomic.LoadInt64(&m.stats.UTTProbes),
 	}
 }
 
@@ -529,42 +531,42 @@ func (m *Manager) undoLogged(t *Tx) {
 	atomic.AddInt64(&m.stats.CLRs, int64(clrs))
 }
 
-// OnCopy rebases every active transaction's undo slot addresses, undo
-// pointer values, and volatile undo entries for an object that moved from
-// [from, from+size) to to. The stable-heap core wires this as the
-// collectors' copy hook; together the per-transaction entries are the
-// paper's UTT. Each entry carries its own current address, so two records
-// that logged the same (reused) address rebase independently — the copy
-// of one object never drags the other entry's translation along.
-func (m *Manager) OnCopy(from, to word.Addr, sizeWords int) {
-	hi := from.Add(sizeWords)
+// Relocate rebases every active transaction's undo slot addresses, undo
+// pointer values and volatile undo entries — together the paper's UTT, §4.4 —
+// through one collection cycle's moves (DESIGN.md §4.3, "UTT maintenance").
+// Each entry carries its own current address, so two records that logged the
+// same (reused) address rebase independently.
+func (m *Manager) Relocate(ms word.Moves) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.undoMu.Lock()
 	defer m.undoMu.Unlock()
+	// Entries outside the cycle's source span are dismissed, not searched.
+	lo, hi := ms[0].From, ms[len(ms)-1].From.Add(ms[len(ms)-1].Words)
+	var probes int64
+	translate := func(a word.Addr) word.Addr {
+		if a < lo || a >= hi {
+			return a
+		}
+		probes++
+		return ms.Translate(a)
+	}
 	for _, t := range m.active {
 		for i := range t.undoSlots {
-			if e := &t.undoSlots[i]; e.cur >= from && e.cur < hi {
-				e.cur = to + (e.cur - from)
-			}
+			t.undoSlots[i].cur = translate(t.undoSlots[i].cur)
 		}
 		for i := range t.undoVals {
-			if e := &t.undoVals[i]; e.cur >= from && e.cur < hi {
-				e.cur = to + (e.cur - from)
-			}
+			t.undoVals[i].cur = translate(t.undoVals[i].cur)
 		}
 		for i := range t.volUndo {
 			w := &t.volUndo[i]
-			if w.addr >= from && w.addr < hi {
-				w.addr = to + (w.addr - from)
-			}
+			w.addr = translate(w.addr)
 			if w.isPtr {
-				if v := word.Addr(word.GetWord(w.old, 0)); v >= from && v < hi {
-					word.PutWord(w.old, 0, uint64(to+(v-from)))
-				}
+				word.PutWord(w.old, 0, uint64(translate(word.Addr(word.GetWord(w.old, 0)))))
 			}
 		}
 	}
+	atomic.AddInt64(&m.stats.UTTProbes, probes)
 }
 
 // ForEachHandle visits every registered handle of every active transaction

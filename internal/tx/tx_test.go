@@ -38,6 +38,12 @@ func (f *fixture) commit(t *Tx) {
 	f.m.FinishCommit(t)
 }
 
+// move hands the manager a one-object relocation batch (a read-barrier
+// transport, or a whole cycle that moved one object).
+func (f *fixture) move(from, to word.Addr, words int) {
+	f.m.Relocate(word.Moves{{From: from, To: to, Words: words}})
+}
+
 func w64(v uint64) []byte {
 	b := make([]byte, 8)
 	word.PutWord(b, 0, v)
@@ -226,8 +232,8 @@ func TestOnCopyTranslatesUndoAddresses(t *testing.T) {
 	f.m.Update(tr, 0x108, 0x108, w64(9), false) // slot at offset 8 of object at 0x100
 	// The collector moves the object [0x100, 0x120) to 0x900, then chains
 	// a second move within the same or a later collection.
-	f.m.OnCopy(0x100, 0x900, 4)
-	f.m.OnCopy(0x900, 0x500, 4)
+	f.move(0x100, 0x900, 4)
+	f.move(0x900, 0x500, 4)
 	// Abort writes the undo at the current location.
 	f.mem.WriteWord(0x508, 9, word.NilLSN)
 	f.m.Abort(tr)
@@ -249,7 +255,7 @@ func TestUndoAddressReuseDoesNotAlias(t *testing.T) {
 	tr := f.m.Begin()
 	f.m.Update(tr, 0x100, 0x108, w64(11), false) // object X, slot 0x108
 	// X moves to [0x900, 0x920); the old range is reused by object Y.
-	f.m.OnCopy(0x100, 0x900, 4)
+	f.move(0x100, 0x900, 4)
 	f.mem.WriteWord(0x908, 11, word.NilLSN)      // the collector carried X's bytes
 	f.mem.WriteWord(0x108, 2, word.NilLSN)       // Y's slot, pre-update value
 	f.m.Update(tr, 0x100, 0x108, w64(22), false) // same logged address, different object
@@ -268,7 +274,7 @@ func TestOnCopyRebasesVolatileUndo(t *testing.T) {
 	tr := f.m.Begin()
 	f.m.VolatileWrite(tr, 0x200, w64(50), false)
 	// Volatile collector moves the object [0x1f8, 0x218) to 0x600.
-	f.m.OnCopy(0x1f8, 0x600, 4)
+	f.move(0x1f8, 0x600, 4)
 	f.m.Abort(tr)
 	if got := f.mem.ReadWord(0x608); got != 5 {
 		t.Fatalf("volatile undo after move: got %d at 0x608, want 5", got)
@@ -359,7 +365,7 @@ func TestTableEntriesCarryUTT(t *testing.T) {
 	f := newFixture()
 	tr := f.m.Begin()
 	f.m.Update(tr, 0x100, 0x100, w64(1), false)
-	f.m.OnCopy(0x100, 0x800, 2)
+	f.move(0x100, 0x800, 2)
 	entries := f.m.TableEntries()
 	if len(entries) != 1 || entries[0].TxID != tr.ID() {
 		t.Fatalf("entries = %+v", entries)
@@ -460,7 +466,7 @@ func TestUpdateLogicalTranslatedAfterMove(t *testing.T) {
 	f.m.UpdateLogical(tr, 0x108, 0x108, 11)
 	// The collector moves the containing object [0x100, 0x120) → 0x900.
 	f.mem.WriteWord(0x908, 111, word.NilLSN)
-	f.m.OnCopy(0x100, 0x900, 4)
+	f.move(0x100, 0x900, 4)
 	f.m.Abort(tr)
 	if got := f.mem.ReadWord(0x908); got != 100 {
 		t.Fatalf("translated logical undo: %d, want 100", got)

@@ -430,8 +430,15 @@ func (s *Store) EnsureAccessible(addr word.Addr, n int) {
 // barrier; callers acting for the mutator run EnsureAccessible first.
 func (s *Store) ReadBytes(addr word.Addr, n int) []byte {
 	out := make([]byte, n)
-	if n <= 0 {
-		return out
+	s.ReadInto(addr, out)
+	return out
+}
+
+// ReadInto is ReadBytes into a buffer the caller owns (len(out) bytes).
+func (s *Store) ReadInto(addr word.Addr, out []byte) {
+	n := len(out)
+	if n == 0 {
+		return
 	}
 	id := addr.Page(s.cfg.PageSize)
 	if (addr + word.Addr(n) - 1).Page(s.cfg.PageSize) == id {
@@ -444,7 +451,7 @@ func (s *Store) ReadBytes(addr word.Addr, n int) []byte {
 			p.ref.Store(true)
 			s.hits.Add(1)
 			s.mu.RUnlock()
-			return out
+			return
 		}
 		s.mu.RUnlock()
 	}
@@ -458,7 +465,6 @@ func (s *Store) ReadBytes(addr word.Addr, n int) []byte {
 		c := copy(out[off:], p.data[pOff:])
 		off += c
 	}
-	return out
 }
 
 // WriteBytes stores data at addr. lsn is the log record covering the

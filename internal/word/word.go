@@ -11,6 +11,7 @@ package word
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 )
 
 // WordSize is the size of a machine word in bytes. All heap addresses are
@@ -77,3 +78,23 @@ func WordsToBytes(n int) int { return n * WordSize }
 
 // BytesToWords converts a byte count (which must be word aligned) to words.
 func BytesToWords(n int) int { return n / WordSize }
+
+// Move is one object relocation: the Words words that were at From live at To.
+type Move struct {
+	From, To Addr
+	Words    int
+}
+
+// Moves is the relocations of ONE collection cycle, sorted by From. A
+// cycle's targets lie outside its from-space, so no address is translated
+// twice; across two cycles that fails, because semispace addresses are reused.
+type Moves []Move
+
+// Translate returns where the word at a lives now: a, if no move covers it.
+func (ms Moves) Translate(a Addr) Addr {
+	i := sort.Search(len(ms), func(i int) bool { return ms[i].From > a })
+	if i > 0 && a < ms[i-1].From.Add(ms[i-1].Words) {
+		return ms[i-1].To + (a - ms[i-1].From)
+	}
+	return a
+}

@@ -90,3 +90,23 @@ func TestAddrString(t *testing.T) {
 		t.Fatalf("got %q", Addr(0x10).String())
 	}
 }
+
+func TestMovesTranslate(t *testing.T) {
+	ms := Moves{{From: 0x100, To: 0x900, Words: 2}, {From: 0x200, To: 0x910, Words: 1}}
+	for a, want := range map[Addr]Addr{
+		0xf8:  0xf8,  // below every source
+		0x100: 0x900, // first word of a source
+		0x108: 0x908, // last word of it
+		0x110: 0x110, // the gap between two sources
+		0x200: 0x910, // a one-word source
+		0x208: 0x208, // just past the last source
+		0x900: 0x900, // a target is not a source
+	} {
+		if got := ms.Translate(a); got != want {
+			t.Errorf("Translate(%v) = %v, want %v", a, got, want)
+		}
+	}
+	if got := (Moves{}).Translate(0x100); got != 0x100 {
+		t.Errorf("empty batch moved %v", got)
+	}
+}
