@@ -46,7 +46,9 @@
 // A flag the chosen scenario would ignore is a usage error: -mutators
 // without -scenario concurrent; -midgc, -repl or -flush with -scenario 2pc.
 //
-// Exit status: 0 = no violations, 1 = violations found, 2 = bad usage.
+// Exit status: 0 = no violations, 1 = violations found — or a -scenario
+// concurrent sweep (not a -seed replay) that never got to audit a counter,
+// every seed having ended at its first recovery — 2 = bad usage.
 package main
 
 import (
@@ -55,6 +57,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"stableheap/internal/crashtest"
 	"stableheap/internal/faultfs"
@@ -224,5 +227,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "shchaos: %d seed(s) violated the detectability contract\n", rep.Violations())
 		return 1
 	}
+	if kind == crashtest.Concurrent && *oneSeed < 0 && auditedNothing(rep.Results) {
+		fmt.Fprintf(stderr, "shchaos: no seed of the concurrent sweep reached a recovery that audits its counters; pick another -from\n")
+		return 1
+	}
 	return 0
+}
+
+// auditedNothing reports a sweep none of whose seeds compared a single item
+// of its kind's model after a recovery: it proved nothing about the kind.
+func auditedNothing(results []crashtest.SeedResult) bool {
+	return !slices.ContainsFunc(results, func(res crashtest.SeedResult) bool { return res.Audited > 0 })
 }

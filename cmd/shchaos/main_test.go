@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"stableheap/internal/crashtest"
 )
 
 // TestRunSweepSmoke sweeps a few seeds and checks the exit code: the
@@ -99,13 +101,27 @@ func TestRunBadUsage(t *testing.T) {
 
 // TestRunConcurrentScenario smokes -scenario concurrent: mutator bursts
 // ride every round and the detectability contract still holds (exit 0).
+// The range starts at CI's: seeds 2350 and 2352 carry no log rot, so their
+// rounds recover and audit the counters — from 0 all three seeds end at
+// their first recovery and the sweep is refused (auditedNothing).
 func TestRunConcurrentScenario(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-scenario", "concurrent", "-seeds", "3", "-steps", "20", "-crashes", "2", "-mutators", "3"}, &out, &errOut)
+	code := run([]string{"-scenario", "concurrent", "-from", "2350", "-seeds", "3", "-steps", "20", "-crashes", "2", "-mutators", "3"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s\nstdout: %s", code, errOut.String(), out.String())
 	}
 	if !bytes.Contains(out.Bytes(), []byte("verdict matrix")) {
 		t.Fatalf("matrix missing from output:\n%s", out.String())
+	}
+}
+
+// TestAuditedNothing: a concurrent sweep whose every seed ended before any
+// counter was audited exits 1 (run applies the rule to sweeps of that kind).
+func TestAuditedNothing(t *testing.T) {
+	if !auditedNothing([]crashtest.SeedResult{{Seed: 1}, {Seed: 2}}) {
+		t.Error("two seeds with Audited 0 must count as a sweep that audited nothing")
+	}
+	if auditedNothing([]crashtest.SeedResult{{Seed: 1}, {Seed: 2, Audited: 4}}) {
+		t.Error("one audited seed is enough")
 	}
 }

@@ -13,6 +13,12 @@
 // With -decode it runs no workload: it reads a flight-recorder dump (what
 // shchaos -blackbox or Heap.FlightDump wrote) and prints its timeline.
 //
+// With -log it dumps a file-backed heap's write-ahead log, one annotated
+// line per retained record (logdump.go): a directory that holds a heap is
+// recovered and dumped, no workload run; a fresh one is formatted, runs the
+// workload above, is closed, and is then reopened and dumped — so the same
+// command twice is a durability round trip seen from outside.
+//
 // Usage:
 //
 //	shstat                          # human-readable summary
@@ -24,6 +30,8 @@
 //	shstat -decode dump.bin -tail 20     # only the last 20 events
 //	shstat -decode dump.bin -all         # every boot, oldest first
 //	shstat -decode dump.bin -chrome t.json  # also a Chrome trace of the newest boot
+//	shstat -log heapdir                  # the heap's retained log, annotated
+//	shstat -log heapdir -n 50 -json      # its first 50 records as NDJSON
 package main
 
 import (
@@ -63,8 +71,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tail := fs.Int("tail", 0, "with -decode: print only the last N events per boot (0: all)")
 	all := fs.Bool("all", false, "with -decode: print every boot in the journal, oldest first (default: newest only)")
 	chrome := fs.String("chrome", "", "with -decode: also write the newest boot as Chrome trace_event JSON to this file")
+	logDir := fs.String("log", "", "dump the write-ahead log of the heap in this directory (a fresh directory runs the workload there first); -json prints one object per record")
+	maxRecords := fs.Int("n", 200, "with -log: print at most this many records")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *logDir != "" {
+		if err := logDump(*logDir, *ops, *accounts, *maxRecords, *asJSON, stdout, stderr); err != nil {
+			fmt.Fprintf(stderr, "shstat: %v\n", err)
+			return 1
+		}
+		return 0
 	}
 	if *dump != "" {
 		if err := decode(*dump, *tail, *all, *chrome, stdout); err != nil {
@@ -80,10 +97,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir string, stdout, stderr io.Writer) error {
+// config is the heap every shstat mode runs. Its geometry is the default
+// one, so -log can also open a heap an application left in a directory.
+func config() stableheap.Config {
 	cfg := stableheap.DefaultConfig()
 	cfg.StableWords = 64 * 1024
 	cfg.VolatileWords = 16 * 1024
+	// Run the volatile area the way a latency-sensitive deployment would:
+	// nursery on (the default) and full collections mostly-concurrent, so
+	// the vgc_nursery_* and vgc_conc_* metrics populate and the summary can
+	// show the generational/concurrent pause story.
+	cfg.ConcurrentVGC = true
+	return cfg
+}
+
+func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir string, stdout, stderr io.Writer) error {
+	cfg := config()
 	if dir != "" {
 		heapDir, err := os.MkdirTemp(dir, "shstat-")
 		if err != nil {
@@ -92,103 +121,12 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 		defer os.RemoveAll(heapDir)
 		cfg.Dir = heapDir
 	}
-	// Run the volatile area the way a latency-sensitive deployment would:
-	// nursery on (the default) and full collections mostly-concurrent, so
-	// the vgc_nursery_* and vgc_conc_* metrics populate and the summary can
-	// show the generational/concurrent pause story.
-	cfg.ConcurrentVGC = true
 	// The flight recorder is the one opt-in: turn it on whenever its trace is wanted.
 	cfg.FlightRecorder = tracePath != "" || serveAddr != ""
-
-	rng := rand.New(rand.NewSource(42))
-	h := stableheap.Open(cfg)
-	fanout := 1
-	for fanout*fanout < accounts {
-		fanout++
-	}
-	bank, err := workload.NewBank(h, 0, accounts, fanout, 1000)
+	h, m, err := runWorkload(cfg, ops, accounts, stderr)
 	if err != nil {
 		return err
 	}
-
-	// Burst one, with an incremental stable collection in flight so flip,
-	// scan-step and trap histograms fill.
-	h.CollectVolatile()
-	h.StartStableCollection()
-	if _, err := bank.RunMix(rng, ops, 50); err != nil {
-		return err
-	}
-	for h.StepStable() {
-	}
-
-	// Crash and recover: populates the recovery phase histograms.
-	disk, logDev := h.Crash()
-	if cfg.Dir != "" {
-		h, err = stableheap.RecoverDir(cfg) // the crash closed the heap's own files
-	} else {
-		h, err = stableheap.Recover(cfg, disk, logDev)
-	}
-	if err != nil {
-		return err
-	}
-	bank.Reattach(h)
-
-	// Attach a warm standby to the recovered heap so burst two streams
-	// over the log-shipping path and the repl_* counters, apply-latency
-	// histograms and lag gauge populate alongside the heap's own metrics.
-	prim := repl.NewPrimary(h.Internal(), repl.PrimaryConfig{})
-	sbDisk, sbLog := h.Internal().BaseBackup()
-	sb, err := repl.NewStandby(repl.StandbyConfig{Name: "shstat-standby", Heap: cfg}, sbDisk, sbLog)
-	if err != nil {
-		return err
-	}
-	resumeLSN := sb.AppliedLSN()
-	server, client := net.Pipe()
-	go prim.Serve(server)
-	go sb.RunConn(client)
-
-	// Burst two against the recovered heap, again with a collection in
-	// flight (metrics live with the heap instance, so the reported GC
-	// histograms must come from post-recovery activity).
-	h.CollectVolatile()
-	h.StartStableCollection()
-	if _, err := bank.RunMix(rng, ops, 50); err != nil {
-		return err
-	}
-	for h.StepStable() {
-	}
-	// The transfer mix never allocates, so it leaves the generational
-	// machinery idle; a volatile session-cache churn phase fills the
-	// nursery (minor collections, promotion) and overlaps a
-	// mostly-concurrent full collection with committing mutators (SATB
-	// grays, read-barrier transports).
-	if err := volatileChurn(h, 1500); err != nil {
-		return err
-	}
-	total, err := bank.Total()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "workload: %d accounts, 2×%d transfer txs, crash+recover in between; invariant total=%d\n",
-		accounts, ops, total)
-
-	// Drain the standby and take one consistent snapshot read before
-	// folding its metrics in.
-	h.Internal().Log().ForceAll()
-	if err := sb.WaitCaughtUp(h.Internal().LogStableLSN(), 10*time.Second); err != nil {
-		return err
-	}
-	_, at, err := sb.ReadSnapshot()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "replication: standby resumed from LSN %d, snapshot read at LSN %d, lag %d bytes\n",
-		resumeLSN, at, sb.LagBytes())
-	sb.Close()
-
-	m := h.Metrics()
-	m.Merge(prim.Metrics())
-	m.Merge(sb.Metrics())
 	switch {
 	case asJSON:
 		enc := json.NewEncoder(stdout)
@@ -219,6 +157,102 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 		select {}
 	}
 	return nil
+}
+
+// runWorkload is shstat's scenario — on files when cfg.Dir is set — and
+// returns the heap, still open, with its metrics and the replication pair's.
+func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*stableheap.Heap, stableheap.Metrics, error) {
+	var none stableheap.Metrics
+	rng := rand.New(rand.NewSource(42))
+	h := stableheap.Open(cfg)
+	fanout := 1
+	for fanout*fanout < accounts {
+		fanout++
+	}
+	bank, err := workload.NewBank(h, 0, accounts, fanout, 1000)
+	if err != nil {
+		return nil, none, err
+	}
+
+	// Burst one, with an incremental stable collection in flight so flip,
+	// scan-step and trap histograms fill.
+	h.CollectVolatile()
+	h.StartStableCollection()
+	if _, err := bank.RunMix(rng, ops, 50); err != nil {
+		return nil, none, err
+	}
+	for h.StepStable() {
+	}
+
+	// Crash and recover: populates the recovery phase histograms.
+	disk, logDev := h.Crash()
+	if cfg.Dir != "" {
+		h, err = stableheap.RecoverDir(cfg) // the crash closed the heap's own files
+	} else {
+		h, err = stableheap.Recover(cfg, disk, logDev)
+	}
+	if err != nil {
+		return nil, none, err
+	}
+	bank.Reattach(h)
+
+	// Attach a warm standby to the recovered heap so burst two streams
+	// over the log-shipping path and the repl_* counters, apply-latency
+	// histograms and lag gauge populate alongside the heap's own metrics.
+	prim := repl.NewPrimary(h.Internal(), repl.PrimaryConfig{})
+	sbDisk, sbLog := h.Internal().BaseBackup()
+	sb, err := repl.NewStandby(repl.StandbyConfig{Name: "shstat-standby", Heap: cfg}, sbDisk, sbLog)
+	if err != nil {
+		return nil, none, err
+	}
+	resumeLSN := sb.AppliedLSN()
+	server, client := net.Pipe()
+	go prim.Serve(server)
+	go sb.RunConn(client)
+
+	// Burst two against the recovered heap, again with a collection in
+	// flight (metrics live with the heap instance, so the reported GC
+	// histograms must come from post-recovery activity).
+	h.CollectVolatile()
+	h.StartStableCollection()
+	if _, err := bank.RunMix(rng, ops, 50); err != nil {
+		return nil, none, err
+	}
+	for h.StepStable() {
+	}
+	// The transfer mix never allocates, so it leaves the generational
+	// machinery idle; a volatile session-cache churn phase fills the
+	// nursery (minor collections, promotion) and overlaps a
+	// mostly-concurrent full collection with committing mutators (SATB
+	// grays, read-barrier transports).
+	if err := volatileChurn(h, 1500); err != nil {
+		return nil, none, err
+	}
+	total, err := bank.Total()
+	if err != nil {
+		return nil, none, err
+	}
+	fmt.Fprintf(stderr, "workload: %d accounts, 2×%d transfer txs, crash+recover in between; invariant total=%d\n",
+		accounts, ops, total)
+
+	// Drain the standby and take one consistent snapshot read before
+	// folding its metrics in.
+	h.Internal().Log().ForceAll()
+	if err := sb.WaitCaughtUp(h.Internal().LogStableLSN(), 10*time.Second); err != nil {
+		return nil, none, err
+	}
+	_, at, err := sb.ReadSnapshot()
+	if err != nil {
+		return nil, none, err
+	}
+	fmt.Fprintf(stderr, "replication: standby resumed from LSN %d, snapshot read at LSN %d, lag %d bytes\n",
+		resumeLSN, at, sb.LagBytes())
+	sb.Close()
+
+	m := h.Metrics()
+	m.Merge(prim.Metrics())
+	m.Merge(sb.Metrics())
+	return h, m, nil
 }
 
 // volatileChurn runs a session-cache workload against the volatile area:

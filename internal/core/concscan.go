@@ -96,7 +96,10 @@ func (s *concScan) step(epoch uint64) bool {
 	}
 	hp := s.hp
 	hp.gate.Lock()
-	defer hp.gate.Unlock()
+	defer hp.endQuantum()
+	if e := hp.failed.Load(); e != nil {
+		panic(*e)
+	}
 	if !s.c.ConcurrentActive() || (epoch != 0 && s.c.Epoch() != epoch) {
 		return false
 	}
@@ -105,6 +108,17 @@ func (s *concScan) step(epoch uint64) bool {
 	more := s.c.ScanQuantum(scanQuantumWords)
 	hp.bb.Span(s.quantumEv, time.Since(start), 0, s.c.Epoch(), 0)
 	return more
+}
+
+// endQuantum releases the gate a quantum ran under; a device fault that
+// unwinds the quantum fail-stops the heap first, as runlock does.
+func (hp *Heap) endQuantum() {
+	r := recover()
+	hp.noteFault(r)
+	hp.gate.Unlock()
+	if r != nil {
+		panic(r)
+	}
 }
 
 // assist lets a mutator that just committed advance an in-flight scan by
@@ -134,9 +148,10 @@ func (s *concScan) loop(epoch uint64) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("subsystem", s.label, "epoch", strconv.FormatUint(epoch, 10))))
 	// A device fault injected under the scanner (internal/faultfs)
-	// surfaces as a typed panic; the scan simply stops — the next
-	// mutator to need the collection finished will run into the fault
-	// in a context that can report it.
+	// surfaces as a typed panic, which has failed the heap on its way
+	// through the gate or the latch (endQuantum, unlockExclusive); the
+	// scan simply stops, and the next action on the heap re-raises the
+	// fault in a context that can report it.
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := storage.AsDeviceError(r); !ok {

@@ -252,6 +252,9 @@ type Heap struct {
 	stop   sync.RWMutex
 	shards []sync.Mutex
 	coarse atomic.Bool
+	// failed is the device fault that made the heap fail-stop (latch.go);
+	// nil while it runs.
+	failed atomic.Pointer[error]
 
 	// The concurrent-collection gate (latch.go) and the two concurrent-scan
 	// drivers (concscan.go): while either area's scan is in flight
@@ -294,12 +297,6 @@ type Heap struct {
 	srem  map[word.Addr]bool
 	nrem  map[word.Addr]bool
 
-	// candidates collects, per transaction, the targets of pointer
-	// stores into stable state, for commit-time stability tracking.
-	// Guarded by candMu: shared update actions append concurrently.
-	candMu     sync.Mutex
-	candidates map[word.TxID][]*tx.Handle
-
 	// hist, when set, records every transactional action for offline
 	// serializability checking (internal/histcheck). Install it with
 	// SetHistoryRecorder before any concurrent use.
@@ -340,6 +337,10 @@ type Tx struct {
 	hp  *Heap
 	t   *tx.Tx
 	err error // sticky failure (conflict): only Abort is allowed
+	// cands collects the targets of this transaction's pointer stores into
+	// stable state, for commit-time stability tracking. Only the
+	// transaction's own goroutine touches it.
+	cands []*tx.Handle
 }
 
 // Open creates a stable heap on new simulated devices — or, when
@@ -383,11 +384,10 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 
 	hp := &Heap{
 		cfg: cfg, disk: disk, logDev: logDev, log: log, mem: mem, h: h, locks: locks,
-		shards:     make([]sync.Mutex, latchShards),
-		ls:         make(map[word.Addr]bool),
-		srem:       make(map[word.Addr]bool),
-		nrem:       make(map[word.Addr]bool),
-		candidates: make(map[word.TxID][]*tx.Handle),
+		shards: make([]sync.Mutex, latchShards),
+		ls:     make(map[word.Addr]bool),
+		srem:   make(map[word.Addr]bool),
+		nrem:   make(map[word.Addr]bool),
 	}
 
 	ps := word.Addr(cfg.PageSize)
@@ -1204,10 +1204,7 @@ func (t *Tx) storePtr(f field, val *Ref) {
 	hp.writeWordAction(t, f.obj, f.d, f.slot, uint64(v), true)
 	unlock()
 	if val != nil && hp.isStableObject(f.obj, f.d) && hp.inVolatile(v) {
-		h := hp.txm.Register(t.t, v)
-		hp.candMu.Lock()
-		hp.candidates[t.t.ID()] = append(hp.candidates[t.t.ID()], h)
-		hp.candMu.Unlock()
+		t.cands = append(t.cands, hp.txm.Register(t.t, v))
 	}
 }
 
@@ -1383,13 +1380,8 @@ func (t *Tx) Commit() error {
 	start := time.Now()
 	hp.commitGate.RLock()
 	defer hp.commitGate.RUnlock()
-	// Candidates for THIS transaction are only appended by its own
-	// goroutine, so the peek is stable for the rest of the commit.
-	hp.candMu.Lock()
-	nCand := len(hp.candidates[t.t.ID()])
-	hp.candMu.Unlock()
 	var lsn word.LSN
-	if t.err != nil || t.t.Prepared() || (hp.track != nil && nCand > 0) {
+	if t.err != nil || t.t.Prepared() || (hp.track != nil && len(t.cands) > 0) {
 		var err error
 		if lsn, err = t.commitExclusive(start, hp.txm.PrepareCommit); err != nil {
 			return err
@@ -1436,8 +1428,10 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 	hp := t.hp
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
+	cands := t.cands
+	t.cands = nil
 	if t.err == nil && hp.track != nil && !t.t.Prepared() {
-		if err := hp.track.Track(t.t, hp.takeCandidates(t.t.ID())); err != nil {
+		if err := hp.track.Track(t.t, cands); err != nil {
 			hp.txm.Abort(t.t)
 			if hp.hist != nil {
 				hp.hist.Abort(t.t.ID())
@@ -1448,7 +1442,6 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 			return 0, t.fail(ErrConflict)
 		}
 	}
-	hp.takeCandidates(t.t.ID())
 	if t.err != nil {
 		hp.txm.Abort(t.t)
 		if hp.hist != nil {
@@ -1459,16 +1452,6 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 		return 0, t.err
 	}
 	return logOutcome(t.t), nil
-}
-
-// takeCandidates removes and returns the transaction's pending stability
-// candidates.
-func (hp *Heap) takeCandidates(id word.TxID) []*tx.Handle {
-	hp.candMu.Lock()
-	defer hp.candMu.Unlock()
-	c := hp.candidates[id]
-	delete(hp.candidates, id)
-	return c
 }
 
 // Prepare runs stability tracking and writes a forced prepare record: the
@@ -1508,7 +1491,6 @@ func (t *Tx) Abort() error {
 	// Abort undoes updates in place, anywhere in the heap: exclusive.
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
-	hp.takeCandidates(t.t.ID())
 	hp.txm.Abort(t.t)
 	if hp.hist != nil {
 		hp.hist.Abort(t.t.ID())

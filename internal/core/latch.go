@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stableheap/internal/obs"
+	"stableheap/internal/storage"
 	"stableheap/internal/word"
 )
 
@@ -56,12 +57,20 @@ import (
 //     which is the whole point.
 //
 // Lock order: stop → gate → {sgc.transMu → shard, vgc.transMu} →
-// {ckpt.mu, vm.mu → wal.mu, txm.mu → txm.undoMu, lock.mu, candMu, grayMu,
-// remMu}. Ordinary updates take their one shard directly; a stable
-// transport takes transMu first, then the shards of the pages its logged
-// copy writes (no writer ever waits on transMu while holding a shard, so
-// the nesting cannot deadlock). Subsystem mutexes never call back into
-// the latch.
+// {ckpt.mu, vm.mu → wal.mu, txm.mu → txm.undoMu, lock.mu, grayMu, remMu}.
+// Ordinary updates take their one shard directly; a stable transport takes
+// transMu first, then the shards of the pages its logged copy writes (no
+// writer ever waits on transMu while holding a shard, so the nesting
+// cannot deadlock). Subsystem mutexes never call back into the latch.
+//
+// Fail-stop: a device fault (a typed storage panic, storage.AsDeviceError)
+// that unwinds a latched section leaves an action half done — space
+// allocated and its copy record never appended, say — so from that moment
+// the log is no longer the heap's history. The release functions below run
+// as the deferred calls of those sections; they note the fault in hp.failed
+// before the latch opens, and every later acquisition re-raises it instead
+// of running. Only Crash gets in (stopHeap), and recovery from the devices
+// is the way back.
 func (hp *Heap) rlock() (excl bool) {
 	for {
 		if hp.coarse.Load() {
@@ -75,6 +84,10 @@ func (hp *Heap) rlock() (excl bool) {
 			hp.stop.RUnlock()
 			continue
 		}
+		if e := hp.failed.Load(); e != nil {
+			hp.stop.RUnlock()
+			panic(*e)
+		}
 		if hp.scanning() {
 			// Neither flag can change while we hold stop shared, so the
 			// matching runlock releases the gate iff one is set here.
@@ -84,28 +97,54 @@ func (hp *Heap) rlock() (excl bool) {
 	}
 }
 
+// noteFault makes the heap fail-stop if r, a recovered panic value, is a
+// device fault. Callers still hold the latch the fault unwound through.
+func (hp *Heap) noteFault(r any) {
+	if e, ok := storage.AsDeviceError(r); ok {
+		fault := e // allocated here, on the fault, not on every release
+		hp.failed.CompareAndSwap(nil, &fault)
+	}
+}
+
 // scanning reports whether either area's concurrent scan is in flight (the
 // two atomic loads every action pays for the concurrent modes).
 func (hp *Heap) scanning() bool { return hp.vscan.on.Load() || hp.sscan.on.Load() }
 
-// runlock releases what rlock acquired.
+// runlock releases what rlock acquired. As a deferred call it sees the
+// panic unwinding its section (fail-stop, above) and passes it on.
 func (hp *Heap) runlock(excl bool) {
+	r := recover()
+	hp.noteFault(r)
 	if excl {
-		hp.unlockExclusive()
-		return
+		hp.releaseExclusive()
+	} else {
+		if hp.scanning() {
+			hp.gate.RUnlock()
+		}
+		hp.stop.RUnlock()
 	}
-	if hp.scanning() {
-		hp.gate.RUnlock()
+	if r != nil {
+		panic(r)
 	}
-	hp.stop.RUnlock()
 }
 
 // lockExclusive stops the heap: it waits for every in-flight shared action
 // to drain and blocks new ones. The wait is recorded in the latch_stop
 // histogram (the price of a flip or checkpoint under load). With a
 // concurrent scan in flight it also parks the collector goroutine (gate)
-// and drains the gray stack.
+// and drains the gray stack. On a failed heap it re-raises the fault.
 func (hp *Heap) lockExclusive() {
+	hp.stopHeap()
+	if e := hp.failed.Load(); e != nil {
+		hp.releaseExclusive()
+		panic(*e)
+	}
+}
+
+// stopHeap is lockExclusive without the fail-stop check: Crash's way in. A
+// failed heap's gray stack is left alone — draining it would log copies
+// after the action the fault tore.
+func (hp *Heap) stopHeap() {
 	start := time.Now()
 	hp.stop.Lock()
 	// The gate is taken unconditionally, not just when scanning: a collector
@@ -116,7 +155,7 @@ func (hp *Heap) lockExclusive() {
 	// paid for draining every shared action.
 	hp.gate.Lock()
 	hp.gateHeldExcl = true
-	if hp.scanning() {
+	if hp.scanning() && hp.failed.Load() == nil {
 		hp.drainGrayLocked()
 	}
 	wait := time.Since(start)
@@ -134,8 +173,18 @@ const latchStallThreshold = time.Millisecond
 
 // unlockExclusive republishes the collector-activity mirror and releases
 // the stop latch. Every exclusive section that may have started or finished
-// a stable collection exits through here.
+// a stable collection exits through here; as a deferred call it handles a
+// panic as runlock does.
 func (hp *Heap) unlockExclusive() {
+	r := recover()
+	hp.noteFault(r)
+	hp.releaseExclusive()
+	if r != nil {
+		panic(r)
+	}
+}
+
+func (hp *Heap) releaseExclusive() {
 	hp.syncCoarse()
 	if hp.gateHeldExcl {
 		hp.gateHeldExcl = false

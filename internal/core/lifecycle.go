@@ -107,7 +107,7 @@ func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 	hp.commitGate.Lock()
 	defer hp.commitGate.Unlock()
 	func() {
-		hp.lockExclusive()
+		hp.stopHeap() // not lockExclusive: a failed heap must still crash
 		defer hp.unlockExclusive()
 		// In-flight concurrent scans are forgotten, not finished: recovery
 		// treats the whole volatile area as dead, and resumes a stable

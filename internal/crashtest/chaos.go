@@ -472,10 +472,14 @@ func (r *chaosRun) stepCollector() {
 // last acknowledged value — exactly what its counter must hold after any
 // later recovery (a returned Commit was covered by a completed force, so it
 // is durable even if the round ended in a device fault one operation
-// later). acked is nil until the set-up transaction commits.
+// later). acked is nil until the set-up transaction commits. doubt[w] marks
+// an increment that a device fault ended before Commit returned: its commit
+// record may or may not have been forced, so the next audit accepts
+// acked[w] or acked[w]+1 and settles on what it finds.
 type counterBurst struct {
 	slot0, mutators int
 	acked           []uint64
+	doubt           []bool
 }
 
 // burstTxPerMutator is how many increments each mutator attempts per round.
@@ -494,6 +498,7 @@ func (b *counterBurst) setup(r *chaosRun) (online bool) {
 	})
 	if acked {
 		b.acked = make([]uint64, b.mutators)
+		b.doubt = make([]bool, b.mutators)
 	}
 	return online
 }
@@ -514,9 +519,10 @@ func (b *counterBurst) run(r *chaosRun, _ int) (online bool) {
 		}
 	}
 	hp := r.d.hp
+	// The recorder stays installed: the round ends in a crash, and a heap
+	// that a device fault has failed admits no latched call but Crash.
 	rec := histcheck.NewRecorder()
 	hp.SetHistoryRecorder(rec)
-	defer hp.SetHistoryRecorder(nil)
 
 	var stop atomic.Bool
 	var live atomic.Int32 // mutators still running
@@ -546,6 +552,7 @@ func (b *counterBurst) run(r *chaosRun, _ int) (online bool) {
 				})
 				switch {
 				case fault != nil:
+					b.doubt[w] = true
 					stop.Store(true)
 					faults <- fault
 					return
@@ -614,9 +621,14 @@ func (b *counterBurst) run(r *chaosRun, _ int) (online bool) {
 // update did not.
 func (b *counterBurst) audit(tr *core.Tx) (int, error) {
 	for w, want := range b.acked {
-		if err := checkList(tr, b.slot0+w, []uint64{want}); err != nil {
+		err := checkList(tr, b.slot0+w, []uint64{want})
+		if err != nil && b.doubt[w] && checkList(tr, b.slot0+w, []uint64{want + 1}) == nil {
+			b.acked[w], err = want+1, nil
+		}
+		if err != nil {
 			return w, fmt.Errorf("mutator counter: %v", err)
 		}
+		b.doubt[w] = false
 	}
 	return len(b.acked), nil
 }

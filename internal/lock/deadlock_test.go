@@ -198,40 +198,9 @@ func TestDeadlockThroughWaitFree(t *testing.T) {
 	}
 }
 
-// With detection off, the same opposite-order deadlock falls back to the
-// timeout backstop — and the expiry is counted in Timeouts.
-func TestDeadlockTimeoutBackstopWhenDetectionOff(t *testing.T) {
-	m := NewManager(50 * time.Millisecond)
-	m.SetDetection(false)
-	const a, b = word.Addr(0x10), word.Addr(0x20)
-	m.Acquire(1, a, Write)
-	m.Acquire(2, b, Write)
-	errs := make(chan error, 1)
-	go func() {
-		errs <- m.Acquire(2, a, Write)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	err1 := m.Acquire(1, b, Write)
-	err2 := <-errs
-	timedOut := 0
-	for _, err := range []error{err1, err2} {
-		if err == ErrTimeout {
-			timedOut++
-		} else if err == ErrDeadlock {
-			t.Fatal("detector must be off")
-		}
-	}
-	if timedOut == 0 {
-		t.Fatalf("at least one side must hit the backstop: err1=%v err2=%v", err1, err2)
-	}
-	if st := m.Stats(); st.Timeouts < 1 || st.DeadlockAborts != 0 {
-		t.Fatalf("stats = %+v, want Timeouts >= 1 and DeadlockAborts == 0", st)
-	}
-}
-
 // Stress: N goroutines hammer K hot objects, each transaction locking two
 // objects in a random-ish (id-derived) order so deadlocks form constantly.
-// With detection on, every failed acquire must be ErrDeadlock — the
+// Every failed acquire must be ErrDeadlock — the
 // ErrTimeout backstop must fire zero times.
 func TestDeadlockStressNoTimeouts(t *testing.T) {
 	m := NewManager(time.Minute) // backstop far beyond the test's runtime

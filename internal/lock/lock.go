@@ -14,10 +14,10 @@
 // youngest member (highest TxID) is marked as the victim and its wait
 // returns ErrDeadlock, upon which the caller aborts it. The wait-limit
 // timeout is kept as a backstop — a blocked Acquire still gives up after
-// the manager's wait limit with ErrTimeout — but with detection enabled a
-// true deadlock is broken as soon as its last edge forms, long before any
-// timeout fires. A zero wait limit makes every conflict immediate
-// (fast-fail; such refusals count as Conflicts, not Timeouts).
+// the manager's wait limit with ErrTimeout — but a true deadlock is broken
+// as soon as its last edge forms, long before any timeout fires. A zero
+// wait limit makes every conflict immediate (fast-fail; such refusals count
+// as Conflicts, not Timeouts).
 package lock
 
 import (
@@ -47,8 +47,8 @@ func (m Mode) String() string {
 }
 
 // ErrTimeout is returned when a lock could not be acquired within the wait
-// limit; the caller is expected to abort. With deadlock detection enabled
-// this is a backstop only — real cycles are broken with ErrDeadlock.
+// limit; the caller is expected to abort. This is a backstop only — real
+// cycles are broken with ErrDeadlock.
 var ErrTimeout = errors.New("lock: wait timed out (possible deadlock)")
 
 // ErrDeadlock is returned to the transaction chosen as the victim of a
@@ -98,7 +98,6 @@ type Manager struct {
 	wait    time.Duration
 	waiting map[word.TxID]waitInfo // blocked txs and what they wait for
 	victims map[word.TxID]bool     // txs chosen to break a cycle
-	detect  bool
 	stats   Stats
 }
 
@@ -112,8 +111,7 @@ type Stats struct {
 }
 
 // NewManager creates a lock manager whose blocked acquires time out after
-// wait (zero means immediate failure on conflict). Deadlock detection is
-// on by default; SetDetection(false) reverts to the timeout-only policy.
+// wait (zero means immediate failure on conflict).
 func NewManager(wait time.Duration) *Manager {
 	m := &Manager{
 		table:   make(map[word.Addr]*entry),
@@ -121,18 +119,9 @@ func NewManager(wait time.Duration) *Manager {
 		wait:    wait,
 		waiting: make(map[word.TxID]waitInfo),
 		victims: make(map[word.TxID]bool),
-		detect:  true,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
-}
-
-// SetDetection enables or disables the waits-for deadlock detector. With it
-// off, blocked acquires rely on the timeout backstop alone.
-func (m *Manager) SetDetection(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.detect = on
 }
 
 // Acquire obtains the lock on addr in mode mode for tx, blocking up to the
@@ -226,16 +215,14 @@ func (m *Manager) blockOn(tx word.TxID, addr word.Addr, mode Mode, wait time.Dur
 			m.stats.Timeouts++
 			return ErrTimeout
 		}
-		if m.detect {
-			// Run detection before every sleep: a cycle can only form
-			// when its final edge is added, i.e. when some transaction
-			// reaches exactly this point.
-			if v := m.detectLocked(); v == tx {
-				continue // we are the victim: handle it at the loop top
-			}
-			// Any other victim was woken by the broadcast and will
-			// abort, releasing its locks; sleep until that happens.
+		// Run detection before every sleep: a cycle can only form when its
+		// final edge is added, i.e. when some transaction reaches exactly
+		// this point.
+		if v := m.detectLocked(); v == tx {
+			continue // we are the victim: handle it at the loop top
 		}
+		// Any other victim was woken by the broadcast and will abort,
+		// releasing its locks; sleep until that happens.
 		m.cond.Wait()
 	}
 	return nil

@@ -124,10 +124,10 @@ func FaultClassName(c uint64) string {
 
 // Watchdog rule codes carried in EvWatchdog's a field.
 const (
-	WdStall     uint64 = iota + 1 // histogram window max blew past N×p99
-	WdRate                        // counter grew faster than the per-tick limit
-	WdThreshold                   // gauge/counter crossed an absolute limit
-	WdConvoy                      // group-commit batches pinned at the cap
+	WdStall  uint64 = iota + 1 // histogram window max blew past N×p99
+	WdRate                     // counter grew faster than the per-tick limit
+	_                          // 3 ("threshold") is in version-2 dumps; no rule emits it
+	WdConvoy                   // group-commit batches pinned at the cap
 )
 
 // WatchdogRuleName names a watchdog rule code for timelines.

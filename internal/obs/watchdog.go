@@ -21,7 +21,7 @@ import (
 // tripped, with a kind-specific detail value for the event record.
 type Rule struct {
 	Name  string
-	Code  uint64 // WdStall, WdRate, WdThreshold, WdConvoy — carried in EvWatchdog
+	Code  uint64 // WdStall, WdRate, WdConvoy — carried in EvWatchdog
 	Check func(prev, cur Snapshot) (trip bool, detail uint64)
 }
 
@@ -55,17 +55,6 @@ func RateRule(name, counter string, limit int64) Rule {
 		d := cur.Counters[counter] - prev.Counters[counter]
 		if d > limit {
 			return true, uint64(d)
-		}
-		return false, 0
-	}}
-}
-
-// ThresholdRule trips when a counter/gauge exceeds an absolute limit —
-// e.g. standby apply lag in bytes.
-func ThresholdRule(name, counter string, limit int64) Rule {
-	return Rule{Name: name, Code: WdThreshold, Check: func(_, cur Snapshot) (bool, uint64) {
-		if v := cur.Counters[counter]; v > limit {
-			return true, uint64(v)
 		}
 		return false, 0
 	}}

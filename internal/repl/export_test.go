@@ -2,9 +2,9 @@ package repl
 
 import "time"
 
-// Bridges for the external test package. repl_test is external so it can
-// import the root stableheap facade (and workload, which depends on it)
-// without an import cycle: stableheap → internal/shard → repl.
+// Bridges for the external test package: repl_test drives replication
+// through the root stableheap facade and workload, as a client would, and
+// sees the shipping protocol's framing and payload codecs only here.
 
 const (
 	MsgHello    = msgHello
@@ -15,6 +15,8 @@ const (
 
 var (
 	KindName      = kindName
+	WriteMsg      = writeMsg
+	ReadMsg       = readMsg
 	HelloPayload  = helloPayload
 	ParseHello    = parseHello
 	FramesPayload = framesPayload

@@ -99,10 +99,6 @@ func kindName(kind byte) string {
 		return "FRAMES"
 	case msgAck:
 		return "ACK"
-	case MsgResolveQuery:
-		return "RESOLVE_QUERY"
-	case MsgResolveVerdict:
-		return "RESOLVE_VERDICT"
 	}
 	return fmt.Sprintf("kind-%d", kind)
 }

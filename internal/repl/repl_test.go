@@ -59,6 +59,27 @@ func connect(p *repl.Primary, sb *repl.Standby) net.Conn {
 	return server
 }
 
+// connectTCP wires them over a loopback TCP listener instead: the standby
+// dials and redials (Run), the primary serves every accepted connection.
+func connectTCP(t *testing.T, p *repl.Primary, sb *repl.Standby) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go p.Serve(conn)
+		}
+	}()
+	go sb.Run(func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) })
+}
+
 // transferSome runs n random committed transfers.
 func transferSome(t *testing.T, bank *workload.Bank, seed int64, n int) {
 	t.Helper()
@@ -206,6 +227,15 @@ func TestPromoteAfterPrimaryCrash(t *testing.T) {
 }
 
 func TestPromoteMidIncrementalGC(t *testing.T) {
+	t.Run("pipe", func(t *testing.T) {
+		promoteMidIncrementalGC(t, func(p *repl.Primary, sb *repl.Standby) { connect(p, sb) })
+	})
+	t.Run("tcp", func(t *testing.T) {
+		promoteMidIncrementalGC(t, func(p *repl.Primary, sb *repl.Standby) { connectTCP(t, p, sb) })
+	})
+}
+
+func promoteMidIncrementalGC(t *testing.T, connect func(*repl.Primary, *repl.Standby)) {
 	// A larger live set, explicit pacing only (no per-op GC steps), so
 	// the incremental collection is still in flight at the failover.
 	cfg := testConfig()

@@ -1,12 +1,8 @@
 package shard
 
 import (
-	"fmt"
-	"io"
-	"net"
 	"sync"
 
-	"stableheap/internal/repl"
 	"stableheap/internal/storage"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -26,10 +22,6 @@ import (
 //     durable commit decision resolves to abort, record or not;
 //   - END is appended unforced once every branch applied the decision, so
 //     a future truncation pass can bound the log.
-//
-// Resolution queries arrive as repl-framed messages over any byte stream
-// (ServeResolve) — net.Pipe in-process, a TCP connection when partitions
-// move out of process — keeping the recovery protocol network-ready.
 type Coordinator struct {
 	mu  sync.Mutex
 	log *wal.Manager
@@ -148,71 +140,12 @@ func (c *Coordinator) endAllDecided() {
 }
 
 // outcome answers the presumed-abort question for one branch.
-func (c *Coordinator) outcome(part uint32, id word.TxID) (commit bool, gid uint64) {
+func (c *Coordinator) outcome(part uint32, id word.TxID) (commit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gid, ok := c.commits[wal.TwoPCParticipant{Part: part, TxID: id}]
-	return ok, gid
+	_, commit = c.commits[wal.TwoPCParticipant{Part: part, TxID: id}]
+	return commit
 }
 
 // Log exposes the decision log device (introspection, crash harnesses).
 func (c *Coordinator) Log() storage.LogDevice { return c.log.Device() }
-
-// ServeResolve answers RESOLVE_QUERY messages on conn until EOF — the
-// coordinator side of the recovery protocol. One goroutine per connection.
-func (c *Coordinator) ServeResolve(conn io.ReadWriter) error {
-	for {
-		kind, payload, err := repl.ReadMsg(conn)
-		if err != nil {
-			if err == io.EOF || err == io.ErrClosedPipe {
-				return nil
-			}
-			return err
-		}
-		if kind != repl.MsgResolveQuery {
-			return fmt.Errorf("shard: unexpected message kind %d on resolve channel", kind)
-		}
-		part, id, err := repl.ParseResolveQuery(payload)
-		if err != nil {
-			return err
-		}
-		commit, gid := c.outcome(part, id)
-		if err := repl.WriteMsg(conn, repl.MsgResolveVerdict, repl.ResolveVerdictPayload(commit, gid)); err != nil {
-			return err
-		}
-	}
-}
-
-// queryResolve is the participant side: one framed query/verdict exchange.
-func queryResolve(conn io.ReadWriter, part uint32, id word.TxID) (bool, error) {
-	if err := repl.WriteMsg(conn, repl.MsgResolveQuery, repl.ResolveQueryPayload(part, id)); err != nil {
-		return false, err
-	}
-	kind, payload, err := repl.ReadMsg(conn)
-	if err != nil {
-		return false, err
-	}
-	if kind != repl.MsgResolveVerdict {
-		return false, fmt.Errorf("shard: unexpected message kind %d, want RESOLVE_VERDICT", kind)
-	}
-	commit, _, err := repl.ParseResolveVerdict(payload)
-	return commit, err
-}
-
-// resolvePipe runs fn with a live resolve channel to the coordinator: the
-// client end of an in-process duplex pipe whose server end is drained by
-// ServeResolve. Closing the client shuts the server goroutine down.
-func (c *Coordinator) resolvePipe(fn func(conn io.ReadWriter) error) error {
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- c.ServeResolve(server)
-		server.Close()
-	}()
-	err := fn(client)
-	client.Close()
-	if serr := <-done; err == nil && serr != nil {
-		err = serr
-	}
-	return err
-}

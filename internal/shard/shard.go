@@ -17,7 +17,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -288,9 +287,9 @@ func (cl *Cluster) CrashPartition(i int) error {
 	return cl.resolvePartitions([]int{i}, false)
 }
 
-// resolveInDoubt settles every prepared-but-undecided branch by asking the
-// coordinator over the repl-framed resolve channel: durable commit
-// decision → commit, anything else → presumed abort.
+// resolveInDoubt settles every prepared-but-undecided branch against the
+// coordinator's decision log: durable commit decision → commit, anything
+// else → presumed abort.
 func (cl *Cluster) resolveInDoubt() error {
 	idxs := make([]int, len(cl.parts))
 	for i := range idxs {
@@ -300,40 +299,30 @@ func (cl *Cluster) resolveInDoubt() error {
 }
 
 // resolvePartitions runs the resolution pass over the given partitions.
-// Verdicts are gathered before any branch is touched so a transport error
-// resolves nothing; end records are only logged after a full-cluster pass
+// A partition's verdicts are gathered before any of its branches is
+// touched; end records are only logged after a full-cluster pass
 // (allEnded), when every decision is known applied everywhere.
 func (cl *Cluster) resolvePartitions(idxs []int, allEnded bool) error {
-	return cl.coord.resolvePipe(func(conn io.ReadWriter) error {
-		for _, i := range idxs {
-			hp := cl.parts[i]
-			ids := hp.InDoubt()
-			if len(ids) == 0 {
-				continue
-			}
-			verdicts := make(map[word.TxID]bool, len(ids))
-			for _, id := range ids {
-				commit, err := queryResolve(conn, uint32(i), id)
-				if err != nil {
-					return err
-				}
-				verdicts[id] = commit
-			}
-			commits, aborts, err := hp.ResolveWith(func(id word.TxID) bool { return verdicts[id] })
-			cl.resolvedCommits.Add(int64(commits))
-			cl.resolvedAborts.Add(int64(aborts))
-			if err != nil {
-				return err
-			}
+	for _, i := range idxs {
+		hp := cl.parts[i]
+		verdicts := make(map[word.TxID]bool)
+		for _, id := range hp.InDoubt() {
+			verdicts[id] = cl.coord.outcome(uint32(i), id)
 		}
-		if allEnded {
-			// Every decided transaction is now applied on every live
-			// partition; log the END records so a truncation pass can
-			// forget them.
-			cl.coord.endAllDecided()
+		commits, aborts, err := hp.ResolveWith(func(id word.TxID) bool { return verdicts[id] })
+		cl.resolvedCommits.Add(int64(commits))
+		cl.resolvedAborts.Add(int64(aborts))
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	if allEnded {
+		// Every decided transaction is now applied on every live
+		// partition; log the END records so a truncation pass can
+		// forget them.
+		cl.coord.endAllDecided()
+	}
+	return nil
 }
 
 // Partitions returns the partition count.

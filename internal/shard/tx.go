@@ -295,7 +295,7 @@ func (t *Tx) Terminate(stale ...int) {
 		if b == nil || skip[p] {
 			continue
 		}
-		if commit, _ := t.c.coord.outcome(uint32(p), b.ID()); commit {
+		if t.c.coord.outcome(uint32(p), b.ID()) {
 			_ = b.Commit()
 		} else {
 			_ = b.Abort()

@@ -2,15 +2,14 @@
 // requires (§2.3): a one-level store in which main memory is a cache of
 // pages over a disk whose backing store survives crashes, with the
 // operating-system primitives the algorithms depend on — page protection
-// with a trap handler (the Ellis read barrier, §3.2.1), page pinning (the
-// write-ahead log protocol, §2.2.3), and control over when pages reach the
-// backing store.
+// with a trap handler (the Ellis read barrier, §3.2.1) and control over when
+// pages reach the backing store.
 //
-// The write-ahead constraint is enforced at flush time: a dirty page whose
-// page LSN is beyond the stable log forces the log before it is written,
-// which is equivalent to the paper's "unpin after the redo record is in the
-// stable log" — and replacement prefers any other victim to such a page, as
-// it would to a pinned one, so eviction does not normally force. Page-fetch
+// There are no page pins. The write-ahead constraint (§2.2.3) is enforced at
+// flush time: a dirty page whose page LSN is beyond the stable log forces the
+// log before it is written, which is equivalent to the paper's "unpin after
+// the redo record is in the stable log" — and replacement prefers any other
+// victim to such a page, so eviction does not normally force. Page-fetch
 // and end-write records (§2.2.4) are spooled so recovery can deduce the
 // dirty page set.
 package vm
@@ -66,7 +65,6 @@ type page struct {
 	lsn    word.LSN // LSN of the last logged modification applied
 	recLSN word.LSN // earliest LSN maybe not on disk; NilLSN if clean
 	dirty  bool     // any modification (logged or not) since last flush
-	pins   int
 	// ref is the clock reference bit; atomic because lock-free cache hits
 	// set it while holding only the store's read lock.
 	ref atomic.Bool
@@ -166,8 +164,8 @@ func (s *Store) resident(id word.PageID) *page {
 	return p
 }
 
-// makeRoom evicts one page if the cache is at capacity. Pinned and
-// protected pages are skipped (a protected page's content is owed a scan;
+// makeRoom evicts one page if the cache is at capacity. Protected pages
+// are skipped (a protected page's content is owed a scan;
 // evicting it would lose the protection state), and so — for two laps of
 // the clock, one to clear reference bits and one to look — is a dirty page
 // whose last record is not yet in the stable log: writing it back means a
@@ -179,7 +177,7 @@ func (s *Store) makeRoom() {
 		return
 	}
 	// Clock sweep: give each referenced page a second chance. Bound the
-	// sweep so a fully pinned cache degrades to over-commit rather than
+	// sweep so a fully protected cache degrades to over-commit rather than
 	// spinning forever.
 	laps := 2 * len(s.ring)
 	for tries := 0; tries < 2*laps+2; tries++ {
@@ -195,7 +193,7 @@ func (s *Store) makeRoom() {
 		}
 		_, prot := s.prot[id]
 		switch {
-		case p.pins > 0 || prot:
+		case prot:
 		case p.ref.Load():
 			p.ref.Store(false)
 		case tries < laps && p.dirty && s.unstable(p):
@@ -239,17 +237,13 @@ func (s *Store) flushPage(p *page) {
 	}
 }
 
-// FlushPage flushes the page if it is resident and dirty. Pinned pages may
-// not be flushed; attempting to is a bug in the caller.
+// FlushPage flushes the page if it is resident and dirty.
 func (s *Store) FlushPage(id word.PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.pages[id]
 	if !ok {
 		return
-	}
-	if p.pins > 0 {
-		panic(fmt.Sprintf("vm: flush of pinned page %d", id))
 	}
 	s.flushPage(p)
 }
@@ -271,16 +265,13 @@ func (s *Store) FlushRange(lo, hi word.Addr) int {
 		if !p.dirty {
 			continue
 		}
-		if p.pins > 0 {
-			panic(fmt.Sprintf("vm: FlushRange found pinned page %d", id))
-		}
 		s.flushPage(p)
 		n++
 	}
 	return n
 }
 
-// FlushOlderThan writes back every dirty resident, unpinned page whose
+// FlushOlderThan writes back every dirty resident page whose
 // recLSN lies below horizon: the checkpoint-driven page cleaner that keeps
 // the redo window bounded. Returns the number of pages written.
 func (s *Store) FlushOlderThan(horizon word.LSN) int {
@@ -289,7 +280,7 @@ func (s *Store) FlushOlderThan(horizon word.LSN) int {
 	n := 0
 	for _, id := range s.residentPagesLocked() {
 		p := s.pages[id]
-		if p.pins > 0 || !p.dirty || p.recLSN == word.NilLSN || p.recLSN >= horizon {
+		if !p.dirty || p.recLSN == word.NilLSN || p.recLSN >= horizon {
 			continue
 		}
 		s.flushPage(p)
@@ -305,9 +296,6 @@ func (s *Store) FlushAll() {
 	defer s.mu.Unlock()
 	for _, id := range s.residentPagesLocked() {
 		p := s.pages[id]
-		if p.pins > 0 {
-			panic(fmt.Sprintf("vm: FlushAll found pinned page %d", id))
-		}
 		s.flushPage(p)
 	}
 }
@@ -355,25 +343,6 @@ func (s *Store) Crash() {
 	s.ring = nil
 	s.hand = 0
 	s.inTrap = false
-}
-
-// Pin prevents the page from being evicted (and hence flushed by
-// replacement) until Unpin. Pins nest.
-func (s *Store) Pin(id word.PageID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resident(id).pins++
-}
-
-// Unpin releases one pin.
-func (s *Store) Unpin(id word.PageID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pages[id]
-	if !ok || p.pins == 0 {
-		panic(fmt.Sprintf("vm: unpin of unpinned page %d", id))
-	}
-	p.pins--
 }
 
 // Protect arms the read barrier on the page: the next barriered access
@@ -577,9 +546,6 @@ func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 			continue
 		}
 		p := s.pages[id]
-		if p.pins > 0 {
-			panic(fmt.Sprintf("vm: discard of pinned page %d", id))
-		}
 		if p.dirty && p.recLSN != word.NilLSN {
 			ghosts = append(ghosts, wal.DirtyPage{Page: id, RecLSN: p.recLSN})
 		}

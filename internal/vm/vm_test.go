@@ -130,31 +130,6 @@ func TestCrashLosesCacheKeepsDisk(t *testing.T) {
 	}
 }
 
-func TestPinPreventsEviction(t *testing.T) {
-	s, _, _ := newStore(2)
-	s.WriteWord(0, 1, 1) // page 0
-	s.Pin(0)
-	s.WriteWord(ps, 2, 2)   // page 1
-	s.WriteWord(2*ps, 3, 3) // page 2: must evict page 1, not pinned page 0
-	if _, ok := s.pages[0]; !ok {
-		t.Fatal("pinned page evicted")
-	}
-	s.Unpin(0)
-	if s.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Stats().Evictions)
-	}
-}
-
-func TestUnpinWithoutPinPanics(t *testing.T) {
-	s, _, _ := newStore(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Unpin(0)
-}
-
 func TestEvictionFlushesDirtyVictim(t *testing.T) {
 	s, disk, _ := newStore(1)
 	s.WriteWord(0, 42, 7) // page 0 dirty

@@ -203,6 +203,11 @@ func (h *Heap) StepStable() bool { return h.inner.StepStable() }
 // afterwards. A heap opened with Config.Dir also releases its files, as a
 // process kill would: the returned devices are dead too, and RecoverDir
 // reopens the directory.
+//
+// Crash is also the only call a heap accepts once a device has failed under
+// it: the heap is fail-stop, so after a typed device panic (storage.ErrIO,
+// storage.ErrCorrupt) has unwound one operation, every other call — on any
+// goroutine — panics with that same error rather than run on.
 func (h *Heap) Crash() (Disk, LogDevice) { return h.inner.Crash() }
 
 // Close shuts down cleanly: aborts active transactions, completes any

@@ -2,7 +2,9 @@ package stableheap
 
 import (
 	"bytes"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -23,6 +25,23 @@ func TestConfigFieldBudget(t *testing.T) {
 			"when two callers that exist at the parent commit, not counting tests and examples, need "+
 			"different values; with one value in use it is a constant, and a value the code can work "+
 			"out from its inputs is not an option.", n, budget)
+	}
+}
+
+// TestCommandBudget is the same ratchet for cmd/: four tools, by name. A
+// scripted scenario belongs in one of them, in examples/ or in a test.
+func TestCommandBudget(t *testing.T) {
+	want := []string{"shbench", "shchaos", "shrecover", "shstat"}
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("cmd/ holds %v, want exactly %v", got, want)
 	}
 }
 
