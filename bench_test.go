@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -178,23 +177,8 @@ func BenchmarkE3StopTheWorld(b *testing.B)    { benchCollection(b, stableheap.St
 
 // --- E4/E5/E7: recovery ---------------------------------------------------
 
-// parallelWorkers picks the redo shard count for the parallel recovery
-// variants: all cores, at least 2 (so the parallel engine actually engages
-// on single-core runners), capped at the auto-pick ceiling of 8.
-func parallelWorkers() int {
-	w := runtime.NumCPU()
-	if w < 2 {
-		w = 2
-	}
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-func benchRecovery(b *testing.B, live, tail int, midGC bool, workers int) {
+func benchRecovery(b *testing.B, live, tail int, midGC bool) {
 	cfg := benchCfg(live*4+16*1024, 16*1024)
-	cfg.RecoveryWorkers = workers
 	h := openWithChain(b, cfg, live)
 	h.Checkpoint()
 	h.Checkpoint()
@@ -231,25 +215,10 @@ func benchRecovery(b *testing.B, live, tail int, midGC bool, workers int) {
 	}
 }
 
-func BenchmarkE4RecoverySmallHeap(b *testing.B) { benchRecovery(b, 512, 200, false, 1) }
-func BenchmarkE4RecoveryLargeHeap(b *testing.B) { benchRecovery(b, 8192, 200, false, 1) }
-func BenchmarkE5RecoveryLongTail(b *testing.B)  { benchRecovery(b, 2048, 2000, false, 1) }
-func BenchmarkE7RecoveryMidGC(b *testing.B)     { benchRecovery(b, 2048, 200, true, 1) }
-
-// Parallel variants of the same crash images, replayed with the
-// page-partitioned redo engine (DESIGN.md "Parallel recovery").
-func BenchmarkE4RecoverySmallHeapParallel(b *testing.B) {
-	benchRecovery(b, 512, 200, false, parallelWorkers())
-}
-func BenchmarkE4RecoveryLargeHeapParallel(b *testing.B) {
-	benchRecovery(b, 8192, 200, false, parallelWorkers())
-}
-func BenchmarkE5RecoveryLongTailParallel(b *testing.B) {
-	benchRecovery(b, 2048, 2000, false, parallelWorkers())
-}
-func BenchmarkE7RecoveryMidGCParallel(b *testing.B) {
-	benchRecovery(b, 2048, 200, true, parallelWorkers())
-}
+func BenchmarkE4RecoverySmallHeap(b *testing.B) { benchRecovery(b, 512, 200, false) }
+func BenchmarkE4RecoveryLargeHeap(b *testing.B) { benchRecovery(b, 8192, 200, false) }
+func BenchmarkE5RecoveryLongTail(b *testing.B)  { benchRecovery(b, 2048, 2000, false) }
+func BenchmarkE7RecoveryMidGC(b *testing.B)     { benchRecovery(b, 2048, 200, true) }
 
 // --- E6/E9: log volume ----------------------------------------------------
 

@@ -44,7 +44,6 @@ type roundResult struct {
 	InDoubt    int    `json:"in_doubt"`
 	GCResumed  bool   `json:"gc_resumed"`
 	AppliedLSN uint64 `json:"applied_lsn,omitempty"` // replicated rounds: shipped prefix at promotion
-	Workers    int    `json:"redo_workers,omitempty"`
 }
 
 func main() {
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flush := fs.Float64("flush", 0.5, "fraction of dirty pages flushed before the crash")
 	midGC := fs.Bool("midgc", false, "crash in the middle of a stable collection")
 	rounds := fs.Int("rounds", 3, "crash/recover rounds")
-	workers := fs.Int("workers", 0, "redo workers (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	replicate := fs.Bool("repl", false, "fail over to a warm log-shipping standby instead of recovering in place")
 	asJSON := fs.Bool("json", false, "print per-round results and totals as JSON")
 	dir := fs.String("dir", "", "back the heap with real files in a fresh subdirectory of this path")
@@ -80,10 +78,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := core.Config{
-		PageSize:        1024,
-		StableWords:     32 * 1024,
-		VolatileWords:   8 * 1024,
-		RecoveryWorkers: *workers,
+		PageSize:      1024,
+		StableWords:   32 * 1024,
+		VolatileWords: 8 * 1024,
 	}
 	if *dir != "" {
 		heapDir, err := os.MkdirTemp(*dir, "shrecover-")
@@ -143,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ResumeLSN: uint64(res.RedoStart), Scanned: res.RedoScanned,
 			Applied: res.RedoApplied, Losers: len(res.Losers),
 			GCResumed: d.Heap().StableCollector().Active(),
-			Workers:   st.RedoWorkers,
 		})
 		say("round %d: crash (gc-active=%v, %.0f%% flushed) → recovered in %s",
 			round, gcActive, *flush*100, time.Since(start).Round(time.Microsecond))
@@ -152,12 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		say("  phases: analysis %s, redo %s, undo %s",
 			st.Analysis.Round(time.Microsecond), st.Redo.Round(time.Microsecond),
 			st.Undo.Round(time.Microsecond))
-		if st.RedoWorkers > 1 {
-			say("  parallel redo: %d workers, %d barriers, shard skew %.2f",
-				st.RedoWorkers, st.Barriers, st.Skew())
-		} else {
-			say("  sequential redo (1 worker)")
-		}
 		say("  model verified twice (primary + independent twin recovery)")
 	}
 

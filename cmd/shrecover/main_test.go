@@ -69,7 +69,7 @@ func TestRunBadFlag(t *testing.T) {
 // both the primary and the twin recovery must come back from the directory.
 func TestRunDir(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-seed", "3", "-steps", "40", "-rounds", "2", "-midgc", "-workers", "4", "-dir", t.TempDir()}, &out, &errOut)
+	code := run([]string{"-seed", "3", "-steps", "40", "-rounds", "2", "-midgc", "-dir", t.TempDir()}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}

@@ -356,27 +356,29 @@ func printSummary(w io.Writer, m stableheap.Metrics) {
 	printVGCSummary(w, m)
 }
 
-// printRecoverySummary answers "why did restart take that long and how many
-// workers did it really use" from the last recovery's metrics.
+// printRecoverySummary answers "why did restart take that long" from the
+// last recovery's metrics: the five phases in the order they ran (reopen
+// only when RecoverDir reopened files), then the redo record counts.
 func printRecoverySummary(w io.Writer, m stableheap.Metrics) {
-	workers, ok := m.Counters["recovery_redo_workers"]
+	scanned, ok := m.Counters["recovery_redo_scanned_total"]
 	if !ok {
 		return
 	}
 	fmt.Fprintln(w, "\nrecovery (last restart):")
+	var phases []string
 	for _, p := range []struct{ label, hist string }{
+		{"reopen", "recovery_reopen_ns"},
 		{"analysis", "recovery_analysis_ns"},
 		{"redo", "recovery_redo_ns"},
 		{"undo", "recovery_undo_ns"},
 		{"evacuation", "recovery_evacuate_ns"},
 	} {
 		if h := m.Histograms[p.hist]; h.Count > 0 {
-			fmt.Fprintf(w, "  %-11s %v\n", p.label+":", h.MaxDur())
+			phases = append(phases, fmt.Sprintf("%s %v", p.label, h.MaxDur()))
 		}
 	}
-	fmt.Fprintf(w, "  records:    %d scanned, %d applied by %d redo worker(s); %d cross-shard barriers, shard skew %.2f\n",
-		m.Counters["recovery_redo_scanned_total"], m.Counters["recovery_redo_applied_total"], workers,
-		m.Counters["recovery_redo_barriers_total"], float64(m.Counters["recovery_redo_shard_skew_milli"])/1000)
+	fmt.Fprintf(w, "  phases:  %s\n", strings.Join(phases, ", "))
+	fmt.Fprintf(w, "  records: %d scanned, %d applied\n", scanned, m.Counters["recovery_redo_applied_total"])
 }
 
 // printVGCSummary derives the generational/concurrent volatile-GC story

@@ -127,10 +127,8 @@ type Config struct {
 	// images (the E14 ablation of the paper's content-free records). A
 	// log-format choice, orthogonal to the collector.
 	CopyContents bool
-	// RecoveryWorkers is the number of page-partitioned redo shards used
-	// when repeating history after a crash: 0 picks min(GOMAXPROCS, 8),
-	// 1 forces sequential redo. The parallel replay is state-identical to
-	// the sequential one (see DESIGN.md "Parallel recovery").
+	// Deprecated: ignored; redo is sequential (DESIGN.md §4.3a). Kept only
+	// for the frozen benchmark harness, which sets it.
 	RecoveryWorkers int
 	// FlightRecorder enables the heap's event ring (internal/obs): compact
 	// binary records — tx begin/commit/abort, collector flips, steps and

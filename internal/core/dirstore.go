@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"stableheap/internal/storage/filestore"
 )
@@ -63,10 +64,12 @@ func RecoverDir(cfg Config) (*Heap, error) {
 	if !filestore.IsFormatted(cfg.Dir) {
 		return nil, fmt.Errorf("core: %s holds no formatted heap", cfg.Dir)
 	}
+	start := time.Now()
 	s, err := filestore.Open(cfg.Dir, cfg.fileOptions())
 	if err != nil {
 		return nil, err
 	}
+	reopen := time.Since(start)
 	// The persisted geometry wins over whatever the caller guessed:
 	// recovery must parse pages with the store's real page size.
 	cfg.PageSize = s.Disk.PageSize()
@@ -77,5 +80,6 @@ func RecoverDir(cfg Config) (*Heap, error) {
 		return nil, err
 	}
 	hp.store = s
+	hp.met.recReopen.Observe(uint64(reopen))
 	return hp, nil
 }

@@ -180,8 +180,7 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 	}
 	cfg = cfg.WithDefaults()
 	hp := build(cfg, disk, logDev)
-	res, err := recovery.Recover(hp.mem, hp.log, recovery.Options{
-		RedoWorkers: cfg.RecoveryWorkers, Recorder: hp.bb, Media: media})
+	res, err := recovery.Recover(hp.mem, hp.log, recovery.Options{Recorder: hp.bb, Media: media})
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ type heapMetrics struct {
 	txConflict   obs.Histogram // commits rejected by stability-tracking conflicts
 	lockWait     obs.Histogram // contended lock-acquire wait time
 	latchStop    obs.Histogram // wait to stop the heap (exclusive latch acquire)
+	recReopen    obs.Histogram // RecoverDir's filestore.Open, before the heap existed
 	recAnalysis  obs.Histogram // recovery analysis pass wall time
 	recRedo      obs.Histogram // recovery redo pass wall time
 	recUndo      obs.Histogram // recovery undo pass wall time
@@ -150,18 +151,15 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetHist("tx_lifetime_abort_ns", labort)
 
 	if hp.lastRecovery != nil {
+		// Only a heap RecoverDir reopened has a reopen phase.
+		if reopen := hp.met.recReopen.Snapshot(); reopen.Count > 0 {
+			s.SetHist("recovery_reopen_ns", reopen)
+		}
 		s.SetHist("recovery_analysis_ns", hp.met.recAnalysis.Snapshot())
 		s.SetHist("recovery_redo_ns", hp.met.recRedo.Snapshot())
 		s.SetHist("recovery_undo_ns", hp.met.recUndo.Snapshot())
 		s.SetCounter("recovery_redo_scanned_total", int64(hp.lastRecovery.RedoScanned))
 		s.SetCounter("recovery_redo_applied_total", int64(hp.lastRecovery.RedoApplied))
-		// What replay decided: the shard count actually used (1 when the
-		// configured workers fell back to sequential redo), the cross-shard
-		// barriers it paid, and max/mean records per shard ×1000.
-		st := hp.lastRecovery.Stats
-		s.SetCounter("recovery_redo_workers", int64(st.RedoWorkers))
-		s.SetCounter("recovery_redo_barriers_total", int64(st.Barriers))
-		s.SetCounter("recovery_redo_shard_skew_milli", int64(st.Skew()*1000))
 		s.SetHist("recovery_evacuate_ns", hp.met.recEvacuate.Snapshot())
 	}
 

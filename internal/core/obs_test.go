@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 )
 
@@ -152,7 +153,6 @@ func TestTraceDisabledByDefault(t *testing.T) {
 func TestRecoveryMetrics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlightRecorder = true
-	cfg.RecoveryWorkers = 3
 	hp := Open(cfg)
 	obsWorkload(t, hp)
 	disk, logDev := hp.Crash()
@@ -170,18 +170,29 @@ func TestRecoveryMetrics(t *testing.T) {
 	if m.Counter("recovery_redo_scanned_total") == 0 {
 		t.Error("no redo records scanned")
 	}
-	// The shard count is the one redo really used, not the one configured.
-	if got := m.Counter("recovery_redo_workers"); got != 3 {
-		t.Errorf("recovery_redo_workers = %d, want 3", got)
-	}
-	if got := m.Counter("recovery_redo_shard_skew_milli"); got < 1000 {
-		t.Errorf("recovery_redo_shard_skew_milli = %d, want ≥ 1000 once records were sharded", got)
-	}
-	if _, ok := m.Counters["recovery_redo_barriers_total"]; !ok {
-		t.Error("counter recovery_redo_barriers_total missing")
-	}
 	if _, ok := m.Histograms["recovery_evacuate_ns"]; !ok {
 		t.Error("histogram recovery_evacuate_ns missing")
+	}
+	// In memory nothing was reopened: no reopen phase.
+	if _, ok := m.Histograms["recovery_reopen_ns"]; ok {
+		t.Error("histogram recovery_reopen_ns present after an in-memory Recover")
+	}
+	// RecoverDir reopens the files before the heap exists and reports it.
+	dcfg := cfg
+	dcfg.Dir = filepath.Join(t.TempDir(), "heap")
+	dh, err := OpenDir(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsWorkload(t, dh)
+	dh.Crash()
+	dh, err = RecoverDir(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dh.Close()
+	if got := dh.Metrics().Hist("recovery_reopen_ns"); got.Count != 1 || got.Max == 0 {
+		t.Errorf("recovery_reopen_ns after RecoverDir = %d samples (max %d ns), want 1 nonzero", got.Count, got.Max)
 	}
 	// The recovery phases landed in the trace, as spans.
 	spans, _ := traceDoc(t, h2.TraceJSON())

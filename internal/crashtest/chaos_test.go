@@ -49,6 +49,23 @@ func TestChaosSweepNoViolations(t *testing.T) {
 	t.Logf("verdict matrix: %v", rep.MatrixMap())
 }
 
+// TestChaosDriverCommitInDoubt pins ROADMAP item 8 finding (a). Under seed
+// 2067 a surfaced I/O error ends a driver transaction after the force that
+// covered its commit record: the call never returned, yet the list is
+// durable. The driver's model used to count it as not committed, and the
+// audit after the first recovery reported "slot 0: list longer than the 0
+// committed values". A call a device fault ended is in doubt: the audit
+// accepts either list for the slot and pins what it finds.
+func TestChaosDriverCommitInDoubt(t *testing.T) {
+	res := RunSeed(Scenario{Steps: 25, Crashes: 3, MidGC: true}, 2067)
+	if res.Failed() {
+		t.Fatal(res.Failure)
+	}
+	if want := []Verdict{DetectedOnline, Detected, Repaired}; !reflect.DeepEqual(res.Verdicts, want) {
+		t.Fatalf("verdicts %v, want %v: the seed no longer faults mid-commit (%s)", res.Verdicts, want, res.Failure)
+	}
+}
+
 // TestChaosZeroPlanIsClean: a disabled plan must behave exactly like the
 // plain harness — every round clean, no injections.
 func TestChaosZeroPlanIsClean(t *testing.T) {

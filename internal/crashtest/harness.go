@@ -57,6 +57,17 @@ type Driver struct {
 	// requires the coordinator to repeat the same answer.
 	pending *pendingPrepared
 	decided map[word.TxID]pendingPrepared
+	// doubt holds the slot writes whose calls a device fault ended before
+	// they returned: a commit record may already be forced, so the next
+	// Verify accepts the model's list or a doubtful one for the slot and
+	// pins what it finds (the rule counterBurst.doubt applies to counters).
+	doubt []slotWrite
+}
+
+// slotWrite is what one transaction makes a root slot's committed list.
+type slotWrite struct {
+	slot int
+	vals []uint64
 }
 
 // pendingPrepared records what the model becomes if the coordinator says
@@ -181,7 +192,13 @@ func (d *Driver) applyDecision(hp *core.Heap, p pendingPrepared) error {
 	if p.commit {
 		resolve = hp.ResolveCommit
 	}
-	if err := resolve(p.id); err != nil || hp != d.hp {
+	n := len(d.doubt)
+	if p.commit && hp == d.hp {
+		d.doubt = append(d.doubt, slotWrite{p.slot, p.ifCommit})
+	}
+	err := resolve(p.id)
+	d.doubt = d.doubt[:n]
+	if err != nil || hp != d.hp {
 		return err
 	}
 	if p.commit {
@@ -234,6 +251,23 @@ func (d *Driver) update(commit bool, fn func(tr *core.Tx) error) (bool, error) {
 	return ok, err
 }
 
+// write runs fn in a transaction that commits (or, with commit false,
+// aborts) and, if it committed, makes vals slot's list in the model. A
+// committing call leaves the write in doubt until it returns, so a device
+// fault that panics out of it leaves the write on d.doubt.
+func (d *Driver) write(slot int, vals []uint64, commit bool, fn func(tr *core.Tx) error) error {
+	n := len(d.doubt)
+	if commit {
+		d.doubt = append(d.doubt, slotWrite{slot, vals})
+	}
+	ok, err := d.update(commit, fn)
+	d.doubt = d.doubt[:n]
+	if ok {
+		d.model[slot] = vals
+	}
+	return err
+}
+
 // rebuildSlot replaces one root slot's list in a transaction; a quarter of
 // the time the transaction aborts instead (and the model is untouched).
 func (d *Driver) rebuildSlot() error {
@@ -241,11 +275,7 @@ func (d *Driver) rebuildSlot() error {
 	n := 1 + d.rng.Intn(6)
 	vals := seq(d.rng.Uint64()%1_000_000, n)
 	commit := d.rng.Intn(4) != 0
-	ok, err := d.update(commit, func(tr *core.Tx) error { return buildList(tr, slot, 1, vals) })
-	if ok {
-		d.model[slot] = vals
-	}
-	return err
+	return d.write(slot, vals, commit, func(tr *core.Tx) error { return buildList(tr, slot, 1, vals) })
 }
 
 // mutateSlot updates one value in an existing committed list.
@@ -258,8 +288,9 @@ func (d *Driver) mutateSlot() error {
 	idx := d.rng.Intn(len(vals))
 	newVal := d.rng.Uint64() % 1_000_000
 	commit := d.rng.Intn(3) != 0
-
-	ok, err := d.update(commit, func(tr *core.Tx) error {
+	fresh := append([]uint64(nil), vals...)
+	fresh[idx] = newVal
+	return d.write(slot, fresh, commit, func(tr *core.Tx) error {
 		node, err := tr.Root(slot)
 		for i := 0; i < idx && err == nil; i++ {
 			node, err = tr.Ptr(node, 0)
@@ -269,12 +300,6 @@ func (d *Driver) mutateSlot() error {
 		}
 		return tr.SetData(node, 0, newVal)
 	})
-	if ok {
-		fresh := append([]uint64(nil), vals...)
-		fresh[idx] = newVal
-		d.model[slot] = fresh
-	}
-	return err
 }
 
 // churn allocates short-lived garbage (committed so it isn't undone —
@@ -293,7 +318,8 @@ func (d *Driver) churn() error {
 
 // Verify checks the heap against the model: every committed list is intact
 // and nothing else is visible. An outstanding prepared transaction is
-// resolved first (the audit cannot read through its locks).
+// resolved first (the audit cannot read through its locks). A slot in doubt
+// may hold either list; the model takes the one found.
 func (d *Driver) Verify() error {
 	if d.pending != nil {
 		if err := d.resolvePending(); err != nil {
@@ -303,10 +329,17 @@ func (d *Driver) Verify() error {
 	tr := d.hp.Begin()
 	defer tr.Abort()
 	for slot := 0; slot < d.slots; slot++ {
-		if err := checkList(tr, slot, d.model[slot]); err != nil {
+		err := checkList(tr, slot, d.model[slot])
+		for _, w := range d.doubt {
+			if err != nil && w.slot == slot && checkList(tr, slot, w.vals) == nil {
+				d.model[slot], err = w.vals, nil
+			}
+		}
+		if err != nil {
 			return err
 		}
 	}
+	d.doubt = nil
 	return nil
 }
 

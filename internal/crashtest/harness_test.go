@@ -286,7 +286,6 @@ func TestDriverOverDir(t *testing.T) {
 	}
 	c := cfg()
 	c.Dir = filepath.Join(t.TempDir(), "heap")
-	c.RecoveryWorkers = 2
 	d := New(c, 7)
 	var fds int
 	for round := 0; round < 6; round++ {

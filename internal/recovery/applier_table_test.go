@@ -53,7 +53,7 @@ func TestApplierTableEqualsAnalysis(t *testing.T) {
 			l := logDev.Clone()
 			m := wal.NewManager(l)
 			fresh := vm.New(vm.Config{PageSize: cfg.PageSize}, disk.Clone(), m)
-			res, err := recovery.Recover(fresh, m, recovery.Options{RedoWorkers: 1})
+			res, err := recovery.Recover(fresh, m, recovery.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: analysis at LSN %d: %v", seed, logDev.EndLSN(), err)
 			}

@@ -24,17 +24,15 @@ func (s span) pages(pageSize int) (first, last word.PageID) {
 }
 
 // footprint is the one place a record type is mapped to pages: the byte
-// ranges the record's redo writes (both empty for control records), and
-// whether replaying it reads a page it does not write. The dirty-page
-// table, redo's relevance test and the parallel router are all derived from
-// it, so they cannot disagree about which pages a record touches.
+// ranges the record's redo writes (both empty for control records). The
+// dirty-page table and redo's relevance test are both derived from it, so
+// they cannot disagree about which pages a record touches.
 //
 // Only a collector copy record writes two ranges — the to-space image and
-// the forwarding word planted over the from-space descriptor — and only a
-// content-free one reads elsewhere: its to-space image is rebuilt from the
-// replayed from-space body. The fixes of a scan or SFix record are batched
-// per page by their writers, so the first slot names the page of all.
-func footprint(rec wal.Record) (writes [2]span, readsElsewhere bool) {
+// the forwarding word planted over the from-space descriptor. The fixes of
+// a scan or SFix record are batched per page by their writers, so the first
+// slot names the page of all.
+func footprint(rec wal.Record) (writes [2]span) {
 	switch t := rec.(type) {
 	case wal.UpdateRec:
 		writes[0] = span{t.Addr, len(t.Redo)}
@@ -52,7 +50,6 @@ func footprint(rec wal.Record) (writes [2]span, readsElsewhere bool) {
 		n := word.WordsToBytes(t.SizeWords)
 		writes[0] = span{t.To, n}
 		writes[1] = span{t.From, word.WordSize}
-		readsElsewhere = len(t.Contents) != n
 	case wal.ScanRec:
 		if len(t.Fixes) > 0 {
 			writes[0] = span{t.Fixes[0].Addr, word.WordSize}
@@ -66,7 +63,7 @@ func footprint(rec wal.Record) (writes [2]span, readsElsewhere bool) {
 	case wal.V2SCopyRec:
 		writes[0] = span{t.To, len(t.Object)}
 	}
-	return writes, readsElsewhere
+	return writes
 }
 
 // dirtyPages is the dirty-page table (§2.2.4): for every page whose disk
@@ -105,8 +102,7 @@ func (d *dirtyPages) note(lsn word.LSN, rec wal.Record) {
 		}
 		return
 	}
-	writes, _ := footprint(rec)
-	for _, s := range writes {
+	for _, s := range footprint(rec) {
 		for pg, last := s.pages(d.pageSize); pg <= last; pg++ {
 			if _, ok := d.recLSN[pg]; !ok {
 				d.recLSN[pg] = lsn

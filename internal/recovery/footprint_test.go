@@ -41,41 +41,37 @@ func TestRecoverUpdateSpanningPages(t *testing.T) {
 }
 
 // footprintCases lists every record type with page effects, with the pages
-// its redo must write stated by hand (256-byte pages) and whether replay
-// reads a page it does not write.
+// its redo must write stated by hand (256-byte pages).
 var footprintCases = []struct {
 	name  string
 	rec   wal.Record
 	pages []word.PageID
-	reads bool
 }{
-	{"update", wal.UpdateRec{Addr: 3*ps + 16, Redo: w64(1), Undo: w64(0)}, []word.PageID{3}, false},
-	{"update-spanning", wal.UpdateRec{Addr: 4*ps - 8, Redo: make([]byte, 16), Undo: make([]byte, 16)}, []word.PageID{3, 4}, false},
-	{"clr-physical-spanning", wal.CLRRec{Addr: 6*ps - 8, Redo: make([]byte, 24)}, []word.PageID{5, 6}, false},
-	{"clr-logical-delta", wal.CLRRec{Addr: 7*ps - 8, Flags: wal.CLRLogicalDelta, Redo: w64(5)}, []word.PageID{6}, false},
-	{"logical", wal.LogicalRec{Addr: 8 * ps, Delta: 3}, []word.PageID{8}, false},
-	{"alloc-spanning", wal.AllocRec{Addr: 10*ps - 16, Descriptor: 7, SizeWords: 2*ps/word.WordSize + 2}, []word.PageID{9, 10, 11}, false},
-	{"copy-content-free", wal.CopyRec{From: 12*ps + 8, To: 21*ps - 8, SizeWords: 3, Descriptor: 9}, []word.PageID{12, 20, 21}, true},
-	{"copy-contents", wal.CopyRec{From: 13*ps + 8, To: 23*ps - 8, SizeWords: 2, Descriptor: 9, Contents: make([]byte, 16)}, []word.PageID{13, 22, 23}, false},
-	{"scan", wal.ScanRec{Page: 14, Fixes: []wal.PtrFix{{Addr: 14*ps + 8, NewPtr: 0x40}, {Addr: 15*ps - 8, NewPtr: 0x48}}}, []word.PageID{14}, false},
-	{"sfix", wal.SFixRec{Page: 16, Fixes: []wal.PtrFix{{Addr: 16 * ps, NewPtr: 0x40}}}, []word.PageID{16}, false},
-	{"base-spanning", wal.BaseRec{Addr: 18*ps - 8, Object: make([]byte, 32)}, []word.PageID{17, 18}, false},
-	{"v2scopy-spanning", wal.V2SCopyRec{From: 0x9000, To: 19*ps - 16, Object: make([]byte, 24)}, []word.PageID{18, 19}, false},
+	{"update", wal.UpdateRec{Addr: 3*ps + 16, Redo: w64(1), Undo: w64(0)}, []word.PageID{3}},
+	{"update-spanning", wal.UpdateRec{Addr: 4*ps - 8, Redo: make([]byte, 16), Undo: make([]byte, 16)}, []word.PageID{3, 4}},
+	{"clr-physical-spanning", wal.CLRRec{Addr: 6*ps - 8, Redo: make([]byte, 24)}, []word.PageID{5, 6}},
+	{"clr-logical-delta", wal.CLRRec{Addr: 7*ps - 8, Flags: wal.CLRLogicalDelta, Redo: w64(5)}, []word.PageID{6}},
+	{"logical", wal.LogicalRec{Addr: 8 * ps, Delta: 3}, []word.PageID{8}},
+	{"alloc-spanning", wal.AllocRec{Addr: 10*ps - 16, Descriptor: 7, SizeWords: 2*ps/word.WordSize + 2}, []word.PageID{9, 10, 11}},
+	{"copy-content-free", wal.CopyRec{From: 12*ps + 8, To: 21*ps - 8, SizeWords: 3, Descriptor: 9}, []word.PageID{12, 20, 21}},
+	{"copy-contents", wal.CopyRec{From: 13*ps + 8, To: 23*ps - 8, SizeWords: 2, Descriptor: 9, Contents: make([]byte, 16)}, []word.PageID{13, 22, 23}},
+	{"scan", wal.ScanRec{Page: 14, Fixes: []wal.PtrFix{{Addr: 14*ps + 8, NewPtr: 0x40}, {Addr: 15*ps - 8, NewPtr: 0x48}}}, []word.PageID{14}},
+	{"sfix", wal.SFixRec{Page: 16, Fixes: []wal.PtrFix{{Addr: 16 * ps, NewPtr: 0x40}}}, []word.PageID{16}},
+	{"base-spanning", wal.BaseRec{Addr: 18*ps - 8, Object: make([]byte, 32)}, []word.PageID{17, 18}},
+	{"v2scopy-spanning", wal.V2SCopyRec{From: 0x9000, To: 19*ps - 16, Object: make([]byte, 24)}, []word.PageID{18, 19}},
 }
 
-// The contract the four hand-synchronised switches used to keep by comment:
-// sequential redo on a blank store modifies exactly the footprint's pages,
-// the router sends the record to exactly the shards owning them, a barrier
-// is raised iff replay reads elsewhere — and a control record touches
-// nothing.
+// The contract the hand-synchronised switches used to keep by comment: the
+// dirty-page table routes a record to exactly the footprint's pages, and
+// sequential redo on a blank store modifies exactly those pages — and a
+// control record touches nothing.
 func TestFootprintCoversRedoAndRouting(t *testing.T) {
 	const lsn = word.LSN(100)
 	for _, tc := range footprintCases {
 		t.Run(tc.name, func(t *testing.T) {
-			writes, reads := footprint(tc.rec)
 			var got []word.PageID
 			seen := map[word.PageID]bool{}
-			for _, s := range writes {
+			for _, s := range footprint(tc.rec) {
 				for pg, last := s.pages(ps); pg <= last; pg++ {
 					if !seen[pg] {
 						seen[pg] = true
@@ -84,16 +80,24 @@ func TestFootprintCoversRedoAndRouting(t *testing.T) {
 				}
 			}
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			if !reflect.DeepEqual(got, tc.pages) || reads != tc.reads {
-				t.Fatalf("footprint pages %v reads=%v, want %v reads=%v", got, reads, tc.pages, tc.reads)
+			if !reflect.DeepEqual(got, tc.pages) {
+				t.Fatalf("footprint pages %v, want %v", got, tc.pages)
+			}
+
+			dpt := newDirtyPages(ps, nil, false)
+			dpt.note(lsn, tc.rec)
+			var noted []word.PageID
+			for _, dp := range dpt.sorted() {
+				noted = append(noted, dp.Page)
+			}
+			if !reflect.DeepEqual(noted, tc.pages) {
+				t.Fatalf("dirty-page table holds %v, footprint says %v", noted, tc.pages)
 			}
 
 			// Every page of a blank store is stale, so redo must write all
 			// of the footprint and nothing else.
-			mem, _, disk, _ := newRig()
+			mem, _, _, _ := newRig()
 			mem.SetLogFetches(false)
-			dpt := newDirtyPages(ps, nil, false)
-			dpt.note(lsn, tc.rec)
 			if !(&redoer{mem: mem, dpt: dpt}).apply(lsn, tc.rec) {
 				t.Fatal("redo applied nothing on a blank store")
 			}
@@ -103,20 +107,6 @@ func TestFootprintCoversRedoAndRouting(t *testing.T) {
 			}
 			if !reflect.DeepEqual(modified, tc.pages) {
 				t.Fatalf("redo modified pages %v, footprint says %v", modified, tc.pages)
-			}
-
-			for _, workers := range []int{2, 3, 8} {
-				e := &parallelRedo{mem: newShardedMem(disk, ps, workers)}
-				var want uint64
-				for _, pg := range tc.pages {
-					want |= 1 << uint(e.mem.shardOf(pg))
-				}
-				if tc.reads {
-					want = 0 // a barrier record is replayed by the dispatcher
-				}
-				if mask, barrier := e.route(tc.rec); mask != want || barrier != tc.reads {
-					t.Fatalf("workers=%d: route = (%#x, %v), want (%#x, %v)", workers, mask, barrier, want, tc.reads)
-				}
 			}
 		})
 	}
@@ -128,8 +118,8 @@ func TestFootprintCoversRedoAndRouting(t *testing.T) {
 		wal.ScanRec{Page: 3}, wal.SFixRec{Page: 3}, // no fixes, no writes
 	}
 	for _, rec := range control {
-		if writes, reads := footprint(rec); writes != [2]span{} || reads {
-			t.Fatalf("%T: footprint %v reads=%v, want empty", rec, writes, reads)
+		if writes := footprint(rec); writes != [2]span{} {
+			t.Fatalf("%T: footprint %v, want empty", rec, writes)
 		}
 	}
 }

@@ -22,54 +22,50 @@ import (
 )
 
 func TestRecoverMidSweepScanState(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := stableheap.DefaultConfig()
-		cfg.StableWords = 64 * 1024
-		cfg.VolatileWords = 16 * 1024
-		h := stableheap.Open(cfg)
-		bank, err := workload.NewBank(h, 0, 128, 12, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(42))
-		if _, err := bank.RunMix(rng, 100, 50); err != nil {
-			t.Fatal(err)
-		}
-		// First-ever volatile collection moves the whole bank into the
-		// stable area; the flip then copies the root, and one step leaves
-		// the sweep mid-page — with the last copied object spanning a page
-		// boundary, the old encoding marked the wrong page scanned.
-		if _, err := h.CollectVolatile(); err != nil {
-			t.Fatal(err)
-		}
-		h.StartStableCollection()
-		h.StepStable()
-		h.Internal().Log().ForceAll()
-		disk, logDev := h.Crash()
+	cfg := stableheap.DefaultConfig()
+	cfg.StableWords = 64 * 1024
+	cfg.VolatileWords = 16 * 1024
+	h := stableheap.Open(cfg)
+	bank, err := workload.NewBank(h, 0, 128, 12, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	if _, err := bank.RunMix(rng, 100, 50); err != nil {
+		t.Fatal(err)
+	}
+	// First-ever volatile collection moves the whole bank into the stable
+	// area; the flip then copies the root, and one step leaves the sweep
+	// mid-page — with the last copied object spanning a page boundary, the
+	// old encoding marked the wrong page scanned.
+	if _, err := h.CollectVolatile(); err != nil {
+		t.Fatal(err)
+	}
+	h.StartStableCollection()
+	h.StepStable()
+	h.Internal().Log().ForceAll()
+	disk, logDev := h.Crash()
 
-		rcfg := cfg
-		rcfg.RecoveryWorkers = workers
-		h2, err := stableheap.Recover(rcfg, disk, logDev)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !h2.Internal().StableCollector().Active() {
-			t.Fatalf("workers=%d: collection did not resume", workers)
-		}
-		bank.Reattach(h2)
-		total, err := bank.Total()
-		if err != nil {
-			t.Fatalf("workers=%d: total with resumed collection: %v", workers, err)
-		}
-		if total != 128*1000 {
-			t.Fatalf("workers=%d: total = %d, want %d", workers, total, 128*1000)
-		}
-		// Finish the resumed collection and re-verify: no from-space
-		// pointer may survive into the reused space.
-		for h2.StepStable() {
-		}
-		if total, err = bank.Total(); err != nil || total != 128*1000 {
-			t.Fatalf("workers=%d: after finishing collection: total=%d err=%v", workers, total, err)
-		}
+	h2, err := stableheap.Recover(cfg, disk, logDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h2.Internal().StableCollector().Active() {
+		t.Fatal("collection did not resume")
+	}
+	bank.Reattach(h2)
+	total, err := bank.Total()
+	if err != nil {
+		t.Fatalf("total with resumed collection: %v", err)
+	}
+	if total != 128*1000 {
+		t.Fatalf("total = %d, want %d", total, 128*1000)
+	}
+	// Finish the resumed collection and re-verify: no from-space pointer
+	// may survive into the reused space.
+	for h2.StepStable() {
+	}
+	if total, err = bank.Total(); err != nil || total != 128*1000 {
+		t.Fatalf("after finishing collection: total=%d err=%v", total, err)
 	}
 }

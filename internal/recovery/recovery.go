@@ -10,7 +10,6 @@ package recovery
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -20,12 +19,11 @@ import (
 	"stableheap/internal/word"
 )
 
+// redoBatchSize is how many records redo decodes per log read.
+const redoBatchSize = 128
+
 // Options tunes how Recover repeats history.
 type Options struct {
-	// RedoWorkers is the number of page-partitioned redo shards. 0 picks
-	// min(GOMAXPROCS, 8); 1 forces sequential redo; values above 64 are
-	// clamped (the dispatcher routes with a 64-bit shard mask).
-	RedoWorkers int
 	// Recorder, when non-nil, receives one span per recovery phase
 	// (analysis, redo, undo).
 	Recorder *obs.BlackBox
@@ -36,56 +34,16 @@ type Options struct {
 	Media bool
 }
 
-// workers resolves the effective shard count.
-func (o Options) workers() int {
-	w := o.RedoWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	if w > 64 {
-		w = 64
-	}
-	return w
-}
-
-// Stats reports where recovery spent its time and how the redo work spread
-// across shards.
+// Stats reports where recovery spent its time.
 type Stats struct {
 	// Analysis, Redo, Undo are the wall-clock durations of the three
 	// passes.
 	Analysis time.Duration
 	Redo     time.Duration
 	Undo     time.Duration
-	// RedoWorkers is the shard count actually used (1 = sequential).
+	// Deprecated: redo is sequential (DESIGN.md §4.3a); always 1. Kept
+	// only for the frozen benchmark harness, which reads it.
 	RedoWorkers int
-	// Barriers counts redo records that forced a cross-shard
-	// synchronization (content-free collector copy records).
-	Barriers int
-	// ShardRecords counts records delivered to each shard; nil for
-	// sequential redo.
-	ShardRecords []int
-}
-
-// Skew returns max/mean over ShardRecords — 1.0 is a perfectly balanced
-// parallel redo; 0 means no sharded records (or sequential redo).
-func (s Stats) Skew() float64 {
-	if len(s.ShardRecords) == 0 {
-		return 0
-	}
-	total, max := 0, 0
-	for _, n := range s.ShardRecords {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(s.ShardRecords)) / float64(total)
 }
 
 // Result is what Recover hands back to the stable-heap core: the
@@ -236,32 +194,19 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 	res.Stats.Analysis = time.Since(phase)
 	opts.Recorder.Span(obs.EvRecAnalysis, res.Stats.Analysis, 0, 0, 0)
 
-	// With more than one worker the log is replayed by the page-partitioned
-	// parallel engine (parallel.go); its final store state is identical to
-	// the sequential replay. The parallel path requires the recovery
-	// contract's fresh store (no resident pages) so that shard caches can
-	// load pages straight from the disk.
 	phase = time.Now()
 	res.Stats.RedoWorkers = 1
 	if res.RedoStart != word.NilLSN {
-		apply := (&redoer{mem: mem, dpt: a.dpt}).apply
-		var par *parallelRedo
-		if workers := opts.workers(); workers > 1 && len(mem.ResidentPages()) == 0 {
-			par = startParallelRedo(mem, a.dpt, workers)
-			apply = par.dispatch
-		}
+		red := &redoer{mem: mem, dpt: a.dpt}
 		log.ScanBatch(res.RedoStart, true, redoBatchSize, func(lsns []word.LSN, recs []wal.Record) bool {
 			for i, rec := range recs {
 				res.RedoScanned++
-				if apply(lsns[i], rec) {
+				if red.apply(lsns[i], rec) {
 					res.RedoApplied++
 				}
 			}
 			return true
 		})
-		if par != nil {
-			par.finish(mem, res)
-		}
 	}
 	res.Stats.Redo = time.Since(phase)
 	opts.Recorder.Span(obs.EvRecRedo, res.Stats.Redo, 0, uint64(res.RedoApplied), uint64(res.RedoScanned))

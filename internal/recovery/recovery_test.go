@@ -1,11 +1,8 @@
 package recovery
 
 import (
-	"reflect"
 	"testing"
-	"time"
 
-	"stableheap/internal/heap"
 	"stableheap/internal/storage"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
@@ -405,245 +402,5 @@ func TestAnalysisSFixMaintainsSRem(t *testing.T) {
 	}
 	if mem.ReadWord(0x700) != 0x600 {
 		t.Fatal("fix not replayed")
-	}
-}
-
-// --- Parallel redo engine --------------------------------------------------
-// (these run under -race in CI, giving the dispatcher/worker handshake a
-// data-race check in-package)
-
-// buildShardImage constructs a crash image whose redo range exercises every
-// dispatcher route: single-page updates spread over many pages, a logical
-// delta, a page-spanning allocation (multi-shard record), a content-free
-// copy (cross-shard barrier), a content-carrying copy, scan and SFix
-// pointer fixes, and a loser transaction for undo — with a third of the
-// pages flushed and the rest lost.
-func buildShardImage(t *testing.T) (*storage.Disk, *storage.Log) {
-	t.Helper()
-	mem, log, disk, dev := newRig()
-	bootstrap(mem, log)
-
-	// Committed updates across twenty distinct pages.
-	last := log.Append(wal.BeginRec{TxHdr: wal.TxHdr{TxID: 1}})
-	for i := 0; i < 20; i++ {
-		addr := word.Addr(i*ps + 16)
-		l := log.Append(wal.UpdateRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: last},
-			Addr: addr, Redo: w64(uint64(100 + i)), Undo: w64(0)})
-		mem.WriteWord(addr, uint64(100+i), l)
-		last = l
-	}
-	// A logical delta rides on one of those pages.
-	ld := log.Append(wal.LogicalRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: last},
-		Addr: word.Addr(2*ps + 24), Delta: 7})
-	mem.WriteWord(word.Addr(2*ps+24), mem.ReadWord(word.Addr(2*ps+24))+7, ld)
-	log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: ld}})
-
-	// A committed transaction that logs the from-space body the later
-	// content-free copy record is replayed from, plus a page-spanning
-	// allocation (one record dispatched to two shards).
-	src := word.Addr(31*ps + 16)
-	b2 := log.Append(wal.BeginRec{TxHdr: wal.TxHdr{TxID: 2}})
-	lsrc := log.Append(wal.UpdateRec{TxHdr: wal.TxHdr{TxID: 2, PrevLSN: b2},
-		Addr: src + word.WordSize, Redo: w64(777), Undo: w64(0)})
-	mem.WriteWord(src+word.WordSize, 777, lsrc)
-	allocAddr := word.Addr(30*ps - 2*word.WordSize)
-	la := log.Append(wal.AllocRec{TxHdr: wal.TxHdr{TxID: 2, PrevLSN: lsrc},
-		Addr: allocAddr, Descriptor: 0xABCD, SizeWords: 6})
-	img := make([]byte, word.WordsToBytes(6))
-	word.PutWord(img, 0, 0xABCD)
-	mem.WriteBytes(allocAddr, img, la)
-	log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: 2, PrevLSN: la}})
-
-	// Content-free copy: replay rebuilds the to-space image from the
-	// replayed from-space page, which forces a cross-shard barrier in the
-	// parallel engine.
-	dst := word.Addr(35*ps + 8)
-	lc := log.Append(wal.CopyRec{Epoch: 1, From: src, To: dst, SizeWords: 3,
-		Descriptor: 0x1234})
-	dimg := make([]byte, word.WordsToBytes(3))
-	word.PutWord(dimg, 0, 0x1234)
-	word.PutWord(dimg, 1, 777)
-	mem.WriteBytes(dst, dimg, lc)
-	mem.WriteWord(src, uint64(heap.ForwardingDescriptor(dst)), lc)
-
-	// Content-carrying copy: self-contained, no barrier.
-	src2 := word.Addr(40*ps + 16)
-	dst2 := word.Addr(41*ps + 8)
-	cimg := make([]byte, word.WordsToBytes(2))
-	word.PutWord(cimg, 0, 0x5678)
-	word.PutWord(cimg, 1, 0x9A)
-	lc2 := log.Append(wal.CopyRec{Epoch: 1, From: src2, To: dst2, SizeWords: 2,
-		Descriptor: 0x5678, Contents: cimg})
-	mem.WriteBytes(dst2, cimg, lc2)
-	mem.WriteWord(src2, uint64(heap.ForwardingDescriptor(dst2)), lc2)
-
-	// Scan and SFix pointer fixes.
-	lsf := log.Append(wal.ScanRec{Epoch: 1, Page: dst.Page(ps),
-		Fixes: []wal.PtrFix{{Addr: dst + 2*word.WordSize, NewPtr: dst2}}})
-	mem.WriteWord(dst+2*word.WordSize, uint64(dst2), lsf)
-	fix := word.Addr(5*ps + 32)
-	lfx := log.Append(wal.SFixRec{Page: fix.Page(ps),
-		Fixes: []wal.PtrFix{{Addr: fix, NewPtr: dst}}})
-	mem.WriteWord(fix, uint64(dst), lfx)
-
-	// A loser: updates on two pages, never committed.
-	b3 := log.Append(wal.BeginRec{TxHdr: wal.TxHdr{TxID: 3}})
-	l3 := log.Append(wal.UpdateRec{TxHdr: wal.TxHdr{TxID: 3, PrevLSN: b3},
-		Addr: word.Addr(7*ps + 48), Redo: w64(55), Undo: w64(0)})
-	mem.WriteWord(word.Addr(7*ps+48), 55, l3)
-	l4 := log.Append(wal.UpdateRec{TxHdr: wal.TxHdr{TxID: 3, PrevLSN: l3},
-		Addr: word.Addr(12*ps + 48), Redo: w64(66), Undo: w64(0)})
-	mem.WriteWord(word.Addr(12*ps+48), 66, l4)
-
-	// Flush every third resident page; the rest is lost with the crash.
-	for i, pg := range mem.ResidentPages() {
-		if i%3 == 0 {
-			mem.FlushPage(pg)
-		}
-	}
-	log.ForceAll()
-	dev.Crash()
-	mem.Crash()
-	return disk, dev
-}
-
-// replayImage recovers a snapshot of the crash image with the given redo
-// worker count.
-func replayImage(t *testing.T, disk *storage.Disk, dev *storage.Log, workers int) (*Result, *vm.Store) {
-	t.Helper()
-	d, l := disk.Snapshot(), dev.Snapshot()
-	log := wal.NewManager(l)
-	mem := vm.New(vm.Config{PageSize: ps, LogFetches: true}, d, log)
-	res, err := Recover(mem, log, Options{RedoWorkers: workers})
-	if err != nil {
-		t.Fatalf("recover with %d workers: %v", workers, err)
-	}
-	return res, mem
-}
-
-func TestParallelEngineMatchesSequential(t *testing.T) {
-	disk, dev := buildShardImage(t)
-	seqRes, seqMem := replayImage(t, disk, dev, 1)
-	if seqRes.Stats.RedoWorkers != 1 || seqRes.Stats.ShardRecords != nil {
-		t.Fatalf("sequential run reported parallel stats: %+v", seqRes.Stats)
-	}
-	if got := seqRes.Stats.Skew(); got != 0 {
-		t.Fatalf("sequential skew = %v, want 0", got)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		res, mem := replayImage(t, disk, dev, workers)
-		if res.RedoStart != seqRes.RedoStart ||
-			res.RedoScanned != seqRes.RedoScanned ||
-			res.RedoApplied != seqRes.RedoApplied {
-			t.Fatalf("workers=%d: redo (%d,%d,%d) != sequential (%d,%d,%d)",
-				workers, res.RedoStart, res.RedoScanned, res.RedoApplied,
-				seqRes.RedoStart, seqRes.RedoScanned, seqRes.RedoApplied)
-		}
-		if !reflect.DeepEqual(res.Losers, seqRes.Losers) {
-			t.Fatalf("workers=%d: losers %v != %v", workers, res.Losers, seqRes.Losers)
-		}
-		if !reflect.DeepEqual(res.CP, seqRes.CP) {
-			t.Fatalf("workers=%d: checkpoint state differs:\npar %+v\nseq %+v",
-				workers, res.CP, seqRes.CP)
-		}
-		// Byte-identical heap state with identical page LSNs.
-		pages := map[word.PageID]bool{}
-		for _, pg := range seqMem.ResidentPages() {
-			pages[pg] = true
-		}
-		for _, pg := range mem.ResidentPages() {
-			pages[pg] = true
-		}
-		for pg := range pages {
-			if a, b := seqMem.PageLSN(pg), mem.PageLSN(pg); a != b {
-				t.Fatalf("workers=%d: page %d LSN seq %d, par %d", workers, pg, a, b)
-			}
-			sb := seqMem.ReadBytes(pg.Base(ps), ps)
-			pb := mem.ReadBytes(pg.Base(ps), ps)
-			if !reflect.DeepEqual(sb, pb) {
-				t.Fatalf("workers=%d: page %d contents differ", workers, pg)
-			}
-		}
-		if sd, pd := seqMem.DirtyPages(), mem.DirtyPages(); !reflect.DeepEqual(sd, pd) {
-			t.Fatalf("workers=%d: dirty pages seq %v, par %v", workers, sd, pd)
-		}
-		// Stats sanity.
-		st := res.Stats
-		if st.RedoWorkers != workers {
-			t.Fatalf("RedoWorkers = %d, want %d", st.RedoWorkers, workers)
-		}
-		if len(st.ShardRecords) != workers {
-			t.Fatalf("len(ShardRecords) = %d, want %d", len(st.ShardRecords), workers)
-		}
-		if st.Barriers == 0 {
-			t.Fatal("content-free copy record should have forced a barrier")
-		}
-		if st.Skew() < 1 {
-			t.Fatalf("skew = %v, want >= 1 once records were sharded", st.Skew())
-		}
-	}
-}
-
-func TestOptionsWorkerClamp(t *testing.T) {
-	if got := (Options{RedoWorkers: 5}).workers(); got != 5 {
-		t.Fatalf("workers(5) = %d", got)
-	}
-	if got := (Options{RedoWorkers: 200}).workers(); got != 64 {
-		t.Fatalf("workers(200) = %d, want 64 (shard-mask clamp)", got)
-	}
-	if got := (Options{}).workers(); got < 1 || got > 8 {
-		t.Fatalf("workers(auto) = %d, want within [1,8]", got)
-	}
-}
-
-func TestStatsSkew(t *testing.T) {
-	if s := (Stats{ShardRecords: []int{2, 2}}).Skew(); s != 1 {
-		t.Fatalf("balanced skew = %v, want 1", s)
-	}
-	if s := (Stats{ShardRecords: []int{3, 1}}).Skew(); s != 1.5 {
-		t.Fatalf("skew = %v, want 1.5", s)
-	}
-	if s := (Stats{ShardRecords: []int{0, 0}}).Skew(); s != 0 {
-		t.Fatalf("empty-shard skew = %v, want 0", s)
-	}
-}
-
-// rotDisk reports one page as corrupt the way a fault-injecting store
-// does: a typed panic out of ReadPage.
-type rotDisk struct {
-	*storage.Disk
-	bad word.PageID
-}
-
-func (d rotDisk) ReadPage(id word.PageID) ([]byte, word.LSN, bool) {
-	if id == d.bad {
-		panic(&storage.CorruptPageError{Page: id, Reason: "test rot"})
-	}
-	return d.Disk.ReadPage(id)
-}
-
-// A device fault surfacing inside one redo worker's page load must reach
-// the caller as that typed panic. It used to leak the shared disk mutex,
-// parking every other worker on its next page load forever (found by the
-// nursery chaos scenario the first time it ran with two redo workers).
-func TestParallelRedoDeviceFaultDoesNotHang(t *testing.T) {
-	disk, dev := buildShardImage(t)
-	log := wal.NewManager(dev.Snapshot())
-	// Page 1 is the first page the crash lost (page 0 was flushed, so redo
-	// skips it by page LSN alone): its load comes second in the log, and
-	// every other worker still has page loads ahead when the fault fires.
-	mem := vm.New(vm.Config{PageSize: ps, LogFetches: true}, rotDisk{disk.Snapshot(), 1}, log)
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		Recover(mem, log, Options{RedoWorkers: 4})
-	}()
-	select {
-	case v := <-done:
-		if _, ok := storage.AsDeviceError(v); !ok {
-			t.Fatalf("recovery ended with %v, want the typed device error", v)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("parallel redo hung after a device fault in one worker")
 	}
 }

@@ -4,41 +4,23 @@ import (
 	"fmt"
 
 	"stableheap/internal/heap"
+	"stableheap/internal/vm"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
-
-// pageIO is the page-granular store a redoer replays into. *vm.Store
-// implements it; the parallel engine substitutes per-shard page caches so
-// workers replay without taking the store's lock on every page miss or
-// depending on its eviction order (see parallel.go).
-type pageIO interface {
-	PageSize() int
-	PageLSN(word.PageID) word.LSN
-	ReadBytes(word.Addr, int) []byte
-	WriteBytes(word.Addr, []byte, word.LSN)
-	ReadWord(word.Addr) uint64
-	WriteWord(word.Addr, uint64, word.LSN)
-}
 
 // redoer repeats history (§2.2.3): every redo record is re-applied to each
 // page it touches unless the page already reflects it (page LSN
 // conditioning), so replaying the stable log reproduces exactly the cache
 // state the crash destroyed.
 type redoer struct {
-	mem pageIO
+	mem *vm.Store
 	dpt *dirtyPages
-	// owns filters which pages this redoer may touch (nil = all). The
-	// parallel engine gives each worker the filter for its shard; a record
-	// spanning several shards is delivered to each of them and every
-	// worker applies only its own pages.
-	owns func(word.PageID) bool
 }
 
-// stale reports whether pg is this redoer's and does not yet reflect the
-// record at lsn.
+// stale reports whether pg does not yet reflect the record at lsn.
 func (r *redoer) stale(pg word.PageID, lsn word.LSN) bool {
-	return (r.owns == nil || r.owns(pg)) && r.mem.PageLSN(pg) < lsn
+	return r.mem.PageLSN(pg) < lsn
 }
 
 // applyConditional writes data at addr page by page, skipping pages whose
@@ -68,7 +50,7 @@ func (r *redoer) applyConditional(addr word.Addr, data []byte, lsn word.LSN) boo
 // the record's footprint is replayed only if the dirty page table says one
 // of its pages may need it.
 func (r *redoer) apply(lsn word.LSN, rec wal.Record) bool {
-	writes, _ := footprint(rec)
+	writes := footprint(rec)
 	need0, need1 := r.dpt.relevant(writes[0], lsn), r.dpt.relevant(writes[1], lsn)
 	if !need0 && !need1 {
 		return false
@@ -117,13 +99,7 @@ func (r *redoer) applyCopy(lsn word.LSN, t wal.CopyRec, needTo, needFrom bool) b
 		// Content-carrying ablation: self-contained replay.
 		img := t.Contents
 		if len(img) != n {
-			// Content-free replay reads the replayed from-space image,
-			// which may live on pages owned by other shards: the parallel
-			// engine serializes these records at a barrier and applies
-			// them with an unfiltered redoer over the combined view.
-			if r.owns != nil {
-				panic(fmt.Sprintf("recovery: content-free copy record (LSN %d) reached a sharded redoer", lsn))
-			}
+			// Content-free replay reads the replayed from-space image.
 			img = make([]byte, n)
 			word.PutWord(img, 0, t.Descriptor)
 			if t.SizeWords > 1 {

@@ -105,7 +105,7 @@ func NewStandby(cfg StandbyConfig, disk storage.PageStore, logDev storage.LogDev
 	hcfg := cfg.Heap.WithDefaults()
 	logMgr := wal.NewManager(logDev)
 	mem := vm.New(vm.Config{PageSize: hcfg.PageSize, CachePages: hcfg.CachePages}, disk, logMgr)
-	ap, err := recovery.StartApplier(mem, logMgr, recovery.Options{RedoWorkers: hcfg.RecoveryWorkers})
+	ap, err := recovery.StartApplier(mem, logMgr, recovery.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("repl: bootstrapping standby: %w", err)
 	}

@@ -675,8 +675,8 @@ func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec
 // full recovery scan costs one syscall per batch, not per record. The two
 // slice headers are reused across calls; the bytes are not — every batch
 // is read into its own chunk, because zero-copy wal.Decode payloads alias
-// it and parallel redo workers apply them after fn has returned
-// (storage.LogDevice's ownership rule).
+// it and may be kept after fn has returned (storage.LogDevice's ownership
+// rule).
 func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
 	if batchSize <= 0 {
 		batchSize = 64

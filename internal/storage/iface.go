@@ -54,9 +54,8 @@ type PageStore interface {
 // immutable until the scan returns, and the device lets go of them there —
 // it never overwrites or recycles a delivered buffer, neither between
 // callbacks nor afterwards. Consumers decode them zero-copy (wal.Decode)
-// and hand the aliasing payloads to other goroutines: parallel redo's
-// workers apply a record well after its callback returned, and are joined
-// just after the scan does. Only the two slice headers ScanBatches passes
+// and may keep the aliasing payloads after the callback that delivered
+// them returns. Only the two slice headers ScanBatches passes
 // (lsns, frames) may be reused from one callback to the next. storagetest
 // enforces both rules on every backend.
 type LogDevice interface {
