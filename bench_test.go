@@ -499,39 +499,69 @@ func BenchmarkE15CheckpointTruncate(b *testing.B) {
 // BenchmarkBulkLoadOneTx builds a 4 096-node chain in ONE transaction on the
 // default configuration, in memory: the minor collections it triggers run
 // with the transaction's whole undo list live, which is the case the
-// collectors' batched relocation exists for. The reported ratio is exact and
-// must stay near two (one data and one pointer entry per node, each searched
-// in the one cycle that moves its node); it grows with the node count the day
-// a collector goes back to sweeping the undo list per object copied.
+// collectors' batched relocation exists for.
+//
+// born writes each node through the ref Alloc returned: no undo entry and no
+// lock beyond the one taken at birth, so lock-acquires/object is exact at
+// two (birth and stability tracking) plus the root's one lock over 4 096.
+// reread writes each node through a ref read back with Ptr from a holder
+// born in the same transaction: one data and one pointer undo entry per
+// node, each searched in the one cycle that moves its node, so
+// utt-probes/move stays just under two (the holder moves once with no
+// entry); it grows with the node count the day a collector goes back to
+// sweeping the undo list per object copied.
 func BenchmarkBulkLoadOneTx(b *testing.B) {
-	var probes, moves int64
-	for i := 0; i < b.N; i++ {
-		h := stableheap.Open(stableheap.DefaultConfig())
-		tx := h.Begin()
-		var head *stableheap.Ref
-		for n := 0; n < 4096; n++ {
-			node, err := tx.Alloc(1, 1, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.SetData(node, 0, uint64(n)); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.SetPtr(node, 0, head); err != nil {
-				b.Fatal(err)
-			}
-			head = node
+	const nodes = 4096
+	for _, reread := range []bool{false, true} {
+		name := "born"
+		if reread {
+			name = "reread"
 		}
-		if err := tx.SetRoot(0, head); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		c := h.Metrics().Counters
-		probes += c["tx_utt_probes_total"]
-		moves += c["gc_relocate_moves_total"]
-		h.Close()
+		b.Run(name, func(b *testing.B) {
+			var probes, moves, acquires int64
+			for i := 0; i < b.N; i++ {
+				h := stableheap.Open(stableheap.DefaultConfig())
+				tx := h.Begin()
+				holder, err := tx.Alloc(2, 1, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var head *stableheap.Ref
+				for n := 0; n < nodes; n++ {
+					node, err := tx.Alloc(1, 1, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if reread {
+						if err := tx.SetPtr(holder, 0, node); err != nil {
+							b.Fatal(err)
+						}
+						if node, err = tx.Ptr(holder, 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := tx.SetData(node, 0, uint64(n)); err != nil {
+						b.Fatal(err)
+					}
+					if err := tx.SetPtr(node, 0, head); err != nil {
+						b.Fatal(err)
+					}
+					head = node
+				}
+				if err := tx.SetRoot(0, head); err != nil {
+					b.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				c := h.Metrics().Counters
+				probes += c["tx_utt_probes_total"]
+				moves += c["gc_relocate_moves_total"]
+				acquires += c["lock_acquires_total"]
+				h.Close()
+			}
+			b.ReportMetric(float64(probes)/float64(moves), "utt-probes/move")
+			b.ReportMetric(float64(acquires)/float64(nodes*b.N), "lock-acquires/object")
+		})
 	}
-	b.ReportMetric(float64(probes)/float64(moves), "utt-probes/move")
 }

@@ -1050,6 +1050,7 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	d := heap.NewDescriptor(typeID, nptrs, ndata)
 	size := d.SizeWords()
 	var addr word.Addr
+	var born bool
 	if !hp.cfg.Undivided {
 		// New volatile objects are born in the nursery when one is
 		// configured and the object fits; a full nursery triggers a
@@ -1078,6 +1079,11 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 		addr = a
 		hp.h.SetDescriptor(addr, d, word.NilLSN)
 		hp.zeroObject(addr, d, word.NilLSN)
+		// Birth lock: the address is fresh, so the write lock is always
+		// free; holding it from here to the transaction's end lets writes
+		// through the returned Ref skip the lock and keep no undo (DESIGN.md
+		// §11, "Birth-locked objects").
+		born = hp.locks.TryAcquire(t.t.ID(), addr, lock.Write) == nil
 	} else {
 		hp.maybeStartStableGC()
 		a, ok := hp.sgc.Alloc(size)
@@ -1095,16 +1101,16 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 		hp.zeroObject(addr, d, lsn)
 	}
 	hp.pace()
+	if born {
+		return hp.txm.RegisterBorn(t.t, addr), nil
+	}
 	return hp.txm.Register(t.t, addr), nil
 }
 
 // zeroObject clears an object's fields (allocation initializes to
 // nil/zero).
 func (hp *Heap) zeroObject(addr word.Addr, d heap.Descriptor, lsn word.LSN) {
-	n := word.WordsToBytes(d.SizeWords() - 1)
-	if n > 0 {
-		hp.mem.WriteBytes(addr.Add(1), make([]byte, n), lsn)
-	}
+	hp.mem.Zero(addr.Add(1), word.WordsToBytes(d.SizeWords()-1), lsn)
 }
 
 // descriptorOf reads an object's descriptor through the read barrier.
@@ -1120,6 +1126,7 @@ func (hp *Heap) rootAddr() word.Addr { return hp.rootObj }
 // field is what an operation acts on, resolved by access and ready to touch.
 type field struct {
 	excl bool            // the action holds the latch exclusively
+	born bool            // the object was born in the transaction (Ref.BornIn)
 	obj  word.Addr       // the object's current address
 	d    heap.Descriptor // its descriptor
 	slot word.Addr       // the named word's address (NilAddr for wholeObject)
@@ -1136,22 +1143,25 @@ const (
 
 // access is the one path every object operation takes: the transaction must
 // be live; the object read() names is locked in mode m (waiting outside the
-// latch); then, as one indivisible action under the latch, its descriptor is
-// read through the read barrier, word i of kind k is bounds-checked against
-// it and made accessible through the barrier too, and fn runs on it. A word
-// access is then recorded for the history checker (rec is the Recorder
-// method for its kind) and paces the collector; wholeObject touches no word
-// and does neither.
-func (t *Tx) access(read func() word.Addr, m lock.Mode, k slotKind, i int,
+// latch) unless it was born in the transaction, which has held its write
+// lock since Alloc; then, as one indivisible action under the latch, its
+// descriptor is read through the read barrier, word i of kind k is
+// bounds-checked against it and made accessible through the barrier too,
+// and fn runs on it. A word access is then recorded for the history checker
+// (rec is the Recorder method for its kind) and paces the collector;
+// wholeObject touches no word and does neither.
+func (t *Tx) access(read func() word.Addr, born bool, m lock.Mode, k slotKind, i int,
 	rec func(*histcheck.Recorder, word.TxID, word.Addr), fn func(f field)) error {
 	if err := t.ok(); err != nil {
 		return err
 	}
-	if err := t.lockAddr(read, m); err != nil {
-		return err
+	if !born {
+		if err := t.lockAddr(read, m); err != nil {
+			return err
+		}
 	}
 	hp := t.hp
-	f := field{excl: hp.rlock()}
+	f := field{excl: hp.rlock(), born: born}
 	defer hp.runlock(f.excl)
 	f.obj = read()
 	f.d = hp.descriptorOf(f.obj)
@@ -1198,9 +1208,9 @@ func (t *Tx) storePtr(f field, val *Ref) {
 	if val != nil {
 		v = val.Addr()
 	}
-	unlock := hp.lockShard(f.excl, f.slot)
-	hp.writeWordAction(t, f.obj, f.d, f.slot, uint64(v), true)
-	unlock()
+	sh := hp.lockShard(f.excl, f.slot)
+	hp.writeWordAction(t, f, uint64(v), true)
+	sh.unlock()
 	if val != nil && hp.isStableObject(f.obj, f.d) && hp.inVolatile(v) {
 		t.cands = append(t.cands, hp.txm.Register(t.t, v))
 	}
@@ -1217,7 +1227,7 @@ func (t *Tx) ref(p word.Addr) *Ref {
 // Ptr reads pointer field i of the referenced object, returning a new
 // registered reference (nil Ref for a nil pointer).
 func (t *Tx) Ptr(r *Ref, i int) (out *Ref, err error) {
-	err = t.access(r.Addr, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
+	err = t.access(r.Addr, r.BornIn(t.t), lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
 		out = t.ref(t.hp.loadPtr(f.slot))
 	})
 	return out, err
@@ -1225,7 +1235,7 @@ func (t *Tx) Ptr(r *Ref, i int) (out *Ref, err error) {
 
 // Data reads data word j of the referenced object.
 func (t *Tx) Data(r *Ref, j int) (v uint64, err error) {
-	err = t.access(r.Addr, lock.Read, dataSlot, j, (*histcheck.Recorder).Read, func(f field) {
+	err = t.access(r.Addr, r.BornIn(t.t), lock.Read, dataSlot, j, (*histcheck.Recorder).Read, func(f field) {
 		v = t.hp.mem.ReadWord(f.slot)
 	})
 	return v, err
@@ -1233,39 +1243,41 @@ func (t *Tx) Data(r *Ref, j int) (v uint64, err error) {
 
 // SetPtr stores val (which may be nil) into pointer field i.
 func (t *Tx) SetPtr(r *Ref, i int, val *Ref) error {
-	return t.access(r.Addr, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
+	return t.access(r.Addr, r.BornIn(t.t), lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
 		t.storePtr(f, val)
 	})
 }
 
 // SetData stores v into data word j.
 func (t *Tx) SetData(r *Ref, j int, v uint64) error {
-	return t.access(r.Addr, lock.Write, dataSlot, j, (*histcheck.Recorder).Write, func(f field) {
+	return t.access(r.Addr, r.BornIn(t.t), lock.Write, dataSlot, j, (*histcheck.Recorder).Write, func(f field) {
 		hp := t.hp
-		unlock := hp.lockShard(f.excl, f.slot)
-		hp.writeWordAction(t, f.obj, f.d, f.slot, v, false)
-		unlock()
+		sh := hp.lockShard(f.excl, f.slot)
+		hp.writeWordAction(t, f, v, false)
+		sh.unlock()
 	})
 }
 
-// writeWordAction dispatches a word store to the logged or unlogged path.
-// During a concurrent stable scan it is also the snapshot-at-the-beginning
-// deletion barrier for stable pointer slots: the overwritten value is
-// grayed before the update, so a from-space target deleted from an
-// unscanned (gray) object is still evacuated — and an abort restoring the
-// old value through the undo translation table lands on the evacuated
-// copy, never a from-space address.
-func (hp *Heap) writeWordAction(t *Tx, obj word.Addr, d heap.Descriptor, slot word.Addr, v uint64, isPtr bool) {
+// writeWordAction dispatches a word store to f.slot to the logged or
+// unlogged path; an unlogged store into an object born in the transaction
+// keeps no undo. During a concurrent stable scan it is also the
+// snapshot-at-the-beginning deletion barrier for stable pointer slots: the
+// overwritten value is grayed before the update, so a from-space target
+// deleted from an unscanned (gray) object is still evacuated — and an abort
+// restoring the old value through the undo translation table lands on the
+// evacuated copy, never a from-space address.
+func (hp *Heap) writeWordAction(t *Tx, f field, v uint64, isPtr bool) {
+	if !hp.isStableObject(f.obj, f.d) {
+		hp.txm.VolatileWrite(t.t, f.slot, v, isPtr, f.born)
+		return
+	}
+	if isPtr && hp.sscan.on.Load() {
+		hp.sscan.gray(word.Addr(hp.mem.ReadWord(f.slot)))
+	}
+	// The redo image escapes into the log record; only this path pays for it.
 	var buf [word.WordSize]byte
 	word.PutWord(buf[:], 0, v)
-	if hp.isStableObject(obj, d) {
-		if isPtr && hp.sscan.on.Load() {
-			hp.sscan.gray(word.Addr(hp.mem.ReadWord(slot)))
-		}
-		hp.txm.Update(t.t, obj, slot, buf[:], isPtr)
-	} else {
-		hp.txm.VolatileWrite(t.t, slot, buf[:], isPtr)
-	}
+	hp.txm.Update(t.t, f.obj, f.slot, buf[:], isPtr)
 }
 
 // AddData atomically adds delta (wrapping) to data word j — the logical
@@ -1274,25 +1286,22 @@ func (hp *Heap) writeWordAction(t *Tx, obj word.Addr, d heap.Descriptor, slot wo
 // third of a physical update's log traffic. Volatile objects fall back to
 // the ordinary in-memory-undo path.
 func (t *Tx) AddData(r *Ref, j int, delta uint64) error {
-	return t.access(r.Addr, lock.Write, dataSlot, j, (*histcheck.Recorder).ReadWrite, func(f field) {
+	return t.access(r.Addr, r.BornIn(t.t), lock.Write, dataSlot, j, (*histcheck.Recorder).ReadWrite, func(f field) {
 		hp := t.hp
-		unlock := hp.lockShard(f.excl, f.slot)
+		sh := hp.lockShard(f.excl, f.slot)
 		if hp.isStableObject(f.obj, f.d) {
 			hp.txm.UpdateLogical(t.t, f.obj, f.slot, delta)
 		} else {
-			cur := hp.mem.ReadWord(f.slot)
-			buf := make([]byte, word.WordSize)
-			word.PutWord(buf, 0, cur+delta)
-			hp.txm.VolatileWrite(t.t, f.slot, buf, false)
+			hp.txm.VolatileWrite(t.t, f.slot, hp.mem.ReadWord(f.slot)+delta, false, f.born)
 		}
-		unlock()
+		sh.unlock()
 	})
 }
 
 // Shape returns the referenced object's type id, pointer count and data
 // count.
 func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
-	err = t.access(r.Addr, lock.Read, wholeObject, 0, nil, func(f field) {
+	err = t.access(r.Addr, r.BornIn(t.t), lock.Read, wholeObject, 0, nil, func(f field) {
 		typeID, nptrs, ndata = f.d.TypeID(), f.d.NPtrs(), f.d.NData()
 	})
 	return typeID, nptrs, ndata, err
@@ -1300,7 +1309,7 @@ func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
 
 // Root returns stable root slot i (nil Ref if unset).
 func (t *Tx) Root(i int) (out *Ref, err error) {
-	err = t.access(t.hp.rootAddr, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
+	err = t.access(t.hp.rootAddr, false, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
 		out = t.ref(t.hp.loadPtr(f.slot))
 	})
 	return out, err
@@ -1309,7 +1318,7 @@ func (t *Tx) Root(i int) (out *Ref, err error) {
 // SetRoot stores val into stable root slot i: this is how objects become
 // reachable from stable state.
 func (t *Tx) SetRoot(i int, val *Ref) error {
-	return t.access(t.hp.rootAddr, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
+	return t.access(t.hp.rootAddr, false, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
 		t.storePtr(f, val)
 	})
 }
@@ -1345,13 +1354,13 @@ func (t *Tx) VolRoot(i int) (out *Ref, err error) {
 // abort).
 func (t *Tx) SetVolRoot(i int, val *Ref) error {
 	return t.volRoot(i, func(excl bool, slot word.Addr) {
-		var buf [word.WordSize]byte
+		var v word.Addr
 		if val != nil {
-			word.PutWord(buf[:], 0, uint64(val.Addr()))
+			v = val.Addr()
 		}
-		unlock := t.hp.lockShard(excl, slot)
-		t.hp.txm.VolatileWrite(t.t, slot, buf[:], true)
-		unlock()
+		sh := t.hp.lockShard(excl, slot)
+		t.hp.txm.VolatileWrite(t.t, slot, uint64(v), true, false)
+		sh.unlock()
 	})
 }
 

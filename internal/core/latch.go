@@ -237,16 +237,25 @@ func (hp *Heap) shardOf(a word.Addr) *sync.Mutex {
 	return &hp.shards[(uint64(a)/uint64(hp.cfg.PageSize))%uint64(len(hp.shards))]
 }
 
+// shardHold is a writer stripe lockShard took, or none.
+type shardHold struct{ mu *sync.Mutex }
+
+func (s shardHold) unlock() {
+	if s.mu != nil {
+		s.mu.Unlock()
+	}
+}
+
 // lockShard takes the writer stripe for slot unless the action already runs
-// exclusively (exclusive sections exclude all writers by themselves).
-// Returns an unlock function (no-op when exclusive).
-func (hp *Heap) lockShard(excl bool, slot word.Addr) func() {
+// exclusively (exclusive sections exclude all writers by themselves). The
+// hold is a value, so taking a stripe allocates nothing.
+func (hp *Heap) lockShard(excl bool, slot word.Addr) shardHold {
 	if excl {
-		return func() {}
+		return shardHold{}
 	}
 	sh := hp.shardOf(slot)
 	sh.Lock()
-	return sh.Unlock
+	return shardHold{sh}
 }
 
 // lockShardsForCopy pins the writer shards striping the pages of

@@ -52,10 +52,25 @@ func TestMetricsSnapshot(t *testing.T) {
 			t.Errorf("histogram %s recorded %d observations of zero time", name, h.Count)
 		}
 	}
-	for _, name := range []string{"tx_committed_total", "tx_aborted_total", "gc_collections_total", "cache_hits_total", "wal_appends_total", "wal_forces_total"} {
+	for _, name := range []string{"tx_committed_total", "tx_aborted_total", "gc_collections_total", "cache_misses_total", "wal_appends_total", "wal_forces_total"} {
 		if m.Counter(name) == 0 {
 			t.Errorf("counter %s is zero after a mixed workload", name)
 		}
+	}
+	// cache_hits_total counts page re-references — a lookup that sets a
+	// clock bit the replacement sweep cleared — not words served: an
+	// unbounded cache never sweeps, so it reports none, and a bounded one
+	// at most one per resident page per lap.
+	if n := m.Counter("cache_hits_total"); n != 0 {
+		t.Errorf("cache_hits_total = %d on an unbounded cache, want 0", n)
+	}
+	bc := DefaultConfig()
+	bc.CachePages = 4
+	bounded := Open(bc)
+	defer bounded.Close()
+	obsWorkload(t, bounded)
+	if n := bounded.Metrics().Counter("cache_hits_total"); n == 0 {
+		t.Error("cache_hits_total is zero on a 4-page cache after a mixed workload")
 	}
 	// Quantiles must be readable and ordered.
 	c := m.Hist("tx_commit_ns")

@@ -96,9 +96,12 @@ type VolatileCollector struct {
 	concState
 	major *cycle
 
-	relocs      word.Moves  // moves not yet handed to hooks.Relocate
-	img         []byte      // evacuate's object image, reused
-	slots       []word.Addr // scanMoved's slot list, reused
+	relocs      word.Moves   // moves not yet handed to hooks.Relocate
+	img         []byte       // evacuate's object image, reused
+	moveImg     []byte       // moveStable's object image, reused
+	slots       []word.Addr  // scanMoved's slot list, reused
+	fixes       []wal.PtrFix // fixStableSlots' batch for one page, reused
+	fixLive     []bool       // per fix: the new pointer is still volatile
 	stats       VolatileStats
 	pauseH      obs.Histogram
 	minorPauseH obs.Histogram
@@ -441,11 +444,14 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 
 // moveStable evacuates a newly stable object into the stable area: the
 // V2SCopy record carries the full image (the volatile source page owes
-// recovery nothing once the move is logged). The image is not the scratch
-// buffer: the log may retain it until Append returns.
+// recovery nothing once the move is logged). The image is a buffer of its
+// own, reused: Append has encoded the record by the time it returns, and
+// moves only run with the heap stopped.
 func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descriptor, size int) word.Addr {
 	to := v.hooks.AllocStable(size)
-	img := v.mem.ReadBytes(from, word.WordsToBytes(size))
+	v.moveImg = slices.Grow(v.moveImg[:0], word.WordsToBytes(size))[:word.WordsToBytes(size)]
+	img := v.moveImg
+	v.mem.ReadInto(from, img)
 	// The object is physically stable now: clear the tracking bits in
 	// the image before it is logged and written.
 	clean := d.WithAS(false).WithLS(false)
@@ -481,22 +487,7 @@ func (v *VolatileCollector) scanMoved(c *cycle, obj word.Addr) {
 // remembered set.
 func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr, registerAll bool) {
 	ps := v.mem.PageSize()
-	var fixes []wal.PtrFix
-	var results []bool // stillVolatile per fix
 	curPage := word.PageID(0)
-	flush := func() {
-		if len(fixes) == 0 {
-			return
-		}
-		lsn := v.log.Append(wal.SFixRec{Page: curPage, Fixes: fixes})
-		for i, f := range fixes {
-			v.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
-			if v.hooks.OnStableSlotFixed != nil {
-				v.hooks.OnStableSlotFixed(f.Addr, f.NewPtr, results[i])
-			}
-		}
-		fixes, results = nil, nil
-	}
 	for _, slot := range slots {
 		p := word.Addr(v.mem.ReadWord(slot))
 		if p.IsNil() {
@@ -511,15 +502,30 @@ func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr, register
 		default:
 			continue
 		}
-		pg := slot.Page(ps)
-		if pg != curPage {
-			flush()
+		if pg := slot.Page(ps); pg != curPage {
+			v.flushFixes(curPage)
 			curPage = pg
 		}
-		fixes = append(fixes, wal.PtrFix{Addr: slot, NewPtr: newp})
-		results = append(results, v.InArea(newp))
+		v.fixes = append(v.fixes, wal.PtrFix{Addr: slot, NewPtr: newp})
+		v.fixLive = append(v.fixLive, v.InArea(newp))
 	}
-	flush()
+	v.flushFixes(curPage)
+}
+
+// flushFixes logs the batched fixes, all on page pg, as one SFix record,
+// applies them under its LSN and empties the batch.
+func (v *VolatileCollector) flushFixes(pg word.PageID) {
+	if len(v.fixes) == 0 {
+		return
+	}
+	lsn := v.log.Append(wal.SFixRec{Page: pg, Fixes: v.fixes})
+	for i, f := range v.fixes {
+		v.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
+		if v.hooks.OnStableSlotFixed != nil {
+			v.hooks.OnStableSlotFixed(f.Addr, f.NewPtr, v.fixLive[i])
+		}
+	}
+	v.fixes, v.fixLive = v.fixes[:0], v.fixLive[:0]
 }
 
 // fixVolatileSlots rewrites volatile-area slots (the nursery remembered

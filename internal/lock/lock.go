@@ -59,7 +59,7 @@ var ErrDeadlock = errors.New("lock: deadlock victim (waits-for cycle)")
 // entry is the lock state of one object.
 type entry struct {
 	writer  word.TxID              // holder of the write lock, 0 if none
-	readers map[word.TxID]struct{} // read-lock holders
+	readers map[word.TxID]struct{} // read-lock holders; nil until the first
 }
 
 func (e *entry) free() bool { return e.writer == 0 && len(e.readers) == 0 }
@@ -149,7 +149,7 @@ func (m *Manager) AcquireWait(tx word.TxID, addr word.Addr, mode Mode, wait time
 	m.stats.Acquires++
 	e := m.table[addr]
 	if e == nil {
-		e = &entry{readers: make(map[word.TxID]struct{})}
+		e = &entry{}
 		m.table[addr] = e
 	}
 	if !e.grantable(tx, mode) {
@@ -178,7 +178,7 @@ func (m *Manager) AcquireWait(tx word.TxID, addr word.Addr, mode Mode, wait time
 			return err
 		}
 		if e = m.table[addr]; e == nil {
-			e = &entry{readers: make(map[word.TxID]struct{})}
+			e = &entry{}
 			m.table[addr] = e
 		}
 	}
@@ -284,6 +284,9 @@ func (m *Manager) grant(tx word.TxID, addr word.Addr, e *entry, mode Mode) {
 	case Read:
 		if e.writer == tx {
 			return // write lock subsumes read
+		}
+		if e.readers == nil {
+			e.readers = make(map[word.TxID]struct{})
 		}
 		e.readers[tx] = struct{}{}
 	default:

@@ -79,6 +79,7 @@ type Log struct {
 	idx     []recMeta // stable retained records (ascending LSN)
 	flight  []tailRec // the batch a force is writing: out of tail, not yet in idx
 	tail    []tailRec // volatile records spooled since, user-space only
+	spool   []byte    // the unused end of the arena Append carves copies from
 	end     storage.AtomicLSN
 	stable  storage.AtomicLSN
 	trunc   word.LSN
@@ -321,16 +322,20 @@ func (l *Log) ioPanic(op string, lsn word.LSN, err error) {
 // SegmentBytes returns the on-disk segment granularity in bytes.
 func (l *Log) SegmentBytes() int { return l.segSize }
 
-// Append spools a record to the volatile (user-space) tail and returns its
-// LSN. Nothing touches the file system until a Force.
+// spoolChunk is the size of the arenas Append carves spooled copies from.
+const spoolChunk = 64 << 10
+
+// Append spools a copy of the record to the volatile (user-space) tail and
+// returns its LSN; the caller keeps data. Nothing touches the file system
+// until a Force.
 func (l *Log) Append(data []byte) word.LSN {
 	if len(data) == 0 {
 		panic("filestore: empty log record")
 	}
-	stored := make([]byte, len(data))
-	copy(stored, data)
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	stored := l.carve(len(data))
+	copy(stored, data)
 	lsn := l.end.Load()
 	l.tail = append(l.tail, tailRec{lsn: lsn, data: stored})
 	l.end.Store(lsn + word.LSN(len(data)))
@@ -338,6 +343,25 @@ func (l *Log) Append(data []byte) word.LSN {
 	l.stats.Appends++
 	l.stats.BytesAppended += int64(len(data))
 	return lsn
+}
+
+// carve returns n bytes for one spooled copy: the front of the current
+// arena, or of a fresh spoolChunk-byte one when the rest is too short — one
+// allocation per many records instead of one each. A record longer than a
+// chunk gets a buffer of its own. Carved slices are capped at their length
+// and never carved again, so a delivered frame stays what it was (the
+// storage.LogDevice ownership rule); an arena is garbage once its last
+// record has been forced and dropped by every reader. mu is held.
+func (l *Log) carve(n int) []byte {
+	if n > spoolChunk {
+		return make([]byte, n)
+	}
+	if len(l.spool) < n {
+		l.spool = make([]byte, spoolChunk)
+	}
+	b := l.spool[:n:n]
+	l.spool = l.spool[n:]
+	return b
 }
 
 // Force writes the spooled records that start at or below lsn into the

@@ -50,6 +50,13 @@ type PageStore interface {
 // RepairTail, Crash, Clone), wait for it. wal.Manager.Force builds the
 // shared commit force on exactly this.
 //
+// Ownership of appended bytes: Append copies the record before it returns
+// and never retains the caller's slice, which the caller may reuse at once
+// (wal.Manager encodes every record into a pooled buffer). Where the copy
+// lives is the device's business — filestore carves it from a 64 KiB spool
+// arena, so a record costs no allocation of its own — but it is subject to
+// the rule below like any delivered frame.
+//
 // Ownership of scanned bytes: the bytes Scan and ScanBatches deliver are
 // immutable until the scan returns, and the device lets go of them there —
 // it never overwrites or recycles a delivered buffer, neither between

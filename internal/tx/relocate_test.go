@@ -35,8 +35,8 @@ func (m *Manager) oracleOnCopy(from, to word.Addr, sizeWords int) {
 				w.addr = to + (w.addr - from)
 			}
 			if w.isPtr {
-				if v := word.Addr(word.GetWord(w.old, 0)); v >= from && v < hi {
-					word.PutWord(w.old, 0, uint64(to+(v-from)))
+				if v := word.Addr(w.old); v >= from && v < hi {
+					w.old = uint64(to + (v - from))
 				}
 			}
 		}
@@ -171,7 +171,7 @@ func (s *uttSim) mutate(n int) {
 				case 0:
 					f.m.Update(txs[ti], o.addr, slot, w64(val), isPtr)
 				case 1:
-					f.m.VolatileWrite(txs[ti], slot, w64(val), isPtr)
+					f.m.VolatileWrite(txs[ti], slot, val, isPtr, false)
 				default:
 					f.m.UpdateLogical(txs[ti], o.addr, slot, val)
 				}
@@ -279,7 +279,7 @@ func (s *uttSim) compare(what string) {
 			s.t.Fatalf("%s: tx %d has %d volatile undo entries, oracle %d", what, g.id, len(g.volUndo), len(w.volUndo))
 		}
 		for j := range g.volUndo {
-			if a, b := g.volUndo[j], w.volUndo[j]; a.addr != b.addr || a.isPtr != b.isPtr || !bytes.Equal(a.old, b.old) {
+			if a, b := g.volUndo[j], w.volUndo[j]; a != b {
 				s.t.Fatalf("%s: tx %d volUndo[%d] = %+v, oracle %+v", what, g.id, j, a, b)
 			}
 		}

@@ -43,10 +43,19 @@ const (
 // it.
 type Handle struct {
 	addr word.Addr
+	// born is the transaction that allocated the object and write-locked it
+	// at birth (RegisterBorn); nil for every other handle.
+	born *Tx
 }
 
 // Addr returns the object's current address.
 func (h *Handle) Addr() word.Addr { return h.addr }
+
+// BornIn reports whether h names an object t allocated and write-locked at
+// birth: t holds its lock until it ends, and its writes through h need no
+// undo (DESIGN.md §11, "Birth-locked objects"). A nil handle was born in
+// nothing.
+func (h *Handle) BornIn(t *Tx) bool { return h != nil && h.born == t }
 
 // uttEntry is one per-record undo address translation (the paper's UTT,
 // §4.4): the address an update record logged, where that slot or pointer
@@ -59,11 +68,12 @@ type uttEntry struct {
 	cur    word.Addr
 }
 
-// volWrite is one in-memory undo entry for an unlogged volatile update.
+// volWrite is one in-memory undo entry for an unlogged volatile update
+// (always one word).
 type volWrite struct {
 	addr  word.Addr // current address (rebased when the object moves)
-	old   []byte
-	isPtr bool // the old bytes are a pointer value (a recovery-info root)
+	old   uint64
+	isPtr bool // old is a pointer value (a recovery-info root)
 }
 
 // Tx is one transaction.
@@ -250,6 +260,15 @@ func (m *Manager) Register(t *Tx, addr word.Addr) *Handle {
 	return h
 }
 
+// RegisterBorn is Register for a volatile object t has just allocated and
+// write-locked: writes through the handle skip the lock and keep no undo,
+// and Abort re-zeroes the object instead.
+func (m *Manager) RegisterBorn(t *Tx, addr word.Addr) *Handle {
+	h := m.Register(t, addr)
+	h.born = t
+	return h
+}
+
 // Update performs a logged, recoverable update at addr (which must not
 // cross a page boundary — field updates are word sized): the write-ahead
 // protocol of §2.2.3 with both redo and undo images. isPtrSlot marks
@@ -310,20 +329,22 @@ func (m *Manager) UpdateLogical(t *Tx, obj, addr word.Addr, delta uint64) {
 	atomic.AddInt64(&m.stats.Updates, 1)
 }
 
-// VolatileWrite performs an unlogged update of a volatile object, keeping
-// in-memory undo so abort restores it. Volatile state costs no log traffic
-// — the point of Chapter 5's division.
-func (m *Manager) VolatileWrite(t *Tx, addr word.Addr, data []byte, isPtrSlot bool) {
+// VolatileWrite performs an unlogged one-word update of a volatile object,
+// keeping in-memory undo so abort restores it — unless born is set: the
+// object was born in t (Handle.BornIn), so no other transaction can have
+// seen a value of it that abort would have to bring back. Volatile state
+// costs no log traffic — the point of Chapter 5's division.
+func (m *Manager) VolatileWrite(t *Tx, addr word.Addr, v uint64, isPtrSlot, born bool) {
 	m.mustBeActive(t)
-	old := m.mem.ReadBytes(addr, len(data))
-	m.undoMu.Lock()
-	t.volUndo = append(t.volUndo, volWrite{addr: addr, old: old, isPtr: isPtrSlot})
-	m.undoMu.Unlock()
-	m.mem.WriteBytes(addr, data, word.NilLSN)
+	old := m.mem.ReadWord(addr)
+	if !born {
+		m.undoMu.Lock()
+		t.volUndo = append(t.volUndo, volWrite{addr: addr, old: old, isPtr: isPtrSlot})
+		m.undoMu.Unlock()
+	}
+	m.mem.WriteWord(addr, v, word.NilLSN)
 	if isPtrSlot && m.env.OnVolatilePtrWrite != nil {
-		m.env.OnVolatilePtrWrite(addr,
-			word.Addr(word.GetWord(old, 0)),
-			word.Addr(word.GetWord(data, 0)))
+		m.env.OnVolatilePtrWrite(addr, word.Addr(old), word.Addr(v))
 	}
 	atomic.AddInt64(&m.stats.VolWrites, 1)
 }
@@ -487,11 +508,11 @@ func (m *Manager) Abort(t *Tx) {
 		w := t.volUndo[i]
 		if w.isPtr && m.env.OnVolatilePtrWrite != nil {
 			m.env.OnVolatilePtrWrite(w.addr,
-				word.Addr(m.mem.ReadWord(w.addr)),
-				word.Addr(word.GetWord(w.old, 0)))
+				word.Addr(m.mem.ReadWord(w.addr)), word.Addr(w.old))
 		}
-		m.mem.WriteBytes(w.addr, w.old, word.NilLSN)
+		m.mem.WriteWord(w.addr, w.old, word.NilLSN)
 	}
+	m.unbear(t)
 	t.status = Aborted
 	m.locks.ReleaseAll(t.id)
 	t.lastLSN = m.log.Append(wal.EndRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
@@ -501,6 +522,41 @@ func (m *Manager) Abort(t *Tx) {
 	atomic.AddInt64(&m.stats.Aborted, 1)
 	if !t.begun.IsZero() {
 		m.abortH.Since(t.begun)
+	}
+}
+
+// unbear returns every object t allocated and wrote without undo to the
+// state Alloc left it in — descriptor and zero fields, which is what undoing
+// each of those writes would have restored — so a handle another
+// transaction took from an unlocked volatile root never shows it an aborted
+// value. Only non-zero words are cleared (an object never written stays
+// untouched, its page clean), and each non-nil pointer cleared passes the
+// volatile barrier, as its undo would have: the object may have been in a
+// concurrent scan's snapshot. Objects go newest first, each object's
+// pointers last to first, which is the order undo would have restored them
+// in when each object is written after its allocation; the barrier's gray
+// order is the scan's copy order, so it decides where survivors land. Like
+// that undo, it also clears an object tracking has already stabilized (a
+// prepared transaction's): the abort has cut it off, so it is garbage, and
+// a move into the stable area would log the cleared image.
+func (m *Manager) unbear(t *Tx) {
+	for j := len(t.handles) - 1; j >= 0; j-- {
+		h := t.handles[j]
+		if h.born != t || !m.inVolatile(h.addr) {
+			continue
+		}
+		d := m.h.Descriptor(h.addr)
+		for i := d.SizeWords() - 1; i >= 1; i-- {
+			slot := h.addr.Add(i)
+			old := m.mem.ReadWord(slot)
+			if old == 0 {
+				continue
+			}
+			if i <= d.NPtrs() && m.env.OnVolatilePtrWrite != nil {
+				m.env.OnVolatilePtrWrite(slot, word.Addr(old), word.NilAddr)
+			}
+			m.mem.WriteWord(slot, 0, word.NilLSN)
+		}
 	}
 }
 
@@ -562,7 +618,7 @@ func (m *Manager) Relocate(ms word.Moves) {
 			w := &t.volUndo[i]
 			w.addr = translate(w.addr)
 			if w.isPtr {
-				word.PutWord(w.old, 0, uint64(translate(word.Addr(word.GetWord(w.old, 0)))))
+				w.old = uint64(translate(word.Addr(w.old)))
 			}
 		}
 	}
@@ -599,8 +655,8 @@ func (m *Manager) ForEachUndoRoot(visit func(get func() word.Addr, set func(word
 				continue
 			}
 			visit(
-				func() word.Addr { return word.Addr(word.GetWord(w.old, 0)) },
-				func(a word.Addr) { word.PutWord(w.old, 0, uint64(a)) },
+				func() word.Addr { return word.Addr(w.old) },
+				func(a word.Addr) { w.old = uint64(a) },
 			)
 		}
 	}

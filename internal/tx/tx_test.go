@@ -187,7 +187,7 @@ func TestVolatileWriteUnloggedButUndone(t *testing.T) {
 	f.mem.WriteWord(0x200, 5, word.NilLSN)
 	tr := f.m.Begin()
 	before := f.log.EndLSN()
-	f.m.VolatileWrite(tr, 0x200, w64(50), false)
+	f.m.VolatileWrite(tr, 0x200, 50, false, false)
 	if f.log.EndLSN() != before {
 		t.Fatal("volatile writes must not log")
 	}
@@ -203,9 +203,9 @@ func TestVolatileWriteUnloggedButUndone(t *testing.T) {
 func TestVolatileUndoAppliedInReverseOrder(t *testing.T) {
 	f := newFixture()
 	tr := f.m.Begin()
-	f.m.VolatileWrite(tr, 0x200, w64(1), false)
-	f.m.VolatileWrite(tr, 0x200, w64(2), false)
-	f.m.VolatileWrite(tr, 0x200, w64(3), false)
+	f.m.VolatileWrite(tr, 0x200, 1, false, false)
+	f.m.VolatileWrite(tr, 0x200, 2, false, false)
+	f.m.VolatileWrite(tr, 0x200, 3, false, false)
 	f.m.Abort(tr)
 	if got := f.mem.ReadWord(0x200); got != 0 {
 		t.Fatalf("reverse undo broken: got %d, want 0", got)
@@ -272,7 +272,7 @@ func TestOnCopyRebasesVolatileUndo(t *testing.T) {
 	f := newFixture()
 	f.mem.WriteWord(0x200, 5, word.NilLSN)
 	tr := f.m.Begin()
-	f.m.VolatileWrite(tr, 0x200, w64(50), false)
+	f.m.VolatileWrite(tr, 0x200, 50, false, false)
 	// Volatile collector moves the object [0x1f8, 0x218) to 0x600.
 	f.move(0x1f8, 0x600, 4)
 	f.m.Abort(tr)
@@ -499,7 +499,7 @@ func TestForEachUndoRootVolatilePtr(t *testing.T) {
 	f := newFixture()
 	f.mem.WriteWord(0x200, 0x500, word.NilLSN)
 	tr := f.m.Begin()
-	f.m.VolatileWrite(tr, 0x200, w64(0x600), true)
+	f.m.VolatileWrite(tr, 0x200, 0x600, true, false)
 	var got []word.Addr
 	f.m.ForEachUndoRoot(func(get func() word.Addr, set func(word.Addr)) {
 		got = append(got, get())

@@ -16,7 +16,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -29,12 +28,15 @@ import (
 // read-barrier trap). The handler must leave the page unprotected.
 type TrapHandler func(pg word.PageID)
 
-// Stats counts one-level-store activity. Hits plus misses
-// (Fetches + FreshPages) is the total page-lookup traffic; the hit ratio
-// is what cache-size tuning optimizes.
+// Stats counts one-level-store activity. Hits and misses (Fetches +
+// FreshPages) count pages, not words: a miss makes a page resident with its
+// clock reference bit set, and a hit is a lookup that finds a resident page
+// whose bit the replacement sweep has cleared since — at most one per page
+// per lap of the clock. Their ratio is what cache-size tuning optimizes;
+// without a CachePages bound the sweep never runs and Hits stays 0.
 type Stats struct {
 	Traps      int64 // read-barrier traps taken
-	Hits       int64 // page lookups satisfied by the cache
+	Hits       int64 // page re-references: lookups that set a cleared clock bit
 	Fetches    int64 // pages read from disk into the cache (misses)
 	Flushes    int64 // dirty pages written to disk
 	Evictions  int64 // pages dropped from the cache by replacement
@@ -70,23 +72,44 @@ type page struct {
 	ref atomic.Bool
 }
 
+// touch is a cache hit on p: it sets the clock reference bit and counts a
+// page re-reference when the bit was clear. The common case, a page already
+// referenced in this lap, is one atomic load and no write.
+func (s *Store) touch(p *page) {
+	if !p.ref.Load() && p.ref.CompareAndSwap(false, true) {
+		s.hits.Add(1)
+	}
+}
+
 // Store is the simulated one-level store.
 //
+// The page table is dense: pages is indexed by page id (the heap's address
+// space starts at 0 and is bounded, so the table is as long as the highest
+// page ever made resident and grows on that first residency) and nres counts
+// the non-nil entries. A hit is a bounds check and a slice load — no hash —
+// and walking the table visits resident pages in ascending id order, which
+// is the order every flush and DiscardRange needs, with no sort.
+//
 // Concurrency: the store carries an internal RWMutex. Resident-page hits on
-// the byte/word access paths run under the read lock (the heap's sharded
+// the byte/word access paths run under the read lock: they only load from
+// the table, and their one write to shared state is the page's clock bit,
+// stored (by compare-and-swap) only when it is clear. The heap's sharded
 // action latch serializes same-page writers above this layer, and object
-// locks serialize same-object access); misses, eviction, flushing and every
-// structural operation take the write lock. Page protection (Protect/
-// Unprotect/EnsureAccessible) is NOT covered by the mutex: it is mutated
-// only by the collector while it holds the heap's stop latch exclusively,
-// which already orders it against all shared-path readers.
+// locks serialize same-object access. Misses, eviction, flushing and every
+// structural operation — installing or dropping a table entry, growing the
+// table — take the write lock, so a read-locked hit never sees the table
+// move under it. Page protection (Protect/Unprotect/EnsureAccessible) is
+// NOT covered by the mutex: it is mutated only by the collector while it
+// holds the heap's stop latch exclusively, which already orders it against
+// all shared-path readers.
 type Store struct {
 	cfg   Config
 	mu    sync.RWMutex
-	hits  atomic.Int64 // cache hits; atomic so read-locked paths can count
+	hits  atomic.Int64 // page re-references; atomic so read-locked paths can count
 	disk  storage.PageStore
 	log   *wal.Manager
-	pages map[word.PageID]*page
+	pages []*page // indexed by page id; nil when not resident
+	nres  int     // resident pages: the non-nil entries of pages
 	// prot is the set of protected pages; protection is independent of
 	// residency (protecting a page must not fault it in).
 	prot map[word.PageID]struct{}
@@ -107,11 +130,10 @@ func New(cfg Config, disk storage.PageStore, log *wal.Manager) *Store {
 		panic(fmt.Sprintf("vm: invalid page size %d", cfg.PageSize))
 	}
 	return &Store{
-		cfg:   cfg,
-		disk:  disk,
-		log:   log,
-		pages: make(map[word.PageID]*page),
-		prot:  make(map[word.PageID]struct{}),
+		cfg:  cfg,
+		disk: disk,
+		log:  log,
+		prot: make(map[word.PageID]struct{}),
 	}
 }
 
@@ -137,13 +159,36 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
+// lookup returns the resident page id, or nil. Either lock is held.
+func (s *Store) lookup(id word.PageID) *page {
+	if uint64(id) < uint64(len(s.pages)) {
+		return s.pages[id]
+	}
+	return nil
+}
+
+// install enters p in the table, growing it to cover p's id. The write lock
+// is held.
+func (s *Store) install(p *page) {
+	if n := uint64(p.id) + 1; n > uint64(len(s.pages)) {
+		s.pages = append(s.pages, make([]*page, max(n, 2*uint64(len(s.pages)))-uint64(len(s.pages)))...)
+	}
+	s.pages[p.id] = p
+	s.nres++
+}
+
+// drop removes the resident page id from the table. The write lock is held.
+func (s *Store) drop(id word.PageID) {
+	s.pages[id] = nil
+	s.nres--
+}
+
 // resident returns the cached page, fetching it from disk (or materializing
 // it zero-filled) if needed, possibly evicting another page first. The
 // store's write lock is held.
 func (s *Store) resident(id word.PageID) *page {
-	if p, ok := s.pages[id]; ok {
-		p.ref.Store(true)
-		s.hits.Add(1)
+	if p := s.lookup(id); p != nil {
+		s.touch(p)
 		return p
 	}
 	s.makeRoom()
@@ -159,7 +204,7 @@ func (s *Store) resident(id word.PageID) *page {
 	} else {
 		s.stats.FreshPages++
 	}
-	s.pages[id] = p
+	s.install(p)
 	s.ring = append(s.ring, id)
 	return p
 }
@@ -173,7 +218,7 @@ func (s *Store) resident(id word.PageID) *page {
 // about to make it stable for nothing. Only when nothing else can go does
 // the sweep take such a page; flushPage keeps the WAL rule either way.
 func (s *Store) makeRoom() {
-	if s.cfg.CachePages <= 0 || len(s.pages) < s.cfg.CachePages {
+	if s.cfg.CachePages <= 0 || s.nres < s.cfg.CachePages {
 		return
 	}
 	// Clock sweep: give each referenced page a second chance. Bound the
@@ -186,7 +231,7 @@ func (s *Store) makeRoom() {
 		}
 		s.hand %= len(s.ring)
 		id := s.ring[s.hand]
-		p := s.pages[id]
+		p := s.lookup(id)
 		if p == nil {
 			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
 			continue
@@ -201,7 +246,7 @@ func (s *Store) makeRoom() {
 			if p.dirty {
 				s.flushPage(p)
 			}
-			delete(s.pages, id)
+			s.drop(id)
 			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
 			s.stats.Evictions++
 			return
@@ -241,11 +286,9 @@ func (s *Store) flushPage(p *page) {
 func (s *Store) FlushPage(id word.PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[id]
-	if !ok {
-		return
+	if p := s.lookup(id); p != nil {
+		s.flushPage(p)
 	}
-	s.flushPage(p)
 }
 
 // FlushRange writes back every dirty resident page whose base lies in
@@ -256,19 +299,26 @@ func (s *Store) FlushRange(lo, hi word.Addr) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, id := range s.residentPagesLocked() {
-		base := id.Base(s.cfg.PageSize)
-		if base < lo || base >= hi {
-			continue
+	for _, p := range s.span(lo, hi) {
+		if p != nil && p.dirty {
+			s.flushPage(p)
+			n++
 		}
-		p := s.pages[id]
-		if !p.dirty {
-			continue
-		}
-		s.flushPage(p)
-		n++
 	}
 	return n
+}
+
+// span returns the part of the page table whose pages have their base in
+// [lo, hi), in id order (entries may be nil). Either lock is held.
+func (s *Store) span(lo, hi word.Addr) []*page {
+	ps := uint64(s.cfg.PageSize)
+	n := uint64(len(s.pages))
+	first := min((uint64(lo)+ps-1)/ps, n)
+	end := min((uint64(hi)+ps-1)/ps, n)
+	if end < first {
+		end = first
+	}
+	return s.pages[first:end]
 }
 
 // FlushOlderThan writes back every dirty resident page whose
@@ -278,9 +328,8 @@ func (s *Store) FlushOlderThan(horizon word.LSN) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, id := range s.residentPagesLocked() {
-		p := s.pages[id]
-		if !p.dirty || p.recLSN == word.NilLSN || p.recLSN >= horizon {
+	for _, p := range s.pages {
+		if p == nil || !p.dirty || p.recLSN == word.NilLSN || p.recLSN >= horizon {
 			continue
 		}
 		s.flushPage(p)
@@ -294,9 +343,10 @@ func (s *Store) FlushOlderThan(horizon word.LSN) int {
 func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.residentPagesLocked() {
-		p := s.pages[id]
-		s.flushPage(p)
+	for _, p := range s.pages {
+		if p != nil {
+			s.flushPage(p)
+		}
 	}
 }
 
@@ -308,11 +358,12 @@ func (s *Store) ResidentPages() []word.PageID {
 }
 
 func (s *Store) residentPagesLocked() []word.PageID {
-	ids := make([]word.PageID, 0, len(s.pages))
-	for id := range s.pages {
-		ids = append(ids, id)
+	ids := make([]word.PageID, 0, s.nres)
+	for _, p := range s.pages {
+		if p != nil {
+			ids = append(ids, p.id)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -323,10 +374,9 @@ func (s *Store) DirtyPages() []wal.DirtyPage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []wal.DirtyPage
-	for _, id := range s.residentPagesLocked() {
-		p := s.pages[id]
-		if p.dirty && p.recLSN != word.NilLSN {
-			out = append(out, wal.DirtyPage{Page: id, RecLSN: p.recLSN})
+	for _, p := range s.pages {
+		if p != nil && p.dirty && p.recLSN != word.NilLSN {
+			out = append(out, wal.DirtyPage{Page: p.id, RecLSN: p.recLSN})
 		}
 	}
 	return out
@@ -338,7 +388,8 @@ func (s *Store) DirtyPages() []wal.DirtyPage {
 func (s *Store) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pages = make(map[word.PageID]*page)
+	clear(s.pages)
+	s.nres = 0
 	s.prot = make(map[word.PageID]struct{})
 	s.ring = nil
 	s.hand = 0
@@ -414,11 +465,10 @@ func (s *Store) ReadInto(addr word.Addr, out []byte) {
 		// Fast path: a single resident page is read under the read lock.
 		// Byte-range exclusion is the caller's job (object locks).
 		s.mu.RLock()
-		if p, ok := s.pages[id]; ok {
+		if p := s.lookup(id); p != nil {
 			pOff := int(addr) - int(id.Base(s.cfg.PageSize))
 			copy(out, p.data[pOff:pOff+n])
-			p.ref.Store(true)
-			s.hits.Add(1)
+			s.touch(p)
 			s.mu.RUnlock()
 			return
 		}
@@ -454,12 +504,11 @@ func (s *Store) WriteBytes(addr word.Addr, data []byte, lsn word.LSN) {
 		// Fast path: a single resident page is written under the read
 		// lock; the per-page latch above excludes same-page writers.
 		s.mu.RLock()
-		if p, ok := s.pages[id]; ok {
+		if p := s.lookup(id); p != nil {
 			pOff := int(addr) - int(id.Base(s.cfg.PageSize))
 			copy(p.data[pOff:], data)
 			s.markWritten(p, lsn)
-			p.ref.Store(true)
-			s.hits.Add(1)
+			s.touch(p)
 			s.mu.RUnlock()
 			return
 		}
@@ -498,10 +547,9 @@ func (s *Store) markWritten(p *page, lsn word.LSN) {
 func (s *Store) ReadWord(addr word.Addr) uint64 {
 	id := addr.Page(s.cfg.PageSize)
 	s.mu.RLock()
-	if p, ok := s.pages[id]; ok {
+	if p := s.lookup(id); p != nil {
 		v := word.GetWord(p.data, int(addr-id.Base(s.cfg.PageSize)))
-		p.ref.Store(true)
-		s.hits.Add(1)
+		s.touch(p)
 		s.mu.RUnlock()
 		return v
 	}
@@ -512,11 +560,39 @@ func (s *Store) ReadWord(addr word.Addr) uint64 {
 	return word.GetWord(p.data, int(addr-id.Base(s.cfg.PageSize)))
 }
 
-// WriteWord stores w at addr with the given covering LSN (no barrier).
+// WriteWord stores w at addr with the given covering LSN (no barrier). A
+// word never straddles a page, so a resident page is written in place under
+// the read lock, as WriteBytes' fast path does.
 func (s *Store) WriteWord(addr word.Addr, w uint64, lsn word.LSN) {
+	id := addr.Page(s.cfg.PageSize)
+	s.mu.RLock()
+	if p := s.lookup(id); p != nil {
+		word.PutWord(p.data, int(addr-id.Base(s.cfg.PageSize)), w)
+		s.markWritten(p, lsn)
+		s.touch(p)
+		s.mu.RUnlock()
+		return
+	}
+	s.mu.RUnlock()
 	var b [word.WordSize]byte
 	word.PutWord(b[:], 0, w)
 	s.WriteBytes(addr, b[:], lsn)
+}
+
+// zeros is the shared source of Zero's writes.
+var zeros [4096]byte
+
+// Zero clears n bytes at addr, covered by lsn as WriteBytes is, writing
+// from a shared zero buffer one page piece at a time so that each piece
+// takes the resident-page fast path.
+func (s *Store) Zero(addr word.Addr, n int, lsn word.LSN) {
+	ps := s.cfg.PageSize
+	for n > 0 {
+		c := min(n, ps-int(uint64(addr)%uint64(ps)), len(zeros))
+		s.WriteBytes(addr, zeros[:c], lsn)
+		addr += word.Addr(c)
+		n -= c
+	}
 }
 
 // PageLSN returns the resident page's LSN, or the disk page LSN if not
@@ -524,7 +600,7 @@ func (s *Store) WriteWord(addr word.Addr, w uint64, lsn word.LSN) {
 func (s *Store) PageLSN(id word.PageID) word.LSN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.pages[id]; ok {
+	if p := s.lookup(id); p != nil {
 		return p.lsn
 	}
 	return s.disk.PageLSN(id)
@@ -540,16 +616,14 @@ func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 	defer s.mu.Unlock()
 	var ghosts []wal.DirtyPage
 	dropped := 0
-	for _, id := range s.residentPagesLocked() {
-		base := id.Base(s.cfg.PageSize)
-		if base < lo || base >= hi {
+	for _, p := range s.span(lo, hi) {
+		if p == nil {
 			continue
 		}
-		p := s.pages[id]
 		if p.dirty && p.recLSN != word.NilLSN {
-			ghosts = append(ghosts, wal.DirtyPage{Page: id, RecLSN: p.recLSN})
+			ghosts = append(ghosts, wal.DirtyPage{Page: p.id, RecLSN: p.recLSN})
 		}
-		delete(s.pages, id)
+		s.drop(p.id)
 		dropped++
 	}
 	if dropped > 0 {
@@ -559,7 +633,7 @@ func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 		out := s.ring[:0]
 		hand := s.hand
 		for i, id := range s.ring {
-			if _, ok := s.pages[id]; !ok {
+			if s.lookup(id) == nil {
 				if s.hand > i {
 					hand--
 				}

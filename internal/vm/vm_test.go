@@ -230,7 +230,7 @@ func TestProtectedPageNotEvicted(t *testing.T) {
 	s.Protect(0)
 	s.ReadWord(ps)     // page 1
 	s.ReadWord(2 * ps) // page 2: must evict page 1
-	if _, ok := s.pages[0]; !ok {
+	if s.lookup(0) == nil {
 		t.Fatal("protected page must not be evicted")
 	}
 }
@@ -313,14 +313,72 @@ func TestCacheRespectsCapacity(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s.WriteWord(word.Addr(i*ps), uint64(i), word.LSN(i+1))
 	}
-	if len(s.pages) > 4 {
-		t.Fatalf("cache holds %d pages, cap 4", len(s.pages))
+	if s.nres > 4 {
+		t.Fatalf("cache holds %d pages, cap 4", s.nres)
 	}
 	// All data still readable through fetch.
 	for i := 0; i < 32; i++ {
 		if got := s.ReadWord(word.Addr(i * ps)); got != uint64(i) {
 			t.Fatalf("page %d lost: got %d", i, got)
 		}
+	}
+}
+
+// TestResidentPagesInIDOrder: the page table is indexed by page id, so
+// walking it yields resident pages in ascending order whatever order they
+// became resident in, with no sort — after misses that grow the table,
+// a discard and evictions alike.
+func TestResidentPagesInIDOrder(t *testing.T) {
+	s, _, _ := newStore(0)
+	for _, id := range []int{9, 2, 30, 5, 0, 17} {
+		s.ReadWord(word.Addr(id * ps))
+	}
+	if got, want := s.ResidentPages(), []word.PageID{0, 2, 5, 9, 17, 30}; !slices.Equal(got, want) {
+		t.Fatalf("resident = %v, want %v", got, want)
+	}
+	s.DiscardRange(word.Addr(5*ps), word.Addr(18*ps))
+	if got, want := s.ResidentPages(), []word.PageID{0, 2, 30}; !slices.Equal(got, want) {
+		t.Fatalf("after discard resident = %v, want %v", got, want)
+	}
+	if s.nres != 3 {
+		t.Fatalf("resident count %d, want 3", s.nres)
+	}
+
+	c, _, _ := newStore(3)
+	for _, id := range []int{40, 7, 21, 3, 12} {
+		c.ReadWord(word.Addr(id * ps))
+	}
+	got := c.ResidentPages()
+	if len(got) != 3 || !slices.IsSorted(got) {
+		t.Fatalf("bounded cache resident = %v, want 3 pages in id order", got)
+	}
+}
+
+// TestHitsCountPageReReferences: a hit counts only when it sets a clock
+// reference bit the replacement sweep has cleared — once per page per lap
+// — not once per word read. An unbounded cache never sweeps, so it never
+// counts one.
+func TestHitsCountPageReReferences(t *testing.T) {
+	u, _, _ := newStore(0)
+	for i := 0; i < 100; i++ {
+		u.ReadWord(word.Addr(i % 4 * ps))
+	}
+	if h := u.Stats().Hits; h != 0 {
+		t.Fatalf("unbounded cache counted %d hits, want 0", h)
+	}
+
+	s, _, _ := newStore(2)
+	s.ReadWord(0)
+	s.ReadWord(ps)
+	s.ReadWord(2 * ps) // the sweep clears both bits and evicts page 0
+	if h := s.Stats().Hits; h != 0 {
+		t.Fatalf("%d hits before any re-reference, want 0", h)
+	}
+	for i := 0; i < 10; i++ {
+		s.ReadWord(word.Addr(ps + 8*(i%4)))
+	}
+	if h := s.Stats().Hits; h != 1 {
+		t.Fatalf("ten reads of a page whose bit the sweep cleared counted %d hits, want 1", h)
 	}
 }
 
