@@ -202,7 +202,7 @@ func TestWritePathAllocFree(t *testing.T) {
 		t.Errorf("vm.Store.ReadWord on a resident page: %v allocations, want 0", n)
 	}
 
-	fs, err := filestore.Open(t.TempDir(), filestore.Options{NoWriteBack: true})
+	fs, err := filestore.Open(t.TempDir(), filestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,15 +62,17 @@ var (
 type Config struct {
 	// Dir, when set, backs the heap with real files under this directory
 	// (internal/storage/filestore) instead of the simulated in-memory
-	// devices: fsync-ordered page writes, a segmented on-disk log, and a
-	// bounded durable-layer page cache, so the heap both survives process
-	// exit and can grow far beyond RAM. Empty keeps the in-memory devices.
-	// Open formats a fresh directory and recovers an existing one; see
-	// OpenDir/RecoverDir for the error-returning entry points.
+	// devices: fsync-ordered page writes and a segmented on-disk log under
+	// the one vm page pool, so with a bounded CachePages the heap both
+	// survives process exit and can grow far beyond RAM. Empty keeps the
+	// in-memory devices. Open formats a fresh directory and recovers an
+	// existing one; see OpenDir/RecoverDir for the error-returning entry
+	// points.
 	Dir string
-	// FileCachePages bounds the filestore's durable-layer page cache
-	// (default 256). Distinct from CachePages, which bounds the vm-level
-	// cache above it. Ignored when Dir is empty.
+	// Deprecated: folded into CachePages. On a Dir heap with a bounded
+	// CachePages the vm pool holds CachePages + FileCachePages pages;
+	// otherwise it is ignored. Kept only for the frozen benchmark harness,
+	// which sets it.
 	FileCachePages int
 	// PageSize in bytes (default 1024).
 	PageSize int
@@ -420,8 +422,8 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	}
 	log.SetRecorder(hp.bb)
 	hp.sgc.SetRecorder(hp.bb)
-	// A file-backed disk records its barriers and write-back batches in
-	// the same flight-recorder timeline as everything else.
+	// A file-backed disk records its barriers in the same flight-recorder
+	// timeline as everything else.
 	if sr, ok := disk.(interface{ SetRecorder(*obs.BlackBox) }); ok {
 		sr.SetRecorder(hp.bb)
 	}

@@ -9,18 +9,26 @@ import (
 
 // This file is the directory-backed lifecycle: the same heap, built over
 // internal/storage/filestore instead of the simulated devices. The
-// filestore's SetMaster is a real durability barrier (flush dirty cache,
-// fdatasync pages.dat, atomically replace master.dat), so the checkpoint
+// filestore's SetMaster is a real durability barrier (fdatasync pages.dat,
+// atomically replace master.dat), so the checkpoint
 // promotion protocol — which already orders SetMaster after the
 // checkpoint record is stable — carries over unchanged; the heap's only
 // new obligations are geometry plumbing and closing the files.
 
 func (c Config) fileOptions() filestore.Options {
-	return filestore.Options{
-		PageSize:     c.PageSize,
-		SegmentBytes: c.LogSegBytes,
-		CachePages:   c.FileCachePages,
+	return filestore.Options{PageSize: c.PageSize, SegmentBytes: c.LogSegBytes}
+}
+
+// foldFileCache folds the deprecated FileCachePages into a bounded
+// CachePages: the vm pool is a Dir heap's only page cache, and it holds the
+// pages the two stacked caches held before. FileCachePages is zeroed, so
+// reopening with the heap's resolved Config() does not fold it twice.
+func (c Config) foldFileCache() Config {
+	if c.CachePages > 0 {
+		c.CachePages += c.FileCachePages
 	}
+	c.FileCachePages = 0
+	return c
 }
 
 // OpenDir opens a file-backed stable heap at cfg.Dir: a fresh directory
@@ -36,6 +44,7 @@ func OpenDir(cfg Config) (*Heap, error) {
 	if filestore.IsFormatted(cfg.Dir) {
 		return RecoverDir(cfg)
 	}
+	cfg = cfg.foldFileCache()
 	// Deliberately before WithDefaults: a zero PageSize/LogSegBytes means
 	// "the store decides" (its own defaults on a fresh directory), and the
 	// heap then adopts whatever geometry the files actually have.
@@ -64,6 +73,7 @@ func RecoverDir(cfg Config) (*Heap, error) {
 	if !filestore.IsFormatted(cfg.Dir) {
 		return nil, fmt.Errorf("core: %s holds no formatted heap", cfg.Dir)
 	}
+	cfg = cfg.foldFileCache()
 	start := time.Now()
 	s, err := filestore.Open(cfg.Dir, cfg.fileOptions())
 	if err != nil {

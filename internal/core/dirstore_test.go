@@ -11,7 +11,6 @@ import (
 func dirCfg(dir string) Config {
 	c := smallCfg()
 	c.Dir = dir
-	c.FileCachePages = 16
 	return c
 }
 
@@ -86,8 +85,8 @@ func TestDirRecoverAfterCrash(t *testing.T) {
 	}
 }
 
-// TestDirCrashReleasesStore: Crash on a heap that owns its files must stop
-// the write-back goroutine and close the descriptors (without syncing —
+// TestDirCrashReleasesStore: Crash on a heap that owns its files must
+// close the descriptors (without syncing —
 // the surviving state is checked by the recovery each cycle runs), so
 // crash/recover cycles leave the process's fd and goroutine counts flat.
 func TestDirCrashReleasesStore(t *testing.T) {
@@ -130,19 +129,18 @@ func TestDirCrashReleasesStore(t *testing.T) {
 }
 
 // TestDirLargerThanCache drives a stable heap whose footprint is far
-// beyond both caches (vm and filestore): everything must spill and
-// refetch through the slot file.
+// beyond the vm pool: everything must spill to the slot file and be
+// fetched back from it.
 func TestDirLargerThanCache(t *testing.T) {
 	dir := t.TempDir()
 	c := dirCfg(dir)
-	c.CachePages = 8     // vm cache: 8 pages
-	c.FileCachePages = 8 // durable cache: 8 pages of 256 B
+	c.CachePages = 16 // 16 pages of 256 B
 	c.StableWords = 32 * 1024
 	hp, err := OpenDir(c)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
-	const lists, nodes = 8, 100 // ~8*100*3 words ≫ 8 pages
+	const lists, nodes = 8, 100 // ~8*100*3 words ≫ 16 pages
 	for i := 0; i < lists; i++ {
 		buildList(t, hp, i, nodes, uint64(1000*i))
 	}
@@ -152,8 +150,13 @@ func TestDirLargerThanCache(t *testing.T) {
 		}
 	}
 	m := hp.Metrics()
-	if v := m.Counter("filestore_cache_evictions_total"); v == 0 {
-		t.Fatal("no durable-cache evictions under pressure")
+	if v := m.Counter("cache_evictions_total"); v == 0 {
+		t.Fatal("no vm evictions under pressure")
+	}
+	// A fresh heap has nothing on disk to fetch: every fetch re-reads a
+	// slot an eviction wrote.
+	if v := m.Counter("cache_fetches_total"); v == 0 {
+		t.Fatal("no evicted page was fetched back from the slot file")
 	}
 	hp.Close()
 
@@ -166,6 +169,62 @@ func TestDirLargerThanCache(t *testing.T) {
 		if vals := readList(t, hp2, i); len(vals) != nodes {
 			t.Fatalf("list %d lost nodes after reopen: %d", i, len(vals))
 		}
+	}
+}
+
+// TestDirFoldsFileCache: the deprecated FileCachePages is folded into a
+// bounded CachePages on a Dir heap — the one pool holds both budgets, and
+// the resolved Config says so, so reopening with it does not fold twice —
+// while an unbounded pool stays unbounded and an in-memory heap ignores
+// the field.
+func TestDirFoldsFileCache(t *testing.T) {
+	resident := func(hp *Heap) int { // after touching 40 distinct stable pages
+		for i := range 40 {
+			hp.mem.ReadWord(hp.stableLo + word.Addr(i*hp.cfg.PageSize))
+		}
+		return len(hp.mem.ResidentPages())
+	}
+	dir := t.TempDir()
+	c := dirCfg(dir)
+	c.CachePages, c.FileCachePages = 8, 8
+	hp, err := OpenDir(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := resident(hp); n != 16 {
+		t.Errorf("Dir heap with CachePages 8 + FileCachePages 8 holds %d pages, want 16", n)
+	}
+	if got := hp.Config(); got.CachePages != 16 || got.FileCachePages != 0 {
+		t.Errorf("resolved Config: CachePages %d, FileCachePages %d, want 16 and 0", got.CachePages, got.FileCachePages)
+	}
+	resolved := hp.Config()
+	hp.Close()
+	hp, err = RecoverDir(resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := resident(hp); n != 16 {
+		t.Errorf("reopened with the resolved Config: %d pages, want 16", n)
+	}
+	hp.Close()
+
+	c = dirCfg(t.TempDir())
+	c.FileCachePages = 8
+	hp, err = OpenDir(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := resident(hp); n < 40 {
+		t.Errorf("Dir heap with CachePages 0 holds %d pages, want all 40 touched: unbounded", n)
+	}
+	hp.Close()
+
+	mc := smallCfg()
+	mc.CachePages, mc.FileCachePages = 8, 8
+	mem := Open(mc)
+	defer mem.Close()
+	if n := resident(mem); n != 8 {
+		t.Errorf("in-memory heap holds %d pages, want 8: FileCachePages applies only to Dir heaps", n)
 	}
 }
 

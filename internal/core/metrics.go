@@ -171,9 +171,9 @@ func (hp *Heap) Metrics() obs.Snapshot {
 		s.SetCounter("obs_watchdog_trips_total", int64(hp.wd.Trips()))
 	}
 
-	// File-backed devices surface their durable-layer counters (cache
-	// hits/evictions, write-back batches, fsyncs, barriers) under a
-	// filestore_ prefix, distinct from the vm-level cache_ counters above.
+	// File-backed devices surface their durable-layer counters (fsyncs,
+	// barriers) under a filestore_ prefix; the page cache's counters are
+	// the vm pool's cache_ counters above.
 	type fileMetricser interface{ FileMetrics() map[string]int64 }
 	for _, dev := range []any{hp.disk, hp.logDev} {
 		if f, ok := dev.(fileMetricser); ok {

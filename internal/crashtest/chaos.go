@@ -141,11 +141,10 @@ type Scenario struct {
 	// Dir, when set, runs every seed over real files: a filestore opened
 	// at <Dir>/seed-<seed> replaces the in-memory devices under the fault
 	// injector, and is removed when the seed finishes. The injector wraps
-	// it unchanged — same plans, same scenarios, same verdict matrix —
-	// with background write-back disabled so fault schedules replay
-	// bit-identically. In-process crashes push completed writes to the OS
-	// (the process-kill crash model); true user-buffer loss is the
-	// kill-point harness's job (see killpoint_test.go).
+	// it unchanged — same plans, same scenarios, same verdict matrix. A
+	// completed page write is in the OS, as a process kill leaves it; true
+	// user-buffer loss is the kill-point harness's job (see
+	// killpoint_test.go).
 	Dir string
 }
 
@@ -236,7 +235,6 @@ func (sd *seedDevices) open(cfg core.Config, heap string) (storage.PageStore, st
 	st, err := filestore.Open(filepath.Join(sd.dir, sd.name, heap), filestore.Options{
 		PageSize:     cfg.PageSize,
 		SegmentBytes: cfg.LogSegBytes,
-		NoWriteBack:  true,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("filestore open: %v", err)

@@ -20,10 +20,10 @@ import (
 // fsync. In-process Crash() treats completed WritePage calls as durable
 // (they reached the OS page cache, which survives a kill); here the
 // child process dies with user-space state — the unforced log tail, the
-// dirty durable-layer cache — genuinely gone, and correctness rests
+// dirty pages of the vm pool — genuinely gone, and correctness rests
 // entirely on the real fsync ordering: commit forces fdatasync the log,
-// and SetMaster flushes + fdatasyncs pages before the master block names
-// a checkpoint.
+// and SetMaster fdatasyncs pages before the master block names a
+// checkpoint.
 //
 // The child (TestKillPointChild, run via re-exec) increments a counter
 // object, one commit per op, fsyncing an acknowledgment line outside the
@@ -54,14 +54,19 @@ const (
 	numKillModes
 )
 
+// killCachePages bounds the vm pool of every kill-point heap. The counter
+// workload touches five pages, so with two resident dirty evictions write
+// slots between kills, most of them forcing the log first (the WAL rule).
+const killCachePages = 2
+
 func killCfg(dir string) core.Config {
 	return core.Config{
-		Dir:            dir,
-		FileCachePages: 8, // tiny: dirty durable-cache state at most kills
-		PageSize:       256,
-		StableWords:    8 * 1024,
-		VolatileWords:  4 * 1024,
-		LogSegBytes:    4 * 1024, // several segments per run: truncation + kills interact
+		Dir:           dir,
+		CachePages:    killCachePages,
+		PageSize:      256,
+		StableWords:   8 * 1024,
+		VolatileWords: 4 * 1024,
+		LogSegBytes:   4 * 1024, // several segments per run: truncation + kills interact
 	}
 }
 
@@ -294,7 +299,7 @@ const (
 // promotes the chains to the stable area, flips the stable area
 // concurrently, paces the scan a parent-chosen number of quanta and then
 // SIGKILLs itself with the scan in flight — the unforced log tail and the
-// dirty durable-layer cache die with the process, so recovery sees only
+// dirty vm pool die with the process, so recovery sees only
 // what fdatasync ordered, mid-scan.
 func TestKillPointStableScanChild(t *testing.T) {
 	dir := os.Getenv(envDir)
@@ -482,8 +487,8 @@ func runChildToKill(t *testing.T, heapDir, acksPath string, killOp, mode int) {
 // partition), or right after the coordinator forced its commit decision
 // and before any participant branch committed (recovery must commit it on
 // every partition). The kill happens inside the crash hook on the
-// committing goroutine, so the unforced WAL tails and dirty durable-layer
-// caches die with the process and the audit rests on real fsync ordering:
+// committing goroutine, so the unforced WAL tails and the dirty vm pools
+// die with the process and the audit rests on real fsync ordering:
 // participant prepares and the coordinator decision are the only durable
 // facts.
 
@@ -497,11 +502,11 @@ func kill2PCCfg(dir string) shard.Config {
 		Partitions: 3,
 		Dir:        dir,
 		Part: core.Config{
-			FileCachePages: 8,
-			PageSize:       256,
-			StableWords:    8 * 1024,
-			VolatileWords:  4 * 1024,
-			LogSegBytes:    4 * 1024,
+			CachePages:    killCachePages,
+			PageSize:      256,
+			StableWords:   8 * 1024,
+			VolatileWords: 4 * 1024,
+			LogSegBytes:   4 * 1024,
 		},
 	}
 }

@@ -55,8 +55,8 @@ const (
 	EvRecUndo     // span: recovery undo pass
 	EvRecovery    // recovery completed
 	EvStandbyApply
-	EvFileBarrier   // span: filestore SetMaster barrier
-	EvFileWriteBack // filestore background write-back batch
+	EvFileBarrier   // span: filestore SetMaster barrier; a = page writes it made durable
+	EvFileWriteBack // reserved: older dumps hold the deleted filestore write-back batch; nothing emits it
 	evKindCount
 )
 

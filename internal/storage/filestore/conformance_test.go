@@ -10,17 +10,11 @@ import (
 
 // The file-backed devices must pass the identical conformance suite as
 // the in-memory reference — including the seeded random-op equivalence
-// driver, which compares every observable after every step. Write-back is
-// disabled so the only actors on the files are the test's own calls.
+// driver, which compares every observable after every step.
 
 func openStore(t *testing.T, pageSize, segBytes int) *filestore.Store {
 	t.Helper()
-	s, err := filestore.Open(t.TempDir(), filestore.Options{
-		PageSize:     pageSize,
-		SegmentBytes: segBytes,
-		CachePages:   8, // small on purpose: conformance must hold under eviction pressure
-		NoWriteBack:  true,
-	})
+	s, err := filestore.Open(t.TempDir(), filestore.Options{PageSize: pageSize, SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatalf("filestore.Open: %v", err)
 	}

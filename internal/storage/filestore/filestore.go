@@ -13,9 +13,9 @@
 //	  log/         segmented record log + metadata
 //	  clones/      transient Clone() copies (twin recovery, base backups)
 //
-// The page store keeps a bounded clock cache over slots (Options.CachePages)
-// with dirty tracking and an optional background write-back goroutine, so
-// heaps 10–100x the cache budget stay usable with bounded memory.
+// The page store is the backing of the vm pool and caches nothing itself:
+// a page write is a pwrite of its slot, a read a pread, and the barrier an
+// fdatasync plus the master write. The store starts no goroutine.
 // internal/faultfs wraps both devices unchanged.
 package filestore
 
@@ -24,11 +24,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
-// Options configures a Store. The zero value is usable: 1 KiB pages, the
-// default log segment size, a 256-page cache, write-back every 25ms.
+// Options configures a Store. The zero value is usable: 1 KiB pages and
+// the default log segment size.
 type Options struct {
 	// PageSize is the page size in bytes for a newly created store
 	// (default 1024). On reopen the persisted master block is
@@ -38,27 +37,10 @@ type Options struct {
 	// SegmentBytes is the log segment granularity for a newly created
 	// store; on reopen the persisted log metadata is authoritative.
 	SegmentBytes int
-	// CachePages bounds the durable-layer page cache (default 256 pages).
+	// Deprecated: ignored; the store keeps no page cache (the vm pool is
+	// the only buffer). Kept only for the frozen benchmark harness, which
+	// sets it.
 	CachePages int
-	// WriteBackEvery is the background write-back period (default 25ms).
-	WriteBackEvery time.Duration
-	// NoWriteBack disables the background write-back goroutine; dirty
-	// pages then reach the OS only via eviction, barriers and Close. The
-	// chaos harness sets it so fault plans replay bit-identically.
-	NoWriteBack bool
-}
-
-func (o Options) withDefaults() Options {
-	// PageSize and SegmentBytes deliberately keep their zero values here:
-	// zero means "persisted geometry if reopening, else the default", and
-	// only openDisk/openLog know which case applies.
-	if o.CachePages <= 0 {
-		o.CachePages = 256
-	}
-	if o.WriteBackEvery <= 0 {
-		o.WriteBackEvery = 25 * time.Millisecond
-	}
-	return o
 }
 
 // Store is an open file-backed device pair rooted at one directory.
@@ -66,21 +48,17 @@ type Store struct {
 	Dir  string
 	Disk *Disk
 	Log  *Log
-
-	stopWB chan struct{}
-	doneWB chan struct{}
 }
 
 // Open opens (or creates) a store at dir. Reopening an existing directory
 // re-parses the slot file and the log segments, delivering any torn log
 // tail as a repairable fragment.
 func Open(dir string, o Options) (*Store, error) {
-	o = o.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	fm := &fileMetrics{}
-	disk, err := openDisk(dir, o.PageSize, o.CachePages, fm)
+	disk, err := openDisk(dir, o.PageSize, fm)
 	if err != nil {
 		return nil, err
 	}
@@ -89,14 +67,7 @@ func Open(dir string, o Options) (*Store, error) {
 		disk.Close()
 		return nil, err
 	}
-	log.disk = disk // couple the crash hooks (see Log.Crash)
-	s := &Store{Dir: dir, Disk: disk, Log: log}
-	if !o.NoWriteBack {
-		s.stopWB = make(chan struct{})
-		s.doneWB = make(chan struct{})
-		go s.writeBackLoop(o.WriteBackEvery)
-	}
-	return s, nil
+	return &Store{Dir: dir, Disk: disk, Log: log}, nil
 }
 
 // IsFormatted reports whether dir holds an initialized store (a valid
@@ -111,25 +82,8 @@ func IsFormatted(dir string) bool {
 	return err == nil && m.Formatted
 }
 
-func (s *Store) writeBackLoop(every time.Duration) {
-	defer close(s.doneWB)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopWB:
-			return
-		case <-t.C:
-			// Cap the batch so a barrier never waits long on the loop.
-			s.Disk.writeBackStep(64)
-		}
-	}
-}
-
-// Close stops write-back, forces the log tail, flushes the dirty cache
-// and fdatasyncs both files.
+// Close forces the log tail and fdatasyncs and closes both files.
 func (s *Store) Close() error {
-	s.stopWriteBack()
 	err := s.Log.Close()
 	if derr := s.Disk.Close(); err == nil {
 		err = derr
@@ -138,23 +92,14 @@ func (s *Store) Close() error {
 }
 
 // Abandon releases the store the way a process kill does, for in-process
-// crash simulation: write-back stops and the file descriptors close with
-// no flush, no force and no fdatasync — a crash must not make anything
-// durable that was not. Call it after the log's Crash/CrashTorn (which
-// drops the un-forced tail and pwrites the dirty frames, unsynced). The
+// crash simulation: the file descriptors close with no force and no
+// fdatasync — a crash must not make anything durable that was not. Call it
+// after the log's Crash/CrashTorn, which drops the un-forced tail; every
+// completed page write is already in the OS, as a kill would leave it. The
 // devices are dead afterwards; only a fresh Open of the directory goes on.
 func (s *Store) Abandon() {
-	s.stopWriteBack()
 	s.Log.release()
 	s.Disk.close(false)
-}
-
-func (s *Store) stopWriteBack() {
-	if s.stopWB != nil {
-		close(s.stopWB)
-		<-s.doneWB
-		s.stopWB = nil
-	}
 }
 
 // atomicWriteFile replaces path with data atomically: tmp + fsync +

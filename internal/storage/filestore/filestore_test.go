@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 
 func openAt(t *testing.T, dir string, o Options) *Store {
 	t.Helper()
-	o.NoWriteBack = true
 	s, err := Open(dir, o)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
@@ -42,7 +40,7 @@ func TestReopenRoundTrip(t *testing.T) {
 	o := Options{PageSize: 512, SegmentBytes: 128, CachePages: 4}
 
 	s := openAt(t, dir, o)
-	for i := 0; i < 20; i++ { // 5x the cache: exercises eviction + fetch
+	for i := 0; i < 20; i++ {
 		s.Disk.WritePage(word.PageID(i), page(512, byte(i+1)), word.LSN(100+i))
 	}
 	var lsns []word.LSN
@@ -242,28 +240,6 @@ func TestCorruptSlotDetectedOnRead(t *testing.T) {
 	t.Fatal("corrupt slot read did not panic")
 }
 
-func TestWriteBackDrainsDirtyFrames(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 8, WriteBackEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 8; i++ {
-		s.Disk.WritePage(word.PageID(i), page(512, byte(i)), word.LSN(i+1))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Disk.dirtyCount() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("write-back never drained: %d dirty", s.Disk.dirtyCount())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if s.Disk.FileMetrics()["writebacks_total"] == 0 {
-		t.Fatal("write-back counter never moved")
-	}
-}
-
 // TestBarrierOrdersPagesBeforeMaster: SetMaster is the durability
 // barrier — after it returns, every previously written page must be
 // parseable from the file even if the process dies without Close.
@@ -297,7 +273,7 @@ func TestPageSizeMismatchRejected(t *testing.T) {
 	m.Formatted = true
 	s.Disk.SetMaster(m)
 	s.Close()
-	if _, err := Open(dir, Options{PageSize: 1024, NoWriteBack: true}); err == nil {
+	if _, err := Open(dir, Options{PageSize: 1024}); err == nil {
 		t.Fatal("page-size mismatch on reopen accepted")
 	}
 }
@@ -520,53 +496,5 @@ func TestIndexNamedLayoutRejected(t *testing.T) {
 	_, err = Open(dir, Options{})
 	if err == nil || !strings.Contains(err.Error(), "earlier build") {
 		t.Fatalf("Open of an index-named layout: %v, want a refusal naming the layout", err)
-	}
-}
-
-// TestWriteBackRacesWriters: write-back pwrites with the disk mutex
-// released, so a page rewritten between the encode and the re-lock must
-// stay dirty — the last write of every page is what a reopen finds.
-func TestWriteBackRacesWriters(t *testing.T) {
-	dir := t.TempDir()
-	s := openAt(t, dir, Options{PageSize: 256, CachePages: 8})
-	const pages, rounds = 4, 400
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				s.Disk.writeBackStep(64)
-			}
-		}
-	}()
-	for r := 1; r <= rounds; r++ {
-		for p := 0; p < pages; p++ {
-			s.Disk.WritePage(word.PageID(p), page(256, byte(r+p)), word.LSN(r))
-			if data, lsn, ok := s.Disk.ReadPage(word.PageID(p)); !ok || lsn != word.LSN(r) || data[0] != byte(r+p) {
-				t.Fatalf("page %d round %d: read back lsn=%d data[0]=%d", p, r, lsn, data[0])
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	for s.Disk.writeBackStep(64) > 0 {
-	}
-	if n := s.Disk.dirtyCount(); n != 0 {
-		t.Fatalf("%d frames still dirty after draining write-back", n)
-	}
-	s.Abandon() // no flush: what write-back pwrote is all there is
-
-	r := openAt(t, dir, Options{})
-	defer r.Close()
-	for p := 0; p < pages; p++ {
-		data, lsn, ok := r.Disk.ReadPage(word.PageID(p))
-		if !ok || lsn != rounds || !bytes.Equal(data, page(256, byte(rounds+p))) {
-			t.Fatalf("page %d after reopen: ok=%v lsn=%d, want the last write (lsn %d)", p, ok, lsn, rounds)
-		}
 	}
 }

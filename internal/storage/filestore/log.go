@@ -55,10 +55,10 @@ import (
 // Force writes the tail through its LSN to the active segment and fdatasyncs
 // it, so a killed process loses exactly the unforced tail — the volatile log. The
 // in-process Crash()/CrashTorn() hooks used by the chaos harness reproduce
-// that same end state without exiting (and additionally push the sibling
-// page store's buffered writes to the OS, see Disk.crashFlush, since a
-// completed WritePage survives a process kill). The kill-point harness in
-// internal/crashtest exercises the real thing with re-exec'd children.
+// that same end state without exiting; the sibling page store needs no
+// hook, since its completed writes are already in the OS. The kill-point
+// harness in internal/crashtest exercises the real thing with re-exec'd
+// children.
 //
 // Locking (storage.LogDevice's concurrency contract): forceMu admits one
 // force at a time and is held across its write and fdatasync; the
@@ -87,7 +87,6 @@ type Log struct {
 	retained int64
 	stats    storage.LogStats
 	fm       *fileMetrics
-	disk     *Disk // sibling page store; crash hooks couple to it (may be nil)
 	cloneSeq int
 	closed   bool
 	// sync is fdatasync; a test gates it to hold a force in flight.
@@ -482,9 +481,8 @@ func (l *Log) EndLSN() word.LSN { return l.end.Load() }
 func (l *Log) TruncLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.trunc }
 
 // Crash simulates a process kill in-process: the user-space tail vanishes
-// (it was never written) and the sibling page store's buffered writes are
-// pushed to the OS — a completed WritePage survives a process exit (see
-// package comment) — so a file-backed crash is observably the in-memory one.
+// (it was never written). The sibling page store's completed writes are
+// already in the OS, so a file-backed crash is observably the in-memory one.
 func (l *Log) Crash() { l.CrashTorn(word.NilLSN) }
 
 // CrashTorn models a crash arriving while a final force of the tail is in
@@ -508,9 +506,6 @@ func (l *Log) CrashTorn(cut word.LSN) {
 	l.mu.Unlock()
 	l.persist(cut)
 	l.forceMu.Unlock()
-	if l.disk != nil {
-		l.disk.crashFlush()
-	}
 }
 
 // RepairTail rewinds the log to from as a physical rewind: the segment
@@ -834,11 +829,7 @@ var _ storage.LogDevice = (*Log)(nil)
 // fileMetrics holds the filestore-specific observability counters, shared
 // between the page store and the log of one Store.
 type fileMetrics struct {
-	cacheHits   obs.Counter
-	cacheMisses obs.Counter
-	evictions   obs.Counter
-	writeBacks  obs.Counter // pages pushed to the OS by the write-back goroutine
-	pageFsyncs  obs.Counter
-	logFsyncs   obs.Counter
-	barriers    obs.Counter // SetMaster durability barriers
+	pageFsyncs obs.Counter
+	logFsyncs  obs.Counter
+	barriers   obs.Counter // SetMaster durability barriers
 }

@@ -10,13 +10,23 @@ import "stableheap/internal/word"
 // either. Implementations report unrecoverable device conditions by
 // panicking with one of the typed errors in errors.go; the plain device
 // never does.
+//
+// Ownership: ReadPage returns a buffer of PageSize bytes that the caller
+// owns and may keep and mutate — the store never writes to it again and
+// hands it to nobody else (vm adopts it as the resident page, so a miss
+// costs one copy). WritePage keeps nothing of the caller's slice, which
+// the caller may mutate as soon as it returns (vm goes on writing the
+// resident page in place). storagetest enforces both rules on every
+// backend.
 type PageStore interface {
 	// PageSize returns the page size the store was created with.
 	PageSize() int
-	// ReadPage returns a copy of the page's durable contents and its page
-	// LSN; ok is false if the page has never been written.
+	// ReadPage returns the page's durable contents, in a buffer the caller
+	// owns, and its page LSN; ok is false if the page has never been
+	// written.
 	ReadPage(id word.PageID) (data []byte, lsn word.LSN, ok bool)
-	// WritePage durably replaces the page's contents and page LSN.
+	// WritePage durably replaces the page's contents and page LSN, keeping
+	// nothing of data.
 	WritePage(id word.PageID, data []byte, lsn word.LSN)
 	// PageLSN returns the durable page LSN for id (NilLSN if never written).
 	PageLSN(id word.PageID) word.LSN

@@ -92,6 +92,33 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 		}
 	})
 
+	// PageStore's ownership rule, as vm uses it: a read buffer is kept as
+	// the resident page and written in place, and one write buffer is
+	// rewritten between WritePage calls. Neither may reach the store's
+	// state, and later traffic may not reach a kept read buffer.
+	t.Run("Ownership", func(t *testing.T) {
+		d := mk(t, pageSize)
+		buf := page(0x11)
+		d.WritePage(1, buf, 5)
+		copy(buf, page(0x22)) // the caller reuses its write buffer
+		d.WritePage(2, buf, 6)
+		copy(buf, page(0x33))
+		kept, _, _ := d.ReadPage(1)
+		kept2, _, _ := d.ReadPage(2)
+		copy(kept2, page(0x44)) // a kept read buffer, written in place
+		d.WritePage(1, page(0x55), 7)
+		d.ReadPage(1)
+		d.ReadPage(2)
+		if !bytes.Equal(kept, page(0x11)) {
+			t.Fatal("later traffic changed a read buffer the caller kept")
+		}
+		for id, want := range map[word.PageID]byte{1: 0x55, 2: 0x22} {
+			if got, _, _ := d.ReadPage(id); !bytes.Equal(got, page(want)) {
+				t.Fatalf("page %d does not read back its last write: a caller's buffer reached the store", id)
+			}
+		}
+	})
+
 	t.Run("PagesOrdering", func(t *testing.T) {
 		d := mk(t, pageSize)
 		for _, id := range []word.PageID{9, 2, 31, 4, 17, 0} {

@@ -184,24 +184,26 @@ func (s *Store) drop(id word.PageID) {
 }
 
 // resident returns the cached page, fetching it from disk (or materializing
-// it zero-filled) if needed, possibly evicting another page first. The
-// store's write lock is held.
+// it zero-filled) if needed, possibly evicting another page first. A
+// fetched page adopts the buffer ReadPage returned, which the caller owns
+// (storage.PageStore), so a miss copies the page once. The store's write
+// lock is held.
 func (s *Store) resident(id word.PageID) *page {
 	if p := s.lookup(id); p != nil {
 		s.touch(p)
 		return p
 	}
 	s.makeRoom()
-	p := &page{id: id, data: make([]byte, s.cfg.PageSize)}
+	p := &page{id: id}
 	p.ref.Store(true)
 	if data, lsn, ok := s.disk.ReadPage(id); ok {
-		copy(p.data, data)
-		p.lsn = lsn
+		p.data, p.lsn = data, lsn
 		s.stats.Fetches++
 		if s.cfg.LogFetches && s.log != nil {
 			s.log.Append(wal.PageFetchRec{Page: id})
 		}
 	} else {
+		p.data = make([]byte, s.cfg.PageSize)
 		s.stats.FreshPages++
 	}
 	s.install(p)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
@@ -500,4 +501,38 @@ func TestEvictionForcesWhenEveryVictimIsUnstable(t *testing.T) {
 // counting as a device read).
 func hasPage(d storage.PageStore, id word.PageID) bool {
 	return slices.Contains(d.Pages(), id)
+}
+
+// TestAllocsPerMissOverFilestore pins what a page miss costs over the real
+// file backing: the vm adopts the buffer ReadPage preads into, so a miss
+// allocates that buffer and the page header and nothing else — no second
+// cache's frame and no copy out of it.
+func TestAllocsPerMissOverFilestore(t *testing.T) {
+	fs, err := filestore.Open(t.TempDir(), filestore.Options{PageSize: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	const pages, cache = 64, 16
+	for i := range pages {
+		fs.Disk.WritePage(word.PageID(i), make([]byte, ps), word.LSN(i+1))
+	}
+	s := New(Config{PageSize: ps, CachePages: cache}, fs.Disk, wal.NewManager(fs.Log))
+	next := 0
+	miss := func() { // a sweep four times the cache: every read misses
+		s.ReadWord(word.PageID(next % pages).Base(ps))
+		next++
+	}
+	for range pages {
+		miss()
+	}
+	fetches := s.Stats().Fetches
+	const runs = 400
+	n := testing.AllocsPerRun(runs, miss)
+	if got := s.Stats().Fetches - fetches; got != runs+1 {
+		t.Fatalf("%d fetches in %d reads: the sweep did not miss every time", got, runs+1)
+	}
+	if n > 2 {
+		t.Errorf("%v allocations per vm miss over filestore, want ≤ 2 (the pread buffer and the page)", n)
+	}
 }
