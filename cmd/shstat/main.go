@@ -207,7 +207,11 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 	}
 	resumeLSN := sb.AppliedLSN()
 	server, client := net.Pipe()
-	go prim.Serve(server)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		prim.Serve(server)
+	}()
 	go sb.RunConn(client)
 
 	// Burst two against the recovered heap, again with a collection in
@@ -248,6 +252,9 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 	fmt.Fprintf(stderr, "replication: standby resumed from LSN %d, snapshot read at LSN %d, lag %d bytes\n",
 		resumeLSN, at, sb.LagBytes())
 	sb.Close()
+	// The shipper reads the heap's log files: it must be gone before the
+	// caller closes the heap. Closing the standby ends its session.
+	<-served
 
 	m := h.Metrics()
 	m.Merge(prim.Metrics())

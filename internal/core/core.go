@@ -284,18 +284,22 @@ type Heap struct {
 	volRootObj word.Addr
 
 	// ls is the LS set: newly stable objects still at volatile
-	// addresses. srem is the stable→volatile remembered set: stable-area
-	// slots holding volatile pointers. nrem is the nursery remembered
-	// set: aged volatile slots holding nursery pointers (stable slots
-	// holding nursery pointers are covered by srem, since the nursery is
-	// part of the volatile area). ls is only touched in exclusive
-	// sections; srem and nrem are additionally written by concurrent
-	// shared update actions (through the write-barrier hooks) and
-	// rebased by the read barrier's copies, so remMu guards both.
-	ls    map[word.Addr]bool
+	// addresses, each with its size in words. srem is the stable→volatile
+	// remembered set: stable-area slots holding volatile pointers. nrem is
+	// the nursery remembered set: aged volatile slots holding nursery
+	// pointers (stable slots holding nursery pointers are covered by srem,
+	// since the nursery is part of the volatile area). ls is only touched
+	// in exclusive sections; srem and nrem are additionally written by
+	// concurrent shared update actions (through the write-barrier hooks)
+	// and rebased by the read barrier's copies, so remMu guards both.
+	ls    map[word.Addr]int
 	remMu sync.Mutex
 	srem  map[word.Addr]bool
 	nrem  map[word.Addr]bool
+	// lsWords and lsNurseryWords total the sizes in ls, over the set and
+	// over its nursery part: the stable space a volatile collection and a
+	// minor one need. addLS, dropLS and clearLS keep them.
+	lsWords, lsNurseryWords int
 
 	// hist, when set, records every transactional action for offline
 	// serializability checking (internal/histcheck). Install it with
@@ -385,7 +389,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	hp := &Heap{
 		cfg: cfg, disk: disk, logDev: logDev, log: log, mem: mem, h: h, locks: locks,
 		shards: make([]sync.Mutex, latchShards),
-		ls:     make(map[word.Addr]bool),
+		ls:     make(map[word.Addr]int),
 		srem:   make(map[word.Addr]bool),
 		nrem:   make(map[word.Addr]bool),
 	}
@@ -455,7 +459,7 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 		})
 		hp.track = stability.New(h, hp.txm, locks, stability.Env{
 			InVolatile: hp.inVolatile,
-			AddLS:      func(a word.Addr) { hp.ls[a] = true },
+			AddLS:      hp.addLS,
 			Forward:    hp.vscan.load,
 		})
 		hp.vscan = concScan{hp: hp, c: hp.vgc, quantumEv: obs.EvVGCQuantum,
@@ -579,7 +583,7 @@ func (hp *Heap) relocate(ms word.Moves) {
 	for _, m := range ms {
 		hp.locks.Rekey(m.From, m.To)
 		if hp.inStableArea(m.To) && !hp.inStableArea(m.From) {
-			delete(hp.ls, m.From) // newly stable, moved with the heap stopped
+			hp.dropLS(m.From) // newly stable, moved with the heap stopped
 		}
 	}
 	if hp.hist != nil {
@@ -823,13 +827,32 @@ func (hp *Heap) pace() {
 	}
 }
 
-// lsWords sums the sizes of pending newly stable objects.
-func (hp *Heap) lsWords() int {
-	total := 0
-	for a := range hp.ls {
-		total += hp.h.Descriptor(a).SizeWords()
+// addLS enters the newly stable object at a, of size words, in the LS set.
+func (hp *Heap) addLS(a word.Addr, words int) {
+	hp.ls[a] = words
+	hp.lsWords += words
+	if hp.inNursery(a) {
+		hp.lsNurseryWords += words
 	}
-	return total
+}
+
+// dropLS removes a from the LS set if it is there.
+func (hp *Heap) dropLS(a word.Addr) {
+	words, ok := hp.ls[a]
+	if !ok {
+		return
+	}
+	delete(hp.ls, a)
+	hp.lsWords -= words
+	if hp.inNursery(a) {
+		hp.lsNurseryWords -= words
+	}
+}
+
+// clearLS empties the LS set.
+func (hp *Heap) clearLS() {
+	hp.ls = make(map[word.Addr]int)
+	hp.lsWords, hp.lsNurseryWords = 0, 0
 }
 
 // ensureStableSpace guarantees the stable allocator can absorb needWords
@@ -855,7 +878,7 @@ func (hp *Heap) collectVolatile() error {
 	// One volatile collection at a time: a scan still in flight retires
 	// inline before the next one starts.
 	hp.finishConcurrentLocked()
-	if err := hp.ensureStableSpace(hp.lsWords()); err != nil {
+	if err := hp.ensureStableSpace(hp.lsWords); err != nil {
 		return err
 	}
 	hp.quiesceStableGC()
@@ -881,24 +904,12 @@ func (hp *Heap) collectVolatile() error {
 	// have relocate rebase its entries.
 	hp.takeNRem()
 	hp.vgc.Collect()
-	hp.ls = make(map[word.Addr]bool)
+	hp.clearLS()
 	// Evacuations consumed stable space; if it is running low, start an
 	// incremental stable collection now so it finishes before the space
 	// is needed (rather than a forced stop-the-world later).
 	hp.maybeStartStableGC()
 	return nil
-}
-
-// nurseryLSWords sums the sizes of pending newly stable objects that live
-// in the nursery (the stable space a minor collection needs).
-func (hp *Heap) nurseryLSWords() int {
-	total := 0
-	for a := range hp.ls {
-		if hp.inNursery(a) {
-			total += hp.h.Descriptor(a).SizeWords()
-		}
-	}
-	return total
 }
 
 // collectNursery runs a minor collection (falling back to a full volatile
@@ -908,7 +919,7 @@ func (hp *Heap) collectNursery() error {
 	if !hp.vgc.CanMinor() {
 		return hp.collectVolatile()
 	}
-	if need := hp.nurseryLSWords(); need > 0 {
+	if need := hp.lsNurseryWords; need > 0 {
 		if hp.sgc.FreeWords() < need {
 			// Growing stable space means stable-GC work, which must
 			// not overlap a concurrent scan.

@@ -63,6 +63,13 @@ import (
 // writer ever waits on transMu while holding a shard, so the nesting
 // cannot deadlock). Subsystem mutexes never call back into the latch.
 //
+// The stopper owns vm.mu: stopHeap takes it once, after stop and gate
+// (vm.Store.Own), and releaseExclusive drops it before the gate. Every vm
+// caller holds the stop latch or the gate (or runs before the heap is
+// shared), so no one else can be inside the store meanwhile, and the
+// section's collections, tracking, checkpoint and abort pay no lock per
+// word. Metrics takes the latch shared and vm.Stats reads atomics.
+//
 // Fail-stop: a device fault (a typed storage panic, storage.AsDeviceError)
 // that unwinds a latched section leaves an action half done — space
 // allocated and its copy record never appended, say — so from that moment
@@ -130,9 +137,10 @@ func (hp *Heap) runlock(excl bool) {
 
 // lockExclusive stops the heap: it waits for every in-flight shared action
 // to drain and blocks new ones. The wait is recorded in the latch_stop
-// histogram (the price of a flip or checkpoint under load). With a
-// concurrent scan in flight it also parks the collector goroutine (gate)
-// and drains the gray stack. On a failed heap it re-raises the fault.
+// histogram (the price of a flip or checkpoint under load; 0 when neither
+// the latch nor the gate was taken). With a concurrent scan in flight it
+// also parks the collector goroutine (gate) and drains the gray stack. On a
+// failed heap it re-raises the fault.
 func (hp *Heap) lockExclusive() {
 	hp.stopHeap()
 	if e := hp.failed.Load(); e != nil {
@@ -145,20 +153,34 @@ func (hp *Heap) lockExclusive() {
 // failed heap's gray stack is left alone — draining it would log copies
 // after the action the fault tore.
 func (hp *Heap) stopHeap() {
-	start := time.Now()
-	hp.stop.Lock()
+	// The clock is read only on contention, as wal's appendLocked does: an
+	// uncontended stop records a zero wait.
+	var start time.Time
+	if !hp.stop.TryLock() {
+		start = time.Now()
+		hp.stop.Lock()
+	}
 	// The gate is taken unconditionally, not just when scanning: a collector
 	// goroutine whose collection was retired inline can still be between
 	// quanta, and it re-checks liveness under the gate — so any exclusive
 	// section that might restart the collector state must already exclude
 	// it. Uncontended, this is a handful of nanoseconds on a path that just
 	// paid for draining every shared action.
-	hp.gate.Lock()
+	if !hp.gate.TryLock() {
+		if start.IsZero() {
+			start = time.Now()
+		}
+		hp.gate.Lock()
+	}
 	hp.gateHeldExcl = true
+	hp.mem.Own()
 	if hp.scanning() && hp.failed.Load() == nil {
 		hp.drainGrayLocked()
 	}
-	wait := time.Since(start)
+	var wait time.Duration
+	if !start.IsZero() {
+		wait = time.Since(start)
+	}
 	hp.met.latchStop.Observe(uint64(wait))
 	if wait > latchStallThreshold {
 		hp.bb.Span(obs.EvLatchStall, wait, 0, 0, 0)
@@ -186,6 +208,7 @@ func (hp *Heap) unlockExclusive() {
 
 func (hp *Heap) releaseExclusive() {
 	hp.syncCoarse()
+	hp.mem.Release()
 	if hp.gateHeldExcl {
 		hp.gateHeldExcl = false
 		hp.gate.Unlock()

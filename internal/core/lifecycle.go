@@ -234,7 +234,7 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 	if !cfg.Undivided {
 		hp.vgc.SetCurrentIndex(cp.VolatileCur)
 		for _, a := range cp.LS {
-			hp.ls[a] = true
+			hp.addLS(a, hp.h.Descriptor(a).SizeWords())
 		}
 		for _, a := range cp.SRem {
 			hp.srem[a] = true
@@ -249,7 +249,7 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 			hp.vgc.CollectRecovered()
 			hp.met.recEvacuate.Since(start)
 		}
-		hp.ls = make(map[word.Addr]bool)
+		hp.clearLS()
 		hp.volRootObj = hp.allocVolRootObj()
 	}
 
@@ -289,7 +289,7 @@ func (hp *Heap) ensureStableSpaceRecovered() error {
 	if hp.sgc.Active() {
 		hp.sgc.Finish()
 	}
-	if hp.sgc.FreeWords() < hp.lsWords() {
+	if hp.sgc.FreeWords() < hp.lsWords {
 		return ErrHeapFull
 	}
 	return nil
@@ -508,8 +508,26 @@ func (hp *Heap) SRemCount() int {
 	return len(hp.srem)
 }
 
-// Mem exposes the one-level store (crash harness and benchmarks).
+// Mem exposes the one-level store (tests and benchmarks). Its callers hold
+// no latch, so they must not overlap the heap's own work: a goroutine that
+// stops the heap owns the store (latch.go). FlushResident is the latched
+// way to flush.
 func (hp *Heap) Mem() *vm.Store { return hp.mem }
+
+// FlushResident writes back each resident page keep selects, in ascending
+// page order, with the stop latch held so no exclusive section owns the
+// store meanwhile: the crash harness's choice of what a crash finds on
+// disk. It neither drains the gray stack nor checks for a device fault, so
+// it leaves the heap as it found it, failed or not.
+func (hp *Heap) FlushResident(keep func(word.PageID) bool) {
+	hp.stop.Lock()
+	defer hp.stop.Unlock()
+	for _, pg := range hp.mem.ResidentPages() {
+		if keep(pg) {
+			hp.mem.FlushPage(pg)
+		}
+	}
+}
 
 // TxStats returns transaction-manager counters.
 func (hp *Heap) TxStats() tx.Stats { return hp.txm.Stats() }

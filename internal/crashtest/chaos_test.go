@@ -56,12 +56,20 @@ func TestChaosSweepNoViolations(t *testing.T) {
 // audit after the first recovery reported "slot 0: list longer than the 0
 // committed values". A call a device fault ended is in doubt: the audit
 // accepts either list for the slot and pins what it finds.
+//
+// When a move cycle began logging one SFix record per page instead of one
+// per moved object, the log below the fault shrank and the later rounds'
+// verdicts moved (detected, repaired → clean, clean), so the seed was
+// searched for again: over seeds 2000–2399 of this scenario, the doubt rule
+// decides the audit for 2018, 2067 and 2338, and each reports a VIOLATION
+// with the rule disabled (2067's the same "slot 0" audit failure as
+// before). 2067 still faults mid-commit in round 0 and stays the pin.
 func TestChaosDriverCommitInDoubt(t *testing.T) {
 	res := RunSeed(Scenario{Steps: 25, Crashes: 3, MidGC: true}, 2067)
 	if res.Failed() {
 		t.Fatal(res.Failure)
 	}
-	if want := []Verdict{DetectedOnline, Detected, Repaired}; !reflect.DeepEqual(res.Verdicts, want) {
+	if want := []Verdict{DetectedOnline, Clean, Clean}; !reflect.DeepEqual(res.Verdicts, want) {
 		t.Fatalf("verdicts %v, want %v: the seed no longer faults mid-commit (%s)", res.Verdicts, want, res.Failure)
 	}
 }

@@ -346,13 +346,13 @@ func (d *Driver) Verify() error {
 // flushSubset writes back each resident page with probability frac, drawn
 // from rng: the part of the heap's volatile state a crash finds on disk.
 func (d *Driver) flushSubset(rng *rand.Rand, frac float64) {
-	mem := d.hp.Mem()
-	for _, pg := range mem.ResidentPages() {
+	d.hp.FlushResident(func(word.PageID) bool {
 		if rng.Float64() < frac {
-			mem.FlushPage(pg)
 			d.stats.PagesKept++
+			return true
 		}
-	}
+		return false
+	})
 }
 
 // adopt makes a recovered (or promoted) heap the driver's and holds it to

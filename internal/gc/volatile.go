@@ -100,7 +100,7 @@ type VolatileCollector struct {
 	img         []byte       // evacuate's object image, reused
 	moveImg     []byte       // moveStable's object image, reused
 	slots       []word.Addr  // scanMoved's slot list, reused
-	fixes       []wal.PtrFix // fixStableSlots' batch for one page, reused
+	fixes       []wal.PtrFix // the open SFix batch, all on one page; reused
 	fixLive     []bool       // per fix: the new pointer is still volatile
 	stats       VolatileStats
 	pauseH      obs.Histogram
@@ -271,7 +271,7 @@ func (v *VolatileCollector) begin(c *cycle, volSlots []word.Addr, drainLS bool) 
 		})
 	}
 	if v.hooks.StableSlots != nil {
-		v.fixStableSlots(c, v.hooks.StableSlots(), false)
+		v.fixStableSlots(c, v.hooks.StableSlots())
 	}
 	var ls []word.Addr
 	if drainLS && v.hooks.NewlyStable != nil {
@@ -318,7 +318,13 @@ func (v *VolatileCollector) scan(c *cycle, budget int) bool {
 }
 
 // fixMoved translates the slots of the objects that moved into the stable
-// area (the logged S4vscan fix-ups).
+// area (the logged S4vscan fix-ups), one SFix record per page for the whole
+// drain: the moved objects sit side by side at the stable frontier, so the
+// open batch carries from one object to the next and closes only when a
+// slot lies on another page, and once at the end. Every target a fix names
+// was evacuated, its V2SCopy appended, before the fix joined the batch, so
+// the copies still precede the fix in the log; and the batched slots are
+// written under the fix's LSN before the drain returns.
 func (v *VolatileCollector) fixMoved(c *cycle) {
 	for len(c.moved) > 0 {
 		obj := c.moved[0]
@@ -326,6 +332,7 @@ func (v *VolatileCollector) fixMoved(c *cycle) {
 		c.nMoved++
 		v.scanMoved(c, obj)
 	}
+	v.flushFixes()
 }
 
 // finish runs the cycle to completion — each pass may feed the other — and
@@ -466,28 +473,35 @@ func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descript
 	return to
 }
 
-// scanMoved translates the volatile pointers inside an object that just
-// moved to the stable area, logging the rewrites per page. registerAll is
-// set: a slot of a freshly stable object pointing at a volatile object
-// outside the from-set (an aged survivor during a minor collection) still
-// must enter the remembered set, which a same-value SFix accomplishes.
+// scanMoved batches the fixes of the volatile pointers inside an object
+// that just moved to the stable area (fixMoved closes the batch).
+// registerAll is set: a slot of a freshly stable object pointing at a
+// volatile object outside the from-set (an aged survivor during a minor
+// collection) still must enter the remembered set, which a same-value SFix
+// accomplishes.
 func (v *VolatileCollector) scanMoved(c *cycle, obj word.Addr) {
 	d := v.h.Descriptor(obj)
 	v.slots = v.slots[:0]
 	for i := 0; i < d.NPtrs(); i++ {
 		v.slots = append(v.slots, obj+word.Addr(heap.PtrOffset(i)))
 	}
-	v.fixStableSlots(c, v.slots, true)
+	v.batchFixes(c, v.slots, true)
 }
 
 // fixStableSlots rewrites stable-area slots whose targets the collection
-// moved, batching one SFix record per page (slot writes carry its LSN).
-// With registerAll set, slots holding volatile pointers outside the
-// from-set get a same-value fix so their replay registers them in the
+// moved, one SFix record per page (slot writes carry its LSN).
+func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr) {
+	v.batchFixes(c, slots, false)
+	v.flushFixes()
+}
+
+// batchFixes adds the fixes of slots to the open batch, flushing it
+// whenever a slot lies on another page than the batch, and leaves the last
+// batch open. With registerAll set, slots holding volatile pointers outside
+// the from-set get a same-value fix so their replay registers them in the
 // remembered set.
-func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr, registerAll bool) {
+func (v *VolatileCollector) batchFixes(c *cycle, slots []word.Addr, registerAll bool) {
 	ps := v.mem.PageSize()
-	curPage := word.PageID(0)
 	for _, slot := range slots {
 		p := word.Addr(v.mem.ReadWord(slot))
 		if p.IsNil() {
@@ -502,22 +516,21 @@ func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr, register
 		default:
 			continue
 		}
-		if pg := slot.Page(ps); pg != curPage {
-			v.flushFixes(curPage)
-			curPage = pg
+		if len(v.fixes) > 0 && v.fixes[0].Addr.Page(ps) != slot.Page(ps) {
+			v.flushFixes()
 		}
 		v.fixes = append(v.fixes, wal.PtrFix{Addr: slot, NewPtr: newp})
 		v.fixLive = append(v.fixLive, v.InArea(newp))
 	}
-	v.flushFixes(curPage)
 }
 
-// flushFixes logs the batched fixes, all on page pg, as one SFix record,
-// applies them under its LSN and empties the batch.
-func (v *VolatileCollector) flushFixes(pg word.PageID) {
+// flushFixes logs the open batch, all on one page, as one SFix record,
+// applies it under the record's LSN and empties it.
+func (v *VolatileCollector) flushFixes() {
 	if len(v.fixes) == 0 {
 		return
 	}
+	pg := v.fixes[0].Addr.Page(v.mem.PageSize())
 	lsn := v.log.Append(wal.SFixRec{Page: pg, Fixes: v.fixes})
 	for i, f := range v.fixes {
 		v.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
@@ -551,5 +564,5 @@ func (v *VolatileCollector) fixVolatileSlots(c *cycle, slots, ls []word.Addr) {
 		}
 		v.mem.WriteWord(slot, uint64(v.evacuate(c, p)), word.NilLSN)
 	}
-	v.fixStableSlots(c, logged, false)
+	v.fixStableSlots(c, logged)
 }

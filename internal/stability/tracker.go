@@ -32,9 +32,9 @@ import (
 type Env struct {
 	// InVolatile reports whether an address is in the volatile area.
 	InVolatile func(word.Addr) bool
-	// AddLS registers a newly stable object (volatile address) in the LS
-	// set.
-	AddLS func(word.Addr)
+	// AddLS registers a newly stable object (volatile address, size in
+	// words) in the LS set.
+	AddLS func(a word.Addr, sizeWords int)
 	// Forward maps a volatile address to the object's current location —
 	// the mostly-concurrent collector's read barrier. While a concurrent
 	// scan is in flight, raw slot reads can surface from-space addresses;
@@ -159,15 +159,16 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) (int, error) {
 	// page carries logged state (it enters the dirty page table, and the
 	// WAL flush constraint applies to it).
 	tr.h.WriteObject(addr, img, lsn)
-	tr.env.AddLS(addr)
+	tr.env.AddLS(addr, len(img)/word.WordSize)
 	tr.stats.Words += int64(len(img) / word.WordSize)
 
 	// Recurse into the pointer fields: the whole closure becomes stable
 	// (§2.1: "a volatile object becomes stable when a transaction that
-	// makes it accessible from a stable object commits").
+	// makes it accessible from a stable object commits"). The image just
+	// logged holds them, and stabilizing a child never writes this object.
 	n := 1
 	for i := 0; i < d.NPtrs(); i++ {
-		child := tr.h.Ptr(addr, i)
+		child := word.Addr(word.GetWord(img, heap.PtrOffset(i)))
 		cn, err := tr.stabilize(t, child)
 		if err != nil {
 			return n, err

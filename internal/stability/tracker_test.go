@@ -40,7 +40,7 @@ func newRig() *rig {
 		ls: make(map[word.Addr]bool), next: volLo}
 	r.tr = New(h, txm, locks, Env{
 		InVolatile: inVol,
-		AddLS:      func(a word.Addr) { r.ls[a] = true },
+		AddLS:      func(a word.Addr, _ int) { r.ls[a] = true },
 	})
 	return r
 }

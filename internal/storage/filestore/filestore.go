@@ -27,7 +27,7 @@ import (
 )
 
 // Options configures a Store. The zero value is usable: 1 KiB pages and
-// the default log segment size.
+// DefaultSegmentBytes log segments.
 type Options struct {
 	// PageSize is the page size in bytes for a newly created store
 	// (default 1024). On reopen the persisted master block is

@@ -131,6 +131,14 @@ func segName(first word.LSN) string { return fmt.Sprintf("seg-%016x.seg", uint64
 
 func (l *Log) segPath(first word.LSN) string { return filepath.Join(l.dir, segName(first)) }
 
+// DefaultSegmentBytes is a fresh directory's segment size when none is
+// given. The active file rolls only between forces, once it holds a segment,
+// so a segment smaller than a force costs a file creation (and later an
+// unlink) per force: a heap's set-up forces hundreds of KiB at a time. The
+// in-memory device keeps storage.DefaultSegmentSize, 64 KiB; its segments
+// are map entries, not files.
+const DefaultSegmentBytes = 1 << 20
+
 // openLog opens (or creates) the segmented log under dir. segSize is used
 // on creation; on reopen the on-disk metadata is authoritative.
 func openLog(dir string, segSize int, fm *fileMetrics) (*Log, error) {
@@ -138,7 +146,7 @@ func openLog(dir string, segSize int, fm *fileMetrics) (*Log, error) {
 		return nil, err
 	}
 	if segSize <= 0 {
-		segSize = storage.DefaultSegmentSize
+		segSize = DefaultSegmentBytes
 	}
 	l := &Log{dir: dir, segSize: segSize, trunc: 1, fm: fm, sync: fdatasync}
 	metaPath := filepath.Join(dir, "log.meta")

@@ -78,7 +78,11 @@ type volWrite struct {
 
 // Tx is one transaction.
 type Tx struct {
-	id       word.TxID
+	id word.TxID
+	// owner is the manager whose table holds the transaction: set when it
+	// enters the table, cleared when a crash empties it. A finished
+	// transaction keeps it; its status says it is done.
+	owner    *Manager
 	status   Status
 	begun    time.Time // for the lifetime histograms (zero when recovered)
 	firstLSN word.LSN
@@ -245,6 +249,7 @@ func (m *Manager) Begin() *Tx {
 	m.mu.Unlock()
 	t.firstLSN = m.log.Append(wal.BeginRec{TxHdr: wal.TxHdr{TxID: t.id}})
 	t.lastLSN = t.firstLSN
+	t.owner = m
 	m.mu.Lock()
 	m.active[t.id] = t
 	m.mu.Unlock()
@@ -336,13 +341,12 @@ func (m *Manager) UpdateLogical(t *Tx, obj, addr word.Addr, delta uint64) {
 // costs no log traffic — the point of Chapter 5's division.
 func (m *Manager) VolatileWrite(t *Tx, addr word.Addr, v uint64, isPtrSlot, born bool) {
 	m.mustBeActive(t)
-	old := m.mem.ReadWord(addr)
+	old := m.mem.SwapWord(addr, v, word.NilLSN)
 	if !born {
 		m.undoMu.Lock()
 		t.volUndo = append(t.volUndo, volWrite{addr: addr, old: old, isPtr: isPtrSlot})
 		m.undoMu.Unlock()
 	}
-	m.mem.WriteWord(addr, v, word.NilLSN)
 	if isPtrSlot && m.env.OnVolatilePtrWrite != nil {
 		m.env.OnVolatilePtrWrite(addr, word.Addr(old), word.Addr(v))
 	}
@@ -414,7 +418,7 @@ func (m *Manager) Lookup(id word.TxID) *Tx {
 // location), and it re-enters the table — prepared, holding no handles,
 // waiting for resolution. The caller reacquires its object locks.
 func (m *Manager) RestoreInDoubt(id word.TxID, lastLSN word.LSN, translate func(word.Addr, word.LSN) word.Addr) (*Tx, []word.Addr) {
-	t := &Tx{id: id, lastLSN: lastLSN, prepared: true}
+	t := &Tx{id: id, owner: m, lastLSN: lastLSN, prepared: true}
 	var objs []word.Addr
 	lsn := lastLSN
 	for lsn != word.NilLSN {
@@ -706,17 +710,20 @@ func (m *Manager) snapshotActive() []*Tx {
 func (m *Manager) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for _, t := range m.active {
+		t.owner = nil
+	}
 	m.active = make(map[word.TxID]*Tx)
 }
 
+// mustBeActive panics unless t is live in this manager's table: an active
+// transaction is in the table exactly while its owner is m (another
+// manager's, or one a crash dropped, is not).
 func (m *Manager) mustBeActive(t *Tx) {
 	if t.status != Active {
 		panic(fmt.Sprintf("tx: operation on finished transaction %d", t.id))
 	}
-	m.mu.Lock()
-	known := m.active[t.id] == t
-	m.mu.Unlock()
-	if !known {
+	if t.owner != m {
 		panic(fmt.Sprintf("tx: unknown transaction %d", t.id))
 	}
 }

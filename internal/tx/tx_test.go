@@ -531,3 +531,27 @@ func TestPrepareFinishCommitSplit(t *testing.T) {
 		t.Fatal("finish must complete the commit")
 	}
 }
+
+// Only a live transaction of this manager may act: one another manager
+// began, one that has finished and one a crash dropped from the table all
+// panic on their next action.
+func TestActionsRejectForeignFinishedAndCrashed(t *testing.T) {
+	f, other := newFixture(), newFixture()
+	foreign := other.m.Begin()
+	finished := f.m.Begin()
+	f.commit(finished)
+	crashed := f.m.Begin()
+	f.m.Crash()
+	for name, tr := range map[string]*Tx{"foreign": foreign, "finished": finished, "crashed": crashed} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s transaction: Prepare did not panic", name)
+				}
+			}()
+			f.m.Prepare(tr)
+		}()
+	}
+	live := f.m.Begin()
+	f.m.Prepare(live)
+}

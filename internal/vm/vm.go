@@ -77,8 +77,14 @@ type page struct {
 // referenced in this lap, is one atomic load and no write.
 func (s *Store) touch(p *page) {
 	if !p.ref.Load() && p.ref.CompareAndSwap(false, true) {
-		s.hits.Add(1)
+		s.n.hits.Add(1)
 	}
+}
+
+// counters are the Stats fields. They are atomic so that Stats takes no
+// lock: a metrics reader never waits on an owned store.
+type counters struct {
+	traps, hits, fetches, flushes, evictions, logForces, freshPages atomic.Int64
 }
 
 // Store is the simulated one-level store.
@@ -102,10 +108,18 @@ func (s *Store) touch(p *page) {
 // NOT covered by the mutex: it is mutated only by the collector while it
 // holds the heap's stop latch exclusively, which already orders it against
 // all shared-path readers.
+//
+// Ownership: every caller holds the heap's stop latch (shared or
+// exclusive) or its gate (a concurrent scan quantum), or runs before the
+// heap is shared. So the goroutine that stops the heap is the only caller
+// until it resumes it, and it owns the store for that section (Own …
+// Release): no method takes mu meanwhile. owned changes only with mu, the
+// latch and the gate all held, so every reader is ordered after the change
+// by the latch or gate it holds. Stats reads atomics and needs neither.
 type Store struct {
 	cfg   Config
 	mu    sync.RWMutex
-	hits  atomic.Int64 // page re-references; atomic so read-locked paths can count
+	owned bool // mu is held by the heap's stopper (Own)
 	disk  storage.PageStore
 	log   *wal.Manager
 	pages []*page // indexed by page id; nil when not resident
@@ -121,7 +135,7 @@ type Store struct {
 	// inTrap guards against recursive traps (a handler touching its own
 	// protected page would loop).
 	inTrap bool
-	stats  Stats
+	n      counters
 }
 
 // New creates a store over disk, spooling bookkeeping records to log.
@@ -150,16 +164,48 @@ func (s *Store) SetTrapHandler(h TrapHandler) { s.trap = h }
 // while repeating history).
 func (s *Store) SetLogFetches(on bool) { s.cfg.LogFetches = on }
 
-// Stats returns accumulated counters.
+// Stats returns accumulated counters. It takes no lock.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := s.stats
-	st.Hits = s.hits.Load()
-	return st
+	return Stats{
+		Traps:      s.n.traps.Load(),
+		Hits:       s.n.hits.Load(),
+		Fetches:    s.n.fetches.Load(),
+		Flushes:    s.n.flushes.Load(),
+		Evictions:  s.n.evictions.Load(),
+		LogForces:  s.n.logForces.Load(),
+		FreshPages: s.n.freshPages.Load(),
+	}
 }
 
-// lookup returns the resident page id, or nil. Either lock is held.
+// Own takes the store for the heap's stopper: it takes mu, waiting out any
+// call still in flight, and until Release no method takes mu again. The
+// caller holds the heap's stop latch and gate exclusively (see Store).
+func (s *Store) Own() {
+	s.mu.Lock()
+	s.owned = true
+}
+
+// Release ends Own.
+func (s *Store) Release() {
+	s.owned = false
+	s.mu.Unlock()
+}
+
+// lock and unlock take the write lock unless the store is owned.
+func (s *Store) lock() {
+	if !s.owned {
+		s.mu.Lock()
+	}
+}
+
+func (s *Store) unlock() {
+	if !s.owned {
+		s.mu.Unlock()
+	}
+}
+
+// lookup returns the resident page id, or nil. Either lock is held, or the
+// store is owned (which counts as the write lock here and below).
 func (s *Store) lookup(id word.PageID) *page {
 	if uint64(id) < uint64(len(s.pages)) {
 		return s.pages[id]
@@ -198,13 +244,13 @@ func (s *Store) resident(id word.PageID) *page {
 	p.ref.Store(true)
 	if data, lsn, ok := s.disk.ReadPage(id); ok {
 		p.data, p.lsn = data, lsn
-		s.stats.Fetches++
+		s.n.fetches.Add(1)
 		if s.cfg.LogFetches && s.log != nil {
 			s.log.Append(wal.PageFetchRec{Page: id})
 		}
 	} else {
 		p.data = make([]byte, s.cfg.PageSize)
-		s.stats.FreshPages++
+		s.n.freshPages.Add(1)
 	}
 	s.install(p)
 	s.ring = append(s.ring, id)
@@ -250,7 +296,7 @@ func (s *Store) makeRoom() {
 			}
 			s.drop(id)
 			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
-			s.stats.Evictions++
+			s.n.evictions.Add(1)
 			return
 		}
 		s.hand++
@@ -273,12 +319,12 @@ func (s *Store) flushPage(p *page) {
 		// WAL: the redo record for the page's last modification must be
 		// in the stable log before the page reaches disk.
 		s.log.Force(p.lsn)
-		s.stats.LogForces++
+		s.n.logForces.Add(1)
 	}
 	s.disk.WritePage(p.id, p.data, p.lsn)
 	p.dirty = false
 	p.recLSN = word.NilLSN
-	s.stats.Flushes++
+	s.n.flushes.Add(1)
 	if s.cfg.LogFetches && s.log != nil {
 		s.log.Append(wal.EndWriteRec{Page: p.id, PageLSN: p.lsn})
 	}
@@ -286,8 +332,8 @@ func (s *Store) flushPage(p *page) {
 
 // FlushPage flushes the page if it is resident and dirty.
 func (s *Store) FlushPage(id word.PageID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if p := s.lookup(id); p != nil {
 		s.flushPage(p)
 	}
@@ -298,8 +344,8 @@ func (s *Store) FlushPage(id word.PageID) {
 // to-space is durable before the from-space is freed — after that, redo
 // never needs to read a freed space (see gc's maybeFinish).
 func (s *Store) FlushRange(lo, hi word.Addr) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	n := 0
 	for _, p := range s.span(lo, hi) {
 		if p != nil && p.dirty {
@@ -327,8 +373,8 @@ func (s *Store) span(lo, hi word.Addr) []*page {
 // recLSN lies below horizon: the checkpoint-driven page cleaner that keeps
 // the redo window bounded. Returns the number of pages written.
 func (s *Store) FlushOlderThan(horizon word.LSN) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	n := 0
 	for _, p := range s.pages {
 		if p == nil || !p.dirty || p.recLSN == word.NilLSN || p.recLSN >= horizon {
@@ -343,8 +389,8 @@ func (s *Store) FlushOlderThan(horizon word.LSN) int {
 // FlushAll flushes every dirty resident page (clean shutdown; also used by
 // tests and by the crash injector to model arbitrary flush orders).
 func (s *Store) FlushAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	for _, p := range s.pages {
 		if p != nil {
 			s.flushPage(p)
@@ -354,12 +400,8 @@ func (s *Store) FlushAll() {
 
 // ResidentPages returns the ids of cached pages in ascending order.
 func (s *Store) ResidentPages() []word.PageID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.residentPagesLocked()
-}
-
-func (s *Store) residentPagesLocked() []word.PageID {
+	s.lock()
+	defer s.unlock()
 	ids := make([]word.PageID, 0, s.nres)
 	for _, p := range s.pages {
 		if p != nil {
@@ -373,8 +415,8 @@ func (s *Store) residentPagesLocked() []word.PageID {
 // modifications not yet on disk, with its recLSN. Pages dirtied only by
 // unlogged (volatile-object) writes are excluded — redo never needs them.
 func (s *Store) DirtyPages() []wal.DirtyPage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	var out []wal.DirtyPage
 	for _, p := range s.pages {
 		if p != nil && p.dirty && p.recLSN != word.NilLSN {
@@ -388,8 +430,8 @@ func (s *Store) DirtyPages() []wal.DirtyPage {
 // the disk and the stable log survive (the log device is crashed
 // separately by the owner).
 func (s *Store) Crash() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	clear(s.pages)
 	s.nres = 0
 	s.prot = make(map[word.PageID]struct{})
@@ -438,7 +480,7 @@ func (s *Store) EnsureAccessible(addr word.Addr, n int) {
 		if s.inTrap {
 			panic(fmt.Sprintf("vm: recursive trap on page %d", id))
 		}
-		s.stats.Traps++
+		s.n.traps.Add(1)
 		s.inTrap = true
 		s.trap(id)
 		s.inTrap = false
@@ -463,7 +505,7 @@ func (s *Store) ReadInto(addr word.Addr, out []byte) {
 		return
 	}
 	id := addr.Page(s.cfg.PageSize)
-	if (addr + word.Addr(n) - 1).Page(s.cfg.PageSize) == id {
+	if !s.owned && (addr+word.Addr(n)-1).Page(s.cfg.PageSize) == id {
 		// Fast path: a single resident page is read under the read lock.
 		// Byte-range exclusion is the caller's job (object locks).
 		s.mu.RLock()
@@ -476,8 +518,8 @@ func (s *Store) ReadInto(addr word.Addr, out []byte) {
 		}
 		s.mu.RUnlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	off := 0
 	for off < n {
 		id := (addr + word.Addr(off)).Page(s.cfg.PageSize)
@@ -502,7 +544,7 @@ func (s *Store) WriteBytes(addr word.Addr, data []byte, lsn word.LSN) {
 		return
 	}
 	id := addr.Page(s.cfg.PageSize)
-	if (addr + word.Addr(n) - 1).Page(s.cfg.PageSize) == id {
+	if !s.owned && (addr+word.Addr(n)-1).Page(s.cfg.PageSize) == id {
 		// Fast path: a single resident page is written under the read
 		// lock; the per-page latch above excludes same-page writers.
 		s.mu.RLock()
@@ -516,8 +558,8 @@ func (s *Store) WriteBytes(addr word.Addr, data []byte, lsn word.LSN) {
 		}
 		s.mu.RUnlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	off := 0
 	for off < n {
 		id := (addr + word.Addr(off)).Page(s.cfg.PageSize)
@@ -548,9 +590,13 @@ func (s *Store) markWritten(p *page, lsn word.LSN) {
 // ReadWord loads the word at addr (no barrier).
 func (s *Store) ReadWord(addr word.Addr) uint64 {
 	id := addr.Page(s.cfg.PageSize)
+	off := int(addr - id.Base(s.cfg.PageSize))
+	if s.owned {
+		return word.GetWord(s.resident(id).data, off)
+	}
 	s.mu.RLock()
 	if p := s.lookup(id); p != nil {
-		v := word.GetWord(p.data, int(addr-id.Base(s.cfg.PageSize)))
+		v := word.GetWord(p.data, off)
 		s.touch(p)
 		s.mu.RUnlock()
 		return v
@@ -558,27 +604,41 @@ func (s *Store) ReadWord(addr word.Addr) uint64 {
 	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.resident(id)
-	return word.GetWord(p.data, int(addr-id.Base(s.cfg.PageSize)))
+	return word.GetWord(s.resident(id).data, off)
 }
 
-// WriteWord stores w at addr with the given covering LSN (no barrier). A
+// WriteWord stores w at addr with the given covering LSN (no barrier).
+func (s *Store) WriteWord(addr word.Addr, w uint64, lsn word.LSN) { s.SwapWord(addr, w, lsn) }
+
+// SwapWord stores w at addr with the given covering LSN (no barrier) and
+// returns the word it replaced: a read and a write for one page lookup. A
 // word never straddles a page, so a resident page is written in place under
 // the read lock, as WriteBytes' fast path does.
-func (s *Store) WriteWord(addr word.Addr, w uint64, lsn word.LSN) {
+func (s *Store) SwapWord(addr word.Addr, w uint64, lsn word.LSN) uint64 {
 	id := addr.Page(s.cfg.PageSize)
+	off := int(addr - id.Base(s.cfg.PageSize))
+	if s.owned {
+		return s.swap(s.resident(id), off, w, lsn)
+	}
 	s.mu.RLock()
 	if p := s.lookup(id); p != nil {
-		word.PutWord(p.data, int(addr-id.Base(s.cfg.PageSize)), w)
-		s.markWritten(p, lsn)
+		old := s.swap(p, off, w, lsn)
 		s.touch(p)
 		s.mu.RUnlock()
-		return
+		return old
 	}
 	s.mu.RUnlock()
-	var b [word.WordSize]byte
-	word.PutWord(b[:], 0, w)
-	s.WriteBytes(addr, b[:], lsn)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.swap(s.resident(id), off, w, lsn)
+}
+
+// swap is SwapWord on the resident page p, at byte offset off.
+func (s *Store) swap(p *page, off int, w uint64, lsn word.LSN) uint64 {
+	old := word.GetWord(p.data, off)
+	word.PutWord(p.data, off, w)
+	s.markWritten(p, lsn)
+	return old
 }
 
 // zeros is the shared source of Zero's writes.
@@ -600,8 +660,8 @@ func (s *Store) Zero(addr word.Addr, n int, lsn word.LSN) {
 // PageLSN returns the resident page's LSN, or the disk page LSN if not
 // resident (used by redo conditioning).
 func (s *Store) PageLSN(id word.PageID) word.LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if p := s.lookup(id); p != nil {
 		return p.lsn
 	}
@@ -614,8 +674,8 @@ func (s *Store) PageLSN(id word.PageID) word.LSN {
 // freed range). The dropped pages' dirty entries are returned for
 // inspection by tests.
 func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	var ghosts []wal.DirtyPage
 	dropped := 0
 	for _, p := range s.span(lo, hi) {
@@ -653,8 +713,8 @@ func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 // record is skipped because the disk page already reflects it, so the
 // cached page's LSN must still advance past the record.
 func (s *Store) SetPageLSNForRecovery(id word.PageID, lsn word.LSN) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	p := s.resident(id)
 	if lsn > p.lsn {
 		p.lsn = lsn

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stableheap/internal/obs"
@@ -20,8 +21,9 @@ var ErrTruncated = errors.New("wal: LSN below the truncation point")
 // Manager spools records to the log device and decodes them back. It is the
 // "log manager" of §2.2: Append writes to the volatile log (the buffer);
 // Force makes a prefix stable. Per-type volume counters feed the logging
-// overhead experiments (E6); always-on latency histograms over Append and
-// Force feed the logging-overhead distributions.
+// overhead experiments (E6); always-on latency histograms over Append (one
+// append in appendSample) and Force feed the logging-overhead
+// distributions.
 //
 // Two locks, neither held across device I/O: mu, the append mutex, orders
 // Append's device call with the per-type counters and guards the retention
@@ -34,7 +36,8 @@ type Manager struct {
 	dev    storage.LogDevice
 	count  [maxType]int64
 	bytes  [maxType]int64
-	append obs.Histogram
+	append obs.Histogram // a 1-in-appendSample sample
+	seq    atomic.Uint32 // appends, to pick the sampled ones
 	force  obs.Histogram
 	bb     *obs.BlackBox
 	// retain holds per-owner retention floors: Truncate never drops
@@ -74,15 +77,27 @@ var encPool = sync.Pool{New: func() any { return &encBuf{} }}
 
 type encBuf struct{ b []byte }
 
+// appendSample is the share of appends wal_append_ns times: two clock reads
+// cost about as much as encoding a small record, and a collection appends a
+// record per object moved, so the histogram samples instead of taxing every
+// append. The distribution keeps its shape; its count is an
+// appendSample-th of the appends (wal_appends_total counts them all).
+const appendSample = 16
+
 // Append spools a record to the volatile log and returns its LSN.
 func (m *Manager) Append(r Record) word.LSN {
-	start := time.Now()
+	var start time.Time
+	if m.seq.Add(1)%appendSample == 0 {
+		start = time.Now()
+	}
 	eb := encPool.Get().(*encBuf)
 	frame := AppendEncode(eb.b[:0], r)
 	lsn := m.appendLocked(frame, r.Type())
 	eb.b = frame
 	encPool.Put(eb)
-	m.append.Since(start)
+	if !start.IsZero() {
+		m.append.Since(start)
+	}
 	return lsn
 }
 
@@ -174,7 +189,8 @@ func (m *Manager) endForce(start time.Time) {
 // ForceAll forces the entire volatile tail.
 func (m *Manager) ForceAll() { m.Force(m.dev.EndLSN() - 1) }
 
-// AppendHist snapshots the Append latency histogram (nanoseconds).
+// AppendHist snapshots the Append latency histogram (nanoseconds; one
+// append in appendSample).
 func (m *Manager) AppendHist() obs.HistSnapshot { return m.append.Snapshot() }
 
 // ForceHist snapshots the latency of the forces led (ns, queueing included).
