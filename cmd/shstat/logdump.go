@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"stableheap"
+	"stableheap/internal/heap"
 	"stableheap/internal/storage/filestore"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -95,11 +96,15 @@ func describe(r wal.Record) string {
 	case wal.EndRec:
 		return fmt.Sprintf("end          tx=%d", rec.TxID)
 	case wal.BaseRec:
-		return fmt.Sprintf("base         tx=%d addr=%v %dB initial value (newly stable)", rec.TxID, rec.Addr, len(rec.Object))
+		n := 0
+		heap.WalkRun(rec.Object, func(int, heap.Descriptor) { n++ })
+		return fmt.Sprintf("base         tx=%d addr=%v %dB initial values of a run of %d newly stable objects", rec.TxID, rec.Addr, len(rec.Object), n)
 	case wal.CompleteRec:
 		return fmt.Sprintf("complete     tx=%d batch of %d newly stable objects", rec.TxID, rec.Count)
 	case wal.V2SCopyRec:
-		return fmt.Sprintf("v2scopy      %v → %v (%dB, volatile→stable move)", rec.From, rec.To, len(rec.Object))
+		srcs := append([]word.Addr{rec.From}, rec.More...)
+		return fmt.Sprintf("v2scopy      %v → %v (%dB, volatile→stable move of a run of %d objects, first sources %v)",
+			rec.From, rec.To, len(rec.Object), len(srcs), srcs[:min(len(srcs), 8)])
 	case wal.SFixRec:
 		return fmt.Sprintf("sfix         page=%d %d stable slots rewired (S4VScan)", rec.Page, len(rec.Fixes))
 	case wal.VFlipRec:

@@ -15,7 +15,7 @@ func E8Tracking() Table {
 	t := Table{
 		ID:     "E8",
 		Title:  "stability tracking cost vs newly stable closure size (table)",
-		Claim:  "commit pays one base record per newly stable object; already-stable objects cost one bit test",
+		Claim:  "commit pays the base image of each newly stable object, one record per run of them; already-stable objects cost one bit test",
 		Header: []string{"closure size", "commit latency", "base bytes", "objects tracked", "per object"},
 	}
 	for _, size := range []int{1, 10, 100, 1000} {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stableheap/internal/gc"
+	"stableheap/internal/heap"
 	"stableheap/internal/lock"
 	"stableheap/internal/obs"
 	"stableheap/internal/recovery"
@@ -209,12 +210,24 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 		}
 	}
 
+	if !cfg.Undivided {
+		hp.vgc.SetCurrentIndex(cp.VolatileCur)
+		for _, a := range cp.LS {
+			hp.addLS(a, hp.h.Descriptor(a).SizeWords())
+		}
+		for _, a := range cp.SRem {
+			hp.srem[a] = true
+		}
+	}
+
 	// Restore the stable collector. When a collection was in progress it
 	// resumes in the configured mode — a concurrent one concurrently again,
 	// so the remaining scan stays off the stop latch after recovery too;
 	// otherwise only the space choice and the allocation frontier are
-	// reinstated.
+	// reinstated. A root copy the crash cut is redone here, after the
+	// remembered set is back: the copy rebases the root's slots in it.
 	hp.sgc.Restore(cp.GC, cp.StableCur)
+	hp.rootObj = hp.sgc.RestoreRoot(hp.rootObj)
 	if !cp.GC.Active {
 		hp.sgc.SetAllocFrontier(cp.StableAlloc)
 		if cp.StableAllocHigh != 0 {
@@ -232,16 +245,15 @@ func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice,
 	}
 
 	if !cfg.Undivided {
-		hp.vgc.SetCurrentIndex(cp.VolatileCur)
-		for _, a := range cp.LS {
-			hp.addLS(a, hp.h.Descriptor(a).SizeWords())
-		}
-		for _, a := range cp.SRem {
-			hp.srem[a] = true
+		// Finish a move cycle the crash may have cut between its moves and
+		// their fixes: stable slots still naming a source follow its
+		// forwarding word.
+		for _, m := range res.Moved {
+			hp.h.SetDescriptor(m.From, heap.ForwardingDescriptor(m.To), word.NilLSN)
 		}
 		// Evacuate recovered newly stable objects into the stable area;
 		// everything else in the volatile area died with the crash.
-		if len(hp.ls) > 0 {
+		if len(hp.ls) > 0 || len(res.Moved) > 0 {
 			start := time.Now()
 			if err := hp.ensureStableSpaceRecovered(); err != nil {
 				return nil, err

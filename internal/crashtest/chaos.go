@@ -903,6 +903,17 @@ func typedDeviceError(err error) bool {
 	return errors.Is(err, storage.ErrCorrupt) || errors.Is(err, storage.ErrIO)
 }
 
+// recoverSafely turns a recovery's panic into an untyped error: the seed
+// ends in a violation carrying the panic's text, and the sweep goes on.
+func recoverSafely(fn func() (*core.Heap, error)) (hp *core.Heap, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			hp, err = nil, fmt.Errorf("recovery panicked: %v", v)
+		}
+	}()
+	return fn()
+}
+
 // recoverAndAudit classifies recovery over the crashed wrapped devices.
 // onlineAlready suppresses a duplicate verdict when the round already
 // recorded an online detection (the recovery outcome is still recorded).
@@ -912,7 +923,7 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 	var hp *core.Heap
 	var err error
 	for attempt := 0; ; attempt++ {
-		hp, err = core.Recover(r.d.cfg, disk, logDev)
+		hp, err = recoverSafely(func() (*core.Heap, error) { return core.Recover(r.d.cfg, disk, logDev) })
 		if err == nil || attempt >= 2 || !errors.Is(err, storage.ErrIO) {
 			break
 		}
@@ -945,7 +956,7 @@ func (r *chaosRun) mediaRepair(logDev storage.LogDevice) {
 	if logDev.TruncLSN() != 1 {
 		return
 	}
-	hp, err := core.RecoverFromLog(r.d.cfg, logDev)
+	hp, err := recoverSafely(func() (*core.Heap, error) { return core.RecoverFromLog(r.d.cfg, logDev) })
 	switch {
 	case err == nil:
 		if r.adopt(hp, "media recovery") {

@@ -775,6 +775,17 @@ func (c *Collector) Restore(st wal.GCState, cur int) {
 	}
 }
 
+// RestoreRoot returns the stable root object's address in a restored
+// collection, copying the root first when the crash kept the flip record
+// but cut the root's copy record that follows it.
+func (c *Collector) RestoreRoot(root word.Addr) word.Addr {
+	if !c.active || !c.from.Contains(root) {
+		return root
+	}
+	defer handOff(&c.relocs, c.hooks.Relocate)
+	return c.forward(root)
+}
+
 // SetAllocFrontier restores the idle-space allocation pointer (from a
 // checkpoint) when no collection is active.
 func (c *Collector) SetAllocFrontier(copyPtr word.Addr) {

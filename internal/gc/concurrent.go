@@ -95,6 +95,7 @@ func (v *VolatileCollector) StartConcurrent() int {
 	v.stats.ConcCollections++
 	v.begin(c, nil, true)
 	v.fixMoved(c)
+	v.flushRun()
 	// The flip is the collection as far as the log is concerned; the
 	// scan that follows is pure unlogged copying.
 	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})

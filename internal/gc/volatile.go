@@ -69,8 +69,10 @@ type VolatileStats struct {
 // logging — this is precisely how the divided heap avoids the costs of
 // atomic collection for volatile state. Newly stable objects (AS bit set)
 // are instead evacuated into the stable area with logged V2SCopy records,
-// and stable-area slots that pointed at them are fixed with logged,
-// redo-only SFix records (the paper's "S4vscan").
+// one per run of moves that land end to end, and stable-area slots that
+// pointed at them are fixed with logged, redo-only SFix records (the
+// paper's "S4vscan"). A run is logged late, so it is flushed before anything
+// reads one of its destinations or logs a record that must follow it.
 //
 // Beyond the original stop-the-world Collect, the collector supports a
 // small nursery generation (CollectNursery) and a mostly-concurrent mode
@@ -98,7 +100,7 @@ type VolatileCollector struct {
 
 	relocs      word.Moves   // moves not yet handed to hooks.Relocate
 	img         []byte       // evacuate's object image, reused
-	moveImg     []byte       // moveStable's object image, reused
+	run         moveRun      // the open run of stable moves
 	slots       []word.Addr  // scanMoved's slot list, reused
 	fixes       []wal.PtrFix // the open SFix batch, all on one page; reused
 	fixLive     []bool       // per fix: the new pointer is still volatile
@@ -117,6 +119,7 @@ func NewVolatile(mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.Addr
 	}
 	mid := lo + (hi-lo)/2
 	v := &VolatileCollector{mem: mem, h: h, log: log}
+	v.run.dest = make(map[word.Addr]word.Addr)
 	v.spaces[0] = heap.NewSpace(lo, mid)
 	v.spaces[1] = heap.NewSpace(mid, hi)
 	return v
@@ -308,6 +311,9 @@ func (v *VolatileCollector) scan(c *cycle, budget int) bool {
 			if !p.IsNil() && c.inFrom(p) {
 				to := v.evacuate(c, p)
 				v.mem.WriteWord(slot, uint64(to), word.NilLSN)
+				if v.run.holds(to) {
+					v.flushRun()
+				}
 				budget -= v.h.Descriptor(to).SizeWords()
 			}
 		}
@@ -322,8 +328,8 @@ func (v *VolatileCollector) scan(c *cycle, budget int) bool {
 // drain: the moved objects sit side by side at the stable frontier, so the
 // open batch carries from one object to the next and closes only when a
 // slot lies on another page, and once at the end. Every target a fix names
-// was evacuated, its V2SCopy appended, before the fix joined the batch, so
-// the copies still precede the fix in the log; and the batched slots are
+// was evacuated, its run logged by flushFixes, before the fix, so the
+// copies still precede the fix in the log; and the batched slots are
 // written under the fix's LSN before the drain returns.
 func (v *VolatileCollector) fixMoved(c *cycle) {
 	for len(c.moved) > 0 {
@@ -343,6 +349,7 @@ func (v *VolatileCollector) finish(c *cycle) {
 		}
 		v.fixMoved(c)
 	}
+	v.flushRun()
 	handOff(&v.relocs, v.hooks.Relocate)
 }
 
@@ -409,6 +416,9 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	}
 	size := d.SizeWords()
 	if d.AS() {
+		if to, ok := v.run.dest[from]; ok {
+			return to // moved in the open run: its forwarding word is owed
+		}
 		if c == v.major {
 			// The flip drains every LS entry out of from-space, and
 			// commits only mark to-space or nursery objects AS, so
@@ -449,28 +459,65 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	return to
 }
 
-// moveStable evacuates a newly stable object into the stable area: the
-// V2SCopy record carries the full image (the volatile source page owes
-// recovery nothing once the move is logged). The image is a buffer of its
-// own, reused: Append has encoded the record by the time it returns, and
-// moves only run with the heap stopped.
+// moveRun is the open run of a move cycle: objects moved into the stable
+// area end to end from to, whose V2SCopy record, images and forwarding
+// words are still owed. The slices are reused: Append has encoded the
+// record by the time it returns, and moves only run with the heap stopped.
+type moveRun struct {
+	to   word.Addr
+	img  []byte                  // the objects' images, end to end
+	from []word.Addr             // their sources, in image order
+	dest map[word.Addr]word.Addr // source → destination
+}
+
+// holds reports whether a lies in the run's destination range.
+func (r *moveRun) holds(a word.Addr) bool {
+	return len(r.from) > 0 && a >= r.to && a < r.to+word.Addr(len(r.img))
+}
+
+// moveStable evacuates a newly stable object into the stable area: its
+// image joins the open run when it lands where the run ends, else it opens
+// a new one. The V2SCopy record carries the full images (the volatile
+// source pages owe recovery nothing once the move is logged).
 func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descriptor, size int) word.Addr {
 	to := v.hooks.AllocStable(size)
-	v.moveImg = slices.Grow(v.moveImg[:0], word.WordsToBytes(size))[:word.WordsToBytes(size)]
-	img := v.moveImg
-	v.mem.ReadInto(from, img)
+	r := &v.run
+	if len(r.from) > 0 && to != r.to+word.Addr(len(r.img)) {
+		v.flushRun()
+	}
+	if len(r.from) == 0 {
+		r.to = to
+	}
+	off, n := len(r.img), word.WordsToBytes(size)
+	r.img = slices.Grow(r.img, n)[:off+n]
+	v.mem.ReadInto(from, r.img[off:])
 	// The object is physically stable now: clear the tracking bits in
 	// the image before it is logged and written.
-	clean := d.WithAS(false).WithLS(false)
-	word.PutWord(img, 0, uint64(clean))
-	lsn := v.log.Append(wal.V2SCopyRec{From: from, To: to, Object: img})
-	v.mem.WriteBytes(to, img, lsn)
-	v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), word.NilLSN)
+	word.PutWord(r.img, off, uint64(d.WithAS(false).WithLS(false)))
+	r.from = append(r.from, from)
+	r.dest[from] = to
 	v.stats.MovedObjs++
 	v.stats.MovedWords += int64(size)
 	c.moved = append(c.moved, to)
 	v.relocs = append(v.relocs, word.Move{From: from, To: to, Words: size})
 	return to
+}
+
+// flushRun logs the open run as one V2SCopy record, writes the images under
+// its LSN, and only then plants the forwarding words: a volatile page
+// written back mid-run must not carry a move the log does not hold yet.
+func (v *VolatileCollector) flushRun() {
+	r := &v.run
+	if len(r.from) == 0 {
+		return
+	}
+	lsn := v.log.Append(wal.V2SCopyRec{From: r.from[0], To: r.to, Object: r.img, More: r.from[1:]})
+	v.mem.WriteBytes(r.to, r.img, lsn)
+	for _, from := range r.from {
+		v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(r.dest[from])), word.NilLSN)
+	}
+	// A fresh map, not clear: clearing costs the capacity one long run left.
+	r.img, r.from, r.dest = r.img[:0], r.from[:0], make(map[word.Addr]word.Addr)
 }
 
 // scanMoved batches the fixes of the volatile pointers inside an object
@@ -480,6 +527,9 @@ func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descript
 // collection) still must enter the remembered set, which a same-value SFix
 // accomplishes.
 func (v *VolatileCollector) scanMoved(c *cycle, obj word.Addr) {
+	if v.run.holds(obj) {
+		v.flushRun()
+	}
 	d := v.h.Descriptor(obj)
 	v.slots = v.slots[:0]
 	for i := 0; i < d.NPtrs(); i++ {
@@ -524,12 +574,13 @@ func (v *VolatileCollector) batchFixes(c *cycle, slots []word.Addr, registerAll 
 	}
 }
 
-// flushFixes logs the open batch, all on one page, as one SFix record,
-// applies it under the record's LSN and empties it.
+// flushFixes logs the open batch, all on one page, as one SFix record after
+// its targets' run, applies it under the record's LSN and empties it.
 func (v *VolatileCollector) flushFixes() {
 	if len(v.fixes) == 0 {
 		return
 	}
+	v.flushRun()
 	pg := v.fixes[0].Addr.Page(v.mem.PageSize())
 	lsn := v.log.Append(wal.SFixRec{Page: pg, Fixes: v.fixes})
 	for i, f := range v.fixes {

@@ -173,12 +173,27 @@ func (h *Heap) ObjectBytes(a word.Addr) []byte {
 	return h.mem.ReadBytes(a, word.WordsToBytes(d.SizeWords()))
 }
 
+// RunBytes returns the image of a run of objects: words words at a.
+func (h *Heap) RunBytes(a word.Addr, words int) []byte {
+	return h.mem.ReadBytes(a, word.WordsToBytes(words))
+}
+
 // WriteObject stores a full object image at a.
 func (h *Heap) WriteObject(a word.Addr, img []byte, lsn word.LSN) {
 	if len(img)%word.WordSize != 0 || len(img) == 0 {
 		panic(fmt.Sprintf("heap: bad object image length %d", len(img)))
 	}
 	h.mem.WriteBytes(a, img, lsn)
+}
+
+// WalkRun calls fn with the byte offset and descriptor of each object in a
+// run image: objects laid end to end, as a base or move record carries them.
+func WalkRun(img []byte, fn func(off int, d Descriptor)) {
+	for off := 0; off+word.WordSize <= len(img); {
+		d := Descriptor(word.GetWord(img, off))
+		fn(off, d)
+		off += word.WordsToBytes(d.SizeWords())
+	}
 }
 
 // Space is one semispace. The collector (or, between collections, the

@@ -9,10 +9,13 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"stableheap/internal/heap"
 	"stableheap/internal/obs"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
@@ -67,6 +70,10 @@ type Result struct {
 	// InDoubt lists prepared transactions awaiting the coordinator:
 	// recovery keeps their effects and the core reacquires their locks.
 	InDoubt []InDoubtTx
+	// Moved lists, by source, the moves since the last volatile flip record
+	// whose sources no later base record overlays: stable slots whose SFix
+	// a torn tail cut still name them (DESIGN.md §4.3).
+	Moved word.Moves
 	// Stats breaks down where recovery spent its time.
 	Stats Stats
 
@@ -191,6 +198,10 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 	a := newAnalysis(mem.PageSize(), cp, cpLSN, opts.Media)
 	a.scan(log)
 	res := &Result{CP: a.cp, TornTail: torn, RedoStart: a.dpt.redoStart()}
+	for _, m := range a.moved {
+		res.Moved = append(res.Moved, m)
+	}
+	slices.SortFunc(res.Moved, func(x, y word.Move) int { return cmp.Compare(x.From, y.From) })
 	res.Stats.Analysis = time.Since(phase)
 	opts.Recorder.Span(obs.EvRecAnalysis, res.Stats.Analysis, 0, 0, 0)
 
@@ -225,16 +236,18 @@ type analysis struct {
 	copies []copyEntry
 	ls     map[word.Addr]bool
 	srem   map[word.Addr]bool
-	order  []word.TxID // begin order, for deterministic undo
+	moved  map[word.Addr]word.Move // Result.Moved, by source
+	order  []word.TxID             // begin order, for deterministic undo
 }
 
 func newAnalysis(pageSize int, cp wal.CheckpointRec, cpLSN word.LSN, media bool) *analysis {
 	a := &analysis{
 		cp: cp, cpLSN: cpLSN,
-		dpt:  newDirtyPages(pageSize, cp.Dirty, media),
-		txs:  make(map[word.TxID]*txInfo),
-		ls:   make(map[word.Addr]bool),
-		srem: make(map[word.Addr]bool),
+		dpt:   newDirtyPages(pageSize, cp.Dirty, media),
+		txs:   make(map[word.TxID]*txInfo),
+		ls:    make(map[word.Addr]bool),
+		srem:  make(map[word.Addr]bool),
+		moved: make(map[word.Addr]word.Move),
 	}
 	for _, te := range cp.Txs {
 		info := &txInfo{firstLSN: te.FirstLSN, lastLSN: te.LastLSN, prepared: te.Prepared, seed: make(map[seedKey]word.Addr)}
@@ -304,7 +317,13 @@ func (a *analysis) scan(log *wal.Manager) {
 			delete(a.txs, r.TxID)
 		case wal.BaseRec:
 			a.touch(r.TxID, lsn)
-			a.ls[r.Addr] = true
+			heap.WalkRun(r.Object, func(off int, _ heap.Descriptor) {
+				a.ls[r.Addr+word.Addr(off)] = true
+			})
+			// A move source the run overlays holds new objects now.
+			for p := r.Addr; len(a.moved) > 0 && p < r.Addr+word.Addr(len(r.Object)); p += word.WordSize {
+				delete(a.moved, p)
+			}
 		case wal.CompleteRec:
 			a.touch(r.TxID, lsn)
 		case wal.PrepareRec:
@@ -319,8 +338,13 @@ func (a *analysis) scan(log *wal.Manager) {
 				Scanned: make([]bool, n), LastObj: make([]word.Addr, n),
 			}
 			a.cp.StableCur = 1 - a.cp.StableCur
-			a.cp.RootObj = r.RootObjTo
+			// RootObjTo is where the root's copy record, which follows the
+			// flip, puts it; a torn tail can keep the flip and lose the copy.
+			a.cp.RootObj = r.RootObjFrom
 		case wal.CopyRec:
+			if r.From == a.cp.RootObj {
+				a.cp.RootObj = r.To
+			}
 			a.copies = append(a.copies, copyEntry{lsn: lsn, from: r.From, to: r.To, size: r.SizeWords})
 			// Remembered-set slots live inside stable objects and move
 			// with them.
@@ -370,9 +394,7 @@ func (a *analysis) scan(log *wal.Manager) {
 			a.cp.StableAllocHigh = a.cp.GC.AllocPtr
 			a.cp.GC = wal.GCState{Active: false, Epoch: r.Epoch}
 		case wal.V2SCopyRec:
-			size := word.BytesToWords(len(r.Object))
-			a.copies = append(a.copies, copyEntry{lsn: lsn, from: r.From, to: r.To, size: size})
-			delete(a.ls, r.From)
+			a.moveRun(lsn, r)
 			if g := &a.cp.GC; g.Active && r.To >= g.ToLo && r.To < g.ToHi {
 				// During a concurrent stable collection, moves land at
 				// the high end of the active to-space (above the scan,
@@ -382,7 +404,7 @@ func (a *analysis) scan(log *wal.Manager) {
 				if r.To < g.AllocPtr {
 					g.AllocPtr = r.To
 				}
-			} else if end := r.To.Add(size); end > a.cp.StableAlloc {
+			} else if end := r.To + word.Addr(len(r.Object)); end > a.cp.StableAlloc {
 				a.cp.StableAlloc = end
 			}
 		case wal.SFixRec:
@@ -390,7 +412,9 @@ func (a *analysis) scan(log *wal.Manager) {
 				a.updateSRem(f.Addr, a.inVolatile(f.NewPtr))
 			}
 		case wal.VFlipRec:
+			// The cycle logged every fix before its flip record.
 			a.ls = make(map[word.Addr]bool)
+			clear(a.moved)
 			a.cp.VolatileCur = 1 - a.cp.VolatileCur
 			a.cp.NextEpoch = r.Epoch + 1
 		case wal.EndWriteRec, wal.PageFetchRec, wal.CheckpointRec:
@@ -426,6 +450,25 @@ func (a *analysis) gcAlloc(addr word.Addr, sizeWords int) {
 	if end := addr.Add(sizeWords); end > a.cp.StableAlloc {
 		a.cp.StableAlloc = end
 	}
+}
+
+// moveRun folds a V2SCopy run into the copy list, the LS set and the move
+// sources. A moved slot naming the volatile area enters the remembered set
+// too: a later SFix replays it out, unless a torn tail cut the fix off.
+func (a *analysis) moveRun(lsn word.LSN, r wal.V2SCopyRec) {
+	srcs := append([]word.Addr{r.From}, r.More...)
+	heap.WalkRun(r.Object, func(off int, d heap.Descriptor) {
+		m := word.Move{From: srcs[0], To: r.To + word.Addr(off), Words: d.SizeWords()}
+		srcs = srcs[1:]
+		a.copies = append(a.copies, copyEntry{lsn: lsn, from: m.From, to: m.To, size: m.Words})
+		delete(a.ls, m.From)
+		a.moved[m.From] = m
+		for j := 0; j < d.NPtrs(); j++ {
+			if p := word.Addr(word.GetWord(r.Object, off+heap.PtrOffset(j))); a.inVolatile(p) {
+				a.srem[m.To+word.Addr(heap.PtrOffset(j))] = true
+			}
+		}
+	})
 }
 
 // updateSRem maintains the stable→volatile remembered set: a flagged store

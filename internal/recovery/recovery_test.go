@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"slices"
 	"testing"
 
+	"stableheap/internal/heap"
 	"stableheap/internal/storage"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
@@ -303,10 +305,10 @@ func TestAnalysisDeducesDirtySetFromEndWrite(t *testing.T) {
 func TestAnalysisReconstructsGCStateFromRecords(t *testing.T) {
 	mem, log, _, dev := newRig()
 	ck := bootstrap(mem, log)
-	// Flip: [0x1000,0x2000) → [0x2000,0x3000); then one copy, one full
-	// scan, a filler alloc by the system, and a sweep record.
+	// Flip: [0x1000,0x2000) → [0x2000,0x3000); then the root's copy, one
+	// full scan, a filler alloc by the system, and a sweep record.
 	flip := log.Append(wal.FlipRec{Epoch: 4, FromLo: 0x1000, FromHi: 0x2000,
-		ToLo: 0x2000, ToHi: 0x3000, RootObjFrom: 0x1000, RootObjTo: 0x2000})
+		ToLo: 0x2000, ToHi: 0x3000, RootObjFrom: 0x1010, RootObjTo: 0x2000})
 	cp := log.Append(wal.CopyRec{Epoch: 4, From: 0x1010, To: 0x2000, SizeWords: 4, Descriptor: 9})
 	img := make([]byte, 32)
 	word.PutWord(img, 0, 9)
@@ -348,6 +350,91 @@ func TestAnalysisReconstructsGCStateFromRecords(t *testing.T) {
 	}
 	if res.CP.StableCur != 1 { // flip toggled it from the checkpoint's 0
 		t.Fatalf("StableCur = %d", res.CP.StableCur)
+	}
+}
+
+// A torn tail can keep a flip and lose the root's copy record right after
+// it: the root then still lives at its from-space address, and the flip's
+// predicted to-space address holds nothing yet.
+func TestAnalysisFlipWithoutRootCopyKeepsRoot(t *testing.T) {
+	mem, log, _, dev := newRig()
+	bootstrap(mem, log)
+	log.Append(wal.FlipRec{Epoch: 1, FromLo: 0x1000, FromHi: 0x2000,
+		ToLo: 0x2000, ToHi: 0x3000, RootObjFrom: 0x1010, RootObjTo: 0x2000})
+	log.ForceAll()
+	dev.Crash()
+	mem.Crash()
+	res, err := Recover(mem, log, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := res.CP.GC; !g.Active || g.CopyPtr != 0x2000 || res.CP.RootObj != 0x1010 {
+		t.Fatalf("RootObj = %v, CopyPtr = %v: want the from-space root and nothing copied", res.CP.RootObj, g.CopyPtr)
+	}
+}
+
+// TestAnalysisMoveRuns: a base run enters each of its objects in LS, and a
+// move run takes them out and advances the stable frontier past the run.
+// Until the cycle's fixes and flip record are replayed, analysis also keeps
+// what recovery needs to finish a cycle a torn tail cut: the run's sources
+// (Result.Moved) and the moved slots that still name the volatile area
+// (SRem). A fix settles a slot, a later base run over a source settles the
+// source, and the flip record settles them all.
+func TestAnalysisMoveRuns(t *testing.T) {
+	const vlo, vhi = word.Addr(0x4000), word.Addr(0x8000)
+	// a (one pointer, to b) and b (one data word) lie end to end at 0x4000
+	// and move to 0x800 together.
+	run := func(ptr word.Addr) []byte {
+		img := make([]byte, 32)
+		word.PutWord(img, 0, uint64(heap.NewDescriptor(1, 1, 0)))
+		word.PutWord(img, 8, uint64(ptr))
+		word.PutWord(img, 16, uint64(heap.NewDescriptor(1, 0, 1)))
+		word.PutWord(img, 24, 42)
+		return img
+	}
+	moved := word.Moves{{From: 0x4000, To: 0x800, Words: 2}, {From: 0x4010, To: 0x810, Words: 2}}
+	for _, tc := range []struct {
+		name      string
+		after     []wal.Record
+		ls, srem  []word.Addr
+		wantMoved word.Moves
+	}{
+		{"cut before the fix", nil, nil, []word.Addr{0x808}, moved},
+		{"fix replayed", []wal.Record{wal.SFixRec{Page: 0x800 / ps, Fixes: []wal.PtrFix{{Addr: 0x808, NewPtr: 0x810}}}},
+			nil, nil, moved},
+		{"source reused", []wal.Record{wal.BaseRec{TxHdr: wal.TxHdr{TxID: 4}, Addr: 0x4008, Object: run(0)[16:]}},
+			[]word.Addr{0x4008}, []word.Addr{0x808}, moved[:1]},
+		{"flip replayed", []wal.Record{wal.VFlipRec{Epoch: 1, Moved: 2}}, nil, []word.Addr{0x808}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem, log, _, dev := newRig()
+			InitMaster(mem.Disk())
+			ck := NewCheckpointer(log, mem, word.NilLSN)
+			ck.Take(wal.CheckpointRec{NextTx: 1, VolatileLo: vlo, VolatileHi: vhi})
+			ck.ForcePromote()
+			base := log.Append(wal.BaseRec{TxHdr: wal.TxHdr{TxID: 3}, Addr: 0x4000, Object: run(0x4010)})
+			log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: 3, PrevLSN: base}})
+			log.Append(wal.V2SCopyRec{From: 0x4000, To: 0x800, Object: run(0x4010), More: []word.Addr{0x4010}})
+			for _, r := range tc.after {
+				log.Append(r)
+			}
+			log.ForceAll()
+			dev.Crash()
+			mem.Crash()
+			res, err := Recover(mem, log, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.CP.LS, tc.ls) || !slices.Equal(res.CP.SRem, tc.srem) || !slices.Equal(res.Moved, tc.wantMoved) {
+				t.Fatalf("LS %v, SRem %v, Moved %v; want %v, %v, %v", res.CP.LS, res.CP.SRem, res.Moved, tc.ls, tc.srem, tc.wantMoved)
+			}
+			if res.CP.StableAlloc != 0x820 {
+				t.Fatalf("StableAlloc = %v, want the run's end 0x820", res.CP.StableAlloc)
+			}
+			if mem.ReadWord(0x818) != 42 {
+				t.Fatal("the run's second object was not replayed")
+			}
+		})
 	}
 }
 

@@ -8,10 +8,12 @@
 // the published Argus tracking bug [38]: an object write-locked by an
 // active transaction cannot be stabilized until that transaction finishes,
 // so a base record never captures another transaction's uncommitted,
-// unlogged volatile writes), sets its AS bit, spools a base record with its
-// full value, and registers it in the LS set ("logically stable, still in
-// the volatile area"). A complete record closes the batch. The objects are
-// physically moved into the stable area at the next volatile collection.
+// unlogged volatile writes) and sets its AS bit. Then it spools base records
+// with the objects' full values, one per run of the batch's objects that lie
+// end to end, and registers each object in the LS set ("logically stable,
+// still in the volatile area"). A complete record closes the batch. The
+// objects are physically moved into the stable area at the next volatile
+// collection.
 //
 // Tracking for different transactions proceeds concurrently in the sense
 // of the paper: it is made of short low-level actions that interleave with
@@ -20,7 +22,9 @@
 package stability
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"stableheap/internal/heap"
 	"stableheap/internal/lock"
@@ -61,6 +65,13 @@ type Tracker struct {
 	locks *lock.Manager
 	env   Env
 	stats Stats
+	batch []member // the objects Track marked AS, reused
+}
+
+// member is one object of a tracking batch.
+type member struct {
+	addr  word.Addr
+	words int
 }
 
 // New creates a tracker.
@@ -77,15 +88,20 @@ func (tr *Tracker) Stats() Stats { return tr.stats }
 // processing, before the commit record. A lock timeout aborts the commit:
 // the caller must abort the transaction.
 func (tr *Tracker) Track(t *tx.Tx, candidates []*tx.Handle) error {
-	count := 0
+	tr.batch = tr.batch[:0]
+	var err error
 	for _, c := range candidates {
-		n, err := tr.stabilize(t, c.Addr())
-		if err != nil {
-			return err
+		if err = tr.stabilize(t, c.Addr()); err != nil {
+			break
 		}
-		count += n
 	}
-	if count > 0 {
+	// A lock failure still logs what it marked: every later tracker skips
+	// an AS object, so one without a base record would never get one.
+	tr.logRuns(t)
+	if err != nil {
+		return err
+	}
+	if count := len(tr.batch); count > 0 {
 		tr.txm.LogComplete(t)
 		tr.stats.Batches++
 		tr.stats.Objects += int64(count)
@@ -96,17 +112,40 @@ func (tr *Tracker) Track(t *tx.Tx, candidates []*tx.Handle) error {
 	return nil
 }
 
-// stabilize makes the object at addr (and everything volatile it reaches)
-// stable. Returns the number of objects newly stabilized.
-func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) (int, error) {
+// logRuns logs the batch, one base record per run of objects that lie end
+// to end, and re-stamps each run with its record's LSN: its pages now carry
+// logged state (the dirty page table and the WAL rule apply to them).
+func (tr *Tracker) logRuns(t *tx.Tx) {
+	b := tr.batch
+	slices.SortFunc(b, func(x, y member) int { return cmp.Compare(x.addr, y.addr) })
+	for len(b) > 0 {
+		n, words := 1, b[0].words
+		for n < len(b) && b[n].addr == b[0].addr.Add(words) {
+			words += b[n].words
+			n++
+		}
+		img := tr.h.RunBytes(b[0].addr, words)
+		lsn := tr.txm.LogBase(t, b[0].addr, img, n)
+		tr.h.WriteObject(b[0].addr, img, lsn)
+		for _, m := range b[:n] {
+			tr.env.AddLS(m.addr, m.words)
+		}
+		tr.stats.Words += int64(words)
+		b = b[n:]
+	}
+}
+
+// stabilize marks the object at addr (and everything volatile it reaches)
+// AS and adds each object it marks to the batch.
+func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
 	if addr.IsNil() {
-		return 0, nil
+		return nil
 	}
 	if tr.env.Forward != nil {
 		addr = tr.env.Forward(addr)
 	}
 	if !tr.env.InVolatile(addr) {
-		return 0, nil // already physically stable
+		return nil // already physically stable
 	}
 	d := tr.h.Descriptor(addr)
 	if d.Forwarded() {
@@ -114,7 +153,7 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) (int, error) {
 	}
 	if d.AS() {
 		tr.stats.AlreadyAS++
-		return 0, nil // another commit already stabilized it
+		return nil // another commit already stabilized it
 	}
 	// Synchronize with in-flight writers: a read lock blocks until any
 	// writer finishes (and its effects are either committed — fine to
@@ -125,13 +164,13 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) (int, error) {
 		tr.stats.LockWaits++
 	}
 	if err := tr.locks.TryAcquire(t.ID(), addr, lock.Read); err != nil {
-		return 0, err
+		return err
 	}
 	// Re-read under the lock: a concurrent tracker may have won.
 	d = tr.h.Descriptor(addr)
 	if d.AS() {
 		tr.stats.AlreadyAS++
-		return 0, nil
+		return nil
 	}
 	// Forward the pointer fields in place before the image is taken: an
 	// unscanned slot may still hold a from-space address, and the base
@@ -153,27 +192,16 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) (int, error) {
 	// abort later.
 	d = d.WithAS(true).WithLS(true)
 	tr.h.SetDescriptor(addr, d, word.NilLSN)
-	img := tr.h.ObjectBytes(addr)
-	lsn := tr.txm.LogBase(t, addr, img)
-	// Re-stamp the image with the base record's LSN: from here on the
-	// page carries logged state (it enters the dirty page table, and the
-	// WAL flush constraint applies to it).
-	tr.h.WriteObject(addr, img, lsn)
-	tr.env.AddLS(addr, len(img)/word.WordSize)
-	tr.stats.Words += int64(len(img) / word.WordSize)
+	tr.batch = append(tr.batch, member{addr: addr, words: d.SizeWords()})
 
 	// Recurse into the pointer fields: the whole closure becomes stable
 	// (§2.1: "a volatile object becomes stable when a transaction that
-	// makes it accessible from a stable object commits"). The image just
-	// logged holds them, and stabilizing a child never writes this object.
-	n := 1
+	// makes it accessible from a stable object commits"). Stabilizing a
+	// child never writes this object.
 	for i := 0; i < d.NPtrs(); i++ {
-		child := word.Addr(word.GetWord(img, heap.PtrOffset(i)))
-		cn, err := tr.stabilize(t, child)
-		if err != nil {
-			return n, err
+		if err := tr.stabilize(t, tr.h.Ptr(addr, i)); err != nil {
+			return err
 		}
-		n += cn
 	}
-	return n, nil
+	return nil
 }

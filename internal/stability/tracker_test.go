@@ -79,19 +79,27 @@ func TestTrackStabilizesClosure(t *testing.T) {
 			t.Fatalf("object %v missing from LS", addr)
 		}
 	}
-	// Log: 3 base records + 1 complete.
-	var bases, completes int
+	// Log: the three objects lie end to end (c, b, a), so one base record
+	// carries them, then the complete record counts objects.
+	var bases []wal.BaseRec
+	var completes []wal.CompleteRec
 	r.log.Scan(1, false, func(_ word.LSN, rec wal.Record) bool {
-		switch rec.Type() {
-		case wal.TBase:
-			bases++
-		case wal.TComplete:
-			completes++
+		switch rec := rec.(type) {
+		case wal.BaseRec:
+			bases = append(bases, rec)
+		case wal.CompleteRec:
+			completes = append(completes, rec)
 		}
 		return true
 	})
-	if bases != 3 || completes != 1 {
-		t.Fatalf("bases=%d completes=%d", bases, completes)
+	if len(bases) != 1 || len(completes) != 1 {
+		t.Fatalf("bases=%d completes=%d", len(bases), len(completes))
+	}
+	if end := a.Add(3); bases[0].Addr != c || len(bases[0].Object) != int(end-c) {
+		t.Fatalf("base run at %v of %d bytes, want [%v, %v)", bases[0].Addr, len(bases[0].Object), c, end)
+	}
+	if completes[0].Count != 3 {
+		t.Fatalf("complete count %d, want 3 objects", completes[0].Count)
 	}
 	if r.tr.Stats().Objects != 3 || r.tr.Stats().MaxClosure != 3 {
 		t.Fatalf("stats = %+v", r.tr.Stats())

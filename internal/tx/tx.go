@@ -366,9 +366,10 @@ func (m *Manager) LogAlloc(t *Tx, addr word.Addr, d heap.Descriptor) word.LSN {
 	return lsn
 }
 
-// LogBase spools the initial-value record for a newly stable object
-// (Ch. 5); the object image was captured by the stability tracker.
-func (m *Manager) LogBase(t *Tx, addr word.Addr, img []byte) word.LSN {
+// LogBase spools the initial-value record for a run of newly stable
+// objects that lie end to end from addr (Ch. 5); the run image was captured
+// by the stability tracker.
+func (m *Manager) LogBase(t *Tx, addr word.Addr, img []byte, objects int) word.LSN {
 	m.mustBeActive(t)
 	lsn := m.log.Append(wal.BaseRec{
 		TxHdr:  wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN},
@@ -376,7 +377,7 @@ func (m *Manager) LogBase(t *Tx, addr word.Addr, img []byte) word.LSN {
 		Object: img,
 	})
 	t.lastLSN = lsn
-	t.newlyStable++
+	t.newlyStable += objects
 	return lsn
 }
 

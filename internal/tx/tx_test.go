@@ -307,7 +307,7 @@ func TestBaseAndCompleteRecords(t *testing.T) {
 	img := make([]byte, 16)
 	word.PutWord(img, 0, uint64(heap.NewDescriptor(1, 0, 1)))
 	word.PutWord(img, 8, 42)
-	f.m.LogBase(tr, 0x300, img)
+	f.m.LogBase(tr, 0x300, img, 1)
 	f.m.LogComplete(tr)
 	f.commit(tr)
 	var base wal.BaseRec

@@ -6,8 +6,9 @@
 // pages reach the backing store.
 //
 // There are no page pins. The write-ahead constraint (§2.2.3) is enforced at
-// flush time: a dirty page whose page LSN is beyond the stable log forces the
-// log before it is written, which is equivalent to the paper's "unpin after
+// flush time: a dirty page whose page LSN — or, for unlogged writes, the
+// log's end when they were made — is beyond the stable log forces the log
+// before it is written, which is equivalent to the paper's "unpin after
 // the redo record is in the stable log" — and replacement prefers any other
 // victim to such a page, so eviction does not normally force. Page-fetch
 // and end-write records (§2.2.4) are spooled so recovery can deduce the
@@ -66,7 +67,11 @@ type page struct {
 	data   []byte
 	lsn    word.LSN // LSN of the last logged modification applied
 	recLSN word.LSN // earliest LSN maybe not on disk; NilLSN if clean
-	dirty  bool     // any modification (logged or not) since last flush
+	// ulsn is the log's last record at the last unlogged write: unlogged
+	// state (a forwarding word, an abort's cleared object) can overwrite
+	// logged state, so the records before it must reach disk first.
+	ulsn  word.LSN
+	dirty bool // any modification (logged or not) since last flush
 	// ref is the clock reference bit; atomic because lock-free cache hits
 	// set it while holding only the store's read lock.
 	ref atomic.Bool
@@ -303,10 +308,14 @@ func (s *Store) makeRoom() {
 	}
 }
 
-// unstable reports whether the page's last logged modification is still in
-// the volatile log, so that writing the page back needs a log force first.
+// walLSN is the last record the stable log must hold before the page is
+// written: every record its contents reflect, logged or not.
+func (p *page) walLSN() word.LSN { return max(p.lsn, p.ulsn) }
+
+// unstable reports whether the records the page reflects are still in the
+// volatile log, so that writing the page back needs a log force first.
 func (s *Store) unstable(p *page) bool {
-	return s.log != nil && p.lsn != word.NilLSN && !s.log.IsStable(p.lsn)
+	return s.log != nil && p.walLSN() != word.NilLSN && !s.log.IsStable(p.walLSN())
 }
 
 // flushPage writes a dirty page to disk, honoring the WAL constraint and
@@ -318,7 +327,7 @@ func (s *Store) flushPage(p *page) {
 	if s.unstable(p) {
 		// WAL: the redo record for the page's last modification must be
 		// in the stable log before the page reaches disk.
-		s.log.Force(p.lsn)
+		s.log.Force(p.walLSN())
 		s.n.logForces.Add(1)
 	}
 	s.disk.WritePage(p.id, p.data, p.lsn)
@@ -572,12 +581,16 @@ func (s *Store) WriteBytes(addr word.Addr, data []byte, lsn word.LSN) {
 }
 
 // markWritten updates a page's dirty/LSN bookkeeping for a write covered
-// by lsn. recLSN keeps the MINIMUM unflushed LSN: a flush writes the page
-// contents including every applied record, so redo must start no later
-// than the earliest of them.
+// by lsn, or for an unlogged write (ulsn). recLSN keeps the MINIMUM
+// unflushed LSN: a flush writes the page contents including every applied
+// record, so redo must start no later than the earliest of them.
 func (s *Store) markWritten(p *page, lsn word.LSN) {
 	p.dirty = true
-	if lsn != word.NilLSN {
+	if lsn == word.NilLSN {
+		if s.log != nil {
+			p.ulsn = s.log.EndLSN() - 1
+		}
+	} else {
 		if p.recLSN == word.NilLSN || lsn < p.recLSN {
 			p.recLSN = lsn
 		}

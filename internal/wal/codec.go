@@ -202,6 +202,7 @@ func encodeBody(e *enc, r Record) {
 		e.u64(uint64(rec.From))
 		e.u64(uint64(rec.To))
 		e.bytes(rec.Object)
+		encodeAddrs(e, rec.More)
 	case SFixRec:
 		e.u64(uint64(rec.Page))
 		encodeFixes(e, rec.Fixes)
@@ -353,7 +354,7 @@ func Decode(frame []byte) (Record, error) {
 	case TComplete:
 		r = CompleteRec{TxHdr: d.txHdr(), Count: int(d.u64())}
 	case TV2SCopy:
-		r = V2SCopyRec{From: word.Addr(d.u64()), To: word.Addr(d.u64()), Object: d.bytes()}
+		r = V2SCopyRec{From: word.Addr(d.u64()), To: word.Addr(d.u64()), Object: d.bytes(), More: d.addrs()}
 	case TSFix:
 		rec := SFixRec{Page: word.PageID(d.u64())}
 		rec.Fixes = d.fixes()

@@ -383,13 +383,14 @@ type GCEndRec struct {
 // Type implements Record.
 func (GCEndRec) Type() Type { return TGCEnd }
 
-// BaseRec logs the initial value of a newly stable object at its volatile
-// address (Ch. 5, "Log Records for Initial Object Values"). It belongs to
-// the committing transaction's chain but is redo-only.
+// BaseRec logs the initial values of newly stable objects at their volatile
+// addresses (Ch. 5, "Log Records for Initial Object Values"). It belongs to
+// the committing transaction's chain but is redo-only. One record covers a
+// run: objects of one tracking batch that lie end to end from Addr.
 type BaseRec struct {
 	TxHdr
 	Addr word.Addr
-	// Object is the full object image: descriptor word plus all fields.
+	// Object is the run's image: each object's descriptor word and fields.
 	Object []byte
 }
 
@@ -407,16 +408,18 @@ type CompleteRec struct {
 // Type implements Record.
 func (CompleteRec) Type() Type { return TComplete }
 
-// V2SCopyRec moves a newly stable object from the volatile area into the
+// V2SCopyRec moves newly stable objects from the volatile area into the
 // stable area at a volatile collection (Ch. 5, Fig. 5.2 "V2scopy"). Unlike
-// CopyRec it carries the full object image: the volatile source page is not
-// obliged to be reconstructible once the move is complete, so the record
-// must be self-contained for redo.
+// CopyRec it carries the full object images: the volatile source page is
+// not obliged to be reconstructible once the move is complete, so the
+// record must be self-contained for redo. One record covers a run of moves
+// end to end from To: From is the first source, More the rest in order.
 type V2SCopyRec struct {
 	sysRec
 	From   word.Addr
 	To     word.Addr
 	Object []byte
+	More   []word.Addr
 }
 
 // Type implements Record.

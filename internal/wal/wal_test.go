@@ -42,6 +42,9 @@ func normalize(r Record) Record {
 		return rec
 	case V2SCopyRec:
 		rec.Object = canon(rec.Object)
+		if len(rec.More) == 0 {
+			rec.More = nil
+		}
 		return rec
 	case ScanRec:
 		rec.Fixes = canonFixes(rec.Fixes)
@@ -85,6 +88,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		BaseRec{TxHdr: TxHdr{TxID: 9, PrevLSN: 60}, Addr: 0x40000, Object: []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}},
 		CompleteRec{TxHdr: TxHdr{TxID: 9, PrevLSN: 70}, Count: 5},
 		V2SCopyRec{From: 0x40000, To: 0x11000, Object: []byte{3, 0, 0, 0, 0, 0, 0, 0}},
+		V2SCopyRec{From: 0x40000, To: 0x11000, Object: make([]byte, 24), More: []word.Addr{0x40100, 0x40008}},
 		SFixRec{Page: 17, Fixes: []PtrFix{{Addr: 0x11008, NewPtr: 0x11010}}},
 		VFlipRec{Epoch: 2, Moved: 9},
 		LogicalRec{TxHdr: TxHdr{TxID: 4, PrevLSN: 51}, Addr: 0x2040, Obj: 0x2000, Delta: ^uint64(4)},

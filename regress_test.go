@@ -120,13 +120,15 @@ func TestConcurrentChurnCrashRecover(t *testing.T) {
 // so that must be invisible: the same records at the same LSNs, and exactly
 // one device force per commit. The digest covers every frame of this
 // seeded OO7 run with its LSN. It was taken at commit f77d9b2 (the last with
-// tx.Manager.Commit) and regenerated once since, when a volatile move cycle
+// tx.Manager.Commit) and regenerated twice since: when a volatile move cycle
 // began logging one SFix record per page for all its moved objects instead
-// of one per object; it must change again only with a change that means to
-// alter what the heap logs. No checkpoint is taken: a checkpoint record
-// lists the LS set in map order.
+// of one per object, and when tracking and moves began logging one base and
+// one V2SCopy record per run of objects that lie end to end (V2SCopyRec
+// gained More, the run's further sources). It must change again only with a
+// change that means to alter what the heap logs. No checkpoint is taken: a
+// checkpoint record lists the LS set in map order.
 func TestSingleGoroutineWALUnchanged(t *testing.T) {
-	const want = "4a021ed1894b21c0c9bb0a6f71418248e5e45d49de05e997a9dcea6b03ad114f"
+	const want = "679ca117bf22e4f286148113ede5a107bef69bee6ba09d4c85d992fcc685c666"
 	h := stableheap.Open(stableheap.DefaultConfig())
 	defer h.Close()
 	rng := rand.New(rand.NewSource(16))
