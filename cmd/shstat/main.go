@@ -348,8 +348,8 @@ func printSummary(w io.Writer, m stableheap.Metrics) {
 	sort.Strings(names)
 	for _, n := range names {
 		h := m.Histograms[n]
-		if h.Count == 0 && !strings.HasPrefix(n, "wal_force_") && n != "wal_mutex_wait_ns" {
-			continue // the shared-force trio is shown even when nothing ever waited
+		if h.Count == 0 && !strings.HasPrefix(n, "wal_force_") && n != "wal_mutex_wait_ns" && n != "wal_commit_join_wait_ns" {
+			continue // the shared-force histograms are shown even when nothing ever waited
 		}
 		if strings.HasSuffix(n, "_ns") {
 			fmt.Fprintf(w, "  %-34s %6d  %10v %10v %10v %10v\n", n, h.Count,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"stableheap/internal/faultfs"
+	"stableheap/internal/obs"
 	"stableheap/internal/storage"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -189,71 +190,253 @@ func volatileCommits(hp *Heap) (n int) {
 // TestGroupCommitCloseReleasesWaiters: Close and Crash while committers are
 // parked on a force — one leading it inside the device, one following —
 // wait for those commits instead of aborting or tearing them: both are
-// acknowledged, and both survive.
+// acknowledged, and both survive. In the joining cases the one committer
+// leads while its commit shape says a sibling is coming: Close or Crash
+// keeps the sibling out, so the leader waits out its bound, forces, and
+// its commit is acknowledged and survives too.
 func TestGroupCommitCloseReleasesWaiters(t *testing.T) {
-	for _, shutdown := range []string{"close", "crash"} {
-		t.Run(shutdown, func(t *testing.T) {
-			c := forceCfg()
-			dev := &gatedLog{LogDevice: storage.NewLog(c.LogSegBytes),
-				entered: make(chan struct{}), release: make(chan struct{})}
-			hp := OpenOn(c, storage.NewDisk(c.PageSize), dev)
-			seedSlots(t, hp, 2)
-			dev.armed.Store(true)
-
-			done := make(chan error, 2)
-			go func() { done <- storeAndCommit(hp, 0, 7) }()
-			<-dev.entered // the leader is inside the device force
-			go func() { done <- storeAndCommit(hp, 1, 8) }()
-			for volatileCommits(hp) < 2 {
-				time.Sleep(time.Millisecond) // until the follower's commit record is logged too
+	for _, joining := range []bool{false, true} {
+		for _, shutdown := range []string{"close", "crash"} {
+			name := shutdown
+			if joining {
+				name += "-joining"
 			}
+			t.Run(name, func(t *testing.T) { closeWithParkedCommits(t, shutdown, joining) })
+		}
+	}
+}
 
-			var disk storage.PageStore
-			var logDev storage.LogDevice
-			stopped := make(chan struct{})
-			go func() {
-				defer close(stopped)
-				if shutdown == "close" {
-					hp.Close()
-					disk, logDev = hp.Devices()
-				} else {
-					disk, logDev = hp.Crash()
-				}
-			}()
-			select {
-			case <-stopped:
-				t.Fatalf("%s finished with a commit still parked on its force", shutdown)
-			case <-time.After(20 * time.Millisecond):
-			}
-			dev.armed.Store(false)
-			close(dev.release)
-			for i := 0; i < 2; i++ {
-				select {
-				case err := <-done:
-					if err != nil {
-						t.Fatal(err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("parked committer never released")
-				}
-			}
-			<-stopped
+func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
+	c := forceCfg()
+	var inner storage.LogDevice = storage.NewLog(c.LogSegBytes)
+	if joining {
+		inner = faultfs.NewSlowLog(inner, 10*time.Millisecond) // the join's bound
+	}
+	dev := &gatedLog{LogDevice: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	hp := OpenOn(c, storage.NewDisk(c.PageSize), dev)
+	seedSlots(t, hp, 2)
 
-			hp2, err := Recover(c, disk, logDev)
+	committers := 2
+	done := make(chan error, 2)
+	var timeouts0 uint64
+	if joining {
+		commitStores(t, hp, 2, 8) // the commit shape settles: two open, short
+		if open, _ := hp.txm.CommitShape(); open != 2 {
+			t.Fatalf("two committers left the commit shape at %d open, want 2", open)
+		}
+		timeouts0 = hp.log.JoinTimeouts()
+		committers = 1
+		dev.armed.Store(true)
+		go func() { done <- storeAndCommit(hp, 0, 7) }()
+		for volatileCommits(hp) < 1 {
+			time.Sleep(100 * time.Microsecond) // until the leader's commit record is logged
+		}
+	} else {
+		dev.armed.Store(true)
+		go func() { done <- storeAndCommit(hp, 0, 7) }()
+		<-dev.entered // the leader is inside the device force
+		go func() { done <- storeAndCommit(hp, 1, 8) }()
+		for volatileCommits(hp) < 2 {
+			time.Sleep(time.Millisecond) // until the follower's commit record is logged too
+		}
+	}
+
+	var disk storage.PageStore
+	var logDev storage.LogDevice
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		if shutdown == "close" {
+			hp.Close()
+			disk, logDev = hp.Devices()
+		} else {
+			disk, logDev = hp.Crash()
+		}
+	}()
+	if joining {
+		select {
+		case <-dev.entered: // the join ended at its bound and the leader forces
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the leader never left its join wait under %s", shutdown)
+		}
+	}
+	select {
+	case <-stopped:
+		t.Fatalf("%s finished with a commit still parked on its force", shutdown)
+	case <-time.After(20 * time.Millisecond):
+	}
+	dev.armed.Store(false)
+	close(dev.release)
+	for i := 0; i < committers; i++ {
+		select {
+		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := hp2.Begin()
-			defer tr.Abort()
-			for slot := 0; slot < 2; slot++ {
-				r, err := tr.Root(slot)
-				if err != nil || r == nil {
-					t.Fatalf("slot %d: acknowledged commit lost (%v)", slot, err)
-				}
-				if v, _ := tr.Data(r, 0); v != uint64(7+slot) {
-					t.Fatalf("slot %d holds %d", slot, v)
-				}
-			}
-		})
+		case <-time.After(5 * time.Second):
+			t.Fatal("parked committer never released")
+		}
 	}
+	<-stopped
+	if joining && hp.log.JoinTimeouts() != timeouts0+1 {
+		t.Fatalf("%d join timeouts under %s, want the leader's one", hp.log.JoinTimeouts()-timeouts0, shutdown)
+	}
+
+	hp2, err := Recover(c, disk, logDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := hp2.Begin()
+	defer tr.Abort()
+	for slot := 0; slot < committers; slot++ {
+		r, err := tr.Root(slot)
+		if err != nil || r == nil {
+			t.Fatalf("slot %d: acknowledged commit lost (%v)", slot, err)
+		}
+		if v, _ := tr.Data(r, 0); v != uint64(7+slot) {
+			t.Fatalf("slot %d holds %d", slot, v)
+		}
+	}
+}
+
+// TestGroupCommitTwoCommittersShare: two closed-loop committers over a slow
+// log share its forces. Each is an update transaction open beside the
+// other, and each is short next to the force, so a leader waits for its
+// sibling's commit record (wal.Manager.ForceCommit's join) instead of
+// forcing alone while the sibling parks behind it.
+func TestGroupCommitTwoCommittersShare(t *testing.T) {
+	hp := openSlow(time.Millisecond)
+	seedSlots(t, hp, 2)
+	commitStores(t, hp, 2, 20) // the commit shape settles: two open, short
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	commitStores(t, hp, 2, 100)
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	if commits != 200 || 10*forces > 6*commits {
+		t.Fatalf("%d forces for %d commits of two committers, want ≤ 0.6 per commit", forces, commits)
+	}
+	if hp.log.JoinWaitHist().Count == 0 {
+		t.Fatal("no commit leader joined its sibling")
+	}
+}
+
+// TestJoinReadOnlyTransactionHoldsNoCommit: a read-only transaction left
+// open beside a lone committer is no sibling to wait for — it never logs an
+// update, so the commit shape says one — and every commit forces at once.
+func TestJoinReadOnlyTransactionHoldsNoCommit(t *testing.T) {
+	hp := openSlow(time.Millisecond)
+	seedSlots(t, hp, 2)
+	reader := hp.Begin()
+	defer reader.Abort()
+	if r, err := reader.Root(1); err != nil || r == nil {
+		t.Fatalf("reader: %v", err)
+	}
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	commitStores(t, hp, 1, 20)
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	if n := hp.log.JoinWaitHist().Count; n != 0 || forces != commits {
+		t.Fatalf("%d join waits, %d forces for %d commits beside a reader, want 0 and one each", n, forces, commits)
+	}
+}
+
+// TestJoinSiblingBlockedOnTheLeadersLock: the sibling a leader waits for is
+// blocked on the leader's own lock, so it cannot commit before the leader
+// does. The leader waits out one bound, forces alone and releases the lock;
+// the sibling then commits, long before its lock wait would have failed.
+func TestJoinSiblingBlockedOnTheLeadersLock(t *testing.T) {
+	hp := openSlow(time.Millisecond)
+	seedSlots(t, hp, 2)
+	commitStores(t, hp, 2, 20)
+	if open, _ := hp.txm.CommitShape(); open != 2 {
+		t.Fatalf("two committers left the commit shape at %d open, want 2", open)
+	}
+	timeouts0 := hp.log.JoinTimeouts()
+
+	leader := hp.Begin()
+	obj, err := leader.Root(0)
+	if err == nil {
+		err = leader.SetData(obj, 0, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling := make(chan error, 1)
+	go func() { sibling <- storeAndCommit(hp, 0, 2) }() // waits for the leader's write lock
+	for deadline := time.Now().Add(5 * time.Second); hp.locks.Stats().Conflicts == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sibling never waited for the leader's lock")
+		}
+	}
+	start := time.Now()
+	if err := leader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	if err := <-sibling; err != nil {
+		t.Fatalf("the sibling's commit failed behind the leader's join: %v", err)
+	}
+	if hp.log.JoinTimeouts() == timeouts0 {
+		t.Fatal("the leader's join did not time out, yet its sibling could not commit")
+	}
+	if took > forceCfg().LockWait/2 {
+		t.Fatalf("the leader's commit took %v; one bound is about a force", took)
+	}
+}
+
+// convoyTrips counts the commit-force-convoy watchdog's trips in the
+// flight recorder.
+func convoyTrips(hp *Heap) (n int) {
+	for _, ev := range hp.FlightEvents() {
+		if ev.Kind == obs.EvWatchdog && ev.A == obs.WdConvoy {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJoinWatchdogConvoy: the commit-force-convoy rule watches the share of
+// join waits that time out. Sixteen committers sharing every force is the
+// healthy case, however large the batches, and does not trip it; a lone
+// committer beside an update transaction that stays open waits for a
+// sibling that never comes, every time, and does.
+func TestJoinWatchdogConvoy(t *testing.T) {
+	open := func(delay time.Duration) *Heap {
+		c := forceCfg()
+		c.FlightRecorder = true
+		c.WatchdogInterval = 20 * time.Millisecond
+		return OpenOn(c, storage.NewDisk(c.PageSize), faultfs.NewSlowLog(storage.NewLog(c.LogSegBytes), delay))
+	}
+	t.Run("sixteen committers", func(t *testing.T) {
+		hp := open(5 * time.Millisecond)
+		defer hp.Close()
+		seedSlots(t, hp, 16)
+		commitStores(t, hp, 16, 40)
+		if b := hp.Metrics().Histograms["wal_force_batch"]; b.Max < 16 || hp.log.JoinWaitHist().Count == 0 {
+			t.Fatalf("sixteen committers never joined into one force: wal_force_batch %+v", b)
+		}
+		if n := convoyTrips(hp); n != 0 {
+			t.Fatalf("the convoy rule tripped %d times on healthy sharing (%d of %d join waits timed out)",
+				n, hp.log.JoinTimeouts(), hp.log.JoinWaitHist().Count)
+		}
+	})
+	t.Run("sibling never arrives", func(t *testing.T) {
+		hp := open(time.Millisecond)
+		defer hp.Close()
+		seedSlots(t, hp, 2)
+		idle := hp.Begin() // an update transaction that never commits
+		obj, err := idle.Root(1)
+		if err == nil {
+			err = idle.SetData(obj, 0, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for convoyTrips(hp) == 0 && time.Now().Before(deadline) {
+			commitStores(t, hp, 1, 10)
+		}
+		if convoyTrips(hp) == 0 {
+			t.Fatalf("no convoy trip after %d of %d join waits timed out", hp.log.JoinTimeouts(), hp.log.JoinWaitHist().Count)
+		}
+		idle.Abort()
+	})
 }

@@ -1426,11 +1426,13 @@ func (t *Tx) Commit() error {
 }
 
 // finishCommit is the unlatched tail of every commit: wait until a force
-// covers the commit record at lsn — overlapping committers share it
-// (wal.Manager.Force) and nobody's action queues behind it — then spool
-// the end record and release the locks under the shared latch.
+// covers the commit record at lsn — overlapping committers share it, and a
+// leader joins the siblings the workload says are coming
+// (wal.Manager.ForceCommit), while nobody's action queues behind it — then
+// spool the end record and release the locks under the shared latch.
 func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
-	hp.log.Force(lsn)
+	usualOpen, span := hp.txm.CommitShape()
+	hp.log.ForceCommit(lsn, usualOpen, span)
 	hp.ckpt.Promote()
 	excl := hp.rlock()
 	defer hp.runlock(excl)

@@ -43,9 +43,11 @@ func (hp *Heap) startWatchdog() {
 		// are thrashing promotion instead of dying in the nursery.
 		rules = append(rules, obs.RateRule("nursery-runaway", "vgc_nursery_minor_total", 100))
 	}
-	// Every log force in a window releasing a crowd (16 callers) means
-	// committers convoy behind the force rather than ride an occasional one.
-	rules = append(rules, obs.ConvoyRule("commit-force-convoy", "wal_force_batch", 16))
+	// Half a window's commit join waits ending at their bound means the
+	// siblings the leaders wait for do not come (an update transaction left
+	// open, say): each commit then waits a force on top of its own.
+	rules = append(rules, obs.ConvoyRule("commit-force-convoy",
+		"wal_commit_join_timeouts_total", "wal_commit_join_wait_ns"))
 	hp.wd = obs.NewWatchdog(hp.cfg.WatchdogInterval, hp.Metrics, hp.bb,
 		hp.journal.Flush, rules)
 	hp.wd.Start()

@@ -121,6 +121,8 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetHist("wal_force_wait_ns", hp.log.ForceWaitHist())
 	s.SetHist("wal_force_batch", hp.log.ForceBatchHist())
 	s.SetHist("wal_mutex_wait_ns", hp.log.MutexWaitHist())
+	s.SetHist("wal_commit_join_wait_ns", hp.log.JoinWaitHist())
+	s.SetCounter("wal_commit_join_timeouts_total", int64(hp.log.JoinTimeouts()))
 
 	ks := hp.locks.Stats()
 	s.SetCounter("lock_acquires_total", ks.Acquires)

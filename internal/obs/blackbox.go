@@ -127,7 +127,7 @@ const (
 	WdStall  uint64 = iota + 1 // histogram window max blew past N×p99
 	WdRate                     // counter grew faster than the per-tick limit
 	_                          // 3 ("threshold") is in version-2 dumps; no rule emits it
-	WdConvoy                   // group-commit batches pinned at the cap
+	WdConvoy                   // commit join waits timing out: the siblings do not come
 )
 
 // WatchdogRuleName names a watchdog rule code for timelines.

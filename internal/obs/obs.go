@@ -49,3 +49,39 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
+
+// Smoothed is a lock-free exponentially weighted moving average of
+// non-negative samples: the first sample sets it and each later one moves
+// it an eighth of the way, so it follows a workload's shape over a few
+// dozen events. It keeps eight fraction bits, and Load rounds to the
+// nearest integer.
+type Smoothed struct {
+	v atomic.Int64 // the average ×256
+}
+
+// Observe folds one sample into the average.
+func (s *Smoothed) Observe(x int64) { s.observe(x, false) }
+
+// ObserveCapped folds in one sample, counting one above twice the average
+// as twice the average: a latency average then stays near the typical
+// event instead of chasing a heavy tail, and one outlier barely moves it.
+func (s *Smoothed) ObserveCapped(x int64) { s.observe(x, true) }
+
+func (s *Smoothed) observe(x int64, capped bool) {
+	x <<= 8
+	for {
+		old, v := s.v.Load(), x
+		if old != 0 {
+			if capped {
+				v = min(v, 2*old)
+			}
+			v = old + (v-old)/8
+		}
+		if s.v.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
+// Load returns the average rounded to the nearest integer.
+func (s *Smoothed) Load() int64 { return (s.v.Load() + 128) >> 8 }

@@ -77,3 +77,46 @@ func TestGaugeSet(t *testing.T) {
 		t.Fatalf("gauge = %d, want 4", g.Load())
 	}
 }
+
+// TestSmoothedFollowsTheSamples: the first sample sets the average, a
+// steady stream holds it, an alternating one settles on its mean rounded,
+// an outlier moves it an eighth of the way, and a capped one counts as
+// twice the average.
+func TestSmoothedFollowsTheSamples(t *testing.T) {
+	var s Smoothed
+	if s.Load() != 0 {
+		t.Fatalf("fresh average = %d, want 0", s.Load())
+	}
+	for i := 0; i < 64; i++ {
+		s.Observe(1)
+	}
+	if s.Load() != 1 {
+		t.Fatalf("after 64 ones: %d, want 1", s.Load())
+	}
+	for i := 0; i < 64; i++ {
+		s.Observe(int64(1 + i%2))
+	}
+	if s.Load() != 2 {
+		t.Fatalf("ones and twos alternating: %d, want their mean 1.5 rounded up", s.Load())
+	}
+	var d, c Smoothed
+	d.Observe(100_000)
+	c.ObserveCapped(100_000)
+	if d.Load() != 100_000 || c.Load() != 100_000 {
+		t.Fatalf("first sample: %d and %d, want 100000", d.Load(), c.Load())
+	}
+	d.Observe(900_000)
+	c.ObserveCapped(900_000)
+	if got := d.Load(); got != 200_000 {
+		t.Fatalf("a 9× outlier on 100000: %d, want 200000", got)
+	}
+	if got := c.Load(); got != 112_500 {
+		t.Fatalf("a capped 9× outlier on 100000: %d, want 112500 (counted as 2×)", got)
+	}
+	for i := 0; i < 64; i++ {
+		d.ObserveCapped(10_000)
+	}
+	if got := d.Load(); got < 10_000 || got > 10_100 {
+		t.Fatalf("after 64 samples of 10000: %d", got)
+	}
+}

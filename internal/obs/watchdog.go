@@ -9,7 +9,7 @@ import (
 // The stall watchdog: a goroutine that snapshots the metrics on a ticker
 // and runs anomaly rules over consecutive snapshot windows — mutator
 // stalls far beyond the historical p99, counters growing at runaway
-// rates, group-commit batches pinned at the cap (a convoy), a standby
+// rates, commit join waits that keep timing out (a convoy), a standby
 // falling behind an absolute lag limit. A trip increments the
 // obs_watchdog_trips_total counter and records an EvWatchdog event in the
 // flight recorder, so the post-crash timeline shows not just what
@@ -60,14 +60,19 @@ func RateRule(name, counter string, limit int64) Rule {
 	}}
 }
 
-// ConvoyRule trips when a batch-size histogram's window max reaches cap —
-// every group-commit batch filling to the limit means committers are
-// convoying behind the force rather than riding an occasional full batch.
-func ConvoyRule(name, hist string, cap uint64) Rule {
+// ConvoyRule trips when, in one window of at least four waits (the count
+// of the waits histogram), at least half ended at their bound (the timeouts
+// counter). For the commit join that means the siblings the leaders waited
+// for did not come: every commit pays a force's worth of waiting on top of
+// its own, and committers convoy behind the force instead of sharing it.
+// A large batch is no sign of that — it is how many committers share. The
+// detail is the window's timeout share in percent.
+func ConvoyRule(name, timeouts, waits string) Rule {
 	return Rule{Name: name, Code: WdConvoy, Check: func(prev, cur Snapshot) (bool, uint64) {
-		win := cur.Histograms[hist].Delta(prev.Histograms[hist])
-		if win.Count >= 4 && win.Max >= cap {
-			return true, win.Max
+		n := cur.Histograms[waits].Count - prev.Histograms[waits].Count
+		late := uint64(cur.Counters[timeouts] - prev.Counters[timeouts])
+		if n >= 4 && 2*late >= n {
+			return true, 100 * late / n
 		}
 		return false, 0
 	}}

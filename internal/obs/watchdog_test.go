@@ -56,23 +56,30 @@ func TestRateRule(t *testing.T) {
 }
 
 func TestConvoyRule(t *testing.T) {
-	r := ConvoyRule("convoy", "h", 16)
+	r := ConvoyRule("convoy", "c", "h")
 	var h Histogram
-	h.Observe(3)
-	prev := snapWith(h.Snapshot(), "", 0)
-	// Four full batches in one window: convoy.
-	for i := 0; i < 4; i++ {
-		h.Observe(16)
+	h.Observe(1000)
+	prev := snapWith(h.Snapshot(), "c", 1)
+	window := func(waits int, timeouts int64) Snapshot {
+		for i := 0; i < waits; i++ {
+			h.Observe(1000)
+		}
+		return snapWith(h.Snapshot(), "c", prev.Counters["c"]+timeouts)
 	}
-	if trip, d := r.Check(prev, snapWith(h.Snapshot(), "", 0)); !trip || d < 16 {
-		t.Errorf("four capped batches: trip=%v d=%d", trip, d)
+	// Four waits in one window, all at their bound: convoy.
+	cur := window(4, 4)
+	if trip, d := r.Check(prev, cur); !trip || d != 100 {
+		t.Errorf("four timed-out waits: trip=%v d=%d", trip, d)
 	}
-	// A single full batch is not a convoy.
-	var h2 Histogram
-	p2 := snapWith(h2.Snapshot(), "", 0)
-	h2.Observe(16)
-	if trip, _ := r.Check(p2, snapWith(h2.Snapshot(), "", 0)); trip {
-		t.Error("one full batch tripped")
+	// A hundred waits, a few timed out: sharing works.
+	prev = cur
+	if trip, _ := r.Check(prev, window(100, 3)); trip {
+		t.Error("3 timeouts in 100 waits tripped")
+	}
+	// Fewer than four waits say nothing.
+	prev = snapWith(h.Snapshot(), "c", 0)
+	if trip, _ := r.Check(prev, window(3, 3)); trip {
+		t.Error("three waits tripped")
 	}
 }
 

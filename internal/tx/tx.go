@@ -110,6 +110,13 @@ type Tx struct {
 	// transaction's fate awaits the coordinator, and it survives crashes
 	// in-doubt.
 	prepared bool
+	// updating marks a transaction that has logged an update; commitLSN is
+	// its commit record once appended, and overlap counts the other update
+	// transactions it was open together with (Manager.CommitShape). The
+	// last two are guarded by the manager's mu.
+	updating  bool
+	commitLSN word.LSN
+	overlap   int
 }
 
 // Prepared reports whether the transaction is in the prepared state.
@@ -173,6 +180,14 @@ type Manager struct {
 	// and are excluded).
 	commitH obs.Histogram
 	abortH  obs.Histogram
+	// The commit shape ForceCommit's join reads (CommitShape): the update
+	// transactions that have not ended (guarded by mu), the smoothed number
+	// of update transactions a committed one was open together with, itself
+	// included, and the smoothed time from Begin to the commit record of an
+	// update transaction.
+	updaters  []*Tx
+	usualOpen obs.Smoothed
+	span      obs.Smoothed // ns
 }
 
 // Stats counts transaction outcomes and work.
@@ -232,6 +247,61 @@ func (m *Manager) SetNextTxID(id word.TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextTx = id
+}
+
+// CommitShape is what a commit tells the log's join step
+// (wal.Manager.ForceCommit): how many update transactions are usually open
+// together, and the smoothed time from Begin to the commit record of an
+// update transaction. Both are workload averages, not the committer's own.
+//
+// An update transaction is open from its first logged update until its
+// commit record is stable (or it ends); each committed one samples how
+// many it was open together with, itself included. Read-only transactions
+// never count, so they never hold a commit. Not a count at one instant:
+// two committers one force releases start their next transactions side by
+// side, and whether one finds the other open at its first update is a race
+// between two wake-ups. Two that share a force are always open together,
+// and one that starts after another's force has ended never overlaps it,
+// however late the other wakes.
+func (m *Manager) CommitShape() (usualOpen int, span time.Duration) {
+	return int(m.usualOpen.Load()), time.Duration(m.span.Load())
+}
+
+// logged notes t's first logged update: it is open together with every
+// update transaction whose commit record is not yet stable.
+func (m *Manager) logged(t *Tx) {
+	if t.updating {
+		return
+	}
+	t.updating = true
+	m.mu.Lock()
+	for _, o := range m.updaters {
+		if o.commitLSN == word.NilLSN || !m.log.IsStable(o.commitLSN) {
+			o.overlap++
+			t.overlap++
+		}
+	}
+	m.updaters = append(m.updaters, t)
+	m.mu.Unlock()
+}
+
+// endedLocked takes a finished update transaction out of updaters; a
+// committed one that was not prepared samples how many it was open with.
+// Called with mu held.
+func (m *Manager) endedLocked(t *Tx, committed bool) {
+	if !t.updating {
+		return
+	}
+	t.updating = false
+	for i, o := range m.updaters {
+		if o == t {
+			m.updaters = append(m.updaters[:i], m.updaters[i+1:]...)
+			break
+		}
+	}
+	if committed && !t.prepared {
+		m.usualOpen.Observe(int64(t.overlap) + 1)
+	}
 }
 
 // ActiveCount returns the number of live transactions.
@@ -297,6 +367,7 @@ func (m *Manager) Update(t *Tx, obj, addr word.Addr, redo []byte, isPtrSlot bool
 		Redo: redo, Undo: undo,
 	})
 	t.lastLSN = lsn
+	m.logged(t)
 	m.mem.WriteBytes(addr, redo, lsn)
 	m.undoMu.Lock()
 	t.undoSlots = append(t.undoSlots, uttEntry{lsn: lsn, logged: addr, cur: addr})
@@ -326,6 +397,7 @@ func (m *Manager) UpdateLogical(t *Tx, obj, addr word.Addr, delta uint64) {
 		Addr:  addr, Obj: obj, Delta: delta,
 	})
 	t.lastLSN = lsn
+	m.logged(t)
 	cur := m.mem.ReadWord(addr)
 	m.mem.WriteWord(addr, cur+delta, lsn)
 	m.undoMu.Lock()
@@ -363,6 +435,7 @@ func (m *Manager) LogAlloc(t *Tx, addr word.Addr, d heap.Descriptor) word.LSN {
 		Addr:  addr, Descriptor: uint64(d), SizeWords: d.SizeWords(),
 	})
 	t.lastLSN = lsn
+	m.logged(t)
 	return lsn
 }
 
@@ -477,6 +550,14 @@ func (m *Manager) PrepareCommit(t *Tx) word.LSN {
 	m.mustBeActive(t)
 	lsn := m.log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
 	t.lastLSN = lsn
+	if t.updating {
+		m.mu.Lock()
+		t.commitLSN = lsn
+		m.mu.Unlock()
+		if !t.prepared && !t.begun.IsZero() {
+			m.span.Observe(int64(time.Since(t.begun)))
+		}
+	}
 	return lsn
 }
 
@@ -489,6 +570,7 @@ func (m *Manager) FinishCommit(t *Tx) {
 	m.log.Append(wal.EndRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
 	m.mu.Lock()
 	delete(m.active, t.id)
+	m.endedLocked(t, true)
 	m.mu.Unlock()
 	atomic.AddInt64(&m.stats.Committed, 1)
 	if !t.begun.IsZero() {
@@ -523,6 +605,7 @@ func (m *Manager) Abort(t *Tx) {
 	t.lastLSN = m.log.Append(wal.EndRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
 	m.mu.Lock()
 	delete(m.active, t.id)
+	m.endedLocked(t, false)
 	m.mu.Unlock()
 	atomic.AddInt64(&m.stats.Aborted, 1)
 	if !t.begun.IsZero() {
@@ -715,6 +798,7 @@ func (m *Manager) Crash() {
 		t.owner = nil
 	}
 	m.active = make(map[word.TxID]*Tx)
+	m.updaters = nil
 }
 
 // mustBeActive panics unless t is live in this manager's table: an active

@@ -96,6 +96,42 @@ func TestUpdateWritesAndLogsRedoUndo(t *testing.T) {
 	}
 }
 
+// TestCommitShapeCountsOverlap: the commit shape counts the update
+// transactions a committed one was open together with. Two whose updates
+// and commits interleave were; a read-only one never counts; and one that
+// logs its first update after another's commit record is stable does not
+// overlap it, even though that other has not yet run FinishCommit — the
+// late waker of a shared force.
+func TestCommitShapeCountsOverlap(t *testing.T) {
+	shape := func(f *fixture, want int) {
+		t.Helper()
+		if got, _ := f.m.CommitShape(); got != want {
+			t.Fatalf("commit shape says %d usually open, want %d", got, want)
+		}
+	}
+	f := newFixture()
+	reader := f.m.Begin()
+	a, b := f.m.Begin(), f.m.Begin()
+	f.m.Update(a, 0x100, 0x100, w64(1), false)
+	f.m.Update(b, 0x108, 0x108, w64(2), false)
+	f.commit(a)
+	shape(f, 2)
+	f.commit(b)
+	f.commit(reader)
+	shape(f, 2)
+
+	g := newFixture()
+	c := g.m.Begin()
+	g.m.Update(c, 0x100, 0x100, w64(3), false)
+	g.log.Force(g.m.PrepareCommit(c)) // c's force has ended; c has not finished
+	d := g.m.Begin()
+	g.m.Update(d, 0x108, 0x108, w64(4), false)
+	g.m.FinishCommit(c)
+	shape(g, 1)
+	g.commit(d)
+	shape(g, 1)
+}
+
 func TestCommitForcesLog(t *testing.T) {
 	f := newFixture()
 	tr := f.m.Begin()

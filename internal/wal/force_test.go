@@ -225,3 +225,145 @@ func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
 		t.Fatalf("wal_force_batch = %+v, want three forces of one caller each", batch)
 	}
 }
+
+// awaitJoin returns once a commit leader is inside its join wait, and
+// fails the test if none is within five seconds.
+func awaitJoin(t *testing.T, m *Manager) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		m.fmu.Lock()
+		joining := m.joinWant > 0
+		m.fmu.Unlock()
+		if joining {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no commit leader entered its join wait")
+		}
+	}
+}
+
+// TestJoinTwoCommittersShareOneForce: with two update transactions usually
+// open and transactions short next to the force, the first commit to need a
+// force waits for the second instead of forcing alone, and one force covers
+// both.
+func TestJoinTwoCommittersShareOneForce(t *testing.T) {
+	dev := newGateLog()
+	m := NewManager(dev)
+	m.devForce.Observe(int64(time.Minute)) // a bound no test run reaches
+	var wg sync.WaitGroup
+	commit := func(lsn word.LSN) {
+		wg.Add(1)
+		go func() { defer wg.Done(); m.ForceCommit(lsn, 2, time.Microsecond) }()
+	}
+	a := m.Append(begin(1))
+	commit(a)
+	awaitJoin(t, m)
+	if got := dev.Stats().Forces; got != 0 {
+		t.Fatalf("the leader forced %d times before its sibling came", got)
+	}
+	b := m.Append(begin(2))
+	commit(b)
+	<-dev.entered // the second arrival wakes the leader, whose batch takes b
+	dev.release <- struct{}{}
+	wg.Wait()
+
+	if !m.IsStable(b) || dev.Stats().Forces != 1 {
+		t.Fatalf("%d device forces for two joined commits (b stable: %v), want 1", dev.Stats().Forces, m.IsStable(b))
+	}
+	if batch := m.ForceBatchHist(); batch.Count != 1 || batch.Max != 2 {
+		t.Fatalf("wal_force_batch = %+v, want one force releasing both", batch)
+	}
+	if m.JoinWaitHist().Count != 1 || m.JoinTimeouts() != 0 {
+		t.Fatalf("join waits %d, timeouts %d, want 1 and 0", m.JoinWaitHist().Count, m.JoinTimeouts())
+	}
+}
+
+// TestJoinLoneOrLongCommitterLeadsAtOnce: one update transaction usually
+// open, or transactions as long as half a force, and ForceCommit is Force:
+// the leader forces at once and waits for nobody.
+func TestJoinLoneOrLongCommitterLeadsAtOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want int
+		span time.Duration
+	}{
+		{"one open", 1, time.Microsecond},
+		{"long transactions", 2, 30 * time.Second},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev := newGateLog()
+			m := NewManager(dev)
+			m.devForce.Observe(int64(time.Minute))
+			a := m.Append(begin(1))
+			done := make(chan struct{})
+			go func() { defer close(done); m.ForceCommit(a, c.want, c.span) }()
+			<-dev.entered // no sibling: the leader reached the device alone
+			dev.release <- struct{}{}
+			<-done
+			if m.JoinWaitHist().Count != 0 || !m.IsStable(a) {
+				t.Fatalf("join waits %d (a stable: %v), want none", m.JoinWaitHist().Count, m.IsStable(a))
+			}
+		})
+	}
+}
+
+// TestJoinTimeoutClosesTheBatch: a sibling that never comes holds the
+// leader one smoothed device force and no longer; the batch then closes at
+// the end of the log, so a record spooled during the wait rides the force.
+func TestJoinTimeoutClosesTheBatch(t *testing.T) {
+	dev := newGateLog()
+	m := NewManager(dev)
+	const bound = 20 * time.Millisecond
+	m.devForce.Observe(int64(bound))
+	a := m.Append(begin(1))
+	start := time.Now()
+	done := make(chan struct{})
+	go func() { defer close(done); m.ForceCommit(a, 2, time.Microsecond) }()
+	awaitJoin(t, m)
+	b := m.Append(begin(2)) // spooled while the leader waits; nobody forces it
+	select {
+	case <-dev.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the join wait did not end at its bound")
+	}
+	if waited := time.Since(start); waited < bound {
+		t.Fatalf("the leader forced after %v, before its %v bound", waited, bound)
+	}
+	dev.release <- struct{}{}
+	<-done
+	if !m.IsStable(b) {
+		t.Fatal("the batch closed before the wait, not at the end of the log")
+	}
+	if m.JoinTimeouts() != 1 || m.JoinWaitHist().Count != 1 {
+		t.Fatalf("timeouts %d, join waits %d, want 1 and 1", m.JoinTimeouts(), m.JoinWaitHist().Count)
+	}
+}
+
+// TestJoinCoveredFollowersLeaveAtEndForce: the callers a force covers leave
+// the gate as it ends, whether or not they have woken yet, and the ones it
+// did not cover stay with the next batch closed behind them. A follower
+// counted until it woke would make the next leader find its sibling already
+// there, force alone, and then share: one force per 1.5 commits for two.
+func TestJoinCoveredFollowersLeaveAtEndForce(t *testing.T) {
+	dev := storage.NewLog(0)
+	m := NewManager(dev)
+	b := m.Append(begin(1))
+	dev.Force(b) // the leader's force, on the device and done
+	c := m.Append(begin(2))
+	m.fmu.Lock()
+	m.forcing = true
+	m.parked = append(m.parked, b, c) // two followers, neither awake yet
+	m.fmu.Unlock()
+
+	m.endForce(time.Now(), time.Now())
+	if len(m.parked) != 1 || m.parked[0] != c {
+		t.Fatalf("parked after the force = %v, want only the uncovered %d", m.parked, c)
+	}
+	if !m.forcing || m.next != m.EndLSN()-1 {
+		t.Fatalf("forcing=%v next=%d: the uncovered follower's batch is not closed behind it", m.forcing, m.next)
+	}
+	if batch := m.ForceBatchHist(); batch.Max != 2 {
+		t.Fatalf("wal_force_batch = %+v, want the leader and the covered follower", batch)
+	}
+}

@@ -46,22 +46,31 @@ type Manager struct {
 	retain map[string]word.LSN
 
 	// The one force path (Force): at most one device force is in flight;
-	// parked holds the LSNs of the callers waiting for it to end, next the
-	// LSN the following force goes through while its leader is yet to wake.
-	fmu     sync.Mutex
-	fdone   *sync.Cond
-	forcing bool
-	next    word.LSN
-	parked  []word.LSN
+	// parked holds the LSNs of the callers waiting in the gate, from their
+	// arrival until the force that covers them ends or they lead one; next
+	// is the LSN the following force goes through while its leader is yet
+	// to wake. A commit leader in its join wait (ForceCommit) sets joinWant
+	// to the callers it waits for; the arrival that brings the gate there
+	// sends on joined.
+	fmu      sync.Mutex
+	fdone    *sync.Cond
+	forcing  bool
+	next     word.LSN
+	parked   []word.LSN
+	joinWant int
+	joined   chan struct{}
+	devForce obs.Smoothed // ns one device force takes
 
-	mutexWait obs.Histogram // ns an Append that found mu taken waited for it
-	forceWait obs.Histogram // ns a follower spent parked
-	batch     obs.Histogram // callers released per device force
+	mutexWait    obs.Histogram // ns an Append that found mu taken waited for it
+	forceWait    obs.Histogram // ns a follower spent parked
+	batch        obs.Histogram // callers released per device force
+	joinWait     obs.Histogram // ns a commit leader waited for its siblings
+	joinTimeouts obs.Counter   // join waits that ended at their bound
 }
 
 // NewManager wraps a log device.
 func NewManager(dev storage.LogDevice) *Manager {
-	m := &Manager{dev: dev}
+	m := &Manager{dev: dev, joined: make(chan struct{}, 1)}
 	m.fdone = sync.NewCond(&m.fmu)
 	return m
 }
@@ -133,51 +142,132 @@ func (m *Manager) appendLocked(frame []byte, t Type) word.LSN {
 // log's end as it stands then; a force that ends with callers still
 // volatile closes the next batch there and then (next), and the first of
 // them to wake leads it. So what overlapping callers cost depends on who
-// was waiting, not on how long an fdatasync or a wake-up took. No timer
-// and no helper goroutine: a lone committer leads at once, two alternate —
-// one force per commit either way — and sharing starts at three.
-func (m *Manager) Force(lsn word.LSN) {
+// was waiting, not on how long an fdatasync or a wake-up took. No helper
+// goroutine: a lone caller leads at once. Alone, this rule makes two
+// committers alternate — one force per commit — and sharing start at
+// three; ForceCommit's join step is what lets two share.
+func (m *Manager) Force(lsn word.LSN) { m.forceJoin(lsn, 0) }
+
+// ForceCommit is Force for a commit record, with a join step: a leader
+// about to close its batch first sleeps until want callers are inside the
+// gate, itself included, or one smoothed device force has passed, and then
+// closes the batch at the end of the log, so every commit record appended
+// meanwhile rides its force. want is how many update transactions are
+// usually open, span the smoothed time from Begin to the commit record.
+// The leader joins only when want > 1 and span is under half the smoothed
+// device force: where transactions are short next to the force, a sibling
+// that is open now reaches its commit within the wait, so waiting is a
+// decision the traffic makes, not a race with the disk. Otherwise it is
+// Force. The price: a leader whose sibling does not come waits one force.
+func (m *Manager) ForceCommit(lsn word.LSN, want int, span time.Duration) {
+	if 2*int64(span) >= m.devForce.Load() {
+		want = 0
+	}
+	m.forceJoin(lsn, want)
+}
+
+// forceJoin is Force, with ForceCommit's join when want > 1.
+func (m *Manager) forceJoin(lsn word.LSN, want int) {
 	if lsn < m.dev.StableLSN() {
 		return
 	}
 	start := time.Now()
 	m.fmu.Lock()
 	through := word.NilLSN
-	for m.forcing && through == word.NilLSN {
+	if m.forcing {
 		m.parked = append(m.parked, lsn)
-		m.fdone.Wait()
-		if lsn < m.dev.StableLSN() {
-			m.fmu.Unlock()
-			m.forceWait.Since(start)
-			return
+		if m.joinWant > 0 && len(m.parked)+1 >= m.joinWant {
+			m.joinWant = 0
+			m.joined <- struct{}{}
 		}
-		through, m.next = m.next, word.NilLSN
+		for m.forcing && through == word.NilLSN {
+			m.fdone.Wait()
+			if lsn < m.dev.StableLSN() {
+				// The force that covered lsn takes it out of parked as it ends.
+				m.fmu.Unlock()
+				m.forceWait.Since(start)
+				return
+			}
+			through, m.next = m.next, word.NilLSN
+		}
+		m.unpark(lsn)
+	}
+	m.forcing = true
+	if want > 1 {
+		if want > len(m.parked)+1 {
+			m.join(want)
+		}
+		through = word.NilLSN // the join closes the batch at the end of the log
 	}
 	if through == word.NilLSN {
 		through = m.dev.EndLSN() - 1
 	}
-	m.forcing = true
 	m.fmu.Unlock()
-	defer m.endForce(start)
+	defer m.endForce(start, time.Now())
 	m.dev.Force(through)
+}
+
+// unpark takes one caller waiting for lsn out of parked: it leads now.
+func (m *Manager) unpark(lsn word.LSN) {
+	for i, p := range m.parked {
+		if p == lsn {
+			m.parked = append(m.parked[:i], m.parked[i+1:]...)
+			return
+		}
+	}
+}
+
+// join is a commit leader's wait for its siblings. The gate stays taken,
+// so each caller that arrives parks behind the leader and counts; the one
+// that brings the gate to want wakes it. The wait sleeps on a channel and a
+// timer — it never spins, so at GOMAXPROCS 1 the siblings it waits for
+// still run — and ends after one smoothed device force at the latest.
+// Called and returns with fmu held.
+func (m *Manager) join(want int) {
+	m.joinWant = want
+	bound := time.NewTimer(time.Duration(m.devForce.Load()))
+	start := time.Now()
+	m.fmu.Unlock()
+	select {
+	case <-m.joined:
+	case <-bound.C:
+	}
+	bound.Stop()
+	m.fmu.Lock()
+	if m.joinWant != 0 {
+		m.joinWant = 0
+		m.joinTimeouts.Inc()
+	} else {
+		select { // the arrival's token, if the timer won the select above
+		case <-m.joined:
+		default:
+		}
+	}
+	m.joinWait.Since(start)
 }
 
 // endForce ends the leader's turn, also when the device panicked (an I/O
 // error): the parked callers wake, still volatile, and one leads the retry.
-// The gate stays taken for it: newcomers park behind the batch closed here.
-func (m *Manager) endForce(start time.Time) {
+// The callers the force covered leave the gate here, not when they wake.
+// The gate stays taken while a parked caller is still volatile: newcomers
+// park behind the batch closed here.
+func (m *Manager) endForce(start, devStart time.Time) {
+	m.devForce.ObserveCapped(int64(time.Since(devStart)))
 	stable := m.dev.StableLSN()
 	m.fmu.Lock()
 	released := uint64(1)
+	kept := m.parked[:0]
 	for _, lsn := range m.parked {
 		if lsn < stable {
 			released++
+		} else {
+			kept = append(kept, lsn)
 		}
 	}
-	if m.forcing = int(released) <= len(m.parked); m.forcing { // a parked caller is still volatile
+	m.parked = kept
+	if m.forcing = len(kept) > 0; m.forcing {
 		m.next = m.dev.EndLSN() - 1
 	}
-	m.parked = m.parked[:0]
 	m.fdone.Broadcast()
 	m.fmu.Unlock()
 	d := time.Since(start)
@@ -202,6 +292,11 @@ func (m *Manager) ForceHist() obs.HistSnapshot { return m.force.Snapshot() }
 func (m *Manager) ForceWaitHist() obs.HistSnapshot  { return m.forceWait.Snapshot() }
 func (m *Manager) ForceBatchHist() obs.HistSnapshot { return m.batch.Snapshot() }
 func (m *Manager) MutexWaitHist() obs.HistSnapshot  { return m.mutexWait.Snapshot() }
+
+// JoinWaitHist snapshots how long commit leaders waited for their siblings
+// (ForceCommit); JoinTimeouts counts the waits that ended at their bound.
+func (m *Manager) JoinWaitHist() obs.HistSnapshot { return m.joinWait.Snapshot() }
+func (m *Manager) JoinTimeouts() uint64           { return m.joinTimeouts.Load() }
 
 // SetRecorder wires an optional flight recorder: every force lands in the
 // black-box timeline with its LSN. Nil disables.
