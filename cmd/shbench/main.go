@@ -69,7 +69,6 @@ func list() {
   e13  extension: group commit (forces per commit, throughput)
   e14  ablation: content-free vs content-carrying copy records
   e15  extension: log space bounded by truncation
-  e16  extension: log-shipping failover time vs replication lag
   e19  extension: nursery + mostly-concurrent volatile GC pauses
   e20  extension: flight recorder + watchdog overhead on the hot path
   e22  extension: mostly-concurrent stable GC stalls vs stop-the-world

@@ -18,7 +18,7 @@
 //
 //	shchaos [-from n] [-seeds n | -seed n] [-steps n] [-crashes n] [-flush f]
 //	        [-scenario default|concurrent|nursery|stable-conc|2pc]
-//	        [-midgc] [-repl] [-mutators n] [-dir d]
+//	        [-midgc] [-mutators n] [-dir d]
 //	        [-shrink] [-json] [-blackbox file]
 //
 // -from and -seeds pick the seed range; -dir runs every seed over real
@@ -44,7 +44,7 @@
 //	             every two-phase-commit protocol state
 //
 // A flag the chosen scenario would ignore is a usage error: -mutators
-// without -scenario concurrent; -midgc, -repl or -flush with -scenario 2pc.
+// without -scenario concurrent; -midgc or -flush with -scenario 2pc.
 //
 // Exit status: 0 = no violations, 1 = violations found — or a -scenario
 // concurrent sweep (not a -seed replay) that never got to audit a counter,
@@ -96,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	crashes := fs.Int("crashes", 4, "crash/recover rounds per seed")
 	flush := fs.Float64("flush", 0.5, "fraction of resident pages flushed before each crash")
 	midGC := fs.Bool("midgc", false, "leave an incremental stable collection in flight at crashes")
-	repl := fs.Bool("repl", false, "end each seed with a primary/standby failover round")
 	scenario := fs.String("scenario", "default", "workload shape: default (single-threaded driver), concurrent (adds goroutine mutator bursts), nursery (generational + mostly-concurrent volatile GC under faults), stable-conc (mostly-concurrent stable GC, crashes mid-scan) or 2pc (partitioned multi-heap, crashes at every two-phase-commit protocol state)")
 	mutators := fs.Int("mutators", 0, "goroutines per burst of -scenario concurrent (0 = 4)")
 	shrink := fs.Bool("shrink", false, "greedily minimize the fault plan of each violating seed")
@@ -119,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ignored := map[string]bool{
 		"mutators": kind != crashtest.Concurrent,
 		"midgc":    kind == crashtest.TwoPC,
-		"repl":     kind == crashtest.TwoPC,
 		"flush":    kind == crashtest.TwoPC,
 	}
 	badUsage := false
@@ -134,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sc := crashtest.Scenario{
 		Kind: kind, Steps: *steps, Crashes: *crashes, FlushFrac: *flush,
-		MidGC: *midGC, Repl: *repl, Mutators: *mutators, Dir: *dir,
+		MidGC: *midGC, Mutators: *mutators, Dir: *dir,
 	}
 
 	if *oneSeed >= 0 {

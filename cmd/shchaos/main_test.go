@@ -79,7 +79,6 @@ func TestRunBadUsage(t *testing.T) {
 		{[]string{"-scenario", "nursery", "-mutators", "4"}, "-mutators has no effect with -scenario nursery"},
 		{[]string{"-scenario", "stable-conc", "-mutators", "16"}, "-mutators has no effect with -scenario stable-conc"},
 		{[]string{"-scenario", "2pc", "-midgc"}, "-midgc has no effect with -scenario 2pc"},
-		{[]string{"-scenario", "2pc", "-repl"}, "-repl has no effect with -scenario 2pc"},
 		{[]string{"-scenario", "2pc", "-flush", "0.2"}, "-flush has no effect with -scenario 2pc"},
 	} {
 		var out, errOut bytes.Buffer
@@ -94,7 +93,7 @@ func TestRunBadUsage(t *testing.T) {
 		}
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-scenario", "2pc", "-midgc", "-repl"}, &out, &errOut); code != 2 || strings.Count(errOut.String(), "\n") != 2 {
+	if code := run([]string{"-scenario", "2pc", "-midgc", "-flush", "0.2"}, &out, &errOut); code != 2 || strings.Count(errOut.String(), "\n") != 2 {
 		t.Errorf("two ignored flags: want exit 2 and one line each, got %d and %q", code, errOut.String())
 	}
 }

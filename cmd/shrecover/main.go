@@ -4,15 +4,9 @@
 // arbitrary fraction of dirty pages flushed — recovers, verifies every
 // committed value against the model, and reports what recovery did.
 //
-// With -repl each round fails over to a warm log-shipping standby instead
-// of recovering in place: a standby is bootstrapped from a base backup,
-// streams the log while the workload runs, and is promoted after the
-// primary crashes; the report then shows the resume LSN and promotion
-// stats instead of in-place recovery phases.
-//
 // Usage:
 //
-//	shrecover [-seed n] [-steps n] [-flush f] [-midgc] [-rounds n] [-repl] [-json] [-dir path]
+//	shrecover [-seed n] [-steps n] [-flush f] [-midgc] [-rounds n] [-json] [-dir path]
 //
 // With -dir the heap runs over real files in a fresh subdirectory of
 // path (removed on exit): the same crash/recover/verify loop, but every
@@ -31,19 +25,17 @@ import (
 	"stableheap/internal/crashtest"
 )
 
-// roundResult is one crash/recover (or crash/promote) round, for -json.
+// roundResult is one crash/recover round, for -json.
 type roundResult struct {
-	Round      int    `json:"round"`
-	Replicated bool   `json:"replicated"`
-	GCActive   bool   `json:"gc_active"`
-	ElapsedNs  int64  `json:"elapsed_ns"`
-	ResumeLSN  uint64 `json:"resume_lsn"` // where repeating history began
-	Scanned    int    `json:"redo_scanned"`
-	Applied    int    `json:"redo_applied,omitempty"`
-	Losers     int    `json:"losers"`
-	InDoubt    int    `json:"in_doubt"`
-	GCResumed  bool   `json:"gc_resumed"`
-	AppliedLSN uint64 `json:"applied_lsn,omitempty"` // replicated rounds: shipped prefix at promotion
+	Round     int    `json:"round"`
+	GCActive  bool   `json:"gc_active"`
+	ElapsedNs int64  `json:"elapsed_ns"`
+	ResumeLSN uint64 `json:"resume_lsn"` // where repeating history began
+	Scanned   int    `json:"redo_scanned"`
+	Applied   int    `json:"redo_applied,omitempty"`
+	Losers    int    `json:"losers"`
+	InDoubt   int    `json:"in_doubt"`
+	GCResumed bool   `json:"gc_resumed"`
 }
 
 func main() {
@@ -60,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flush := fs.Float64("flush", 0.5, "fraction of dirty pages flushed before the crash")
 	midGC := fs.Bool("midgc", false, "crash in the middle of a stable collection")
 	rounds := fs.Int("rounds", 3, "crash/recover rounds")
-	replicate := fs.Bool("repl", false, "fail over to a warm log-shipping standby instead of recovering in place")
 	asJSON := fs.Bool("json", false, "print per-round results and totals as JSON")
 	dir := fs.String("dir", "", "back the heap with real files in a fresh subdirectory of this path")
 	if err := fs.Parse(args); err != nil {
@@ -95,29 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	results := make([]roundResult, 0, *rounds)
 	for round := 1; round <= *rounds; round++ {
-		if *replicate {
-			start := time.Now()
-			pstats, err := d.ReplicatedCrashAndPromote(*steps, *midGC)
-			if err != nil {
-				return fail("round %d: VIOLATION: %v", round, err)
-			}
-			results = append(results, roundResult{
-				Round: round, Replicated: true, GCActive: pstats.GCResumed,
-				ElapsedNs: time.Since(start).Nanoseconds(),
-				ResumeLSN: uint64(pstats.RedoStart), Scanned: pstats.Scanned,
-				Losers: pstats.Losers, InDoubt: pstats.InDoubt,
-				GCResumed: pstats.GCResumed, AppliedLSN: uint64(pstats.AppliedLSN),
-			})
-			say("round %d: replicated failover (midgc=%v) → promoted in %s",
-				round, *midGC, pstats.Duration.Round(time.Microsecond))
-			say("  standby applied LSN %d; redo from LSN %d: %d records scanned",
-				pstats.AppliedLSN, pstats.RedoStart, pstats.Scanned)
-			say("  %d losers rolled back, %d in-doubt resolved, gc-resumed=%v",
-				pstats.Losers, pstats.InDoubt, pstats.GCResumed)
-			say("  model verified against the promoted heap")
-			continue
-		}
-
 		for i := 0; i < *steps; i++ {
 			if err := d.Step(); err != nil {
 				return fail("round %d step %d: %v", round, i, err)
@@ -138,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Round: round, GCActive: gcActive,
 			ElapsedNs: time.Since(start).Nanoseconds(),
 			ResumeLSN: uint64(res.RedoStart), Scanned: res.RedoScanned,
-			Applied: res.RedoApplied, Losers: len(res.Losers),
+			Applied: res.RedoApplied, Losers: len(res.Losers), InDoubt: len(res.InDoubt),
 			GCResumed: d.Heap().StableCollector().Active(),
 		})
 		say("round %d: crash (gc-active=%v, %.0f%% flushed) → recovered in %s",

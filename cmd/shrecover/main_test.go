@@ -45,18 +45,6 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunReplicated exercises the failover path end to end.
-func TestRunReplicated(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-seed", "2", "-steps", "30", "-rounds", "1", "-repl"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "promoted") {
-		t.Fatalf("replicated round not reported:\n%s", out.String())
-	}
-}
-
 // TestRunBadFlag: unknown flags must exit 2 (usage), not 1 (violation).
 func TestRunBadFlag(t *testing.T) {
 	var out, errOut bytes.Buffer

@@ -22,7 +22,7 @@ func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, std
 	cfg := config()
 	cfg.Dir = dir
 	if !filestore.IsFormatted(dir) {
-		h, _, err := runWorkload(cfg, ops, accounts, stderr)
+		h, err := runWorkload(cfg, ops, accounts, stderr)
 		if err != nil {
 			return err
 		}

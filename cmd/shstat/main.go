@@ -1,14 +1,12 @@
 // Command shstat exercises a stable heap and reports its live metrics: it
 // runs a bank-transfer workload (with an in-flight incremental collection),
 // crashes and recovers mid-run so recovery phase times are populated, runs
-// a second burst against the recovered heap — with a warm log-shipping
-// standby attached so the replication counters, apply latencies and lag
-// gauges populate too — and then prints the unified metrics snapshot —
-// every counter plus p50/p90/p99/max for every latency histogram. The
-// volatile area runs with the nursery generation and the mostly-concurrent
-// collector enabled, and the human summary closes with the derived
-// generational/concurrent story: promotion rate, write-barrier hit counts,
-// and the pause percentiles of each collection flavor.
+// a second burst against the recovered heap, and then prints the unified
+// metrics snapshot — every counter plus p50/p90/p99/max for every latency
+// histogram. The volatile area runs with the nursery generation and the
+// mostly-concurrent collector enabled, and the human summary closes with
+// the derived generational/concurrent story: promotion rate, write-barrier
+// hit counts, and the pause percentiles of each collection flavor.
 //
 // With -decode it runs no workload: it reads a flight-recorder dump (what
 // shchaos -blackbox or Heap.FlightDump wrote) and prints its timeline.
@@ -40,14 +38,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"stableheap"
-	"stableheap/internal/repl"
 	"stableheap/internal/workload"
 )
 
@@ -123,10 +118,11 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 	}
 	// The flight recorder is the one opt-in: turn it on whenever its trace is wanted.
 	cfg.FlightRecorder = tracePath != "" || serveAddr != ""
-	h, m, err := runWorkload(cfg, ops, accounts, stderr)
+	h, err := runWorkload(cfg, ops, accounts, stderr)
 	if err != nil {
 		return err
 	}
+	m := h.Metrics()
 	switch {
 	case asJSON:
 		enc := json.NewEncoder(stdout)
@@ -160,9 +156,8 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 }
 
 // runWorkload is shstat's scenario — on files when cfg.Dir is set — and
-// returns the heap, still open, with its metrics and the replication pair's.
-func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*stableheap.Heap, stableheap.Metrics, error) {
-	var none stableheap.Metrics
+// returns the heap, still open.
+func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*stableheap.Heap, error) {
 	rng := rand.New(rand.NewSource(42))
 	h := stableheap.Open(cfg)
 	fanout := 1
@@ -171,7 +166,7 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 	}
 	bank, err := workload.NewBank(h, 0, accounts, fanout, 1000)
 	if err != nil {
-		return nil, none, err
+		return nil, err
 	}
 
 	// Burst one, with an incremental stable collection in flight so flip,
@@ -179,7 +174,7 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 	h.CollectVolatile()
 	h.StartStableCollection()
 	if _, err := bank.RunMix(rng, ops, 50); err != nil {
-		return nil, none, err
+		return nil, err
 	}
 	for h.StepStable() {
 	}
@@ -192,27 +187,9 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 		h, err = stableheap.Recover(cfg, disk, logDev)
 	}
 	if err != nil {
-		return nil, none, err
+		return nil, err
 	}
 	bank.Reattach(h)
-
-	// Attach a warm standby to the recovered heap so burst two streams
-	// over the log-shipping path and the repl_* counters, apply-latency
-	// histograms and lag gauge populate alongside the heap's own metrics.
-	prim := repl.NewPrimary(h.Internal(), repl.PrimaryConfig{})
-	sbDisk, sbLog := h.Internal().BaseBackup()
-	sb, err := repl.NewStandby(repl.StandbyConfig{Name: "shstat-standby", Heap: cfg}, sbDisk, sbLog)
-	if err != nil {
-		return nil, none, err
-	}
-	resumeLSN := sb.AppliedLSN()
-	server, client := net.Pipe()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		prim.Serve(server)
-	}()
-	go sb.RunConn(client)
 
 	// Burst two against the recovered heap, again with a collection in
 	// flight (metrics live with the heap instance, so the reported GC
@@ -220,7 +197,7 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 	h.CollectVolatile()
 	h.StartStableCollection()
 	if _, err := bank.RunMix(rng, ops, 50); err != nil {
-		return nil, none, err
+		return nil, err
 	}
 	for h.StepStable() {
 	}
@@ -230,36 +207,15 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 	// mostly-concurrent full collection with committing mutators (SATB
 	// grays, read-barrier transports).
 	if err := volatileChurn(h, 1500); err != nil {
-		return nil, none, err
+		return nil, err
 	}
 	total, err := bank.Total()
 	if err != nil {
-		return nil, none, err
+		return nil, err
 	}
 	fmt.Fprintf(stderr, "workload: %d accounts, 2×%d transfer txs, crash+recover in between; invariant total=%d\n",
 		accounts, ops, total)
-
-	// Drain the standby and take one consistent snapshot read before
-	// folding its metrics in.
-	h.Internal().Log().ForceAll()
-	if err := sb.WaitCaughtUp(h.Internal().LogStableLSN(), 10*time.Second); err != nil {
-		return nil, none, err
-	}
-	_, at, err := sb.ReadSnapshot()
-	if err != nil {
-		return nil, none, err
-	}
-	fmt.Fprintf(stderr, "replication: standby resumed from LSN %d, snapshot read at LSN %d, lag %d bytes\n",
-		resumeLSN, at, sb.LagBytes())
-	sb.Close()
-	// The shipper reads the heap's log files: it must be gone before the
-	// caller closes the heap. Closing the standby ends its session.
-	<-served
-
-	m := h.Metrics()
-	m.Merge(prim.Metrics())
-	m.Merge(sb.Metrics())
-	return h, m, nil
+	return h, nil
 }
 
 // volatileChurn runs a session-cache workload against the volatile area:

@@ -14,8 +14,8 @@ import (
 	"stableheap/internal/wal"
 )
 
-// TestRunSummary runs the full workload (two bursts, crash+recover,
-// standby attach) at a reduced size and checks the human summary.
+// TestRunSummary runs the full workload (two bursts, crash+recover in
+// between) at a reduced size and checks the human summary.
 func TestRunSummary(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-ops", "150", "-accounts", "16"}, &out, &errOut)
@@ -32,8 +32,8 @@ func TestRunSummary(t *testing.T) {
 	}
 }
 
-// TestRunJSON checks the -json snapshot parses and carries both heap and
-// replication metrics.
+// TestRunJSON checks the -json snapshot parses and carries both the
+// workload's and the mid-run recovery's metrics.
 func TestRunJSON(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-ops", "150", "-accounts", "16", "-json"}, &out, &errOut)
@@ -47,8 +47,8 @@ func TestRunJSON(t *testing.T) {
 	if m.Counters["tx_committed_total"] == 0 {
 		t.Fatalf("no commits recorded: %v", m.Counters)
 	}
-	if m.Counters["repl_shipped_bytes_total"] == 0 {
-		t.Fatalf("replication counters absent: %v", m.Counters)
+	if m.Counters["recovery_redo_scanned_total"] == 0 {
+		t.Fatalf("recovery counters absent: %v", m.Counters)
 	}
 }
 

@@ -76,7 +76,7 @@ func All() []func() Table {
 		E1MicroOps, E2GCSteps, E3Pauses, E4Recovery, E5Checkpoint,
 		E6LogVolume, E7CrashDuringGC, E8Tracking, E9Division,
 		E10Barrier, E11Throughput, E12CrashMatrix,
-		E13GroupCommit, E14CopyContents, E15Truncation, E16Failover,
+		E13GroupCommit, E14CopyContents, E15Truncation,
 		E19Nursery, E20Recorder, E22StableConc, E23Shard,
 	}
 }
@@ -89,8 +89,8 @@ func ByID(id string) (func() Table, bool) {
 		"e8": E8Tracking, "e9": E9Division, "e10": E10Barrier,
 		"e11": E11Throughput, "e12": E12CrashMatrix,
 		"e13": E13GroupCommit, "e14": E14CopyContents, "e15": E15Truncation,
-		"e16": E16Failover, "e19": E19Nursery, "e20": E20Recorder,
-		"e22": E22StableConc, "e23": E23Shard,
+		"e19": E19Nursery, "e20": E20Recorder, "e22": E22StableConc,
+		"e23": E23Shard,
 	}
 	f, ok := m[strings.ToLower(id)]
 	return f, ok

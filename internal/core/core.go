@@ -159,8 +159,8 @@ type Config struct {
 }
 
 // WithDefaults returns the configuration with zero fields replaced by the
-// sizing Open would actually use (a standby building its own page store
-// outside the core matches the primary's geometry with it).
+// sizing Open would actually use (a harness building its own devices
+// outside the core matches the heap's geometry with it).
 func (c Config) WithDefaults() Config {
 	if c.PageSize == 0 {
 		c.PageSize = 1024

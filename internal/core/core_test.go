@@ -585,7 +585,9 @@ func TestRecoverFromLogAloneMediaFailure(t *testing.T) {
 }
 
 func TestRecoverFromLogRejectsTruncated(t *testing.T) {
-	hp := Open(smallCfg())
+	cfg := smallCfg()
+	cfg.LogSegBytes = 1024 // small enough that the checkpoints below free a segment
+	hp := Open(cfg)
 	buildList(t, hp, 0, 3, 1)
 	// Aggressive truncation discards the early checkpoints.
 	hp.Checkpoint()
@@ -609,7 +611,7 @@ func TestRecoverFromLogRejectsTruncated(t *testing.T) {
 	if logDev.TruncLSN() <= 1 {
 		t.Skip("truncation did not free a segment at this workload size")
 	}
-	if _, err := RecoverFromLog(smallCfg(), logDev); err == nil {
+	if _, err := RecoverFromLog(cfg, logDev); err == nil {
 		t.Fatal("media recovery from a truncated log must refuse")
 	}
 }

@@ -133,7 +133,6 @@ type Scenario struct {
 	Crashes   int     // crash/recover rounds per seed (default 4)
 	FlushFrac float64 // fraction of resident pages flushed before a crash
 	MidGC     bool    // leave an incremental stable collection in flight at crashes
-	Repl      bool    // end the seed with a primary/standby failover round
 	// Mutators is the width of the Concurrent kind's burst (default 4, at
 	// most 16: root slots 16..31). Only that burst reads it; every other
 	// kind ignores it.
@@ -315,9 +314,6 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
 		r.round(round)
-	}
-	if sc.Repl && !r.dead {
-		r.replRound()
 	}
 	r.res.Faults = r.inj.Stats()
 	r.res.Dump = journalBytes(r.jdev)
@@ -966,28 +962,6 @@ func (r *chaosRun) mediaRepair(logDev storage.LogDevice) {
 		r.violation(fmt.Sprintf("media recovery failed with an untyped error: %v", err))
 	}
 	// (A typed error: the log itself is rotten; nothing was admitted.)
-}
-
-// replRound ends the seed with a failover: attach a warm standby (its
-// base backup is a fault-free Clone — pristine replacement hardware),
-// stream the workload, crash the primary and promote. A fault surfacing
-// on the primary during the round is an online detection followed by
-// recover-in-place; otherwise the promoted heap must pass the audit.
-func (r *chaosRun) replRound() {
-	online, err := r.try(func() error {
-		_, err := r.d.ReplicatedCrashAndPromote(r.sc.Steps, r.sc.MidGC)
-		return err
-	})
-	switch {
-	case online:
-		r.crash()
-		r.recoverAndAudit(true)
-	case err != nil:
-		r.violation(fmt.Sprintf("replicated failover: %v", err))
-	default:
-		r.res.record(Clean, "")
-		r.dead = true // the promoted heap runs on unwrapped devices
-	}
 }
 
 // Report aggregates a sweep.

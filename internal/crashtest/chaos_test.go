@@ -134,18 +134,6 @@ func TestChaosZeroPlanIsClean(t *testing.T) {
 	}
 }
 
-// TestChaosReplRound runs the failover path under chaos: the standby's
-// base backup is pristine hardware, so promotion must pass the audit (or
-// the round must have detected a primary-side fault first).
-func TestChaosReplRound(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		res := RunSeed(Scenario{Steps: 25, Crashes: 1, Repl: true}, seed)
-		if res.Failed() {
-			t.Errorf("seed %d: %s", seed, res.Failure)
-		}
-	}
-}
-
 // TestShrinkPlan exercises the greedy shrinker on a synthetic predicate:
 // only LogFlips>0 "fails", so shrinking must strip every other class and
 // keep the failure reproducible at each step.

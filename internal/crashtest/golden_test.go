@@ -24,7 +24,7 @@ var goldenLegs = []struct {
 	n    int
 }{
 	{"default+midgc", Scenario{Steps: 30, Crashes: 3, MidGC: true}, 0, 12},
-	{"default+repl", Scenario{Steps: 25, Crashes: 2, Repl: true}, 1000, 6},
+	{"default", Scenario{Steps: 25, Crashes: 2}, 1000, 6},
 	{"nursery", Scenario{Steps: 25, Crashes: 3, Kind: Nursery}, 3000, 8},
 	{"stable-conc", Scenario{Steps: 25, Crashes: 3, Kind: StableConc}, 4000, 8},
 	{"2pc", Scenario{Steps: 12, Crashes: 4, Kind: TwoPC}, 6000, 8},

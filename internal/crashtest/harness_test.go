@@ -232,6 +232,61 @@ func TestMediaRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// TestMediaRecoveryMidIncrementalGC destroys the disk with an incremental
+// stable collection in flight and rebuilds the heap from the log alone: the
+// flip record (forced first; unforced it would be lost and nothing resume)
+// must bring the collection back, the resumed collection must finish
+// without corrupting the committed graph, and the heap must survive an
+// ordinary crash after it. Active is checked before any read, because a
+// trap-driven scan can finish under Verify's reads.
+func TestMediaRecoveryMidIncrementalGC(t *testing.T) {
+	for _, mode := range []gc.Mode{gc.EllisTrapDriven, gc.Concurrent} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := cfg()
+			c.StableGC = mode
+			c.ManualScan = true // the test, not a goroutine, paces a concurrent scan
+			d := New(c, 7)
+			for i := 0; i < 60; i++ {
+				if err := d.Step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			hp := d.Heap()
+			// Evacuate into the stable area (a stable collection scans only
+			// stable objects), then leave one collection in flight.
+			if _, err := hp.CollectVolatile(); err != nil {
+				t.Fatal(err)
+			}
+			hp.StartStableCollection()
+			hp.StepStable()
+			if !hp.StableCollector().Active() {
+				t.Fatal("collection finished in one step; cannot crash mid-collection")
+			}
+			hp.Log().ForceAll()
+			_, logDev := hp.Crash()
+			rec, err := core.RecoverFromLog(c, logDev)
+			if err != nil {
+				t.Fatalf("media recover: %v", err)
+			}
+			if !rec.StableCollector().Active() {
+				t.Fatal("the interrupted collection was not resumed by media recovery")
+			}
+			if err := d.adopt(rec); err != nil {
+				t.Fatalf("post-media-recovery: %v", err)
+			}
+			for rec.StableCollector().Active() {
+				rec.StepStable()
+			}
+			if err := d.Verify(); err != nil {
+				t.Fatalf("verify after finishing the resumed collection: %v", err)
+			}
+			if err := d.CrashAndRecover(0.5, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestSoakLongRun is the endurance check: thousands of operations with
 // periodic crashes, truncation, and media recovery mixed in. Skipped in
 // -short mode.

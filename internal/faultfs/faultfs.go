@@ -290,7 +290,7 @@ func (d *Disk) SetMaster(m storage.Master)      { d.inner.SetMaster(m) }
 func (d *Disk) Stats() storage.DiskStats        { return d.inner.Stats() }
 
 // Clone returns a plain, fault-free deep copy of the durable state: twin
-// recoveries and base backups run on pristine hardware.
+// recoveries run on pristine hardware.
 func (d *Disk) Clone() storage.PageStore { return d.inner.Clone() }
 
 // applyTornWrite tears one pending write at crash time: the victim page

@@ -49,12 +49,12 @@ const (
 	EvFault      // injected fault (faultfs); detail = page or LSN
 	EvWatchdog   // watchdog rule tripped
 	EvCheckpoint
-	EvCrash       // heap crash entered; panic-flush = 1 when flushed from a panic
-	EvRecAnalysis // span: recovery analysis pass
-	EvRecRedo     // span: recovery redo pass
-	EvRecUndo     // span: recovery undo pass
-	EvRecovery    // recovery completed
-	EvStandbyApply
+	EvCrash         // heap crash entered; panic-flush = 1 when flushed from a panic
+	EvRecAnalysis   // span: recovery analysis pass
+	EvRecRedo       // span: recovery redo pass
+	EvRecUndo       // span: recovery undo pass
+	EvRecovery      // recovery completed
+	EvStandbyApply  // reserved: older dumps hold the deleted standby's applies; nothing emits it
 	EvFileBarrier   // span: filestore SetMaster barrier; a = page writes it made durable
 	EvFileWriteBack // reserved: older dumps hold the deleted filestore write-back batch; nothing emits it
 	evKindCount

@@ -387,8 +387,12 @@ func TestTraceNilSafety(t *testing.T) {
 }
 
 // Every kind has a name, a track and a description that starts with the
-// name; an out-of-range kind still renders.
+// name; an out-of-range kind still renders. Dumps persist kinds by number,
+// so a retired kind keeps its slot and the kinds after it keep theirs.
 func TestKindTableComplete(t *testing.T) {
+	if EvStandbyApply != 24 || EvFileBarrier != 25 {
+		t.Fatalf("EvStandbyApply = %d, EvFileBarrier = %d: kinds must keep slots 24 and 25", EvStandbyApply, EvFileBarrier)
+	}
 	seen := map[string]EventKind{}
 	for k := EventKind(0); k < evKindCount; k++ {
 		if kinds[k].name == "" || kinds[k].track == "" {

@@ -31,19 +31,6 @@ func (s Snapshot) SetCounter(name string, v int64) { s.Counters[name] = v }
 // SetHist records a histogram snapshot.
 func (s Snapshot) SetHist(name string, h HistSnapshot) { s.Histograms[name] = h }
 
-// Merge copies every metric of other into s, overwriting same-named
-// entries. Subsystems that live outside a heap (e.g. a replication shipper
-// or standby) expose their own snapshots; Merge folds them into one
-// namespace for exposition.
-func (s Snapshot) Merge(other Snapshot) {
-	for n, v := range other.Counters {
-		s.Counters[n] = v
-	}
-	for n, h := range other.Histograms {
-		s.Histograms[n] = h
-	}
-}
-
 // Counter returns a counter by name (0 if absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 

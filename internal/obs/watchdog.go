@@ -9,11 +9,11 @@ import (
 // The stall watchdog: a goroutine that snapshots the metrics on a ticker
 // and runs anomaly rules over consecutive snapshot windows — mutator
 // stalls far beyond the historical p99, counters growing at runaway
-// rates, commit join waits that keep timing out (a convoy), a standby
-// falling behind an absolute lag limit. A trip increments the
-// obs_watchdog_trips_total counter and records an EvWatchdog event in the
-// flight recorder, so the post-crash timeline shows not just what
-// happened but that the system had already noticed something was wrong.
+// rates, commit join waits that keep timing out (a convoy). A trip
+// increments the obs_watchdog_trips_total counter and records an
+// EvWatchdog event in the flight recorder, so the post-crash timeline
+// shows not just what happened but that the system had already noticed
+// something was wrong.
 
 // Rule is one anomaly detector. Check sees the previous and current
 // snapshots (so it can reason about the window between ticks via

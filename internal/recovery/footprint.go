@@ -68,9 +68,8 @@ func footprint(rec wal.Record) (writes [2]span) {
 
 // dirtyPages is the dirty-page table (§2.2.4): for every page whose disk
 // image may lack logged writes, the LSN of the first record that dirtied it
-// since it last reached disk. One rule maintains it wherever it lives — the
-// analysis pass and the standby's continuous apply both call note for every
-// record — a record dirties the pages of its footprint; an end-write record
+// since it last reached disk. The analysis pass calls note for every
+// record: a record dirties the pages of its footprint; an end-write record
 // certifies its page clean.
 type dirtyPages struct {
 	pageSize int

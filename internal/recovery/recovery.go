@@ -162,11 +162,11 @@ func Recover(mem *vm.Store, log *wal.Manager, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// replay is the forward half of restart, shared by crash recovery, archive
-// recovery and the standby's bootstrap: find the checkpoint the master
-// names, run analysis from it, and repeat history from the earliest recLSN
-// of a dirty page. It returns the analysis state (for undo, or to seed
-// continuous apply) and a Result filled in through the redo pass.
+// replay is the forward half of restart, shared by crash recovery and
+// archive recovery: find the checkpoint the master names, run analysis
+// from it, and repeat history from the earliest recLSN of a dirty page. It
+// returns the analysis state (for undo) and a Result filled in through the
+// redo pass.
 func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, error) {
 	master := mem.Disk().Master()
 	if !master.Formatted {

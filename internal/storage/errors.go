@@ -11,7 +11,7 @@ import (
 // around one) that discovers corruption or an unrecoverable I/O condition
 // reports it by panicking with one of the typed errors below, naming the
 // exact page or LSN. Layers with an error return (core.Recover,
-// recovery.StartApplier) convert the panic back into an error with
+// core.RecoverFromLog) convert the panic back into an error with
 // AsDeviceError, so corruption is either repaired or surfaces as a typed
 // error — never as silently wrong state.
 

@@ -11,7 +11,7 @@
 //	  master.dat   recovery anchor (atomic rename updates)
 //	  pages.dat    sparse slot file, one self-validating slot per page
 //	  log/         segmented record log + metadata
-//	  clones/      transient Clone() copies (twin recovery, base backups)
+//	  clones/      transient Clone() copies (twin recovery)
 //
 // The page store is the backing of the vm pool and caches nothing itself:
 // a page write is a pwrite of its slot, a read a pread, and the barrier an

@@ -27,7 +27,7 @@ import (
 //
 // LSNs keep the in-memory device's meaning: the 1-based byte offset of the
 // record's payload in the conceptual infinite log, so Append(data) advances
-// the end LSN by exactly len(data) and replication ships identical LSNs.
+// the end LSN by exactly len(data) and a clone keeps identical LSNs.
 // A force writes its whole batch into the active (last) segment file and
 // fdatasyncs that one file: one force, one fdatasync. The active file rolls
 // only between forces, once it has reached segSize bytes, so the files
@@ -765,7 +765,7 @@ func (l *Log) Stats() storage.LogStats { l.mu.Lock(); defer l.mu.Unlock(); retur
 // Clone copies the log — segment files, metadata and the volatile tail —
 // into a fresh directory under <dir>/clones and opens an independent
 // device there. The clone dies with the parent directory (twin recovery
-// and base backups are transient), or earlier via Close.
+// is transient), or earlier via Close.
 func (l *Log) Clone() storage.LogDevice {
 	l.forceMu.Lock()
 	defer l.forceMu.Unlock()

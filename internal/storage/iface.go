@@ -6,8 +6,8 @@ import "stableheap/internal/word"
 // against. *Disk is the plain simulated device; fault-injection wrappers
 // (internal/faultfs) implement the same contract and add torn writes, bit
 // rot and transient I/O errors underneath it, so every layer above —
-// the one-level store, recovery, replication — runs unmodified over
-// either. Implementations report unrecoverable device conditions by
+// the one-level store, recovery — runs unmodified over either.
+// Implementations report unrecoverable device conditions by
 // panicking with one of the typed errors in errors.go; the plain device
 // never does.
 //
@@ -39,7 +39,7 @@ type PageStore interface {
 	// Stats returns accumulated traffic counters.
 	Stats() DiskStats
 	// Clone returns an independent deep copy of the durable state, used to
-	// fork "what if we crashed here" worlds (twin recovery, base backups).
+	// fork "what if we crashed here" worlds (twin recovery).
 	// Fault-injecting implementations return a plain, fault-free copy.
 	Clone() PageStore
 }
@@ -92,9 +92,8 @@ type LogDevice interface {
 	// may instead persist a torn byte prefix of it).
 	Crash()
 	// SegmentBytes returns the device's segment granularity in bytes: the
-	// unit Truncate frees at. Retention math (wal.Manager.Truncate, the
-	// replication ack-driven floor) rounds to this, so it must reflect the
-	// backend's real segment map, not an assumed default.
+	// unit Truncate frees at. wal.Manager.Truncate rounds to this, so it
+	// must reflect the backend's real segment map, not an assumed default.
 	SegmentBytes() int
 	// Truncate discards log space below keep, at segment granularity.
 	Truncate(keep word.LSN)

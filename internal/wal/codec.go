@@ -26,7 +26,7 @@ const frameHeader = 8 // len + crc
 
 // FrameLen returns the total length of the frame beginning at b[0], from its
 // length prefix alone (no CRC check). It lets a stream of concatenated
-// frames — e.g. a replication batch — be split without decoding.
+// frames be split without decoding.
 func FrameLen(b []byte) (int, error) {
 	if len(b) < frameHeader+1 {
 		return 0, fmt.Errorf("wal: frame prefix too short (%d bytes)", len(b))

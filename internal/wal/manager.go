@@ -13,9 +13,8 @@ import (
 )
 
 // ErrTruncated reports a read below the log's truncation point: the record
-// existed but its segment has been reclaimed. Callers that hold an LSN from
-// an external source (a replication resume point, an archive cursor) match
-// it with errors.Is to distinguish "gone forever" from "never written".
+// existed but its segment has been reclaimed. Callers match it with
+// errors.Is to distinguish "gone forever" from "never written".
 var ErrTruncated = errors.New("wal: LSN below the truncation point")
 
 // Manager spools records to the log device and decodes them back. It is the
@@ -26,11 +25,11 @@ var ErrTruncated = errors.New("wal: LSN below the truncation point")
 // distributions.
 //
 // Two locks, neither held across device I/O: mu, the append mutex, orders
-// Append's device call with the per-type counters and guards the retention
-// floors; fmu is the force gate (see Force), held to pick a leader and to
-// release followers. ReadAt, StableLSN, EndLSN, IsStable and the scans go
-// straight to the device (storage.LogDevice's contract), so a transaction
-// appends and reads its undo chain while another's force is on the platter.
+// Append's device call with the per-type counters; fmu is the force gate
+// (see Force), held to pick a leader and to release followers. ReadAt,
+// StableLSN, EndLSN, IsStable and the scans go straight to the device
+// (storage.LogDevice's contract), so a transaction appends and reads its
+// undo chain while another's force is on the platter.
 type Manager struct {
 	mu     sync.Mutex
 	dev    storage.LogDevice
@@ -40,10 +39,6 @@ type Manager struct {
 	seq    atomic.Uint32 // appends, to pick the sampled ones
 	force  obs.Histogram
 	bb     *obs.BlackBox
-	// retain holds per-owner retention floors: Truncate never drops
-	// records at or above any floor. Replication connections register the
-	// LSN their standby still needs (see SetRetainFloor).
-	retain map[string]word.LSN
 
 	// The one force path (Force): at most one device force is in flight;
 	// parked holds the LSNs of the callers waiting in the gate, from their
@@ -383,14 +378,8 @@ func (m *Manager) ScanBatch(from word.LSN, stableOnly bool, batchSize int, fn fu
 	})
 }
 
-// Truncate releases log space below keep (segment granularity), clamped so
-// no registered retention floor is violated: a replication standby that has
-// not acknowledged past a floor keeps its resume window alive no matter how
-// far checkpoints advance.
+// Truncate releases log space below keep (segment granularity).
 func (m *Manager) Truncate(keep word.LSN) {
-	if f := m.RetainFloor(); f != word.NilLSN && f < keep {
-		keep = f
-	}
 	// Round down to the device's own segment boundary before deciding
 	// whether there is anything to free: the device only reclaims whole
 	// segments, and its segment map is backend-specific (the file-backed
@@ -401,92 +390,9 @@ func (m *Manager) Truncate(keep word.LSN) {
 	}
 	boundary := (keep-1)/seg*seg + 1
 	if boundary <= m.dev.TruncLSN() {
-		return // nothing new to free (possibly floor-clamped to zero work)
+		return // nothing new to free
 	}
 	m.dev.Truncate(keep) // not under mu: it waits for a force in flight
-}
-
-// SetRetainFloor registers (or moves) owner's retention floor: Truncate will
-// keep every record at or above lsn until the floor is raised or cleared.
-// Floors deliberately survive connection loss — a disconnected standby's
-// resume window must not be reclaimed while it is reconnecting.
-func (m *Manager) SetRetainFloor(owner string, lsn word.LSN) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.retain == nil {
-		m.retain = make(map[string]word.LSN)
-	}
-	m.retain[owner] = lsn
-}
-
-// ClearRetainFloor removes owner's retention floor.
-func (m *Manager) ClearRetainFloor(owner string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.retain, owner)
-}
-
-// RetainFloor returns the lowest registered retention floor (NilLSN if none).
-func (m *Manager) RetainFloor() word.LSN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retainFloorLocked()
-}
-
-func (m *Manager) retainFloorLocked() word.LSN {
-	min := word.NilLSN
-	for _, lsn := range m.retain {
-		if min == word.NilLSN || lsn < min {
-			min = lsn
-		}
-	}
-	return min
-}
-
-// CopyStableTail returns the raw frames of the stable log starting exactly
-// at the record boundary from, concatenated, up to roughly maxBytes (always
-// at least one whole frame when any is available). The second result is the
-// LSN of the first record NOT included — the cursor for the next call. The
-// frames keep their on-device encoding (length-prefixed, CRC-framed), so a
-// replication shipper can put them on the wire verbatim and the standby can
-// append them at identical LSNs.
-//
-// An exhausted window (from == StableLSN) returns an empty slice; a from
-// below the truncation point returns an error wrapping ErrTruncated (the
-// resume point is unserviceable — the standby needs a fresh base backup).
-func (m *Manager) CopyStableTail(from word.LSN, maxBytes int) ([]byte, word.LSN, error) {
-	if from < m.dev.TruncLSN() {
-		return nil, from, fmt.Errorf("wal: cannot ship from LSN %d (truncation point %d): %w",
-			from, m.dev.TruncLSN(), ErrTruncated)
-	}
-	if from > m.dev.StableLSN() {
-		return nil, from, fmt.Errorf("wal: ship cursor %d beyond stable LSN %d", from, m.dev.StableLSN())
-	}
-	if maxBytes <= 0 {
-		maxBytes = 64 * 1024
-	}
-	var out []byte
-	next := from
-	boundary := true
-	var scanErr error
-	m.dev.ScanBatches(from, true, 64, func(lsns []word.LSN, frames [][]byte) bool {
-		for i, frame := range frames {
-			if boundary {
-				if lsns[i] != from {
-					scanErr = fmt.Errorf("wal: ship cursor %d is not a record boundary (next record at %d)", from, lsns[i])
-					return false
-				}
-				boundary = false
-			}
-			if len(out) > 0 && len(out)+len(frame) > maxBytes {
-				return false
-			}
-			out = append(out, frame...)
-			next = lsns[i] + word.LSN(len(frame))
-		}
-		return true
-	})
-	return out, next, scanErr
 }
 
 // TypeStats reports how many records of type t were appended and their

@@ -39,108 +39,3 @@ func TestReadAtTruncatedSentinel(t *testing.T) {
 		t.Fatalf("ReadAt non-boundary: got %v, want plain not-found", err)
 	}
 }
-
-func TestRetainFloorClampsTruncate(t *testing.T) {
-	m := NewManager(storage.NewLog(64))
-	lsns := fillManager(m, 20)
-
-	m.SetRetainFloor("standby-a", lsns[2])
-	m.Truncate(lsns[15])
-	if _, err := m.ReadAt(lsns[2]); err != nil {
-		t.Fatalf("floored record reclaimed: %v", err)
-	}
-
-	// Raising the floor releases the window; truncation then proceeds.
-	m.SetRetainFloor("standby-a", lsns[15])
-	m.Truncate(lsns[15])
-	if _, err := m.ReadAt(lsns[2]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("record below raised floor should be reclaimed, got %v", err)
-	}
-	if _, err := m.ReadAt(lsns[15]); err != nil {
-		t.Fatalf("record at floor must survive: %v", err)
-	}
-}
-
-func TestRetainFloorMinimumAcrossOwners(t *testing.T) {
-	m := NewManager(storage.NewLog(64))
-	lsns := fillManager(m, 20)
-	m.SetRetainFloor("a", lsns[10])
-	m.SetRetainFloor("b", lsns[4])
-	if m.RetainFloor() != lsns[4] {
-		t.Fatalf("RetainFloor = %d, want the minimum %d", m.RetainFloor(), lsns[4])
-	}
-	m.Truncate(lsns[15])
-	if _, err := m.ReadAt(lsns[4]); err != nil {
-		t.Fatalf("slowest standby's window reclaimed: %v", err)
-	}
-	m.ClearRetainFloor("b")
-	if m.RetainFloor() != lsns[10] {
-		t.Fatalf("RetainFloor after clear = %d, want %d", m.RetainFloor(), lsns[10])
-	}
-}
-
-func TestCopyStableTailShipsVerbatimFrames(t *testing.T) {
-	m := NewManager(storage.NewLog(0))
-	lsns := fillManager(m, 6)
-	// Append one volatile record: it must NOT ship.
-	m.Append(CommitRec{TxHdr: TxHdr{TxID: 99}})
-
-	data, next, err := m.CopyStableTail(lsns[0], 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != m.StableLSN() {
-		t.Fatalf("cursor after full ship = %d, want stable LSN %d", next, m.StableLSN())
-	}
-	// Re-appending the shipped bytes to a fresh device reproduces the
-	// stable prefix record for record at identical LSNs.
-	replica := NewManager(storage.NewLog(0))
-	for off := 0; off < len(data); {
-		n, err := FrameLen(data[off:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsn := replica.Device().Append(data[off : off+n])
-		if want := lsns[0] + word.LSN(off); lsn != want {
-			t.Fatalf("replica LSN %d, want %d", lsn, want)
-		}
-		off += n
-	}
-	replica.ForceAll()
-	for _, lsn := range lsns {
-		orig, err1 := m.ReadAt(lsn)
-		got, err2 := replica.ReadAt(lsn)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("ReadAt(%d): %v / %v", lsn, err1, err2)
-		}
-		if orig.Type() != got.Type() || orig.Tx() != got.Tx() {
-			t.Fatalf("replica record at %d differs: %v vs %v", lsn, got, orig)
-		}
-	}
-}
-
-func TestCopyStableTailBounds(t *testing.T) {
-	m := NewManager(storage.NewLog(64))
-	lsns := fillManager(m, 10)
-
-	// Byte-bounded: a tiny budget still ships at least one whole frame.
-	data, next, err := m.CopyStableTail(lsns[0], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != lsns[1] || word.LSN(len(data)) != lsns[1]-lsns[0] {
-		t.Fatalf("bounded ship returned %d bytes to cursor %d, want one frame to %d", len(data), next, lsns[1])
-	}
-
-	// Caught up: empty result, cursor unchanged.
-	data, next, err = m.CopyStableTail(m.StableLSN(), 1<<20)
-	if err != nil || len(data) != 0 || next != m.StableLSN() {
-		t.Fatalf("caught-up ship = (%d bytes, %d, %v), want empty at stable LSN", len(data), next, err)
-	}
-
-	// Truncated resume point: the distinct sentinel.
-	m.Truncate(lsns[8])
-	if _, _, err := m.CopyStableTail(lsns[0], 1<<20); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ship from truncated LSN: got %v, want ErrTruncated", err)
-	}
-}

@@ -309,11 +309,6 @@ func (h *Heap) ServeMetrics(addr string) (*MetricsServer, error) {
 // inspection tools; applications should not need it.
 func (h *Heap) Internal() *core.Heap { return h.inner }
 
-// AdoptInternal wraps an already-recovered core heap in the public facade.
-// Replication promotion (repl.Standby.Promote) produces a *core.Heap; this
-// lets applications serve it through the same API as Open/Recover.
-func AdoptInternal(inner *core.Heap) *Heap { return &Heap{inner: inner} }
-
 // Tx is an open transaction.
 type Tx struct {
 	inner *core.Tx
