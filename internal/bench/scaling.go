@@ -62,7 +62,7 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration) (committe
 		panic(err)
 	}
 
-	forces0 := logDev.Stats().Forces
+	forces0 := logDev.Base().Stats().Forces
 	var stop atomic.Bool
 	var ok atomic.Int64
 	var wg sync.WaitGroup
@@ -96,5 +96,5 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration) (committe
 	stop.Store(true)
 	wg.Wait()
 
-	return ok.Load(), logDev.Stats().Forces - forces0
+	return ok.Load(), logDev.Base().Stats().Forces - forces0
 }

@@ -95,9 +95,9 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 	hp := openSlow(500 * time.Microsecond)
 	const workers = 8
 	seedSlots(t, hp, workers)
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, workers, 10)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if commits == 0 || 2*forces > commits {
 		t.Fatalf("the force was not shared: %d forces for %d commits", forces, commits)
 	}
@@ -141,9 +141,9 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 func TestGroupCommitSingleCommitter(t *testing.T) {
 	hp := openSlow(100 * time.Microsecond)
 	seedSlots(t, hp, 1)
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, 1, 20)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if commits != 20 || forces != commits {
 		t.Fatalf("%d forces for %d commits, want exactly one each", forces, commits)
 	}
@@ -308,9 +308,9 @@ func TestGroupCommitTwoCommittersShare(t *testing.T) {
 	hp := openSlow(time.Millisecond)
 	seedSlots(t, hp, 2)
 	commitStores(t, hp, 2, 20) // the commit shape settles: two open, short
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, 2, 100)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if commits != 200 || 10*forces > 6*commits {
 		t.Fatalf("%d forces for %d commits of two committers, want ≤ 0.6 per commit", forces, commits)
 	}
@@ -330,9 +330,9 @@ func TestJoinReadOnlyTransactionHoldsNoCommit(t *testing.T) {
 	if r, err := reader.Root(1); err != nil || r == nil {
 		t.Fatalf("reader: %v", err)
 	}
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, 1, 20)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if n := hp.log.JoinWaitHist().Count; n != 0 || forces != commits {
 		t.Fatalf("%d join waits, %d forces for %d commits beside a reader, want 0 and one each", n, forces, commits)
 	}

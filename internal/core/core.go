@@ -426,10 +426,12 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	}
 	log.SetRecorder(hp.bb)
 	hp.sgc.SetRecorder(hp.bb)
-	// A file-backed disk records its barriers in the same flight-recorder
-	// timeline as everything else.
-	if sr, ok := disk.(interface{ SetRecorder(*obs.BlackBox) }); ok {
-		sr.SetRecorder(hp.bb)
+	// A heap on its own directory records the disk's barriers in the same
+	// flight-recorder timeline as everything else.
+	if d, ok := disk.(*storage.Disk); ok && cfg.Dir != "" {
+		d.OnBarrier(func(elapsed time.Duration, pages int64) {
+			hp.bb.Span(obs.EvFileBarrier, elapsed, 0, uint64(pages), 0)
+		})
 	}
 
 	hp.ckpt = recovery.NewCheckpointer(log, mem, word.NilLSN)

@@ -597,7 +597,7 @@ func RecoverFromLog(cfg Config, logDev storage.LogDevice) (hpOut *Heap, errOut e
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	if logDev.TruncLSN() > 1 {
+	if logDev.Base().TruncLSN() > 1 {
 		// A truncated log cannot rebuild a lost disk: later checkpoints
 		// assume flushed pages that no longer exist. The archive
 		// discipline keeps the full log (or pairs truncation with disk
@@ -610,10 +610,10 @@ func RecoverFromLog(cfg Config, logDev storage.LogDevice) (hpOut *Heap, errOut e
 	probe := wal.NewManager(logDev)
 	// A torn final record (crash mid-force) must be rewound before the
 	// probe scan walks into it; complete-frame corruption is fatal here.
-	if _, err := probe.RepairTornTail(logDev.TruncLSN()); err != nil {
+	if _, err := probe.RepairTornTail(1); err != nil {
 		return nil, fmt.Errorf("core: media recovery failed detectably: %w", err)
 	}
-	probe.Scan(logDev.TruncLSN(), true, func(lsn word.LSN, r wal.Record) bool {
+	probe.Scan(1, true, func(lsn word.LSN, r wal.Record) bool {
 		if r.Type() == wal.TCheckpoint {
 			firstCP = lsn
 			return false

@@ -111,7 +111,7 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetCounter("gc_barrier_traps_total", ms.Traps)
 	s.SetCounter("wal_constraint_forces_total", ms.LogForces)
 
-	ls := hp.logDev.Stats()
+	ls := hp.logDev.Base().Stats()
 	s.SetCounter("wal_appends_total", ls.Appends)
 	s.SetCounter("wal_forces_total", ls.Forces)
 	s.SetCounter("wal_bytes_appended_total", ls.BytesAppended)
@@ -173,15 +173,12 @@ func (hp *Heap) Metrics() obs.Snapshot {
 		s.SetCounter("obs_watchdog_trips_total", int64(hp.wd.Trips()))
 	}
 
-	// File-backed devices surface their durable-layer counters (fsyncs,
-	// barriers) under a filestore_ prefix; the page cache's counters are
-	// the vm pool's cache_ counters above.
-	type fileMetricser interface{ FileMetrics() map[string]int64 }
-	for _, dev := range []any{hp.disk, hp.logDev} {
-		if f, ok := dev.(fileMetricser); ok {
-			for k, v := range f.FileMetrics() {
-				s.SetCounter("filestore_"+k, v)
-			}
+	// A heap on its own directory surfaces the files' durable-layer
+	// counters (fsyncs, barriers) under a filestore_ prefix; the page
+	// cache's counters are the vm pool's cache_ counters above.
+	if hp.store != nil {
+		for k, v := range hp.store.FileMetrics() {
+			s.SetCounter("filestore_"+k, v)
 		}
 	}
 	return s

@@ -227,7 +227,7 @@ type seedDevices struct {
 }
 
 // open returns the devices for one heap (files under dir/name/heap).
-func (sd *seedDevices) open(cfg core.Config, heap string) (storage.PageStore, storage.LogDevice, error) {
+func (sd *seedDevices) open(cfg core.Config, heap string) (*storage.Disk, *storage.Log, error) {
 	if sd.dir == "" {
 		return storage.NewDisk(cfg.PageSize), storage.NewLog(cfg.LogSegBytes), nil
 	}
@@ -267,7 +267,7 @@ type chaosRun struct {
 	// hardware: it is not wrapped by the injector and survives Crash).
 	// timeline is the newest boot's decoded events as of the last crash —
 	// the pre-crash flight recording, attached to violation verdicts.
-	jdev     storage.LogDevice
+	jdev     *storage.Log
 	timeline []obs.Event
 }
 
@@ -321,7 +321,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 }
 
 // journalBytes concatenates every journal frame ever flushed (all boots).
-func journalBytes(dev storage.LogDevice) []byte {
+func journalBytes(dev *storage.Log) []byte {
 	var out []byte
 	storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, data []byte) bool {
 		out = append(out, data...)
@@ -949,7 +949,7 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 // unrecoverable.
 func (r *chaosRun) mediaRepair(logDev storage.LogDevice) {
 	r.dead = true
-	if logDev.TruncLSN() != 1 {
+	if logDev.Base().TruncLSN() != 1 {
 		return
 	}
 	hp, err := recoverSafely(func() (*core.Heap, error) { return core.RecoverFromLog(r.d.cfg, logDev) })

@@ -389,7 +389,7 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 			return fmt.Errorf("twin copy: %w", err)
 		}
 	} else if checkTwin {
-		twinDisk, twinLog = disk.Clone(), logDev.Clone()
+		twinDisk, twinLog = storage.DiskOf(disk).Clone(), logDev.Base().Clone()
 	}
 
 	hp, err := core.RecoverCrashed(d.cfg, disk, logDev)

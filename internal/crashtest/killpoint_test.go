@@ -12,7 +12,6 @@ import (
 	"stableheap/internal/core"
 	"stableheap/internal/gc"
 	"stableheap/internal/shard"
-	"stableheap/internal/storage/filestore"
 )
 
 // The kill-point harness is the half of the file-backed crash model the
@@ -91,7 +90,7 @@ func TestKillPointChild(t *testing.T) {
 	truncArmed := false
 	if mode == killMidTruncate {
 		_, logDev := hp.Devices()
-		logDev.(*filestore.Log).TruncateHook = func() {
+		logDev.Base().TruncateHook = func() {
 			if truncArmed {
 				os.Exit(killExitCode) // log.meta rewritten, nothing unlinked yet
 			}

@@ -1,5 +1,6 @@
 // Package faultfs is a deterministic, seed-driven fault-injection layer
-// over the simulated storage devices. It wraps a storage.PageStore and a
+// over the storage devices. It wraps a *storage.Disk and a *storage.Log —
+// memory- or file-backed alike — behind storage.PageStore and
 // storage.LogDevice and injects, per a FaultPlan derived from a single
 // PRNG seed:
 //
@@ -134,7 +135,7 @@ func (in *Injector) SetRecorder(b *obs.BlackBox) {
 
 // New wraps the devices with fault injection per plan. The wrappers start
 // disarmed.
-func New(plan Plan, disk storage.PageStore, logDev storage.LogDevice) *Injector {
+func New(plan Plan, disk *storage.Disk, logDev *storage.Log) *Injector {
 	in := &Injector{Plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 	in.Disk = &Disk{in: in, inner: disk, sums: make(map[word.PageID]uint64), pending: make(map[word.PageID]tornCandidate)}
 	for _, id := range disk.Pages() {
@@ -239,11 +240,11 @@ type tornCandidate struct {
 	newLSN  word.LSN
 }
 
-// Disk wraps a PageStore with checksums, torn writes, bit rot and
+// Disk wraps a *storage.Disk with checksums, torn writes, bit rot and
 // transient I/O errors.
 type Disk struct {
 	in    *Injector
-	inner storage.PageStore
+	inner *storage.Disk
 	// sums holds the checksum each page's last complete write should
 	// verify against — the model of an in-page checksum word. Torn writes
 	// and bit flips corrupt contents without updating it.
@@ -254,8 +255,6 @@ type Disk struct {
 }
 
 var _ storage.PageStore = (*Disk)(nil)
-
-func (d *Disk) PageSize() int { return d.inner.PageSize() }
 
 func (d *Disk) ReadPage(id word.PageID) ([]byte, word.LSN, bool) {
 	d.in.maybeIO("read", id, word.NilLSN)
@@ -284,14 +283,13 @@ func (d *Disk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
 }
 
 func (d *Disk) PageLSN(id word.PageID) word.LSN { return d.inner.PageLSN(id) }
-func (d *Disk) Pages() []word.PageID            { return d.inner.Pages() }
 func (d *Disk) Master() storage.Master          { return d.inner.Master() }
 func (d *Disk) SetMaster(m storage.Master)      { d.inner.SetMaster(m) }
-func (d *Disk) Stats() storage.DiskStats        { return d.inner.Stats() }
 
-// Clone returns a plain, fault-free deep copy of the durable state: twin
-// recoveries run on pristine hardware.
-func (d *Disk) Clone() storage.PageStore { return d.inner.Clone() }
+// Base returns the wrapped Disk (storage.DiskOf): its Clone is a plain,
+// fault-free copy of the durable state, so twin recoveries run on pristine
+// hardware.
+func (d *Disk) Base() *storage.Disk { return d.inner }
 
 // applyTornWrite tears one pending write at crash time: the victim page
 // ends up a sector-granular mix of its old and new contents. The stored
@@ -361,12 +359,12 @@ func (d *Disk) flipOneBit() bool {
 	return true
 }
 
-// Log wraps a LogDevice with torn forces, frame bit rot and transient
+// Log wraps a *storage.Log with torn forces, frame bit rot and transient
 // I/O errors. Frame integrity is verified by the wal codec's CRC, so the
 // wrapper only injects; detection lives one layer up.
 type Log struct {
 	in    *Injector
-	inner storage.LogDevice
+	inner *storage.Log
 }
 
 var _ storage.LogDevice = (*Log)(nil)
@@ -381,10 +379,11 @@ func (l *Log) Force(lsn word.LSN) {
 	l.inner.Force(lsn)
 }
 
-func (l *Log) SegmentBytes() int   { return l.inner.SegmentBytes() }
 func (l *Log) StableLSN() word.LSN { return l.inner.StableLSN() }
 func (l *Log) EndLSN() word.LSN    { return l.inner.EndLSN() }
-func (l *Log) TruncLSN() word.LSN  { return l.inner.TruncLSN() }
+
+// Base returns the wrapped Log: a Clone of it is a plain, fault-free copy.
+func (l *Log) Base() *storage.Log { return l.inner }
 
 // Crash applies the plan's crash-time faults — a torn log tail and/or a
 // torn page write — then (or instead) performs the clean crash. This is
@@ -403,27 +402,18 @@ func (l *Log) Crash() {
 	}
 	l.in.Disk.pending = make(map[word.PageID]tornCandidate)
 	if l.in.armed && l.in.Plan.TornForce {
-		if cl, ok := l.inner.(interface{ CrashTorn(word.LSN) }); ok {
-			stable, end := l.inner.StableLSN(), l.inner.EndLSN()
-			if end > stable {
-				// The crash interrupts a hypothetical final force of the
-				// tail: a byte prefix of the volatile region lands.
-				cut := stable + word.LSN(l.in.rng.Int63n(int64(end-stable+1)))
-				cl.CrashTorn(cut)
-				l.in.stats.TornForces++
-				l.in.rec.Record(obs.EvFault, 0, obs.FaultTornForce, uint64(cut))
-				return
-			}
+		if stable, end := l.inner.StableLSN(), l.inner.EndLSN(); end > stable {
+			// The crash interrupts a hypothetical final force of the tail:
+			// a byte prefix of the volatile region lands.
+			cut := stable + word.LSN(l.in.rng.Int63n(int64(end-stable+1)))
+			l.inner.CrashTorn(cut)
+			l.in.stats.TornForces++
+			l.in.rec.Record(obs.EvFault, 0, obs.FaultTornForce, uint64(cut))
+			return
 		}
 	}
 	l.inner.Crash()
 }
-
-func (l *Log) Truncate(keep word.LSN)   { l.inner.Truncate(keep) }
-func (l *Log) RepairTail(from word.LSN) { l.inner.RepairTail(from) }
-func (l *Log) RetainedBytes() int64     { return l.inner.RetainedBytes() }
-func (l *Log) Stats() storage.LogStats  { return l.inner.Stats() }
-func (l *Log) Clone() storage.LogDevice { return l.inner.Clone() }
 
 func (l *Log) ReadAt(lsn word.LSN) ([]byte, bool) {
 	l.in.maybeIO("read", 0, lsn)
@@ -439,12 +429,6 @@ func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func
 // volatile tail, so rot is always distinguishable from a torn tail and
 // never conflated with records a crash legitimately discards).
 func (l *Log) flipOneBit() bool {
-	ce, ok := l.inner.(interface {
-		CorruptEntry(word.LSN, func([]byte)) bool
-	})
-	if !ok {
-		return false
-	}
 	var lsns []word.LSN
 	storage.Scan(l.inner, l.inner.TruncLSN(), true, func(lsn word.LSN, data []byte) bool {
 		if len(data) > 8 {
@@ -456,7 +440,7 @@ func (l *Log) flipOneBit() bool {
 		return false
 	}
 	lsn := lsns[l.in.rng.Intn(len(lsns))]
-	return ce.CorruptEntry(lsn, func(data []byte) {
+	return l.inner.CorruptEntry(lsn, func(data []byte) {
 		bit := 64 + l.in.rng.Intn((len(data)-8)*8) // skip the 8-byte len+crc header… CRC covers the rest
 		data[bit/8] ^= 1 << (bit % 8)
 	})

@@ -194,7 +194,7 @@ func ReadLatest(dev storage.LogDevice) (evs []Event, boot int64, err error) {
 		return nil, 0, nil
 	}
 	var dump []byte
-	storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
+	storage.Scan(dev, dev.Base().TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
 		dump = append(dump, frame...)
 		return true
 	})

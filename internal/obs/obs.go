@@ -36,20 +36,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge is a lock-free instantaneous value (may go up and down).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Smoothed is a lock-free exponentially weighted moving average of
 // non-negative samples: the first sample sets it and each later one moves
 // it an eighth of the way, so it follows a workload's shape over a few

@@ -15,7 +15,6 @@ func TestConcurrentHammer(t *testing.T) {
 	)
 	var (
 		c  Counter
-		g  Gauge
 		h  Histogram
 		wg sync.WaitGroup
 	)
@@ -25,7 +24,6 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				g.Add(1)
 				// Spread values across buckets deterministically.
 				h.Observe(seed + uint64(i)%1024)
 			}
@@ -50,9 +48,6 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := c.Load(); got != workers*perG {
 		t.Fatalf("counter = %d, want %d", got, workers*perG)
 	}
-	if got := g.Load(); got != workers*perG {
-		t.Fatalf("gauge = %d, want %d", got, workers*perG)
-	}
 	s := h.Snapshot()
 	if s.Count != workers*perG {
 		t.Fatalf("hist count = %d, want %d", s.Count, workers*perG)
@@ -66,15 +61,6 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if s.Max != (workers-1)*100+1023 {
 		t.Fatalf("max = %d, want %d", s.Max, (workers-1)*100+1023)
-	}
-}
-
-func TestGaugeSet(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Load())
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Coordinator owns the cluster's two-phase-commit decision log: a
-// LogDevice (in-memory, or a filestore log under <dir>/coord) holding
+// LogDevice (in memory, or on files under <dir>/coord) holding
 // wal-encoded TwoPCBegin / TwoPCDecide / TwoPCEnd records. The protocol is
 // presumed abort:
 //
@@ -52,7 +52,7 @@ func recoverCoordinator(log storage.LogDevice) *Coordinator {
 	c := newCoordinator(log)
 	var repair word.LSN
 	torn := false
-	storage.Scan(log, log.TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
+	storage.Scan(log, log.Base().TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
 		rec, err := wal.Decode(data)
 		if err != nil {
 			repair, torn = lsn, true
@@ -79,7 +79,7 @@ func recoverCoordinator(log storage.LogDevice) *Coordinator {
 		return true
 	})
 	if torn {
-		log.RepairTail(repair)
+		log.Base().RepairTail(repair)
 	}
 	return c
 }

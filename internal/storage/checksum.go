@@ -2,13 +2,12 @@ package storage
 
 import "stableheap/internal/word"
 
-// PageChecksum is the checksum a self-validating page would store in its
+// PageChecksum is the checksum a self-validating page slot stores in its
 // header: FNV-1a over the page LSN followed by the page contents. Binding
 // the LSN in means a torn write that mixes an old page body with a new
 // page LSN (or vice versa) is detected even when the bodies collide. The
-// simulated devices keep the checksum out of band (internal/faultfs holds
-// it per page) so page geometry is unchanged; a real implementation would
-// reserve a page-header word for it.
+// Disk keeps it in the slot header, outside the page, so page geometry is
+// unchanged; internal/faultfs holds its own copy per page.
 func PageChecksum(data []byte, lsn word.LSN) uint64 {
 	const (
 		offset64 = 14695981039346656037

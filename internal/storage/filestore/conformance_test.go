@@ -1,6 +1,7 @@
 package filestore_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"stableheap/internal/storage"
@@ -8,9 +9,10 @@ import (
 	"stableheap/internal/storage/storagetest"
 )
 
-// The file-backed devices must pass the identical conformance suite as
-// the in-memory reference — including the seeded random-op equivalence
-// driver, which compares every observable after every step.
+// The one Disk and Log over the file backing pass the same conformance
+// suite as over memory — including the seeded random-op equivalence
+// driver, which compares every observable after every step, and the
+// restart cases.
 
 func openStore(t *testing.T, pageSize, segBytes int) *filestore.Store {
 	t.Helper()
@@ -31,5 +33,20 @@ func TestFileDiskConformance(t *testing.T) {
 func TestFileLogConformance(t *testing.T) {
 	storagetest.RunLogDevice(t, func(t *testing.T, segBytes int) storage.LogDevice {
 		return openStore(t, 1024, segBytes).Log
+	})
+}
+
+func TestFileReopenConformance(t *testing.T) {
+	storagetest.RunReopen(t, func(t *testing.T) (disk, log storage.Backing) {
+		dir := t.TempDir()
+		db, err := filestore.NewBacking(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := filestore.NewBacking(filepath.Join(dir, "log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, lb
 	})
 }

@@ -1,8 +1,8 @@
-// Package filestore is the file-backed implementation of the storage
-// device contracts (storage.PageStore, storage.LogDevice): real files,
-// real fsync ordering, crash-consistent durability. It is the first
-// backend where process exit is not equivalent to a crash — see the
-// layout comments in disk.go and log.go for the fsync ordering rules and
+// Package filestore is the OS backing of the one storage.Disk and
+// storage.Log: a directory of real files, with fdatasync as Sync and
+// tmp + fsync + rename as the atomic master and metadata replace. It is the
+// backend where process exit is not equivalent to a crash — see the layout
+// comments on storage.Disk and storage.Log for the sync ordering rules and
 // the crash model, and DESIGN.md §14 for the full design.
 //
 // A Store owns one directory:
@@ -16,7 +16,6 @@
 // The page store is the backing of the vm pool and caches nothing itself:
 // a page write is a pwrite of its slot, a read a pread, and the barrier an
 // fdatasync plus the master write. The store starts no goroutine.
-// internal/faultfs wraps both devices unchanged.
 package filestore
 
 import (
@@ -24,6 +23,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+
+	"stableheap/internal/storage"
 )
 
 // Options configures a Store. The zero value is usable: 1 KiB pages and
@@ -43,26 +46,41 @@ type Options struct {
 	CachePages int
 }
 
+// DefaultSegmentBytes is a fresh directory's segment size when none is
+// given. The active file rolls only between forces, once it holds a segment,
+// so a segment smaller than a force costs a file creation (and later an
+// unlink) per force: a heap's set-up forces hundreds of KiB at a time. The
+// in-memory log keeps storage.DefaultSegmentSize, 64 KiB; its segments
+// cost no file.
+const DefaultSegmentBytes = 1 << 20
+
 // Store is an open file-backed device pair rooted at one directory.
 type Store struct {
 	Dir  string
-	Disk *Disk
-	Log  *Log
+	Disk *storage.Disk
+	Log  *storage.Log
 }
 
 // Open opens (or creates) a store at dir. Reopening an existing directory
 // re-parses the slot file and the log segments, delivering any torn log
 // tail as a repairable fragment.
 func Open(dir string, o Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	fm := &fileMetrics{}
-	disk, err := openDisk(dir, o.PageSize, fm)
+	db, err := NewBacking(dir)
 	if err != nil {
 		return nil, err
 	}
-	log, err := openLog(filepath.Join(dir, "log"), o.SegmentBytes, fm)
+	lb, err := NewBacking(filepath.Join(dir, "log"))
+	if err != nil {
+		return nil, err
+	}
+	disk, err := storage.OpenDisk(db, o.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	if o.SegmentBytes <= 0 {
+		o.SegmentBytes = DefaultSegmentBytes
+	}
+	log, err := storage.OpenLog(lb, o.SegmentBytes)
 	if err != nil {
 		disk.Close()
 		return nil, err
@@ -74,11 +92,7 @@ func Open(dir string, o Options) (*Store, error) {
 // master block with the Formatted bit): the "reopen, don't format" signal
 // for open/recover entry points.
 func IsFormatted(dir string) bool {
-	raw, err := os.ReadFile(filepath.Join(dir, "master.dat"))
-	if err != nil {
-		return false
-	}
-	m, err := decodeMaster(raw)
+	m, err := storage.ReadMaster(&backing{dir: dir})
 	return err == nil && m.Formatted
 }
 
@@ -98,8 +112,111 @@ func (s *Store) Close() error {
 // completed page write is already in the OS, as a kill would leave it. The
 // devices are dead afterwards; only a fresh Open of the directory goes on.
 func (s *Store) Abandon() {
-	s.Log.release()
-	s.Disk.close(false)
+	s.Log.Abandon()
+	s.Disk.Abandon()
+}
+
+// FileMetrics exposes the store's durable-layer counters (core.Metrics
+// surfaces them with a filestore_ prefix): the log's fdatasyncs, and the
+// page store's barriers, each of which fdatasyncs pages.dat.
+func (s *Store) FileMetrics() map[string]int64 {
+	barriers := s.Disk.Stats().Barriers
+	return map[string]int64{
+		"log_fsyncs_total":  s.Log.Stats().Syncs,
+		"page_fsyncs_total": barriers,
+		"barriers_total":    barriers,
+	}
+}
+
+// backing is a directory as a storage.Backing.
+type backing struct {
+	dir    string
+	mu     sync.Mutex
+	clones int
+}
+
+// NewBacking returns the directory dir, created if absent, as a
+// storage.Backing.
+func NewBacking(dir string) (storage.Backing, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return &backing{dir: dir}, nil
+}
+
+func (b *backing) path(name string) string { return filepath.Join(b.dir, name) }
+
+func (b *backing) Open(name string, truncate bool) (storage.File, error) {
+	flag := os.O_RDWR | os.O_CREATE
+	if truncate {
+		flag |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(b.path(name), flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return file{f}, nil
+}
+
+// List returns the regular files only: clones/ is a directory.
+func (b *backing) List(prefix string) ([]string, error) {
+	ents, err := os.ReadDir(b.dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range ents {
+		if e.Type().IsRegular() && strings.HasPrefix(e.Name(), prefix) {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
+
+func (b *backing) Remove(name string) error             { return os.Remove(b.path(name)) }
+func (b *backing) ReadBlob(name string) ([]byte, error) { return os.ReadFile(b.path(name)) }
+func (b *backing) Replace(name string, data []byte) error {
+	return atomicWriteFile(b.path(name), data)
+}
+
+// Clone copies every file into a fresh directory under <dir>/clones; the
+// copy dies with the parent directory (twin recovery is transient).
+func (b *backing) Clone() (storage.Backing, error) {
+	b.mu.Lock()
+	b.clones++
+	dir := filepath.Join(b.dir, "clones", fmt.Sprint(b.clones))
+	b.mu.Unlock()
+	names, err := b.List("")
+	if err != nil {
+		return nil, err
+	}
+	// A clone an earlier process left under the same number goes first.
+	if err := os.RemoveAll(dir); err != nil {
+		return nil, err
+	}
+	nb, err := NewBacking(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range names {
+		if err := copyFile(b.path(name), filepath.Join(dir, name)); err != nil {
+			return nil, err
+		}
+	}
+	return nb, nil
+}
+
+// file is an *os.File as a storage.File: Sync is fdatasync.
+type file struct{ *os.File }
+
+func (f file) Sync() error { return fdatasync(f.File) }
+
+func (f file) Size() (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
 }
 
 // atomicWriteFile replaces path with data atomically: tmp + fsync +
@@ -137,18 +254,20 @@ func atomicWriteFile(path string, data []byte) error {
 	return df.Sync()
 }
 
-// copyFileRange copies the first size bytes of src (an open file) to a
-// new file at dst.
-func copyFileRange(src *os.File, dst string, size int64) error {
+// copyFile copies the file at src to a new file at dst.
+func copyFile(src, dst string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
 	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	defer out.Close()
-	if size > 0 {
-		if _, err := io.Copy(out, io.NewSectionReader(src, 0, size)); err != nil {
-			return fmt.Errorf("copy %s: %w", dst, err)
-		}
+	if _, err := io.Copy(out, in); err != nil {
+		return fmt.Errorf("copy %s: %w", dst, err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package filestore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,10 +14,10 @@ import (
 	"stableheap/internal/word"
 )
 
-// These tests cover what the shared conformance suite cannot: behavior
-// across a real close/reopen, torn tails surviving on disk, and
-// detection of at-rest corruption in the slot file. (Conformance parity
-// with the in-memory devices lives in conformance_test.go.)
+// These tests cover what the shared conformance suite cannot: the file
+// layout itself, fdatasync counts, and at-rest corruption written into the
+// slot file behind the store's back. (The suite, restarts included, runs
+// over this backing in conformance_test.go.)
 
 func openAt(t *testing.T, dir string, o Options) *Store {
 	t.Helper()
@@ -33,145 +34,6 @@ func page(n int, fill byte) []byte {
 		p[i] = fill
 	}
 	return p
-}
-
-func TestReopenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{PageSize: 512, SegmentBytes: 128, CachePages: 4}
-
-	s := openAt(t, dir, o)
-	for i := 0; i < 20; i++ {
-		s.Disk.WritePage(word.PageID(i), page(512, byte(i+1)), word.LSN(100+i))
-	}
-	var lsns []word.LSN
-	for i := 0; i < 10; i++ {
-		lsns = append(lsns, s.Log.Append(page(30+i, byte(0xA0+i))))
-	}
-	storage.ForceAll(s.Log)
-	m := s.Disk.Master()
-	m.Formatted = true
-	m.CheckpointLSN = lsns[7]
-	s.Disk.SetMaster(m)
-	endLSN, truncLSN := s.Log.EndLSN(), s.Log.TruncLSN()
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	if !IsFormatted(dir) {
-		t.Fatal("IsFormatted false after formatted close")
-	}
-	r := openAt(t, dir, Options{CachePages: 4}) // sizes come from disk, not Options
-	defer r.Close()
-	if r.Disk.PageSize() != 512 {
-		t.Fatalf("reopened PageSize = %d", r.Disk.PageSize())
-	}
-	if r.Log.SegmentBytes() != 128 {
-		t.Fatalf("reopened SegmentBytes = %d", r.Log.SegmentBytes())
-	}
-	for i := 0; i < 20; i++ {
-		data, lsn, ok := r.Disk.ReadPage(word.PageID(i))
-		if !ok || lsn != word.LSN(100+i) || !bytes.Equal(data, page(512, byte(i+1))) {
-			t.Fatalf("page %d: ok=%v lsn=%d", i, ok, lsn)
-		}
-	}
-	if rm := r.Disk.Master(); !rm.Formatted || rm.CheckpointLSN != lsns[7] {
-		t.Fatalf("master lost: %+v", rm)
-	}
-	if r.Log.EndLSN() != endLSN || r.Log.StableLSN() != endLSN || r.Log.TruncLSN() != truncLSN {
-		t.Fatalf("log LSNs: end=%d stable=%d trunc=%d, want end=stable=%d trunc=%d",
-			r.Log.EndLSN(), r.Log.StableLSN(), r.Log.TruncLSN(), endLSN, truncLSN)
-	}
-	for i, lsn := range lsns {
-		data, ok := r.Log.ReadAt(lsn)
-		if !ok || !bytes.Equal(data, page(30+i, byte(0xA0+i))) {
-			t.Fatalf("log record %d at %d: ok=%v", i, lsn, ok)
-		}
-	}
-}
-
-func TestReopenAfterTruncate(t *testing.T) {
-	dir := t.TempDir()
-	s := openAt(t, dir, Options{PageSize: 512, SegmentBytes: 64})
-	for i := 0; i < 12; i++ {
-		s.Log.Append(page(16, byte(i)))
-		if i%4 == 3 {
-			storage.ForceAll(s.Log) // one 64-byte segment per force: the file rolls each time
-		}
-	}
-	s.Log.Truncate(129) // the files holding LSNs 1..64 and 65..128 freed
-	if got := s.Log.TruncLSN(); got != 129 {
-		t.Fatalf("TruncLSN = %d", got)
-	}
-	s.Close()
-
-	// Physical reclamation: the freed segment files are gone.
-	names, _ := filepath.Glob(filepath.Join(dir, "log", "seg-*.seg"))
-	if len(names) != 1 || filepath.Base(names[0]) != segName(129) {
-		t.Fatalf("segment files after truncate+close: %v, want only %s", names, segName(129))
-	}
-	r := openAt(t, dir, Options{})
-	defer r.Close()
-	if r.Log.TruncLSN() != 129 || r.Log.EndLSN() != 193 {
-		t.Fatalf("reopened trunc=%d end=%d", r.Log.TruncLSN(), r.Log.EndLSN())
-	}
-	if _, ok := r.Log.ReadAt(65); ok {
-		t.Fatal("truncated record resurrected by reopen")
-	}
-	if _, ok := r.Log.ReadAt(129); !ok {
-		t.Fatal("retained record lost on reopen")
-	}
-}
-
-// TestReopenTornTail is the file-backed half of the torn-tail contract:
-// a fragment persisted by an interrupted force is redelivered on reopen
-// as a payload-prefix fragment, exactly as the in-memory CrashTorn
-// presents it, and RepairTail physically rewinds it away.
-func TestReopenTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s := openAt(t, dir, Options{PageSize: 512, SegmentBytes: 256})
-	first := s.Log.Append(page(20, 0x11))
-	storage.ForceAll(s.Log)
-	frag := s.Log.Append(page(40, 0x22))
-	cut := frag + 13
-	s.Log.CrashTorn(cut) // persists header + 13 of 40 payload bytes
-	// Abandon s without Close — the torn state is already on disk.
-
-	r := openAt(t, dir, Options{})
-	if r.Log.EndLSN() != cut || r.Log.StableLSN() != cut {
-		t.Fatalf("reopened end=%d stable=%d, want %d", r.Log.EndLSN(), r.Log.StableLSN(), cut)
-	}
-	var got []byte
-	storage.Scan(r.Log, frag, false, func(lsn word.LSN, data []byte) bool {
-		if lsn == frag {
-			got = append([]byte(nil), data...)
-		}
-		return true
-	})
-	if !bytes.Equal(got, page(40, 0x22)[:13]) {
-		t.Fatalf("fragment bytes: len=%d", len(got))
-	}
-	// Recovery classifies and repairs; the rewind must survive reopen.
-	r.Log.RepairTail(frag)
-	relsn := r.Log.Append(page(8, 0x33))
-	if relsn != frag {
-		t.Fatalf("post-repair append at %d, want %d", relsn, frag)
-	}
-	storage.ForceAll(r.Log)
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r2 := openAt(t, dir, Options{})
-	defer r2.Close()
-	if r2.Log.EndLSN() != frag+8 {
-		t.Fatalf("final end=%d, want %d", r2.Log.EndLSN(), frag+8)
-	}
-	if data, ok := r2.Log.ReadAt(frag); !ok || !bytes.Equal(data, page(8, 0x33)) {
-		t.Fatal("post-repair record lost")
-	}
-	if data, ok := r2.Log.ReadAt(first); !ok || !bytes.Equal(data, page(20, 0x11)) {
-		t.Fatal("pre-torn record lost")
-	}
 }
 
 // TestCrashDropsUserSpaceTail: Crash() models process death — the
@@ -221,6 +83,7 @@ func TestCorruptSlotDetectedOnRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const slotHdrSize = 32
 	off := 2*(slotHdrSize+512) + slotHdrSize + 100
 	if _, err := f.WriteAt([]byte{0xFF}, int64(off)); err != nil {
 		t.Fatal(err)
@@ -299,7 +162,9 @@ func TestCloneIsIndependentDirectory(t *testing.T) {
 }
 
 // logFsyncs reads the log-force fdatasync counter.
-func logFsyncs(s *Store) int64 { return s.Log.FileMetrics()["log_fsyncs_total"] }
+func logFsyncs(s *Store) int64 { return s.FileMetrics()["log_fsyncs_total"] }
+
+func segName(first word.LSN) string { return fmt.Sprintf("seg-%016x.seg", uint64(first)) }
 
 func segFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -340,7 +205,12 @@ func TestForceIsOneFdatasync(t *testing.T) {
 			t.Fatalf("force left stable=%d end=%d", s.Log.StableLSN(), s.Log.EndLSN())
 		}
 		// The active file takes batches until it holds segSize bytes.
-		roll = s.Log.segs[len(s.Log.segs)-1].size >= 256
+		files := segFiles(t, dir)
+		fi, err := os.Stat(filepath.Join(dir, "log", files[len(files)-1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roll = fi.Size() >= 256
 	}
 	var want []string
 	for _, first := range firsts {
@@ -376,42 +246,49 @@ func TestForceIsOneFdatasync(t *testing.T) {
 // block behind the force's I/O — and what was appended meanwhile is still
 // volatile when the force ends.
 func TestForceHoldsNoLockAppendNeeds(t *testing.T) {
-	s := openAt(t, t.TempDir(), Options{})
-	defer s.Close()
-	old := s.Log.Append(page(30, 1))
-	s.Log.Force(old)
+	lb, err := NewBacking(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedBacking{Backing: lb}
+	l, err := storage.OpenLog(gate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	old := l.Append(page(30, 1))
+	l.Force(old)
 
 	entered, release := make(chan struct{}), make(chan struct{})
-	s.Log.sync = func(f *os.File) error {
+	gate.hold = func() {
 		close(entered)
 		<-release
-		return fdatasync(f)
 	}
-	flying := s.Log.Append(page(30, 2))
+	flying := l.Append(page(30, 2))
 	forced := make(chan struct{})
 	go func() {
 		defer close(forced)
-		s.Log.Force(flying)
+		l.Force(flying)
 	}()
 	<-entered
 
 	done := make(chan string, 1)
 	go func() {
-		fresh := s.Log.Append(page(30, 3))
+		fresh := l.Append(page(30, 3))
 		for lsn, fill := range map[word.LSN]byte{old: 1, flying: 2, fresh: 3} {
-			if data, ok := s.Log.ReadAt(lsn); !ok || !bytes.Equal(data, page(30, fill)) {
+			if data, ok := l.ReadAt(lsn); !ok || !bytes.Equal(data, page(30, fill)) {
 				done <- "record unreadable during the force"
 				return
 			}
 		}
 		n := 0
-		storage.Scan(s.Log, 1, false, func(word.LSN, []byte) bool { n++; return true })
+		storage.Scan(l, 1, false, func(word.LSN, []byte) bool { n++; return true })
 		switch {
 		case n != 3:
 			done <- "scan during the force missed records"
-		case s.Log.StableLSN() != flying:
+		case l.StableLSN() != flying:
 			done <- "stable LSN moved before the fdatasync returned"
-		case s.Log.EndLSN() != fresh+30 || s.Log.TruncLSN() != 1 || s.Log.RetainedBytes() != 90:
+		case l.EndLSN() != fresh+30 || l.TruncLSN() != 1 || l.RetainedBytes() != 90:
 			done <- "getters disagree with the appends"
 		default:
 			done <- ""
@@ -427,54 +304,9 @@ func TestForceHoldsNoLockAppendNeeds(t *testing.T) {
 	}
 	close(release)
 	<-forced
-	s.Log.sync = fdatasync
-	if got := s.Log.StableLSN(); got != flying+30 {
+	gate.hold = nil
+	if got := l.StableLSN(); got != flying+30 {
 		t.Fatalf("stable = %d after the force, want %d: it must cover its batch and nothing appended later", got, flying+30)
-	}
-}
-
-// TestTruncateKillBetweenMetaAndUnlink: Truncate persists the new
-// truncation point before it unlinks anything, so a kill between the two
-// leaves files that reopening deletes — not a truncation point to guess.
-func TestTruncateKillBetweenMetaAndUnlink(t *testing.T) {
-	dir := t.TempDir()
-	s := openAt(t, dir, Options{SegmentBytes: 64})
-	for i := 0; i < 12; i++ {
-		s.Log.Append(page(16, byte(i)))
-		if i%4 == 3 {
-			storage.ForceAll(s.Log)
-		}
-	}
-	if got := segFiles(t, dir); len(got) != 3 {
-		t.Fatalf("setup: files %v, want 3", got)
-	}
-	s.Log.TruncateHook = func() { panic("killed") }
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("hook did not fire")
-			}
-		}()
-		s.Log.Truncate(150)
-	}()
-	s.Abandon() // the process is gone: nothing more is written
-	if got := segFiles(t, dir); len(got) != 3 {
-		t.Fatalf("the kill landed after the unlink: files %v", got)
-	}
-
-	r := openAt(t, dir, Options{})
-	defer r.Close()
-	if r.Log.TruncLSN() != 129 || r.Log.EndLSN() != 193 {
-		t.Fatalf("reopened trunc=%d end=%d, want 129/193", r.Log.TruncLSN(), r.Log.EndLSN())
-	}
-	if got := segFiles(t, dir); len(got) != 1 || got[0] != segName(129) {
-		t.Fatalf("reopen left files %v, want only %s", got, segName(129))
-	}
-	if _, ok := r.Log.ReadAt(113); ok {
-		t.Fatal("record below the truncation point readable")
-	}
-	if data, ok := r.Log.ReadAt(129); !ok || !bytes.Equal(data, page(16, 8)) {
-		t.Fatal("record above the truncation point lost")
 	}
 }
 
@@ -489,7 +321,7 @@ func TestIndexNamedLayoutRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[0:], metaMagicV1)
+	binary.LittleEndian.PutUint32(raw[0:], 0x53484C4D) // "SHLM": the index-named layout
 	if err := os.WriteFile(meta, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -497,4 +329,27 @@ func TestIndexNamedLayoutRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "earlier build") {
 		t.Fatalf("Open of an index-named layout: %v, want a refusal naming the layout", err)
 	}
+}
+
+// gatedBacking runs hold, when set, inside every file Sync.
+type gatedBacking struct {
+	storage.Backing
+	hold func()
+}
+
+func (g *gatedBacking) Open(name string, truncate bool) (storage.File, error) {
+	f, err := g.Backing.Open(name, truncate)
+	return gatedFile{f, g}, err
+}
+
+type gatedFile struct {
+	storage.File
+	g *gatedBacking
+}
+
+func (f gatedFile) Sync() error {
+	if f.g.hold != nil {
+		f.g.hold()
+	}
+	return f.File.Sync()
 }

@@ -1,8 +1,14 @@
 package storage
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,291 +28,833 @@ func (a *AtomicLSN) Store(lsn word.LSN) { a.v.Store(uint64(lsn)) }
 type LogStats struct {
 	Appends       int64 // records spooled to the volatile tail
 	Forces        int64 // synchronous stable-storage writes
+	Syncs         int64 // backing syncs: one per force that wrote, one per tail repair that cut a segment
 	BytesAppended int64
 	BytesStable   int64 // bytes made stable by forces
 	Truncations   int64
 	BytesDropped  int64 // bytes reclaimed by truncation
 }
 
-// Log is the simulated stable-storage log device (§2.2.1). Records are
-// appended to a volatile buffer tail and become durable when forced. The
-// device is segmented: truncation frees whole segments from the front, as in
-// the paper's three-segment log (Fig. 4.2).
+// Log is the stable log (§2.2.1): a segmented, append-only record log over
+// a Backing, with a volatile tail that becomes durable when forced.
+// Truncation frees whole segments from the front, as in the paper's
+// three-segment log (Fig. 4.2).
 //
-// An LSN is the 1-based byte offset of the record in the conceptual infinite
-// log; LSNs keep growing across truncation, so every record ever written has
-// a unique LSN and ordering between any two records is just integer order.
+// An LSN is the 1-based byte offset of the record's payload in the
+// conceptual infinite log, so Append(data) advances the end LSN by exactly
+// len(data); LSNs keep growing across truncation, so ordering between any
+// two records is integer order.
 //
-// One mutex guards everything (LogDevice's concurrency contract); a force
-// here is a single assignment, so nothing is ever in flight.
+// Layout (DESIGN.md §14). The backing holds one file per live segment plus
+// a tiny metadata file:
+//
+//	log.meta            segment size + truncation point
+//	seg-<first>.seg     a run of whole force batches; <first> is the LSN
+//	                    of the file's first record
+//
+// A force writes its whole batch into the active (last) segment file and
+// syncs that one file: one force, one sync. The active file rolls only
+// between forces, once it has reached segSize bytes, so the files tile the
+// LSN space: each ends where the next one's name begins. Truncation is
+// logical and segSize-aligned; a file wholly below the truncation point is
+// removed, the active one never.
+//
+// Each record is framed with a recHdrSize-byte header —
+//
+//	magic u32 | payload len u32 | lsn u64 | header crc32 u32
+//
+// — followed by the raw payload verbatim. The header CRC covers only the
+// header: payload integrity belongs to the layer above (wal frames carry
+// their own CRC, the flight-recorder journal its SHBB framing). Opening a
+// backing re-parses the segment files sequentially; a final record whose
+// declared length exceeds the bytes present is delivered as a
+// payload-prefix fragment — what CrashTorn leaves — for
+// wal.RepairTornTail to classify and repair, and trailing bytes too short
+// or too mangled to be a header (a torn header write) are discarded.
+//
+// Crash semantics: Append only spools to a tail in memory; Force writes the
+// tail through its LSN to the active segment and syncs it, so a killed
+// process loses exactly the unforced tail — the volatile log. Crash and
+// CrashTorn reproduce that end state in-process.
+//
+// Locking (LogDevice's concurrency contract): forceMu admits one force at a
+// time and is held across its write and sync; the structural operations
+// (Truncate, RepairTail, Crash, CrashTorn, Clone, Close) take it too, and
+// it alone guards segs, segment sizes and wbuf. mu guards the other fields
+// and is never held across I/O on the force path: a force takes its batch
+// under mu, writes it with mu released — the batch stays readable in
+// flight — and publishes the new stable LSN under mu again. Append, ReadAt,
+// ScanBatches and the LSN getters take only mu (the getters not even
+// that). Order: forceMu, mu.
 type Log struct {
+	forceMu sync.Mutex
+	segs    []*segment // open segment files, ascending; the last is active
+	wbuf    []byte     // the force path's write buffer
 	mu      sync.Mutex
+	b       Backing
 	segSize int
-	entries []logEntry // retained records, ascending LSN
-	nextLSN AtomicLSN  // LSN the next appended record will receive
-	// stableLSN: every record with lsn < stableLSN is on stable storage.
-	// Records at or beyond it are in the volatile tail and die at Crash.
-	stableLSN AtomicLSN
-	// truncLSN: records below it have been discarded; reading them fails.
-	truncLSN word.LSN
+	idx     []recMeta // stable retained records (ascending LSN)
+	flight  []tailRec // the batch a force is writing: out of tail, not yet in idx
+	tail    []tailRec // volatile records spooled since
+	spool   []byte    // the unused end of the arena Append carves copies from
+	end     AtomicLSN
+	stable  AtomicLSN
+	trunc   word.LSN
+	// retained counts the bytes over idx + flight + tail.
+	retained int64
 	stats    LogStats
+	closed   bool
+	// TruncateHook, when set, runs inside Truncate after log.meta names the
+	// new truncation point and before the files below it are removed: the
+	// kill-point harness exits there.
+	TruncateHook func()
 }
 
-type logEntry struct {
+type recMeta struct {
+	lsn word.LSN
+	n   int32 // payload bytes physically present (a torn tail fragment: fewer than declared)
+	seg *segment
+	off int64 // header offset within the segment file
+}
+
+type tailRec struct {
 	lsn  word.LSN
 	data []byte
 }
 
-// DefaultSegmentSize is the segment granularity used when none is given.
+type segment struct {
+	first word.LSN // LSN of the file's first record: its name
+	f     File
+	size  int64 // append offset: end of the last record written (forceMu)
+}
+
+const (
+	recMagic   = 0x53484C52 // "SHLR"
+	recHdrSize = 20
+	metaMagic  = 0x53484C32 // "SHL2"
+	// metaMagicV1 marked the layout that named a segment file by its
+	// index (LSN / segSize) and split a force across files.
+	metaMagicV1 = 0x53484C4D // "SHLM"
+	metaSize    = 24
+	metaName    = "log.meta"
+)
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+func segName(first word.LSN) string { return fmt.Sprintf("seg-%016x.seg", uint64(first)) }
+
+// DefaultSegmentSize is the segment granularity NewLog uses when none is
+// given.
 const DefaultSegmentSize = 64 * 1024
 
-// NewLog creates an empty log with the given segment size in bytes.
+// NewLog creates an empty log in memory with the given segment size in
+// bytes.
 func NewLog(segSize int) *Log {
-	if segSize <= 0 {
-		segSize = DefaultSegmentSize
+	l, err := OpenLog(NewMemBacking(), segSize)
+	if err != nil {
+		panic(err) // a fresh memory backing cannot fail
 	}
-	l := &Log{segSize: segSize, truncLSN: 1}
-	l.nextLSN.Store(1)
-	l.stableLSN.Store(1)
 	return l
 }
 
-// Append spools a record to the volatile tail and returns its LSN.
-// The record is NOT durable until a Force at or beyond its end.
+// OpenLog opens the log held in b, or creates an empty one there. segSize
+// applies on creation (DefaultSegmentSize if not positive); on reopen
+// log.meta is authoritative.
+func OpenLog(b Backing, segSize int) (*Log, error) {
+	if segSize <= 0 {
+		segSize = DefaultSegmentSize
+	}
+	l := &Log{b: b, segSize: segSize, trunc: 1}
+	if raw, err := b.ReadBlob(metaName); err == nil {
+		if l.segSize, l.trunc, err = decodeLogMeta(raw); err != nil {
+			return nil, fmt.Errorf("storage: %s: %w", metaName, err)
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	} else if err := l.writeMeta(); err != nil {
+		return nil, err
+	}
+	if err := l.load(); err != nil {
+		l.Abandon()
+		return nil, err
+	}
+	return l, nil
+}
+
+func (l *Log) writeMeta() error {
+	buf := make([]byte, metaSize)
+	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(l.segSize))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(l.trunc))
+	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(buf[:16], crcTable))
+	return l.b.Replace(metaName, buf)
+}
+
+func decodeLogMeta(raw []byte) (segSize int, trunc word.LSN, err error) {
+	if len(raw) < metaSize {
+		return 0, 0, fmt.Errorf("log metadata too short (%d bytes)", len(raw))
+	}
+	switch binary.LittleEndian.Uint32(raw[0:]) {
+	case metaMagic:
+	case metaMagicV1:
+		return 0, 0, fmt.Errorf("log directory is in the index-named segment layout of an earlier build, which this one cannot read")
+	default:
+		return 0, 0, fmt.Errorf("bad log metadata magic")
+	}
+	if binary.LittleEndian.Uint32(raw[16:]) != crc32.Checksum(raw[:16], crcTable) {
+		return 0, 0, fmt.Errorf("log metadata CRC mismatch")
+	}
+	segSize = int(binary.LittleEndian.Uint32(raw[4:]))
+	trunc = word.LSN(binary.LittleEndian.Uint64(raw[8:]))
+	if segSize <= 0 || trunc < 1 {
+		return 0, 0, fmt.Errorf("log metadata out of range (segSize %d, trunc %d)", segSize, trunc)
+	}
+	return segSize, trunc, nil
+}
+
+// load re-parses every segment file, rebuilding the record index. Called
+// with the log otherwise empty and l.trunc read from log.meta, which is
+// authoritative: Truncate persists it before it removes anything, so a
+// file wholly below it is the residue of a kill between the two steps and
+// is removed here.
+func (l *Log) load() error {
+	names, err := l.b.List("seg-")
+	if err != nil {
+		return err
+	}
+	var firsts []word.LSN
+	for _, name := range names {
+		var first uint64
+		if !strings.HasSuffix(name, ".seg") {
+			continue
+		}
+		if _, err := fmt.Sscanf(name, "seg-%016x.seg", &first); err != nil || first == 0 {
+			return fmt.Errorf("storage: unrecognized segment file %s", name)
+		}
+		firsts = append(firsts, word.LSN(first))
+	}
+	for len(firsts) > 1 && firsts[1] <= l.trunc {
+		if err := l.b.Remove(segName(firsts[0])); err != nil {
+			return err
+		}
+		firsts = firsts[1:]
+	}
+	if len(firsts) > 0 && firsts[0] > l.trunc {
+		return fmt.Errorf("storage: log starts at LSN %d, above the truncation point %d: a segment file is missing", firsts[0], l.trunc)
+	}
+	prevEnd := l.trunc // end LSN of the previous parsed record
+	for i, first := range firsts {
+		last := i == len(firsts)-1
+		f, err := l.b.Open(segName(first), false)
+		if err != nil {
+			return err
+		}
+		seg := &segment{first: first, f: f}
+		l.segs = append(l.segs, seg)
+		size, err := f.Size()
+		if err != nil {
+			return err
+		}
+		var off int64
+		hdr := make([]byte, recHdrSize)
+		for off < size {
+			// Records tile the LSN space: each starts where the previous one
+			// ended, a file's first record carries the file's name, and a
+			// file starts where the one before it ended.
+			var n uint32
+			var lsn word.LSN
+			okHdr := size-off >= recHdrSize
+			if okHdr {
+				if _, err := f.ReadAt(hdr, off); err != nil {
+					return err
+				}
+				n = binary.LittleEndian.Uint32(hdr[4:])
+				lsn = word.LSN(binary.LittleEndian.Uint64(hdr[8:]))
+				want := prevEnd
+				if off == 0 {
+					want = first
+				}
+				okHdr = binary.LittleEndian.Uint32(hdr[0:]) == recMagic &&
+					binary.LittleEndian.Uint32(hdr[16:]) == crc32.Checksum(hdr[:16], crcTable) &&
+					n > 0 && lsn == want && (i == 0 || off > 0 || first == prevEnd)
+			}
+			avail := size - off - recHdrSize
+			if !okHdr || int64(n) > avail {
+				// A torn tail — the kill caught the last force mid-write — is
+				// legal only at the very end of the log; anywhere else the
+				// log is damaged beyond self-repair.
+				if !last {
+					return fmt.Errorf("storage: segment %d: torn or corrupt record at offset %d mid-log", first, off)
+				}
+				if okHdr && avail > 0 {
+					// The header landed and a prefix of the payload: deliver
+					// it as a fragment (exactly what CrashTorn leaves) for
+					// the layer above to classify and repair.
+					l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(avail), seg: seg, off: off})
+					l.retained += avail
+					prevEnd = lsn + word.LSN(avail)
+					off = size
+				} else if err := f.Truncate(off); err != nil { // not even a whole header, or a bare one: rewind
+					return err
+				}
+				break
+			}
+			l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(n), seg: seg, off: off})
+			l.retained += int64(n)
+			prevEnd = lsn + word.LSN(n)
+			off += recHdrSize + int64(n)
+		}
+		seg.size = off
+	}
+	// A file with no record in it (a kill between its creation and its
+	// first write, or a torn first header) is not a segment yet.
+	if n := len(l.segs); n > 0 && l.segs[n-1].size == 0 {
+		l.dropSegments(n - 1)
+	}
+	l.end.Store(prevEnd)
+	l.stable.Store(prevEnd)
+	// Re-apply logical truncation: records entirely below the truncation
+	// point were only physically retained because their file holds later
+	// ones.
+	drop := 0
+	for drop < len(l.idx) && l.idx[drop].lsn+word.LSN(l.idx[drop].n) <= l.trunc {
+		l.retained -= int64(l.idx[drop].n)
+		drop++
+	}
+	l.idx = l.idx[drop:]
+	return nil
+}
+
+// dropSegments closes and removes l.segs[from:].
+func (l *Log) dropSegments(from int) {
+	for _, seg := range l.segs[from:] {
+		seg.f.Close()
+		l.b.Remove(segName(seg.first))
+	}
+	l.segs = l.segs[:from]
+}
+
+func (l *Log) ioPanic(op string, lsn word.LSN, err error) {
+	panic(&DeviceIOError{Op: op + ": " + err.Error(), LSN: lsn})
+}
+
+// Base returns the log itself: the end of every wrapper's Base chain.
+func (l *Log) Base() *Log { return l }
+
+// SegmentBytes returns the segment granularity in bytes: the unit Truncate
+// frees at.
+func (l *Log) SegmentBytes() int { return l.segSize }
+
+// spoolChunk is the size of the arenas Append carves spooled copies from.
+const spoolChunk = 64 << 10
+
+// Append spools a copy of the record to the volatile tail and returns its
+// LSN; the caller keeps data. Nothing reaches the backing until a Force.
 func (l *Log) Append(data []byte) word.LSN {
 	if len(data) == 0 {
 		panic("storage: empty log record")
 	}
-	stored := make([]byte, len(data))
-	copy(stored, data)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn := l.nextLSN.Load()
-	l.entries = append(l.entries, logEntry{lsn: lsn, data: stored})
-	l.nextLSN.Store(lsn + word.LSN(len(data)))
+	stored := l.carve(len(data))
+	copy(stored, data)
+	lsn := l.end.Load()
+	l.tail = append(l.tail, tailRec{lsn: lsn, data: stored})
+	l.end.Store(lsn + word.LSN(len(data)))
+	l.retained += int64(len(data))
 	l.stats.Appends++
 	l.stats.BytesAppended += int64(len(data))
 	return lsn
 }
 
-// Force synchronously writes the records that start at or below lsn to
-// stable storage; Force(EndLSN()-1) forces everything. Forcing an already-
-// stable LSN is a no-op and does not count as a synchronous write.
+// carve returns n bytes for one spooled copy: the front of the current
+// arena, or of a fresh spoolChunk-byte one when the rest is too short — one
+// allocation per many records instead of one each. A record longer than a
+// chunk gets a buffer of its own. Carved slices are capped at their length
+// and never carved again, so a delivered frame stays what it was (the
+// LogDevice ownership rule); an arena is garbage once its last record has
+// been forced and dropped by every reader. mu is held.
+func (l *Log) carve(n int) []byte {
+	if n > spoolChunk {
+		return make([]byte, n)
+	}
+	if len(l.spool) < n {
+		l.spool = make([]byte, spoolChunk)
+	}
+	b := l.spool[:n:n]
+	l.spool = l.spool[n:]
+	return b
+}
+
+// Force writes the spooled records that start at or below lsn into the
+// active segment file and syncs it; Force(EndLSN()-1) forces everything.
+// Forcing an already-stable LSN is a no-op and not counted. Records above
+// lsn, or appended during the force, stay volatile.
 func (l *Log) Force(lsn word.LSN) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	before := l.stableLSN.Load()
-	if lsn < before {
+	if lsn < l.stable.Load() {
 		return
 	}
-	through := l.nextLSN.Load()
-	if i := l.search(lsn + 1); i < len(l.entries) {
-		through = l.entries[i].lsn
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
+	before := l.stable.Load()
+	if lsn < before {
+		return // the force this one waited for covered it
 	}
-	l.stableLSN.Store(through)
+	l.mu.Lock()
+	through := l.takeTailLocked(lsn)
+	l.mu.Unlock()
+	l.persist(through)
+	l.mu.Lock()
 	l.stats.Forces++
 	l.stats.BytesStable += int64(through - before)
+	l.mu.Unlock()
+}
+
+// takeTailLocked moves the spooled records that start at or below lsn into
+// flight and returns the LSN the batch ends at. A batch still there was
+// left by a force that failed mid-write; it is written again, first.
+func (l *Log) takeTailLocked(lsn word.LSN) word.LSN {
+	n := sort.Search(len(l.tail), func(i int) bool { return l.tail[i].lsn > lsn })
+	l.flight = append(l.flight, l.tail[:n]...)
+	if l.tail = l.tail[n:]; len(l.tail) == 0 {
+		l.tail = nil
+		return l.end.Load()
+	}
+	return l.tail[0].lsn
+}
+
+// persist writes the in-flight batch up to through — whole records, and a
+// full-header + payload-prefix fragment for one a torn force cuts mid-way —
+// into the active segment with one write and one sync, then indexes it and
+// publishes through as the stable LSN. forceMu is held, mu is not.
+func (l *Log) persist(through word.LSN) {
+	batch := l.flight
+	// Sized once per batch: a bulk load's first force is megabytes.
+	need := len(batch) * recHdrSize
+	for _, t := range batch {
+		need += len(t.data)
+	}
+	metas := make([]recMeta, 0, len(batch))
+	var seg *segment
+	buf := slices.Grow(l.wbuf[:0], need)
+	var lost int64 // payload bytes a torn cut discards
+	for _, t := range batch {
+		data := t.data
+		if t.lsn >= through {
+			data = nil
+		} else if end := t.lsn + word.LSN(len(data)); end > through {
+			data = data[:through-t.lsn]
+		}
+		lost += int64(len(t.data) - len(data))
+		if data == nil {
+			continue
+		}
+		if seg == nil {
+			seg = l.activeSegment(t.lsn)
+		}
+		metas = append(metas, recMeta{lsn: t.lsn, n: int32(len(data)), seg: seg, off: seg.size + int64(len(buf))})
+		hdr := buf[len(buf) : len(buf)+recHdrSize] // encoded in place: need covers it
+		binary.LittleEndian.PutUint32(hdr[0:], recMagic)
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(t.data)))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(t.lsn))
+		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], crcTable))
+		buf = append(buf[:len(buf)+recHdrSize], data...)
+	}
+	if len(buf) > 0 {
+		if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
+			l.ioPanic("force", l.stable.Load(), err)
+		}
+		if err := seg.f.Sync(); err != nil {
+			l.ioPanic("force", l.stable.Load(), err)
+		}
+		seg.size += int64(len(buf))
+	}
+	l.wbuf = buf[:0]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(buf) > 0 {
+		l.stats.Syncs++
+	}
+	l.idx = append(l.idx, metas...)
+	l.flight = nil
+	l.retained -= lost
+	l.stable.Store(through)
+}
+
+// activeSegment returns the file the batch starting at first goes into:
+// the last one, or — when there is none, or it has reached segSize — a new
+// one named first. Rolling here, between forces, is what keeps a batch in
+// one file.
+func (l *Log) activeSegment(first word.LSN) *segment {
+	if n := len(l.segs); n > 0 && l.segs[n-1].size < int64(l.segSize) {
+		return l.segs[n-1]
+	}
+	f, err := l.b.Open(segName(first), true)
+	if err != nil {
+		l.ioPanic("force", first, err)
+	}
+	l.segs = append(l.segs, &segment{first: first, f: f})
+	return l.segs[len(l.segs)-1]
 }
 
 // StableLSN returns the first LSN NOT guaranteed durable: every record whose
 // lsn is below it survives a crash.
-func (l *Log) StableLSN() word.LSN { return l.stableLSN.Load() }
+func (l *Log) StableLSN() word.LSN { return l.stable.Load() }
 
 // EndLSN returns the LSN the next record will receive.
-func (l *Log) EndLSN() word.LSN { return l.nextLSN.Load() }
+func (l *Log) EndLSN() word.LSN { return l.end.Load() }
 
 // TruncLSN returns the lowest LSN still readable.
-func (l *Log) TruncLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.truncLSN }
+func (l *Log) TruncLSN() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.trunc }
 
-// SegmentBytes returns the segment granularity in bytes.
-func (l *Log) SegmentBytes() int { return l.segSize }
+// Crash discards the volatile tail, as a process kill does: it was never
+// written. Written pages are already in the backing, so a crash of the
+// page store needs no hook.
+func (l *Log) Crash() { l.CrashTorn(word.NilLSN) }
 
-// search returns the index of the first retained record with LSN >= lsn.
-func (l *Log) search(lsn word.LSN) int {
-	return sort.Search(len(l.entries), func(i int) bool { return l.entries[i].lsn >= lsn })
-}
-
-// Crash discards the volatile tail: every record at or beyond StableLSN.
-func (l *Log) Crash() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = l.entries[:l.search(l.stableLSN.Load())]
-	l.nextLSN.Store(l.stableLSN.Load())
-}
-
-// CrashTorn models a crash that arrives while a final force of the tail is
-// in flight: the stable prefix grows to cut — which may fall in the middle
-// of a record, leaving a torn fragment — and everything beyond cut is
-// lost. cut must lie in [StableLSN, EndLSN]; records below the old stable
-// LSN were already durable (and possibly acknowledged), so a tear can
-// never reach them. Recovery discards the fragment with RepairTail.
+// CrashTorn models a crash arriving while a final force of the tail is in
+// flight: the stable prefix grows to cut — possibly mid-record, leaving a
+// record physically short in its segment — and everything beyond is lost.
+// cut must lie in [StableLSN, EndLSN]; records below the old stable LSN
+// were already durable (and possibly acknowledged), so a tear can never
+// reach them. Recovery discards the fragment with RepairTail. NilLSN cuts
+// at the stable LSN: Crash.
 func (l *Log) CrashTorn(cut word.LSN) {
+	l.forceMu.Lock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cut < l.stableLSN.Load() || cut > l.nextLSN.Load() {
-		panic(fmt.Sprintf("storage: torn crash at %d outside volatile region [%d, %d]", cut, l.stableLSN.Load(), l.nextLSN.Load()))
+	if cut == word.NilLSN {
+		cut = l.stable.Load()
 	}
-	i := 0
-	for i < len(l.entries) && l.entries[i].lsn+word.LSN(len(l.entries[i].data)) <= cut {
-		i++
+	if cut < l.stable.Load() || cut > l.end.Load() {
+		l.mu.Unlock()
+		l.forceMu.Unlock()
+		panic(fmt.Sprintf("storage: torn crash at %d outside volatile region [%d, %d]", cut, l.stable.Load(), l.end.Load()))
 	}
-	if i < len(l.entries) && l.entries[i].lsn < cut {
-		// The record straddling cut survives as a truncated fragment: its
-		// first cut-lsn bytes reached the platter.
-		e := &l.entries[i]
-		e.data = append([]byte(nil), e.data[:cut-e.lsn]...)
-		i++
-	}
-	l.entries = l.entries[:i]
-	l.nextLSN.Store(cut)
-	l.stableLSN.Store(cut)
+	l.takeTailLocked(l.end.Load())
+	l.end.Store(cut)
+	l.mu.Unlock()
+	l.persist(cut)
+	l.forceMu.Unlock()
 }
 
 // RepairTail rewinds the log to from: every record (or fragment) at or
 // beyond it is dropped, and the next append receives LSN from. Recovery
 // calls it after classifying an undecodable final record as a torn tail —
 // the interrupted force was never acknowledged, so the bytes never
-// logically existed.
+// logically existed. The rewind is physical: the segment holding the first
+// dropped record is cut at its header (removed, if that is its first
+// record) and every later segment file is removed, so a reopen parses a
+// clean tail.
 func (l *Log) RepairTail(from word.LSN) {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < l.truncLSN {
-		panic(fmt.Sprintf("storage: repair tail at %d below truncation point %d", from, l.truncLSN))
+	if from < l.trunc {
+		panic(fmt.Sprintf("storage: repair tail at %d below truncation point %d", from, l.trunc))
 	}
-	if from > l.nextLSN.Load() {
-		panic(fmt.Sprintf("storage: repair tail at %d beyond end LSN %d", from, l.nextLSN.Load()))
+	if from > l.end.Load() {
+		panic(fmt.Sprintf("storage: repair tail at %d beyond end LSN %d", from, l.end.Load()))
 	}
-	l.entries = l.entries[:l.search(from)]
-	l.nextLSN.Store(from)
-	if l.stableLSN.Load() > from {
-		l.stableLSN.Store(from)
+	for len(l.tail) > 0 && l.tail[len(l.tail)-1].lsn >= from {
+		l.retained -= int64(len(l.tail[len(l.tail)-1].data))
+		l.tail = l.tail[:len(l.tail)-1]
+	}
+	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= from })
+	if i < len(l.idx) {
+		first := l.idx[i]
+		for _, m := range l.idx[i:] {
+			l.retained -= int64(m.n)
+		}
+		l.idx = l.idx[:i]
+		k := sort.Search(len(l.segs), func(k int) bool { return l.segs[k].first >= first.seg.first })
+		if first.off > 0 {
+			if err := first.seg.f.Truncate(first.off); err != nil {
+				l.ioPanic("repair", from, err)
+			}
+			first.seg.size = first.off
+			if err := first.seg.f.Sync(); err != nil {
+				l.ioPanic("repair", from, err)
+			}
+			l.stats.Syncs++
+			k++
+		}
+		l.dropSegments(k)
+	}
+	l.end.Store(from)
+	if l.stable.Load() > from {
+		l.stable.Store(from)
 	}
 }
 
-// CorruptEntry applies fn to the retained record beginning at lsn, in
-// place, returning false if no record starts there. It is the
-// fault-injection hook for at-rest bit rot (internal/faultfs); nothing in
-// the production paths calls it.
+// CorruptEntry applies fn to the record beginning at lsn in place —
+// rewriting the payload bytes in the backing for a stable record —
+// returning false if no record starts there. It is the fault-injection
+// hook for at-rest bit rot (internal/faultfs); nothing in the production
+// paths calls it.
 func (l *Log) CorruptEntry(lsn word.LSN, fn func(data []byte)) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := l.search(lsn)
-	if i >= len(l.entries) || l.entries[i].lsn != lsn {
-		return false
+	if m, ok := l.findStable(lsn); ok {
+		buf := l.readRecord(m)
+		fn(buf)
+		if _, err := m.seg.f.WriteAt(buf, m.off+recHdrSize); err != nil {
+			l.ioPanic("corrupt", lsn, err)
+		}
+		return true
 	}
-	fn(l.entries[i].data)
-	return true
+	if t, ok := findTail(l.tail, lsn); ok {
+		fn(t.data)
+		return true
+	}
+	return false
 }
 
-// Truncate discards log space below keep, at segment granularity: only whole
-// segments entirely below keep are freed, so the readable prefix may retain
-// a little more than asked. Truncating beyond the stable LSN is an error.
+// Truncate discards log space below keep at segment granularity: the
+// truncation point moves to the largest segment boundary at or below keep,
+// so the readable prefix may retain a little more than asked, and keep ≤ 1
+// frees nothing. Truncating beyond the stable LSN is an error. log.meta is
+// rewritten first; only then are the files wholly below the new point
+// removed (never the active one), so a kill in between leaves files a
+// reopen removes, not a truncation point it has to guess.
 func (l *Log) Truncate(keep word.LSN) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if keep > l.stableLSN.Load() {
-		panic(fmt.Sprintf("storage: truncate(%d) beyond stable LSN %d", keep, l.stableLSN.Load()))
+	moves := l.truncatesLocked(keep)
+	l.mu.Unlock()
+	if !moves {
+		return // decided without waiting for a force in flight
 	}
-	// Largest segment boundary at or below keep.
-	boundary := word.LSN((uint64(keep-1) / uint64(l.segSize)) * uint64(l.segSize))
-	boundary++ // LSNs are 1-based
-	if boundary <= l.truncLSN {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
+	l.mu.Lock()
+	if keep > l.stable.Load() {
+		l.mu.Unlock()
+		panic(fmt.Sprintf("storage: truncate(%d) beyond stable LSN %d", keep, l.stable.Load()))
+	}
+	if !l.truncatesLocked(keep) {
+		l.mu.Unlock()
 		return
 	}
+	boundary := l.boundary(keep)
 	var dropped int64
 	i := 0
-	for i < len(l.entries) && l.entries[i].lsn+word.LSN(len(l.entries[i].data)) <= boundary {
-		dropped += int64(len(l.entries[i].data))
+	for i < len(l.idx) && l.idx[i].lsn+word.LSN(l.idx[i].n) <= boundary {
+		dropped += int64(l.idx[i].n)
 		i++
 	}
-	l.entries = l.entries[i:]
-	l.truncLSN = boundary
+	l.idx = l.idx[i:]
+	l.retained -= dropped
+	l.trunc = boundary
 	l.stats.Truncations++
 	l.stats.BytesDropped += dropped
+	l.mu.Unlock()
+	if err := l.writeMeta(); err != nil {
+		l.ioPanic("truncate", keep, err)
+	}
+	if l.TruncateHook != nil {
+		l.TruncateHook()
+	}
+	for len(l.segs) > 1 && l.segs[1].first <= boundary {
+		l.segs[0].f.Close()
+		l.b.Remove(segName(l.segs[0].first))
+		l.segs = l.segs[1:]
+	}
 }
 
-// ReadAt returns the record beginning exactly at lsn. ok is false if no
-// record starts there or it has been truncated away.
+// truncatesLocked reports whether Truncate(keep) has work to do: the
+// truncation point moves, or keep is beyond the stable LSN, which Truncate
+// rejects. mu is held.
+func (l *Log) truncatesLocked(keep word.LSN) bool {
+	return keep > l.stable.Load() || keep > 1 && l.boundary(keep) > l.trunc
+}
+
+// boundary is the largest segment boundary at or below keep (> 1).
+func (l *Log) boundary(keep word.LSN) word.LSN {
+	return word.LSN((uint64(keep-1)/uint64(l.segSize))*uint64(l.segSize)) + 1
+}
+
+// findStable returns the index entry of the record beginning at lsn.
+func (l *Log) findStable(lsn word.LSN) (recMeta, bool) {
+	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= lsn })
+	if i < len(l.idx) && l.idx[i].lsn == lsn {
+		return l.idx[i], true
+	}
+	return recMeta{}, false
+}
+
+// findTail returns the record beginning at lsn in a spooled run.
+func findTail(recs []tailRec, lsn word.LSN) (tailRec, bool) {
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].lsn >= lsn })
+	if i < len(recs) && recs[i].lsn == lsn {
+		return recs[i], true
+	}
+	return tailRec{}, false
+}
+
+// readRecord returns the payload bytes of an indexed record in a fresh
+// buffer the caller owns.
+func (l *Log) readRecord(m recMeta) []byte {
+	buf := make([]byte, m.n)
+	if _, err := m.seg.f.ReadAt(buf, m.off+recHdrSize); err != nil {
+		l.ioPanic("read", m.lsn, err)
+	}
+	return buf
+}
+
+// ReadAt returns a copy of the record beginning exactly at lsn: a stable
+// one read from its segment with the device unlocked, one in flight or in
+// the tail from memory. ok is false if no record starts there or it has
+// been truncated away.
 func (l *Log) ReadAt(lsn word.LSN) (data []byte, ok bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := l.search(lsn)
-	if i >= len(l.entries) || l.entries[i].lsn != lsn {
+	m, stable := l.findStable(lsn)
+	var t tailRec
+	if !stable {
+		if t, ok = findTail(l.flight, lsn); !ok {
+			t, ok = findTail(l.tail, lsn)
+		}
+	}
+	l.mu.Unlock()
+	if stable {
+		return l.readRecord(m), true
+	}
+	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), l.entries[i].data...), true
+	return append([]byte(nil), t.data...), true
 }
 
-// ScanBatches calls fn for the retained records with lsn >= from, in LSN
-// order, visiting only durable records if stableOnly is set: fn receives up
-// to batchSize records at a time, as parallel lsns/frames slices. Both slice headers are
-// reused across calls — fn must not retain them past its return; the frame
-// bytes are the retained log entries themselves, so they satisfy
-// LogDevice's ownership rule (immutable until the scan returns) for free.
-// fn returning false stops the scan. The scan works on the records retained
-// when it starts and calls fn with the device unlocked: fn may re-enter the
-// device, and records appended meanwhile are not visited.
+// scanSnapshot copies the scan state out so record delivery can run
+// without the device lock (fn may re-enter the device, e.g. a recovery
+// redo callback forcing the log while evicting a page). Spooled records
+// are immutable once appended, so the volatile ones are shared, not copied.
+func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= from })
+	idx := append([]recMeta(nil), l.idx[i:]...)
+	var tail []tailRec
+	if !stableOnly {
+		for _, recs := range [][]tailRec{l.flight, l.tail} {
+			j := sort.Search(len(recs), func(j int) bool { return recs[j].lsn >= from })
+			tail = append(tail, recs[j:]...)
+		}
+	}
+	return idx, tail
+}
+
+// ScanBatches calls fn for the retained records with lsn >= from in LSN
+// order (only the durable ones if stableOnly is set), a batch at a time:
+// each batch of records that lie end to end in one segment is read with a
+// single ReadAt and sliced apart, so a full recovery scan costs one read
+// per batch, not per record. The two slice headers are reused across
+// calls; the bytes are not — every batch is read into its own chunk,
+// because zero-copy wal.Decode payloads alias it and may be kept after fn
+// has returned (LogDevice's ownership rule). fn returning false stops the
+// scan. The scan works on the records retained when it starts and calls fn
+// with the device unlocked: fn may re-enter the device, and records
+// appended meanwhile are not visited.
 func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
-	l.mu.Lock()
-	entries := l.entries[l.search(from):]
-	stable := l.stableLSN.Load()
-	l.mu.Unlock()
+	idx, tail := l.scanSnapshot(from, stableOnly)
 	lsns := make([]word.LSN, 0, batchSize)
 	frames := make([][]byte, 0, batchSize)
-	for _, e := range entries {
-		if stableOnly && e.lsn >= stable {
-			break
+	for start := 0; start < len(idx); {
+		end := start + 1
+		for end < len(idx) && end-start < batchSize &&
+			idx[end].seg == idx[end-1].seg &&
+			idx[end].off == idx[end-1].off+recHdrSize+int64(idx[end-1].n) {
+			end++
 		}
-		lsns = append(lsns, e.lsn)
-		frames = append(frames, e.data)
-		if len(lsns) == batchSize {
-			if !fn(lsns, frames) {
-				return
-			}
-			lsns = lsns[:0]
-			frames = frames[:0]
+		first, lastRec := idx[start], idx[end-1]
+		span := lastRec.off + recHdrSize + int64(lastRec.n) - first.off
+		chunk := make([]byte, span)
+		if _, err := first.seg.f.ReadAt(chunk, first.off); err != nil {
+			l.ioPanic("scan", first.lsn, err)
 		}
+		lsns = lsns[:0]
+		frames = frames[:0]
+		for _, m := range idx[start:end] {
+			rel := m.off - first.off + recHdrSize
+			lsns = append(lsns, m.lsn)
+			frames = append(frames, chunk[rel:rel+int64(m.n)])
+		}
+		if !fn(lsns, frames) {
+			return
+		}
+		start = end
 	}
-	if len(lsns) > 0 {
-		fn(lsns, frames)
+	for start := 0; start < len(tail); start += batchSize {
+		end := min(start+batchSize, len(tail))
+		lsns = lsns[:0]
+		frames = frames[:0]
+		for _, t := range tail[start:end] {
+			lsns = append(lsns, t.lsn)
+			frames = append(frames, t.data)
+		}
+		if !fn(lsns, frames) {
+			return
+		}
 	}
 }
 
-// RetainedBytes returns the byte count of records still held by the device
-// (stable and volatile): the quantity truncation exists to bound.
-func (l *Log) RetainedBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var n int64
-	for _, e := range l.entries {
-		n += int64(len(e.data))
-	}
-	return n
-}
+// RetainedBytes returns the byte count of records still held (stable and
+// volatile): the quantity truncation exists to bound.
+func (l *Log) RetainedBytes() int64 { l.mu.Lock(); defer l.mu.Unlock(); return l.retained }
 
 // Stats returns accumulated traffic counters.
 func (l *Log) Stats() LogStats { l.mu.Lock(); defer l.mu.Unlock(); return l.stats }
 
-// Snapshot deep-copies the log device (both stable and volatile parts).
-func (l *Log) Snapshot() *Log {
+// Clone returns an independent copy of the log — its backing's files and
+// the volatile tail — used to fork "what if we crashed here" worlds (twin
+// recovery).
+func (l *Log) Clone() *Log {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	nl := &Log{
-		segSize:  l.segSize,
-		entries:  make([]logEntry, len(l.entries)),
-		truncLSN: l.truncLSN,
-		stats:    l.stats,
+	nb, err := l.b.Clone()
+	if err != nil {
+		l.ioPanic("clone", 0, err)
 	}
-	nl.nextLSN.Store(l.nextLSN.Load())
-	nl.stableLSN.Store(l.stableLSN.Load())
-	for i, e := range l.entries {
-		nl.entries[i] = logEntry{lsn: e.lsn, data: append([]byte(nil), e.data...)}
+	nl, err := OpenLog(nb, l.segSize)
+	if err != nil {
+		panic(&DeviceIOError{Op: "clone: " + err.Error()})
 	}
+	for _, t := range l.tail {
+		nl.tail = append(nl.tail, tailRec{lsn: t.lsn, data: append([]byte(nil), t.data...)})
+		nl.retained += int64(len(t.data))
+	}
+	nl.end.Store(l.end.Load())
+	nl.stable.Store(l.stable.Load())
+	nl.stats = l.stats
 	return nl
 }
 
-// Clone returns the Snapshot copy through the LogDevice interface.
-func (l *Log) Clone() LogDevice { return l.Snapshot() }
+// Close forces the remaining tail durable and closes the segment files.
+func (l *Log) Close() error {
+	ForceAll(l)
+	return l.Abandon()
+}
+
+// Abandon closes the segment files without forcing anything, as a process
+// kill leaves them; the log is dead afterwards.
+func (l *Log) Abandon() error {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	var first error
+	for _, s := range l.segs {
+		if err := s.f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}

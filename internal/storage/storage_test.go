@@ -108,43 +108,6 @@ func TestDiskMaster(t *testing.T) {
 	}
 }
 
-func TestDiskSnapshotIsIndependent(t *testing.T) {
-	d := NewDisk(testPageSize)
-	d.WritePage(1, page(1), 5)
-	s := d.Snapshot()
-	if !d.Equal(s) {
-		t.Fatal("snapshot must equal original")
-	}
-	d.WritePage(1, page(2), 6)
-	if d.Equal(s) {
-		t.Fatal("snapshot must not track later writes")
-	}
-	got, lsn, _ := s.ReadPage(1)
-	if got[0] != 1 || lsn != 5 {
-		t.Fatal("snapshot corrupted by write to original")
-	}
-}
-
-func TestDiskEqualDetectsDifferences(t *testing.T) {
-	a := NewDisk(testPageSize)
-	b := NewDisk(testPageSize)
-	if !a.Equal(b) {
-		t.Fatal("two empty disks must be equal")
-	}
-	a.WritePage(1, page(1), 1)
-	if a.Equal(b) {
-		t.Fatal("page count difference must be detected")
-	}
-	b.WritePage(1, page(1), 2)
-	if a.Equal(b) {
-		t.Fatal("page LSN difference must be detected")
-	}
-	b.WritePage(1, page(1), 1)
-	if !a.Equal(b) {
-		t.Fatal("identical disks must be equal")
-	}
-}
-
 func TestDiskStats(t *testing.T) {
 	d := NewDisk(testPageSize)
 	d.WritePage(1, page(0), 1)
@@ -302,20 +265,6 @@ func TestLogLSNsMonotoneAcrossTruncation(t *testing.T) {
 	b := l.Append([]byte("b"))
 	if b <= a {
 		t.Fatal("LSNs must keep growing across truncation")
-	}
-}
-
-func TestLogSnapshotIndependent(t *testing.T) {
-	l := NewLog(1024)
-	a := l.Append([]byte("one"))
-	l.Force(a)
-	s := l.Snapshot()
-	l.Append([]byte("two"))
-	if s.EndLSN() != a+3 {
-		t.Fatal("snapshot must not see later appends")
-	}
-	if got, ok := s.ReadAt(a); !ok || string(got) != "one" {
-		t.Fatal("snapshot lost data")
 	}
 }
 

@@ -1,17 +1,15 @@
 // Package storagetest is the shared conformance suite for the storage
-// device contracts (storage.PageStore, storage.LogDevice). Until ISSUE 8
-// those contracts were only tested implicitly against the in-memory
-// devices; this suite makes them explicit and table-driven so every
-// backend — the in-memory *Disk/*Log, the faultfs wrappers, the
-// file-backed filestore — proves the same observable behavior: Pages()
-// ordering, Master round-trips, ReadAt/Scan/ScanBatches equivalence,
-// Truncate/RepairTail boundary math, Crash/CrashTorn end states.
+// device contracts (storage.PageStore, storage.LogDevice) and the one Disk
+// and Log behind them. It is table-driven so that every backing — memory
+// and files — and the faultfs wrappers prove the same observable behavior:
+// Pages() ordering, Master round-trips, ReadAt/Scan/ScanBatches
+// equivalence, Truncate/RepairTail boundary math, Crash/CrashTorn end
+// states, and (RunReopen) what a reopen of the same backing parses back.
 //
 // The log suite is anchored by a seeded random-op equivalence driver that
 // applies the identical operation sequence to the device under test and
-// to a fresh in-memory storage.Log, comparing the full observable state
-// after every step — so "passes identically for in-memory and
-// file-backed devices" is checked literally, not case by case.
+// to refLog, a minimal entry-slice model of the log's semantics kept here,
+// comparing the full observable state after every step.
 package storagetest
 
 import (
@@ -33,10 +31,6 @@ type PageStoreMaker func(t *testing.T, pageSize int) storage.PageStore
 // size in bytes.
 type LogDeviceMaker func(t *testing.T, segBytes int) storage.LogDevice
 
-// crashTorner is the optional torn-force hook (in-memory Log and
-// filestore Log both have it; faultfs exposes it only through Crash).
-type crashTorner interface{ CrashTorn(word.LSN) }
-
 // RunPageStore runs the PageStore conformance suite.
 func RunPageStore(t *testing.T, mk PageStoreMaker) {
 	const pageSize = 256
@@ -51,8 +45,8 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 
 	t.Run("ReadWriteRoundTrip", func(t *testing.T) {
 		d := mk(t, pageSize)
-		if d.PageSize() != pageSize {
-			t.Fatalf("PageSize = %d, want %d", d.PageSize(), pageSize)
+		if ps := storage.DiskOf(d).PageSize(); ps != pageSize {
+			t.Fatalf("PageSize = %d, want %d", ps, pageSize)
 		}
 		if _, _, ok := d.ReadPage(3); ok {
 			t.Fatal("ReadPage of never-written page reported ok")
@@ -124,7 +118,7 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 		for _, id := range []word.PageID{9, 2, 31, 4, 17, 0} {
 			d.WritePage(id, page(byte(id)), word.LSN(id+1))
 		}
-		ids := d.Pages()
+		ids := storage.DiskOf(d).Pages()
 		want := []word.PageID{0, 2, 4, 9, 17, 31}
 		if len(ids) != len(want) {
 			t.Fatalf("Pages() = %v, want %v", ids, want)
@@ -166,12 +160,12 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 
 	t.Run("StatsCount", func(t *testing.T) {
 		d := mk(t, pageSize)
-		s0 := d.Stats()
+		s0 := storage.DiskOf(d).Stats()
 		d.WritePage(0, page(1), 1)
 		d.WritePage(1, page(2), 2)
 		d.ReadPage(0)
 		d.ReadPage(9) // miss still counts a read op
-		s := d.Stats()
+		s := storage.DiskOf(d).Stats()
 		if s.PageWrites-s0.PageWrites != 2 || s.BytesWritten-s0.BytesWritten != 2*pageSize {
 			t.Fatalf("write stats %+v after %+v", s, s0)
 		}
@@ -187,7 +181,7 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 		m.Formatted = true
 		m.CheckpointLSN = 7
 		d.SetMaster(m)
-		c := d.Clone()
+		c := storage.DiskOf(d).Clone()
 		// The clone sees the state at the fork...
 		data, lsn, ok := c.ReadPage(2)
 		if !ok || lsn != 10 || data[0] != 0x22 {
@@ -220,8 +214,8 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 
 	t.Run("AppendAdvancesByLen", func(t *testing.T) {
 		l := mk(t, 64)
-		if l.EndLSN() != 1 || l.StableLSN() != 1 || l.TruncLSN() != 1 {
-			t.Fatalf("fresh log LSNs: end=%d stable=%d trunc=%d", l.EndLSN(), l.StableLSN(), l.TruncLSN())
+		if l.EndLSN() != 1 || l.StableLSN() != 1 || l.Base().TruncLSN() != 1 {
+			t.Fatalf("fresh log LSNs: end=%d stable=%d trunc=%d", l.EndLSN(), l.StableLSN(), l.Base().TruncLSN())
 		}
 		if got := l.Append(rec(10, 1)); got != 1 {
 			t.Fatalf("first LSN = %d, want 1", got)
@@ -236,8 +230,8 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 
 	t.Run("SegmentBytes", func(t *testing.T) {
 		l := mk(t, 128)
-		if l.SegmentBytes() != 128 {
-			t.Fatalf("SegmentBytes = %d, want 128", l.SegmentBytes())
+		if l.Base().SegmentBytes() != 128 {
+			t.Fatalf("SegmentBytes = %d, want 128", l.Base().SegmentBytes())
 		}
 	})
 
@@ -265,9 +259,9 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		if l.Force(l.EndLSN() - 1); l.StableLSN() != l.EndLSN() {
 			t.Fatalf("stable=%d end=%d after full force", l.StableLSN(), l.EndLSN())
 		}
-		forces := l.Stats().Forces
+		forces := l.Base().Stats().Forces
 		l.Force(a) // already stable: no-op
-		if l.Stats().Forces != forces {
+		if l.Base().Stats().Forces != forces {
 			t.Fatal("forcing an already-stable LSN counted as a force")
 		}
 	})
@@ -415,9 +409,9 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		storage.ForceAll(l)
 		// keep mid-segment-1: only segment 0 (LSNs 1..64) can go.
-		l.Truncate(word.LSN(seg) + 17)
-		if l.TruncLSN() != word.LSN(seg)+1 {
-			t.Fatalf("TruncLSN = %d, want %d", l.TruncLSN(), seg+1)
+		l.Base().Truncate(word.LSN(seg) + 17)
+		if l.Base().TruncLSN() != word.LSN(seg)+1 {
+			t.Fatalf("TruncLSN = %d, want %d", l.Base().TruncLSN(), seg+1)
 		}
 		if _, ok := l.ReadAt(1); ok {
 			t.Fatal("truncated record readable")
@@ -426,9 +420,9 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 			t.Fatal("record above the boundary lost")
 		}
 		// No-op truncate below the current point.
-		truncs := l.Stats().Truncations
-		l.Truncate(word.LSN(seg) + 1)
-		if l.Stats().Truncations != truncs {
+		truncs := l.Base().Stats().Truncations
+		l.Base().Truncate(word.LSN(seg) + 1)
+		if l.Base().Stats().Truncations != truncs {
 			t.Fatal("no-op truncate counted")
 		}
 		// Truncating beyond the stable LSN must panic.
@@ -438,7 +432,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 					t.Fatal("truncate beyond stable did not panic")
 				}
 			}()
-			l.Truncate(l.EndLSN() + 100)
+			l.Base().Truncate(l.EndLSN() + 100)
 		}()
 	})
 
@@ -449,10 +443,10 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		straddler := l.Append(rec(20, 2)) // LSN 61, ends at 81: straddles seg 1 boundary (65)
 		after := l.Append(rec(10, 3))     // LSN 81
 		storage.ForceAll(l)
-		l.Truncate(after)
+		l.Base().Truncate(after)
 		// Boundary rounds down to 65; the straddler (61..80) is retained.
-		if l.TruncLSN() != seg+1 {
-			t.Fatalf("TruncLSN = %d, want %d", l.TruncLSN(), seg+1)
+		if l.Base().TruncLSN() != seg+1 {
+			t.Fatalf("TruncLSN = %d, want %d", l.Base().TruncLSN(), seg+1)
 		}
 		if _, ok := l.ReadAt(straddler); !ok {
 			t.Fatal("straddler dropped")
@@ -467,7 +461,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l.Append(rec(8, 1))
 		second := l.Append(rec(8, 2))
 		storage.ForceAll(l)
-		l.RepairTail(second)
+		l.Base().RepairTail(second)
 		if l.EndLSN() != second || l.StableLSN() != second {
 			t.Fatalf("after repair: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), second)
 		}
@@ -489,22 +483,18 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 					t.Fatal("repair beyond end did not panic")
 				}
 			}()
-			l.RepairTail(l.EndLSN() + 5)
+			l.Base().RepairTail(l.EndLSN() + 5)
 		}()
 	})
 
 	t.Run("CrashTornFragment", func(t *testing.T) {
 		l := mk(t, 64)
-		ct, ok := l.(crashTorner)
-		if !ok {
-			t.Skip("device does not expose CrashTorn")
-		}
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		frag := l.Append(rec(16, 2))
 		l.Append(rec(8, 3))
 		cut := frag + 10 // mid-record: 10 of 16 bytes land
-		ct.CrashTorn(cut)
+		l.Base().CrashTorn(cut)
 		if l.EndLSN() != cut || l.StableLSN() != cut {
 			t.Fatalf("after torn crash: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), cut)
 		}
@@ -519,7 +509,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 			t.Fatalf("fragment: lsn=%d len=%d, want lsn=%d len=10", gotLSN, len(got), frag)
 		}
 		// Recovery's contract: RepairTail discards the fragment.
-		l.RepairTail(frag)
+		l.Base().RepairTail(frag)
 		if l.EndLSN() != frag {
 			t.Fatalf("EndLSN = %d after fragment repair, want %d", l.EndLSN(), frag)
 		}
@@ -530,7 +520,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		vol := l.Append(rec(8, 2)) // clone carries the volatile tail too
-		c := l.Clone()
+		c := l.Base().Clone()
 		if c.EndLSN() != l.EndLSN() || c.StableLSN() != l.StableLSN() {
 			t.Fatalf("clone LSNs differ: end %d/%d stable %d/%d",
 				c.EndLSN(), l.EndLSN(), c.StableLSN(), l.StableLSN())
@@ -552,8 +542,8 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 	// at once (under -race in CI). Every force covers what was appended
 	// before it; a record appended meanwhile is covered or still volatile,
 	// never lost; every record stays readable throughout, the batch in
-	// flight included; LSNs tile; and a backend that counts them pays one
-	// segment fdatasync per force whatever the batch size.
+	// flight included; LSNs tile; and every force pays one segment sync
+	// whatever the batch size.
 	t.Run("AppendsDuringForce", func(t *testing.T) {
 		l := mk(t, 256)
 		type entry struct {
@@ -562,13 +552,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		var mu sync.Mutex
 		var all []entry
-		syncs := func() int64 {
-			if fm, ok := l.(interface{ FileMetrics() map[string]int64 }); ok {
-				return fm.FileMetrics()["log_fsyncs_total"]
-			}
-			return -1
-		}
-		syncs0 := syncs()
+		syncs0 := l.Base().Stats().Syncs
 		stop := make(chan struct{})
 		var bg, appenders sync.WaitGroup
 		background := func(step func(i int) bool) {
@@ -621,8 +605,8 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		appenders.Wait()
 		close(stop)
 		bg.Wait()
-		if got, forces := syncs()-syncs0, l.Stats().Forces; syncs0 >= 0 && got != forces {
-			t.Fatalf("%d forces cost %d segment fdatasyncs, want one each", forces, got)
+		if st := l.Base().Stats(); st.Syncs-syncs0 != st.Forces {
+			t.Fatalf("%d forces cost %d segment syncs, want one each", st.Forces, st.Syncs-syncs0)
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
 		next := word.LSN(1)
@@ -647,63 +631,81 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 	})
 
+	// Truncate(NilLSN) — or any keep ≤ 1 — frees nothing: the boundary
+	// arithmetic must not wrap below LSN 1.
+	t.Run("TruncateNilIsNoOp", func(t *testing.T) {
+		l := mk(t, 64)
+		for i := 0; i < 10; i++ {
+			l.Append(rec(40, byte(i)))
+		}
+		storage.ForceAll(l)
+		for _, keep := range []word.LSN{word.NilLSN, 1} {
+			l.Base().Truncate(keep)
+			if got := l.Base().RetainedBytes(); got != 400 {
+				t.Fatalf("Truncate(%d): RetainedBytes = %d, want 400", keep, got)
+			}
+			if got := l.Base().TruncLSN(); got != 1 {
+				t.Fatalf("Truncate(%d): TruncLSN = %d, want 1", keep, got)
+			}
+			if _, ok := l.ReadAt(1); !ok {
+				t.Fatalf("Truncate(%d): the first record is gone", keep)
+			}
+		}
+	})
+
 	t.Run("RandomOpsMatchReference", func(t *testing.T) {
 		for _, seg := range []int{64, 256} {
 			seg := seg
 			t.Run(fmt.Sprintf("seg%d", seg), func(t *testing.T) {
 				dut := mk(t, seg)
-				ref := storage.NewLog(seg)
+				ref := &refLog{seg: seg, stable: 1, end: 1, trunc: 1}
 				r := rand.New(rand.NewSource(int64(seg) * 7919))
 				for step := 0; step < 400; step++ {
 					op := r.Intn(10)
 					switch {
 					case op < 4: // append
 						data := rec(1+r.Intn(2*seg/3), byte(step))
-						a, b := dut.Append(data), ref.Append(data)
-						if a != b {
+						if a, b := dut.Append(data), ref.append(data); a != b {
 							t.Fatalf("step %d: append LSN %d vs %d", step, a, b)
 						}
 					case op < 6: // force
-						if ref.EndLSN() > 1 {
-							lsn := word.LSN(1 + r.Int63n(int64(ref.EndLSN()-1)))
+						if ref.end > 1 {
+							lsn := word.LSN(1 + r.Int63n(int64(ref.end-1)))
 							dut.Force(lsn)
-							ref.Force(lsn)
+							ref.force(lsn)
 						}
 					case op == 6: // crash
 						dut.Crash()
-						ref.Crash()
+						ref.crashTorn(ref.stable)
 					case op == 7: // torn crash
-						ct, ok := dut.(crashTorner)
-						if !ok {
-							continue
-						}
-						stable, end := ref.StableLSN(), ref.EndLSN()
-						cut := stable + word.LSN(r.Int63n(int64(end-stable+1)))
-						ct.CrashTorn(cut)
-						ref.CrashTorn(cut)
+						cut := ref.stable + word.LSN(r.Int63n(int64(ref.end-ref.stable+1)))
+						dut.Base().CrashTorn(cut)
+						ref.crashTorn(cut)
 						compareLogs(t, step, dut, ref)
 						// Recovery repairs a torn fragment before the log is
 						// appended to again; mirror that so both devices
 						// resume from a record boundary.
-						if last := lastRecordStart(ref); last != word.NilLSN && last >= ref.TruncLSN() {
-							dut.RepairTail(last)
-							ref.RepairTail(last)
+						if n := len(ref.recs); n > 0 && ref.recs[n-1].lsn >= ref.trunc {
+							last := ref.recs[n-1].lsn
+							dut.Base().RepairTail(last)
+							ref.repairTail(last)
 						}
 					case op == 8: // truncate to a legal keep point
-						if ref.StableLSN() > ref.TruncLSN() {
-							keep := ref.TruncLSN() + word.LSN(r.Int63n(int64(ref.StableLSN()-ref.TruncLSN()+1)))
-							dut.Truncate(keep)
-							ref.Truncate(keep)
+						if ref.stable > ref.trunc {
+							keep := ref.trunc + word.LSN(r.Int63n(int64(ref.stable-ref.trunc+1)))
+							dut.Base().Truncate(keep)
+							ref.truncate(keep)
 						}
 					case op == 9: // repair tail to a record boundary
 						// Recovery never repairs into the middle of a record
 						// it could decode, so only boundary points are legal.
-						starts := recordStarts(ref)
-						starts = append(starts, ref.EndLSN())
-						from := starts[r.Intn(len(starts))]
-						if from >= ref.TruncLSN() {
-							dut.RepairTail(from)
-							ref.RepairTail(from)
+						var starts []word.LSN
+						for _, e := range ref.recs {
+							starts = append(starts, e.lsn)
+						}
+						if from := append(starts, ref.end)[r.Intn(len(starts)+1)]; from >= ref.trunc {
+							dut.Base().RepairTail(from)
+							ref.repairTail(from)
 						}
 					}
 					compareLogs(t, step, dut, ref)
@@ -713,54 +715,329 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 	})
 }
 
-// recordStarts returns the LSNs of all retained records (including the
-// volatile tail) in order.
-func recordStarts(l storage.LogDevice) []word.LSN {
-	var starts []word.LSN
-	storage.Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
-		starts = append(starts, lsn)
-		return true
-	})
-	return starts
+// refLog is the reference the random-op driver holds the device to: the
+// log's semantics as a slice of retained records, with none of its
+// segment files, index or force machinery.
+type refLog struct {
+	seg                int
+	recs               []refRec // retained records, stable and volatile, ascending LSN
+	stable, end, trunc word.LSN
 }
 
-// lastRecordStart returns the LSN of the last retained record, or NilLSN.
-func lastRecordStart(l storage.LogDevice) word.LSN {
-	starts := recordStarts(l)
-	if len(starts) == 0 {
-		return word.NilLSN
+type refRec struct {
+	lsn  word.LSN
+	data []byte
+}
+
+func (m *refLog) append(data []byte) word.LSN {
+	lsn := m.end
+	m.recs = append(m.recs, refRec{lsn, append([]byte(nil), data...)})
+	m.end += word.LSN(len(data))
+	return lsn
+}
+
+// force makes stable every record that starts at or below lsn.
+func (m *refLog) force(lsn word.LSN) {
+	if lsn < m.stable {
+		return
 	}
-	return starts[len(starts)-1]
+	m.stable = m.end
+	for _, e := range m.recs {
+		if e.lsn > lsn {
+			m.stable = e.lsn
+			break
+		}
+	}
+}
+
+// crashTorn keeps the bytes below cut, a record straddling it as a
+// prefix, and nothing beyond.
+func (m *refLog) crashTorn(cut word.LSN) {
+	keep := m.recs[:0]
+	for _, e := range m.recs {
+		if e.lsn < cut {
+			if end := e.lsn + word.LSN(len(e.data)); end > cut {
+				e.data = e.data[:cut-e.lsn]
+			}
+			keep = append(keep, e)
+		}
+	}
+	m.recs, m.stable, m.end = keep, cut, cut
+}
+
+func (m *refLog) repairTail(from word.LSN) {
+	for len(m.recs) > 0 && m.recs[len(m.recs)-1].lsn >= from {
+		m.recs = m.recs[:len(m.recs)-1]
+	}
+	m.end = from
+	m.stable = min(m.stable, from)
+}
+
+// truncate moves the truncation point to the largest segment boundary at
+// or below keep and drops the records wholly below it.
+func (m *refLog) truncate(keep word.LSN) {
+	if keep <= 1 {
+		return
+	}
+	boundary := (keep-1)/word.LSN(m.seg)*word.LSN(m.seg) + 1
+	if boundary <= m.trunc {
+		return
+	}
+	for len(m.recs) > 0 && m.recs[0].lsn+word.LSN(len(m.recs[0].data)) <= boundary {
+		m.recs = m.recs[1:]
+	}
+	m.trunc = boundary
 }
 
 // compareLogs asserts every observable of the device under test equals the
-// in-memory reference.
-func compareLogs(t *testing.T, step int, dut, ref storage.LogDevice) {
+// reference's.
+func compareLogs(t *testing.T, step int, dut storage.LogDevice, ref *refLog) {
 	t.Helper()
-	if dut.EndLSN() != ref.EndLSN() || dut.StableLSN() != ref.StableLSN() ||
-		dut.TruncLSN() != ref.TruncLSN() {
+	b := dut.Base()
+	if dut.EndLSN() != ref.end || dut.StableLSN() != ref.stable || b.TruncLSN() != ref.trunc {
 		t.Fatalf("step %d: LSNs diverge: end %d/%d stable %d/%d trunc %d/%d",
-			step, dut.EndLSN(), ref.EndLSN(), dut.StableLSN(), ref.StableLSN(),
-			dut.TruncLSN(), ref.TruncLSN())
+			step, dut.EndLSN(), ref.end, dut.StableLSN(), ref.stable, b.TruncLSN(), ref.trunc)
 	}
-	if dut.RetainedBytes() != ref.RetainedBytes() {
-		t.Fatalf("step %d: retained bytes %d vs %d", step, dut.RetainedBytes(), ref.RetainedBytes())
+	var retained int64
+	var want []string
+	for _, e := range ref.recs {
+		retained += int64(len(e.data))
+		want = append(want, fmt.Sprintf("%d:%x", e.lsn, e.data))
 	}
-	var a, b []string
+	if b.RetainedBytes() != retained {
+		t.Fatalf("step %d: retained bytes %d vs %d", step, b.RetainedBytes(), retained)
+	}
+	var got []string
 	storage.Scan(dut, 1, false, func(lsn word.LSN, data []byte) bool {
-		a = append(a, fmt.Sprintf("%d:%x", lsn, data))
+		got = append(got, fmt.Sprintf("%d:%x", lsn, data))
 		return true
 	})
-	storage.Scan(ref, 1, false, func(lsn word.LSN, data []byte) bool {
-		b = append(b, fmt.Sprintf("%d:%x", lsn, data))
-		return true
-	})
-	if len(a) != len(b) {
-		t.Fatalf("step %d: scan lengths %d vs %d", step, len(a), len(b))
+	if len(got) != len(want) {
+		t.Fatalf("step %d: scan lengths %d vs %d", step, len(got), len(want))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("step %d: scan record %d: %.60s vs %.60s", step, i, a[i], b[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: scan record %d: %.60s vs %.60s", step, i, got[i], want[i])
 		}
 	}
+}
+
+// Home returns the two backings one store lives in — the page store's and
+// the log's. RunReopen opens the devices over them, abandons or closes
+// them, and opens them again, as a process restart reopens its directory.
+type Home func(t *testing.T) (disk, log storage.Backing)
+
+// RunReopen runs the restart cases over a backing kind: what a reopen of
+// the same backings parses back.
+func RunReopen(t *testing.T, home Home) {
+	open := func(t *testing.T, db, lb storage.Backing, pageSize, segBytes int) (*storage.Disk, *storage.Log) {
+		t.Helper()
+		d, err := storage.OpenDisk(db, pageSize)
+		if err != nil {
+			t.Fatalf("OpenDisk: %v", err)
+		}
+		l, err := storage.OpenLog(lb, segBytes)
+		if err != nil {
+			t.Fatalf("OpenLog: %v", err)
+		}
+		return d, l
+	}
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	segFiles := func(t *testing.T, lb storage.Backing) []string {
+		t.Helper()
+		names, err := lb.List("seg-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	segName := func(first word.LSN) string { return fmt.Sprintf("seg-%016x.seg", uint64(first)) }
+
+	t.Run("ReopenRoundTrip", func(t *testing.T) {
+		db, lb := home(t)
+		d, l := open(t, db, lb, 512, 128)
+		for i := 0; i < 20; i++ {
+			d.WritePage(word.PageID(i), fill(512, byte(i+1)), word.LSN(100+i))
+		}
+		var lsns []word.LSN
+		for i := 0; i < 10; i++ {
+			lsns = append(lsns, l.Append(fill(30+i, byte(0xA0+i))))
+		}
+		storage.ForceAll(l)
+		m := d.Master()
+		m.Formatted = true
+		m.CheckpointLSN = lsns[7]
+		d.SetMaster(m)
+		endLSN, truncLSN := l.EndLSN(), l.TruncLSN()
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+
+		rd, rl := open(t, db, lb, 0, 0) // sizes come from the backing, not the caller
+		defer rl.Close()
+		defer rd.Close()
+		if rd.PageSize() != 512 {
+			t.Fatalf("reopened PageSize = %d", rd.PageSize())
+		}
+		if rl.SegmentBytes() != 128 {
+			t.Fatalf("reopened SegmentBytes = %d", rl.SegmentBytes())
+		}
+		for i := 0; i < 20; i++ {
+			data, lsn, ok := rd.ReadPage(word.PageID(i))
+			if !ok || lsn != word.LSN(100+i) || !bytes.Equal(data, fill(512, byte(i+1))) {
+				t.Fatalf("page %d: ok=%v lsn=%d", i, ok, lsn)
+			}
+		}
+		if rm := rd.Master(); !rm.Formatted || rm.CheckpointLSN != lsns[7] {
+			t.Fatalf("master lost: %+v", rm)
+		}
+		if rl.EndLSN() != endLSN || rl.StableLSN() != endLSN || rl.TruncLSN() != truncLSN {
+			t.Fatalf("log LSNs: end=%d stable=%d trunc=%d, want end=stable=%d trunc=%d",
+				rl.EndLSN(), rl.StableLSN(), rl.TruncLSN(), endLSN, truncLSN)
+		}
+		for i, lsn := range lsns {
+			data, ok := rl.ReadAt(lsn)
+			if !ok || !bytes.Equal(data, fill(30+i, byte(0xA0+i))) {
+				t.Fatalf("log record %d at %d: ok=%v", i, lsn, ok)
+			}
+		}
+	})
+
+	t.Run("ReopenAfterTruncate", func(t *testing.T) {
+		db, lb := home(t)
+		d, l := open(t, db, lb, 512, 64)
+		for i := 0; i < 12; i++ {
+			l.Append(fill(16, byte(i)))
+			if i%4 == 3 {
+				storage.ForceAll(l) // one 64-byte segment per force: the file rolls each time
+			}
+		}
+		l.Truncate(129) // the files holding LSNs 1..64 and 65..128 freed
+		if got := l.TruncLSN(); got != 129 {
+			t.Fatalf("TruncLSN = %d", got)
+		}
+		l.Close()
+		d.Close()
+
+		// Physical reclamation: the freed segment files are gone.
+		if names := segFiles(t, lb); len(names) != 1 || names[0] != segName(129) {
+			t.Fatalf("segment files after truncate+close: %v, want only %s", names, segName(129))
+		}
+		rd, rl := open(t, db, lb, 0, 0)
+		defer rl.Close()
+		defer rd.Close()
+		if rl.TruncLSN() != 129 || rl.EndLSN() != 193 {
+			t.Fatalf("reopened trunc=%d end=%d", rl.TruncLSN(), rl.EndLSN())
+		}
+		if _, ok := rl.ReadAt(65); ok {
+			t.Fatal("truncated record resurrected by reopen")
+		}
+		if _, ok := rl.ReadAt(129); !ok {
+			t.Fatal("retained record lost on reopen")
+		}
+	})
+
+	// The torn-tail contract across a restart: a fragment persisted by an
+	// interrupted force is redelivered on reopen as a payload-prefix
+	// fragment, exactly as CrashTorn presents it, and RepairTail rewinds it
+	// away for good.
+	t.Run("ReopenTornTail", func(t *testing.T) {
+		db, lb := home(t)
+		d, l := open(t, db, lb, 512, 256)
+		first := l.Append(fill(20, 0x11))
+		storage.ForceAll(l)
+		frag := l.Append(fill(40, 0x22))
+		cut := frag + 13
+		l.CrashTorn(cut) // persists header + 13 of 40 payload bytes
+		l.Abandon()
+		d.Abandon()
+
+		rd, rl := open(t, db, lb, 0, 0)
+		if rl.EndLSN() != cut || rl.StableLSN() != cut {
+			t.Fatalf("reopened end=%d stable=%d, want %d", rl.EndLSN(), rl.StableLSN(), cut)
+		}
+		var got []byte
+		storage.Scan(rl, frag, false, func(lsn word.LSN, data []byte) bool {
+			if lsn == frag {
+				got = append([]byte(nil), data...)
+			}
+			return true
+		})
+		if !bytes.Equal(got, fill(40, 0x22)[:13]) {
+			t.Fatalf("fragment bytes: len=%d", len(got))
+		}
+		// Recovery classifies and repairs; the rewind must survive reopen.
+		rl.RepairTail(frag)
+		if relsn := rl.Append(fill(8, 0x33)); relsn != frag {
+			t.Fatalf("post-repair append at %d, want %d", relsn, frag)
+		}
+		storage.ForceAll(rl)
+		if err := rl.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		rd.Close()
+
+		rd, rl = open(t, db, lb, 0, 0)
+		defer rl.Close()
+		defer rd.Close()
+		if rl.EndLSN() != frag+8 {
+			t.Fatalf("final end=%d, want %d", rl.EndLSN(), frag+8)
+		}
+		if data, ok := rl.ReadAt(frag); !ok || !bytes.Equal(data, fill(8, 0x33)) {
+			t.Fatal("post-repair record lost")
+		}
+		if data, ok := rl.ReadAt(first); !ok || !bytes.Equal(data, fill(20, 0x11)) {
+			t.Fatal("pre-torn record lost")
+		}
+	})
+
+	// Truncate persists the new truncation point before it removes
+	// anything, so a kill between the two leaves files that reopening
+	// removes — not a truncation point to guess.
+	t.Run("TruncateKillBetweenMetaAndUnlink", func(t *testing.T) {
+		db, lb := home(t)
+		d, l := open(t, db, lb, 0, 64)
+		for i := 0; i < 12; i++ {
+			l.Append(fill(16, byte(i)))
+			if i%4 == 3 {
+				storage.ForceAll(l)
+			}
+		}
+		if got := segFiles(t, lb); len(got) != 3 {
+			t.Fatalf("setup: files %v, want 3", got)
+		}
+		l.TruncateHook = func() { panic("killed") }
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("hook did not fire")
+				}
+			}()
+			l.Truncate(150)
+		}()
+		l.Abandon() // the process is gone: nothing more is written
+		d.Abandon()
+		if got := segFiles(t, lb); len(got) != 3 {
+			t.Fatalf("the kill landed after the unlink: files %v", got)
+		}
+
+		rd, rl := open(t, db, lb, 0, 0)
+		defer rl.Close()
+		defer rd.Close()
+		if rl.TruncLSN() != 129 || rl.EndLSN() != 193 {
+			t.Fatalf("reopened trunc=%d end=%d, want 129/193", rl.TruncLSN(), rl.EndLSN())
+		}
+		if got := segFiles(t, lb); len(got) != 1 || got[0] != segName(129) {
+			t.Fatalf("reopen left files %v, want only %s", got, segName(129))
+		}
+		if _, ok := rl.ReadAt(113); ok {
+			t.Fatal("record below the truncation point readable")
+		}
+		if data, ok := rl.ReadAt(129); !ok || !bytes.Equal(data, fill(16, 8)) {
+			t.Fatal("record above the truncation point lost")
+		}
+	})
 }

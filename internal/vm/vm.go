@@ -721,15 +721,3 @@ func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 	}
 	return ghosts
 }
-
-// SetPageLSNForRecovery installs a page LSN directly; used by redo when a
-// record is skipped because the disk page already reflects it, so the
-// cached page's LSN must still advance past the record.
-func (s *Store) SetPageLSNForRecovery(id word.PageID, lsn word.LSN) {
-	s.lock()
-	defer s.unlock()
-	p := s.resident(id)
-	if lsn > p.lsn {
-		p.lsn = lsn
-	}
-}

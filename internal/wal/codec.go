@@ -19,24 +19,11 @@ import (
 // for the two passes to disagree. Decode is
 // zero-copy: byte-slice fields of the returned record alias the frame, so
 // callers that outlive their frame must copy (Manager.ReadAt hands each
-// caller a private frame; Manager.Scan frames alias the log device's
-// retained entries, which are immutable until truncation).
+// caller a private frame; Manager.Scan frames alias the buffers the log
+// device delivers, which it never recycles — storage.LogDevice's ownership
+// rule).
 
 const frameHeader = 8 // len + crc
-
-// FrameLen returns the total length of the frame beginning at b[0], from its
-// length prefix alone (no CRC check). It lets a stream of concatenated
-// frames be split without decoding.
-func FrameLen(b []byte) (int, error) {
-	if len(b) < frameHeader+1 {
-		return 0, fmt.Errorf("wal: frame prefix too short (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b[0:4]))
-	if n < frameHeader+1 || n > len(b) {
-		return 0, fmt.Errorf("wal: frame length %d out of range (buffer %d)", n, len(b))
-	}
-	return n, nil
-}
 
 // Encode serializes a record into an exactly-sized framed byte slice with
 // a single allocation.

@@ -96,7 +96,7 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 	for m.parkedCount() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if got := dev.Stats().Forces; got != 1 {
+	if got := dev.Base().Stats().Forces; got != 1 {
 		t.Fatalf("%d device forces with one in flight and two callers parked, want 1", got)
 	}
 
@@ -108,7 +108,7 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 	dev.release <- struct{}{}
 	wg.Wait()
 
-	if got := dev.Stats().Forces; got != 2 {
+	if got := dev.Base().Stats().Forces; got != 2 {
 		t.Fatalf("%d device forces for three callers, want 2", got)
 	}
 	if !m.IsStable(c) {
@@ -121,7 +121,7 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 		t.Fatalf("wal_force_wait_ns counted %d followers, want 1 (b)", wait.Count)
 	}
 	m.Force(a) // already stable: neither a force nor a wait
-	if dev.Stats().Forces != 2 || m.ForceHist().Count != 2 {
+	if dev.Base().Stats().Forces != 2 || m.ForceHist().Count != 2 {
 		t.Fatal("forcing a stable LSN reached the device")
 	}
 }
@@ -218,7 +218,7 @@ func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
 	dev.proceed <- struct{}{}
 	wg.Wait()
 
-	if got := dev.Stats().Forces; got != 3 || !m.IsStable(c) {
+	if got := dev.Base().Stats().Forces; got != 3 || !m.IsStable(c) {
 		t.Fatalf("%d device forces for three alternating callers (c stable: %v), want 3", got, m.IsStable(c))
 	}
 	if batch := m.ForceBatchHist(); batch.Count != 3 || batch.Max != 1 {
@@ -259,7 +259,7 @@ func TestJoinTwoCommittersShareOneForce(t *testing.T) {
 	a := m.Append(begin(1))
 	commit(a)
 	awaitJoin(t, m)
-	if got := dev.Stats().Forces; got != 0 {
+	if got := dev.Base().Stats().Forces; got != 0 {
 		t.Fatalf("the leader forced %d times before its sibling came", got)
 	}
 	b := m.Append(begin(2))
@@ -268,8 +268,8 @@ func TestJoinTwoCommittersShareOneForce(t *testing.T) {
 	dev.release <- struct{}{}
 	wg.Wait()
 
-	if !m.IsStable(b) || dev.Stats().Forces != 1 {
-		t.Fatalf("%d device forces for two joined commits (b stable: %v), want 1", dev.Stats().Forces, m.IsStable(b))
+	if !m.IsStable(b) || dev.Base().Stats().Forces != 1 {
+		t.Fatalf("%d device forces for two joined commits (b stable: %v), want 1", dev.Base().Stats().Forces, m.IsStable(b))
 	}
 	if batch := m.ForceBatchHist(); batch.Count != 1 || batch.Max != 2 {
 		t.Fatalf("wal_force_batch = %+v, want one force releasing both", batch)

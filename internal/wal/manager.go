@@ -314,9 +314,9 @@ func (m *Manager) IsStable(lsn word.LSN) bool { return lsn < m.dev.StableLSN() }
 func (m *Manager) ReadAt(lsn word.LSN) (Record, error) {
 	frame, ok := m.dev.ReadAt(lsn)
 	if !ok {
-		if lsn < m.dev.TruncLSN() {
+		if trunc := m.dev.Base().TruncLSN(); lsn < trunc {
 			return nil, fmt.Errorf("wal: record at LSN %d reclaimed (truncation point %d): %w",
-				lsn, m.dev.TruncLSN(), ErrTruncated)
+				lsn, trunc, ErrTruncated)
 		}
 		return nil, fmt.Errorf("wal: no record at LSN %d", lsn)
 	}
@@ -378,22 +378,10 @@ func (m *Manager) ScanBatch(from word.LSN, stableOnly bool, batchSize int, fn fu
 	})
 }
 
-// Truncate releases log space below keep (segment granularity).
-func (m *Manager) Truncate(keep word.LSN) {
-	// Round down to the device's own segment boundary before deciding
-	// whether there is anything to free: the device only reclaims whole
-	// segments, and its segment map is backend-specific (the file-backed
-	// log reports its on-disk segmentation, not the in-memory default).
-	seg := word.LSN(m.dev.SegmentBytes())
-	if seg <= 0 {
-		seg = 1
-	}
-	boundary := (keep-1)/seg*seg + 1
-	if boundary <= m.dev.TruncLSN() {
-		return // nothing new to free
-	}
-	m.dev.Truncate(keep) // not under mu: it waits for a force in flight
-}
+// Truncate releases log space below keep (segment granularity; keep ≤ 1
+// frees nothing). Not under mu: the device waits for a force in flight
+// when, and only when, there is something to free.
+func (m *Manager) Truncate(keep word.LSN) { m.dev.Base().Truncate(keep) }
 
 // TypeStats reports how many records of type t were appended and their
 // total framed bytes.

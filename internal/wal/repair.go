@@ -44,7 +44,7 @@ func (m *Manager) RepairTornTail(from word.LSN) (word.LSN, error) {
 		return word.NilLSN, nil
 	}
 	if tailBad && frameIncomplete(badFrame) {
-		m.dev.RepairTail(badLSN)
+		m.dev.Base().RepairTail(badLSN)
 		return badLSN, nil
 	}
 	reason := "CRC or decode failure in a complete frame"

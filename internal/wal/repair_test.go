@@ -201,45 +201,3 @@ func TestReadAtErrorKinds(t *testing.T) {
 		})
 	}
 }
-
-// TestFrameLenBoundaries drives the frame splitter over every length
-// boundary a torn or rotted prefix can produce.
-func TestFrameLenBoundaries(t *testing.T) {
-	whole := Encode(CommitRec{TxHdr: TxHdr{TxID: 7}})
-	cases := []struct {
-		name string
-		buf  []byte
-		n    int // expected length; 0 means an error is required
-	}{
-		{"empty buffer", nil, 0},
-		{"one byte", whole[:1], 0},
-		{"header minus one", whole[:frameHeader], 0},
-		{"header plus type byte of a longer frame", whole[:frameHeader+1], 0},
-		{"exact whole frame", whole, len(whole)},
-		{"whole frame plus trailing bytes", append(append([]byte{}, whole...), 0xee, 0xee), len(whole)},
-		{"declared length below the minimum", func() []byte {
-			b := append([]byte{}, whole...)
-			b[0], b[1], b[2], b[3] = frameHeader, 0, 0, 0 // claims no type byte
-			return b
-		}(), 0},
-		{"declared length beyond the buffer", func() []byte {
-			b := append([]byte{}, whole...)
-			b[0] = byte(len(whole) + 1)
-			return b
-		}(), 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			n, err := FrameLen(tc.buf)
-			if tc.n == 0 {
-				if err == nil {
-					t.Fatalf("FrameLen = %d, want error", n)
-				}
-				return
-			}
-			if err != nil || n != tc.n {
-				t.Fatalf("FrameLen = (%d, %v), want (%d, nil)", n, err, tc.n)
-			}
-		})
-	}
-}

@@ -95,13 +95,16 @@ type Ref = core.Ref
 // tools; application code should treat Refs as opaque).
 type Addr = word.Addr
 
-// Disk is the nonvolatile page store backing a heap. The built-in
-// simulated implementation is storage.Disk; fault-injection wrappers
-// (internal/faultfs) satisfy the same interface.
+// Disk is the nonvolatile page store backing a heap: the five calls the
+// heap makes of one. There is one page store, storage.Disk, in memory or
+// over a directory's files; the fault-injection wrapper (internal/faultfs)
+// satisfies the same interface.
 type Disk = storage.PageStore
 
-// LogDevice is the stable log device. The built-in simulated
-// implementation is storage.Log.
+// LogDevice is the stable log device: the calls a wrapper intercepts and
+// the wal layer makes per record. There is one log, storage.Log, in memory
+// or over a directory's files; LogDevice.Base reaches it through any
+// wrapper.
 type LogDevice = storage.LogDevice
 
 // Errors returned by heap operations.
@@ -258,7 +261,7 @@ func (h *Heap) Stats() Stats {
 	gcs := h.inner.GCStats()
 	vgs := h.inner.VGCStats()
 	trk := h.inner.TrackerStats()
-	dev := h.inner.Log().Device().Stats()
+	dev := h.inner.Log().Device().Base().Stats()
 	mem := h.inner.Mem().Stats()
 	cps := h.inner.CheckpointStats()
 	return Stats{
