@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"stableheap"
-	"stableheap/internal/storage"
 	"stableheap/internal/workload"
 )
 
@@ -208,7 +207,7 @@ func benchRecovery(b *testing.B, live, tail int, midGC bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d2, l2 := storage.DiskOf(disk).Clone(), logDev.Base().Clone()
+		d2, l2 := disk.Clone(), logDev.Base().Clone()
 		b.StartTimer()
 		if _, err := stableheap.Recover(cfg, d2, l2); err != nil {
 			b.Fatal(err)

@@ -241,7 +241,7 @@ func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 		}
 	}
 
-	var disk storage.PageStore
+	var disk *storage.Disk
 	var logDev storage.LogDevice
 	stopped := make(chan struct{})
 	go func() {

@@ -233,7 +233,7 @@ type Ref = tx.Handle
 // Heap is a stable heap instance.
 type Heap struct {
 	cfg    Config
-	disk   storage.PageStore
+	disk   *storage.Disk
 	logDev storage.LogDevice
 	log    *wal.Manager
 	mem    *vm.Store
@@ -366,9 +366,9 @@ func Open(cfg Config) *Heap {
 }
 
 // OpenOn creates a freshly formatted stable heap on the provided devices —
-// the entry point for fault-injection wrappers (internal/faultfs) and any
-// other PageStore/LogDevice implementation. The devices must be empty.
-func OpenOn(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
+// a Disk and a Log opened over any backing (a faultfs-wrapped one, say),
+// or another LogDevice. The devices must be empty.
+func OpenOn(cfg Config, disk *storage.Disk, logDev storage.LogDevice) *Heap {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -380,7 +380,7 @@ func OpenOn(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap 
 }
 
 // build wires the subsystems over existing devices (no formatting).
-func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
+func build(cfg Config, disk *storage.Disk, logDev storage.LogDevice) *Heap {
 	log := wal.NewManager(logDev)
 	mem := vm.New(vm.Config{PageSize: cfg.PageSize, CachePages: cfg.CachePages, LogFetches: true}, disk, log)
 	h := heap.New(mem)
@@ -428,8 +428,8 @@ func build(cfg Config, disk storage.PageStore, logDev storage.LogDevice) *Heap {
 	hp.sgc.SetRecorder(hp.bb)
 	// A heap on its own directory records the disk's barriers in the same
 	// flight-recorder timeline as everything else.
-	if d, ok := disk.(*storage.Disk); ok && cfg.Dir != "" {
-		d.OnBarrier(func(elapsed time.Duration, pages int64) {
+	if cfg.Dir != "" {
+		disk.OnBarrier(func(elapsed time.Duration, pages int64) {
 			hp.bb.Span(obs.EvFileBarrier, elapsed, 0, uint64(pages), 0)
 		})
 	}
@@ -1410,8 +1410,8 @@ func (t *Tx) Commit() error {
 		}
 	} else {
 		// The latched sections use deferred unlocks: commit touches the log
-		// device, which a fault-injection wrapper can fail with a typed
-		// panic, and the latch must unwind with it.
+		// device, which an I/O error under it (internal/faultfs) can fail
+		// with a typed panic, and the latch must unwind with it.
 		func() {
 			excl := hp.rlock()
 			defer hp.runlock(excl)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"stableheap/internal/gc"
 	"stableheap/internal/storage"
+	"stableheap/internal/word"
 )
 
 // smallCfg is a tiny heap for tests.
@@ -741,4 +743,45 @@ func TestZeroConfigIsDefault(t *testing.T) {
 			t.Fatalf("read-barrier traps %d vs %d, want equal and nonzero", ta, tb)
 		}
 	}
+}
+
+// TestRecoverRefusesLostWrite: a page write whose end-write record reached
+// the stable log, but whose bytes the disk then lost — what a first write
+// torn before its slot header landed reads as — is refused with a typed
+// CorruptPageError, not skipped by redo as a clean page.
+func TestRecoverRefusesLostWrite(t *testing.T) {
+	b := storage.NewMemBacking()
+	disk, err := storage.OpenDisk(b, smallCfg().PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := OpenOn(smallCfg(), disk, storage.NewLog(0))
+	buildList(t, hp, 0, 4, 11)
+	before := fileBytes(t, b, "pages.dat")
+	hp.FlushResident(func(word.PageID) bool { return true })
+	buildList(t, hp, 1, 1, 5) // its commit forces the end-write records
+	_, logDev := hp.Crash()
+	f, _ := b.Open("pages.dat", true)
+	f.WriteAt(before, 0) // the flushed writes never reached the platter
+	disk, err = storage.OpenDisk(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Recover(smallCfg(), disk, logDev)
+	var cp *storage.CorruptPageError
+	if !errors.As(err, &cp) {
+		t.Fatalf("recovery over a disk that lost certified writes: %v, want a CorruptPageError", err)
+	}
+}
+
+func fileBytes(t *testing.T, b storage.Backing, name string) []byte {
+	t.Helper()
+	f, err := b.Open(name, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := f.Size()
+	buf := make([]byte, size)
+	f.ReadAt(buf, 0)
+	return buf
 }

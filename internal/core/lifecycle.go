@@ -102,7 +102,7 @@ func (hp *Heap) Close() {
 // (OpenDir/RecoverDir): there the crash also releases them, as a process
 // kill would (no flush, no fdatasync), the returned devices are dead, and
 // only RecoverDir reopens the heap. RecoverCrashed takes either way back.
-func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
+func (hp *Heap) Crash() (*storage.Disk, storage.LogDevice) {
 	hp.stopWatchdog()
 	// A commit parked on a force is acknowledged first (commitGate).
 	hp.commitGate.Lock()
@@ -115,12 +115,11 @@ func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 		// collection where its logged steps stopped.
 		hp.vscan.abandon()
 		hp.sscan.abandon()
-		// The device's Crash applies any planned torn writes
-		// (internal/faultfs) and records them as EvFault events — so crash
-		// THEN stamp the EvCrash marker, and the flushed timeline ends with
-		// the injected fault followed by the crash, exactly the order
-		// things happened.
-		hp.logDev.Crash()
+		// A fault injector applies its crash-time faults just before this
+		// and records them as EvFault events (internal/faultfs), so the
+		// EvCrash marker below follows them in the flushed timeline,
+		// exactly the order things happened.
+		hp.logDev.Base().Crash()
 		hp.mem.Crash()
 		hp.locks.Reset()
 		hp.txm.Crash()
@@ -140,7 +139,7 @@ func (hp *Heap) Crash() (storage.PageStore, storage.LogDevice) {
 
 // Devices exposes the simulated devices (for the crash harness, which
 // controls which pages reach disk before a crash).
-func (hp *Heap) Devices() (storage.PageStore, storage.LogDevice) { return hp.disk, hp.logDev }
+func (hp *Heap) Devices() (*storage.Disk, storage.LogDevice) { return hp.disk, hp.logDev }
 
 // Recover rebuilds a stable heap from surviving devices: repeating
 // history, loser rollback, collector-state restoration, and the
@@ -148,22 +147,22 @@ func (hp *Heap) Devices() (storage.PageStore, storage.LogDevice) { return hp.dis
 // volatile area. Recovery work is bounded by the log written since the
 // last checkpoint — independent of heap size (Ch. 4) — even if the crash
 // interrupted a collection (§3.5.3).
-func Recover(cfg Config, disk storage.PageStore, logDev storage.LogDevice) (*Heap, error) {
+func Recover(cfg Config, disk *storage.Disk, logDev storage.LogDevice) (*Heap, error) {
 	return recoverCommon(cfg, disk, logDev, false)
 }
 
 // RecoverCrashed rebuilds the heap that Crash just took down: from the
 // directory when cfg.Dir is set (the crash closed the heap's own files, so
 // the devices it returned are dead), else from those devices.
-func RecoverCrashed(cfg Config, disk storage.PageStore, logDev storage.LogDevice) (*Heap, error) {
+func RecoverCrashed(cfg Config, disk *storage.Disk, logDev storage.LogDevice) (*Heap, error) {
 	if cfg.Dir != "" {
 		return RecoverDir(cfg)
 	}
 	return Recover(cfg, disk, logDev)
 }
 
-func recoverCommon(cfg Config, disk storage.PageStore, logDev storage.LogDevice, media bool) (hpOut *Heap, errOut error) {
-	// The detectable-failure contract: device wrappers report corruption
+func recoverCommon(cfg Config, disk *storage.Disk, logDev storage.LogDevice, media bool) (hpOut *Heap, errOut error) {
+	// The detectable-failure contract: the devices report corruption
 	// and surfaced I/O faults as typed panics from deep inside scans and
 	// page reads; recovery must turn them into errors naming the corrupt
 	// page or LSN, never admit a half-recovered heap.

@@ -19,8 +19,16 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	cfg := ChaosConfig()
 	jdev := storage.NewLog(1 << 20)
 	cfg.FlightJournal = jdev
-	inj := faultfs.New(plan, storage.NewDisk(cfg.PageSize), storage.NewLog(cfg.LogSegBytes))
-	d := NewOn(cfg, plan.Seed, inj.Disk, inj.Log)
+	inj := faultfs.New(plan)
+	disk, err := storage.OpenDisk(inj.Wrap(storage.NewMemBacking()), cfg.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDev, err := storage.OpenLog(inj.Wrap(storage.NewMemBacking()), cfg.LogSegBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewOn(cfg, plan.Seed, disk, logDev)
 	inj.SetRecorder(d.hp.FlightRecorder())
 	inj.Arm()
 
@@ -36,7 +44,8 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	d.hp.StepStable()
 	_ = d.hp.Begin() // in flight at the crash
 
-	d.hp.Crash() // plan applies the torn page write and torn log tail
+	inj.Crash(logDev) // the plan's torn page write and torn log tail
+	d.hp.Crash()
 
 	// The journal survives the crash (the model of battery-backed
 	// recorder hardware) and replays the dead run's timeline.
@@ -102,7 +111,6 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 
 	// Recovery over the crashed devices appends a new boot; the journal
 	// then reads as the recovered run, with the recovery marker aboard.
-	disk, logDev := d.hp.Devices()
 	hp, err := core.Recover(cfg, disk, logDev)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)

@@ -1,8 +1,12 @@
-// Chaos explorer: the crashtest Driver run over fault-injected devices
-// (internal/faultfs). Where the plain harness proves crash-consistency
-// under clean hardware, the explorer sweeps PRNG seeds over deterministic
-// fault plans — torn page writes, partial log forces, at-rest bit rot,
-// transient I/O bursts — and classifies every recovery attempt:
+// Chaos explorer: the crashtest Driver run over a plain Disk and Log whose
+// backing bytes carry deterministic faults (internal/faultfs). Where the
+// plain harness proves crash-consistency under clean hardware, the
+// explorer sweeps PRNG seeds over fault plans — torn page writes, partial
+// log forces, at-rest bit rot, transient I/O bursts — and every crash is a
+// restart: the devices are abandoned and reopened over the same bytes, so
+// the devices' own checks (slot checksums, record-header CRCs, the
+// torn-fragment parse, wal frame CRCs) are the only detection there is.
+// Every recovery attempt is classified:
 //
 //	Clean          recovery succeeded and the I4/I6 model audit passed
 //	DetectedOnline a typed fault surfaced during live operation (the run
@@ -26,6 +30,7 @@ package crashtest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -137,12 +142,13 @@ type Scenario struct {
 	// most 16: root slots 16..31). Only that burst reads it; every other
 	// kind ignores it.
 	Mutators int
-	// Dir, when set, runs every seed over real files: a filestore opened
-	// at <Dir>/seed-<seed> replaces the in-memory devices under the fault
-	// injector, and is removed when the seed finishes. The injector wraps
-	// it unchanged — same plans, same scenarios, same verdict matrix. A
-	// completed page write is in the OS, as a process kill leaves it; true
-	// user-buffer loss is the kill-point harness's job (see
+	// Dir, when set, runs every seed over real files: the directory
+	// <Dir>/seed-<seed> (and its log/ subdirectory) replaces the memory
+	// backings under the fault injector, and is removed when the seed
+	// finishes. The injector wraps it unchanged — same plans, same
+	// scenarios, same verdict matrix — and every crash reopens its files.
+	// A completed page write is in the OS, as a process kill leaves it;
+	// true user-buffer loss is the kill-point harness's job (see
 	// killpoint_test.go).
 	Dir string
 }
@@ -219,33 +225,50 @@ func (r *SeedResult) record(v Verdict, msg string) {
 	}
 }
 
-// seedDevices opens the devices a seed's heaps run on, as Scenario.Dir
-// says: in memory, or one filestore per heap under <Dir>/<name>.
+// seedDevices holds the devices a seed's heaps run on, as Scenario.Dir
+// says: in memory, or one directory per heap under <Dir>/<name>.
 type seedDevices struct {
-	dir, name string // dir "" = in memory
-	stores    []*filestore.Store
+	dir, name string      // dir "" = in memory
+	devs      []io.Closer // what open opened, for close
 }
 
-// open returns the devices for one heap (files under dir/name/heap).
-func (sd *seedDevices) open(cfg core.Config, heap string) (*storage.Disk, *storage.Log, error) {
+// backings returns the two backings one heap lives in, the page store's
+// and the log's: fresh memory, or dir/name/heap and its log/ subdirectory,
+// as filestore.Open lays them out.
+func (sd *seedDevices) backings(heap string) (disk, log storage.Backing, err error) {
 	if sd.dir == "" {
-		return storage.NewDisk(cfg.PageSize), storage.NewLog(cfg.LogSegBytes), nil
+		return storage.NewMemBacking(), storage.NewMemBacking(), nil
 	}
-	st, err := filestore.Open(filepath.Join(sd.dir, sd.name, heap), filestore.Options{
-		PageSize:     cfg.PageSize,
-		SegmentBytes: cfg.LogSegBytes,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("filestore open: %v", err)
+	home := filepath.Join(sd.dir, sd.name, heap)
+	if disk, err = filestore.NewBacking(home); err == nil {
+		log, err = filestore.NewBacking(filepath.Join(home, "log"))
 	}
-	sd.stores = append(sd.stores, st)
-	return st.Disk, st.Log, nil
+	return disk, log, err
 }
 
-// close releases the files and removes the seed's directory.
+// open opens one heap's Disk and Log over its backings; close closes them.
+func (sd *seedDevices) open(cfg core.Config, heap string) (*storage.Disk, *storage.Log, error) {
+	db, lb, err := sd.backings(heap)
+	if err != nil {
+		return nil, nil, err
+	}
+	disk, err := storage.OpenDisk(db, cfg.PageSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	log, err := storage.OpenLog(lb, cfg.LogSegBytes)
+	if err != nil {
+		disk.Close()
+		return nil, nil, err
+	}
+	sd.devs = append(sd.devs, disk, log)
+	return disk, log, nil
+}
+
+// close closes what open opened and removes the seed's directory.
 func (sd *seedDevices) close() {
-	for _, st := range sd.stores {
-		st.Close()
+	for _, dev := range sd.devs {
+		dev.Close()
 	}
 	if sd.dir != "" {
 		os.RemoveAll(filepath.Join(sd.dir, sd.name))
@@ -254,13 +277,17 @@ func (sd *seedDevices) close() {
 
 // chaosRun carries one seed's state through its rounds.
 type chaosRun struct {
-	sc    Scenario
-	d     *Driver
-	inj   *faultfs.Injector
-	rng   *rand.Rand // flush-subset and scan-pacing decisions (separate stream from Driver/Injector)
-	burst burst      // the kind's per-round phase and its model; nil: none
-	res   SeedResult
-	dead  bool // devices unrecoverable or replaced; no further rounds
+	sc  Scenario
+	d   *Driver
+	inj *faultfs.Injector
+	// The wrapped backings, and the Disk and Log open over them.
+	db, lb storage.Backing
+	disk   *storage.Disk
+	log    *storage.Log
+	rng    *rand.Rand // flush-subset and scan-pacing decisions (separate stream from Driver/Injector)
+	burst  burst      // the kind's per-round phase and its model; nil: none
+	res    SeedResult
+	dead   bool // devices unrecoverable or replaced; no further rounds
 
 	// jdev is the flight-recorder journal device, shared across the
 	// seed's crash/recover cycles (the model of battery-backed recorder
@@ -303,13 +330,20 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 	cfg.FlightJournal = r.jdev
 	devs := seedDevices{dir: sc.Dir, name: fmt.Sprintf("seed-%d", plan.Seed)}
 	defer devs.close()
-	disk, logDev, err := devs.open(cfg, "")
+	r.inj = faultfs.New(plan)
+	db, lb, err := devs.backings("")
+	if err == nil {
+		r.db, r.lb = r.inj.Wrap(db), r.inj.Wrap(lb)
+		err = r.open(cfg)
+	}
 	if err != nil {
 		r.res.record(Violation, err.Error())
 		return r.res
 	}
-	r.inj = faultfs.New(plan, disk, logDev)
-	r.d = NewOn(cfg, plan.Seed, r.inj.Disk, r.inj.Log)
+	// Whatever heap is live at the end, its files close unsynced (a
+	// close would write through the armed backings).
+	defer func() { r.disk.Abandon(); r.log.Abandon() }()
+	r.d = NewOn(cfg, plan.Seed, r.disk, r.log)
 	r.inj.SetRecorder(r.d.hp.FlightRecorder())
 	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
@@ -416,14 +450,16 @@ func (r *chaosRun) round(round int) {
 		// run proceeds straight to the crash.
 		online = r.armed(func() { r.d.flushSubset(r.rng, r.sc.FlushFrac) })
 	}
-	r.crash() // applies the plan's torn page write and torn log tail
+	r.crash()
 	r.recoverAndAudit(online)
 }
 
-// crash kills the heap and decodes the newest boot's flushed events: the
-// flight recording of the run that just died, ending in the injected fault
-// and the crash marker.
+// crash applies the plan's crash-time faults (a torn log tail, a torn
+// unsynced page write), kills the heap and decodes the newest boot's
+// flushed events: the flight recording of the run that just died, ending
+// in the injected fault and the crash marker.
 func (r *chaosRun) crash() {
+	r.inj.Crash(r.log)
 	r.d.hp.Crash()
 	if evs, _, err := obs.ReadLatest(r.jdev); err == nil && len(evs) > 0 {
 		r.timeline = evs
@@ -910,16 +946,40 @@ func recoverSafely(fn func() (*core.Heap, error)) (hp *core.Heap, err error) {
 	return fn()
 }
 
-// recoverAndAudit classifies recovery over the crashed wrapped devices.
-// onlineAlready suppresses a duplicate verdict when the round already
-// recorded an online detection (the recovery outcome is still recorded).
-func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
-	disk, logDev := r.d.hp.Devices()
+// open opens the Disk and the Log over the wrapped backings: fresh, or
+// after a crash as a restarted process reopens its files — what the crash,
+// the faults and any earlier recovery attempt left in the bytes is all the
+// next heap sees. A reopen that fails returns the device's typed error.
+func (r *chaosRun) open(cfg core.Config) error {
+	disk, err := storage.OpenDisk(r.db, cfg.PageSize)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
+	}
+	log, err := storage.OpenLog(r.lb, cfg.LogSegBytes)
+	if err != nil {
+		disk.Abandon()
+		return fmt.Errorf("open: %w", err)
+	}
+	r.disk, r.log = disk, log
+	return nil
+}
 
+// recoverAndAudit classifies recovery from the crashed heap's bytes: each
+// attempt reopens the devices first. onlineAlready suppresses a duplicate
+// verdict when the round already recorded an online detection (the
+// recovery outcome is still recorded).
+func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 	var hp *core.Heap
 	var err error
 	for attempt := 0; ; attempt++ {
-		hp, err = recoverSafely(func() (*core.Heap, error) { return core.Recover(r.d.cfg, disk, logDev) })
+		hp, err = recoverSafely(func() (*core.Heap, error) {
+			r.disk.Abandon()
+			r.log.Abandon()
+			if err := r.open(r.d.cfg); err != nil {
+				return nil, err
+			}
+			return core.Recover(r.d.cfg, r.disk, r.log)
+		})
 		if err == nil || attempt >= 2 || !errors.Is(err, storage.ErrIO) {
 			break
 		}
@@ -935,24 +995,29 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 		}
 	case typedDeviceError(err):
 		r.res.record(Detected, err.Error())
-		r.mediaRepair(logDev)
+		r.mediaRepair()
 	default:
 		r.violation(fmt.Sprintf("recovery failed with an untyped error: %v", err))
 	}
 }
 
 // mediaRepair is the fallback after a Detected recovery failure: rebuild
-// everything from the retained log (possible because ChaosConfig never
-// truncates). Success that passes the audit is Repaired; a detectable
-// failure leaves the Detected verdict standing. Either way the seed ends:
-// the devices were either replaced (a fresh unwrapped disk) or declared
-// unrecoverable.
-func (r *chaosRun) mediaRepair(logDev storage.LogDevice) {
+// everything from the retained log, reopened from its bytes (possible
+// because ChaosConfig never truncates). Success that passes the audit is
+// Repaired; a detectable failure — of the reopen too — leaves the Detected
+// verdict standing. Either way the seed ends: the page store was either
+// replaced (a fresh memory disk) or declared unrecoverable.
+func (r *chaosRun) mediaRepair() {
 	r.dead = true
-	if logDev.Base().TruncLSN() != 1 {
-		return
-	}
-	hp, err := recoverSafely(func() (*core.Heap, error) { return core.RecoverFromLog(r.d.cfg, logDev) })
+	hp, err := recoverSafely(func() (*core.Heap, error) {
+		r.log.Abandon()
+		log, err := storage.OpenLog(r.lb, 0)
+		if err != nil {
+			return nil, fmt.Errorf("open: %w", err)
+		}
+		r.log = log
+		return core.RecoverFromLog(r.d.cfg, log)
+	})
 	switch {
 	case err == nil:
 		if r.adopt(hp, "media recovery") {

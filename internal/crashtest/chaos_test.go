@@ -73,13 +73,21 @@ func TestChaosSweepNoViolations(t *testing.T) {
 // detects. A search of seeds 0–3999 found 671, 1060, 1627 and 2905. 2905
 // faults only with I/O errors, mid-commit in round 0, and with the rule
 // disabled its first audit reports "slot 3: list longer than the 0
-// committed values", so it is the pin.
+// committed values", so it was the pin.
+//
+// When the faults moved into the byte backing, I/O bursts began to be drawn
+// on every file read, write and sync, and every crash began to reopen the
+// devices, so the search was run again over seeds 0–3999: with the rule
+// disabled, 908, 923, 1165, 1380, 1446, 1456, 2436, 2547, 3608, 3793 and
+// 3993 violate. 2436 faults only with I/O errors, mid-commit in round 0,
+// and with the rule disabled its first audit reports "slot 0[0] = 943496,
+// want 702285", so it is the pin.
 func TestChaosDriverCommitInDoubt(t *testing.T) {
-	res := RunSeed(Scenario{Steps: 25, Crashes: 3, MidGC: true}, 2905)
+	res := RunSeed(Scenario{Steps: 25, Crashes: 3, MidGC: true}, 2436)
 	if res.Failed() {
 		t.Fatal(res.Failure)
 	}
-	if want := []Verdict{DetectedOnline, DetectedOnline, Clean}; !reflect.DeepEqual(res.Verdicts, want) {
+	if want := []Verdict{DetectedOnline, Detected, Repaired}; !reflect.DeepEqual(res.Verdicts, want) {
 		t.Fatalf("verdicts %v, want %v: the seed no longer faults mid-commit (%s)", res.Verdicts, want, res.Failure)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestChaosOverFilesNoViolations runs the chaos sweep with the heap on
-// real files: the fault injector wraps the filestore devices unchanged,
+// real files: the fault injector wraps the directory backing unchanged,
 // and the same detectability contract must hold — no seed may ever
 // recover into a state that fails the model audit.
 func TestChaosOverFilesNoViolations(t *testing.T) {
@@ -29,10 +29,12 @@ func TestChaosOverFilesNoViolations(t *testing.T) {
 }
 
 // TestChaosFilesMatchMemory: the same seed must produce the identical
-// verdict sequence and fault counters whether the devices are in-memory
-// or file-backed — the file layer's crash model (in-process Crash pushes
-// completed writes to the OS, drops the user-space log tail) is
-// observably the in-memory one.
+// verdict sequence and fault counters whether the wrapped backing is memory
+// or a directory. The faults land in the backing's bytes and every crash
+// reopens the devices from them, so this holds only if the two backings
+// read back the same bytes — and the file layer's crash model (a completed
+// write is in the OS, the user-space log tail is lost) is observably the
+// in-memory one.
 func TestChaosFilesMatchMemory(t *testing.T) {
 	sc := Scenario{Steps: 30, Crashes: 3, MidGC: true}
 	fsc := sc

@@ -6,7 +6,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
+
+	"stableheap/internal/faultfs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/chaos_golden.txt from this build's sweeps")
@@ -63,5 +66,28 @@ func TestChaosMatrixGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("chaos matrix moved (leg, digest):\n got:\n%s want:\n%s", got.Bytes(), want)
+	}
+}
+
+// TestChaosFaultClassesFire: over the golden legs' seeds, every fault
+// class the injector counts fires at least once. The devices' own checks
+// are the only detection, so with TestChaosMatrixGolden's zero violations
+// this says each class was injected and then caught or harmless — not
+// that a class quietly stopped firing.
+func TestChaosFaultClassesFire(t *testing.T) {
+	var sum faultfs.Stats
+	total := reflect.ValueOf(&sum).Elem()
+	for _, leg := range goldenLegs {
+		for _, res := range Sweep(leg.sc, leg.from, leg.n).Results {
+			got := reflect.ValueOf(res.Faults)
+			for i := 0; i < got.NumField(); i++ {
+				total.Field(i).SetInt(total.Field(i).Int() + got.Field(i).Int())
+			}
+		}
+	}
+	for i := 0; i < total.NumField(); i++ {
+		if total.Field(i).Int() == 0 {
+			t.Errorf("no %s over the golden legs' seeds: %+v", total.Type().Field(i).Name, sum)
+		}
 	}
 }

@@ -86,8 +86,9 @@ func New(cfg core.Config, seed int64) *Driver {
 }
 
 // NewOn creates a driver over a fresh heap formatted onto the provided
-// devices — the chaos explorer passes fault-injection wrappers here.
-func NewOn(cfg core.Config, seed int64, disk storage.PageStore, logDev storage.LogDevice) *Driver {
+// devices — the chaos explorer passes ones opened over fault-injecting
+// backings.
+func NewOn(cfg core.Config, seed int64, disk *storage.Disk, logDev storage.LogDevice) *Driver {
 	return newDriver(cfg, seed, core.OpenOn(cfg, disk, logDev))
 }
 
@@ -168,10 +169,15 @@ func (d *Driver) prepareOrResolve() error {
 		tr.Abort()
 		return benign(err)
 	}
+	// Pending from before the call: a Prepare a device fault ends may
+	// already have forced its record, and then recovery restores the
+	// transaction in doubt. One that left no record comes back a loser,
+	// and resolveInDoubt forgets it.
+	d.pending = &pendingPrepared{id: word.TxID(tr.ID()), slot: slot, ifCommit: vals}
 	if err := tr.Prepare(); err != nil {
+		d.pending = nil
 		return benign(err)
 	}
-	d.pending = &pendingPrepared{id: word.TxID(tr.ID()), slot: slot, ifCommit: vals}
 	return nil
 }
 
@@ -380,7 +386,7 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	// The twin's crash image, taken before the primary's recovery writes to
 	// it: clones of the devices, or a copy of the directory they closed.
 	twinCfg := d.cfg
-	var twinDisk storage.PageStore
+	var twinDisk *storage.Disk
 	var twinLog storage.LogDevice
 	if checkTwin && d.cfg.Dir != "" {
 		twinCfg.Dir = d.cfg.Dir + ".twin"
@@ -389,7 +395,7 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 			return fmt.Errorf("twin copy: %w", err)
 		}
 	} else if checkTwin {
-		twinDisk, twinLog = storage.DiskOf(disk).Clone(), logDev.Base().Clone()
+		twinDisk, twinLog = disk.Clone(), logDev.Base().Clone()
 	}
 
 	hp, err := core.RecoverCrashed(d.cfg, disk, logDev)

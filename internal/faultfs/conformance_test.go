@@ -8,20 +8,38 @@ import (
 	"stableheap/internal/storage/storagetest"
 )
 
-// A disarmed injector must be observably transparent: the wrapped devices
-// pass the exact same conformance suite as the bare ones. (Armed behavior
-// is covered by the injector's own tests and the chaos harness.)
+// An unarmed injector must be observably transparent: devices opened over
+// its wrapped backings pass the exact same conformance suite as over the
+// bare ones. (Armed behavior is covered by faultfs_test.go and the chaos
+// harness.)
+
+func wrapped() storage.Backing {
+	return faultfs.New(faultfs.Plan{}).Wrap(storage.NewMemBacking())
+}
 
 func TestWrappedDiskConformance(t *testing.T) {
-	storagetest.RunPageStore(t, func(t *testing.T, pageSize int) storage.PageStore {
-		in := faultfs.New(faultfs.Plan{}, storage.NewDisk(pageSize), storage.NewLog(storage.DefaultSegmentSize))
-		return in.Disk
+	storagetest.RunDisk(t, func(t *testing.T, pageSize int) *storage.Disk {
+		d, err := storage.OpenDisk(wrapped(), pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	})
 }
 
 func TestWrappedLogConformance(t *testing.T) {
-	storagetest.RunLogDevice(t, func(t *testing.T, segBytes int) storage.LogDevice {
-		in := faultfs.New(faultfs.Plan{}, storage.NewDisk(1024), storage.NewLog(segBytes))
-		return in.Log
+	storagetest.RunLog(t, func(t *testing.T, segBytes int) *storage.Log {
+		l, err := storage.OpenLog(wrapped(), segBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	})
+}
+
+func TestWrappedReopenConformance(t *testing.T) {
+	storagetest.RunReopen(t, func(t *testing.T) (disk, log storage.Backing) {
+		in := faultfs.New(faultfs.Plan{})
+		return in.Wrap(storage.NewMemBacking()), in.Wrap(storage.NewMemBacking())
 	})
 }

@@ -1,41 +1,36 @@
-// Package faultfs is a deterministic, seed-driven fault-injection layer
-// over the storage devices. It wraps a *storage.Disk and a *storage.Log —
-// memory- or file-backed alike — behind storage.PageStore and
-// storage.LogDevice and injects, per a FaultPlan derived from a single
-// PRNG seed:
+// Package faultfs is a deterministic, seed-driven fault injector under the
+// storage devices: it wraps the storage.Backing a Disk and a Log are opened
+// over, memory or a directory alike, and puts faults into the bytes per a
+// Plan derived from one PRNG seed:
 //
-//   - torn page writes: at a crash, the last write to one page is only
-//     partially applied — a sector-granular mix of old and new contents
-//     (prefix, suffix, or interior pattern);
-//   - partial log forces: a crash arrives while the final force of the
-//     log tail is in flight, so only a byte prefix of the previously
-//     volatile region reaches stable storage, possibly ending mid-record;
-//   - single/multi-bit flips on at-rest pages and log frames (bit rot),
-//     injected on demand by the chaos explorer between operations;
-//   - transient I/O errors with configurable probability and burst
-//     length; bursts within the device driver's retry budget are absorbed
-//     (and counted), longer ones surface as typed DeviceIOError panics.
+//   - transient I/O errors: a failure burst may start on any File.ReadAt,
+//     WriteAt or Sync; one within the driver's retry budget is absorbed, a
+//     longer one fails the call with an error wrapping storage.ErrIO;
+//   - torn page writes: at a crash, one pages.dat slot write no Sync has
+//     covered lands as a sector-granular mix of its old and new bytes;
+//   - at-rest bit rot: one bit flipped in a byte range the device wrote, in
+//     pages.dat or a seg- file, slot and record headers included;
+//   - torn log forces: at a crash, Log.CrashTorn persists a byte prefix of
+//     the volatile tail.
 //
-// Detection pairs with injection: the Disk wrapper maintains a per-page
-// checksum (storage.PageChecksum, modeling an in-page checksum word) that
-// is verified on every read, so a torn write or flipped bit panics with a
-// typed CorruptPageError naming the page; corrupted log frames fail the
-// wal codec's CRC and surface as CorruptFrameError at the wal layer. The
-// wrappers are exactly as deterministic as their seed: the same plan over
-// the same operation sequence injects byte-identical faults.
+// Nothing here detects anything: the devices' own checks — slot header CRC
+// and page checksum, record-header CRC and torn-fragment parse at reopen,
+// the wal frame CRC, their typed I/O panics — are the only ones. A crash is
+// a restart: the caller reopens the devices over the same wrapped backings.
 //
-// The injector's own state (PRNG, armed flag, fault counters) is guarded
-// by an internal mutex: the Disk wrapper is driven from under the page
-// cache's latch while the Log wrapper is driven from under the WAL latch,
-// so under a concurrent workload the two draw from the shared fault
-// stream simultaneously. Determinism is per-seed AND per-interleaving —
-// a concurrent run is reproducible only if its schedule is.
+// The same plan over the same sequence of file operations injects the same
+// faults. One mutex guards the injector's state, because the page store and
+// the log's force path draw from the one fault stream concurrently;
+// determinism is per seed and per interleaving.
 package faultfs
 
 import (
+	"cmp"
 	"fmt"
+	"io"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"stableheap/internal/obs"
@@ -47,6 +42,13 @@ import (
 // torn page write mixes old and new contents at this granularity.
 const SectorSize = 256
 
+// The names storage.Disk and storage.Log give their files: a torn write
+// and page rot land in the slot file, log rot in a segment.
+const (
+	pagesFile = "pages.dat"
+	segPrefix = "seg-"
+)
+
 // Plan is a deterministic fault schedule: which fault classes are armed
 // and at what intensity. Derive one from a seed with PlanFromSeed, or
 // construct it directly (the shrinker does, to disable classes one at a
@@ -54,10 +56,10 @@ const SectorSize = 256
 type Plan struct {
 	Seed int64 // PRNG seed driving every injection decision
 
-	TornPage  bool // tear one pending page write at each crash
+	TornPage  bool // tear one unsynced page write at each crash
 	TornForce bool // tear the log tail at each crash
-	PageFlips int  // at-rest page bit flips per CorruptAtRest call
-	LogFlips  int  // at-rest log-frame bit flips per CorruptAtRest call
+	PageFlips int  // at-rest page-file bit flips per CorruptAtRest call
+	LogFlips  int  // at-rest log-segment bit flips per CorruptAtRest call
 
 	IOProb     float64 // per-operation probability of starting an I/O error burst
 	IOBurstMax int     // maximum burst length (consecutive failed attempts)
@@ -95,94 +97,115 @@ func (p Plan) Enabled() bool {
 	return p.TornPage || p.TornForce || p.PageFlips > 0 || p.LogFlips > 0 || p.IOProb > 0
 }
 
-// Stats counts injected faults and detections.
+// Stats counts injected faults. What the devices detect is theirs to
+// report.
 type Stats struct {
-	TornPages     int // torn page writes installed at crashes
-	TornForces    int // torn log tails installed at crashes
-	PageFlips     int // at-rest page bits flipped
-	LogFlips      int // at-rest log-frame bits flipped
-	IORetried     int // transient I/O failures absorbed by driver retries
-	IOSurfaced    int // I/O bursts past the retry budget (typed panic)
-	ChecksumFails int // page checksum mismatches detected on read
+	TornPages  int // torn page writes installed at crashes
+	TornForces int // torn log tails installed at crashes
+	PageFlips  int // at-rest page-file bits flipped
+	LogFlips   int // at-rest log-segment bits flipped
+	IORetried  int // transient I/O failures absorbed by driver retries
+	IOSurfaced int // I/O bursts past the retry budget (an ErrIO error)
 }
 
-// Injector owns one wrapped device pair and the PRNG that drives every
-// injection decision, so disk and log faults draw from one deterministic
-// stream. Wrap the devices before building a heap over them; Arm starts
-// injection, Disarm stops it (checksums stay maintained and verified
-// either way — the wrapper is the device, faults are the option).
+// Injector owns the PRNG that drives every injection decision and the
+// backings it wraps, so page and log faults draw from one deterministic
+// stream. Wrap the backings before opening devices over them; Arm starts
+// injection. Unarmed, a wrapped backing is transparent.
 type Injector struct {
 	Plan Plan
-	Disk *Disk
-	Log  *Log
 
-	mu    sync.Mutex // guards rng, armed, stats, rec (disk and log wrappers run under different latches)
-	rng   *rand.Rand
-	armed bool
-	stats Stats
-	rec   *obs.BlackBox // optional flight recorder; every injection lands as an EvFault
+	mu       sync.Mutex // guards everything below
+	rng      *rand.Rand
+	armed    bool
+	stats    Stats
+	rec      *obs.BlackBox // optional flight recorder; every injection lands as an EvFault
+	backings []*backing    // in Wrap order: the order rot and tears pick in
 }
 
-// SetRecorder attaches a flight recorder: every fault the injector
-// applies or detects from then on is recorded as an EvFault event, so a
-// post-crash black-box dump shows which fault preceded the crash.
-// Record is lock-free, so calls under in.mu are safe.
+// New returns an unarmed injector for plan.
+func New(plan Plan) *Injector {
+	return &Injector{Plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+}
+
+// Wrap returns b with the injector's faults in it. Open the Disk and the
+// Log over the result, and reopen them over it after every Crash.
+func (in *Injector) Wrap(b storage.Backing) storage.Backing {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	w := &backing{Backing: b, in: in, files: make(map[string]*fileState)}
+	in.backings = append(in.backings, w)
+	return w
+}
+
+// SetRecorder attaches a flight recorder: every fault the injector applies
+// from then on is recorded as an EvFault event, so a post-crash black-box
+// dump shows which fault preceded the crash. Record is lock-free, so calls
+// under in.mu are safe.
 func (in *Injector) SetRecorder(b *obs.BlackBox) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rec = b
 }
 
-// New wraps the devices with fault injection per plan. The wrappers start
-// disarmed.
-func New(plan Plan, disk *storage.Disk, logDev *storage.Log) *Injector {
-	in := &Injector{Plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
-	in.Disk = &Disk{in: in, inner: disk, sums: make(map[word.PageID]uint64), pending: make(map[word.PageID]tornCandidate)}
-	for _, id := range disk.Pages() {
-		data, lsn, _ := disk.ReadPage(id)
-		in.Disk.sums[id] = storage.PageChecksum(data, lsn)
-	}
-	in.Log = &Log{in: in, inner: logDev}
-	return in
-}
-
-// Arm starts injecting faults.
+// Arm starts injecting faults. Before it, the wrapped backings only keep
+// track of what the devices write, so rot can hit that too.
 func (in *Injector) Arm() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.armed = true
 }
 
-// Armed reports whether injection is live.
-func (in *Injector) Armed() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.armed
-}
-
-// Stats returns accumulated injection and detection counters.
+// Stats returns the accumulated injection counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.stats
 }
 
-// noteChecksumFail counts a detected page-checksum mismatch.
-func (in *Injector) noteChecksumFail(pg word.PageID) {
+// Crash applies the plan's crash-time faults: a torn log tail, made by
+// log.CrashTorn at a cut drawn inside the volatile region, and one torn
+// unsynced page write. Every other unsynced write lands whole. Call it
+// just before the heap's Crash; then abandon the devices and reopen them
+// over the wrapped backings.
+func (in *Injector) Crash(log *storage.Log) {
 	in.mu.Lock()
+	armed := in.armed
+	cut := word.NilLSN
+	if armed && in.Plan.TornForce {
+		if stable, end := log.StableLSN(), log.EndLSN(); end > stable {
+			cut = stable + word.LSN(in.rng.Int63n(int64(end-stable+1)))
+		}
+	}
+	if cut != word.NilLSN {
+		// The torn force's own write goes through the wrapped files: it
+		// must not draw a fault of its own.
+		in.armed = false
+		in.mu.Unlock()
+		log.CrashTorn(cut)
+		in.mu.Lock()
+		in.armed = armed
+		in.stats.TornForces++
+		in.rec.Record(obs.EvFault, 0, obs.FaultTornForce, uint64(cut))
+	}
 	defer in.mu.Unlock()
-	in.stats.ChecksumFails++
-	in.rec.Record(obs.EvFault, 0, obs.FaultChecksum, uint64(pg))
+	if armed && in.Plan.TornPage && in.tearOne() {
+		in.stats.TornPages++
+		in.rec.Record(obs.EvFault, 0, obs.FaultTornPage, 0)
+	}
+	for _, b := range in.backings {
+		for _, fs := range b.files {
+			fs.pending = nil
+		}
+	}
 }
 
-// CorruptAtRest injects the plan's at-rest bit rot: PageFlips bit flips
-// on randomly chosen durable pages and LogFlips bit flips on randomly
-// chosen retained stable log frames. Flips bypass the checksum
-// bookkeeping — that is the point: the stored checksum no longer matches,
-// so the next read detects the rot. Log flips only touch bytes in the
-// CRC-covered region of a frame (offset >= 8), never the length prefix,
-// so rot is always distinguishable from a torn tail. Returns how many
-// flips were actually applied (armed and targets available).
+// CorruptAtRest injects the plan's at-rest bit rot: PageFlips flips in
+// bytes the page store wrote to pages.dat and LogFlips in bytes the log
+// wrote to its segments, each one bit chosen uniformly over those bytes.
+// A flip goes to the bytes underneath, past every check, so only the next
+// read that validates them can find it. Returns how many flips were
+// applied (armed and bytes to hit).
 func (in *Injector) CorruptAtRest() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -191,14 +214,14 @@ func (in *Injector) CorruptAtRest() int {
 	}
 	n := 0
 	for i := 0; i < in.Plan.PageFlips; i++ {
-		if in.Disk.flipOneBit() {
+		if in.flipOneBit(func(name string) bool { return name == pagesFile }) {
 			in.stats.PageFlips++
 			in.rec.Record(obs.EvFault, 0, obs.FaultPageRot, 0)
 			n++
 		}
 	}
 	for i := 0; i < in.Plan.LogFlips; i++ {
-		if in.Log.flipOneBit() {
+		if in.flipOneBit(func(name string) bool { return strings.HasPrefix(name, segPrefix) }) {
 			in.stats.LogFlips++
 			in.rec.Record(obs.EvFault, 0, obs.FaultLogRot, 0)
 			n++
@@ -207,241 +230,262 @@ func (in *Injector) CorruptAtRest() int {
 	return n
 }
 
-// maybeIO simulates the transient-error model shared by both devices: an
-// operation may start a failure burst of 1..IOBurstMax consecutive
-// attempts; the simulated driver retries up to RetryLimit times, so short
-// bursts are absorbed (counted in IORetried) and longer ones panic with a
-// typed DeviceIOError.
-func (in *Injector) maybeIO(op string, pg word.PageID, lsn word.LSN) {
+// maybeIO draws the transient-error model for one file operation: it may
+// start a failure burst of 1..IOBurstMax consecutive attempts; the
+// simulated driver retries up to RetryLimit times, so a short burst is
+// absorbed (counted in IORetried) and a longer one fails the call.
+func (in *Injector) maybeIO(op, name string, off int64) error {
 	in.mu.Lock()
-	defer in.mu.Unlock() // deferred: the surfaced-burst panic must not leak the injector latch
-	if !in.armed || in.Plan.IOProb <= 0 {
-		return
-	}
-	if in.rng.Float64() >= in.Plan.IOProb {
-		return
+	defer in.mu.Unlock()
+	if !in.armed || in.Plan.IOProb <= 0 || in.rng.Float64() >= in.Plan.IOProb {
+		return nil
 	}
 	burst := 1 + in.rng.Intn(in.Plan.IOBurstMax)
 	if burst > in.Plan.RetryLimit {
 		in.stats.IOSurfaced++
-		in.rec.Record(obs.EvFault, 0, obs.FaultIOSurfaced, uint64(pg))
-		panic(&storage.DeviceIOError{Op: op, Page: pg, LSN: lsn})
+		in.rec.Record(obs.EvFault, 0, obs.FaultIOSurfaced, uint64(off))
+		return fmt.Errorf("faultfs: %s %s at %d: %d failed attempts, retry budget %d: %w",
+			op, name, off, burst, in.Plan.RetryLimit, storage.ErrIO)
 	}
 	in.stats.IORetried += burst
 	in.rec.Record(obs.EvFault, 0, obs.FaultIORetried, uint64(burst))
+	return nil
 }
 
-// tornCandidate is a page write eligible for tearing at the next crash:
-// the contents the page held before the write, and the write itself.
-type tornCandidate struct {
-	oldData []byte // nil: page did not exist before the write
-	oldLSN  word.LSN
-	newData []byte
-	newLSN  word.LSN
+// target is one file of a wrapped backing.
+type target struct {
+	b    *backing
+	name string
+	fs   *fileState
 }
 
-// Disk wraps a *storage.Disk with checksums, torn writes, bit rot and
-// transient I/O errors.
-type Disk struct {
-	in    *Injector
-	inner *storage.Disk
-	// sums holds the checksum each page's last complete write should
-	// verify against — the model of an in-page checksum word. Torn writes
-	// and bit flips corrupt contents without updating it.
-	sums map[word.PageID]uint64
-	// pending holds, while armed, the candidates for tearing at the next
-	// crash (pages written since the last crash or Arm).
-	pending map[word.PageID]tornCandidate
-}
-
-var _ storage.PageStore = (*Disk)(nil)
-
-func (d *Disk) ReadPage(id word.PageID) ([]byte, word.LSN, bool) {
-	d.in.maybeIO("read", id, word.NilLSN)
-	data, lsn, ok := d.inner.ReadPage(id)
-	if !ok {
-		return nil, lsn, false
-	}
-	if want, tracked := d.sums[id]; tracked && storage.PageChecksum(data, lsn) != want {
-		d.in.noteChecksumFail(id)
-		panic(&storage.CorruptPageError{Page: id, Reason: "page checksum mismatch"})
-	}
-	return data, lsn, true
-}
-
-func (d *Disk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
-	d.in.maybeIO("write", id, word.NilLSN)
-	if d.in.Armed() && d.in.Plan.TornPage {
-		cand := tornCandidate{newData: append([]byte(nil), data...), newLSN: lsn}
-		if old, oldLSN, ok := d.inner.ReadPage(id); ok {
-			cand.oldData, cand.oldLSN = old, oldLSN
+// targets lists the files whose names match, in Wrap order and then by
+// name, so every draw over them is deterministic. in.mu is held.
+func (in *Injector) targets(match func(string) bool) []target {
+	var ts []target
+	for _, b := range in.backings {
+		for _, name := range sortedKeys(b.files) {
+			if match(name) {
+				ts = append(ts, target{b, name, b.files[name]})
+			}
 		}
-		d.pending[id] = cand
 	}
-	d.inner.WritePage(id, data, lsn)
-	d.sums[id] = storage.PageChecksum(data, lsn)
+	return ts
 }
 
-func (d *Disk) PageLSN(id word.PageID) word.LSN { return d.inner.PageLSN(id) }
-func (d *Disk) Master() storage.Master          { return d.inner.Master() }
-func (d *Disk) SetMaster(m storage.Master)      { d.inner.SetMaster(m) }
+// sortedKeys returns m's keys in order: a draw over a map must not depend
+// on its iteration order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
-// Base returns the wrapped Disk (storage.DiskOf): its Clone is a plain,
-// fault-free copy of the durable state, so twin recoveries run on pristine
-// hardware.
-func (d *Disk) Base() *storage.Disk { return d.inner }
-
-// applyTornWrite tears one pending write at crash time: the victim page
-// ends up a sector-granular mix of its old and new contents. The stored
-// checksum still describes the complete new write, so the next read of
-// the victim detects the tear — unless the mixed image happens to equal
-// the new one (the write was torn but nothing differed), which is benign.
-func (d *Disk) applyTornWrite() bool {
-	if len(d.pending) == 0 {
+// flipOneBit flips one bit, chosen uniformly over the bytes written to the
+// matching files, in the bytes underneath the wrapper. in.mu is held.
+func (in *Injector) flipOneBit(match func(string) bool) bool {
+	ts := in.targets(match)
+	var bits int64
+	for _, t := range ts {
+		for off, end := range t.fs.written {
+			bits += (end - off) * 8
+		}
+	}
+	if bits == 0 {
 		return false
 	}
-	ids := make([]word.PageID, 0, len(d.pending))
-	for id := range d.pending {
-		ids = append(ids, id)
+	bit := in.rng.Int63n(bits)
+	for _, t := range ts {
+		for _, off := range sortedKeys(t.fs.written) {
+			if n := (t.fs.written[off] - off) * 8; bit >= n {
+				bit -= n
+				continue
+			}
+			return t.b.patch(t.name, off+bit/8, 1, func(p []byte) { p[0] ^= 1 << (bit % 8) })
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	id := ids[d.in.rng.Intn(len(ids))]
-	c := d.pending[id]
+	return false
+}
 
-	ps := d.inner.PageSize()
-	old := c.oldData
-	if old == nil {
-		old = make([]byte, ps) // the page was fresh: the platter held zeros
+// tearOne lands one pending page write as a sector-granular mix of its old
+// and new bytes. The slot header carries the page LSN and the checksum, so
+// the next read of a mixed slot fails validation — unless the mix equals
+// one whole image (every sector landed, or none differed), which is a
+// benign tear. in.mu is held.
+func (in *Injector) tearOne() bool {
+	type cand struct {
+		t   target
+		off int64
 	}
-	mixed := append([]byte(nil), old...)
-	sectors := (ps + SectorSize - 1) / SectorSize
-	applied := 1 + d.in.rng.Intn(sectors) // how many sectors of the new write landed
+	var cands []cand
+	for _, t := range in.targets(func(name string) bool { return name == pagesFile }) {
+		for _, off := range sortedKeys(t.fs.pending) {
+			cands = append(cands, cand{t, off})
+		}
+	}
+	if len(cands) == 0 {
+		return false
+	}
+	c := cands[in.rng.Intn(len(cands))]
+	w := c.t.fs.pending[c.off]
+	size := len(w.new)
+	sectors := (size + SectorSize - 1) / SectorSize
+	applied := 1 + in.rng.Intn(sectors) // how many sectors of the new write landed
 	start := 0
-	switch d.in.rng.Intn(3) {
+	switch in.rng.Intn(3) {
 	case 0: // prefix: the write stopped partway through
 	case 1: // suffix: the write was applied back to front (elevator order)
 		start = sectors - applied
 	default: // interior: an arbitrary contiguous run landed
-		start = d.in.rng.Intn(sectors - applied + 1)
+		start = in.rng.Intn(sectors - applied + 1)
 	}
-	for s := start; s < start+applied; s++ {
-		lo := s * SectorSize
-		hi := lo + SectorSize
-		if hi > ps {
-			hi = ps
-		}
-		copy(mixed[lo:hi], c.newData[lo:hi])
-	}
-	// The page LSN travels with the page header in sector 0.
-	lsn := c.oldLSN
-	if start == 0 {
-		lsn = c.newLSN
-	}
-	d.inner.WritePage(id, mixed, lsn)
-	return true
+	return c.t.b.patch(c.t.name, c.off, size, func(p []byte) {
+		copy(p, w.old)
+		lo, hi := start*SectorSize, min((start+applied)*SectorSize, size)
+		copy(p[lo:hi], w.new[lo:hi])
+	})
 }
 
-// flipOneBit flips one random bit on one random durable page, bypassing
-// the checksum bookkeeping (that is what makes it rot).
-func (d *Disk) flipOneBit() bool {
-	pages := d.inner.Pages()
-	if len(pages) == 0 {
-		return false
-	}
-	id := pages[d.in.rng.Intn(len(pages))]
-	data, lsn, ok := d.inner.ReadPage(id)
-	if !ok {
-		return false
-	}
-	bit := d.in.rng.Intn(len(data) * 8)
-	data[bit/8] ^= 1 << (bit % 8)
-	d.inner.WritePage(id, data, lsn)
-	return true
-}
-
-// Log wraps a *storage.Log with torn forces, frame bit rot and transient
-// I/O errors. Frame integrity is verified by the wal codec's CRC, so the
-// wrapper only injects; detection lives one layer up.
-type Log struct {
+// backing is one wrapped storage.Backing. Only Open and Remove are its
+// own; the rest pass through — Clone too, so a clone is a plain, fault-free
+// copy of the bytes (twin recoveries run on pristine hardware).
+type backing struct {
+	storage.Backing
 	in    *Injector
-	inner *storage.Log
+	files map[string]*fileState // by name; guarded by in.mu
 }
 
-var _ storage.LogDevice = (*Log)(nil)
-
-func (l *Log) Append(data []byte) word.LSN {
-	l.in.maybeIO("append", 0, l.inner.EndLSN())
-	return l.inner.Append(data)
+// fileState is what the injector knows about one file: the byte ranges the
+// device wrote, each write's offset mapped to its end (where rot may land),
+// and, while a torn page is planned, the slot writes since the file's last
+// Sync (which a crash may tear).
+type fileState struct {
+	written map[int64]int64
+	pending map[int64]unsynced
 }
 
-func (l *Log) Force(lsn word.LSN) {
-	l.in.maybeIO("force", 0, lsn)
-	l.inner.Force(lsn)
-}
+// unsynced is a write no Sync has covered: the bytes it replaced, which
+// are what a crash can fall back to, and its own.
+type unsynced struct{ old, new []byte }
 
-func (l *Log) StableLSN() word.LSN { return l.inner.StableLSN() }
-func (l *Log) EndLSN() word.LSN    { return l.inner.EndLSN() }
-
-// Base returns the wrapped Log: a Clone of it is a plain, fault-free copy.
-func (l *Log) Base() *storage.Log { return l.inner }
-
-// Crash applies the plan's crash-time faults — a torn log tail and/or a
-// torn page write — then (or instead) performs the clean crash. This is
-// the single crash-time hook: every crash path goes through the log
-// device's Crash.
-func (l *Log) Crash() {
-	// Crash time is single-threaded (the heap is stop-exclusive), but the
-	// injector latch still serializes against a straggling device op.
-	l.in.mu.Lock()
-	defer l.in.mu.Unlock()
-	if l.in.armed && l.in.Plan.TornPage {
-		if l.in.Disk.applyTornWrite() {
-			l.in.stats.TornPages++
-			l.in.rec.Record(obs.EvFault, 0, obs.FaultTornPage, 0)
-		}
-	}
-	l.in.Disk.pending = make(map[word.PageID]tornCandidate)
-	if l.in.armed && l.in.Plan.TornForce {
-		if stable, end := l.inner.StableLSN(), l.inner.EndLSN(); end > stable {
-			// The crash interrupts a hypothetical final force of the tail:
-			// a byte prefix of the volatile region lands.
-			cut := stable + word.LSN(l.in.rng.Int63n(int64(end-stable+1)))
-			l.inner.CrashTorn(cut)
-			l.in.stats.TornForces++
-			l.in.rec.Record(obs.EvFault, 0, obs.FaultTornForce, uint64(cut))
-			return
-		}
-	}
-	l.inner.Crash()
-}
-
-func (l *Log) ReadAt(lsn word.LSN) ([]byte, bool) {
-	l.in.maybeIO("read", 0, lsn)
-	return l.inner.ReadAt(lsn)
-}
-
-func (l *Log) ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool) {
-	l.inner.ScanBatches(from, stableOnly, batchSize, fn)
-}
-
-// flipOneBit flips one bit in the CRC-covered region of one random
-// durable retained frame (never the 4-byte length prefix and never the
-// volatile tail, so rot is always distinguishable from a torn tail and
-// never conflated with records a crash legitimately discards).
-func (l *Log) flipOneBit() bool {
-	var lsns []word.LSN
-	storage.Scan(l.inner, l.inner.TruncLSN(), true, func(lsn word.LSN, data []byte) bool {
-		if len(data) > 8 {
-			lsns = append(lsns, lsn)
-		}
-		return true
-	})
-	if len(lsns) == 0 {
+// patch applies fn to n bytes at off of the named file underneath the
+// wrapper: no fault is drawn and nothing is recorded as written.
+func (b *backing) patch(name string, off int64, n int, fn func([]byte)) bool {
+	f, err := b.Backing.Open(name, false)
+	if err != nil {
 		return false
 	}
-	lsn := lsns[l.in.rng.Intn(len(lsns))]
-	return l.inner.CorruptEntry(lsn, func(data []byte) {
-		bit := 64 + l.in.rng.Intn((len(data)-8)*8) // skip the 8-byte len+crc header… CRC covers the rest
-		data[bit/8] ^= 1 << (bit % 8)
-	})
+	defer f.Close()
+	p := make([]byte, n)
+	if _, err := f.ReadAt(p, off); err != nil && err != io.EOF {
+		return false
+	}
+	fn(p)
+	_, err = f.WriteAt(p, off)
+	return err == nil
+}
+
+func (b *backing) Open(name string, truncate bool) (storage.File, error) {
+	f, err := b.Backing.Open(name, truncate)
+	if err != nil {
+		return nil, err
+	}
+	b.in.mu.Lock()
+	defer b.in.mu.Unlock()
+	fs := b.files[name]
+	if fs == nil || truncate {
+		// A file the injector has not seen written (one a run before this
+		// left) counts as written throughout.
+		fs = &fileState{written: make(map[int64]int64)}
+		if size, err := f.Size(); err == nil && size > 0 {
+			fs.written[0] = size
+		}
+		b.files[name] = fs
+	}
+	return &file{File: f, b: b, name: name, fs: fs}, nil
+}
+
+func (b *backing) Remove(name string) error {
+	b.in.mu.Lock()
+	delete(b.files, name)
+	b.in.mu.Unlock()
+	return b.Backing.Remove(name)
+}
+
+// file is one open file of a wrapped backing.
+type file struct {
+	storage.File
+	b    *backing
+	name string
+	fs   *fileState
+}
+
+func (f *file) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.b.in.maybeIO("read", f.name, off); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f *file) WriteAt(p []byte, off int64) (int, error) {
+	in := f.b.in
+	if err := in.maybeIO("write", f.name, off); err != nil {
+		return 0, err
+	}
+	in.mu.Lock()
+	if in.armed && in.Plan.TornPage && f.name == pagesFile {
+		w, ok := f.fs.pending[off]
+		if !ok {
+			// The bytes a crash falls back to are the last synced ones.
+			w.old = make([]byte, len(p))
+			if _, err := f.File.ReadAt(w.old, off); err != nil && err != io.EOF {
+				in.mu.Unlock()
+				return 0, err
+			}
+		}
+		w.new = append([]byte(nil), p...)
+		if f.fs.pending == nil {
+			f.fs.pending = make(map[int64]unsynced)
+		}
+		f.fs.pending[off] = w
+	}
+	in.mu.Unlock()
+	n, err := f.File.WriteAt(p, off)
+	in.mu.Lock()
+	f.fs.written[off] = max(f.fs.written[off], off+int64(n))
+	in.mu.Unlock()
+	return n, err
+}
+
+func (f *file) Sync() error {
+	in := f.b.in
+	if err := in.maybeIO("sync", f.name, 0); err != nil {
+		return err
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	in.mu.Lock()
+	f.fs.pending = nil // durable now: nothing of it can tear
+	in.mu.Unlock()
+	return nil
+}
+
+func (f *file) Truncate(size int64) error {
+	if err := f.File.Truncate(size); err != nil {
+		return err
+	}
+	f.b.in.mu.Lock()
+	defer f.b.in.mu.Unlock()
+	for off, end := range f.fs.written {
+		if off >= size {
+			delete(f.fs.written, off)
+		} else if end > size {
+			f.fs.written[off] = size
+		}
+	}
+	return nil
 }

@@ -111,9 +111,9 @@ const (
 	FaultIORetried                    // transient I/O burst absorbed by retry
 	FaultTornPage                     // torn page write applied at crash
 	FaultTornForce                    // log force torn mid-record at crash
-	FaultPageRot                      // at-rest bit flip on a page
-	FaultLogRot                       // at-rest bit flip on a log record
-	FaultChecksum                     // checksum caught a corrupt read
+	FaultPageRot                      // at-rest bit flip in the page file
+	FaultLogRot                       // at-rest bit flip in a log segment
+	_                                 // 7 ("checksum-detected") is in older dumps: detection is the devices' now
 )
 
 // FaultClassName names a fault class for timelines.

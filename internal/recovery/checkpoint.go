@@ -150,7 +150,7 @@ func (c *Checkpointer) Stats() CheckpointStats {
 
 // InitMaster formats a fresh disk's master block (used by core when
 // creating a new stable heap). The first checkpoint follows immediately.
-func InitMaster(disk storage.PageStore) {
+func InitMaster(disk *storage.Disk) {
 	m := disk.Master()
 	m.Formatted = true
 	disk.SetMaster(m)

@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"fmt"
 	"sort"
 
+	"stableheap/internal/storage"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
@@ -74,6 +76,9 @@ func footprint(rec wal.Record) (writes [2]span) {
 type dirtyPages struct {
 	pageSize int
 	recLSN   map[word.PageID]word.LSN
+	// certified holds, per page, the highest page LSN an end-write record
+	// says reached disk: the disk must hold at least that (lostWrite).
+	certified map[word.PageID]word.LSN
 	// media: the disk the end-write records certified is gone (archive
 	// recovery), so they prune nothing.
 	media bool
@@ -82,7 +87,8 @@ type dirtyPages struct {
 // newDirtyPages seeds the table from a checkpoint's dirty list; should the
 // list name a page twice, redo must start at the earliest.
 func newDirtyPages(pageSize int, seed []wal.DirtyPage, media bool) *dirtyPages {
-	d := &dirtyPages{pageSize: pageSize, recLSN: make(map[word.PageID]word.LSN), media: media}
+	d := &dirtyPages{pageSize: pageSize, media: media,
+		recLSN: make(map[word.PageID]word.LSN), certified: make(map[word.PageID]word.LSN)}
 	for _, dp := range seed {
 		if cur, ok := d.recLSN[dp.Page]; !ok || dp.RecLSN < cur {
 			d.recLSN[dp.Page] = dp.RecLSN
@@ -98,6 +104,7 @@ func (d *dirtyPages) note(lsn word.LSN, rec wal.Record) {
 		// subsequent record re-dirties it.
 		if !d.media {
 			delete(d.recLSN, ew.Page)
+			d.certified[ew.Page] = max(d.certified[ew.Page], ew.PageLSN)
 		}
 		return
 	}
@@ -108,6 +115,24 @@ func (d *dirtyPages) note(lsn word.LSN, rec wal.Record) {
 			}
 		}
 	}
+}
+
+// lostWrite returns a CorruptPageError for the lowest page the disk holds
+// at a page LSN below the one an end-write record certified: a write the
+// log calls done that the disk lost, or a first write a crash tore before
+// its slot header landed. Redo would skip it as clean, so recovery refuses.
+func (d *dirtyPages) lostWrite(disk *storage.Disk) error {
+	var err *storage.CorruptPageError
+	for pg, want := range d.certified {
+		if lsn := disk.PageLSN(pg); lsn < want && (err == nil || pg < err.Page) {
+			err = &storage.CorruptPageError{Page: pg, Reason: fmt.Sprintf(
+				"page LSN %d is below the %d an end-write record certified: the write was lost or torn", lsn, want)}
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	return err
 }
 
 // relevant reports whether any page of s may need the record at lsn: it is

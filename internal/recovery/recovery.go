@@ -197,6 +197,9 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 	phase := time.Now()
 	a := newAnalysis(mem.PageSize(), cp, cpLSN, opts.Media)
 	a.scan(log)
+	if err := a.dpt.lostWrite(mem.Disk()); err != nil {
+		return nil, nil, fmt.Errorf("recovery: %w", err)
+	}
 	res := &Result{CP: a.cp, TornTail: torn, RedoStart: a.dpt.redoStart()}
 	for _, m := range a.moved {
 		res.Moved = append(res.Moved, m)

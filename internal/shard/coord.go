@@ -47,17 +47,15 @@ func newCoordinator(log storage.LogDevice) *Coordinator {
 // recoverCoordinator rebuilds the decision state from a surviving log:
 // only durable records remain after a device crash, and a reopened file
 // log may end in a torn fragment, which is repaired away exactly like a
-// torn WAL tail (the interrupted append was never acknowledged).
+// torn WAL tail (the interrupted append was never acknowledged). Any other
+// undecodable record is corruption and panics with its typed error, as a
+// device read does.
 func recoverCoordinator(log storage.LogDevice) *Coordinator {
 	c := newCoordinator(log)
-	var repair word.LSN
-	torn := false
-	storage.Scan(log, log.Base().TruncLSN(), false, func(lsn word.LSN, data []byte) bool {
-		rec, err := wal.Decode(data)
-		if err != nil {
-			repair, torn = lsn, true
-			return false
-		}
+	if _, err := c.log.RepairTornTail(log.Base().TruncLSN()); err != nil {
+		panic(err)
+	}
+	c.log.Scan(log.Base().TruncLSN(), false, func(_ word.LSN, rec wal.Record) bool {
 		switch r := rec.(type) {
 		case wal.TwoPCBeginRec:
 			if r.GID >= c.nextGID {
@@ -78,9 +76,6 @@ func recoverCoordinator(log storage.LogDevice) *Coordinator {
 		}
 		return true
 	})
-	if torn {
-		log.Base().RepairTail(repair)
-	}
 	return c
 }
 

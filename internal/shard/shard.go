@@ -66,7 +66,7 @@ func (c Config) coordDir() string { return filepath.Join(c.Dir, "coord") }
 
 // PartDevices is one partition's raw devices, as surfaced by Crash.
 type PartDevices struct {
-	Disk storage.PageStore
+	Disk *storage.Disk
 	Log  storage.LogDevice
 }
 
@@ -225,7 +225,7 @@ func (cl *Cluster) Crash() CrashState {
 		cs.Parts = append(cs.Parts, PartDevices{Disk: disk, Log: log})
 	}
 	clog := cl.coord.Log()
-	clog.Crash()
+	clog.Base().Crash()
 	cs.Coord = clog
 	if cl.coordStore != nil {
 		cl.coordStore.Abandon()
@@ -263,7 +263,7 @@ func Recover(cfg Config, cs CrashState) (*Cluster, error) {
 // commits frozen by the crash hook are then settled with Tx.Terminate.
 func (cl *Cluster) CrashCoordinator() {
 	log := cl.coord.Log()
-	log.Crash()
+	log.Base().Crash()
 	cl.coord = recoverCoordinator(log)
 }
 

@@ -7,7 +7,7 @@ import "stableheap/internal/word"
 // the LSN in means a torn write that mixes an old page body with a new
 // page LSN (or vice versa) is detected even when the bodies collide. The
 // Disk keeps it in the slot header, outside the page, so page geometry is
-// unchanged; internal/faultfs holds its own copy per page.
+// unchanged. It is the only page checksum there is.
 func PageChecksum(data []byte, lsn word.LSN) uint64 {
 	const (
 		offset64 = 14695981039346656037

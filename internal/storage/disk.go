@@ -4,7 +4,10 @@
 // device with a volatile buffer tail. There is one of each, Disk and Log,
 // written over a narrow Backing of named byte files: NewMemBacking keeps
 // them in memory (NewDisk and NewLog), internal/storage/filestore in a
-// directory of real files.
+// directory of real files. Their own checks — the slot header and page
+// checksum, the record header and the torn-tail rule at reopen — are the
+// only detection: internal/faultfs puts its faults into the backing's
+// bytes, underneath them.
 //
 // Everything written to a Disk or forced to a Log survives Crash; the log's
 // unforced tail (the "volatile log" in the paper's terminology) is
@@ -64,7 +67,16 @@ type DiskStats struct {
 // WritePage encodes the slot and writes it before it returns, and ReadPage
 // reads and validates one. A completed WritePage is therefore in the
 // backing and survives a process kill; it is durable after the next
-// barrier.
+// barrier. There is no second copy of the slot checksum anywhere: a torn
+// slot or a flipped bit in the backing (internal/faultfs puts both there)
+// is found by the read that validates it, or not at all.
+//
+// Ownership: ReadPage returns a buffer the caller owns and may keep and
+// mutate — the Disk never writes to it again and hands it to nobody else
+// (vm adopts it as the resident page, so a miss costs one copy).
+// WritePage keeps nothing of the caller's slice, which the caller may
+// mutate as soon as it returns. storagetest enforces both rules on every
+// backing.
 //
 // master.dat is the recovery anchor. SetMaster is the durability barrier
 // of the whole store: it syncs pages.dat, then replaces the master
@@ -81,7 +93,6 @@ type Disk struct {
 	slotSize int64
 	slot     []byte // WritePage's slot image, reused under mu
 	lsns     map[word.PageID]word.LSN
-	bad      map[word.PageID]string // slots whose header failed validation at open
 	master   Master
 	stats    DiskStats
 	synced   int64 // stats.PageWrites at the last barrier
@@ -124,13 +135,11 @@ func NewDisk(pageSize int) *Disk {
 // OpenDisk opens the page store held in b, or creates an empty one there.
 // pageSize applies on creation (1024 if zero); on reopen the persisted
 // master is authoritative, and a non-zero pageSize that disagrees with it
-// is an error.
+// is an error. A read that fails while the slot headers are parsed comes
+// back as a DeviceIOError; a slot whose header fails validation is no
+// error here, but every ReadPage of it panics with CorruptPageError.
 func OpenDisk(b Backing, pageSize int) (*Disk, error) {
-	d := &Disk{
-		b: b, pageSize: pageSize,
-		lsns: make(map[word.PageID]word.LSN),
-		bad:  make(map[word.PageID]string),
-	}
+	d := &Disk{b: b, pageSize: pageSize, lsns: make(map[word.PageID]word.LSN)}
 	m, err := ReadMaster(b)
 	switch {
 	case err == nil:
@@ -183,32 +192,28 @@ func ReadMaster(b Backing) (Master, error) {
 	return m, nil
 }
 
-// loadSlots rebuilds the page-LSN index by scanning slot headers.
+// loadSlots rebuilds the page-LSN index by scanning slot headers. A
+// backing error comes back as a DeviceIOError.
 func (d *Disk) loadSlots() error {
 	size, err := d.f.Size()
 	if err != nil {
-		return err
+		return &DeviceIOError{Op: "open: " + err.Error()}
 	}
 	slots := size / d.slotSize
 	hdr := make([]byte, slotHdrSize)
 	for i := int64(0); i < slots; i++ {
 		if _, err := d.f.ReadAt(hdr, i*d.slotSize); err != nil {
-			return err
+			return &DeviceIOError{Op: "open: " + err.Error(), Page: word.PageID(i)}
 		}
 		if binary.LittleEndian.Uint32(hdr[0:]) == 0 {
 			continue // hole: never written
 		}
-		id := word.PageID(i)
-		lsn, _, ok := parseSlotHeader(hdr)
-		if !ok {
-			// A torn slot write at the moment of a kill: the page is
-			// present but unreadable. Keep it detectable — ReadPage panics
-			// with a typed CorruptPageError; a full overwrite clears it.
-			d.bad[id] = "slot header failed validation"
-			d.lsns[id] = word.NilLSN
-			continue
-		}
-		d.lsns[id] = lsn
+		// A header that fails validation (a torn slot write, rot) keeps
+		// the page present at NilLSN: every ReadPage of it re-reads the
+		// header and panics with a typed CorruptPageError, until a full
+		// overwrite replaces it.
+		lsn, _, _ := parseSlotHeader(hdr)
+		d.lsns[word.PageID(i)] = lsn
 	}
 	return nil
 }
@@ -259,14 +264,6 @@ func ioPanicPage(op string, id word.PageID, err error) {
 	panic(&DeviceIOError{Op: op + ": " + err.Error(), Page: id})
 }
 
-// Base returns the disk itself: the end of every wrapper's Base chain
-// (DiskOf).
-func (d *Disk) Base() *Disk { return d }
-
-// DiskOf returns the Disk under a page store: the store itself, or what a
-// wrapper's Base method (faultfs.Disk's) returns.
-func DiskOf(ps PageStore) *Disk { return ps.(interface{ Base() *Disk }).Base() }
-
 // PageSize returns the page size the store was created with.
 func (d *Disk) PageSize() int { return d.pageSize }
 
@@ -279,9 +276,6 @@ func (d *Disk) ReadPage(id word.PageID) ([]byte, word.LSN, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.PageReads++
-	if reason, ok := d.bad[id]; ok {
-		panic(&CorruptPageError{Page: id, Reason: reason})
-	}
 	if _, ok := d.lsns[id]; !ok {
 		return nil, word.NilLSN, false
 	}
@@ -322,7 +316,6 @@ func (d *Disk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
 	}
 	d.stats.PageWrites++
 	d.stats.BytesWritten += int64(len(data))
-	delete(d.bad, id)
 	d.lsns[id] = lsn
 }
 

@@ -7,10 +7,10 @@ import (
 	"stableheap/internal/word"
 )
 
-// The detectable-failure contract: a device (or a fault-injecting wrapper
-// around one) that discovers corruption or an unrecoverable I/O condition
-// reports it by panicking with one of the typed errors below, naming the
-// exact page or LSN. Layers with an error return (core.Recover,
+// The detectable-failure contract: a device that discovers corruption or
+// an unrecoverable I/O condition reports it by panicking with one of the
+// typed errors below, naming the exact page or LSN (a reopen returns
+// them). Layers with an error return (core.Recover,
 // core.RecoverFromLog) convert the panic back into an error with
 // AsDeviceError, so corruption is either repaired or surfaces as a typed
 // error — never as silently wrong state.

@@ -25,13 +25,13 @@ func openStore(t *testing.T, pageSize, segBytes int) *filestore.Store {
 }
 
 func TestFileDiskConformance(t *testing.T) {
-	storagetest.RunPageStore(t, func(t *testing.T, pageSize int) storage.PageStore {
+	storagetest.RunDisk(t, func(t *testing.T, pageSize int) *storage.Disk {
 		return openStore(t, pageSize, storage.DefaultSegmentSize).Disk
 	})
 }
 
 func TestFileLogConformance(t *testing.T) {
-	storagetest.RunLogDevice(t, func(t *testing.T, segBytes int) storage.LogDevice {
+	storagetest.RunLog(t, func(t *testing.T, segBytes int) *storage.Log {
 		return openStore(t, 1024, segBytes).Log
 	})
 }

@@ -2,46 +2,13 @@ package storage
 
 import "stableheap/internal/word"
 
-// PageStore is the page-device contract the rest of the system is written
-// against: the five calls the vm pool and the checkpointer make. *Disk is
-// the one page store; the fault-injection wrapper (internal/faultfs)
-// implements the same contract and adds torn writes, bit rot and transient
-// I/O errors underneath it, so every layer above — the one-level store,
-// recovery — runs unmodified over either. Whatever else a caller needs
-// (Pages, Stats, Clone, PageSize) it asks of the Disk itself: DiskOf.
-// Implementations report unrecoverable device conditions by panicking with
-// one of the typed errors in errors.go.
-//
-// Ownership: ReadPage returns a buffer of PageSize bytes that the caller
-// owns and may keep and mutate — the store never writes to it again and
-// hands it to nobody else (vm adopts it as the resident page, so a miss
-// costs one copy). WritePage keeps nothing of the caller's slice, which
-// the caller may mutate as soon as it returns (vm goes on writing the
-// resident page in place). storagetest enforces both rules on every
-// backing.
-type PageStore interface {
-	// ReadPage returns the page's durable contents, in a buffer the caller
-	// owns, and its page LSN; ok is false if the page has never been
-	// written.
-	ReadPage(id word.PageID) (data []byte, lsn word.LSN, ok bool)
-	// WritePage durably replaces the page's contents and page LSN, keeping
-	// nothing of data.
-	WritePage(id word.PageID, data []byte, lsn word.LSN)
-	// PageLSN returns the durable page LSN for id (NilLSN if never written).
-	PageLSN(id word.PageID) word.LSN
-	// Master returns the current master block.
-	Master() Master
-	// SetMaster atomically replaces the master block.
-	SetMaster(m Master)
-}
-
-// LogDevice is the stable-log contract: the calls a wrapper intercepts
-// (faultfs injects I/O errors into Append, Force and ReadAt and tears the
-// tail at Crash; faultfs.SlowLog delays Force and StableLSN) and the ones
-// the wal layer makes on every record. *Log is the one log; Base reaches
-// it through any wrapper for everything else — Truncate, RepairTail,
-// TruncLSN, SegmentBytes, RetainedBytes, Stats, Clone. It has the same
-// panic-on-corruption discipline as PageStore.
+// LogDevice is the stable-log contract: the calls the wal layer makes on
+// every record, which is what a test fake or a timing model substitutes
+// (faultfs.SlowLog delays Force and StableLSN). *Log is the one log; Base
+// reaches it through any substitute for everything else — Crash,
+// CrashTorn, Truncate, RepairTail, TornTail, TruncLSN, SegmentBytes,
+// RetainedBytes, Stats, Clone. A device reports corruption and
+// unrecoverable I/O by panicking with one of the typed errors in errors.go.
 //
 // Concurrency: every method is safe for concurrent use, and the device
 // holds no lock across a Force's I/O that Append, ReadAt, ScanBatches,
@@ -81,9 +48,6 @@ type LogDevice interface {
 	StableLSN() word.LSN
 	// EndLSN returns the LSN the next record will receive.
 	EndLSN() word.LSN
-	// Crash discards the volatile tail (a fault-injecting wrapper may
-	// instead persist a torn byte prefix of it).
-	Crash()
 	// ReadAt returns the record beginning exactly at lsn.
 	ReadAt(lsn word.LSN) (data []byte, ok bool)
 	// ScanBatches calls fn for the retained records with lsn >= from in
@@ -92,7 +56,7 @@ type LogDevice interface {
 	// bytes not — see the ownership rule above). fn returning false stops
 	// the scan.
 	ScanBatches(from word.LSN, stableOnly bool, batchSize int, fn func(lsns []word.LSN, frames [][]byte) bool)
-	// Base returns the Log under every wrapper. A wrapper that embeds a
+	// Base returns the Log under every substitute. One that embeds a
 	// LogDevice inherits it.
 	Base() *Log
 }
@@ -114,7 +78,4 @@ func Scan(dev LogDevice, from word.LSN, stableOnly bool, fn func(lsn word.LSN, d
 	})
 }
 
-var (
-	_ PageStore = (*Disk)(nil)
-	_ LogDevice = (*Log)(nil)
-)
+var _ LogDevice = (*Log)(nil)

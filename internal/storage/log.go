@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"slices"
 	"sort"
@@ -66,11 +68,15 @@ type LogStats struct {
 // — followed by the raw payload verbatim. The header CRC covers only the
 // header: payload integrity belongs to the layer above (wal frames carry
 // their own CRC, the flight-recorder journal its SHBB framing). Opening a
-// backing re-parses the segment files sequentially; a final record whose
-// declared length exceeds the bytes present is delivered as a
-// payload-prefix fragment — what CrashTorn leaves — for
-// wal.RepairTornTail to classify and repair, and trailing bytes too short
-// or too mangled to be a header (a torn header write) are discarded.
+// backing re-parses the segment files sequentially, and the torn-tail
+// rule is decided there, once (DESIGN.md §14): only the end of the last
+// segment may be torn, and only two shapes are a tear — trailing bytes
+// too short to be a header, which are discarded, and a valid header whose
+// payload is shorter than it declares, which is delivered as a
+// payload-prefix fragment (what CrashTorn leaves; TornTail names it) for
+// wal.RepairTornTail to rewind. A complete header that fails validation is
+// corruption wherever it lies, and so is a short record mid-log: the open
+// fails with a CorruptFrameError and nothing is cut.
 //
 // Crash semantics: Append only spools to a tail in memory; Force writes the
 // tail through its LSN to the active segment and syncs it, so a killed
@@ -102,8 +108,11 @@ type Log struct {
 	trunc   word.LSN
 	// retained counts the bytes over idx + flight + tail.
 	retained int64
-	stats    LogStats
-	closed   bool
+	// torn is the LSN of the final record when it is a fragment, shorter
+	// than its header declares (TornTail); NilLSN otherwise.
+	torn   word.LSN
+	stats  LogStats
+	closed bool
 	// TruncateHook, when set, runs inside Truncate after log.meta names the
 	// new truncation point and before the files below it are removed: the
 	// kill-point harness exits there.
@@ -129,6 +138,7 @@ type segment struct {
 }
 
 const (
+	loadChunk  = 256 << 10  // bytes per read when a reopen parses a segment
 	recMagic   = 0x53484C52 // "SHLR"
 	recHdrSize = 20
 	metaMagic  = 0x53484C32 // "SHL2"
@@ -159,7 +169,8 @@ func NewLog(segSize int) *Log {
 
 // OpenLog opens the log held in b, or creates an empty one there. segSize
 // applies on creation (DefaultSegmentSize if not positive); on reopen
-// log.meta is authoritative.
+// log.meta is authoritative. Damage the parse finds comes back as a
+// CorruptFrameError, a read that fails as a DeviceIOError.
 func OpenLog(b Backing, segSize int) (*Log, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
@@ -216,7 +227,8 @@ func decodeLogMeta(raw []byte) (segSize int, trunc word.LSN, err error) {
 // with the log otherwise empty and l.trunc read from log.meta, which is
 // authoritative: Truncate persists it before it removes anything, so a
 // file wholly below it is the residue of a kill between the two steps and
-// is removed here.
+// is removed here. Each file is read front to back in loadChunk-byte
+// reads, not one read per record.
 func (l *Log) load() error {
 	names, err := l.b.List("seg-")
 	if err != nil {
@@ -240,9 +252,11 @@ func (l *Log) load() error {
 		firsts = firsts[1:]
 	}
 	if len(firsts) > 0 && firsts[0] > l.trunc {
-		return fmt.Errorf("storage: log starts at LSN %d, above the truncation point %d: a segment file is missing", firsts[0], l.trunc)
+		return &CorruptFrameError{LSN: l.trunc, Reason: fmt.Sprintf("log starts at LSN %d, above the truncation point: a segment file is missing", firsts[0])}
 	}
 	prevEnd := l.trunc // end LSN of the previous parsed record
+	hdr := make([]byte, recHdrSize)
+	ioErr := func(lsn word.LSN, err error) error { return &DeviceIOError{Op: "open: " + err.Error(), LSN: lsn} }
 	for i, first := range firsts {
 		last := i == len(firsts)-1
 		f, err := l.b.Open(segName(first), false)
@@ -253,56 +267,60 @@ func (l *Log) load() error {
 		l.segs = append(l.segs, seg)
 		size, err := f.Size()
 		if err != nil {
-			return err
+			return ioErr(first, err)
 		}
+		r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), loadChunk)
 		var off int64
-		hdr := make([]byte, recHdrSize)
 		for off < size {
 			// Records tile the LSN space: each starts where the previous one
 			// ended, a file's first record carries the file's name, and a
 			// file starts where the one before it ended.
-			var n uint32
-			var lsn word.LSN
-			okHdr := size-off >= recHdrSize
-			if okHdr {
-				if _, err := f.ReadAt(hdr, off); err != nil {
-					return err
-				}
-				n = binary.LittleEndian.Uint32(hdr[4:])
-				lsn = word.LSN(binary.LittleEndian.Uint64(hdr[8:]))
-				want := prevEnd
-				if off == 0 {
-					want = first
-				}
-				okHdr = binary.LittleEndian.Uint32(hdr[0:]) == recMagic &&
-					binary.LittleEndian.Uint32(hdr[16:]) == crc32.Checksum(hdr[:16], crcTable) &&
-					n > 0 && lsn == want && (i == 0 || off > 0 || first == prevEnd)
+			want := prevEnd
+			if off == 0 {
+				want = first
 			}
-			avail := size - off - recHdrSize
-			if !okHdr || int64(n) > avail {
-				// A torn tail — the kill caught the last force mid-write — is
-				// legal only at the very end of the log; anywhere else the
-				// log is damaged beyond self-repair.
-				if !last {
-					return fmt.Errorf("storage: segment %d: torn or corrupt record at offset %d mid-log", first, off)
+			avail := size - off - recHdrSize // payload bytes present, if a whole header is
+			var n int64
+			if avail >= 0 {
+				if _, err := io.ReadFull(r, hdr); err != nil {
+					return ioErr(want, err)
 				}
-				if okHdr && avail > 0 {
-					// The header landed and a prefix of the payload: deliver
-					// it as a fragment (exactly what CrashTorn leaves) for
-					// the layer above to classify and repair.
-					l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(avail), seg: seg, off: off})
+				n = int64(binary.LittleEndian.Uint32(hdr[4:]))
+				if binary.LittleEndian.Uint32(hdr[0:]) != recMagic ||
+					binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[:16], crcTable) ||
+					n == 0 || word.LSN(binary.LittleEndian.Uint64(hdr[8:])) != want || (i > 0 && off == 0 && first != prevEnd) {
+					// A whole header that is wrong is rot (or a lost file),
+					// not a tear, even at the very end: cutting there could
+					// drop acknowledged records.
+					return &CorruptFrameError{LSN: want, Reason: fmt.Sprintf("segment %d: record header at offset %d fails validation", first, off)}
+				}
+			}
+			if avail < 0 || n > avail {
+				// Torn: a header the kill cut short, or a valid one whose
+				// payload it did — legal only at the very end of the log.
+				if !last {
+					return &CorruptFrameError{LSN: want, Reason: fmt.Sprintf("segment %d: record at offset %d is short mid-log", first, off)}
+				}
+				if avail > 0 {
+					// Deliver the prefix as a fragment, exactly what
+					// CrashTorn leaves, for the layer above to rewind.
+					l.idx = append(l.idx, recMeta{lsn: want, n: int32(avail), seg: seg, off: off})
 					l.retained += avail
-					prevEnd = lsn + word.LSN(avail)
+					l.torn = want
+					prevEnd = want + word.LSN(avail)
 					off = size
-				} else if err := f.Truncate(off); err != nil { // not even a whole header, or a bare one: rewind
-					return err
+				} else if err := f.Truncate(off); err != nil { // nothing of a record to deliver
+					return ioErr(want, err)
 				}
 				break
 			}
-			l.idx = append(l.idx, recMeta{lsn: lsn, n: int32(n), seg: seg, off: off})
-			l.retained += int64(n)
-			prevEnd = lsn + word.LSN(n)
-			off += recHdrSize + int64(n)
+			if _, err := r.Discard(int(n)); err != nil {
+				return ioErr(want, err)
+			}
+			l.idx = append(l.idx, recMeta{lsn: want, n: int32(n), seg: seg, off: off})
+			l.retained += n
+			prevEnd = want + word.LSN(n)
+			off += recHdrSize + n
 		}
 		seg.size = off
 	}
@@ -338,7 +356,7 @@ func (l *Log) ioPanic(op string, lsn word.LSN, err error) {
 	panic(&DeviceIOError{Op: op + ": " + err.Error(), LSN: lsn})
 }
 
-// Base returns the log itself: the end of every wrapper's Base chain.
+// Base returns the log itself: the end of every substitute's Base chain.
 func (l *Log) Base() *Log { return l }
 
 // SegmentBytes returns the segment granularity in bytes: the unit Truncate
@@ -435,6 +453,7 @@ func (l *Log) persist(through word.LSN) {
 		need += len(t.data)
 	}
 	metas := make([]recMeta, 0, len(batch))
+	torn := word.NilLSN
 	var seg *segment
 	buf := slices.Grow(l.wbuf[:0], need)
 	var lost int64 // payload bytes a torn cut discards
@@ -448,6 +467,9 @@ func (l *Log) persist(through word.LSN) {
 		lost += int64(len(t.data) - len(data))
 		if data == nil {
 			continue
+		}
+		if len(data) < len(t.data) {
+			torn = t.lsn
 		}
 		if seg == nil {
 			seg = l.activeSegment(t.lsn)
@@ -474,6 +496,9 @@ func (l *Log) persist(through word.LSN) {
 	defer l.mu.Unlock()
 	if len(buf) > 0 {
 		l.stats.Syncs++
+	}
+	if len(metas) > 0 {
+		l.torn = torn
 	}
 	l.idx = append(l.idx, metas...)
 	l.flight = nil
@@ -517,8 +542,9 @@ func (l *Log) Crash() { l.CrashTorn(word.NilLSN) }
 // record physically short in its segment — and everything beyond is lost.
 // cut must lie in [StableLSN, EndLSN]; records below the old stable LSN
 // were already durable (and possibly acknowledged), so a tear can never
-// reach them. Recovery discards the fragment with RepairTail. NilLSN cuts
-// at the stable LSN: Crash.
+// reach them. TornTail names the fragment, and recovery discards it with
+// RepairTail. NilLSN cuts at the stable LSN: Crash. This is the one way a
+// torn tail is made: internal/faultfs calls it at a planned crash.
 func (l *Log) CrashTorn(cut word.LSN) {
 	l.forceMu.Lock()
 	l.mu.Lock()
@@ -585,30 +611,18 @@ func (l *Log) RepairTail(from word.LSN) {
 	if l.stable.Load() > from {
 		l.stable.Store(from)
 	}
+	if l.torn >= from {
+		l.torn = word.NilLSN
+	}
 }
 
-// CorruptEntry applies fn to the record beginning at lsn in place —
-// rewriting the payload bytes in the backing for a stable record —
-// returning false if no record starts there. It is the fault-injection
-// hook for at-rest bit rot (internal/faultfs); nothing in the production
-// paths calls it.
-func (l *Log) CorruptEntry(lsn word.LSN, fn func(data []byte)) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if m, ok := l.findStable(lsn); ok {
-		buf := l.readRecord(m)
-		fn(buf)
-		if _, err := m.seg.f.WriteAt(buf, m.off+recHdrSize); err != nil {
-			l.ioPanic("corrupt", lsn, err)
-		}
-		return true
-	}
-	if t, ok := findTail(l.tail, lsn); ok {
-		fn(t.data)
-		return true
-	}
-	return false
-}
+// TornTail returns the LSN of the final retained record if it is a torn
+// fragment — its payload shorter than its header declares, as a force a
+// crash cut short leaves it (CrashTorn, or a reopen that found one) — and
+// NilLSN if the log ends in a whole record. It is the log's one answer to
+// "is the tail torn": wal.RepairTornTail rewinds such a record and calls
+// any other record that fails to decode corruption.
+func (l *Log) TornTail() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.torn }
 
 // Truncate discards log space below keep at segment granularity: the
 // truncation point moves to the largest segment boundary at or below keep,

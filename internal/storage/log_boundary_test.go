@@ -201,21 +201,3 @@ func TestLogRepairTailBoundaries(t *testing.T) {
 		t.Fatalf("repair at TruncLSN left end=%d retained=%d", l2.EndLSN(), l2.RetainedBytes())
 	}
 }
-
-// TestLogCorruptEntryTargets: the fault-injection hook mutates only a
-// record that starts exactly at the LSN, in place.
-func TestLogCorruptEntryTargets(t *testing.T) {
-	l := NewLog(0)
-	a := l.Append([]byte{1, 2, 3, 4})
-	ForceAll(l)
-	if l.CorruptEntry(a+1, func([]byte) { t.Fatal("fn called for non-boundary LSN") }) {
-		t.Fatal("CorruptEntry succeeded at a non-boundary LSN")
-	}
-	if !l.CorruptEntry(a, func(b []byte) { b[0] ^= 0xff }) {
-		t.Fatal("CorruptEntry failed at a record start")
-	}
-	data, _ := l.ReadAt(a)
-	if data[0] != 1^0xff {
-		t.Fatalf("corruption not applied in place: % x", data)
-	}
-}

@@ -1,7 +1,8 @@
-// Package storagetest is the shared conformance suite for the storage
-// device contracts (storage.PageStore, storage.LogDevice) and the one Disk
-// and Log behind them. It is table-driven so that every backing — memory
-// and files — and the faultfs wrappers prove the same observable behavior:
+// Package storagetest is the shared conformance suite for the one Disk and
+// the one Log (and the storage.LogDevice contract the Log implements). It
+// is table-driven so that every backing — memory, files, and a memory
+// backing under an unarmed faultfs injector — proves the same observable
+// behavior:
 // Pages() ordering, Master round-trips, ReadAt/Scan/ScanBatches
 // equivalence, Truncate/RepairTail boundary math, Crash/CrashTorn end
 // states, and (RunReopen) what a reopen of the same backing parses back.
@@ -14,6 +15,7 @@ package storagetest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -24,15 +26,14 @@ import (
 	"stableheap/internal/word"
 )
 
-// PageStoreMaker builds a fresh empty page store with the given page size.
-type PageStoreMaker func(t *testing.T, pageSize int) storage.PageStore
+// DiskMaker builds a fresh empty page store with the given page size.
+type DiskMaker func(t *testing.T, pageSize int) *storage.Disk
 
-// LogDeviceMaker builds a fresh empty log device with the given segment
-// size in bytes.
-type LogDeviceMaker func(t *testing.T, segBytes int) storage.LogDevice
+// LogMaker builds a fresh empty log with the given segment size in bytes.
+type LogMaker func(t *testing.T, segBytes int) *storage.Log
 
-// RunPageStore runs the PageStore conformance suite.
-func RunPageStore(t *testing.T, mk PageStoreMaker) {
+// RunDisk runs the page store conformance suite.
+func RunDisk(t *testing.T, mk DiskMaker) {
 	const pageSize = 256
 
 	page := func(fill byte) []byte {
@@ -45,7 +46,7 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 
 	t.Run("ReadWriteRoundTrip", func(t *testing.T) {
 		d := mk(t, pageSize)
-		if ps := storage.DiskOf(d).PageSize(); ps != pageSize {
+		if ps := d.PageSize(); ps != pageSize {
 			t.Fatalf("PageSize = %d, want %d", ps, pageSize)
 		}
 		if _, _, ok := d.ReadPage(3); ok {
@@ -86,7 +87,7 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 		}
 	})
 
-	// PageStore's ownership rule, as vm uses it: a read buffer is kept as
+	// The Disk's ownership rule, as vm uses it: a read buffer is kept as
 	// the resident page and written in place, and one write buffer is
 	// rewritten between WritePage calls. Neither may reach the store's
 	// state, and later traffic may not reach a kept read buffer.
@@ -118,7 +119,7 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 		for _, id := range []word.PageID{9, 2, 31, 4, 17, 0} {
 			d.WritePage(id, page(byte(id)), word.LSN(id+1))
 		}
-		ids := storage.DiskOf(d).Pages()
+		ids := d.Pages()
 		want := []word.PageID{0, 2, 4, 9, 17, 31}
 		if len(ids) != len(want) {
 			t.Fatalf("Pages() = %v, want %v", ids, want)
@@ -160,12 +161,12 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 
 	t.Run("StatsCount", func(t *testing.T) {
 		d := mk(t, pageSize)
-		s0 := storage.DiskOf(d).Stats()
+		s0 := d.Stats()
 		d.WritePage(0, page(1), 1)
 		d.WritePage(1, page(2), 2)
 		d.ReadPage(0)
 		d.ReadPage(9) // miss still counts a read op
-		s := storage.DiskOf(d).Stats()
+		s := d.Stats()
 		if s.PageWrites-s0.PageWrites != 2 || s.BytesWritten-s0.BytesWritten != 2*pageSize {
 			t.Fatalf("write stats %+v after %+v", s, s0)
 		}
@@ -181,7 +182,7 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 		m.Formatted = true
 		m.CheckpointLSN = 7
 		d.SetMaster(m)
-		c := storage.DiskOf(d).Clone()
+		c := d.Clone()
 		// The clone sees the state at the fork...
 		data, lsn, ok := c.ReadPage(2)
 		if !ok || lsn != 10 || data[0] != 0x22 {
@@ -202,8 +203,8 @@ func RunPageStore(t *testing.T, mk PageStoreMaker) {
 	})
 }
 
-// RunLogDevice runs the LogDevice conformance suite.
-func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
+// RunLog runs the log conformance suite.
+func RunLog(t *testing.T, mk LogMaker) {
 	rec := func(n int, fill byte) []byte {
 		b := make([]byte, n)
 		for i := range b {
@@ -214,8 +215,8 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 
 	t.Run("AppendAdvancesByLen", func(t *testing.T) {
 		l := mk(t, 64)
-		if l.EndLSN() != 1 || l.StableLSN() != 1 || l.Base().TruncLSN() != 1 {
-			t.Fatalf("fresh log LSNs: end=%d stable=%d trunc=%d", l.EndLSN(), l.StableLSN(), l.Base().TruncLSN())
+		if l.EndLSN() != 1 || l.StableLSN() != 1 || l.TruncLSN() != 1 {
+			t.Fatalf("fresh log LSNs: end=%d stable=%d trunc=%d", l.EndLSN(), l.StableLSN(), l.TruncLSN())
 		}
 		if got := l.Append(rec(10, 1)); got != 1 {
 			t.Fatalf("first LSN = %d, want 1", got)
@@ -230,8 +231,8 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 
 	t.Run("SegmentBytes", func(t *testing.T) {
 		l := mk(t, 128)
-		if l.Base().SegmentBytes() != 128 {
-			t.Fatalf("SegmentBytes = %d, want 128", l.Base().SegmentBytes())
+		if l.SegmentBytes() != 128 {
+			t.Fatalf("SegmentBytes = %d, want 128", l.SegmentBytes())
 		}
 	})
 
@@ -259,9 +260,9 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		if l.Force(l.EndLSN() - 1); l.StableLSN() != l.EndLSN() {
 			t.Fatalf("stable=%d end=%d after full force", l.StableLSN(), l.EndLSN())
 		}
-		forces := l.Base().Stats().Forces
+		forces := l.Stats().Forces
 		l.Force(a) // already stable: no-op
-		if l.Base().Stats().Forces != forces {
+		if l.Stats().Forces != forces {
 			t.Fatal("forcing an already-stable LSN counted as a force")
 		}
 	})
@@ -409,9 +410,9 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		storage.ForceAll(l)
 		// keep mid-segment-1: only segment 0 (LSNs 1..64) can go.
-		l.Base().Truncate(word.LSN(seg) + 17)
-		if l.Base().TruncLSN() != word.LSN(seg)+1 {
-			t.Fatalf("TruncLSN = %d, want %d", l.Base().TruncLSN(), seg+1)
+		l.Truncate(word.LSN(seg) + 17)
+		if l.TruncLSN() != word.LSN(seg)+1 {
+			t.Fatalf("TruncLSN = %d, want %d", l.TruncLSN(), seg+1)
 		}
 		if _, ok := l.ReadAt(1); ok {
 			t.Fatal("truncated record readable")
@@ -420,9 +421,9 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 			t.Fatal("record above the boundary lost")
 		}
 		// No-op truncate below the current point.
-		truncs := l.Base().Stats().Truncations
-		l.Base().Truncate(word.LSN(seg) + 1)
-		if l.Base().Stats().Truncations != truncs {
+		truncs := l.Stats().Truncations
+		l.Truncate(word.LSN(seg) + 1)
+		if l.Stats().Truncations != truncs {
 			t.Fatal("no-op truncate counted")
 		}
 		// Truncating beyond the stable LSN must panic.
@@ -432,7 +433,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 					t.Fatal("truncate beyond stable did not panic")
 				}
 			}()
-			l.Base().Truncate(l.EndLSN() + 100)
+			l.Truncate(l.EndLSN() + 100)
 		}()
 	})
 
@@ -443,10 +444,10 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		straddler := l.Append(rec(20, 2)) // LSN 61, ends at 81: straddles seg 1 boundary (65)
 		after := l.Append(rec(10, 3))     // LSN 81
 		storage.ForceAll(l)
-		l.Base().Truncate(after)
+		l.Truncate(after)
 		// Boundary rounds down to 65; the straddler (61..80) is retained.
-		if l.Base().TruncLSN() != seg+1 {
-			t.Fatalf("TruncLSN = %d, want %d", l.Base().TruncLSN(), seg+1)
+		if l.TruncLSN() != seg+1 {
+			t.Fatalf("TruncLSN = %d, want %d", l.TruncLSN(), seg+1)
 		}
 		if _, ok := l.ReadAt(straddler); !ok {
 			t.Fatal("straddler dropped")
@@ -461,7 +462,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l.Append(rec(8, 1))
 		second := l.Append(rec(8, 2))
 		storage.ForceAll(l)
-		l.Base().RepairTail(second)
+		l.RepairTail(second)
 		if l.EndLSN() != second || l.StableLSN() != second {
 			t.Fatalf("after repair: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), second)
 		}
@@ -483,7 +484,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 					t.Fatal("repair beyond end did not panic")
 				}
 			}()
-			l.Base().RepairTail(l.EndLSN() + 5)
+			l.RepairTail(l.EndLSN() + 5)
 		}()
 	})
 
@@ -494,7 +495,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		frag := l.Append(rec(16, 2))
 		l.Append(rec(8, 3))
 		cut := frag + 10 // mid-record: 10 of 16 bytes land
-		l.Base().CrashTorn(cut)
+		l.CrashTorn(cut)
 		if l.EndLSN() != cut || l.StableLSN() != cut {
 			t.Fatalf("after torn crash: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), cut)
 		}
@@ -508,10 +509,13 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		if gotLSN != frag || !bytes.Equal(got, rec(16, 2)[:10]) {
 			t.Fatalf("fragment: lsn=%d len=%d, want lsn=%d len=10", gotLSN, len(got), frag)
 		}
+		if l.TornTail() != frag {
+			t.Fatalf("TornTail = %d, want the fragment at %d", l.TornTail(), frag)
+		}
 		// Recovery's contract: RepairTail discards the fragment.
-		l.Base().RepairTail(frag)
-		if l.EndLSN() != frag {
-			t.Fatalf("EndLSN = %d after fragment repair, want %d", l.EndLSN(), frag)
+		l.RepairTail(frag)
+		if l.EndLSN() != frag || l.TornTail() != word.NilLSN {
+			t.Fatalf("after fragment repair: EndLSN = %d, TornTail = %d; want %d and none", l.EndLSN(), l.TornTail(), frag)
 		}
 	})
 
@@ -520,7 +524,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		vol := l.Append(rec(8, 2)) // clone carries the volatile tail too
-		c := l.Base().Clone()
+		c := l.Clone()
 		if c.EndLSN() != l.EndLSN() || c.StableLSN() != l.StableLSN() {
 			t.Fatalf("clone LSNs differ: end %d/%d stable %d/%d",
 				c.EndLSN(), l.EndLSN(), c.StableLSN(), l.StableLSN())
@@ -552,7 +556,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		var mu sync.Mutex
 		var all []entry
-		syncs0 := l.Base().Stats().Syncs
+		syncs0 := l.Stats().Syncs
 		stop := make(chan struct{})
 		var bg, appenders sync.WaitGroup
 		background := func(step func(i int) bool) {
@@ -605,7 +609,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		appenders.Wait()
 		close(stop)
 		bg.Wait()
-		if st := l.Base().Stats(); st.Syncs-syncs0 != st.Forces {
+		if st := l.Stats(); st.Syncs-syncs0 != st.Forces {
 			t.Fatalf("%d forces cost %d segment syncs, want one each", st.Forces, st.Syncs-syncs0)
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
@@ -640,11 +644,11 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 		}
 		storage.ForceAll(l)
 		for _, keep := range []word.LSN{word.NilLSN, 1} {
-			l.Base().Truncate(keep)
-			if got := l.Base().RetainedBytes(); got != 400 {
+			l.Truncate(keep)
+			if got := l.RetainedBytes(); got != 400 {
 				t.Fatalf("Truncate(%d): RetainedBytes = %d, want 400", keep, got)
 			}
-			if got := l.Base().TruncLSN(); got != 1 {
+			if got := l.TruncLSN(); got != 1 {
 				t.Fatalf("Truncate(%d): TruncLSN = %d, want 1", keep, got)
 			}
 			if _, ok := l.ReadAt(1); !ok {
@@ -679,7 +683,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 						ref.crashTorn(ref.stable)
 					case op == 7: // torn crash
 						cut := ref.stable + word.LSN(r.Int63n(int64(ref.end-ref.stable+1)))
-						dut.Base().CrashTorn(cut)
+						dut.CrashTorn(cut)
 						ref.crashTorn(cut)
 						compareLogs(t, step, dut, ref)
 						// Recovery repairs a torn fragment before the log is
@@ -687,13 +691,13 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 						// resume from a record boundary.
 						if n := len(ref.recs); n > 0 && ref.recs[n-1].lsn >= ref.trunc {
 							last := ref.recs[n-1].lsn
-							dut.Base().RepairTail(last)
+							dut.RepairTail(last)
 							ref.repairTail(last)
 						}
 					case op == 8: // truncate to a legal keep point
 						if ref.stable > ref.trunc {
 							keep := ref.trunc + word.LSN(r.Int63n(int64(ref.stable-ref.trunc+1)))
-							dut.Base().Truncate(keep)
+							dut.Truncate(keep)
 							ref.truncate(keep)
 						}
 					case op == 9: // repair tail to a record boundary
@@ -704,7 +708,7 @@ func RunLogDevice(t *testing.T, mk LogDeviceMaker) {
 							starts = append(starts, e.lsn)
 						}
 						if from := append(starts, ref.end)[r.Intn(len(starts)+1)]; from >= ref.trunc {
-							dut.Base().RepairTail(from)
+							dut.RepairTail(from)
 							ref.repairTail(from)
 						}
 					}
@@ -791,12 +795,11 @@ func (m *refLog) truncate(keep word.LSN) {
 
 // compareLogs asserts every observable of the device under test equals the
 // reference's.
-func compareLogs(t *testing.T, step int, dut storage.LogDevice, ref *refLog) {
+func compareLogs(t *testing.T, step int, dut *storage.Log, ref *refLog) {
 	t.Helper()
-	b := dut.Base()
-	if dut.EndLSN() != ref.end || dut.StableLSN() != ref.stable || b.TruncLSN() != ref.trunc {
+	if dut.EndLSN() != ref.end || dut.StableLSN() != ref.stable || dut.TruncLSN() != ref.trunc {
 		t.Fatalf("step %d: LSNs diverge: end %d/%d stable %d/%d trunc %d/%d",
-			step, dut.EndLSN(), ref.end, dut.StableLSN(), ref.stable, b.TruncLSN(), ref.trunc)
+			step, dut.EndLSN(), ref.end, dut.StableLSN(), ref.stable, dut.TruncLSN(), ref.trunc)
 	}
 	var retained int64
 	var want []string
@@ -804,8 +807,8 @@ func compareLogs(t *testing.T, step int, dut storage.LogDevice, ref *refLog) {
 		retained += int64(len(e.data))
 		want = append(want, fmt.Sprintf("%d:%x", e.lsn, e.data))
 	}
-	if b.RetainedBytes() != retained {
-		t.Fatalf("step %d: retained bytes %d vs %d", step, b.RetainedBytes(), retained)
+	if dut.RetainedBytes() != retained {
+		t.Fatalf("step %d: retained bytes %d vs %d", step, dut.RetainedBytes(), retained)
 	}
 	var got []string
 	storage.Scan(dut, 1, false, func(lsn word.LSN, data []byte) bool {
@@ -966,8 +969,8 @@ func RunReopen(t *testing.T, home Home) {
 			}
 			return true
 		})
-		if !bytes.Equal(got, fill(40, 0x22)[:13]) {
-			t.Fatalf("fragment bytes: len=%d", len(got))
+		if !bytes.Equal(got, fill(40, 0x22)[:13]) || rl.TornTail() != frag {
+			t.Fatalf("fragment bytes: len=%d, TornTail %d", len(got), rl.TornTail())
 		}
 		// Recovery classifies and repairs; the rewind must survive reopen.
 		rl.RepairTail(frag)
@@ -991,6 +994,39 @@ func RunReopen(t *testing.T, home Home) {
 		}
 		if data, ok := rl.ReadAt(first); !ok || !bytes.Equal(data, fill(20, 0x11)) {
 			t.Fatal("pre-torn record lost")
+		}
+	})
+
+	// A whole record header that fails validation is rot, not a tear — in
+	// the last segment as anywhere else. The reopen refuses the log with a
+	// CorruptFrameError naming the record and cuts nothing: a torn-tail cut
+	// there would drop the acknowledged records behind it.
+	t.Run("ReopenRottedHeader", func(t *testing.T) {
+		// 1 MiB: one file; 64: records 1 and 2 in the first of two.
+		for name, segBytes := range map[string]int{"last segment": 1 << 20, "mid-log": 64} {
+			t.Run(name, func(t *testing.T) {
+				db, lb := home(t)
+				d, l := open(t, db, lb, 0, segBytes)
+				for i := 0; i < 3; i++ { // LSNs 1, 24, 47
+					l.Append(fill(23, byte(i+1)))
+					storage.ForceAll(l)
+				}
+				l.Abandon()
+				d.Abandon()
+				f, _ := lb.Open(segName(1), false)
+				defer f.Close()
+				b := []byte{0}
+				f.ReadAt(b, 43+5) // record 2's length field: after record 1's 20 + 23 bytes
+				f.WriteAt([]byte{b[0] ^ 1}, 43+5)
+				size, _ := f.Size()
+				var cf *storage.CorruptFrameError
+				if _, err := storage.OpenLog(lb, 0); !errors.As(err, &cf) || cf.LSN != 24 {
+					t.Fatalf("reopen over a rotted header: %v, want a CorruptFrameError at 24", err)
+				}
+				if after, _ := f.Size(); after != size {
+					t.Fatalf("the refused reopen cut the segment from %d to %d bytes", size, after)
+				}
+			})
 		}
 	})
 

@@ -125,7 +125,7 @@ type Store struct {
 	cfg   Config
 	mu    sync.RWMutex
 	owned bool // mu is held by the heap's stopper (Own)
-	disk  storage.PageStore
+	disk  *storage.Disk
 	log   *wal.Manager
 	pages []*page // indexed by page id; nil when not resident
 	nres  int     // resident pages: the non-nil entries of pages
@@ -144,7 +144,7 @@ type Store struct {
 }
 
 // New creates a store over disk, spooling bookkeeping records to log.
-func New(cfg Config, disk storage.PageStore, log *wal.Manager) *Store {
+func New(cfg Config, disk *storage.Disk, log *wal.Manager) *Store {
 	if cfg.PageSize <= 0 || cfg.PageSize%word.WordSize != 0 {
 		panic(fmt.Sprintf("vm: invalid page size %d", cfg.PageSize))
 	}
@@ -160,7 +160,7 @@ func New(cfg Config, disk storage.PageStore, log *wal.Manager) *Store {
 func (s *Store) PageSize() int { return s.cfg.PageSize }
 
 // Disk returns the backing store.
-func (s *Store) Disk() storage.PageStore { return s.disk }
+func (s *Store) Disk() *storage.Disk { return s.disk }
 
 // SetTrapHandler installs the read-barrier trap handler.
 func (s *Store) SetTrapHandler(h TrapHandler) { s.trap = h }
@@ -237,7 +237,7 @@ func (s *Store) drop(id word.PageID) {
 // resident returns the cached page, fetching it from disk (or materializing
 // it zero-filled) if needed, possibly evicting another page first. A
 // fetched page adopts the buffer ReadPage returned, which the caller owns
-// (storage.PageStore), so a miss copies the page once. The store's write
+// (*storage.Disk), so a miss copies the page once. The store's write
 // lock is held.
 func (s *Store) resident(id word.PageID) *page {
 	if p := s.lookup(id); p != nil {

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -420,19 +421,39 @@ func TestFlushRangeSkipsClean(t *testing.T) {
 	}
 }
 
-// walCheckDisk fails the test if a page reaches the disk ahead of its log
-// record — the write-ahead rule, checked where it matters.
-type walCheckDisk struct {
-	*storage.Disk
+// walCheckDisk returns a Disk that fails the test if a page reaches its
+// backing ahead of its log record — the write-ahead rule, checked where it
+// matters. A slot carries its page LSN at bytes 8..16 (storage.Disk's
+// layout).
+func walCheckDisk(t *testing.T, log *wal.Manager) *storage.Disk {
+	disk, err := storage.OpenDisk(&walCheckBacking{storage.NewMemBacking(), t, log}, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
+type walCheckBacking struct {
+	storage.Backing
 	t   *testing.T
 	log *wal.Manager
 }
 
-func (d *walCheckDisk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
-	if lsn != word.NilLSN && !d.log.IsStable(lsn) {
-		d.t.Errorf("page %d written with page LSN %d, stable LSN %d", id, lsn, d.log.StableLSN())
+func (b *walCheckBacking) Open(name string, truncate bool) (storage.File, error) {
+	f, err := b.Backing.Open(name, truncate)
+	return walCheckFile{f, b}, err
+}
+
+type walCheckFile struct {
+	storage.File
+	b *walCheckBacking
+}
+
+func (f walCheckFile) WriteAt(p []byte, off int64) (int, error) {
+	if lsn := word.LSN(binary.LittleEndian.Uint64(p[8:])); lsn != word.NilLSN && !f.b.log.IsStable(lsn) {
+		f.b.t.Errorf("slot at %d written with page LSN %d, stable LSN %d", off, lsn, f.b.log.StableLSN())
 	}
-	d.Disk.WritePage(id, data, lsn)
+	return f.File.WriteAt(p, off)
 }
 
 // logged writes w at addr under a freshly appended (volatile) record.
@@ -444,9 +465,9 @@ func logged(s *Store, log *wal.Manager, addr word.Addr, w uint64) {
 // last record is still volatile, as it would over a pinned one, while any
 // other victim exists — so making room does not force the log.
 func TestEvictionPrefersStableVictim(t *testing.T) {
-	disk := storage.NewDisk(ps)
 	log := wal.NewManager(storage.NewLog(0))
-	s := New(Config{PageSize: ps, CachePages: 3}, &walCheckDisk{disk, t, log}, log)
+	disk := walCheckDisk(t, log)
+	s := New(Config{PageSize: ps, CachePages: 3}, disk, log)
 	logged(s, log, 0*ps, 10) // page 0: dirty, unstable — first under the hand
 	logged(s, log, 1*ps, 11) // page 1: dirty, unstable
 	s.ReadWord(2 * ps)       // page 2: clean
@@ -475,9 +496,9 @@ func TestEvictionPrefersStableVictim(t *testing.T) {
 // nothing else, the page goes — after exactly one log force, so the
 // write-ahead rule holds (walCheckDisk) and the same force covers the rest.
 func TestEvictionForcesWhenEveryVictimIsUnstable(t *testing.T) {
-	disk := storage.NewDisk(ps)
 	log := wal.NewManager(storage.NewLog(0))
-	s := New(Config{PageSize: ps, CachePages: 3}, &walCheckDisk{disk, t, log}, log)
+	disk := walCheckDisk(t, log)
+	s := New(Config{PageSize: ps, CachePages: 3}, disk, log)
 	for p := 0; p < 3; p++ {
 		logged(s, log, word.Addr(p*ps), uint64(20+p))
 	}
@@ -499,8 +520,8 @@ func TestEvictionForcesWhenEveryVictimIsUnstable(t *testing.T) {
 
 // hasPage reports whether the page was ever written to disk (without
 // counting as a device read).
-func hasPage(d storage.PageStore, id word.PageID) bool {
-	return slices.Contains(storage.DiskOf(d).Pages(), id)
+func hasPage(d *storage.Disk, id word.PageID) bool {
+	return slices.Contains(d.Pages(), id)
 }
 
 // TestAllocsPerMissOverFilestore pins what a page miss costs over the real

@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
-
 	"stableheap/internal/storage"
 	"stableheap/internal/word"
 )
@@ -14,18 +12,18 @@ import (
 // the repair rewinds the device to the fragment's start and recovery
 // proceeds as if it were never written.
 //
-// Classification is deliberately conservative. A frame counts as torn
-// only when it is physically incomplete: shorter than its own length
-// prefix (or than the minimum header). A complete frame whose CRC fails
-// is bit rot, not a tear — it may be an acknowledged commit — and is
-// reported as a typed CorruptFrameError, as is any undecodable frame
-// with more records after it (a tear can only be last).
+// Whether a record is torn is the log's to say, not the frame's: the
+// undecodable record is rewound only when it is the one storage.Log's
+// TornTail names — a payload shorter than its storage header declares. A
+// frame that is physically complete but fails to decode is bit rot, not a
+// tear (it may be an acknowledged commit, and its own length prefix may be
+// the rotted field), and is reported as a typed CorruptFrameError, as is
+// any undecodable frame with more records after it.
 //
 // The repaired LSN (NilLSN if the log was whole) is returned for
 // diagnostics.
 func (m *Manager) RepairTornTail(from word.LSN) (word.LSN, error) {
 	badLSN := word.NilLSN
-	var badFrame []byte
 	tailBad := false
 	storage.Scan(m.dev, from, true, func(lsn word.LSN, frame []byte) bool {
 		if badLSN != word.NilLSN {
@@ -35,7 +33,6 @@ func (m *Manager) RepairTornTail(from word.LSN) (word.LSN, error) {
 		}
 		if _, err := Decode(frame); err != nil {
 			badLSN = lsn
-			badFrame = frame
 			tailBad = true
 		}
 		return true
@@ -43,8 +40,9 @@ func (m *Manager) RepairTornTail(from word.LSN) (word.LSN, error) {
 	if badLSN == word.NilLSN {
 		return word.NilLSN, nil
 	}
-	if tailBad && frameIncomplete(badFrame) {
-		m.dev.Base().RepairTail(badLSN)
+	log := m.dev.Base()
+	if tailBad && log.TornTail() == badLSN {
+		log.RepairTail(badLSN)
 		return badLSN, nil
 	}
 	reason := "CRC or decode failure in a complete frame"
@@ -52,14 +50,4 @@ func (m *Manager) RepairTornTail(from word.LSN) (word.LSN, error) {
 		reason = "undecodable frame with records after it"
 	}
 	return word.NilLSN, &storage.CorruptFrameError{LSN: badLSN, Reason: reason}
-}
-
-// frameIncomplete reports whether the frame is physically shorter than
-// it declares — the signature of a torn (prefix-only) write, as opposed
-// to a complete frame whose contents rotted.
-func frameIncomplete(frame []byte) bool {
-	if len(frame) < frameHeader+1 {
-		return true
-	}
-	return int(binary.LittleEndian.Uint32(frame[0:4])) > len(frame)
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -22,14 +23,14 @@ func TestRepairTornTailClassification(t *testing.T) {
 		// scenario's fault (forcing the tail itself when the fault needs a
 		// durable final frame) and returns the LSN expected in the outcome
 		// (torn LSN or corrupt-frame LSN, per the want fields).
-		mutate      func(dev *storage.Log, lsns []word.LSN) word.LSN
+		mutate      func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN
 		wantTorn    bool // RepairTornTail rewinds and returns the LSN
 		wantCorrupt bool // RepairTornTail returns a CorruptFrameError at the LSN
 		survivors   int  // records decodable after the call
 	}{
 		{
 			name: "whole log is untouched",
-			mutate: func(dev *storage.Log, _ []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, _ rotFunc, _ []word.LSN) word.LSN {
 				storage.ForceAll(dev)
 				return word.NilLSN
 			},
@@ -37,7 +38,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		},
 		{
 			name: "tail torn mid-record",
-			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN {
 				dev.CrashTorn(lsns[3] + 10) // past the header, short of the declared length
 				return lsns[3]
 			},
@@ -46,7 +47,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		},
 		{
 			name: "tail torn inside the 8-byte frame header",
-			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN {
 				dev.CrashTorn(lsns[3] + 2)
 				return lsns[3]
 			},
@@ -55,7 +56,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 		},
 		{
 			name: "tear on an exact frame boundary leaves a whole log",
-			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN {
 				dev.CrashTorn(lsns[3]) // == StableLSN: the force never began
 				return word.NilLSN
 			},
@@ -63,27 +64,27 @@ func TestRepairTornTailClassification(t *testing.T) {
 		},
 		{
 			name: "complete final frame with rotted payload is corruption, not a tear",
-			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN {
 				storage.ForceAll(dev)
-				dev.CorruptEntry(lsns[3], func(b []byte) { b[len(b)-1] ^= 0x01 })
+				rot(lsns[3], func(b []byte) { b[len(b)-1] ^= 0x01 })
 				return lsns[3]
 			},
 			wantCorrupt: true,
 		},
 		{
 			name: "complete final frame with rotted CRC word is corruption",
-			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN {
 				storage.ForceAll(dev)
-				dev.CorruptEntry(lsns[3], func(b []byte) { b[4] ^= 0x80 })
+				rot(lsns[3], func(b []byte) { b[4] ^= 0x80 })
 				return lsns[3]
 			},
 			wantCorrupt: true,
 		},
 		{
 			name: "undecodable interior frame with records after it is corruption",
-			mutate: func(dev *storage.Log, lsns []word.LSN) word.LSN {
+			mutate: func(dev *storage.Log, rot rotFunc, lsns []word.LSN) word.LSN {
 				storage.ForceAll(dev)
-				dev.CorruptEntry(lsns[1], func(b []byte) { b[frameHeader] ^= 0xff })
+				rot(lsns[1], func(b []byte) { b[frameHeader] ^= 0xff })
 				return lsns[1]
 			},
 			wantCorrupt: true,
@@ -92,7 +93,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dev := storage.NewLog(1 << 20)
+			dev, rot := rottableLog(t, 1<<20)
 			m := NewManager(dev)
 			var lsns []word.LSN
 			for i := 0; i < 4; i++ {
@@ -106,7 +107,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 					Undo:  []byte{byte(i), 7, 6, 5, 4, 3, 2, 1},
 				}))
 			}
-			wantLSN := tc.mutate(dev, lsns)
+			wantLSN := tc.mutate(dev, rot, lsns)
 
 			torn, err := m.RepairTornTail(dev.TruncLSN())
 			switch {
@@ -154,7 +155,7 @@ func TestRepairTornTailClassification(t *testing.T) {
 // Manager.ReadAt — reclaimed (ErrTruncated), rotten (ErrCorrupt), and
 // plain absent — as disjoint, errors.Is-distinguishable outcomes.
 func TestReadAtErrorKinds(t *testing.T) {
-	dev := storage.NewLog(64)
+	dev, rot := rottableLog(t, 64)
 	m := NewManager(dev)
 	var lsns []word.LSN
 	for i := 0; i < 12; i++ {
@@ -166,7 +167,7 @@ func TestReadAtErrorKinds(t *testing.T) {
 	m.ForceAll()
 	m.Truncate(lsns[8])
 	rotted := lsns[10]
-	dev.CorruptEntry(rotted, func(b []byte) { b[frameHeader] ^= 0x40 })
+	rot(rotted, func(b []byte) { b[frameHeader] ^= 0x40 })
 
 	cases := []struct {
 		name          string
@@ -199,5 +200,76 @@ func TestReadAtErrorKinds(t *testing.T) {
 				t.Fatalf("intact read failed: %v", err)
 			}
 		})
+	}
+}
+
+// rotFunc applies fn, in place, to the stored bytes of the record at lsn.
+type rotFunc func(lsn word.LSN, fn func(frame []byte))
+
+// rottableLog returns a log over a memory backing the test keeps, and rot,
+// which rewrites a stable record's bytes in its segment file — bit rot
+// under the log, where only the checks of the log and the codec can find
+// it. A record is located by its bytes the first time it is rotted.
+func rottableLog(t testing.TB, segBytes int) (*storage.Log, rotFunc) {
+	b := storage.NewMemBacking()
+	dev, err := storage.OpenLog(b, segBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type place struct {
+		file string
+		off  int64
+		n    int
+	}
+	found := map[word.LSN]place{}
+	return dev, func(lsn word.LSN, fn func([]byte)) {
+		p, ok := found[lsn]
+		if !ok {
+			frame, _ := dev.ReadAt(lsn)
+			names, _ := b.List("seg-")
+			for _, name := range names {
+				f, _ := b.Open(name, false)
+				size, _ := f.Size()
+				buf := make([]byte, size)
+				f.ReadAt(buf, 0)
+				if i := bytes.Index(buf, frame); i >= 0 && len(frame) > 0 {
+					p, ok = place{name, int64(i), len(frame)}, true
+					break
+				}
+			}
+			if !ok {
+				t.Fatalf("no stable record at LSN %d to rot", lsn)
+			}
+			found[lsn] = p
+		}
+		f, _ := b.Open(p.file, false)
+		buf := make([]byte, p.n)
+		f.ReadAt(buf, p.off)
+		fn(buf)
+		f.WriteAt(buf, p.off)
+	}
+}
+
+// TestRepairTornTailRottedLengthIsCorruption: a complete final record whose
+// own length prefix rotted to claim more bytes than it holds looks, to the
+// frame, like a torn one. The log knows the record is whole, so the repair
+// refuses it instead of rewinding an acknowledged commit away.
+func TestRepairTornTailRottedLengthIsCorruption(t *testing.T) {
+	dev, rot := rottableLog(t, 1<<20)
+	m := NewManager(dev)
+	var lsns []word.LSN
+	for i := 0; i < 3; i++ {
+		lsns = append(lsns, m.Append(CommitRec{TxHdr: TxHdr{TxID: word.TxID(i + 1)}}))
+		m.ForceAll()
+	}
+	end := dev.EndLSN()
+	rot(lsns[2], func(b []byte) { b[1] ^= 0x01 }) // the prefix claims 256 bytes more than the record holds
+	torn, err := m.RepairTornTail(1)
+	var cf *storage.CorruptFrameError
+	if !errors.As(err, &cf) || cf.LSN != lsns[2] {
+		t.Fatalf("RepairTornTail = %d, %v; want a CorruptFrameError at %d", torn, err, lsns[2])
+	}
+	if dev.EndLSN() != end {
+		t.Fatalf("the refused repair moved EndLSN %d → %d", end, dev.EndLSN())
 	}
 }

@@ -95,16 +95,16 @@ type Ref = core.Ref
 // tools; application code should treat Refs as opaque).
 type Addr = word.Addr
 
-// Disk is the nonvolatile page store backing a heap: the five calls the
-// heap makes of one. There is one page store, storage.Disk, in memory or
-// over a directory's files; the fault-injection wrapper (internal/faultfs)
-// satisfies the same interface.
-type Disk = storage.PageStore
+// Disk is the nonvolatile page store backing a heap. There is one page
+// store, storage.Disk, in memory or over a directory's files; faults are
+// injected into the bytes under it (internal/faultfs), not by a wrapper
+// around it.
+type Disk = *storage.Disk
 
-// LogDevice is the stable log device: the calls a wrapper intercepts and
-// the wal layer makes per record. There is one log, storage.Log, in memory
-// or over a directory's files; LogDevice.Base reaches it through any
-// wrapper.
+// LogDevice is the stable log device: the calls the wal layer makes per
+// record, which a test fake or a timing model may substitute. There is one
+// log, storage.Log, in memory or over a directory's files; LogDevice.Base
+// reaches it through any substitute.
 type LogDevice = storage.LogDevice
 
 // Errors returned by heap operations.
