@@ -207,7 +207,7 @@ func benchRecovery(b *testing.B, live, tail int, midGC bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d2, l2 := disk.Clone(), logDev.Base().Clone()
+		d2, l2 := disk.Clone(), logDev.Clone()
 		b.StartTimer()
 		if _, err := stableheap.Recover(cfg, d2, l2); err != nil {
 			b.Fatal(err)
@@ -491,7 +491,7 @@ func BenchmarkE15CheckpointTruncate(b *testing.B) {
 		h.TruncateLog()
 	}
 	dev := h.Internal().Log().Device()
-	b.ReportMetric(float64(dev.Base().RetainedBytes()), "retained-log-bytes")
+	b.ReportMetric(float64(dev.RetainedBytes()), "retained-log-bytes")
 }
 
 // --- bulk load: one transaction, many objects ---------------------------------

@@ -37,7 +37,7 @@ func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, std
 	log := h.Internal().Log()
 	enc := json.NewEncoder(stdout)
 	n, more := 0, false
-	log.Scan(log.Device().Base().TruncLSN(), false, func(lsn word.LSN, r wal.Record) bool {
+	log.Scan(log.Device().TruncLSN(), false, func(lsn word.LSN, r wal.Record) bool {
 		if more = n == maxRecords; more {
 			return false
 		}
@@ -55,7 +55,7 @@ func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, std
 	if more {
 		fmt.Fprintln(stdout, "  … (truncated; use -n to see more)")
 	}
-	st := log.Device().Base().Stats()
+	st := log.Device().Stats()
 	fmt.Fprintf(stdout, "\n%d records shown of the log retained at %s; since this open: %d appended, %d forces, tx_begun_total %d\n",
 		n, dir, st.Appends, st.Forces, h.Metrics().Counters["tx_begun_total"])
 	return nil

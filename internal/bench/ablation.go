@@ -32,7 +32,7 @@ func E13GroupCommit() Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("log force costs %v (faultfs.SlowLog); a lone committer leads its own force at once — 1.00 — and with k ≥ 2 committers open together, each short next to the force, a leader waits (at most one force) until k callers are in the force gate and closes its batch at the end of the log: k committers settle near 1/k, whatever the force costs", scalingForceDelay),
+		fmt.Sprintf("log force costs %v (a faultfs.Slow backing); a lone committer leads its own force at once — 1.00 — and with k ≥ 2 committers open together, each short next to the force, a leader waits (at most one force) until k callers are in the force gate and closes its batch at the end of the log: k committers settle near 1/k, whatever the force costs", scalingForceDelay),
 		"durability is unchanged: a committer returns only once a completed force has covered its commit record, and holds its locks until then")
 	return t
 }

@@ -10,13 +10,23 @@ import (
 	"stableheap/internal/storage"
 )
 
-// scalingForceDelay is the simulated synchronous-force latency
-// (faultfs.SlowLog) that makes E13, E20 and E23 meaningful on any machine:
-// the measured scaling comes from concurrent transactions overlapping
-// their force waits, not from core count. A few
-// hundred microseconds sits between a capacitor-backed NVMe (~20µs) and a
-// 15k-RPM disk with a write cache (~1ms).
+// scalingForceDelay is the simulated synchronous-force latency (a
+// faultfs.Slow backing) that makes E13, E20 and E23 meaningful on any
+// machine: the measured scaling comes from concurrent transactions
+// overlapping their force waits, not from core count. A few hundred
+// microseconds sits between a capacitor-backed NVMe (~20µs) and a 15k-RPM
+// disk with a write cache (~1ms).
 const scalingForceDelay = 250 * time.Microsecond
+
+// slowLog returns an empty log in memory whose every force takes
+// scalingForceDelay.
+func slowLog(segBytes int) *storage.Log {
+	l, err := storage.OpenLog(faultfs.Slow(storage.NewMemBacking(), scalingForceDelay), segBytes)
+	if err != nil {
+		panic(err) // a fresh memory backing cannot fail
+	}
+	return l
+}
 
 // scalingConfig is the heap configuration the scaling benches share.
 func scalingConfig() core.Config {
@@ -38,7 +48,7 @@ func scalingMeasure(g int, duration time.Duration) (committed, forces int64) {
 // scalingMeasureCfg is scalingMeasure over an explicit configuration —
 // E20 toggles the flight recorder on the otherwise identical workload.
 func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration) (committed, forces int64) {
-	logDev := faultfs.NewSlowLog(storage.NewLog(cfg.LogSegBytes), scalingForceDelay)
+	logDev := slowLog(cfg.LogSegBytes)
 	hp := core.OpenOn(cfg, storage.NewDisk(cfg.PageSize), logDev)
 	defer hp.Close()
 
@@ -62,7 +72,7 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration) (committe
 		panic(err)
 	}
 
-	forces0 := logDev.Base().Stats().Forces
+	forces0 := logDev.Stats().Forces
 	var stop atomic.Bool
 	var ok atomic.Int64
 	var wg sync.WaitGroup
@@ -96,5 +106,5 @@ func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration) (committe
 	stop.Store(true)
 	wg.Wait()
 
-	return ok.Load(), logDev.Base().Stats().Forces - forces0
+	return ok.Load(), logDev.Stats().Forces - forces0
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stableheap/internal/faultfs"
 	"stableheap/internal/shard"
 	"stableheap/internal/storage"
 )
@@ -27,10 +26,10 @@ func shardMeasure(partitions, g int, duration time.Duration, counters int, cross
 	for i := range devs {
 		devs[i] = shard.PartDevices{
 			Disk: storage.NewDisk(part.PageSize),
-			Log:  faultfs.NewSlowLog(storage.NewLog(part.LogSegBytes), scalingForceDelay),
+			Log:  slowLog(part.LogSegBytes),
 		}
 	}
-	coordLog := faultfs.NewSlowLog(storage.NewLog(part.LogSegBytes), scalingForceDelay)
+	coordLog := slowLog(part.LogSegBytes)
 	cl, err := shard.OpenOn(shard.Config{Partitions: partitions, Part: part}, devs, coordLog)
 	if err != nil {
 		return 0, 0, err
@@ -181,7 +180,7 @@ func E23Shard() Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("every partition log and the coordinator decision log pay %v per force (faultfs.SlowLog)", scalingForceDelay),
+		fmt.Sprintf("every partition log and the coordinator decision log pay %v per force (a faultfs.Slow backing)", scalingForceDelay),
 		"cross transactions pick two slots on distinct partitions and commit via presumed-abort 2PC: forced prepare on each branch, then the forced coordinator decision",
 		"at partitions=1 every transaction is single-partition (no 2PC is possible), so the three mixes converge there",
 		"global serializability and crash atomicity of exactly this commit path are proven separately (TestHistGlobalSerial, shchaos -scenario 2pc)")

@@ -37,9 +37,9 @@ func E15Truncation() Table {
 		dev := h.Internal().Log().Device()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", total),
-			fmt.Sprintf("%d", dev.Base().Stats().BytesAppended),
-			fmt.Sprintf("%d", dev.Base().RetainedBytes()),
-			fmt.Sprintf("%.1f%%", 100*float64(dev.Base().RetainedBytes())/float64(dev.Base().Stats().BytesAppended)),
+			fmt.Sprintf("%d", dev.Stats().BytesAppended),
+			fmt.Sprintf("%d", dev.RetainedBytes()),
+			fmt.Sprintf("%.1f%%", 100*float64(dev.RetainedBytes())/float64(dev.Stats().BytesAppended)),
 		})
 	}
 	// Recovery from the truncated log still works.

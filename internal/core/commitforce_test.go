@@ -26,7 +26,16 @@ func forceCfg() Config {
 // openSlow opens a heap whose log force takes delay.
 func openSlow(delay time.Duration) *Heap {
 	c := forceCfg()
-	return OpenOn(c, storage.NewDisk(c.PageSize), faultfs.NewSlowLog(storage.NewLog(c.LogSegBytes), delay))
+	return OpenOn(c, storage.NewDisk(c.PageSize), logOver(faultfs.Slow(storage.NewMemBacking(), delay), c))
+}
+
+// logOver opens an empty log for c over b.
+func logOver(b storage.Backing, c Config) *storage.Log {
+	l, err := storage.OpenLog(b, c.LogSegBytes)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
 
 // seedSlots commits one object into each of the first n root slots.
@@ -95,9 +104,9 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 	hp := openSlow(500 * time.Microsecond)
 	const workers = 8
 	seedSlots(t, hp, workers)
-	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, workers, 10)
-	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if commits == 0 || 2*forces > commits {
 		t.Fatalf("the force was not shared: %d forces for %d commits", forces, commits)
 	}
@@ -141,9 +150,9 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 func TestGroupCommitSingleCommitter(t *testing.T) {
 	hp := openSlow(100 * time.Microsecond)
 	seedSlots(t, hp, 1)
-	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, 1, 20)
-	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if commits != 20 || forces != commits {
 		t.Fatalf("%d forces for %d commits, want exactly one each", forces, commits)
 	}
@@ -160,20 +169,25 @@ func TestGroupCommitSingleCommitter(t *testing.T) {
 	}
 }
 
-// gatedLog, once armed, holds every force inside the device until released.
+// gatedLog, once armed, holds every force on the platter until released:
+// its batch taken, its stable LSN not yet moved.
 type gatedLog struct {
-	storage.LogDevice
+	*storage.Log
 	armed   atomic.Bool
 	entered chan struct{} // one token per force held
 	release chan struct{} // closed to let them through
 }
 
-func (l *gatedLog) Force(lsn word.LSN) {
-	if lsn >= l.StableLSN() && l.armed.Load() {
-		l.entered <- struct{}{}
-		<-l.release
-	}
-	l.LogDevice.Force(lsn)
+func newGatedLog(b storage.Backing, c Config) *gatedLog {
+	l := &gatedLog{entered: make(chan struct{}), release: make(chan struct{})}
+	l.Log = logOver(faultfs.OnSync(b, func() error {
+		if l.armed.Load() {
+			l.entered <- struct{}{}
+			<-l.release
+		}
+		return nil
+	}), c)
+	return l
 }
 
 // volatileCommits counts the commit records in the volatile log.
@@ -208,12 +222,12 @@ func TestGroupCommitCloseReleasesWaiters(t *testing.T) {
 
 func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 	c := forceCfg()
-	var inner storage.LogDevice = storage.NewLog(c.LogSegBytes)
+	b := storage.NewMemBacking()
 	if joining {
-		inner = faultfs.NewSlowLog(inner, 10*time.Millisecond) // the join's bound
+		b = faultfs.Slow(b, 10*time.Millisecond) // the join's bound
 	}
-	dev := &gatedLog{LogDevice: inner, entered: make(chan struct{}), release: make(chan struct{})}
-	hp := OpenOn(c, storage.NewDisk(c.PageSize), dev)
+	dev := newGatedLog(b, c)
+	hp := OpenOn(c, storage.NewDisk(c.PageSize), dev.Log)
 	seedSlots(t, hp, 2)
 
 	committers := 2
@@ -242,7 +256,7 @@ func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 	}
 
 	var disk *storage.Disk
-	var logDev storage.LogDevice
+	var logDev *storage.Log
 	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
@@ -308,9 +322,9 @@ func TestGroupCommitTwoCommittersShare(t *testing.T) {
 	hp := openSlow(time.Millisecond)
 	seedSlots(t, hp, 2)
 	commitStores(t, hp, 2, 20) // the commit shape settles: two open, short
-	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, 2, 100)
-	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if commits != 200 || 10*forces > 6*commits {
 		t.Fatalf("%d forces for %d commits of two committers, want ≤ 0.6 per commit", forces, commits)
 	}
@@ -330,9 +344,9 @@ func TestJoinReadOnlyTransactionHoldsNoCommit(t *testing.T) {
 	if r, err := reader.Root(1); err != nil || r == nil {
 		t.Fatalf("reader: %v", err)
 	}
-	forces0, commits0 := hp.logDev.Base().Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
 	commitStores(t, hp, 1, 20)
-	forces, commits := hp.logDev.Base().Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if n := hp.log.JoinWaitHist().Count; n != 0 || forces != commits {
 		t.Fatalf("%d join waits, %d forces for %d commits beside a reader, want 0 and one each", n, forces, commits)
 	}
@@ -403,7 +417,7 @@ func TestJoinWatchdogConvoy(t *testing.T) {
 		c := forceCfg()
 		c.FlightRecorder = true
 		c.WatchdogInterval = 20 * time.Millisecond
-		return OpenOn(c, storage.NewDisk(c.PageSize), faultfs.NewSlowLog(storage.NewLog(c.LogSegBytes), delay))
+		return OpenOn(c, storage.NewDisk(c.PageSize), logOver(faultfs.Slow(storage.NewMemBacking(), delay), c))
 	}
 	t.Run("sixteen committers", func(t *testing.T) {
 		hp := open(5 * time.Millisecond)

@@ -147,7 +147,7 @@ type Config struct {
 	// separates them). Nil allocates a fresh private device. The journal
 	// device is deliberately never the WAL device and is not expected to
 	// be fault-wrapped: it models battery-backed recorder hardware.
-	FlightJournal storage.LogDevice
+	FlightJournal *storage.Log
 	// WatchdogInterval, when positive, starts a stall-watchdog goroutine
 	// that snapshots the metrics on this ticker and runs anomaly rules
 	// over consecutive windows (mutator stalls far beyond p99, nursery
@@ -234,7 +234,7 @@ type Ref = tx.Handle
 type Heap struct {
 	cfg    Config
 	disk   *storage.Disk
-	logDev storage.LogDevice
+	logDev *storage.Log
 	log    *wal.Manager
 	mem    *vm.Store
 	h      *heap.Heap
@@ -366,9 +366,9 @@ func Open(cfg Config) *Heap {
 }
 
 // OpenOn creates a freshly formatted stable heap on the provided devices —
-// a Disk and a Log opened over any backing (a faultfs-wrapped one, say),
-// or another LogDevice. The devices must be empty.
-func OpenOn(cfg Config, disk *storage.Disk, logDev storage.LogDevice) *Heap {
+// a Disk and a Log opened over any backing (a faultfs-wrapped one, say).
+// The devices must be empty.
+func OpenOn(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -380,7 +380,7 @@ func OpenOn(cfg Config, disk *storage.Disk, logDev storage.LogDevice) *Heap {
 }
 
 // build wires the subsystems over existing devices (no formatting).
-func build(cfg Config, disk *storage.Disk, logDev storage.LogDevice) *Heap {
+func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 	log := wal.NewManager(logDev)
 	mem := vm.New(vm.Config{PageSize: cfg.PageSize, CachePages: cfg.CachePages, LogFetches: true}, disk, log)
 	h := heap.New(mem)

@@ -416,13 +416,13 @@ func TestDividedModeVolatileWritesUnlogged(t *testing.T) {
 	n, _ := tr.Alloc(1, 0, 1)
 	before, _ := hp.Log().TypeStats(0) // total appends proxy below
 	_ = before
-	appends0 := hp.Log().Device().Base().Stats().Appends
+	appends0 := hp.Log().Device().Stats().Appends
 	for i := 0; i < 20; i++ {
 		if err := tr.SetData(n, 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hp.Log().Device().Base().Stats().Appends != appends0 {
+	if hp.Log().Device().Stats().Appends != appends0 {
 		t.Fatal("volatile data writes must not append to the log")
 	}
 	commit(t, tr)
@@ -610,7 +610,7 @@ func TestRecoverFromLogRejectsTruncated(t *testing.T) {
 	commit(t, tr3)
 	hp.TruncateLog()
 	_, logDev := hp.Crash()
-	if logDev.Base().TruncLSN() <= 1 {
+	if logDev.TruncLSN() <= 1 {
 		t.Skip("truncation did not free a segment at this workload size")
 	}
 	if _, err := RecoverFromLog(cfg, logDev); err == nil {
@@ -654,7 +654,7 @@ func TestTruncationUnderLoadKeepsRecovering(t *testing.T) {
 		hp = hp2
 	}
 	dev := hp.Log().Device()
-	if dev.Base().RetainedBytes() >= dev.Base().Stats().BytesAppended {
+	if dev.RetainedBytes() >= dev.Stats().BytesAppended {
 		t.Fatal("truncation never reclaimed anything")
 	}
 }

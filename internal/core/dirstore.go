@@ -61,8 +61,8 @@ func OpenDir(cfg Config) (*Heap, error) {
 
 // RecoverDir rebuilds a file-backed stable heap from an existing
 // directory — the process-restart analog of Recover: reopen the files
-// (which redelivers any torn log tail as a repairable fragment), then run
-// ordinary crash recovery from the mastered checkpoint.
+// (which cuts off any torn log tail), then run ordinary crash recovery
+// from the mastered checkpoint.
 func RecoverDir(cfg Config) (*Heap, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("core: RecoverDir with empty Config.Dir")

@@ -1,26 +1,15 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"stableheap/internal/faultfs"
 	"stableheap/internal/storage"
-	"stableheap/internal/word"
 )
-
-// faultyLog fails one append with a typed device error once armed.
-type faultyLog struct {
-	storage.LogDevice
-	armed atomic.Bool
-}
-
-func (l *faultyLog) Append(data []byte) word.LSN {
-	if l.armed.CompareAndSwap(true, false) {
-		panic(&storage.DeviceIOError{Op: "append", LSN: l.EndLSN()})
-	}
-	return l.LogDevice.Append(data)
-}
 
 // deviceFault runs fn and returns the typed device error it panicked with,
 // nil if it returned; any other panic propagates.
@@ -45,19 +34,38 @@ func deviceFault(fn func()) (fault error) {
 // the committed state.
 func TestDeviceFaultFailsTheHeap(t *testing.T) {
 	c := smallCfg()
-	log := &faultyLog{LogDevice: storage.NewLog(c.WithDefaults().LogSegBytes)}
+	var armed atomic.Bool // fails the log's next sync
+	log, err := storage.OpenLog(faultfs.OnSync(storage.NewMemBacking(), func() error {
+		if armed.CompareAndSwap(true, false) {
+			return errors.New("sync failed")
+		}
+		return nil
+	}), c.LogSegBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hp := OpenOn(c, storage.NewDisk(c.PageSize), log)
 	seedSlots(t, hp, 4)
+	hp.Checkpoint() // the slots' pages are now older than the last checkpoint
 
 	tr := hp.Begin()
 	obj, err := tr.Root(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.armed.Store(true)
-	first := deviceFault(func() { tr.SetData(obj, 0, 99) }) // its update record is the append that fails
+	if err := tr.SetData(obj, 0, 99); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	// The next checkpoint writes those pages back, and the write-ahead rule
+	// forces the log through tr's update first: the force that fails, under
+	// the latch.
+	first := deviceFault(func() { hp.Checkpoint() })
 	if first == nil {
-		t.Fatal("the armed append did not surface")
+		t.Fatal("the armed force did not surface")
+	}
+	if !strings.Contains(first.Error(), "force") {
+		t.Fatalf("the first fault is %v, not the failed force", first)
 	}
 
 	ops := map[string]func(){

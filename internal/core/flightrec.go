@@ -71,7 +71,7 @@ func (hp *Heap) FlightRecorder() *obs.BlackBox { return hp.bb }
 // FlightDevice returns the journal's log device — readable after Crash
 // (the device is never fault-wrapped), which is how the post-crash
 // timeline is recovered.
-func (hp *Heap) FlightDevice() storage.LogDevice { return hp.journal.Device() }
+func (hp *Heap) FlightDevice() *storage.Log { return hp.journal.Device() }
 
 // FlightEvents snapshots the live ring in sequence order.
 func (hp *Heap) FlightEvents() []obs.Event { return hp.bb.Events() }

@@ -102,7 +102,7 @@ func (hp *Heap) Close() {
 // (OpenDir/RecoverDir): there the crash also releases them, as a process
 // kill would (no flush, no fdatasync), the returned devices are dead, and
 // only RecoverDir reopens the heap. RecoverCrashed takes either way back.
-func (hp *Heap) Crash() (*storage.Disk, storage.LogDevice) {
+func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 	hp.stopWatchdog()
 	// A commit parked on a force is acknowledged first (commitGate).
 	hp.commitGate.Lock()
@@ -119,7 +119,7 @@ func (hp *Heap) Crash() (*storage.Disk, storage.LogDevice) {
 		// and records them as EvFault events (internal/faultfs), so the
 		// EvCrash marker below follows them in the flushed timeline,
 		// exactly the order things happened.
-		hp.logDev.Base().Crash()
+		hp.logDev.Crash()
 		hp.mem.Crash()
 		hp.locks.Reset()
 		hp.txm.Crash()
@@ -139,7 +139,7 @@ func (hp *Heap) Crash() (*storage.Disk, storage.LogDevice) {
 
 // Devices exposes the simulated devices (for the crash harness, which
 // controls which pages reach disk before a crash).
-func (hp *Heap) Devices() (*storage.Disk, storage.LogDevice) { return hp.disk, hp.logDev }
+func (hp *Heap) Devices() (*storage.Disk, *storage.Log) { return hp.disk, hp.logDev }
 
 // Recover rebuilds a stable heap from surviving devices: repeating
 // history, loser rollback, collector-state restoration, and the
@@ -147,21 +147,21 @@ func (hp *Heap) Devices() (*storage.Disk, storage.LogDevice) { return hp.disk, h
 // volatile area. Recovery work is bounded by the log written since the
 // last checkpoint — independent of heap size (Ch. 4) — even if the crash
 // interrupted a collection (§3.5.3).
-func Recover(cfg Config, disk *storage.Disk, logDev storage.LogDevice) (*Heap, error) {
+func Recover(cfg Config, disk *storage.Disk, logDev *storage.Log) (*Heap, error) {
 	return recoverCommon(cfg, disk, logDev, false)
 }
 
 // RecoverCrashed rebuilds the heap that Crash just took down: from the
 // directory when cfg.Dir is set (the crash closed the heap's own files, so
 // the devices it returned are dead), else from those devices.
-func RecoverCrashed(cfg Config, disk *storage.Disk, logDev storage.LogDevice) (*Heap, error) {
+func RecoverCrashed(cfg Config, disk *storage.Disk, logDev *storage.Log) (*Heap, error) {
 	if cfg.Dir != "" {
 		return RecoverDir(cfg)
 	}
 	return Recover(cfg, disk, logDev)
 }
 
-func recoverCommon(cfg Config, disk *storage.Disk, logDev storage.LogDevice, media bool) (hpOut *Heap, errOut error) {
+func recoverCommon(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool) (hpOut *Heap, errOut error) {
 	// The detectable-failure contract: the devices report corruption
 	// and surfaced I/O faults as typed panics from deep inside scans and
 	// page reads; recovery must turn them into errors naming the corrupt
@@ -580,7 +580,7 @@ func (hp *Heap) CheckpointStats() recovery.CheckpointStats { return hp.ckpt.Stat
 // media failure". It requires the log to be untruncated back to its first
 // checkpoint (the archive discipline); repeating history then reconstructs
 // every page from scratch.
-func RecoverFromLog(cfg Config, logDev storage.LogDevice) (hpOut *Heap, errOut error) {
+func RecoverFromLog(cfg Config, logDev *storage.Log) (hpOut *Heap, errOut error) {
 	// The probe scan below panics with a typed error on a corrupt frame;
 	// convert it (recoverCommon guards its own scans the same way).
 	defer func() {
@@ -596,7 +596,7 @@ func RecoverFromLog(cfg Config, logDev storage.LogDevice) (hpOut *Heap, errOut e
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	if logDev.Base().TruncLSN() > 1 {
+	if logDev.TruncLSN() > 1 {
 		// A truncated log cannot rebuild a lost disk: later checkpoints
 		// assume flushed pages that no longer exist. The archive
 		// discipline keeps the full log (or pairs truncation with disk
@@ -607,11 +607,6 @@ func RecoverFromLog(cfg Config, logDev storage.LogDevice) (hpOut *Heap, errOut e
 	// checkpoint and recover from there — everything after it replays.
 	var firstCP word.LSN
 	probe := wal.NewManager(logDev)
-	// A torn final record (crash mid-force) must be rewound before the
-	// probe scan walks into it; complete-frame corruption is fatal here.
-	if _, err := probe.RepairTornTail(1); err != nil {
-		return nil, fmt.Errorf("core: media recovery failed detectably: %w", err)
-	}
 	probe.Scan(1, true, func(lsn word.LSN, r wal.Record) bool {
 		if r.Type() == wal.TCheckpoint {
 			firstCP = lsn

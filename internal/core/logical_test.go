@@ -179,11 +179,11 @@ func TestAddDataVolatileObject(t *testing.T) {
 	if err != nil || v != 17 {
 		t.Fatalf("volatile add: %d (%v)", v, err)
 	}
-	before := hp.Log().Device().Base().Stats().Appends
+	before := hp.Log().Device().Stats().Appends
 	if err := tr.AddData(c, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if hp.Log().Device().Base().Stats().Appends != before {
+	if hp.Log().Device().Stats().Appends != before {
 		t.Fatal("volatile AddData must not log")
 	}
 	if err := tr.Abort(); err != nil {

@@ -111,7 +111,7 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetCounter("gc_barrier_traps_total", ms.Traps)
 	s.SetCounter("wal_constraint_forces_total", ms.LogForces)
 
-	ls := hp.logDev.Base().Stats()
+	ls := hp.logDev.Stats()
 	s.SetCounter("wal_appends_total", ls.Appends)
 	s.SetCounter("wal_forces_total", ls.Forces)
 	s.SetCounter("wal_bytes_appended_total", ls.BytesAppended)

@@ -5,7 +5,7 @@
 // log forces, at-rest bit rot, transient I/O bursts — and every crash is a
 // restart: the devices are abandoned and reopened over the same bytes, so
 // the devices' own checks (slot checksums, record-header CRCs, the
-// torn-fragment parse, wal frame CRCs) are the only detection there is.
+// torn-tail cut at open, wal frame CRCs) are the only detection there is.
 // Every recovery attempt is classified:
 //
 //	Clean          recovery succeeded and the I4/I6 model audit passed
@@ -412,10 +412,9 @@ func (r *chaosRun) armed(fn func()) (online bool) {
 
 // commit runs one burst transaction under try and classifies how it
 // ended. Acked: fn returned nil, so its commit record is covered by a
-// completed force and the burst's model may move. Neither: a lock conflict
-// with the driver's in-doubt prepared transaction, which holds the root
-// array — the model keeps its previous state. Online: a device fault, or
-// any other error, which is a violation and ends the seed.
+// completed force and the burst's model may move. Neither: a lock
+// conflict, and the model keeps its previous state. Online: a device
+// fault, or any other error, which is a violation and ends the seed.
 func (r *chaosRun) commit(what string, fn func(tr *core.Tx) error) (acked, online bool) {
 	online, err := r.try(func() error {
 		_, err := inTx(r.d.hp, true, fn)
@@ -439,7 +438,9 @@ func (r *chaosRun) commit(what string, fn func(tr *core.Tx) error) (acked, onlin
 func (r *chaosRun) round(round int) {
 	online := r.workload(round)
 	if r.burst != nil && !online {
-		online = r.burst.run(r, round)
+		if online = r.resolveFirst(); !online {
+			online = r.burst.run(r, round)
+		}
 	}
 	if r.dead {
 		return
@@ -452,6 +453,23 @@ func (r *chaosRun) round(round int) {
 	}
 	r.crash()
 	r.recoverAndAudit(online)
+}
+
+// resolveFirst has the coordinator decide the driver's pending prepared
+// transaction before a burst runs. Left in doubt, it holds the root array,
+// every burst commit is refused as a conflict, and the burst's audit has
+// nothing to compare. A device fault in the decision is the round's online
+// detection.
+func (r *chaosRun) resolveFirst() (online bool) {
+	if r.d.pending == nil {
+		return false
+	}
+	online, err := r.try(r.d.resolvePending)
+	if err != nil {
+		r.violation(fmt.Sprintf("resolving the prepared transaction before the burst: %v", err))
+		return true
+	}
+	return online
 }
 
 // crash applies the plan's crash-time faults (a torn log tail, a torn

@@ -88,7 +88,7 @@ func New(cfg core.Config, seed int64) *Driver {
 // NewOn creates a driver over a fresh heap formatted onto the provided
 // devices — the chaos explorer passes ones opened over fault-injecting
 // backings.
-func NewOn(cfg core.Config, seed int64, disk *storage.Disk, logDev storage.LogDevice) *Driver {
+func NewOn(cfg core.Config, seed int64, disk *storage.Disk, logDev *storage.Log) *Driver {
 	return newDriver(cfg, seed, core.OpenOn(cfg, disk, logDev))
 }
 
@@ -387,7 +387,7 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	// it: clones of the devices, or a copy of the directory they closed.
 	twinCfg := d.cfg
 	var twinDisk *storage.Disk
-	var twinLog storage.LogDevice
+	var twinLog *storage.Log
 	if checkTwin && d.cfg.Dir != "" {
 		twinCfg.Dir = d.cfg.Dir + ".twin"
 		defer os.RemoveAll(twinCfg.Dir)
@@ -395,7 +395,7 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 			return fmt.Errorf("twin copy: %w", err)
 		}
 	} else if checkTwin {
-		twinDisk, twinLog = disk.Clone(), logDev.Base().Clone()
+		twinDisk, twinLog = disk.Clone(), logDev.Clone()
 	}
 
 	hp, err := core.RecoverCrashed(d.cfg, disk, logDev)

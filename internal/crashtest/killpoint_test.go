@@ -90,7 +90,7 @@ func TestKillPointChild(t *testing.T) {
 	truncArmed := false
 	if mode == killMidTruncate {
 		_, logDev := hp.Devices()
-		logDev.Base().TruncateHook = func() {
+		logDev.TruncateHook = func() {
 			if truncArmed {
 				os.Exit(killExitCode) // log.meta rewritten, nothing unlinked yet
 			}

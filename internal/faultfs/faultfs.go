@@ -11,12 +11,17 @@
 //   - at-rest bit rot: one bit flipped in a byte range the device wrote, in
 //     pages.dat or a seg- file, slot and record headers included;
 //   - torn log forces: at a crash, Log.CrashTorn persists a byte prefix of
-//     the volatile tail.
+//     the volatile tail, and the log cuts the torn record off.
 //
 // Nothing here detects anything: the devices' own checks — slot header CRC
-// and page checksum, record-header CRC and torn-fragment parse at reopen,
-// the wal frame CRC, their typed I/O panics — are the only ones. A crash is
-// a restart: the caller reopens the devices over the same wrapped backings.
+// and page checksum, record-header CRC and the torn-tail cut at open, the
+// wal frame CRC, their typed I/O panics — are the only ones. A crash is a
+// restart: the caller reopens the devices over the same wrapped backings.
+//
+// The backing is the one place anything substitutes for the devices, so
+// the package also holds the two plain hooks on File.Sync (slow.go):
+// OnSync, which the force tests gate or fail, and Slow, the fixed force
+// latency of the scaling experiments.
 //
 // The same plan over the same sequence of file operations injects the same
 // faults. One mutex guards the injector's state, because the page store and

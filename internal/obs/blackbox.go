@@ -14,7 +14,7 @@ import (
 // steps and scan quanta, WAL forces, latch stalls, recovery phases,
 // injected faults, watchdog trips. It is the heap's only event ring: the
 // Chrome trace (WriteEventsChrome) is a rendering of it, and a Journal
-// (journal.go) persists its contents through a dedicated storage.LogDevice
+// (journal.go) persists its contents through a dedicated storage.Log
 // so the last moments before a crash are readable after recovery.
 //
 // Every record carries a monotonic sequence number, a timestamp relative

@@ -11,7 +11,7 @@ import (
 )
 
 // The journal persists the black-box ring through a dedicated
-// storage.LogDevice, modeling the battery-backed flight-recorder region of
+// storage.Log, modeling the battery-backed flight-recorder region of
 // a real deployment: it is deliberately NOT the WAL device (recorder
 // frames must never interleave with recovery-critical records, and a WAL
 // truncation must never discard the pre-crash timeline) and is not
@@ -46,26 +46,26 @@ const (
 
 var errBadFrame = errors.New("obs: malformed black-box frame")
 
-// Journal flushes a BlackBox incrementally to a LogDevice. Nil-safe; all
+// Journal flushes a BlackBox incrementally to a storage.Log. Nil-safe; all
 // methods serialize on an internal mutex (Flush is called from tickers,
 // crash paths, and panic handlers).
 type Journal struct {
 	mu         sync.Mutex
-	dev        storage.LogDevice
+	dev        *storage.Log
 	bb         *BlackBox
 	flushedSeq uint64
 }
 
 // NewJournal binds a recorder to its persistence device.
-func NewJournal(dev storage.LogDevice, bb *BlackBox) *Journal {
+func NewJournal(dev *storage.Log, bb *BlackBox) *Journal {
 	if dev == nil || bb == nil {
 		return nil
 	}
 	return &Journal{dev: dev, bb: bb}
 }
 
-// Device returns the underlying log device (the post-crash read side).
-func (j *Journal) Device() storage.LogDevice {
+// Device returns the underlying log (the post-crash read side).
+func (j *Journal) Device() *storage.Log {
 	if j == nil {
 		return nil
 	}
@@ -189,12 +189,12 @@ func DecodeDump(b []byte) (boot int64, evs []Event, err error) {
 // sequence order, with its boot tag. Called after a crash (the device is
 // pristine — it is never fault-wrapped) or after recovery, before the
 // recovered heap's own journal writes its first frame.
-func ReadLatest(dev storage.LogDevice) (evs []Event, boot int64, err error) {
+func ReadLatest(dev *storage.Log) (evs []Event, boot int64, err error) {
 	if dev == nil {
 		return nil, 0, nil
 	}
 	var dump []byte
-	storage.Scan(dev, dev.Base().TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
+	storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
 		dump = append(dump, frame...)
 		return true
 	})

@@ -62,9 +62,6 @@ type Result struct {
 	// actually modified a page.
 	RedoScanned int
 	RedoApplied int
-	// TornTail is the LSN of a torn final log record that was classified
-	// and rewound before analysis (NilLSN when the log tail was whole).
-	TornTail word.LSN
 	// Losers lists the transactions that were rolled back.
 	Losers []word.TxID
 	// InDoubt lists prepared transactions awaiting the coordinator:
@@ -176,15 +173,10 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 	if cpLSN == word.NilLSN {
 		return nil, nil, fmt.Errorf("recovery: master block has no checkpoint")
 	}
-	// A crash that interrupted a log force can leave a torn final record on
-	// the device. Classify and repair it before any scan: a physically
-	// incomplete tail was never acknowledged and is rewound; a complete
-	// frame that fails its CRC is bit rot and recovery must refuse to
-	// proceed rather than repeat corrupted history.
-	torn, err := log.RepairTornTail(cpLSN)
-	if err != nil {
-		return nil, nil, fmt.Errorf("recovery: log scan from checkpoint %d: %w", cpLSN, err)
-	}
+	// The log cut any torn final record when it was opened. A frame from
+	// here on that fails its CRC is bit rot: analysis decodes every stable
+	// one and panics with a CorruptFrameError, so recovery refuses rather
+	// than repeat corrupted history.
 	rec, err := log.ReadAt(cpLSN)
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: cannot read checkpoint at %d: %w", cpLSN, err)
@@ -200,7 +192,7 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 	if err := a.dpt.lostWrite(mem.Disk()); err != nil {
 		return nil, nil, fmt.Errorf("recovery: %w", err)
 	}
-	res := &Result{CP: a.cp, TornTail: torn, RedoStart: a.dpt.redoStart()}
+	res := &Result{CP: a.cp, RedoStart: a.dpt.redoStart()}
 	for _, m := range a.moved {
 		res.Moved = append(res.Moved, m)
 	}

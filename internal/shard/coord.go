@@ -9,7 +9,7 @@ import (
 )
 
 // Coordinator owns the cluster's two-phase-commit decision log: a
-// LogDevice (in memory, or on files under <dir>/coord) holding
+// storage.Log (in memory, or on files under <dir>/coord) holding
 // wal-encoded TwoPCBegin / TwoPCDecide / TwoPCEnd records. The protocol is
 // presumed abort:
 //
@@ -34,7 +34,7 @@ type Coordinator struct {
 }
 
 // newCoordinator wraps a fresh (empty) decision log.
-func newCoordinator(log storage.LogDevice) *Coordinator {
+func newCoordinator(log *storage.Log) *Coordinator {
 	return &Coordinator{
 		log:     wal.NewManager(log),
 		commits: make(map[wal.TwoPCParticipant]uint64),
@@ -45,17 +45,12 @@ func newCoordinator(log storage.LogDevice) *Coordinator {
 }
 
 // recoverCoordinator rebuilds the decision state from a surviving log:
-// only durable records remain after a device crash, and a reopened file
-// log may end in a torn fragment, which is repaired away exactly like a
-// torn WAL tail (the interrupted append was never acknowledged). Any other
-// undecodable record is corruption and panics with its typed error, as a
-// device read does.
-func recoverCoordinator(log storage.LogDevice) *Coordinator {
+// only durable records remain after a device crash, and the log cut any
+// torn final record when it was opened. An undecodable record is
+// corruption and panics with its typed error, as a device read does.
+func recoverCoordinator(log *storage.Log) *Coordinator {
 	c := newCoordinator(log)
-	if _, err := c.log.RepairTornTail(log.Base().TruncLSN()); err != nil {
-		panic(err)
-	}
-	c.log.Scan(log.Base().TruncLSN(), false, func(_ word.LSN, rec wal.Record) bool {
+	c.log.Scan(log.TruncLSN(), false, func(_ word.LSN, rec wal.Record) bool {
 		switch r := rec.(type) {
 		case wal.TwoPCBeginRec:
 			if r.GID >= c.nextGID {
@@ -143,4 +138,4 @@ func (c *Coordinator) outcome(part uint32, id word.TxID) (commit bool) {
 }
 
 // Log exposes the decision log device (introspection, crash harnesses).
-func (c *Coordinator) Log() storage.LogDevice { return c.log.Device() }
+func (c *Coordinator) Log() *storage.Log { return c.log.Device() }

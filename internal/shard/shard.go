@@ -67,14 +67,14 @@ func (c Config) coordDir() string { return filepath.Join(c.Dir, "coord") }
 // PartDevices is one partition's raw devices, as surfaced by Crash.
 type PartDevices struct {
 	Disk *storage.Disk
-	Log  storage.LogDevice
+	Log  *storage.Log
 }
 
 // CrashState is everything that survives a simulated whole-cluster crash:
 // each partition's durable devices plus the coordinator's decision log.
 type CrashState struct {
 	Parts []PartDevices
-	Coord storage.LogDevice
+	Coord *storage.Log
 }
 
 // Cluster is the partitioned heap facade.
@@ -121,7 +121,7 @@ func Open(cfg Config) (*Cluster, error) {
 // OpenOn creates an in-memory cluster over caller-supplied devices — one
 // device pair per partition plus the coordinator log. Benchmarks use it to
 // interpose latency-injecting log wrappers.
-func OpenOn(cfg Config, devs []PartDevices, coordLog storage.LogDevice) (*Cluster, error) {
+func OpenOn(cfg Config, devs []PartDevices, coordLog *storage.Log) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if len(devs) != cfg.Partitions {
 		return nil, fmt.Errorf("shard: OpenOn got %d device pairs for %d partitions", len(devs), cfg.Partitions)
@@ -225,7 +225,7 @@ func (cl *Cluster) Crash() CrashState {
 		cs.Parts = append(cs.Parts, PartDevices{Disk: disk, Log: log})
 	}
 	clog := cl.coord.Log()
-	clog.Base().Crash()
+	clog.Crash()
 	cs.Coord = clog
 	if cl.coordStore != nil {
 		cl.coordStore.Abandon()
@@ -263,7 +263,7 @@ func Recover(cfg Config, cs CrashState) (*Cluster, error) {
 // commits frozen by the crash hook are then settled with Tx.Terminate.
 func (cl *Cluster) CrashCoordinator() {
 	log := cl.coord.Log()
-	log.Base().Crash()
+	log.Crash()
 	cl.coord = recoverCoordinator(log)
 }
 

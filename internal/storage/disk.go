@@ -5,14 +5,16 @@
 // written over a narrow Backing of named byte files: NewMemBacking keeps
 // them in memory (NewDisk and NewLog), internal/storage/filestore in a
 // directory of real files. Their own checks — the slot header and page
-// checksum, the record header and the torn-tail rule at reopen — are the
-// only detection: internal/faultfs puts its faults into the backing's
-// bytes, underneath them.
+// checksum, the record header and the torn-tail rule at open — are the
+// only detection, and the Backing is the only place a substitute goes:
+// internal/faultfs puts its faults and its slow disk there, underneath
+// them.
 //
 // Everything written to a Disk or forced to a Log survives Crash; the log's
 // unforced tail (the "volatile log" in the paper's terminology) is
-// discarded by Crash. Every method of both devices is safe for concurrent
-// use; LogDevice states what a force in flight may overlap.
+// discarded by Crash, and a torn final record never outlives the open that
+// finds it. Every method of both devices is safe for concurrent use; Log
+// states what a force in flight may overlap.
 package storage
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"sort"
 	"sync"
 	"time"
 
@@ -324,18 +325,6 @@ func (d *Disk) PageLSN(id word.PageID) word.LSN {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.lsns[id]
-}
-
-// Pages returns the ids of all pages ever written, in ascending order.
-func (d *Disk) Pages() []word.PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]word.PageID, 0, len(d.lsns))
-	for id := range d.lsns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Master returns the current master block.

@@ -30,7 +30,7 @@ func (a *AtomicLSN) Store(lsn word.LSN) { a.v.Store(uint64(lsn)) }
 type LogStats struct {
 	Appends       int64 // records spooled to the volatile tail
 	Forces        int64 // synchronous stable-storage writes
-	Syncs         int64 // backing syncs: one per force that wrote, one per tail repair that cut a segment
+	Syncs         int64 // backing syncs: one per force that wrote
 	BytesAppended int64
 	BytesStable   int64 // bytes made stable by forces
 	Truncations   int64
@@ -40,7 +40,10 @@ type LogStats struct {
 // Log is the stable log (§2.2.1): a segmented, append-only record log over
 // a Backing, with a volatile tail that becomes durable when forced.
 // Truncation frees whole segments from the front, as in the paper's
-// three-segment log (Fig. 4.2).
+// three-segment log (Fig. 4.2). It is the one log: a test or a timing
+// model substitutes the Backing under it, never the Log. A Log reports
+// corruption and unrecoverable I/O by panicking with one of the typed
+// errors in errors.go.
 //
 // An LSN is the 1-based byte offset of the record's payload in the
 // conceptual infinite log, so Append(data) advances the end LSN by exactly
@@ -69,29 +72,48 @@ type LogStats struct {
 // header: payload integrity belongs to the layer above (wal frames carry
 // their own CRC, the flight-recorder journal its SHBB framing). Opening a
 // backing re-parses the segment files sequentially, and the torn-tail
-// rule is decided there, once (DESIGN.md §14): only the end of the last
-// segment may be torn, and only two shapes are a tear — trailing bytes
-// too short to be a header, which are discarded, and a valid header whose
-// payload is shorter than it declares, which is delivered as a
-// payload-prefix fragment (what CrashTorn leaves; TornTail names it) for
-// wal.RepairTornTail to rewind. A complete header that fails validation is
-// corruption wherever it lies, and so is a short record mid-log: the open
-// fails with a CorruptFrameError and nothing is cut.
+// rule is decided and acted on there, once (DESIGN.md §14): only the end
+// of the last segment may be torn, and only two shapes are a tear —
+// trailing bytes too short to be a header, and a valid header whose
+// payload is shorter than it declares. Either is cut off at its header:
+// the interrupted force was never acknowledged, so the record never
+// existed, and the next append reuses its LSN. A complete header that
+// fails validation is corruption wherever it lies, and so is a short
+// record mid-log: the open fails with a CorruptFrameError and nothing is
+// cut. No layer above ever sees a torn fragment.
 //
 // Crash semantics: Append only spools to a tail in memory; Force writes the
 // tail through its LSN to the active segment and syncs it, so a killed
 // process loses exactly the unforced tail — the volatile log. Crash and
 // CrashTorn reproduce that end state in-process.
 //
-// Locking (LogDevice's concurrency contract): forceMu admits one force at a
-// time and is held across its write and sync; the structural operations
-// (Truncate, RepairTail, Crash, CrashTorn, Clone, Close) take it too, and
-// it alone guards segs, segment sizes and wbuf. mu guards the other fields
-// and is never held across I/O on the force path: a force takes its batch
-// under mu, writes it with mu released — the batch stays readable in
-// flight — and publishes the new stable LSN under mu again. Append, ReadAt,
-// ScanBatches and the LSN getters take only mu (the getters not even
-// that). Order: forceMu, mu.
+// Concurrency: every method is safe for concurrent use. forceMu admits one
+// force at a time and is held across its write and sync; the structural
+// operations (Truncate, Crash, CrashTorn, Clone, Close) take it too, and it
+// alone guards segs, segment sizes and wbuf. mu guards the other fields and
+// is never held across I/O on the force path: Force(lsn) takes the spooled
+// records that start at or below lsn under mu, writes and syncs them with
+// mu released — the batch in flight stays readable — and publishes the new
+// StableLSN only when the sync returns. The caller's lsn bounds the batch,
+// not the instant the log takes it: records above lsn, and those appended
+// while a Force is in flight, stay volatile; wal.Manager.Force builds the
+// shared commit force on exactly this. Append, ReadAt, ScanBatches and the
+// LSN getters take only mu (the getters not even that). Order: forceMu, mu.
+//
+// Ownership of appended bytes: Append copies the record before it returns
+// and never retains the caller's slice, which the caller may reuse at once
+// (wal.Manager encodes every record into a pooled buffer). The copy is
+// carved from a 64 KiB spool arena, so a record costs no allocation of its
+// own, and it is subject to the rule below like any delivered frame.
+//
+// Ownership of scanned bytes: the bytes Scan and ScanBatches deliver are
+// immutable until the scan returns, and the log lets go of them there — it
+// never overwrites or recycles a delivered buffer, neither between
+// callbacks nor afterwards. Consumers decode them zero-copy (wal.Decode)
+// and may keep the aliasing payloads after the callback that delivered
+// them returns. Only the two slice headers ScanBatches passes (lsns,
+// frames) may be reused from one callback to the next. storagetest
+// enforces both rules on every backing.
 type Log struct {
 	forceMu sync.Mutex
 	segs    []*segment // open segment files, ascending; the last is active
@@ -108,11 +130,8 @@ type Log struct {
 	trunc   word.LSN
 	// retained counts the bytes over idx + flight + tail.
 	retained int64
-	// torn is the LSN of the final record when it is a fragment, shorter
-	// than its header declares (TornTail); NilLSN otherwise.
-	torn   word.LSN
-	stats  LogStats
-	closed bool
+	stats    LogStats
+	closed   bool
 	// TruncateHook, when set, runs inside Truncate after log.meta names the
 	// new truncation point and before the files below it are removed: the
 	// kill-point harness exits there.
@@ -121,7 +140,7 @@ type Log struct {
 
 type recMeta struct {
 	lsn word.LSN
-	n   int32 // payload bytes physically present (a torn tail fragment: fewer than declared)
+	n   int32 // payload bytes
 	seg *segment
 	off int64 // header offset within the segment file
 }
@@ -297,19 +316,12 @@ func (l *Log) load() error {
 			}
 			if avail < 0 || n > avail {
 				// Torn: a header the kill cut short, or a valid one whose
-				// payload it did — legal only at the very end of the log.
+				// payload it did — legal only at the very end of the log,
+				// and cut off there, as if the force had never begun.
 				if !last {
 					return &CorruptFrameError{LSN: want, Reason: fmt.Sprintf("segment %d: record at offset %d is short mid-log", first, off)}
 				}
-				if avail > 0 {
-					// Deliver the prefix as a fragment, exactly what
-					// CrashTorn leaves, for the layer above to rewind.
-					l.idx = append(l.idx, recMeta{lsn: want, n: int32(avail), seg: seg, off: off})
-					l.retained += avail
-					l.torn = want
-					prevEnd = want + word.LSN(avail)
-					off = size
-				} else if err := f.Truncate(off); err != nil { // nothing of a record to deliver
+				if err := f.Truncate(off); err != nil {
 					return ioErr(want, err)
 				}
 				break
@@ -356,9 +368,6 @@ func (l *Log) ioPanic(op string, lsn word.LSN, err error) {
 	panic(&DeviceIOError{Op: op + ": " + err.Error(), LSN: lsn})
 }
 
-// Base returns the log itself: the end of every substitute's Base chain.
-func (l *Log) Base() *Log { return l }
-
 // SegmentBytes returns the segment granularity in bytes: the unit Truncate
 // frees at.
 func (l *Log) SegmentBytes() int { return l.segSize }
@@ -390,7 +399,7 @@ func (l *Log) Append(data []byte) word.LSN {
 // allocation per many records instead of one each. A record longer than a
 // chunk gets a buffer of its own. Carved slices are capped at their length
 // and never carved again, so a delivered frame stays what it was (the
-// LogDevice ownership rule); an arena is garbage once its last record has
+// ownership rule); an arena is garbage once its last record has
 // been forced and dropped by every reader. mu is held.
 func (l *Log) carve(n int) []byte {
 	if n > spoolChunk {
@@ -444,8 +453,9 @@ func (l *Log) takeTailLocked(lsn word.LSN) word.LSN {
 // persist writes the in-flight batch up to through — whole records, and a
 // full-header + payload-prefix fragment for one a torn force cuts mid-way —
 // into the active segment with one write and one sync, then indexes it and
-// publishes through as the stable LSN. forceMu is held, mu is not.
-func (l *Log) persist(through word.LSN) {
+// publishes through as the stable LSN. It reports whether it wrote a
+// fragment. forceMu is held, mu is not.
+func (l *Log) persist(through word.LSN) (torn bool) {
 	batch := l.flight
 	// Sized once per batch: a bulk load's first force is megabytes.
 	need := len(batch) * recHdrSize
@@ -453,7 +463,6 @@ func (l *Log) persist(through word.LSN) {
 		need += len(t.data)
 	}
 	metas := make([]recMeta, 0, len(batch))
-	torn := word.NilLSN
 	var seg *segment
 	buf := slices.Grow(l.wbuf[:0], need)
 	var lost int64 // payload bytes a torn cut discards
@@ -468,9 +477,7 @@ func (l *Log) persist(through word.LSN) {
 		if data == nil {
 			continue
 		}
-		if len(data) < len(t.data) {
-			torn = t.lsn
-		}
+		torn = torn || len(data) < len(t.data)
 		if seg == nil {
 			seg = l.activeSegment(t.lsn)
 		}
@@ -497,13 +504,11 @@ func (l *Log) persist(through word.LSN) {
 	if len(buf) > 0 {
 		l.stats.Syncs++
 	}
-	if len(metas) > 0 {
-		l.torn = torn
-	}
 	l.idx = append(l.idx, metas...)
 	l.flight = nil
 	l.retained -= lost
 	l.stable.Store(through)
+	return torn
 }
 
 // activeSegment returns the file the batch starting at first goes into:
@@ -542,87 +547,51 @@ func (l *Log) Crash() { l.CrashTorn(word.NilLSN) }
 // record physically short in its segment — and everything beyond is lost.
 // cut must lie in [StableLSN, EndLSN]; records below the old stable LSN
 // were already durable (and possibly acknowledged), so a tear can never
-// reach them. TornTail names the fragment, and recovery discards it with
-// RepairTail. NilLSN cuts at the stable LSN: Crash. This is the one way a
+// reach them. NilLSN cuts at the stable LSN: Crash. This is the one way a
 // torn tail is made: internal/faultfs calls it at a planned crash.
+//
+// A cut that tore a record leaves the log as a reopen of its backing finds
+// it, by running the same parse: the fragment is cut off and EndLSN is its
+// LSN. If the bytes no longer parse — rot the crash found in them — the
+// log is left closed and empty, and a reopen reports the damage.
 func (l *Log) CrashTorn(cut word.LSN) {
 	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	if cut == word.NilLSN {
 		cut = l.stable.Load()
 	}
 	if cut < l.stable.Load() || cut > l.end.Load() {
 		l.mu.Unlock()
-		l.forceMu.Unlock()
 		panic(fmt.Sprintf("storage: torn crash at %d outside volatile region [%d, %d]", cut, l.stable.Load(), l.end.Load()))
 	}
 	l.takeTailLocked(l.end.Load())
 	l.end.Store(cut)
 	l.mu.Unlock()
-	l.persist(cut)
-	l.forceMu.Unlock()
+	if l.persist(cut) {
+		l.reparse()
+	}
 }
 
-// RepairTail rewinds the log to from: every record (or fragment) at or
-// beyond it is dropped, and the next append receives LSN from. Recovery
-// calls it after classifying an undecodable final record as a torn tail —
-// the interrupted force was never acknowledged, so the bytes never
-// logically existed. The rewind is physical: the segment holding the first
-// dropped record is cut at its header (removed, if that is its first
-// record) and every later segment file is removed, so a reopen parses a
-// clean tail.
-func (l *Log) RepairTail(from word.LSN) {
-	l.forceMu.Lock()
-	defer l.forceMu.Unlock()
+// reparse replaces what the log knows of its files with what OpenLog's
+// parse finds in them. forceMu is held.
+func (l *Log) reparse() {
+	fresh := &Log{b: l.b, segSize: l.segSize, trunc: l.trunc}
+	err := fresh.load()
+	for _, s := range l.segs {
+		s.f.Close()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < l.trunc {
-		panic(fmt.Sprintf("storage: repair tail at %d below truncation point %d", from, l.trunc))
+	if err != nil {
+		fresh.Abandon()
+		l.segs, l.idx, l.retained, l.closed = nil, nil, 0, true
+		return
 	}
-	if from > l.end.Load() {
-		panic(fmt.Sprintf("storage: repair tail at %d beyond end LSN %d", from, l.end.Load()))
-	}
-	for len(l.tail) > 0 && l.tail[len(l.tail)-1].lsn >= from {
-		l.retained -= int64(len(l.tail[len(l.tail)-1].data))
-		l.tail = l.tail[:len(l.tail)-1]
-	}
-	i := sort.Search(len(l.idx), func(i int) bool { return l.idx[i].lsn >= from })
-	if i < len(l.idx) {
-		first := l.idx[i]
-		for _, m := range l.idx[i:] {
-			l.retained -= int64(m.n)
-		}
-		l.idx = l.idx[:i]
-		k := sort.Search(len(l.segs), func(k int) bool { return l.segs[k].first >= first.seg.first })
-		if first.off > 0 {
-			if err := first.seg.f.Truncate(first.off); err != nil {
-				l.ioPanic("repair", from, err)
-			}
-			first.seg.size = first.off
-			if err := first.seg.f.Sync(); err != nil {
-				l.ioPanic("repair", from, err)
-			}
-			l.stats.Syncs++
-			k++
-		}
-		l.dropSegments(k)
-	}
-	l.end.Store(from)
-	if l.stable.Load() > from {
-		l.stable.Store(from)
-	}
-	if l.torn >= from {
-		l.torn = word.NilLSN
-	}
+	l.segs, l.idx, l.retained = fresh.segs, fresh.idx, fresh.retained
+	l.end.Store(fresh.end.Load())
+	l.stable.Store(fresh.stable.Load())
 }
-
-// TornTail returns the LSN of the final retained record if it is a torn
-// fragment — its payload shorter than its header declares, as a force a
-// crash cut short leaves it (CrashTorn, or a reopen that found one) — and
-// NilLSN if the log ends in a whole record. It is the log's one answer to
-// "is the tail torn": wal.RepairTornTail rewinds such a record and calls
-// any other record that fails to decode corruption.
-func (l *Log) TornTail() word.LSN { l.mu.Lock(); defer l.mu.Unlock(); return l.torn }
 
 // Truncate discards log space below keep at segment granularity: the
 // truncation point moves to the largest segment boundary at or below keep,
@@ -764,7 +733,7 @@ func (l *Log) scanSnapshot(from word.LSN, stableOnly bool) ([]recMeta, []tailRec
 // per batch, not per record. The two slice headers are reused across
 // calls; the bytes are not — every batch is read into its own chunk,
 // because zero-copy wal.Decode payloads alias it and may be kept after fn
-// has returned (LogDevice's ownership rule). fn returning false stops the
+// has returned (the ownership rule on Log). fn returning false stops the
 // scan. The scan works on the records retained when it starts and calls fn
 // with the device unlocked: fn may re-enter the device, and records
 // appended meanwhile are not visited.
@@ -845,6 +814,23 @@ func (l *Log) Clone() *Log {
 	nl.stable.Store(l.stable.Load())
 	nl.stats = l.stats
 	return nl
+}
+
+// ForceAll forces the log's entire volatile tail.
+func ForceAll(l *Log) { l.Force(l.EndLSN() - 1) }
+
+// Scan is ScanBatches with a one-record callback: fn sees each retained
+// record with lsn >= from in LSN order and stops the scan by returning
+// false.
+func Scan(l *Log, from word.LSN, stableOnly bool, fn func(lsn word.LSN, data []byte) bool) {
+	l.ScanBatches(from, stableOnly, 0, func(lsns []word.LSN, frames [][]byte) bool {
+		for i, frame := range frames {
+			if !fn(lsns[i], frame) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Close forces the remaining tail durable and closes the segment files.

@@ -6,11 +6,10 @@ import (
 	"stableheap/internal/word"
 )
 
-// Boundary-condition tests for the log device: zero-length records,
-// frames landing exactly on segment ends, torn crashes at every cut
-// position, and tail repair at its edge LSNs. These pin down the device
-// contract the wal layer's torn-tail classification (wal.RepairTornTail)
-// is built on.
+// Boundary-condition tests for the log: zero-length records, frames
+// landing exactly on segment ends, torn crashes at every cut position, and
+// the torn-tail repair at its edges. These pin down what recovery relies
+// on: the log it opens ends in a whole record.
 
 func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -109,20 +108,19 @@ func TestLogCrashTornCuts(t *testing.T) {
 	cases := []struct {
 		name     string
 		cut      func(l *Log, lsns []word.LSN) word.LSN
-		wantRecs int      // surviving records
-		wantFrag int      // length of the final fragment (0 = none)
+		wantRecs int      // surviving records, all whole
 		wantEnd  word.LSN // EndLSN == StableLSN after the tear
 	}{
 		{"cut at stable LSN is a clean crash",
-			func(l *Log, _ []word.LSN) word.LSN { return l.StableLSN() }, 1, 0, 9},
+			func(l *Log, _ []word.LSN) word.LSN { return l.StableLSN() }, 1, 9},
 		{"cut at end persists everything",
-			func(l *Log, _ []word.LSN) word.LSN { return l.EndLSN() }, 4, 0, 33},
+			func(l *Log, _ []word.LSN) word.LSN { return l.EndLSN() }, 4, 33},
 		{"cut on a record boundary leaves no fragment",
-			func(_ *Log, lsns []word.LSN) word.LSN { return lsns[2] }, 2, 0, 17},
-		{"cut mid-record leaves a prefix fragment",
-			func(_ *Log, lsns []word.LSN) word.LSN { return lsns[2] + 3 }, 3, 3, 20},
+			func(_ *Log, lsns []word.LSN) word.LSN { return lsns[2] }, 2, 17},
+		{"cut mid-record cuts the torn record off",
+			func(_ *Log, lsns []word.LSN) word.LSN { return lsns[2] + 3 }, 2, 17},
 		{"cut one byte into the last record",
-			func(_ *Log, lsns []word.LSN) word.LSN { return lsns[3] + 1 }, 4, 1, 26},
+			func(_ *Log, lsns []word.LSN) word.LSN { return lsns[3] + 1 }, 3, 25},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,19 +134,8 @@ func TestLogCrashTornCuts(t *testing.T) {
 				got = append(got, len(data))
 				return true
 			})
-			if len(got) != tc.wantRecs {
-				t.Fatalf("%d records survive, want %d (lens %v)", len(got), tc.wantRecs, got)
-			}
-			last := 8
-			if len(got) > 0 {
-				last = got[len(got)-1]
-			}
-			wantLast := 8
-			if tc.wantFrag > 0 {
-				wantLast = tc.wantFrag
-			}
-			if last != wantLast {
-				t.Fatalf("final record length %d, want %d", last, wantLast)
+			if len(got) != tc.wantRecs || l.RetainedBytes() != int64(8*tc.wantRecs) {
+				t.Fatalf("%d records (lens %v, %d bytes) survive, want %d whole ones", len(got), got, l.RetainedBytes(), tc.wantRecs)
 			}
 		})
 	}
@@ -160,44 +147,42 @@ func TestLogCrashTornCuts(t *testing.T) {
 	})
 }
 
-// TestLogRepairTailBoundaries: repair discards the torn fragment, rewinds
-// the append position so the next record reuses the LSN, and rejects
-// out-of-range targets.
+// TestLogRepairTailBoundaries: the torn-tail repair at its edges. A torn
+// record that was the first of its segment file takes the file with it, so
+// the next force makes it anew; one that was the first record past the
+// truncation point leaves the log empty at that point. Either way the next
+// record reuses the torn one's LSN.
 func TestLogRepairTailBoundaries(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog(8)
 	a := l.Append(make([]byte, 8))
 	ForceAll(l)
 	b := l.Append(make([]byte, 8)) // volatile: the force of b is the one torn
-	l.CrashTorn(b + 3)             // record b survives as a 3-byte fragment
-
-	l.RepairTail(b)
-	if l.EndLSN() != b || l.StableLSN() != b {
-		t.Fatalf("after repair end/stable = %d/%d, want both %d", l.EndLSN(), l.StableLSN(), b)
+	l.CrashTorn(b + 3)             // b's 3 bytes land in a segment file of their own
+	if l.EndLSN() != b || l.StableLSN() != b || len(l.segs) != 1 {
+		t.Fatalf("after the tear end/stable = %d/%d with %d segments, want both %d and 1", l.EndLSN(), l.StableLSN(), len(l.segs), b)
 	}
 	if _, ok := l.ReadAt(b); ok {
-		t.Fatalf("fragment at %d still readable after repair", b)
+		t.Fatalf("torn record at %d readable", b)
 	}
 	if _, ok := l.ReadAt(a); !ok {
-		t.Fatalf("intact record at %d lost by repair", a)
+		t.Fatalf("intact record at %d lost by the tear", a)
 	}
 	if got := l.Append(make([]byte, 8)); got != b {
-		t.Fatalf("append after repair got LSN %d, want reuse of %d", got, b)
+		t.Fatalf("append after the tear got LSN %d, want reuse of %d", got, b)
+	}
+	ForceAll(l)
+	if _, ok := l.ReadAt(b); !ok || len(l.segs) != 2 {
+		t.Fatalf("the record reusing %d is not in a segment of its own (%d segments)", b, len(l.segs))
 	}
 
-	mustPanic(t, "RepairTail(beyond end)", func() { l.RepairTail(l.EndLSN() + 1) })
-
-	// Repair below the truncation point is unreachable in recovery (the
-	// bad frame was read from the retained region) and must panic.
 	l2 := NewLog(8)
 	l2.Append(make([]byte, 8))
 	keep := l2.Append(make([]byte, 8))
 	ForceAll(l2)
-	l2.Truncate(keep)
-	mustPanic(t, "RepairTail(below trunc)", func() { l2.RepairTail(1) })
-	// At exactly the truncation point it is legal: the whole retained
-	// suffix is discarded.
-	l2.RepairTail(l2.TruncLSN())
+	l2.Truncate(keep + 8) // the truncation point is past every record
+	c := l2.Append(make([]byte, 8))
+	l2.CrashTorn(c + 1)
 	if l2.EndLSN() != l2.TruncLSN() || l2.RetainedBytes() != 0 {
-		t.Fatalf("repair at TruncLSN left end=%d retained=%d", l2.EndLSN(), l2.RetainedBytes())
+		t.Fatalf("a tear at TruncLSN left end=%d (trunc %d) retained=%d", l2.EndLSN(), l2.TruncLSN(), l2.RetainedBytes())
 	}
 }

@@ -79,23 +79,6 @@ func TestDiskWrongSizePanics(t *testing.T) {
 	d.WritePage(1, make([]byte, 10), 1)
 }
 
-func TestDiskPagesSorted(t *testing.T) {
-	d := NewDisk(testPageSize)
-	for _, id := range []word.PageID{9, 2, 5} {
-		d.WritePage(id, page(0), 1)
-	}
-	ids := d.Pages()
-	want := []word.PageID{2, 5, 9}
-	if len(ids) != 3 {
-		t.Fatalf("got %d pages", len(ids))
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("Pages() = %v, want %v", ids, want)
-		}
-	}
-}
-
 func TestDiskMaster(t *testing.T) {
 	d := NewDisk(testPageSize)
 	m := d.Master()

@@ -1,11 +1,11 @@
 // Package storagetest is the shared conformance suite for the one Disk and
-// the one Log (and the storage.LogDevice contract the Log implements). It
-// is table-driven so that every backing — memory, files, and a memory
-// backing under an unarmed faultfs injector — proves the same observable
-// behavior:
-// Pages() ordering, Master round-trips, ReadAt/Scan/ScanBatches
-// equivalence, Truncate/RepairTail boundary math, Crash/CrashTorn end
-// states, and (RunReopen) what a reopen of the same backing parses back.
+// the one Log. It is table-driven so that every backing — memory, files,
+// and a memory backing under an unarmed faultfs injector — proves the same
+// observable behavior: Master round-trips, the ownership and concurrency
+// rules, ReadAt/Scan/ScanBatches equivalence, Truncate boundary math,
+// Crash/CrashTorn end states, and (RunReopen) what a reopen of the same
+// backing parses back — the torn-tail cut included, which CrashTorn
+// reproduces in process.
 //
 // The log suite is anchored by a seeded random-op equivalence driver that
 // applies the identical operation sequence to the device under test and
@@ -110,23 +110,6 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 		for id, want := range map[word.PageID]byte{1: 0x55, 2: 0x22} {
 			if got, _, _ := d.ReadPage(id); !bytes.Equal(got, page(want)) {
 				t.Fatalf("page %d does not read back its last write: a caller's buffer reached the store", id)
-			}
-		}
-	})
-
-	t.Run("PagesOrdering", func(t *testing.T) {
-		d := mk(t, pageSize)
-		for _, id := range []word.PageID{9, 2, 31, 4, 17, 0} {
-			d.WritePage(id, page(byte(id)), word.LSN(id+1))
-		}
-		ids := d.Pages()
-		want := []word.PageID{0, 2, 4, 9, 17, 31}
-		if len(ids) != len(want) {
-			t.Fatalf("Pages() = %v, want %v", ids, want)
-		}
-		for i := range want {
-			if ids[i] != want[i] {
-				t.Fatalf("Pages() = %v, want ascending %v", ids, want)
 			}
 		}
 	})
@@ -353,7 +336,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 		}
 	})
 
-	// LogDevice's ownership rule: a device never overwrites or recycles
+	// The Log's ownership rule: it never overwrites or recycles
 	// delivered bytes. Every delivered frame is retained (the slice as
 	// handed over, no copy) and compared against ReadAt only after the scan
 	// ends. Equal-sized records in one segment give every batch the same
@@ -457,65 +440,49 @@ func RunLog(t *testing.T, mk LogMaker) {
 		}
 	})
 
+	// A torn crash repairs the log's tail by rewinding it to the torn
+	// record: the next append reuses that LSN and reads back its own bytes.
 	t.Run("RepairTailRewinds", func(t *testing.T) {
 		l := mk(t, 64)
 		l.Append(rec(8, 1))
-		second := l.Append(rec(8, 2))
 		storage.ForceAll(l)
-		l.RepairTail(second)
-		if l.EndLSN() != second || l.StableLSN() != second {
-			t.Fatalf("after repair: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), second)
-		}
-		if _, ok := l.ReadAt(second); ok {
-			t.Fatal("repaired-away record readable")
-		}
-		// LSN space is reused.
-		if got := l.Append(rec(4, 9)); got != second {
-			t.Fatalf("append after repair got LSN %d, want %d", got, second)
+		torn := l.Append(rec(8, 2))
+		l.CrashTorn(torn + 5)
+		if got := l.Append(rec(4, 9)); got != torn {
+			t.Fatalf("append after the torn crash got LSN %d, want %d", got, torn)
 		}
 		storage.ForceAll(l)
-		if data, ok := l.ReadAt(second); !ok || !bytes.Equal(data, rec(4, 9)) {
+		if data, ok := l.ReadAt(torn); !ok || !bytes.Equal(data, rec(4, 9)) {
 			t.Fatal("reused LSN does not read back the new record")
 		}
-		// Repairing below the truncation point must panic.
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("repair beyond end did not panic")
-				}
-			}()
-			l.RepairTail(l.EndLSN() + 5)
-		}()
+		if l.EndLSN() != torn+4 || l.RetainedBytes() != 12 {
+			t.Fatalf("end=%d retained=%d, want %d and 12: the torn record's bytes linger", l.EndLSN(), l.RetainedBytes(), torn+4)
+		}
 	})
 
+	// A crash that tears a record mid-way leaves no fragment behind: the
+	// log ends where the torn record began, nothing at or past it reads
+	// back, and the whole records before it are intact.
 	t.Run("CrashTornFragment", func(t *testing.T) {
 		l := mk(t, 64)
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		frag := l.Append(rec(16, 2))
 		l.Append(rec(8, 3))
-		cut := frag + 10 // mid-record: 10 of 16 bytes land
-		l.CrashTorn(cut)
-		if l.EndLSN() != cut || l.StableLSN() != cut {
-			t.Fatalf("after torn crash: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), cut)
+		l.CrashTorn(frag + 10) // mid-record: 10 of 16 bytes land
+		if l.EndLSN() != frag || l.StableLSN() != frag {
+			t.Fatalf("after torn crash: end=%d stable=%d, want %d", l.EndLSN(), l.StableLSN(), frag)
 		}
-		var got []byte
-		var gotLSN word.LSN
-		storage.Scan(l, frag, false, func(lsn word.LSN, data []byte) bool {
-			gotLSN = lsn
-			got = append([]byte(nil), data...)
-			return false
+		if _, ok := l.ReadAt(frag); ok {
+			t.Fatal("the torn record reads back")
+		}
+		var lsns []word.LSN
+		storage.Scan(l, 1, false, func(lsn word.LSN, data []byte) bool {
+			lsns = append(lsns, lsn)
+			return true
 		})
-		if gotLSN != frag || !bytes.Equal(got, rec(16, 2)[:10]) {
-			t.Fatalf("fragment: lsn=%d len=%d, want lsn=%d len=10", gotLSN, len(got), frag)
-		}
-		if l.TornTail() != frag {
-			t.Fatalf("TornTail = %d, want the fragment at %d", l.TornTail(), frag)
-		}
-		// Recovery's contract: RepairTail discards the fragment.
-		l.RepairTail(frag)
-		if l.EndLSN() != frag || l.TornTail() != word.NilLSN {
-			t.Fatalf("after fragment repair: EndLSN = %d, TornTail = %d; want %d and none", l.EndLSN(), l.TornTail(), frag)
+		if len(lsns) != 1 || lsns[0] != 1 || l.RetainedBytes() != 8 {
+			t.Fatalf("scan after torn crash = %v, retained %d; want only the record at 1", lsns, l.RetainedBytes())
 		}
 	})
 
@@ -542,7 +509,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 		}
 	})
 
-	// LogDevice's concurrency contract: appenders, a reader and a forcer run
+	// The Log's concurrency contract: appenders, a reader and a forcer run
 	// at once (under -race in CI). Every force covers what was appended
 	// before it; a record appended meanwhile is covered or still volatile,
 	// never lost; every record stays readable throughout, the batch in
@@ -665,7 +632,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 				ref := &refLog{seg: seg, stable: 1, end: 1, trunc: 1}
 				r := rand.New(rand.NewSource(int64(seg) * 7919))
 				for step := 0; step < 400; step++ {
-					op := r.Intn(10)
+					op := r.Intn(9)
 					switch {
 					case op < 4: // append
 						data := rec(1+r.Intn(2*seg/3), byte(step))
@@ -685,31 +652,11 @@ func RunLog(t *testing.T, mk LogMaker) {
 						cut := ref.stable + word.LSN(r.Int63n(int64(ref.end-ref.stable+1)))
 						dut.CrashTorn(cut)
 						ref.crashTorn(cut)
-						compareLogs(t, step, dut, ref)
-						// Recovery repairs a torn fragment before the log is
-						// appended to again; mirror that so both devices
-						// resume from a record boundary.
-						if n := len(ref.recs); n > 0 && ref.recs[n-1].lsn >= ref.trunc {
-							last := ref.recs[n-1].lsn
-							dut.RepairTail(last)
-							ref.repairTail(last)
-						}
 					case op == 8: // truncate to a legal keep point
 						if ref.stable > ref.trunc {
 							keep := ref.trunc + word.LSN(r.Int63n(int64(ref.stable-ref.trunc+1)))
 							dut.Truncate(keep)
 							ref.truncate(keep)
-						}
-					case op == 9: // repair tail to a record boundary
-						// Recovery never repairs into the middle of a record
-						// it could decode, so only boundary points are legal.
-						var starts []word.LSN
-						for _, e := range ref.recs {
-							starts = append(starts, e.lsn)
-						}
-						if from := append(starts, ref.end)[r.Intn(len(starts)+1)]; from >= ref.trunc {
-							dut.RepairTail(from)
-							ref.repairTail(from)
 						}
 					}
 					compareLogs(t, step, dut, ref)
@@ -754,27 +701,19 @@ func (m *refLog) force(lsn word.LSN) {
 	}
 }
 
-// crashTorn keeps the bytes below cut, a record straddling it as a
-// prefix, and nothing beyond.
+// crashTorn keeps the records that end at or below cut; the log ends
+// where one straddling cut begins — a torn record is cut off whole — or
+// at cut.
 func (m *refLog) crashTorn(cut word.LSN) {
-	keep := m.recs[:0]
-	for _, e := range m.recs {
-		if e.lsn < cut {
-			if end := e.lsn + word.LSN(len(e.data)); end > cut {
-				e.data = e.data[:cut-e.lsn]
-			}
-			keep = append(keep, e)
+	m.end = cut
+	for i, e := range m.recs {
+		if e.lsn+word.LSN(len(e.data)) > cut {
+			m.end = min(e.lsn, cut)
+			m.recs = m.recs[:i]
+			break
 		}
 	}
-	m.recs, m.stable, m.end = keep, cut, cut
-}
-
-func (m *refLog) repairTail(from word.LSN) {
-	for len(m.recs) > 0 && m.recs[len(m.recs)-1].lsn >= from {
-		m.recs = m.recs[:len(m.recs)-1]
-	}
-	m.end = from
-	m.stable = min(m.stable, from)
+	m.stable = m.end
 }
 
 // truncate moves the truncation point to the largest segment boundary at
@@ -943,70 +882,152 @@ func RunReopen(t *testing.T, home Home) {
 		}
 	})
 
-	// The torn-tail contract across a restart: a fragment persisted by an
-	// interrupted force is redelivered on reopen as a payload-prefix
-	// fragment, exactly as CrashTorn presents it, and RepairTail rewinds it
-	// away for good.
-	t.Run("ReopenTornTail", func(t *testing.T) {
-		db, lb := home(t)
-		d, l := open(t, db, lb, 512, 256)
-		first := l.Append(fill(20, 0x11))
+	// tornImage leaves in the backings a log whose last force a kill tore
+	// mid-record: the record at frag has a whole header and 13 of its 40
+	// payload bytes, and the 8-byte record after it is lost. With 40-byte
+	// segments the torn record is the first of a segment file of its own.
+	tornImage := func(t *testing.T, segBytes int) (db, lb storage.Backing, first, frag word.LSN) {
+		t.Helper()
+		db, lb = home(t)
+		d, l := open(t, db, lb, 512, segBytes)
+		first = l.Append(fill(20, 0x11))
 		storage.ForceAll(l)
-		frag := l.Append(fill(40, 0x22))
-		cut := frag + 13
-		l.CrashTorn(cut) // persists header + 13 of 40 payload bytes
+		frag = l.Append(fill(40, 0x22))
+		l.Append(fill(8, 0x44))
+		storage.ForceAll(l)
 		l.Abandon()
 		d.Abandon()
+		names := segFiles(t, lb)
+		f, err := lb.Open(names[len(names)-1], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		size, _ := f.Size()
+		f.Truncate(size - (20 + 8) - (40 - 13))
+		return db, lb, first, frag
+	}
+	layouts := map[string]int{"mid-segment": 1 << 20, "own segment": 40}
 
-		rd, rl := open(t, db, lb, 0, 0)
-		if rl.EndLSN() != cut || rl.StableLSN() != cut {
-			t.Fatalf("reopened end=%d stable=%d, want %d", rl.EndLSN(), rl.StableLSN(), cut)
+	// The torn-tail contract across a restart: the open cuts a torn final
+	// record off at its header. The log ends at the torn record's LSN,
+	// nothing at or past it reads back, and the records before it do.
+	t.Run("ReopenTornTail", func(t *testing.T) {
+		for name, segBytes := range layouts {
+			t.Run(name, func(t *testing.T) {
+				db, lb, first, frag := tornImage(t, segBytes)
+				rd, rl := open(t, db, lb, 0, 0)
+				defer rl.Close()
+				defer rd.Close()
+				if rl.EndLSN() != frag || rl.StableLSN() != frag {
+					t.Fatalf("reopened end=%d stable=%d, want %d", rl.EndLSN(), rl.StableLSN(), frag)
+				}
+				var got []word.LSN
+				storage.Scan(rl, 1, false, func(lsn word.LSN, _ []byte) bool {
+					got = append(got, lsn)
+					return true
+				})
+				if len(got) != 1 || got[0] != first {
+					t.Fatalf("records after reopen: %v, want only %d", got, first)
+				}
+				if _, ok := rl.ReadAt(frag); ok {
+					t.Fatal("the torn record reads back")
+				}
+				if data, ok := rl.ReadAt(first); !ok || !bytes.Equal(data, fill(20, 0x11)) {
+					t.Fatal("the record before the tear is lost")
+				}
+			})
 		}
-		var got []byte
-		storage.Scan(rl, frag, false, func(lsn word.LSN, data []byte) bool {
-			if lsn == frag {
-				got = append([]byte(nil), data...)
-			}
-			return true
-		})
-		if !bytes.Equal(got, fill(40, 0x22)[:13]) || rl.TornTail() != frag {
-			t.Fatalf("fragment bytes: len=%d, TornTail %d", len(got), rl.TornTail())
-		}
-		// Recovery classifies and repairs; the rewind must survive reopen.
-		rl.RepairTail(frag)
-		if relsn := rl.Append(fill(8, 0x33)); relsn != frag {
-			t.Fatalf("post-repair append at %d, want %d", relsn, frag)
-		}
-		storage.ForceAll(rl)
-		if err := rl.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		rd.Close()
+	})
 
-		rd, rl = open(t, db, lb, 0, 0)
-		defer rl.Close()
-		defer rd.Close()
-		if rl.EndLSN() != frag+8 {
-			t.Fatalf("final end=%d, want %d", rl.EndLSN(), frag+8)
+	// After the cut, the log goes on from the torn record's LSN, and what
+	// it forces there parses cleanly at the next open: no byte of the
+	// torn record is left behind the new ones.
+	t.Run("ReopenTornTailAppends", func(t *testing.T) {
+		for name, segBytes := range layouts {
+			t.Run(name, func(t *testing.T) {
+				db, lb, first, frag := tornImage(t, segBytes)
+				rd, rl := open(t, db, lb, 0, 0)
+				if lsn := rl.Append(fill(8, 0x33)); lsn != frag {
+					t.Fatalf("append after the cut at %d, want %d", lsn, frag)
+				}
+				storage.ForceAll(rl)
+				rl.Close()
+				rd.Close()
+
+				rd, rl = open(t, db, lb, 0, 0)
+				defer rl.Close()
+				defer rd.Close()
+				if rl.EndLSN() != frag+8 || rl.RetainedBytes() != 28 {
+					t.Fatalf("final end=%d retained=%d, want %d and 28", rl.EndLSN(), rl.RetainedBytes(), frag+8)
+				}
+				if data, ok := rl.ReadAt(frag); !ok || !bytes.Equal(data, fill(8, 0x33)) {
+					t.Fatal("the record appended after the cut is lost")
+				}
+				if data, ok := rl.ReadAt(first); !ok || !bytes.Equal(data, fill(20, 0x11)) {
+					t.Fatal("the record before the tear is lost")
+				}
+				var bytesOnDisk int64
+				for _, name := range segFiles(t, lb) {
+					f, _ := lb.Open(name, false)
+					size, _ := f.Size()
+					f.Close()
+					bytesOnDisk += size
+				}
+				if want := int64(2*20 + 20 + 8); bytesOnDisk != want {
+					t.Fatalf("segment files hold %d bytes, want %d: torn bytes linger behind the new record", bytesOnDisk, want)
+				}
+			})
 		}
-		if data, ok := rl.ReadAt(frag); !ok || !bytes.Equal(data, fill(8, 0x33)) {
-			t.Fatal("post-repair record lost")
-		}
-		if data, ok := rl.ReadAt(first); !ok || !bytes.Equal(data, fill(20, 0x11)) {
-			t.Fatal("pre-torn record lost")
+	})
+
+	// CrashTorn leaves the log in process exactly as an open of its backing
+	// finds it: same end, same stable LSN, the same records.
+	t.Run("CrashTornMatchesReopen", func(t *testing.T) {
+		for name, segBytes := range layouts {
+			t.Run(name, func(t *testing.T) {
+				db, lb := home(t)
+				d, l := open(t, db, lb, 512, segBytes)
+				defer d.Abandon()
+				first := l.Append(fill(20, 0x11))
+				storage.ForceAll(l)
+				frag := l.Append(fill(40, 0x22))
+				lsns := []word.LSN{first, frag, l.Append(fill(8, 0x44))}
+				l.CrashTorn(frag + 13)
+				rl, err := storage.OpenLog(lb, 0)
+				if err != nil {
+					t.Fatalf("OpenLog: %v", err)
+				}
+				defer rl.Abandon()
+				if l.EndLSN() != frag || rl.EndLSN() != l.EndLSN() || rl.StableLSN() != l.StableLSN() || rl.RetainedBytes() != l.RetainedBytes() {
+					t.Fatalf("in process end=%d stable=%d retained=%d, reopened %d/%d/%d; want the end at %d",
+						l.EndLSN(), l.StableLSN(), l.RetainedBytes(), rl.EndLSN(), rl.StableLSN(), rl.RetainedBytes(), frag)
+				}
+				for _, lsn := range lsns {
+					a, okA := l.ReadAt(lsn)
+					b, okB := rl.ReadAt(lsn)
+					if okA != okB || !bytes.Equal(a, b) || okA != (lsn < frag) {
+						t.Fatalf("record at %d: in process %v, reopened %v, want readable %v", lsn, okA, okB, lsn < frag)
+					}
+				}
+			})
 		}
 	})
 
 	// A whole record header that fails validation is rot, not a tear — in
-	// the last segment as anywhere else. The reopen refuses the log with a
-	// CorruptFrameError naming the record and cuts nothing: a torn-tail cut
-	// there would drop the acknowledged records behind it.
+	// the last segment as anywhere else, and on the final record too, whose
+	// rotted length may claim more bytes than the file holds. The reopen
+	// refuses the log with a CorruptFrameError naming the record and cuts
+	// nothing: a torn-tail cut there would drop acknowledged records.
 	t.Run("ReopenRottedHeader", func(t *testing.T) {
-		// 1 MiB: one file; 64: records 1 and 2 in the first of two.
-		for name, segBytes := range map[string]int{"last segment": 1 << 20, "mid-log": 64} {
-			t.Run(name, func(t *testing.T) {
+		for _, c := range []struct {
+			name     string
+			segBytes int      // 1 MiB: one file; 64: records 1 and 2 in the first of two
+			lsn      word.LSN // the record rotted: 1, 24 or 47
+		}{{"last segment", 1 << 20, 24}, {"mid-log", 64, 24}, {"final record", 1 << 20, 47}} {
+			t.Run(c.name, func(t *testing.T) {
 				db, lb := home(t)
-				d, l := open(t, db, lb, 0, segBytes)
+				d, l := open(t, db, lb, 0, c.segBytes)
 				for i := 0; i < 3; i++ { // LSNs 1, 24, 47
 					l.Append(fill(23, byte(i+1)))
 					storage.ForceAll(l)
@@ -1015,13 +1036,14 @@ func RunReopen(t *testing.T, home Home) {
 				d.Abandon()
 				f, _ := lb.Open(segName(1), false)
 				defer f.Close()
+				off := int64(c.lsn-1)/23*43 + 5 // the record's length field, after 20 + 23 bytes per record before it
 				b := []byte{0}
-				f.ReadAt(b, 43+5) // record 2's length field: after record 1's 20 + 23 bytes
-				f.WriteAt([]byte{b[0] ^ 1}, 43+5)
+				f.ReadAt(b, off)
+				f.WriteAt([]byte{b[0] ^ 1}, off)
 				size, _ := f.Size()
 				var cf *storage.CorruptFrameError
-				if _, err := storage.OpenLog(lb, 0); !errors.As(err, &cf) || cf.LSN != 24 {
-					t.Fatalf("reopen over a rotted header: %v, want a CorruptFrameError at 24", err)
+				if _, err := storage.OpenLog(lb, 0); !errors.As(err, &cf) || cf.LSN != c.lsn {
+					t.Fatalf("reopen over a rotted header: %v, want a CorruptFrameError at %d", err, c.lsn)
 				}
 				if after, _ := f.Size(); after != size {
 					t.Fatalf("the refused reopen cut the segment from %d to %d bytes", size, after)

@@ -20,8 +20,7 @@ import (
 // zero-copy: byte-slice fields of the returned record alias the frame, so
 // callers that outlive their frame must copy (Manager.ReadAt hands each
 // caller a private frame; Manager.Scan frames alias the buffers the log
-// device delivers, which it never recycles — storage.LogDevice's ownership
-// rule).
+// delivers, which it never recycles — storage.Log's ownership rule).
 
 const frameHeader = 8 // len + crc
 
@@ -288,7 +287,7 @@ func encodeCheckpoint(e *enc, c CheckpointRec) {
 // Decode reads in place: byte-slice fields of the returned record (Redo,
 // Undo, Object, Contents) alias the frame rather than copying it. The frame
 // must stay immutable for as long as the record is used: scanned frames are
-// covered by storage.LogDevice's ownership rule (a device never recycles a
+// covered by storage.Log's ownership rule (the log never recycles a
 // delivered buffer), and ReadAt frames are private copies.
 func Decode(frame []byte) (Record, error) {
 	if len(frame) < frameHeader+1 {

@@ -1,40 +1,45 @@
 package wal
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"stableheap/internal/faultfs"
 	"stableheap/internal/storage"
 	"stableheap/internal/word"
 )
 
-// gateLog is a log device whose force takes its batch, then sits "on the
+// hookedLog returns an empty log in memory whose every segment sync first
+// calls hook (faultfs.OnSync): a hook that fails fails the force, one that
+// blocks holds the force on the platter — its batch taken, the stable LSN
+// not yet moved.
+func hookedLog(t *testing.T, hook func() error) *storage.Log {
+	t.Helper()
+	l, err := storage.OpenLog(faultfs.OnSync(storage.NewMemBacking(), hook), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// gateLog is a log whose force takes its batch, then sits "on the
 // platter" until the test lets it finish: StableLSN moves only then.
 type gateLog struct {
-	storage.LogDevice
-	stable  storage.AtomicLSN
+	*storage.Log
 	entered chan struct{} // one token per force on the platter
 	release chan struct{} // one token lets one force finish
 }
 
-func newGateLog() *gateLog {
-	g := &gateLog{LogDevice: storage.NewLog(0), entered: make(chan struct{}), release: make(chan struct{})}
-	g.stable.Store(1)
+func newGateLog(t *testing.T) *gateLog {
+	g := &gateLog{entered: make(chan struct{}), release: make(chan struct{})}
+	g.Log = hookedLog(t, func() error {
+		g.entered <- struct{}{}
+		<-g.release
+		return nil
+	})
 	return g
-}
-
-func (g *gateLog) StableLSN() word.LSN { return g.stable.Load() }
-
-func (g *gateLog) Force(lsn word.LSN) {
-	if lsn < g.StableLSN() {
-		return
-	}
-	g.LogDevice.Force(lsn) // the batch: whatever is spooled now
-	through := g.LogDevice.StableLSN()
-	g.entered <- struct{}{}
-	<-g.release
-	g.stable.Store(through)
 }
 
 func (m *Manager) parkedCount() int {
@@ -63,8 +68,8 @@ func within(t *testing.T, what string, fn func()) {
 // the force in flight covers is released by it without a force of its own;
 // a caller whose record was appended later leads the next force.
 func TestForceSharedOutsideMutex(t *testing.T) {
-	dev := newGateLog()
-	m := NewManager(dev)
+	dev := newGateLog(t)
+	m := NewManager(dev.Log)
 	a := m.Append(begin(1))
 	b := m.Append(begin(2))
 
@@ -96,8 +101,8 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 	for m.parkedCount() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if got := dev.Base().Stats().Forces; got != 1 {
-		t.Fatalf("%d device forces with one in flight and two callers parked, want 1", got)
+	if got := dev.Stats().Forces; got != 0 {
+		t.Fatalf("%d log forces done with the first on the platter and two callers parked, want 0", got)
 	}
 
 	dev.release <- struct{}{} // a's force finishes: a and b are stable, c is not
@@ -108,7 +113,7 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 	dev.release <- struct{}{}
 	wg.Wait()
 
-	if got := dev.Base().Stats().Forces; got != 2 {
+	if got := dev.Stats().Forces; got != 2 {
 		t.Fatalf("%d device forces for three callers, want 2", got)
 	}
 	if !m.IsStable(c) {
@@ -121,31 +126,23 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 		t.Fatalf("wal_force_wait_ns counted %d followers, want 1 (b)", wait.Count)
 	}
 	m.Force(a) // already stable: neither a force nor a wait
-	if dev.Base().Stats().Forces != 2 || m.ForceHist().Count != 2 {
+	if dev.Stats().Forces != 2 || m.ForceHist().Count != 2 {
 		t.Fatal("forcing a stable LSN reached the device")
 	}
-}
-
-// failOnceLog panics on its first force, as an injected or real I/O error
-// does.
-type failOnceLog struct {
-	storage.LogDevice
-	failed bool
-}
-
-func (f *failOnceLog) Force(lsn word.LSN) {
-	if !f.failed {
-		f.failed = true
-		panic(&storage.DeviceIOError{Op: "force", LSN: lsn})
-	}
-	f.LogDevice.Force(lsn)
 }
 
 // TestForceLeaderPanicFreesTheGate: a device error unwinds through the
 // leader without leaving the force gate closed, so the next caller leads a
 // retry instead of parking forever.
 func TestForceLeaderPanicFreesTheGate(t *testing.T) {
-	m := NewManager(&failOnceLog{LogDevice: storage.NewLog(0)})
+	failed := false
+	m := NewManager(hookedLog(t, func() error { // the first sync fails, as an injected or real I/O error does
+		if !failed {
+			failed = true
+			return errors.New("sync failed")
+		}
+		return nil
+	}))
 	lsn := m.Append(begin(1))
 	func() {
 		defer func() {
@@ -161,65 +158,67 @@ func TestForceLeaderPanicFreesTheGate(t *testing.T) {
 	}
 }
 
-// lateLog is a log device whose force waits for the test before it takes
-// its batch: whatever the test appends meanwhile is in the tail by then.
-type lateLog struct {
-	storage.LogDevice
-	arrived chan struct{} // one token per force about to take its batch
-	proceed chan struct{} // one token lets one force take it and finish
-}
-
-func (l *lateLog) Force(lsn word.LSN) {
-	l.arrived <- struct{}{}
-	<-l.proceed
-	l.LogDevice.Force(lsn)
-}
-
 // TestForceBatchClosesWhenTheCallersSay: what a force covers is fixed when
 // its leader takes the gate, or when the force before it ends with callers
-// still volatile — not when the device gets round to taking its tail. So a
+// still volatile — not when the log gets round to taking its tail. So a
 // record appended in between waits for the next force however slow the
-// leader's wake-up or the device was, and the forces a set of callers
-// costs does not move with either.
+// leader's wake-up or the log was, and the forces a set of callers costs
+// does not move with either. The log is made late by a force the test
+// issues itself and holds in its sync: the Manager's force queues behind
+// it, and takes its batch only once it ends.
 func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
-	dev := &lateLog{LogDevice: storage.NewLog(0), arrived: make(chan struct{}), proceed: make(chan struct{})}
-	m := NewManager(dev)
+	dev := newGateLog(t)
+	m := NewManager(dev.Log)
 	var wg sync.WaitGroup
-	force := func(lsn word.LSN) {
+	goForce := func(force func(word.LSN), lsn word.LSN) {
 		wg.Add(1)
-		go func() { defer wg.Done(); m.Force(lsn) }()
+		go func() { defer wg.Done(); force(lsn) }()
 	}
-	parked := func(n int) {
-		for m.parkedCount() < n {
-			time.Sleep(time.Millisecond)
+	until := func(cond func() bool) {
+		for !cond() {
+			time.Sleep(100 * time.Microsecond)
 		}
 	}
+	gate := func(fn func() bool) bool { m.fmu.Lock(); defer m.fmu.Unlock(); return fn() }
 
+	x := m.Append(begin(10))
+	goForce(dev.Force, x)
+	<-dev.entered // the log is busy: x's force holds it
 	a := m.Append(begin(1))
-	force(a)
-	<-dev.arrived // a leads; its batch closed at a
+	goForce(m.Force, a)
+	until(func() bool { return gate(func() bool { return m.forcing }) }) // a leads; its batch closed at a
+	y := m.Append(begin(20))
 	b := m.Append(begin(2))
-	force(b)
-	parked(1)
-	dev.proceed <- struct{}{} // the device takes its batch with b already spooled
-	<-dev.arrived             // ... yet b is volatile and leads the second force
+	goForce(m.Force, b)
+	until(func() bool { return m.parkedCount() == 1 })
+	dev.release <- struct{}{} // x's force ends; a's takes its batch with y and b already spooled
+	<-dev.entered             // ... and is on the platter with a alone
+
+	m.fmu.Lock() // a's force may end at the log, not yet at the gate
+	dev.release <- struct{}{}
+	until(func() bool { return dev.StableLSN() > a })
+	goForce(dev.Force, y) // the log is busy again: y's force holds it
+	<-dev.entered
+	m.fmu.Unlock() // a's force ends with b volatile: b's batch closes at b
+	until(func() bool { return m.ForceHist().Count == 1 })
+	c := m.Append(begin(3)) // the first caller's next commit, before b's leader reached the log
+	goForce(m.Force, c)
+	until(func() bool { return gate(func() bool { return len(m.parked) == 1 && m.parked[0] == c }) })
+	dev.release <- struct{}{} // y's force ends; b's takes its batch with c already spooled
+	<-dev.entered
 	if !m.IsStable(a) || m.IsStable(b) {
 		t.Fatalf("after the first force: IsStable(a)=%v IsStable(b)=%v, want true false", m.IsStable(a), m.IsStable(b))
 	}
-
-	c := m.Append(begin(3)) // the first caller's next commit, before b's leader reached the device
-	force(c)
-	parked(1)
-	dev.proceed <- struct{}{}
-	<-dev.arrived // the second batch closed when the first force ended: c leads a third
+	dev.release <- struct{}{}
+	<-dev.entered // b's batch left c out: c leads a third
 	if !m.IsStable(b) || m.IsStable(c) {
 		t.Fatalf("after the second force: IsStable(b)=%v IsStable(c)=%v, want true false", m.IsStable(b), m.IsStable(c))
 	}
-	dev.proceed <- struct{}{}
+	dev.release <- struct{}{}
 	wg.Wait()
 
-	if got := dev.Base().Stats().Forces; got != 3 || !m.IsStable(c) {
-		t.Fatalf("%d device forces for three alternating callers (c stable: %v), want 3", got, m.IsStable(c))
+	if got := dev.Stats().Forces; got != 5 || !m.IsStable(c) {
+		t.Fatalf("%d log forces for three alternating callers and the test's two (c stable: %v), want 5", got, m.IsStable(c))
 	}
 	if batch := m.ForceBatchHist(); batch.Count != 3 || batch.Max != 1 {
 		t.Fatalf("wal_force_batch = %+v, want three forces of one caller each", batch)
@@ -248,8 +247,8 @@ func awaitJoin(t *testing.T, m *Manager) {
 // force waits for the second instead of forcing alone, and one force covers
 // both.
 func TestJoinTwoCommittersShareOneForce(t *testing.T) {
-	dev := newGateLog()
-	m := NewManager(dev)
+	dev := newGateLog(t)
+	m := NewManager(dev.Log)
 	m.devForce.Observe(int64(time.Minute)) // a bound no test run reaches
 	var wg sync.WaitGroup
 	commit := func(lsn word.LSN) {
@@ -259,7 +258,7 @@ func TestJoinTwoCommittersShareOneForce(t *testing.T) {
 	a := m.Append(begin(1))
 	commit(a)
 	awaitJoin(t, m)
-	if got := dev.Base().Stats().Forces; got != 0 {
+	if got := dev.Stats().Forces; got != 0 {
 		t.Fatalf("the leader forced %d times before its sibling came", got)
 	}
 	b := m.Append(begin(2))
@@ -268,8 +267,8 @@ func TestJoinTwoCommittersShareOneForce(t *testing.T) {
 	dev.release <- struct{}{}
 	wg.Wait()
 
-	if !m.IsStable(b) || dev.Base().Stats().Forces != 1 {
-		t.Fatalf("%d device forces for two joined commits (b stable: %v), want 1", dev.Base().Stats().Forces, m.IsStable(b))
+	if !m.IsStable(b) || dev.Stats().Forces != 1 {
+		t.Fatalf("%d device forces for two joined commits (b stable: %v), want 1", dev.Stats().Forces, m.IsStable(b))
 	}
 	if batch := m.ForceBatchHist(); batch.Count != 1 || batch.Max != 2 {
 		t.Fatalf("wal_force_batch = %+v, want one force releasing both", batch)
@@ -292,8 +291,8 @@ func TestJoinLoneOrLongCommitterLeadsAtOnce(t *testing.T) {
 		{"long transactions", 2, 30 * time.Second},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dev := newGateLog()
-			m := NewManager(dev)
+			dev := newGateLog(t)
+			m := NewManager(dev.Log)
 			m.devForce.Observe(int64(time.Minute))
 			a := m.Append(begin(1))
 			done := make(chan struct{})
@@ -312,8 +311,8 @@ func TestJoinLoneOrLongCommitterLeadsAtOnce(t *testing.T) {
 // leader one smoothed device force and no longer; the batch then closes at
 // the end of the log, so a record spooled during the wait rides the force.
 func TestJoinTimeoutClosesTheBatch(t *testing.T) {
-	dev := newGateLog()
-	m := NewManager(dev)
+	dev := newGateLog(t)
+	m := NewManager(dev.Log)
 	const bound = 20 * time.Millisecond
 	m.devForce.Observe(int64(bound))
 	a := m.Append(begin(1))

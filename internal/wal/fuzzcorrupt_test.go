@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"testing"
 
 	"stableheap/internal/storage"
@@ -10,23 +9,26 @@ import (
 
 // FuzzLogScanCorrupt is the detection contract over a whole log image:
 // fuzz-driven bit flips are sprayed into the stable frames of a valid log,
-// and a scan from the truncation point must then either
+// the log is reopened from its bytes, and a scan from the truncation point
+// must then either
 //
-//   - surface a typed corruption error (RepairTornTail refuses, or the
-//     scan panics with *storage.CorruptFrameError), or
+//   - surface a typed corruption error (the scan panics with
+//     *storage.CorruptFrameError), or
 //   - yield only frames whose CRC still verifies, each of which re-encodes
-//     byte-identically to what the device holds.
+//     byte-identically to what the log holds.
 //
-// What it must never do is return a record that differs from the bytes on
-// the device, or fail with an untyped error/panic — "successful but
-// wrong" and "crashed without naming the frame" are both bugs.
+// Rot never makes a tear: the reopen keeps every whole record, so it ends
+// where the log did. What the scan must never do is return a record that
+// differs from the bytes in the log, or fail with an untyped error/panic —
+// "successful but wrong" and "crashed without naming the frame" are both
+// bugs.
 func FuzzLogScanCorrupt(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0xff})
 	f.Add([]byte{1, 9, 0x01, 2, 40, 0x80})
 	f.Add([]byte{3, 0, 0x10, 3, 1, 0x10, 3, 2, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dev, rot := rottableLog(t, 1<<20)
+		dev, rot, b := rottableLog(t, 1<<20)
 		m := NewManager(dev)
 		recs := []Record{
 			UpdateRec{TxHdr: TxHdr{TxID: 1}, Addr: 64, Redo: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Undo: []byte{9, 10, 11, 12, 13, 14, 15, 16}},
@@ -51,19 +53,13 @@ func FuzzLogScanCorrupt(f *testing.F) {
 			})
 		}
 
-		torn, err := m.RepairTornTail(dev.TruncLSN())
-		if err != nil {
-			var cf *storage.CorruptFrameError
-			if !errors.As(err, &cf) || !errors.Is(err, storage.ErrCorrupt) {
-				t.Fatalf("repair surfaced an untyped error: %v", err)
-			}
-			return // detected — the acceptable outcome
+		end := dev.EndLSN()
+		dev.Abandon()
+		dev = reopen(t, b)
+		if dev.EndLSN() != end {
+			t.Fatalf("the reopen moved the end of rotted whole records %d → %d", end, dev.EndLSN())
 		}
-		// Rot never makes a tear: the log's records are all whole, so a
-		// repair that rewinds anything has cut acknowledged records.
-		if torn != word.NilLSN {
-			t.Fatalf("repair rewound rotted whole records from %d", torn)
-		}
+		m = NewManager(dev)
 
 		defer func() {
 			if r := recover(); r != nil {

@@ -27,12 +27,12 @@ var ErrTruncated = errors.New("wal: LSN below the truncation point")
 // Two locks, neither held across device I/O: mu, the append mutex, orders
 // Append's device call with the per-type counters; fmu is the force gate
 // (see Force), held to pick a leader and to release followers. ReadAt,
-// StableLSN, EndLSN, IsStable and the scans go straight to the device
-// (storage.LogDevice's contract), so a transaction appends and reads its
+// StableLSN, EndLSN, IsStable and the scans go straight to the log
+// (storage.Log's concurrency contract), so a transaction appends and reads its
 // undo chain while another's force is on the platter.
 type Manager struct {
 	mu     sync.Mutex
-	dev    storage.LogDevice
+	dev    *storage.Log
 	count  [maxType]int64
 	bytes  [maxType]int64
 	append obs.Histogram // a 1-in-appendSample sample
@@ -63,15 +63,15 @@ type Manager struct {
 	joinTimeouts obs.Counter   // join waits that ended at their bound
 }
 
-// NewManager wraps a log device.
-func NewManager(dev storage.LogDevice) *Manager {
+// NewManager wraps a log.
+func NewManager(dev *storage.Log) *Manager {
 	m := &Manager{dev: dev, joined: make(chan struct{}, 1)}
 	m.fdone = sync.NewCond(&m.fmu)
 	return m
 }
 
-// Device exposes the underlying log device (for crash simulation and stats).
-func (m *Manager) Device() storage.LogDevice { return m.dev }
+// Device exposes the underlying log (for crash simulation and stats).
+func (m *Manager) Device() *storage.Log { return m.dev }
 
 // encPool holds scratch buffers for Append's encode step: the framed record
 // only lives until the device copies it into its own storage, so the buffer
@@ -314,7 +314,7 @@ func (m *Manager) IsStable(lsn word.LSN) bool { return lsn < m.dev.StableLSN() }
 func (m *Manager) ReadAt(lsn word.LSN) (Record, error) {
 	frame, ok := m.dev.ReadAt(lsn)
 	if !ok {
-		if trunc := m.dev.Base().TruncLSN(); lsn < trunc {
+		if trunc := m.dev.TruncLSN(); lsn < trunc {
 			return nil, fmt.Errorf("wal: record at LSN %d reclaimed (truncation point %d): %w",
 				lsn, trunc, ErrTruncated)
 		}
@@ -381,7 +381,7 @@ func (m *Manager) ScanBatch(from word.LSN, stableOnly bool, batchSize int, fn fu
 // Truncate releases log space below keep (segment granularity; keep ≤ 1
 // frees nothing). Not under mu: the device waits for a force in flight
 // when, and only when, there is something to free.
-func (m *Manager) Truncate(keep word.LSN) { m.dev.Base().Truncate(keep) }
+func (m *Manager) Truncate(keep word.LSN) { m.dev.Truncate(keep) }
 
 // TypeStats reports how many records of type t were appended and their
 // total framed bytes.

@@ -1,6 +1,9 @@
 // Package wal defines the write-ahead log record taxonomy of the stable
 // heap and its encoding, and provides the log manager that spools records
-// to the simulated log device.
+// to the one storage.Log and decodes them back. A torn final record is the
+// log's to cut at open; every frame a scan delivers here is whole, so a
+// frame that fails to decode is corruption, reported as a typed
+// storage.CorruptFrameError.
 //
 // The taxonomy follows the paper:
 //

@@ -33,7 +33,7 @@ func TestMoveCycleTornAtEveryRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev := h.Internal().Log().Device().(*storage.Log)
+		dev := h.Internal().Log().Device()
 		start := dev.EndLSN()
 		if _, err := h.CollectVolatile(); err != nil {
 			t.Fatal(err)

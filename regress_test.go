@@ -162,7 +162,7 @@ func TestSingleGoroutineWALUnchanged(t *testing.T) {
 		t.Errorf("WAL digest %s, want %s", got, want)
 	}
 	// Format forces once more, to publish its checkpoint.
-	forces, commits := dev.Base().Stats().Forces, h.Internal().TxStats().Committed
+	forces, commits := dev.Stats().Forces, h.Internal().TxStats().Committed
 	if forces != commits+1 {
 		t.Errorf("%d device forces for %d commits, want one each (+1 at format)", forces, commits)
 	}

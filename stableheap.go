@@ -101,11 +101,10 @@ type Addr = word.Addr
 // around it.
 type Disk = *storage.Disk
 
-// LogDevice is the stable log device: the calls the wal layer makes per
-// record, which a test fake or a timing model may substitute. There is one
-// log, storage.Log, in memory or over a directory's files; LogDevice.Base
-// reaches it through any substitute.
-type LogDevice = storage.LogDevice
+// LogDevice is the stable log. There is one log, storage.Log, in memory or
+// over a directory's files; faults and a slow disk go into the bytes under
+// it (internal/faultfs), not into a wrapper around it.
+type LogDevice = *storage.Log
 
 // Errors returned by heap operations.
 var (
@@ -261,7 +260,7 @@ func (h *Heap) Stats() Stats {
 	gcs := h.inner.GCStats()
 	vgs := h.inner.VGCStats()
 	trk := h.inner.TrackerStats()
-	dev := h.inner.Log().Device().Base().Stats()
+	dev := h.inner.Log().Device().Stats()
 	mem := h.inner.Mem().Stats()
 	cps := h.inner.CheckpointStats()
 	return Stats{
