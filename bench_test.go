@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"stableheap"
+	"stableheap/internal/core"
+	"stableheap/internal/storage"
 	"stableheap/internal/workload"
 )
 
@@ -27,8 +29,13 @@ func benchCfg(stableWords, volWords int) stableheap.Config {
 // openWithChain returns a heap with an n-node committed chain under root 0,
 // already moved into the stable area.
 func openWithChain(b *testing.B, cfg stableheap.Config, n int) *stableheap.Heap {
+	return buildChain(b, stableheap.Open(cfg), n)
+}
+
+// buildChain commits an n-node chain under root 0 of h, moved into the
+// stable area, and returns h.
+func buildChain(b *testing.B, h *stableheap.Heap, n int) *stableheap.Heap {
 	b.Helper()
-	h := stableheap.Open(cfg)
 	// Build in committed batches so the volatile area never has to hold
 	// the whole chain at once; each batch prepends to the chain under
 	// root 0 and is evacuated to the stable area.
@@ -177,9 +184,32 @@ func BenchmarkE3StopTheWorld(b *testing.B)    { benchCollection(b, stableheap.St
 
 // --- E4/E5/E7: recovery ---------------------------------------------------
 
+// openDevices opens a Disk and a Log over the two backings.
+func openDevices(b *testing.B, cfg stableheap.Config, db, lb storage.Backing) (*storage.Disk, *storage.Log) {
+	b.Helper()
+	disk, err := storage.OpenDisk(db, cfg.PageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	log, err := storage.OpenLog(lb, cfg.LogSegBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return disk, log
+}
+
+// benchRecovery times recovery from one crash image, over fresh clones of
+// the backings the crashed heap ran on.
 func benchRecovery(b *testing.B, live, tail int, midGC bool) {
-	cfg := benchCfg(live*4+16*1024, 16*1024)
-	h := openWithChain(b, cfg, live)
+	cfg := benchCfg(live*4+16*1024, 16*1024).WithDefaults()
+	db, lb := storage.NewMemBacking(), storage.NewMemBacking()
+	disk, log := openDevices(b, cfg, db, lb)
+	core.OpenOn(cfg, disk, log).Close() // format, then adopt through Recover
+	h, err := stableheap.Recover(cfg, disk, log)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buildChain(b, h, live)
 	h.Checkpoint()
 	h.Checkpoint()
 	for i := 0; i < tail; i++ {
@@ -203,11 +233,19 @@ func benchRecovery(b *testing.B, live, tail int, midGC bool) {
 			b.Fatal(err)
 		}
 	}
-	disk, logDev := h.Crash()
+	h.Crash()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d2, l2 := disk.Clone(), logDev.Clone()
+		db2, err := db.Clone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		lb2, err := lb.Clone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		d2, l2 := openDevices(b, cfg, db2, lb2)
 		b.StartTimer()
 		if _, err := stableheap.Recover(cfg, d2, l2); err != nil {
 			b.Fatal(err)

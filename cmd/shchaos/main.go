@@ -44,7 +44,9 @@
 //	             every two-phase-commit protocol state
 //
 // A flag the chosen scenario would ignore is a usage error: -mutators
-// without -scenario concurrent; -midgc or -flush with -scenario 2pc.
+// without -scenario concurrent; -midgc or -flush with -scenario 2pc. So is
+// a sweep that could check nothing or a count no run can have: -seeds
+// below 1, a negative -steps or -crashes, a -flush outside [0, 1].
 //
 // Exit status: 0 = no violations, 1 = violations found — or a -scenario
 // concurrent sweep (not a -seed replay) that never got to audit a counter,
@@ -120,10 +122,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"midgc":    kind == crashtest.TwoPC,
 		"flush":    kind == crashtest.TwoPC,
 	}
+	outOfRange := map[string]bool{
+		"seeds":   *seeds < 1,
+		"steps":   *steps < 0,
+		"crashes": *crashes < 0,
+		"flush":   !(*flush >= 0 && *flush <= 1),
+	}
 	badUsage := false
 	fs.Visit(func(f *flag.Flag) {
-		if ignored[f.Name] {
+		switch {
+		case ignored[f.Name]:
 			fmt.Fprintf(stderr, "shchaos: -%s has no effect with -scenario %v\n", f.Name, kind)
+			badUsage = true
+		case outOfRange[f.Name]:
+			fmt.Fprintf(stderr, "shchaos: -%s %s is out of range\n", f.Name, f.Value)
 			badUsage = true
 		}
 	})

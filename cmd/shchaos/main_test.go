@@ -64,9 +64,9 @@ func TestRunSeedReplayIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBadUsage: unknown flags, stray arguments, an unknown scenario and
-// every flag the chosen scenario would ignore exit 2 with one line on
-// stderr naming the offender, before any seed runs.
+// TestRunBadUsage: unknown flags, stray arguments, an unknown scenario,
+// every flag the chosen scenario would ignore and every count out of range
+// exit 2 with one line on stderr naming the offender, before any seed runs.
 func TestRunBadUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -80,6 +80,12 @@ func TestRunBadUsage(t *testing.T) {
 		{[]string{"-scenario", "stable-conc", "-mutators", "16"}, "-mutators has no effect with -scenario stable-conc"},
 		{[]string{"-scenario", "2pc", "-midgc"}, "-midgc has no effect with -scenario 2pc"},
 		{[]string{"-scenario", "2pc", "-flush", "0.2"}, "-flush has no effect with -scenario 2pc"},
+		{[]string{"-crashes", "-1", "-seeds", "1"}, "-crashes -1 is out of range"},
+		{[]string{"-steps", "-1"}, "-steps -1 is out of range"},
+		{[]string{"-seeds", "-1"}, "-seeds -1 is out of range"},
+		{[]string{"-seeds", "0"}, "-seeds 0 is out of range"},
+		{[]string{"-flush", "1.5"}, "-flush 1.5 is out of range"},
+		{[]string{"-flush", "-0.1"}, "-flush -0.1 is out of range"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(tc.args, &out, &errOut); code != 2 {

@@ -8,9 +8,13 @@
 //
 //	shrecover [-seed n] [-steps n] [-flush f] [-midgc] [-rounds n] [-json] [-dir path]
 //
-// With -dir the heap runs over real files in a fresh subdirectory of
-// path (removed on exit): the same crash/recover/verify loop, but every
-// page write, log force and master update goes through the filestore.
+// Every crash is a restart: the devices are abandoned and reopened over
+// the bytes the crash left, and the twin recovers from a copy of them.
+// With -dir those bytes are real files in a fresh subdirectory of path
+// (removed on exit), laid out as filestore.Open lays them out: the same
+// crash/recover/verify loop, but every page write, log force and master
+// update goes through the OS. A negative -steps or -rounds, or a -flush
+// outside [0, 1], is a usage error.
 package main
 
 import (
@@ -55,6 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "print per-round results and totals as JSON")
 	dir := fs.String("dir", "", "back the heap with real files in a fresh subdirectory of this path")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *steps < 0 || *rounds < 0 || !(*flush >= 0 && *flush <= 1) {
+		fmt.Fprintf(stderr, "shrecover: -steps %d -rounds %d -flush %g: counts cannot be negative, and -flush lies in [0, 1]\n", *steps, *rounds, *flush)
 		return 2
 	}
 

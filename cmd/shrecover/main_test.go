@@ -45,16 +45,35 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag: unknown flags must exit 2 (usage), not 1 (violation).
+// TestRunBadFlag: unknown flags and counts no run can have must exit 2
+// (usage), not 1 (violation), naming the offender before any round runs.
 func TestRunBadFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad flag: want exit 2, got %d", code)
+	for _, tc := range []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		{[]string{"-rounds", "-1"}, "-rounds -1 "},
+		{[]string{"-steps", "-1"}, "-steps -1 "},
+		{[]string{"-flush", "3"}, "-flush 3:"},
+		{[]string{"-flush", "-0.5"}, "-flush -0.5:"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("%v: want exit 2, got %d", tc.args, code)
+		}
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%v: stderr %q does not name the offender (%q)", tc.args, errOut.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a round ran before the usage error:\n%s", tc.args, out.String())
+		}
 	}
 }
 
-// TestRunDir: with -dir the heap owns real files, which every crash closes;
-// both the primary and the twin recovery must come back from the directory.
+// TestRunDir: with -dir the heap lives in real files, which every crash
+// abandons and reopens; both the primary and the twin recovery must come
+// back from the directory's bytes.
 func TestRunDir(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-seed", "3", "-steps", "40", "-rounds", "2", "-midgc", "-dir", t.TempDir()}, &out, &errOut)

@@ -577,8 +577,12 @@ func TestRecoverFromLogAloneMediaFailure(t *testing.T) {
 	buildList(t, hp, 1, 4, 500)
 	// Total media failure: the disk is destroyed; only the log survives
 	// (forced prefix — the archive copy would be the full log).
-	_, logDev := hp.Crash()
-	hp2, err := RecoverFromLog(smallCfg(), logDev)
+	disk, logDev := hp.Crash()
+	// The replacement disk must be blank: the crashed one is refused.
+	if _, err := RecoverFromLog(smallCfg(), disk, logDev); err == nil {
+		t.Fatal("media recovery onto a formatted disk must refuse")
+	}
+	hp2, err := RecoverFromLog(smallCfg(), storage.NewDisk(disk.PageSize()), logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,11 +613,11 @@ func TestRecoverFromLogRejectsTruncated(t *testing.T) {
 	tr3.SetData(r3, 0, 1)
 	commit(t, tr3)
 	hp.TruncateLog()
-	_, logDev := hp.Crash()
+	disk, logDev := hp.Crash()
 	if logDev.TruncLSN() <= 1 {
 		t.Skip("truncation did not free a segment at this workload size")
 	}
-	if _, err := RecoverFromLog(cfg, logDev); err == nil {
+	if _, err := RecoverFromLog(cfg, storage.NewDisk(disk.PageSize()), logDev); err == nil {
 		t.Fatal("media recovery from a truncated log must refuse")
 	}
 }
@@ -694,7 +698,7 @@ func TestValidateRejects(t *testing.T) {
 			"RecoverDir":     func() (*Heap, error) { return RecoverDir(dirBad) },
 			"Recover":        func() (*Heap, error) { return Recover(bad, disk, logDev) },
 			"RecoverCrashed": func() (*Heap, error) { return RecoverCrashed(bad, disk, logDev) },
-			"RecoverFromLog": func() (*Heap, error) { return RecoverFromLog(bad, logDev) },
+			"RecoverFromLog": func() (*Heap, error) { return RecoverFromLog(bad, storage.NewDisk(disk.PageSize()), logDev) },
 		} {
 			if _, err := open(); err == nil || !strings.Contains(err.Error(), tc.field) {
 				t.Fatalf("%s: error %v does not name %s", name, err, tc.field)

@@ -579,8 +579,9 @@ func (hp *Heap) CheckpointStats() recovery.CheckpointStats { return hp.ckpt.Stat
 // system writes enough information to the log to recover from a total
 // media failure". It requires the log to be untruncated back to its first
 // checkpoint (the archive discipline); repeating history then reconstructs
-// every page from scratch.
-func RecoverFromLog(cfg Config, logDev *storage.Log) (hpOut *Heap, errOut error) {
+// every page from scratch, onto disk: the replacement page store, which
+// must be blank (never formatted) and of cfg's page size.
+func RecoverFromLog(cfg Config, disk *storage.Disk, logDev *storage.Log) (hpOut *Heap, errOut error) {
 	// The probe scan below panics with a typed error on a corrupt frame;
 	// convert it (recoverCommon guards its own scans the same way).
 	defer func() {
@@ -596,6 +597,9 @@ func RecoverFromLog(cfg Config, logDev *storage.Log) (hpOut *Heap, errOut error)
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
+	if disk.Master().Formatted || disk.PageSize() != cfg.PageSize {
+		return nil, fmt.Errorf("core: media recovery needs a blank disk of %d-byte pages", cfg.PageSize)
+	}
 	if logDev.TruncLSN() > 1 {
 		// A truncated log cannot rebuild a lost disk: later checkpoints
 		// assume flushed pages that no longer exist. The archive
@@ -617,7 +621,6 @@ func RecoverFromLog(cfg Config, logDev *storage.Log) (hpOut *Heap, errOut error)
 	if firstCP == word.NilLSN {
 		return nil, errors.New("core: no checkpoint retained in the log (archive requires an untruncated log)")
 	}
-	disk := storage.NewDisk(cfg.PageSize)
 	disk.SetMaster(storage.Master{Formatted: true, CheckpointLSN: firstCP, PageSize: cfg.PageSize})
 	return recoverCommon(cfg, disk, logDev, true)
 }

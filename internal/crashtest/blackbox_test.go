@@ -20,15 +20,10 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	jdev := storage.NewLog(1 << 20)
 	cfg.FlightJournal = jdev
 	inj := faultfs.New(plan)
-	disk, err := storage.OpenDisk(inj.Wrap(storage.NewMemBacking()), cfg.PageSize)
+	d, err := NewOn(cfg, plan.Seed, inj.Wrap(storage.NewMemBacking()), inj.Wrap(storage.NewMemBacking()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	logDev, err := storage.OpenLog(inj.Wrap(storage.NewMemBacking()), cfg.LogSegBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewOn(cfg, plan.Seed, disk, logDev)
 	inj.SetRecorder(d.hp.FlightRecorder())
 	inj.Arm()
 
@@ -44,7 +39,7 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	d.hp.StepStable()
 	_ = d.hp.Begin() // in flight at the crash
 
-	inj.Crash(logDev) // the plan's torn page write and torn log tail
+	inj.Crash(d.log) // the plan's torn page write and torn log tail
 	d.hp.Crash()
 
 	// The journal survives the crash (the model of battery-backed
@@ -109,9 +104,9 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 		}
 	}
 
-	// Recovery over the crashed devices appends a new boot; the journal
-	// then reads as the recovered run, with the recovery marker aboard.
-	hp, err := core.Recover(cfg, disk, logDev)
+	// Recovery from the crashed bytes appends a new boot; the journal then
+	// reads as the recovered run, with the recovery marker aboard.
+	hp, err := d.recover(core.Recover)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -30,7 +30,6 @@ package crashtest
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,7 +43,6 @@ import (
 	"stableheap/internal/histcheck"
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
-	"stableheap/internal/storage/filestore"
 	"stableheap/internal/word"
 )
 
@@ -225,69 +223,24 @@ func (r *SeedResult) record(v Verdict, msg string) {
 	}
 }
 
-// seedDevices holds the devices a seed's heaps run on, as Scenario.Dir
-// says: in memory, or one directory per heap under <Dir>/<name>.
-type seedDevices struct {
-	dir, name string      // dir "" = in memory
-	devs      []io.Closer // what open opened, for close
-}
-
-// backings returns the two backings one heap lives in, the page store's
-// and the log's: fresh memory, or dir/name/heap and its log/ subdirectory,
-// as filestore.Open lays them out.
-func (sd *seedDevices) backings(heap string) (disk, log storage.Backing, err error) {
-	if sd.dir == "" {
-		return storage.NewMemBacking(), storage.NewMemBacking(), nil
+// homeIn returns the directory name under dir, where a seed keeps its
+// heaps' files, or "" — in memory — when dir is.
+func homeIn(dir, name string) string {
+	if dir == "" {
+		return ""
 	}
-	home := filepath.Join(sd.dir, sd.name, heap)
-	if disk, err = filestore.NewBacking(home); err == nil {
-		log, err = filestore.NewBacking(filepath.Join(home, "log"))
-	}
-	return disk, log, err
-}
-
-// open opens one heap's Disk and Log over its backings; close closes them.
-func (sd *seedDevices) open(cfg core.Config, heap string) (*storage.Disk, *storage.Log, error) {
-	db, lb, err := sd.backings(heap)
-	if err != nil {
-		return nil, nil, err
-	}
-	disk, err := storage.OpenDisk(db, cfg.PageSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	log, err := storage.OpenLog(lb, cfg.LogSegBytes)
-	if err != nil {
-		disk.Close()
-		return nil, nil, err
-	}
-	sd.devs = append(sd.devs, disk, log)
-	return disk, log, nil
-}
-
-// close closes what open opened and removes the seed's directory.
-func (sd *seedDevices) close() {
-	for _, dev := range sd.devs {
-		dev.Close()
-	}
-	if sd.dir != "" {
-		os.RemoveAll(filepath.Join(sd.dir, sd.name))
-	}
+	return filepath.Join(dir, name)
 }
 
 // chaosRun carries one seed's state through its rounds.
 type chaosRun struct {
-	sc  Scenario
-	d   *Driver
-	inj *faultfs.Injector
-	// The wrapped backings, and the Disk and Log open over them.
-	db, lb storage.Backing
-	disk   *storage.Disk
-	log    *storage.Log
-	rng    *rand.Rand // flush-subset and scan-pacing decisions (separate stream from Driver/Injector)
-	burst  burst      // the kind's per-round phase and its model; nil: none
-	res    SeedResult
-	dead   bool // devices unrecoverable or replaced; no further rounds
+	sc    Scenario
+	d     *Driver
+	inj   *faultfs.Injector
+	rng   *rand.Rand // flush-subset and scan-pacing decisions (separate stream from Driver/Injector)
+	burst burst      // the kind's per-round phase and its model; nil: none
+	res   SeedResult
+	dead  bool // devices unrecoverable or replaced; no further rounds
 
 	// jdev is the flight-recorder journal device, shared across the
 	// seed's crash/recover cycles (the model of battery-backed recorder
@@ -328,13 +281,14 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 	// full multi-boot history and ReadLatest always yields the newest.
 	r.jdev = storage.NewLog(1 << 20)
 	cfg.FlightJournal = r.jdev
-	devs := seedDevices{dir: sc.Dir, name: fmt.Sprintf("seed-%d", plan.Seed)}
-	defer devs.close()
+	home := homeIn(sc.Dir, fmt.Sprintf("seed-%d", plan.Seed))
+	if home != "" {
+		defer os.RemoveAll(home)
+	}
 	r.inj = faultfs.New(plan)
-	db, lb, err := devs.backings("")
+	db, lb, err := backings(home)
 	if err == nil {
-		r.db, r.lb = r.inj.Wrap(db), r.inj.Wrap(lb)
-		err = r.open(cfg)
+		r.d, err = NewOn(cfg, plan.Seed, r.inj.Wrap(db), r.inj.Wrap(lb))
 	}
 	if err != nil {
 		r.res.record(Violation, err.Error())
@@ -342,8 +296,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 	}
 	// Whatever heap is live at the end, its files close unsynced (a
 	// close would write through the armed backings).
-	defer func() { r.disk.Abandon(); r.log.Abandon() }()
-	r.d = NewOn(cfg, plan.Seed, r.disk, r.log)
+	defer func() { r.d.disk.Abandon(); r.d.log.Abandon() }()
 	r.inj.SetRecorder(r.d.hp.FlightRecorder())
 	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
@@ -477,7 +430,7 @@ func (r *chaosRun) resolveFirst() (online bool) {
 // flushed events: the flight recording of the run that just died, ending
 // in the injected fault and the crash marker.
 func (r *chaosRun) crash() {
-	r.inj.Crash(r.log)
+	r.inj.Crash(r.d.log)
 	r.d.hp.Crash()
 	if evs, _, err := obs.ReadLatest(r.jdev); err == nil && len(evs) > 0 {
 		r.timeline = evs
@@ -964,24 +917,6 @@ func recoverSafely(fn func() (*core.Heap, error)) (hp *core.Heap, err error) {
 	return fn()
 }
 
-// open opens the Disk and the Log over the wrapped backings: fresh, or
-// after a crash as a restarted process reopens its files — what the crash,
-// the faults and any earlier recovery attempt left in the bytes is all the
-// next heap sees. A reopen that fails returns the device's typed error.
-func (r *chaosRun) open(cfg core.Config) error {
-	disk, err := storage.OpenDisk(r.db, cfg.PageSize)
-	if err != nil {
-		return fmt.Errorf("open: %w", err)
-	}
-	log, err := storage.OpenLog(r.lb, cfg.LogSegBytes)
-	if err != nil {
-		disk.Abandon()
-		return fmt.Errorf("open: %w", err)
-	}
-	r.disk, r.log = disk, log
-	return nil
-}
-
 // recoverAndAudit classifies recovery from the crashed heap's bytes: each
 // attempt reopens the devices first. onlineAlready suppresses a duplicate
 // verdict when the round already recorded an online detection (the
@@ -990,14 +925,7 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 	var hp *core.Heap
 	var err error
 	for attempt := 0; ; attempt++ {
-		hp, err = recoverSafely(func() (*core.Heap, error) {
-			r.disk.Abandon()
-			r.log.Abandon()
-			if err := r.open(r.d.cfg); err != nil {
-				return nil, err
-			}
-			return core.Recover(r.d.cfg, r.disk, r.log)
-		})
+		hp, err = recoverSafely(func() (*core.Heap, error) { return r.d.recover(core.Recover) })
 		if err == nil || attempt >= 2 || !errors.Is(err, storage.ErrIO) {
 			break
 		}
@@ -1024,17 +952,13 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 // because ChaosConfig never truncates). Success that passes the audit is
 // Repaired; a detectable failure — of the reopen too — leaves the Detected
 // verdict standing. Either way the seed ends: the page store was either
-// replaced (a fresh memory disk) or declared unrecoverable.
+// replaced (a fresh memory disk, outside the injector) or declared
+// unrecoverable.
 func (r *chaosRun) mediaRepair() {
 	r.dead = true
 	hp, err := recoverSafely(func() (*core.Heap, error) {
-		r.log.Abandon()
-		log, err := storage.OpenLog(r.lb, 0)
-		if err != nil {
-			return nil, fmt.Errorf("open: %w", err)
-		}
-		r.log = log
-		return core.RecoverFromLog(r.d.cfg, log)
+		r.d.db = storage.NewMemBacking()
+		return r.d.recover(core.RecoverFromLog)
 	})
 	switch {
 	case err == nil:

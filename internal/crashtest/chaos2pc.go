@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 
 	"stableheap/internal/faultfs"
 	"stableheap/internal/shard"
@@ -57,20 +58,32 @@ func run2PCSeed(sc Scenario, plan faultfs.Plan) SeedResult {
 	// flight recorder: a protocol failure replays from the seed alone.
 	cfg := shard.Config{Partitions: twoPCPartitions, Part: ChaosConfig()}
 	cfg.Part.FlightRecorder = false
-	sd := seedDevices{dir: sc.Dir, name: fmt.Sprintf("seed2pc-%d", plan.Seed)}
-	defer sd.close()
+	seedDir := homeIn(sc.Dir, fmt.Sprintf("seed2pc-%d", plan.Seed))
 	var devs []shard.PartDevices
+	defer func() {
+		for _, dev := range devs {
+			dev.Disk.Close()
+			dev.Log.Close()
+		}
+		if seedDir != "" {
+			os.RemoveAll(seedDir)
+		}
+	}()
 	for i := 0; i <= twoPCPartitions; i++ {
 		name := fmt.Sprintf("p%d", i)
 		if i == twoPCPartitions {
 			name = "coord" // the coordinator's decision log; its page store stays empty
 		}
-		disk, log, err := sd.open(cfg.Part, name)
+		var dev shard.PartDevices
+		db, lb, err := backings(homeIn(seedDir, name))
+		if err == nil {
+			dev.Disk, dev.Log, err = openDevices(cfg.Part, db, lb)
+		}
 		if err != nil {
 			res.record(Violation, err.Error())
 			return res
 		}
-		devs = append(devs, shard.PartDevices{Disk: disk, Log: log})
+		devs = append(devs, dev)
 	}
 	cl, err := shard.OpenOn(cfg, devs[:twoPCPartitions], devs[twoPCPartitions].Log)
 	if err != nil {

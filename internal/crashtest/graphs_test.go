@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stableheap/internal/core"
+	"stableheap/internal/storage"
 	"stableheap/internal/word"
 )
 
@@ -159,8 +160,8 @@ func TestRandomDAGSurvivesEverything(t *testing.T) {
 		verifyDAG(t, hp2, m)
 		hp2.CollectStable()
 		verifyDAG(t, hp2, m)
-		_, logOnly := hp2.Crash()
-		hp3, err := core.RecoverFromLog(cfg(), logOnly)
+		disk2, logOnly := hp2.Crash()
+		hp3, err := core.RecoverFromLog(cfg(), storage.NewDisk(disk2.PageSize()), logOnly)
 		if err != nil {
 			t.Fatalf("seed %d media: %v", seed, err)
 		}

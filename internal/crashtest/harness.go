@@ -11,6 +11,13 @@
 //	     plus recovery determinism: recovering two copies of the same
 //	     crash image yields the same committed state.
 //
+// Every crash the Driver takes is a restart: it abandons the heap's devices
+// and reopens them over the backings it owns — memory, or a directory laid
+// out as filestore.Open lays it out — so recovery sees exactly the bytes
+// the crash left. The twin is recovered from clones of those backings,
+// media recovery from the log's alone, and the chaos explorer (chaos.go)
+// hands the Driver its backings wrapped by a fault injector.
+//
 // This is the executable counterpart of the thesis's Chapter 6 invariants
 // and Appendix A proof sketch, and the engine behind experiment E12.
 package crashtest
@@ -18,13 +25,13 @@ package crashtest
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 
 	"stableheap/internal/core"
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/word"
 )
 
@@ -43,12 +50,18 @@ type Stats struct {
 
 // Driver runs the model-checked workload.
 type Driver struct {
-	cfg   core.Config
-	hp    *core.Heap
-	rng   *rand.Rand
-	model map[int][]uint64 // committed list contents per root slot
-	slots int
-	stats Stats
+	cfg core.Config
+	hp  *core.Heap
+	// db and lb are the backings the heap lives in, the page store's and
+	// the log's, and disk and log the devices open over them. Every crash
+	// abandons the devices and reopens them over the same bytes.
+	db, lb storage.Backing
+	disk   *storage.Disk
+	log    *storage.Log
+	rng    *rand.Rand
+	model  map[int][]uint64 // committed list contents per root slot
+	slots  int
+	stats  Stats
 	// pending is the outstanding prepared (in-doubt) transaction, if
 	// any: its slot stays locked until the "coordinator" (the harness)
 	// resolves it — possibly only after a crash. decided remembers past
@@ -79,28 +92,71 @@ type pendingPrepared struct {
 	commit   bool
 }
 
-// New creates a driver over a fresh heap (one that owns its files when
-// cfg.Dir is set: each crash then closes them, see CrashAndRecover).
+// New creates a driver over a fresh heap in memory, or on real files in
+// cfg.Dir laid out as filestore.Open lays them out. Like core.Open, it
+// panics if the heap cannot be opened.
 func New(cfg core.Config, seed int64) *Driver {
-	return newDriver(cfg, seed, core.Open(cfg))
+	db, lb, err := backings(cfg.Dir)
+	if err == nil {
+		var d *Driver
+		if d, err = NewOn(cfg, seed, db, lb); err == nil {
+			return d
+		}
+	}
+	panic(fmt.Sprintf("crashtest: %v", err))
 }
 
-// NewOn creates a driver over a fresh heap formatted onto the provided
-// devices — the chaos explorer passes ones opened over fault-injecting
-// backings.
-func NewOn(cfg core.Config, seed int64, disk *storage.Disk, logDev *storage.Log) *Driver {
-	return newDriver(cfg, seed, core.OpenOn(cfg, disk, logDev))
-}
-
-func newDriver(cfg core.Config, seed int64, hp *core.Heap) *Driver {
+// NewOn creates a driver over a fresh heap formatted onto devices opened
+// over the given backings, the page store's and the log's — the chaos
+// explorer passes fault-injecting ones. Every crash reopens the devices
+// over them.
+func NewOn(cfg core.Config, seed int64, db, lb storage.Backing) (*Driver, error) {
+	disk, log, err := openDevices(cfg, db, lb)
+	if err != nil {
+		return nil, err
+	}
 	return &Driver{
 		cfg:     cfg,
-		hp:      hp,
+		hp:      core.OpenOn(cfg, disk, log),
+		db:      db,
+		lb:      lb,
+		disk:    disk,
+		log:     log,
 		rng:     rand.New(rand.NewSource(seed)),
 		model:   make(map[int][]uint64),
 		slots:   8,
 		decided: make(map[word.TxID]pendingPrepared),
+	}, nil
+}
+
+// backings returns the two backings one heap lives in, the page store's
+// and the log's: fresh memory when dir is "", else dir and dir/log, as
+// filestore.Open lays them out.
+func backings(dir string) (disk, log storage.Backing, err error) {
+	if dir == "" {
+		return storage.NewMemBacking(), storage.NewMemBacking(), nil
 	}
+	if disk, err = filestore.NewBacking(dir); err == nil {
+		log, err = filestore.NewBacking(filepath.Join(dir, "log"))
+	}
+	return disk, log, err
+}
+
+// openDevices opens a Disk and a Log over one heap's backings: empty ones,
+// or the bytes a crash left, as a restarted process reopens its files. A
+// reopen that fails returns the device's typed error.
+func openDevices(cfg core.Config, db, lb storage.Backing) (*storage.Disk, *storage.Log, error) {
+	cfg = cfg.WithDefaults()
+	disk, err := storage.OpenDisk(db, cfg.PageSize)
+	if err != nil {
+		return nil, nil, fmt.Errorf("open: %w", err)
+	}
+	log, err := storage.OpenLog(lb, cfg.LogSegBytes)
+	if err != nil {
+		disk.Abandon()
+		return nil, nil, fmt.Errorf("open: %w", err)
+	}
+	return disk, log, nil
 }
 
 // Heap returns the current heap instance.
@@ -380,72 +436,81 @@ func (d *Driver) adopt(hp *core.Heap) error {
 // (recovery determinism).
 func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	d.flushSubset(d.rng, flushFrac)
-	disk, logDev := d.hp.Crash()
+	d.hp.Crash()
 	d.stats.Crashes++
 
-	// The twin's crash image, taken before the primary's recovery writes to
-	// it: clones of the devices, or a copy of the directory they closed.
-	twinCfg := d.cfg
-	var twinDisk *storage.Disk
-	var twinLog *storage.Log
-	if checkTwin && d.cfg.Dir != "" {
-		twinCfg.Dir = d.cfg.Dir + ".twin"
-		defer os.RemoveAll(twinCfg.Dir)
-		if err := copyTree(d.cfg.Dir, twinCfg.Dir); err != nil {
+	// The twin's crash image, copied before the primary's recovery writes
+	// to the backings.
+	var twinDB, twinLB storage.Backing
+	if checkTwin {
+		var err error
+		if twinDB, err = d.db.Clone(); err == nil {
+			twinLB, err = d.lb.Clone()
+		}
+		if d.cfg.Dir != "" {
+			// filestore puts a clone under clones/ in the cloned directory.
+			defer os.RemoveAll(filepath.Join(d.cfg.Dir, "clones"))
+			defer os.RemoveAll(filepath.Join(d.cfg.Dir, "log", "clones"))
+		}
+		if err != nil {
 			return fmt.Errorf("twin copy: %w", err)
 		}
-	} else if checkTwin {
-		twinDisk, twinLog = disk.Clone(), logDev.Clone()
 	}
 
-	hp, err := core.RecoverCrashed(d.cfg, disk, logDev)
+	hp, err := d.recover(core.Recover)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
 	if err := d.adopt(hp); err != nil {
 		return fmt.Errorf("post-recovery: %w", err)
 	}
-
 	if checkTwin {
-		twin, err := core.RecoverCrashed(twinCfg, twinDisk, twinLog)
-		if err != nil {
-			return fmt.Errorf("twin recover: %w", err)
-		}
-		if twinCfg.Dir != "" {
-			defer twin.Crash() // releases the copy's files before its removal
-		}
-		// Deliver the same decisions to the twin.
-		if err := d.resolveInDoubt(twin); err != nil {
-			return fmt.Errorf("twin resolution: %w", err)
-		}
-		saved := d.hp
-		d.hp = twin
-		err = d.Verify()
-		d.hp = saved
-		if err != nil {
-			return fmt.Errorf("twin verify (recovery not deterministic): %w", err)
-		}
+		return d.checkTwin(twinDB, twinLB)
 	}
 	return nil
 }
 
-// copyTree copies the directory tree at src to dst.
-func copyTree(src, dst string) error {
-	return filepath.WalkDir(src, func(p string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, p)
-		to := filepath.Join(dst, rel)
-		if e.IsDir() {
-			return os.MkdirAll(to, 0o755)
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(to, data, 0o644)
-	})
+// recover abandons the devices the heap ran on and reopens them over its
+// backings, as a restarted process reopens its files — what the crash and
+// any fault left in the bytes is all it sees — then rebuilds the heap from
+// them with how: core.Recover, or core.RecoverFromLog onto a blank page
+// store.
+func (d *Driver) recover(how func(core.Config, *storage.Disk, *storage.Log) (*core.Heap, error)) (*core.Heap, error) {
+	d.disk.Abandon()
+	d.log.Abandon()
+	disk, log, err := openDevices(d.cfg, d.db, d.lb)
+	if err != nil {
+		return nil, err
+	}
+	d.disk, d.log = disk, log
+	return how(d.cfg, disk, log)
+}
+
+// checkTwin recovers a second heap from a copy of the crash image, delivers
+// it the coordinator's decisions, and holds it to the model.
+func (d *Driver) checkTwin(db, lb storage.Backing) error {
+	disk, log, err := openDevices(d.cfg, db, lb)
+	if err != nil {
+		return fmt.Errorf("twin recover: %w", err)
+	}
+	defer disk.Abandon()
+	defer log.Abandon()
+	twin, err := core.Recover(d.cfg, disk, log)
+	if err != nil {
+		return fmt.Errorf("twin recover: %w", err)
+	}
+	defer twin.Crash()
+	if err := d.resolveInDoubt(twin); err != nil {
+		return fmt.Errorf("twin resolution: %w", err)
+	}
+	saved := d.hp
+	d.hp = twin
+	err = d.Verify()
+	d.hp = saved
+	if err != nil {
+		return fmt.Errorf("twin verify (recovery not deterministic): %w", err)
+	}
+	return nil
 }
 
 // Run executes steps operations, crashing with probability crashProb after
@@ -464,16 +529,10 @@ func (d *Driver) Run(steps int, crashProb, flushFrac float64, checkTwin bool) er
 	return nil
 }
 
-// MediaRecover simulates a total media failure: the disk is destroyed and
-// the heap is rebuilt from the log alone (which must be untruncated), then
-// verified against the model.
+// MediaRecover simulates a total media failure and verifies the rebuilt
+// heap against the model.
 func (d *Driver) MediaRecover() error {
-	if d.cfg.Dir != "" {
-		return errors.New("crashtest: media recovery needs a log device that survives Crash; a heap that owns its files has none")
-	}
-	_, logDev := d.hp.Crash()
-	d.stats.Crashes++
-	hp, err := core.RecoverFromLog(d.cfg, logDev)
+	hp, err := d.mediaFailure()
 	if err != nil {
 		return fmt.Errorf("media recover: %w", err)
 	}
@@ -481,4 +540,22 @@ func (d *Driver) MediaRecover() error {
 		return fmt.Errorf("post-media-recovery: %w", err)
 	}
 	return nil
+}
+
+// mediaFailure crashes the heap, destroys every byte of its page store and
+// rebuilds the heap onto the blank store from the log alone, which must be
+// untruncated. The caller adopts the result.
+func (d *Driver) mediaFailure() (*core.Heap, error) {
+	d.hp.Crash()
+	d.stats.Crashes++
+	names, err := d.db.List("")
+	for _, name := range names {
+		if err == nil {
+			err = d.db.Remove(name)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d.recover(core.RecoverFromLog)
 }

@@ -263,8 +263,7 @@ func TestMediaRecoveryMidIncrementalGC(t *testing.T) {
 				t.Fatal("collection finished in one step; cannot crash mid-collection")
 			}
 			hp.Log().ForceAll()
-			_, logDev := hp.Crash()
-			rec, err := core.RecoverFromLog(c, logDev)
+			rec, err := d.mediaFailure()
 			if err != nil {
 				t.Fatalf("media recover: %v", err)
 			}
@@ -327,10 +326,12 @@ func TestSoakLongRun(t *testing.T) {
 	}
 }
 
-// TestDriverOverDir drives the harness over a heap that owns its files:
-// Heap.Crash closes them, so each crash recovers through RecoverDir and the
-// twin through a copy of the directory — which must be gone afterwards,
-// with the process's descriptor count flat.
+// TestDriverOverDir drives the harness over a heap on real files: every
+// crash abandons the devices and reopens them over the directory, the twin
+// recovers from clones of its backings — which must be gone from the
+// directory afterwards, with the process's descriptor count flat — and
+// media recovery rebuilds the heap onto the directory's destroyed page
+// store from its log.
 func TestDriverOverDir(t *testing.T) {
 	openFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -341,6 +342,9 @@ func TestDriverOverDir(t *testing.T) {
 	}
 	c := cfg()
 	c.Dir = filepath.Join(t.TempDir(), "heap")
+	// Segments no checkpoint fills, so truncation frees nothing and media
+	// recovery has the full log it needs.
+	c.LogSegBytes = 1 << 20
 	d := New(c, 7)
 	var fds int
 	for round := 0; round < 6; round++ {
@@ -356,8 +360,10 @@ func TestDriverOverDir(t *testing.T) {
 		if err := d.CrashAndRecover(0.5, round != 0); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if _, err := os.Stat(c.Dir + ".twin"); !os.IsNotExist(err) {
-			t.Fatalf("round %d: twin directory left behind (stat err %v)", round, err)
+		for _, clones := range []string{filepath.Join(c.Dir, "clones"), filepath.Join(c.Dir, "log", "clones")} {
+			if _, err := os.Stat(clones); !os.IsNotExist(err) {
+				t.Fatalf("round %d: twin copy left behind in %s (stat err %v)", round, clones, err)
+			}
 		}
 		if round == 1 {
 			fds = openFDs()
@@ -366,8 +372,13 @@ func TestDriverOverDir(t *testing.T) {
 	if got := openFDs(); got > fds+2 {
 		t.Errorf("open fds grew from %d to %d over 4 crash/recover rounds with twins", fds, got)
 	}
-	if err := d.MediaRecover(); err == nil {
-		t.Fatal("MediaRecover on a heap that owns its files must refuse: Crash leaves no live log device")
+	if err := d.MediaRecover(); err != nil {
+		t.Fatalf("media recovery over files: %v", err)
+	}
+	if err := d.Verify(); err != nil {
+		t.Fatalf("after media recovery over files: %v", err)
 	}
 	d.Heap().Close()
+	d.disk.Close()
+	d.log.Close()
 }

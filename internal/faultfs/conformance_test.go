@@ -18,22 +18,24 @@ func wrapped() storage.Backing {
 }
 
 func TestWrappedDiskConformance(t *testing.T) {
-	storagetest.RunDisk(t, func(t *testing.T, pageSize int) *storage.Disk {
-		d, err := storage.OpenDisk(wrapped(), pageSize)
+	storagetest.RunDisk(t, func(t *testing.T, pageSize int) (*storage.Disk, storage.Backing) {
+		b := wrapped()
+		d, err := storage.OpenDisk(b, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return d, b
 	})
 }
 
 func TestWrappedLogConformance(t *testing.T) {
-	storagetest.RunLog(t, func(t *testing.T, segBytes int) *storage.Log {
-		l, err := storage.OpenLog(wrapped(), segBytes)
+	storagetest.RunLog(t, func(t *testing.T, segBytes int) (*storage.Log, storage.Backing) {
+		b := wrapped()
+		l, err := storage.OpenLog(b, segBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l
+		return l, b
 	})
 }
 

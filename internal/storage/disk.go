@@ -373,25 +373,6 @@ func (d *Disk) Stats() DiskStats {
 	return d.stats
 }
 
-// Clone returns an independent copy of the durable state — the backing's
-// slot file and master — used to fork "what if we crashed here" worlds
-// (twin recovery). Every completed WritePage is in the slot file, so the
-// copy is the store's logical present.
-func (d *Disk) Clone() *Disk {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	nb, err := d.b.Clone()
-	if err != nil {
-		ioPanicPage("clone", 0, err)
-	}
-	nd, err := OpenDisk(nb, d.pageSize)
-	if err != nil {
-		panic(&DeviceIOError{Op: "clone: " + err.Error()})
-	}
-	nd.stats, nd.synced = d.stats, d.synced
-	return nd
-}
-
 // Close syncs and closes the slot file.
 func (d *Disk) Close() error { return d.close(true) }
 

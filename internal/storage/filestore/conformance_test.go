@@ -24,29 +24,34 @@ func openStore(t *testing.T, pageSize, segBytes int) *filestore.Store {
 	return s
 }
 
+// backing is the directory dir as a backing, as filestore.Open lays out
+// a store: the page store in dir, the log in dir/log.
+func backing(t *testing.T, dir string) storage.Backing {
+	t.Helper()
+	b, err := filestore.NewBacking(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestFileDiskConformance(t *testing.T) {
-	storagetest.RunDisk(t, func(t *testing.T, pageSize int) *storage.Disk {
-		return openStore(t, pageSize, storage.DefaultSegmentSize).Disk
+	storagetest.RunDisk(t, func(t *testing.T, pageSize int) (*storage.Disk, storage.Backing) {
+		s := openStore(t, pageSize, storage.DefaultSegmentSize)
+		return s.Disk, backing(t, s.Dir)
 	})
 }
 
 func TestFileLogConformance(t *testing.T) {
-	storagetest.RunLog(t, func(t *testing.T, segBytes int) *storage.Log {
-		return openStore(t, 1024, segBytes).Log
+	storagetest.RunLog(t, func(t *testing.T, segBytes int) (*storage.Log, storage.Backing) {
+		s := openStore(t, 1024, segBytes)
+		return s.Log, backing(t, filepath.Join(s.Dir, "log"))
 	})
 }
 
 func TestFileReopenConformance(t *testing.T) {
 	storagetest.RunReopen(t, func(t *testing.T) (disk, log storage.Backing) {
 		dir := t.TempDir()
-		db, err := filestore.NewBacking(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, err := filestore.NewBacking(filepath.Join(dir, "log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db, lb
+		return backing(t, dir), backing(t, filepath.Join(dir, "log"))
 	})
 }

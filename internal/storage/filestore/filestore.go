@@ -11,7 +11,10 @@
 //	  master.dat   recovery anchor (atomic rename updates)
 //	  pages.dat    sparse slot file, one self-validating slot per page
 //	  log/         segmented record log + metadata
-//	  clones/      transient Clone() copies (twin recovery)
+//
+// A Clone of a backing copies its files into a fresh directory under
+// clones/ in the backing's directory (the crash harness's twin); whoever
+// cloned removes the copy.
 //
 // The page store is the backing of the vm pool and caches nothing itself:
 // a page write is a pwrite of its slot, a read a pread, and the barrier an
@@ -24,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"stableheap/internal/storage"
 )
@@ -62,8 +64,8 @@ type Store struct {
 }
 
 // Open opens (or creates) a store at dir. Reopening an existing directory
-// re-parses the slot file and the log segments, delivering any torn log
-// tail as a repairable fragment.
+// re-parses the slot file and the log segments, and cuts off a torn log
+// tail there (see storage.OpenLog).
 func Open(dir string, o Options) (*Store, error) {
 	db, err := NewBacking(dir)
 	if err != nil {
@@ -129,11 +131,7 @@ func (s *Store) FileMetrics() map[string]int64 {
 }
 
 // backing is a directory as a storage.Backing.
-type backing struct {
-	dir    string
-	mu     sync.Mutex
-	clones int
-}
+type backing struct{ dir string }
 
 // NewBacking returns the directory dir, created if absent, as a
 // storage.Backing.
@@ -179,22 +177,17 @@ func (b *backing) Replace(name string, data []byte) error {
 	return atomicWriteFile(b.path(name), data)
 }
 
-// Clone copies every file into a fresh directory under <dir>/clones; the
-// copy dies with the parent directory (twin recovery is transient).
+// Clone copies every file into a fresh directory under <dir>/clones, which
+// the caller removes once it is done with the copy.
 func (b *backing) Clone() (storage.Backing, error) {
-	b.mu.Lock()
-	b.clones++
-	dir := filepath.Join(b.dir, "clones", fmt.Sprint(b.clones))
-	b.mu.Unlock()
 	names, err := b.List("")
 	if err != nil {
 		return nil, err
 	}
-	// A clone an earlier process left under the same number goes first.
-	if err := os.RemoveAll(dir); err != nil {
+	if err := os.MkdirAll(b.path("clones"), 0o755); err != nil {
 		return nil, err
 	}
-	nb, err := NewBacking(dir)
+	dir, err := os.MkdirTemp(b.path("clones"), "")
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +196,7 @@ func (b *backing) Clone() (storage.Backing, error) {
 			return nil, err
 		}
 	}
-	return nb, nil
+	return &backing{dir: dir}, nil
 }
 
 // file is an *os.File as a storage.File: Sync is fdatasync.

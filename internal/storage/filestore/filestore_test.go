@@ -141,23 +141,64 @@ func TestPageSizeMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependentDirectory: a clone of a store's backings is a
+// fresh directory under each backing's clones/, whose devices see neither
+// side's later writes, and the parent reopens past the clones left in it.
 func TestCloneIsIndependentDirectory(t *testing.T) {
 	dir := t.TempDir()
-	s := openAt(t, dir, Options{PageSize: 512, SegmentBytes: 128, CachePages: 4})
-	defer s.Close()
+	s := openAt(t, dir, Options{PageSize: 512, SegmentBytes: 128})
 	s.Disk.WritePage(1, page(512, 0x11), 7)
 	s.Log.Append(page(16, 0x22))
 	storage.ForceAll(s.Log)
 
-	cd := s.Disk.Clone()
-	cl := s.Log.Clone()
+	var clones [2]storage.Backing
+	for i, d := range []string{dir, filepath.Join(dir, "log")} {
+		b, err := NewBacking(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clones[i], err = b.Clone(); err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		if cdir := clones[i].(*backing).dir; filepath.Dir(cdir) != filepath.Join(d, "clones") {
+			t.Fatalf("clone of %s made at %s", d, cdir)
+		}
+	}
+	cd, err := storage.OpenDisk(clones[0], 0)
+	if err != nil {
+		t.Fatalf("OpenDisk over the clone: %v", err)
+	}
+	defer cd.Close()
+	cl, err := storage.OpenLog(clones[1], 0)
+	if err != nil {
+		t.Fatalf("OpenLog over the clone: %v", err)
+	}
+	defer cl.Close()
+
 	s.Disk.WritePage(1, page(512, 0x99), 8)
 	s.Log.Append(page(16, 0x33))
+	storage.ForceAll(s.Log)
 	if data, lsn, _ := cd.ReadPage(1); lsn != 7 || data[0] != 0x11 {
 		t.Fatalf("clone disk sees parent write: lsn=%d", lsn)
 	}
 	if cl.EndLSN() == s.Log.EndLSN() {
 		t.Fatal("clone log sees parent append")
+	}
+	cd.WritePage(2, page(512, 0x55), 9)
+	cl.Append(page(24, 0x44))
+	storage.ForceAll(cl)
+	end := s.Log.EndLSN()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openAt(t, dir, Options{})
+	defer s.Close()
+	if data, lsn, _ := s.Disk.ReadPage(1); lsn != 8 || data[0] != 0x99 {
+		t.Fatalf("reopened parent page 1: lsn=%d", lsn)
+	}
+	if _, _, ok := s.Disk.ReadPage(2); ok || s.Log.EndLSN() != end {
+		t.Fatalf("clone writes reached the reopened parent: page 2 %v, log end %d, want %d", ok, s.Log.EndLSN(), end)
 	}
 }
 

@@ -69,8 +69,9 @@ type LogStats struct {
 //	magic u32 | payload len u32 | lsn u64 | header crc32 u32
 //
 // — followed by the raw payload verbatim. The header CRC covers only the
-// header: payload integrity belongs to the layer above (wal frames carry
-// their own CRC, the flight-recorder journal its SHBB framing). Opening a
+// header: payload integrity belongs to the layer above. wal frames carry
+// their own CRC; the flight recorder's journal frames (SHBB) carry none and
+// are unchecked, and faultfs never wraps the journal's backing. Opening a
 // backing re-parses the segment files sequentially, and the torn-tail
 // rule is decided and acted on there, once (DESIGN.md §14): only the end
 // of the last segment may be torn, and only two shapes are a tear —
@@ -89,7 +90,7 @@ type LogStats struct {
 //
 // Concurrency: every method is safe for concurrent use. forceMu admits one
 // force at a time and is held across its write and sync; the structural
-// operations (Truncate, Crash, CrashTorn, Clone, Close) take it too, and it
+// operations (Truncate, Crash, CrashTorn, Close) take it too, and it
 // alone guards segs, segment sizes and wbuf. mu guards the other fields and
 // is never held across I/O on the force path: Force(lsn) takes the spooled
 // records that start at or below lsn under mu, writes and syncs them with
@@ -789,32 +790,6 @@ func (l *Log) RetainedBytes() int64 { l.mu.Lock(); defer l.mu.Unlock(); return l
 
 // Stats returns accumulated traffic counters.
 func (l *Log) Stats() LogStats { l.mu.Lock(); defer l.mu.Unlock(); return l.stats }
-
-// Clone returns an independent copy of the log — its backing's files and
-// the volatile tail — used to fork "what if we crashed here" worlds (twin
-// recovery).
-func (l *Log) Clone() *Log {
-	l.forceMu.Lock()
-	defer l.forceMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	nb, err := l.b.Clone()
-	if err != nil {
-		l.ioPanic("clone", 0, err)
-	}
-	nl, err := OpenLog(nb, l.segSize)
-	if err != nil {
-		panic(&DeviceIOError{Op: "clone: " + err.Error()})
-	}
-	for _, t := range l.tail {
-		nl.tail = append(nl.tail, tailRec{lsn: t.lsn, data: append([]byte(nil), t.data...)})
-		nl.retained += int64(len(t.data))
-	}
-	nl.end.Store(l.end.Load())
-	nl.stable.Store(l.stable.Load())
-	nl.stats = l.stats
-	return nl
-}
 
 // ForceAll forces the log's entire volatile tail.
 func ForceAll(l *Log) { l.Force(l.EndLSN() - 1) }

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -26,11 +27,13 @@ import (
 	"stableheap/internal/word"
 )
 
-// DiskMaker builds a fresh empty page store with the given page size.
-type DiskMaker func(t *testing.T, pageSize int) *storage.Disk
+// DiskMaker builds a fresh empty page store with the given page size, and
+// returns the backing it lives in.
+type DiskMaker func(t *testing.T, pageSize int) (*storage.Disk, storage.Backing)
 
-// LogMaker builds a fresh empty log with the given segment size in bytes.
-type LogMaker func(t *testing.T, segBytes int) *storage.Log
+// LogMaker builds a fresh empty log with the given segment size in bytes,
+// and returns the backing it lives in.
+type LogMaker func(t *testing.T, segBytes int) (*storage.Log, storage.Backing)
 
 // RunDisk runs the page store conformance suite.
 func RunDisk(t *testing.T, mk DiskMaker) {
@@ -45,7 +48,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	}
 
 	t.Run("ReadWriteRoundTrip", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, _ := mk(t, pageSize)
 		if ps := d.PageSize(); ps != pageSize {
 			t.Fatalf("PageSize = %d, want %d", ps, pageSize)
 		}
@@ -72,7 +75,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("CopyIsolation", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, _ := mk(t, pageSize)
 		in := page(0x11)
 		d.WritePage(1, in, 5)
 		in[0] = 0xFF // caller buffer mutation must not leak in
@@ -92,7 +95,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	// rewritten between WritePage calls. Neither may reach the store's
 	// state, and later traffic may not reach a kept read buffer.
 	t.Run("Ownership", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, _ := mk(t, pageSize)
 		buf := page(0x11)
 		d.WritePage(1, buf, 5)
 		copy(buf, page(0x22)) // the caller reuses its write buffer
@@ -115,7 +118,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("MasterRoundTrip", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, _ := mk(t, pageSize)
 		m := d.Master()
 		if m.Formatted {
 			t.Fatal("fresh store claims to be formatted")
@@ -133,7 +136,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("WrongLengthPanics", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, _ := mk(t, pageSize)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("WritePage with a short buffer did not panic")
@@ -143,7 +146,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("StatsCount", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, _ := mk(t, pageSize)
 		s0 := d.Stats()
 		d.WritePage(0, page(1), 1)
 		d.WritePage(1, page(2), 2)
@@ -158,23 +161,32 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 		}
 	})
 
+	// A clone of the backing opens as a second page store: it holds the
+	// pages and master at the fork, and neither side's writes reach the
+	// other.
 	t.Run("CloneIndependence", func(t *testing.T) {
-		d := mk(t, pageSize)
+		d, b := mk(t, pageSize)
 		d.WritePage(2, page(0x22), 10)
 		m := d.Master()
 		m.Formatted = true
 		m.CheckpointLSN = 7
 		d.SetMaster(m)
-		c := d.Clone()
-		// The clone sees the state at the fork...
+		cb, err := b.Clone()
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		c, err := storage.OpenDisk(cb, 0)
+		if err != nil {
+			t.Fatalf("OpenDisk over the clone: %v", err)
+		}
+		defer c.Close()
 		data, lsn, ok := c.ReadPage(2)
 		if !ok || lsn != 10 || data[0] != 0x22 {
 			t.Fatalf("clone missing page: ok=%v lsn=%d", ok, lsn)
 		}
-		if cm := c.Master(); !cm.Formatted || cm.CheckpointLSN != 7 {
-			t.Fatalf("clone master %+v", cm)
+		if cm := c.Master(); !cm.Formatted || cm.CheckpointLSN != 7 || c.PageSize() != pageSize {
+			t.Fatalf("clone master %+v, page size %d", cm, c.PageSize())
 		}
-		// ...and neither direction leaks writes.
 		d.WritePage(2, page(0x33), 11)
 		if got, _, _ := c.ReadPage(2); got[0] != 0x22 {
 			t.Fatal("parent write leaked into the clone")
@@ -197,7 +209,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	}
 
 	t.Run("AppendAdvancesByLen", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		if l.EndLSN() != 1 || l.StableLSN() != 1 || l.TruncLSN() != 1 {
 			t.Fatalf("fresh log LSNs: end=%d stable=%d trunc=%d", l.EndLSN(), l.StableLSN(), l.TruncLSN())
 		}
@@ -213,14 +225,14 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("SegmentBytes", func(t *testing.T) {
-		l := mk(t, 128)
+		l, _ := mk(t, 128)
 		if l.SegmentBytes() != 128 {
 			t.Fatalf("SegmentBytes = %d, want 128", l.SegmentBytes())
 		}
 	})
 
 	t.Run("EmptyAppendPanics", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("empty Append did not panic")
@@ -230,7 +242,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ForceAndStability", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		a := l.Append(rec(8, 1))
 		b := l.Append(rec(8, 2))
 		if a < l.StableLSN() || b < l.StableLSN() {
@@ -251,7 +263,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("CrashDropsVolatileTail", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		l.Append(rec(8, 1))
 		l.Force(1)
 		c := l.Append(rec(8, 2))
@@ -268,7 +280,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ReadAtExactStartOnly", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		l.Append(rec(10, 1))
 		second := l.Append(rec(10, 2))
 		storage.ForceAll(l)
@@ -285,7 +297,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ScanStableOnlyStopsAtTail", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		l.Append(rec(6, 1))
 		l.Append(rec(6, 2))
 		storage.ForceAll(l)
@@ -305,7 +317,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ScanBatchesMatchesScan", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		r := rand.New(rand.NewSource(42))
 		for i := 0; i < 40; i++ {
 			l.Append(rec(1+r.Intn(30), byte(i)))
@@ -342,7 +354,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// ends. Equal-sized records in one segment give every batch the same
 	// span — the case in which a recycled read buffer is reused in place.
 	t.Run("ScanRetainsDeliveredBytes", func(t *testing.T) {
-		l := mk(t, 4096)
+		l, _ := mk(t, 4096)
 		for i := 0; i < 48; i++ {
 			l.Append(rec(24, byte(i+1)))
 		}
@@ -386,7 +398,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 
 	t.Run("TruncateBoundaries", func(t *testing.T) {
 		const seg = 64
-		l := mk(t, seg)
+		l, _ := mk(t, seg)
 		// Three segments of 4×16-byte records each.
 		for i := 0; i < 12; i++ {
 			l.Append(rec(16, byte(i)))
@@ -422,7 +434,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 
 	t.Run("StraddlerRetention", func(t *testing.T) {
 		const seg = 64
-		l := mk(t, seg)
+		l, _ := mk(t, seg)
 		l.Append(rec(60, 1))
 		straddler := l.Append(rec(20, 2)) // LSN 61, ends at 81: straddles seg 1 boundary (65)
 		after := l.Append(rec(10, 3))     // LSN 81
@@ -443,7 +455,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// A torn crash repairs the log's tail by rewinding it to the torn
 	// record: the next append reuses that LSN and reads back its own bytes.
 	t.Run("RepairTailRewinds", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		torn := l.Append(rec(8, 2))
@@ -464,7 +476,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// log ends where the torn record began, nothing at or past it reads
 	// back, and the whole records before it are intact.
 	t.Run("CrashTornFragment", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		frag := l.Append(rec(16, 2))
@@ -486,26 +498,45 @@ func RunLog(t *testing.T, mk LogMaker) {
 		}
 	})
 
+	// A clone of the backing opens as a second log holding the records
+	// forced before the fork; neither side's later records reach the
+	// other's bytes.
 	t.Run("CloneIndependence", func(t *testing.T) {
-		l := mk(t, 64)
-		l.Append(rec(8, 1))
+		l, b := mk(t, 64)
+		first := l.Append(rec(8, 1))
 		storage.ForceAll(l)
-		vol := l.Append(rec(8, 2)) // clone carries the volatile tail too
-		c := l.Clone()
-		if c.EndLSN() != l.EndLSN() || c.StableLSN() != l.StableLSN() {
-			t.Fatalf("clone LSNs differ: end %d/%d stable %d/%d",
-				c.EndLSN(), l.EndLSN(), c.StableLSN(), l.StableLSN())
+		cb, err := b.Clone()
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
 		}
-		if _, ok := c.ReadAt(vol); !ok {
-			t.Fatal("clone lost the volatile tail")
+		c, err := storage.OpenLog(cb, 0)
+		if err != nil {
+			t.Fatalf("OpenLog over the clone: %v", err)
 		}
-		l.Append(rec(8, 3))
-		if c.EndLSN() == l.EndLSN() {
-			t.Fatal("parent append leaked into clone")
+		if c.EndLSN() != l.EndLSN() || c.StableLSN() != l.StableLSN() || c.SegmentBytes() != 64 {
+			t.Fatalf("clone LSNs differ: end %d/%d stable %d/%d, segment %d",
+				c.EndLSN(), l.EndLSN(), c.StableLSN(), l.StableLSN(), c.SegmentBytes())
 		}
-		c.Crash()
-		if _, ok := l.ReadAt(vol); !ok {
-			t.Fatal("clone crash leaked into parent")
+		if data, ok := c.ReadAt(first); !ok || !bytes.Equal(data, rec(8, 1)) {
+			t.Fatal("clone lost the forced record")
+		}
+		next := c.Append(rec(24, 3))
+		storage.ForceAll(c)
+		if l.EndLSN() != next {
+			t.Fatal("clone append leaked into the parent")
+		}
+		l.Append(rec(8, 2)) // at next too, in the parent's own bytes
+		storage.ForceAll(l)
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		c, err = storage.OpenLog(cb, 0)
+		if err != nil {
+			t.Fatalf("reopen the clone: %v", err)
+		}
+		defer c.Close()
+		if data, ok := c.ReadAt(next); !ok || !bytes.Equal(data, rec(24, 3)) || c.EndLSN() != next+24 {
+			t.Fatalf("parent append leaked into the clone: ok=%v, %d bytes at %d, end %d", ok, len(data), next, c.EndLSN())
 		}
 	})
 
@@ -516,7 +547,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// flight included; LSNs tile; and every force pays one segment sync
 	// whatever the batch size.
 	t.Run("AppendsDuringForce", func(t *testing.T) {
-		l := mk(t, 256)
+		l, _ := mk(t, 256)
 		type entry struct {
 			lsn  word.LSN
 			data []byte
@@ -605,7 +636,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// Truncate(NilLSN) — or any keep ≤ 1 — frees nothing: the boundary
 	// arithmetic must not wrap below LSN 1.
 	t.Run("TruncateNilIsNoOp", func(t *testing.T) {
-		l := mk(t, 64)
+		l, _ := mk(t, 64)
 		for i := 0; i < 10; i++ {
 			l.Append(rec(40, byte(i)))
 		}
@@ -628,7 +659,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 		for _, seg := range []int{64, 256} {
 			seg := seg
 			t.Run(fmt.Sprintf("seg%d", seg), func(t *testing.T) {
-				dut := mk(t, seg)
+				dut, _ := mk(t, seg)
 				ref := &refLog{seg: seg, stable: 1, end: 1, trunc: 1}
 				r := rand.New(rand.NewSource(int64(seg) * 7919))
 				for step := 0; step < 400; step++ {
@@ -845,6 +876,62 @@ func RunReopen(t *testing.T, home Home) {
 			if !ok || !bytes.Equal(data, fill(30+i, byte(0xA0+i))) {
 				t.Fatalf("log record %d at %d: ok=%v", i, lsn, ok)
 			}
+		}
+	})
+
+	// A clone of a home's backings is a second home: reopened, it holds the
+	// bytes at the fork, and neither side's later writes reach the other.
+	t.Run("CloneIndependent", func(t *testing.T) {
+		db, lb := home(t)
+		d, l := open(t, db, lb, 512, 128)
+		d.WritePage(2, fill(512, 0x22), 10)
+		m := d.Master()
+		m.Formatted = true
+		d.SetMaster(m)
+		at := l.Append(fill(16, 0xA1))
+		storage.ForceAll(l)
+		cdb, err := db.Clone()
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		clb, err := lb.Clone()
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		cd, cl := open(t, cdb, clb, 0, 0)
+		d.WritePage(2, fill(512, 0x33), 11)
+		l.Append(fill(16, 0xA2))
+		cd.WritePage(5, fill(512, 0x55), 12)
+		cl.Append(fill(24, 0xB2))
+		for _, c := range []io.Closer{d, l, cd, cl} {
+			if err := c.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}
+		for _, side := range []struct {
+			name   string
+			db, lb storage.Backing
+			page2  byte
+			page5  bool
+			next   []byte // the record forced after the fork
+		}{
+			{"parent", db, lb, 0x33, false, fill(16, 0xA2)},
+			{"clone", cdb, clb, 0x22, true, fill(24, 0xB2)},
+		} {
+			d, l := open(t, side.db, side.lb, 0, 0)
+			if data, _, _ := d.ReadPage(2); data[0] != side.page2 || !d.Master().Formatted {
+				t.Fatalf("%s: page 2 holds %#x, want %#x; master %+v", side.name, data[0], side.page2, d.Master())
+			}
+			if _, _, ok := d.ReadPage(5); ok != side.page5 {
+				t.Fatalf("%s: page 5 present = %v, want %v", side.name, ok, side.page5)
+			}
+			first, _ := l.ReadAt(at)
+			next, _ := l.ReadAt(at + 16)
+			if !bytes.Equal(first, fill(16, 0xA1)) || !bytes.Equal(next, side.next) || l.EndLSN() != at+16+word.LSN(len(side.next)) {
+				t.Fatalf("%s: log holds %d+%d bytes from the fork, end %d", side.name, len(first), len(next), l.EndLSN())
+			}
+			d.Close()
+			l.Close()
 		}
 	})
 

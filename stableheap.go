@@ -165,9 +165,9 @@ func Recover(cfg Config, disk Disk, log LogDevice) (*Heap, error) {
 // total-media-failure case (§2.2.2): the disk is destroyed, and repeating
 // history reconstructs every page from the first checkpoint onward. The
 // log must be untruncated (the archive discipline); a truncated log is
-// refused.
+// refused. The heap is rebuilt onto a fresh page store in memory.
 func RecoverFromLog(cfg Config, log LogDevice) (*Heap, error) {
-	return adopt(core.RecoverFromLog(cfg, log))
+	return adopt(core.RecoverFromLog(cfg, storage.NewDisk(cfg.WithDefaults().PageSize), log))
 }
 
 // Begin starts a transaction. Transactions are serializable (strict
