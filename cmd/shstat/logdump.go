@@ -73,8 +73,6 @@ type jsonRecord struct {
 // own prints as "?type" (TestLogDumpCoversEveryRecordType refuses that).
 func describe(r wal.Record) string {
 	switch rec := r.(type) {
-	case wal.BeginRec:
-		return fmt.Sprintf("begin        tx=%d", rec.TxID)
 	case wal.UpdateRec:
 		kind := "data"
 		if rec.Flags&wal.UFPtrSlot != 0 {
@@ -123,8 +121,6 @@ func describe(r wal.Record) string {
 		return fmt.Sprintf("scan         page=%d %d slots fixed (%s)", rec.Page, len(rec.Fixes), src)
 	case wal.GCEndRec:
 		return fmt.Sprintf("GCEND        epoch=%d (to-space written back, from-space freed)", rec.Epoch)
-	case wal.PageFetchRec:
-		return fmt.Sprintf("page-fetch   page=%d", rec.Page)
 	case wal.EndWriteRec:
 		return fmt.Sprintf("end-write    page=%d pageLSN=%d", rec.Page, rec.PageLSN)
 	case wal.CheckpointRec:

@@ -336,6 +336,7 @@ func TestGroupCommitTwoCommittersShare(t *testing.T) {
 // TestJoinReadOnlyTransactionHoldsNoCommit: a read-only transaction left
 // open beside a lone committer is no sibling to wait for — it never logs an
 // update, so the commit shape says one — and every commit forces at once.
+// Its own commit then appends no record and forces nothing.
 func TestJoinReadOnlyTransactionHoldsNoCommit(t *testing.T) {
 	hp := openSlow(time.Millisecond)
 	seedSlots(t, hp, 2)
@@ -349,6 +350,14 @@ func TestJoinReadOnlyTransactionHoldsNoCommit(t *testing.T) {
 	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
 	if n := hp.log.JoinWaitHist().Count; n != 0 || forces != commits {
 		t.Fatalf("%d join waits, %d forces for %d commits beside a reader, want 0 and one each", n, forces, commits)
+	}
+	end, forces0 := hp.log.EndLSN(), hp.logDev.Stats().Forces
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if hp.log.EndLSN() != end || hp.logDev.Stats().Forces != forces0 {
+		t.Fatalf("read-only commit appended %d bytes and forced %d times, want neither",
+			hp.log.EndLSN()-end, hp.logDev.Stats().Forces-forces0)
 	}
 }
 

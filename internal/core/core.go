@@ -382,7 +382,7 @@ func OpenOn(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 // build wires the subsystems over existing devices (no formatting).
 func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 	log := wal.NewManager(logDev)
-	mem := vm.New(vm.Config{PageSize: cfg.PageSize, CachePages: cfg.CachePages, LogFetches: true}, disk, log)
+	mem := vm.New(vm.Config{PageSize: cfg.PageSize, CachePages: cfg.CachePages}, disk, log)
 	h := heap.New(mem)
 	locks := lock.NewManager(cfg.LockWait)
 
@@ -1431,11 +1431,15 @@ func (t *Tx) Commit() error {
 // covers the commit record at lsn — overlapping committers share it, and a
 // leader joins the siblings the workload says are coming
 // (wal.Manager.ForceCommit), while nobody's action queues behind it — then
-// spool the end record and release the locks under the shared latch.
+// spool the end record and release the locks under the shared latch. A
+// transaction that logged nothing has no commit record (lsn is NilLSN) and
+// waits for no force.
 func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
-	usualOpen, span := hp.txm.CommitShape()
-	hp.log.ForceCommit(lsn, usualOpen, span)
-	hp.ckpt.Promote()
+	if lsn != word.NilLSN {
+		usualOpen, span := hp.txm.CommitShape()
+		hp.log.ForceCommit(lsn, usualOpen, span)
+		hp.ckpt.Promote()
+	}
 	excl := hp.rlock()
 	defer hp.runlock(excl)
 	hp.txm.FinishCommit(t)

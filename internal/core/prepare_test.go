@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
 
@@ -239,5 +240,78 @@ func TestPrepareLogicalThenCrashResolveAbort(t *testing.T) {
 	}
 	if v := counterVal(t, hp2, 0); v != 100 {
 		t.Fatalf("counter = %d, want 100", v)
+	}
+}
+
+// TestInDoubtFirstRecordAllocSurvivesTruncation: a prepared transaction
+// whose first record is an allocation (an undivided heap logs one), with its
+// first update segments later. Restored in doubt, it must pin the log from
+// the allocation: after checkpoints and TruncateLog, ResolveAbort still
+// walks its whole chain.
+func TestInDoubtFirstRecordAllocSurvivesTruncation(t *testing.T) {
+	cfg := allStableCfg()
+	cfg.LogSegBytes = 1024
+	hp := Open(cfg)
+	mkCounter(t, hp, 0, 7)
+	mkCounter(t, hp, 1, 0)
+	bump := func(hp *Heap, v uint64) {
+		tr := hp.Begin()
+		c, _ := tr.Root(1)
+		if err := tr.SetData(c, 0, v); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, tr)
+	}
+	for i := uint64(1); i <= 40; i++ { // segments the truncation can free
+		bump(hp, i)
+	}
+	tr := hp.Begin()
+	n, err := tr.Alloc(1, 0, 1) // the chain's first record
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(41); i <= 80; i++ { // segments between it and the first update
+		bump(hp, i)
+	}
+	c, _ := tr.Root(0)
+	if err := tr.SetData(c, 0, 999); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SetData(n, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	id := word.TxID(tr.ID())
+	var allocLSN word.LSN
+	hp.log.Scan(1, false, func(lsn word.LSN, r wal.Record) bool {
+		if a, ok := r.(wal.AllocRec); ok && a.TxID == id {
+			allocLSN = lsn
+			return false
+		}
+		return true
+	})
+	disk, logDev := hp.Crash()
+	hp2, err := Recover(cfg, disk, logDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := hp2.InDoubt(); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("in-doubt = %v, want [%d]", ids, id)
+	}
+	for i := uint64(0); i < 3; i++ { // each checkpoint promoted by a commit
+		hp2.Checkpoint()
+		bump(hp2, 100+i)
+	}
+	hp2.TruncateLog()
+	if trunc := logDev.TruncLSN(); trunc <= 1 || trunc > allocLSN {
+		t.Fatalf("truncation point %d, want past the log's start and at or below the allocation at %d", trunc, allocLSN)
+	}
+	if err := hp2.ResolveAbort(id); err != nil {
+		t.Fatal(err)
+	}
+	if v := counterVal(t, hp2, 0); v != 7 {
+		t.Fatalf("counter = %d, want 7", v)
 	}
 }

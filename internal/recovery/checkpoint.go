@@ -68,7 +68,7 @@ func (c *Checkpointer) Take(cp wal.CheckpointRec) word.LSN {
 		}
 	}
 	for _, te := range cp.Txs {
-		if te.FirstLSN != word.NilLSN && te.FirstLSN < trunc {
+		if te.FirstLSN < trunc {
 			trunc = te.FirstLSN
 		}
 	}

@@ -50,6 +50,10 @@ func w64(v uint64) []byte {
 	return b
 }
 
+// TestBeginAssignsIDsAndLogs: Begin assigns distinct ids and logs nothing —
+// a transaction's chain starts at its first logged change — and one that
+// logs nothing appends no commit, abort or end record and stays out of the
+// checkpoint's table, so it pins no log.
 func TestBeginAssignsIDsAndLogs(t *testing.T) {
 	f := newFixture()
 	t1 := f.m.Begin()
@@ -60,15 +64,19 @@ func TestBeginAssignsIDsAndLogs(t *testing.T) {
 	if f.m.ActiveCount() != 2 {
 		t.Fatal("both must be active")
 	}
-	var begins int
-	f.log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
-		if r.Type() == wal.TBegin {
-			begins++
-		}
-		return true
-	})
-	if begins != 2 {
-		t.Fatalf("begin records = %d", begins)
+	if got := f.m.TableEntries(); len(got) != 0 {
+		t.Fatalf("checkpoint table = %+v, want no transaction that logged nothing", got)
+	}
+	if lsn := f.m.PrepareCommit(t1); lsn != word.NilLSN {
+		t.Fatalf("read-only PrepareCommit returned LSN %d, want NilLSN", lsn)
+	}
+	f.m.FinishCommit(t1)
+	f.m.Abort(t2)
+	if end := f.log.EndLSN(); end != 1 {
+		t.Fatalf("log end = %d after two read-only transactions, want nothing appended", end)
+	}
+	if f.m.ActiveCount() != 0 {
+		t.Fatal("both must have left the table")
 	}
 }
 

@@ -71,8 +71,6 @@ func UndoChain(log *wal.Manager, mem *vm.Store, id word.TxID, from, last word.LS
 			lsn = r.PrevLSN
 		case wal.CLRRec:
 			lsn = r.UndoNext
-		case wal.BeginRec:
-			lsn = word.NilLSN
 		case wal.AbortRec:
 			lsn = r.PrevLSN
 		case wal.PrepareRec:

@@ -10,9 +10,9 @@
 // log's end when they were made — is beyond the stable log forces the log
 // before it is written, which is equivalent to the paper's "unpin after
 // the redo record is in the stable log" — and replacement prefers any other
-// victim to such a page, so eviction does not normally force. Page-fetch
-// and end-write records (§2.2.4) are spooled so recovery can deduce the
-// dirty page set.
+// victim to such a page, so eviction does not normally force. Every write
+// back spools an end-write record (§2.2.4), from which recovery prunes the
+// dirty page set; a fetch logs nothing (DESIGN.md §4.3).
 package vm
 
 import (
@@ -57,9 +57,6 @@ type Config struct {
 	// (no replacement, useful for tests and for pause measurements that
 	// should not be polluted by paging).
 	CachePages int
-	// LogFetches controls whether page-fetch/end-write records are
-	// spooled. Recovery runs with it off.
-	LogFetches bool
 }
 
 type page struct {
@@ -143,7 +140,8 @@ type Store struct {
 	n      counters
 }
 
-// New creates a store over disk, spooling bookkeeping records to log.
+// New creates a store over disk, spooling end-write records to log (if
+// not nil).
 func New(cfg Config, disk *storage.Disk, log *wal.Manager) *Store {
 	if cfg.PageSize <= 0 || cfg.PageSize%word.WordSize != 0 {
 		panic(fmt.Sprintf("vm: invalid page size %d", cfg.PageSize))
@@ -164,10 +162,6 @@ func (s *Store) Disk() *storage.Disk { return s.disk }
 
 // SetTrapHandler installs the read-barrier trap handler.
 func (s *Store) SetTrapHandler(h TrapHandler) { s.trap = h }
-
-// SetLogFetches toggles page-fetch/end-write logging (recovery turns it off
-// while repeating history).
-func (s *Store) SetLogFetches(on bool) { s.cfg.LogFetches = on }
 
 // Stats returns accumulated counters. It takes no lock.
 func (s *Store) Stats() Stats {
@@ -250,9 +244,6 @@ func (s *Store) resident(id word.PageID) *page {
 	if data, lsn, ok := s.disk.ReadPage(id); ok {
 		p.data, p.lsn = data, lsn
 		s.n.fetches.Add(1)
-		if s.cfg.LogFetches && s.log != nil {
-			s.log.Append(wal.PageFetchRec{Page: id})
-		}
 	} else {
 		p.data = make([]byte, s.cfg.PageSize)
 		s.n.freshPages.Add(1)
@@ -334,7 +325,7 @@ func (s *Store) flushPage(p *page) {
 	p.dirty = false
 	p.recLSN = word.NilLSN
 	s.n.flushes.Add(1)
-	if s.cfg.LogFetches && s.log != nil {
+	if s.log != nil {
 		s.log.Append(wal.EndWriteRec{Page: p.id, PageLSN: p.lsn})
 	}
 }

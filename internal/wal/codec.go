@@ -128,8 +128,6 @@ func encodeAddrs(e *enc, addrs []word.Addr) {
 func encodeBody(e *enc, r Record) {
 	e.u8(uint8(r.Type()))
 	switch rec := r.(type) {
-	case BeginRec:
-		encodeTxHdr(e, rec.TxHdr)
 	case UpdateRec:
 		encodeTxHdr(e, rec.TxHdr)
 		e.u64(uint64(rec.Addr))
@@ -195,8 +193,6 @@ func encodeBody(e *enc, r Record) {
 	case VFlipRec:
 		e.u64(rec.Epoch)
 		e.u64(uint64(rec.Moved))
-	case PageFetchRec:
-		e.u64(uint64(rec.Page))
 	case EndWriteRec:
 		e.u64(uint64(rec.Page))
 		e.u64(uint64(rec.PageLSN))
@@ -282,7 +278,8 @@ func encodeCheckpoint(e *enc, c CheckpointRec) {
 }
 
 // Decode parses a framed record. It returns an error on truncation, CRC
-// mismatch, or an unknown type tag.
+// mismatch, an unknown type tag, or a retired one (begin and page-fetch:
+// a log an older build wrote with them is refused by name).
 //
 // Decode reads in place: byte-slice fields of the returned record (Redo,
 // Undo, Object, Contents) alias the frame rather than copying it. The frame
@@ -306,8 +303,8 @@ func Decode(frame []byte) (Record, error) {
 	t := Type(d.u8())
 	var r Record
 	switch t {
-	case TBegin:
-		r = BeginRec{TxHdr: d.txHdr()}
+	case TBegin, TPageFetch:
+		return nil, fmt.Errorf("wal: retired record type %v", t)
 	case TUpdate:
 		r = UpdateRec{TxHdr: d.txHdr(), Addr: word.Addr(d.u64()), Obj: word.Addr(d.u64()), Flags: d.u8(), Redo: d.bytes(), Undo: d.bytes()}
 	case TCLR:
@@ -347,8 +344,6 @@ func Decode(frame []byte) (Record, error) {
 		r = rec
 	case TVFlip:
 		r = VFlipRec{Epoch: d.u64(), Moved: int(d.u64())}
-	case TPageFetch:
-		r = PageFetchRec{Page: word.PageID(d.u64())}
 	case TEndWrite:
 		r = EndWriteRec{Page: word.PageID(d.u64()), PageLSN: word.LSN(d.u64())}
 	case TCheckpoint:

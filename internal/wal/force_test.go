@@ -48,7 +48,7 @@ func (m *Manager) parkedCount() int {
 	return len(m.parked)
 }
 
-func begin(id int) Record { return BeginRec{TxHdr: TxHdr{TxID: word.TxID(id)}} }
+func commitRec(id int) Record { return CommitRec{TxHdr: TxHdr{TxID: word.TxID(id)}} }
 
 // within fails the test if fn has not returned in five seconds.
 func within(t *testing.T, what string, fn func()) {
@@ -70,8 +70,8 @@ func within(t *testing.T, what string, fn func()) {
 func TestForceSharedOutsideMutex(t *testing.T) {
 	dev := newGateLog(t)
 	m := NewManager(dev.Log)
-	a := m.Append(begin(1))
-	b := m.Append(begin(2))
+	a := m.Append(commitRec(1))
+	b := m.Append(commitRec(2))
 
 	var wg sync.WaitGroup
 	force := func(lsn word.LSN) {
@@ -82,7 +82,7 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 	<-dev.entered // a's force holds the batch {a, b}
 
 	var c word.LSN
-	within(t, "Append", func() { c = m.Append(begin(3)) })
+	within(t, "Append", func() { c = m.Append(commitRec(3)) })
 	within(t, "ReadAt", func() {
 		for _, lsn := range []word.LSN{a, b, c} {
 			if _, err := m.ReadAt(lsn); err != nil {
@@ -143,7 +143,7 @@ func TestForceLeaderPanicFreesTheGate(t *testing.T) {
 		}
 		return nil
 	}))
-	lsn := m.Append(begin(1))
+	lsn := m.Append(commitRec(1))
 	func() {
 		defer func() {
 			if _, ok := storage.AsDeviceError(recover()); !ok {
@@ -181,14 +181,14 @@ func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
 	}
 	gate := func(fn func() bool) bool { m.fmu.Lock(); defer m.fmu.Unlock(); return fn() }
 
-	x := m.Append(begin(10))
+	x := m.Append(commitRec(10))
 	goForce(dev.Force, x)
 	<-dev.entered // the log is busy: x's force holds it
-	a := m.Append(begin(1))
+	a := m.Append(commitRec(1))
 	goForce(m.Force, a)
 	until(func() bool { return gate(func() bool { return m.forcing }) }) // a leads; its batch closed at a
-	y := m.Append(begin(20))
-	b := m.Append(begin(2))
+	y := m.Append(commitRec(20))
+	b := m.Append(commitRec(2))
 	goForce(m.Force, b)
 	until(func() bool { return m.parkedCount() == 1 })
 	dev.release <- struct{}{} // x's force ends; a's takes its batch with y and b already spooled
@@ -201,7 +201,7 @@ func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
 	<-dev.entered
 	m.fmu.Unlock() // a's force ends with b volatile: b's batch closes at b
 	until(func() bool { return m.ForceHist().Count == 1 })
-	c := m.Append(begin(3)) // the first caller's next commit, before b's leader reached the log
+	c := m.Append(commitRec(3)) // the first caller's next commit, before b's leader reached the log
 	goForce(m.Force, c)
 	until(func() bool { return gate(func() bool { return len(m.parked) == 1 && m.parked[0] == c }) })
 	dev.release <- struct{}{} // y's force ends; b's takes its batch with c already spooled
@@ -255,13 +255,13 @@ func TestJoinTwoCommittersShareOneForce(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); m.ForceCommit(lsn, 2, time.Microsecond) }()
 	}
-	a := m.Append(begin(1))
+	a := m.Append(commitRec(1))
 	commit(a)
 	awaitJoin(t, m)
 	if got := dev.Stats().Forces; got != 0 {
 		t.Fatalf("the leader forced %d times before its sibling came", got)
 	}
-	b := m.Append(begin(2))
+	b := m.Append(commitRec(2))
 	commit(b)
 	<-dev.entered // the second arrival wakes the leader, whose batch takes b
 	dev.release <- struct{}{}
@@ -294,7 +294,7 @@ func TestJoinLoneOrLongCommitterLeadsAtOnce(t *testing.T) {
 			dev := newGateLog(t)
 			m := NewManager(dev.Log)
 			m.devForce.Observe(int64(time.Minute))
-			a := m.Append(begin(1))
+			a := m.Append(commitRec(1))
 			done := make(chan struct{})
 			go func() { defer close(done); m.ForceCommit(a, c.want, c.span) }()
 			<-dev.entered // no sibling: the leader reached the device alone
@@ -315,12 +315,12 @@ func TestJoinTimeoutClosesTheBatch(t *testing.T) {
 	m := NewManager(dev.Log)
 	const bound = 20 * time.Millisecond
 	m.devForce.Observe(int64(bound))
-	a := m.Append(begin(1))
+	a := m.Append(commitRec(1))
 	start := time.Now()
 	done := make(chan struct{})
 	go func() { defer close(done); m.ForceCommit(a, 2, time.Microsecond) }()
 	awaitJoin(t, m)
-	b := m.Append(begin(2)) // spooled while the leader waits; nobody forces it
+	b := m.Append(commitRec(2)) // spooled while the leader waits; nobody forces it
 	select {
 	case <-dev.entered:
 	case <-time.After(5 * time.Second):
@@ -347,9 +347,9 @@ func TestJoinTimeoutClosesTheBatch(t *testing.T) {
 func TestJoinCoveredFollowersLeaveAtEndForce(t *testing.T) {
 	dev := storage.NewLog(0)
 	m := NewManager(dev)
-	b := m.Append(begin(1))
+	b := m.Append(commitRec(1))
 	dev.Force(b) // the leader's force, on the device and done
-	c := m.Append(begin(2))
+	c := m.Append(commitRec(2))
 	m.fmu.Lock()
 	m.forcing = true
 	m.parked = append(m.parked, b, c) // two followers, neither awake yet

@@ -400,13 +400,13 @@ func (m *Manager) VolumeByClass() (txBytes, gcBytes, trackBytes, bookBytes int64
 	for t := Type(1); t < maxType; t++ {
 		b := m.bytes[t]
 		switch t {
-		case TBegin, TUpdate, TCLR, TAlloc, TCommit, TAbort, TEnd:
+		case TUpdate, TCLR, TAlloc, TCommit, TAbort, TEnd:
 			txBytes += b
 		case TFlip, TCopy, TScan, TGCEnd:
 			gcBytes += b
 		case TBase, TComplete, TV2SCopy, TSFix, TVFlip:
 			trackBytes += b
-		case TPageFetch, TEndWrite, TCheckpoint:
+		case TEndWrite, TCheckpoint:
 			bookBytes += b
 		}
 	}

@@ -7,8 +7,10 @@
 //
 // The taxonomy follows the paper:
 //
-//   - transactional records (§2.2.3, Ch. 4): Begin, Update (redo+undo),
-//     CLR (compensation, redo-only), Alloc, Commit, Abort, End;
+//   - transactional records (§2.2.3, Ch. 4): Update (redo+undo),
+//     CLR (compensation, redo-only), Alloc, Commit, Abort, End. A
+//     transaction's chain starts at its first logged change, as in ARIES:
+//     there is no begin record, and one that logs nothing leaves no trace;
 //   - collector records (Ch. 3): Flip, Copy, Scan, GCEnd — the records that
 //     make the copy step and scan step of the incremental copying collector
 //     repeatable after a crash;
@@ -17,8 +19,9 @@
 //     V2SCopy (a newly stable object moved from the volatile area into the
 //     stable area at a volatile collection), SFix (redo-only fix-up of a
 //     stable-area slot that pointed at a moved object), VFlip;
-//   - recovery bookkeeping (§2.2.4, Ch. 4): PageFetch, EndWrite,
-//     Checkpoint.
+//   - recovery bookkeeping (§2.2.4, Ch. 4): EndWrite, Checkpoint. The
+//     paper's page-fetch record is not logged: recovery seeds the dirty
+//     page table from the checkpoint instead (DESIGN.md §4.3).
 //
 // All records are redo records in the repeating-history sense; only Update
 // carries undo information, and only CLRs reference an undo-next LSN.
@@ -36,7 +39,7 @@ type Type uint8
 // Log record types.
 const (
 	TInvalid Type = iota
-	TBegin
+	TBegin        // retired: Decode refuses it by name
 	TUpdate
 	TCLR
 	TAlloc
@@ -52,7 +55,7 @@ const (
 	TV2SCopy
 	TSFix
 	TVFlip
-	TPageFetch
+	TPageFetch // retired: Decode refuses it by name
 	TEndWrite
 	TCheckpoint
 	TLogical
@@ -121,14 +124,6 @@ func (r TxHdr) Tx() word.TxID { return r.TxID }
 type sysRec struct{}
 
 func (sysRec) Tx() word.TxID { return word.SystemTx }
-
-// BeginRec marks the start of a transaction.
-type BeginRec struct {
-	TxHdr
-}
-
-// Type implements Record.
-func (BeginRec) Type() Type { return TBegin }
 
 // Update record flags.
 const (
@@ -451,16 +446,6 @@ type VFlipRec struct {
 
 // Type implements Record.
 func (VFlipRec) Type() Type { return TVFlip }
-
-// PageFetchRec records that the buffer manager fetched Page from disk
-// (§2.2.4, first optimization).
-type PageFetchRec struct {
-	sysRec
-	Page word.PageID
-}
-
-// Type implements Record.
-func (PageFetchRec) Type() Type { return TPageFetch }
 
 // EndWriteRec records that an updated page reached disk, carrying the page
 // LSN that was written (§2.2.4).

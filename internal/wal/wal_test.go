@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,6 @@ func canon(b []byte) []byte {
 
 func TestRoundTripAllTypes(t *testing.T) {
 	recs := []Record{
-		BeginRec{TxHdr{TxID: 7}},
 		UpdateRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 10}, Addr: 0x1000, Obj: 0xff8, Flags: UFPtrSlot, Redo: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Undo: []byte{8, 7, 6, 5, 4, 3, 2, 1}},
 		CLRRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 20}, Addr: 0x1008, Redo: []byte{9, 9}, UndoNext: 5},
 		AllocRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 30}, Addr: 0x2000, Descriptor: 0xdeadbeef, SizeWords: 12},
@@ -98,7 +98,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		TwoPCDecideRec{GID: 3, Commit: true, Parts: []TwoPCParticipant{{Part: 0, TxID: 11}, {Part: 2, TxID: 7}}},
 		TwoPCDecideRec{GID: 4, Commit: false},
 		TwoPCEndRec{GID: 3},
-		PageFetchRec{Page: 88},
 		EndWriteRec{Page: 88, PageLSN: 123},
 		CheckpointRec{
 			Dirty:       []DirtyPage{{Page: 3, RecLSN: 44}, {Page: 9, RecLSN: 50}},
@@ -156,6 +155,25 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 	binary.LittleEndian.PutUint64(payload[1:], 1)
 	if _, err := Decode(rawFrame(payload)); err == nil {
 		t.Fatal("unknown type must be rejected")
+	}
+	// The retired types keep their numbers, so no live type moved, and a
+	// frame an older build wrote with one is refused by name: a begin
+	// record (type + transaction header) and a page-fetch (type + page).
+	if TBegin != 1 || TPageFetch != 17 || TEndWrite != 18 || TTwoPCEnd != 24 {
+		t.Fatalf("record type numbers moved: begin %d pagefetch %d endwrite %d 2pc-end %d",
+			TBegin, TPageFetch, TEndWrite, TTwoPCEnd)
+	}
+	for _, c := range []struct {
+		typ  Type
+		body int
+		name string
+	}{{TBegin, 16, "begin"}, {TPageFetch, 8, "pagefetch"}} {
+		payload := make([]byte, 1+c.body)
+		payload[0] = uint8(c.typ)
+		_, err := Decode(rawFrame(payload))
+		if err == nil || !strings.Contains(err.Error(), "retired record type "+c.name) {
+			t.Errorf("%s frame: err = %v, want it refused by name", c.name, err)
+		}
 	}
 }
 
@@ -227,7 +245,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 
 func TestManagerAppendScan(t *testing.T) {
 	m := NewManager(storage.NewLog(0))
-	l1 := m.Append(BeginRec{TxHdr{TxID: 1}})
+	l1 := m.Append(AllocRec{TxHdr: TxHdr{TxID: 1}, Addr: 8, Descriptor: 1, SizeWords: 1})
 	l2 := m.Append(UpdateRec{TxHdr: TxHdr{TxID: 1, PrevLSN: l1}, Addr: 8, Redo: []byte{1}, Undo: []byte{0}})
 	l3 := m.Append(CommitRec{TxHdr{TxID: 1, PrevLSN: l2}})
 	if !(l1 < l2 && l2 < l3) {
@@ -238,7 +256,7 @@ func TestManagerAppendScan(t *testing.T) {
 		types = append(types, r.Type())
 		return true
 	})
-	want := []Type{TBegin, TUpdate, TCommit}
+	want := []Type{TAlloc, TUpdate, TCommit}
 	if !reflect.DeepEqual(types, want) {
 		t.Fatalf("scan types = %v, want %v", types, want)
 	}
@@ -246,7 +264,7 @@ func TestManagerAppendScan(t *testing.T) {
 
 func TestManagerStableOnlyScanHidesTail(t *testing.T) {
 	m := NewManager(storage.NewLog(0))
-	l1 := m.Append(BeginRec{TxHdr{TxID: 1}})
+	l1 := m.Append(AllocRec{TxHdr: TxHdr{TxID: 1}, Addr: 8, Descriptor: 1, SizeWords: 1})
 	m.Force(l1)
 	m.Append(CommitRec{TxHdr{TxID: 1, PrevLSN: l1}})
 	n := 0
@@ -273,7 +291,7 @@ func TestManagerReadAt(t *testing.T) {
 
 func TestManagerPrevLSNChainWalk(t *testing.T) {
 	m := NewManager(storage.NewLog(0))
-	l1 := m.Append(BeginRec{TxHdr{TxID: 4}})
+	l1 := m.Append(AllocRec{TxHdr: TxHdr{TxID: 4}, Addr: 8, Descriptor: 1, SizeWords: 1})
 	l2 := m.Append(UpdateRec{TxHdr: TxHdr{TxID: 4, PrevLSN: l1}, Addr: 8, Redo: []byte{1}, Undo: []byte{0}})
 	l3 := m.Append(UpdateRec{TxHdr: TxHdr{TxID: 4, PrevLSN: l2}, Addr: 16, Redo: []byte{2}, Undo: []byte{1}})
 	// Walk the chain backwards from l3.
@@ -283,8 +301,8 @@ func TestManagerPrevLSNChainWalk(t *testing.T) {
 		switch r := m.MustReadAt(lsn).(type) {
 		case UpdateRec:
 			lsn = r.PrevLSN
-		case BeginRec:
-			lsn = word.NilLSN
+		case AllocRec:
+			lsn = r.PrevLSN
 		default:
 			t.Fatalf("unexpected record %T", r)
 		}
@@ -296,10 +314,10 @@ func TestManagerPrevLSNChainWalk(t *testing.T) {
 
 func TestManagerVolumeByClass(t *testing.T) {
 	m := NewManager(storage.NewLog(0))
-	m.Append(BeginRec{TxHdr{TxID: 1}})
+	m.Append(CommitRec{TxHdr{TxID: 1}})
 	m.Append(CopyRec{Epoch: 1, From: 8, To: 16, SizeWords: 2, Descriptor: 1})
 	m.Append(BaseRec{TxHdr: TxHdr{TxID: 1}, Addr: 8, Object: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
-	m.Append(PageFetchRec{Page: 1})
+	m.Append(EndWriteRec{Page: 1})
 	tx, gc, track, book := m.VolumeByClass()
 	if tx == 0 || gc == 0 || track == 0 || book == 0 {
 		t.Fatalf("all classes must be nonzero: %d %d %d %d", tx, gc, track, book)
@@ -317,7 +335,7 @@ func TestManagerVolumeByClass(t *testing.T) {
 func TestManagerCrashLosesVolatileRecords(t *testing.T) {
 	dev := storage.NewLog(0)
 	m := NewManager(dev)
-	l1 := m.Append(BeginRec{TxHdr{TxID: 1}})
+	l1 := m.Append(AllocRec{TxHdr: TxHdr{TxID: 1}, Addr: 8, Descriptor: 1, SizeWords: 1})
 	m.Force(l1)
 	l2 := m.Append(CommitRec{TxHdr{TxID: 1, PrevLSN: l1}})
 	dev.Crash()

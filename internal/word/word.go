@@ -59,8 +59,8 @@ const NilLSN LSN = 0
 type TxID uint64
 
 // SystemTx is the transaction id used on log records written by the system
-// itself — garbage-collector copy/scan/flip records, checkpoints, page-fetch
-// and end-write records. System records are redo-only and never undone.
+// itself — garbage-collector copy/scan/flip records, checkpoints and
+// end-write records. System records are redo-only and never undone.
 const SystemTx TxID = 0
 
 // PutWord stores w little-endian at b[off:off+8].
