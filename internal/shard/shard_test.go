@@ -2,10 +2,13 @@ package shard
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"stableheap/internal/core"
+	"stableheap/internal/storage"
+	"stableheap/internal/wal"
 )
 
 // testConfig mirrors the chaos discipline: one huge segment so truncation
@@ -346,6 +349,28 @@ func TestOpenValidateRejects(t *testing.T) {
 	} {
 		if _, err := open(); err == nil || !strings.Contains(err.Error(), "Config.ConcurrentVGC") {
 			t.Fatalf("%s: error %v does not name the field", name, err)
+		}
+	}
+}
+
+// TestCoordinatorReadsEveryRecordType: restoring the coordinator from a log
+// that holds one record of a 2PC type leaves other state than restoring it
+// from an empty log — the coordinator's half of the record-type audit in
+// recovery's TestLogAuditEveryTypeIsRead.
+func TestCoordinatorReadsEveryRecordType(t *testing.T) {
+	parts := []wal.TwoPCParticipant{{Part: 1, TxID: 9}}
+	for _, rec := range []wal.Record{
+		wal.TwoPCBeginRec{GID: 4, Parts: parts},                // the gid counter
+		wal.TwoPCDecideRec{GID: 4, Commit: true, Parts: parts}, // the decisions
+		wal.TwoPCEndRec{GID: 4},                                // the finished gids
+	} {
+		log := storage.NewLog(0)
+		m := wal.NewManager(log)
+		m.Force(m.Append(rec))
+		c, empty := recoverCoordinator(log), recoverCoordinator(storage.NewLog(0))
+		if reflect.DeepEqual(c.commits, empty.commits) && reflect.DeepEqual(c.decided, empty.decided) &&
+			reflect.DeepEqual(c.ended, empty.ended) && c.nextGID == empty.nextGID {
+			t.Errorf("%v: the coordinator restores nothing from it", rec.Type())
 		}
 	}
 }
