@@ -184,27 +184,18 @@ func BenchmarkE3StopTheWorld(b *testing.B)    { benchCollection(b, stableheap.St
 
 // --- E4/E5/E7: recovery ---------------------------------------------------
 
-// openDevices opens a Disk and a Log over the two backings.
-func openDevices(b *testing.B, cfg stableheap.Config, db, lb storage.Backing) (*storage.Disk, *storage.Log) {
-	b.Helper()
-	disk, err := storage.OpenDisk(db, cfg.PageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	log, err := storage.OpenLog(lb, cfg.LogSegBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return disk, log
-}
-
-// benchRecovery times recovery from one crash image, over fresh clones of
-// the backings the crashed heap ran on.
+// benchRecovery times the restart from one crash image — reopening the
+// devices and recovering — over fresh clones of the backings the crashed
+// heap ran on.
 func benchRecovery(b *testing.B, live, tail int, midGC bool) {
 	cfg := benchCfg(live*4+16*1024, 16*1024).WithDefaults()
 	db, lb := storage.NewMemBacking(), storage.NewMemBacking()
-	disk, log := openDevices(b, cfg, db, lb)
-	core.OpenOn(cfg, disk, log).Close() // format, then adopt through Recover
+	fresh, err := core.Open(cfg, db, lb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh.Close() // format, then adopt through Recover
+	disk, log := fresh.Devices()
 	h, err := stableheap.Recover(cfg, disk, log)
 	if err != nil {
 		b.Fatal(err)
@@ -245,9 +236,8 @@ func benchRecovery(b *testing.B, live, tail int, midGC bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d2, l2 := openDevices(b, cfg, db2, lb2)
 		b.StartTimer()
-		if _, err := stableheap.Recover(cfg, d2, l2); err != nil {
+		if _, err := core.Open(cfg, db2, lb2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,11 +37,16 @@ type Cluster struct {
 	inner *shard.Cluster
 }
 
-// OpenCluster creates a cluster: in-memory when cfg.Dir is empty,
+// OpenCluster opens a cluster: in-memory when cfg.Dir is empty,
 // file-backed otherwise (formatting a fresh directory tree, recovering an
-// existing one — including the in-doubt resolution pass after a kill).
+// existing one — including the in-doubt resolution pass after a kill). A
+// directory written with another partition count is refused.
 func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
-	cl, err := shard.Open(cfg)
+	parts, coord, err := shard.BackingsFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := shard.Open(cfg, parts, coord)
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,10 @@
 //
 //	shrecover [-seed n] [-steps n] [-flush f] [-midgc] [-rounds n] [-json] [-dir path]
 //
-// Every crash is a restart: the devices are abandoned and reopened over
-// the bytes the crash left, and the twin recovers from a copy of them.
-// With -dir those bytes are real files in a fresh subdirectory of path
-// (removed on exit), laid out as filestore.Open lays them out: the same
+// Every crash is a restart: core.Open over the bytes the crash left, and
+// the twin recovers from a copy of them. With -dir those bytes are real
+// files in a fresh subdirectory of path (removed on exit), laid out as
+// filestore.Backings lays them out: the same
 // crash/recover/verify loop, but every page write, log force and master
 // update goes through the OS. A negative -steps or -rounds, or a -flush
 // outside [0, 1], is a usage error.

@@ -7,7 +7,6 @@ import (
 
 	"stableheap"
 	"stableheap/internal/heap"
-	"stableheap/internal/storage/filestore"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
@@ -21,16 +20,19 @@ import (
 func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, stderr io.Writer) error {
 	cfg := config()
 	cfg.Dir = dir
-	if !filestore.IsFormatted(dir) {
-		h, err := runWorkload(cfg, ops, accounts, stderr)
-		if err != nil {
+	h, err := stableheap.OpenDir(cfg)
+	if err != nil {
+		return err
+	}
+	if h.Internal().LastRecovery() == nil {
+		// A fresh directory: run the workload in it, then reopen it.
+		if h, err = runWorkload(h, cfg, ops, accounts, stderr); err != nil {
 			return err
 		}
 		h.Close()
-	}
-	h, err := stableheap.RecoverDir(cfg)
-	if err != nil {
-		return err
+		if h, err = stableheap.RecoverDir(cfg); err != nil {
+			return err
+		}
 	}
 	defer h.Close()
 

@@ -118,7 +118,7 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 	}
 	// The flight recorder is the one opt-in: turn it on whenever its trace is wanted.
 	cfg.FlightRecorder = tracePath != "" || serveAddr != ""
-	h, err := runWorkload(cfg, ops, accounts, stderr)
+	h, err := runWorkload(stableheap.Open(cfg), cfg, ops, accounts, stderr)
 	if err != nil {
 		return err
 	}
@@ -155,11 +155,10 @@ func body(ops, accounts int, asJSON, asProm bool, tracePath, serveAddr, dir stri
 	return nil
 }
 
-// runWorkload is shstat's scenario — on files when cfg.Dir is set — and
-// returns the heap, still open.
-func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*stableheap.Heap, error) {
+// runWorkload is shstat's scenario on h, freshly formatted with cfg — on
+// files when cfg.Dir is set — and returns the heap it leaves, still open.
+func runWorkload(h *stableheap.Heap, cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*stableheap.Heap, error) {
 	rng := rand.New(rand.NewSource(42))
-	h := stableheap.Open(cfg)
 	fanout := 1
 	for fanout*fanout < accounts {
 		fanout++
@@ -181,12 +180,7 @@ func runWorkload(cfg stableheap.Config, ops, accounts int, stderr io.Writer) (*s
 
 	// Crash and recover: populates the recovery phase histograms.
 	disk, logDev := h.Crash()
-	if cfg.Dir != "" {
-		h, err = stableheap.RecoverDir(cfg) // the crash closed the heap's own files
-	} else {
-		h, err = stableheap.Recover(cfg, disk, logDev)
-	}
-	if err != nil {
+	if h, err = stableheap.Recover(cfg, disk, logDev); err != nil {
 		return nil, err
 	}
 	bank.Reattach(h)
@@ -320,8 +314,9 @@ func printSummary(w io.Writer, m stableheap.Metrics) {
 }
 
 // printRecoverySummary answers "why did restart take that long" from the
-// last recovery's metrics: the five phases in the order they ran (reopen
-// only when RecoverDir reopened files), then the redo record counts.
+// last recovery's metrics: the five phases in the order they ran (reopen:
+// Open's device opens, before the heap existed), then the redo record
+// counts.
 func printRecoverySummary(w io.Writer, m stableheap.Metrics) {
 	scanned, ok := m.Counters["recovery_redo_scanned_total"]
 	if !ok {

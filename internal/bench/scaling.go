@@ -18,14 +18,10 @@ import (
 // disk with a write cache (~1ms).
 const scalingForceDelay = 250 * time.Microsecond
 
-// slowLog returns an empty log in memory whose every force takes
-// scalingForceDelay.
-func slowLog(segBytes int) *storage.Log {
-	l, err := storage.OpenLog(faultfs.Slow(storage.NewMemBacking(), scalingForceDelay), segBytes)
-	if err != nil {
-		panic(err) // a fresh memory backing cannot fail
-	}
-	return l
+// slowLog returns an empty memory backing whose every sync, so every log
+// force over it, takes scalingForceDelay.
+func slowLog() storage.Backing {
+	return faultfs.Slow(storage.NewMemBacking(), scalingForceDelay)
 }
 
 // scalingConfig is the heap configuration the scaling benches share.
@@ -48,9 +44,12 @@ func scalingMeasure(g int, duration time.Duration) (committed, forces int64) {
 // scalingMeasureCfg is scalingMeasure over an explicit configuration —
 // E20 toggles the flight recorder on the otherwise identical workload.
 func scalingMeasureCfg(cfg core.Config, g int, duration time.Duration) (committed, forces int64) {
-	logDev := slowLog(cfg.LogSegBytes)
-	hp := core.OpenOn(cfg, storage.NewDisk(cfg.PageSize), logDev)
+	hp, err := core.Open(cfg, storage.NewMemBacking(), slowLog())
+	if err != nil {
+		panic(err)
+	}
 	defer hp.Close()
+	_, logDev := hp.Devices()
 
 	tr := hp.Begin()
 	for i := 0; i < g; i++ {

@@ -22,15 +22,12 @@ func shardMeasure(partitions, g int, duration time.Duration, counters int, cross
 	// The scaling kernel's config per partition, so the single-partition
 	// cluster row is directly comparable to the single-heap baseline.
 	part := scalingConfig()
-	devs := make([]shard.PartDevices, partitions)
-	for i := range devs {
-		devs[i] = shard.PartDevices{
-			Disk: storage.NewDisk(part.PageSize),
-			Log:  slowLog(part.LogSegBytes),
-		}
+	parts := make([]shard.Backings, partitions)
+	for i := range parts {
+		parts[i] = shard.Backings{Disk: storage.NewMemBacking(), Log: slowLog()}
 	}
-	coordLog := slowLog(part.LogSegBytes)
-	cl, err := shard.OpenOn(shard.Config{Partitions: partitions, Part: part}, devs, coordLog)
+	coord := shard.Backings{Disk: storage.NewMemBacking(), Log: slowLog()}
+	cl, err := shard.Open(shard.Config{Partitions: partitions, Part: part}, parts, coord)
 	if err != nil {
 		return 0, 0, err
 	}

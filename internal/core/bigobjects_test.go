@@ -77,7 +77,7 @@ func checkBig(t *testing.T, hp *Heap, slot, nptrs, ndata int) {
 }
 
 func TestBigObjectTrackedAndMoved(t *testing.T) {
-	hp := Open(bigCfg())
+	hp := openMem(bigCfg())
 	const nptrs, ndata = 12, 100 // 113 words ≈ 4 pages of 32 words
 	buildBig(t, hp, 0, nptrs, ndata)
 	checkBig(t, hp, 0, nptrs, ndata)
@@ -95,12 +95,12 @@ func TestBigObjectTrackedAndMoved(t *testing.T) {
 }
 
 func TestBigObjectCrashBeforeMove(t *testing.T) {
-	hp := Open(bigCfg())
+	hp := openMem(bigCfg())
 	const nptrs, ndata = 8, 90
 	buildBig(t, hp, 0, nptrs, ndata)
 	// Crash with the multi-page base records as the only durable trace.
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(bigCfg(), disk, logDev)
+	hp2, err := reopen(bigCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBigObjectCrashBeforeMove(t *testing.T) {
 }
 
 func TestBigObjectCrashAfterMoveAndGC(t *testing.T) {
-	hp := Open(bigCfg())
+	hp := openMem(bigCfg())
 	const nptrs, ndata = 8, 90
 	buildBig(t, hp, 0, nptrs, ndata)
 	hp.CollectVolatile()
@@ -122,7 +122,7 @@ func TestBigObjectCrashAfterMoveAndGC(t *testing.T) {
 	}
 	commit(t, tr)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(bigCfg(), disk, logDev)
+	hp2, err := reopen(bigCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBigObjectCrashAfterMoveAndGC(t *testing.T) {
 }
 
 func TestBigObjectCrashMidCollection(t *testing.T) {
-	hp := Open(bigCfg())
+	hp := openMem(bigCfg())
 	const nptrs, ndata = 8, 90
 	buildBig(t, hp, 0, nptrs, ndata)
 	buildBig(t, hp, 1, 4, 60)
@@ -153,7 +153,7 @@ func TestBigObjectCrashMidCollection(t *testing.T) {
 	}
 	commit(t, tr)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(bigCfg(), disk, logDev)
+	hp2, err := reopen(bigCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestBigObjectCrashMidCollection(t *testing.T) {
 }
 
 func TestBigObjectAbortRestoresAllPages(t *testing.T) {
-	hp := Open(bigCfg())
+	hp := openMem(bigCfg())
 	const nptrs, ndata = 4, 80
 	buildBig(t, hp, 0, nptrs, ndata)
 	hp.CollectVolatile()
@@ -183,7 +183,7 @@ func TestBigObjectAbortRestoresAllPages(t *testing.T) {
 
 func TestObjectLargerThanPageFails(t *testing.T) {
 	// Objects larger than a semispace must fail cleanly, not corrupt.
-	hp := Open(bigCfg())
+	hp := openMem(bigCfg())
 	tr := hp.Begin()
 	defer tr.Abort()
 	if _, err := tr.Alloc(1, 0, 9*1024); err == nil {

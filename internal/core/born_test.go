@@ -47,7 +47,7 @@ func bornWriter(t *testing.T, hp *Heap) (a *Tx, x *Ref) {
 // installed.
 func bornHeap(t *testing.T) (*Heap, *histcheck.Recorder) {
 	t.Helper()
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	t.Cleanup(func() { hp.Close() })
 	tr := hp.Begin()
 	s, err := tr.Alloc(2, 1, 0)
@@ -160,7 +160,7 @@ func TestAbortLeavesBornObjectsUnreachable(t *testing.T) {
 // born ref and through one read back from a root), a resident page read,
 // and a record spooled to the file log (one arena per many records).
 func TestWritePathAllocFree(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	defer hp.Close()
 	tr := hp.Begin()
 	defer tr.Abort()

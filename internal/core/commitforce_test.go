@@ -25,17 +25,7 @@ func forceCfg() Config {
 
 // openSlow opens a heap whose log force takes delay.
 func openSlow(delay time.Duration) *Heap {
-	c := forceCfg()
-	return OpenOn(c, storage.NewDisk(c.PageSize), logOver(faultfs.Slow(storage.NewMemBacking(), delay), c))
-}
-
-// logOver opens an empty log for c over b.
-func logOver(b storage.Backing, c Config) *storage.Log {
-	l, err := storage.OpenLog(b, c.LogSegBytes)
-	if err != nil {
-		panic(err)
-	}
-	return l
+	return mustOpen(forceCfg(), storage.NewMemBacking(), faultfs.Slow(storage.NewMemBacking(), delay))
 }
 
 // seedSlots commits one object into each of the first n root slots.
@@ -120,7 +110,7 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 
 	// Durability: crash and verify the last committed value per slot.
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(forceCfg(), disk, logDev)
+	hp2, err := reopen(forceCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +147,7 @@ func TestGroupCommitSingleCommitter(t *testing.T) {
 		t.Fatalf("%d forces for %d commits, want exactly one each", forces, commits)
 	}
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(forceCfg(), disk, logDev)
+	hp2, err := reopen(forceCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +159,24 @@ func TestGroupCommitSingleCommitter(t *testing.T) {
 	}
 }
 
-// gatedLog, once armed, holds every force on the platter until released:
-// its batch taken, its stable LSN not yet moved.
+// gatedLog is a log backing that, once armed, holds every force on the
+// platter until released: its batch taken, its stable LSN not yet moved.
 type gatedLog struct {
-	*storage.Log
+	storage.Backing
 	armed   atomic.Bool
 	entered chan struct{} // one token per force held
 	release chan struct{} // closed to let them through
 }
 
-func newGatedLog(b storage.Backing, c Config) *gatedLog {
+func newGatedLog(b storage.Backing) *gatedLog {
 	l := &gatedLog{entered: make(chan struct{}), release: make(chan struct{})}
-	l.Log = logOver(faultfs.OnSync(b, func() error {
+	l.Backing = faultfs.OnSync(b, func() error {
 		if l.armed.Load() {
 			l.entered <- struct{}{}
 			<-l.release
 		}
 		return nil
-	}), c)
+	})
 	return l
 }
 
@@ -226,8 +216,8 @@ func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 	if joining {
 		b = faultfs.Slow(b, 10*time.Millisecond) // the join's bound
 	}
-	dev := newGatedLog(b, c)
-	hp := OpenOn(c, storage.NewDisk(c.PageSize), dev.Log)
+	dev := newGatedLog(b)
+	hp := mustOpen(c, storage.NewMemBacking(), dev)
 	seedSlots(t, hp, 2)
 
 	committers := 2
@@ -296,7 +286,7 @@ func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 		t.Fatalf("%d join timeouts under %s, want the leader's one", hp.log.JoinTimeouts()-timeouts0, shutdown)
 	}
 
-	hp2, err := Recover(c, disk, logDev)
+	hp2, err := reopen(c, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +416,7 @@ func TestJoinWatchdogConvoy(t *testing.T) {
 		c := forceCfg()
 		c.FlightRecorder = true
 		c.WatchdogInterval = 20 * time.Millisecond
-		return OpenOn(c, storage.NewDisk(c.PageSize), logOver(faultfs.Slow(storage.NewMemBacking(), delay), c))
+		return mustOpen(c, storage.NewMemBacking(), faultfs.Slow(storage.NewMemBacking(), delay))
 	}
 	t.Run("sixteen committers", func(t *testing.T) {
 		hp := open(5 * time.Millisecond)

@@ -31,7 +31,7 @@ func stabilize(t *testing.T, hp *Heap) {
 // barrier) and scan quanta, then retires the scan. Every list must survive
 // intact, and the transporting read barrier must have fired.
 func TestConcurrentStableScanPreservesGraph(t *testing.T) {
-	hp := Open(concSGCCfg())
+	hp := openMem(concSGCCfg())
 	defer hp.Close()
 
 	buildList(t, hp, 0, 12, 100)
@@ -87,7 +87,7 @@ func TestConcurrentStableScanPreservesGraph(t *testing.T) {
 // through the collection's translations — and the target's contents must
 // be intact after the scan retires.
 func TestConcurrentStableScanAbortRestoresOverwrite(t *testing.T) {
-	hp := Open(concSGCCfg())
+	hp := openMem(concSGCCfg())
 	defer hp.Close()
 
 	buildList(t, hp, 0, 8, 40)
@@ -120,7 +120,7 @@ func TestConcurrentStableScanRace(t *testing.T) {
 	cfg := concSGCCfg()
 	cfg.ManualScan = false
 	cfg.ConcurrentVGC = true
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 
 	// Each worker owns an anchor object hung off its root slot, so
@@ -235,11 +235,11 @@ func readChain(hp *Heap, slot int) []uint64 {
 // everything committed before any flip must recover.
 func TestCrashBeforeStableFlipRecovers(t *testing.T) {
 	cfg := concSGCCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 10, 77)
 	stabilize(t, hp)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestCrashBeforeStableFlipRecovers(t *testing.T) {
 // both before and after the resumed scan retires.
 func TestCrashMidConcurrentStableScanRecovers(t *testing.T) {
 	cfg := concSGCCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 12, 500)
 	buildList(t, hp, 1, 12, 600)
 	stabilize(t, hp)
@@ -278,7 +278,7 @@ func TestCrashMidConcurrentStableScanRecovers(t *testing.T) {
 	hp.StepStableScan()
 
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCrashMidConcurrentStableScanRecovers(t *testing.T) {
 // still-active collection and finish it without losing anything.
 func TestCrashAfterScanBeforeEndRecovers(t *testing.T) {
 	cfg := concSGCCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 10, 900)
 	stabilize(t, hp)
 
@@ -313,7 +313,7 @@ func TestCrashAfterScanBeforeEndRecovers(t *testing.T) {
 	}
 	// Scan drained but never retired: no GCEnd in the log.
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCrashAfterScanBeforeEndRecovers(t *testing.T) {
 // window (the V2SCopy high-end analysis path).
 func TestLSPromotionDuringConcurrentStableScan(t *testing.T) {
 	cfg := concSGCCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 10, 50)
 	stabilize(t, hp)
 
@@ -384,7 +384,7 @@ func TestLSPromotionDuringConcurrentStableScan(t *testing.T) {
 
 	// Crash with the scan active and the high-end move in the log.
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestLSPromotionDuringConcurrentStableScan(t *testing.T) {
 // allocation frontier must not overrun the high-end residents.
 func TestHighFrontierSurvivesIdleCheckpoint(t *testing.T) {
 	cfg := concSGCCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 10, 70)
 	stabilize(t, hp)
 
@@ -435,7 +435,7 @@ func TestHighFrontierSurvivesIdleCheckpoint(t *testing.T) {
 	hp.Checkpoint() // idle checkpoint: must carry the high frontier
 
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}

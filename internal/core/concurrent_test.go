@@ -24,7 +24,7 @@ func concCfg() Config {
 // equal the successful increments exactly: no lost updates, no phantoms,
 // even while every object is being moved underneath.
 func TestConcurrentCountersSerializable(t *testing.T) {
-	hp := Open(concCfg())
+	hp := openMem(concCfg())
 	const counters = 4
 	tr := hp.Begin()
 	for i := 0; i < counters; i++ {
@@ -138,7 +138,7 @@ func TestConcurrentCountersSerializable(t *testing.T) {
 // their own root slot while others read, with a collector interleaved; the
 // lists must come out intact.
 func TestConcurrentBuildersIsolation(t *testing.T) {
-	hp := Open(concCfg())
+	hp := openMem(concCfg())
 	const workers = 4
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -227,7 +227,7 @@ func TestConcurrentBuildersIsolation(t *testing.T) {
 // publishing overlapping volatile structures; the AS bit must ensure each
 // object is stabilized exactly once and both roots read back correctly.
 func TestConcurrentTrackingSharedSubgraph(t *testing.T) {
-	hp := Open(concCfg())
+	hp := openMem(concCfg())
 	// A committed volatile-root object that both goroutines read.
 	tr := hp.Begin()
 	shared, err := tr.Alloc(1, 0, 1)

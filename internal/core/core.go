@@ -60,14 +60,13 @@ var (
 
 // Config sizes and parameterizes a stable heap.
 type Config struct {
-	// Dir, when set, backs the heap with real files under this directory
-	// (internal/storage/filestore) instead of the simulated in-memory
-	// devices: fsync-ordered page writes and a segmented on-disk log under
-	// the one vm page pool, so with a bounded CachePages the heap both
-	// survives process exit and can grow far beyond RAM. Empty keeps the
-	// in-memory devices. Open formats a fresh directory and recovers an
-	// existing one; see OpenDir/RecoverDir for the error-returning entry
-	// points.
+	// Dir, when set, says the heap's backings are files in this directory
+	// (internal/storage/filestore: filestore.Backings lays them out):
+	// fsync-ordered page writes and a segmented on-disk log under the one vm
+	// page pool, so with a bounded CachePages the heap both survives process
+	// exit and can grow far beyond RAM. A zero LogSegBytes then takes the
+	// file segment default, and the flight recorder records the page
+	// store's barriers. Empty keeps the in-memory backings.
 	Dir string
 	// Deprecated: folded into CachePages. On a Dir heap with a bounded
 	// CachePages the vm pool holds CachePages + FileCachePages pages;
@@ -177,9 +176,28 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate rejects the configurations no heap can honour. Every entry point
-// runs it before any device is touched: Open and OpenOn panic with the
-// message, OpenDir and the Recover family return it.
+// onFiles resolves what a heap on its own directory does differently: the
+// deprecated FileCachePages folds into a bounded CachePages (the vm pool is
+// a Dir heap's only page cache, and holds the pages the two stacked caches
+// held before), and a zero LogSegBytes takes the file segment default. Both
+// fields are resolved, so reopening with the heap's Config() folds nothing
+// twice. A no-op without Dir.
+func (c Config) onFiles() Config {
+	if c.Dir == "" {
+		return c
+	}
+	if c.CachePages > 0 {
+		c.CachePages += c.FileCachePages
+	}
+	c.FileCachePages = 0
+	if c.LogSegBytes <= 0 {
+		c.LogSegBytes = filestore.DefaultSegmentBytes
+	}
+	return c
+}
+
+// Validate rejects the configurations no heap can honour. Open runs it
+// before any device is touched and returns its error.
 func (c Config) Validate() error {
 	if !c.StableGC.Valid() {
 		return fmt.Errorf("core: Config.StableGC %v names no collector", c.StableGC)
@@ -328,12 +346,6 @@ type Heap struct {
 	nurLo, nurHi       word.Addr
 
 	lastRecovery *recovery.Result
-
-	// store is the file-backed device pair when the heap was opened with
-	// Config.Dir (nil otherwise); Close closes it after the final
-	// checkpoint so the files are released with everything flushed, Crash
-	// abandons it (closed, nothing flushed or synced).
-	store *filestore.Store
 }
 
 // Tx is an open transaction on a Heap.
@@ -345,38 +357,6 @@ type Tx struct {
 	// stable state, for commit-time stability tracking. Only the
 	// transaction's own goroutine touches it.
 	cands []*tx.Handle
-}
-
-// Open creates a stable heap on new simulated devices — or, when
-// Config.Dir is set, on real files there (formatting a fresh directory,
-// recovering an existing one), panicking on filesystem errors and on a
-// Config that Validate rejects. Callers that want the error use OpenDir.
-func Open(cfg Config) *Heap {
-	if cfg.Dir != "" {
-		// Before WithDefaults: the geometry of an existing directory is
-		// the store's to say (see OpenDir).
-		hp, err := OpenDir(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("core: open %s: %v", cfg.Dir, err))
-		}
-		return hp
-	}
-	cfg = cfg.WithDefaults()
-	return OpenOn(cfg, storage.NewDisk(cfg.PageSize), storage.NewLog(cfg.LogSegBytes))
-}
-
-// OpenOn creates a freshly formatted stable heap on the provided devices —
-// a Disk and a Log opened over any backing (a faultfs-wrapped one, say).
-// The devices must be empty.
-func OpenOn(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	cfg = cfg.WithDefaults()
-	hp := build(cfg, disk, logDev)
-	hp.format()
-	hp.startWatchdog()
-	return hp
 }
 
 // build wires the subsystems over existing devices (no formatting).
@@ -479,10 +459,12 @@ func alignUp(a word.Addr, ps int) word.Addr {
 }
 
 // format bootstraps a fresh heap: the stable root object is created by a
-// system bootstrap transaction, then the first checkpoint is taken and the
-// master block initialized.
+// system bootstrap transaction, then the first checkpoint is taken and its
+// promotion marks the master formatted. Until then a kill leaves the master
+// unformatted, so the next Open formats again (an empty log) or recovers
+// from the log's first checkpoint — never a formatted master with no
+// checkpoint to start from.
 func (hp *Heap) format() {
-	recovery.InitMaster(hp.disk)
 	d := heap.NewDescriptor(0, hp.cfg.NumRoots, 0)
 	addr, ok := hp.sgc.Alloc(d.SizeWords())
 	if !ok {

@@ -7,6 +7,7 @@ import (
 
 	"stableheap/internal/gc"
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/word"
 )
 
@@ -17,6 +18,36 @@ func smallCfg() Config {
 		StableWords:   8 * 1024,
 		VolatileWords: 4 * 1024,
 	}
+}
+
+// mustOpen is Open, panicking where Open fails.
+func mustOpen(cfg Config, db, lb storage.Backing) *Heap {
+	hp, err := Open(cfg, db, lb)
+	if err != nil {
+		panic(err)
+	}
+	return hp
+}
+
+// openMem opens a fresh heap over two memory backings.
+func openMem(cfg Config) *Heap {
+	return mustOpen(cfg, storage.NewMemBacking(), storage.NewMemBacking())
+}
+
+// reopen restarts the heap that ran on disk and logDev: Open over their
+// backings.
+func reopen(cfg Config, disk *storage.Disk, logDev *storage.Log) (*Heap, error) {
+	db, lb := storage.Backings(disk, logDev)
+	return Open(cfg, db, lb)
+}
+
+// openDir opens the heap in cfg.Dir.
+func openDir(cfg Config) (*Heap, error) {
+	db, lb, err := filestore.Backings(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return Open(cfg, db, lb)
 }
 
 func allStableCfg() Config {
@@ -95,14 +126,14 @@ func checkList(t *testing.T, hp *Heap, slot, n int, base uint64) {
 
 func TestCommitReadBack(t *testing.T) {
 	for _, cfg := range []Config{smallCfg(), allStableCfg()} {
-		hp := Open(cfg)
+		hp := openMem(cfg)
 		buildList(t, hp, 0, 10, 100)
 		checkList(t, hp, 0, 10, 100)
 	}
 }
 
 func TestAbortRemovesEffects(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 3, 1)
 	tr := hp.Begin()
 	head, _ := tr.Root(0)
@@ -119,7 +150,7 @@ func TestAbortRemovesEffects(t *testing.T) {
 }
 
 func TestStabilityTrackingOnCommit(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	if hp.LSCount() != 0 {
 		t.Fatal("LS must start empty")
 	}
@@ -138,7 +169,7 @@ func TestStabilityTrackingOnCommit(t *testing.T) {
 }
 
 func TestVolatileCollectionMovesNewlyStable(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 5, 10)
 	moved, err := hp.CollectVolatile()
 	if err != nil {
@@ -154,7 +185,7 @@ func TestVolatileCollectionMovesNewlyStable(t *testing.T) {
 }
 
 func TestVolatileCollectionDropsGarbage(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	tr := hp.Begin()
 	for i := 0; i < 50; i++ {
 		if _, err := tr.Alloc(1, 0, 4); err != nil {
@@ -172,7 +203,7 @@ func TestVolatileCollectionDropsGarbage(t *testing.T) {
 }
 
 func TestUncommittedVolatileTargetSurvivesVolatileGC(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	tr := hp.Begin()
 	node, _ := tr.Alloc(1, 0, 1)
 	tr.SetData(node, 0, 77)
@@ -193,7 +224,7 @@ func TestUncommittedVolatileTargetSurvivesVolatileGC(t *testing.T) {
 // The per-mode version, with a reader walking mid-collection and the crash
 // matrix behind it, is crashtest.TestStableGCModeTable.
 func TestStableCollectionPreservesGraph(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 20, 500)
 	if _, err := hp.CollectVolatile(); err != nil { // move into stable area
 		t.Fatal(err)
@@ -209,7 +240,7 @@ func TestStableCollectionPreservesGraph(t *testing.T) {
 
 func TestIncrementalStableCollectionWithMutator(t *testing.T) {
 	cfg := smallCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 30, 1000)
 	hp.CollectVolatile()
 	hp.StartStableCollection()
@@ -230,10 +261,10 @@ func TestIncrementalStableCollectionWithMutator(t *testing.T) {
 }
 
 func TestCrashRecoveryCommittedSurvives(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 8, 40)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -241,7 +272,7 @@ func TestCrashRecoveryCommittedSurvives(t *testing.T) {
 }
 
 func TestCrashRecoveryUncommittedVanishes(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 3, 7)
 	tr := hp.Begin()
 	head, _ := tr.Root(0)
@@ -249,7 +280,7 @@ func TestCrashRecoveryUncommittedVanishes(t *testing.T) {
 	tr.SetRoot(1, head)
 	// No commit: crash.
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +293,7 @@ func TestCrashRecoveryUncommittedVanishes(t *testing.T) {
 }
 
 func TestCrashRecoveryLoserUndoneOnDisk(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 3, 7)
 	hp.CollectVolatile() // objects now in the stable area
 	tr := hp.Begin()
@@ -272,7 +303,7 @@ func TestCrashRecoveryLoserUndoneOnDisk(t *testing.T) {
 	// WAL constraint forces the update record out with it.
 	hp.Mem().FlushAll()
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +311,13 @@ func TestCrashRecoveryLoserUndoneOnDisk(t *testing.T) {
 }
 
 func TestRecoveryEvacuatesNewlyStable(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 6, 70) // committed, tracked, NOT yet moved
 	if hp.LSCount() != 6 {
 		t.Fatal("precondition: LS populated")
 	}
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +334,7 @@ func TestRecoveryEvacuatesNewlyStable(t *testing.T) {
 
 func TestCrashDuringStableCollection(t *testing.T) {
 	cfg := smallCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 25, 900)
 	hp.CollectVolatile()
 	hp.StartStableCollection()
@@ -311,7 +342,7 @@ func TestCrashDuringStableCollection(t *testing.T) {
 	hp.Checkpoint() // checkpoint mid-collection
 	hp.StepStable()
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,17 +357,17 @@ func TestCrashDuringStableCollection(t *testing.T) {
 }
 
 func TestRecoveryIdempotent(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 4, 11)
 	disk, logDev := hp.Crash()
 	// First recovery crashes immediately (nothing flushed, log tail
 	// from recovery lost).
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	disk2, logDev2 := hp2.Crash()
-	hp3, err := Recover(smallCfg(), disk2, logDev2)
+	hp3, err := reopen(smallCfg(), disk2, logDev2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +375,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 }
 
 func TestLockConflictFailsFast(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 1, 5)
 	t1 := hp.Begin()
 	head1, _ := t1.Root(0)
@@ -367,7 +398,7 @@ func TestLockConflictFailsFast(t *testing.T) {
 }
 
 func TestSerializabilityTwoCounters(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	// One committed counter object.
 	tr := hp.Begin()
 	c, _ := tr.Alloc(1, 0, 1)
@@ -394,7 +425,7 @@ func TestSerializabilityTwoCounters(t *testing.T) {
 }
 
 func TestAllStableModeLogsEverything(t *testing.T) {
-	hp := Open(allStableCfg())
+	hp := openMem(allStableCfg())
 	buildList(t, hp, 0, 5, 1)
 	if hp.TxStats().VolWrites != 0 {
 		t.Fatal("all-stable mode must not use volatile writes")
@@ -403,7 +434,7 @@ func TestAllStableModeLogsEverything(t *testing.T) {
 		t.Fatal("expected logged updates")
 	}
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(allStableCfg(), disk, logDev)
+	hp2, err := reopen(allStableCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +442,7 @@ func TestAllStableModeLogsEverything(t *testing.T) {
 }
 
 func TestDividedModeVolatileWritesUnlogged(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	tr := hp.Begin()
 	n, _ := tr.Alloc(1, 0, 1)
 	before, _ := hp.Log().TypeStats(0) // total appends proxy below
@@ -432,7 +463,7 @@ func TestManyCollectionsStress(t *testing.T) {
 	cfg := smallCfg()
 	cfg.StableWords = 4 * 1024
 	cfg.VolatileWords = 2 * 1024
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	// Repeatedly rebuild a list and churn garbage to force repeated
 	// collections of both areas.
 	for round := 0; round < 30; round++ {
@@ -454,11 +485,11 @@ func TestManyCollectionsStress(t *testing.T) {
 }
 
 func TestCloseAndRecoverCleanly(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 5, 3)
 	hp.Close()
 	disk, logDev := hp.Devices()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +500,7 @@ func TestCloseAndRecoverCleanly(t *testing.T) {
 }
 
 func TestCheckpointBoundsRedo(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 5, 3)
 	hp.CollectVolatile()
 	hp.Checkpoint()
@@ -479,7 +510,7 @@ func TestCheckpointBoundsRedo(t *testing.T) {
 	tr.SetData(head, 0, 3)
 	commit(t, tr)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +523,7 @@ func TestCheckpointBoundsRedo(t *testing.T) {
 }
 
 func TestRootOutOfRange(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	tr := hp.Begin()
 	defer tr.Abort()
 	if _, err := tr.Root(10000); err == nil {
@@ -504,7 +535,7 @@ func TestRootOutOfRange(t *testing.T) {
 }
 
 func TestOpsAfterCommitFail(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	tr := hp.Begin()
 	n, _ := tr.Alloc(1, 0, 1)
 	commit(t, tr)
@@ -517,7 +548,7 @@ func TestOpsAfterCommitFail(t *testing.T) {
 }
 
 func TestRefsSurviveStableFlipMidTransaction(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 4, 20)
 	hp.CollectVolatile()
 	tr := hp.Begin()
@@ -534,7 +565,7 @@ func TestRefsSurviveStableFlipMidTransaction(t *testing.T) {
 }
 
 func TestUndoAfterObjectMovedByCollector(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 2, 5)
 	hp.CollectVolatile()
 	tr := hp.Begin()
@@ -550,7 +581,7 @@ func TestUndoAfterObjectMovedByCollector(t *testing.T) {
 func TestUndoValueRootSurvivesCollection(t *testing.T) {
 	// A pointer overwritten by an active transaction is reachable only
 	// from undo information; the collector must keep it alive (§3.5.2).
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 1, 42) // root → node(42)
 	buildList(t, hp, 1, 1, 43) // root1 → node(43)
 	hp.CollectVolatile()
@@ -570,19 +601,17 @@ func TestUndoValueRootSurvivesCollection(t *testing.T) {
 }
 
 func TestRecoverFromLogAloneMediaFailure(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	buildList(t, hp, 0, 6, 50)
 	hp.CollectVolatile()
 	hp.CollectStable()
 	buildList(t, hp, 1, 4, 500)
 	// Total media failure: the disk is destroyed; only the log survives
 	// (forced prefix — the archive copy would be the full log).
-	disk, logDev := hp.Crash()
-	// The replacement disk must be blank: the crashed one is refused.
-	if _, err := RecoverFromLog(smallCfg(), disk, logDev); err == nil {
-		t.Fatal("media recovery onto a formatted disk must refuse")
-	}
-	hp2, err := RecoverFromLog(smallCfg(), storage.NewDisk(disk.PageSize()), logDev)
+	// Open over a blank page store and the log finds no master over a
+	// log that holds records, and rebuilds every page from the log.
+	_, lb := storage.Backings(hp.Crash())
+	hp2, err := Open(smallCfg(), storage.NewMemBacking(), lb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +622,7 @@ func TestRecoverFromLogAloneMediaFailure(t *testing.T) {
 func TestRecoverFromLogRejectsTruncated(t *testing.T) {
 	cfg := smallCfg()
 	cfg.LogSegBytes = 1024 // small enough that the checkpoints below free a segment
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 3, 1)
 	// Aggressive truncation discards the early checkpoints.
 	hp.Checkpoint()
@@ -613,19 +642,20 @@ func TestRecoverFromLogRejectsTruncated(t *testing.T) {
 	tr3.SetData(r3, 0, 1)
 	commit(t, tr3)
 	hp.TruncateLog()
-	disk, logDev := hp.Crash()
+	_, logDev := hp.Crash()
 	if logDev.TruncLSN() <= 1 {
 		t.Skip("truncation did not free a segment at this workload size")
 	}
-	if _, err := RecoverFromLog(cfg, storage.NewDisk(disk.PageSize()), logDev); err == nil {
-		t.Fatal("media recovery from a truncated log must refuse")
+	_, lb := storage.Backings(nil, logDev)
+	if _, err := Open(cfg, storage.NewMemBacking(), lb); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("media recovery from a truncated log: %v, want a refusal naming the truncation", err)
 	}
 }
 
 func TestTruncationUnderLoadKeepsRecovering(t *testing.T) {
 	cfg := smallCfg()
 	cfg.LogSegBytes = 4 * 1024
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 10, 1)
 	hp.CollectVolatile()
 	for phase := 0; phase < 5; phase++ {
@@ -645,7 +675,7 @@ func TestTruncationUnderLoadKeepsRecovering(t *testing.T) {
 		hp.TruncateLog()
 		// Crash and recover from the truncated log at every phase.
 		disk, logDev := hp.Crash()
-		hp2, err := Recover(cfg, disk, logDev)
+		hp2, err := reopen(cfg, disk, logDev)
 		if err != nil {
 			t.Fatalf("phase %d: %v", phase, err)
 		}
@@ -657,14 +687,13 @@ func TestTruncationUnderLoadKeepsRecovering(t *testing.T) {
 		tr2.Abort()
 		hp = hp2
 	}
-	dev := hp.Log().Device()
-	if dev.RetainedBytes() >= dev.Stats().BytesAppended {
+	if hp.Log().Device().TruncLSN() <= 1 {
 		t.Fatal("truncation never reclaimed anything")
 	}
 }
 
 // TestValidateRejects: the two configurations no heap can honour are turned
-// away at every entry point, by the message that names the field.
+// away on every path Open takes, by the message that names the field.
 func TestValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -674,38 +703,25 @@ func TestValidateRejects(t *testing.T) {
 		{"Config.ConcurrentVGC", func(c *Config) { c.Undivided, c.ConcurrentVGC = true, true }},
 	} {
 		good := smallCfg()
-		disk, logDev := Open(good).Crash()
+		disk, logDev := openMem(good).Crash()
 		bad := good
 		tc.mut(&bad)
 		dirBad := bad
 		dirBad.Dir = t.TempDir()
-
-		panics := func(name string, open func()) {
-			t.Helper()
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, tc.field) {
-					t.Fatalf("%s: panic %q does not name %s", name, msg, tc.field)
-				}
-			}()
-			open()
-		}
-		panics("Open", func() { Open(bad) })
-		panics("OpenOn", func() { OpenOn(bad, storage.NewDisk(256), storage.NewLog(0)) })
-		panics("Open with Dir", func() { Open(dirBad) })
+		_, lb := storage.Backings(nil, logDev)
 
 		for name, open := range map[string]func() (*Heap, error){
-			"OpenDir":        func() (*Heap, error) { return OpenDir(dirBad) },
-			"RecoverDir":     func() (*Heap, error) { return RecoverDir(dirBad) },
-			"Recover":        func() (*Heap, error) { return Recover(bad, disk, logDev) },
-			"RecoverCrashed": func() (*Heap, error) { return RecoverCrashed(bad, disk, logDev) },
-			"RecoverFromLog": func() (*Heap, error) { return RecoverFromLog(bad, storage.NewDisk(disk.PageSize()), logDev) },
+			"format":         func() (*Heap, error) { return Open(bad, storage.NewMemBacking(), storage.NewMemBacking()) },
+			"format on Dir":  func() (*Heap, error) { return openDir(dirBad) },
+			"recover":        func() (*Heap, error) { return reopen(bad, disk, logDev) },
+			"media recovery": func() (*Heap, error) { return Open(bad, storage.NewMemBacking(), lb) },
 		} {
 			if _, err := open(); err == nil || !strings.Contains(err.Error(), tc.field) {
 				t.Fatalf("%s: error %v does not name %s", name, err, tc.field)
 			}
 		}
 		// The rejected calls touched nothing: the crashed devices still recover.
-		hp, err := Recover(good, disk, logDev)
+		hp, err := reopen(good, disk, logDev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,7 +737,7 @@ func TestZeroConfigIsDefault(t *testing.T) {
 	sized := Config{PageSize: def.PageSize, StableWords: def.StableWords,
 		VolatileWords: def.VolatileWords, NumRoots: def.NumRoots}
 	for _, cfg := range []Config{{}, sized} {
-		a, b := Open(cfg), Open(def)
+		a, b := openMem(cfg), openMem(def)
 		if a.Config() != b.Config() {
 			t.Fatalf("resolved configs differ:\n%+v\n%+v", a.Config(), b.Config())
 		}
@@ -754,24 +770,19 @@ func TestZeroConfigIsDefault(t *testing.T) {
 // torn before its slot header landed reads as — is refused with a typed
 // CorruptPageError, not skipped by redo as a clean page.
 func TestRecoverRefusesLostWrite(t *testing.T) {
-	b := storage.NewMemBacking()
-	disk, err := storage.OpenDisk(b, smallCfg().PageSize)
+	b, lb := storage.NewMemBacking(), storage.NewMemBacking()
+	hp, err := Open(smallCfg(), b, lb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp := OpenOn(smallCfg(), disk, storage.NewLog(0))
 	buildList(t, hp, 0, 4, 11)
 	before := fileBytes(t, b, "pages.dat")
 	hp.FlushResident(func(word.PageID) bool { return true })
 	buildList(t, hp, 1, 1, 5) // its commit forces the end-write records
-	_, logDev := hp.Crash()
+	hp.Crash()
 	f, _ := b.Open("pages.dat", true)
 	f.WriteAt(before, 0) // the flushed writes never reached the platter
-	disk, err = storage.OpenDisk(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Recover(smallCfg(), disk, logDev)
+	_, err = Open(smallCfg(), b, lb)
 	var cp *storage.CorruptPageError
 	if !errors.As(err, &cp) {
 		t.Fatalf("recovery over a disk that lost certified writes: %v, want a CorruptPageError", err)

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"errors"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"stableheap/internal/faultfs"
+	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/word"
 )
 
@@ -20,7 +27,7 @@ func dirCfg(dir string) Config {
 func TestDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
-	hp, err := OpenDir(dirCfg(dir))
+	hp, err := openDir(dirCfg(dir))
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -28,8 +35,8 @@ func TestDirRoundTrip(t *testing.T) {
 	buildList(t, hp, 1, 10, 900)
 	hp.Close()
 
-	// Reopen is recovery: OpenDir sees the formatted directory.
-	hp2, err := OpenDir(dirCfg(dir))
+	// Reopen is recovery: Open sees the formatted master.
+	hp2, err := openDir(dirCfg(dir))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -57,7 +64,7 @@ func TestDirRoundTrip(t *testing.T) {
 // Crash(): committed state survives, uncommitted state does not.
 func TestDirRecoverAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	hp, err := OpenDir(dirCfg(dir))
+	hp, err := openDir(dirCfg(dir))
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -70,7 +77,7 @@ func TestDirRecoverAfterCrash(t *testing.T) {
 	}
 	hp.Crash()
 
-	hp2, err := RecoverDir(dirCfg(dir))
+	hp2, err := openDir(dirCfg(dir))
 	if err != nil {
 		t.Fatalf("RecoverDir: %v", err)
 	}
@@ -98,7 +105,7 @@ func TestDirCrashReleasesStore(t *testing.T) {
 		return len(ents)
 	}
 	dir := t.TempDir()
-	hp, err := OpenDir(dirCfg(dir))
+	hp, err := openDir(dirCfg(dir))
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -106,7 +113,7 @@ func TestDirCrashReleasesStore(t *testing.T) {
 	for cycle := 0; cycle < 50; cycle++ {
 		buildList(t, hp, cycle%4, 6, uint64(cycle))
 		hp.Crash()
-		if hp, err = RecoverDir(dirCfg(dir)); err != nil {
+		if hp, err = openDir(dirCfg(dir)); err != nil {
 			t.Fatalf("cycle %d: RecoverDir: %v", cycle, err)
 		}
 		if vals := readList(t, hp, cycle%4); len(vals) != 6 || vals[0] != uint64(cycle) {
@@ -136,7 +143,7 @@ func TestDirLargerThanCache(t *testing.T) {
 	c := dirCfg(dir)
 	c.CachePages = 16 // 16 pages of 256 B
 	c.StableWords = 32 * 1024
-	hp, err := OpenDir(c)
+	hp, err := openDir(c)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
@@ -160,7 +167,7 @@ func TestDirLargerThanCache(t *testing.T) {
 	}
 	hp.Close()
 
-	hp2, err := OpenDir(c)
+	hp2, err := openDir(c)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -187,7 +194,7 @@ func TestDirFoldsFileCache(t *testing.T) {
 	dir := t.TempDir()
 	c := dirCfg(dir)
 	c.CachePages, c.FileCachePages = 8, 8
-	hp, err := OpenDir(c)
+	hp, err := openDir(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +206,7 @@ func TestDirFoldsFileCache(t *testing.T) {
 	}
 	resolved := hp.Config()
 	hp.Close()
-	hp, err = RecoverDir(resolved)
+	hp, err = openDir(resolved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestDirFoldsFileCache(t *testing.T) {
 
 	c = dirCfg(t.TempDir())
 	c.FileCachePages = 8
-	hp, err = OpenDir(c)
+	hp, err = openDir(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,43 +228,59 @@ func TestDirFoldsFileCache(t *testing.T) {
 
 	mc := smallCfg()
 	mc.CachePages, mc.FileCachePages = 8, 8
-	mem := Open(mc)
+	mem := openMem(mc)
 	defer mem.Close()
 	if n := resident(mem); n != 8 {
 		t.Errorf("in-memory heap holds %d pages, want 8: FileCachePages applies only to Dir heaps", n)
 	}
 }
 
+// TestOpenDelegatesToDir: Config.Dir says the backings are a directory's
+// files, so a zero LogSegBytes takes the file segment default there (a
+// force of set-up size then costs no segment file of its own) and the
+// memory default elsewhere; the heap reopens from the directory alone.
 func TestOpenDelegatesToDir(t *testing.T) {
-	dir := t.TempDir()
-	c := dirCfg(dir)
-	hp := Open(c) // must transparently use the directory
+	c := dirCfg(t.TempDir())
+	hp, err := openDir(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hp.Config().LogSegBytes; got != filestore.DefaultSegmentBytes {
+		t.Errorf("Dir heap segment %d, want the file default %d", got, filestore.DefaultSegmentBytes)
+	}
 	buildList(t, hp, 0, 3, 1)
 	hp.Close()
-	hp2, err := RecoverDir(c)
+	hp2, err := openDir(c)
 	if err != nil {
-		t.Fatalf("RecoverDir after Open: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
 	defer hp2.Close()
 	if vals := readList(t, hp2, 0); len(vals) != 3 {
-		t.Fatalf("Open-created heap not recoverable: %v", vals)
+		t.Fatalf("Dir heap not recoverable: %v", vals)
+	}
+	mem := openMem(smallCfg())
+	defer mem.Close()
+	if got := mem.Config().LogSegBytes; got != storage.DefaultSegmentSize {
+		t.Errorf("in-memory heap segment %d, want %d", got, storage.DefaultSegmentSize)
 	}
 }
 
 // TestOpenAdoptsStoredGeometry: Open on an existing directory must take
-// its geometry from the files, like OpenDir — a zero PageSize means "the
-// store decides", not "Open's default" (the filestore refuses a page size
+// its geometry from the files — a zero PageSize means "the store decides", not "Open's default" (the filestore refuses a page size
 // other than the one it was formatted with).
 func TestOpenAdoptsStoredGeometry(t *testing.T) {
 	dir := t.TempDir()
-	hp, err := OpenDir(Config{Dir: dir, PageSize: 4096})
+	hp, err := openDir(Config{Dir: dir, PageSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buildList(t, hp, 0, 4, 11)
 	hp.Close()
 
-	hp2 := Open(Config{Dir: dir})
+	hp2, err := openDir(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer hp2.Close()
 	if got := hp2.cfg.PageSize; got != 4096 {
 		t.Fatalf("reopened page size %d, want the stored 4096", got)
@@ -271,7 +294,7 @@ func TestOpenAdoptsStoredGeometry(t *testing.T) {
 // size, not the caller's guess.
 func TestRecoverDirGeometryFromFiles(t *testing.T) {
 	dir := t.TempDir()
-	hp, err := OpenDir(dirCfg(dir)) // PageSize 256
+	hp, err := openDir(dirCfg(dir)) // PageSize 256
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +303,7 @@ func TestRecoverDirGeometryFromFiles(t *testing.T) {
 
 	c := dirCfg(dir)
 	c.PageSize = 0 // caller doesn't know; files do
-	hp2, err := RecoverDir(c)
+	hp2, err := openDir(c)
 	if err != nil {
 		t.Fatalf("RecoverDir: %v", err)
 	}
@@ -292,4 +315,119 @@ func TestRecoverDirGeometryFromFiles(t *testing.T) {
 		t.Fatalf("audit: %v", vals)
 	}
 	var _ word.LSN // keep the import for future assertions
+}
+
+// TestOpenWithoutMasterRecoversFromLog: a heap directory that lost its
+// master.dat still holds a log with records, so Open rebuilds the heap
+// from that log instead of formatting over it — the committed object
+// still reads 42, and a new allocation does not land on it. With the log
+// truncated no rebuild is possible, and the open is refused by name.
+func TestOpenWithoutMasterRecoversFromLog(t *testing.T) {
+	c := dirCfg(t.TempDir())
+	hp, err := openDir(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildList(t, hp, 0, 1, 42)
+	hp.Close()
+	if err := os.Remove(filepath.Join(c.Dir, "master.dat")); err != nil {
+		t.Fatal(err)
+	}
+	hp, err = openDir(c)
+	if err != nil {
+		t.Fatalf("open without master.dat: %v", err)
+	}
+	defer hp.Close()
+	if hp.LastRecovery() == nil {
+		t.Fatal("open without master.dat formatted over a log that holds records")
+	}
+	buildList(t, hp, 1, 1, 7)
+	checkList(t, hp, 0, 1, 42)
+	checkList(t, hp, 1, 1, 7)
+
+	c = dirCfg(t.TempDir())
+	c.LogSegBytes = 1024 // small enough that checkpoints free a segment
+	hp, err = openDir(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); hp.logDev.TruncLSN() <= 1; i++ {
+		if i == 100 {
+			t.Fatal("truncation never freed a segment")
+		}
+		buildList(t, hp, 0, 1, i)
+		hp.Checkpoint()
+		buildList(t, hp, 1, 1, i) // promotes the checkpoint
+		hp.TruncateLog()
+	}
+	hp.Close()
+	if err := os.Remove(filepath.Join(c.Dir, "master.dat")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openDir(c); err == nil || !strings.Contains(err.Error(), "no formatted master") {
+		t.Fatalf("open without master.dat over a truncated log: %v, want a refusal naming the lost master", err)
+	}
+}
+
+// TestFirstOpenInterruptedReopens: a first open whose master write fails
+// — the first checkpoint already forced — returns the device fault as an
+// error, and leaves the master unformatted over a log that holds that
+// checkpoint, so the next Open rebuilds the heap from it instead of
+// refusing a formatted master that names no checkpoint.
+func TestFirstOpenInterruptedReopens(t *testing.T) {
+	db, lb := storage.NewMemBacking(), storage.NewMemBacking()
+	failing := faultfs.OnSync(db, func() error { return errors.New("power cut") })
+	if _, err := Open(smallCfg(), failing, lb); !errors.Is(err, storage.ErrIO) {
+		t.Fatalf("first open with the master write failing: %v, want a typed I/O error", err)
+	}
+	hp, err := Open(smallCfg(), db, lb)
+	if err != nil {
+		t.Fatalf("reopen after the interrupted first open: %v", err)
+	}
+	defer hp.Close()
+	if hp.LastRecovery() == nil {
+		t.Fatal("the reopen formatted over a log that holds a checkpoint")
+	}
+	buildList(t, hp, 0, 2, 5)
+	checkList(t, hp, 0, 2, 5)
+}
+
+// replaceCounter counts a backing's atomic replaces.
+type replaceCounter struct {
+	storage.Backing
+	n *atomic.Int64
+}
+
+func (b replaceCounter) Replace(name string, data []byte) error {
+	b.n.Add(1)
+	return b.Backing.Replace(name, data)
+}
+
+// TestFreshOpenSyncBudget: formatting a fresh directory costs three
+// File.Sync calls (the bootstrap commit's force, the first checkpoint's
+// force, the barrier that promotes it) and three atomic replaces (the
+// unformatted master the page store writes at creation, log.meta, the
+// promoted master) — every set-up opens a fresh directory, so a sync more
+// is set-up time. (Marking the master formatted before the first
+// checkpoint cost a fourth of each.)
+func TestFreshOpenSyncBudget(t *testing.T) {
+	c := dirCfg(t.TempDir())
+	db, lb, err := filestore.Backings(c.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var syncs, replaces atomic.Int64
+	count := func(b storage.Backing) storage.Backing {
+		return faultfs.OnSync(replaceCounter{b, &replaces}, func() error { syncs.Add(1); return nil })
+	}
+	hp, err := Open(c, count(db), count(lb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hp.Close()
+	s, r := syncs.Load(), replaces.Load()
+	t.Logf("a fresh open: %d File.Sync, %d Replace calls", s, r)
+	if s > 3 || r > 3 {
+		t.Fatal("want at most 3 of each")
+	}
 }

@@ -35,16 +35,12 @@ func deviceFault(fn func()) (fault error) {
 func TestDeviceFaultFailsTheHeap(t *testing.T) {
 	c := smallCfg()
 	var armed atomic.Bool // fails the log's next sync
-	log, err := storage.OpenLog(faultfs.OnSync(storage.NewMemBacking(), func() error {
+	hp := mustOpen(c, storage.NewMemBacking(), faultfs.OnSync(storage.NewMemBacking(), func() error {
 		if armed.CompareAndSwap(true, false) {
 			return errors.New("sync failed")
 		}
 		return nil
-	}), c.LogSegBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp := OpenOn(c, storage.NewDisk(c.PageSize), log)
+	}))
 	seedSlots(t, hp, 4)
 	hp.Checkpoint() // the slots' pages are now older than the last checkpoint
 
@@ -88,12 +84,13 @@ func TestDeviceFaultFailsTheHeap(t *testing.T) {
 	}
 	wg.Wait()
 
+	_, log := hp.Devices()
 	end := log.EndLSN()
 	disk, dev := hp.Crash()
 	if dev.EndLSN() > end {
 		t.Fatalf("crash appended to a failed heap's log: end %d → %d", end, dev.EndLSN())
 	}
-	rec, err := Recover(c, disk, dev)
+	rec, err := reopen(c, disk, dev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 func TestFlightRecorderEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlightRecorder = true
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	obsWorkload(t, hp)
 
 	evs := hp.FlightEvents()
@@ -40,7 +40,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 	}
 
 	cfg.FlightJournal = hp.FlightDevice() // share the journal across the reboot
-	h2, err := Recover(cfg, disk, logDev)
+	h2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 }
 
 func TestFlightRecorderDisabled(t *testing.T) {
-	hp := Open(DefaultConfig())
+	hp := openMem(DefaultConfig())
 	defer hp.Close()
 	obsWorkload(t, hp)
 	if hp.FlightRecorder() != nil || hp.FlightEvents() != nil || hp.FlightDevice() != nil || hp.FlightDump() != nil {
@@ -86,12 +86,12 @@ func TestWatchdogLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlightRecorder = true
 	cfg.WatchdogInterval = time.Millisecond
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	obsWorkload(t, hp)
 	time.Sleep(5 * time.Millisecond) // a few ticks
 	disk, logDev := hp.Crash()
 	cfg.FlightJournal = hp.FlightDevice()
-	h2, err := Recover(cfg, disk, logDev)
+	h2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func runHistoryRound(t *testing.T, round int) {
 		cfg.ConcurrentVGC = true
 		cfg.NurseryBytes = 2 << 10
 	}
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 	restripe(hp, shards)
 
@@ -207,7 +207,7 @@ func runHistoryRound(t *testing.T, round int) {
 // distinct recorder variables and the edge would vanish.
 func TestHistRecorderFollowsConcurrentStableMoves(t *testing.T) {
 	cfg := concSGCCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 
 	tr := hp.Begin()

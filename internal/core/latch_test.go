@@ -18,7 +18,7 @@ func restripe(hp *Heap, n int) { hp.shards = make([]sync.Mutex, n) }
 // returned function releases them all.
 func TestLockShardsForCopyPinsExactlyThePagesShards(t *testing.T) {
 	cfg := smallCfg()
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 	restripe(hp, 4)
 	pageWords := cfg.PageSize / word.WordSize

@@ -87,21 +87,17 @@ func (hp *Heap) Close() {
 	// is on its way out; it must not outlive the heap it scans.
 	hp.scanWG.Wait()
 	hp.journal.Flush()
-	// File-backed heaps: release the store last, once every layer above
-	// has flushed through it.
-	if hp.store != nil {
-		hp.store.Close()
-		hp.store = nil
-	}
+	// Release the devices last, once every layer above has flushed through
+	// them; Open over their backings reopens the heap.
+	hp.logDev.Close()
+	hp.disk.Close()
 }
 
 // Crash simulates a system failure (§2.2.2): main memory, the volatile
 // log tail, the lock table and the transaction table vanish; the disk and
-// the stable log survive. The heap is unusable afterwards; call Recover
-// with the surviving devices — except on a heap that owns its files
-// (OpenDir/RecoverDir): there the crash also releases them, as a process
-// kill would (no flush, no fdatasync), the returned devices are dead, and
-// only RecoverDir reopens the heap. RecoverCrashed takes either way back.
+// the stable log survive in their backings. The devices are released as a
+// process kill releases its files (no flush, no sync) and returned dead:
+// Open over their backings (storage.Backings) is the restart.
 func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 	hp.stopWatchdog()
 	// A commit parked on a force is acknowledged first (commitGate).
@@ -130,10 +126,8 @@ func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 	// not among the crashed devices, so the flush below is what makes the
 	// pre-crash timeline readable after recovery.
 	hp.journal.Flush()
-	if hp.store != nil {
-		hp.store.Abandon()
-		hp.store = nil
-	}
+	hp.logDev.Abandon()
+	hp.disk.Abandon()
 	return hp.disk, hp.logDev
 }
 
@@ -141,44 +135,95 @@ func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 // controls which pages reach disk before a crash).
 func (hp *Heap) Devices() (*storage.Disk, *storage.Log) { return hp.disk, hp.logDev }
 
-// Recover rebuilds a stable heap from surviving devices: repeating
-// history, loser rollback, collector-state restoration, and the
-// post-recovery evacuation of recovered newly stable objects out of the
-// volatile area. Recovery work is bounded by the log written since the
-// last checkpoint — independent of heap size (Ch. 4) — even if the crash
-// interrupted a collection (§3.5.3).
-func Recover(cfg Config, disk *storage.Disk, logDev *storage.Log) (*Heap, error) {
-	return recoverCommon(cfg, disk, logDev, false)
-}
-
-// RecoverCrashed rebuilds the heap that Crash just took down: from the
-// directory when cfg.Dir is set (the crash closed the heap's own files, so
-// the devices it returned are dead), else from those devices.
-func RecoverCrashed(cfg Config, disk *storage.Disk, logDev *storage.Log) (*Heap, error) {
-	if cfg.Dir != "" {
-		return RecoverDir(cfg)
-	}
-	return Recover(cfg, disk, logDev)
-}
-
-func recoverCommon(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool) (hpOut *Heap, errOut error) {
-	// The detectable-failure contract: the devices report corruption
-	// and surfaced I/O faults as typed panics from deep inside scans and
-	// page reads; recovery must turn them into errors naming the corrupt
-	// page or LSN, never admit a half-recovered heap.
-	defer func() {
-		if v := recover(); v != nil {
-			if e, ok := storage.AsDeviceError(v); ok {
-				hpOut, errOut = nil, fmt.Errorf("core: recovery failed detectably: %w", e)
-				return
-			}
-			panic(v)
-		}
-	}()
+// Open opens the stable heap held in two byte backings, the page store's
+// (db) and the log's (lb), and decides from their bytes what it needs:
+//
+//   - a formatted master: crash recovery from the master's checkpoint —
+//     repeating history, loser rollback, collector-state restoration and
+//     the evacuation of recovered newly stable objects, bounded by the log
+//     written since that checkpoint, whatever the heap's size (Ch. 4), and
+//     even if the crash interrupted a collection (§3.5.3);
+//   - no formatted master and an empty log: a fresh heap is formatted. A
+//     first open killed before it forced anything lands here again, and
+//     one killed after forcing its first checkpoint lands in media
+//     recovery: the master is marked formatted only by that checkpoint's
+//     promotion;
+//   - no formatted master over a log that holds records: media recovery
+//     (§2.2.2), every page rebuilt from the log, which must be untruncated
+//     and hold a checkpoint. Open never formats over a non-empty log.
+//
+// A restart is always Open over the same backings: Close and Crash both
+// release the devices. The persisted geometry wins over the caller's
+// PageSize and LogSegBytes, which apply to a fresh store. A Config that
+// Validate rejects is an error, and so is a device fault on any path: it
+// names the corrupt page or LSN, and no half-opened heap is returned.
+func Open(cfg Config, db, lb storage.Backing) (*Heap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.onFiles()
+	start := time.Now()
+	disk, err := storage.OpenDisk(db, cfg.PageSize)
+	if err != nil {
+		return nil, fmt.Errorf("open: %w", err)
+	}
+	logDev, err := storage.OpenLog(lb, cfg.LogSegBytes)
+	if err != nil {
+		disk.Abandon()
+		return nil, fmt.Errorf("open: %w", err)
+	}
+	reopen := time.Since(start)
+	cfg.PageSize, cfg.LogSegBytes = disk.PageSize(), logDev.SegmentBytes()
 	cfg = cfg.WithDefaults()
+	var hp *Heap
+	switch {
+	case disk.Master().Formatted:
+		hp, err = recoverHeap(cfg, disk, logDev, false)
+	case logDev.EndLSN() == 1:
+		hp, err = formatHeap(cfg, disk, logDev)
+	default:
+		hp, err = recoverMedia(cfg, disk, logDev)
+	}
+	if err != nil {
+		logDev.Abandon()
+		disk.Abandon()
+		return nil, err
+	}
+	if hp.lastRecovery != nil {
+		hp.met.recReopen.Observe(uint64(reopen))
+	}
+	return hp, nil
+}
+
+// detectably is deferred by each of Open's paths: the devices report
+// corruption and surfaced I/O faults as typed panics from deep inside
+// scans, page reads and writes, and Open turns them into an error naming
+// the corrupt page or LSN — the detectable-failure contract — never a
+// half-opened heap. Any other panic goes on.
+func detectably(what string, err *error) {
+	if v := recover(); v != nil {
+		e, ok := storage.AsDeviceError(v)
+		if !ok {
+			panic(v)
+		}
+		*err = fmt.Errorf("core: %s failed detectably: %w", what, e)
+	}
+}
+
+// formatHeap formats a fresh heap on empty devices.
+func formatHeap(cfg Config, disk *storage.Disk, logDev *storage.Log) (_ *Heap, err error) {
+	defer detectably("format", &err)
+	hp := build(cfg, disk, logDev)
+	hp.format()
+	hp.startWatchdog()
+	return hp, nil
+}
+
+// recoverHeap rebuilds the heap from devices whose master names the
+// checkpoint to start from; media says that master was synthesized from
+// the log (recoverMedia).
+func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool) (_ *Heap, err error) {
+	defer detectably("recovery", &err)
 	hp := build(cfg, disk, logDev)
 	res, err := recovery.Recover(hp.mem, hp.log, recovery.Options{Recorder: hp.bb, Media: media})
 	if err != nil {
@@ -306,8 +351,8 @@ func (hp *Heap) ensureStableSpaceRecovered() error {
 	return nil
 }
 
-// LastRecovery returns diagnostics from the most recent Recover (nil for a
-// freshly created heap).
+// LastRecovery returns diagnostics from the recovery Open ran (nil for a
+// freshly formatted heap).
 func (hp *Heap) LastRecovery() *recovery.Result { return hp.lastRecovery }
 
 // InDoubt lists prepared transactions restored by recovery and still
@@ -574,38 +619,21 @@ func (hp *Heap) TrackerStats() stability.Stats {
 // CheckpointStats returns checkpointer counters.
 func (hp *Heap) CheckpointStats() recovery.CheckpointStats { return hp.ckpt.Stats() }
 
-// RecoverFromLog rebuilds the entire stable heap from the log alone — the
-// total-media-failure case of §2.2.2: the disk is gone, but "our recovery
-// system writes enough information to the log to recover from a total
-// media failure". It requires the log to be untruncated back to its first
-// checkpoint (the archive discipline); repeating history then reconstructs
-// every page from scratch, onto disk: the replacement page store, which
-// must be blank (never formatted) and of cfg's page size.
-func RecoverFromLog(cfg Config, disk *storage.Disk, logDev *storage.Log) (hpOut *Heap, errOut error) {
-	// The probe scan below panics with a typed error on a corrupt frame;
-	// convert it (recoverCommon guards its own scans the same way).
-	defer func() {
-		if v := recover(); v != nil {
-			if e, ok := storage.AsDeviceError(v); ok {
-				hpOut, errOut = nil, fmt.Errorf("core: media recovery failed detectably: %w", e)
-				return
-			}
-			panic(v)
-		}
-	}()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.WithDefaults()
-	if disk.Master().Formatted || disk.PageSize() != cfg.PageSize {
-		return nil, fmt.Errorf("core: media recovery needs a blank disk of %d-byte pages", cfg.PageSize)
-	}
+// recoverMedia rebuilds the entire stable heap from the log alone — the
+// total-media-failure case of §2.2.2: the master is gone, but "our
+// recovery system writes enough information to the log to recover from a
+// total media failure". The log must be untruncated back to its first
+// checkpoint (the archive discipline); repeating history from there then
+// reconstructs every page the disk lacks, and a page it still holds is
+// redone only past its page LSN.
+func recoverMedia(cfg Config, disk *storage.Disk, logDev *storage.Log) (_ *Heap, err error) {
+	defer detectably("media recovery", &err)
 	if logDev.TruncLSN() > 1 {
 		// A truncated log cannot rebuild a lost disk: later checkpoints
 		// assume flushed pages that no longer exist. The archive
 		// discipline keeps the full log (or pairs truncation with disk
 		// archives, which this reproduction does not model).
-		return nil, errors.New("core: log is truncated; media recovery needs the full log from format time")
+		return nil, errors.New("core: the page store has no formatted master and the log is truncated; media recovery needs the full log from format time")
 	}
 	// Synthesize the lost master block: find the first retained
 	// checkpoint and recover from there — everything after it replays.
@@ -619,8 +647,8 @@ func RecoverFromLog(cfg Config, disk *storage.Disk, logDev *storage.Log) (hpOut 
 		return true
 	})
 	if firstCP == word.NilLSN {
-		return nil, errors.New("core: no checkpoint retained in the log (archive requires an untruncated log)")
+		return nil, errors.New("core: the page store has no formatted master and the log retains no checkpoint; media recovery needs an untruncated log")
 	}
 	disk.SetMaster(storage.Master{Formatted: true, CheckpointLSN: firstCP, PageSize: cfg.PageSize})
-	return recoverCommon(cfg, disk, logDev, true)
+	return recoverHeap(cfg, disk, logDev, true)
 }

@@ -43,7 +43,7 @@ func counterVal(t *testing.T, hp *Heap, slot int) uint64 {
 }
 
 func TestAddDataCommit(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 100)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -60,7 +60,7 @@ func TestAddDataCommit(t *testing.T) {
 }
 
 func TestAddDataAbortCompensates(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 100)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -78,7 +78,7 @@ func TestAddDataAbortCompensates(t *testing.T) {
 }
 
 func TestAddDataLogsNoBeforeImage(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 0)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -108,7 +108,7 @@ func TestAddDataLogsNoBeforeImage(t *testing.T) {
 }
 
 func TestAddDataCrashRecoveryCommitted(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 10)
 	for i := 0; i < 8; i++ {
 		tr := hp.Begin()
@@ -119,7 +119,7 @@ func TestAddDataCrashRecoveryCommitted(t *testing.T) {
 		commit(t, tr)
 	}
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAddDataCrashRecoveryCommitted(t *testing.T) {
 }
 
 func TestAddDataCrashRecoveryLoserUndone(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 50)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -139,7 +139,7 @@ func TestAddDataCrashRecoveryLoserUndone(t *testing.T) {
 	// Steal: flush the uncommitted delta to disk.
 	hp.Mem().FlushAll()
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAddDataCrashRecoveryLoserUndone(t *testing.T) {
 }
 
 func TestAddDataUndoAfterCollectorMove(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 5)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -166,7 +166,7 @@ func TestAddDataUndoAfterCollectorMove(t *testing.T) {
 }
 
 func TestAddDataVolatileObject(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	tr := hp.Begin()
 	c, _ := tr.Alloc(1, 0, 1)
 	if err := tr.SetData(c, 0, 10); err != nil {
@@ -192,7 +192,7 @@ func TestAddDataVolatileObject(t *testing.T) {
 }
 
 func TestAddDataMixedWithPhysicalUpdatesAbort(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 1)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)

@@ -20,7 +20,7 @@ type heapMetrics struct {
 	txConflict   obs.Histogram // commits rejected by stability-tracking conflicts
 	lockWait     obs.Histogram // contended lock-acquire wait time
 	latchStop    obs.Histogram // wait to stop the heap (exclusive latch acquire)
-	recReopen    obs.Histogram // RecoverDir's filestore.Open, before the heap existed
+	recReopen    obs.Histogram // Open's device opens, before the heap existed
 	recAnalysis  obs.Histogram // recovery analysis pass wall time
 	recRedo      obs.Histogram // recovery redo pass wall time
 	recUndo      obs.Histogram // recovery undo pass wall time
@@ -153,10 +153,7 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetHist("tx_lifetime_abort_ns", labort)
 
 	if hp.lastRecovery != nil {
-		// Only a heap RecoverDir reopened has a reopen phase.
-		if reopen := hp.met.recReopen.Snapshot(); reopen.Count > 0 {
-			s.SetHist("recovery_reopen_ns", reopen)
-		}
+		s.SetHist("recovery_reopen_ns", hp.met.recReopen.Snapshot())
 		s.SetHist("recovery_analysis_ns", hp.met.recAnalysis.Snapshot())
 		s.SetHist("recovery_redo_ns", hp.met.recRedo.Snapshot())
 		s.SetHist("recovery_undo_ns", hp.met.recUndo.Snapshot())
@@ -173,14 +170,14 @@ func (hp *Heap) Metrics() obs.Snapshot {
 		s.SetCounter("obs_watchdog_trips_total", int64(hp.wd.Trips()))
 	}
 
-	// A heap on its own directory surfaces the files' durable-layer
-	// counters (fsyncs, barriers) under a filestore_ prefix; the page
-	// cache's counters are the vm pool's cache_ counters above.
-	if hp.store != nil {
-		for k, v := range hp.store.FileMetrics() {
-			s.SetCounter("filestore_"+k, v)
-		}
-	}
+	// The devices' durable-layer counters, under the filestore_ prefix the
+	// file-backed heaps made them known by: the log's syncs (fdatasyncs on
+	// files) and the page store's barriers, each of which syncs pages.dat.
+	// The page cache's counters are the vm pool's cache_ counters above.
+	barriers := hp.disk.Stats().Barriers
+	s.SetCounter("filestore_log_fsyncs_total", hp.logDev.Stats().Syncs)
+	s.SetCounter("filestore_page_fsyncs_total", barriers)
+	s.SetCounter("filestore_barriers_total", barriers)
 	return s
 }
 

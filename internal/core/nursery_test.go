@@ -17,7 +17,7 @@ func nurseryCfg() Config {
 // keep that object alive — and be rewritten — across a minor collection,
 // both while the storing transaction is still open and after it commits.
 func TestStableToNurseryPointerSurvivesMinor(t *testing.T) {
-	hp := Open(nurseryCfg())
+	hp := openMem(nurseryCfg())
 	defer hp.Close()
 
 	// A committed, evacuated object: physically in the stable area.
@@ -95,7 +95,7 @@ func TestStableToNurseryPointerSurvivesMinor(t *testing.T) {
 // keep the target alive across a minor collection when that slot is its
 // only root.
 func TestAgedToNurseryPointerSurvivesMinor(t *testing.T) {
-	hp := Open(nurseryCfg())
+	hp := openMem(nurseryCfg())
 	defer hp.Close()
 
 	// Promote a into the aged semispace: allocate, vol-root, minor.
@@ -157,7 +157,7 @@ func TestAgedToNurseryPointerSurvivesMinor(t *testing.T) {
 // collections, most allocations die young (promotions ≪ allocations), and
 // full volatile collections stay rare.
 func TestNurseryAbsorbsShortLivedGarbage(t *testing.T) {
-	hp := Open(nurseryCfg())
+	hp := openMem(nurseryCfg())
 	defer hp.Close()
 	for i := 0; i < 400; i++ {
 		tr := hp.Begin()
@@ -192,7 +192,7 @@ func TestNurseryAbsorbsShortLivedGarbage(t *testing.T) {
 func TestNurseryDisabled(t *testing.T) {
 	cfg := smallCfg()
 	cfg.NurseryBytes = -1
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 	buildList(t, hp, 0, 10, 5)
 	if hp.NurseryUsedWords() != 0 {
@@ -212,7 +212,7 @@ func TestNurseryDisabled(t *testing.T) {
 func TestConcurrentScanPreservesData(t *testing.T) {
 	cfg := nurseryCfg()
 	cfg.ConcurrentVGC = true
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 
 	buildList(t, hp, 0, 10, 100)
@@ -281,13 +281,13 @@ func TestConcurrentScanPreservesData(t *testing.T) {
 func TestCrashDuringConcurrentScanRecovers(t *testing.T) {
 	cfg := nurseryCfg()
 	cfg.ConcurrentVGC = true
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	buildList(t, hp, 0, 8, 42)
 	if _, err := hp.CollectVolatile(); err != nil {
 		t.Fatal(err)
 	}
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +300,12 @@ func TestCrashDuringConcurrentScanRecovers(t *testing.T) {
 // then recovers: the atomic-evacuation guarantee must hold for nursery
 // residents exactly as for aged ones.
 func TestCrashAfterNurseryCommitRecovers(t *testing.T) {
-	hp := Open(nurseryCfg())
+	hp := openMem(nurseryCfg())
 	buildList(t, hp, 0, 6, 7)
 	// No explicit collection: the list likely still sits in the nursery,
 	// newly stable, awaiting evacuation.
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(nurseryCfg(), disk, logDev)
+	hp2, err := reopen(nurseryCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}

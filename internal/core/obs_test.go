@@ -37,7 +37,7 @@ func obsWorkload(t *testing.T, hp *Heap) {
 }
 
 func TestMetricsSnapshot(t *testing.T) {
-	hp := Open(DefaultConfig())
+	hp := openMem(DefaultConfig())
 	defer hp.Close()
 	obsWorkload(t, hp)
 
@@ -66,7 +66,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	bc := DefaultConfig()
 	bc.CachePages = 4
-	bounded := Open(bc)
+	bounded := openMem(bc)
 	defer bounded.Close()
 	obsWorkload(t, bounded)
 	if n := bounded.Metrics().Counter("cache_hits_total"); n == 0 {
@@ -117,7 +117,7 @@ func TestTraceEnabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlightRecorder = true
 	cfg.ConcurrentVGC = false // so CollectVolatile is one stop-the-world span
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 	// Enough survivors to fill the nursery: the minor-collection span.
 	for i := 0; i < 64; i++ {
@@ -152,7 +152,7 @@ func TestTraceEnabled(t *testing.T) {
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {
-	hp := Open(DefaultConfig())
+	hp := openMem(DefaultConfig())
 	defer hp.Close()
 	obsWorkload(t, hp)
 	if hp.FlightRecorder() != nil {
@@ -168,10 +168,10 @@ func TestTraceDisabledByDefault(t *testing.T) {
 func TestRecoveryMetrics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlightRecorder = true
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	obsWorkload(t, hp)
 	disk, logDev := hp.Crash()
-	h2, err := Recover(cfg, disk, logDev)
+	h2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,26 +188,29 @@ func TestRecoveryMetrics(t *testing.T) {
 	if _, ok := m.Histograms["recovery_evacuate_ns"]; !ok {
 		t.Error("histogram recovery_evacuate_ns missing")
 	}
-	// In memory nothing was reopened: no reopen phase.
-	if _, ok := m.Histograms["recovery_reopen_ns"]; ok {
-		t.Error("histogram recovery_reopen_ns present after an in-memory Recover")
+	// Open reopens the devices before the heap exists and reports it, over
+	// memory as over files.
+	if got := m.Hist("recovery_reopen_ns"); got.Count != 1 {
+		t.Errorf("recovery_reopen_ns after an in-memory restart = %d samples, want 1", got.Count)
 	}
-	// RecoverDir reopens the files before the heap exists and reports it.
 	dcfg := cfg
 	dcfg.Dir = filepath.Join(t.TempDir(), "heap")
-	dh, err := OpenDir(dcfg)
+	dh, err := openDir(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := dh.Metrics().Histograms["recovery_reopen_ns"]; ok {
+		t.Error("a freshly formatted heap reports a reopen phase")
+	}
 	obsWorkload(t, dh)
 	dh.Crash()
-	dh, err = RecoverDir(dcfg)
+	dh, err = openDir(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dh.Close()
 	if got := dh.Metrics().Hist("recovery_reopen_ns"); got.Count != 1 || got.Max == 0 {
-		t.Errorf("recovery_reopen_ns after RecoverDir = %d samples (max %d ns), want 1 nonzero", got.Count, got.Max)
+		t.Errorf("recovery_reopen_ns after a restart from files = %d samples (max %d ns), want 1 nonzero", got.Count, got.Max)
 	}
 	// The recovery phases landed in the trace, as spans.
 	spans, _ := traceDoc(t, h2.TraceJSON())

@@ -16,7 +16,7 @@ import (
 func TestOwnedStoreConcurrentMetrics(t *testing.T) {
 	cfg := concCfg()
 	cfg.CachePages = 8
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	defer hp.Close()
 
 	const workers, rounds, nodes = 3, 40, 3

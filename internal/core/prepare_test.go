@@ -34,7 +34,7 @@ func prep(t *testing.T, hp *Heap) (txID word.TxID) {
 }
 
 func TestPrepareThenCommitNoCrash(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 7)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -58,7 +58,7 @@ func TestPrepareThenCommitNoCrash(t *testing.T) {
 }
 
 func TestPrepareThenAbortNoCrash(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 7)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -75,10 +75,10 @@ func TestPrepareThenAbortNoCrash(t *testing.T) {
 }
 
 func TestInDoubtSurvivesCrashThenResolveCommit(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	id := prep(t, hp)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,10 @@ func TestInDoubtSurvivesCrashThenResolveCommit(t *testing.T) {
 }
 
 func TestInDoubtSurvivesCrashThenResolveAbort(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	id := prep(t, hp)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +133,16 @@ func TestInDoubtSurvivesCrashThenResolveAbort(t *testing.T) {
 }
 
 func TestInDoubtSurvivesSecondCrash(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	id := prep(t, hp)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Crash again before resolution; the transaction stays in-doubt.
 	disk2, logDev2 := hp2.Crash()
-	hp3, err := Recover(smallCfg(), disk2, logDev2)
+	hp3, err := reopen(smallCfg(), disk2, logDev2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestInDoubtSurvivesSecondCrash(t *testing.T) {
 }
 
 func TestInDoubtAbortAfterCollectorMoves(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	id := prep(t, hp)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestInDoubtAbortAfterCollectorMoves(t *testing.T) {
 }
 
 func TestInDoubtWithCheckpointBetween(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	id := prep(t, hp)
 	hp.Checkpoint()
 	// Promote via another committing transaction — one that touches no
@@ -192,7 +192,7 @@ func TestInDoubtWithCheckpointBetween(t *testing.T) {
 	}
 	commit(t, tr)
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestInDoubtWithCheckpointBetween(t *testing.T) {
 }
 
 func TestResolveUnknownIDFails(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	if err := hp.ResolveCommit(9999); err == nil {
 		t.Fatal("unknown id must error")
 	}
@@ -218,7 +218,7 @@ func TestResolveUnknownIDFails(t *testing.T) {
 }
 
 func TestPrepareLogicalThenCrashResolveAbort(t *testing.T) {
-	hp := Open(smallCfg())
+	hp := openMem(smallCfg())
 	mkCounter(t, hp, 0, 100)
 	tr := hp.Begin()
 	c, _ := tr.Root(0)
@@ -230,7 +230,7 @@ func TestPrepareLogicalThenCrashResolveAbort(t *testing.T) {
 	}
 	id := word.TxID(tr.ID())
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(smallCfg(), disk, logDev)
+	hp2, err := reopen(smallCfg(), disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestPrepareLogicalThenCrashResolveAbort(t *testing.T) {
 func TestInDoubtFirstRecordAllocSurvivesTruncation(t *testing.T) {
 	cfg := allStableCfg()
 	cfg.LogSegBytes = 1024
-	hp := Open(cfg)
+	hp := openMem(cfg)
 	mkCounter(t, hp, 0, 7)
 	mkCounter(t, hp, 1, 0)
 	bump := func(hp *Heap, v uint64) {
@@ -293,7 +293,7 @@ func TestInDoubtFirstRecordAllocSurvivesTruncation(t *testing.T) {
 		return true
 	})
 	disk, logDev := hp.Crash()
-	hp2, err := Recover(cfg, disk, logDev)
+	hp2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestInDoubtFirstRecordAllocSurvivesTruncation(t *testing.T) {
 		bump(hp2, 100+i)
 	}
 	hp2.TruncateLog()
-	if trunc := logDev.TruncLSN(); trunc <= 1 || trunc > allocLSN {
+	if trunc := hp2.logDev.TruncLSN(); trunc <= 1 || trunc > allocLSN {
 		t.Fatalf("truncation point %d, want past the log's start and at or below the allocation at %d", trunc, allocLSN)
 	}
 	if err := hp2.ResolveAbort(id); err != nil {

@@ -17,7 +17,7 @@ import (
 // after the nursery cap has quadrupled).
 func TestRelocateProbesScaleWithMoves(t *testing.T) {
 	build := func(n int) (probes, nodeMoves int64) {
-		hp := Open(DefaultConfig())
+		hp := openMem(DefaultConfig())
 		defer hp.Close()
 		buildListReread(t, hp, 0, n)
 		c := hp.Metrics().Counters
@@ -95,7 +95,7 @@ func TestAbortAtCollectorSeams(t *testing.T) {
 				c := smallCfg()
 				c.StableGC = mode
 				c.ManualScan = true
-				hp := Open(c)
+				hp := openMem(c)
 				defer hp.Close()
 				quantum := hp.StepStable
 				if mode == gc.Concurrent {
@@ -156,7 +156,7 @@ func TestAbortAtCollectorSeams(t *testing.T) {
 // through; the survivor aborts and both old values must be back.
 func TestAbortAfterNurseryMinor(t *testing.T) {
 	run := func(t *testing.T, crash bool) {
-		hp := Open(nurseryCfg())
+		hp := openMem(nurseryCfg())
 		tr := hp.Begin()
 		s, err := tr.Alloc(1, 0, 1)
 		if err != nil {
@@ -211,7 +211,7 @@ func TestAbortAfterNurseryMinor(t *testing.T) {
 		if crash {
 			hp.Mem().FlushAll() // the uncommitted 55 reaches disk at the stable address
 			disk, logDev := hp.Crash()
-			if hp, err = Recover(nurseryCfg(), disk, logDev); err != nil {
+			if hp, err = reopen(nurseryCfg(), disk, logDev); err != nil {
 				t.Fatal(err)
 			}
 		} else if err := tr.Abort(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"stableheap/internal/core"
 	"stableheap/internal/faultfs"
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
@@ -39,7 +38,8 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	d.hp.StepStable()
 	_ = d.hp.Begin() // in flight at the crash
 
-	inj.Crash(d.log) // the plan's torn page write and torn log tail
+	_, log := d.hp.Devices()
+	inj.Crash(log) // the plan's torn page write and torn log tail
 	d.hp.Crash()
 
 	// The journal survives the crash (the model of battery-backed
@@ -106,7 +106,7 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 
 	// Recovery from the crashed bytes appends a new boot; the journal then
 	// reads as the recovered run, with the recovery marker aboard.
-	hp, err := d.recover(core.Recover)
+	hp, err := d.reopen()
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -15,7 +15,8 @@
 //	               the corrupt page or LSN; if media recovery from the
 //	               full log also fails, the state is unrecoverable but
 //	               was never silently admitted
-//	Repaired       media recovery (RecoverFromLog over the retained log)
+//	Repaired       media recovery (Open over a blank page store and the
+//	               retained log)
 //	               rebuilt a heap that passes the audit
 //	Violation      recovery "succeeded" but the audit failed, or an
 //	               untyped error escaped — the one verdict that must
@@ -43,6 +44,7 @@ import (
 	"stableheap/internal/histcheck"
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/word"
 )
 
@@ -173,7 +175,7 @@ func (sc Scenario) withDefaults() Scenario {
 // ChaosConfig is the heap configuration chaos runs use (a returned Commit
 // means a completed force covered the commit record — the harness relies
 // on acked commits surviving any torn force): one huge log
-// segment (truncation never reclaims, so RecoverFromLog's full-log
+// segment (truncation never reclaims, so media recovery's full-log
 // archive discipline holds and the media-repair path stays live), and
 // the flight recorder on (the explorer shares one journal device across
 // a seed's crash/recover cycles, so every violation verdict carries the
@@ -286,7 +288,7 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 		defer os.RemoveAll(home)
 	}
 	r.inj = faultfs.New(plan)
-	db, lb, err := backings(home)
+	db, lb, err := filestore.Backings(home)
 	if err == nil {
 		r.d, err = NewOn(cfg, plan.Seed, r.inj.Wrap(db), r.inj.Wrap(lb))
 	}
@@ -296,7 +298,11 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 	}
 	// Whatever heap is live at the end, its files close unsynced (a
 	// close would write through the armed backings).
-	defer func() { r.d.disk.Abandon(); r.d.log.Abandon() }()
+	defer func() {
+		disk, log := r.d.hp.Devices()
+		log.Abandon()
+		disk.Abandon()
+	}()
 	r.inj.SetRecorder(r.d.hp.FlightRecorder())
 	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
@@ -430,7 +436,8 @@ func (r *chaosRun) resolveFirst() (online bool) {
 // flushed events: the flight recording of the run that just died, ending
 // in the injected fault and the crash marker.
 func (r *chaosRun) crash() {
-	r.inj.Crash(r.d.log)
+	_, log := r.d.hp.Devices()
+	r.inj.Crash(log)
 	r.d.hp.Crash()
 	if evs, _, err := obs.ReadLatest(r.jdev); err == nil && len(evs) > 0 {
 		r.timeline = evs
@@ -925,7 +932,7 @@ func (r *chaosRun) recoverAndAudit(onlineAlready bool) {
 	var hp *core.Heap
 	var err error
 	for attempt := 0; ; attempt++ {
-		hp, err = recoverSafely(func() (*core.Heap, error) { return r.d.recover(core.Recover) })
+		hp, err = recoverSafely(r.d.reopen)
 		if err == nil || attempt >= 2 || !errors.Is(err, storage.ErrIO) {
 			break
 		}
@@ -958,7 +965,7 @@ func (r *chaosRun) mediaRepair() {
 	r.dead = true
 	hp, err := recoverSafely(func() (*core.Heap, error) {
 		r.d.db = storage.NewMemBacking()
-		return r.d.recover(core.RecoverFromLog)
+		return r.d.reopen()
 	})
 	switch {
 	case err == nil:

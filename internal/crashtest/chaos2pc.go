@@ -59,39 +59,22 @@ func run2PCSeed(sc Scenario, plan faultfs.Plan) SeedResult {
 	cfg := shard.Config{Partitions: twoPCPartitions, Part: ChaosConfig()}
 	cfg.Part.FlightRecorder = false
 	seedDir := homeIn(sc.Dir, fmt.Sprintf("seed2pc-%d", plan.Seed))
-	var devs []shard.PartDevices
-	defer func() {
-		for _, dev := range devs {
-			dev.Disk.Close()
-			dev.Log.Close()
-		}
-		if seedDir != "" {
-			os.RemoveAll(seedDir)
-		}
-	}()
-	for i := 0; i <= twoPCPartitions; i++ {
-		name := fmt.Sprintf("p%d", i)
-		if i == twoPCPartitions {
-			name = "coord" // the coordinator's decision log; its page store stays empty
-		}
-		var dev shard.PartDevices
-		db, lb, err := backings(homeIn(seedDir, name))
-		if err == nil {
-			dev.Disk, dev.Log, err = openDevices(cfg.Part, db, lb)
-		}
-		if err != nil {
-			res.record(Violation, err.Error())
-			return res
-		}
-		devs = append(devs, dev)
+	if seedDir != "" {
+		defer os.RemoveAll(seedDir)
 	}
-	cl, err := shard.OpenOn(cfg, devs[:twoPCPartitions], devs[twoPCPartitions].Log)
+	// Every crash reopens the cluster over the same backings.
+	parts, coord, err := shard.BackingsFor(shard.Config{Partitions: twoPCPartitions, Dir: seedDir})
+	if err != nil {
+		res.record(Violation, err.Error())
+		return res
+	}
+	cl, err := shard.Open(cfg, parts, coord)
 	if err != nil {
 		res.record(Violation, fmt.Sprintf("open: %v", err))
 		return res
 	}
 	r := &twoPCRun{
-		cfg: cfg, cl: cl, res: &res,
+		cfg: cfg, cl: cl, parts: parts, coord: coord, res: &res,
 		rng:      rand.New(rand.NewSource(plan.Seed ^ 0x2bc2bc)),
 		expected: make(map[int]uint64, twoPCSlots),
 	}
@@ -110,6 +93,8 @@ func run2PCSeed(sc Scenario, plan faultfs.Plan) SeedResult {
 type twoPCRun struct {
 	cfg      shard.Config
 	cl       *shard.Cluster
+	parts    []shard.Backings
+	coord    shard.Backings
 	rng      *rand.Rand
 	res      *SeedResult
 	expected map[int]uint64 // slot → last acknowledged committed value
@@ -263,7 +248,8 @@ func (r *twoPCRun) round(steps int) {
 
 	switch subset {
 	case crashAll:
-		rec, err := shard.Recover(r.cfg, r.cl.Crash())
+		r.cl.Crash()
+		rec, err := shard.Open(r.cfg, r.parts, r.coord)
 		if err != nil {
 			r.fail("recover after %v/%v: %v", point, subset, err)
 			return

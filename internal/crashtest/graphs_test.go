@@ -143,7 +143,7 @@ func verifyDAG(t *testing.T, hp *core.Heap, m *graphModel) {
 func TestRandomDAGSurvivesEverything(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		hp := core.Open(cfg())
+		hp := openMem(cfg())
 		m := buildRandomDAG(t, hp, rng, 64, 6)
 		verifyDAG(t, hp, m)
 		if _, err := hp.CollectVolatile(); err != nil {
@@ -153,15 +153,15 @@ func TestRandomDAGSurvivesEverything(t *testing.T) {
 		hp.CollectStable()
 		verifyDAG(t, hp, m)
 		disk, logDev := hp.Crash()
-		hp2, err := core.Recover(cfg(), disk, logDev)
+		hp2, err := reopen(cfg(), disk, logDev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		verifyDAG(t, hp2, m)
 		hp2.CollectStable()
 		verifyDAG(t, hp2, m)
-		disk2, logOnly := hp2.Crash()
-		hp3, err := core.RecoverFromLog(cfg(), storage.NewDisk(disk2.PageSize()), logOnly)
+		_, logOnly := storage.Backings(hp2.Crash())
+		hp3, err := core.Open(cfg(), storage.NewMemBacking(), logOnly)
 		if err != nil {
 			t.Fatalf("seed %d media: %v", seed, err)
 		}
@@ -175,7 +175,7 @@ func TestRandomDAGSurvivesEverything(t *testing.T) {
 func TestRandomDAGWithMutationsAndIncrementalGC(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		hp := core.Open(cfg())
+		hp := openMem(cfg())
 		m := buildRandomDAG(t, hp, rng, 48, 4)
 		if _, err := hp.CollectVolatile(); err != nil {
 			t.Fatal(err)
@@ -238,7 +238,7 @@ func TestRandomDAGWithMutationsAndIncrementalGC(t *testing.T) {
 		}
 		verifyDAG(t, hp, m)
 		disk, logDev := hp.Crash()
-		hp2, err := core.Recover(cfg(), disk, logDev)
+		hp2, err := reopen(cfg(), disk, logDev)
 		if err != nil {
 			t.Fatal(err)
 		}

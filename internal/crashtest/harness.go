@@ -11,12 +11,12 @@
 //	     plus recovery determinism: recovering two copies of the same
 //	     crash image yields the same committed state.
 //
-// Every crash the Driver takes is a restart: it abandons the heap's devices
-// and reopens them over the backings it owns — memory, or a directory laid
-// out as filestore.Open lays it out — so recovery sees exactly the bytes
-// the crash left. The twin is recovered from clones of those backings,
-// media recovery from the log's alone, and the chaos explorer (chaos.go)
-// hands the Driver its backings wrapped by a fault injector.
+// Every crash the Driver takes is a restart: core.Open over the backings it
+// owns — memory, or a directory laid out as filestore.Backings lays it out
+// — so recovery sees exactly the bytes the crash left. The twin is
+// recovered from clones of those backings, media recovery from the log's
+// over a wiped page store, and the chaos explorer (chaos.go) hands the
+// Driver its backings wrapped by a fault injector.
 //
 // This is the executable counterpart of the thesis's Chapter 6 invariants
 // and Appendix A proof sketch, and the engine behind experiment E12.
@@ -53,11 +53,8 @@ type Driver struct {
 	cfg core.Config
 	hp  *core.Heap
 	// db and lb are the backings the heap lives in, the page store's and
-	// the log's, and disk and log the devices open over them. Every crash
-	// abandons the devices and reopens them over the same bytes.
+	// the log's: every crash reopens the heap over the same bytes.
 	db, lb storage.Backing
-	disk   *storage.Disk
-	log    *storage.Log
 	rng    *rand.Rand
 	model  map[int][]uint64 // committed list contents per root slot
 	slots  int
@@ -93,10 +90,10 @@ type pendingPrepared struct {
 }
 
 // New creates a driver over a fresh heap in memory, or on real files in
-// cfg.Dir laid out as filestore.Open lays them out. Like core.Open, it
-// panics if the heap cannot be opened.
+// cfg.Dir laid out as filestore.Backings lays them out. It panics if the
+// heap cannot be opened.
 func New(cfg core.Config, seed int64) *Driver {
-	db, lb, err := backings(cfg.Dir)
+	db, lb, err := filestore.Backings(cfg.Dir)
 	if err == nil {
 		var d *Driver
 		if d, err = NewOn(cfg, seed, db, lb); err == nil {
@@ -106,57 +103,24 @@ func New(cfg core.Config, seed int64) *Driver {
 	panic(fmt.Sprintf("crashtest: %v", err))
 }
 
-// NewOn creates a driver over a fresh heap formatted onto devices opened
-// over the given backings, the page store's and the log's — the chaos
-// explorer passes fault-injecting ones. Every crash reopens the devices
-// over them.
+// NewOn creates a driver over a fresh heap formatted in the given backings,
+// the page store's and the log's — the chaos explorer passes
+// fault-injecting ones. Every crash reopens the heap over them.
 func NewOn(cfg core.Config, seed int64, db, lb storage.Backing) (*Driver, error) {
-	disk, log, err := openDevices(cfg, db, lb)
+	hp, err := core.Open(cfg, db, lb)
 	if err != nil {
 		return nil, err
 	}
 	return &Driver{
 		cfg:     cfg,
-		hp:      core.OpenOn(cfg, disk, log),
+		hp:      hp,
 		db:      db,
 		lb:      lb,
-		disk:    disk,
-		log:     log,
 		rng:     rand.New(rand.NewSource(seed)),
 		model:   make(map[int][]uint64),
 		slots:   8,
 		decided: make(map[word.TxID]pendingPrepared),
 	}, nil
-}
-
-// backings returns the two backings one heap lives in, the page store's
-// and the log's: fresh memory when dir is "", else dir and dir/log, as
-// filestore.Open lays them out.
-func backings(dir string) (disk, log storage.Backing, err error) {
-	if dir == "" {
-		return storage.NewMemBacking(), storage.NewMemBacking(), nil
-	}
-	if disk, err = filestore.NewBacking(dir); err == nil {
-		log, err = filestore.NewBacking(filepath.Join(dir, "log"))
-	}
-	return disk, log, err
-}
-
-// openDevices opens a Disk and a Log over one heap's backings: empty ones,
-// or the bytes a crash left, as a restarted process reopens its files. A
-// reopen that fails returns the device's typed error.
-func openDevices(cfg core.Config, db, lb storage.Backing) (*storage.Disk, *storage.Log, error) {
-	cfg = cfg.WithDefaults()
-	disk, err := storage.OpenDisk(db, cfg.PageSize)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open: %w", err)
-	}
-	log, err := storage.OpenLog(lb, cfg.LogSegBytes)
-	if err != nil {
-		disk.Abandon()
-		return nil, nil, fmt.Errorf("open: %w", err)
-	}
-	return disk, log, nil
 }
 
 // Heap returns the current heap instance.
@@ -457,7 +421,7 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 		}
 	}
 
-	hp, err := d.recover(core.Recover)
+	hp, err := d.reopen()
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -470,32 +434,16 @@ func (d *Driver) CrashAndRecover(flushFrac float64, checkTwin bool) error {
 	return nil
 }
 
-// recover abandons the devices the heap ran on and reopens them over its
-// backings, as a restarted process reopens its files — what the crash and
-// any fault left in the bytes is all it sees — then rebuilds the heap from
-// them with how: core.Recover, or core.RecoverFromLog onto a blank page
-// store.
-func (d *Driver) recover(how func(core.Config, *storage.Disk, *storage.Log) (*core.Heap, error)) (*core.Heap, error) {
-	d.disk.Abandon()
-	d.log.Abandon()
-	disk, log, err := openDevices(d.cfg, d.db, d.lb)
-	if err != nil {
-		return nil, err
-	}
-	d.disk, d.log = disk, log
-	return how(d.cfg, disk, log)
-}
+// reopen is the restart of the crashed heap: core.Open over its backings,
+// as a restarted process reopens its files. What the crash and any fault
+// left in the bytes is all it sees; a wiped page store makes it media
+// recovery.
+func (d *Driver) reopen() (*core.Heap, error) { return core.Open(d.cfg, d.db, d.lb) }
 
 // checkTwin recovers a second heap from a copy of the crash image, delivers
 // it the coordinator's decisions, and holds it to the model.
 func (d *Driver) checkTwin(db, lb storage.Backing) error {
-	disk, log, err := openDevices(d.cfg, db, lb)
-	if err != nil {
-		return fmt.Errorf("twin recover: %w", err)
-	}
-	defer disk.Abandon()
-	defer log.Abandon()
-	twin, err := core.Recover(d.cfg, disk, log)
+	twin, err := core.Open(d.cfg, db, lb)
 	if err != nil {
 		return fmt.Errorf("twin recover: %w", err)
 	}
@@ -543,8 +491,9 @@ func (d *Driver) MediaRecover() error {
 }
 
 // mediaFailure crashes the heap, destroys every byte of its page store and
-// rebuilds the heap onto the blank store from the log alone, which must be
-// untruncated. The caller adopts the result.
+// reopens it: Open finds no master over a log that holds records and
+// rebuilds the heap from the log alone, which must be untruncated. The
+// caller adopts the result.
 func (d *Driver) mediaFailure() (*core.Heap, error) {
 	d.hp.Crash()
 	d.stats.Crashes++
@@ -557,5 +506,5 @@ func (d *Driver) mediaFailure() (*core.Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.recover(core.RecoverFromLog)
+	return d.reopen()
 }

@@ -7,7 +7,45 @@ import (
 
 	"stableheap/internal/core"
 	"stableheap/internal/gc"
+	"stableheap/internal/shard"
+	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 )
+
+// openMem opens a fresh heap over two memory backings, panicking where
+// core.Open fails.
+func openMem(c core.Config) *core.Heap {
+	hp, err := core.Open(c, storage.NewMemBacking(), storage.NewMemBacking())
+	if err != nil {
+		panic(err)
+	}
+	return hp
+}
+
+// reopen restarts the heap that ran on disk and logDev: core.Open over
+// their backings.
+func reopen(c core.Config, disk *storage.Disk, logDev *storage.Log) (*core.Heap, error) {
+	db, lb := storage.Backings(disk, logDev)
+	return core.Open(c, db, lb)
+}
+
+// openDir opens the heap in c.Dir.
+func openDir(c core.Config) (*core.Heap, error) {
+	db, lb, err := filestore.Backings(c.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return core.Open(c, db, lb)
+}
+
+// openCluster opens the cluster c lays out.
+func openCluster(c shard.Config) (*shard.Cluster, error) {
+	parts, coord, err := shard.BackingsFor(c)
+	if err != nil {
+		return nil, err
+	}
+	return shard.Open(c, parts, coord)
+}
 
 func cfg() core.Config {
 	return core.Config{
@@ -379,6 +417,4 @@ func TestDriverOverDir(t *testing.T) {
 		t.Fatalf("after media recovery over files: %v", err)
 	}
 	d.Heap().Close()
-	d.disk.Close()
-	d.log.Close()
 }

@@ -78,7 +78,7 @@ func TestKillPointChild(t *testing.T) {
 	killOp, _ := strconv.Atoi(os.Getenv(envOp))
 	mode, _ := strconv.Atoi(os.Getenv(envMode))
 
-	hp, err := core.OpenDir(killCfg(dir))
+	hp, err := openDir(killCfg(dir))
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestKillPointMatrix(t *testing.T) {
 				runChildToKill(t, heapDir, acksPath, killOp, mode)
 
 				acked := lastAck(t, acksPath)
-				hp, err := core.RecoverDir(killCfg(heapDir))
+				hp, err := openDir(killCfg(heapDir))
 				if err != nil {
 					t.Fatalf("cycle %d (op=%d mode=%d): recover: %v", cycle, killOp, mode, err)
 				}
@@ -307,7 +307,7 @@ func TestKillPointStableScanChild(t *testing.T) {
 	}
 	quanta, _ := strconv.Atoi(os.Getenv(envQuanta))
 
-	hp, err := core.OpenDir(killScanCfg(dir))
+	hp, err := openDir(killScanCfg(dir))
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
@@ -424,7 +424,7 @@ func TestKillPointStableScan(t *testing.T) {
 				if gen == 0 {
 					t.Fatalf("cycle %d: child died before acknowledging its commit", cycle)
 				}
-				hp, err := core.RecoverDir(killScanCfg(heapDir))
+				hp, err := openDir(killScanCfg(heapDir))
 				if err != nil {
 					t.Fatalf("cycle %d (quanta=%d): recover: %v", cycle, quanta, err)
 				}
@@ -603,7 +603,7 @@ func TestKillPointCoordinatorChild(t *testing.T) {
 	}
 	mode, _ := strconv.Atoi(os.Getenv(envMode))
 
-	cl, err := shard.Open(kill2PCCfg(dir))
+	cl, err := openCluster(kill2PCCfg(dir))
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
@@ -717,7 +717,7 @@ func TestKillPointCoordinator(t *testing.T) {
 				}
 
 				ackA, ackB := lastAckPair(t, acksPath)
-				cl, err := shard.Open(kill2PCCfg(heapDir)) // routes to RecoverDir
+				cl, err := openCluster(kill2PCCfg(heapDir))
 				if err != nil {
 					t.Fatalf("cycle %d: recover: %v", cycle, err)
 				}

@@ -78,7 +78,7 @@ func TestKindNames(t *testing.T) {
 // and a head that was updated after the list was built (the model is the
 // values, not the base they were generated from).
 func TestCommittedList(t *testing.T) {
-	hp := core.Open(cfg())
+	hp := openMem(cfg())
 	defer hp.Close()
 	const slot, typeID = 3, 2
 	vals := seq(500, 4)

@@ -3,7 +3,6 @@ package recovery
 import (
 	"sync"
 
-	"stableheap/internal/storage"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -146,12 +145,4 @@ func (c *Checkpointer) Stats() CheckpointStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// InitMaster formats a fresh disk's master block (used by core when
-// creating a new stable heap). The first checkpoint follows immediately.
-func InitMaster(disk *storage.Disk) {
-	m := disk.Master()
-	m.Formatted = true
-	disk.SetMaster(m)
 }

@@ -542,3 +542,12 @@ func TestAnalysisSFixMaintainsSRem(t *testing.T) {
 		t.Fatal("fix not replayed")
 	}
 }
+
+// InitMaster marks a fresh disk's master formatted with no checkpoint yet:
+// the state these tests start recovery from by hand. (core.Open marks the
+// master formatted only when it promotes the first checkpoint.)
+func InitMaster(disk *storage.Disk) {
+	m := disk.Master()
+	m.Formatted = true
+	disk.SetMaster(m)
+}

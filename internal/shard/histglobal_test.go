@@ -54,7 +54,7 @@ func runGlobalHistoryRound(t *testing.T, round int) {
 		part.ConcurrentVGC = true
 	}
 	cfg := Config{Partitions: 2 + round%3, Part: part}
-	cl, err := Open(cfg)
+	cl, _, err := openCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

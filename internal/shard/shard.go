@@ -16,7 +16,11 @@
 package shard
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -34,13 +38,14 @@ import (
 // subdirectory in file-backed mode.
 type Config struct {
 	// Partitions is the partition count (default 3). It is part of the
-	// cluster's durable identity: reopening a directory with a different
-	// count would misroute every slot, so OpenDir persists and checks it.
+	// cluster's durable identity: reopening with a different count would
+	// misroute every slot, so Open persists it with the coordinator's
+	// backing and refuses a mismatch.
 	Partitions int
 	// Part is the per-partition core configuration template.
 	Part core.Config
 	// Dir, when set, makes the cluster file-backed: partition i lives at
-	// Dir/p<i> and the coordinator's decision log at Dir/coord.
+	// Dir/p<i> and the coordinator at Dir/coord (BackingsFor).
 	Dir string
 }
 
@@ -54,35 +59,48 @@ func (c Config) withDefaults() Config {
 // partCfg is partition i's concrete core config.
 func (c Config) partCfg(i int) core.Config {
 	sub := c.Part
+	sub.Dir = ""
 	if c.Dir != "" {
 		sub.Dir = filepath.Join(c.Dir, fmt.Sprintf("p%d", i))
-	} else {
-		sub.Dir = ""
 	}
 	return sub
 }
 
-func (c Config) coordDir() string { return filepath.Join(c.Dir, "coord") }
-
-// PartDevices is one partition's raw devices, as surfaced by Crash.
-type PartDevices struct {
-	Disk *storage.Disk
-	Log  *storage.Log
+// Backings is one device pair's byte backings: the page store's and the
+// log's. The coordinator keeps no page store; its Disk backing holds the
+// cluster's partition count.
+type Backings struct {
+	Disk, Log storage.Backing
 }
 
-// CrashState is everything that survives a simulated whole-cluster crash:
-// each partition's durable devices plus the coordinator's decision log.
-type CrashState struct {
-	Parts []PartDevices
-	Coord *storage.Log
+// BackingsFor returns the backings cfg lays out: partition i's at
+// Dir/p<i> and the coordinator's at Dir/coord, each as
+// filestore.Backings lays a heap out; fresh memory without Dir.
+func BackingsFor(cfg Config) (parts []Backings, coord Backings, err error) {
+	cfg = cfg.withDefaults()
+	dir := func(name string) string {
+		if cfg.Dir == "" {
+			return ""
+		}
+		return filepath.Join(cfg.Dir, name)
+	}
+	for i := 0; i < cfg.Partitions; i++ {
+		var b Backings
+		if b.Disk, b.Log, err = filestore.Backings(dir(fmt.Sprintf("p%d", i))); err != nil {
+			return nil, Backings{}, err
+		}
+		parts = append(parts, b)
+	}
+	coord.Disk, coord.Log, err = filestore.Backings(dir("coord"))
+	return parts, coord, err
 }
 
 // Cluster is the partitioned heap facade.
 type Cluster struct {
-	cfg        Config
-	parts      []*core.Heap
-	coord      *Coordinator
-	coordStore *filestore.Store // non-nil in file-backed mode
+	cfg      Config
+	backings []Backings // partition i's, for its restart (CrashPartition)
+	parts    []*core.Heap
+	coord    *Coordinator
 
 	hookMu    sync.Mutex
 	crashHook func(point CrashPoint, part int) bool
@@ -100,110 +118,42 @@ type Cluster struct {
 	resolvedAborts  atomic.Int64
 }
 
-// Open creates a cluster: in-memory when cfg.Dir is empty, file-backed
-// (formatting or recovering the directory) otherwise.
-func Open(cfg Config) (*Cluster, error) {
+// Open opens the cluster held in one backing pair per partition and the
+// coordinator's. Every partition decides from its own bytes, as core.Open
+// does, whether to format, recover or rebuild from its log; the
+// coordinator rescans its decision log, and the resolution pass then
+// commits or aborts each in-doubt branch by presumed abort. A restart is
+// always Open over the same backings. A partition count other than the one
+// the coordinator's backing holds is refused.
+func Open(cfg Config, parts []Backings, coord Backings) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Dir != "" {
-		return OpenDir(cfg)
+	if len(parts) != cfg.Partitions {
+		return nil, fmt.Errorf("shard: Open got %d backing pairs for %d partitions", len(parts), cfg.Partitions)
 	}
 	if err := cfg.Part.Validate(); err != nil {
 		return nil, err
 	}
-	cl := &Cluster{cfg: cfg}
-	for i := 0; i < cfg.Partitions; i++ {
-		cl.parts = append(cl.parts, core.Open(cfg.partCfg(i)))
+	seg := cfg.Part.LogSegBytes
+	if seg <= 0 && cfg.Dir != "" {
+		seg = filestore.DefaultSegmentBytes
 	}
-	cl.coord = newCoordinator(storage.NewLog(cfg.Part.WithDefaults().LogSegBytes))
-	return cl, nil
-}
-
-// OpenOn creates an in-memory cluster over caller-supplied devices — one
-// device pair per partition plus the coordinator log. Benchmarks use it to
-// interpose latency-injecting log wrappers.
-func OpenOn(cfg Config, devs []PartDevices, coordLog *storage.Log) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if len(devs) != cfg.Partitions {
-		return nil, fmt.Errorf("shard: OpenOn got %d device pairs for %d partitions", len(devs), cfg.Partitions)
-	}
-	if err := cfg.Part.Validate(); err != nil {
+	clog, err := storage.OpenLog(coord.Log, seg)
+	if err != nil {
 		return nil, err
 	}
-	cfg.Dir = ""
-	cl := &Cluster{cfg: cfg}
-	for i, d := range devs {
-		cl.parts = append(cl.parts, core.OpenOn(cfg.partCfg(i), d.Disk, d.Log))
+	cl := &Cluster{cfg: cfg, backings: parts, coord: recoverCoordinator(clog)}
+	if err := claimPartitions(coord.Disk, clog, cfg.Partitions); err != nil {
+		cl.Close()
+		return nil, err
 	}
-	cl.coord = newCoordinator(coordLog)
-	return cl, nil
-}
-
-// OpenDir opens a file-backed cluster at cfg.Dir: a fresh tree is
-// formatted, an existing one is recovered (including the in-doubt
-// resolution pass).
-func OpenDir(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("shard: OpenDir with empty Config.Dir")
-	}
-	if filestore.IsFormatted(cfg.coordDir()) {
-		return RecoverDir(cfg)
-	}
-	cl := &Cluster{cfg: cfg}
-	for i := 0; i < cfg.Partitions; i++ {
-		hp, err := core.OpenDir(cfg.partCfg(i))
+	for i, b := range parts {
+		hp, err := core.Open(cfg.partCfg(i), b.Disk, b.Log)
 		if err != nil {
-			cl.closePartial()
+			cl.Close()
 			return nil, err
 		}
 		cl.parts = append(cl.parts, hp)
 	}
-	st, err := filestore.Open(cfg.coordDir(), filestore.Options{SegmentBytes: cfg.Part.LogSegBytes})
-	if err != nil {
-		cl.closePartial()
-		return nil, err
-	}
-	// Stamp the coordinator store formatted (a durable barrier): heap
-	// stores get the bit from core's format path, but the decision log is
-	// ours, and without it every reopen would re-enter the format path and
-	// discard the coordinator's durable decisions.
-	m := st.Disk.Master()
-	m.Formatted = true
-	st.Disk.SetMaster(m)
-	cl.coordStore = st
-	cl.coord = newCoordinator(st.Log)
-	return cl, nil
-}
-
-// RecoverDir rebuilds a file-backed cluster after a process kill: every
-// partition runs ordinary single-heap crash recovery (which restores its
-// prepared in-doubt branches), the coordinator rescans its decision log,
-// and the resolution pass then commits or aborts each in-doubt branch by
-// presumed abort.
-func RecoverDir(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("shard: RecoverDir with empty Config.Dir")
-	}
-	if !filestore.IsFormatted(cfg.coordDir()) {
-		return nil, fmt.Errorf("shard: %s holds no formatted cluster", cfg.Dir)
-	}
-	cl := &Cluster{cfg: cfg}
-	for i := 0; i < cfg.Partitions; i++ {
-		hp, err := core.RecoverDir(cfg.partCfg(i))
-		if err != nil {
-			cl.closePartial()
-			return nil, err
-		}
-		cl.parts = append(cl.parts, hp)
-	}
-	st, err := filestore.Open(cfg.coordDir(), filestore.Options{SegmentBytes: cfg.Part.LogSegBytes})
-	if err != nil {
-		cl.closePartial()
-		return nil, err
-	}
-	cl.coordStore = st
-	cl.coord = recoverCoordinator(st.Log)
 	if err := cl.resolveInDoubt(); err != nil {
 		cl.Close()
 		return nil, err
@@ -211,50 +161,51 @@ func RecoverDir(cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
+// clusterMeta is the blob in the coordinator's Disk backing that holds the
+// partition count.
+const (
+	clusterMeta      = "cluster.dat"
+	clusterMetaMagic = 0x5348434C // "SHCL"
+)
+
+// claimPartitions checks the partition count b holds against n, or, on a
+// cluster's first open, persists n there (an atomic replace, before any
+// partition holds data). A coordinator log with records and no count is
+// refused: the count that routed them is lost.
+func claimPartitions(b storage.Backing, clog *storage.Log, n int) error {
+	raw, err := b.ReadBlob(clusterMeta)
+	switch {
+	case err == nil:
+		if len(raw) != 12 || binary.LittleEndian.Uint32(raw) != clusterMetaMagic ||
+			binary.LittleEndian.Uint32(raw[8:]) != crc32.ChecksumIEEE(raw[:8]) {
+			return fmt.Errorf("shard: %s is corrupt", clusterMeta)
+		}
+		if have := int(binary.LittleEndian.Uint32(raw[4:])); have != n {
+			return fmt.Errorf("shard: the cluster has %d partitions and Config.Partitions asks for %d", have, n)
+		}
+		return nil
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	case clog.EndLSN() > 1:
+		return fmt.Errorf("shard: the coordinator's log holds records but its %s, the partition count, is missing", clusterMeta)
+	}
+	raw = binary.LittleEndian.AppendUint32(nil, clusterMetaMagic)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(n))
+	return b.Replace(clusterMeta, binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw)))
+}
+
 // Crash simulates a whole-cluster power failure: every partition's
 // volatile state is discarded (unforced log tails, dirty cache) and the
-// coordinator's unforced decisions vanish with it. The returned state is
-// what Recover rebuilds from — except for a file-backed cluster (OpenDir /
-// RecoverDir), whose crash also releases its files as a process kill would
-// (core.Heap.Crash): its returned devices are dead, and RecoverDir on the
-// directory is the way back.
-func (cl *Cluster) Crash() CrashState {
-	cs := CrashState{Parts: make([]PartDevices, 0, len(cl.parts))}
+// coordinator's unforced decisions vanish with it. Every device is
+// released as a process kill releases its files; Open over the same
+// backings is the restart.
+func (cl *Cluster) Crash() {
 	for _, hp := range cl.parts {
-		disk, log := hp.Crash()
-		cs.Parts = append(cs.Parts, PartDevices{Disk: disk, Log: log})
+		hp.Crash()
 	}
 	clog := cl.coord.Log()
 	clog.Crash()
-	cs.Coord = clog
-	if cl.coordStore != nil {
-		cl.coordStore.Abandon()
-		cl.coordStore = nil
-	}
-	return cs
-}
-
-// Recover rebuilds a cluster from crashed devices and resolves every
-// in-doubt branch against the coordinator's surviving decisions.
-func Recover(cfg Config, cs CrashState) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if len(cs.Parts) != cfg.Partitions {
-		return nil, fmt.Errorf("shard: Recover got %d device pairs for %d partitions", len(cs.Parts), cfg.Partitions)
-	}
-	cfg.Dir = ""
-	cl := &Cluster{cfg: cfg}
-	for i, pd := range cs.Parts {
-		hp, err := core.Recover(cfg.partCfg(i), pd.Disk, pd.Log)
-		if err != nil {
-			return nil, err
-		}
-		cl.parts = append(cl.parts, hp)
-	}
-	cl.coord = recoverCoordinator(cs.Coord)
-	if err := cl.resolveInDoubt(); err != nil {
-		return nil, err
-	}
-	return cl, nil
+	clog.Abandon()
 }
 
 // CrashCoordinator simulates a coordinator-only failure while the
@@ -269,12 +220,11 @@ func (cl *Cluster) CrashCoordinator() {
 
 // CrashPartition simulates one partition's power failure while the rest
 // of the cluster — coordinator included — keeps running: the partition's
-// devices crash, its heap recovers in place (a file-backed partition from
-// its directory: the crash closed its devices), and its in-doubt branches
-// resolve against the live coordinator by presumed abort.
+// devices crash, its heap reopens over its backings, and its in-doubt
+// branches resolve against the live coordinator by presumed abort.
 func (cl *Cluster) CrashPartition(i int) error {
-	disk, log := cl.parts[i].Crash()
-	hp, err := core.RecoverCrashed(cl.cfg.partCfg(i), disk, log)
+	cl.parts[i].Crash()
+	hp, err := core.Open(cl.cfg.partCfg(i), cl.backings[i].Disk, cl.backings[i].Log)
 	if err != nil {
 		return err
 	}
@@ -484,24 +434,10 @@ func (cl *Cluster) InDoubt() map[int][]word.TxID {
 }
 
 // Close shuts every partition down cleanly and closes the coordinator's
-// store in file-backed mode.
+// log; a failed Open closes what it opened the same way.
 func (cl *Cluster) Close() {
 	for _, hp := range cl.parts {
 		hp.Close()
 	}
-	if cl.coordStore != nil {
-		cl.coordStore.Close()
-		cl.coordStore = nil
-	}
-}
-
-// closePartial tears down whatever a failed multi-step open built.
-func (cl *Cluster) closePartial() {
-	for _, hp := range cl.parts {
-		hp.Close()
-	}
-	if cl.coordStore != nil {
-		cl.coordStore.Close()
-		cl.coordStore = nil
-	}
+	cl.coord.Log().Close()
 }

@@ -21,11 +21,22 @@ func testConfig() core.Config {
 
 func openTest(t *testing.T, partitions int) *Cluster {
 	t.Helper()
-	cl, err := Open(Config{Partitions: partitions, Part: testConfig()})
+	cl, _, err := openCluster(Config{Partitions: partitions, Part: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cl
+}
+
+// openCluster opens the cluster cfg lays out (BackingsFor) and returns it
+// with its restart: Open over the same backings.
+func openCluster(cfg Config) (*Cluster, func() (*Cluster, error), error) {
+	parts, coord, err := BackingsFor(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	cl, err := Open(cfg, parts, coord)
+	return cl, func() (*Cluster, error) { return Open(cfg, parts, coord) }, err
 }
 
 // slotsOnDistinctPartitions returns n root slots, each on a different
@@ -194,7 +205,7 @@ func TestTwoPCCrashMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.point.String(), func(t *testing.T) {
 			cfg := Config{Partitions: 2, Part: testConfig()}
-			cl, err := Open(cfg)
+			cl, restart, err := openCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +229,8 @@ func TestTwoPCCrashMatrix(t *testing.T) {
 				t.Fatalf("crash hook at %v never fired", tc.point)
 			}
 
-			rec, err := Recover(cfg, cl.Crash())
+			cl.Crash()
+			rec, err := restart()
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -246,7 +258,7 @@ func TestTwoPCCrashMatrix(t *testing.T) {
 func TestClusterDirPersistence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Partitions: 3, Part: testConfig(), Dir: dir}
-	cl, err := Open(cfg)
+	cl, _, err := openCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +271,7 @@ func TestClusterDirPersistence(t *testing.T) {
 	}
 	cl.Close()
 
-	re, err := Open(cfg)
+	re, _, err := openCluster(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -282,7 +294,7 @@ func TestClusterDirPersistence(t *testing.T) {
 // still closes and reopens cleanly — the recovered heap owns its files.
 func TestCrashPartitionFileBacked(t *testing.T) {
 	cfg := Config{Partitions: 3, Part: testConfig(), Dir: t.TempDir()}
-	cl, err := Open(cfg)
+	cl, _, err := openCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +312,7 @@ func TestCrashPartitionFileBacked(t *testing.T) {
 	}
 	cl.Close()
 
-	re, err := Open(cfg)
+	re, _, err := openCluster(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -309,6 +321,43 @@ func TestCrashPartitionFileBacked(t *testing.T) {
 		if got := readCounter(t, re, slots[i]); got != want {
 			t.Fatalf("slot %d = %d, want %d", slots[i], got, want)
 		}
+	}
+}
+
+// TestClusterRefusesOtherPartitionCount: the partition count routes every
+// slot, so a cluster reopened with another count is refused by name — over
+// files and in memory — instead of opening with most of its roots routed to
+// partitions that never held them. The right count reopens it whole.
+func TestClusterRefusesOtherPartitionCount(t *testing.T) {
+	for name, dir := range map[string]string{"memory": "", "dir": t.TempDir()} {
+		cfg := Config{Partitions: 3, Part: testConfig(), Dir: dir}
+		parts, coord, err := BackingsFor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Open(cfg, parts, coord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < 6; slot++ {
+			setCounter(t, cl, slot, uint64(10+slot))
+		}
+		cl.Close()
+		two := cfg
+		two.Partitions = 2
+		if _, err := Open(two, parts[:2], coord); err == nil || !strings.Contains(err.Error(), "3 partitions") {
+			t.Fatalf("%s: reopened with 2 partitions: %v, want a refusal naming the 3 it has", name, err)
+		}
+		re, err := Open(cfg, parts, coord)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		for slot := 0; slot < 6; slot++ {
+			if got := readCounter(t, re, slot); got != uint64(10+slot) {
+				t.Fatalf("%s: slot %d = %d after reopen, want %d", name, slot, got, 10+slot)
+			}
+		}
+		re.Close()
 	}
 }
 
@@ -337,17 +386,15 @@ func TestRoutingStable(t *testing.T) {
 }
 
 // TestOpenValidateRejects: a partition template core.Config.Validate refuses
-// comes back as Open's error — in memory, over caller devices and over
-// files — instead of core.Open's panic.
+// comes back as Open's error, in memory and over files.
 func TestOpenValidateRejects(t *testing.T) {
 	bad := testConfig()
 	bad.Undivided, bad.ConcurrentVGC = true, true
-	for name, open := range map[string]func() (*Cluster, error){
-		"Open":     func() (*Cluster, error) { return Open(Config{Part: bad}) },
-		"OpenOn":   func() (*Cluster, error) { return OpenOn(Config{Partitions: 1, Part: bad}, make([]PartDevices, 1), nil) },
-		"Open dir": func() (*Cluster, error) { return Open(Config{Part: bad, Dir: t.TempDir()}) },
+	for name, cfg := range map[string]Config{
+		"memory": {Part: bad},
+		"dir":    {Part: bad, Dir: t.TempDir()},
 	} {
-		if _, err := open(); err == nil || !strings.Contains(err.Error(), "Config.ConcurrentVGC") {
+		if _, _, err := openCluster(cfg); err == nil || !strings.Contains(err.Error(), "Config.ConcurrentVGC") {
 			t.Fatalf("%s: error %v does not name the field", name, err)
 		}
 	}

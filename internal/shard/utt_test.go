@@ -20,7 +20,7 @@ import (
 // presumed-abort rollback would restore garbage.
 func TestAddressReuseAcrossPartitionsNoAliasing(t *testing.T) {
 	cfg := Config{Partitions: 2, Part: testConfig()}
-	cl, err := Open(cfg)
+	cl, restart, err := openCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,8 @@ func TestAddressReuseAcrossPartitionsNoAliasing(t *testing.T) {
 
 	// Crash and recover: no durable decision, so presumed abort must
 	// restore both counters exactly.
-	rec, err := Recover(cfg, cl.Crash())
+	cl.Crash()
+	rec, err := restart()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -31,6 +31,19 @@ type Backing interface {
 	Clone() (Backing, error)
 }
 
+// Backings returns the backings d and l are written over; either may be
+// nil. A restart opens new devices over them: the bytes a crash or a close
+// left are all it sees.
+func Backings(d *Disk, l *Log) (db, lb Backing) {
+	if d != nil {
+		db = d.b
+	}
+	if l != nil {
+		lb = l.b
+	}
+	return db, lb
+}
+
 // File is one named file of a Backing. ReadAt and WriteAt may run
 // concurrently with each other; a read of a hole returns zeros.
 type File interface {

@@ -10,10 +10,9 @@ import (
 // The detectable-failure contract: a device that discovers corruption or
 // an unrecoverable I/O condition reports it by panicking with one of the
 // typed errors below, naming the exact page or LSN (a reopen returns
-// them). Layers with an error return (core.Recover,
-// core.RecoverFromLog) convert the panic back into an error with
-// AsDeviceError, so corruption is either repaired or surfaces as a typed
-// error — never as silently wrong state.
+// them). Layers with an error return (core.Open) convert the panic back
+// into an error with AsDeviceError, so corruption is either repaired or
+// surfaces as a typed error — never as silently wrong state.
 
 // ErrCorrupt is the sentinel wrapped by CorruptPageError and
 // CorruptFrameError; match with errors.Is.

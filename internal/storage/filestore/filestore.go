@@ -63,15 +63,24 @@ type Store struct {
 	Log  *storage.Log
 }
 
+// Backings returns the two backings one heap lives in, the page store's
+// and the log's: dir and dir/log, created if absent. An empty dir names no
+// directory: two fresh memory backings.
+func Backings(dir string) (db, lb storage.Backing, err error) {
+	if dir == "" {
+		return storage.NewMemBacking(), storage.NewMemBacking(), nil
+	}
+	if db, err = NewBacking(dir); err == nil {
+		lb, err = NewBacking(filepath.Join(dir, "log"))
+	}
+	return db, lb, err
+}
+
 // Open opens (or creates) a store at dir. Reopening an existing directory
 // re-parses the slot file and the log segments, and cuts off a torn log
 // tail there (see storage.OpenLog).
 func Open(dir string, o Options) (*Store, error) {
-	db, err := NewBacking(dir)
-	if err != nil {
-		return nil, err
-	}
-	lb, err := NewBacking(filepath.Join(dir, "log"))
+	db, lb, err := Backings(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -90,14 +99,6 @@ func Open(dir string, o Options) (*Store, error) {
 	return &Store{Dir: dir, Disk: disk, Log: log}, nil
 }
 
-// IsFormatted reports whether dir holds an initialized store (a valid
-// master block with the Formatted bit): the "reopen, don't format" signal
-// for open/recover entry points.
-func IsFormatted(dir string) bool {
-	m, err := storage.ReadMaster(&backing{dir: dir})
-	return err == nil && m.Formatted
-}
-
 // Close forces the log tail and fdatasyncs and closes both files.
 func (s *Store) Close() error {
 	err := s.Log.Close()
@@ -105,29 +106,6 @@ func (s *Store) Close() error {
 		err = derr
 	}
 	return err
-}
-
-// Abandon releases the store the way a process kill does, for in-process
-// crash simulation: the file descriptors close with no force and no
-// fdatasync — a crash must not make anything durable that was not. Call it
-// after the log's Crash/CrashTorn, which drops the un-forced tail; every
-// completed page write is already in the OS, as a kill would leave it. The
-// devices are dead afterwards; only a fresh Open of the directory goes on.
-func (s *Store) Abandon() {
-	s.Log.Abandon()
-	s.Disk.Abandon()
-}
-
-// FileMetrics exposes the store's durable-layer counters (core.Metrics
-// surfaces them with a filestore_ prefix): the log's fdatasyncs, and the
-// page store's barriers, each of which fdatasyncs pages.dat.
-func (s *Store) FileMetrics() map[string]int64 {
-	barriers := s.Disk.Stats().Barriers
-	return map[string]int64{
-		"log_fsyncs_total":  s.Log.Stats().Syncs,
-		"page_fsyncs_total": barriers,
-		"barriers_total":    barriers,
-	}
 }
 
 // backing is a directory as a storage.Backing.

@@ -203,7 +203,7 @@ func TestCloneIsIndependentDirectory(t *testing.T) {
 }
 
 // logFsyncs reads the log-force fdatasync counter.
-func logFsyncs(s *Store) int64 { return s.FileMetrics()["log_fsyncs_total"] }
+func logFsyncs(s *Store) int64 { return s.Log.Stats().Syncs }
 
 func segName(first word.LSN) string { return fmt.Sprintf("seg-%016x.seg", uint64(first)) }
 

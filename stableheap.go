@@ -50,6 +50,7 @@ import (
 	"stableheap/internal/gc"
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
+	"stableheap/internal/storage/filestore"
 	"stableheap/internal/word"
 )
 
@@ -123,17 +124,20 @@ type Heap struct {
 	inner *core.Heap
 }
 
-// Open creates and formats a fresh stable heap. With Config.Dir set, the
-// heap lives in real files under that directory instead of simulated
-// devices (formatting a fresh directory, recovering an existing one);
-// see OpenDir for the error-returning form. A Config no heap can honour
-// (core.Config.Validate) panics here and is returned as the error there and
-// by the Recover family.
+// Open opens the stable heap in cfg.Dir's files, or a fresh one in memory
+// without Dir, panicking where OpenDir would return an error (a Config
+// core.Config.Validate refuses, a filesystem error, a refused restart).
+// Every open of an existing heap is a restart: core.Open decides from the
+// bytes it finds whether to format, recover or rebuild from the log.
 func Open(cfg Config) *Heap {
-	return &Heap{inner: core.Open(cfg)}
+	h, err := OpenDir(cfg)
+	if err != nil {
+		panic(err.Error())
+	}
+	return h
 }
 
-// adopt wraps what an error-returning core entry point produced.
+// adopt wraps what core.Open produced.
 func adopt(inner *core.Heap, err error) (*Heap, error) {
 	if err != nil {
 		return nil, err
@@ -141,24 +145,32 @@ func adopt(inner *core.Heap, err error) (*Heap, error) {
 	return &Heap{inner: inner}, nil
 }
 
-// OpenDir opens a file-backed stable heap at cfg.Dir: a fresh directory
-// is formatted, an existing one is recovered.
-func OpenDir(cfg Config) (*Heap, error) { return adopt(core.OpenDir(cfg)) }
+// OpenDir opens the stable heap in cfg.Dir: a fresh directory is
+// formatted, an existing one recovered, one whose master is gone rebuilt
+// from its log (or refused, if the log is truncated).
+func OpenDir(cfg Config) (*Heap, error) {
+	db, lb, err := filestore.Backings(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return adopt(core.Open(cfg, db, lb))
+}
 
-// RecoverDir rebuilds a file-backed stable heap from an existing
-// directory — the process-restart analog of Recover. Torn log tails left
-// by a kill are redelivered by the file layer and repaired by ordinary
-// crash recovery.
-func RecoverDir(cfg Config) (*Heap, error) { return adopt(core.RecoverDir(cfg)) }
+// RecoverDir is OpenDir, the name a process restart reads best under.
+// Torn log tails left by a kill are cut by the file layer and repaired by
+// ordinary crash recovery.
+func RecoverDir(cfg Config) (*Heap, error) { return OpenDir(cfg) }
 
-// Recover rebuilds a stable heap from the devices surviving a crash:
-// repeating history from the last checkpoint, rolling back the
-// transactions that were active at the crash, restoring (and later
-// resuming) any interrupted collection, and evacuating recovered
-// newly stable objects out of the volatile area. Work is bounded by the
-// log written since the last checkpoint, never by heap size.
+// Recover restarts the heap that ran on disk and log (the devices Crash or
+// Close returned, now closed) over the bytes they left: repeating history
+// from the last checkpoint, rolling back the transactions that were active
+// at the crash, restoring (and later resuming) any interrupted collection,
+// and evacuating recovered newly stable objects out of the volatile area.
+// Work is bounded by the log written since the last checkpoint, never by
+// heap size.
 func Recover(cfg Config, disk Disk, log LogDevice) (*Heap, error) {
-	return adopt(core.Recover(cfg, disk, log))
+	db, lb := storage.Backings(disk, log)
+	return adopt(core.Open(cfg, db, lb))
 }
 
 // RecoverFromLog rebuilds the entire heap from the log alone — the
@@ -167,7 +179,8 @@ func Recover(cfg Config, disk Disk, log LogDevice) (*Heap, error) {
 // log must be untruncated (the archive discipline); a truncated log is
 // refused. The heap is rebuilt onto a fresh page store in memory.
 func RecoverFromLog(cfg Config, log LogDevice) (*Heap, error) {
-	return adopt(core.RecoverFromLog(cfg, storage.NewDisk(cfg.WithDefaults().PageSize), log))
+	_, lb := storage.Backings(nil, log)
+	return adopt(core.Open(cfg, storage.NewMemBacking(), lb))
 }
 
 // Begin starts a transaction. Transactions are serializable (strict
@@ -201,10 +214,9 @@ func (h *Heap) StepStable() bool { return h.inner.StepStable() }
 
 // Crash simulates a system failure: main memory, the volatile log tail,
 // the lock table and all active transactions are lost; the disk and the
-// stable log survive and are returned for Recover. The Heap is dead
-// afterwards. A heap opened with Config.Dir also releases its files, as a
-// process kill would: the returned devices are dead too, and RecoverDir
-// reopens the directory.
+// stable log survive in their bytes. The devices are released as a process
+// kill releases its files and returned for Recover; the Heap is dead
+// afterwards. RecoverDir reopens a Dir heap's directory as well.
 //
 // Crash is also the only call a heap accepts once a device has failed under
 // it: the heap is fail-stop, so after a typed device panic (storage.ErrIO,
@@ -213,8 +225,9 @@ func (h *Heap) StepStable() bool { return h.inner.StepStable() }
 func (h *Heap) Crash() (Disk, LogDevice) { return h.inner.Crash() }
 
 // Close shuts down cleanly: aborts active transactions, completes any
-// running collection, flushes, and takes a final forced checkpoint. The
-// devices (from Devices) can then be Recovered instantly.
+// running collection, flushes, takes a final forced checkpoint and closes
+// the devices. Recover over them (from Devices) then reopens the heap
+// from that checkpoint.
 func (h *Heap) Close() { h.inner.Close() }
 
 // Devices returns the heap's simulated devices.

@@ -2,9 +2,15 @@ package stableheap
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +48,47 @@ func TestCommandBudget(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("cmd/ holds %v, want exactly %v", got, want)
+	}
+}
+
+// TestEntryPointBudget is the same ratchet for the ways a heap or a
+// cluster comes to exist: the exported top-level functions of internal/core
+// and internal/shard that return a *core.Heap or a *shard.Cluster. One open
+// each decides from the bytes it finds whether to format, recover or
+// rebuild from the log; a second constructor is a second restart policy.
+func TestEntryPointBudget(t *testing.T) {
+	const budget = 2
+	var names []string
+	for dir, results := range map[string][]string{
+		"internal/core":  {"*Heap"},
+		"internal/shard": {"*Cluster", "*core.Heap"},
+	} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, d := range f.Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+						continue
+					}
+					for _, r := range fn.Type.Results.List {
+						if slices.Contains(results, types.ExprString(r.Type)) {
+							names = append(names, dir+"."+fn.Name.Name)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(names) > budget {
+		slices.Sort(names)
+		t.Fatalf("%d entry points %v, budget %d: a restart is one Open over the same backings", len(names), names, budget)
 	}
 }
 
