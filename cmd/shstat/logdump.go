@@ -84,15 +84,13 @@ func describe(r wal.Record) string {
 	case wal.LogicalRec:
 		return fmt.Sprintf("logical      tx=%d addr=%v delta=%+d (no before-image)", rec.TxID, rec.Addr, int64(rec.Delta))
 	case wal.CLRRec:
-		return fmt.Sprintf("CLR          tx=%d addr=%v restores=%x undoNext=%d", rec.TxID, rec.Addr, rec.Redo, rec.UndoNext)
+		return fmt.Sprintf("CLR          tx=%d addr=%v restores=%x undoNext=%d (undo resumes at undoNext)", rec.TxID, rec.Addr, rec.Redo, rec.UndoNext)
 	case wal.AllocRec:
 		return fmt.Sprintf("alloc        tx=%d addr=%v size=%dw", rec.TxID, rec.Addr, rec.SizeWords)
 	case wal.PrepareRec:
 		return fmt.Sprintf("PREPARE      tx=%d (forced; in-doubt across crashes)", rec.TxID)
 	case wal.CommitRec:
 		return fmt.Sprintf("COMMIT       tx=%d (log forced through here)", rec.TxID)
-	case wal.AbortRec:
-		return fmt.Sprintf("abort        tx=%d (CLRs follow)", rec.TxID)
 	case wal.EndRec:
 		return fmt.Sprintf("end          tx=%d", rec.TxID)
 	case wal.BaseRec:

@@ -135,18 +135,11 @@ type Config struct {
 	// binary records — tx begin/commit/abort, collector flips, steps and
 	// quanta, WAL forces, latch stalls, recovery phases, injected faults —
 	// with durations, exportable as Chrome trace_event JSON
-	// (Heap.TraceJSON) and journaled through a dedicated log device so the
-	// pre-crash timeline is readable after recovery (Heap.FlightEvents,
-	// shstat -decode). Latency histograms are always on regardless; the
-	// recorder is the only opt-in piece.
+	// (Heap.TraceJSON) and journaled to the heap's own device, which
+	// survives Crash, so the pre-crash timeline is readable after it
+	// (Heap.FlightDevice, shstat -decode). Latency histograms are always
+	// on regardless; the recorder is the only opt-in piece.
 	FlightRecorder bool
-	// FlightJournal, when set, is the device the recorder journals to —
-	// pass the same device across crash/recover cycles to accumulate the
-	// timeline of every run (frames are tagged per run; obs.ReadLatest
-	// separates them). Nil allocates a fresh private device. The journal
-	// device is deliberately never the WAL device and is not expected to
-	// be fault-wrapped: it models battery-backed recorder hardware.
-	FlightJournal *storage.Log
 	// WatchdogInterval, when positive, starts a stall-watchdog goroutine
 	// that snapshots the metrics on this ticker and runs anomaly rules
 	// over consecutive windows (mutator stalls far beyond p99, nursery
@@ -398,11 +391,7 @@ func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 
 	if cfg.FlightRecorder {
 		hp.bb = obs.NewBlackBox(obs.BlackBoxEvents)
-		jd := cfg.FlightJournal
-		if jd == nil {
-			jd = storage.NewLog(1 << 20)
-		}
-		hp.journal = obs.NewJournal(jd, hp.bb)
+		hp.journal = obs.NewJournal(storage.NewLog(1<<20), hp.bb)
 	}
 	log.SetRecorder(hp.bb)
 	hp.sgc.SetRecorder(hp.bb)
@@ -460,7 +449,10 @@ func alignUp(a word.Addr, ps int) word.Addr {
 
 // format bootstraps a fresh heap: the stable root object is created by a
 // system bootstrap transaction, then the first checkpoint is taken and its
-// promotion marks the master formatted. Until then a kill leaves the master
+// promotion marks the master formatted. The bootstrap commit is only
+// spooled: the checkpoint's force makes both durable at once, so a first
+// open forces the log once, and no kill leaves a log that holds records
+// but no checkpoint. Until the promotion a kill leaves the master
 // unformatted, so the next Open formats again (an empty log) or recovers
 // from the log's first checkpoint — never a formatted master with no
 // checkpoint to start from.
@@ -474,7 +466,8 @@ func (hp *Heap) format() {
 	lsn := hp.txm.LogAlloc(t, addr, d)
 	hp.h.SetDescriptor(addr, d, lsn)
 	hp.rootObj = addr
-	hp.finishCommit(t, hp.txm.PrepareCommit(t))
+	hp.txm.PrepareCommit(t)
+	hp.txm.FinishCommit(t)
 	if !hp.cfg.Undivided {
 		hp.volRootObj = hp.allocVolRootObj()
 	}

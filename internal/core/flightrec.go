@@ -68,9 +68,11 @@ func (hp *Heap) stopWatchdog() {
 // the timeline.
 func (hp *Heap) FlightRecorder() *obs.BlackBox { return hp.bb }
 
-// FlightDevice returns the journal's log device — readable after Crash
-// (the device is never fault-wrapped), which is how the post-crash
-// timeline is recovered.
+// FlightDevice returns the journal's log device, private to this heap —
+// readable after Crash (the device is never fault-wrapped: it models
+// battery-backed recorder hardware), which is how the pre-crash timeline
+// is recovered. A heap opened after the crash journals to a device of its
+// own; a harness joins the devices' frames for a multi-boot history.
 func (hp *Heap) FlightDevice() *storage.Log { return hp.journal.Device() }
 
 // FlightEvents snapshots the live ring in sequence order.

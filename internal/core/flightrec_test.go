@@ -29,7 +29,8 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 	}
 
 	// Crash; the journal survives and replays the timeline including the
-	// crash marker, then the recovered heap appends its own boot.
+	// crash marker, then the recovered heap journals its own boot to a
+	// device of its own.
 	disk, logDev := hp.Crash()
 	evs, _, err := obs.ReadLatest(hp.FlightDevice())
 	if err != nil {
@@ -39,7 +40,6 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 		t.Fatalf("journal does not end with the crash marker (%d events)", len(evs))
 	}
 
-	cfg.FlightJournal = hp.FlightDevice() // share the journal across the reboot
 	h2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,6 @@ func TestWatchdogLifecycle(t *testing.T) {
 	obsWorkload(t, hp)
 	time.Sleep(5 * time.Millisecond) // a few ticks
 	disk, logDev := hp.Crash()
-	cfg.FlightJournal = hp.FlightDevice()
 	h2, err := reopen(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)

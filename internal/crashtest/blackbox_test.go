@@ -16,8 +16,6 @@ import (
 func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	plan := faultfs.Plan{Seed: 7, TornPage: true, TornForce: true}
 	cfg := ChaosConfig()
-	jdev := storage.NewLog(1 << 20)
-	cfg.FlightJournal = jdev
 	inj := faultfs.New(plan)
 	d, err := NewOn(cfg, plan.Seed, inj.Wrap(storage.NewMemBacking()), inj.Wrap(storage.NewMemBacking()))
 	if err != nil {
@@ -42,9 +40,10 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	inj.Crash(log) // the plan's torn page write and torn log tail
 	d.hp.Crash()
 
-	// The journal survives the crash (the model of battery-backed
-	// recorder hardware) and replays the dead run's timeline.
-	evs, _, err := obs.ReadLatest(jdev)
+	// The heap's journal device survives the crash (the model of
+	// battery-backed recorder hardware) and replays the dead run's
+	// timeline.
+	evs, _, err := obs.ReadLatest(d.hp.FlightDevice())
 	if err != nil {
 		t.Fatalf("reading the journal after the crash: %v", err)
 	}
@@ -104,14 +103,15 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 		}
 	}
 
-	// Recovery from the crashed bytes appends a new boot; the journal then
-	// reads as the recovered run, with the recovery marker aboard.
+	// Recovery from the crashed bytes is a new boot with a journal of its
+	// own, which reads as the recovered run, with the recovery marker
+	// aboard.
 	hp, err := d.reopen()
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer hp.Close()
-	evs2, _, err := obs.ReadLatest(jdev)
+	evs2, _, err := obs.ReadLatest(hp.FlightDevice())
 	if err != nil {
 		t.Fatalf("reading the journal after recovery: %v", err)
 	}
@@ -141,6 +141,16 @@ func TestChaosSeedDumpDecodes(t *testing.T) {
 	boot, evs, err := DecodeChaosDump(t, res.Dump)
 	if err != nil {
 		t.Fatalf("dump does not decode: %v", err)
+	}
+	// One boot per heap the seed ran: the first, and one per recovery that
+	// opened a heap, which is each clean or repaired verdict as long as no
+	// online detection suppressed a clean recovery's verdict.
+	boots, err := obs.DecodeDumpBoots(res.Dump)
+	if err != nil || res.Matrix[DetectedOnline] != 0 {
+		t.Fatalf("boots: %v, verdicts %v", err, res.Verdicts)
+	}
+	if want := 1 + res.Matrix[Clean] + res.Matrix[Repaired]; len(boots) != want {
+		t.Errorf("dump holds %d boots, want %d (verdicts %v)", len(boots), want, res.Verdicts)
 	}
 	if boot == 0 || len(evs) == 0 {
 		t.Fatalf("decoded dump is empty (boot=%d, %d events)", boot, len(evs))

@@ -83,21 +83,18 @@ const (
 // chassis that runs its seeds, or what it adds to the device-fault chassis —
 // an edit to ChaosConfig before the heap is formatted, and a burst with the
 // root slots it owns (the driver's are 0..7). Neither: the driver alone.
-//
-// auditTx is the kind's place in the post-recovery audit, see auditBurst.
 var kinds = [...]struct {
 	name      string
 	run       func(Scenario, faultfs.Plan) SeedResult
 	configure func(*core.Config)
 	burst     func(Scenario) burst
-	auditTx   int
 }{
 	Default: {name: "default"},
 	Concurrent: {name: "concurrent",
 		burst: func(sc Scenario) burst { return &counterBurst{slot0: 16, mutators: sc.Mutators} }},
 	Nursery: {name: "nursery", configure: nurseryConfig,
 		burst: func(Scenario) burst { return &nurseryBurst{chains{slot0: 24, typeID: 3, length: 5}} }},
-	StableConc: {name: "stable-conc", configure: stableConcConfig, auditTx: 1,
+	StableConc: {name: "stable-conc", configure: stableConcConfig,
 		burst: func(Scenario) burst { return &stableConcBurst{chains{slot0: 28, typeID: 4, length: 4, salt: 7}} }},
 	TwoPC: {name: "2pc", run: run2PCSeed},
 }
@@ -207,7 +204,9 @@ type SeedResult struct {
 	// from the message alone.
 	Failure string
 	// Dump is the seed's complete flight-recorder journal — every frame
-	// every boot flushed, decodable with obs.DecodeDump or shstat -decode.
+	// each heap the seed opened flushed, the heaps' journals joined in the
+	// order they opened, one boot each; decodable with obs.DecodeDump or
+	// shstat -decode.
 	// Excluded from JSON reports (binary, potentially large).
 	Dump []byte `json:"-"`
 }
@@ -244,12 +243,12 @@ type chaosRun struct {
 	res   SeedResult
 	dead  bool // devices unrecoverable or replaced; no further rounds
 
-	// jdev is the flight-recorder journal device, shared across the
-	// seed's crash/recover cycles (the model of battery-backed recorder
-	// hardware: it is not wrapped by the injector and survives Crash).
+	// journals holds each heap's flight-recorder device, in the order the
+	// seed opened them (each survives its heap's Crash: the model of
+	// battery-backed recorder hardware, never wrapped by the injector).
 	// timeline is the newest boot's decoded events as of the last crash —
 	// the pre-crash flight recording, attached to violation verdicts.
-	jdev     *storage.Log
+	journals []*storage.Log
 	timeline []obs.Event
 }
 
@@ -278,11 +277,6 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 	if kind.burst != nil {
 		r.burst = kind.burst(sc)
 	}
-	// One journal device for the whole seed: each recovered heap appends
-	// its frames under a fresh boot id, so the accumulated dump holds the
-	// full multi-boot history and ReadLatest always yields the newest.
-	r.jdev = storage.NewLog(1 << 20)
-	cfg.FlightJournal = r.jdev
 	home := homeIn(sc.Dir, fmt.Sprintf("seed-%d", plan.Seed))
 	if home != "" {
 		defer os.RemoveAll(home)
@@ -303,24 +297,20 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 		log.Abandon()
 		disk.Abandon()
 	}()
+	r.journals = append(r.journals, r.d.hp.FlightDevice())
 	r.inj.SetRecorder(r.d.hp.FlightRecorder())
 	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
 		r.round(round)
 	}
 	r.res.Faults = r.inj.Stats()
-	r.res.Dump = journalBytes(r.jdev)
+	for _, dev := range r.journals {
+		storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
+			r.res.Dump = append(r.res.Dump, frame...)
+			return true
+		})
+	}
 	return r.res
-}
-
-// journalBytes concatenates every journal frame ever flushed (all boots).
-func journalBytes(dev *storage.Log) []byte {
-	var out []byte
-	storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, data []byte) bool {
-		out = append(out, data...)
-		return true
-	})
-	return out
 }
 
 // violation records a Violation verdict, which ends the seed, with the
@@ -439,7 +429,7 @@ func (r *chaosRun) crash() {
 	_, log := r.d.hp.Devices()
 	r.inj.Crash(log)
 	r.d.hp.Crash()
-	if evs, _, err := obs.ReadLatest(r.jdev); err == nil && len(evs) > 0 {
+	if evs, _, err := obs.ReadLatest(r.d.hp.FlightDevice()); err == nil && len(evs) > 0 {
 		r.timeline = evs
 	}
 }
@@ -856,34 +846,17 @@ func (b *stableConcBurst) run(r *chaosRun, round int) (online bool) {
 	})
 }
 
-// auditTxs is how many transactions the burst audit spans after every
-// recovery, whatever the kind.
-const auditTxs = 2
-
-// auditBurst holds the recovered heap to the burst's model. The audit
-// reads in transaction kinds[].auditTx of auditTxs; the others are empty.
-// An empty transaction still logs a begin and an abort record, and every
-// later record's position — so which bytes a planned fault hits, and the
-// LSNs in detection messages — depends on them: the count and the kind's
-// place in it are part of the seed-deterministic schedule that
-// TestChaosMatrixGolden pins.
+// auditBurst holds the recovered heap to the burst's model, reading in
+// one transaction.
 func (r *chaosRun) auditBurst(hp *core.Heap) error {
-	for i := 0; i < auditTxs; i++ {
-		err := func() error {
-			tr := hp.Begin()
-			defer tr.Abort() // also when the audit reads rot and panics out
-			if r.burst == nil || i != kinds[r.sc.Kind].auditTx {
-				return nil
-			}
-			n, err := r.burst.audit(tr)
-			r.res.Audited += n
-			return err
-		}()
-		if err != nil {
-			return err
-		}
+	if r.burst == nil {
+		return nil
 	}
-	return nil
+	tr := hp.Begin()
+	defer tr.Abort() // also when the audit reads rot and panics out
+	n, err := r.burst.audit(tr)
+	r.res.Audited += n
+	return err
 }
 
 // adopt makes a recovered heap the run's and audits it — the driver's
@@ -892,8 +865,9 @@ func (r *chaosRun) auditBurst(hp *core.Heap) error {
 // like production reads. what names the recovery in a violation. True
 // means the audit ran to its end and passed.
 func (r *chaosRun) adopt(hp *core.Heap, what string) (passed bool) {
-	// The recovered heap carries a fresh ring; re-point fault injections
-	// at it so the next crash's recording includes them.
+	// The recovered heap carries a fresh ring and journal; re-point fault
+	// injections at it so the next crash's recording includes them.
+	r.journals = append(r.journals, hp.FlightDevice())
 	r.inj.SetRecorder(hp.FlightRecorder())
 	online, err := r.try(func() error {
 		if err := r.d.adopt(hp); err != nil {

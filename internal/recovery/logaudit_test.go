@@ -20,7 +20,6 @@ var samples = []wal.Record{
 	wal.CLRRec{TxHdr: wal.TxHdr{TxID: 5}, Addr: 0x10, Redo: make([]byte, 8)},                           // redo; undo resumes at UndoNext
 	wal.AllocRec{TxHdr: wal.TxHdr{TxID: 5}, Addr: 0x10, SizeWords: 2},                                  // redo; analysis advances the frontier
 	wal.CommitRec{TxHdr: wal.TxHdr{TxID: 5}},                                                           // analysis: a winner
-	wal.AbortRec{TxHdr: wal.TxHdr{TxID: 5}},                                                            // undo steps over it
 	wal.EndRec{TxHdr: wal.TxHdr{TxID: 5}},                                                              // analysis drops the transaction
 	wal.FlipRec{Epoch: 1, FromLo: 0x1000, FromHi: 0x2000, ToLo: 0x2000, ToHi: 0x3000},                  // analysis: collector state
 	wal.CopyRec{Epoch: 1, From: 0x10, To: 0x810, SizeWords: 2},                                         // redo; undo's address translation
@@ -41,7 +40,6 @@ var samples = []wal.Record{
 // still carries, each with the reason it stays.
 var unreadAllowed = map[wal.Type]string{
 	wal.TComplete: "the paper's Ch. 5 base-update-complete protocol; ROADMAP item 3 decides its fate",
-	wal.TAbort:    "the rollback marker §2.2.3 logs before its CLRs; undo only steps over it",
 }
 
 // TestLogAuditEveryTypeIsRead holds every live record type to a reader:
@@ -60,7 +58,7 @@ func TestLogAuditEveryTypeIsRead(t *testing.T) {
 	}
 	for typ := wal.TInvalid + 1; !strings.HasPrefix(typ.String(), "type("); typ++ {
 		switch typ {
-		case wal.TBegin, wal.TPageFetch, wal.TTwoPCBegin, wal.TTwoPCDecide, wal.TTwoPCEnd:
+		case wal.TBegin, wal.TAbort, wal.TPageFetch, wal.TTwoPCBegin, wal.TTwoPCDecide, wal.TTwoPCEnd:
 			continue // retired, or the coordinator's
 		}
 		if _, ok := reader[typ]; !ok {
@@ -117,7 +115,7 @@ func TestLogAuditEveryTypeIsRead(t *testing.T) {
 			got[typ] = n
 		}
 	}
-	for _, typ := range []wal.Type{wal.TUpdate, wal.TLogical, wal.TAbort, wal.TCLR, wal.TCopy, wal.TV2SCopy, wal.TEndWrite} {
+	for _, typ := range []wal.Type{wal.TUpdate, wal.TLogical, wal.TCLR, wal.TCopy, wal.TV2SCopy, wal.TEndWrite} {
 		if got[typ] == 0 {
 			t.Errorf("the mixes appended no %v record: the audit covers less than it claims", typ)
 		}

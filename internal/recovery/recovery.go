@@ -301,8 +301,6 @@ func (a *analysis) scan(log *wal.Manager) {
 			a.gcAlloc(r.Addr, r.SizeWords)
 		case wal.CommitRec:
 			a.touch(r.TxID, lsn).committed = true
-		case wal.AbortRec:
-			a.touch(r.TxID, lsn)
 		case wal.EndRec:
 			a.touch(r.TxID, lsn)
 			delete(a.txs, r.TxID)

@@ -247,9 +247,10 @@ func TestRecoverResumesMidAbort(t *testing.T) {
 	mem.WriteWord(0x10, 5, l1)
 	l2 := log.Append(wal.UpdateRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: l1}, Addr: 0x18, Redo: w64(6), Undo: w64(2)})
 	mem.WriteWord(0x18, 6, l2)
-	// Abort began: the second update was already compensated.
-	ab := log.Append(wal.AbortRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: l2}})
-	clr := log.Append(wal.CLRRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: ab}, Addr: 0x18, Redo: w64(2), UndoNext: l1})
+	// Abort began: the second update was already compensated. The first
+	// CLR follows the last update directly — no record marks the start of
+	// the rollback.
+	clr := log.Append(wal.CLRRec{TxHdr: wal.TxHdr{TxID: 1, PrevLSN: l2}, Addr: 0x18, Redo: w64(2), UndoNext: l1})
 	mem.WriteWord(0x18, 2, clr)
 	mem.FlushAll()
 	dev.Crash()

@@ -51,11 +51,11 @@ func (u *undoer) translate(info *txInfo, a word.Addr, lsn word.LSN) word.Addr {
 	return a
 }
 
-// rollback aborts one loser with the normal undo, resuming an abort that
-// was already under way at the crash where it left off.
+// rollback aborts one loser with the normal undo, its first CLR chained
+// directly after the loser's last record. An abort that was already under
+// way at the crash resumes where its last CLR's UndoNext says it left off.
 func (u *undoer) rollback(id word.TxID, info *txInfo) {
-	abort := u.log.Append(wal.AbortRec{TxHdr: wal.TxHdr{TxID: id, PrevLSN: info.lastLSN}})
-	last, _ := tx.UndoChain(u.log, u.mem, id, info.lastLSN, abort,
+	last, _ := tx.UndoChain(u.log, u.mem, id, info.lastLSN,
 		func(lsn word.LSN, a word.Addr, _ bool) word.Addr { return u.translate(info, a, lsn) },
 		u.a.inVolatile, u.a.updateSRem)
 	u.log.Append(wal.EndRec{TxHdr: wal.TxHdr{TxID: id, PrevLSN: last}})

@@ -498,11 +498,10 @@ func (m *Manager) Lookup(id word.TxID) *Tx {
 func (m *Manager) RestoreInDoubt(id word.TxID, lastLSN word.LSN, translate func(word.Addr, word.LSN) word.Addr) (*Tx, []word.Addr) {
 	t := &Tx{id: id, owner: m, lastLSN: lastLSN, prepared: true}
 	var objs []word.Addr
-	for lsn := lastLSN; lsn != word.NilLSN; {
+	walkChain(m.log, id, lastLSN, func(lsn word.LSN, rec wal.Record) {
 		// The walk's last record is the oldest a later undo reads: the
 		// checkpoint must keep the log from there (TableEntries).
 		t.firstLSN = lsn
-		rec := m.log.MustReadAt(lsn)
 		switch r := rec.(type) {
 		case wal.UpdateRec:
 			t.undoSlots = append(t.undoSlots, uttEntry{lsn: lsn, logged: r.Addr, cur: translate(r.Addr, lsn)})
@@ -512,27 +511,11 @@ func (m *Manager) RestoreInDoubt(id word.TxID, lastLSN word.LSN, translate func(
 				}
 			}
 			objs = append(objs, translate(r.Obj, lsn))
-			lsn = r.PrevLSN
 		case wal.LogicalRec:
 			t.undoSlots = append(t.undoSlots, uttEntry{lsn: lsn, logged: r.Addr, cur: translate(r.Addr, lsn)})
 			objs = append(objs, translate(r.Obj, lsn))
-			lsn = r.PrevLSN
-		case wal.CLRRec:
-			lsn = r.UndoNext
-		case wal.PrepareRec:
-			lsn = r.PrevLSN
-		case wal.AbortRec:
-			lsn = r.PrevLSN
-		case wal.AllocRec:
-			lsn = r.PrevLSN
-		case wal.BaseRec:
-			lsn = r.PrevLSN
-		case wal.CompleteRec:
-			lsn = r.PrevLSN
-		default:
-			panic(fmt.Sprintf("tx: unexpected %T restoring in-doubt %d", rec, id))
 		}
-	}
+	})
 	m.mu.Lock()
 	m.active[id] = t
 	m.mu.Unlock()
@@ -587,13 +570,13 @@ func (m *Manager) FinishCommit(t *Tx) {
 // each undo writing a compensation record (§2.2.3); unlogged volatile
 // writes are undone from memory. Undoing into a not-yet-copied from-space
 // object is sound: the later copy step carries the restored bytes, and on
-// replay the CLR precedes the copy record. A transaction that has logged
-// nothing appends nothing.
+// replay the CLR precedes the copy record. The first CLR follows the
+// transaction's last record directly: no record marks the start of a
+// rollback. A transaction that has logged nothing appends nothing.
 func (m *Manager) Abort(t *Tx) {
 	m.mustBeActive(t)
 	logged := t.lastLSN != word.NilLSN
 	if logged {
-		t.chain(m.log.Append(wal.AbortRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}}))
 		m.undoLogged(t)
 	}
 	// Unlogged volatile writes: restore from memory, newest first. Each
@@ -671,7 +654,7 @@ func (m *Manager) undoLogged(t *Tx) {
 		valCur[e.lsn] = e.cur
 	}
 	var clrs int
-	t.lastLSN, clrs = UndoChain(m.log, m.mem, t.id, t.lastLSN, t.lastLSN,
+	t.lastLSN, clrs = UndoChain(m.log, m.mem, t.id, t.lastLSN,
 		func(lsn word.LSN, logged word.Addr, isValue bool) word.Addr {
 			utt := slotCur
 			if isValue {

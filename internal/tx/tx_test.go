@@ -176,6 +176,7 @@ func TestAbortRestoresValuesWithCLRs(t *testing.T) {
 	f.m.Update(tr, 0x100, 0x100, w64(10), false)
 	f.m.Update(tr, 0x108, 0x108, w64(20), false)
 	f.m.Update(tr, 0x100, 0x100, w64(100), false) // second update of the same word
+	lastUpdate := tr.lastLSN
 	f.m.Abort(tr)
 	if got := f.mem.ReadWord(0x100); got != 1 {
 		t.Fatalf("0x100 = %d, want 1", got)
@@ -184,20 +185,30 @@ func TestAbortRestoresValuesWithCLRs(t *testing.T) {
 		t.Fatalf("0x108 = %d, want 2", got)
 	}
 	var clrs int
-	var sawAbort, sawEnd bool
+	var first wal.CLRRec
+	var sawEnd bool
 	f.log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
-		switch r.Type() {
-		case wal.TCLR:
+		switch r := r.(type) {
+		case wal.CLRRec:
+			if clrs == 0 {
+				first = r
+			}
 			clrs++
-		case wal.TAbort:
-			sawAbort = true
-		case wal.TEnd:
+		case wal.EndRec:
 			sawEnd = true
 		}
 		return true
 	})
-	if clrs != 3 || !sawAbort || !sawEnd {
-		t.Fatalf("clrs=%d abort=%v end=%v", clrs, sawAbort, sawEnd)
+	if clrs != 3 || !sawEnd {
+		t.Fatalf("clrs=%d end=%v", clrs, sawEnd)
+	}
+	// A rollback is its CLRs: no abort record, and the first CLR chains
+	// directly after the last update.
+	if n, _ := f.log.TypeStats(wal.TAbort); n != 0 {
+		t.Fatalf("%d abort records appended", n)
+	}
+	if first.PrevLSN != lastUpdate {
+		t.Fatalf("first CLR's PrevLSN = %d, want the last update's %d", first.PrevLSN, lastUpdate)
 	}
 	if tr.Status() != Aborted {
 		t.Fatal("status")

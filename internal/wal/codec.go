@@ -148,8 +148,6 @@ func encodeBody(e *enc, r Record) {
 		e.u64(uint64(rec.SizeWords))
 	case CommitRec:
 		encodeTxHdr(e, rec.TxHdr)
-	case AbortRec:
-		encodeTxHdr(e, rec.TxHdr)
 	case EndRec:
 		encodeTxHdr(e, rec.TxHdr)
 	case FlipRec:
@@ -227,20 +225,30 @@ func encodeParticipants(e *enc, parts []TwoPCParticipant) {
 	}
 }
 
+// txTableLayout tags the count of a non-empty checkpoint transaction table.
+// The layout before a rollback's state became its CLRs alone carried each
+// entry's Aborting flag and UndoNext LSN, and wrote a bare count: Decode
+// refuses such a table by name rather than misread its entries. An empty
+// table is a bare 0 in both layouts, so a cleanly closed heap's checkpoint
+// decodes unchanged.
+const txTableLayout = 1 << 62
+
 func encodeCheckpoint(e *enc, c CheckpointRec) {
 	e.u64(uint64(len(c.Dirty)))
 	for _, dp := range c.Dirty {
 		e.u64(uint64(dp.Page))
 		e.u64(uint64(dp.RecLSN))
 	}
-	e.u64(uint64(len(c.Txs)))
+	n := uint64(len(c.Txs))
+	if n > 0 {
+		n |= txTableLayout
+	}
+	e.u64(n)
 	for _, tx := range c.Txs {
 		e.u64(uint64(tx.TxID))
 		e.u64(uint64(tx.FirstLSN))
 		e.u64(uint64(tx.LastLSN))
-		e.bool(tx.Aborting)
 		e.bool(tx.Prepared)
-		e.u64(uint64(tx.UndoNext))
 		e.u64(uint64(len(tx.UTT)))
 		for _, p := range tx.UTT {
 			e.u64(uint64(p.At))
@@ -278,8 +286,9 @@ func encodeCheckpoint(e *enc, c CheckpointRec) {
 }
 
 // Decode parses a framed record. It returns an error on truncation, CRC
-// mismatch, an unknown type tag, or a retired one (begin and page-fetch:
-// a log an older build wrote with them is refused by name).
+// mismatch, an unknown type tag, a retired one (begin, page-fetch and
+// abort: a log an older build wrote with them is refused by name), or a
+// checkpoint whose transaction table is in the retired layout.
 //
 // Decode reads in place: byte-slice fields of the returned record (Redo,
 // Undo, Object, Contents) alias the frame rather than copying it. The frame
@@ -303,7 +312,7 @@ func Decode(frame []byte) (Record, error) {
 	t := Type(d.u8())
 	var r Record
 	switch t {
-	case TBegin, TPageFetch:
+	case TBegin, TPageFetch, TAbort:
 		return nil, fmt.Errorf("wal: retired record type %v", t)
 	case TUpdate:
 		r = UpdateRec{TxHdr: d.txHdr(), Addr: word.Addr(d.u64()), Obj: word.Addr(d.u64()), Flags: d.u8(), Redo: d.bytes(), Undo: d.bytes()}
@@ -313,8 +322,6 @@ func Decode(frame []byte) (Record, error) {
 		r = AllocRec{TxHdr: d.txHdr(), Addr: word.Addr(d.u64()), Descriptor: d.u64(), SizeWords: int(d.u64())}
 	case TCommit:
 		r = CommitRec{TxHdr: d.txHdr()}
-	case TAbort:
-		r = AbortRec{TxHdr: d.txHdr()}
 	case TEnd:
 		r = EndRec{TxHdr: d.txHdr()}
 	case TFlip:
@@ -477,14 +484,18 @@ func (d *decoder) checkpoint() CheckpointRec {
 		c.Dirty = append(c.Dirty, DirtyPage{Page: word.PageID(d.u64()), RecLSN: word.LSN(d.u64())})
 	}
 	nt := d.u64()
+	if nt != 0 {
+		if nt&txTableLayout == 0 && d.err == nil {
+			d.err = fmt.Errorf("wal: checkpoint lists %d transactions in the retired layout (with Aborting and UndoNext)", nt)
+		}
+		nt &^= txTableLayout
+	}
 	for i := uint64(0); i < nt && d.err == nil; i++ {
 		tx := TxEntry{
 			TxID:     word.TxID(d.u64()),
 			FirstLSN: word.LSN(d.u64()),
 			LastLSN:  word.LSN(d.u64()),
-			Aborting: d.bool(),
 			Prepared: d.bool(),
-			UndoNext: word.LSN(d.u64()),
 		}
 		nu := d.u64()
 		for j := uint64(0); j < nu && d.err == nil; j++ {

@@ -400,7 +400,7 @@ func (m *Manager) VolumeByClass() (txBytes, gcBytes, trackBytes, bookBytes int64
 	for t := Type(1); t < maxType; t++ {
 		b := m.bytes[t]
 		switch t {
-		case TUpdate, TCLR, TAlloc, TCommit, TAbort, TEnd:
+		case TUpdate, TCLR, TAlloc, TCommit, TEnd:
 			txBytes += b
 		case TFlip, TCopy, TScan, TGCEnd:
 			gcBytes += b

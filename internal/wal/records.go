@@ -8,9 +8,12 @@
 // The taxonomy follows the paper:
 //
 //   - transactional records (§2.2.3, Ch. 4): Update (redo+undo),
-//     CLR (compensation, redo-only), Alloc, Commit, Abort, End. A
-//     transaction's chain starts at its first logged change, as in ARIES:
-//     there is no begin record, and one that logs nothing leaves no trace;
+//     CLR (compensation, redo-only), Alloc, Commit, End. A transaction's
+//     chain starts at its first logged change, as in ARIES: there is no
+//     begin record, and one that logs nothing leaves no trace. Nor is
+//     there an abort record: a rollback is its CLRs, the first chained
+//     directly after the transaction's last record, and a CLR's UndoNext
+//     is all the rollback state there is;
 //   - collector records (Ch. 3): Flip, Copy, Scan, GCEnd — the records that
 //     make the copy step and scan step of the incremental copying collector
 //     repeatable after a crash;
@@ -44,7 +47,7 @@ const (
 	TCLR
 	TAlloc
 	TCommit
-	TAbort
+	TAbort // retired: Decode refuses it by name
 	TEnd
 	TFlip
 	TCopy
@@ -119,6 +122,10 @@ type TxHdr struct {
 }
 
 func (r TxHdr) Tx() word.TxID { return r.TxID }
+
+// Prev returns the previous record of the same transaction: what a
+// backward walk of the chain steps to from any record but a CLR.
+func (r TxHdr) Prev() word.LSN { return r.PrevLSN }
 
 // sysRec is embedded by system records outside any transaction.
 type sysRec struct{}
@@ -282,14 +289,6 @@ type CommitRec struct {
 
 // Type implements Record.
 func (CommitRec) Type() Type { return TCommit }
-
-// AbortRec marks the start of a transaction's rollback; CLRs follow.
-type AbortRec struct {
-	TxHdr
-}
-
-// Type implements Record.
-func (AbortRec) Type() Type { return TAbort }
 
 // EndRec marks a transaction fully finished (committed or rolled back).
 type EndRec struct {
@@ -483,13 +482,9 @@ type TxEntry struct {
 	TxID     word.TxID
 	FirstLSN word.LSN
 	LastLSN  word.LSN
-	// Aborting is set if the transaction had begun rolling back.
-	Aborting bool
 	// Prepared is set if the transaction has a stable prepare record
 	// (in-doubt across crashes until the coordinator resolves it).
 	Prepared bool
-	// UndoNext is the next record to undo if Aborting.
-	UndoNext word.LSN
 	// UTT holds the undo address translations accumulated for this
 	// transaction: for every address appearing in its undo records that
 	// the collector has since moved, the current address

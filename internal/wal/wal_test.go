@@ -77,7 +77,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		CLRRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 20}, Addr: 0x1008, Redo: []byte{9, 9}, UndoNext: 5},
 		AllocRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 30}, Addr: 0x2000, Descriptor: 0xdeadbeef, SizeWords: 12},
 		CommitRec{TxHdr{TxID: 7, PrevLSN: 40}},
-		AbortRec{TxHdr{TxID: 8, PrevLSN: 41}},
 		EndRec{TxHdr{TxID: 7, PrevLSN: 50}},
 		FlipRec{Epoch: 3, FromLo: 0x10000, FromHi: 0x20000, ToLo: 0x20000, ToHi: 0x30000, RootObjFrom: 0x10040, RootObjTo: 0x20000},
 		CopyRec{Epoch: 3, From: 0x10080, To: 0x20040, SizeWords: 4, Descriptor: 0x1234},
@@ -101,7 +100,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		EndWriteRec{Page: 88, PageLSN: 123},
 		CheckpointRec{
 			Dirty:       []DirtyPage{{Page: 3, RecLSN: 44}, {Page: 9, RecLSN: 50}},
-			Txs:         []TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90, Aborting: true, Prepared: true, UndoNext: 80, UTT: []AddrPair{{Orig: 0x100, Cur: 0x200}}}},
+			Txs:         []TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90, Prepared: true, UTT: []AddrPair{{Orig: 0x100, Cur: 0x200}}}, {TxID: 6, FirstLSN: 7, LastLSN: 8}},
 			StableCur:   1,
 			VolatileCur: 0,
 			RootObj:     0x20000,
@@ -157,22 +156,106 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 		t.Fatal("unknown type must be rejected")
 	}
 	// The retired types keep their numbers, so no live type moved, and a
-	// frame an older build wrote with one is refused by name: a begin
-	// record (type + transaction header) and a page-fetch (type + page).
-	if TBegin != 1 || TPageFetch != 17 || TEndWrite != 18 || TTwoPCEnd != 24 {
-		t.Fatalf("record type numbers moved: begin %d pagefetch %d endwrite %d 2pc-end %d",
-			TBegin, TPageFetch, TEndWrite, TTwoPCEnd)
+	// frame an older build wrote with one is refused by name: a begin or
+	// an abort record (type + transaction header) and a page-fetch (type +
+	// page).
+	if TBegin != 1 || TAbort != 6 || TEnd != 7 || TPageFetch != 17 || TEndWrite != 18 || TTwoPCEnd != 24 {
+		t.Fatalf("record type numbers moved: begin %d abort %d end %d pagefetch %d endwrite %d 2pc-end %d",
+			TBegin, TAbort, TEnd, TPageFetch, TEndWrite, TTwoPCEnd)
 	}
 	for _, c := range []struct {
 		typ  Type
 		body int
 		name string
-	}{{TBegin, 16, "begin"}, {TPageFetch, 8, "pagefetch"}} {
+	}{{TBegin, 16, "begin"}, {TAbort, 16, "abort"}, {TPageFetch, 8, "pagefetch"}} {
 		payload := make([]byte, 1+c.body)
 		payload[0] = uint8(c.typ)
 		_, err := Decode(rawFrame(payload))
 		if err == nil || !strings.Contains(err.Error(), "retired record type "+c.name) {
 			t.Errorf("%s frame: err = %v, want it refused by name", c.name, err)
+		}
+	}
+}
+
+// parentLayoutCheckpoint frames cp the way the layout before a rollback's
+// state became its CLRs alone laid it out: a bare transaction count, and
+// each entry with an Aborting flag after LastLSN and an UndoNext LSN after
+// Prepared.
+func parentLayoutCheckpoint(cp CheckpointRec, aborting bool, undoNext word.LSN) []byte {
+	tail := cp
+	tail.Dirty, tail.Txs = nil, nil
+	rest := Encode(tail)[frameHeader+1+8+8:] // past the type and the two empty counts
+	b := []byte{uint8(TCheckpoint)}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.Dirty)))
+	for _, dp := range cp.Dirty {
+		b = binary.LittleEndian.AppendUint64(b, uint64(dp.Page))
+		b = binary.LittleEndian.AppendUint64(b, uint64(dp.RecLSN))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.Txs)))
+	flag := func(v bool) byte {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for _, te := range cp.Txs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(te.TxID))
+		b = binary.LittleEndian.AppendUint64(b, uint64(te.FirstLSN))
+		b = binary.LittleEndian.AppendUint64(b, uint64(te.LastLSN))
+		b = append(b, flag(aborting), flag(te.Prepared))
+		b = binary.LittleEndian.AppendUint64(b, uint64(undoNext))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(te.UTT)))
+		for _, p := range te.UTT {
+			b = binary.LittleEndian.AppendUint64(b, uint64(p.At))
+			b = binary.LittleEndian.AppendUint64(b, uint64(p.Orig))
+			b = binary.LittleEndian.AppendUint64(b, uint64(p.Cur))
+		}
+	}
+	return rawFrame(append(b, rest...))
+}
+
+// TestDecodeParentLayoutCheckpoint: a checkpoint an older build wrote with
+// an empty transaction table — every cleanly closed heap's — decodes
+// unchanged, and one that lists transactions is refused, whatever its
+// entries hold, never misread as the current layout.
+func TestDecodeParentLayoutCheckpoint(t *testing.T) {
+	cp := CheckpointRec{
+		Dirty:       []DirtyPage{{Page: 3, RecLSN: 44}},
+		StableCur:   1,
+		RootObj:     0x20000,
+		StableAlloc: 0x21000,
+		GC:          GCState{Scanned: []bool{true, false}, LastObj: []word.Addr{0x20010, 0}},
+		LS:          []word.Addr{0x40010},
+		SRem:        []word.Addr{0x20048},
+		VolatileLo:  0x80000,
+		VolatileHi:  0x90000,
+		NextTx:      10,
+		NextEpoch:   4,
+	}
+	old := parentLayoutCheckpoint(cp, false, word.NilLSN)
+	if !bytes.Equal(old, Encode(cp)) {
+		t.Fatal("an empty transaction table is laid out differently from the older layout")
+	}
+	roundTrip(t, cp)
+	got, err := Decode(old)
+	if err != nil || !reflect.DeepEqual(normalize(got), normalize(cp)) {
+		t.Fatalf("older empty-table checkpoint: %v, %#v", err, got)
+	}
+	for _, c := range []struct {
+		txs      []TxEntry
+		aborting bool
+		undoNext word.LSN
+	}{
+		{[]TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90}}, false, word.NilLSN},
+		{[]TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90, Prepared: true}}, false, word.NilLSN},
+		{[]TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90, UTT: []AddrPair{{At: 40, Orig: 0x100, Cur: 0x200}}}}, true, 80},
+		{[]TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90}, {TxID: 6, FirstLSN: 91, LastLSN: 95, Prepared: true}}, false, word.NilLSN},
+	} {
+		listed := cp
+		listed.Txs = c.txs
+		_, err := Decode(parentLayoutCheckpoint(listed, c.aborting, c.undoNext))
+		if err == nil || !strings.Contains(err.Error(), "retired layout") {
+			t.Errorf("older checkpoint listing %d transactions: err = %v, want it refused", len(c.txs), err)
 		}
 	}
 }

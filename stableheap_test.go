@@ -25,7 +25,7 @@ func testCfg() Config {
 // TestConfigFieldBudget is a ratchet: lower the bound when a field goes,
 // never raise it.
 func TestConfigFieldBudget(t *testing.T) {
-	const budget = 19
+	const budget = 18
 	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
 		t.Fatalf("Config has %d fields, budget %d. The simplicity rule: a new option is justified only "+
 			"when two callers that exist at the parent commit, not counting tests and examples, need "+
