@@ -175,7 +175,7 @@ func benchCollection(b *testing.B, mode stableheap.GCMode, live int) {
 			h.CollectStable()
 		}
 	}
-	b.ReportMetric(float64(h.Internal().GCStats().CopiedObjs)/float64(b.N), "objs/collection")
+	b.ReportMetric(float64(h.GCStats().CopiedObjs)/float64(b.N), "objs/collection")
 }
 
 func BenchmarkE2CollectionEllis(b *testing.B) { benchCollection(b, stableheap.Ellis, 2048) }
@@ -253,19 +253,19 @@ func BenchmarkE7RecoveryMidGC(b *testing.B)     { benchRecovery(b, 2048, 200, tr
 func BenchmarkE6CollectionLogBytes(b *testing.B) {
 	cfg := benchCfg(32*1024, 16*1024)
 	h := openWithChain(b, cfg, 2048)
-	before := h.Stats().LogBytesAppended
+	before := h.Log().Device().Stats().BytesAppended
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.CollectStable()
 	}
-	b.ReportMetric(float64(h.Stats().LogBytesAppended-before)/float64(b.N), "log-bytes/collection")
+	b.ReportMetric(float64(h.Log().Device().Stats().BytesAppended-before)/float64(b.N), "log-bytes/collection")
 }
 
 func benchChurn(b *testing.B, divided bool) {
 	cfg := benchCfg(32*1024, 32*1024)
 	cfg.Undivided = !divided
 	h := stableheap.Open(cfg)
-	before := h.Stats().LogBytesAppended
+	before := h.Log().Device().Stats().BytesAppended
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := h.Begin()
@@ -282,7 +282,7 @@ func benchChurn(b *testing.B, divided bool) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(h.Stats().LogBytesAppended-before)/float64(b.N), "log-bytes/tx")
+	b.ReportMetric(float64(h.Log().Device().Stats().BytesAppended-before)/float64(b.N), "log-bytes/tx")
 }
 
 func BenchmarkE9ChurnDivided(b *testing.B)   { benchChurn(b, true) }
@@ -339,7 +339,7 @@ func benchWalkDuringGC(b *testing.B, mode stableheap.GCMode) {
 	h := openWithChain(b, cfg, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !h.Internal().StableCollector().Active() {
+		if !h.StableCollector().Active() {
 			h.StartStableCollection()
 		}
 		tx := h.Begin()
@@ -357,7 +357,7 @@ func benchWalkDuringGC(b *testing.B, mode stableheap.GCMode) {
 	}
 	for h.StepStable() {
 	}
-	b.ReportMetric(float64(h.Stats().ReadBarrierTraps)/float64(b.N), "traps/walk")
+	b.ReportMetric(float64(h.Mem().Stats().Traps)/float64(b.N), "traps/walk")
 }
 
 func BenchmarkE10WalkEllis(b *testing.B) { benchWalkDuringGC(b, stableheap.Ellis) }
@@ -449,8 +449,8 @@ func BenchmarkE13GroupCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	h.CollectVolatile()
-	forces0 := h.Stats().LogForces
-	commits0 := h.Stats().TxCommitted
+	forces0 := h.Log().Device().Stats().Forces
+	commits0 := h.TxStats().Committed
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	per := b.N/workers + 1
@@ -477,8 +477,8 @@ func BenchmarkE13GroupCommit(b *testing.B) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	commits := h.Stats().TxCommitted - commits0
-	forces := h.Stats().LogForces - forces0
+	commits := h.TxStats().Committed - commits0
+	forces := h.Log().Device().Stats().Forces - forces0
 	if commits > 0 {
 		b.ReportMetric(float64(forces)/float64(commits), "forces/commit")
 	}
@@ -491,12 +491,12 @@ func BenchmarkE14CopyContentsCollection(b *testing.B) {
 	cfg := benchCfg(32*1024, 16*1024)
 	cfg.CopyContents = true
 	h := openWithChain(b, cfg, 2048)
-	before := h.Stats().LogBytesAppended
+	before := h.Log().Device().Stats().BytesAppended
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.CollectStable()
 	}
-	b.ReportMetric(float64(h.Stats().LogBytesAppended-before)/float64(b.N), "log-bytes/collection")
+	b.ReportMetric(float64(h.Log().Device().Stats().BytesAppended-before)/float64(b.N), "log-bytes/collection")
 }
 
 // --- E15: checkpoint + truncation cycle ------------------------------------
@@ -518,7 +518,7 @@ func BenchmarkE15CheckpointTruncate(b *testing.B) {
 		h.Checkpoint()
 		h.TruncateLog()
 	}
-	dev := h.Internal().Log().Device()
+	dev := h.Log().Device()
 	b.ReportMetric(float64(dev.RetainedBytes()), "retained-log-bytes")
 }
 

@@ -24,7 +24,7 @@ func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, std
 	if err != nil {
 		return err
 	}
-	if h.Internal().LastRecovery() == nil {
+	if h.LastRecovery() == nil {
 		// A fresh directory: run the workload in it, then reopen it.
 		if h, err = runWorkload(h, cfg, ops, accounts, stderr); err != nil {
 			return err
@@ -36,7 +36,7 @@ func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, std
 	}
 	defer h.Close()
 
-	log := h.Internal().Log()
+	log := h.Log()
 	enc := json.NewEncoder(stdout)
 	n, more := 0, false
 	log.Scan(log.Device().TruncLSN(), false, func(lsn word.LSN, r wal.Record) bool {

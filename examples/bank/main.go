@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := h2.Internal().LastRecovery()
+	res := h2.LastRecovery()
 	fmt.Printf("recovered: redo from LSN %d (%d records), %d losers rolled back\n",
 		res.RedoStart, res.RedoScanned, len(res.Losers))
 
@@ -66,7 +66,7 @@ func main() {
 	}
 	fmt.Println("conservation holds: every committed transfer is durable, every interrupted one is gone")
 
-	s := h2.Stats()
+	vs, gs := h2.VGCStats(), h2.GCStats()
 	fmt.Printf("collections while banking: %d volatile, %d stable; %d newly stable objects moved\n",
-		s.VolatileCollections, s.StableCollections, s.NewlyStableMoved)
+		vs.Collections, gs.Collections, vs.MovedObjs)
 }

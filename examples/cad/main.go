@@ -63,7 +63,7 @@ func main() {
 	}
 	fmt.Println("design tree intact after collections and undos")
 
-	gcs := h.Internal().GCStats()
+	gcs := h.GCStats()
 	fmt.Printf("stable collections: %d (copied %d objects, %d pages scanned)\n",
 		gcs.Collections, gcs.CopiedObjs, gcs.ScannedPages)
 	if gcs.Flip.Count > 0 {

@@ -60,11 +60,11 @@ func main() {
 	}
 	fmt.Printf("collections done (%d newly stable objects moved); database intact\n", moved)
 
-	s := h.Stats()
+	ls, ts := h.Log().Device().Stats(), h.TxStats()
 	fmt.Printf("log volume: %d bytes over %d records; %d synchronous forces (one per commit)\n",
-		s.LogBytesAppended, s.LogAppends, s.LogForces)
+		ls.BytesAppended, ls.Appends, ls.Forces)
 	fmt.Printf("division at work: %d logged updates vs %d unlogged volatile writes\n",
-		s.LoggedUpdates, s.VolatileWrites)
+		ts.Updates, ts.VolWrites)
 
 	disk, logDev := h.Crash()
 	h2, err := stableheap.Recover(cfg, disk, logDev)

@@ -69,10 +69,10 @@ func main() {
 	}
 	fmt.Println()
 
-	s := h2.Stats()
+	res, ls := h2.LastRecovery(), h2.Log().Device().Stats()
 	fmt.Printf("recovery stats: %d redo records scanned, %d losers rolled back\n",
-		h2.Internal().LastRecovery().RedoScanned, len(h2.Internal().LastRecovery().Losers))
-	fmt.Printf("log: %d appends, %d synchronous forces\n", s.LogAppends, s.LogForces)
+		res.RedoScanned, len(res.Losers))
+	fmt.Printf("log: %d appends, %d synchronous forces\n", ls.Appends, ls.Forces)
 }
 
 func must(err error) {

@@ -55,13 +55,13 @@ func E14CopyContents() Table {
 		if err := buildStableChains(h, 4096); err != nil {
 			panic(err)
 		}
-		lm := h.Internal().Log()
+		lm := h.Log()
 		lm.ResetStats()
-		g0 := h.Internal().GCStats()
+		g0 := h.GCStats()
 		start := time.Now()
 		h.CollectStable()
 		elapsed := time.Since(start)
-		g1 := h.Internal().GCStats()
+		g1 := h.GCStats()
 		_, gcB, _, _ := lm.VolumeByClass()
 		copied := g1.CopiedWords - g0.CopiedWords
 

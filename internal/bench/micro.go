@@ -30,8 +30,9 @@ func E1MicroOps() Table {
 		Header: []string{"action", "per-op", "log-bytes/op", "forces/op"},
 	}
 
+	dev := h.Log().Device()
 	measure := func(label string, n int, f func(tx *stableheap.Tx, i int) error) {
-		before := h.Stats()
+		before := dev.Stats()
 		tx := h.Begin()
 		start := time.Now()
 		for i := 0; i < n; i++ {
@@ -41,12 +42,12 @@ func E1MicroOps() Table {
 		}
 		elapsed := time.Since(start)
 		tx.Abort()
-		after := h.Stats()
+		after := dev.Stats()
 		t.Rows = append(t.Rows, []string{
 			label,
 			dur(elapsed / time.Duration(n)),
-			fmt.Sprintf("%.1f", float64(after.LogBytesAppended-before.LogBytesAppended)/float64(n)),
-			fmt.Sprintf("%.3f", float64(after.LogForces-before.LogForces)/float64(n)),
+			fmt.Sprintf("%.1f", float64(after.BytesAppended-before.BytesAppended)/float64(n)),
+			fmt.Sprintf("%.3f", float64(after.Forces-before.Forces)/float64(n)),
 		})
 	}
 
@@ -97,7 +98,7 @@ func E1MicroOps() Table {
 	})
 
 	// Commit: measured over whole transactions.
-	before := h.Stats()
+	before := dev.Stats()
 	start := time.Now()
 	const commits = 500
 	for i := 0; i < commits; i++ {
@@ -111,12 +112,12 @@ func E1MicroOps() Table {
 		}
 	}
 	elapsed := time.Since(start)
-	after := h.Stats()
+	after := dev.Stats()
 	t.Rows = append(t.Rows, []string{
 		"commit (1 update + force)",
 		dur(elapsed / commits),
-		fmt.Sprintf("%.1f", float64(after.LogBytesAppended-before.LogBytesAppended)/commits),
-		fmt.Sprintf("%.3f", float64(after.LogForces-before.LogForces)/commits),
+		fmt.Sprintf("%.1f", float64(after.BytesAppended-before.BytesAppended)/commits),
+		fmt.Sprintf("%.3f", float64(after.Forces-before.Forces)/commits),
 	})
 	t.Notes = append(t.Notes,
 		"forces/op: only commit performs a synchronous log write (group commit would amortize it)")
@@ -137,7 +138,7 @@ func E2GCSteps() Table {
 
 	// A full measured collection, with a pointer-chasing reader taking
 	// read-barrier traps while it runs.
-	gcsBefore := h.Internal().GCStats()
+	gcsBefore := h.GCStats()
 	start := time.Now()
 	h.StartStableCollection()
 	flipDone := time.Now()
@@ -154,7 +155,7 @@ func E2GCSteps() Table {
 		}
 	}
 	total := time.Since(start)
-	gcs := h.Internal().GCStats()
+	gcs := h.GCStats()
 
 	copies := gcs.CopiedObjs - gcsBefore.CopiedObjs
 	pages := gcs.ScannedPages - gcsBefore.ScannedPages

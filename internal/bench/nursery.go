@@ -110,8 +110,8 @@ func e19Run(nursery, concurrent bool) (opsPerSec float64, allocWordsPerSec float
 	if _, err := h.CollectVolatile(); err != nil {
 		panic(err)
 	}
-	h.Internal().FinishVolatileScan()
-	base := h.Internal().VGCStats()
+	h.FinishVolatileScan()
+	base := h.VGCStats()
 
 	// Churn: every op commits a fresh small object into a rolling vol
 	// root, killing the previous one — the allocation-heavy hot path.
@@ -170,7 +170,7 @@ func e19Run(nursery, concurrent bool) (opsPerSec float64, allocWordsPerSec float
 	}
 	elapsed := time.Since(start)
 
-	vs := h.Internal().VGCStats()
+	vs := h.VGCStats()
 	for _, hs := range []obs.HistSnapshot{
 		vs.Pause.Delta(base.Pause),
 		vs.MinorPause.Delta(base.MinorPause),

@@ -48,7 +48,7 @@ func E3Pauses() Table {
 				}
 			}
 		}
-		gcs := h2.Internal().GCStats()
+		gcs := h2.GCStats()
 		avgStep := gcs.Step.MeanDur()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", live),
@@ -103,7 +103,7 @@ func E10Barrier() Table {
 		// find them scanned — the paper's skew. Walk the chains the
 		// background scanner reaches last (high slots) first.
 		h.StartStableCollection()
-		trapsBefore := h.Stats().ReadBarrierTraps
+		trapsBefore := h.Mem().Stats().Traps
 		startGC := time.Now()
 		const walks = 8
 		var trapsMid int64
@@ -112,12 +112,12 @@ func E10Barrier() Table {
 				panic(err)
 			}
 			if i == walks/2-1 {
-				trapsMid = h.Stats().ReadBarrierTraps
+				trapsMid = h.Mem().Stats().Traps
 			}
 			h.StepStable() // one background quantum between walks
 		}
 		during := time.Since(startGC) / walks
-		trapsAfter := h.Stats().ReadBarrierTraps
+		trapsAfter := h.Mem().Stats().Traps
 		for h.StepStable() {
 		}
 		t.Rows = append(t.Rows, []string{

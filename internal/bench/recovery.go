@@ -71,7 +71,7 @@ func E4Recovery() Table {
 		}
 
 		h2, reopen, recoverTime := crashRestart(cfg, h)
-		res := h2.Internal().LastRecovery()
+		res := h2.LastRecovery()
 
 		// Baseline: reload the heap by traversing the entire stable
 		// graph (what a recovery system without repeating history does).
@@ -123,7 +123,7 @@ func E5Checkpoint() Table {
 				h.Checkpoint()
 			}
 		}
-		cps := h.Internal().CheckpointStats().Taken
+		cps := h.CheckpointStats().Taken
 		h2, reopen, elapsed := crashRestart(cfg, h)
 		label := fmt.Sprintf("%d updates", interval)
 		if interval >= updates {
@@ -134,7 +134,7 @@ func E5Checkpoint() Table {
 			fmt.Sprintf("%d", cps),
 			dur(reopen),
 			dur(elapsed),
-			fmt.Sprintf("%d", h2.Internal().LastRecovery().RedoScanned),
+			fmt.Sprintf("%d", h2.LastRecovery().RedoScanned),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -192,10 +192,10 @@ func E7CrashDuringGC() Table {
 		if err := tailUpdates(h, 1); err != nil { // promotes the mid-GC checkpoint
 			panic(err)
 		}
-		active := h.Internal().StableCollector().Active()
+		active := h.StableCollector().Active()
 
 		h2, reopen, elapsed := crashRestart(cfg, h)
-		resumed := h2.Internal().StableCollector().Active()
+		resumed := h2.StableCollector().Active()
 		for h2.StepStable() {
 		}
 		n, err := fullTraversal(h2)
@@ -207,7 +207,7 @@ func E7CrashDuringGC() Table {
 			fmt.Sprintf("%d steps (active=%v)", steps, active),
 			dur(reopen),
 			dur(elapsed),
-			fmt.Sprintf("%d", h2.Internal().LastRecovery().RedoScanned),
+			fmt.Sprintf("%d", h2.LastRecovery().RedoScanned),
 			fmt.Sprintf("%v", resumed),
 			fmt.Sprintf("%v (%d objs)", n >= live, n),
 		})

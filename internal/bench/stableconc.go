@@ -68,8 +68,7 @@ func e22Run(concurrent bool) (opsPerSec float64, sgcStall, worst, p99, flip time
 	if err := buildStableChains(h, e22Live); err != nil {
 		panic(err)
 	}
-	hp := h.Internal()
-	base := hp.GCStats() // setup may flip; measure only the churn phase
+	base := h.GCStats() // setup may flip; measure only the churn phase
 
 	durs := make([]time.Duration, 0, e22Ops)
 	start := time.Now()
@@ -121,7 +120,7 @@ func e22Run(concurrent bool) (opsPerSec float64, sgcStall, worst, p99, flip time
 				// Flip only if the previous scan has retired (the collector
 				// goroutine plus per-commit assists drain it well inside one
 				// trigger interval); the flip is the only stop-the-world part.
-				if !hp.StableScanActive() {
+				if !h.StableScanActive() {
 					h.StartStableCollection()
 					gcs++
 				}
@@ -141,7 +140,7 @@ func e22Run(concurrent bool) (opsPerSec float64, sgcStall, worst, p99, flip time
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	worst = durs[len(durs)-1]
 	p99 = durs[len(durs)*99/100]
-	gs := hp.GCStats()
+	gs := h.GCStats()
 	flip = gs.Flip.Delta(base.Flip).MaxDur()
 	if concurrent {
 		// The mutator-visible stable-GC stalls: the stop-the-world flip and

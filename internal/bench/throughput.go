@@ -88,8 +88,8 @@ func E11Throughput() Table {
 			start := time.Now()
 			committed := run()
 			elapsed := time.Since(start)
-			gcs := h.Internal().GCStats()
-			vp := h.Internal().VGCStats()
+			gcs := h.GCStats()
+			vp := h.VGCStats()
 			worst := gcs.Flip.MaxDur()
 			if d := gcs.Step.MaxDur(); d > worst {
 				worst = d

@@ -34,7 +34,7 @@ func E15Truncation() Table {
 			panic(err)
 		}
 		h.TruncateLog()
-		dev := h.Internal().Log().Device()
+		dev := h.Log().Device()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", total),
 			fmt.Sprintf("%d", dev.Stats().BytesAppended),

@@ -29,11 +29,11 @@ func E6LogVolume() Table {
 		if err := buildStableChains(h, live); err != nil {
 			panic(err)
 		}
-		lm := h.Internal().Log()
+		lm := h.Log()
 		lm.ResetStats()
-		gcsBefore := h.Internal().GCStats()
+		gcsBefore := h.GCStats()
 		h.CollectStable()
-		gcs := h.Internal().GCStats()
+		gcs := h.GCStats()
 		txB, gcB, trB, _ := lm.VolumeByClass()
 		copied := gcs.CopiedWords - gcsBefore.CopiedWords
 		t.Rows = append(t.Rows, []string{
@@ -99,8 +99,8 @@ func E9Division() Table {
 			}
 		}
 		elapsed := time.Since(start)
-		s := h.Stats()
-		return elapsed, s.LogBytesAppended, s.LogAppends, s.LogForces
+		s := h.Log().Device().Stats()
+		return elapsed, s.BytesAppended, s.Appends, s.Forces
 	}
 	dTime, dBytes, dRecs, dForces := run(true)
 	aTime, aBytes, aRecs, aForces := run(false)

@@ -241,7 +241,9 @@ func DefaultConfig() Config { return Config{}.WithDefaults() }
 // transaction that created them.
 type Ref = tx.Handle
 
-// Heap is a stable heap instance.
+// Heap is a stable heap instance, over byte backings in memory or over a
+// directory's files (Open). The root package re-exports it as
+// stableheap.Heap.
 type Heap struct {
 	cfg    Config
 	disk   *storage.Disk
@@ -341,7 +343,7 @@ type Heap struct {
 	lastRecovery *recovery.Result
 }
 
-// Tx is an open transaction on a Heap.
+// Tx is an open transaction on a Heap (stableheap.Tx).
 type Tx struct {
 	hp  *Heap
 	t   *tx.Tx
@@ -924,8 +926,10 @@ func (hp *Heap) collectNursery() error {
 
 // --- public transaction API ----------------------------------------------
 
-// Begin starts a transaction. A Tx is owned by one goroutine; different
-// transactions may run concurrently.
+// Begin starts a transaction. Transactions are serializable (strict
+// two-phase read/write locking) and total (commit makes every effect
+// durable; abort removes every effect). A Tx is owned by one goroutine;
+// different transactions may run concurrently.
 func (hp *Heap) Begin() *Tx {
 	excl := hp.rlock()
 	defer hp.runlock(excl)
@@ -960,7 +964,7 @@ func (t *Tx) ok() error {
 	return t.err
 }
 
-// Err returns the sticky error, if any.
+// Err returns the transaction's sticky error (set by a conflict), if any.
 func (t *Tx) Err() error { return t.err }
 
 // ID returns the transaction id.
@@ -1023,8 +1027,10 @@ func (t *Tx) lockAddr(read func() word.Addr, m lock.Mode) error {
 }
 
 // Alloc creates an object with nptrs pointer fields (nil) and ndata zero
-// data words, returning a registered reference. New objects are volatile
-// (divided mode) or stable (all-stable mode).
+// data words, tagged with the caller's typeID, returning a registered
+// reference. New objects are volatile until a committing transaction makes
+// them reachable from a stable root (divided mode), or stable from birth
+// (all-stable mode).
 func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	if err := t.ok(); err != nil {
 		return nil, err
@@ -1288,6 +1294,40 @@ func (t *Tx) AddData(r *Ref, j int, delta uint64) error {
 	})
 }
 
+// SetDataBytes stores b into consecutive data words starting at word j
+// (padded with zeros to a word boundary); the object needs
+// (len(b)+7)/8 data words from j. A convenience for string-ish payloads.
+func (t *Tx) SetDataBytes(r *Ref, j int, b []byte) error {
+	for off := 0; off < len(b); off += 8 {
+		var w [8]byte
+		copy(w[:], b[off:])
+		var v uint64
+		for k := 7; k >= 0; k-- {
+			v = v<<8 | uint64(w[k])
+		}
+		if err := t.SetData(r, j+off/8, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DataBytes reads n bytes of data words starting at word j (the inverse of
+// SetDataBytes).
+func (t *Tx) DataBytes(r *Ref, j, n int) ([]byte, error) {
+	out := make([]byte, 0, n)
+	for off := 0; off < n; off += 8 {
+		v, err := t.Data(r, j+off/8)
+		if err != nil {
+			return nil, err
+		}
+		for k := 0; k < 8 && off+k < n; k++ {
+			out = append(out, byte(v>>(8*k)))
+		}
+	}
+	return out, nil
+}
+
 // Shape returns the referenced object's type id, pointer count and data
 // count.
 func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
@@ -1297,7 +1337,9 @@ func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
 	return typeID, nptrs, ndata, err
 }
 
-// Root returns stable root slot i (nil Ref if unset).
+// Root returns stable root slot i (nil Ref if unset). Stable roots are the
+// programmer-designated global roots whose reachable closure survives
+// crashes.
 func (t *Tx) Root(i int) (out *Ref, err error) {
 	err = t.access(t.hp.rootAddr, false, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
 		out = t.ref(t.hp.loadPtr(f.slot))
@@ -1306,7 +1348,8 @@ func (t *Tx) Root(i int) (out *Ref, err error) {
 }
 
 // SetRoot stores val into stable root slot i: this is how objects become
-// reachable from stable state.
+// reachable from stable state. Any volatile objects made reachable by this
+// store become stable when the transaction commits.
 func (t *Tx) SetRoot(i int, val *Ref) error {
 	return t.access(t.hp.rootAddr, false, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
 		t.storePtr(f, val)
@@ -1333,8 +1376,8 @@ func (t *Tx) volRoot(i int, fn func(excl bool, slot word.Addr)) error {
 	return nil
 }
 
-// VolRoot returns volatile root slot i. Volatile roots do not survive
-// crashes.
+// VolRoot returns volatile root slot i. Volatile roots are global but do
+// not survive crashes (e.g. caches, session state).
 func (t *Tx) VolRoot(i int) (out *Ref, err error) {
 	err = t.volRoot(i, func(_ bool, slot word.Addr) { out = t.ref(t.hp.loadPtr(slot)) })
 	return out, err
@@ -1481,7 +1524,9 @@ func (t *Tx) Prepare() error {
 	return nil
 }
 
-// Abort rolls the transaction back.
+// Abort rolls the transaction back: logged updates are undone in place
+// with compensation records; unlogged volatile writes are undone from
+// memory.
 func (t *Tx) Abort() error {
 	if t.t.Status() != tx.Active {
 		return ErrTxDone

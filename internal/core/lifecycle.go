@@ -21,7 +21,8 @@ import (
 // Checkpoint takes a fuzzy checkpoint (§2.2.4): the system is quiesced at
 // a low-level action boundary (the latch), one record is spooled, and the
 // master block is updated lazily once ordinary log traffic makes the
-// record stable. No synchronous writes.
+// record stable. No synchronous writes; it bounds the work of the next
+// recovery.
 func (hp *Heap) Checkpoint() word.LSN {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
@@ -62,8 +63,10 @@ func (hp *Heap) TruncateLog() {
 }
 
 // Close shuts the heap down cleanly: any in-flight concurrent scan
-// retires, active transactions abort, dirty pages flush, and a final
-// checkpoint is forced.
+// retires, active transactions abort, a running stable collection
+// completes, dirty pages flush, a final checkpoint is forced and the
+// devices close. Open over the same backings reopens the heap from that
+// checkpoint.
 func (hp *Heap) Close() {
 	// The watchdog goroutine snapshots metrics under the shared latch:
 	// stop it before anything below goes exclusive.
@@ -98,6 +101,11 @@ func (hp *Heap) Close() {
 // the stable log survive in their backings. The devices are released as a
 // process kill releases its files (no flush, no sync) and returned dead:
 // Open over their backings (storage.Backings) is the restart.
+//
+// Crash is also the only call a heap accepts once a device has failed under
+// it: the heap is fail-stop, so after a typed device panic (storage.ErrIO,
+// storage.ErrCorrupt) has unwound one operation, every other call — on any
+// goroutine — panics with that same error rather than run on.
 func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 	hp.stopWatchdog()
 	// A commit parked on a force is acknowledged first (commitGate).
@@ -131,9 +139,15 @@ func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 	return hp.disk, hp.logDev
 }
 
-// Devices exposes the simulated devices (for the crash harness, which
-// controls which pages reach disk before a crash).
+// Devices exposes the heap's page store and log (for the crash harness,
+// which controls which pages reach disk before a crash).
 func (hp *Heap) Devices() (*storage.Disk, *storage.Log) { return hp.disk, hp.logDev }
+
+// Internal returns hp itself.
+//
+// Deprecated: frozen benchmark — only the harness under benchmark/ calls
+// it; call hp's methods directly.
+func (hp *Heap) Internal() *Heap { return hp }
 
 // Open opens the stable heap held in two byte backings, the page store's
 // (db) and the log's (lb), and decides from their bytes what it needs:
@@ -451,8 +465,9 @@ func (hp *Heap) CollectStable() {
 	hp.collectStableLocked()
 }
 
-// StepStable advances an active stable collection by one quantum (the
-// benchmark harness paces collections explicitly).
+// StepStable advances an active stable collection by one quantum,
+// reporting whether it is still active (the benchmark harness paces
+// collections explicitly).
 func (hp *Heap) StepStable() bool {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
@@ -468,7 +483,9 @@ func (hp *Heap) StepStable() bool {
 	return hp.sgc.Step()
 }
 
-// StartStableCollection flips without finishing (incremental mode).
+// StartStableCollection flips the stable area without finishing the
+// collection; subsequent mutator activity (and StepStable) drives it
+// incrementally.
 func (hp *Heap) StartStableCollection() {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
@@ -479,6 +496,7 @@ func (hp *Heap) StartStableCollection() {
 
 // CollectVolatile runs one volatile-area collection (divided mode),
 // returning the number of newly stable objects moved to the stable area.
+// Collections also run automatically when the volatile area fills.
 func (hp *Heap) CollectVolatile() (int, error) {
 	hp.lockExclusive()
 	defer hp.unlockExclusive()

@@ -36,7 +36,10 @@ type heapMetrics struct {
 // scheme: a subsystem prefix (tx_, gc_, vgc_, cache_, wal_, lock_,
 // checkpoint_, track_, recovery_, obs_), counters end in _total,
 // nanosecond histograms in _ns; the one unitless histogram is
-// wal_force_batch (callers released per log force).
+// wal_force_batch (callers released per log force). The histograms are
+// always on — recording is a handful of atomic adds — so any run can
+// report latency distributions without a measurement mode. The snapshot
+// marshals to JSON and renders Prometheus text via WritePrometheus.
 func (hp *Heap) Metrics() obs.Snapshot {
 	// Shared latch: subsystem stats that are not internally synchronized
 	// (collector counters, tracker counters) only mutate in exclusive
@@ -182,10 +185,19 @@ func (hp *Heap) Metrics() obs.Snapshot {
 }
 
 // TraceJSON renders the flight recorder's ring as Chrome trace_event JSON,
-// loadable in about://tracing or ui.perfetto.dev. With the recorder off it
-// returns an empty, still-loadable trace document.
+// loadable in about://tracing or ui.perfetto.dev. The recorder runs only
+// when Config.FlightRecorder is set; with it off TraceJSON returns an
+// empty, still-loadable trace document.
 func (hp *Heap) TraceJSON() []byte {
 	var buf bytes.Buffer
 	obs.WriteEventsChrome(&buf, hp.bb.Events())
 	return buf.Bytes()
+}
+
+// ServeMetrics starts an HTTP endpoint (e.g. addr "localhost:8077")
+// exposing /metrics (Prometheus text), /metrics.json (the snapshot as
+// JSON) and /trace (Chrome trace JSON). Close the returned server when
+// done.
+func (hp *Heap) ServeMetrics(addr string) (*obs.Server, error) {
+	return obs.Serve(addr, hp.Metrics, hp.FlightEvents)
 }

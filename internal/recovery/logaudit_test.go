@@ -111,7 +111,7 @@ func TestLogAuditEveryTypeIsRead(t *testing.T) {
 	}
 	got := make(map[wal.Type]int64)
 	for typ := wal.TInvalid + 1; !strings.HasPrefix(typ.String(), "type("); typ++ {
-		if n, _ := h.Internal().Log().TypeStats(typ); n > 0 {
+		if n, _ := h.Log().TypeStats(typ); n > 0 {
 			got[typ] = n
 		}
 	}

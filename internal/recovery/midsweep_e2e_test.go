@@ -43,14 +43,14 @@ func TestRecoverMidSweepScanState(t *testing.T) {
 	}
 	h.StartStableCollection()
 	h.StepStable()
-	h.Internal().Log().ForceAll()
+	h.Log().ForceAll()
 	disk, logDev := h.Crash()
 
 	h2, err := stableheap.Recover(cfg, disk, logDev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h2.Internal().StableCollector().Active() {
+	if !h2.StableCollector().Active() {
 		t.Fatal("collection did not resume")
 	}
 	bank.Reattach(h2)

@@ -95,7 +95,10 @@ func BackingsFor(cfg Config) (parts []Backings, coord Backings, err error) {
 	return parts, coord, err
 }
 
-// Cluster is the partitioned heap facade.
+// Cluster is a partitioned stable heap (stableheap.Cluster): root slots
+// are routed to partitions by a stable hash (PartitionOf), transactions
+// span partitions transparently, and recovery resolves in-doubt two-phase
+// branches against the coordinator's durable decision log.
 type Cluster struct {
 	cfg      Config
 	backings []Backings // partition i's, for its restart (CrashPartition)
@@ -291,7 +294,8 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// PartitionOf returns the home partition of a root slot.
+// PartitionOf returns the home partition of a root slot. The routing hash
+// is stable across runs and versions: object placement is durable.
 func (cl *Cluster) PartitionOf(slot int) int {
 	return int(mix64(uint64(slot)) % uint64(len(cl.parts)))
 }
@@ -365,7 +369,7 @@ func (cl *Cluster) Checkpoint() {
 }
 
 // CollectVolatile runs a volatile collection on every partition and
-// returns the total objects reclaimed.
+// returns the total newly stable objects moved to the stable areas.
 func (cl *Cluster) CollectVolatile() (int, error) {
 	total := 0
 	for _, hp := range cl.parts {

@@ -391,16 +391,19 @@ func (m *Manager) TypeStats(t Type) (count, bytes int64) {
 	return m.count[t], m.bytes[t]
 }
 
-// VolumeByClass summarizes appended bytes by origin: transactional records,
-// collector records, stability-tracking records, and bookkeeping. This is
-// the breakdown of experiment E6.
+// VolumeByClass summarizes appended bytes by origin: transactional records
+// (the coordinator's two-phase-commit records among them), collector
+// records, stability-tracking records, and bookkeeping. Every live record
+// type lands in exactly one class, so the four sum to the bytes appended.
+// This is the breakdown of experiment E6.
 func (m *Manager) VolumeByClass() (txBytes, gcBytes, trackBytes, bookBytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for t := Type(1); t < maxType; t++ {
 		b := m.bytes[t]
 		switch t {
-		case TUpdate, TCLR, TAlloc, TCommit, TEnd:
+		case TUpdate, TCLR, TAlloc, TCommit, TEnd, TLogical, TPrepare,
+			TTwoPCBegin, TTwoPCDecide, TTwoPCEnd:
 			txBytes += b
 		case TFlip, TCopy, TScan, TGCEnd:
 			gcBytes += b

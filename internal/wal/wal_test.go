@@ -71,8 +71,10 @@ func canon(b []byte) []byte {
 	return b
 }
 
-func TestRoundTripAllTypes(t *testing.T) {
-	recs := []Record{
+// sampleRecords holds at least one record of every live type, with and
+// without optional payloads.
+func sampleRecords() []Record {
+	return []Record{
 		UpdateRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 10}, Addr: 0x1000, Obj: 0xff8, Flags: UFPtrSlot, Redo: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Undo: []byte{8, 7, 6, 5, 4, 3, 2, 1}},
 		CLRRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 20}, Addr: 0x1008, Redo: []byte{9, 9}, UndoNext: 5},
 		AllocRec{TxHdr: TxHdr{TxID: 7, PrevLSN: 30}, Addr: 0x2000, Descriptor: 0xdeadbeef, SizeWords: 12},
@@ -115,7 +117,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		},
 		CheckpointRec{}, // empty checkpoint must survive too
 	}
-	for _, r := range recs {
+}
+
+func TestRoundTripAllTypes(t *testing.T) {
+	for _, r := range sampleRecords() {
 		roundTrip(t, r)
 	}
 }
@@ -408,6 +413,26 @@ func TestManagerVolumeByClass(t *testing.T) {
 	cnt, b := m.TypeStats(TCopy)
 	if cnt != 1 || b == 0 {
 		t.Fatalf("TypeStats(TCopy) = %d, %d", cnt, b)
+	}
+	// Every live type lands in one class: the classes sum to what was
+	// appended, whatever the mix.
+	sampled := map[Type]bool{}
+	for _, r := range sampleRecords() {
+		m.Append(r)
+		sampled[r.Type()] = true
+	}
+	for ty := Type(1); ty < maxType; ty++ {
+		if ty == TBegin || ty == TAbort || ty == TPageFetch {
+			continue
+		}
+		if !sampled[ty] {
+			t.Errorf("sampleRecords has no %v record", ty)
+		}
+	}
+	tx, gc, track, book = m.VolumeByClass()
+	if sum, appended := tx+gc+track+book, m.Device().Stats().BytesAppended; sum != appended {
+		t.Fatalf("classes sum to %d bytes, %d appended (tx %d gc %d track %d book %d)",
+			sum, appended, tx, gc, track, book)
 	}
 	m.ResetStats()
 	if c, _ := m.TypeStats(TCopy); c != 0 {

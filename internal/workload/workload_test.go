@@ -51,7 +51,7 @@ func TestBankConservationAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk, log := h.Crash()
-	h2, err := stableheap.Recover(h.Internal().Config(), disk, log)
+	h2, err := stableheap.Recover(h.Config(), disk, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestOO7SurvivesCrashAndGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk, log := h.Crash()
-	h2, err := stableheap.Recover(h.Internal().Config(), disk, log)
+	h2, err := stableheap.Recover(h.Config(), disk, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func tally(h *stableheap.Heap) map[wal.Type]int64 {
 	out := make(map[wal.Type]int64)
 	for typ := wal.TInvalid + 1; !strings.HasPrefix(typ.String(), "type("); typ++ {
-		if n, _ := h.Internal().Log().TypeStats(typ); n > 0 {
+		if n, _ := h.Log().TypeStats(typ); n > 0 {
 			out[typ] = n
 		}
 	}
@@ -38,7 +38,7 @@ func TestReadOnlyTraversalLogsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Internal().Log().ResetStats()
+	h.Log().ResetStats()
 	flushes0, fetches0 := h.Metrics().Counter("cache_flushes_total"), h.Metrics().Counter("cache_fetches_total")
 	for i := 0; i < 20; i++ {
 		if _, err := o.TraverseT1(); err != nil {
@@ -86,7 +86,7 @@ func TestOpenReaderPinsNoLog(t *testing.T) {
 		}
 	}
 	h.TruncateLog()
-	dev := h.Internal().Log().Device()
+	dev := h.Log().Device()
 	if got := dev.RetainedBytes(); got >= 2*storage.DefaultSegmentSize {
 		t.Errorf("%d log bytes retained of %d appended behind an open reader, want under two segments",
 			got, dev.Stats().BytesAppended)

@@ -152,7 +152,7 @@ func TestSingleGoroutineWALUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dev := h.Internal().Log().Device()
+	dev := h.Log().Device()
 	sum := sha256.New()
 	storage.Scan(dev, 1, false, func(lsn word.LSN, frame []byte) bool {
 		var b [8]byte
@@ -166,7 +166,7 @@ func TestSingleGoroutineWALUnchanged(t *testing.T) {
 	}
 	// Format's bootstrap commit rides the force that publishes its
 	// checkpoint, so every commit, that one included, costs one force.
-	forces, commits := dev.Stats().Forces, h.Internal().TxStats().Committed
+	forces, commits := dev.Stats().Forces, h.TxStats().Committed
 	if forces != commits {
 		t.Errorf("%d device forces for %d commits, want one each", forces, commits)
 	}

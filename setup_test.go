@@ -60,7 +60,7 @@ func TestSetupCounts(t *testing.T) {
 	movedInto := make(map[word.PageID]bool)
 	drainFixes, bases := 0, 0
 	otherFixes := make(map[word.PageID]int)
-	storage.Scan(h.Internal().Log().Device(), 1, false, func(_ word.LSN, frame []byte) bool {
+	storage.Scan(h.Log().Device(), 1, false, func(_ word.LSN, frame []byte) bool {
 		rec, err := wal.Decode(frame)
 		if err != nil {
 			t.Fatal(err)

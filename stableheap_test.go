@@ -92,6 +92,36 @@ func TestEntryPointBudget(t *testing.T) {
 	}
 }
 
+// TestRootDeclaresNoMethods is the ratchet on the root package itself: it
+// re-exports the internal packages' types and declares no method and no
+// struct, so a forwarding layer over core.Heap, core.Tx or shard.Cluster
+// cannot grow back.
+func TestRootDeclaresNoMethods(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch d := n.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil {
+						t.Errorf("%s: method %s: the root package re-exports, it does not wrap", name, d.Name.Name)
+					}
+				case *ast.TypeSpec:
+					if _, ok := d.Type.(*ast.StructType); ok {
+						t.Errorf("%s: struct type %s: the root package re-exports, it does not wrap", name, d.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	h := Open(testCfg())
 	tx := h.Begin()
@@ -166,18 +196,17 @@ func TestStatsPopulate(t *testing.T) {
 	}
 	h.CollectVolatile()
 	h.CollectStable()
-	s := h.Stats()
-	if s.TxCommitted != 2 { // bootstrap + ours
-		t.Fatalf("committed = %d", s.TxCommitted)
+	if c := h.TxStats().Committed; c != 2 { // bootstrap + ours
+		t.Fatalf("committed = %d", c)
 	}
-	if s.TrackedObjects != 2 || s.NewlyStableMoved != 2 {
-		t.Fatalf("tracking stats: %+v", s)
+	if trk, vgs := h.TrackerStats(), h.VGCStats(); trk.Objects != 2 || vgs.MovedObjs != 2 {
+		t.Fatalf("tracking stats: tracked %d, moved %d", trk.Objects, vgs.MovedObjs)
 	}
-	if s.StableCollections != 1 || s.CopiedObjects == 0 {
-		t.Fatalf("gc stats: %+v", s)
+	if gcs := h.GCStats(); gcs.Collections != 1 || gcs.CopiedObjs == 0 {
+		t.Fatalf("gc stats: %+v", gcs)
 	}
-	if s.LogForces == 0 || s.LogBytesAppended == 0 {
-		t.Fatalf("log stats: %+v", s)
+	if ls := h.Log().Device().Stats(); ls.Forces == 0 || ls.BytesAppended == 0 {
+		t.Fatalf("log stats: %+v", ls)
 	}
 }
 
