@@ -100,9 +100,8 @@ func describe(r wal.Record) string {
 	case wal.CompleteRec:
 		return fmt.Sprintf("complete     tx=%d batch of %d newly stable objects", rec.TxID, rec.Count)
 	case wal.V2SCopyRec:
-		srcs := append([]word.Addr{rec.From}, rec.More...)
-		return fmt.Sprintf("v2scopy      %v → %v (%dB, volatile→stable move of a run of %d objects, first sources %v)",
-			rec.From, rec.To, len(rec.Object), len(srcs), srcs[:min(len(srcs), 8)])
+		return fmt.Sprintf("v2scopy      move cycle: %d objects (%dB) volatile→stable in %d destination runs %v, %d slots fixed; first sources %v",
+			len(rec.From), len(rec.Object), len(rec.Runs), rec.Runs[:min(len(rec.Runs), 4)], len(rec.Fixes), rec.From[:min(len(rec.From), 8)])
 	case wal.SFixRec:
 		return fmt.Sprintf("sfix         page=%d %d stable slots rewired (S4VScan)", rec.Page, len(rec.Fixes))
 	case wal.VFlipRec:

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"stableheap/internal/gc"
-	"stableheap/internal/heap"
 	"stableheap/internal/lock"
 	"stableheap/internal/obs"
 	"stableheap/internal/recovery"
@@ -303,15 +302,9 @@ func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool
 	}
 
 	if !cfg.Undivided {
-		// Finish a move cycle the crash may have cut between its moves and
-		// their fixes: stable slots still naming a source follow its
-		// forwarding word.
-		for _, m := range res.Moved {
-			hp.h.SetDescriptor(m.From, heap.ForwardingDescriptor(m.To), word.NilLSN)
-		}
 		// Evacuate recovered newly stable objects into the stable area;
 		// everything else in the volatile area died with the crash.
-		if len(hp.ls) > 0 || len(res.Moved) > 0 {
+		if len(hp.ls) > 0 {
 			start := time.Now()
 			if err := hp.ensureStableSpaceRecovered(); err != nil {
 				return nil, err

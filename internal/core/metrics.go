@@ -119,6 +119,11 @@ func (hp *Heap) Metrics() obs.Snapshot {
 	s.SetCounter("wal_forces_total", ls.Forces)
 	s.SetCounter("wal_bytes_appended_total", ls.BytesAppended)
 	s.SetCounter("wal_bytes_stable_total", ls.BytesStable)
+	txB, gcB, trackB, bookB := hp.log.VolumeByClass()
+	s.SetCounter("wal_bytes_tx_total", txB)
+	s.SetCounter("wal_bytes_gc_total", gcB)
+	s.SetCounter("wal_bytes_track_total", trackB)
+	s.SetCounter("wal_bytes_book_total", bookB)
 	s.SetHist("wal_append_ns", hp.log.AppendHist())
 	s.SetHist("wal_force_ns", hp.log.ForceHist())
 	s.SetHist("wal_force_wait_ns", hp.log.ForceWaitHist())

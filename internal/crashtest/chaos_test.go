@@ -101,8 +101,9 @@ func TestChaosDriverCommitInDoubt(t *testing.T) {
 //     skipped the objects' base record;
 //   - 161, 181, 547 and 594: a torn force kept a move cycle's V2SCopy
 //     records and cut the SFix records after them, leaving stable slots
-//     naming the dead volatile area (547 and 594 fail when analysis does
-//     not remember the moved slots);
+//     naming the dead volatile area (547 and 594 failed when analysis did
+//     not remember the moved slots). A cycle is one record now, which a
+//     tear keeps or drops whole; the seeds stay as regression seeds;
 //   - 163 and 594: a torn tail kept a stable flip and cut the root's copy
 //     record that follows it, and recovery adopted the flip's predicted
 //     root, or copied the root without rebasing its remembered slots.

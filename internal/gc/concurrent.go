@@ -26,7 +26,7 @@ import (
 //     restore them, so undo never resurrects a from-space address either.
 //
 // The areas differ only in what is logged. The volatile collector logs
-// everything at the flip (V2SCopy, SFix, VFlip — every LS move, reachable or
+// everything at the flip (V2SCopy and VFlip — every LS move, reachable or
 // not); its scan is pure unlogged copying, so a crash mid-scan is
 // indistinguishable to recovery from a crash after a completed collection.
 // The stable collector's scan steps are the same WAL-logged, restartable
@@ -94,11 +94,11 @@ func (v *VolatileCollector) StartConcurrent() int {
 	c := v.flip(false)
 	v.stats.ConcCollections++
 	v.begin(c, nil, true)
-	v.fixMoved(c)
-	v.flushRun()
+	v.scanMoved(c)
+	n := v.logMoves()
 	// The flip is the collection as far as the log is concerned; the
 	// scan that follows is pure unlogged copying.
-	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})
+	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: n})
 	v.concReserve = spaceUsedWords(c.from[0])
 	v.concBaseCopied = v.stats.CopiedWords
 	v.major = c
@@ -109,7 +109,7 @@ func (v *VolatileCollector) StartConcurrent() int {
 	v.pauseH.Observe(uint64(d))
 	v.bb.SetGCEpoch(v.epoch)
 	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 1)
-	return c.nMoved
+	return n
 }
 
 // ScanQuantum advances the parked cycle's scan by roughly budgetWords of

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -612,17 +613,22 @@ func TestVolatileMovesNewlyStableToStableArea(t *testing.T) {
 	if !v.InArea(roots[0]) {
 		t.Fatal("plain volatile object must stay volatile")
 	}
-	// Log contains V2SCopy ×2, SFix (≥2 pages may batch), VFlip.
+	// The cycle is one V2SCopy record — both moves, the translated slot
+	// of O and the fix of S's slot — and its VFlip.
 	kinds := map[wal.Type]int{}
-	log.Scan(1, false, func(_ word.LSN, r wal.Record) bool { kinds[r.Type()]++; return true })
-	if kinds[wal.TV2SCopy] != 2 {
-		t.Fatalf("v2scopy records = %d, want 2", kinds[wal.TV2SCopy])
+	var cycle wal.V2SCopyRec
+	log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
+		kinds[r.Type()]++
+		if mv, ok := r.(wal.V2SCopyRec); ok {
+			cycle = mv
+		}
+		return true
+	})
+	if want := map[wal.Type]int{wal.TV2SCopy: 1, wal.TVFlip: 1}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("log kinds = %v, want %v", kinds, want)
 	}
-	if kinds[wal.TSFix] == 0 {
-		t.Fatal("expected SFix records")
-	}
-	if kinds[wal.TVFlip] != 1 {
-		t.Fatal("expected one vflip record")
+	if len(cycle.From) != 2 || len(cycle.Fixes) != 1 || cycle.Fixes[0].Addr != sAddr+word.Addr(heap.PtrOffset(0)) || cycle.Fixes[0].NewPtr != no {
+		t.Fatalf("the cycle's record moves %v and fixes %v: want O and P, and S's slot → %v", cycle.From, cycle.Fixes, no)
 	}
 	// The batch carries the two stable moves and q's plain copy alike.
 	moved := 0

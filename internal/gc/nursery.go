@@ -101,7 +101,7 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 	usedWords := v.nurseryUsedWords()
 	c := &cycle{from: []*heap.Space{v.nursery}, to: v.Current(), high: v.concActive, minor: true}
 	v.begin(c, volSlots, true)
-	v.finish(c)
+	moved := v.finish(c)
 
 	// RATIO growth: a high survival rate means the nursery is too small
 	// for the allocation pattern — grow the soft cap toward capacity.
@@ -119,5 +119,5 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 	d := time.Since(start)
 	v.minorPauseH.Observe(uint64(d))
 	v.bb.Span(obs.EvMinorGC, d, 0, uint64(promotedW), uint64(usedWords))
-	return c.nMoved
+	return moved
 }

@@ -68,11 +68,10 @@ type VolatileStats struct {
 // volatile area (Ch. 5). Ordinary volatile objects are copied without any
 // logging — this is precisely how the divided heap avoids the costs of
 // atomic collection for volatile state. Newly stable objects (AS bit set)
-// are instead evacuated into the stable area with logged V2SCopy records,
-// one per run of moves that land end to end, and stable-area slots that
-// pointed at them are fixed with logged, redo-only SFix records (the
-// paper's "S4vscan"). A run is logged late, so it is flushed before anything
-// reads one of its destinations or logs a record that must follow it.
+// are instead evacuated into the stable area, and the cycle ends with one
+// logged V2SCopy record that carries their images, pointer slots
+// translated, with the redo-only fixes of the logged slots that named them
+// (the paper's "S4vscan").
 //
 // Beyond the original stop-the-world Collect, the collector supports a
 // small nursery generation (CollectNursery) and a mostly-concurrent mode
@@ -98,12 +97,9 @@ type VolatileCollector struct {
 	concState
 	major *cycle
 
-	relocs      word.Moves   // moves not yet handed to hooks.Relocate
-	img         []byte       // evacuate's object image, reused
-	run         moveRun      // the open run of stable moves
-	slots       []word.Addr  // scanMoved's slot list, reused
-	fixes       []wal.PtrFix // the open SFix batch, all on one page; reused
-	fixLive     []bool       // per fix: the new pointer is still volatile
+	relocs      word.Moves // moves not yet handed to hooks.Relocate
+	img         []byte     // evacuate's object image, reused
+	mv          moveBuf    // the cycle's moves into the stable area
 	stats       VolatileStats
 	pauseH      obs.Histogram
 	minorPauseH obs.Histogram
@@ -119,7 +115,7 @@ func NewVolatile(mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.Addr
 	}
 	mid := lo + (hi-lo)/2
 	v := &VolatileCollector{mem: mem, h: h, log: log}
-	v.run.dest = make(map[word.Addr]word.Addr)
+	v.mv.dest = make(map[word.Addr]word.Addr)
 	v.spaces[0] = heap.NewSpace(lo, mid)
 	v.spaces[1] = heap.NewSpace(mid, hi)
 	return v
@@ -215,8 +211,9 @@ func (v *VolatileCollector) Reset() {
 //	post-recovery             from = both semispaces + nursery, to = nil
 //
 // Copies are unlogged and queue in gray (FIFO, so they are scanned in
-// Cheney order); newly stable objects move into the stable area under the
-// WAL protocol instead and queue in moved until their slots are fixed.
+// Cheney order); newly stable objects are bound for the stable area and
+// queue as images in the collector's moveBuf, which the same Cheney pass
+// translates and the cycle's one V2SCopy record logs at its end.
 type cycle struct {
 	from []*heap.Space
 	to   *heap.Space // nil: nothing but newly stable objects may be live
@@ -226,8 +223,6 @@ type cycle struct {
 	minor    bool        // copies count as promotions
 	gray     []word.Addr // copied, pointer slots not yet translated
 	graySlot int         // next slot of gray[0]: scan resumes mid-object
-	moved    []word.Addr // moved to the stable area, slots not yet fixed
-	nMoved   int         // moved objects whose slots are fixed
 }
 
 func (c *cycle) inFrom(a word.Addr) bool {
@@ -256,7 +251,7 @@ func (v *VolatileCollector) flip(withNursery bool) *cycle {
 
 // begin evacuates what the cycle's roots reach directly: volatile globals
 // and transaction handles; the stable→volatile remembered slots, whose
-// rewrites are stable-area modifications and follow the WAL protocol;
+// rewrites are stable-area modifications and ride the cycle's record;
 // volSlots, the volatile remembered slots into the from-set (sorted); and,
 // with drainLS, every tracked newly stable object in the from-set,
 // reachable or not. Cycles whose from-set outlives the stop-the-world
@@ -274,7 +269,7 @@ func (v *VolatileCollector) begin(c *cycle, volSlots []word.Addr, drainLS bool) 
 		})
 	}
 	if v.hooks.StableSlots != nil {
-		v.fixStableSlots(c, v.hooks.StableSlots())
+		v.fixLogged(c, v.hooks.StableSlots())
 	}
 	var ls []word.Addr
 	if drainLS && v.hooks.NewlyStable != nil {
@@ -309,12 +304,14 @@ func (v *VolatileCollector) scan(c *cycle, budget int) bool {
 			budget--
 			p := word.Addr(v.mem.ReadWord(slot))
 			if !p.IsNil() && c.inFrom(p) {
+				// Sized by the source: a move's destination is written last.
+				d := v.h.Descriptor(p)
 				to := v.evacuate(c, p)
 				v.mem.WriteWord(slot, uint64(to), word.NilLSN)
-				if v.run.holds(to) {
-					v.flushRun()
+				if d.Forwarded() {
+					d = v.h.Descriptor(to)
 				}
-				budget -= v.h.Descriptor(to).SizeWords()
+				budget -= d.SizeWords()
 			}
 		}
 		c.gray = c.gray[1:]
@@ -323,34 +320,42 @@ func (v *VolatileCollector) scan(c *cycle, budget int) bool {
 	return len(c.gray) > 0
 }
 
-// fixMoved translates the slots of the objects that moved into the stable
-// area (the logged S4vscan fix-ups), one SFix record per page for the whole
-// drain: the moved objects sit side by side at the stable frontier, so the
-// open batch carries from one object to the next and closes only when a
-// slot lies on another page, and once at the end. Every target a fix names
-// was evacuated, its run logged by flushFixes, before the fix, so the
-// copies still precede the fix in the log; and the batched slots are
-// written under the fix's LSN before the drain returns.
-func (v *VolatileCollector) fixMoved(c *cycle) {
-	for len(c.moved) > 0 {
-		obj := c.moved[0]
-		c.moved = c.moved[1:]
-		c.nMoved++
-		v.scanMoved(c, obj)
+// scanMoved is the Cheney pass over the images bound for the stable area:
+// it translates their pointer slots in the buffer, before anything is
+// logged. A slot that still names the volatile area — a to-space copy, or
+// an aged survivor of a minor collection — enters the remembered set.
+func (v *VolatileCollector) scanMoved(c *cycle) {
+	m := &v.mv
+	for ; m.scanned < len(m.from); m.scanned++ {
+		off := m.scanOff
+		d := heap.Descriptor(word.GetWord(m.img, off))
+		m.scanOff += word.WordsToBytes(d.SizeWords())
+		for j := 0; j < d.NPtrs(); j++ {
+			at := off + heap.PtrOffset(j)
+			p := word.Addr(word.GetWord(m.img, at))
+			if c.inFrom(p) {
+				p = v.evacuate(c, p) // may grow m.img
+				word.PutWord(m.img, at, uint64(p))
+			}
+			if v.InArea(p) && v.hooks.OnStableSlotFixed != nil {
+				slot := m.dest[m.from[m.scanned]] + word.Addr(heap.PtrOffset(j))
+				v.hooks.OnStableSlotFixed(slot, p, true)
+			}
+		}
 	}
-	v.flushFixes()
 }
 
-// finish runs the cycle to completion — each pass may feed the other — and
-// hands the last moves over.
-func (v *VolatileCollector) finish(c *cycle) {
-	for len(c.gray) > 0 || len(c.moved) > 0 {
+// finish runs the cycle to completion — each pass may feed the other —
+// logs its moves and hands the last of them over. It returns the number
+// of newly stable objects moved.
+func (v *VolatileCollector) finish(c *cycle) int {
+	defer handOff(&v.relocs, v.hooks.Relocate)
+	for len(c.gray) > 0 || v.mv.scanned < len(v.mv.from) {
 		for v.scan(c, 1<<30) {
 		}
-		v.fixMoved(c)
+		v.scanMoved(c)
 	}
-	v.flushRun()
-	handOff(&v.relocs, v.hooks.Relocate)
+	return v.logMoves()
 }
 
 // retire frees the from-set. Its contents are dead and redo never reads
@@ -373,14 +378,14 @@ func (v *VolatileCollector) Collect() int {
 	start := time.Now()
 	c := v.flip(v.nursery != nil)
 	v.begin(c, nil, false)
-	v.finish(c)
-	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})
+	n := v.finish(c)
+	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: n})
 	v.retire(c)
 	d := time.Since(start)
 	v.pauseH.Observe(uint64(d))
 	v.bb.SetGCEpoch(v.epoch)
 	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 0)
-	return c.nMoved
+	return n
 }
 
 // CollectRecovered evacuates recovered newly stable objects out of the
@@ -400,15 +405,15 @@ func (v *VolatileCollector) CollectRecovered() int {
 		c.from = append(c.from, v.nursery)
 	}
 	v.begin(c, nil, false)
-	v.finish(c)
-	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: c.nMoved})
+	n := v.finish(c)
+	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: n})
 	v.retire(c)
-	return c.nMoved
+	return n
 }
 
 // evacuate transports the volatile object at from on behalf of cycle c:
-// newly stable objects go to the stable area (logged), the rest to c's
-// to-space (unlogged). Returns the new address.
+// newly stable objects go to the stable area (logged when the cycle ends),
+// the rest to c's to-space (unlogged). Returns the new address.
 func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	d := v.h.Descriptor(from)
 	if d.Forwarded() {
@@ -416,8 +421,8 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	}
 	size := d.SizeWords()
 	if d.AS() {
-		if to, ok := v.run.dest[from]; ok {
-			return to // moved in the open run: its forwarding word is owed
+		if to, ok := v.mv.dest[from]; ok {
+			return to // moved this cycle: its forwarding word is owed
 		}
 		if c == v.major {
 			// The flip drains every LS entry out of from-space, and
@@ -459,137 +464,84 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	return to
 }
 
-// moveRun is the open run of a move cycle: objects moved into the stable
-// area end to end from to, whose V2SCopy record, images and forwarding
-// words are still owed. The slices are reused: Append has encoded the
-// record by the time it returns, and moves only run with the heap stopped.
-type moveRun struct {
-	to   word.Addr
-	img  []byte                  // the objects' images, end to end
-	from []word.Addr             // their sources, in image order
-	dest map[word.Addr]word.Addr // source → destination
+// moveBuf holds a cycle's moves into the stable area until its V2SCopy
+// record is logged: the images end to end in move order, tracking bits
+// cleared, with their sources, destination runs and source → destination
+// map, and the fixes of the logged slots that named them. The slices are
+// reused: Append has encoded the record by the time it returns, and moves
+// only run with the heap stopped.
+type moveBuf struct {
+	img     []byte
+	from    []word.Addr
+	runs    []wal.MoveRun
+	dest    map[word.Addr]word.Addr
+	fixes   []wal.PtrFix
+	scanned int // images scanMoved has translated
+	scanOff int // their bytes
 }
 
-// holds reports whether a lies in the run's destination range.
-func (r *moveRun) holds(a word.Addr) bool {
-	return len(r.from) > 0 && a >= r.to && a < r.to+word.Addr(len(r.img))
-}
-
-// moveStable evacuates a newly stable object into the stable area: its
-// image joins the open run when it lands where the run ends, else it opens
-// a new one. The V2SCopy record carries the full images (the volatile
-// source pages owe recovery nothing once the move is logged).
+// moveStable reserves the stable-area destination of a newly stable object
+// and buffers its image; the cycle's record will carry it.
 func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descriptor, size int) word.Addr {
 	to := v.hooks.AllocStable(size)
-	r := &v.run
-	if len(r.from) > 0 && to != r.to+word.Addr(len(r.img)) {
-		v.flushRun()
+	m := &v.mv
+	off, n := len(m.img), word.WordsToBytes(size)
+	m.img = slices.Grow(m.img, n)[:off+n]
+	v.mem.ReadInto(from, m.img[off:])
+	// The object is physically stable once moved: clear the tracking
+	// bits in the image before it is logged and written.
+	word.PutWord(m.img, off, uint64(d.WithAS(false).WithLS(false)))
+	if k := len(m.runs) - 1; k >= 0 && m.runs[k].To+word.Addr(m.runs[k].Bytes) == to {
+		m.runs[k].Bytes += n
+	} else {
+		m.runs = append(m.runs, wal.MoveRun{To: to, Bytes: n})
 	}
-	if len(r.from) == 0 {
-		r.to = to
-	}
-	off, n := len(r.img), word.WordsToBytes(size)
-	r.img = slices.Grow(r.img, n)[:off+n]
-	v.mem.ReadInto(from, r.img[off:])
-	// The object is physically stable now: clear the tracking bits in
-	// the image before it is logged and written.
-	word.PutWord(r.img, off, uint64(d.WithAS(false).WithLS(false)))
-	r.from = append(r.from, from)
-	r.dest[from] = to
+	m.from = append(m.from, from)
+	m.dest[from] = to
 	v.stats.MovedObjs++
 	v.stats.MovedWords += int64(size)
-	c.moved = append(c.moved, to)
 	v.relocs = append(v.relocs, word.Move{From: from, To: to, Words: size})
 	return to
 }
 
-// flushRun logs the open run as one V2SCopy record, writes the images under
-// its LSN, and only then plants the forwarding words: a volatile page
-// written back mid-run must not carry a move the log does not hold yet.
-func (v *VolatileCollector) flushRun() {
-	r := &v.run
-	if len(r.from) == 0 {
-		return
+// logMoves ends the cycle's moves with one V2SCopy record, writes its
+// images and fixes under its LSN, and only then plants the forwarding
+// words: a volatile page written back earlier must not carry a move the log
+// does not hold. A cycle that moved and fixed nothing logs nothing. It
+// returns the number of objects moved.
+func (v *VolatileCollector) logMoves() int {
+	m := &v.mv
+	n := len(m.from)
+	if n == 0 && len(m.fixes) == 0 {
+		return 0
 	}
-	lsn := v.log.Append(wal.V2SCopyRec{From: r.from[0], To: r.to, Object: r.img, More: r.from[1:]})
-	v.mem.WriteBytes(r.to, r.img, lsn)
-	for _, from := range r.from {
-		v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(r.dest[from])), word.NilLSN)
+	rec := wal.V2SCopyRec{From: m.from, Runs: m.runs, Object: m.img, Fixes: m.fixes}
+	lsn := v.log.Append(rec)
+	rec.Writes(func(at word.Addr, b []byte) { v.mem.WriteBytes(at, b, lsn) })
+	for _, from := range m.from {
+		v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(m.dest[from])), word.NilLSN)
 	}
-	// A fresh map, not clear: clearing costs the capacity one long run left.
-	r.img, r.from, r.dest = r.img[:0], r.from[:0], make(map[word.Addr]word.Addr)
+	// A fresh map, not clear: clearing costs the capacity one long cycle left.
+	*m = moveBuf{img: m.img[:0], from: m.from[:0], runs: m.runs[:0], fixes: m.fixes[:0], dest: make(map[word.Addr]word.Addr)}
+	return n
 }
 
-// scanMoved batches the fixes of the volatile pointers inside an object
-// that just moved to the stable area (fixMoved closes the batch).
-// registerAll is set: a slot of a freshly stable object pointing at a
-// volatile object outside the from-set (an aged survivor during a minor
-// collection) still must enter the remembered set, which a same-value SFix
-// accomplishes.
-func (v *VolatileCollector) scanMoved(c *cycle, obj word.Addr) {
-	if v.run.holds(obj) {
-		v.flushRun()
-	}
-	d := v.h.Descriptor(obj)
-	v.slots = v.slots[:0]
-	for i := 0; i < d.NPtrs(); i++ {
-		v.slots = append(v.slots, obj+word.Addr(heap.PtrOffset(i)))
-	}
-	v.batchFixes(c, v.slots, true)
-}
-
-// fixStableSlots rewrites stable-area slots whose targets the collection
-// moved, one SFix record per page (slot writes carry its LSN).
-func (v *VolatileCollector) fixStableSlots(c *cycle, slots []word.Addr) {
-	v.batchFixes(c, slots, false)
-	v.flushFixes()
-}
-
-// batchFixes adds the fixes of slots to the open batch, flushing it
-// whenever a slot lies on another page than the batch, and leaves the last
-// batch open. With registerAll set, slots holding volatile pointers outside
-// the from-set get a same-value fix so their replay registers them in the
-// remembered set.
-func (v *VolatileCollector) batchFixes(c *cycle, slots []word.Addr, registerAll bool) {
-	ps := v.mem.PageSize()
+// fixLogged queues, for the cycle's record, the fixes of logged slots —
+// remembered stable slots, or slots of a newly stable object still at an
+// aged address — that name the from-set, and settles their remembered-set
+// membership.
+func (v *VolatileCollector) fixLogged(c *cycle, slots []word.Addr) {
 	for _, slot := range slots {
 		p := word.Addr(v.mem.ReadWord(slot))
-		if p.IsNil() {
+		if p.IsNil() || !c.inFrom(p) {
 			continue
 		}
-		var newp word.Addr
-		switch {
-		case c.inFrom(p):
-			newp = v.evacuate(c, p)
-		case registerAll && v.InArea(p):
-			newp = p
-		default:
-			continue
-		}
-		if len(v.fixes) > 0 && v.fixes[0].Addr.Page(ps) != slot.Page(ps) {
-			v.flushFixes()
-		}
-		v.fixes = append(v.fixes, wal.PtrFix{Addr: slot, NewPtr: newp})
-		v.fixLive = append(v.fixLive, v.InArea(newp))
-	}
-}
-
-// flushFixes logs the open batch, all on one page, as one SFix record after
-// its targets' run, applies it under the record's LSN and empties it.
-func (v *VolatileCollector) flushFixes() {
-	if len(v.fixes) == 0 {
-		return
-	}
-	v.flushRun()
-	pg := v.fixes[0].Addr.Page(v.mem.PageSize())
-	lsn := v.log.Append(wal.SFixRec{Page: pg, Fixes: v.fixes})
-	for i, f := range v.fixes {
-		v.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
+		to := v.evacuate(c, p)
+		v.mv.fixes = append(v.mv.fixes, wal.PtrFix{Addr: slot, NewPtr: to})
 		if v.hooks.OnStableSlotFixed != nil {
-			v.hooks.OnStableSlotFixed(f.Addr, f.NewPtr, v.fixLive[i])
+			v.hooks.OnStableSlotFixed(slot, to, v.InArea(to))
 		}
 	}
-	v.fixes, v.fixLive = v.fixes[:0], v.fixLive[:0]
 }
 
 // fixVolatileSlots rewrites volatile-area slots (the nursery remembered
@@ -615,5 +567,5 @@ func (v *VolatileCollector) fixVolatileSlots(c *cycle, slots, ls []word.Addr) {
 		}
 		v.mem.WriteWord(slot, uint64(v.evacuate(c, p)), word.NilLSN)
 	}
-	v.fixStableSlots(c, logged)
+	v.fixLogged(c, logged)
 }

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"reflect"
+	"slices"
 
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -13,7 +14,7 @@ import (
 // some state other than what entering rec into its transaction's chain
 // leaves. Undo reads only records that redo also reads.
 func ReadBy(rec wal.Record) string {
-	if w := footprint(rec); w[0].n > 0 || w[1].n > 0 {
+	if slices.ContainsFunc(footprint(rec, nil), func(s span) bool { return s.n > 0 }) {
 		return "redo"
 	}
 	if cp, ok := rec.(wal.CheckpointRec); ok {

@@ -25,47 +25,46 @@ func (s span) pages(pageSize int) (first, last word.PageID) {
 	return s.addr.Page(pageSize), (s.addr + word.Addr(s.n) - 1).Page(pageSize)
 }
 
-// footprint is the one place a record type is mapped to pages: the byte
-// ranges the record's redo writes (both empty for control records). The
-// dirty-page table and redo's relevance test are both derived from it, so
-// they cannot disagree about which pages a record touches.
+// footprint is the one place a record type is mapped to pages: it appends
+// to out the byte ranges the record's redo writes (none for control
+// records). The dirty-page table and redo's relevance test are both derived
+// from it, so they cannot disagree about which pages a record touches.
 //
-// Only a collector copy record writes two ranges — the to-space image and
-// the forwarding word planted over the from-space descriptor. The fixes of
-// a scan or SFix record are batched per page by their writers, so the first
-// slot names the page of all.
-func footprint(rec wal.Record) (writes [2]span) {
+// A collector copy record writes two ranges — the to-space image, then the
+// forwarding word planted over the from-space descriptor — and a move
+// cycle one per run and per fix, in address order. The fixes of a scan or
+// SFix record are batched per page by their writers, so the first slot
+// names the page of all.
+func footprint(rec wal.Record, out []span) []span {
 	switch t := rec.(type) {
 	case wal.UpdateRec:
-		writes[0] = span{t.Addr, len(t.Redo)}
+		out = append(out, span{t.Addr, len(t.Redo)})
 	case wal.CLRRec:
 		if t.Flags&wal.CLRLogicalDelta != 0 {
-			writes[0] = span{t.Addr, word.WordSize}
+			out = append(out, span{t.Addr, word.WordSize})
 		} else {
-			writes[0] = span{t.Addr, len(t.Redo)}
+			out = append(out, span{t.Addr, len(t.Redo)})
 		}
 	case wal.LogicalRec:
-		writes[0] = span{t.Addr, word.WordSize}
+		out = append(out, span{t.Addr, word.WordSize})
 	case wal.AllocRec:
-		writes[0] = span{t.Addr, word.WordsToBytes(t.SizeWords)}
+		out = append(out, span{t.Addr, word.WordsToBytes(t.SizeWords)})
 	case wal.CopyRec:
-		n := word.WordsToBytes(t.SizeWords)
-		writes[0] = span{t.To, n}
-		writes[1] = span{t.From, word.WordSize}
+		out = append(out, span{t.To, word.WordsToBytes(t.SizeWords)}, span{t.From, word.WordSize})
 	case wal.ScanRec:
 		if len(t.Fixes) > 0 {
-			writes[0] = span{t.Fixes[0].Addr, word.WordSize}
+			out = append(out, span{t.Fixes[0].Addr, word.WordSize})
 		}
 	case wal.SFixRec:
 		if len(t.Fixes) > 0 {
-			writes[0] = span{t.Fixes[0].Addr, word.WordSize}
+			out = append(out, span{t.Fixes[0].Addr, word.WordSize})
 		}
 	case wal.BaseRec:
-		writes[0] = span{t.Addr, len(t.Object)}
+		out = append(out, span{t.Addr, len(t.Object)})
 	case wal.V2SCopyRec:
-		writes[0] = span{t.To, len(t.Object)}
+		t.Writes(func(at word.Addr, b []byte) { out = append(out, span{at, len(b)}) })
 	}
-	return writes
+	return out
 }
 
 // dirtyPages is the dirty-page table (§2.2.4): for every page whose disk
@@ -92,6 +91,7 @@ type dirtyPages struct {
 	// media: the disk the end-write records certified is gone (archive
 	// recovery), so they prune nothing.
 	media bool
+	spans []span // note's footprint, reused
 }
 
 // newDirtyPages seeds the table from the dirty list of the checkpoint at
@@ -121,7 +121,8 @@ func (d *dirtyPages) note(lsn word.LSN, rec wal.Record) {
 		}
 		return
 	}
-	for _, s := range footprint(rec) {
+	d.spans = footprint(rec, d.spans[:0])
+	for _, s := range d.spans {
 		for pg, last := s.pages(d.pageSize); pg <= last; pg++ {
 			if _, ok := d.recLSN[pg]; !ok {
 				d.recLSN[pg] = lsn

@@ -57,7 +57,10 @@ var footprintCases = []struct {
 	{"scan", wal.ScanRec{Page: 14, Fixes: []wal.PtrFix{{Addr: 14*ps + 8, NewPtr: 0x40}, {Addr: 15*ps - 8, NewPtr: 0x48}}}, []word.PageID{14}},
 	{"sfix", wal.SFixRec{Page: 16, Fixes: []wal.PtrFix{{Addr: 16 * ps, NewPtr: 0x40}}}, []word.PageID{16}},
 	{"base-spanning", wal.BaseRec{Addr: 18*ps - 8, Object: make([]byte, 32)}, []word.PageID{17, 18}},
-	{"v2scopy-spanning", wal.V2SCopyRec{From: 0x9000, To: 19*ps - 16, Object: make([]byte, 24)}, []word.PageID{18, 19}},
+	{"v2scopy-spanning", wal.V2SCopyRec{From: []word.Addr{0x9000}, Runs: []wal.MoveRun{{To: 19*ps - 16, Bytes: 24}}, Object: make([]byte, 24)}, []word.PageID{18, 19}},
+	{"v2scopy-runs-and-fixes", wal.V2SCopyRec{From: []word.Addr{0x9000, 0x9010}, Runs: []wal.MoveRun{{To: 26 * ps, Bytes: 8}, {To: 25*ps - 8, Bytes: 16}},
+		Object: make([]byte, 24), Fixes: []wal.PtrFix{{Addr: 24*ps + 8, NewPtr: 26 * ps}, {Addr: 26*ps + 16, NewPtr: 25*ps - 8}, {Addr: 27 * ps, NewPtr: 0x40}}},
+		[]word.PageID{24, 25, 26, 27}},
 }
 
 // The contract the hand-synchronised switches used to keep by comment: the
@@ -70,7 +73,7 @@ func TestFootprintCoversRedoAndRouting(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []word.PageID
 			seen := map[word.PageID]bool{}
-			for _, s := range footprint(tc.rec) {
+			for _, s := range footprint(tc.rec, nil) {
 				for pg, last := s.pages(ps); pg <= last; pg++ {
 					if !seen[pg] {
 						seen[pg] = true
@@ -113,10 +116,10 @@ func TestFootprintCoversRedoAndRouting(t *testing.T) {
 		wal.CommitRec{}, wal.EndRec{}, wal.CompleteRec{}, wal.PrepareRec{},
 		wal.FlipRec{ToLo: 0x1000, ToHi: 0x2000}, wal.GCEndRec{}, wal.VFlipRec{},
 		wal.EndWriteRec{Page: 3}, wal.CheckpointRec{},
-		wal.ScanRec{Page: 3}, wal.SFixRec{Page: 3}, // no fixes, no writes
+		wal.ScanRec{Page: 3}, wal.SFixRec{Page: 3}, wal.V2SCopyRec{}, // no fixes, no writes
 	}
 	for _, rec := range control {
-		if writes := footprint(rec); writes != [2]span{} {
+		if writes := footprint(rec, nil); len(writes) > 0 {
 			t.Fatalf("%T: footprint %v, want empty", rec, writes)
 		}
 	}

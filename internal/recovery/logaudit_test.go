@@ -8,6 +8,7 @@ import (
 	"stableheap"
 	"stableheap/internal/recovery"
 	"stableheap/internal/wal"
+	"stableheap/internal/word"
 	"stableheap/internal/workload"
 )
 
@@ -25,10 +26,10 @@ var samples = []wal.Record{
 	wal.CopyRec{Epoch: 1, From: 0x10, To: 0x810, SizeWords: 2},                                         // redo; undo's address translation
 	wal.ScanRec{Epoch: 1, Page: 0, Fixes: []wal.PtrFix{{Addr: 0x10, NewPtr: 0x810}}},                   // redo; analysis advances the scan
 	wal.GCEndRec{Epoch: 1}, // analysis ends the collection
-	wal.BaseRec{TxHdr: wal.TxHdr{TxID: 5}, Addr: 0x10, Object: make([]byte, 16)}, // redo; analysis: the LS set
-	wal.CompleteRec{TxHdr: wal.TxHdr{TxID: 5}},                                   // undo steps over it
-	wal.V2SCopyRec{From: 0x10, To: 0x810, Object: make([]byte, 16)},              // redo; undo's address translation
-	wal.SFixRec{Page: 0, Fixes: []wal.PtrFix{{Addr: 0x10, NewPtr: 0x810}}},       // redo; analysis: the remembered set
+	wal.BaseRec{TxHdr: wal.TxHdr{TxID: 5}, Addr: 0x10, Object: make([]byte, 16)},                                   // redo; analysis: the LS set
+	wal.CompleteRec{TxHdr: wal.TxHdr{TxID: 5}},                                                                     // undo steps over it
+	wal.V2SCopyRec{From: []word.Addr{0x10}, Runs: []wal.MoveRun{{To: 0x810, Bytes: 16}}, Object: make([]byte, 16)}, // redo; undo's address translation
+	wal.SFixRec{Page: 0, Fixes: []wal.PtrFix{{Addr: 0x10, NewPtr: 0x810}}},                                         // redo; analysis: the remembered set
 	wal.VFlipRec{Epoch: 1},                                          // analysis flips the volatile semispaces
 	wal.EndWriteRec{Page: 0, PageLSN: 1},                            // analysis prunes the dirty page table
 	wal.CheckpointRec{NextTx: 7},                                    // restart starts from the one the master names

@@ -9,9 +9,7 @@
 package recovery
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -67,10 +65,6 @@ type Result struct {
 	// InDoubt lists prepared transactions awaiting the coordinator:
 	// recovery keeps their effects and the core reacquires their locks.
 	InDoubt []InDoubtTx
-	// Moved lists, by source, the moves since the last volatile flip record
-	// whose sources no later base record overlays: stable slots whose SFix
-	// a torn tail cut still name them (DESIGN.md §4.3).
-	Moved word.Moves
 	// Stats breaks down where recovery spent its time.
 	Stats Stats
 
@@ -191,10 +185,6 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 		return nil, nil, fmt.Errorf("recovery: %w", err)
 	}
 	res := &Result{CP: a.cp, RedoStart: a.dpt.redoStart()}
-	for _, m := range a.moved {
-		res.Moved = append(res.Moved, m)
-	}
-	slices.SortFunc(res.Moved, func(x, y word.Move) int { return cmp.Compare(x.From, y.From) })
 	res.Stats.Analysis = time.Since(phase)
 	opts.Recorder.Span(obs.EvRecAnalysis, res.Stats.Analysis, 0, 0, 0)
 
@@ -229,18 +219,16 @@ type analysis struct {
 	copies []copyEntry
 	ls     map[word.Addr]bool
 	srem   map[word.Addr]bool
-	moved  map[word.Addr]word.Move // Result.Moved, by source
-	order  []word.TxID             // first-record order, for deterministic undo
+	order  []word.TxID // first-record order, for deterministic undo
 }
 
 func newAnalysis(pageSize int, cp wal.CheckpointRec, cpLSN word.LSN, media bool) *analysis {
 	a := &analysis{
 		cp: cp, cpLSN: cpLSN,
-		dpt:   newDirtyPages(pageSize, cp.Dirty, cpLSN, media),
-		txs:   make(map[word.TxID]*txInfo),
-		ls:    make(map[word.Addr]bool),
-		srem:  make(map[word.Addr]bool),
-		moved: make(map[word.Addr]word.Move),
+		dpt:  newDirtyPages(pageSize, cp.Dirty, cpLSN, media),
+		txs:  make(map[word.TxID]*txInfo),
+		ls:   make(map[word.Addr]bool),
+		srem: make(map[word.Addr]bool),
 	}
 	for _, te := range cp.Txs {
 		info := &txInfo{firstLSN: te.FirstLSN, lastLSN: te.LastLSN, prepared: te.Prepared, seed: make(map[seedKey]word.Addr)}
@@ -309,10 +297,6 @@ func (a *analysis) scan(log *wal.Manager) {
 			heap.WalkRun(r.Object, func(off int, _ heap.Descriptor) {
 				a.ls[r.Addr+word.Addr(off)] = true
 			})
-			// A move source the run overlays holds new objects now.
-			for p := r.Addr; len(a.moved) > 0 && p < r.Addr+word.Addr(len(r.Object)); p += word.WordSize {
-				delete(a.moved, p)
-			}
 		case wal.CompleteRec:
 			a.touch(r.TxID, lsn)
 		case wal.PrepareRec:
@@ -383,27 +367,13 @@ func (a *analysis) scan(log *wal.Manager) {
 			a.cp.StableAllocHigh = a.cp.GC.AllocPtr
 			a.cp.GC = wal.GCState{Active: false, Epoch: r.Epoch}
 		case wal.V2SCopyRec:
-			a.moveRun(lsn, r)
-			if g := &a.cp.GC; g.Active && r.To >= g.ToLo && r.To < g.ToHi {
-				// During a concurrent stable collection, moves land at
-				// the high end of the active to-space (above the scan,
-				// outside the copy-pointer sweep): reconstruct the
-				// descending high-water mark, not the allocation
-				// frontier.
-				if r.To < g.AllocPtr {
-					g.AllocPtr = r.To
-				}
-			} else if end := r.To + word.Addr(len(r.Object)); end > a.cp.StableAlloc {
-				a.cp.StableAlloc = end
-			}
+			a.moveCycle(lsn, r)
 		case wal.SFixRec:
 			for _, f := range r.Fixes {
 				a.updateSRem(f.Addr, a.inVolatile(f.NewPtr))
 			}
 		case wal.VFlipRec:
-			// The cycle logged every fix before its flip record.
 			a.ls = make(map[word.Addr]bool)
-			clear(a.moved)
 			a.cp.VolatileCur = 1 - a.cp.VolatileCur
 			a.cp.NextEpoch = r.Epoch + 1
 		case wal.EndWriteRec, wal.CheckpointRec:
@@ -441,23 +411,37 @@ func (a *analysis) gcAlloc(addr word.Addr, sizeWords int) {
 	}
 }
 
-// moveRun folds a V2SCopy run into the copy list, the LS set and the move
-// sources. A moved slot naming the volatile area enters the remembered set
-// too: a later SFix replays it out, unless a torn tail cut the fix off.
-func (a *analysis) moveRun(lsn word.LSN, r wal.V2SCopyRec) {
-	srcs := append([]word.Addr{r.From}, r.More...)
-	heap.WalkRun(r.Object, func(off int, d heap.Descriptor) {
-		m := word.Move{From: srcs[0], To: r.To + word.Addr(off), Words: d.SizeWords()}
-		srcs = srcs[1:]
-		a.copies = append(a.copies, copyEntry{lsn: lsn, from: m.From, to: m.To, size: m.Words})
-		delete(a.ls, m.From)
-		a.moved[m.From] = m
-		for j := 0; j < d.NPtrs(); j++ {
-			if p := word.Addr(word.GetWord(r.Object, off+heap.PtrOffset(j))); a.inVolatile(p) {
-				a.srem[m.To+word.Addr(heap.PtrOffset(j))] = true
+// moveCycle folds a move cycle into the copy list, the LS set, the
+// remembered set and the stable frontier. A moved slot naming the volatile
+// area enters the remembered set, as does a fixed slot that still does.
+func (a *analysis) moveCycle(lsn word.LSN, r wal.V2SCopyRec) {
+	srcs, base := r.From, 0
+	for _, run := range r.Runs {
+		heap.WalkRun(r.Object[base:base+run.Bytes], func(off int, d heap.Descriptor) {
+			from, to := srcs[0], run.To+word.Addr(off)
+			srcs = srcs[1:]
+			a.copies = append(a.copies, copyEntry{lsn: lsn, from: from, to: to, size: d.SizeWords()})
+			delete(a.ls, from)
+			for j := 0; j < d.NPtrs(); j++ {
+				if p := word.Addr(word.GetWord(r.Object, base+off+heap.PtrOffset(j))); a.inVolatile(p) {
+					a.srem[to+word.Addr(heap.PtrOffset(j))] = true
+				}
 			}
+		})
+		base += run.Bytes
+		if g := &a.cp.GC; g.Active && run.To >= g.ToLo && run.To < g.ToHi {
+			// During a concurrent stable collection, moves land at the
+			// high end of the active to-space (above the scan, outside
+			// the copy-pointer sweep): reconstruct the descending
+			// high-water mark, not the allocation frontier.
+			g.AllocPtr = min(g.AllocPtr, run.To)
+		} else {
+			a.cp.StableAlloc = max(a.cp.StableAlloc, run.To+word.Addr(run.Bytes))
 		}
-	})
+	}
+	for _, f := range r.Fixes {
+		a.updateSRem(f.Addr, a.inVolatile(f.NewPtr))
+	}
 }
 
 // updateSRem maintains the stable→volatile remembered set: a flagged store

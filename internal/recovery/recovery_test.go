@@ -425,18 +425,18 @@ func TestAnalysisFlipWithoutRootCopyKeepsRoot(t *testing.T) {
 	}
 }
 
-// TestAnalysisMoveRuns: a base run enters each of its objects in LS, and a
-// move run takes them out and advances the stable frontier past the run.
-// Until the cycle's fixes and flip record are replayed, analysis also keeps
-// what recovery needs to finish a cycle a torn tail cut: the run's sources
-// (Result.Moved) and the moved slots that still name the volatile area
-// (SRem). A fix settles a slot, a later base run over a source settles the
-// source, and the flip record settles them all.
+// TestAnalysisMoveRuns: a base run enters each of its objects in LS, and
+// the move cycle's record takes them out, advances the stable frontier past
+// its runs, replays its images and fixes, and enters in the remembered set
+// the moved slots and fixed slots that still name the volatile area. A
+// later base run over a source enters LS again, and the flip record clears
+// LS.
 func TestAnalysisMoveRuns(t *testing.T) {
 	const vlo, vhi = word.Addr(0x4000), word.Addr(0x8000)
-	// a (one pointer, to b) and b (one data word) lie end to end at 0x4000
-	// and move to 0x800 together.
-	run := func(ptr word.Addr) []byte {
+	// a (one pointer) and b (one data word) lie end to end at 0x4000; the
+	// cycle moves b to 0x800 and a after it, to 0x810 — two runs — and
+	// fixes the stable slot 0x828, on their page, to name a.
+	obj := func(ptr word.Addr) []byte {
 		img := make([]byte, 32)
 		word.PutWord(img, 0, uint64(heap.NewDescriptor(1, 1, 0)))
 		word.PutWord(img, 8, uint64(ptr))
@@ -444,29 +444,29 @@ func TestAnalysisMoveRuns(t *testing.T) {
 		word.PutWord(img, 24, 42)
 		return img
 	}
-	moved := word.Moves{{From: 0x4000, To: 0x800, Words: 2}, {From: 0x4010, To: 0x810, Words: 2}}
 	for _, tc := range []struct {
-		name      string
-		after     []wal.Record
-		ls, srem  []word.Addr
-		wantMoved word.Moves
+		name     string
+		aPtr     word.Addr // a's translated slot
+		after    []wal.Record
+		ls, srem []word.Addr
 	}{
-		{"cut before the fix", nil, nil, []word.Addr{0x808}, moved},
-		{"fix replayed", []wal.Record{wal.SFixRec{Page: 0x800 / ps, Fixes: []wal.PtrFix{{Addr: 0x808, NewPtr: 0x810}}}},
-			nil, nil, moved},
-		{"source reused", []wal.Record{wal.BaseRec{TxHdr: wal.TxHdr{TxID: 4}, Addr: 0x4008, Object: run(0)[16:]}},
-			[]word.Addr{0x4008}, []word.Addr{0x808}, moved[:1]},
-		{"flip replayed", []wal.Record{wal.VFlipRec{Epoch: 1, Moved: 2}}, nil, []word.Addr{0x808}, nil},
+		{"fix replayed", 0x800, nil, nil, nil},
+		{"slot still volatile", 0x6000, nil, nil, []word.Addr{0x818}},
+		{"source reused", 0x800, []wal.Record{wal.BaseRec{TxHdr: wal.TxHdr{TxID: 4}, Addr: 0x4008, Object: obj(0)[16:]}},
+			[]word.Addr{0x4008}, nil},
+		{"flip replayed", 0x800, []wal.Record{wal.VFlipRec{Epoch: 1, Moved: 2}}, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, log, _, dev := newRig()
 			InitMaster(mem.Disk())
 			ck := NewCheckpointer(log, mem, word.NilLSN)
-			ck.Take(wal.CheckpointRec{NextTx: 1, VolatileLo: vlo, VolatileHi: vhi})
+			ck.Take(wal.CheckpointRec{NextTx: 1, VolatileLo: vlo, VolatileHi: vhi, SRem: []word.Addr{0x828}})
 			ck.ForcePromote()
-			base := log.Append(wal.BaseRec{TxHdr: wal.TxHdr{TxID: 3}, Addr: 0x4000, Object: run(0x4010)})
+			base := log.Append(wal.BaseRec{TxHdr: wal.TxHdr{TxID: 3}, Addr: 0x4000, Object: obj(0x4010)})
 			log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: 3, PrevLSN: base}})
-			log.Append(wal.V2SCopyRec{From: 0x4000, To: 0x800, Object: run(0x4010), More: []word.Addr{0x4010}})
+			img := obj(tc.aPtr)
+			log.Append(wal.V2SCopyRec{From: []word.Addr{0x4010, 0x4000}, Runs: []wal.MoveRun{{To: 0x800, Bytes: 16}, {To: 0x810, Bytes: 16}},
+				Object: append(img[16:], img[:16]...), Fixes: []wal.PtrFix{{Addr: 0x828, NewPtr: 0x810}}})
 			for _, r := range tc.after {
 				log.Append(r)
 			}
@@ -477,14 +477,17 @@ func TestAnalysisMoveRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(res.CP.LS, tc.ls) || !slices.Equal(res.CP.SRem, tc.srem) || !slices.Equal(res.Moved, tc.wantMoved) {
-				t.Fatalf("LS %v, SRem %v, Moved %v; want %v, %v, %v", res.CP.LS, res.CP.SRem, res.Moved, tc.ls, tc.srem, tc.wantMoved)
+			if !slices.Equal(res.CP.LS, tc.ls) || !slices.Equal(res.CP.SRem, tc.srem) {
+				t.Fatalf("LS %v, SRem %v; want %v, %v", res.CP.LS, res.CP.SRem, tc.ls, tc.srem)
 			}
 			if res.CP.StableAlloc != 0x820 {
-				t.Fatalf("StableAlloc = %v, want the run's end 0x820", res.CP.StableAlloc)
+				t.Fatalf("StableAlloc = %v, want the last run's end 0x820", res.CP.StableAlloc)
 			}
-			if mem.ReadWord(0x818) != 42 {
-				t.Fatal("the run's second object was not replayed")
+			// Both runs and the fix share page 8 (256-byte pages): each
+			// must land although the one before stamped the page with the
+			// record's LSN.
+			if b, a, fix := mem.ReadWord(0x808), mem.ReadWord(0x818), mem.ReadWord(0x828); b != 42 || a != uint64(tc.aPtr) || fix != 0x810 {
+				t.Fatalf("replayed b=%d, a's slot %#x, fixed slot %#x; want 42, %#x, 0x810", b, a, fix, uint64(tc.aPtr))
 			}
 		})
 	}
@@ -497,7 +500,7 @@ func TestAnalysisV2SCopyAdvancesStableAllocAndClearsLS(t *testing.T) {
 		Object: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
 	mem.WriteBytes(0x5000, []byte{1, 0, 0, 0, 0, 0, 0, 0}, base)
 	log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: 3, PrevLSN: base}})
-	mv := log.Append(wal.V2SCopyRec{From: 0x5000, To: 0x800, Object: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
+	mv := log.Append(wal.V2SCopyRec{From: []word.Addr{0x5000}, Runs: []wal.MoveRun{{To: 0x800, Bytes: 8}}, Object: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
 	mem.WriteBytes(0x800, []byte{1, 0, 0, 0, 0, 0, 0, 0}, mv)
 	log.ForceAll()
 	dev.Crash()

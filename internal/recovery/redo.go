@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"stableheap/internal/heap"
 	"stableheap/internal/vm"
@@ -14,8 +15,9 @@ import (
 // conditioning), so replaying the stable log reproduces exactly the cache
 // state the crash destroyed.
 type redoer struct {
-	mem *vm.Store
-	dpt *dirtyPages
+	mem   *vm.Store
+	dpt   *dirtyPages
+	spans []span // apply's footprint, reused
 }
 
 // stale reports whether pg does not yet reflect the record at lsn.
@@ -26,22 +28,22 @@ func (r *redoer) stale(pg word.PageID, lsn word.LSN) bool {
 // applyConditional writes data at addr page by page, skipping pages whose
 // LSN already covers the record. Returns true if any page changed.
 func (r *redoer) applyConditional(addr word.Addr, data []byte, lsn word.LSN) bool {
+	return r.applyPages(addr, data, lsn, func(pg word.PageID) bool { return r.stale(pg, lsn) })
+}
+
+// applyPages writes data at addr under lsn on the pages take approves,
+// page by page. Returns true if any page changed.
+func (r *redoer) applyPages(addr word.Addr, data []byte, lsn word.LSN, take func(word.PageID) bool) bool {
 	ps := r.mem.PageSize()
 	applied := false
-	off := 0
-	for off < len(data) {
-		cur := addr + word.Addr(off)
-		pg := cur.Page(ps)
-		pageEnd := pg.Base(ps) + word.Addr(ps)
-		n := len(data) - off
-		if max := int(pageEnd - cur); n > max {
-			n = max
-		}
-		if r.stale(pg, lsn) {
-			r.mem.WriteBytes(cur, data[off:off+n], lsn)
+	for len(data) > 0 {
+		pg := addr.Page(ps)
+		n := min(len(data), int(pg.Base(ps)+word.Addr(ps)-addr))
+		if take(pg) {
+			r.mem.WriteBytes(addr, data[:n], lsn)
 			applied = true
 		}
-		off += n
+		addr, data = addr+word.Addr(n), data[n:]
 	}
 	return applied
 }
@@ -50,9 +52,8 @@ func (r *redoer) applyConditional(addr word.Addr, data []byte, lsn word.LSN) boo
 // the record's footprint is replayed only if the dirty page table says one
 // of its pages may need it.
 func (r *redoer) apply(lsn word.LSN, rec wal.Record) bool {
-	writes := footprint(rec)
-	need0, need1 := r.dpt.relevant(writes[0], lsn), r.dpt.relevant(writes[1], lsn)
-	if !need0 && !need1 {
+	r.spans = footprint(rec, r.spans[:0])
+	if !slices.ContainsFunc(r.spans, func(s span) bool { return r.dpt.relevant(s, lsn) }) {
 		return false
 	}
 	switch t := rec.(type) {
@@ -70,7 +71,7 @@ func (r *redoer) apply(lsn word.LSN, rec wal.Record) bool {
 		word.PutWord(img, 0, t.Descriptor)
 		return r.applyConditional(t.Addr, img, lsn)
 	case wal.CopyRec:
-		return r.applyCopy(lsn, t, need0, need1)
+		return r.applyCopy(lsn, t, r.dpt.relevant(r.spans[0], lsn), r.dpt.relevant(r.spans[1], lsn))
 	case wal.ScanRec:
 		return r.applyFixes(lsn, t.Fixes)
 	case wal.SFixRec:
@@ -78,10 +79,7 @@ func (r *redoer) apply(lsn word.LSN, rec wal.Record) bool {
 	case wal.BaseRec:
 		return r.applyConditional(t.Addr, t.Object, lsn)
 	case wal.V2SCopyRec:
-		// Self-contained: the image travels in the record, because the
-		// volatile source page is not reconstructible once the move
-		// completes.
-		return r.applyConditional(t.To, t.Object, lsn)
+		return r.applyMoveCycle(lsn, t)
 	}
 	panic(fmt.Sprintf("recovery: %T has a footprint but no redo", rec))
 }
@@ -135,4 +133,21 @@ func (r *redoer) applyFixes(lsn word.LSN, fixes []wal.PtrFix) bool {
 		r.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
 	}
 	return true
+}
+
+// applyMoveCycle replays a move cycle's images and fixes, judging each page
+// once, at its first write (wal.V2SCopyRec.Writes): a page the dirty page
+// table names and whose LSN predates the record takes all of its writes.
+func (r *redoer) applyMoveCycle(lsn word.LSN, t wal.V2SCopyRec) bool {
+	applied, judged, take, last := false, false, false, word.PageID(0)
+	t.Writes(func(at word.Addr, b []byte) {
+		applied = r.applyPages(at, b, lsn, func(pg word.PageID) bool {
+			if !judged || pg != last {
+				judged, last = true, pg
+				take = r.dpt.relevant(span{pg.Base(r.mem.PageSize()), 1}, lsn) && r.stale(pg, lsn)
+			}
+			return take
+		}) || applied
+	})
+	return applied
 }

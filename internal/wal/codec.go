@@ -181,10 +181,14 @@ func encodeBody(e *enc, r Record) {
 		encodeTxHdr(e, rec.TxHdr)
 		e.u64(uint64(rec.Count))
 	case V2SCopyRec:
-		e.u64(uint64(rec.From))
-		e.u64(uint64(rec.To))
+		encodeAddrs(e, rec.From)
+		e.u64(uint64(len(rec.Runs)))
+		for _, run := range rec.Runs {
+			e.u64(uint64(run.To))
+			e.u64(uint64(run.Bytes))
+		}
 		e.bytes(rec.Object)
-		encodeAddrs(e, rec.More)
+		encodeFixes(e, rec.Fixes)
 	case SFixRec:
 		e.u64(uint64(rec.Page))
 		encodeFixes(e, rec.Fixes)
@@ -344,7 +348,20 @@ func Decode(frame []byte) (Record, error) {
 	case TComplete:
 		r = CompleteRec{TxHdr: d.txHdr(), Count: int(d.u64())}
 	case TV2SCopy:
-		r = V2SCopyRec{From: word.Addr(d.u64()), To: word.Addr(d.u64()), Object: d.bytes(), More: d.addrs()}
+		rec, total := V2SCopyRec{From: d.addrs()}, 0
+		for n := d.u64(); n > 0 && d.err == nil; n-- {
+			run := MoveRun{To: word.Addr(d.u64()), Bytes: int(d.u64())}
+			if run.Bytes < 0 || run.Bytes > len(d.buf) {
+				d.fail()
+			}
+			total += run.Bytes
+			rec.Runs = append(rec.Runs, run)
+		}
+		rec.Object, rec.Fixes = d.bytes(), d.fixes()
+		if d.err == nil && total != len(rec.Object) {
+			d.err = fmt.Errorf("wal: v2scopy runs cover %d bytes of a %d-byte image", total, len(rec.Object))
+		}
+		r = rec
 	case TSFix:
 		rec := SFixRec{Page: word.PageID(d.u64())}
 		rec.Fixes = d.fixes()

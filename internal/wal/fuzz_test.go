@@ -89,7 +89,18 @@ func TestEncodeDecodeRandomRecordsProperty(t *testing.T) {
 		case 2:
 			r = BaseRec{TxHdr: TxHdr{TxID: 2}, Addr: 8, Object: randBytes(8 * (1 + rng.Intn(32)))}
 		case 3:
-			r = V2SCopyRec{From: 8, To: 16, Object: randBytes(8 * (1 + rng.Intn(32)))}
+			n := 1 + rng.Intn(4)
+			rec := V2SCopyRec{Fixes: make([]PtrFix, rng.Intn(8))}
+			for j := 0; j < n; j++ {
+				img := randBytes(8 * (1 + rng.Intn(8)))
+				rec.From = append(rec.From, word.Addr(8*(1+rng.Uint64()%500)))
+				rec.Runs = append(rec.Runs, MoveRun{To: word.Addr(8 * (1 + rng.Uint64()%500)), Bytes: len(img)})
+				rec.Object = append(rec.Object, img...)
+			}
+			for j := range rec.Fixes {
+				rec.Fixes[j] = PtrFix{Addr: word.Addr(8 * (1 + rng.Uint64()%500)), NewPtr: word.Addr(8 * (1 + rng.Uint64()%500))}
+			}
+			r = rec
 		case 4:
 			fixes := make([]PtrFix, rng.Intn(20))
 			for j := range fixes {
@@ -229,6 +240,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode(CopyRec{Epoch: 1, From: 8, To: 16, SizeWords: 2, Descriptor: 7,
 		Contents: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}}))
 	f.Add(Encode(CopyRec{Epoch: 1, From: 8, To: 16, SizeWords: 2, Descriptor: 7}))
+	f.Add(Encode(V2SCopyRec{From: []word.Addr{0x4000, 0x4010, 0x4020}, Runs: []MoveRun{{To: 0x820, Bytes: 16}, {To: 0x800, Bytes: 16}, {To: 0x900, Bytes: 8}},
+		Object: make([]byte, 40), Fixes: []PtrFix{{Addr: 0x108, NewPtr: 0x800}, {Addr: 0x4108, NewPtr: 0x900}}}))
 	f.Add(Encode(UpdateRec{TxHdr: TxHdr{TxID: 5, PrevLSN: 9}, Addr: 0x1000,
 		Redo: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Undo: []byte{8, 7, 6, 5}}))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,9 +19,9 @@
 //     repeatable after a crash;
 //   - stability-tracking records (Ch. 5): Base ("log records for initial
 //     object values"), Complete (the base-update-complete protocol),
-//     V2SCopy (a newly stable object moved from the volatile area into the
-//     stable area at a volatile collection), SFix (redo-only fix-up of a
-//     stable-area slot that pointed at a moved object), VFlip;
+//     V2SCopy (a volatile collection's moves of newly stable objects into
+//     the stable area, with the fixes of the slots that named them), SFix
+//     (redo-only fix-up of pointer slots on one page), VFlip;
 //   - recovery bookkeeping (§2.2.4, Ch. 4): EndWrite, Checkpoint. The
 //     paper's page-fetch record is not logged: recovery seeds the dirty
 //     page table from the checkpoint instead (DESIGN.md §4.3).
@@ -31,7 +31,9 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"stableheap/internal/word"
 )
@@ -405,27 +407,58 @@ type CompleteRec struct {
 // Type implements Record.
 func (CompleteRec) Type() Type { return TComplete }
 
-// V2SCopyRec moves newly stable objects from the volatile area into the
-// stable area at a volatile collection (Ch. 5, Fig. 5.2 "V2scopy"). Unlike
-// CopyRec it carries the full object images: the volatile source page is
-// not obliged to be reconstructible once the move is complete, so the
-// record must be self-contained for redo. One record covers a run of moves
-// end to end from To: From is the first source, More the rest in order.
+// V2SCopyRec is one volatile move cycle, Fig. 5.2's "V2scopy" and Fig.
+// 5.3's "S4vscan" in one record: the newly stable objects the cycle moved
+// into the stable area, their full images with pointer slots translated
+// (the volatile sources owe redo nothing once the cycle is logged), and the
+// fixes of the slots that named them. A torn tail keeps it whole or drops it.
 type V2SCopyRec struct {
 	sysRec
-	From   word.Addr
-	To     word.Addr
-	Object []byte
-	More   []word.Addr
+	From   []word.Addr // the moved objects' sources, in image order
+	Runs   []MoveRun   // where the images land, in image order
+	Object []byte      // the images end to end
+	Fixes  []PtrFix    // the slots that named a moved object
+}
+
+// MoveRun lands the next Bytes of a V2SCopy record's images from To.
+type MoveRun struct {
+	To    word.Addr
+	Bytes int
 }
 
 // Type implements Record.
 func (V2SCopyRec) Type() Type { return TV2SCopy }
 
-// SFixRec is a redo-only fix-up of stable-area pointer slots performed when
-// newly stable objects move out of the volatile area (Ch. 5, Fig. 5.3
-// "S4vscan"): each slot now holds the object's stable-area address. All
-// slots are on a single page.
+// Writes calls write for each range the record's redo writes — every run's
+// images and every fix's slot — in address order. The writes share the
+// record's LSN, so whoever applies them must finish a page before touching
+// the next: a page written back between two of its writes would carry the
+// LSN without the second, and redo, judging it by its LSN, would skip that.
+func (r V2SCopyRec) Writes(write func(at word.Addr, b []byte)) {
+	type span struct {
+		at word.Addr
+		b  []byte
+	}
+	spans := make([]span, 0, len(r.Runs)+len(r.Fixes))
+	off := 0
+	for _, run := range r.Runs {
+		spans = append(spans, span{run.To, r.Object[off : off+run.Bytes]})
+		off += run.Bytes
+	}
+	ptrs := make([]byte, word.WordSize*len(r.Fixes))
+	for i, f := range r.Fixes {
+		word.PutWord(ptrs, i*word.WordSize, uint64(f.NewPtr))
+		spans = append(spans, span{f.Addr, ptrs[i*word.WordSize : (i+1)*word.WordSize]})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.at, b.at) })
+	for _, s := range spans {
+		write(s.at, s.b)
+	}
+}
+
+// SFixRec is a redo-only fix-up of stable-area pointer slots (Ch. 5, Fig.
+// 5.3 "S4vscan"): a stable flip translating the volatile area's slots that
+// name its from-space logs one per page. All slots are on a single page.
 type SFixRec struct {
 	sysRec
 	Page  word.PageID

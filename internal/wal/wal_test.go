@@ -43,8 +43,12 @@ func normalize(r Record) Record {
 		return rec
 	case V2SCopyRec:
 		rec.Object = canon(rec.Object)
-		if len(rec.More) == 0 {
-			rec.More = nil
+		rec.Fixes = canonFixes(rec.Fixes)
+		if len(rec.From) == 0 {
+			rec.From = nil
+		}
+		if len(rec.Runs) == 0 {
+			rec.Runs = nil
 		}
 		return rec
 	case ScanRec:
@@ -88,8 +92,10 @@ func sampleRecords() []Record {
 		GCEndRec{Epoch: 3},
 		BaseRec{TxHdr: TxHdr{TxID: 9, PrevLSN: 60}, Addr: 0x40000, Object: []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}},
 		CompleteRec{TxHdr: TxHdr{TxID: 9, PrevLSN: 70}, Count: 5},
-		V2SCopyRec{From: 0x40000, To: 0x11000, Object: []byte{3, 0, 0, 0, 0, 0, 0, 0}},
-		V2SCopyRec{From: 0x40000, To: 0x11000, Object: make([]byte, 24), More: []word.Addr{0x40100, 0x40008}},
+		V2SCopyRec{From: []word.Addr{0x40000}, Runs: []MoveRun{{To: 0x11000, Bytes: 8}}, Object: []byte{3, 0, 0, 0, 0, 0, 0, 0}},
+		V2SCopyRec{From: []word.Addr{0x40000, 0x40100, 0x40008, 0x40200}, Runs: []MoveRun{{To: 0x11100, Bytes: 8}, {To: 0x11000, Bytes: 24}, {To: 0x11200, Bytes: 16}},
+			Object: make([]byte, 48), Fixes: []PtrFix{{Addr: 0x10008, NewPtr: 0x11100}, {Addr: 0x11018, NewPtr: 0x11200}, {Addr: 0x40408, NewPtr: 0x11000}}},
+		V2SCopyRec{Fixes: []PtrFix{{Addr: 0x10008, NewPtr: 0x48000}}},
 		SFixRec{Page: 17, Fixes: []PtrFix{{Addr: 0x11008, NewPtr: 0x11010}}},
 		VFlipRec{Epoch: 2, Moved: 9},
 		LogicalRec{TxHdr: TxHdr{TxID: 4, PrevLSN: 51}, Addr: 0x2040, Obj: 0x2000, Delta: ^uint64(4)},

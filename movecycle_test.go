@@ -11,18 +11,38 @@ import (
 	"stableheap/internal/workload"
 )
 
-// TestMoveCycleTornAtEveryRecord crashes a move cycle at every record
-// boundary. A module is built (every object newly stable, still in the
-// volatile area), one volatile collection moves it into the stable area —
-// V2SCopy runs, the SFix records for the moved objects' slots, the VFlip
-// record — and the log is torn before each of the cycle's records in turn,
-// and after the last. Recovery must finish whatever the cut left: the module
-// traverses whole, every object is reached once at one address (a move the
-// log kept is not repeated elsewhere), no slot names the volatile area, and
-// a stable collection runs over the result.
+// TestMoveCycleTornAtEveryRecord crashes a move cycle at every cut a torn
+// tail can make in it. A module is built (every object newly stable, still
+// in the volatile area) and one volatile collection moves it into the
+// stable area: one V2SCopy record — every move, the moved objects' slots
+// translated, the fixes of the slots that named them — and the VFlip
+// record. The log is torn before the V2SCopy record, inside it, after it
+// and after the VFlip record. A torn tail keeps the cycle whole or drops it
+// whole, and recovery must leave the module traversing whole, every object
+// reached once at one address (a move the log kept is not repeated
+// elsewhere), no slot naming the volatile area, and a stable collection
+// must run over the result. The concurrent leg runs the cycle with a
+// concurrent stable collection in flight, so the moves land at the high
+// end of its to-space one object at a time and the record carries one
+// destination run per object.
 func TestMoveCycleTornAtEveryRecord(t *testing.T) {
+	for _, leg := range []struct {
+		name     string
+		mode     stableheap.GCMode
+		inFlight bool
+	}{
+		{"ellis", stableheap.Ellis, false},
+		{"concurrent", stableheap.Concurrent, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) { tornMoveCycle(t, leg.mode, leg.inFlight) })
+	}
+}
+
+func tornMoveCycle(t *testing.T, mode stableheap.GCMode, inFlight bool) {
 	cfg := stableheap.DefaultConfig()
 	cfg.NurseryBytes = -1
+	cfg.StableGC = mode
+	cfg.ManualScan = true
 	shape := workload.OO7Config{Assemblies: 4, Composites: 4, AtomsPerComp: 6, DocWords: 4, ConnPerAtom: 2}
 	stableEnd := word.Addr(cfg.PageSize + word.WordsToBytes(2*cfg.StableWords))
 	// run builds the module, runs the move cycle and returns the log's
@@ -32,6 +52,10 @@ func TestMoveCycleTornAtEveryRecord(t *testing.T) {
 		o, err := workload.BuildOO7(h, 0, shape, rand.New(rand.NewSource(31)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if inFlight {
+			h.StartStableCollection()
+			h.StepStableScan()
 		}
 		dev := h.Log().Device()
 		start := dev.EndLSN()
@@ -43,20 +67,27 @@ func TestMoveCycleTornAtEveryRecord(t *testing.T) {
 
 	h, _, dev, start := run()
 	var cuts []word.LSN
-	runs := 0
+	var cycle wal.V2SCopyRec
+	cycles := 0
 	storage.Scan(dev, start, false, func(lsn word.LSN, frame []byte) bool {
 		cuts = append(cuts, lsn)
 		if rec, err := wal.Decode(frame); err == nil && rec.Type() == wal.TV2SCopy {
-			runs++
+			cycle = rec.(wal.V2SCopyRec)
+			cycles++
+			cuts = append(cuts, lsn+word.LSN(len(frame)/2)) // torn inside the record
 		}
 		return true
 	})
 	cuts = append(cuts, dev.EndLSN())
 	h.Close()
-	if runs < 2 {
-		t.Fatalf("the cycle logged %d V2SCopy runs: too few to cut between", runs)
+	if cycles != 1 || len(cycle.From) == 0 {
+		t.Fatalf("the cycle logged %d V2SCopy records, want one that moves the module", cycles)
 	}
-	t.Logf("%d cuts over %d records, %d of them V2SCopy runs", len(cuts), len(cuts)-1, runs)
+	if inFlight && len(cycle.Runs) < 2 {
+		t.Fatalf("the cycle's %d moves landed in %d destination runs: the high end took them end to end", len(cycle.From), len(cycle.Runs))
+	}
+	t.Logf("%d cuts over %d records; the V2SCopy record moves %d objects in %d runs and fixes %d slots",
+		len(cuts), len(cuts)-2, len(cycle.From), len(cycle.Runs), len(cycle.Fixes))
 
 	for _, cut := range cuts {
 		h, o, dev, s := run()
@@ -79,6 +110,9 @@ func TestMoveCycleTornAtEveryRecord(t *testing.T) {
 		h2.CollectStable()
 		if err := o.Check(); err != nil {
 			t.Fatalf("cut at %d, after a stable collection: %v", cut, err)
+		}
+		if n := reachable(t, h2, stableEnd); n != shape.Objects() {
+			t.Fatalf("cut at %d, after a stable collection: %d distinct objects reachable, want %d", cut, n, shape.Objects())
 		}
 		h2.Close()
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"stableheap"
@@ -15,7 +14,7 @@ import (
 )
 
 // buildModule builds an OO7 module through Chapter 5's whole path — commit,
-// track (base records), nursery minor, move (V2SCopy), fix (SFix) — then
+// track (base records), nursery minor, move and fix (V2SCopy) — then
 // collects the volatile area so every tracked object has moved, and
 // checkpoints.
 func buildModule(tb testing.TB, h *stableheap.Heap, shape workload.OO7Config) {
@@ -30,17 +29,16 @@ func buildModule(tb testing.TB, h *stableheap.Heap, shape workload.OO7Config) {
 }
 
 // TestSetupCounts pins what a newly stable object costs the log. The
-// paper's fix-up record is one per page (Ch. 3: "{page, (slot → new
-// pointer)…}"), and the volatile collector's move drain keeps one batch
-// open across all the objects it moves. So one move cycle — here the only
-// one: no nursery, and a volatile area that holds the module — logs at most
-// one SFix record per stable page it moved objects into, against one per
-// moved object when each object closed its own batch; the remembered stable
-// slots it fixes first (the root's) take one more per page. The base and
-// move records are logged per run of objects that lie end to end, not per
-// object, so per tracked object the log takes a fraction of a record: the
-// fixes, the runs and the transactions' own records (≈ 3.0 with a base, a
-// move and a fix record per object; ≈ 2.07 with one fix per page).
+// paper logs a move cycle as V2scopy records and S4vscan fix-ups (Figs.
+// 5.2–5.3); here one volatile collection — the only one: no nursery, and a
+// volatile area that holds the module — is one V2SCopy record carrying
+// every moved image with its pointer slots already translated and the fixes
+// of the remembered slots that named them, so no SFix record fixes a moved
+// object's slot. The base records are logged per run of objects that lie
+// end to end, so per tracked object the log takes a fraction of a record,
+// and the tracking records come to about two image bytes per byte tracked:
+// the base image and the moved one (3.22 when the moved objects' slots were
+// fixed by SFix records of their own).
 func TestSetupCounts(t *testing.T) {
 	cfg := stableheap.DefaultConfig()
 	cfg.NurseryBytes = -1
@@ -54,12 +52,8 @@ func TestSetupCounts(t *testing.T) {
 		t.Fatalf("%d volatile collections, want the one CollectVolatile", n)
 	}
 
-	// A fix record belongs to the drain if its slots lie in a moved object.
-	ps := cfg.PageSize
-	var moved []wal.V2SCopyRec
-	movedInto := make(map[word.PageID]bool)
+	var cycles []wal.V2SCopyRec
 	drainFixes, bases := 0, 0
-	otherFixes := make(map[word.PageID]int)
 	storage.Scan(h.Log().Device(), 1, false, func(_ word.LSN, frame []byte) bool {
 		rec, err := wal.Decode(frame)
 		if err != nil {
@@ -69,38 +63,34 @@ func TestSetupCounts(t *testing.T) {
 		case wal.BaseRec:
 			bases++
 		case wal.V2SCopyRec:
-			moved = append(moved, r)
-			for pg := r.To.Page(ps); pg <= (r.To + word.Addr(len(r.Object)) - 1).Page(ps); pg++ {
-				movedInto[pg] = true
-			}
+			cycles = append(cycles, r)
 		case wal.SFixRec:
-			slot := r.Fixes[0].Addr
-			i := sort.Search(len(moved), func(i int) bool { return moved[i].To > slot }) - 1
-			if i >= 0 && slot < moved[i].To+word.Addr(len(moved[i].Object)) {
-				drainFixes++
-			} else {
-				otherFixes[r.Page]++
+			for _, c := range cycles {
+				for _, run := range c.Runs {
+					if slot := r.Fixes[0].Addr; slot >= run.To && slot < run.To+word.Addr(run.Bytes) {
+						drainFixes++
+					}
+				}
 			}
 		}
 		return true
 	})
-	if len(movedInto) == 0 {
-		t.Fatal("the build moved nothing into the stable area")
+	if len(cycles) != 1 || len(cycles[0].From) == 0 {
+		t.Fatalf("%d V2SCopy records, want the one cycle's, and it must move the module", len(cycles))
 	}
-	if drainFixes > len(movedInto) {
-		t.Errorf("%d SFix records for the slots of objects moved into %d stable pages: more than one per page", drainFixes, len(movedInto))
-	}
-	for pg, n := range otherFixes {
-		if n > 1 {
-			t.Errorf("%d SFix records for remembered slots on page %d, want one", n, pg)
-		}
+	if drainFixes != 0 {
+		t.Errorf("%d SFix records fix the slots of moved objects, want 0", drainFixes)
 	}
 	appends, tracked := m.Counter("wal_appends_total"), m.Counter("track_objects_total")
-	if perObj := float64(appends) / float64(tracked); perObj > 0.2 {
-		t.Errorf("%d appends for %d tracked objects: %.3f per object, want ≤ 0.2", appends, tracked, perObj)
+	if perObj := float64(appends) / float64(tracked); perObj > 0.02 {
+		t.Errorf("%d appends for %d tracked objects: %.3f per object, want ≤ 0.02", appends, tracked, perObj)
 	}
-	t.Logf("%d base and %d V2SCopy runs, %d + %d SFix records, %d pages moved into, %d appends for %d tracked objects",
-		bases, len(moved), drainFixes, len(otherFixes), len(movedInto), appends, tracked)
+	trackBytes, imageBytes := m.Counter("wal_bytes_track_total"), 8*m.Counter("track_words_total")
+	if perByte := float64(trackBytes) / float64(imageBytes); perByte > 2.3 {
+		t.Errorf("%d tracking log bytes for %d tracked image bytes: %.2f per byte, want ≤ 2.3", trackBytes, imageBytes, perByte)
+	}
+	t.Logf("%d base runs, one V2SCopy record of %d objects in %d runs with %d fixes (%d B); %d appends for %d tracked objects; %d tracking bytes for %d image bytes",
+		bases, len(cycles[0].From), len(cycles[0].Runs), len(cycles[0].Fixes), len(wal.Encode(cycles[0])), appends, tracked, trackBytes, imageBytes)
 }
 
 // BenchmarkSetupDir times a heap's set-up on real files — OpenDir, a 32×32
