@@ -175,7 +175,7 @@ func benchCollection(b *testing.B, mode stableheap.GCMode, live int) {
 			h.CollectStable()
 		}
 	}
-	b.ReportMetric(float64(h.GCStats().CopiedObjs)/float64(b.N), "objs/collection")
+	b.ReportMetric(float64(h.Metrics().Counter("gc_copied_objects_total"))/float64(b.N), "objs/collection")
 }
 
 func BenchmarkE2CollectionEllis(b *testing.B) { benchCollection(b, stableheap.Ellis, 2048) }
@@ -357,7 +357,7 @@ func benchWalkDuringGC(b *testing.B, mode stableheap.GCMode) {
 	}
 	for h.StepStable() {
 	}
-	b.ReportMetric(float64(h.Mem().Stats().Traps)/float64(b.N), "traps/walk")
+	b.ReportMetric(float64(h.Metrics().Counter("gc_barrier_traps_total"))/float64(b.N), "traps/walk")
 }
 
 func BenchmarkE10WalkEllis(b *testing.B) { benchWalkDuringGC(b, stableheap.Ellis) }
@@ -450,7 +450,7 @@ func BenchmarkE13GroupCommit(b *testing.B) {
 	}
 	h.CollectVolatile()
 	forces0 := h.Log().Device().Stats().Forces
-	commits0 := h.TxStats().Committed
+	commits0 := h.Metrics().Counter("tx_committed_total")
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	per := b.N/workers + 1
@@ -477,7 +477,7 @@ func BenchmarkE13GroupCommit(b *testing.B) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	commits := h.TxStats().Committed - commits0
+	commits := h.Metrics().Counter("tx_committed_total") - commits0
 	forces := h.Log().Device().Stats().Forces - forces0
 	if commits > 0 {
 		b.ReportMetric(float64(forces)/float64(commits), "forces/commit")

@@ -66,7 +66,7 @@ func main() {
 	}
 	fmt.Println("conservation holds: every committed transfer is durable, every interrupted one is gone")
 
-	vs, gs := h2.VGCStats(), h2.GCStats()
+	m := h2.Metrics()
 	fmt.Printf("collections while banking: %d volatile, %d stable; %d newly stable objects moved\n",
-		vs.Collections, gs.Collections, vs.MovedObjs)
+		m.Counter("vgc_collections_total"), m.Counter("gc_collections_total"), m.Counter("vgc_moved_objects_total"))
 }

@@ -63,13 +63,12 @@ func main() {
 	}
 	fmt.Println("design tree intact after collections and undos")
 
-	gcs := h.GCStats()
+	m := h.Metrics()
 	fmt.Printf("stable collections: %d (copied %d objects, %d pages scanned)\n",
-		gcs.Collections, gcs.CopiedObjs, gcs.ScannedPages)
-	if gcs.Flip.Count > 0 {
+		m.Counter("gc_collections_total"), m.Counter("gc_copied_objects_total"), m.Counter("gc_scanned_pages_total"))
+	if flip, step, trap := m.Hist("gc_flip_ns"), m.Hist("gc_step_ns"), m.Hist("gc_trap_ns"); flip.Count > 0 {
 		fmt.Printf("pause profile: flip max %v; scan-step p99 %v / max %v over %d steps; %d barrier traps (max %v)\n",
-			gcs.Flip.MaxDur(), gcs.Step.QuantileDur(0.99), gcs.Step.MaxDur(), gcs.Step.Count,
-			gcs.Trap.Count, gcs.Trap.MaxDur())
+			flip.MaxDur(), step.QuantileDur(0.99), step.MaxDur(), step.Count, trap.Count, trap.MaxDur())
 	}
 
 	// End of day: crash instead of clean shutdown, then reopen tomorrow.

@@ -60,11 +60,11 @@ func main() {
 	}
 	fmt.Printf("collections done (%d newly stable objects moved); database intact\n", moved)
 
-	ls, ts := h.Log().Device().Stats(), h.TxStats()
+	m := h.Metrics()
 	fmt.Printf("log volume: %d bytes over %d records; %d synchronous forces (one per commit)\n",
-		ls.BytesAppended, ls.Appends, ls.Forces)
+		m.Counter("wal_bytes_appended_total"), m.Counter("wal_appends_total"), m.Counter("wal_forces_total"))
 	fmt.Printf("division at work: %d logged updates vs %d unlogged volatile writes\n",
-		ts.Updates, ts.VolWrites)
+		m.Counter("tx_updates_total"), m.Counter("tx_volatile_writes_total"))
 
 	disk, logDev := h.Crash()
 	h2, err := stableheap.Recover(cfg, disk, logDev)

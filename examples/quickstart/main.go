@@ -69,10 +69,10 @@ func main() {
 	}
 	fmt.Println()
 
-	res, ls := h2.LastRecovery(), h2.Log().Device().Stats()
+	m := h2.Metrics()
 	fmt.Printf("recovery stats: %d redo records scanned, %d losers rolled back\n",
-		res.RedoScanned, len(res.Losers))
-	fmt.Printf("log: %d appends, %d synchronous forces\n", ls.Appends, ls.Forces)
+		m.Counter("recovery_redo_scanned_total"), len(h2.LastRecovery().Losers))
+	fmt.Printf("log: %d appends, %d synchronous forces\n", m.Counter("wal_appends_total"), m.Counter("wal_forces_total"))
 }
 
 func must(err error) {

@@ -57,13 +57,13 @@ func E14CopyContents() Table {
 		}
 		lm := h.Log()
 		lm.ResetStats()
-		g0 := h.GCStats()
+		g0 := h.Metrics()
 		start := time.Now()
 		h.CollectStable()
 		elapsed := time.Since(start)
-		g1 := h.GCStats()
+		g1 := h.Metrics()
 		_, gcB, _, _ := lm.VolumeByClass()
-		copied := g1.CopiedWords - g0.CopiedWords
+		copied := g1.Counter("gc_copied_words_total") - g0.Counter("gc_copied_words_total")
 
 		// Soundness sweep in this mode.
 		ccfg := core.Config{
@@ -84,7 +84,7 @@ func E14CopyContents() Table {
 			name,
 			fmt.Sprintf("%d", gcB),
 			fmt.Sprintf("%.1f", float64(gcB)/float64(max64(copied, 1))),
-			fmt.Sprintf("%d", g1.GCEndFlushes-g0.GCEndFlushes),
+			fmt.Sprintf("%d", g1.Counter("gc_end_flushes_total")-g0.Counter("gc_end_flushes_total")),
 			dur(elapsed),
 			verdict,
 		})

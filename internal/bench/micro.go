@@ -138,7 +138,7 @@ func E2GCSteps() Table {
 
 	// A full measured collection, with a pointer-chasing reader taking
 	// read-barrier traps while it runs.
-	gcsBefore := h.GCStats()
+	before := h.Metrics()
 	start := time.Now()
 	h.StartStableCollection()
 	flipDone := time.Now()
@@ -155,13 +155,14 @@ func E2GCSteps() Table {
 		}
 	}
 	total := time.Since(start)
-	gcs := h.GCStats()
+	m := h.Metrics()
+	delta := func(name string) int64 { return m.Counter(name) - before.Counter(name) }
 
-	copies := gcs.CopiedObjs - gcsBefore.CopiedObjs
-	pages := gcs.ScannedPages - gcsBefore.ScannedPages
+	copies := delta("gc_copied_objects_total")
+	pages := delta("gc_scanned_pages_total")
 	// Always-on pause histograms; this run's deltas are the whole story
 	// because the heap is fresh.
-	flip, step, trap := gcs.Flip, gcs.Step, gcs.Trap
+	flip, step, trap := m.Hist("gc_flip_ns"), m.Hist("gc_step_ns"), m.Hist("gc_trap_ns")
 
 	t := Table{
 		ID:     "E2",
@@ -177,7 +178,7 @@ func E2GCSteps() Table {
 	)
 	t.Rows = append(t.Rows, []string{
 		"whole collection", "1", dur(total),
-		fmt.Sprintf("(%d objs, %d pages, %d flushed at GCEnd)", copies, pages, gcs.GCEndFlushes-gcsBefore.GCEndFlushes),
+		fmt.Sprintf("(%d objs, %d pages, %d flushed at GCEnd)", copies, pages, delta("gc_end_flushes_total")),
 	})
 	t.Notes = append(t.Notes, fmt.Sprintf("flip-done after %s of %s total", dur(flipDone.Sub(start)), dur(total)))
 	return t

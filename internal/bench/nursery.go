@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"stableheap"
-	"stableheap/internal/obs"
 )
 
 // E19 measures PR 6's claim: the generational nursery plus the
@@ -111,7 +110,7 @@ func e19Run(nursery, concurrent bool) (opsPerSec float64, allocWordsPerSec float
 		panic(err)
 	}
 	h.FinishVolatileScan()
-	base := h.VGCStats()
+	base := h.Metrics()
 
 	// Churn: every op commits a fresh small object into a rolling vol
 	// root, killing the previous one — the allocation-heavy hot path.
@@ -170,23 +169,17 @@ func e19Run(nursery, concurrent bool) (opsPerSec float64, allocWordsPerSec float
 	}
 	elapsed := time.Since(start)
 
-	vs := h.VGCStats()
-	for _, hs := range []obs.HistSnapshot{
-		vs.Pause.Delta(base.Pause),
-		vs.MinorPause.Delta(base.MinorPause),
-		vs.FlipPause.Delta(base.FlipPause),
-		vs.QuantumPause.Delta(base.QuantumPause),
-	} {
-		if hs.MaxDur() > maxPause {
-			maxPause = hs.MaxDur()
+	m := h.Metrics()
+	for _, name := range []string{"vgc_pause_ns", "vgc_minor_pause_ns", "vgc_conc_flip_pause_ns", "vgc_conc_quantum_ns"} {
+		if d := m.Hist(name).Delta(base.Hist(name)).MaxDur(); d > maxPause {
+			maxPause = d
 		}
 	}
+	delta := func(name string) int { return int(m.Counter(name) - base.Counter(name)) }
 	opsPerSec = float64(e19Ops) / elapsed.Seconds()
 	allocWordsPerSec = float64(allocWords) / elapsed.Seconds()
-	return opsPerSec, allocWordsPerSec, maxOp, maxPause,
-		vs.Collections - base.Collections,
-		vs.MinorCollections - base.MinorCollections,
-		vs.ConcCollections - base.ConcCollections
+	return opsPerSec, allocWordsPerSec, maxOp, maxPause, delta("vgc_collections_total"),
+		delta("vgc_nursery_minor_total"), delta("vgc_conc_collections_total")
 }
 
 // E19Nursery is the experiment entry point.

@@ -48,12 +48,13 @@ func E3Pauses() Table {
 				}
 			}
 		}
-		gcs := h2.GCStats()
-		avgStep := gcs.Step.MeanDur()
+		m := h2.Metrics()
+		step := m.Hist("gc_step_ns")
+		avgStep := step.MeanDur()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", live),
 			dur(stw),
-			dur(gcs.Flip.MaxDur()), dur(avgStep), dur(gcs.Step.MaxDur()),
+			dur(m.Hist("gc_flip_ns").MaxDur()), dur(avgStep), dur(step.MaxDur()),
 			ratio(stw, avgStep),
 		})
 	}
@@ -103,7 +104,7 @@ func E10Barrier() Table {
 		// find them scanned — the paper's skew. Walk the chains the
 		// background scanner reaches last (high slots) first.
 		h.StartStableCollection()
-		trapsBefore := h.Mem().Stats().Traps
+		trapsBefore := h.Metrics().Counter("gc_barrier_traps_total")
 		startGC := time.Now()
 		const walks = 8
 		var trapsMid int64
@@ -112,12 +113,12 @@ func E10Barrier() Table {
 				panic(err)
 			}
 			if i == walks/2-1 {
-				trapsMid = h.Mem().Stats().Traps
+				trapsMid = h.Metrics().Counter("gc_barrier_traps_total")
 			}
 			h.StepStable() // one background quantum between walks
 		}
 		during := time.Since(startGC) / walks
-		trapsAfter := h.Mem().Stats().Traps
+		trapsAfter := h.Metrics().Counter("gc_barrier_traps_total")
 		for h.StepStable() {
 		}
 		t.Rows = append(t.Rows, []string{

@@ -123,7 +123,7 @@ func E5Checkpoint() Table {
 				h.Checkpoint()
 			}
 		}
-		cps := h.CheckpointStats().Taken
+		cps := h.Metrics().Counter("checkpoint_taken_total")
 		h2, reopen, elapsed := crashRestart(cfg, h)
 		label := fmt.Sprintf("%d updates", interval)
 		if interval >= updates {

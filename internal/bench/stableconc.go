@@ -68,7 +68,7 @@ func e22Run(concurrent bool) (opsPerSec float64, sgcStall, worst, p99, flip time
 	if err := buildStableChains(h, e22Live); err != nil {
 		panic(err)
 	}
-	base := h.GCStats() // setup may flip; measure only the churn phase
+	base := h.Metrics() // setup may flip; measure only the churn phase
 
 	durs := make([]time.Duration, 0, e22Ops)
 	start := time.Now()
@@ -140,13 +140,13 @@ func e22Run(concurrent bool) (opsPerSec float64, sgcStall, worst, p99, flip time
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	worst = durs[len(durs)-1]
 	p99 = durs[len(durs)*99/100]
-	gs := h.GCStats()
-	flip = gs.Flip.Delta(base.Flip).MaxDur()
+	m := h.Metrics()
+	flip = m.Hist("gc_flip_ns").Delta(base.Hist("gc_flip_ns")).MaxDur()
 	if concurrent {
 		// The mutator-visible stable-GC stalls: the stop-the-world flip and
 		// the gate-held scan quanta (collector goroutine + commit assists).
 		sgcStall = flip
-		if q := gs.Quantum.Delta(base.Quantum).MaxDur(); q > sgcStall {
+		if q := m.Hist("gc_conc_quantum_ns").Delta(base.Hist("gc_conc_quantum_ns")).MaxDur(); q > sgcStall {
 			sgcStall = q
 		}
 	}

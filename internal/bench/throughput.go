@@ -88,25 +88,18 @@ func E11Throughput() Table {
 			start := time.Now()
 			committed := run()
 			elapsed := time.Since(start)
-			gcs := h.GCStats()
-			vp := h.VGCStats()
-			worst := gcs.Flip.MaxDur()
-			if d := gcs.Step.MaxDur(); d > worst {
-				worst = d
-			}
-			if d := gcs.Trap.MaxDur(); d > worst {
-				worst = d
-			}
-			if m.gc == stableheap.StopTheWorld {
-				// The whole STW collection is the pause; the flip
-				// histogram contains it all.
-				worst = gcs.Flip.MaxDur()
+			ms := h.Metrics()
+			worst := ms.Hist("gc_flip_ns").MaxDur()
+			if m.gc != stableheap.StopTheWorld {
+				// Otherwise the whole STW collection is the pause, and the
+				// flip histogram contains it all.
+				worst = max(worst, ms.Hist("gc_step_ns").MaxDur(), ms.Hist("gc_trap_ns").MaxDur())
 			}
 			t.Rows = append(t.Rows, []string{
 				wl, m.name,
 				fmt.Sprintf("%.0f", float64(committed)/elapsed.Seconds()),
 				dur(worst),
-				fmt.Sprintf("%d stable / %d volatile", gcs.Collections, vp.Collections),
+				fmt.Sprintf("%d stable / %d volatile", ms.Counter("gc_collections_total"), ms.Counter("vgc_collections_total")),
 			})
 		}
 	}

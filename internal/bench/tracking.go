@@ -101,5 +101,6 @@ func E8Tracking() Table {
 // trackedAndLogged reads the heap's tracked-object count and the bytes
 // appended to its log, the two counters E8 reports per commit.
 func trackedAndLogged(h *stableheap.Heap) (tracked, logged int64) {
-	return h.TrackerStats().Objects, h.Log().Device().Stats().BytesAppended
+	m := h.Metrics()
+	return m.Counter("track_objects_total"), m.Counter("wal_bytes_appended_total")
 }

@@ -31,18 +31,19 @@ func E6LogVolume() Table {
 		}
 		lm := h.Log()
 		lm.ResetStats()
-		gcsBefore := h.GCStats()
+		before := h.Metrics()
 		h.CollectStable()
-		gcs := h.GCStats()
+		m := h.Metrics()
+		delta := func(name string) int64 { return m.Counter(name) - before.Counter(name) }
 		txB, gcB, trB, _ := lm.VolumeByClass()
-		copied := gcs.CopiedWords - gcsBefore.CopiedWords
+		copied := delta("gc_copied_words_total")
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d%%", livePct),
 			fmt.Sprintf("%d", txB),
 			fmt.Sprintf("%d", gcB),
 			fmt.Sprintf("%d", trB),
 			fmt.Sprintf("%.1f", float64(gcB)/float64(max64(copied, 1))),
-			fmt.Sprintf("%d", gcs.CopiedObjs-gcsBefore.CopiedObjs),
+			fmt.Sprintf("%d", delta("gc_copied_objects_total")),
 		})
 	}
 	// One more row: the same collection if copy records carried full

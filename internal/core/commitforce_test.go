@@ -94,9 +94,9 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 	hp := openSlow(500 * time.Microsecond)
 	const workers = 8
 	seedSlots(t, hp, workers)
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.Metrics().Counter("tx_committed_total")
 	commitStores(t, hp, workers, 10)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.Metrics().Counter("tx_committed_total")-commits0
 	if commits == 0 || 2*forces > commits {
 		t.Fatalf("the force was not shared: %d forces for %d commits", forces, commits)
 	}
@@ -140,9 +140,9 @@ func TestGroupCommitAmortizesForces(t *testing.T) {
 func TestGroupCommitSingleCommitter(t *testing.T) {
 	hp := openSlow(100 * time.Microsecond)
 	seedSlots(t, hp, 1)
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.Metrics().Counter("tx_committed_total")
 	commitStores(t, hp, 1, 20)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.Metrics().Counter("tx_committed_total")-commits0
 	if commits != 20 || forces != commits {
 		t.Fatalf("%d forces for %d commits, want exactly one each", forces, commits)
 	}
@@ -222,13 +222,13 @@ func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 
 	committers := 2
 	done := make(chan error, 2)
-	var timeouts0 uint64
+	var timeouts0 int64
 	if joining {
 		commitStores(t, hp, 2, 8) // the commit shape settles: two open, short
 		if open, _ := hp.txm.CommitShape(); open != 2 {
 			t.Fatalf("two committers left the commit shape at %d open, want 2", open)
 		}
-		timeouts0 = hp.log.JoinTimeouts()
+		timeouts0 = hp.Metrics().Counter("wal_commit_join_timeouts_total")
 		committers = 1
 		dev.armed.Store(true)
 		go func() { done <- storeAndCommit(hp, 0, 7) }()
@@ -282,8 +282,8 @@ func closeWithParkedCommits(t *testing.T, shutdown string, joining bool) {
 		}
 	}
 	<-stopped
-	if joining && hp.log.JoinTimeouts() != timeouts0+1 {
-		t.Fatalf("%d join timeouts under %s, want the leader's one", hp.log.JoinTimeouts()-timeouts0, shutdown)
+	if joining && hp.Metrics().Counter("wal_commit_join_timeouts_total") != timeouts0+1 {
+		t.Fatalf("%d join timeouts under %s, want the leader's one", hp.Metrics().Counter("wal_commit_join_timeouts_total")-timeouts0, shutdown)
 	}
 
 	hp2, err := reopen(c, disk, logDev)
@@ -312,13 +312,13 @@ func TestGroupCommitTwoCommittersShare(t *testing.T) {
 	hp := openSlow(time.Millisecond)
 	seedSlots(t, hp, 2)
 	commitStores(t, hp, 2, 20) // the commit shape settles: two open, short
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.Metrics().Counter("tx_committed_total")
 	commitStores(t, hp, 2, 100)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.Metrics().Counter("tx_committed_total")-commits0
 	if commits != 200 || 10*forces > 6*commits {
 		t.Fatalf("%d forces for %d commits of two committers, want ≤ 0.6 per commit", forces, commits)
 	}
-	if hp.log.JoinWaitHist().Count == 0 {
+	if hp.Metrics().Hist("wal_commit_join_wait_ns").Count == 0 {
 		t.Fatal("no commit leader joined its sibling")
 	}
 }
@@ -335,10 +335,10 @@ func TestJoinReadOnlyTransactionHoldsNoCommit(t *testing.T) {
 	if r, err := reader.Root(1); err != nil || r == nil {
 		t.Fatalf("reader: %v", err)
 	}
-	forces0, commits0 := hp.logDev.Stats().Forces, hp.TxStats().Committed
+	forces0, commits0 := hp.logDev.Stats().Forces, hp.Metrics().Counter("tx_committed_total")
 	commitStores(t, hp, 1, 20)
-	forces, commits := hp.logDev.Stats().Forces-forces0, hp.TxStats().Committed-commits0
-	if n := hp.log.JoinWaitHist().Count; n != 0 || forces != commits {
+	forces, commits := hp.logDev.Stats().Forces-forces0, hp.Metrics().Counter("tx_committed_total")-commits0
+	if n := hp.Metrics().Hist("wal_commit_join_wait_ns").Count; n != 0 || forces != commits {
 		t.Fatalf("%d join waits, %d forces for %d commits beside a reader, want 0 and one each", n, forces, commits)
 	}
 	end, forces0 := hp.log.EndLSN(), hp.logDev.Stats().Forces
@@ -362,7 +362,7 @@ func TestJoinSiblingBlockedOnTheLeadersLock(t *testing.T) {
 	if open, _ := hp.txm.CommitShape(); open != 2 {
 		t.Fatalf("two committers left the commit shape at %d open, want 2", open)
 	}
-	timeouts0 := hp.log.JoinTimeouts()
+	timeouts0 := hp.Metrics().Counter("wal_commit_join_timeouts_total")
 
 	leader := hp.Begin()
 	obj, err := leader.Root(0)
@@ -374,7 +374,7 @@ func TestJoinSiblingBlockedOnTheLeadersLock(t *testing.T) {
 	}
 	sibling := make(chan error, 1)
 	go func() { sibling <- storeAndCommit(hp, 0, 2) }() // waits for the leader's write lock
-	for deadline := time.Now().Add(5 * time.Second); hp.locks.Stats().Conflicts == 0; time.Sleep(100 * time.Microsecond) {
+	for deadline := time.Now().Add(5 * time.Second); hp.Metrics().Counter("lock_conflicts_total") == 0; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the sibling never waited for the leader's lock")
 		}
@@ -387,7 +387,7 @@ func TestJoinSiblingBlockedOnTheLeadersLock(t *testing.T) {
 	if err := <-sibling; err != nil {
 		t.Fatalf("the sibling's commit failed behind the leader's join: %v", err)
 	}
-	if hp.log.JoinTimeouts() == timeouts0 {
+	if hp.Metrics().Counter("wal_commit_join_timeouts_total") == timeouts0 {
 		t.Fatal("the leader's join did not time out, yet its sibling could not commit")
 	}
 	if took > forceCfg().LockWait/2 {
@@ -423,12 +423,12 @@ func TestJoinWatchdogConvoy(t *testing.T) {
 		defer hp.Close()
 		seedSlots(t, hp, 16)
 		commitStores(t, hp, 16, 40)
-		if b := hp.Metrics().Histograms["wal_force_batch"]; b.Max < 16 || hp.log.JoinWaitHist().Count == 0 {
+		if b := hp.Metrics().Histograms["wal_force_batch"]; b.Max < 16 || hp.Metrics().Hist("wal_commit_join_wait_ns").Count == 0 {
 			t.Fatalf("sixteen committers never joined into one force: wal_force_batch %+v", b)
 		}
 		if n := convoyTrips(hp); n != 0 {
 			t.Fatalf("the convoy rule tripped %d times on healthy sharing (%d of %d join waits timed out)",
-				n, hp.log.JoinTimeouts(), hp.log.JoinWaitHist().Count)
+				n, hp.Metrics().Counter("wal_commit_join_timeouts_total"), hp.Metrics().Hist("wal_commit_join_wait_ns").Count)
 		}
 	})
 	t.Run("sibling never arrives", func(t *testing.T) {
@@ -448,7 +448,7 @@ func TestJoinWatchdogConvoy(t *testing.T) {
 			commitStores(t, hp, 1, 10)
 		}
 		if convoyTrips(hp) == 0 {
-			t.Fatalf("no convoy trip after %d of %d join waits timed out", hp.log.JoinTimeouts(), hp.log.JoinWaitHist().Count)
+			t.Fatalf("no convoy trip after %d of %d join waits timed out", hp.Metrics().Counter("wal_commit_join_timeouts_total"), hp.Metrics().Hist("wal_commit_join_wait_ns").Count)
 		}
 		idle.Abort()
 	})

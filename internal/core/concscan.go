@@ -58,6 +58,7 @@ type concScan struct {
 	// transitions with the stop latch held exclusively.
 	on        atomic.Bool
 	c         scanCollector
+	satb      *obs.Counter  // the area's SATB deletion-barrier hits
 	quantumEv obs.EventKind // flight-recorder event of one quantum
 	label     string        // the collector goroutine's pprof "subsystem"
 	// retire drives the area's collection to completion inline — the one
@@ -212,7 +213,7 @@ func (s *concScan) gray(old word.Addr) {
 	s.hp.grayMu.Lock()
 	s.hp.grayQ = append(s.hp.grayQ, old)
 	s.hp.grayMu.Unlock()
-	s.hp.met.satbGray.Inc()
+	s.satb.Inc()
 }
 
 // finishConcurrentLocked is the volatile area's retire: remaining copies

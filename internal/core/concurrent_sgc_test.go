@@ -73,11 +73,11 @@ func TestConcurrentStableScanPreservesGraph(t *testing.T) {
 	checkList(t, hp, 0, 12, 100)
 	checkList(t, hp, 1, 12, 200)
 	checkList(t, hp, 2, 12, 100) // aliased to list 0
-	gs := hp.GCStats()
-	if gs.ConcCollections != 1 {
-		t.Fatalf("ConcCollections = %d, want 1", gs.ConcCollections)
+	m := hp.Metrics()
+	if n := m.Counter("gc_conc_collections_total"); n != 1 {
+		t.Fatalf("gc_conc_collections_total = %d, want 1", n)
 	}
-	if gs.ConcTransports == 0 {
+	if m.Counter("gc_conc_transports_total") == 0 {
 		t.Fatal("no read-barrier transports despite reads during the scan")
 	}
 }

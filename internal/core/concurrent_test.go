@@ -129,7 +129,7 @@ func TestConcurrentCountersSerializable(t *testing.T) {
 			t.Fatalf("counter %d = %d, want %d (lost or phantom increments)", i, v, succeeded[i])
 		}
 	}
-	if hp.GCStats().Collections == 0 {
+	if hp.Metrics().Counter("gc_collections_total") == 0 {
 		t.Fatal("the collector goroutine never collected; test proved nothing")
 	}
 }

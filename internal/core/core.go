@@ -325,12 +325,14 @@ type Heap struct {
 	// whose commit record is logged and whose fate is not.
 	commitGate sync.RWMutex
 
-	// met holds the heap-level latency histograms (always on); bb/journal/wd
+	// met holds the heap-level latency histograms (always on) and reg
+	// names them with every subsystem's metrics (metrics.go); bb/journal/wd
 	// are the flight recorder, its persistence journal and the stall
 	// watchdog (all nil unless Config.FlightRecorder / WatchdogInterval —
 	// and all their methods are nil-safe, so instrumentation sites call
 	// unconditionally).
 	met     heapMetrics
+	reg     obs.Registry
 	bb      *obs.BlackBox
 	journal *obs.Journal
 	wd      *obs.Watchdog
@@ -413,8 +415,8 @@ func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 		LockShards:  hp.lockShardsForCopy,
 	})
 	mem.SetTrapHandler(hp.sgc.Trap)
-	hp.sscan = concScan{hp: hp, c: hp.sgc, quantumEv: obs.EvSGCQuantum,
-		label: "sgc-scan", retire: hp.finishStableGCLocked}
+	hp.sscan = concScan{hp: hp, c: hp.sgc, satb: &hp.sgc.Met.Conc.SATBGray,
+		quantumEv: obs.EvSGCQuantum, label: "sgc-scan", retire: hp.finishStableGCLocked}
 
 	if !cfg.Undivided {
 		hp.vgc = gc.NewVolatile(mem, h, log, hp.volLo, hp.volHi)
@@ -435,9 +437,10 @@ func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 			AddLS:      hp.addLS,
 			Forward:    hp.vscan.load,
 		})
-		hp.vscan = concScan{hp: hp, c: hp.vgc, quantumEv: obs.EvVGCQuantum,
-			label: "vgc-scan", retire: hp.finishConcurrentLocked}
+		hp.vscan = concScan{hp: hp, c: hp.vgc, satb: &hp.vgc.Met.Conc.SATBGray,
+			quantumEv: obs.EvVGCQuantum, label: "vgc-scan", retire: hp.finishConcurrentLocked}
 	}
+	hp.register()
 	return hp
 }
 
@@ -556,8 +559,8 @@ func (hp *Heap) onStableSlotWrite(slot word.Addr, ptrToVolatile bool) {
 // concurrent read barrier's transport calls it from a shared mutator action:
 // remMu guards the remembered sets, txm and locks lock internally.
 func (hp *Heap) relocate(ms word.Moves) {
-	hp.met.relocBatches.Inc()
-	hp.met.relocMoves.Add(uint64(len(ms)))
+	hp.met.RelocBatches.Inc()
+	hp.met.RelocMoves.Add(uint64(len(ms)))
 	hp.txm.Relocate(ms)
 	for _, m := range ms {
 		hp.locks.Rekey(m.From, m.To)
@@ -616,7 +619,7 @@ func (hp *Heap) rememberNursery(slot, stored word.Addr) {
 		hp.remMu.Lock()
 		hp.nrem[slot] = true
 		hp.remMu.Unlock()
-		hp.met.nurseryRem.Inc()
+		hp.vgc.Met.Nursery.BarrierHits.Inc()
 	}
 }
 
@@ -1001,7 +1004,7 @@ func (t *Tx) lockAddr(read func() word.Addr, m lock.Mode) error {
 		}()
 		if err == nil {
 			if !waitStart.IsZero() {
-				hp.met.lockWait.Since(waitStart)
+				hp.met.LockWait.Since(waitStart)
 			}
 			return nil
 		}
@@ -1009,18 +1012,18 @@ func (t *Tx) lockAddr(read func() word.Addr, m lock.Mode) error {
 			waitStart = time.Now()
 		}
 		if hp.cfg.LockWait == 0 {
-			hp.met.lockWait.Since(waitStart)
+			hp.met.LockWait.Since(waitStart)
 			return t.fail(ErrConflict)
 		}
 		now := time.Now()
 		if deadline.IsZero() {
 			deadline = now.Add(hp.cfg.LockWait)
 		} else if now.After(deadline) {
-			hp.met.lockWait.Since(waitStart)
+			hp.met.LockWait.Since(waitStart)
 			return t.fail(ErrConflict)
 		}
 		if werr := hp.locks.WaitFree(t.t.ID(), a, m, deadline.Sub(now)); werr != nil {
-			hp.met.lockWait.Since(waitStart)
+			hp.met.LockWait.Since(waitStart)
 			return t.fail(ErrConflict)
 		}
 	}
@@ -1438,7 +1441,7 @@ func (t *Tx) Commit() error {
 	}
 	hp.finishCommit(t.t, lsn)
 	d := time.Since(start)
-	hp.met.txCommit.Observe(uint64(d))
+	hp.met.TxCommit.Observe(uint64(d))
 	hp.bb.Span(obs.EvTxCommit, d, uint64(t.t.ID()), 0, 0)
 	hp.vscan.assist()
 	hp.sscan.assist()
@@ -1483,7 +1486,7 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 				hp.hist.Abort(t.t.ID())
 			}
 			wait := time.Since(start)
-			hp.met.txConflict.Observe(uint64(wait))
+			hp.met.TxConflict.Observe(uint64(wait))
 			hp.bb.Span(obs.EvTxConflict, wait, uint64(t.t.ID()), 0, 0)
 			return 0, t.fail(ErrConflict)
 		}
@@ -1493,7 +1496,7 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 		if hp.hist != nil {
 			hp.hist.Abort(t.t.ID())
 		}
-		hp.met.txAbort.Since(start)
+		hp.met.TxAbort.Since(start)
 		hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
 		return 0, t.err
 	}
@@ -1543,7 +1546,7 @@ func (t *Tx) Abort() error {
 	if hp.hist != nil {
 		hp.hist.Abort(t.t.ID())
 	}
-	hp.met.txAbort.Since(start)
+	hp.met.TxAbort.Since(start)
 	hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
 	return nil
 }

@@ -163,7 +163,7 @@ func TestStabilityTrackingOnCommit(t *testing.T) {
 	if got := hp.SRemCount(); got != 1 {
 		t.Fatalf("SRem count = %d, want 1", got)
 	}
-	if hp.TrackerStats().Objects != 5 {
+	if hp.Metrics().Counter("track_objects_total") != 5 {
 		t.Fatal("tracker must report 5 objects")
 	}
 }
@@ -197,8 +197,8 @@ func TestVolatileCollectionDropsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the volatile root object itself survives.
-	if hp.VGCStats().CopiedObjs != 1 {
-		t.Fatalf("garbage copied: %d objects, want 1 (the volatile root object)", hp.VGCStats().CopiedObjs)
+	if n := hp.Metrics().Counter("vgc_copied_objects_total"); n != 1 {
+		t.Fatalf("garbage copied: %d objects, want 1 (the volatile root object)", n)
 	}
 }
 
@@ -233,7 +233,7 @@ func TestStableCollectionPreservesGraph(t *testing.T) {
 	checkList(t, hp, 0, 20, 500)
 	hp.CollectStable()
 	checkList(t, hp, 0, 20, 500)
-	if hp.GCStats().Collections != 2 {
+	if hp.Metrics().Counter("gc_collections_total") != 2 {
 		t.Fatal("expected two collections")
 	}
 }
@@ -327,8 +327,8 @@ func TestRecoveryEvacuatesNewlyStable(t *testing.T) {
 		t.Fatal("LS must drain during recovery")
 	}
 	checkList(t, hp2, 0, 6, 70)
-	if hp2.VGCStats().MovedObjs != 6 {
-		t.Fatalf("moved %d, want 6", hp2.VGCStats().MovedObjs)
+	if n := hp2.Metrics().Counter("vgc_moved_objects_total"); n != 6 {
+		t.Fatalf("moved %d, want 6", n)
 	}
 }
 
@@ -427,10 +427,10 @@ func TestSerializabilityTwoCounters(t *testing.T) {
 func TestAllStableModeLogsEverything(t *testing.T) {
 	hp := openMem(allStableCfg())
 	buildList(t, hp, 0, 5, 1)
-	if hp.TxStats().VolWrites != 0 {
+	if hp.Metrics().Counter("tx_volatile_writes_total") != 0 {
 		t.Fatal("all-stable mode must not use volatile writes")
 	}
-	if hp.TxStats().Updates == 0 {
+	if hp.Metrics().Counter("tx_updates_total") == 0 {
 		t.Fatal("expected logged updates")
 	}
 	disk, logDev := hp.Crash()
@@ -477,8 +477,7 @@ func TestManyCollectionsStress(t *testing.T) {
 		commit(t, tr)
 		checkList(t, hp, 0, 10, uint64(round*100))
 	}
-	vs := hp.VGCStats()
-	if vs.Collections == 0 && vs.MinorCollections == 0 {
+	if m := hp.Metrics(); m.Counter("vgc_collections_total") == 0 && m.Counter("vgc_nursery_minor_total") == 0 {
 		t.Fatal("expected volatile collections (full or minor)")
 	}
 	checkList(t, hp, 0, 10, 2900)
@@ -759,7 +758,7 @@ func TestZeroConfigIsDefault(t *testing.T) {
 		if ea, eb := a.logDev.EndLSN(), b.logDev.EndLSN(); ea != eb {
 			t.Fatalf("same work, different logs: end LSN %d vs %d", ea, eb)
 		}
-		if ta, tb := a.mem.Stats().Traps, b.mem.Stats().Traps; ta != tb || ta == 0 {
+		if ta, tb := a.Metrics().Counter("gc_barrier_traps_total"), b.Metrics().Counter("gc_barrier_traps_total"); ta != tb || ta == 0 {
 			t.Fatalf("read-barrier traps %d vs %d, want equal and nonzero", ta, tb)
 		}
 	}

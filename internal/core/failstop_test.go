@@ -83,6 +83,10 @@ func TestDeviceFaultFailsTheHeap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Metrics takes no latch, so the failed heap still answers a scrape.
+	if got := deviceFault(func() { hp.Metrics() }); got != nil {
+		t.Fatalf("Metrics on the failed heap: %v", got)
+	}
 
 	_, log := hp.Devices()
 	end := log.EndLSN()

@@ -26,8 +26,8 @@ func (hp *Heap) flushOnPanic() {
 }
 
 // startWatchdog builds and starts the stall watchdog when configured.
-// Called once the heap is fully assembled (after format or recovery): the
-// watchdog goroutine calls Metrics, which takes the shared latch.
+// Called once the heap is fully assembled (after format or recovery) and
+// every metric is registered: the watchdog goroutine calls Metrics.
 func (hp *Heap) startWatchdog() {
 	if hp.cfg.WatchdogInterval <= 0 || hp.wd != nil {
 		return
@@ -51,16 +51,6 @@ func (hp *Heap) startWatchdog() {
 	hp.wd = obs.NewWatchdog(hp.cfg.WatchdogInterval, hp.Metrics, hp.bb,
 		hp.journal.Flush, rules)
 	hp.wd.Start()
-}
-
-// stopWatchdog halts the watchdog goroutine. Must run before the caller
-// takes the exclusive latch (the goroutine may be inside Metrics holding
-// it shared); Close and Crash call it first thing.
-func (hp *Heap) stopWatchdog() {
-	if hp.wd != nil {
-		hp.wd.Stop()
-		hp.wd = nil
-	}
 }
 
 // FlightRecorder returns the black-box ring (nil when disabled). The

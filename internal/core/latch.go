@@ -68,7 +68,7 @@ import (
 // caller holds the stop latch or the gate (or runs before the heap is
 // shared), so no one else can be inside the store meanwhile, and the
 // section's collections, tracking, checkpoint and abort pay no lock per
-// word. Metrics takes the latch shared and vm.Stats reads atomics.
+// word. Metrics takes no latch: every registered counter is atomic.
 //
 // Fail-stop: a device fault (a typed storage panic, storage.AsDeviceError)
 // that unwinds a latched section leaves an action half done — space
@@ -181,7 +181,7 @@ func (hp *Heap) stopHeap() {
 	if !start.IsZero() {
 		wait = time.Since(start)
 	}
-	hp.met.latchStop.Observe(uint64(wait))
+	hp.met.LatchStop.Observe(uint64(wait))
 	if wait > latchStallThreshold {
 		hp.bb.Span(obs.EvLatchStall, wait, 0, 0, 0)
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"stableheap/internal/gc"
 	"stableheap/internal/lock"
 	"stableheap/internal/obs"
 	"stableheap/internal/recovery"
-	"stableheap/internal/stability"
 	"stableheap/internal/storage"
 	"stableheap/internal/tx"
 	"stableheap/internal/vm"
@@ -67,9 +65,7 @@ func (hp *Heap) TruncateLog() {
 // devices close. Open over the same backings reopens the heap from that
 // checkpoint.
 func (hp *Heap) Close() {
-	// The watchdog goroutine snapshots metrics under the shared latch:
-	// stop it before anything below goes exclusive.
-	hp.stopWatchdog()
+	hp.wd.Stop()
 	// Let every commit parked on a force finish first (commitGate).
 	hp.commitGate.Lock()
 	defer hp.commitGate.Unlock()
@@ -106,7 +102,7 @@ func (hp *Heap) Close() {
 // storage.ErrCorrupt) has unwound one operation, every other call — on any
 // goroutine — panics with that same error rather than run on.
 func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
-	hp.stopWatchdog()
+	hp.wd.Stop()
 	// A commit parked on a force is acknowledged first (commitGate).
 	hp.commitGate.Lock()
 	defer hp.commitGate.Unlock()
@@ -203,7 +199,7 @@ func Open(cfg Config, db, lb storage.Backing) (*Heap, error) {
 		return nil, err
 	}
 	if hp.lastRecovery != nil {
-		hp.met.recReopen.Observe(uint64(reopen))
+		hp.met.Recovery.Reopen.Observe(uint64(reopen))
 	}
 	return hp, nil
 }
@@ -243,9 +239,10 @@ func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool
 		return nil, err
 	}
 	hp.lastRecovery = res
-	hp.met.recAnalysis.Observe(uint64(res.Stats.Analysis))
-	hp.met.recRedo.Observe(uint64(res.Stats.Redo))
-	hp.met.recUndo.Observe(uint64(res.Stats.Undo))
+	hp.reg.Register(&hp.met.Recovery)
+	hp.met.Recovery.Analysis.Observe(uint64(res.Stats.Analysis))
+	hp.met.Recovery.Redo.Observe(uint64(res.Stats.Redo))
+	hp.met.Recovery.Undo.Observe(uint64(res.Stats.Undo))
 	cp := res.CP
 
 	hp.rootObj = cp.RootObj
@@ -310,7 +307,7 @@ func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool
 				return nil, err
 			}
 			hp.vgc.CollectRecovered()
-			hp.met.recEvacuate.Since(start)
+			hp.met.Recovery.Evacuate.Since(start)
 		}
 		hp.clearLS()
 		hp.volRootObj = hp.allocVolRootObj()
@@ -496,11 +493,11 @@ func (hp *Heap) CollectVolatile() (int, error) {
 	if hp.cfg.Undivided {
 		return 0, nil
 	}
-	before := hp.vgc.Stats().MovedObjs
+	before := hp.vgc.Met.MovedObjs.Load()
 	if err := hp.collectVolatile(); err != nil {
 		return 0, err
 	}
-	return int(hp.vgc.Stats().MovedObjs - before), nil
+	return int(hp.vgc.Met.MovedObjs.Load() - before), nil
 }
 
 // CollectNursery runs one minor collection (divided mode with a nursery),
@@ -513,11 +510,11 @@ func (hp *Heap) CollectNursery() (int, error) {
 	if hp.nurLo == 0 {
 		return 0, nil
 	}
-	before := hp.vgc.Stats().PromotedObjs
+	before := hp.vgc.Met.Nursery.PromotedObjs.Load()
 	if err := hp.collectNursery(); err != nil {
 		return 0, err
 	}
-	return int(hp.vgc.Stats().PromotedObjs - before), nil
+	return int(hp.vgc.Met.Nursery.PromotedObjs.Load() - before), nil
 }
 
 // ConcurrentScanActive reports whether a mostly-concurrent volatile scan
@@ -595,40 +592,6 @@ func (hp *Heap) FlushResident(keep func(word.PageID) bool) {
 		}
 	}
 }
-
-// TxStats returns transaction-manager counters.
-func (hp *Heap) TxStats() tx.Stats { return hp.txm.Stats() }
-
-// GCStats returns stable-collector counters. Taken under the shared latch
-// so a concurrent stable scan quantum never races the snapshot.
-func (hp *Heap) GCStats() gc.Stats {
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	return hp.sgc.Stats()
-}
-
-// VGCStats returns volatile-collector counters (zero when Undivided). Taken
-// under the shared latch so a concurrent scan quantum never races the
-// snapshot.
-func (hp *Heap) VGCStats() gc.VolatileStats {
-	if hp.vgc == nil {
-		return gc.VolatileStats{}
-	}
-	excl := hp.rlock()
-	defer hp.runlock(excl)
-	return hp.vgc.Stats()
-}
-
-// TrackerStats returns stability-tracker counters (zero when Undivided).
-func (hp *Heap) TrackerStats() stability.Stats {
-	if hp.track == nil {
-		return stability.Stats{}
-	}
-	return hp.track.Stats()
-}
-
-// CheckpointStats returns checkpointer counters.
-func (hp *Heap) CheckpointStats() recovery.CheckpointStats { return hp.ckpt.Stats() }
 
 // recoverMedia rebuilds the entire stable heap from the log alone — the
 // total-media-failure case of §2.2.2: the master is gone, but "our

@@ -174,16 +174,17 @@ func TestNurseryAbsorbsShortLivedGarbage(t *testing.T) {
 		}
 		commit(t, tr)
 	}
-	vs := hp.VGCStats()
-	if vs.MinorCollections == 0 {
+	m := hp.Metrics()
+	if m.Counter("vgc_nursery_minor_total") == 0 {
 		t.Fatal("expected minor collections from nursery churn")
 	}
-	if vs.NurseryAllocObjs == 0 {
+	allocated, promoted := m.Counter("vgc_nursery_alloc_objects_total"), m.Counter("vgc_nursery_promoted_objects_total")
+	if allocated == 0 {
 		t.Fatal("expected nursery allocations")
 	}
-	if vs.PromotedObjs*4 > vs.NurseryAllocObjs {
+	if promoted*4 > allocated {
 		t.Fatalf("too many survivors: %d promoted of %d allocated (garbage should die young)",
-			vs.PromotedObjs, vs.NurseryAllocObjs)
+			promoted, allocated)
 	}
 }
 
@@ -198,9 +199,15 @@ func TestNurseryDisabled(t *testing.T) {
 	if hp.NurseryUsedWords() != 0 {
 		t.Fatal("disabled nursery must never hold allocations")
 	}
-	vs := hp.VGCStats()
-	if vs.NurseryAllocObjs != 0 || vs.MinorCollections != 0 {
-		t.Fatalf("disabled nursery recorded activity: %+v", vs)
+	if n := &hp.vgc.Met.Nursery; n.AllocObjs.Load() != 0 || n.Minors.Load() != 0 {
+		t.Fatalf("disabled nursery recorded activity: %d allocations, %d minor collections",
+			n.AllocObjs.Load(), n.Minors.Load())
+	}
+	m := hp.Metrics()
+	for _, name := range []string{"vgc_nursery_alloc_objects_total", "vgc_nursery_minor_total"} {
+		if _, ok := m.Counters[name]; ok {
+			t.Fatalf("disabled nursery reports %s", name)
+		}
 	}
 	checkList(t, hp, 0, 10, 5)
 }
@@ -268,8 +275,7 @@ func TestConcurrentScanPreservesData(t *testing.T) {
 	if hp.ConcurrentScanActive() {
 		t.Fatal("FinishVolatileScan left the scan active")
 	}
-	vs := hp.VGCStats()
-	if vs.ConcCollections == 0 {
+	if hp.Metrics().Counter("vgc_conc_collections_total") == 0 {
 		t.Fatal("expected a concurrent collection")
 	}
 	checkList(t, hp, 0, 10, 100)

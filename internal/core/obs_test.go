@@ -2,8 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"stableheap/internal/gc"
+	"stableheap/internal/obs"
 )
 
 // obsWorkload drives a mixed workload: allocations, pointer and data
@@ -219,4 +224,155 @@ func TestRecoveryMetrics(t *testing.T) {
 			t.Errorf("trace missing recovery phase %q (spans: %v)", want, spans)
 		}
 	}
+}
+
+// TestSATBCounterPerArea gives each concurrent scan its own SATB counter:
+// one deletion-barrier hit in a concurrent volatile scan, with no stable
+// collection ever run, reads 1 on vgc_conc_satb_gray_total and 0 on
+// gc_conc_satb_gray_total.
+func TestSATBCounterPerArea(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StableGC, cfg.ConcurrentVGC, cfg.ManualScan = gc.Concurrent, true, true
+	hp := openMem(cfg)
+	defer hp.Close()
+	tr := hp.Begin()
+	a, err := tr.Alloc(1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tr.Alloc(1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SetPtr(a, 0, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SetVolRoot(0, a); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tr)
+	if _, err := hp.CollectVolatile(); err != nil {
+		t.Fatal(err)
+	}
+	if !hp.ConcurrentScanActive() {
+		t.Fatal("no concurrent volatile scan in flight")
+	}
+	// Reading the root transports a; its slot still names b in from-space
+	// (ManualScan: no quantum has run), and clearing it grays b.
+	tr = hp.Begin()
+	if a, err = tr.VolRoot(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SetPtr(a, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tr)
+	m := hp.Metrics()
+	for name, want := range map[string]int64{"gc_conc_satb_gray_total": 0, "vgc_conc_satb_gray_total": 1, "gc_collections_total": 0} {
+		if got, ok := m.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	hp.FinishVolatileScan()
+}
+
+// TestMetricsWhileStopped scrapes a stopped heap: Metrics takes no latch,
+// so it answers while another goroutine holds the stop latch exclusively.
+func TestMetricsWhileStopped(t *testing.T) {
+	hp := openMem(DefaultConfig())
+	defer hp.Close()
+	obsWorkload(t, hp)
+	hp.stop.Lock()
+	defer hp.stop.Unlock()
+	done := make(chan obs.Snapshot, 1)
+	go func() { done <- hp.Metrics() }()
+	select {
+	case m := <-done:
+		if m.Counter("tx_committed_total") == 0 {
+			t.Fatal("the scrape of a stopped heap read no commits")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Metrics blocked on a stopped heap")
+	}
+}
+
+// TestMetricsScrapeDuringConcurrentScans scrapes in a loop while both
+// areas' concurrent scans run on their collector goroutines and committers
+// run beside them: under -race it holds every registered metric to atomic
+// access, and no counter may go backwards between two scrapes.
+func TestMetricsScrapeDuringConcurrentScans(t *testing.T) {
+	cfg := nurseryCfg()
+	cfg.StableGC, cfg.ConcurrentVGC = gc.Concurrent, true
+	hp := openMem(cfg)
+	defer hp.Close()
+	for slot := 0; slot < 4; slot++ {
+		buildList(t, hp, slot, 8, uint64(100*slot))
+	}
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		prev := hp.Metrics()
+		for {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+			}
+			cur := hp.Metrics()
+			for name, v := range prev.Counters {
+				if cur.Counters[name] < v {
+					scraped <- fmt.Errorf("%s went from %d to %d", name, v, cur.Counters[name])
+					return
+				}
+			}
+			prev = cur
+		}
+	}()
+	for round := 0; round < 4; round++ {
+		hp.StartStableCollection()
+		if _, err := hp.CollectVolatile(); err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < 4; slot++ {
+			buildList(t, hp, slot, 8, uint64(100*slot+round))
+		}
+	}
+	hp.FinishVolatileScan()
+	hp.FinishStableScan()
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 4; slot++ {
+		checkList(t, hp, slot, 8, uint64(100*slot+3))
+	}
+	if m := hp.Metrics(); m.Counter("gc_conc_collections_total") == 0 || m.Counter("vgc_conc_collections_total") == 0 {
+		t.Fatal("no concurrent collection ran")
+	}
+}
+
+// TestMetricsScrapeAcrossClose scrapes in a loop while the heap closes with
+// its watchdog running: a scrape takes no latch, so it may overlap Close,
+// and it reads nothing Close rewrites.
+func TestMetricsScrapeAcrossClose(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WatchdogInterval = time.Millisecond
+	hp := openMem(cfg)
+	obsWorkload(t, hp)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				hp.Metrics()
+			}
+		}
+	}()
+	hp.Close()
+	close(stop)
+	<-done
 }

@@ -44,7 +44,6 @@ func TestOwnedStoreConcurrentMetrics(t *testing.T) {
 			default:
 			}
 			hp.Metrics()
-			hp.Mem().Stats()
 		}
 	}()
 	errs := make(chan error, workers+1)

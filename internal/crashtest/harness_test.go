@@ -196,7 +196,7 @@ func TestStableGCModeTable(t *testing.T) {
 			d := New(c, seeds[mode])
 			steps(d, 60)
 			d.Heap().CollectStable() // nothing in flight before the measured flip
-			flips := d.Heap().GCStats().Collections
+			flips := d.Heap().Metrics().Counter("gc_collections_total")
 			d.Heap().StartStableCollection()
 			if active := d.Heap().StableCollector().Active(); active != (mode != gc.StopTheWorld) {
 				t.Fatalf("after the flip: collection active = %v", active)
@@ -209,7 +209,7 @@ func TestStableGCModeTable(t *testing.T) {
 			if err := d.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			if got := d.Heap().GCStats().Collections - flips; got != 1 {
+			if got := d.Heap().Metrics().Counter("gc_collections_total") - flips; got != 1 {
 				t.Fatalf("%d collections ran, want the one walked through", got)
 			}
 

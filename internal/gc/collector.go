@@ -138,22 +138,30 @@ func handOff(q *word.Moves, relocate func(word.Moves)) {
 	*q = (*q)[:0]
 }
 
-// Stats counts collector work. The pause histograms (flip, scan step,
-// trap) are always on: recording is a few atomic adds, so there is no
-// measurement mode to forget — every run yields the E3 pause table.
-type Stats struct {
-	Collections  int
-	CopiedObjs   int64
-	CopiedWords  int64
-	ScannedPages int64
-	ScannedSlots int64
-	FillerWords  int64
-	GCEndFlushes int64 // to-space pages written back at collection ends
-	ConcStats          // Concurrent mode
-	Flip         obs.HistSnapshot
-	Step         obs.HistSnapshot
-	Trap         obs.HistSnapshot
-	Quantum      obs.HistSnapshot
+// Metrics counts stable-collector work. The pause histograms (flip, scan
+// step, trap) are always on: recording is a few atomic adds, so there is no
+// measurement mode to forget — every run yields the E3 pause table. Conc
+// counts mostly-concurrent work (scan quanta on the collector goroutine or
+// a commit assist, transports on mutator load paths, and the core's SATB
+// deletion-barrier hits); it is registered only in Concurrent mode.
+type Metrics struct {
+	Collections  obs.Counter   `obs:"gc_collections_total"`
+	CopiedObjs   obs.Counter   `obs:"gc_copied_objects_total"`
+	CopiedWords  obs.Counter   `obs:"gc_copied_words_total"`
+	ScannedPages obs.Counter   `obs:"gc_scanned_pages_total"`
+	ScannedSlots obs.Counter   `obs:"gc_scanned_slots_total"`
+	FillerWords  obs.Counter   `obs:"gc_filler_words_total"`
+	EndFlushes   obs.Counter   `obs:"gc_end_flushes_total"` // to-space pages written back at collection ends
+	Flip         obs.Histogram `obs:"gc_flip_ns"`
+	Step         obs.Histogram `obs:"gc_step_ns"`
+	Trap         obs.Histogram `obs:"gc_trap_ns"`
+	Conc         struct {
+		Collections obs.Counter   `obs:"gc_conc_collections_total"`
+		Quanta      obs.Counter   `obs:"gc_conc_quanta_total"`
+		Transports  obs.Counter   `obs:"gc_conc_transports_total"`
+		SATBGray    obs.Counter   `obs:"gc_conc_satb_gray_total"`
+		Quantum     obs.Histogram `obs:"gc_conc_quantum_ns"`
+	}
 }
 
 // Collector manages one area of the heap with two semispaces.
@@ -185,11 +193,8 @@ type Collector struct {
 	// collector goroutine instead of under the stop latch.
 	concState
 
-	stats Stats
-	flipH obs.Histogram
-	stepH obs.Histogram
-	trapH obs.Histogram
-	bb    *obs.BlackBox
+	Met Metrics
+	bb  *obs.BlackBox
 }
 
 // New creates a collector for the area [lo, mid) ∪ [mid, hi) split into two
@@ -207,21 +212,6 @@ func New(cfg Config, mem *vm.Store, h *heap.Heap, log *wal.Manager, lo, hi word.
 
 // SetHooks installs the environment callbacks (done once by the core).
 func (c *Collector) SetHooks(h Hooks) { c.hooks = h }
-
-// Stats returns accumulated counters and pause-histogram snapshots.
-// transMu keeps the read coherent against concurrent transports; every
-// other writer runs with the caller (who holds at least the shared stop
-// latch) excluded.
-func (c *Collector) Stats() Stats {
-	c.transMu.Lock()
-	s := c.stats
-	c.transMu.Unlock()
-	s.Flip = c.flipH.Snapshot()
-	s.Step = c.stepH.Snapshot()
-	s.Trap = c.trapH.Snapshot()
-	s.Quantum = c.quantumH.Snapshot()
-	return s
-}
 
 // SetRecorder wires an optional flight recorder: flips, steps and traps
 // land in its timeline as spans. Nil disables.
@@ -251,7 +241,7 @@ func (c *Collector) InArea(a word.Addr) bool {
 // collection and retries.
 func (c *Collector) Alloc(sizeWords int) (word.Addr, bool) {
 	if c.active {
-		if c.concActive && c.to.FreeWords()-sizeWords < c.concRemainingWords(c.stats.CopiedWords) {
+		if c.concActive && c.to.FreeWords()-sizeWords < c.concRemainingWords(c.Met.CopiedWords.Load()) {
 			return word.NilAddr, false
 		}
 		return c.to.AllocHigh(sizeWords)
@@ -282,7 +272,7 @@ func (c *Collector) FreeWords() int {
 	if c.active {
 		free := c.to.FreeWords()
 		if c.concActive {
-			free -= c.concRemainingWords(c.stats.CopiedWords)
+			free -= c.concRemainingWords(c.Met.CopiedWords.Load())
 			if free < 0 {
 				free = 0
 			}
@@ -325,13 +315,13 @@ func (c *Collector) StartCollection(rootObj word.Addr) word.Addr {
 	nPages := int((c.to.Hi - c.to.Lo + word.Addr(c.pageSize()) - 1) / word.Addr(c.pageSize()))
 	c.scanned = make([]bool, nPages)
 	c.lot = heap.NewLastObjTable(c.to.Lo, c.to.Hi, c.pageSize())
-	c.stats.Collections++
+	c.Met.Collections.Inc()
 	if concurrent {
 		// Record the reserve before the root copies below count against
 		// it: remaining-to-copy = reserve - (CopiedWords - base).
 		c.concReserve = spaceUsedWords(c.from)
-		c.concBaseCopied = c.stats.CopiedWords
-		c.stats.ConcCollections++
+		c.concBaseCopied = c.Met.CopiedWords.Load()
+		c.Met.Conc.Collections.Inc()
 	}
 
 	// The flip record precedes the root copy records so that recovery
@@ -381,12 +371,12 @@ func (c *Collector) StartCollection(rootObj word.Addr) word.Addr {
 	}
 	handOff(&c.relocs, c.hooks.Relocate)
 	d := time.Since(start)
-	c.flipH.Observe(uint64(d))
+	c.Met.Flip.Observe(uint64(d))
 	var mode uint64
 	if concurrent {
 		mode = 1
 	}
-	c.bb.Span(obs.EvGCFlip, d, 0, uint64(c.stats.Collections), mode)
+	c.bb.Span(obs.EvGCFlip, d, 0, c.Met.Collections.Load(), mode)
 	return newRoot
 }
 
@@ -417,8 +407,8 @@ func (c *Collector) forward(from word.Addr) word.Addr {
 	c.mem.WriteBytes(to, img, lsn)
 	c.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), lsn)
 	c.lot.Record(to)
-	c.stats.CopiedObjs++
-	c.stats.CopiedWords += int64(size)
+	c.Met.CopiedObjs.Inc()
+	c.Met.CopiedWords.Add(uint64(size))
 	c.relocs = append(c.relocs, word.Move{From: from, To: to, Words: size})
 	return to
 }
@@ -442,7 +432,7 @@ func (c *Collector) Step() bool {
 	// traffic, not a mutator pause; it is excluded here and reported
 	// separately.
 	d := time.Since(start)
-	c.stepH.Observe(uint64(d))
+	c.Met.Step.Observe(uint64(d))
 	c.bb.Span(obs.EvGCStep, d, 0, c.epoch, 0)
 	c.maybeFinish()
 	return c.active
@@ -481,7 +471,7 @@ func (c *Collector) maybeFinish() {
 	// (ROADMAP item 16 takes it out of the stop). Content-carrying copy
 	// records (E14) are self-contained, so they skip it.
 	if !c.cfg.CopyContents {
-		c.stats.GCEndFlushes += int64(c.mem.FlushRange(c.to.Lo, c.to.Hi))
+		c.Met.EndFlushes.Add(uint64(c.mem.FlushRange(c.to.Lo, c.to.Hi)))
 	}
 	// Free from-space: drop its pages without writing them back. Their
 	// dirty entries (forwarding-pointer writes) are discarded too — redo
@@ -519,7 +509,7 @@ func (c *Collector) Trap(pg word.PageID) {
 	// on every page — the sweep catches up and unprotects ahead of it.
 	c.sequentialScan(stepPages * word.BytesToWords(c.pageSize()))
 	d := time.Since(start)
-	c.trapH.Observe(uint64(d))
+	c.Met.Trap.Observe(uint64(d))
 	c.bb.Span(obs.EvGCTrap, d, 0, c.epoch, uint64(pg))
 	c.maybeFinish()
 }
@@ -566,8 +556,8 @@ func (c *Collector) scanPage(pg word.PageID) {
 	}
 	c.scanned[idx] = true
 	c.mem.Unprotect(pg)
-	c.stats.ScannedPages++
-	c.stats.ScannedSlots += int64(len(fixes))
+	c.Met.ScannedPages.Inc()
+	c.Met.ScannedSlots.Add(uint64(len(fixes)))
 }
 
 // scanObjectSlots computes the pointer fixes for the slots of the object at
@@ -608,7 +598,7 @@ func (c *Collector) plantFiller(end word.Addr) {
 	lsn := c.log.Append(wal.AllocRec{Addr: a, Descriptor: uint64(d), SizeWords: gap})
 	c.h.SetDescriptor(a, d, lsn)
 	c.lot.Record(a)
-	c.stats.FillerWords += int64(gap)
+	c.Met.FillerWords.Add(uint64(gap))
 }
 
 // sequentialScan is the background scanner: it sweeps objects from the
@@ -640,7 +630,7 @@ func (c *Collector) sequentialScan(quantum int) {
 		for _, f := range fixes {
 			c.mem.WriteWord(f.Addr, uint64(f.NewPtr), lsn)
 		}
-		c.stats.ScannedSlots += int64(len(fixes))
+		c.Met.ScannedSlots.Add(uint64(len(fixes)))
 		fixes = nil
 	}
 	markThrough := func(limit word.Addr) {
@@ -654,7 +644,7 @@ func (c *Collector) sequentialScan(quantum int) {
 			if !c.scanned[c.marked] {
 				c.scanned[c.marked] = true
 				c.mem.Unprotect(base.Page(ps))
-				c.stats.ScannedPages++
+				c.Met.ScannedPages.Inc()
 			}
 		}
 	}
@@ -764,7 +754,7 @@ func (c *Collector) Restore(st wal.GCState, cur int) {
 		if c.concReserve < 0 {
 			c.concReserve = 0
 		}
-		c.concBaseCopied = c.stats.CopiedWords
+		c.concBaseCopied = c.Met.CopiedWords.Load()
 		c.concActive = true
 		return
 	}

@@ -40,30 +40,21 @@ import (
 // exclusive gate, and transports under transMu while holding the shared
 // gate — each pair mutually exclusive.
 
-// ConcStats counts mostly-concurrent work: scan quanta run on the collector
-// goroutine (or a commit assist), transports on mutator load paths.
-type ConcStats struct {
-	ConcCollections int
-	ConcQuanta      int64
-	ConcTransports  int64
-}
-
 // concState is the bookkeeping either collector keeps for a mostly-
 // concurrent collection. transMu serializes mutator transports against each
 // other (the collector goroutine holds the gate exclusively, so it cannot
-// race them) and keeps Stats() coherent against them. concReserve is the
-// to-space headroom kept free for copies still in flight.
+// race them). concReserve is the to-space headroom kept free for copies
+// still in flight.
 type concState struct {
 	concActive     bool
-	concReserve    int   // from-space words still to copy at the flip
-	concBaseCopied int64 // the collector's CopiedWords at the flip
+	concReserve    int    // from-space words still to copy at the flip
+	concBaseCopied uint64 // the collector's CopiedWords at the flip
 	transMu        sync.Mutex
-	quantumH       obs.Histogram
 }
 
 // concRemainingWords returns the to-space words still reserved for
 // in-flight copies: the reserve minus what has been copied since the flip.
-func (s *concState) concRemainingWords(copied int64) int {
+func (s *concState) concRemainingWords(copied uint64) int {
 	if rem := s.concReserve - int(copied-s.concBaseCopied); rem > 0 {
 		return rem
 	}
@@ -92,7 +83,7 @@ func (v *VolatileCollector) StartConcurrent() int {
 	}
 	start := time.Now()
 	c := v.flip(false)
-	v.stats.ConcCollections++
+	v.Met.Conc.Collections.Inc()
 	v.begin(c, nil, true)
 	v.scanMoved(c)
 	n := v.logMoves()
@@ -100,13 +91,13 @@ func (v *VolatileCollector) StartConcurrent() int {
 	// scan that follows is pure unlogged copying.
 	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: n})
 	v.concReserve = spaceUsedWords(c.from[0])
-	v.concBaseCopied = v.stats.CopiedWords
+	v.concBaseCopied = v.Met.CopiedWords.Load()
 	v.major = c
 	v.concActive = true
 	handOff(&v.relocs, v.hooks.Relocate)
 	d := time.Since(start)
-	v.flipPauseH.Observe(uint64(d))
-	v.pauseH.Observe(uint64(d))
+	v.Met.Conc.FlipPause.Observe(uint64(d))
+	v.Met.Pause.Observe(uint64(d))
 	v.bb.SetGCEpoch(v.epoch)
 	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 1)
 	return n
@@ -121,8 +112,8 @@ func (v *VolatileCollector) ScanQuantum(budgetWords int) bool {
 	}
 	start := time.Now()
 	more := v.scan(v.major, budgetWords)
-	v.stats.ConcQuanta++
-	v.quantumH.Since(start)
+	v.Met.Conc.Quanta.Inc()
+	v.Met.Conc.Quantum.Since(start)
 	return more
 }
 
@@ -137,7 +128,7 @@ func (v *VolatileCollector) Load(p word.Addr) word.Addr {
 	if !v.concActive || !v.major.inFrom(p) {
 		return p
 	}
-	v.stats.ConcTransports++
+	v.Met.Conc.Transports.Inc()
 	defer handOff(&v.relocs, v.hooks.Relocate)
 	return v.evacuate(v.major, p)
 }

@@ -20,8 +20,8 @@ func (c *Collector) ScanQuantum(budgetWords int) bool {
 	}
 	start := time.Now()
 	c.sequentialScan(budgetWords)
-	c.stats.ConcQuanta++
-	c.quantumH.Since(start)
+	c.Met.Conc.Quanta.Inc()
+	c.Met.Conc.Quantum.Since(start)
 	return c.scanPtr < c.to.CopyPtr
 }
 
@@ -49,7 +49,7 @@ func (c *Collector) transport(p word.Addr) word.Addr {
 		unlock := c.hooks.LockShards(c.to.CopyPtr, d.SizeWords())
 		defer unlock()
 	}
-	c.stats.ConcTransports++
+	c.Met.Conc.Transports.Inc()
 	defer handOff(&c.relocs, c.hooks.Relocate)
 	return c.forward(p)
 }

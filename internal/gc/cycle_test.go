@@ -141,8 +141,8 @@ func TestCycleFromSets(t *testing.T) {
 				t.Fatalf("moved %d, want 0", moved)
 			}
 			e.wantIDs(e.roots[0], e.v.Current(), 10, 5)
-			if s := e.v.Stats(); s.CopiedObjs != 5 || s.PromotedObjs != 0 {
-				t.Fatalf("copied %d promoted %d, want 5 and 0", s.CopiedObjs, s.PromotedObjs)
+			if s := &e.v.Met; s.CopiedObjs.Load() != 5 || s.Nursery.PromotedObjs.Load() != 0 {
+				t.Fatalf("copied %d promoted %d, want 5 and 0", s.CopiedObjs.Load(), s.Nursery.PromotedObjs.Load())
 			}
 			if e.v.Current() == old || !empty(old) || !empty(e.v.Nursery()) {
 				t.Fatal("from-set (old semispace and nursery) not retired")
@@ -164,7 +164,7 @@ func TestCycleFromSets(t *testing.T) {
 			if k := e.logKinds(); k[wal.TVFlip] != 1 {
 				t.Fatalf("log kinds after the flip = %v: the flip is the logged collection", k)
 			}
-			if got := e.v.Stats().CopiedObjs; got != 2 {
+			if got := e.v.Met.CopiedObjs.Load(); got != 2 {
 				t.Fatalf("flip copied %d objects, want the 2 roots", got)
 			}
 			// A mutator load mid-scan transports its from-space target.
@@ -220,8 +220,8 @@ func TestCycleFromSets(t *testing.T) {
 			}
 			high := heap.NewSpace(e.v.Current().AllocPtr, highBefore)
 			e.wantIDs(e.roots[1], high, 60, 3) // promotions land high
-			if st := e.v.Stats(); st.PromotedObjs != 3 || st.MovedObjs != 1 || !empty(e.v.Nursery()) {
-				t.Fatalf("promoted %d moved %d, nursery empty %v", st.PromotedObjs, st.MovedObjs, empty(e.v.Nursery()))
+			if st := &e.v.Met; st.Nursery.PromotedObjs.Load() != 3 || st.MovedObjs.Load() != 1 || !empty(e.v.Nursery()) {
+				t.Fatalf("promoted %d moved %d, nursery empty %v", st.Nursery.PromotedObjs.Load(), st.MovedObjs.Load(), empty(e.v.Nursery()))
 			}
 			if p := e.h.Ptr(s, 0); !e.stable.Contains(p) || e.h.Data(p, e.h.Descriptor(p), 0) != 70 {
 				t.Fatal("newly stable nursery object did not move into the stable area")

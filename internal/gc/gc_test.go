@@ -262,7 +262,7 @@ func TestEllisIncrementalWithMutatorTraps(t *testing.T) {
 			t.Fatal("collection did not terminate")
 		}
 		verifyGraph(t, e, model, roots)
-		if e.mem.Stats().Traps == 0 {
+		if e.mem.Met.Traps.Load() == 0 {
 			t.Fatal("expected read-barrier traps")
 		}
 	}
@@ -342,8 +342,8 @@ func TestAtomicCollectionLogsFlipCopyScanEnd(t *testing.T) {
 	if copies == 0 || scans == 0 {
 		t.Fatalf("copies=%d scans=%d, want > 0", copies, scans)
 	}
-	if int64(copies) != e.c.Stats().CopiedObjs {
-		t.Fatalf("copy records (%d) must match copied objects (%d)", copies, e.c.Stats().CopiedObjs)
+	if uint64(copies) != e.c.Met.CopiedObjs.Load() {
+		t.Fatalf("copy records (%d) must match copied objects (%d)", copies, e.c.Met.CopiedObjs.Load())
 	}
 }
 
@@ -454,7 +454,7 @@ func TestFillerPlantedOnFrontierTrap(t *testing.T) {
 	// The root copy landed on the first to-space page; trap it: the
 	// frontier is on that page, so a filler must be planted.
 	e.loadData(e.roots[0], 0)
-	if e.c.Stats().FillerWords == 0 {
+	if e.c.Met.FillerWords.Load() == 0 {
 		t.Fatal("expected a filler object when scanning the frontier page")
 	}
 	// The to-space stays parseable and the collection still terminates.
@@ -527,8 +527,8 @@ func TestVolatileCollectorBasics(t *testing.T) {
 	if h.Data(nb, h.Descriptor(nb), 0) != 2 {
 		t.Fatal("child lost")
 	}
-	if v.Stats().CopiedObjs != 2 {
-		t.Fatalf("copied %d, want 2 (garbage must die)", v.Stats().CopiedObjs)
+	if v.Met.CopiedObjs.Load() != 2 {
+		t.Fatalf("copied %d, want 2 (garbage must die)", v.Met.CopiedObjs.Load())
 	}
 	// Only the volatile-flip marker is logged.
 	kinds := map[wal.Type]int{}
@@ -664,11 +664,11 @@ func TestPauseMeasurement(t *testing.T) {
 	for e.c.Active() {
 		e.c.Step()
 	}
-	s := e.c.Stats()
-	if s.Flip.Count != 1 || s.Step.Count == 0 {
-		t.Fatalf("pause histograms: flip=%d steps=%d", s.Flip.Count, s.Step.Count)
+	flip, step := e.c.Met.Flip.Snapshot(), e.c.Met.Step.Snapshot()
+	if flip.Count != 1 || step.Count == 0 {
+		t.Fatalf("pause histograms: flip=%d steps=%d", flip.Count, step.Count)
 	}
-	if s.Flip.Max == 0 || s.Step.Sum == 0 {
-		t.Fatalf("pause histograms recorded zero time: flip max=%d step sum=%d", s.Flip.Max, s.Step.Sum)
+	if flip.Max == 0 || step.Sum == 0 {
+		t.Fatalf("pause histograms recorded zero time: flip max=%d step sum=%d", flip.Max, step.Sum)
 	}
 }

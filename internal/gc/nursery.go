@@ -62,8 +62,8 @@ func (v *VolatileCollector) AllocNursery(sizeWords int) (word.Addr, bool) {
 	}
 	a, ok := v.nursery.AllocLow(sizeWords)
 	if ok {
-		v.stats.NurseryAllocObjs++
-		v.stats.NurseryAllocWords += int64(sizeWords)
+		v.Met.Nursery.AllocObjs.Inc()
+		v.Met.Nursery.AllocWords.Add(uint64(sizeWords))
 	}
 	return a, ok
 }
@@ -77,7 +77,7 @@ func (v *VolatileCollector) CanMinor() bool {
 	}
 	free := v.Current().FreeWords()
 	if v.concActive {
-		free -= v.concRemainingWords(v.stats.CopiedWords)
+		free -= v.concRemainingWords(v.Met.CopiedWords.Load())
 	}
 	return free >= v.nurseryUsedWords()
 }
@@ -96,8 +96,8 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 		return 0
 	}
 	start := time.Now()
-	v.stats.MinorCollections++
-	basePromoted := v.stats.PromotedWords
+	v.Met.Nursery.Minors.Inc()
+	basePromoted := v.Met.Nursery.PromotedWords.Load()
 	usedWords := v.nurseryUsedWords()
 	c := &cycle{from: []*heap.Space{v.nursery}, to: v.Current(), high: v.concActive, minor: true}
 	v.begin(c, volSlots, true)
@@ -105,7 +105,7 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 
 	// RATIO growth: a high survival rate means the nursery is too small
 	// for the allocation pattern — grow the soft cap toward capacity.
-	promotedW := int(v.stats.PromotedWords - basePromoted)
+	promotedW := int(v.Met.Nursery.PromotedWords.Load() - basePromoted)
 	capWords := word.BytesToWords(int(v.nursery.Hi - v.nursery.Lo))
 	if promotedW*3 > usedWords && v.nurLimit < capWords {
 		nl := v.nurLimit * nurseryRatio
@@ -117,7 +117,7 @@ func (v *VolatileCollector) CollectNursery(volSlots []word.Addr) int {
 
 	v.retire(c)
 	d := time.Since(start)
-	v.minorPauseH.Observe(uint64(d))
+	v.Met.Nursery.MinorPause.Observe(uint64(d))
 	v.bb.Span(obs.EvMinorGC, d, 0, uint64(promotedW), uint64(usedWords))
 	return moved
 }

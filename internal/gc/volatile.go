@@ -39,29 +39,35 @@ type VolatileHooks struct {
 	OnStableSlotFixed func(slot, newPtr word.Addr, stillVolatile bool)
 }
 
-// VolatileStats counts volatile-area collections. Pause is the always-on
-// stop-the-world pause histogram; MinorPause, FlipPause and QuantumPause
-// cover the nursery and mostly-concurrent modes.
-type VolatileStats struct {
-	Collections int
-	CopiedObjs  int64
-	CopiedWords int64
-	MovedObjs   int64 // evacuated into the stable area
-	MovedWords  int64
-	Pause       obs.HistSnapshot
-
-	// Nursery generation.
-	MinorCollections  int
-	NurseryAllocObjs  int64
-	NurseryAllocWords int64
-	PromotedObjs      int64 // nursery survivors copied into older spaces
-	PromotedWords     int64
-	MinorPause        obs.HistSnapshot
-
-	// Mostly-concurrent mode.
-	ConcStats
-	FlipPause    obs.HistSnapshot
-	QuantumPause obs.HistSnapshot
+// VolatileMetrics counts volatile-area collections. Pause is the always-on
+// stop-the-world pause histogram. Nursery counts the nursery generation and
+// is registered only when there is one; Conc counts the mostly-concurrent
+// mode (ScanQuantum / Load, and the core's SATB deletion-barrier hits) and
+// is registered only in that mode.
+type VolatileMetrics struct {
+	Collections obs.Counter   `obs:"vgc_collections_total"`
+	CopiedObjs  obs.Counter   `obs:"vgc_copied_objects_total"`
+	CopiedWords obs.Counter   `obs:"vgc_copied_words_total"`
+	MovedObjs   obs.Counter   `obs:"vgc_moved_objects_total"` // evacuated into the stable area
+	MovedWords  obs.Counter   `obs:"vgc_moved_words_total"`
+	Pause       obs.Histogram `obs:"vgc_pause_ns"`
+	Nursery     struct {
+		Minors        obs.Counter   `obs:"vgc_nursery_minor_total"`
+		AllocObjs     obs.Counter   `obs:"vgc_nursery_alloc_objects_total"`
+		AllocWords    obs.Counter   `obs:"vgc_nursery_alloc_words_total"`
+		PromotedObjs  obs.Counter   `obs:"vgc_nursery_promoted_objects_total"` // survivors copied into older spaces
+		PromotedWords obs.Counter   `obs:"vgc_nursery_promoted_words_total"`
+		BarrierHits   obs.Counter   `obs:"vgc_nursery_barrier_hits_total"` // the core's generational write barrier
+		MinorPause    obs.Histogram `obs:"vgc_minor_pause_ns"`
+	}
+	Conc struct {
+		Collections obs.Counter   `obs:"vgc_conc_collections_total"`
+		Quanta      obs.Counter   `obs:"vgc_conc_quanta_total"`
+		Transports  obs.Counter   `obs:"vgc_conc_transports_total"`
+		SATBGray    obs.Counter   `obs:"vgc_conc_satb_gray_total"`
+		FlipPause   obs.Histogram `obs:"vgc_conc_flip_pause_ns"`
+		Quantum     obs.Histogram `obs:"vgc_conc_quantum_ns"`
+	}
 }
 
 // VolatileCollector is the plain, unlogged copying collector of the
@@ -97,14 +103,11 @@ type VolatileCollector struct {
 	concState
 	major *cycle
 
-	relocs      word.Moves // moves not yet handed to hooks.Relocate
-	img         []byte     // evacuate's object image, reused
-	mv          moveBuf    // the cycle's moves into the stable area
-	stats       VolatileStats
-	pauseH      obs.Histogram
-	minorPauseH obs.Histogram
-	flipPauseH  obs.Histogram
-	bb          *obs.BlackBox
+	relocs word.Moves // moves not yet handed to hooks.Relocate
+	img    []byte     // evacuate's object image, reused
+	mv     moveBuf    // the cycle's moves into the stable area
+	Met    VolatileMetrics
+	bb     *obs.BlackBox
 }
 
 // NewVolatile creates the volatile-area collector over [lo, hi), split into
@@ -128,18 +131,6 @@ func (v *VolatileCollector) SetHooks(h VolatileHooks) { v.hooks = h }
 // collections land in its timeline as spans, stamped with the new epoch.
 // Nil disables.
 func (v *VolatileCollector) SetRecorder(b *obs.BlackBox) { v.bb = b }
-
-// Stats returns accumulated counters and the pause-histogram snapshots.
-func (v *VolatileCollector) Stats() VolatileStats {
-	v.transMu.Lock()
-	s := v.stats
-	v.transMu.Unlock()
-	s.Pause = v.pauseH.Snapshot()
-	s.MinorPause = v.minorPauseH.Snapshot()
-	s.FlipPause = v.flipPauseH.Snapshot()
-	s.QuantumPause = v.quantumH.Snapshot()
-	return s
-}
 
 // Epoch returns the number of volatile flips performed (minor collections
 // do not flip and do not advance the epoch).
@@ -169,7 +160,7 @@ func (v *VolatileCollector) InArea(a word.Addr) bool {
 // headroom for the copies the scan has yet to make.
 func (v *VolatileCollector) Alloc(sizeWords int) (word.Addr, bool) {
 	if v.concActive {
-		if v.Current().FreeWords()-sizeWords < v.concRemainingWords(v.stats.CopiedWords) {
+		if v.Current().FreeWords()-sizeWords < v.concRemainingWords(v.Met.CopiedWords.Load()) {
 			return word.NilAddr, false
 		}
 		return v.Current().AllocHigh(sizeWords)
@@ -238,7 +229,7 @@ func (c *cycle) inFrom(a word.Addr) bool {
 // (and the nursery, if asked).
 func (v *VolatileCollector) flip(withNursery bool) *cycle {
 	v.epoch++
-	v.stats.Collections++
+	v.Met.Collections.Inc()
 	c := &cycle{from: []*heap.Space{v.spaces[v.cur]}}
 	if withNursery {
 		c.from = append(c.from, v.nursery)
@@ -382,7 +373,7 @@ func (v *VolatileCollector) Collect() int {
 	v.log.Append(wal.VFlipRec{Epoch: v.epoch, Moved: n})
 	v.retire(c)
 	d := time.Since(start)
-	v.pauseH.Observe(uint64(d))
+	v.Met.Pause.Observe(uint64(d))
 	v.bb.SetGCEpoch(v.epoch)
 	v.bb.Span(obs.EvVGCFlip, d, 0, v.epoch, 0)
 	return n
@@ -399,7 +390,7 @@ func (v *VolatileCollector) Collect() int {
 // eventual abort must restore, possibly reachable nowhere else.
 func (v *VolatileCollector) CollectRecovered() int {
 	v.epoch++
-	v.stats.Collections++
+	v.Met.Collections.Inc()
 	c := &cycle{from: []*heap.Space{v.spaces[0], v.spaces[1]}}
 	if v.nursery != nil {
 		c.from = append(c.from, v.nursery)
@@ -453,11 +444,11 @@ func (v *VolatileCollector) evacuate(c *cycle, from word.Addr) word.Addr {
 	v.mem.WriteBytes(to, v.img, word.NilLSN)
 	v.mem.WriteWord(from, uint64(heap.ForwardingDescriptor(to)), word.NilLSN)
 	if c.minor {
-		v.stats.PromotedObjs++
-		v.stats.PromotedWords += int64(size)
+		v.Met.Nursery.PromotedObjs.Inc()
+		v.Met.Nursery.PromotedWords.Add(uint64(size))
 	} else {
-		v.stats.CopiedObjs++
-		v.stats.CopiedWords += int64(size)
+		v.Met.CopiedObjs.Inc()
+		v.Met.CopiedWords.Add(uint64(size))
 	}
 	c.gray = append(c.gray, to)
 	v.relocs = append(v.relocs, word.Move{From: from, To: to, Words: size})
@@ -498,8 +489,8 @@ func (v *VolatileCollector) moveStable(c *cycle, from word.Addr, d heap.Descript
 	}
 	m.from = append(m.from, from)
 	m.dest[from] = to
-	v.stats.MovedObjs++
-	v.stats.MovedWords += int64(size)
+	v.Met.MovedObjs.Inc()
+	v.Met.MovedWords.Add(uint64(size))
 	v.relocs = append(v.relocs, word.Move{From: from, To: to, Words: size})
 	return to
 }

@@ -124,12 +124,11 @@ func TestDeadlockTwoTxOppositeOrder(t *testing.T) {
 	if err1 != nil {
 		t.Fatalf("survivor must eventually be granted, got %v", err1)
 	}
-	st := m.Stats()
-	if st.DeadlockAborts != 1 {
-		t.Fatalf("DeadlockAborts = %d, want 1", st.DeadlockAborts)
+	if n := m.Met.DeadlockAborts.Load(); n != 1 {
+		t.Fatalf("DeadlockAborts = %d, want 1", n)
 	}
-	if st.Timeouts != 0 {
-		t.Fatalf("Timeouts = %d, want 0 (backstop must not fire)", st.Timeouts)
+	if n := m.Met.Timeouts.Load(); n != 0 {
+		t.Fatalf("Timeouts = %d, want 0 (backstop must not fire)", n)
 	}
 }
 
@@ -171,8 +170,8 @@ func TestDeadlockThreeTxRing(t *testing.T) {
 	if len(aborted) != 1 || aborted[0] != 3 {
 		t.Fatalf("exactly tx 3 (youngest) must be aborted, got %v (errs=%v)", aborted, errs)
 	}
-	if st := m.Stats(); st.Timeouts != 0 {
-		t.Fatalf("Timeouts = %d, want 0", st.Timeouts)
+	if n := m.Met.Timeouts.Load(); n != 0 {
+		t.Fatalf("Timeouts = %d, want 0", n)
 	}
 }
 
@@ -239,7 +238,7 @@ func TestDeadlockStressNoTimeouts(t *testing.T) {
 	if n := timeouts.Load(); n != 0 {
 		t.Fatalf("%d ErrTimeout backstop firings; detection must break every deadlock", n)
 	}
-	if st := m.Stats(); st.Timeouts != 0 {
-		t.Fatalf("Stats.Timeouts = %d, want 0", st.Timeouts)
+	if n := m.Met.Timeouts.Load(); n != 0 {
+		t.Fatalf("Timeouts = %d, want 0", n)
 	}
 }

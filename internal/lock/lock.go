@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"stableheap/internal/obs"
 	"stableheap/internal/word"
 )
 
@@ -98,16 +99,16 @@ type Manager struct {
 	wait    time.Duration
 	waiting map[word.TxID]waitInfo // blocked txs and what they wait for
 	victims map[word.TxID]bool     // txs chosen to break a cycle
-	stats   Stats
+	Met     Metrics
 }
 
-// Stats counts lock-manager activity.
-type Stats struct {
-	Acquires       int64
-	Conflicts      int64 // acquires that could not be granted immediately
-	Timeouts       int64 // real waits that expired (backstop; fast-fails excluded)
-	DeadlockAborts int64 // waits broken by the cycle detector
-	Rekeys         int64
+// Metrics counts lock-manager activity.
+type Metrics struct {
+	Acquires       obs.Counter `obs:"lock_acquires_total"`
+	Conflicts      obs.Counter `obs:"lock_conflicts_total"`       // acquires that could not be granted immediately
+	Timeouts       obs.Counter `obs:"lock_timeouts_total"`        // real waits that expired (backstop; fast-fails excluded)
+	DeadlockAborts obs.Counter `obs:"lock_deadlock_aborts_total"` // waits broken by the cycle detector
+	Rekeys         obs.Counter `obs:"lock_rekeys_total"`
 }
 
 // NewManager creates a lock manager whose blocked acquires time out after
@@ -146,14 +147,14 @@ func (m *Manager) AcquireWait(tx word.TxID, addr word.Addr, mode Mode, wait time
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.Acquires++
+	m.Met.Acquires.Inc()
 	e := m.table[addr]
 	if e == nil {
 		e = &entry{}
 		m.table[addr] = e
 	}
 	if !e.grantable(tx, mode) {
-		m.stats.Conflicts++
+		m.Met.Conflicts.Inc()
 		if wait == 0 {
 			if e.free() {
 				delete(m.table, addr)
@@ -208,11 +209,11 @@ func (m *Manager) blockOn(tx word.TxID, addr word.Addr, mode Mode, wait time.Dur
 	for !check() {
 		if m.victims[tx] {
 			delete(m.victims, tx)
-			m.stats.DeadlockAborts++
+			m.Met.DeadlockAborts.Inc()
 			return ErrDeadlock
 		}
 		if time.Now().After(deadline) {
-			m.stats.Timeouts++
+			m.Met.Timeouts.Inc()
 			return ErrTimeout
 		}
 		// Run detection before every sleep: a cycle can only form when its
@@ -363,7 +364,7 @@ func (m *Manager) Rekey(from, to word.Addr) {
 	if e.writer != 0 {
 		m.rekeyHeld(e.writer, from, to)
 	}
-	m.stats.Rekeys++
+	m.Met.Rekeys.Inc()
 }
 
 func (m *Manager) rekeyHeld(tx word.TxID, from, to word.Addr) {
@@ -406,11 +407,4 @@ func (m *Manager) Reset() {
 	m.held = make(map[word.TxID]map[word.Addr]Mode)
 	m.victims = make(map[word.TxID]bool)
 	m.cond.Broadcast()
-}
-
-// Stats returns accumulated counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }

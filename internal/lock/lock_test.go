@@ -119,7 +119,7 @@ func TestBlockingAcquireTimesOut(t *testing.T) {
 	if time.Since(start) < 20*time.Millisecond {
 		t.Fatal("timed out too early")
 	}
-	if m.Stats().Timeouts != 1 {
+	if m.Met.Timeouts.Load() != 1 {
 		t.Fatal("timeout not counted")
 	}
 }

@@ -1,8 +1,9 @@
 // Package obs is the stable heap's unified observability layer: lock-free
-// atomic counters and gauges, log-bucketed latency histograms with
-// mergeable snapshots, one crash-surviving event ring (the flight
-// recorder) that also renders as Chrome trace_event JSON, and a live
-// exposition endpoint (Prometheus text + trace JSON over HTTP).
+// atomic counters, log-bucketed latency histograms with mergeable
+// snapshots, the registry that names each of them once (Registry), one
+// crash-surviving event ring (the flight recorder) that also renders as
+// Chrome trace_event JSON, and a live exposition endpoint (Prometheus text
+// + trace JSON over HTTP).
 //
 // The package depends only on the standard library and the storage
 // interfaces, and is designed so the hot recording paths — Counter.Add,

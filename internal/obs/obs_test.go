@@ -106,3 +106,64 @@ func TestSmoothedFollowsTheSamples(t *testing.T) {
 		t.Fatalf("after 64 samples of 10000: %d", got)
 	}
 }
+
+// TestRegistry: Register names every tagged Counter and Histogram field,
+// skips an untagged struct (a nested group registers on its own), and
+// Snapshot reads what they hold.
+func TestRegistry(t *testing.T) {
+	var m struct {
+		Ops   Counter   `obs:"ops_total"`
+		Lat   Histogram `obs:"lat_ns"`
+		Group struct {
+			Hits Counter `obs:"hits_total"`
+		}
+	}
+	var r Registry
+	r.Register(&m)
+	m.Ops.Add(3)
+	m.Lat.Observe(7)
+	m.Group.Hits.Inc()
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || s.Counter("ops_total") != 3 || s.Hist("lat_ns").Count != 1 {
+		t.Fatalf("snapshot %v %v", s.Counters, s.Hist("lat_ns"))
+	}
+	r.Register(&m.Group)
+	if s := r.Snapshot(); s.Counter("hits_total") != 1 {
+		t.Fatalf("nested group: %v", s.Counters)
+	}
+}
+
+// TestRegistryRefusesMiswiring: a name registered twice, a tag on a field
+// that is not a metric, an unexported metric field and a metric field
+// without a tag all panic.
+func TestRegistryRefusesMiswiring(t *testing.T) {
+	var dup struct {
+		A Counter `obs:"x_total"`
+		B Counter `obs:"x_total"`
+	}
+	var notMetric struct {
+		N int `obs:"n_total"`
+	}
+	var unexported struct {
+		c Counter `obs:"c_total"`
+	}
+	var untaggedCounter struct {
+		Q Counter
+	}
+	var untaggedHist struct {
+		Q Histogram
+	}
+	for name, m := range map[string]any{"twice": &dup, "not a metric": &notMetric, "unexported": &unexported,
+		"untagged counter": &untaggedCounter, "untagged histogram": &untaggedHist} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Register did not panic", name)
+				}
+			}()
+			var r Registry
+			r.Register(m)
+		}()
+	}
+	unexported.c.Inc() // the field is used; only its registration is wrong
+}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -36,6 +37,70 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
 // Hist returns a histogram by name (zero snapshot if absent).
 func (s Snapshot) Hist(name string) HistSnapshot { return s.Histograms[name] }
+
+// Registry names the counters and histograms of one heap. Each is declared
+// once, as a field of a subsystem's metrics struct whose `obs:"name"` tag is
+// its metric name, and registered when the heap is built; Snapshot then
+// reads every one with atomic loads and takes no lock, so a scrape never
+// waits on the heap it reads. Register before the first Snapshot: the
+// registry is not guarded against concurrent registration.
+type Registry struct {
+	counters map[string]*Counter
+	hists    map[string]*Histogram
+}
+
+// Register adds the Counter and Histogram fields of each struct ms points
+// to, under their tag names. A struct field without a tag is skipped, so a
+// group nested in another is registered on its own, where its presence
+// condition holds. A metric field without a tag, a name registered twice, a
+// tag on a field of another type and an unexported tagged field panic: they
+// are wiring errors, caught at the first open.
+func (r *Registry) Register(ms ...any) {
+	if r.counters == nil {
+		r.counters, r.hists = make(map[string]*Counter), make(map[string]*Histogram)
+	}
+	for _, m := range ms {
+		v := reflect.ValueOf(m).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			name := f.Tag.Get("obs")
+			if name == "" {
+				if f.Type == counterType || f.Type == histType {
+					panic("obs: metric field " + f.Name + " has no obs tag")
+				}
+				continue
+			}
+			if r.counters[name] != nil || r.hists[name] != nil {
+				panic("obs: metric " + name + " registered twice")
+			}
+			if !f.IsExported() {
+				panic("obs: metric " + name + " is an unexported field")
+			}
+			switch p := v.Field(i).Addr().Interface().(type) {
+			case *Counter:
+				r.counters[name] = p
+			case *Histogram:
+				r.hists[name] = p
+			default:
+				panic("obs: metric " + name + " is neither a Counter nor a Histogram")
+			}
+		}
+	}
+}
+
+var counterType, histType = reflect.TypeOf((*Counter)(nil)).Elem(), reflect.TypeOf((*Histogram)(nil)).Elem()
+
+// Snapshot reads every registered metric.
+func (r *Registry) Snapshot() Snapshot {
+	s := NewSnapshot()
+	for n, c := range r.counters {
+		s.Counters[n] = int64(c.Load())
+	}
+	for n, h := range r.hists {
+		s.Histograms[n] = h.Snapshot()
+	}
+	return s
+}
 
 // prefix namespaces every exposed metric.
 const prefix = "stableheap_"

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"runtime/pprof"
+	"sync"
 	"time"
 )
 
@@ -88,6 +89,7 @@ type Watchdog struct {
 	trips    Counter
 	stop     chan struct{}
 	done     chan struct{}
+	stopped  sync.Once
 }
 
 // NewWatchdog builds a watchdog; Start launches it. snap is typically the
@@ -110,16 +112,17 @@ func (w *Watchdog) Start() {
 	go w.run()
 }
 
-// Stop halts the watchdog and waits for its goroutine to exit. Nil-safe,
-// idempotent is NOT required of callers — the heap stops it exactly once
-// from Close/Crash before taking the exclusive latch (the goroutine may be
-// inside snap(), which takes the shared latch).
+// Stop halts the watchdog and waits for its goroutine to exit. Nil-safe
+// and idempotent: a heap stops it from Close and from Crash, and keeps the
+// pointer, which a latch-free Metrics reads.
 func (w *Watchdog) Stop() {
 	if w == nil {
 		return
 	}
-	close(w.stop)
-	<-w.done
+	w.stopped.Do(func() {
+		close(w.stop)
+		<-w.done
+	})
 }
 
 // Trips returns how many rule trips have fired.

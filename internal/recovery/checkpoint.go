@@ -3,6 +3,7 @@ package recovery
 import (
 	"sync"
 
+	"stableheap/internal/obs"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -27,14 +28,14 @@ type Checkpointer struct {
 	stableTrunc  word.LSN
 	prevTake     word.LSN // LSN of the previous Take: the cleaner horizon
 
-	stats CheckpointStats
+	Met CheckpointMetrics
 }
 
-// CheckpointStats counts checkpoint activity.
-type CheckpointStats struct {
-	Taken    int64
-	Promoted int64
-	Cleaned  int64 // pages written back by the checkpoint-driven cleaner
+// CheckpointMetrics counts checkpoint activity.
+type CheckpointMetrics struct {
+	Taken    obs.Counter `obs:"checkpoint_taken_total"`
+	Promoted obs.Counter `obs:"checkpoint_promoted_total"`
+	Cleaned  obs.Counter `obs:"checkpoint_cleaned_pages_total"` // pages written back by the checkpoint-driven cleaner
 }
 
 // NewCheckpointer creates a checkpointer. If the master block already names
@@ -53,7 +54,7 @@ func (c *Checkpointer) Take(cp wal.CheckpointRec) word.LSN {
 	// the previous checkpoint, so the redo window stays roughly two
 	// checkpoint intervals.
 	if c.prevTake != word.NilLSN {
-		c.stats.Cleaned += int64(c.mem.FlushOlderThan(c.prevTake))
+		c.Met.Cleaned.Add(uint64(c.mem.FlushOlderThan(c.prevTake)))
 	}
 	cp.Dirty = c.mem.DirtyPages()
 
@@ -74,7 +75,7 @@ func (c *Checkpointer) Take(cp wal.CheckpointRec) word.LSN {
 	c.pendingLSN = lsn
 	c.pendingTrunc = trunc
 	c.prevTake = lsn
-	c.stats.Taken++
+	c.Met.Taken.Inc()
 	c.promoteLocked()
 	return lsn
 }
@@ -98,7 +99,7 @@ func (c *Checkpointer) promoteLocked() {
 	c.stableLSN = c.pendingLSN
 	c.stableTrunc = c.pendingTrunc
 	c.pendingLSN = word.NilLSN
-	c.stats.Promoted++
+	c.Met.Promoted.Inc()
 }
 
 // ForcePromote forces the log through the pending checkpoint and publishes
@@ -138,11 +139,4 @@ func (c *Checkpointer) TruncateLog() {
 	if p := c.truncationPointLocked(); p != word.NilLSN && p <= c.log.StableLSN() {
 		c.log.Truncate(p)
 	}
-}
-
-// Stats returns accumulated counters.
-func (c *Checkpointer) Stats() CheckpointStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }

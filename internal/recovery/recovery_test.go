@@ -96,8 +96,8 @@ func TestCheckpointCleanerFlushesOldPages(t *testing.T) {
 	if len(mem.DirtyPages()) != 0 {
 		t.Fatal("cleaner must flush pages older than the previous checkpoint")
 	}
-	if ck.Stats().Cleaned != 1 {
-		t.Fatalf("Cleaned = %d, want 1", ck.Stats().Cleaned)
+	if ck.Met.Cleaned.Load() != 1 {
+		t.Fatalf("Cleaned = %d, want 1", ck.Met.Cleaned.Load())
 	}
 }
 

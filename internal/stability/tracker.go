@@ -28,6 +28,7 @@ import (
 
 	"stableheap/internal/heap"
 	"stableheap/internal/lock"
+	"stableheap/internal/obs"
 	"stableheap/internal/tx"
 	"stableheap/internal/word"
 )
@@ -48,14 +49,14 @@ type Env struct {
 	Forward func(word.Addr) word.Addr
 }
 
-// Stats counts tracker activity.
-type Stats struct {
-	Batches    int64 // commits that stabilized at least one object
-	Objects    int64 // objects stabilized
-	Words      int64 // words of base images logged
-	LockWaits  int64 // objects that were write-locked when first visited
-	AlreadyAS  int64 // closure edges that hit an already-stable object
-	MaxClosure int   // largest single-commit closure
+// Metrics counts tracker activity.
+type Metrics struct {
+	Batches   obs.Counter   `obs:"track_batches_total"`        // commits that stabilized at least one object
+	Objects   obs.Counter   `obs:"track_objects_total"`        // objects stabilized
+	Words     obs.Counter   `obs:"track_words_total"`          // words of base images logged
+	LockWaits obs.Counter   `obs:"track_lock_waits_total"`     // objects that were write-locked when first visited
+	AlreadyAS obs.Counter   `obs:"track_already_stable_total"` // closure edges that hit an already-stable object
+	Closure   obs.Histogram `obs:"track_closure_objects"`      // objects per batch
 }
 
 // Tracker stabilizes newly reachable volatile objects at commit.
@@ -64,7 +65,7 @@ type Tracker struct {
 	txm   *tx.Manager
 	locks *lock.Manager
 	env   Env
-	stats Stats
+	Met   Metrics
 	batch []member // the objects Track marked AS, reused
 }
 
@@ -78,9 +79,6 @@ type member struct {
 func New(h *heap.Heap, txm *tx.Manager, locks *lock.Manager, env Env) *Tracker {
 	return &Tracker{h: h, txm: txm, locks: locks, env: env}
 }
-
-// Stats returns accumulated counters.
-func (tr *Tracker) Stats() Stats { return tr.stats }
 
 // Track stabilizes the closure of volatile objects reachable through the
 // candidate handles (the targets of the transaction's pointer stores into
@@ -103,11 +101,9 @@ func (tr *Tracker) Track(t *tx.Tx, candidates []*tx.Handle) error {
 	}
 	if count := len(tr.batch); count > 0 {
 		tr.txm.LogComplete(t)
-		tr.stats.Batches++
-		tr.stats.Objects += int64(count)
-		if count > tr.stats.MaxClosure {
-			tr.stats.MaxClosure = count
-		}
+		tr.Met.Batches.Inc()
+		tr.Met.Objects.Add(uint64(count))
+		tr.Met.Closure.Observe(uint64(count))
 	}
 	return nil
 }
@@ -130,7 +126,7 @@ func (tr *Tracker) logRuns(t *tx.Tx) {
 		for _, m := range b[:n] {
 			tr.env.AddLS(m.addr, m.words)
 		}
-		tr.stats.Words += int64(words)
+		tr.Met.Words.Add(uint64(words))
 		b = b[n:]
 	}
 }
@@ -152,7 +148,7 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
 		panic(fmt.Sprintf("stability: forwarded object %v reached outside a collection", addr))
 	}
 	if d.AS() {
-		tr.stats.AlreadyAS++
+		tr.Met.AlreadyAS.Inc()
 		return nil // another commit already stabilized it
 	}
 	// Synchronize with in-flight writers: a read lock blocks until any
@@ -161,7 +157,7 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
 	// fix: without it a base record could capture uncommitted volatile
 	// writes that a later abort cannot remove.
 	if w := tr.locks.WriteLockedBy(addr); w != 0 && w != t.ID() {
-		tr.stats.LockWaits++
+		tr.Met.LockWaits.Inc()
 	}
 	if err := tr.locks.TryAcquire(t.ID(), addr, lock.Read); err != nil {
 		return err
@@ -169,7 +165,7 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
 	// Re-read under the lock: a concurrent tracker may have won.
 	d = tr.h.Descriptor(addr)
 	if d.AS() {
-		tr.stats.AlreadyAS++
+		tr.Met.AlreadyAS.Inc()
 		return nil
 	}
 	// Forward the pointer fields in place before the image is taken: an

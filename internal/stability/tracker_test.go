@@ -101,8 +101,8 @@ func TestTrackStabilizesClosure(t *testing.T) {
 	if completes[0].Count != 3 {
 		t.Fatalf("complete count %d, want 3 objects", completes[0].Count)
 	}
-	if r.tr.Stats().Objects != 3 || r.tr.Stats().MaxClosure != 3 {
-		t.Fatalf("stats = %+v", r.tr.Stats())
+	if r.tr.Met.Objects.Load() != 3 || r.tr.Met.Closure.Snapshot().Max != 3 {
+		t.Fatalf("objects %d, largest closure %d", r.tr.Met.Objects.Load(), r.tr.Met.Closure.Snapshot().Max)
 	}
 }
 
@@ -117,11 +117,11 @@ func TestTrackSharedSubgraphOnlyOnce(t *testing.T) {
 	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a), r.handle(tr, b)}); err != nil {
 		t.Fatal(err)
 	}
-	if r.tr.Stats().Objects != 3 {
-		t.Fatalf("objects = %d, want 3 (shared tracked once)", r.tr.Stats().Objects)
+	if r.tr.Met.Objects.Load() != 3 {
+		t.Fatalf("objects = %d, want 3 (shared tracked once)", r.tr.Met.Objects.Load())
 	}
-	if r.tr.Stats().AlreadyAS != 1 {
-		t.Fatalf("AlreadyAS = %d, want 1", r.tr.Stats().AlreadyAS)
+	if r.tr.Met.AlreadyAS.Load() != 1 {
+		t.Fatalf("AlreadyAS = %d, want 1", r.tr.Met.AlreadyAS.Load())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestTrackCycle(t *testing.T) {
 	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
 		t.Fatal(err)
 	}
-	if r.tr.Stats().Objects != 2 {
-		t.Fatalf("cycle tracked %d objects, want 2", r.tr.Stats().Objects)
+	if r.tr.Met.Objects.Load() != 2 {
+		t.Fatalf("cycle tracked %d objects, want 2", r.tr.Met.Objects.Load())
 	}
 }
 
@@ -151,8 +151,8 @@ func TestTrackStopsAtStableBoundary(t *testing.T) {
 	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
 		t.Fatal(err)
 	}
-	if r.tr.Stats().Objects != 1 {
-		t.Fatalf("tracked %d, want 1 (stable targets skipped)", r.tr.Stats().Objects)
+	if r.tr.Met.Objects.Load() != 1 {
+		t.Fatalf("tracked %d, want 1 (stable targets skipped)", r.tr.Met.Objects.Load())
 	}
 }
 
@@ -171,7 +171,7 @@ func TestTrackBlockedByOtherWriterFails(t *testing.T) {
 	if r.h.Descriptor(a).AS() {
 		t.Fatal("blocked object must not be stabilized")
 	}
-	if r.tr.Stats().LockWaits != 1 {
+	if r.tr.Met.LockWaits.Load() != 1 {
 		t.Fatal("lock wait not counted")
 	}
 }
@@ -206,7 +206,7 @@ func TestSecondTrackerSkipsStabilized(t *testing.T) {
 	if err := r.tr.Track(t2, []*tx.Handle{r.handle(t2, a)}); err != nil {
 		t.Fatal(err)
 	}
-	if r.tr.Stats().Objects != 1 {
+	if r.tr.Met.Objects.Load() != 1 {
 		t.Fatal("second tracker must not re-stabilize")
 	}
 	// Only one base record exists.
@@ -266,7 +266,7 @@ func TestEmptyTrackNoRecords(t *testing.T) {
 	if err := r.tr.Track(tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if r.tr.Stats().Batches != 0 {
+	if r.tr.Met.Batches.Load() != 0 {
 		t.Fatal("empty track must not count a batch")
 	}
 }

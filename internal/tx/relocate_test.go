@@ -338,7 +338,7 @@ func TestRelocateMatchesPerCopyOracle(t *testing.T) {
 					t.Fatalf("memory differs in [%v,%v) after aborting every transaction", sp.lo, sp.hi)
 				}
 			}
-			if s.got.m.Stats().UTTProbes == 0 {
+			if s.got.m.Met.UTTProbes.Load() == 0 {
 				t.Fatal("no undo entry was ever probed: the history moved nothing")
 			}
 		})

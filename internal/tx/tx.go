@@ -15,7 +15,6 @@ package tx
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stableheap/internal/heap"
@@ -177,12 +176,7 @@ type Manager struct {
 	undoMu sync.Mutex
 	nextTx word.TxID
 	active map[word.TxID]*Tx
-	stats  Stats // fields incremented atomically
-	// Lifetime histograms: begin→commit and begin→abort wall time, always
-	// on (in-doubt transactions restored by recovery have no begin time
-	// and are excluded).
-	commitH obs.Histogram
-	abortH  obs.Histogram
+	Met    Metrics // counters and lifetime histograms (atomic)
 	// The commit shape ForceCommit's join reads (CommitShape): the update
 	// transactions that have not ended (guarded by mu), the smoothed number
 	// of update transactions a committed one was open together with, itself
@@ -193,15 +187,19 @@ type Manager struct {
 	span      obs.Smoothed // ns
 }
 
-// Stats counts transaction outcomes and work.
-type Stats struct {
-	Begun     int64
-	Committed int64
-	Aborted   int64
-	Updates   int64 // logged updates
-	VolWrites int64 // unlogged volatile writes
-	CLRs      int64
-	UTTProbes int64 // undo entries Relocate searched a batch for
+// Metrics counts transaction outcomes and work. The lifetime histograms
+// time begin→commit and begin→abort, always on (in-doubt transactions
+// restored by recovery have no begin time and are excluded).
+type Metrics struct {
+	Begun      obs.Counter   `obs:"tx_begun_total"`
+	Committed  obs.Counter   `obs:"tx_committed_total"`
+	Aborted    obs.Counter   `obs:"tx_aborted_total"`
+	Updates    obs.Counter   `obs:"tx_updates_total"`         // logged updates
+	VolWrites  obs.Counter   `obs:"tx_volatile_writes_total"` // unlogged volatile writes
+	CLRs       obs.Counter   `obs:"tx_clrs_total"`
+	UTTProbes  obs.Counter   `obs:"tx_utt_probes_total"` // undo entries Relocate searched a batch for
+	LifeCommit obs.Histogram `obs:"tx_lifetime_commit_ns"`
+	LifeAbort  obs.Histogram `obs:"tx_lifetime_abort_ns"`
 }
 
 // NewManager creates a transaction manager.
@@ -216,25 +214,6 @@ func NewManager(log *wal.Manager, mem *vm.Store, h *heap.Heap, locks *lock.Manag
 // inVolatile applies the environment's volatile-area predicate.
 func (m *Manager) inVolatile(a word.Addr) bool {
 	return m.env.VolatilePred != nil && !a.IsNil() && m.env.VolatilePred(a)
-}
-
-// Stats returns accumulated counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Begun:     atomic.LoadInt64(&m.stats.Begun),
-		Committed: atomic.LoadInt64(&m.stats.Committed),
-		Aborted:   atomic.LoadInt64(&m.stats.Aborted),
-		Updates:   atomic.LoadInt64(&m.stats.Updates),
-		VolWrites: atomic.LoadInt64(&m.stats.VolWrites),
-		CLRs:      atomic.LoadInt64(&m.stats.CLRs),
-		UTTProbes: atomic.LoadInt64(&m.stats.UTTProbes),
-	}
-}
-
-// LifetimeHists snapshots the begin→commit and begin→abort lifetime
-// histograms (nanoseconds).
-func (m *Manager) LifetimeHists() (commit, abort obs.HistSnapshot) {
-	return m.commitH.Snapshot(), m.abortH.Snapshot()
 }
 
 // NextTxID returns the next id to be issued (checkpointed so ids are not
@@ -322,7 +301,7 @@ func (m *Manager) Begin() *Tx {
 	m.nextTx++
 	m.active[t.id] = t
 	m.mu.Unlock()
-	atomic.AddInt64(&m.stats.Begun, 1)
+	m.Met.Begun.Inc()
 	return t
 }
 
@@ -390,7 +369,7 @@ func (m *Manager) Update(t *Tx, obj, addr word.Addr, redo []byte, isPtrSlot bool
 			m.env.OnStableSlotWrite(addr, flags&wal.UFPtrToVolatile != 0)
 		}
 	}
-	atomic.AddInt64(&m.stats.Updates, 1)
+	m.Met.Updates.Inc()
 }
 
 // UpdateLogical performs a logged, recoverable wrapping-add of delta to
@@ -410,7 +389,7 @@ func (m *Manager) UpdateLogical(t *Tx, obj, addr word.Addr, delta uint64) {
 	m.undoMu.Lock()
 	t.undoSlots = append(t.undoSlots, uttEntry{lsn: lsn, logged: addr, cur: addr})
 	m.undoMu.Unlock()
-	atomic.AddInt64(&m.stats.Updates, 1)
+	m.Met.Updates.Inc()
 }
 
 // VolatileWrite performs an unlogged one-word update of a volatile object,
@@ -429,7 +408,7 @@ func (m *Manager) VolatileWrite(t *Tx, addr word.Addr, v uint64, isPtrSlot, born
 	if isPtrSlot && m.env.OnVolatilePtrWrite != nil {
 		m.env.OnVolatilePtrWrite(addr, word.Addr(old), word.Addr(v))
 	}
-	atomic.AddInt64(&m.stats.VolWrites, 1)
+	m.Met.VolWrites.Inc()
 }
 
 // LogAlloc makes a stable-area allocation recoverable (§4.2): the record
@@ -559,9 +538,9 @@ func (m *Manager) FinishCommit(t *Tx) {
 	delete(m.active, t.id)
 	m.endedLocked(t, true)
 	m.mu.Unlock()
-	atomic.AddInt64(&m.stats.Committed, 1)
+	m.Met.Committed.Inc()
 	if !t.begun.IsZero() {
-		m.commitH.Since(t.begun)
+		m.Met.LifeCommit.Since(t.begun)
 	}
 }
 
@@ -600,9 +579,9 @@ func (m *Manager) Abort(t *Tx) {
 	delete(m.active, t.id)
 	m.endedLocked(t, false)
 	m.mu.Unlock()
-	atomic.AddInt64(&m.stats.Aborted, 1)
+	m.Met.Aborted.Inc()
 	if !t.begun.IsZero() {
-		m.abortH.Since(t.begun)
+		m.Met.LifeAbort.Since(t.begun)
 	}
 }
 
@@ -665,7 +644,7 @@ func (m *Manager) undoLogged(t *Tx) {
 			}
 			return logged
 		}, m.inVolatile, m.env.OnStableSlotWrite)
-	atomic.AddInt64(&m.stats.CLRs, int64(clrs))
+	m.Met.CLRs.Add(uint64(clrs))
 }
 
 // Relocate rebases every active transaction's undo slot addresses, undo
@@ -680,7 +659,7 @@ func (m *Manager) Relocate(ms word.Moves) {
 	defer m.undoMu.Unlock()
 	// Entries outside the cycle's source span are dismissed, not searched.
 	lo, hi := ms[0].From, ms[len(ms)-1].From.Add(ms[len(ms)-1].Words)
-	var probes int64
+	var probes uint64
 	translate := func(a word.Addr) word.Addr {
 		if a < lo || a >= hi {
 			return a
@@ -703,7 +682,7 @@ func (m *Manager) Relocate(ms word.Moves) {
 			}
 		}
 	}
-	atomic.AddInt64(&m.stats.UTTProbes, probes)
+	m.Met.UTTProbes.Add(probes)
 }
 
 // ForEachHandle visits every registered handle of every active transaction

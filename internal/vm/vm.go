@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stableheap/internal/obs"
 	"stableheap/internal/storage"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -29,25 +30,23 @@ import (
 // read-barrier trap). The handler must leave the page unprotected.
 type TrapHandler func(pg word.PageID)
 
-// Stats counts one-level-store activity. Hits and misses (Fetches +
+// Metrics counts one-level-store activity. Hits and misses (Fetches +
 // FreshPages) count pages, not words: a miss makes a page resident with its
 // clock reference bit set, and a hit is a lookup that finds a resident page
 // whose bit the replacement sweep has cleared since — at most one per page
 // per lap of the clock. Their ratio is what cache-size tuning optimizes;
-// without a CachePages bound the sweep never runs and Hits stays 0.
-type Stats struct {
-	Traps      int64 // read-barrier traps taken
-	Hits       int64 // page re-references: lookups that set a cleared clock bit
-	Fetches    int64 // pages read from disk into the cache (misses)
-	Flushes    int64 // dirty pages written to disk
-	Evictions  int64 // pages dropped from the cache by replacement
-	LogForces  int64 // log forces triggered by the WAL flush constraint
-	FreshPages int64 // pages materialized zero-filled (never on disk)
+// without a CachePages bound the sweep never runs and Hits stays 0. The
+// counters are atomic, so reading them takes no lock: a metrics reader
+// never waits on an owned store.
+type Metrics struct {
+	Traps      obs.Counter `obs:"gc_barrier_traps_total"`      // read-barrier traps taken
+	Hits       obs.Counter `obs:"cache_hits_total"`            // page re-references: lookups that set a cleared clock bit
+	Fetches    obs.Counter `obs:"cache_fetches_total"`         // pages read from disk into the cache
+	Flushes    obs.Counter `obs:"cache_flushes_total"`         // dirty pages written to disk
+	Evictions  obs.Counter `obs:"cache_evictions_total"`       // pages dropped from the cache by replacement
+	LogForces  obs.Counter `obs:"wal_constraint_forces_total"` // log forces triggered by the WAL flush constraint
+	FreshPages obs.Counter `obs:"cache_fresh_pages_total"`     // pages materialized zero-filled (never on disk)
 }
-
-// Misses is the page lookups the cache could not satisfy (disk fetches plus
-// zero-fill materializations).
-func (s Stats) Misses() int64 { return s.Fetches + s.FreshPages }
 
 // Config parameterizes the store.
 type Config struct {
@@ -79,14 +78,8 @@ type page struct {
 // referenced in this lap, is one atomic load and no write.
 func (s *Store) touch(p *page) {
 	if !p.ref.Load() && p.ref.CompareAndSwap(false, true) {
-		s.n.hits.Add(1)
+		s.Met.Hits.Inc()
 	}
-}
-
-// counters are the Stats fields. They are atomic so that Stats takes no
-// lock: a metrics reader never waits on an owned store.
-type counters struct {
-	traps, hits, fetches, flushes, evictions, logForces, freshPages atomic.Int64
 }
 
 // Store is the simulated one-level store.
@@ -117,7 +110,7 @@ type counters struct {
 // until it resumes it, and it owns the store for that section (Own …
 // Release): no method takes mu meanwhile. owned changes only with mu, the
 // latch and the gate all held, so every reader is ordered after the change
-// by the latch or gate it holds. Stats reads atomics and needs neither.
+// by the latch or gate it holds. Met is atomic and needs neither.
 type Store struct {
 	cfg   Config
 	mu    sync.RWMutex
@@ -137,7 +130,7 @@ type Store struct {
 	// inTrap guards against recursive traps (a handler touching its own
 	// protected page would loop).
 	inTrap bool
-	n      counters
+	Met    Metrics
 }
 
 // New creates a store over disk, spooling end-write records to log (if
@@ -162,19 +155,6 @@ func (s *Store) Disk() *storage.Disk { return s.disk }
 
 // SetTrapHandler installs the read-barrier trap handler.
 func (s *Store) SetTrapHandler(h TrapHandler) { s.trap = h }
-
-// Stats returns accumulated counters. It takes no lock.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Traps:      s.n.traps.Load(),
-		Hits:       s.n.hits.Load(),
-		Fetches:    s.n.fetches.Load(),
-		Flushes:    s.n.flushes.Load(),
-		Evictions:  s.n.evictions.Load(),
-		LogForces:  s.n.logForces.Load(),
-		FreshPages: s.n.freshPages.Load(),
-	}
-}
 
 // Own takes the store for the heap's stopper: it takes mu, waiting out any
 // call still in flight, and until Release no method takes mu again. The
@@ -243,10 +223,10 @@ func (s *Store) resident(id word.PageID) *page {
 	p.ref.Store(true)
 	if data, lsn, ok := s.disk.ReadPage(id); ok {
 		p.data, p.lsn = data, lsn
-		s.n.fetches.Add(1)
+		s.Met.Fetches.Inc()
 	} else {
 		p.data = make([]byte, s.cfg.PageSize)
-		s.n.freshPages.Add(1)
+		s.Met.FreshPages.Inc()
 	}
 	s.install(p)
 	s.ring = append(s.ring, id)
@@ -292,7 +272,7 @@ func (s *Store) makeRoom() {
 			}
 			s.drop(id)
 			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
-			s.n.evictions.Add(1)
+			s.Met.Evictions.Inc()
 			return
 		}
 		s.hand++
@@ -319,12 +299,12 @@ func (s *Store) flushPage(p *page) {
 		// WAL: the redo record for the page's last modification must be
 		// in the stable log before the page reaches disk.
 		s.log.Force(p.walLSN())
-		s.n.logForces.Add(1)
+		s.Met.LogForces.Inc()
 	}
 	s.disk.WritePage(p.id, p.data, p.lsn)
 	p.dirty = false
 	p.recLSN = word.NilLSN
-	s.n.flushes.Add(1)
+	s.Met.Flushes.Inc()
 	if s.log != nil {
 		s.log.Append(wal.EndWriteRec{Page: p.id, PageLSN: p.lsn})
 	}
@@ -480,7 +460,7 @@ func (s *Store) EnsureAccessible(addr word.Addr, n int) {
 		if s.inTrap {
 			panic(fmt.Sprintf("vm: recursive trap on page %d", id))
 		}
-		s.n.traps.Add(1)
+		s.Met.Traps.Inc()
 		s.inTrap = true
 		s.trap(id)
 		s.inTrap = false

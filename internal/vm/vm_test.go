@@ -112,8 +112,8 @@ func TestWALConstraintForcesLog(t *testing.T) {
 	if !log.IsStable(rec) {
 		t.Fatal("flushing the page must first force the covering log record")
 	}
-	if s.Stats().LogForces != 1 {
-		t.Fatalf("LogForces = %d, want 1", s.Stats().LogForces)
+	if s.Met.LogForces.Load() != 1 {
+		t.Fatalf("LogForces = %d, want 1", s.Met.LogForces.Load())
 	}
 }
 
@@ -155,7 +155,7 @@ func TestFetchAndEndWriteRecordsSpooled(t *testing.T) {
 	s.FlushPage(0)
 	s.Crash()
 	s.ReadWord(0x10) // fetches from disk
-	if got := s.Stats().Fetches; got != 1 {
+	if got := s.Met.Fetches.Load(); got != 1 {
 		t.Fatalf("Fetches = %d, want 1", got)
 	}
 	var recs []wal.Record
@@ -188,7 +188,7 @@ func TestNoFetchRecordsWhenDisabled(t *testing.T) {
 	for pg := range 8 {
 		s.ReadWord(word.Addr(pg*ps + 8))
 	}
-	if got := s.Stats().Fetches; got != 8 {
+	if got := s.Met.Fetches.Load(); got != 8 {
 		t.Fatalf("Fetches = %d, want 8", got)
 	}
 	if n := count(); n != 8 {
@@ -208,12 +208,12 @@ func TestProtectionTrapFires(t *testing.T) {
 	if len(trapped) != 1 || trapped[0] != 3 {
 		t.Fatalf("trapped = %v", trapped)
 	}
-	if s.Stats().Traps != 1 {
+	if s.Met.Traps.Load() != 1 {
 		t.Fatal("trap counter")
 	}
 	// Second access: no trap.
 	s.EnsureAccessible(3*ps+8, 8)
-	if s.Stats().Traps != 1 {
+	if s.Met.Traps.Load() != 1 {
 		t.Fatal("unprotected page must not trap again")
 	}
 }
@@ -224,8 +224,8 @@ func TestTrapSpanningMultiplePages(t *testing.T) {
 	s.Protect(0)
 	s.Protect(1)
 	s.EnsureAccessible(ps-8, 16) // touches pages 0 and 1
-	if s.Stats().Traps != 2 {
-		t.Fatalf("traps = %d, want 2", s.Stats().Traps)
+	if s.Met.Traps.Load() != 2 {
+		t.Fatalf("traps = %d, want 2", s.Met.Traps.Load())
 	}
 }
 
@@ -382,7 +382,7 @@ func TestHitsCountPageReReferences(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		u.ReadWord(word.Addr(i % 4 * ps))
 	}
-	if h := u.Stats().Hits; h != 0 {
+	if h := u.Met.Hits.Load(); h != 0 {
 		t.Fatalf("unbounded cache counted %d hits, want 0", h)
 	}
 
@@ -390,13 +390,13 @@ func TestHitsCountPageReReferences(t *testing.T) {
 	s.ReadWord(0)
 	s.ReadWord(ps)
 	s.ReadWord(2 * ps) // the sweep clears both bits and evicts page 0
-	if h := s.Stats().Hits; h != 0 {
+	if h := s.Met.Hits.Load(); h != 0 {
 		t.Fatalf("%d hits before any re-reference, want 0", h)
 	}
 	for i := 0; i < 10; i++ {
 		s.ReadWord(word.Addr(ps + 8*(i%4)))
 	}
-	if h := s.Stats().Hits; h != 1 {
+	if h := s.Met.Hits.Load(); h != 1 {
 		t.Fatalf("ten reads of a page whose bit the sweep cleared counted %d hits, want 1", h)
 	}
 }
@@ -489,12 +489,12 @@ func TestEvictionPrefersStableVictim(t *testing.T) {
 	logged(s, log, 1*ps, 11) // page 1: dirty, unstable
 	s.ReadWord(2 * ps)       // page 2: clean
 	s.ReadWord(3 * ps)       // needs room
-	st := s.Stats()
-	if st.LogForces != 0 || log.Device().Stats().Forces != 0 {
-		t.Fatalf("making room forced the log (%d constraint forces) with a clean victim in the cache", st.LogForces)
+	st := &s.Met
+	if st.LogForces.Load() != 0 || log.Device().Stats().Forces != 0 {
+		t.Fatalf("making room forced the log (%d constraint forces) with a clean victim in the cache", st.LogForces.Load())
 	}
-	if st.Evictions != 1 || st.Flushes != 0 || hasPage(disk, 0) || hasPage(disk, 1) {
-		t.Fatalf("evictions=%d flushes=%d: the clean page was not the victim", st.Evictions, st.Flushes)
+	if st.Evictions.Load() != 1 || st.Flushes.Load() != 0 || hasPage(disk, 0) || hasPage(disk, 1) {
+		t.Fatalf("evictions=%d flushes=%d: the clean page was not the victim", st.Evictions.Load(), st.Flushes.Load())
 	}
 	if got := s.ReadWord(0); got != 10 {
 		t.Fatalf("unstable page lost its contents: %d", got)
@@ -504,8 +504,8 @@ func TestEvictionPrefersStableVictim(t *testing.T) {
 	forces := log.Device().Stats().Forces
 	s.ReadWord(4 * ps)
 	s.ReadWord(5 * ps)
-	if st := s.Stats(); st.LogForces != 0 || st.Flushes == 0 || log.Device().Stats().Forces != forces {
-		t.Fatalf("after the force: constraint forces=%d flushes=%d", st.LogForces, st.Flushes)
+	if st := &s.Met; st.LogForces.Load() != 0 || st.Flushes.Load() == 0 || log.Device().Stats().Forces != forces {
+		t.Fatalf("after the force: constraint forces=%d flushes=%d", st.LogForces.Load(), st.Flushes.Load())
 	}
 }
 
@@ -521,12 +521,12 @@ func TestEvictionForcesWhenEveryVictimIsUnstable(t *testing.T) {
 	}
 	s.ReadWord(3 * ps)
 	s.ReadWord(4 * ps)
-	st := s.Stats()
-	if st.LogForces != 1 || log.Device().Stats().Forces != 1 {
-		t.Fatalf("constraint forces=%d device forces=%d, want one force for the whole tail", st.LogForces, log.Device().Stats().Forces)
+	st := &s.Met
+	if st.LogForces.Load() != 1 || log.Device().Stats().Forces != 1 {
+		t.Fatalf("constraint forces=%d device forces=%d, want one force for the whole tail", st.LogForces.Load(), log.Device().Stats().Forces)
 	}
-	if st.Evictions != 2 || st.Flushes != 2 {
-		t.Fatalf("evictions=%d flushes=%d, want 2 and 2", st.Evictions, st.Flushes)
+	if st.Evictions.Load() != 2 || st.Flushes.Load() != 2 {
+		t.Fatalf("evictions=%d flushes=%d, want 2 and 2", st.Evictions.Load(), st.Flushes.Load())
 	}
 	for p := 0; p < 3; p++ {
 		if got := s.ReadWord(word.Addr(p * ps)); got != uint64(20+p) {
@@ -564,10 +564,10 @@ func TestAllocsPerMissOverFilestore(t *testing.T) {
 	for range pages {
 		miss()
 	}
-	fetches := s.Stats().Fetches
+	fetches := s.Met.Fetches.Load()
 	const runs = 400
 	n := testing.AllocsPerRun(runs, miss)
-	if got := s.Stats().Fetches - fetches; got != runs+1 {
+	if got := s.Met.Fetches.Load() - fetches; got != runs+1 {
 		t.Fatalf("%d fetches in %d reads: the sweep did not miss every time", got, runs+1)
 	}
 	if n > 2 {

@@ -119,14 +119,14 @@ func TestForceSharedOutsideMutex(t *testing.T) {
 	if !m.IsStable(c) {
 		t.Fatal("c not stable after its own force")
 	}
-	if batch := m.ForceBatchHist(); batch.Count != 2 || batch.Max != 2 || batch.Sum != 3 {
+	if batch := m.Met.Batch.Snapshot(); batch.Count != 2 || batch.Max != 2 || batch.Sum != 3 {
 		t.Fatalf("wal_force_batch = %+v, want forces releasing 2 and 1 callers", batch)
 	}
-	if wait := m.ForceWaitHist(); wait.Count != 1 {
+	if wait := m.Met.ForceWait.Snapshot(); wait.Count != 1 {
 		t.Fatalf("wal_force_wait_ns counted %d followers, want 1 (b)", wait.Count)
 	}
 	m.Force(a) // already stable: neither a force nor a wait
-	if dev.Stats().Forces != 2 || m.ForceHist().Count != 2 {
+	if dev.Stats().Forces != 2 || m.Met.Force.Snapshot().Count != 2 {
 		t.Fatal("forcing a stable LSN reached the device")
 	}
 }
@@ -200,7 +200,7 @@ func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
 	goForce(dev.Force, y) // the log is busy again: y's force holds it
 	<-dev.entered
 	m.fmu.Unlock() // a's force ends with b volatile: b's batch closes at b
-	until(func() bool { return m.ForceHist().Count == 1 })
+	until(func() bool { return m.Met.Force.Snapshot().Count == 1 })
 	c := m.Append(commitRec(3)) // the first caller's next commit, before b's leader reached the log
 	goForce(m.Force, c)
 	until(func() bool { return gate(func() bool { return len(m.parked) == 1 && m.parked[0] == c }) })
@@ -220,7 +220,7 @@ func TestForceBatchClosesWhenTheCallersSay(t *testing.T) {
 	if got := dev.Stats().Forces; got != 5 || !m.IsStable(c) {
 		t.Fatalf("%d log forces for three alternating callers and the test's two (c stable: %v), want 5", got, m.IsStable(c))
 	}
-	if batch := m.ForceBatchHist(); batch.Count != 3 || batch.Max != 1 {
+	if batch := m.Met.Batch.Snapshot(); batch.Count != 3 || batch.Max != 1 {
 		t.Fatalf("wal_force_batch = %+v, want three forces of one caller each", batch)
 	}
 }
@@ -270,11 +270,11 @@ func TestJoinTwoCommittersShareOneForce(t *testing.T) {
 	if !m.IsStable(b) || dev.Stats().Forces != 1 {
 		t.Fatalf("%d device forces for two joined commits (b stable: %v), want 1", dev.Stats().Forces, m.IsStable(b))
 	}
-	if batch := m.ForceBatchHist(); batch.Count != 1 || batch.Max != 2 {
+	if batch := m.Met.Batch.Snapshot(); batch.Count != 1 || batch.Max != 2 {
 		t.Fatalf("wal_force_batch = %+v, want one force releasing both", batch)
 	}
-	if m.JoinWaitHist().Count != 1 || m.JoinTimeouts() != 0 {
-		t.Fatalf("join waits %d, timeouts %d, want 1 and 0", m.JoinWaitHist().Count, m.JoinTimeouts())
+	if m.Met.JoinWait.Snapshot().Count != 1 || m.Met.JoinTimeouts.Load() != 0 {
+		t.Fatalf("join waits %d, timeouts %d, want 1 and 0", m.Met.JoinWait.Snapshot().Count, m.Met.JoinTimeouts.Load())
 	}
 }
 
@@ -300,8 +300,8 @@ func TestJoinLoneOrLongCommitterLeadsAtOnce(t *testing.T) {
 			<-dev.entered // no sibling: the leader reached the device alone
 			dev.release <- struct{}{}
 			<-done
-			if m.JoinWaitHist().Count != 0 || !m.IsStable(a) {
-				t.Fatalf("join waits %d (a stable: %v), want none", m.JoinWaitHist().Count, m.IsStable(a))
+			if m.Met.JoinWait.Snapshot().Count != 0 || !m.IsStable(a) {
+				t.Fatalf("join waits %d (a stable: %v), want none", m.Met.JoinWait.Snapshot().Count, m.IsStable(a))
 			}
 		})
 	}
@@ -334,8 +334,8 @@ func TestJoinTimeoutClosesTheBatch(t *testing.T) {
 	if !m.IsStable(b) {
 		t.Fatal("the batch closed before the wait, not at the end of the log")
 	}
-	if m.JoinTimeouts() != 1 || m.JoinWaitHist().Count != 1 {
-		t.Fatalf("timeouts %d, join waits %d, want 1 and 1", m.JoinTimeouts(), m.JoinWaitHist().Count)
+	if m.Met.JoinTimeouts.Load() != 1 || m.Met.JoinWait.Snapshot().Count != 1 {
+		t.Fatalf("timeouts %d, join waits %d, want 1 and 1", m.Met.JoinTimeouts.Load(), m.Met.JoinWait.Snapshot().Count)
 	}
 }
 
@@ -362,7 +362,7 @@ func TestJoinCoveredFollowersLeaveAtEndForce(t *testing.T) {
 	if !m.forcing || m.next != m.EndLSN()-1 {
 		t.Fatalf("forcing=%v next=%d: the uncovered follower's batch is not closed behind it", m.forcing, m.next)
 	}
-	if batch := m.ForceBatchHist(); batch.Max != 2 {
+	if batch := m.Met.Batch.Snapshot(); batch.Max != 2 {
 		t.Fatalf("wal_force_batch = %+v, want the leader and the covered follower", batch)
 	}
 }

@@ -31,14 +31,13 @@ var ErrTruncated = errors.New("wal: LSN below the truncation point")
 // (storage.Log's concurrency contract), so a transaction appends and reads its
 // undo chain while another's force is on the platter.
 type Manager struct {
-	mu     sync.Mutex
-	dev    *storage.Log
-	count  [maxType]int64
-	bytes  [maxType]int64
-	append obs.Histogram // a 1-in-appendSample sample
-	seq    atomic.Uint32 // appends, to pick the sampled ones
-	force  obs.Histogram
-	bb     *obs.BlackBox
+	mu    sync.Mutex
+	dev   *storage.Log
+	count [maxType]int64
+	bytes [maxType]int64
+	seq   atomic.Uint32 // appends, to pick the sampled ones
+	bb    *obs.BlackBox
+	Met   Metrics
 
 	// The one force path (Force): at most one device force is in flight;
 	// parked holds the LSNs of the callers waiting in the gate, from their
@@ -55,12 +54,17 @@ type Manager struct {
 	joinWant int
 	joined   chan struct{}
 	devForce obs.Smoothed // ns one device force takes
+}
 
-	mutexWait    obs.Histogram // ns an Append that found mu taken waited for it
-	forceWait    obs.Histogram // ns a follower spent parked
-	batch        obs.Histogram // callers released per device force
-	joinWait     obs.Histogram // ns a commit leader waited for its siblings
-	joinTimeouts obs.Counter   // join waits that ended at their bound
+// Metrics are the log manager's latency histograms and its join counter.
+type Metrics struct {
+	Append       obs.Histogram `obs:"wal_append_ns"`           // a 1-in-appendSample sample
+	Force        obs.Histogram `obs:"wal_force_ns"`            // the forces led, queueing included
+	MutexWait    obs.Histogram `obs:"wal_mutex_wait_ns"`       // an Append that found mu taken waited for it
+	ForceWait    obs.Histogram `obs:"wal_force_wait_ns"`       // a follower spent parked
+	Batch        obs.Histogram `obs:"wal_force_batch"`         // callers released per device force, its leader included
+	JoinWait     obs.Histogram `obs:"wal_commit_join_wait_ns"` // a commit leader waited for its siblings
+	JoinTimeouts obs.Counter   `obs:"wal_commit_join_timeouts_total"`
 }
 
 // NewManager wraps a log.
@@ -100,7 +104,7 @@ func (m *Manager) Append(r Record) word.LSN {
 	eb.b = frame
 	encPool.Put(eb)
 	if !start.IsZero() {
-		m.append.Since(start)
+		m.Met.Append.Since(start)
 	}
 	return lsn
 }
@@ -111,7 +115,7 @@ func (m *Manager) appendLocked(frame []byte, t Type) word.LSN {
 	if !m.mu.TryLock() {
 		start := time.Now()
 		m.mu.Lock()
-		m.mutexWait.Since(start)
+		m.Met.MutexWait.Since(start)
 	}
 	defer m.mu.Unlock()
 	lsn := m.dev.Append(frame)
@@ -180,7 +184,7 @@ func (m *Manager) forceJoin(lsn word.LSN, want int) {
 			if lsn < m.dev.StableLSN() {
 				// The force that covered lsn takes it out of parked as it ends.
 				m.fmu.Unlock()
-				m.forceWait.Since(start)
+				m.Met.ForceWait.Since(start)
 				return
 			}
 			through, m.next = m.next, word.NilLSN
@@ -231,14 +235,14 @@ func (m *Manager) join(want int) {
 	m.fmu.Lock()
 	if m.joinWant != 0 {
 		m.joinWant = 0
-		m.joinTimeouts.Inc()
+		m.Met.JoinTimeouts.Inc()
 	} else {
 		select { // the arrival's token, if the timer won the select above
 		case <-m.joined:
 		default:
 		}
 	}
-	m.joinWait.Since(start)
+	m.Met.JoinWait.Since(start)
 }
 
 // endForce ends the leader's turn, also when the device panicked (an I/O
@@ -266,32 +270,13 @@ func (m *Manager) endForce(start, devStart time.Time) {
 	m.fdone.Broadcast()
 	m.fmu.Unlock()
 	d := time.Since(start)
-	m.force.Observe(uint64(d))
-	m.batch.Observe(released)
+	m.Met.Force.Observe(uint64(d))
+	m.Met.Batch.Observe(released)
 	m.bb.Span(obs.EvWALForce, d, 0, uint64(stable), released)
 }
 
 // ForceAll forces the entire volatile tail.
 func (m *Manager) ForceAll() { m.Force(m.dev.EndLSN() - 1) }
-
-// AppendHist snapshots the Append latency histogram (nanoseconds; one
-// append in appendSample).
-func (m *Manager) AppendHist() obs.HistSnapshot { return m.append.Snapshot() }
-
-// ForceHist snapshots the latency of the forces led (ns, queueing included).
-func (m *Manager) ForceHist() obs.HistSnapshot { return m.force.Snapshot() }
-
-// ForceWaitHist snapshots how long followers parked on another caller's
-// force; ForceBatchHist how many callers each device force released, its
-// leader included; MutexWaitHist how long Appends waited for a taken mu.
-func (m *Manager) ForceWaitHist() obs.HistSnapshot  { return m.forceWait.Snapshot() }
-func (m *Manager) ForceBatchHist() obs.HistSnapshot { return m.batch.Snapshot() }
-func (m *Manager) MutexWaitHist() obs.HistSnapshot  { return m.mutexWait.Snapshot() }
-
-// JoinWaitHist snapshots how long commit leaders waited for their siblings
-// (ForceCommit); JoinTimeouts counts the waits that ended at their bound.
-func (m *Manager) JoinWaitHist() obs.HistSnapshot { return m.joinWait.Snapshot() }
-func (m *Manager) JoinTimeouts() uint64           { return m.joinTimeouts.Load() }
 
 // SetRecorder wires an optional flight recorder: every force lands in the
 // black-box timeline with its LSN. Nil disables.

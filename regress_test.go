@@ -167,7 +167,7 @@ func TestSingleGoroutineWALUnchanged(t *testing.T) {
 	}
 	// Format's bootstrap commit rides the force that publishes its
 	// checkpoint, so every commit, that one included, costs one force.
-	forces, commits := dev.Stats().Forces, h.TxStats().Committed
+	forces, commits := dev.Stats().Forces, h.Metrics().Counter("tx_committed_total")
 	if forces != commits {
 		t.Errorf("%d device forces for %d commits, want one each", forces, commits)
 	}

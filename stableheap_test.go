@@ -196,14 +196,15 @@ func TestStatsPopulate(t *testing.T) {
 	}
 	h.CollectVolatile()
 	h.CollectStable()
-	if c := h.TxStats().Committed; c != 2 { // bootstrap + ours
+	m := h.Metrics()
+	if c := m.Counter("tx_committed_total"); c != 2 { // bootstrap + ours
 		t.Fatalf("committed = %d", c)
 	}
-	if trk, vgs := h.TrackerStats(), h.VGCStats(); trk.Objects != 2 || vgs.MovedObjs != 2 {
-		t.Fatalf("tracking stats: tracked %d, moved %d", trk.Objects, vgs.MovedObjs)
+	if tracked, moved := m.Counter("track_objects_total"), m.Counter("vgc_moved_objects_total"); tracked != 2 || moved != 2 {
+		t.Fatalf("tracking stats: tracked %d, moved %d", tracked, moved)
 	}
-	if gcs := h.GCStats(); gcs.Collections != 1 || gcs.CopiedObjs == 0 {
-		t.Fatalf("gc stats: %+v", gcs)
+	if n, copied := m.Counter("gc_collections_total"), m.Counter("gc_copied_objects_total"); n != 1 || copied == 0 {
+		t.Fatalf("gc stats: %d collections, %d objects copied", n, copied)
 	}
 	if ls := h.Log().Device().Stats(); ls.Forces == 0 || ls.BytesAppended == 0 {
 		t.Fatalf("log stats: %+v", ls)
