@@ -144,6 +144,31 @@ func BenchmarkE1Alloc(b *testing.B) {
 	tx.Abort()
 }
 
+// BenchmarkParallelAlloc is BenchmarkE1Alloc with one transaction per
+// goroutine (run it at -cpu 1,2): each allocates into its own nursery chunk,
+// so goroutines meet only at refills and minor collections.
+func BenchmarkParallelAlloc(b *testing.B) {
+	h := stableheap.Open(benchCfg(32*1024, 256*1024))
+	defer h.Close()
+	b.RunParallel(func(pb *testing.PB) {
+		tx := h.Begin()
+		for i := 1; pb.Next(); i++ {
+			if i%8192 == 0 {
+				if err := tx.Abort(); err != nil {
+					b.Error(err)
+					return
+				}
+				tx = h.Begin()
+			}
+			if _, err := tx.Alloc(1, 0, 3); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		tx.Abort()
+	})
+}
+
 func BenchmarkE1Commit(b *testing.B) {
 	h := openWithChain(b, benchCfg(32*1024, 16*1024), 1)
 	b.ResetTimer()

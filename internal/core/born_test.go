@@ -64,48 +64,105 @@ func bornHeap(t *testing.T) (*Heap, *histcheck.Recorder) {
 }
 
 // TestBornObjectInvisibleUntilCommit: writes through a born ref take no lock
-// of their own, so the birth lock alone must keep another transaction out of
-// the object — even one that reached it through an unlocked volatile root
-// while its creator was still running.
+// of their own, so the creator's lock alone must keep another transaction
+// out of the object — even one that reached it through an unlocked volatile
+// root while its creator was still running — whether the object is still in
+// the creator's allocation chunk (the lock is its birth range), has been
+// promoted out of it by a minor collection (the minor made the lock an
+// entry at its new address), or is reached by a third transaction's commit
+// through a stable slot (its tracker must wait for the creator).
 func TestBornObjectInvisibleUntilCommit(t *testing.T) {
-	hp, rec := bornHeap(t)
-	acquires := hp.Metrics().Counter("lock_acquires_total")
-	a, _ := bornWriter(t, hp)
-	// Two births, S's write lock; nothing for the born writes.
-	if n := hp.Metrics().Counter("lock_acquires_total") - acquires; n != 3 {
-		t.Fatalf("transaction A took %d locks, want 3 (two births and S)", n)
-	}
+	for _, c := range []struct {
+		name  string
+		minor bool
+	}{{"in the chunk", false}, {"promoted by a minor", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			hp, rec := bornHeap(t)
+			acquires := hp.Metrics().Counter("lock_acquires_total")
+			a, _ := bornWriter(t, hp)
+			// S's write lock; nothing for the births or the born writes.
+			if n := hp.Metrics().Counter("lock_acquires_total") - acquires; n != 1 {
+				t.Fatalf("transaction A took %d locks, want 1 (S)", n)
+			}
+			if c.minor {
+				if n, err := hp.CollectNursery(); err != nil || n == 0 {
+					t.Fatalf("minor collection promoted %d objects, %v", n, err)
+				}
+			}
 
-	b := hp.Begin()
-	bx, err := b.VolRoot(0) // unlocked: B holds a handle on A's object
-	if err != nil || bx == nil {
-		t.Fatalf("volatile root 0: %v, %v", bx, err)
-	}
-	if bx.BornIn(b.t) {
-		t.Fatal("a ref read from a root is never born")
-	}
-	probe := hp.Begin()
-	px, _ := probe.VolRoot(0)
-	if _, err := probe.Data(px, 0); !errors.Is(err, ErrConflict) {
-		t.Fatalf("Data on an object born in an active transaction: %v, want ErrConflict", err)
-	}
-	probe.Abort()
+			b := hp.Begin()
+			bx, err := b.VolRoot(0) // unlocked: B holds a handle on A's object
+			if err != nil || bx == nil {
+				t.Fatalf("volatile root 0: %v, %v", bx, err)
+			}
+			if bx.BornIn(b.t) {
+				t.Fatal("a ref read from a root is never born")
+			}
+			if hp.inNursery(bx.Addr()) == c.minor {
+				t.Fatalf("X at %v: in the nursery %v, want %v", bx.Addr(), !c.minor, c.minor)
+			}
+			probe := hp.Begin()
+			px, _ := probe.VolRoot(0)
+			if _, err := probe.Data(px, 0); !errors.Is(err, ErrConflict) {
+				t.Fatalf("Data on an object born in an active transaction: %v, want ErrConflict", err)
+			}
+			probe.Abort()
 
-	commit(t, a)
-	if v, err := b.Data(bx, 0); err != nil || v != 41 {
-		t.Fatalf("X.data0 after A committed = %d, %v; want 41", v, err)
+			commit(t, a)
+			if v, err := b.Data(bx, 0); err != nil || v != 41 {
+				t.Fatalf("X.data0 after A committed = %d, %v; want 41", v, err)
+			}
+			by, err := b.Ptr(bx, 0)
+			if err != nil || by == nil {
+				t.Fatalf("X.ptr0 after A committed: %v, %v", by, err)
+			}
+			if v, err := b.Data(by, 0); err != nil || v != 42 {
+				t.Fatalf("Y.data0 after A committed = %d, %v; want 42", v, err)
+			}
+			commit(t, b)
+			if err := histcheck.Check(rec.History()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	by, err := b.Ptr(bx, 0)
-	if err != nil || by == nil {
-		t.Fatalf("X.ptr0 after A committed: %v, %v", by, err)
-	}
-	if v, err := b.Data(by, 0); err != nil || v != 42 {
-		t.Fatalf("Y.data0 after A committed = %d, %v; want 42", v, err)
-	}
-	commit(t, b)
-	if err := histcheck.Check(rec.History()); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("reached by a third commit", func(t *testing.T) {
+		hp, rec := bornHeap(t)
+		a, _ := bornWriter(t, hp)
+		waits := hp.Metrics().Counter("track_lock_waits_total")
+		c := hp.Begin()
+		cx, err := c.VolRoot(0)
+		if err != nil || cx == nil {
+			t.Fatalf("volatile root 0: %v, %v", cx, err)
+		}
+		if err := c.SetRoot(0, cx); err != nil { // a stable slot names X
+			t.Fatal(err)
+		}
+		if err := c.Commit(); !errors.Is(err, ErrConflict) {
+			t.Fatalf("a commit that makes A's object stable while A runs: %v, want ErrConflict", err)
+		}
+		if n := hp.Metrics().Counter("track_lock_waits_total") - waits; n != 1 {
+			t.Fatalf("the tracker found %d write-locked objects, want X", n)
+		}
+		commit(t, a)
+		d := hp.Begin()
+		dx, _ := d.VolRoot(0)
+		if err := d.SetRoot(0, dx); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, d)
+		e := hp.Begin()
+		ex, err := e.Root(0)
+		if err != nil || ex == nil {
+			t.Fatalf("stable root 0: %v, %v", ex, err)
+		}
+		if v, err := e.Data(ex, 0); err != nil || v != 41 {
+			t.Fatalf("X.data0 through the stable root = %d, %v; want 41", v, err)
+		}
+		commit(t, e)
+		if err := histcheck.Check(rec.History()); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestAbortLeavesBornObjectsUnreachable: born writes keep no undo, so an

@@ -26,7 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,6 +342,12 @@ type Heap struct {
 	volLo, volHi       word.Addr
 	nurLo, nurHi       word.Addr
 
+	// chunks are the transactions' allocation chunks carved since the
+	// nursery was last emptied, each at most chunkWords long (chunk.go).
+	// Changed only with the heap stopped.
+	chunks     []*chunk
+	chunkWords int
+
 	lastRecovery *recovery.Result
 }
 
@@ -354,6 +360,8 @@ type Tx struct {
 	// stable state, for commit-time stability tracking. Only the
 	// transaction's own goroutine touches it.
 	cands []*tx.Handle
+	// chunk is where its small new objects go (chunk.go).
+	chunk chunk
 }
 
 // build wires the subsystems over existing devices (no formatting).
@@ -381,6 +389,7 @@ func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 		if nw := cfg.nurseryWords(); nw > 0 {
 			hp.nurLo = alignUp(hp.volHi, cfg.PageSize)
 			hp.nurHi = hp.nurLo + word.Addr(word.WordsToBytes(nw))
+			hp.chunkWords = word.BytesToWords(chunkPages * cfg.PageSize)
 		}
 	}
 
@@ -562,8 +571,8 @@ func (hp *Heap) relocate(ms word.Moves) {
 	hp.met.RelocBatches.Inc()
 	hp.met.RelocMoves.Add(uint64(len(ms)))
 	hp.txm.Relocate(ms)
+	hp.locks.Relocate(ms)
 	for _, m := range ms {
-		hp.locks.Rekey(m.From, m.To)
 		if hp.inStableArea(m.To) && !hp.inStableArea(m.From) {
 			hp.dropLS(m.From) // newly stable, moved with the heap stopped
 		}
@@ -631,7 +640,7 @@ func (hp *Heap) newlyStable() []word.Addr {
 	for a := range hp.ls {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -649,7 +658,7 @@ func (hp *Heap) takeNRem() []word.Addr {
 		hp.nrem = make(map[word.Addr]bool)
 	}
 	hp.remMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -659,7 +668,7 @@ func (hp *Heap) stableSlots() []word.Addr {
 	for a := range hp.srem {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -700,6 +709,7 @@ func (hp *Heap) forEachStableRoot(visit func(get func() word.Addr, set func(word
 // from their base record plus logged updates, so their slots are fixed by
 // one SFix record per page, as the volatile collector fixes stable slots.
 func (hp *Heap) forEachVolatileSlot(visit func(get func() word.Addr, set func(word.Addr))) {
+	hp.sealChunks()
 	ps := hp.mem.PageSize()
 	var fixes []wal.PtrFix
 	flush := func() {
@@ -860,6 +870,7 @@ func (hp *Heap) collectVolatile() error {
 	// One volatile collection at a time: a scan still in flight retires
 	// inline before the next one starts.
 	hp.finishConcurrentLocked()
+	hp.sealChunks()
 	if err := hp.ensureStableSpace(hp.lsWords); err != nil {
 		return err
 	}
@@ -869,6 +880,7 @@ func (hp *Heap) collectVolatile() error {
 		// visits it): run a minor collection first when possible.
 		if hp.vgc.NurseryUsedWords() > 0 && hp.vgc.CanMinor() {
 			hp.vgc.CollectNursery(hp.takeNRem())
+			hp.nurseryEmptied()
 		}
 		if hp.vgc.NurseryUsedWords() == 0 {
 			hp.takeNRem() // stale entries must not dangle across the flip
@@ -886,6 +898,7 @@ func (hp *Heap) collectVolatile() error {
 	// have relocate rebase its entries.
 	hp.takeNRem()
 	hp.vgc.Collect()
+	hp.nurseryEmptied()
 	hp.clearLS()
 	// Evacuations consumed stable space; if it is running low, start an
 	// incremental stable collection now so it finishes before the space
@@ -898,6 +911,7 @@ func (hp *Heap) collectVolatile() error {
 // collection when the aged space cannot absorb the nursery), first
 // guaranteeing stable space for the nursery's pending LS moves.
 func (hp *Heap) collectNursery() error {
+	hp.sealChunks()
 	if !hp.vgc.CanMinor() {
 		return hp.collectVolatile()
 	}
@@ -913,6 +927,7 @@ func (hp *Heap) collectNursery() error {
 		hp.quiesceStableGC()
 	}
 	hp.vgc.CollectNursery(hp.takeNRem())
+	hp.nurseryEmptied()
 	hp.maybeStartStableGC()
 	// Proactive pacing: a minor collection can promote up to one nursery
 	// limit of words, and CanMinor fails once aged free space drops below
@@ -1033,7 +1048,9 @@ func (t *Tx) lockAddr(read func() word.Addr, m lock.Mode) error {
 // data words, tagged with the caller's typeID, returning a registered
 // reference. New objects are volatile until a committing transaction makes
 // them reachable from a stable root (divided mode), or stable from birth
-// (all-stable mode).
+// (all-stable mode). A small volatile object comes from the transaction's
+// allocation chunk without stopping the heap (chunk.go); the heap stops to
+// refill the chunk and for everything else.
 func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	if err := t.ok(); err != nil {
 		return nil, err
@@ -1042,48 +1059,21 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	if hp.journal != nil {
 		defer hp.flushOnPanic()
 	}
-	// Allocation bumps a collector frontier and may trigger a collection:
-	// always an exclusive action.
-	hp.lockExclusive()
-	defer hp.unlockExclusive()
 	d := heap.NewDescriptor(typeID, nptrs, ndata)
 	size := d.SizeWords()
-	var addr word.Addr
-	var born bool
-	if !hp.cfg.Undivided {
-		// New volatile objects are born in the nursery when one is
-		// configured and the object fits; a full nursery triggers a
-		// minor collection. Oversized objects and nursery overflow that
-		// a minor cannot fix go to the aged semispace.
-		var a word.Addr
-		var ok bool
-		if hp.vgc.NurseryFits(size) {
-			if a, ok = hp.vgc.AllocNursery(size); !ok {
-				if err := hp.collectNursery(); err != nil {
-					return nil, t.fail(err)
-				}
-				a, ok = hp.vgc.AllocNursery(size)
-			}
+	// A small object on a heap with a nursery comes from the chunk; the
+	// nursery's soft cap decides the rest, with the heap stopped (refill).
+	chunked := hp.nurLo != 0 && size <= hp.chunkWords
+	if chunked {
+		if r := t.bump(d); r != nil {
+			return r, nil
 		}
-		if !ok {
-			if a, ok = hp.vgc.Alloc(size); !ok {
-				if err := hp.collectVolatile(); err != nil {
-					return nil, t.fail(err)
-				}
-				if a, ok = hp.vgc.Alloc(size); !ok {
-					return nil, t.fail(ErrHeapFull)
-				}
-			}
-		}
-		addr = a
-		hp.h.SetDescriptor(addr, d, word.NilLSN)
-		hp.zeroObject(addr, d, word.NilLSN)
-		// Birth lock: the address is fresh, so the write lock is always
-		// free; holding it from here to the transaction's end lets writes
-		// through the returned Ref skip the lock and keep no undo (DESIGN.md
-		// §11, "Birth-locked objects").
-		born = hp.locks.TryAcquire(t.t.ID(), addr, lock.Write) == nil
-	} else {
+	}
+	// Past the chunk, allocation bumps a collector frontier and may trigger
+	// a collection: an exclusive action.
+	hp.lockExclusive()
+	defer hp.unlockExclusive()
+	if hp.cfg.Undivided {
 		hp.maybeStartStableGC()
 		a, ok := hp.sgc.Alloc(size)
 		if !ok {
@@ -1094,16 +1084,59 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 				return nil, t.fail(ErrHeapFull)
 			}
 		}
-		addr = a
-		lsn := hp.txm.LogAlloc(t.t, addr, d)
-		hp.h.SetDescriptor(addr, d, lsn)
-		hp.zeroObject(addr, d, lsn)
+		lsn := hp.txm.LogAlloc(t.t, a, d)
+		hp.h.SetDescriptor(a, d, lsn)
+		hp.zeroObject(a, d, lsn)
+		hp.pace()
+		return hp.txm.Register(t.t, a), nil
 	}
+	// New volatile objects are born in the nursery when one is configured
+	// and the object fits; a full nursery triggers a minor collection.
+	// Oversized objects and nursery overflow that a minor cannot fix go to
+	// the aged semispace.
+	var a word.Addr
+	var ok bool
+	if hp.vgc.NurseryFits(size) {
+		if chunked {
+			placed, err := t.refill(size)
+			if err != nil {
+				return nil, t.fail(err)
+			}
+			if placed {
+				return t.place(d, true), nil
+			}
+		} else {
+			hp.sealChunks()
+			if a, ok = hp.vgc.AllocNursery(size); !ok {
+				if err := hp.collectNursery(); err != nil {
+					return nil, t.fail(err)
+				}
+				a, ok = hp.vgc.AllocNursery(size)
+			}
+		}
+	}
+	if !ok {
+		if a, ok = hp.vgc.Alloc(size); !ok {
+			if err := hp.collectVolatile(); err != nil {
+				return nil, t.fail(err)
+			}
+			if a, ok = hp.vgc.Alloc(size); !ok {
+				return nil, t.fail(ErrHeapFull)
+			}
+		}
+	}
+	hp.h.SetDescriptor(a, d, word.NilLSN)
+	hp.zeroObject(a, d, word.NilLSN)
+	// Birth lock: the address is fresh, so the write lock is always free;
+	// holding it from here to the transaction's end lets writes through the
+	// returned Ref skip the lock and keep no undo (DESIGN.md §11, "Born
+	// objects"). A chunk's objects hold theirs through its birth range.
+	born := hp.locks.TryAcquire(t.t.ID(), a, lock.Write) == nil
 	hp.pace()
 	if born {
-		return hp.txm.RegisterBorn(t.t, addr), nil
+		return hp.txm.RegisterBorn(t.t, a, d), nil
 	}
-	return hp.txm.Register(t.t, addr), nil
+	return hp.txm.Register(t.t, a), nil
 }
 
 // zeroObject clears an object's fields (allocation initializes to
@@ -1124,11 +1157,12 @@ func (hp *Heap) rootAddr() word.Addr { return hp.rootObj }
 
 // field is what an operation acts on, resolved by access and ready to touch.
 type field struct {
-	excl bool            // the action holds the latch exclusively
-	born bool            // the object was born in the transaction (Ref.BornIn)
-	obj  word.Addr       // the object's current address
-	d    heap.Descriptor // its descriptor
-	slot word.Addr       // the named word's address (NilAddr for wholeObject)
+	excl  bool            // the action holds the latch exclusively
+	born  bool            // the object was born in the transaction (Ref.BornIn)
+	fresh bool            // ... and is still in its allocation chunk
+	obj   word.Addr       // the object's current address
+	d     heap.Descriptor // its descriptor
+	slot  word.Addr       // the named word's address (NilAddr for wholeObject)
 }
 
 // slotKind says which word of its object an operation names.
@@ -1141,19 +1175,23 @@ const (
 )
 
 // access is the one path every object operation takes: the transaction must
-// be live; the object read() names is locked in mode m (waiting outside the
-// latch) unless it was born in the transaction, which has held its write
-// lock since Alloc; then, as one indivisible action under the latch, its
-// descriptor is read through the read barrier, word i of kind k is
-// bounds-checked against it and made accessible through the barrier too,
-// and fn runs on it. A word access is then recorded for the history checker
-// (rec is the Recorder method for its kind) and paces the collector;
-// wholeObject touches no word and does neither.
-func (t *Tx) access(read func() word.Addr, born bool, m lock.Mode, k slotKind, i int,
+// be live; the object read() names — through r, or the stable root object
+// when r is nil — is locked in mode m (waiting outside the latch) unless it was born in the
+// transaction, which has held its write lock since Alloc; then, as one
+// indivisible action under the latch, its descriptor is read through the
+// read barrier, word i of kind k is bounds-checked against it and made
+// accessible through the barrier too, and fn runs on it. An object still in
+// the transaction's chunk is fresh: its descriptor is the shape r carries
+// and no barrier applies, since only the stable collector protects pages. A
+// word access is then recorded for the history checker (rec is the Recorder
+// method for its kind) and paces the collector; wholeObject touches no word
+// and does neither.
+func (t *Tx) access(read func() word.Addr, r *Ref, m lock.Mode, k slotKind, i int,
 	rec func(*histcheck.Recorder, word.TxID, word.Addr), fn func(f field)) error {
 	if err := t.ok(); err != nil {
 		return err
 	}
+	born := r.BornIn(t.t)
 	if !born {
 		if err := t.lockAddr(read, m); err != nil {
 			return err
@@ -1163,7 +1201,11 @@ func (t *Tx) access(read func() word.Addr, born bool, m lock.Mode, k slotKind, i
 	f := field{excl: hp.rlock(), born: born}
 	defer hp.runlock(f.excl)
 	f.obj = read()
-	f.d = hp.descriptorOf(f.obj)
+	if f.fresh = born && t.chunk.holds(f.obj); f.fresh {
+		f.d = r.Shape()
+	} else {
+		f.d = hp.descriptorOf(f.obj)
+	}
 	switch k {
 	case wholeObject:
 		fn(f)
@@ -1179,7 +1221,9 @@ func (t *Tx) access(read func() word.Addr, born bool, m lock.Mode, k slotKind, i
 		}
 		f.slot = f.obj + word.Addr(heap.DataOffset(f.d.NPtrs(), i))
 	}
-	hp.mem.EnsureAccessible(f.slot, word.WordSize)
+	if !f.fresh {
+		hp.mem.EnsureAccessible(f.slot, word.WordSize)
+	}
 	fn(f)
 	if hp.hist != nil {
 		rec(hp.hist, t.t.ID(), f.obj)
@@ -1194,8 +1238,11 @@ func (t *Tx) access(read func() word.Addr, born bool, m lock.Mode, k slotKind, i
 // trap already rewrote the page) and the concurrent volatile scan's — so an
 // operation never hands out, and so never stores, a from-space address.
 func (hp *Heap) loadPtr(slot word.Addr) word.Addr {
-	return hp.vscan.load(hp.sgc.Load(word.Addr(hp.mem.ReadWord(slot))))
+	return hp.forward(word.Addr(hp.mem.ReadWord(slot)))
 }
+
+// forward passes a loaded pointer through both collectors' load barriers.
+func (hp *Heap) forward(p word.Addr) word.Addr { return hp.vscan.load(hp.sgc.Load(p)) }
 
 // storePtr is the mutator's one pointer store: the logged or unlogged write
 // under the slot's writer stripe, then the stability bookkeeping — a
@@ -1207,7 +1254,7 @@ func (t *Tx) storePtr(f field, val *Ref) {
 	if val != nil {
 		v = val.Addr()
 	}
-	sh := hp.lockShard(f.excl, f.slot)
+	sh := t.lockPage(f.excl, f.slot)
 	hp.writeWordAction(t, f, uint64(v), true)
 	sh.unlock()
 	if val != nil && hp.isStableObject(f.obj, f.d) && hp.inVolatile(v) {
@@ -1226,7 +1273,7 @@ func (t *Tx) ref(p word.Addr) *Ref {
 // Ptr reads pointer field i of the referenced object, returning a new
 // registered reference (nil Ref for a nil pointer).
 func (t *Tx) Ptr(r *Ref, i int) (out *Ref, err error) {
-	err = t.access(r.Addr, r.BornIn(t.t), lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
+	err = t.access(r.Addr, r, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
 		out = t.ref(t.hp.loadPtr(f.slot))
 	})
 	return out, err
@@ -1234,7 +1281,7 @@ func (t *Tx) Ptr(r *Ref, i int) (out *Ref, err error) {
 
 // Data reads data word j of the referenced object.
 func (t *Tx) Data(r *Ref, j int) (v uint64, err error) {
-	err = t.access(r.Addr, r.BornIn(t.t), lock.Read, dataSlot, j, (*histcheck.Recorder).Read, func(f field) {
+	err = t.access(r.Addr, r, lock.Read, dataSlot, j, (*histcheck.Recorder).Read, func(f field) {
 		v = t.hp.mem.ReadWord(f.slot)
 	})
 	return v, err
@@ -1242,30 +1289,33 @@ func (t *Tx) Data(r *Ref, j int) (v uint64, err error) {
 
 // SetPtr stores val (which may be nil) into pointer field i.
 func (t *Tx) SetPtr(r *Ref, i int, val *Ref) error {
-	return t.access(r.Addr, r.BornIn(t.t), lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
+	return t.access(r.Addr, r, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
 		t.storePtr(f, val)
 	})
 }
 
 // SetData stores v into data word j.
 func (t *Tx) SetData(r *Ref, j int, v uint64) error {
-	return t.access(r.Addr, r.BornIn(t.t), lock.Write, dataSlot, j, (*histcheck.Recorder).Write, func(f field) {
-		hp := t.hp
-		sh := hp.lockShard(f.excl, f.slot)
-		hp.writeWordAction(t, f, v, false)
+	return t.access(r.Addr, r, lock.Write, dataSlot, j, (*histcheck.Recorder).Write, func(f field) {
+		sh := t.lockPage(f.excl, f.slot)
+		t.hp.writeWordAction(t, f, v, false)
 		sh.unlock()
 	})
 }
 
 // writeWordAction dispatches a word store to f.slot to the logged or
 // unlogged path; an unlogged store into an object born in the transaction
-// keeps no undo. During a concurrent stable scan it is also the
+// keeps no undo, and one into a fresh object passes no barrier either. During a concurrent stable scan it is also the
 // snapshot-at-the-beginning deletion barrier for stable pointer slots: the
 // overwritten value is grayed before the update, so a from-space target
 // deleted from an unscanned (gray) object is still evacuated — and an abort
 // restoring the old value through the undo translation table lands on the
 // evacuated copy, never a from-space address.
 func (hp *Heap) writeWordAction(t *Tx, f field, v uint64, isPtr bool) {
+	if f.fresh {
+		hp.txm.FreshWrite(t.t, f.slot, v)
+		return
+	}
 	if !hp.isStableObject(f.obj, f.d) {
 		hp.txm.VolatileWrite(t.t, f.slot, v, isPtr, f.born)
 		return
@@ -1285,12 +1335,15 @@ func (hp *Heap) writeWordAction(t *Tx, f field, v uint64, isPtr bool) {
 // third of a physical update's log traffic. Volatile objects fall back to
 // the ordinary in-memory-undo path.
 func (t *Tx) AddData(r *Ref, j int, delta uint64) error {
-	return t.access(r.Addr, r.BornIn(t.t), lock.Write, dataSlot, j, (*histcheck.Recorder).ReadWrite, func(f field) {
+	return t.access(r.Addr, r, lock.Write, dataSlot, j, (*histcheck.Recorder).ReadWrite, func(f field) {
 		hp := t.hp
-		sh := hp.lockShard(f.excl, f.slot)
-		if hp.isStableObject(f.obj, f.d) {
+		sh := t.lockPage(f.excl, f.slot)
+		switch {
+		case f.fresh:
+			hp.txm.FreshWrite(t.t, f.slot, hp.mem.ReadWord(f.slot)+delta)
+		case hp.isStableObject(f.obj, f.d):
 			hp.txm.UpdateLogical(t.t, f.obj, f.slot, delta)
-		} else {
+		default:
 			hp.txm.VolatileWrite(t.t, f.slot, hp.mem.ReadWord(f.slot)+delta, false, f.born)
 		}
 		sh.unlock()
@@ -1334,7 +1387,7 @@ func (t *Tx) DataBytes(r *Ref, j, n int) ([]byte, error) {
 // Shape returns the referenced object's type id, pointer count and data
 // count.
 func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
-	err = t.access(r.Addr, r.BornIn(t.t), lock.Read, wholeObject, 0, nil, func(f field) {
+	err = t.access(r.Addr, r, lock.Read, wholeObject, 0, nil, func(f field) {
 		typeID, nptrs, ndata = f.d.TypeID(), f.d.NPtrs(), f.d.NData()
 	})
 	return typeID, nptrs, ndata, err
@@ -1344,7 +1397,7 @@ func (t *Tx) Shape(r *Ref) (typeID uint16, nptrs, ndata int, err error) {
 // programmer-designated global roots whose reachable closure survives
 // crashes.
 func (t *Tx) Root(i int) (out *Ref, err error) {
-	err = t.access(t.hp.rootAddr, false, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
+	err = t.access(t.hp.rootAddr, nil, lock.Read, ptrSlot, i, (*histcheck.Recorder).Read, func(f field) {
 		out = t.ref(t.hp.loadPtr(f.slot))
 	})
 	return out, err
@@ -1354,7 +1407,7 @@ func (t *Tx) Root(i int) (out *Ref, err error) {
 // reachable from stable state. Any volatile objects made reachable by this
 // store become stable when the transaction commits.
 func (t *Tx) SetRoot(i int, val *Ref) error {
-	return t.access(t.hp.rootAddr, false, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
+	return t.access(t.hp.rootAddr, nil, lock.Write, ptrSlot, i, (*histcheck.Recorder).Write, func(f field) {
 		t.storePtr(f, val)
 	})
 }
@@ -1382,7 +1435,15 @@ func (t *Tx) volRoot(i int, fn func(excl bool, slot word.Addr)) error {
 // VolRoot returns volatile root slot i. Volatile roots are global but do
 // not survive crashes (e.g. caches, session state).
 func (t *Tx) VolRoot(i int) (out *Ref, err error) {
-	err = t.volRoot(i, func(_ bool, slot word.Addr) { out = t.ref(t.hp.loadPtr(slot)) })
+	err = t.volRoot(i, func(excl bool, slot word.Addr) {
+		// No lock orders this read after a concurrent SetVolRoot: the
+		// slot's writer stripe does. The barriers run after it, since a
+		// transport takes stripes of its own.
+		sh := t.hp.lockShard(excl, slot)
+		p := word.Addr(t.hp.mem.ReadWord(slot))
+		sh.unlock()
+		out = t.ref(t.hp.forward(p))
+	})
 	return out, err
 }
 
@@ -1480,7 +1541,7 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 	cands := t.cands
 	t.cands = nil
 	if t.err == nil && hp.track != nil && !t.t.Prepared() {
-		if err := hp.track.Track(t.t, cands); err != nil {
+		if err := hp.track.Track(t.t, cands, t.chunk.holds); err != nil {
 			hp.txm.Abort(t.t)
 			if hp.hist != nil {
 				hp.hist.Abort(t.t.ID())

@@ -548,13 +548,15 @@ func (hp *Heap) FinishVolatileScan() {
 func (hp *Heap) FinishStableScan() { hp.sscan.tryFinish(0) }
 
 // NurseryUsedWords returns the words currently allocated in the nursery
-// (0 without one).
+// (0 without one), the unused tails of allocation chunks at the frontier
+// handed back first.
 func (hp *Heap) NurseryUsedWords() int {
-	excl := hp.rlock()
-	defer hp.runlock(excl)
+	hp.lockExclusive()
+	defer hp.unlockExclusive()
 	if hp.vgc == nil {
 		return 0
 	}
+	hp.sealChunks()
 	return hp.vgc.NurseryUsedWords()
 }
 

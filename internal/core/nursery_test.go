@@ -318,3 +318,43 @@ func TestCrashAfterNurseryCommitRecovers(t *testing.T) {
 	defer hp2.Close()
 	checkList(t, hp2, 0, 6, 7)
 }
+
+// TestDiscardedNurseryPagesNotRead: a minor collection discards the
+// nursery, so the pages of its next round are dead on disk even where an
+// eviction wrote them back. On a heap whose cache holds half of the
+// nursery's sixteen-page round, two more rounds of garbage make every
+// nursery page resident again zero-filled: no page is read back from disk.
+func TestDiscardedNurseryPagesNotRead(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CachePages = 8
+	hp := openMem(cfg)
+	defer hp.Close()
+	round := func() {
+		t.Helper()
+		minors := hp.Metrics().Counter("vgc_nursery_minor_total")
+		for hp.Metrics().Counter("vgc_nursery_minor_total") == minors {
+			tr := hp.Begin()
+			for i := 0; i < 64; i++ {
+				if _, err := tr.Alloc(1, 1, 6); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(t, tr)
+		}
+	}
+	round() // the nursery's pages reach disk as the cache evicts them
+	m := hp.Metrics()
+	fetches, fresh, evictions := m.Counter("cache_fetches_total"), m.Counter("cache_fresh_pages_total"), m.Counter("cache_evictions_total")
+	round()
+	round()
+	m = hp.Metrics()
+	if n := m.Counter("cache_fetches_total") - fetches; n != 0 {
+		t.Fatalf("%d pages read back from disk over two nursery rounds, want 0", n)
+	}
+	if n := m.Counter("cache_evictions_total") - evictions; n < 16 {
+		t.Fatalf("%d evictions over two nursery rounds, want the cache to cycle", n)
+	}
+	if n := m.Counter("cache_fresh_pages_total") - fresh; n < 32 {
+		t.Fatalf("%d pages made resident zero-filled over two nursery rounds", n)
+	}
+}

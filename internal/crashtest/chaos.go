@@ -541,10 +541,24 @@ func (b *counterBurst) run(r *chaosRun, _ int) (online bool) {
 						if err == nil {
 							v, err = tr.Data(c, 0)
 						}
+						if err == nil {
+							err = tr.SetData(c, 0, v+1)
+						}
 						if err != nil {
 							return err
 						}
-						return tr.SetData(c, 0, v+1)
+						// A receipt object, garbage once the transaction
+						// ends: the mutators allocate side by side, so
+						// their allocation chunks interleave in the
+						// history the burst checks.
+						o, err := tr.Alloc(5, 1, 1)
+						if err == nil {
+							err = tr.SetPtr(o, 0, c)
+						}
+						if err == nil {
+							err = tr.SetData(o, 0, v+1)
+						}
+						return err
 					})
 					return err
 				})

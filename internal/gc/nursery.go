@@ -62,10 +62,31 @@ func (v *VolatileCollector) AllocNursery(sizeWords int) (word.Addr, bool) {
 	}
 	a, ok := v.nursery.AllocLow(sizeWords)
 	if ok {
-		v.Met.Nursery.AllocObjs.Inc()
-		v.Met.Nursery.AllocWords.Add(uint64(sizeWords))
+		v.CountNursery(sizeWords)
 	}
 	return a, ok
+}
+
+// CarveNursery reserves a run of up to max words at the nursery's frontier
+// for an allocation chunk: as much as the soft cap leaves, and at least
+// want, or ok is false (the caller runs a minor collection and retries).
+// The objects the caller places in the run count through CountNursery.
+func (v *VolatileCollector) CarveNursery(want, max int) (a word.Addr, words int, ok bool) {
+	if v.nursery == nil {
+		return word.NilAddr, 0, false
+	}
+	words = min(max, v.nurLimit-v.nurseryUsedWords())
+	if words < want {
+		return word.NilAddr, 0, false
+	}
+	a, ok = v.nursery.AllocLow(words)
+	return a, words, ok
+}
+
+// CountNursery counts an object of sizeWords placed in a carved run.
+func (v *VolatileCollector) CountNursery(sizeWords int) {
+	v.Met.Nursery.AllocObjs.Inc()
+	v.Met.Nursery.AllocWords.Add(uint64(sizeWords))
 }
 
 // CanMinor reports whether the aged space has room to absorb the whole

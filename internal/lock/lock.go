@@ -5,8 +5,17 @@
 //
 // Objects are named by their current virtual address, as in the paper. When
 // the collector flips and moves a locked object, it rekeys the lock table
-// entry (Rekey); the addresses of locked objects are part of the root set a
+// entry (Relocate); the addresses of locked objects are part of the root set a
 // flip must translate.
+//
+// An object a running transaction has just created is locked without an
+// entry: the transaction declares the address range it allocates into
+// (SetBirthRange) and holds an implicit write lock on every object in it.
+// The lock becomes an ordinary entry only when it matters — when another
+// transaction's acquire, wait or WriteLockedBy names an address in the
+// range, or when a collector moves an object out of it (Relocate) — always
+// under the manager's mutex, which ReleaseAll also takes to drop the
+// ranges, so no lock is ever granted to a transaction that has ended.
 //
 // Deadlocks are resolved by a waits-for-graph detector: whenever a
 // transaction blocks (and on every re-check while it waits) the manager
@@ -21,8 +30,11 @@
 package lock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -59,8 +71,23 @@ var ErrDeadlock = errors.New("lock: deadlock victim (waits-for cycle)")
 
 // entry is the lock state of one object.
 type entry struct {
+	addr    word.Addr              // the object's current address: its key
 	writer  word.TxID              // holder of the write lock, 0 if none
 	readers map[word.TxID]struct{} // read-lock holders; nil until the first
+}
+
+// holds reports whether tx holds the lock in some mode.
+func (e *entry) holds(tx word.TxID) bool {
+	_, r := e.readers[tx]
+	return e.writer == tx || r
+}
+
+// drop takes tx's hold off the lock.
+func (e *entry) drop(tx word.TxID) {
+	if e.writer == tx {
+		e.writer = 0
+	}
+	delete(e.readers, tx)
 }
 
 func (e *entry) free() bool { return e.writer == 0 && len(e.readers) == 0 }
@@ -90,12 +117,20 @@ type waitInfo struct {
 	mode Mode
 }
 
+// birth is an address range whose objects tx holds implicit write locks
+// on (SetBirthRange).
+type birth struct {
+	lo, hi word.Addr
+	tx     word.TxID
+}
+
 // Manager is the lock table.
 type Manager struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	table   map[word.Addr]*entry
-	held    map[word.TxID]map[word.Addr]Mode // per-tx held locks
+	held    map[word.TxID][]*entry // per tx, each entry it was granted (some since released)
+	births  []birth                // disjoint, sorted by lo
 	wait    time.Duration
 	waiting map[word.TxID]waitInfo // blocked txs and what they wait for
 	victims map[word.TxID]bool     // txs chosen to break a cycle
@@ -116,7 +151,7 @@ type Metrics struct {
 func NewManager(wait time.Duration) *Manager {
 	m := &Manager{
 		table:   make(map[word.Addr]*entry),
-		held:    make(map[word.TxID]map[word.Addr]Mode),
+		held:    make(map[word.TxID][]*entry),
 		wait:    wait,
 		waiting: make(map[word.TxID]waitInfo),
 		victims: make(map[word.TxID]bool),
@@ -148,10 +183,9 @@ func (m *Manager) AcquireWait(tx word.TxID, addr word.Addr, mode Mode, wait time
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Met.Acquires.Inc()
-	e := m.table[addr]
+	e := m.lookup(addr)
 	if e == nil {
-		e = &entry{}
-		m.table[addr] = e
+		e = m.newEntry(addr)
 	}
 	if !e.grantable(tx, mode) {
 		m.Met.Conflicts.Inc()
@@ -179,11 +213,10 @@ func (m *Manager) AcquireWait(tx word.TxID, addr word.Addr, mode Mode, wait time
 			return err
 		}
 		if e = m.table[addr]; e == nil {
-			e = &entry{}
-			m.table[addr] = e
+			e = m.newEntry(addr)
 		}
 	}
-	m.grant(tx, addr, e, mode)
+	m.grant(tx, e, mode)
 	return nil
 }
 
@@ -241,7 +274,7 @@ func (m *Manager) WaitFree(tx word.TxID, addr word.Addr, mode Mode, wait time.Du
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	check := func() bool {
-		e := m.table[addr]
+		e := m.lookup(addr)
 		return e == nil || e.grantable(tx, mode)
 	}
 	if check() {
@@ -263,24 +296,18 @@ func (m *Manager) Release(tx word.TxID, addr word.Addr) {
 	if e == nil {
 		return
 	}
-	if e.writer == tx {
-		e.writer = 0
-	}
-	delete(e.readers, tx)
+	e.drop(tx)
 	if e.free() {
 		delete(m.table, addr)
-	}
-	if h := m.held[tx]; h != nil {
-		delete(h, addr)
-		if len(h) == 0 {
-			delete(m.held, tx)
-		}
 	}
 	m.cond.Broadcast()
 }
 
 // grant installs the lock; the mutex is held.
-func (m *Manager) grant(tx word.TxID, addr word.Addr, e *entry, mode Mode) {
+func (m *Manager) grant(tx word.TxID, e *entry, mode Mode) {
+	if !e.holds(tx) {
+		m.held[tx] = append(m.held[tx], e)
+	}
 	switch mode {
 	case Read:
 		if e.writer == tx {
@@ -294,29 +321,28 @@ func (m *Manager) grant(tx word.TxID, addr word.Addr, e *entry, mode Mode) {
 		delete(e.readers, tx) // upgrade consumes the read lock
 		e.writer = tx
 	}
-	h := m.held[tx]
-	if h == nil {
-		h = make(map[word.Addr]Mode)
-		m.held[tx] = h
-	}
-	if cur, ok := h[addr]; !ok || mode == Write && cur == Read {
-		h[addr] = mode
-	}
 }
 
 // Holds reports the strongest mode tx holds on addr.
 func (m *Manager) Holds(tx word.TxID, addr word.Addr) (Mode, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mode, ok := m.held[tx][addr]
-	return mode, ok
+	e := m.table[addr]
+	switch {
+	case e == nil:
+		return Read, false
+	case e.writer == tx:
+		return Write, true
+	}
+	_, ok := e.readers[tx]
+	return Read, ok
 }
 
 // WriteLockedBy returns the transaction write-holding addr, or 0.
 func (m *Manager) WriteLockedBy(addr word.Addr) word.TxID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.table[addr]; e != nil {
+	if e := m.lookup(addr); e != nil {
 		return e.writer
 	}
 	return 0
@@ -326,52 +352,111 @@ func (m *Manager) WriteLockedBy(addr word.Addr) word.TxID {
 func (m *Manager) ReleaseAll(tx word.TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for addr := range m.held[tx] {
-		e := m.table[addr]
-		if e == nil {
-			continue
-		}
-		if e.writer == tx {
-			e.writer = 0
-		}
-		delete(e.readers, tx)
-		if e.free() {
-			delete(m.table, addr)
+	for _, e := range m.held[tx] {
+		e.drop(tx)
+		if e.free() && m.table[e.addr] == e {
+			delete(m.table, e.addr)
 		}
 	}
 	delete(m.held, tx)
+	if len(m.births) > 0 {
+		m.births = slices.DeleteFunc(m.births, func(b birth) bool { return b.tx == tx })
+	}
 	m.cond.Broadcast()
 }
 
-// Rekey moves the lock entry for a relocated object from its old address to
-// its new one (called by the collector at a flip). It is an error if the
-// new address already has lock state.
-func (m *Manager) Rekey(from, to word.Addr) {
+// SetBirthRange declares that tx holds an implicit write lock on every
+// object in [lo, hi): the range it allocates new objects into. A range is
+// named by its lo, so a second call with the same tx and lo resizes it.
+// Ranges must be disjoint; ReleaseAll drops tx's, DropBirthRanges every
+// one.
+func (m *Manager) SetBirthRange(tx word.TxID, lo, hi word.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.table[from]
-	if !ok {
+	i, found := slices.BinarySearchFunc(m.births, lo, func(b birth, lo word.Addr) int {
+		return cmp.Compare(b.lo, lo)
+	})
+	if found && m.births[i].tx == tx {
+		m.births[i].hi = hi
 		return
 	}
-	if _, clash := m.table[to]; clash {
-		panic(fmt.Sprintf("lock: rekey target %v already locked", to))
+	if found || i > 0 && m.births[i-1].hi > lo || i < len(m.births) && m.births[i].lo < hi {
+		panic(fmt.Sprintf("lock: birth range [%v,%v) of tx %d overlaps another", lo, hi, tx))
 	}
-	delete(m.table, from)
-	m.table[to] = e
-	for tx := range e.readers {
-		m.rekeyHeld(tx, from, to)
-	}
-	if e.writer != 0 {
-		m.rekeyHeld(e.writer, from, to)
-	}
-	m.Met.Rekeys.Inc()
+	m.births = slices.Insert(m.births, i, birth{lo: lo, hi: hi, tx: tx})
 }
 
-func (m *Manager) rekeyHeld(tx word.TxID, from, to word.Addr) {
-	h := m.held[tx]
-	if mode, ok := h[from]; ok {
-		delete(h, from)
-		h[to] = mode
+// DropBirthRanges forgets every birth range (their objects have all moved,
+// and the moves made their locks entries: Relocate).
+func (m *Manager) DropBirthRanges() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.births = m.births[:0]
+}
+
+// bornTo returns the transaction whose birth range holds addr, or 0. The
+// mutex is held.
+func (m *Manager) bornTo(addr word.Addr) word.TxID {
+	if len(m.births) == 0 || addr < m.births[0].lo || addr >= m.births[len(m.births)-1].hi {
+		return 0
+	}
+	i := sort.Search(len(m.births), func(i int) bool { return m.births[i].hi > addr })
+	if m.births[i].lo <= addr {
+		return m.births[i].tx
+	}
+	return 0
+}
+
+// lookup returns addr's lock state, or nil when it is free; an address in
+// a birth range gets its owner's write lock as an entry first. The mutex is
+// held.
+func (m *Manager) lookup(addr word.Addr) *entry {
+	if e := m.table[addr]; e != nil {
+		return e
+	}
+	owner := m.bornTo(addr)
+	if owner == 0 {
+		return nil
+	}
+	e := m.newEntry(addr)
+	m.grant(owner, e, Write)
+	return e
+}
+
+// newEntry enters free lock state for addr. The mutex is held.
+func (m *Manager) newEntry(addr word.Addr) *entry {
+	e := &entry{addr: addr}
+	m.table[addr] = e
+	return e
+}
+
+// Relocate rekeys the lock entries of one collection cycle's moved objects
+// (called by the collectors, with the heap stopped or under the transport
+// mutex); an object moving out of a birth range takes its owner's write
+// lock along as an entry.
+func (m *Manager) Relocate(ms word.Moves) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, mv := range ms {
+		from, to := mv.From, mv.To
+		e, ok := m.table[from]
+		owner := word.TxID(0)
+		if !ok {
+			if owner = m.bornTo(from); owner == 0 {
+				continue
+			}
+		}
+		if _, clash := m.table[to]; clash {
+			panic(fmt.Sprintf("lock: rekey target %v already locked", to))
+		}
+		if ok {
+			delete(m.table, from)
+			e.addr = to
+			m.table[to] = e
+		} else {
+			m.grant(owner, m.newEntry(to), Write)
+		}
+		m.Met.Rekeys.Inc()
 	}
 }
 
@@ -392,9 +477,11 @@ func (m *Manager) LockedAddrs() []word.Addr {
 func (m *Manager) HeldBy(tx word.TxID) []word.Addr {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]word.Addr, 0, len(m.held[tx]))
-	for a := range m.held[tx] {
-		out = append(out, a)
+	var out []word.Addr
+	for _, e := range m.held[tx] {
+		if e.holds(tx) && m.table[e.addr] == e && !slices.Contains(out, e.addr) {
+			out = append(out, e.addr)
+		}
 	}
 	return out
 }
@@ -404,7 +491,8 @@ func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.table = make(map[word.Addr]*entry)
-	m.held = make(map[word.TxID]map[word.Addr]Mode)
+	m.held = make(map[word.TxID][]*entry)
+	m.births = nil
 	m.victims = make(map[word.TxID]bool)
 	m.cond.Broadcast()
 }

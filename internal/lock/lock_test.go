@@ -128,8 +128,8 @@ func TestRekeyMovesState(t *testing.T) {
 	m := NewManager(0)
 	m.Acquire(1, 0x10, Write)
 	m.Acquire(2, 0x20, Read)
-	m.Rekey(0x10, 0x90)
-	m.Rekey(0x20, 0xa0)
+	m.Relocate(word.Moves{{From: 0x10, To: 0x90, Words: 1}})
+	m.Relocate(word.Moves{{From: 0x20, To: 0xa0, Words: 1}})
 	if m.WriteLockedBy(0x90) != 1 {
 		t.Fatal("write lock must follow the object")
 	}
@@ -151,7 +151,7 @@ func TestRekeyMovesState(t *testing.T) {
 
 func TestRekeyMissingIsNoop(t *testing.T) {
 	m := NewManager(0)
-	m.Rekey(0x10, 0x90) // nothing locked: fine
+	m.Relocate(word.Moves{{From: 0x10, To: 0x90, Words: 1}}) // nothing locked: fine
 	if len(m.LockedAddrs()) != 0 {
 		t.Fatal("no state expected")
 	}
@@ -289,4 +289,55 @@ func TestWaitFreeDoesNotAcquire(t *testing.T) {
 	if err := m.Acquire(2, 0x10, Write); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBirthRange: a birth range is its owner's write lock on every address
+// in it. Another transaction's acquire or WriteLockedBy makes the lock an
+// entry and conflicts with it; a move out of the range carries it to the
+// new address; the owner's release drops the range with its locks, so no
+// later lookup grants the ended owner anything.
+func TestBirthRange(t *testing.T) {
+	m := NewManager(0)
+	m.SetBirthRange(1, 0x100, 0x140)
+	m.SetBirthRange(1, 0x100, 0x200) // grown in place
+	m.SetBirthRange(2, 0x200, 0x240)
+	if err := m.Acquire(2, 0x1f8, Read); err != ErrTimeout {
+		t.Fatalf("reader of tx 1's born object: %v, want a conflict", err)
+	}
+	if w := m.WriteLockedBy(0x120); w != 1 {
+		t.Fatalf("WriteLockedBy(born address) = %d, want 1", w)
+	}
+	if err := m.Acquire(1, 0x130, Write); err != nil {
+		t.Fatalf("the owner's own acquire: %v", err)
+	}
+	if err := m.Acquire(1, 0x240, Write); err != nil {
+		t.Fatalf("an address past every range: %v", err)
+	}
+	m.Relocate(word.Moves{{From: 0x110, To: 0x9000, Words: 2}, {From: 0x208, To: 0x9010, Words: 2}})
+	if w := m.WriteLockedBy(0x9000); w != 1 {
+		t.Fatalf("moved born object locked by %d, want 1", w)
+	}
+	if w := m.WriteLockedBy(0x9010); w != 2 {
+		t.Fatalf("tx 2's moved born object locked by %d, want 2", w)
+	}
+	m.ReleaseAll(1)
+	for _, a := range []word.Addr{0x110, 0x120, 0x130, 0x1f8, 0x9000} {
+		if w := m.WriteLockedBy(a); w != 0 {
+			t.Fatalf("after tx 1 ended %v is write-locked by %d", a, w)
+		}
+	}
+	if w := m.WriteLockedBy(0x210); w != 2 {
+		t.Fatalf("tx 2's range lost with tx 1's: %d", w)
+	}
+	m.DropBirthRanges()
+	if w := m.WriteLockedBy(0x220); w != 0 {
+		t.Fatalf("dropped range still locks: %d", w)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an overlapping birth range was accepted")
+		}
+	}()
+	m.SetBirthRange(3, 0x300, 0x340)
+	m.SetBirthRange(4, 0x320, 0x380)
 }

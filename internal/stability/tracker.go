@@ -84,12 +84,15 @@ func New(h *heap.Heap, txm *tx.Manager, locks *lock.Manager, env Env) *Tracker {
 // candidate handles (the targets of the transaction's pointer stores into
 // stable state), then logs the complete record. It is called inside commit
 // processing, before the commit record. A lock timeout aborts the commit:
-// the caller must abort the transaction.
-func (tr *Tracker) Track(t *tx.Tx, candidates []*tx.Handle) error {
+// the caller must abort the transaction. own, when not nil, reports the
+// objects private to t — still in the chunk it allocated them into, where
+// no other transaction can reach them without conflicting with t — whose
+// lock step is skipped.
+func (tr *Tracker) Track(t *tx.Tx, candidates []*tx.Handle, own func(word.Addr) bool) error {
 	tr.batch = tr.batch[:0]
 	var err error
 	for _, c := range candidates {
-		if err = tr.stabilize(t, c.Addr()); err != nil {
+		if err = tr.stabilize(t, own, c.Addr()); err != nil {
 			break
 		}
 	}
@@ -133,7 +136,7 @@ func (tr *Tracker) logRuns(t *tx.Tx) {
 
 // stabilize marks the object at addr (and everything volatile it reaches)
 // AS and adds each object it marks to the batch.
-func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
+func (tr *Tracker) stabilize(t *tx.Tx, own func(word.Addr) bool, addr word.Addr) error {
 	if addr.IsNil() {
 		return nil
 	}
@@ -155,18 +158,21 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
 	// writer finishes (and its effects are either committed — fine to
 	// capture — or rolled back from in-memory undo). This is the bug
 	// fix: without it a base record could capture uncommitted volatile
-	// writes that a later abort cannot remove.
-	if w := tr.locks.WriteLockedBy(addr); w != 0 && w != t.ID() {
-		tr.Met.LockWaits.Inc()
-	}
-	if err := tr.locks.TryAcquire(t.ID(), addr, lock.Read); err != nil {
-		return err
-	}
-	// Re-read under the lock: a concurrent tracker may have won.
-	d = tr.h.Descriptor(addr)
-	if d.AS() {
-		tr.Met.AlreadyAS.Inc()
-		return nil
+	// writes that a later abort cannot remove. An object t owns needs no
+	// lock: nobody else can have written it.
+	if own == nil || !own(addr) {
+		if w := tr.locks.WriteLockedBy(addr); w != 0 && w != t.ID() {
+			tr.Met.LockWaits.Inc()
+		}
+		if err := tr.locks.TryAcquire(t.ID(), addr, lock.Read); err != nil {
+			return err
+		}
+		// Re-read under the lock: a concurrent tracker may have won.
+		d = tr.h.Descriptor(addr)
+		if d.AS() {
+			tr.Met.AlreadyAS.Inc()
+			return nil
+		}
 	}
 	// Forward the pointer fields in place before the image is taken: an
 	// unscanned slot may still hold a from-space address, and the base
@@ -195,7 +201,7 @@ func (tr *Tracker) stabilize(t *tx.Tx, addr word.Addr) error {
 	// makes it accessible from a stable object commits"). Stabilizing a
 	// child never writes this object.
 	for i := 0; i < d.NPtrs(); i++ {
-		if err := tr.stabilize(t, tr.h.Ptr(addr, i)); err != nil {
+		if err := tr.stabilize(t, own, tr.h.Ptr(addr, i)); err != nil {
 			return err
 		}
 	}

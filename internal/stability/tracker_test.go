@@ -68,7 +68,7 @@ func TestTrackStabilizesClosure(t *testing.T) {
 	r.h.SetPtr(a, 0, b, word.NilLSN)
 	r.h.SetPtr(b, 0, c, word.NilLSN)
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range []word.Addr{a, b, c} {
@@ -114,7 +114,7 @@ func TestTrackSharedSubgraphOnlyOnce(t *testing.T) {
 	r.h.SetPtr(a, 0, shared, word.NilLSN)
 	r.h.SetPtr(b, 0, shared, word.NilLSN)
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a), r.handle(tr, b)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a), r.handle(tr, b)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Met.Objects.Load() != 3 {
@@ -132,7 +132,7 @@ func TestTrackCycle(t *testing.T) {
 	r.h.SetPtr(a, 0, b, word.NilLSN)
 	r.h.SetPtr(b, 0, a, word.NilLSN)
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Met.Objects.Load() != 2 {
@@ -148,7 +148,7 @@ func TestTrackStopsAtStableBoundary(t *testing.T) {
 	r.h.SetDescriptor(s, heap.NewDescriptor(1, 0, 1), word.NilLSN)
 	r.h.SetPtr(a, 0, s, word.NilLSN)
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Met.Objects.Load() != 1 {
@@ -165,7 +165,7 @@ func TestTrackBlockedByOtherWriterFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != lock.ErrTimeout {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != lock.ErrTimeout {
 		t.Fatalf("expected lock timeout, got %v", err)
 	}
 	if r.h.Descriptor(a).AS() {
@@ -185,7 +185,7 @@ func TestTrackOwnWriteLockOK(t *testing.T) {
 	if err := r.locks.Acquire(tr.ID(), a, lock.Write); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !r.h.Descriptor(a).AS() {
@@ -197,13 +197,13 @@ func TestSecondTrackerSkipsStabilized(t *testing.T) {
 	r := newRig()
 	a := r.alloc(0, 1, 1)
 	t1 := r.txm.Begin()
-	if err := r.tr.Track(t1, []*tx.Handle{r.handle(t1, a)}); err != nil {
+	if err := r.tr.Track(t1, []*tx.Handle{r.handle(t1, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.txm.PrepareCommit(t1)
 	r.txm.FinishCommit(t1)
 	t2 := r.txm.Begin()
-	if err := r.tr.Track(t2, []*tx.Handle{r.handle(t2, a)}); err != nil {
+	if err := r.tr.Track(t2, []*tx.Handle{r.handle(t2, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Met.Objects.Load() != 1 {
@@ -226,7 +226,7 @@ func TestBaseImageCarriesASBit(t *testing.T) {
 	r := newRig()
 	a := r.alloc(0, 1, 42)
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var base wal.BaseRec
@@ -249,7 +249,7 @@ func TestBaseStampsPageLSN(t *testing.T) {
 	r := newRig()
 	a := r.alloc(0, 1, 1)
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}); err != nil {
+	if err := r.tr.Track(tr, []*tx.Handle{r.handle(tr, a)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.mem.PageLSN(a.Page(ps)) == word.NilLSN {
@@ -263,7 +263,7 @@ func TestBaseStampsPageLSN(t *testing.T) {
 func TestEmptyTrackNoRecords(t *testing.T) {
 	r := newRig()
 	tr := r.txm.Begin()
-	if err := r.tr.Track(tr, nil); err != nil {
+	if err := r.tr.Track(tr, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Met.Batches.Load() != 0 {

@@ -42,19 +42,25 @@ const (
 // it.
 type Handle struct {
 	addr word.Addr
-	// born is the transaction that allocated the object and write-locked it
-	// at birth (RegisterBorn); nil for every other handle.
+	// born is the transaction that allocated the object, and so holds its
+	// write lock (RegisterBorn); nil for every other handle.
 	born *Tx
+	// shape is a born object's descriptor as its allocation wrote it.
+	shape heap.Descriptor
 }
 
 // Addr returns the object's current address.
 func (h *Handle) Addr() word.Addr { return h.addr }
 
-// BornIn reports whether h names an object t allocated and write-locked at
-// birth: t holds its lock until it ends, and its writes through h need no
-// undo (DESIGN.md §11, "Birth-locked objects"). A nil handle was born in
-// nothing.
+// BornIn reports whether h names an object t allocated: t holds its write
+// lock until it ends, and its writes through h need no undo (DESIGN.md §11,
+// "Born objects"). A nil handle was born in nothing.
 func (h *Handle) BornIn(t *Tx) bool { return h != nil && h.born == t }
+
+// Shape returns the descriptor a born object was allocated with (zero for
+// any other handle). Its creator is the only transaction that can set the
+// object's AS bit, so until it commits the descriptor in memory is this one.
+func (h *Handle) Shape() heap.Descriptor { return h.shape }
 
 // uttEntry is one per-record undo address translation (the paper's UTT,
 // §4.4): the address an update record logged, where that slot or pointer
@@ -115,10 +121,12 @@ type Tx struct {
 	// updating marks a transaction that has logged an update; commitLSN is
 	// its commit record once appended, and overlap counts the other update
 	// transactions it was open together with (Manager.CommitShape). The
-	// last two are guarded by the manager's mu.
+	// last two are guarded by the manager's mu. span is its time from Begin
+	// to its commit record, folded into the commit shape as it ends.
 	updating  bool
 	commitLSN word.LSN
 	overlap   int
+	span      time.Duration
 }
 
 // Prepared reports whether the transaction is in the prepared state.
@@ -283,6 +291,9 @@ func (m *Manager) endedLocked(t *Tx, committed bool) {
 	}
 	if committed && !t.prepared {
 		m.usualOpen.Observe(int64(t.overlap) + 1)
+		if t.span > 0 {
+			m.span.Observe(int64(t.span))
+		}
 	}
 }
 
@@ -323,12 +334,12 @@ func (m *Manager) Register(t *Tx, addr word.Addr) *Handle {
 	return h
 }
 
-// RegisterBorn is Register for a volatile object t has just allocated and
-// write-locked: writes through the handle skip the lock and keep no undo,
-// and Abort re-zeroes the object instead.
-func (m *Manager) RegisterBorn(t *Tx, addr word.Addr) *Handle {
-	h := m.Register(t, addr)
-	h.born = t
+// RegisterBorn is Register for a volatile object t has just allocated with
+// descriptor d, and so holds the write lock on: writes through the handle
+// skip the lock and keep no undo, and Abort re-zeroes the object instead.
+func (m *Manager) RegisterBorn(t *Tx, addr word.Addr, d heap.Descriptor) *Handle {
+	h := &Handle{addr: addr, born: t, shape: d}
+	t.handles = append(t.handles, h)
 	return h
 }
 
@@ -408,6 +419,17 @@ func (m *Manager) VolatileWrite(t *Tx, addr word.Addr, v uint64, isPtrSlot, born
 	if isPtrSlot && m.env.OnVolatilePtrWrite != nil {
 		m.env.OnVolatilePtrWrite(addr, word.Addr(old), word.Addr(v))
 	}
+	m.Met.VolWrites.Inc()
+}
+
+// FreshWrite stores v into a word of an object t allocated into its
+// allocation chunk and that is still there: no undo, as for any born object,
+// and no barrier hook. The chunk was carved after the last volatile flip, so
+// the word never held a from-space pointer for a concurrent scan to gray,
+// and a slot in the nursery never enters the nursery remembered set.
+func (m *Manager) FreshWrite(t *Tx, addr word.Addr, v uint64) {
+	m.mustBeActive(t)
+	m.mem.WriteWord(addr, v, word.NilLSN)
 	m.Met.VolWrites.Inc()
 }
 
@@ -517,8 +539,8 @@ func (m *Manager) PrepareCommit(t *Tx) word.LSN {
 		m.mu.Lock()
 		t.commitLSN = lsn
 		m.mu.Unlock()
-		if !t.prepared && !t.begun.IsZero() {
-			m.span.Observe(int64(time.Since(t.begun)))
+		if !t.begun.IsZero() {
+			t.span = time.Since(t.begun)
 		}
 	}
 	return lsn

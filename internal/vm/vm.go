@@ -126,6 +126,11 @@ type Store struct {
 	// replacement sweep; hand indexes the next candidate.
 	ring []word.PageID
 	hand int
+	// gone marks, by page id, the pages DiscardRange dropped: until a page
+	// is next written back, its slot on disk holds dead contents, so a miss
+	// makes it resident zero-filled at the slot's page LSN instead of
+	// reading it.
+	gone []bool
 	trap TrapHandler
 	// inTrap guards against recursive traps (a handler touching its own
 	// protected page would loop).
@@ -221,7 +226,12 @@ func (s *Store) resident(id word.PageID) *page {
 	s.makeRoom()
 	p := &page{id: id}
 	p.ref.Store(true)
-	if data, lsn, ok := s.disk.ReadPage(id); ok {
+	if s.discarded(id) {
+		// Never LSN 0: the slot keeps its page LSN across the next write
+		// back, or recovery would take the page for a lost write.
+		p.data, p.lsn = make([]byte, s.cfg.PageSize), s.disk.PageLSN(id)
+		s.Met.FreshPages.Inc()
+	} else if data, lsn, ok := s.disk.ReadPage(id); ok {
 		p.data, p.lsn = data, lsn
 		s.Met.Fetches.Inc()
 	} else {
@@ -302,6 +312,9 @@ func (s *Store) flushPage(p *page) {
 		s.Met.LogForces.Inc()
 	}
 	s.disk.WritePage(p.id, p.data, p.lsn)
+	if s.discarded(p.id) {
+		s.gone[p.id] = false
+	}
 	p.dirty = false
 	p.recLSN = word.NilLSN
 	s.Met.Flushes.Inc()
@@ -413,6 +426,7 @@ func (s *Store) Crash() {
 	s.lock()
 	defer s.unlock()
 	clear(s.pages)
+	s.gone = nil
 	s.nres = 0
 	s.prot = make(map[word.PageID]struct{})
 	s.ring = nil
@@ -652,14 +666,29 @@ func (s *Store) PageLSN(id word.PageID) word.LSN {
 	return s.disk.PageLSN(id)
 }
 
+// discarded reports whether the page's slot holds contents DiscardRange
+// declared dead. Either lock is held.
+func (s *Store) discarded(id word.PageID) bool {
+	return uint64(id) < uint64(len(s.gone)) && s.gone[id]
+}
+
 // DiscardRange drops every resident page whose base falls in [lo, hi)
 // without writing it back — the contents are dead (a freed from-space; the
 // collector wrote the surviving to-space out first, so redo never reads a
-// freed range). The dropped pages' dirty entries are returned for
-// inspection by tests.
+// freed range) — and marks every page there gone, so the next touch of one
+// reads nothing back from disk. The dropped pages' dirty entries are
+// returned for inspection by tests.
 func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 	s.lock()
 	defer s.unlock()
+	ps := uint64(s.cfg.PageSize)
+	first, end := (uint64(lo)+ps-1)/ps, (uint64(hi)+ps-1)/ps
+	if end > uint64(len(s.gone)) {
+		s.gone = append(s.gone, make([]bool, end-uint64(len(s.gone)))...)
+	}
+	for id := first; id < end; id++ {
+		s.gone[id] = true
+	}
 	var ghosts []wal.DirtyPage
 	dropped := 0
 	for _, p := range s.span(lo, hi) {

@@ -291,6 +291,38 @@ func TestDiscardRangeDropsWithoutFlushing(t *testing.T) {
 	}
 }
 
+// TestDiscardedPageNotReadBack: a discarded page whose slot holds old
+// contents comes back zero-filled without a fetch, at the slot's page LSN
+// (a write back at LSN 0 would look like a lost write to recovery); once it
+// is written back it is an ordinary page again, and a crash forgets the
+// mark, because recovery may redo into the range.
+func TestDiscardedPageNotReadBack(t *testing.T) {
+	s, disk, _ := newStore(0)
+	s.WriteWord(ps, 9, 4)
+	s.FlushPage(1)
+	s.DiscardRange(word.Addr(ps), word.Addr(2*ps))
+	if got := s.ReadWord(ps); got != 0 || s.Met.Fetches.Load() != 0 {
+		t.Fatalf("discarded page read %d with %d fetches, want 0 and none", got, s.Met.Fetches.Load())
+	}
+	if lsn := s.PageLSN(1); lsn != 4 {
+		t.Fatalf("zero-filled page at LSN %d, want the slot's 4", lsn)
+	}
+	s.WriteWord(ps+8, 5, word.NilLSN)
+	s.FlushPage(1)
+	if _, lsn, _ := disk.ReadPage(1); lsn != 4 {
+		t.Fatalf("written back at LSN %d, want 4", lsn)
+	}
+	s.Crash()
+	if got := s.ReadWord(ps + 8); got != 5 || s.Met.Fetches.Load() != 1 {
+		t.Fatalf("after write back and crash read %d with %d fetches, want 5 and one", got, s.Met.Fetches.Load())
+	}
+	s.DiscardRange(word.Addr(ps), word.Addr(2*ps))
+	s.Crash()
+	if got := s.ReadWord(ps + 8); got != 5 {
+		t.Fatalf("a crash kept the discard: read %d, want the disk's 5", got)
+	}
+}
+
 func TestDiscardRangeKeepsPagesOutsideRange(t *testing.T) {
 	s, _, _ := newStore(0)
 	s.WriteWord(0, 1, 1)

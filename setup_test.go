@@ -93,6 +93,38 @@ func TestSetupCounts(t *testing.T) {
 		bases, len(cycles[0].From), len(cycles[0].Runs), len(cycles[0].Fixes), len(wal.Encode(cycles[0])), appends, tracked, trackBytes, imageBytes)
 }
 
+// TestAllocCounts pins what building objects costs the heap's shared
+// structures on the configuration we ship: an OO7 module built over
+// DefaultConfig stops the heap for at most one allocation in twenty (its
+// chunk refills, minors and the commits that track) and takes at most half
+// a lock per object (allocation takes none; the tracker locks only what a
+// minor moved out of its creator's chunk).
+func TestAllocCounts(t *testing.T) {
+	h := stableheap.Open(stableheap.DefaultConfig())
+	defer h.Close()
+	shape := workload.OO7Config{Assemblies: 8, Composites: 8, AtomsPerComp: 20, DocWords: 16, ConnPerAtom: 3}
+	before := h.Metrics()
+	if _, err := workload.BuildOO7(h, 0, shape, rand.New(rand.NewSource(30))); err != nil {
+		t.Fatal(err)
+	}
+	m := h.Metrics()
+	objects := float64(shape.Objects())
+	stops := float64(m.Hist("latch_stop_wait_ns").Count - before.Hist("latch_stop_wait_ns").Count)
+	allocs := float64(m.Counter("vgc_nursery_alloc_objects_total") - before.Counter("vgc_nursery_alloc_objects_total"))
+	acquires := float64(m.Counter("lock_acquires_total") - before.Counter("lock_acquires_total"))
+	if allocs != objects {
+		t.Fatalf("%v nursery allocations for %v objects", allocs, objects)
+	}
+	if perAlloc := stops / allocs; perAlloc > 0.05 {
+		t.Errorf("%v heap stops for %v allocations: %.3f per allocation, want ≤ 0.05", stops, allocs, perAlloc)
+	}
+	if perObj := acquires / objects; perObj > 0.5 {
+		t.Errorf("%v lock acquisitions for %v objects: %.3f per object, want ≤ 0.5", acquires, objects, perObj)
+	}
+	t.Logf("%v objects: %v heap stops, %v lock acquisitions, %d rekeys", objects, stops, acquires,
+		m.Counter("lock_rekeys_total")-before.Counter("lock_rekeys_total"))
+}
+
 // BenchmarkSetupDir times a heap's set-up on real files — OpenDir, a 32×32
 // OO7 module, CollectVolatile and Checkpoint, the large crash-recover
 // heap's ballast — per object built, with the log records per object and
