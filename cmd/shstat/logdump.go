@@ -14,7 +14,7 @@ import (
 // logDump is shstat -log: it recovers the heap in dir — after formatting it
 // and running the workload there, if dir is fresh — and prints its retained
 // log records (from the truncation point) with their roles, so the record
-// taxonomy of the paper (update/CLR, base/complete, V2SCopy/SFix,
+// taxonomy of the paper (update/CLR, base/commit, V2SCopy/SFix,
 // flip/copy/scan/GCEnd, checkpoint) can be read off a real run. The heap
 // must have shstat's geometry (config), which is the default one.
 func logDump(dir string, ops, accounts, maxRecords int, asJSON bool, stdout, stderr io.Writer) error {
@@ -92,13 +92,11 @@ func describe(r wal.Record) string {
 	case wal.CommitRec:
 		return fmt.Sprintf("COMMIT       tx=%d (log forced through here)", rec.TxID)
 	case wal.EndRec:
-		return fmt.Sprintf("end          tx=%d", rec.TxID)
+		return fmt.Sprintf("end          tx=%d (rollback finished)", rec.TxID)
 	case wal.BaseRec:
 		n := 0
 		heap.WalkRun(rec.Object, func(int, heap.Descriptor) { n++ })
 		return fmt.Sprintf("base         tx=%d addr=%v %dB initial values of a run of %d newly stable objects", rec.TxID, rec.Addr, len(rec.Object), n)
-	case wal.CompleteRec:
-		return fmt.Sprintf("complete     tx=%d batch of %d newly stable objects", rec.TxID, rec.Count)
 	case wal.V2SCopyRec:
 		return fmt.Sprintf("v2scopy      move cycle: %d objects (%dB) volatile→stable in %d destination runs %v, %d slots fixed; first sources %v",
 			len(rec.From), len(rec.Object), len(rec.Runs), rec.Runs[:min(len(rec.Runs), 4)], len(rec.Fixes), rec.From[:min(len(rec.From), 8)])

@@ -131,13 +131,13 @@ func TestRunDecode(t *testing.T) {
 // TestLogDumpCoversEveryRecordType: every live wal.Type has a sample here,
 // an arm of its own in describe and a name in the -json form — a record
 // type added to wal fails this test until -log can print it. The retired
-// begin, abort and page-fetch types are not walked: Decode refuses them.
+// types (wal.Type.Retired) are not walked: Decode refuses them.
 func TestLogDumpCoversEveryRecordType(t *testing.T) {
 	samples := map[wal.Type]wal.Record{}
 	for _, r := range []wal.Record{
 		wal.UpdateRec{}, wal.CLRRec{}, wal.AllocRec{}, wal.CommitRec{},
 		wal.EndRec{}, wal.FlipRec{}, wal.CopyRec{}, wal.ScanRec{}, wal.GCEndRec{}, wal.BaseRec{},
-		wal.CompleteRec{}, wal.V2SCopyRec{}, wal.SFixRec{}, wal.VFlipRec{},
+		wal.V2SCopyRec{}, wal.SFixRec{}, wal.VFlipRec{},
 		wal.EndWriteRec{}, wal.CheckpointRec{}, wal.LogicalRec{}, wal.PrepareRec{},
 		wal.TwoPCBeginRec{}, wal.TwoPCDecideRec{}, wal.TwoPCEndRec{},
 	} {
@@ -145,7 +145,7 @@ func TestLogDumpCoversEveryRecordType(t *testing.T) {
 	}
 	n := 0
 	for typ := wal.TInvalid + 1; !strings.HasPrefix(typ.String(), "type("); typ++ {
-		if typ == wal.TBegin || typ == wal.TAbort || typ == wal.TPageFetch {
+		if typ.Retired() {
 			continue
 		}
 		n++

@@ -319,10 +319,12 @@ type Heap struct {
 	// SetHistoryRecorder before any concurrent use.
 	hist *histcheck.Recorder
 
-	// commitGate is held shared by a commit from its commit record to its
-	// end record, across the force it parks on outside every latch; Close
-	// and Crash take it exclusively first, so neither finds a transaction
-	// whose commit record is logged and whose fate is not.
+	// commitGate is held shared by a commit from before its commit record
+	// until it has released its locks, across the force it parks on outside
+	// every latch. The commit record decides the transaction and is its
+	// last (tx.Manager.PrepareCommit); Close and Crash take the gate
+	// exclusively first, so neither runs while a decided transaction still
+	// holds its locks or waits to learn that its record is stable.
 	commitGate sync.RWMutex
 
 	// met holds the heap-level latency histograms (always on) and reg
@@ -1513,9 +1515,9 @@ func (t *Tx) Commit() error {
 // covers the commit record at lsn — overlapping committers share it, and a
 // leader joins the siblings the workload says are coming
 // (wal.Manager.ForceCommit), while nobody's action queues behind it — then
-// spool the end record and release the locks under the shared latch. A
-// transaction that logged nothing has no commit record (lsn is NilLSN) and
-// waits for no force.
+// release the locks under the shared latch. It logs nothing: the commit
+// record is the transaction's last. A transaction that logged nothing has
+// no commit record (lsn is NilLSN) and waits for no force.
 func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
 	if lsn != word.NilLSN {
 		usualOpen, span := hp.txm.CommitShape()

@@ -113,7 +113,7 @@ func TestFootprintCoversRedoAndRouting(t *testing.T) {
 	}
 
 	control := []wal.Record{
-		wal.CommitRec{}, wal.EndRec{}, wal.CompleteRec{}, wal.PrepareRec{},
+		wal.CommitRec{}, wal.EndRec{}, wal.PrepareRec{},
 		wal.FlipRec{ToLo: 0x1000, ToHi: 0x2000}, wal.GCEndRec{}, wal.VFlipRec{},
 		wal.EndWriteRec{Page: 3}, wal.CheckpointRec{},
 		wal.ScanRec{Page: 3}, wal.SFixRec{Page: 3}, wal.V2SCopyRec{}, // no fixes, no writes

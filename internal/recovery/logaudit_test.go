@@ -27,7 +27,6 @@ var samples = []wal.Record{
 	wal.ScanRec{Epoch: 1, Page: 0, Fixes: []wal.PtrFix{{Addr: 0x10, NewPtr: 0x810}}},                   // redo; analysis advances the scan
 	wal.GCEndRec{Epoch: 1}, // analysis ends the collection
 	wal.BaseRec{TxHdr: wal.TxHdr{TxID: 5}, Addr: 0x10, Object: make([]byte, 16)},                                   // redo; analysis: the LS set
-	wal.CompleteRec{TxHdr: wal.TxHdr{TxID: 5}},                                                                     // undo steps over it
 	wal.V2SCopyRec{From: []word.Addr{0x10}, Runs: []wal.MoveRun{{To: 0x810, Bytes: 16}}, Object: make([]byte, 16)}, // redo; undo's address translation
 	wal.SFixRec{Page: 0, Fixes: []wal.PtrFix{{Addr: 0x10, NewPtr: 0x810}}},                                         // redo; analysis: the remembered set
 	wal.VFlipRec{Epoch: 1},                                          // analysis flips the volatile semispaces
@@ -37,29 +36,23 @@ var samples = []wal.Record{
 	wal.PrepareRec{TxHdr: wal.TxHdr{TxID: 5}},                       // analysis keeps the transaction in doubt
 }
 
-// unreadAllowed lists the types no part of recovery reads that the log
-// still carries, each with the reason it stays.
-var unreadAllowed = map[wal.Type]string{
-	wal.TComplete: "the paper's Ch. 5 base-update-complete protocol; ROADMAP item 3 decides its fate",
-}
-
 // TestLogAuditEveryTypeIsRead holds every live record type to a reader:
-// ReadBy must find one for each sample outside unreadAllowed, and none for
-// the types in it. It then runs the bank and OO7 mixes — with an abort
-// after a logged update each round, collections and checkpoints — and
-// fails on any type they append that has no sample or no reader.
+// ReadBy must find one for each sample. It then runs the bank and OO7
+// mixes — with an abort after a logged update each round, collections and
+// checkpoints — and fails on any type they append that has no sample or no
+// reader, and on an END that follows a commit record.
 func TestLogAuditEveryTypeIsRead(t *testing.T) {
 	reader := make(map[wal.Type]string)
 	for _, rec := range samples {
 		by := recovery.ReadBy(rec)
-		if _, allowed := unreadAllowed[rec.Type()]; allowed != (by == "") {
-			t.Errorf("%v: read by %q, allow-listed as unread %v", rec.Type(), by, allowed)
+		if by == "" {
+			t.Errorf("%v: no part of recovery reads it", rec.Type())
 		}
 		reader[rec.Type()] = by
 	}
 	for typ := wal.TInvalid + 1; !strings.HasPrefix(typ.String(), "type("); typ++ {
-		switch typ {
-		case wal.TBegin, wal.TAbort, wal.TPageFetch, wal.TTwoPCBegin, wal.TTwoPCDecide, wal.TTwoPCEnd:
+		switch {
+		case typ.Retired(), typ == wal.TTwoPCBegin, typ == wal.TTwoPCDecide, typ == wal.TTwoPCEnd:
 			continue // retired, or the coordinator's
 		}
 		if _, ok := reader[typ]; !ok {
@@ -110,6 +103,24 @@ func TestLogAuditEveryTypeIsRead(t *testing.T) {
 		h.CollectStable()
 		h.Checkpoint()
 	}
+	// The commit record is a committed transaction's last: an END closes
+	// only a rollback (each round's abort leaves one).
+	committed, ends := make(map[word.TxID]bool), 0
+	h.Log().Scan(max(h.Log().Device().TruncLSN(), 1), false, func(_ word.LSN, r wal.Record) bool {
+		switch r.(type) {
+		case wal.CommitRec:
+			committed[r.Tx()] = true
+		case wal.EndRec:
+			ends++
+			if committed[r.Tx()] {
+				t.Errorf("an END follows transaction %d's commit record", r.Tx())
+			}
+		}
+		return true
+	})
+	if ends == 0 {
+		t.Error("the mixes' aborts left no END record")
+	}
 	got := make(map[wal.Type]int64)
 	for typ := wal.TInvalid + 1; !strings.HasPrefix(typ.String(), "type("); typ++ {
 		if n, _ := h.Log().TypeStats(typ); n > 0 {
@@ -126,7 +137,7 @@ func TestLogAuditEveryTypeIsRead(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("%d %v records appended, a type with no sample", n, typ)
-		case by == "" && unreadAllowed[typ] == "":
+		case by == "":
 			t.Errorf("%d %v records appended that no reader uses", n, typ)
 		}
 	}

@@ -297,8 +297,6 @@ func (a *analysis) scan(log *wal.Manager) {
 			heap.WalkRun(r.Object, func(off int, _ heap.Descriptor) {
 				a.ls[r.Addr+word.Addr(off)] = true
 			})
-		case wal.CompleteRec:
-			a.touch(r.TxID, lsn)
 		case wal.PrepareRec:
 			a.touch(r.TxID, lsn).prepared = true
 		case wal.FlipRec:

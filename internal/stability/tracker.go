@@ -11,7 +11,8 @@
 // unlogged volatile writes) and sets its AS bit. Then it spools base records
 // with the objects' full values, one per run of the batch's objects that lie
 // end to end, and registers each object in the LS set ("logically stable,
-// still in the volatile area"). A complete record closes the batch. The
+// still in the volatile area"). The transaction's commit record closes the
+// batch (the paper's base-update-complete marker). The
 // objects are physically moved into the stable area at the next volatile
 // collection.
 //
@@ -82,8 +83,8 @@ func New(h *heap.Heap, txm *tx.Manager, locks *lock.Manager, env Env) *Tracker {
 
 // Track stabilizes the closure of volatile objects reachable through the
 // candidate handles (the targets of the transaction's pointer stores into
-// stable state), then logs the complete record. It is called inside commit
-// processing, before the commit record. A lock timeout aborts the commit:
+// stable state). It is called inside commit processing, before the commit
+// record, which closes the batch. A lock timeout aborts the commit:
 // the caller must abort the transaction. own, when not nil, reports the
 // objects private to t — still in the chunk it allocated them into, where
 // no other transaction can reach them without conflicting with t — whose
@@ -103,7 +104,6 @@ func (tr *Tracker) Track(t *tx.Tx, candidates []*tx.Handle, own func(word.Addr) 
 		return err
 	}
 	if count := len(tr.batch); count > 0 {
-		tr.txm.LogComplete(t)
 		tr.Met.Batches.Inc()
 		tr.Met.Objects.Add(uint64(count))
 		tr.Met.Closure.Observe(uint64(count))
@@ -124,7 +124,7 @@ func (tr *Tracker) logRuns(t *tx.Tx) {
 			n++
 		}
 		img := tr.h.RunBytes(b[0].addr, words)
-		lsn := tr.txm.LogBase(t, b[0].addr, img, n)
+		lsn := tr.txm.LogBase(t, b[0].addr, img)
 		tr.h.WriteObject(b[0].addr, img, lsn)
 		for _, m := range b[:n] {
 			tr.env.AddLS(m.addr, m.words)

@@ -80,26 +80,25 @@ func TestTrackStabilizesClosure(t *testing.T) {
 		}
 	}
 	// Log: the three objects lie end to end (c, b, a), so one base record
-	// carries them, then the complete record counts objects.
-	var bases []wal.BaseRec
-	var completes []wal.CompleteRec
+	// carries them, and the commit record, chained directly after it,
+	// closes the batch.
+	r.log.Force(r.txm.PrepareCommit(tr))
+	r.txm.FinishCommit(tr)
+	var recs []wal.Record
 	r.log.Scan(1, false, func(_ word.LSN, rec wal.Record) bool {
-		switch rec := rec.(type) {
-		case wal.BaseRec:
-			bases = append(bases, rec)
-		case wal.CompleteRec:
-			completes = append(completes, rec)
-		}
+		recs = append(recs, rec)
 		return true
 	})
-	if len(bases) != 1 || len(completes) != 1 {
-		t.Fatalf("bases=%d completes=%d", len(bases), len(completes))
+	if len(recs) != 2 || recs[0].Type() != wal.TBase || recs[1].Type() != wal.TCommit {
+		t.Fatalf("log holds %v, want one base record then the commit record", recs)
 	}
-	if end := a.Add(3); bases[0].Addr != c || len(bases[0].Object) != int(end-c) {
-		t.Fatalf("base run at %v of %d bytes, want [%v, %v)", bases[0].Addr, len(bases[0].Object), c, end)
+	for typ, want := range map[wal.Type]int64{wal.TBase: 1, wal.TCommit: 1, wal.TComplete: 0, wal.TEnd: 0} {
+		if n, _ := r.log.TypeStats(typ); n != want {
+			t.Errorf("%d %v records appended, want %d", n, typ, want)
+		}
 	}
-	if completes[0].Count != 3 {
-		t.Fatalf("complete count %d, want 3 objects", completes[0].Count)
+	if base := recs[0].(wal.BaseRec); base.Addr != c || len(base.Object) != int(a.Add(3)-c) {
+		t.Fatalf("base run at %v of %d bytes, want [%v, %v)", base.Addr, len(base.Object), c, a.Add(3))
 	}
 	if r.tr.Met.Objects.Load() != 3 || r.tr.Met.Closure.Snapshot().Max != 3 {
 		t.Fatalf("objects %d, largest closure %d", r.tr.Met.Objects.Load(), r.tr.Met.Closure.Snapshot().Max)

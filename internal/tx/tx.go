@@ -111,18 +111,16 @@ type Tx struct {
 	// then restores the undo image into the wrong object.
 	undoSlots []uttEntry
 	undoVals  []uttEntry
-	// newlyStable counts objects stabilized at commit (for the complete
-	// record).
-	newlyStable int
 	// prepared marks the participant side of two-phase commit: the
 	// transaction's fate awaits the coordinator, and it survives crashes
 	// in-doubt.
 	prepared bool
 	// updating marks a transaction that has logged an update; commitLSN is
-	// its commit record once appended, and overlap counts the other update
-	// transactions it was open together with (Manager.CommitShape). The
-	// last two are guarded by the manager's mu. span is its time from Begin
-	// to its commit record, folded into the commit shape as it ends.
+	// its commit record once appended, which decides it (TableEntries), and
+	// overlap counts the other update transactions it was open together
+	// with (Manager.CommitShape). The last two are guarded by the manager's
+	// mu. span is its time from Begin to its commit record, folded into the
+	// commit shape as it ends.
 	updating  bool
 	commitLSN word.LSN
 	overlap   int
@@ -448,27 +446,14 @@ func (m *Manager) LogAlloc(t *Tx, addr word.Addr, d heap.Descriptor) word.LSN {
 
 // LogBase spools the initial-value record for a run of newly stable
 // objects that lie end to end from addr (Ch. 5); the run image was captured
-// by the stability tracker.
-func (m *Manager) LogBase(t *Tx, addr word.Addr, img []byte, objects int) word.LSN {
+// by the stability tracker. The transaction's commit record closes the
+// batch: no record of its own marks the base updates complete.
+func (m *Manager) LogBase(t *Tx, addr word.Addr, img []byte) word.LSN {
 	m.mustBeActive(t)
-	lsn := t.chain(m.log.Append(wal.BaseRec{
+	return t.chain(m.log.Append(wal.BaseRec{
 		TxHdr:  wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN},
 		Addr:   addr,
 		Object: img,
-	}))
-	t.newlyStable += objects
-	return lsn
-}
-
-// LogComplete closes the base-record batch for the transaction.
-func (m *Manager) LogComplete(t *Tx) {
-	m.mustBeActive(t)
-	if t.newlyStable == 0 {
-		return
-	}
-	t.chain(m.log.Append(wal.CompleteRec{
-		TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN},
-		Count: t.newlyStable,
 	}))
 }
 
@@ -523,39 +508,41 @@ func (m *Manager) RestoreInDoubt(id word.TxID, lastLSN word.LSN, translate func(
 	return t, objs
 }
 
-// PrepareCommit appends the commit record — the only record whose force a
-// transaction waits for (§2.2.1) — and returns its LSN. The caller makes
-// it durable with wal.Manager.Force, holding no latch, so that overlapping
-// committers share one synchronous write (the paper's footnote 1), and
-// then calls FinishCommit. A transaction that has logged nothing appends
-// nothing and returns NilLSN: there is nothing to make durable.
+// PrepareCommit appends the commit record — the commit point, and the only
+// record whose force a transaction waits for (§2.2.1) — and returns its
+// LSN. The record decides the transaction: from here a crash either keeps
+// it, and the transaction is a winner, or loses it with every record after
+// it, so no checkpoint lists the transaction again (TableEntries). The
+// caller makes the record durable with wal.Manager.Force, holding no latch,
+// so that overlapping committers share one synchronous write (the paper's
+// footnote 1), and then calls FinishCommit. A transaction that has logged
+// nothing appends nothing and returns NilLSN: there is nothing to make
+// durable.
 func (m *Manager) PrepareCommit(t *Tx) word.LSN {
 	m.mustBeActive(t)
 	if t.lastLSN == word.NilLSN {
 		return word.NilLSN
 	}
 	lsn := t.chain(m.log.Append(wal.CommitRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}}))
-	if t.updating {
-		m.mu.Lock()
-		t.commitLSN = lsn
-		m.mu.Unlock()
-		if !t.begun.IsZero() {
-			t.span = time.Since(t.begun)
-		}
+	m.mu.Lock()
+	t.commitLSN = lsn
+	m.mu.Unlock()
+	if t.updating && !t.begun.IsZero() {
+		t.span = time.Since(t.begun)
 	}
 	return lsn
 }
 
-// FinishCommit completes a prepared, durable commit: locks release, the
-// end record is spooled (if the transaction logged anything), and the
-// transaction leaves the table.
+// FinishCommit completes a prepared, durable commit: locks release and the
+// transaction leaves the table. It logs nothing: the commit record ends a
+// committed transaction, and an end record closes only a rollback. Until
+// here the transaction's handles stay collector roots, because a lock entry
+// is keyed by its object's address: an object the transaction still holds
+// locked must move with its entry, not be freed under it.
 func (m *Manager) FinishCommit(t *Tx) {
 	m.mustBeActive(t)
 	t.status = Committed
 	m.locks.ReleaseAll(t.id)
-	if t.lastLSN != word.NilLSN {
-		m.log.Append(wal.EndRec{TxHdr: wal.TxHdr{TxID: t.id, PrevLSN: t.lastLSN}})
-	}
 	m.mu.Lock()
 	delete(m.active, t.id)
 	m.endedLocked(t, true)
@@ -745,13 +732,16 @@ func (m *Manager) ForEachUndoRoot(visit func(get func() word.Addr, set func(word
 }
 
 // TableEntries snapshots the transaction table for a checkpoint, including
-// each transaction's undo translations. A transaction that has logged
-// nothing has nothing for recovery to undo and is left out, so it pins no
-// log.
+// each transaction's undo translations. Only undecided transactions are
+// listed. One that has logged nothing has nothing for recovery to undo, so
+// it pins no log. One whose commit record is appended is decided: a
+// checkpoint after that record that listed it would, once promoted by
+// another commit's force, make recovery roll back a commit whose own force
+// had returned, since analysis starts past the record.
 func (m *Manager) TableEntries() []wal.TxEntry {
 	out := make([]wal.TxEntry, 0, len(m.active))
 	for _, t := range m.active {
-		if t.firstLSN == word.NilLSN {
+		if t.firstLSN == word.NilLSN || t.commitLSN != word.NilLSN {
 			continue
 		}
 		e := wal.TxEntry{TxID: t.id, FirstLSN: t.firstLSN, LastLSN: t.lastLSN, Prepared: t.prepared}

@@ -32,7 +32,7 @@ func newFixture() *fixture {
 }
 
 // commit is the protocol every committer follows: commit record, force,
-// end record.
+// release.
 func (f *fixture) commit(t *Tx) {
 	f.log.Force(f.m.PrepareCommit(t))
 	f.m.FinishCommit(t)
@@ -148,17 +148,21 @@ func TestCommitForcesLog(t *testing.T) {
 		t.Fatal("nothing should be forced yet")
 	}
 	f.commit(tr)
-	// Everything through the commit record must be stable; the end
-	// record may be volatile.
-	var commitLSN word.LSN
+	// Everything through the commit record must be stable, and the commit
+	// record is the last one the transaction appends.
+	var commitLSN, last word.LSN
 	f.log.Scan(1, false, func(lsn word.LSN, r wal.Record) bool {
 		if r.Type() == wal.TCommit {
 			commitLSN = lsn
 		}
+		last = lsn
 		return true
 	})
 	if !f.log.IsStable(commitLSN) {
 		t.Fatal("commit record must be durable")
+	}
+	if last != commitLSN {
+		t.Fatalf("last record at %d, commit record at %d: a commit appends nothing after it", last, commitLSN)
 	}
 	if tr.Status() != Committed {
 		t.Fatal("status")
@@ -356,45 +360,31 @@ func TestHandlesVisitedAndRewritten(t *testing.T) {
 	}
 }
 
-func TestBaseAndCompleteRecords(t *testing.T) {
+// TestBaseRecordsThenCommit: a tracking batch is its base records, and the
+// transaction's commit record, chained directly after the last of them,
+// closes it (the paper's base-update-complete marker).
+func TestBaseRecordsThenCommit(t *testing.T) {
 	f := newFixture()
 	tr := f.m.Begin()
 	img := make([]byte, 16)
 	word.PutWord(img, 0, uint64(heap.NewDescriptor(1, 0, 1)))
 	word.PutWord(img, 8, 42)
-	f.m.LogBase(tr, 0x300, img, 1)
-	f.m.LogComplete(tr)
+	baseLSN := f.m.LogBase(tr, 0x300, img)
 	f.commit(tr)
-	var base wal.BaseRec
-	var complete wal.CompleteRec
+	var got []wal.Record
 	f.log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
-		switch rec := r.(type) {
-		case wal.BaseRec:
-			base = rec
-		case wal.CompleteRec:
-			complete = rec
-		}
+		got = append(got, r)
 		return true
 	})
-	if base.Addr != 0x300 || !bytes.Equal(base.Object, img) {
-		t.Fatal("base record wrong")
+	if len(got) != 2 {
+		t.Fatalf("log holds %d records, want the base record and the commit record: %+v", len(got), got)
 	}
-	if complete.Count != 1 {
-		t.Fatal("complete record count wrong")
+	if base, ok := got[0].(wal.BaseRec); !ok || base.Addr != 0x300 || !bytes.Equal(base.Object, img) {
+		t.Fatalf("first record = %+v, want the base record", got[0])
 	}
-}
-
-func TestCompleteSkippedWhenNothingStabilized(t *testing.T) {
-	f := newFixture()
-	tr := f.m.Begin()
-	f.m.LogComplete(tr)
-	f.commit(tr)
-	f.log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
-		if r.Type() == wal.TComplete {
-			t.Fatal("no complete record expected")
-		}
-		return true
-	})
+	if c, ok := got[1].(wal.CommitRec); !ok || c.PrevLSN != baseLSN {
+		t.Fatalf("second record = %+v, want the commit record chained after the base record at %d", got[1], baseLSN)
+	}
 }
 
 func TestAllocRecordChained(t *testing.T) {
@@ -580,10 +570,19 @@ func TestPrepareFinishCommitSplit(t *testing.T) {
 	if tr.Status() != Active {
 		t.Fatal("tx still active between prepare and finish")
 	}
+	// The commit record decides the transaction: no checkpoint lists it,
+	// though it stays in the table, holding its locks, until it finishes.
+	if got := f.m.TableEntries(); len(got) != 0 {
+		t.Fatalf("checkpoint table lists the committing tx: %+v", got)
+	}
 	f.log.Force(lsn) // stand-in for the group force
+	end := f.log.EndLSN()
 	f.m.FinishCommit(tr)
 	if tr.Status() != Committed || f.m.ActiveCount() != 0 {
 		t.Fatal("finish must complete the commit")
+	}
+	if got := f.log.EndLSN(); got != end {
+		t.Fatalf("log end moved from %d to %d: FinishCommit must append nothing", end, got)
 	}
 }
 

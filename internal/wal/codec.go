@@ -177,9 +177,6 @@ func encodeBody(e *enc, r Record) {
 		encodeTxHdr(e, rec.TxHdr)
 		e.u64(uint64(rec.Addr))
 		e.bytes(rec.Object)
-	case CompleteRec:
-		encodeTxHdr(e, rec.TxHdr)
-		e.u64(uint64(rec.Count))
 	case V2SCopyRec:
 		encodeAddrs(e, rec.From)
 		e.u64(uint64(len(rec.Runs)))
@@ -290,9 +287,9 @@ func encodeCheckpoint(e *enc, c CheckpointRec) {
 }
 
 // Decode parses a framed record. It returns an error on truncation, CRC
-// mismatch, an unknown type tag, a retired one (begin, page-fetch and
-// abort: a log an older build wrote with them is refused by name), or a
-// checkpoint whose transaction table is in the retired layout.
+// mismatch, an unknown type tag, a retired one (Type.Retired: a log an
+// older build wrote with one is refused by name), or a checkpoint whose
+// transaction table is in the retired layout.
 //
 // Decode reads in place: byte-slice fields of the returned record (Redo,
 // Undo, Object, Contents) alias the frame rather than copying it. The frame
@@ -314,10 +311,11 @@ func Decode(frame []byte) (Record, error) {
 	}
 	d := decoder{buf: payload}
 	t := Type(d.u8())
+	if t.Retired() {
+		return nil, fmt.Errorf("wal: retired record type %v", t)
+	}
 	var r Record
 	switch t {
-	case TBegin, TPageFetch, TAbort:
-		return nil, fmt.Errorf("wal: retired record type %v", t)
 	case TUpdate:
 		r = UpdateRec{TxHdr: d.txHdr(), Addr: word.Addr(d.u64()), Obj: word.Addr(d.u64()), Flags: d.u8(), Redo: d.bytes(), Undo: d.bytes()}
 	case TCLR:
@@ -345,8 +343,6 @@ func Decode(frame []byte) (Record, error) {
 		r = GCEndRec{Epoch: d.u64()}
 	case TBase:
 		r = BaseRec{TxHdr: d.txHdr(), Addr: word.Addr(d.u64()), Object: d.bytes()}
-	case TComplete:
-		r = CompleteRec{TxHdr: d.txHdr(), Count: int(d.u64())}
 	case TV2SCopy:
 		rec, total := V2SCopyRec{From: d.addrs()}, 0
 		for n := d.u64(); n > 0 && d.err == nil; n-- {

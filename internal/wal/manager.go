@@ -392,7 +392,7 @@ func (m *Manager) VolumeByClass() (txBytes, gcBytes, trackBytes, bookBytes int64
 			txBytes += b
 		case TFlip, TCopy, TScan, TGCEnd:
 			gcBytes += b
-		case TBase, TComplete, TV2SCopy, TSFix, TVFlip:
+		case TBase, TV2SCopy, TSFix, TVFlip:
 			trackBytes += b
 		case TEndWrite, TCheckpoint:
 			bookBytes += b

@@ -10,18 +10,20 @@
 //   - transactional records (§2.2.3, Ch. 4): Update (redo+undo),
 //     CLR (compensation, redo-only), Alloc, Commit, End. A transaction's
 //     chain starts at its first logged change, as in ARIES: there is no
-//     begin record, and one that logs nothing leaves no trace. Nor is
-//     there an abort record: a rollback is its CLRs, the first chained
+//     begin record, and one that logs nothing leaves no trace. The commit
+//     record ends a committed transaction; End closes only a rollback. Nor
+//     is there an abort record: a rollback is its CLRs, the first chained
 //     directly after the transaction's last record, and a CLR's UndoNext
 //     is all the rollback state there is;
 //   - collector records (Ch. 3): Flip, Copy, Scan, GCEnd — the records that
 //     make the copy step and scan step of the incremental copying collector
 //     repeatable after a crash;
 //   - stability-tracking records (Ch. 5): Base ("log records for initial
-//     object values"), Complete (the base-update-complete protocol),
-//     V2SCopy (a volatile collection's moves of newly stable objects into
-//     the stable area, with the fixes of the slots that named them), SFix
-//     (redo-only fix-up of pointer slots on one page), VFlip;
+//     object values"; the transaction's commit record marks its base
+//     updates complete, so no record of their own does), V2SCopy (a
+//     volatile collection's moves of newly stable objects into the stable
+//     area, with the fixes of the slots that named them), SFix (redo-only
+//     fix-up of pointer slots on one page), VFlip;
 //   - recovery bookkeeping (§2.2.4, Ch. 4): EndWrite, Checkpoint. The
 //     paper's page-fetch record is not logged: recovery seeds the dirty
 //     page table from the checkpoint instead (DESIGN.md §4.3).
@@ -44,23 +46,23 @@ type Type uint8
 // Log record types.
 const (
 	TInvalid Type = iota
-	TBegin        // retired: Decode refuses it by name
+	TBegin        // retired (Type.Retired)
 	TUpdate
 	TCLR
 	TAlloc
 	TCommit
-	TAbort // retired: Decode refuses it by name
+	TAbort // retired
 	TEnd
 	TFlip
 	TCopy
 	TScan
 	TGCEnd
 	TBase
-	TComplete
+	TComplete // retired
 	TV2SCopy
 	TSFix
 	TVFlip
-	TPageFetch // retired: Decode refuses it by name
+	TPageFetch // retired
 	TEndWrite
 	TCheckpoint
 	TLogical
@@ -97,6 +99,17 @@ var typeNames = [...]string{
 	TTwoPCBegin:  "2pc-begin",
 	TTwoPCDecide: "2pc-decide",
 	TTwoPCEnd:    "2pc-end",
+}
+
+// Retired reports whether t is a record type no build appends any more: a
+// log an older build wrote with one is refused by name (Decode). Each keeps
+// its number, so no live type moves.
+func (t Type) Retired() bool {
+	switch t {
+	case TBegin, TAbort, TPageFetch, TComplete:
+		return true
+	}
+	return false
 }
 
 // String returns the record type's short name.
@@ -292,7 +305,8 @@ type CommitRec struct {
 // Type implements Record.
 func (CommitRec) Type() Type { return TCommit }
 
-// EndRec marks a transaction fully finished (committed or rolled back).
+// EndRec marks a rollback finished: the transaction's CLRs have undone it
+// all. A committed transaction has none; its commit record ends it.
 type EndRec struct {
 	TxHdr
 }
@@ -395,17 +409,6 @@ type BaseRec struct {
 
 // Type implements Record.
 func (BaseRec) Type() Type { return TBase }
-
-// CompleteRec closes a tracking batch (the paper's base-update-complete
-// protocol): all base records for the transaction's newly stable objects
-// precede it.
-type CompleteRec struct {
-	TxHdr
-	Count int // number of objects stabilized by the batch
-}
-
-// Type implements Record.
-func (CompleteRec) Type() Type { return TComplete }
 
 // V2SCopyRec is one volatile move cycle, Fig. 5.2's "V2scopy" and Fig.
 // 5.3's "S4vscan" in one record: the newly stable objects the cycle moved

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,7 +92,6 @@ func sampleRecords() []Record {
 		ScanRec{Epoch: 3, Page: 33},
 		GCEndRec{Epoch: 3},
 		BaseRec{TxHdr: TxHdr{TxID: 9, PrevLSN: 60}, Addr: 0x40000, Object: []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}},
-		CompleteRec{TxHdr: TxHdr{TxID: 9, PrevLSN: 70}, Count: 5},
 		V2SCopyRec{From: []word.Addr{0x40000}, Runs: []MoveRun{{To: 0x11000, Bytes: 8}}, Object: []byte{3, 0, 0, 0, 0, 0, 0, 0}},
 		V2SCopyRec{From: []word.Addr{0x40000, 0x40100, 0x40008, 0x40200}, Runs: []MoveRun{{To: 0x11100, Bytes: 8}, {To: 0x11000, Bytes: 24}, {To: 0x11200, Bytes: 16}},
 			Object: make([]byte, 48), Fixes: []PtrFix{{Addr: 0x10008, NewPtr: 0x11100}, {Addr: 0x11018, NewPtr: 0x11200}, {Addr: 0x40408, NewPtr: 0x11000}}},
@@ -168,17 +168,26 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 	}
 	// The retired types keep their numbers, so no live type moved, and a
 	// frame an older build wrote with one is refused by name: a begin or
-	// an abort record (type + transaction header) and a page-fetch (type +
-	// page).
-	if TBegin != 1 || TAbort != 6 || TEnd != 7 || TPageFetch != 17 || TEndWrite != 18 || TTwoPCEnd != 24 {
-		t.Fatalf("record type numbers moved: begin %d abort %d end %d pagefetch %d endwrite %d 2pc-end %d",
-			TBegin, TAbort, TEnd, TPageFetch, TEndWrite, TTwoPCEnd)
+	// an abort record (type + transaction header), a page-fetch (type +
+	// page) and a complete record (type + transaction header + count).
+	if TBegin != 1 || TAbort != 6 || TEnd != 7 || TComplete != 13 || TV2SCopy != 14 || TPageFetch != 17 || TEndWrite != 18 || TTwoPCEnd != 24 {
+		t.Fatalf("record type numbers moved: begin %d abort %d end %d complete %d v2scopy %d pagefetch %d endwrite %d 2pc-end %d",
+			TBegin, TAbort, TEnd, TComplete, TV2SCopy, TPageFetch, TEndWrite, TTwoPCEnd)
+	}
+	var retired []Type
+	for ty := TInvalid; ty < maxType; ty++ {
+		if ty.Retired() {
+			retired = append(retired, ty)
+		}
+	}
+	if want := []Type{TBegin, TAbort, TComplete, TPageFetch}; !slices.Equal(retired, want) {
+		t.Fatalf("retired types %v, want %v", retired, want)
 	}
 	for _, c := range []struct {
 		typ  Type
 		body int
 		name string
-	}{{TBegin, 16, "begin"}, {TAbort, 16, "abort"}, {TPageFetch, 8, "pagefetch"}} {
+	}{{TBegin, 16, "begin"}, {TAbort, 16, "abort"}, {TPageFetch, 8, "pagefetch"}, {TComplete, 24, "complete"}} {
 		payload := make([]byte, 1+c.body)
 		payload[0] = uint8(c.typ)
 		_, err := Decode(rawFrame(payload))
@@ -428,7 +437,7 @@ func TestManagerVolumeByClass(t *testing.T) {
 		sampled[r.Type()] = true
 	}
 	for ty := Type(1); ty < maxType; ty++ {
-		if ty == TBegin || ty == TAbort || ty == TPageFetch {
+		if ty.Retired() {
 			continue
 		}
 		if !sampled[ty] {

@@ -1,6 +1,7 @@
 package stableheap_test
 
 import (
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"stableheap"
 	"stableheap/internal/storage"
 	"stableheap/internal/wal"
+	"stableheap/internal/word"
 	"stableheap/internal/workload"
 )
 
@@ -93,5 +95,97 @@ func TestOpenReaderPinsNoLog(t *testing.T) {
 	}
 	if err := reader.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordsPerCommit: the commit record is a committed transaction's last
+// record. A logical bank transfer appends its two logical records and its
+// commit record; a tracking commit appends the base runs of the objects it
+// stabilizes, then its commit record, and no record marking the batch
+// complete; an abort ends in its CLRs and one end record. So the only end
+// record in the log closes the rollback.
+func TestRecordsPerCommit(t *testing.T) {
+	h := stableheap.Open(stableheap.DefaultConfig())
+	defer h.Close()
+	bank, err := workload.NewBank(h, 0, 256, 16, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := h.Log()
+	// tail returns the records appended from lsn on.
+	tail := func(from word.LSN) (out []wal.Record) {
+		log.Scan(from, false, func(_ word.LSN, r wal.Record) bool {
+			out = append(out, r)
+			return true
+		})
+		return out
+	}
+
+	log.ResetStats()
+	if err := bank.Transfer(0, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tally(h), map[wal.Type]int64{wal.TLogical: 2, wal.TCommit: 1}; !maps.Equal(got, want) {
+		t.Errorf("a bank transfer appended %v, want %v", got, want)
+	}
+
+	log.ResetStats()
+	from := log.EndLSN()
+	tr := h.Begin()
+	n, err := tr.Alloc(1, 0, 1)
+	if err == nil {
+		err = tr.SetData(n, 0, 55)
+	}
+	if err == nil {
+		err = tr.SetRoot(1, n)
+	}
+	if err == nil {
+		err = tr.Commit()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tally(h)
+	if got[wal.TBase] == 0 || got[wal.TCommit] != 1 || got[wal.TComplete] != 0 || got[wal.TEnd] != 0 {
+		t.Errorf("a tracking commit appended %v, want base runs and one commit record only", got)
+	}
+	recs := tail(from)
+	if _, ok := recs[len(recs)-1].(wal.CommitRec); !ok {
+		t.Errorf("a tracking commit's last record is %v, want its commit record", recs[len(recs)-1].Type())
+	}
+
+	if _, err := h.CollectVolatile(); err != nil { // the object moves into the stable area
+		t.Fatal(err)
+	}
+	log.ResetStats()
+	from = log.EndLSN()
+	tr = h.Begin()
+	n, err = tr.Root(1)
+	if err == nil {
+		err = tr.AddData(n, 0, 1)
+	}
+	if err == nil {
+		err = tr.AddData(n, 0, 2)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Abort()
+	if got, want := tally(h), map[wal.Type]int64{wal.TLogical: 2, wal.TCLR: 2, wal.TEnd: 1}; !maps.Equal(got, want) {
+		t.Errorf("an abort appended %v, want %v", got, want)
+	}
+	recs = tail(from)
+	if _, ok := recs[len(recs)-1].(wal.EndRec); !ok {
+		t.Errorf("an abort's last record is %v, want its end record", recs[len(recs)-1].Type())
+	}
+
+	var ends []wal.Record
+	for _, r := range tail(1) {
+		if r.Type() == wal.TEnd {
+			ends = append(ends, r)
+		}
+	}
+	if len(ends) != 1 || ends[0].Tx() != word.TxID(tr.ID()) {
+		t.Errorf("the log holds end records %v, want only the rollback's", ends)
 	}
 }

@@ -128,11 +128,13 @@ func TestConcurrentChurnCrashRecover(t *testing.T) {
 // retired: a transaction's chain starts at its first logged change, and a
 // read-only one (the TraverseT1 passes here) logs nothing, and when a move
 // cycle became one V2SCopy record carrying its moves, their translated
-// slots and the fixes of the slots that named them. It must change again
+// slots and the fixes of the slots that named them, and when the commit
+// record became a committed transaction's last: no end record follows it,
+// and no complete record closes a tracking batch. It must change again
 // only with a change that means to alter what the heap logs. No checkpoint is taken: a
 // checkpoint record lists the LS set in map order.
 func TestSingleGoroutineWALUnchanged(t *testing.T) {
-	const want = "f52f49036263da31db8f94af1834a4620eef987dd2fcf4ed4698e79a3297107e"
+	const want = "44ec41db999b6adb489b6120310c7db78411daf525da4dea593c0ec8e405667d"
 	h := stableheap.Open(stableheap.DefaultConfig())
 	defer h.Close()
 	rng := rand.New(rand.NewSource(16))
