@@ -117,7 +117,7 @@ type Config struct {
 	StableGC gc.Mode
 	// CachePages caps the page cache (0 = unlimited).
 	CachePages int
-	// LogSegBytes is the log device's segment size.
+	// LogSegBytes is the size at which the log's segment files roll.
 	LogSegBytes int
 	// LockWait bounds lock waits before a conflict error (0 = fail
 	// fast; deadlock victims time out).
@@ -418,7 +418,7 @@ func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 		})
 	}
 
-	hp.ckpt = recovery.NewCheckpointer(log, mem, word.NilLSN)
+	hp.ckpt = recovery.NewCheckpointer(log, mem)
 
 	hp.sgc.SetHooks(gc.Hooks{
 		ForEachRoot: hp.forEachStableRoot,

@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"stableheap/internal/gc"
 	"stableheap/internal/storage"
 	"stableheap/internal/storage/filestore"
+	"stableheap/internal/wal"
 	"stableheap/internal/word"
 )
 
@@ -648,6 +650,61 @@ func TestRecoverFromLogRejectsTruncated(t *testing.T) {
 	_, lb := storage.Backings(nil, logDev)
 	if _, err := Open(cfg, storage.NewMemBacking(), lb); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("media recovery from a truncated log: %v, want a refusal naming the truncation", err)
+	}
+}
+
+// TestOpenRefusesLogStartingAboveFloor: the log's files are its only
+// record of where it starts, so a lowest segment file lost above the floor
+// of the master's checkpoint — here the first record of a transaction the
+// checkpoint lists — is a typed corruption error at Open, not redo and undo
+// run over a log with its head cut off.
+func TestOpenRefusesLogStartingAboveFloor(t *testing.T) {
+	cfg := allStableCfg()
+	cfg.LogSegBytes = 1024
+	hp := openMem(cfg)
+	mkCounter(t, hp, 0, 7)
+	mkCounter(t, hp, 1, 0)
+	open := hp.Begin()
+	if _, err := open.Alloc(1, 0, 1); err != nil { // an undivided heap logs it
+		t.Fatal(err)
+	}
+	var first word.LSN
+	hp.log.Scan(1, false, func(lsn word.LSN, r wal.Record) bool {
+		if a, ok := r.(wal.AllocRec); ok && a.TxID == word.TxID(open.ID()) {
+			first = lsn
+		}
+		return first == word.NilLSN
+	})
+	for i := uint64(1); i <= 40; i++ { // segments above the transaction's first record
+		tr := hp.Begin()
+		c, _ := tr.Root(1)
+		if err := tr.SetData(c, 0, i); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, tr)
+		if i == 30 {
+			hp.Checkpoint() // promoted by the commits after it
+		}
+	}
+	disk, logDev := hp.Crash()
+	db, lb := storage.Backings(disk, logDev)
+	names, err := lb.List("seg-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := 0 // drop every file that starts at or below that first record
+	for cut < len(names) && names[cut] <= fmt.Sprintf("seg-%016x.seg", uint64(first)) {
+		if err := lb.Remove(names[cut]); err != nil {
+			t.Fatal(err)
+		}
+		cut++
+	}
+	if cut == len(names) || cut < 1 {
+		t.Fatalf("files %v: want the transaction's first record at %d in one of them and a file above it", names, first)
+	}
+	_, err = Open(cfg, db, lb)
+	if !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("open with the log's head lost above the checkpoint's floor: %v, want a storage.ErrCorrupt", err)
 	}
 }
 

@@ -52,10 +52,10 @@ func (hp *Heap) checkpointLocked() word.LSN {
 }
 
 // TruncateLog frees reclaimable log space (callable any time; policy is
-// the caller's).
+// the caller's). It stops nothing: nothing at run time reads below the
+// promoted checkpoint's floor (DESIGN.md §14 "Truncate ordering").
 func (hp *Heap) TruncateLog() {
-	hp.lockExclusive()
-	defer hp.unlockExclusive()
+	defer hp.runlock(hp.rlock())
 	hp.ckpt.TruncateLog()
 }
 
@@ -162,8 +162,9 @@ func (hp *Heap) Internal() *Heap { return hp }
 //     and hold a checkpoint. Open never formats over a non-empty log.
 //
 // A restart is always Open over the same backings: Close and Crash both
-// release the devices. The persisted geometry wins over the caller's
-// PageSize and LogSegBytes, which apply to a fresh store. A Config that
+// release the devices. The persisted page size wins over the caller's
+// PageSize, which applies to a fresh store; LogSegBytes, which the log's
+// files do not persist, is the caller's on every open. A Config that
 // Validate rejects is an error, and so is a device fault on any path: it
 // names the corrupt page or LSN, and no half-opened heap is returned.
 func Open(cfg Config, db, lb storage.Backing) (*Heap, error) {

@@ -46,9 +46,8 @@ const (
 	killBeforeCommit = iota // top of the loop: nothing in flight
 	killAfterCommit         // after Commit returns, before the ack line
 	killAfterCheckpoint
-	// killMidTruncate dies inside the log's Truncate, between the log.meta
-	// rewrite that names the new truncation point and the unlink of the
-	// segment files below it (filestore.Log.TruncateHook).
+	// killMidTruncate dies inside the log's Truncate, after its first
+	// segment unlink and before the next (storage.Log.TruncateHook).
 	killMidTruncate
 	numKillModes
 )
@@ -92,7 +91,7 @@ func TestKillPointChild(t *testing.T) {
 		_, logDev := hp.Devices()
 		logDev.TruncateHook = func() {
 			if truncArmed {
-				os.Exit(killExitCode) // log.meta rewritten, nothing unlinked yet
+				os.Exit(killExitCode) // the oldest file unlinked, the rest not yet
 			}
 		}
 	}

@@ -23,9 +23,8 @@ type Checkpointer struct {
 	mem *vm.Store
 
 	pendingLSN   word.LSN // appended checkpoint not yet in the master
-	pendingTrunc word.LSN
-	stableLSN    word.LSN // checkpoint currently named by the master
-	stableTrunc  word.LSN
+	pendingTrunc word.LSN // its floor (wal.CheckpointRec.Floor)
+	stableTrunc  word.LSN // the floor of the checkpoint the master names
 	prevTake     word.LSN // LSN of the previous Take: the cleaner horizon
 
 	Met CheckpointMetrics
@@ -38,10 +37,10 @@ type CheckpointMetrics struct {
 	Cleaned  obs.Counter `obs:"checkpoint_cleaned_pages_total"` // pages written back by the checkpoint-driven cleaner
 }
 
-// NewCheckpointer creates a checkpointer. If the master block already names
-// a checkpoint (after recovery), pass it as last so truncation stays sound.
-func NewCheckpointer(log *wal.Manager, mem *vm.Store, last word.LSN) *Checkpointer {
-	return &Checkpointer{log: log, mem: mem, stableLSN: last, stableTrunc: last}
+// NewCheckpointer creates a checkpointer. It truncates nothing until a
+// checkpoint it took is promoted.
+func NewCheckpointer(log *wal.Manager, mem *vm.Store) *Checkpointer {
+	return &Checkpointer{log: log, mem: mem}
 }
 
 // Take builds and spools a checkpoint record: the caller fills every field
@@ -59,21 +58,8 @@ func (c *Checkpointer) Take(cp wal.CheckpointRec) word.LSN {
 	cp.Dirty = c.mem.DirtyPages()
 
 	lsn := c.log.Append(cp)
-
-	// The truncation point this checkpoint will justify once stable.
-	trunc := lsn
-	for _, dp := range cp.Dirty {
-		if dp.RecLSN != word.NilLSN && dp.RecLSN < trunc {
-			trunc = dp.RecLSN
-		}
-	}
-	for _, te := range cp.Txs {
-		if te.FirstLSN < trunc {
-			trunc = te.FirstLSN
-		}
-	}
 	c.pendingLSN = lsn
-	c.pendingTrunc = trunc
+	c.pendingTrunc = cp.Floor(lsn)
 	c.prevTake = lsn
 	c.Met.Taken.Inc()
 	c.promoteLocked()
@@ -96,7 +82,6 @@ func (c *Checkpointer) promoteLocked() {
 	m.Formatted = true
 	m.CheckpointLSN = c.pendingLSN
 	c.mem.Disk().SetMaster(m)
-	c.stableLSN = c.pendingLSN
 	c.stableTrunc = c.pendingTrunc
 	c.pendingLSN = word.NilLSN
 	c.Met.Promoted.Inc()
@@ -115,28 +100,12 @@ func (c *Checkpointer) ForcePromote() {
 	c.promoteLocked()
 }
 
-// TruncationPoint returns the lowest LSN the log must retain: everything
-// below it is covered by the stable checkpoint, flushed pages, and
-// completed transactions.
-func (c *Checkpointer) TruncationPoint() word.LSN {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.truncationPointLocked()
-}
-
-func (c *Checkpointer) truncationPointLocked() word.LSN {
-	if c.stableLSN == word.NilLSN {
-		return word.NilLSN
-	}
-	return c.stableTrunc
-}
-
-// TruncateLog frees log space below the truncation point (segment
-// granularity; a no-op if nothing is reclaimable).
+// TruncateLog frees log space below the floor of the checkpoint the
+// master names (segment granularity; a no-op before one is promoted).
 func (c *Checkpointer) TruncateLog() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p := c.truncationPointLocked(); p != word.NilLSN && p <= c.log.StableLSN() {
+	if p := c.stableTrunc; p != word.NilLSN && p <= c.log.StableLSN() {
 		c.log.Truncate(p)
 	}
 }

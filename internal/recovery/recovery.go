@@ -15,6 +15,7 @@ import (
 
 	"stableheap/internal/heap"
 	"stableheap/internal/obs"
+	"stableheap/internal/storage"
 	"stableheap/internal/vm"
 	"stableheap/internal/wal"
 	"stableheap/internal/word"
@@ -176,6 +177,12 @@ func replay(mem *vm.Store, log *wal.Manager, opts Options) (*analysis, *Result, 
 	cp, ok := rec.(wal.CheckpointRec)
 	if !ok {
 		return nil, nil, fmt.Errorf("recovery: record at %d is %v, not a checkpoint", cpLSN, rec.Type())
+	}
+	// A lowest segment lost above the floor would otherwise start redo
+	// silently at the first surviving record.
+	if floor, trunc := cp.Floor(cpLSN), log.Device().TruncLSN(); floor < trunc {
+		return nil, nil, &storage.CorruptFrameError{LSN: floor, Reason: fmt.Sprintf(
+			"the checkpoint at %d needs the log from %d on, but it starts at %d: a segment file is missing", cpLSN, floor, trunc)}
 	}
 
 	phase := time.Now()

@@ -30,7 +30,7 @@ func w64(v uint64) []byte {
 // bootstrap formats the rig: master + initial checkpoint.
 func bootstrap(mem *vm.Store, log *wal.Manager) *Checkpointer {
 	InitMaster(mem.Disk())
-	ck := NewCheckpointer(log, mem, word.NilLSN)
+	ck := NewCheckpointer(log, mem)
 	ck.Take(wal.CheckpointRec{NextTx: 1})
 	ck.ForcePromote()
 	return ck
@@ -39,7 +39,7 @@ func bootstrap(mem *vm.Store, log *wal.Manager) *Checkpointer {
 func TestPromoteIsLazy(t *testing.T) {
 	mem, log, disk, _ := newRig()
 	InitMaster(disk)
-	ck := NewCheckpointer(log, mem, word.NilLSN)
+	ck := NewCheckpointer(log, mem)
 	lsn := ck.Take(wal.CheckpointRec{})
 	if disk.Master().CheckpointLSN == lsn {
 		t.Fatal("unforced checkpoint must not reach the master block")
@@ -54,7 +54,7 @@ func TestPromoteIsLazy(t *testing.T) {
 func TestForcePromote(t *testing.T) {
 	mem, log, disk, _ := newRig()
 	InitMaster(disk)
-	ck := NewCheckpointer(log, mem, word.NilLSN)
+	ck := NewCheckpointer(log, mem)
 	lsn := ck.Take(wal.CheckpointRec{})
 	ck.ForcePromote()
 	if disk.Master().CheckpointLSN != lsn {
@@ -104,7 +104,7 @@ func TestCheckpointCleanerFlushesOldPages(t *testing.T) {
 func TestTruncationPointFollowsCheckpoint(t *testing.T) {
 	mem, log, _, dev := newRig()
 	ck := bootstrap(mem, log)
-	first := ck.TruncationPoint()
+	first := ck.stableTrunc
 	if first == word.NilLSN {
 		t.Fatal("bootstrap checkpoint must give a truncation point")
 	}
@@ -115,7 +115,7 @@ func TestTruncationPointFollowsCheckpoint(t *testing.T) {
 	})
 	log.Force(lsn)
 	ck.Promote()
-	if got := ck.TruncationPoint(); got != txFirst {
+	if got := ck.stableTrunc; got != txFirst {
 		t.Fatalf("truncation point = %d, want tx first LSN %d", got, txFirst)
 	}
 	ck.TruncateLog()
@@ -459,7 +459,7 @@ func TestAnalysisMoveRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, log, _, dev := newRig()
 			InitMaster(mem.Disk())
-			ck := NewCheckpointer(log, mem, word.NilLSN)
+			ck := NewCheckpointer(log, mem)
 			ck.Take(wal.CheckpointRec{NextTx: 1, VolatileLo: vlo, VolatileHi: vhi, SRem: []word.Addr{0x828}})
 			ck.ForcePromote()
 			base := log.Append(wal.BaseRec{TxHdr: wal.TxHdr{TxID: 3}, Addr: 0x4000, Object: obj(0x4010)})

@@ -10,7 +10,7 @@ import (
 
 // Backing is the byte store the one Log and the one Disk are written over:
 // a flat namespace of named files. The Disk keeps pages.dat and master.dat
-// in it, the Log its segment files and log.meta. NewMemBacking is the
+// in it, the Log its segment files. NewMemBacking is the
 // in-memory case; internal/storage/filestore's is a directory of real
 // files, where Sync is fdatasync and Replace is tmp + fsync + rename.
 type Backing interface {

@@ -39,8 +39,8 @@ type Options struct {
 	// authoritative: zero means "whatever the store has", and a non-zero
 	// mismatch is an error.
 	PageSize int
-	// SegmentBytes is the log segment granularity for a newly created
-	// store; on reopen the persisted log metadata is authoritative.
+	// SegmentBytes is the size at which the log's segment files roll
+	// (default DefaultSegmentBytes); the files persist no size.
 	SegmentBytes int
 	// Deprecated: ignored; the store keeps no page cache (the vm pool is
 	// the only buffer). Kept only for the frozen benchmark harness, which
@@ -48,7 +48,7 @@ type Options struct {
 	CachePages int
 }
 
-// DefaultSegmentBytes is a fresh directory's segment size when none is
+// DefaultSegmentBytes is a directory log's segment size when none is
 // given. The active file rolls only between forces, once it holds a segment,
 // so a segment smaller than a force costs a file creation (and later an
 // unlink) per force: a heap's set-up forces hundreds of KiB at a time. The

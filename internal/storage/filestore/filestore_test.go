@@ -2,7 +2,6 @@ package filestore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -352,23 +351,20 @@ func TestForceHoldsNoLockAppendNeeds(t *testing.T) {
 }
 
 // TestIndexNamedLayoutRejected: a log directory written before segment
-// files were named by first LSN is refused with an error that says so.
+// files were named by first LSN — its first file is segment index 0 — is
+// refused with an error naming that file.
 func TestIndexNamedLayoutRejected(t *testing.T) {
 	dir := t.TempDir()
-	s := openAt(t, dir, Options{})
-	s.Close()
-	meta := filepath.Join(dir, "log", "log.meta")
-	raw, err := os.ReadFile(meta)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "log"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[0:], 0x53484C4D) // "SHLM": the index-named layout
-	if err := os.WriteFile(meta, raw, 0o644); err != nil {
+	name := "seg-0000000000000000.seg"
+	if err := os.WriteFile(filepath.Join(dir, "log", name), page(64, 0x11), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(dir, Options{})
-	if err == nil || !strings.Contains(err.Error(), "earlier build") {
-		t.Fatalf("Open of an index-named layout: %v, want a refusal naming the layout", err)
+	_, err := Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("Open of an index-named layout: %v, want a refusal naming %s", err, name)
 	}
 }
 

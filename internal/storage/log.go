@@ -3,11 +3,9 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"slices"
 	"sort"
 	"strings"
@@ -50,10 +48,8 @@ type LogStats struct {
 // len(data); LSNs keep growing across truncation, so ordering between any
 // two records is integer order.
 //
-// Layout (DESIGN.md §14). The backing holds one file per live segment plus
-// a tiny metadata file:
+// Layout (DESIGN.md §14). The backing holds one file per live segment:
 //
-//	log.meta            segment size + truncation point
 //	seg-<first>.seg     a run of whole force batches; <first> is the LSN
 //	                    of the file's first record
 //
@@ -62,7 +58,8 @@ type LogStats struct {
 // between forces, once it has reached segSize bytes, so the files tile the
 // LSN space: each ends where the next one's name begins. Truncation is
 // logical and segSize-aligned; a file wholly below the truncation point is
-// removed, the active one never.
+// removed, oldest first, the active one never: the files are a contiguous
+// suffix of the log, and an open starts it at the lowest file's name.
 //
 // Each record is framed with a recHdrSize-byte header —
 //
@@ -90,16 +87,17 @@ type LogStats struct {
 //
 // Concurrency: every method is safe for concurrent use. forceMu admits one
 // force at a time and is held across its write and sync; the structural
-// operations (Truncate, Crash, CrashTorn, Close) take it too, and it
-// alone guards segs, segment sizes and wbuf. mu guards the other fields and
-// is never held across I/O on the force path: Force(lsn) takes the spooled
-// records that start at or below lsn under mu, writes and syncs them with
-// mu released — the batch in flight stays readable — and publishes the new
-// StableLSN only when the sync returns. The caller's lsn bounds the batch,
-// not the instant the log takes it: records above lsn, and those appended
-// while a Force is in flight, stay volatile; wal.Manager.Force builds the
-// shared commit force on exactly this. Append, ReadAt, ScanBatches and the
-// LSN getters take only mu (the getters not even that). Order: forceMu, mu.
+// operations (Truncate, Crash, CrashTorn, Close) take it too, and it alone
+// guards segment sizes and wbuf; segs and trunc change with both held. mu
+// guards the other fields and is never held across I/O: Force(lsn) takes the
+// spooled records that start at or below lsn under mu, writes and syncs them
+// with mu released — the batch in flight stays readable — and publishes the
+// new StableLSN only when the sync returns. The caller's lsn bounds the
+// batch, not the instant the log takes it: records above lsn, and those
+// appended while a Force is in flight, stay volatile; wal.Manager.Force
+// builds the shared commit force on exactly this. Append, ReadAt,
+// ScanBatches and the LSN getters take only mu (the getters not even that).
+// Order: forceMu, mu.
 //
 // Ownership of appended bytes: Append copies the record before it returns
 // and never retains the caller's slice, which the caller may reuse at once
@@ -133,9 +131,8 @@ type Log struct {
 	retained int64
 	stats    LogStats
 	closed   bool
-	// TruncateHook, when set, runs inside Truncate after log.meta names the
-	// new truncation point and before the files below it are removed: the
-	// kill-point harness exits there.
+	// TruncateHook, when set, runs inside Truncate after each segment file
+	// it removes: the kill-point harness exits there, between two unlinks.
 	TruncateHook func()
 }
 
@@ -161,12 +158,6 @@ const (
 	loadChunk  = 256 << 10  // bytes per read when a reopen parses a segment
 	recMagic   = 0x53484C52 // "SHLR"
 	recHdrSize = 20
-	metaMagic  = 0x53484C32 // "SHL2"
-	// metaMagicV1 marked the layout that named a segment file by its
-	// index (LSN / segSize) and split a force across files.
-	metaMagicV1 = 0x53484C4D // "SHLM"
-	metaSize    = 24
-	metaName    = "log.meta"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -187,24 +178,15 @@ func NewLog(segSize int) *Log {
 	return l
 }
 
-// OpenLog opens the log held in b, or creates an empty one there. segSize
-// applies on creation (DefaultSegmentSize if not positive); on reopen
-// log.meta is authoritative. Damage the parse finds comes back as a
-// CorruptFrameError, a read that fails as a DeviceIOError.
+// OpenLog opens the log held in b (empty if b holds no segment file).
+// segSize, the size at which the active file rolls, is the caller's on
+// every open (DefaultSegmentSize if not positive). Damage the parse finds
+// comes back as a CorruptFrameError, a read that fails as a DeviceIOError.
 func OpenLog(b Backing, segSize int) (*Log, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
 	l := &Log{b: b, segSize: segSize, trunc: 1}
-	if raw, err := b.ReadBlob(metaName); err == nil {
-		if l.segSize, l.trunc, err = decodeLogMeta(raw); err != nil {
-			return nil, fmt.Errorf("storage: %s: %w", metaName, err)
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	} else if err := l.writeMeta(); err != nil {
-		return nil, err
-	}
 	if err := l.load(); err != nil {
 		l.Abandon()
 		return nil, err
@@ -212,43 +194,11 @@ func OpenLog(b Backing, segSize int) (*Log, error) {
 	return l, nil
 }
 
-func (l *Log) writeMeta() error {
-	buf := make([]byte, metaSize)
-	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(l.segSize))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(l.trunc))
-	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(buf[:16], crcTable))
-	return l.b.Replace(metaName, buf)
-}
-
-func decodeLogMeta(raw []byte) (segSize int, trunc word.LSN, err error) {
-	if len(raw) < metaSize {
-		return 0, 0, fmt.Errorf("log metadata too short (%d bytes)", len(raw))
-	}
-	switch binary.LittleEndian.Uint32(raw[0:]) {
-	case metaMagic:
-	case metaMagicV1:
-		return 0, 0, fmt.Errorf("log directory is in the index-named segment layout of an earlier build, which this one cannot read")
-	default:
-		return 0, 0, fmt.Errorf("bad log metadata magic")
-	}
-	if binary.LittleEndian.Uint32(raw[16:]) != crc32.Checksum(raw[:16], crcTable) {
-		return 0, 0, fmt.Errorf("log metadata CRC mismatch")
-	}
-	segSize = int(binary.LittleEndian.Uint32(raw[4:]))
-	trunc = word.LSN(binary.LittleEndian.Uint64(raw[8:]))
-	if segSize <= 0 || trunc < 1 {
-		return 0, 0, fmt.Errorf("log metadata out of range (segSize %d, trunc %d)", segSize, trunc)
-	}
-	return segSize, trunc, nil
-}
-
-// load re-parses every segment file, rebuilding the record index. Called
-// with the log otherwise empty and l.trunc read from log.meta, which is
-// authoritative: Truncate persists it before it removes anything, so a
-// file wholly below it is the residue of a kill between the two steps and
-// is removed here. Each file is read front to back in loadChunk-byte
-// reads, not one read per record.
+// load re-parses every segment file, rebuilding the record index, with
+// the log otherwise empty. It raises the truncation point to the lowest
+// file's name, never lowers it: reparse passes in the in-memory point,
+// which may lie inside that file. Each file is read front to back in
+// loadChunk-byte reads, not one read per record.
 func (l *Log) load() error {
 	names, err := l.b.List("seg-")
 	if err != nil {
@@ -265,14 +215,8 @@ func (l *Log) load() error {
 		}
 		firsts = append(firsts, word.LSN(first))
 	}
-	for len(firsts) > 1 && firsts[1] <= l.trunc {
-		if err := l.b.Remove(segName(firsts[0])); err != nil {
-			return err
-		}
-		firsts = firsts[1:]
-	}
 	if len(firsts) > 0 && firsts[0] > l.trunc {
-		return &CorruptFrameError{LSN: l.trunc, Reason: fmt.Sprintf("log starts at LSN %d, above the truncation point: a segment file is missing", firsts[0])}
+		l.trunc = firsts[0]
 	}
 	prevEnd := l.trunc // end LSN of the previous parsed record
 	hdr := make([]byte, recHdrSize)
@@ -285,6 +229,9 @@ func (l *Log) load() error {
 		}
 		seg := &segment{first: first, f: f}
 		l.segs = append(l.segs, seg)
+		if i > 0 && first != prevEnd {
+			return &CorruptFrameError{LSN: prevEnd, Reason: fmt.Sprintf("segment %d does not start where the one before it ends: a segment file is missing", first)}
+		}
 		size, err := f.Size()
 		if err != nil {
 			return ioErr(first, err)
@@ -293,8 +240,7 @@ func (l *Log) load() error {
 		var off int64
 		for off < size {
 			// Records tile the LSN space: each starts where the previous one
-			// ended, a file's first record carries the file's name, and a
-			// file starts where the one before it ended.
+			// ended, and a file's first record carries the file's name.
 			want := prevEnd
 			if off == 0 {
 				want = first
@@ -308,10 +254,10 @@ func (l *Log) load() error {
 				n = int64(binary.LittleEndian.Uint32(hdr[4:]))
 				if binary.LittleEndian.Uint32(hdr[0:]) != recMagic ||
 					binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[:16], crcTable) ||
-					n == 0 || word.LSN(binary.LittleEndian.Uint64(hdr[8:])) != want || (i > 0 && off == 0 && first != prevEnd) {
-					// A whole header that is wrong is rot (or a lost file),
-					// not a tear, even at the very end: cutting there could
-					// drop acknowledged records.
+					n == 0 || word.LSN(binary.LittleEndian.Uint64(hdr[8:])) != want {
+					// A whole header that is wrong is rot, not a tear, even
+					// at the very end: cutting there could drop acknowledged
+					// records.
 					return &CorruptFrameError{LSN: want, Reason: fmt.Sprintf("segment %d: record header at offset %d fails validation", first, off)}
 				}
 			}
@@ -338,31 +284,34 @@ func (l *Log) load() error {
 		seg.size = off
 	}
 	// A file with no record in it (a kill between its creation and its
-	// first write, or a torn first header) is not a segment yet.
-	if n := len(l.segs); n > 0 && l.segs[n-1].size == 0 {
-		l.dropSegments(n - 1)
+	// first write, or a torn first header) is not a segment yet — unless it
+	// is the only file: then its name is where the log ends, and the next
+	// force writes into it.
+	if n := len(l.segs); n > 1 && l.segs[n-1].size == 0 {
+		l.segs[n-1].f.Close()
+		l.b.Remove(segName(l.segs[n-1].first))
+		l.segs = l.segs[:n-1]
 	}
 	l.end.Store(prevEnd)
 	l.stable.Store(prevEnd)
 	// Re-apply logical truncation: records entirely below the truncation
 	// point were only physically retained because their file holds later
 	// ones.
-	drop := 0
-	for drop < len(l.idx) && l.idx[drop].lsn+word.LSN(l.idx[drop].n) <= l.trunc {
-		l.retained -= int64(l.idx[drop].n)
-		drop++
-	}
-	l.idx = l.idx[drop:]
+	l.dropIndexBelow(l.trunc)
 	return nil
 }
 
-// dropSegments closes and removes l.segs[from:].
-func (l *Log) dropSegments(from int) {
-	for _, seg := range l.segs[from:] {
-		seg.f.Close()
-		l.b.Remove(segName(seg.first))
+// dropIndexBelow drops the records wholly below lsn from the index and
+// returns their bytes. mu is held, or the log is not yet shared.
+func (l *Log) dropIndexBelow(lsn word.LSN) (dropped int64) {
+	i := 0
+	for i < len(l.idx) && l.idx[i].lsn+word.LSN(l.idx[i].n) <= lsn {
+		dropped += int64(l.idx[i].n)
+		i++
 	}
-	l.segs = l.segs[:from]
+	l.idx = l.idx[i:]
+	l.retained -= dropped
+	return dropped
 }
 
 func (l *Log) ioPanic(op string, lsn word.LSN, err error) {
@@ -524,8 +473,11 @@ func (l *Log) activeSegment(first word.LSN) *segment {
 	if err != nil {
 		l.ioPanic("force", first, err)
 	}
-	l.segs = append(l.segs, &segment{first: first, f: f})
-	return l.segs[len(l.segs)-1]
+	seg := &segment{first: first, f: f}
+	l.mu.Lock()
+	l.segs = append(l.segs, seg)
+	l.mu.Unlock()
+	return seg
 }
 
 // StableLSN returns the first LSN NOT guaranteed durable: every record whose
@@ -597,13 +549,13 @@ func (l *Log) reparse() {
 // Truncate discards log space below keep at segment granularity: the
 // truncation point moves to the largest segment boundary at or below keep,
 // so the readable prefix may retain a little more than asked, and keep ≤ 1
-// frees nothing. Truncating beyond the stable LSN is an error. log.meta is
-// rewritten first; only then are the files wholly below the new point
-// removed (never the active one), so a kill in between leaves files a
-// reopen removes, not a truncation point it has to guess.
+// frees nothing. Truncating beyond the stable LSN is an error. The point
+// moves in memory, then the files wholly below it are removed oldest
+// first, with no sync: a kill between two unlinks leaves a contiguous
+// suffix. A failed Remove stops the pass; the next Truncate resumes it.
 func (l *Log) Truncate(keep word.LSN) {
 	l.mu.Lock()
-	moves := l.truncatesLocked(keep)
+	moves := keep > l.stable.Load() || keep > 1 && l.boundary(keep) > l.trunc || l.unlinkDue()
 	l.mu.Unlock()
 	if !moves {
 		return // decided without waiting for a force in flight
@@ -615,42 +567,31 @@ func (l *Log) Truncate(keep word.LSN) {
 		l.mu.Unlock()
 		panic(fmt.Sprintf("storage: truncate(%d) beyond stable LSN %d", keep, l.stable.Load()))
 	}
-	if !l.truncatesLocked(keep) {
-		l.mu.Unlock()
-		return
+	if keep > 1 && l.boundary(keep) > l.trunc {
+		l.trunc = l.boundary(keep)
+		l.stats.Truncations++
+		l.stats.BytesDropped += l.dropIndexBelow(l.trunc)
 	}
-	boundary := l.boundary(keep)
-	var dropped int64
-	i := 0
-	for i < len(l.idx) && l.idx[i].lsn+word.LSN(l.idx[i].n) <= boundary {
-		dropped += int64(l.idx[i].n)
-		i++
-	}
-	l.idx = l.idx[i:]
-	l.retained -= dropped
-	l.trunc = boundary
-	l.stats.Truncations++
-	l.stats.BytesDropped += dropped
 	l.mu.Unlock()
-	if err := l.writeMeta(); err != nil {
-		l.ioPanic("truncate", keep, err)
-	}
-	if l.TruncateHook != nil {
-		l.TruncateHook()
-	}
-	for len(l.segs) > 1 && l.segs[1].first <= boundary {
-		l.segs[0].f.Close()
-		l.b.Remove(segName(l.segs[0].first))
+	for l.unlinkDue() {
+		seg := l.segs[0]
+		if l.b.Remove(segName(seg.first)) != nil {
+			return
+		}
+		seg.f.Close()
+		l.mu.Lock()
 		l.segs = l.segs[1:]
+		l.mu.Unlock()
+		if l.TruncateHook != nil {
+			l.TruncateHook()
+		}
 	}
 }
 
-// truncatesLocked reports whether Truncate(keep) has work to do: the
-// truncation point moves, or keep is beyond the stable LSN, which Truncate
-// rejects. mu is held.
-func (l *Log) truncatesLocked(keep word.LSN) bool {
-	return keep > l.stable.Load() || keep > 1 && l.boundary(keep) > l.trunc
-}
+// unlinkDue reports whether the oldest file lies wholly below the
+// truncation point: its successor starts at or below it. mu or forceMu is
+// held.
+func (l *Log) unlinkDue() bool { return len(l.segs) > 1 && l.segs[1].first <= l.trunc }
 
 // boundary is the largest segment boundary at or below keep (> 1).
 func (l *Log) boundary(keep word.LSN) word.LSN {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"testing"
 
 	"stableheap/internal/word"
@@ -186,3 +187,52 @@ func TestLogRepairTailBoundaries(t *testing.T) {
 		t.Fatalf("a tear at TruncLSN left end=%d (trunc %d) retained=%d", l2.EndLSN(), l2.TruncLSN(), l2.RetainedBytes())
 	}
 }
+
+// TestLoneEmptySegmentKeepsTheEnd: a force dies between creating the next
+// segment file and writing it, and a truncation then removes every file
+// below that one. The empty file is the log's only file, and its name is
+// where the log ends: every reopen keeps it and ends the log there, never
+// at LSN 1 under a master that names later records.
+func TestLoneEmptySegmentKeepsTheEnd(t *testing.T) {
+	b := failWrites{Backing: NewMemBacking(), name: segName(17)}
+	l, err := OpenLog(b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // seg-1 and seg-9, each full
+		l.Append(make([]byte, 8))
+		ForceAll(l)
+	}
+	l.Append(make([]byte, 8))
+	mustPanic(t, "force into seg-17", func() { ForceAll(l) })
+	l.Truncate(17)
+	l.Abandon()
+	for i := 0; i < 2; i++ {
+		rl, err := OpenLog(b.Backing, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names, _ := b.List("seg-"); len(names) != 1 || rl.EndLSN() != 17 || rl.TruncLSN() != 17 {
+			t.Fatalf("reopen %d: files %v, end %d, trunc %d; want seg-17 alone and both at 17", i, names, rl.EndLSN(), rl.TruncLSN())
+		}
+		rl.Abandon()
+	}
+}
+
+// failWrites is a backing whose writes to one named file fail.
+type failWrites struct {
+	Backing
+	name string
+}
+
+func (b failWrites) Open(name string, truncate bool) (File, error) {
+	f, err := b.Backing.Open(name, truncate)
+	if err == nil && name == b.name {
+		f = failWrite{f}
+	}
+	return f, err
+}
+
+type failWrite struct{ File }
+
+func (failWrite) WriteAt([]byte, int64) (int, error) { return 0, errors.New("killed mid-force") }

@@ -509,7 +509,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 		if err != nil {
 			t.Fatalf("Clone: %v", err)
 		}
-		c, err := storage.OpenLog(cb, 0)
+		c, err := storage.OpenLog(cb, 64)
 		if err != nil {
 			t.Fatalf("OpenLog over the clone: %v", err)
 		}
@@ -530,7 +530,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 		if err := c.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		c, err = storage.OpenLog(cb, 0)
+		c, err = storage.OpenLog(cb, 64)
 		if err != nil {
 			t.Fatalf("reopen the clone: %v", err)
 		}
@@ -540,23 +540,35 @@ func RunLog(t *testing.T, mk LogMaker) {
 		}
 	})
 
-	// The Log's concurrency contract: appenders, a reader and a forcer run
-	// at once (under -race in CI). Every force covers what was appended
-	// before it; a record appended meanwhile is covered or still volatile,
-	// never lost; every record stays readable throughout, the batch in
-	// flight included; LSNs tile; and every force pays one segment sync
-	// whatever the batch size.
-	t.Run("AppendsDuringForce", func(t *testing.T) {
-		l, _ := mk(t, 256)
+	// The Log's concurrency contract, under -race in CI: appenders, a reader
+	// and a forcer run at once — in TruncateDuringForce beside Truncate calls
+	// up to keep. A force covers what was appended before it; a record
+	// appended meanwhile is covered or volatile, never lost; each record the
+	// truncation leaves stays readable throughout and after a reopen; LSNs
+	// tile; a force costs one sync; no file wholly below the point is left.
+	duringForce := func(t *testing.T, truncate bool) {
+		const seg = 256
+		l, b := mk(t, seg)
 		type entry struct {
 			lsn  word.LSN
 			data []byte
 		}
 		var mu sync.Mutex
 		var all []entry
-		syncs0 := l.Stats().Syncs
+		kept, keep := 0, word.LSN(1)
+		for i := 0; truncate && i < 40; i++ { // five files: each 8-record force rolls one
+			data := rec(50, byte(i))
+			all = append(all, entry{l.Append(data), data})
+			if i%8 == 7 {
+				storage.ForceAll(l)
+			}
+		}
+		if truncate {
+			kept, keep = 30, all[32].lsn // all[30] straddles keep's boundary, 1537
+		}
+		st0 := l.Stats()
 		stop := make(chan struct{})
-		var bg, appenders sync.WaitGroup
+		var bg, workers sync.WaitGroup
 		background := func(step func(i int) bool) {
 			bg.Add(1)
 			go func() {
@@ -578,23 +590,30 @@ func RunLog(t *testing.T, mk LogMaker) {
 			}
 			return true
 		})
-		background(func(i int) bool { // reader
+		background(func(i int) bool { // reader, of the records truncation leaves
 			mu.Lock()
 			var e entry
-			if len(all) > 0 {
-				e = all[i*7919%len(all)]
+			if len(all) > kept {
+				e = all[kept+i*7919%(len(all)-kept)]
 			}
 			mu.Unlock()
 			if got, ok := l.ReadAt(e.lsn); e.data != nil && (!ok || !bytes.Equal(got, e.data)) {
-				t.Errorf("record at %d unreadable while appends and forces run (ok=%v)", e.lsn, ok)
+				t.Errorf("record at %d (keep %d) unreadable while appends, forces and truncations run (ok=%v)", e.lsn, keep, ok)
 				return false
 			}
 			return true
 		})
+		workers.Add(1)
+		go func() { // truncator: one segment further each call, then keep
+			defer workers.Done()
+			for k := word.LSN(seg + 1); truncate && k < keep+seg; k += seg {
+				l.Truncate(min(k, keep))
+			}
+		}()
 		for a := 0; a < 4; a++ {
-			appenders.Add(1)
+			workers.Add(1)
 			go func(a int) {
-				defer appenders.Done()
+				defer workers.Done()
 				for i := 0; i < 150; i++ {
 					data := rec(1+(a*31+i*7)%300, byte(a<<6|i&63))
 					lsn := l.Append(data)
@@ -604,11 +623,17 @@ func RunLog(t *testing.T, mk LogMaker) {
 				}
 			}(a)
 		}
-		appenders.Wait()
+		workers.Wait()
 		close(stop)
 		bg.Wait()
-		if st := l.Stats(); st.Syncs-syncs0 != st.Forces {
-			t.Fatalf("%d forces cost %d segment syncs, want one each", st.Forces, st.Syncs-syncs0)
+		if st := l.Stats(); st.Syncs-st0.Syncs != st.Forces-st0.Forces {
+			t.Fatalf("%d forces cost %d segment syncs, want one each", st.Forces-st0.Forces, st.Syncs-st0.Syncs)
+		}
+		if want := (keep-1)/seg*seg + 1; l.TruncLSN() != want || truncate && (all[kept].lsn >= want || all[kept+1].lsn < want) {
+			t.Fatalf("TruncLSN = %d, want %d, inside the record at %d", l.TruncLSN(), want, all[kept].lsn)
+		}
+		if names, _ := b.List("seg-"); len(names) > 1 && names[1] <= fmt.Sprintf("seg-%016x.seg", uint64(l.TruncLSN())) {
+			t.Fatalf("files %v: one wholly below the truncation point %d is left", names, l.TruncLSN())
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
 		next := word.LSN(1)
@@ -619,19 +644,28 @@ func RunLog(t *testing.T, mk LogMaker) {
 			next += word.LSN(len(e.data))
 		}
 		// What the last force left volatile dies at a crash; what any force
-		// covered does not.
+		// covered does not, in process or reopened.
 		stable := l.StableLSN()
 		l.Crash()
-		if l.EndLSN() != stable || next < stable {
-			t.Fatalf("EndLSN = %d after crash, want the stable LSN %d (appended through %d)", l.EndLSN(), stable, next)
+		rl, err := storage.OpenLog(b, seg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
 		}
-		for _, e := range all {
-			got, ok := l.ReadAt(e.lsn)
-			if covered := e.lsn < stable; ok != covered || (ok && !bytes.Equal(got, e.data)) {
-				t.Fatalf("record at %d (stable LSN %d): readable=%v after crash", e.lsn, stable, ok)
+		defer rl.Abandon()
+		for _, dut := range []*storage.Log{l, rl} {
+			if dut.EndLSN() != stable || next < stable {
+				t.Fatalf("EndLSN = %d after crash, want the stable LSN %d (appended through %d)", dut.EndLSN(), stable, next)
+			}
+			for _, e := range all[kept:] {
+				got, ok := dut.ReadAt(e.lsn)
+				if covered := e.lsn < stable; ok != covered || (ok && !bytes.Equal(got, e.data)) {
+					t.Fatalf("record at %d (stable LSN %d): readable=%v after crash", e.lsn, stable, ok)
+				}
 			}
 		}
-	})
+	}
+	t.Run("AppendsDuringForce", func(t *testing.T) { duringForce(t, false) })
+	t.Run("TruncateDuringForce", func(t *testing.T) { duringForce(t, true) })
 
 	// Truncate(NilLSN) — or any keep ≤ 1 — frees nothing: the boundary
 	// arithmetic must not wrap below LSN 1.
@@ -849,7 +883,9 @@ func RunReopen(t *testing.T, home Home) {
 			t.Fatalf("Close: %v", err)
 		}
 
-		rd, rl := open(t, db, lb, 0, 0) // sizes come from the backing, not the caller
+		// The page size comes from the backing; the segment size is the
+		// caller's on every open.
+		rd, rl := open(t, db, lb, 0, 128)
 		defer rl.Close()
 		defer rd.Close()
 		if rd.PageSize() != 512 {
@@ -932,40 +968,6 @@ func RunReopen(t *testing.T, home Home) {
 			}
 			d.Close()
 			l.Close()
-		}
-	})
-
-	t.Run("ReopenAfterTruncate", func(t *testing.T) {
-		db, lb := home(t)
-		d, l := open(t, db, lb, 512, 64)
-		for i := 0; i < 12; i++ {
-			l.Append(fill(16, byte(i)))
-			if i%4 == 3 {
-				storage.ForceAll(l) // one 64-byte segment per force: the file rolls each time
-			}
-		}
-		l.Truncate(129) // the files holding LSNs 1..64 and 65..128 freed
-		if got := l.TruncLSN(); got != 129 {
-			t.Fatalf("TruncLSN = %d", got)
-		}
-		l.Close()
-		d.Close()
-
-		// Physical reclamation: the freed segment files are gone.
-		if names := segFiles(t, lb); len(names) != 1 || names[0] != segName(129) {
-			t.Fatalf("segment files after truncate+close: %v, want only %s", names, segName(129))
-		}
-		rd, rl := open(t, db, lb, 0, 0)
-		defer rl.Close()
-		defer rd.Close()
-		if rl.TruncLSN() != 129 || rl.EndLSN() != 193 {
-			t.Fatalf("reopened trunc=%d end=%d", rl.TruncLSN(), rl.EndLSN())
-		}
-		if _, ok := rl.ReadAt(65); ok {
-			t.Fatal("truncated record resurrected by reopen")
-		}
-		if _, ok := rl.ReadAt(129); !ok {
-			t.Fatal("retained record lost on reopen")
 		}
 	})
 
@@ -1139,50 +1141,112 @@ func RunReopen(t *testing.T, home Home) {
 		}
 	})
 
-	// Truncate persists the new truncation point before it removes
-	// anything, so a kill between the two leaves files that reopening
-	// removes — not a truncation point to guess.
-	t.Run("TruncateKillBetweenMetaAndUnlink", func(t *testing.T) {
-		db, lb := home(t)
-		d, l := open(t, db, lb, 0, 64)
-		for i := 0; i < 12; i++ {
+	// fourFiles leaves in lb four 64-byte segment files of 16-byte records,
+	// seg-1, -65, -129 and -193, then runs Truncate(keep) with hook as its
+	// TruncateHook; a hook that panics is a kill.
+	fourFiles := func(t *testing.T, lb storage.Backing, keep word.LSN, hook func()) (l *storage.Log) {
+		t.Helper()
+		l, err := storage.OpenLog(lb, 64)
+		if err != nil {
+			t.Fatalf("OpenLog: %v", err)
+		}
+		for i := 0; i < 16; i++ {
 			l.Append(fill(16, byte(i)))
 			if i%4 == 3 {
 				storage.ForceAll(l)
 			}
 		}
-		if got := segFiles(t, lb); len(got) != 3 {
-			t.Fatalf("setup: files %v, want 3", got)
+		l.TruncateHook = hook
+		defer func() { recover() }()
+		l.Truncate(keep)
+		return l
+	}
+	// suffix asserts that the files left are exactly those named by firsts,
+	// and that a reopen starts the log at the lowest, ends it at 257, reads
+	// back every record from 193 on and none below the lowest.
+	suffix := func(t *testing.T, lb storage.Backing, firsts ...word.LSN) {
+		t.Helper()
+		want := make([]string, len(firsts))
+		for i, first := range firsts {
+			want[i] = segName(first)
 		}
-		l.TruncateHook = func() { panic("killed") }
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("hook did not fire")
-				}
-			}()
-			l.Truncate(150)
-		}()
-		l.Abandon() // the process is gone: nothing more is written
-		d.Abandon()
-		if got := segFiles(t, lb); len(got) != 3 {
-			t.Fatalf("the kill landed after the unlink: files %v", got)
+		if got := segFiles(t, lb); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("files %v, want %v", got, want)
 		}
+		rl, err := storage.OpenLog(lb, 64)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer rl.Abandon()
+		if rl.TruncLSN() != firsts[0] || rl.EndLSN() != 257 {
+			t.Fatalf("reopened trunc=%d end=%d, want %d/257", rl.TruncLSN(), rl.EndLSN(), firsts[0])
+		}
+		if _, ok := rl.ReadAt(firsts[0] - 16); ok {
+			t.Fatal("truncated record resurrected by reopen")
+		}
+		for lsn := word.LSN(193); lsn < 257; lsn += 16 {
+			if data, ok := rl.ReadAt(lsn); !ok || !bytes.Equal(data, fill(16, byte(lsn/16))) {
+				t.Fatalf("record at %d above the truncation point lost", lsn)
+			}
+		}
+	}
 
-		rd, rl := open(t, db, lb, 0, 0)
-		defer rl.Close()
-		defer rd.Close()
-		if rl.TruncLSN() != 129 || rl.EndLSN() != 193 {
-			t.Fatalf("reopened trunc=%d end=%d, want 129/193", rl.TruncLSN(), rl.EndLSN())
+	// Physical reclamation: the files wholly below the truncation point are
+	// gone, and the reopen neither resurrects a truncated record nor loses
+	// a retained one.
+	t.Run("ReopenAfterTruncate", func(t *testing.T) {
+		_, lb := home(t)
+		if err := fourFiles(t, lb, 129, nil).Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
-		if got := segFiles(t, lb); len(got) != 1 || got[0] != segName(129) {
-			t.Fatalf("reopen left files %v, want only %s", got, segName(129))
-		}
-		if _, ok := rl.ReadAt(113); ok {
-			t.Fatal("record below the truncation point readable")
-		}
-		if data, ok := rl.ReadAt(129); !ok || !bytes.Equal(data, fill(16, 8)) {
-			t.Fatal("record above the truncation point lost")
+		suffix(t, lb, 129, 193)
+	})
+
+	// Truncate removes the files below the new point oldest first, so a
+	// kill between two unlinks — Truncate(200) frees three files — leaves a
+	// contiguous suffix, whose lowest name a reopen takes as the point.
+	t.Run("TruncateKillBetweenUnlinks", func(t *testing.T) {
+		_, lb := home(t)
+		fourFiles(t, lb, 200, func() { panic("killed") }).Abandon()
+		suffix(t, lb, 65, 129, 193)
+	})
+
+	// A Remove that fails stops the pass there: the files left are still a
+	// contiguous suffix, and the next Truncate — one that does not move the
+	// point — finishes the job.
+	t.Run("TruncateRemoveFails", func(t *testing.T) {
+		_, lb := home(t)
+		fb := &failRemove{Backing: lb, name: segName(65)}
+		l := fourFiles(t, fb, 200, nil)
+		defer l.Abandon()
+		suffix(t, lb, 65, 129, 193)
+		fb.name = ""
+		l.Truncate(200)
+		suffix(t, lb, 193)
+	})
+
+	// A segment missing from the middle of the log breaks the tiling: the
+	// open refuses it with a CorruptFrameError, not a log with a hole.
+	t.Run("MissingMiddleSegment", func(t *testing.T) {
+		_, lb := home(t)
+		fourFiles(t, lb, 1, nil).Abandon()
+		lb.Remove(segName(129))
+		var cf *storage.CorruptFrameError
+		if _, err := storage.OpenLog(lb, 64); !errors.As(err, &cf) || cf.LSN != 129 {
+			t.Fatalf("open with seg-129 missing: %v, want a CorruptFrameError at 129", err)
 		}
 	})
+}
+
+// failRemove is a backing whose Remove of one named file fails.
+type failRemove struct {
+	storage.Backing
+	name string
+}
+
+func (b *failRemove) Remove(name string) error {
+	if name == b.name {
+		return errors.New("remove refused")
+	}
+	return b.Backing.Remove(name)
 }

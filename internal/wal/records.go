@@ -590,3 +590,19 @@ type CheckpointRec struct {
 
 // Type implements Record.
 func (CheckpointRec) Type() Type { return TCheckpoint }
+
+// Floor returns the lowest LSN a recovery from this checkpoint, logged at
+// lsn, reads: lsn itself, every dirty page's recLSN (redo) and every listed
+// transaction's first LSN (undo). The log holds everything from the floor
+// of the checkpoint the master names on.
+func (cp CheckpointRec) Floor(lsn word.LSN) word.LSN {
+	for _, dp := range cp.Dirty {
+		if dp.RecLSN != word.NilLSN {
+			lsn = min(lsn, dp.RecLSN)
+		}
+	}
+	for _, te := range cp.Txs {
+		lsn = min(lsn, te.FirstLSN)
+	}
+	return lsn
+}
