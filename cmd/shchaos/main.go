@@ -24,9 +24,9 @@
 // -from and -seeds pick the seed range; -dir runs every seed over real
 // files under d (per-seed subdirectories, removed as each seed ends).
 // Every seed runs with the flight recorder on; -blackbox writes one
-// seed's recorder journal (the first violating seed's, else the last
-// swept seed's) to a file that shstat -decode renders as the pre-crash
-// timeline.
+// seed's flight-recorder dump (the first violating seed's, else the last
+// swept seed's), one boot per heap the seed ran, to a file that shstat
+// -decode renders as the pre-crash timeline.
 //
 // -scenario names the one thing every round carries beside the driver's
 // single-threaded workload (crashtest.Kind; DESIGN.md §10 tabulates what
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mutators := fs.Int("mutators", 0, "goroutines per burst of -scenario concurrent (0 = 4)")
 	shrink := fs.Bool("shrink", false, "greedily minimize the fault plan of each violating seed")
 	asJSON := fs.Bool("json", false, "print the verdict matrix and per-seed results as JSON")
-	blackbox := fs.String("blackbox", "", "write a seed's flight-recorder journal to this file (first violating seed, else the last seed; decode with shstat -decode)")
+	blackbox := fs.String("blackbox", "", "write a seed's flight-recorder dump to this file (first violating seed, else the last seed; decode with shstat -decode)")
 	dir := fs.String("dir", "", "run every seed over real files under this directory (per-seed subdirs, removed after each seed)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -159,14 +159,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 				dump = res.Dump
 			}
 			if res.Failed() {
-				break // first violating seed's journal wins
+				break // first violating seed's dump wins
 			}
 		}
 		if err := os.WriteFile(*blackbox, dump, 0o644); err != nil {
 			fmt.Fprintf(stderr, "shchaos: writing -blackbox: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "shchaos: wrote flight-recorder journal (%d bytes) to %s\n", len(dump), *blackbox)
+		fmt.Fprintf(stderr, "shchaos: wrote flight-recorder dump (%d bytes) to %s\n", len(dump), *blackbox)
 	}
 
 	// -shrink: for each violating seed, find the minimal plan that still

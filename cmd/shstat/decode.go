@@ -14,12 +14,11 @@ import (
 // as a human-readable timeline and, with chrome set, a Chrome trace_event
 // JSON document of the newest boot.
 //
-// The dump is the byte stream a heap's flight journal accumulated — written
-// under Config.FlightRecorder, exported by Heap.FlightDump or shchaos
-// -blackbox. It may hold frames from several boots (a chaos run crashes and
-// recovers many times); by default the newest boot's events are shown,
-// which is exactly the pre-crash timeline after a crash. tail > 0 keeps the
-// last tail events per boot; all prints every boot, oldest first.
+// The dump is a heap's flight-recorder ring (Config.FlightRecorder)
+// encoded by Heap.FlightDump, one boot, or shchaos -blackbox's join of one
+// boot per heap a chaos seed ran (it crashes and recovers many times); by
+// default the newest boot's events are shown. tail > 0 keeps the last tail
+// events per boot; all prints every boot, oldest first.
 func decode(path string, tail int, all bool, chrome string, stdout io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", "", "back the heap with real files in a fresh subdirectory of this path (filestore_ metrics populate)")
 	dump := fs.String("decode", "", "decode this flight-recorder dump instead of running the workload")
 	tail := fs.Int("tail", 0, "with -decode: print only the last N events per boot (0: all)")
-	all := fs.Bool("all", false, "with -decode: print every boot in the journal, oldest first (default: newest only)")
+	all := fs.Bool("all", false, "with -decode: print every boot in the dump, oldest first (default: newest only)")
 	chrome := fs.String("chrome", "", "with -decode: also write the newest boot as Chrome trace_event JSON to this file")
 	logDir := fs.String("log", "", "dump the write-ahead log of the heap in this directory (a fresh directory runs the workload there first); -json prints one object per record")
 	maxRecords := fs.Int("n", 200, "with -log: print at most this many records")

@@ -31,8 +31,8 @@ func recorderMeasure(recorder bool, g, reps int, duration time.Duration) float64
 // E20Recorder measures the flight recorder's overhead on the hot path:
 // the disjoint-transaction throughput with the recorder (ring events
 // on every begin/commit/force plus the ticking watchdog) against the
-// identical workload without it. The paper's observability bargain is
-// that a crash-surviving recording must cost nothing worth measuring;
+// identical workload without it. The observability bargain is that an
+// always-available recording must cost nothing worth measuring;
 // the acceptance bound is <2% on this workload (which is force-bound by
 // design, as any realistic durable commit path is — the recorder's few
 // atomic stores disappear under a 250µs force).
@@ -40,7 +40,7 @@ func E20Recorder() Table {
 	t := Table{
 		ID:     "E20",
 		Title:  "flight recorder + watchdog overhead on the hot transaction path",
-		Claim:  "recording every tx/GC/WAL event into the crash-surviving ring costs <2% disjoint-commit throughput",
+		Claim:  "recording every tx/GC/WAL event into the in-memory ring costs <2% disjoint-commit throughput",
 		Header: []string{"goroutines", "tx/sec (recorder off)", "tx/sec (recorder on)", "overhead"},
 	}
 	const (
@@ -63,7 +63,7 @@ func E20Recorder() Table {
 	}
 	t.Notes = append(t.Notes,
 		"workload: disjoint scaling kernel (private counters, no conflicts), best of 3 runs per cell",
-		fmt.Sprintf("recorder on = %d-slot ring + journal + watchdog ticking at 10ms; recorder off = the seed configuration", obs.BlackBoxEvents),
+		fmt.Sprintf("recorder on = %d-slot ring + watchdog ticking at 10ms; recorder off = the seed configuration", obs.BlackBoxEvents),
 		"negative overhead is measurement noise: both sides are bound by the simulated 250µs commit force")
 	return t
 }

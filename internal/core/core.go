@@ -135,9 +135,9 @@ type Config struct {
 	// binary records — tx begin/commit/abort, collector flips, steps and
 	// quanta, WAL forces, latch stalls, recovery phases, injected faults —
 	// with durations, exportable as Chrome trace_event JSON
-	// (Heap.TraceJSON) and journaled to the heap's own device, which
-	// survives Crash, so the pre-crash timeline is readable after it
-	// (Heap.FlightDevice, shstat -decode). Latency histograms are always
+	// (Heap.TraceJSON). Crash keeps the ring, so the heap that crashed
+	// still reads its pre-crash timeline (Heap.FlightDump, shstat
+	// -decode); a process death loses it. Latency histograms are always
 	// on regardless; the recorder is the only opt-in piece.
 	FlightRecorder bool
 	// WatchdogInterval, when positive, starts a stall-watchdog goroutine
@@ -328,16 +328,14 @@ type Heap struct {
 	commitGate sync.RWMutex
 
 	// met holds the heap-level latency histograms (always on) and reg
-	// names them with every subsystem's metrics (metrics.go); bb/journal/wd
-	// are the flight recorder, its persistence journal and the stall
-	// watchdog (all nil unless Config.FlightRecorder / WatchdogInterval —
-	// and all their methods are nil-safe, so instrumentation sites call
-	// unconditionally).
-	met     heapMetrics
-	reg     obs.Registry
-	bb      *obs.BlackBox
-	journal *obs.Journal
-	wd      *obs.Watchdog
+	// names them with every subsystem's metrics (metrics.go); bb/wd are
+	// the flight recorder and the stall watchdog (both nil unless
+	// Config.FlightRecorder / WatchdogInterval — and all their methods are
+	// nil-safe, so instrumentation sites call unconditionally).
+	met heapMetrics
+	reg obs.Registry
+	bb  *obs.BlackBox
+	wd  *obs.Watchdog
 
 	// area bounds (nurLo/nurHi are zero when the nursery is disabled)
 	stableLo, stableHi word.Addr
@@ -406,7 +404,6 @@ func build(cfg Config, disk *storage.Disk, logDev *storage.Log) *Heap {
 
 	if cfg.FlightRecorder {
 		hp.bb = obs.NewBlackBox(obs.BlackBoxEvents)
-		hp.journal = obs.NewJournal(storage.NewLog(1<<20), hp.bb)
 	}
 	log.SetRecorder(hp.bb)
 	hp.sgc.SetRecorder(hp.bb)
@@ -1058,9 +1055,6 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 		return nil, err
 	}
 	hp := t.hp
-	if hp.journal != nil {
-		defer hp.flushOnPanic()
-	}
 	d := heap.NewDescriptor(typeID, nptrs, ndata)
 	size := d.SizeWords()
 	// A small object on a heap with a nursery comes from the chunk; the
@@ -1480,9 +1474,6 @@ func (t *Tx) Commit() error {
 		return ErrTxDone
 	}
 	hp := t.hp
-	if hp.journal != nil {
-		defer hp.flushOnPanic()
-	}
 	start := time.Now()
 	hp.commitGate.RLock()
 	defer hp.commitGate.RUnlock()
@@ -1577,9 +1568,6 @@ func (t *Tx) Prepare() error {
 		return ErrTxDone
 	}
 	hp := t.hp
-	if hp.journal != nil {
-		defer hp.flushOnPanic()
-	}
 	lsn, err := t.commitExclusive(time.Now(), hp.txm.Prepare)
 	if err != nil {
 		return err
@@ -1598,9 +1586,6 @@ func (t *Tx) Abort() error {
 		return ErrTxDone
 	}
 	hp := t.hp
-	if hp.journal != nil {
-		defer hp.flushOnPanic()
-	}
 	start := time.Now()
 	// Abort undoes updates in place, anywhere in the heap: exclusive.
 	hp.lockExclusive()

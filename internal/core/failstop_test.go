@@ -6,8 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"stableheap/internal/faultfs"
+	"stableheap/internal/obs"
 	"stableheap/internal/storage"
 )
 
@@ -106,4 +108,72 @@ func TestDeviceFaultFailsTheHeap(t *testing.T) {
 		}
 	}
 	commit(t, tr)
+}
+
+// The fault that makes the heap fail-stop is marked in the flight recorder
+// once, by the call that made it so: an EvCrash with fail-stop = 1, before
+// the EvCrash of the Crash that follows. Allocs on four goroutines meet the
+// failing force together; those that fault beside the first, and the
+// Commits the failed heap refuses afterwards, mark nothing.
+func TestFailStopMarkedOnce(t *testing.T) {
+	c := smallCfg()
+	c.FlightRecorder = true
+	c.CachePages = 4 // an Alloc soon evicts a dirty page, forcing the log under the latch
+	// Once armed, every log sync fails, slowly enough that the other
+	// Allocs reach the force while the first still fails.
+	var armed atomic.Bool
+	hp := mustOpen(c, storage.NewMemBacking(), faultfs.OnSync(storage.NewMemBacking(), func() error {
+		if armed.Load() {
+			time.Sleep(time.Millisecond)
+			return errors.New("sync failed")
+		}
+		return nil
+	}))
+	seedSlots(t, hp, 4)
+
+	txs := []*Tx{hp.Begin(), hp.Begin(), hp.Begin(), hp.Begin()}
+	armed.Store(true)
+	commitFaults := make([]error, len(txs))
+	var wg sync.WaitGroup
+	for i, tr := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var fault error
+			for n := 0; n < 1000 && fault == nil; n++ {
+				fault = deviceFault(func() {
+					if obj, err := tr.Alloc(1, 0, 8); err == nil {
+						tr.SetData(obj, 0, uint64(n))
+					}
+				})
+			}
+			if fault == nil {
+				t.Error("no Alloc met the failing force")
+			}
+			commitFaults[i] = deviceFault(func() { tr.Commit() })
+		}()
+	}
+	wg.Wait()
+	for i, got := range commitFaults {
+		if first := *hp.failed.Load(); got != first {
+			t.Errorf("Commit %d on the failed heap: got %v, want the first fault %v", i, got, first)
+		}
+	}
+	hp.Crash()
+
+	evs := hp.FlightEvents()
+	marks, markAt, crashAt := 0, -1, -1
+	for i, ev := range evs {
+		switch {
+		case ev.Kind != obs.EvCrash:
+		case ev.A == 1:
+			marks, markAt = marks+1, i
+		default:
+			crashAt = i
+		}
+	}
+	if marks != 1 || crashAt != len(evs)-1 || markAt > crashAt {
+		t.Fatalf("%d fail-stop markers (last at %d), crash marker at %d of %d; want one, before the crash:\n%s",
+			marks, markAt, crashAt, len(evs), obs.FormatTail(evs, 8))
+	}
 }

@@ -28,16 +28,13 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 		t.Error("obs_blackbox_events_total is zero")
 	}
 
-	// Crash; the journal survives and replays the timeline including the
-	// crash marker, then the recovered heap journals its own boot to a
-	// device of its own.
+	// Crash; the crashed heap keeps its ring, which ends with the crash
+	// marker, and the recovered heap records its own boot in a ring of its
+	// own.
 	disk, logDev := hp.Crash()
-	evs, _, err := obs.ReadLatest(hp.FlightDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs = hp.FlightEvents()
 	if len(evs) == 0 || evs[len(evs)-1].Kind != obs.EvCrash {
-		t.Fatalf("journal does not end with the crash marker (%d events)", len(evs))
+		t.Fatalf("ring does not end with the crash marker (%d events)", len(evs))
 	}
 
 	h2, err := reopen(cfg, disk, logDev)
@@ -45,10 +42,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h2.Close()
-	evs, _, err = obs.ReadLatest(h2.FlightDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs = h2.FlightEvents()
 	recovered := false
 	for _, ev := range evs {
 		if ev.Kind == obs.EvRecovery {
@@ -69,7 +63,7 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	hp := openMem(DefaultConfig())
 	defer hp.Close()
 	obsWorkload(t, hp)
-	if hp.FlightRecorder() != nil || hp.FlightEvents() != nil || hp.FlightDevice() != nil || hp.FlightDump() != nil {
+	if hp.FlightRecorder() != nil || hp.FlightEvents() != nil || hp.FlightDump() != nil {
 		t.Error("flight recorder artifacts exist without Config.FlightRecorder")
 	}
 	if hp.Metrics().Counter("obs_blackbox_events_total") != 0 {

@@ -105,11 +105,15 @@ func (hp *Heap) rlock() (excl bool) {
 }
 
 // noteFault makes the heap fail-stop if r, a recovered panic value, is a
-// device fault. Callers still hold the latch the fault unwound through.
+// device fault, and the call that does so marks it in the flight recorder
+// (EvCrash with fail-stop = 1). Callers still hold the latch the fault
+// unwound through.
 func (hp *Heap) noteFault(r any) {
 	if e, ok := storage.AsDeviceError(r); ok {
 		fault := e // allocated here, on the fault, not on every release
-		hp.failed.CompareAndSwap(nil, &fault)
+		if hp.failed.CompareAndSwap(nil, &fault) {
+			hp.bb.Record(obs.EvCrash, 0, 1, 0)
+		}
 	}
 }
 

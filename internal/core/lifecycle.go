@@ -84,7 +84,6 @@ func (hp *Heap) Close() {
 	// The collector goroutine (if any) saw its collection retired above and
 	// is on its way out; it must not outlive the heap it scans.
 	hp.scanWG.Wait()
-	hp.journal.Flush()
 	// Release the devices last, once every layer above has flushed through
 	// them; Open over their backings reopens the heap.
 	hp.logDev.Close()
@@ -116,8 +115,8 @@ func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 		hp.sscan.abandon()
 		// A fault injector applies its crash-time faults just before this
 		// and records them as EvFault events (internal/faultfs), so the
-		// EvCrash marker below follows them in the flushed timeline,
-		// exactly the order things happened.
+		// EvCrash marker below follows them in the ring, exactly the
+		// order things happened.
 		hp.logDev.Crash()
 		hp.mem.Crash()
 		hp.locks.Reset()
@@ -125,10 +124,6 @@ func (hp *Heap) Crash() (*storage.Disk, *storage.Log) {
 		hp.bb.Record(obs.EvCrash, 0, 0, 0)
 	}()
 	hp.scanWG.Wait()
-	// The journal device models battery-backed recorder hardware: it is
-	// not among the crashed devices, so the flush below is what makes the
-	// pre-crash timeline readable after recovery.
-	hp.journal.Flush()
 	hp.logDev.Abandon()
 	hp.disk.Abandon()
 	return hp.disk, hp.logDev
@@ -336,7 +331,6 @@ func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool
 		hp.unlockExclusive()
 	}
 	hp.bb.Record(obs.EvRecovery, 0, uint64(res.RedoApplied), uint64(res.RedoScanned))
-	hp.journal.Flush()
 	hp.startWatchdog()
 	return hp, nil
 }

@@ -1,9 +1,11 @@
 package crashtest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"stableheap/internal/core"
 	"stableheap/internal/faultfs"
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
@@ -40,12 +42,11 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 	inj.Crash(log) // the plan's torn page write and torn log tail
 	d.hp.Crash()
 
-	// The heap's journal device survives the crash (the model of
-	// battery-backed recorder hardware) and replays the dead run's
-	// timeline.
-	evs, _, err := obs.ReadLatest(d.hp.FlightDevice())
+	// The crashed heap keeps its ring, and its dump decodes to the dead
+	// run's timeline.
+	evs, err := dumpEvents(d.hp)
 	if err != nil {
-		t.Fatalf("reading the journal after the crash: %v", err)
+		t.Fatalf("decoding the dump after the crash: %v", err)
 	}
 	if len(evs) == 0 {
 		t.Fatal("empty flight recording after a crash")
@@ -103,7 +104,7 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 		}
 	}
 
-	// Recovery from the crashed bytes is a new boot with a journal of its
+	// Recovery from the crashed bytes is a new boot with a ring of its
 	// own, which reads as the recovered run, with the recovery marker
 	// aboard.
 	hp, err := d.reopen()
@@ -111,9 +112,9 @@ func TestBlackBoxPreCrashTimeline(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer hp.Close()
-	evs2, _, err := obs.ReadLatest(hp.FlightDevice())
+	evs2, err := dumpEvents(hp)
 	if err != nil {
-		t.Fatalf("reading the journal after recovery: %v", err)
+		t.Fatalf("decoding the dump after recovery: %v", err)
 	}
 	found := false
 	for _, ev := range evs2 {
@@ -159,6 +160,15 @@ func TestChaosSeedDumpDecodes(t *testing.T) {
 	if out := obs.FormatEvents(evs); !strings.Contains(out, "seq=") {
 		t.Errorf("timeline rendering looks wrong:\n%s", out)
 	}
+}
+
+// dumpEvents decodes hp's FlightDump, one boot: the heap's ring.
+func dumpEvents(hp *core.Heap) ([]obs.Event, error) {
+	boots, err := obs.DecodeDumpBoots(hp.FlightDump())
+	if err != nil || len(boots) != 1 {
+		return nil, fmt.Errorf("%d boots, err %v", len(boots), err)
+	}
+	return boots[0].Events, nil
 }
 
 // DecodeChaosDump decodes a chaos dump exactly as shstat -decode does.

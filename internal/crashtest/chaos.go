@@ -45,7 +45,6 @@ import (
 	"stableheap/internal/obs"
 	"stableheap/internal/storage"
 	"stableheap/internal/storage/filestore"
-	"stableheap/internal/word"
 )
 
 // Verdict classifies one chaos round's outcome.
@@ -174,9 +173,9 @@ func (sc Scenario) withDefaults() Scenario {
 // on acked commits surviving any torn force): one huge log
 // segment (truncation never reclaims, so media recovery's full-log
 // archive discipline holds and the media-repair path stays live), and
-// the flight recorder on (the explorer shares one journal device across
-// a seed's crash/recover cycles, so every violation verdict carries the
-// decoded pre-crash timeline). The watchdog stays off: its ticker
+// the flight recorder on (a crashed heap keeps its ring, so every
+// violation verdict carries the pre-crash timeline, and the seed's dump
+// joins every heap's). The watchdog stays off: its ticker
 // goroutine would perturb the seed-deterministic schedule.
 func ChaosConfig() core.Config {
 	cfg := core.DefaultConfig()
@@ -203,10 +202,10 @@ type SeedResult struct {
 	// occurred). It embeds Plan.String(), so the failure is reproducible
 	// from the message alone.
 	Failure string
-	// Dump is the seed's complete flight-recorder journal — every frame
-	// each heap the seed opened flushed, the heaps' journals joined in the
-	// order they opened, one boot each; decodable with obs.DecodeDump or
-	// shstat -decode.
+	// Dump is the seed's complete flight recording — each heap the seed
+	// opened dumps its ring (Heap.FlightDump) when it crashes or the seed
+	// ends, one boot each, in the order they ran; decodable with
+	// obs.DecodeDumpBoots or shstat -decode.
 	// Excluded from JSON reports (binary, potentially large).
 	Dump []byte `json:"-"`
 }
@@ -243,13 +242,11 @@ type chaosRun struct {
 	res   SeedResult
 	dead  bool // devices unrecoverable or replaced; no further rounds
 
-	// journals holds each heap's flight-recorder device, in the order the
-	// seed opened them (each survives its heap's Crash: the model of
-	// battery-backed recorder hardware, never wrapped by the injector).
-	// timeline is the newest boot's decoded events as of the last crash —
-	// the pre-crash flight recording, attached to violation verdicts.
-	journals []*storage.Log
+	// timeline is the crashed heap's ring as of the last crash — the
+	// pre-crash flight recording, attached to violation verdicts — and
+	// crashed is that heap, whose dump the seed's Dump already holds.
 	timeline []obs.Event
+	crashed  *core.Heap
 }
 
 // RunSeed derives seed's fault plan and runs the scenario under it.
@@ -297,18 +294,14 @@ func RunSeedWithPlan(sc Scenario, plan faultfs.Plan) SeedResult {
 		log.Abandon()
 		disk.Abandon()
 	}()
-	r.journals = append(r.journals, r.d.hp.FlightDevice())
 	r.inj.SetRecorder(r.d.hp.FlightRecorder())
 	r.inj.Arm()
 	for round := 0; round < sc.Crashes && !r.dead; round++ {
 		r.round(round)
 	}
 	r.res.Faults = r.inj.Stats()
-	for _, dev := range r.journals {
-		storage.Scan(dev, dev.TruncLSN(), false, func(_ word.LSN, frame []byte) bool {
-			r.res.Dump = append(r.res.Dump, frame...)
-			return true
-		})
+	if r.d.hp != r.crashed {
+		r.res.Dump = append(r.res.Dump, r.d.hp.FlightDump()...)
 	}
 	return r.res
 }
@@ -422,16 +415,16 @@ func (r *chaosRun) resolveFirst() (online bool) {
 }
 
 // crash applies the plan's crash-time faults (a torn log tail, a torn
-// unsynced page write), kills the heap and decodes the newest boot's
-// flushed events: the flight recording of the run that just died, ending
-// in the injected fault and the crash marker.
+// unsynced page write), kills the heap and keeps its ring: the flight
+// recording of the run that just died, ending in the injected fault and
+// the crash marker.
 func (r *chaosRun) crash() {
 	_, log := r.d.hp.Devices()
 	r.inj.Crash(log)
 	r.d.hp.Crash()
-	if evs, _, err := obs.ReadLatest(r.d.hp.FlightDevice()); err == nil && len(evs) > 0 {
-		r.timeline = evs
-	}
+	r.timeline = r.d.hp.FlightEvents()
+	r.res.Dump = append(r.res.Dump, r.d.hp.FlightDump()...)
+	r.crashed = r.d.hp
 }
 
 // workload runs the round's driver steps with faults armed; true means the
@@ -879,9 +872,8 @@ func (r *chaosRun) auditBurst(hp *core.Heap) error {
 // like production reads. what names the recovery in a violation. True
 // means the audit ran to its end and passed.
 func (r *chaosRun) adopt(hp *core.Heap, what string) (passed bool) {
-	// The recovered heap carries a fresh ring and journal; re-point fault
-	// injections at it so the next crash's recording includes them.
-	r.journals = append(r.journals, hp.FlightDevice())
+	// The recovered heap carries a fresh ring; re-point fault injections
+	// at it so the next crash's recording includes them.
 	r.inj.SetRecorder(hp.FlightRecorder())
 	online, err := r.try(func() error {
 		if err := r.d.adopt(hp); err != nil {

@@ -12,10 +12,10 @@ import (
 // The black-box flight recorder: a fixed-size, lock-free ring of compact
 // binary event records — transaction begin/commit/abort, collector flips,
 // steps and scan quanta, WAL forces, latch stalls, recovery phases,
-// injected faults, watchdog trips. It is the heap's only event ring: the
-// Chrome trace (WriteEventsChrome) is a rendering of it, and a Journal
-// (journal.go) persists its contents through a dedicated storage.Log
-// so the last moments before a crash are readable after recovery.
+// injected faults, watchdog trips. It is the heap's only event ring and
+// its whole recording: the Chrome trace (WriteEventsChrome) and the dump
+// (dump.go) are renderings of it. It lives in memory, so an in-process
+// crash keeps it and a process death loses it.
 //
 // Every record carries a monotonic sequence number, a timestamp relative
 // to recorder start, a duration (zero for an instant), and the volatile-GC
@@ -49,7 +49,7 @@ const (
 	EvFault      // injected fault (faultfs); detail = page or LSN
 	EvWatchdog   // watchdog rule tripped
 	EvCheckpoint
-	EvCrash         // heap crash entered; panic-flush = 1 when flushed from a panic
+	EvCrash         // heap crash entered; fail-stop = 1 when a device fault made the heap fail-stop
 	EvRecAnalysis   // span: recovery analysis pass
 	EvRecRedo       // span: recovery redo pass
 	EvRecUndo       // span: recovery undo pass
@@ -87,7 +87,7 @@ var kinds = [evKindCount]struct {
 	EvFault:         {name: "fault", track: "fault", a: "class", b: "detail", enum: FaultClassName},
 	EvWatchdog:      {name: "watchdog-trip", track: "watchdog", a: "rule", b: "detail", enum: WatchdogRuleName},
 	EvCheckpoint:    {name: "checkpoint", track: "lifecycle", a: "lsn"},
-	EvCrash:         {name: "crash", track: "lifecycle", a: "panic-flush"},
+	EvCrash:         {name: "crash", track: "lifecycle", a: "fail-stop"},
 	EvRecAnalysis:   {name: "recovery-analysis", track: "recovery"},
 	EvRecRedo:       {name: "recovery-redo", track: "recovery", a: "applied", b: "scanned"},
 	EvRecUndo:       {name: "recovery-undo", track: "recovery", a: "losers"},
@@ -173,8 +173,8 @@ type bbSlot struct {
 // BlackBoxEvents is the ring capacity of every heap's recorder: 64 bytes a
 // slot, 1 MiB in all. A default `shstat -trace` run records about 10 500
 // events (three per transfer: begin, force, commit) and one shchaos round
-// 60 to 80, so the Chrome trace of the former is complete and a journal
-// flushed at every checkpoint loses nothing.
+// 60 to 80, so the Chrome trace of the former is complete and a chaos
+// heap's dump holds its whole run.
 const BlackBoxEvents = 16 * 1024
 
 // BlackBox is the lock-free flight-recorder ring. All methods are safe on
@@ -197,8 +197,8 @@ func NewBlackBox(capacity int) *BlackBox {
 }
 
 // Boot returns the wall-clock nanosecond identity of this recorder
-// instance; dumps are tagged with it so a journal shared across crash and
-// recovery can separate runs.
+// instance; each dump frame is tagged with it, so a file of several
+// heaps' dumps reads as one boot per heap.
 func (bb *BlackBox) Boot() int64 {
 	if bb == nil {
 		return 0
@@ -260,20 +260,18 @@ func (bb *BlackBox) Dropped() uint64 {
 // Events snapshots the ring: every fully published record, in sequence
 // order. Slots mid-overwrite by a concurrent writer are skipped — the
 // recorder never blocks a reader and a reader never tears a record.
-func (bb *BlackBox) Events() []Event { return bb.since(0) }
-
-// since returns the published records with a sequence number above after,
-// walking the ring by slot index from the oldest record still held.
-func (bb *BlackBox) since(after uint64) []Event {
+// The walk goes by slot index from the oldest record still held.
+func (bb *BlackBox) Events() []Event {
 	if bb == nil {
 		return nil
 	}
 	end, n := bb.cursor.Load(), uint64(len(bb.slots))
-	if end > n && after < end-n {
-		after = end - n
+	var first uint64
+	if end > n {
+		first = end - n
 	}
-	evs := make([]Event, 0, end-after)
-	for seq := after + 1; seq <= end; seq++ {
+	evs := make([]Event, 0, end-first)
+	for seq := first + 1; seq <= end; seq++ {
 		s := &bb.slots[(seq-1)%n]
 		if s.seq.Load() != seq {
 			continue // not yet published, or already lapped

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"stableheap/internal/storage"
 )
 
 func TestBlackBoxRecordAndSnapshot(t *testing.T) {
@@ -190,64 +188,6 @@ func TestDecodeDumpBoots(t *testing.T) {
 	}
 }
 
-func TestJournalIncrementalFlushAndMultiBoot(t *testing.T) {
-	dev := storage.NewLog(1 << 16)
-
-	// Boot one: two flushes; the second must only append the fresh tail.
-	bb1 := NewBlackBox(32)
-	j1 := NewJournal(dev, bb1)
-	bb1.Record(EvTxBegin, 1, 0, 0)
-	j1.Flush()
-	afterFirst := dev.EndLSN()
-	bb1.Record(EvTxCommit, 1, 0, 0)
-	bb1.Record(EvCrash, 0, 0, 0)
-	j1.Flush()
-	j1.Flush() // nothing new: no frame
-	evs, boot, err := ReadLatest(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if boot != bb1.Boot() || len(evs) != 3 {
-		t.Fatalf("boot %d with %d events, want boot %d with 3", boot, len(evs), bb1.Boot())
-	}
-	if evs[0].Kind != EvTxBegin || evs[2].Kind != EvCrash {
-		t.Errorf("wrong reassembled order: %v %v %v", evs[0].Kind, evs[1].Kind, evs[2].Kind)
-	}
-	if dev.EndLSN() == afterFirst {
-		t.Error("second flush appended nothing")
-	}
-
-	// Boot two over the same device: ReadLatest switches to the new run.
-	bb2 := NewBlackBox(32)
-	if bb2.Boot() == bb1.Boot() {
-		t.Skip("boots collided (clock resolution); cannot distinguish runs")
-	}
-	j2 := NewJournal(dev, bb2)
-	bb2.Record(EvRecovery, 0, 5, 9)
-	j2.Flush()
-	evs, boot, err = ReadLatest(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if boot != bb2.Boot() || len(evs) != 1 || evs[0].Kind != EvRecovery {
-		t.Fatalf("after reboot: boot=%d evs=%v", boot, evs)
-	}
-}
-
-func TestJournalNilPieces(t *testing.T) {
-	if NewJournal(nil, NewBlackBox(4)) != nil {
-		t.Error("journal built without a device")
-	}
-	if NewJournal(storage.NewLog(1<<12), nil) != nil {
-		t.Error("journal built without a recorder")
-	}
-	var j *Journal
-	j.Flush() // must not panic
-	if j.Device() != nil {
-		t.Error("nil journal has a device")
-	}
-}
-
 // chromeTrace mirrors the subset of the Chrome trace_event JSON object
 // format that about://tracing and Perfetto require: a traceEvents array
 // whose entries carry name/ph/ts/pid/tid.
@@ -413,7 +353,7 @@ func TestKindTableComplete(t *testing.T) {
 
 // A frame written before the duration word existed must be refused, not
 // decoded with every field after ts shifted by eight bytes.
-func TestJournalRejectsVersion1Frame(t *testing.T) {
+func TestDumpRejectsVersion1Frame(t *testing.T) {
 	frame := EncodeDump(100, []Event{{Seq: 1, TS: 5, Dur: 7, Kind: EvWALForce, A: 9}})
 	if _, evs, err := DecodeDump(frame); err != nil || len(evs) != 1 || evs[0].Dur != 7 || evs[0].A != 9 {
 		t.Fatalf("version-2 frame does not round-trip: %v %+v", err, evs)
@@ -421,11 +361,5 @@ func TestJournalRejectsVersion1Frame(t *testing.T) {
 	frame[4] = 1
 	if _, _, err := DecodeDump(frame); !errors.Is(err, errBadFrame) {
 		t.Errorf("version-1 frame decoded with err = %v, want errBadFrame", err)
-	}
-	dev := storage.NewLog(1 << 12)
-	dev.Append(frame)
-	storage.ForceAll(dev)
-	if _, _, err := ReadLatest(dev); !errors.Is(err, errBadFrame) {
-		t.Errorf("ReadLatest over a version-1 frame: err = %v, want errBadFrame", err)
 	}
 }

@@ -1,12 +1,11 @@
 // Package obs is the stable heap's unified observability layer: lock-free
 // atomic counters, log-bucketed latency histograms with mergeable
 // snapshots, the registry that names each of them once (Registry), one
-// crash-surviving event ring (the flight recorder) that also renders as
-// Chrome trace_event JSON, and a live exposition endpoint (Prometheus text
-// + trace JSON over HTTP).
+// in-memory event ring (the flight recorder) that also renders as Chrome
+// trace_event JSON and as a binary dump, and a live exposition endpoint
+// (Prometheus text + trace JSON over HTTP).
 //
-// The package depends only on the standard library and the storage
-// interfaces, and is designed so the hot recording paths — Counter.Add,
+// The package depends only on the standard library, and is designed so the hot recording paths — Counter.Add,
 // Histogram.Observe — are a handful of atomic adds with zero allocations,
 // cheap enough to leave on in every configuration. The paper's claims are
 // quantitative (bounded pauses, logging overhead, recovery time), and
@@ -17,8 +16,8 @@
 // The flight recorder is the one opt-in piece: when a *BlackBox is wired
 // in (Config.FlightRecorder at the heap level), spans and instants from
 // the mutator, the collectors, the log and recovery land in a bounded
-// lock-free ring (oldest events overwritten, counted), are journaled so
-// they survive a crash, and export as JSON loadable in about://tracing.
+// lock-free ring (oldest events overwritten, counted) that an in-process
+// Crash keeps, and export as JSON loadable in about://tracing.
 package obs
 
 import "sync/atomic"

@@ -84,7 +84,6 @@ type Watchdog struct {
 	interval time.Duration
 	snap     func() Snapshot
 	bb       *BlackBox
-	flush    func() // optional: journal flush after each tick
 	rules    []Rule
 	trips    Counter
 	stop     chan struct{}
@@ -93,13 +92,13 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds a watchdog; Start launches it. snap is typically the
-// heap's Metrics method; flush may be nil.
-func NewWatchdog(interval time.Duration, snap func() Snapshot, bb *BlackBox, flush func(), rules []Rule) *Watchdog {
+// heap's Metrics method.
+func NewWatchdog(interval time.Duration, snap func() Snapshot, bb *BlackBox, rules []Rule) *Watchdog {
 	if interval <= 0 || snap == nil || len(rules) == 0 {
 		return nil
 	}
 	return &Watchdog{
-		interval: interval, snap: snap, bb: bb, flush: flush, rules: rules,
+		interval: interval, snap: snap, bb: bb, rules: rules,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 }
@@ -154,8 +153,5 @@ func (w *Watchdog) run() {
 			}
 		}
 		prev = cur
-		if w.flush != nil {
-			w.flush()
-		}
 	}
 }

@@ -101,11 +101,14 @@ func (c *Checkpointer) ForcePromote() {
 }
 
 // TruncateLog frees log space below the floor of the checkpoint the
-// master names (segment granularity; a no-op before one is promoted).
+// master names (segment granularity; a no-op before one is promoted). It
+// truncates with mu released, so a promotion never waits for it: the
+// floor only rises, and a stale, lower one frees nothing.
 func (c *Checkpointer) TruncateLog() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.stableTrunc; p != word.NilLSN && p <= c.log.StableLSN() {
+	p := c.stableTrunc
+	c.mu.Unlock()
+	if p != word.NilLSN && p <= c.log.StableLSN() {
 		c.log.Truncate(p)
 	}
 }

@@ -66,14 +66,12 @@ type LogStats struct {
 //	magic u32 | payload len u32 | lsn u64 | header crc32 u32
 //
 // — followed by the raw payload verbatim. The header CRC covers only the
-// header: payload integrity belongs to the layer above. wal frames carry
-// their own CRC; the flight recorder's journal frames (SHBB) carry none and
-// are unchecked, and faultfs never wraps the journal's backing. Opening a
-// backing re-parses the segment files sequentially, and the torn-tail
-// rule is decided and acted on there, once (DESIGN.md §14): only the end
-// of the last segment may be torn, and only two shapes are a tear —
-// trailing bytes too short to be a header, and a valid header whose
-// payload is shorter than it declares. Either is cut off at its header:
+// header: payload integrity belongs to the layer above, and wal frames
+// carry their own CRC. Opening a backing re-parses the segment files
+// sequentially, and the torn-tail rule is decided and acted on there,
+// once (DESIGN.md §14): only the end of the last segment may be torn, and
+// only two shapes are a tear — trailing bytes too short to be a header,
+// and a valid header whose payload is shorter than it declares. Either is cut off at its header:
 // the interrupted force was never acknowledged, so the record never
 // existed, and the next append reuses its LSN. A complete header that
 // fails validation is corruption wherever it lies, and so is a short
@@ -553,6 +551,8 @@ func (l *Log) reparse() {
 // moves in memory, then the files wholly below it are removed oldest
 // first, with no sync: a kill between two unlinks leaves a contiguous
 // suffix. A failed Remove stops the pass; the next Truncate resumes it.
+// The removed files are closed once forceMu is released: on files the
+// last close frees the blocks, which must not hold a force back.
 func (l *Log) Truncate(keep word.LSN) {
 	l.mu.Lock()
 	moves := keep > l.stable.Load() || keep > 1 && l.boundary(keep) > l.trunc || l.unlinkDue()
@@ -560,6 +560,12 @@ func (l *Log) Truncate(keep word.LSN) {
 	if !moves {
 		return // decided without waiting for a force in flight
 	}
+	var removed []File
+	defer func() {
+		for _, f := range removed {
+			f.Close()
+		}
+	}()
 	l.forceMu.Lock()
 	defer l.forceMu.Unlock()
 	l.mu.Lock()
@@ -578,7 +584,7 @@ func (l *Log) Truncate(keep word.LSN) {
 		if l.b.Remove(segName(seg.first)) != nil {
 			return
 		}
-		seg.f.Close()
+		removed = append(removed, seg.f)
 		l.mu.Lock()
 		l.segs = l.segs[1:]
 		l.mu.Unlock()
