@@ -169,6 +169,31 @@ func BenchmarkParallelAlloc(b *testing.B) {
 	})
 }
 
+// BenchmarkParallelRead is BenchmarkE1Read with one transaction per
+// goroutine over the same committed object (run it at -cpu 1,2): each read
+// is one shared latch hold, so goroutines meet only at the latch's reader
+// count and the object's read lock.
+func BenchmarkParallelRead(b *testing.B) {
+	h := openWithChain(b, benchCfg(32*1024, 16*1024), 1)
+	defer h.Close()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		tx := h.Begin()
+		defer tx.Abort()
+		r, err := tx.Root(0)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		for pb.Next() {
+			if _, err := tx.Data(r, 0); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 func BenchmarkE1Commit(b *testing.B) {
 	h := openWithChain(b, benchCfg(32*1024, 16*1024), 1)
 	b.ResetTimer()

@@ -70,30 +70,45 @@ func (t Table) Render() string {
 	return b.String()
 }
 
-// All returns every experiment in order.
-func All() []func() Table {
-	return []func() Table{
-		E1MicroOps, E2GCSteps, E3Pauses, E4Recovery, E5Checkpoint,
-		E6LogVolume, E7CrashDuringGC, E8Tracking, E9Division,
-		E10Barrier, E11Throughput, E12CrashMatrix,
-		E13GroupCommit, E14CopyContents, E15Truncation,
-		E19Nursery, E20Recorder, E22StableConc, E23Shard,
-	}
+// An Experiment is one table of the suite: its id (e.g. "e4"), what it
+// reproduces, and how to run it.
+type Experiment struct {
+	ID, What string
+	Run      func() Table
+}
+
+// Experiments is the suite, in order.
+var Experiments = []Experiment{
+	{"e1", "micro: cost of low-level recoverable actions", E1MicroOps},
+	{"e2", "micro: collector step costs (flip, copy, scan, trap, GCEnd)", E2GCSteps},
+	{"e3", "figure: GC pause vs live-set size, stop-the-world vs incremental", E3Pauses},
+	{"e4", "figure: recovery time vs heap size (the headline claim)", E4Recovery},
+	{"e5", "figure: recovery time vs checkpoint interval", E5Checkpoint},
+	{"e6", "table: log volume by origin vs live fraction", E6LogVolume},
+	{"e7", "figure: recovery after a crash during a collection, vs heap size", E7CrashDuringGC},
+	{"e8", "table: stability tracking cost vs newly stable closure size", E8Tracking},
+	{"e9", "table: heap-division benefit on churny workloads", E9Division},
+	{"e10", "figure: read-barrier cost and trap skew (Ellis vs Baker)", E10Barrier},
+	{"e11", "macro: transaction throughput across collector modes", E11Throughput},
+	{"e12", "correctness: crash-matrix soundness sweep", E12CrashMatrix},
+	{"e13", "extension: group commit (forces per commit, throughput)", E13GroupCommit},
+	{"e14", "ablation: content-free vs content-carrying copy records", E14CopyContents},
+	{"e15", "extension: log space bounded by truncation", E15Truncation},
+	{"e19", "extension: nursery + mostly-concurrent volatile GC pauses", E19Nursery},
+	{"e20", "extension: flight recorder + watchdog overhead on the hot path", E20Recorder},
+	{"e22", "extension: mostly-concurrent stable GC stalls vs stop-the-world", E22StableConc},
+	{"e23", "extension: partitioned multi-heap scaling and the cross-partition 2PC tax", E23Shard},
 }
 
 // ByID returns the experiment with the given id (e.g. "e4").
-func ByID(id string) (func() Table, bool) {
-	m := map[string]func() Table{
-		"e1": E1MicroOps, "e2": E2GCSteps, "e3": E3Pauses, "e4": E4Recovery,
-		"e5": E5Checkpoint, "e6": E6LogVolume, "e7": E7CrashDuringGC,
-		"e8": E8Tracking, "e9": E9Division, "e10": E10Barrier,
-		"e11": E11Throughput, "e12": E12CrashMatrix,
-		"e13": E13GroupCommit, "e14": E14CopyContents, "e15": E15Truncation,
-		"e19": E19Nursery, "e20": E20Recorder, "e22": E22StableConc,
-		"e23": E23Shard,
+func ByID(id string) (Experiment, bool) {
+	id = strings.ToLower(id)
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
+		}
 	}
-	f, ok := m[strings.ToLower(id)]
-	return f, ok
+	return Experiment{}, false
 }
 
 // cfgSized builds the paper's configuration (divided, Ellis incremental)

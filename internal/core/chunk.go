@@ -9,11 +9,12 @@ import (
 
 // Allocation chunks (DESIGN.md §11, "Born objects").
 //
-// A transaction allocates small volatile objects by bumping its own chunk of
-// the nursery, {next, limit} in the style of CertiCoq's space, under the
-// shared latch. The heap stops only to carve or refill a chunk, which also
-// runs the minor collection a full nursery needs; what does not come from a
-// chunk keeps the exclusive path in Alloc.
+// A transaction allocates every volatile object the nursery can hold by
+// bumping its own chunk of the nursery, {next, limit} in the style of
+// CertiCoq's space, under the shared latch. The heap stops only to carve or
+// refill a chunk, which also runs the minor collection a full nursery needs;
+// an object larger than a chunk gets a carve of its own size. Objects the
+// nursery cannot hold keep the exclusive path in Alloc.
 //
 // A refill that finds the nursery frontier at the chunk's limit extends the
 // chunk in place, and a transaction's unused tail is handed back to the
@@ -28,7 +29,8 @@ import (
 // the creator's commit.
 
 // chunkPages sizes a chunk: a carve takes up to this many pages' worth of
-// words, so a refill is amortized over dozens of small objects.
+// words (or one larger object's size), so a refill is amortized over dozens
+// of small objects.
 const chunkPages = 4
 
 // chunk is a transaction's allocation chunk: objects lie in [lo, next), and
@@ -113,12 +115,13 @@ func (t *Tx) refill(size int) (bool, error) {
 	hp := t.hp
 	c := &t.chunk
 	hp.sealChunks() // c's tail, if at the frontier, returns to it
-	a, words, ok := hp.vgc.CarveNursery(size, hp.chunkWords)
+	carve := max(size, hp.chunkWords)
+	a, words, ok := hp.vgc.CarveNursery(size, carve)
 	if !ok {
 		if err := hp.collectNursery(); err != nil {
 			return false, err
 		}
-		if a, words, ok = hp.vgc.CarveNursery(size, hp.chunkWords); !ok {
+		if a, words, ok = hp.vgc.CarveNursery(size, carve); !ok {
 			return false, nil
 		}
 	}

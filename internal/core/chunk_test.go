@@ -26,6 +26,9 @@ func TestChunkPlacementIsBumpPlacement(t *testing.T) {
 		tr := hp.Begin()
 		for i := 0; i < 40; i++ {
 			nd := i % 7
+			if round == 1 && i == 20 {
+				nd = hp.chunkWords // larger than a chunk: carved for itself
+			}
 			r, err := tr.Alloc(1, 1, nd)
 			if err != nil {
 				t.Fatal(err)
@@ -43,7 +46,8 @@ func TestChunkPlacementIsBumpPlacement(t *testing.T) {
 	}
 	// Each transaction stops the heap to carve its first chunk, to commit
 	// (tracking is exclusive only with candidates; these have none) — and a
-	// 512-word chunk takes about a hundred of these objects.
+	// 512-word chunk takes about a hundred of these objects; the one larger
+	// than a chunk stops it once more.
 	if n := hp.Metrics().Hist("latch_stop_wait_ns").Count - stops; n > 10 {
 		t.Fatalf("%d heap stops for 120 allocations in three transactions", n)
 	}

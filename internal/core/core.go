@@ -343,8 +343,9 @@ type Heap struct {
 	nurLo, nurHi       word.Addr
 
 	// chunks are the transactions' allocation chunks carved since the
-	// nursery was last emptied, each at most chunkWords long (chunk.go).
-	// Changed only with the heap stopped.
+	// nursery was last emptied; a carve takes chunkWords, or one object's
+	// size when that is larger (chunk.go). Changed only with the heap
+	// stopped.
 	chunks     []*chunk
 	chunkWords int
 
@@ -987,69 +988,13 @@ func (t *Tx) Err() error { return t.err }
 // ID returns the transaction id.
 func (t *Tx) ID() word.TxID { return t.t.ID() }
 
-// lockAddr acquires a lock on the object named by read(), mapping
-// timeouts and deadlock aborts to ErrConflict. The address is read and the
-// lock try-acquired atomically under the action latch (so the lock table
-// only ever names current addresses and a flip's Rekey never collides with
-// a stale optimistic entry); on contention the transaction waits for
-// availability *outside* the latch — without holding anything — and
-// retries, because the holder may need the latch to finish its work. While
-// blocked the transaction is registered in the lock manager's waits-for
-// graph; if its wait closes a cycle and it is chosen victim, WaitFree
-// returns ErrDeadlock and the transaction fails fast with ErrConflict
-// (aborting it releases its locks and breaks the cycle). A lock held when
-// the object later moves follows it automatically: the collector rekeys
-// the table on every copy.
-func (t *Tx) lockAddr(read func() word.Addr, m lock.Mode) error {
-	hp := t.hp
-	// Lock-wait timing starts lazily on the first contention: the
-	// uncontended fast path takes no clock readings.
-	var waitStart, deadline time.Time
-	for {
-		var a word.Addr
-		var err error
-		func() {
-			// Deferred unlock: read() can fault on a wrapped device
-			// (internal/faultfs) and the latch must not leak with it.
-			excl := hp.rlock()
-			defer hp.runlock(excl)
-			a = read()
-			err = hp.locks.TryAcquire(t.t.ID(), a, m)
-		}()
-		if err == nil {
-			if !waitStart.IsZero() {
-				hp.met.LockWait.Since(waitStart)
-			}
-			return nil
-		}
-		if waitStart.IsZero() {
-			waitStart = time.Now()
-		}
-		if hp.cfg.LockWait == 0 {
-			hp.met.LockWait.Since(waitStart)
-			return t.fail(ErrConflict)
-		}
-		now := time.Now()
-		if deadline.IsZero() {
-			deadline = now.Add(hp.cfg.LockWait)
-		} else if now.After(deadline) {
-			hp.met.LockWait.Since(waitStart)
-			return t.fail(ErrConflict)
-		}
-		if werr := hp.locks.WaitFree(t.t.ID(), a, m, deadline.Sub(now)); werr != nil {
-			hp.met.LockWait.Since(waitStart)
-			return t.fail(ErrConflict)
-		}
-	}
-}
-
 // Alloc creates an object with nptrs pointer fields (nil) and ndata zero
 // data words, tagged with the caller's typeID, returning a registered
 // reference. New objects are volatile until a committing transaction makes
 // them reachable from a stable root (divided mode), or stable from birth
-// (all-stable mode). A small volatile object comes from the transaction's
-// allocation chunk without stopping the heap (chunk.go); the heap stops to
-// refill the chunk and for everything else.
+// (all-stable mode). A volatile object the nursery can hold comes from the
+// transaction's allocation chunk without stopping the heap (chunk.go); the
+// heap stops to refill the chunk and for everything else.
 func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	if err := t.ok(); err != nil {
 		return nil, err
@@ -1057,10 +1002,10 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	hp := t.hp
 	d := heap.NewDescriptor(typeID, nptrs, ndata)
 	size := d.SizeWords()
-	// A small object on a heap with a nursery comes from the chunk; the
-	// nursery's soft cap decides the rest, with the heap stopped (refill).
-	chunked := hp.nurLo != 0 && size <= hp.chunkWords
-	if chunked {
+	// An object that fits the chunk's free room goes there. Whether the
+	// nursery can hold it at all is read with the heap stopped: a minor
+	// grows the soft cap NurseryFits reads.
+	if hp.nurLo != 0 {
 		if r := t.bump(d); r != nil {
 			return r, nil
 		}
@@ -1090,35 +1035,22 @@ func (t *Tx) Alloc(typeID uint16, nptrs, ndata int) (*Ref, error) {
 	// and the object fits; a full nursery triggers a minor collection.
 	// Oversized objects and nursery overflow that a minor cannot fix go to
 	// the aged semispace.
-	var a word.Addr
-	var ok bool
 	if hp.vgc.NurseryFits(size) {
-		if chunked {
-			placed, err := t.refill(size)
-			if err != nil {
-				return nil, t.fail(err)
-			}
-			if placed {
-				return t.place(d, true), nil
-			}
-		} else {
-			hp.sealChunks()
-			if a, ok = hp.vgc.AllocNursery(size); !ok {
-				if err := hp.collectNursery(); err != nil {
-					return nil, t.fail(err)
-				}
-				a, ok = hp.vgc.AllocNursery(size)
-			}
+		placed, err := t.refill(size)
+		if err != nil {
+			return nil, t.fail(err)
+		}
+		if placed {
+			return t.place(d, true), nil
 		}
 	}
+	a, ok := hp.vgc.Alloc(size)
 	if !ok {
+		if err := hp.collectVolatile(); err != nil {
+			return nil, t.fail(err)
+		}
 		if a, ok = hp.vgc.Alloc(size); !ok {
-			if err := hp.collectVolatile(); err != nil {
-				return nil, t.fail(err)
-			}
-			if a, ok = hp.vgc.Alloc(size); !ok {
-				return nil, t.fail(ErrHeapFull)
-			}
+			return nil, t.fail(ErrHeapFull)
 		}
 	}
 	hp.h.SetDescriptor(a, d, word.NilLSN)
@@ -1170,62 +1102,106 @@ const (
 	dataSlot                    // data word i
 )
 
-// access is the one path every object operation takes: the transaction must
-// be live; the object read() names — through r, or the stable root object
-// when r is nil — is locked in mode m (waiting outside the latch) unless it was born in the
-// transaction, which has held its write lock since Alloc; then, as one
-// indivisible action under the latch, its descriptor is read through the
-// read barrier, word i of kind k is bounds-checked against it and made
-// accessible through the barrier too, and fn runs on it. An object still in
-// the transaction's chunk is fresh: its descriptor is the shape r carries
-// and no barrier applies, since only the stable collector protects pages. A
-// word access is then recorded for the history checker (rec is the Recorder
-// method for its kind) and paces the collector; wholeObject touches no word
-// and does neither.
+// access is the one path every object operation takes, and it is one
+// indivisible action under the latch: the transaction must be live; the
+// object read() names — through r, or the stable root object when r is
+// nil — is read once and locked in mode m unless it was born in the
+// transaction, which has held its write lock since Alloc; then its
+// descriptor is read through the read barrier, word i of kind k is
+// bounds-checked against it and made accessible through the barrier too,
+// and fn runs on it. An object still in the transaction's chunk is fresh:
+// its descriptor is the shape r carries and no barrier applies, since only
+// the stable collector protects pages. A word access is then recorded for
+// the history checker (rec is the Recorder method for its kind) and paces
+// the collector; wholeObject touches no word and does neither.
+//
+// The lock is try-acquired under the latch, so the lock table only ever
+// names current addresses and a flip's Rekey never meets a stale entry. On
+// contention the action lets go of the latch, waits for the lock outside it
+// — the holder may need the latch to finish its work — and starts over.
+// While blocked the transaction is in the lock manager's waits-for graph; a
+// timeout, or a deadlock that picks it as victim, fails it fast with
+// ErrConflict (aborting it releases its locks). A lock held when the object
+// later moves follows it: the collector rekeys the table on every copy.
 func (t *Tx) access(read func() word.Addr, r *Ref, m lock.Mode, k slotKind, i int,
 	rec func(*histcheck.Recorder, word.TxID, word.Addr), fn func(f field)) error {
 	if err := t.ok(); err != nil {
 		return err
 	}
+	hp := t.hp
 	born := r.BornIn(t.t)
-	if !born {
-		if err := t.lockAddr(read, m); err != nil {
+	// Lock-wait timing starts lazily on the first contention: the
+	// uncontended fast path takes no clock readings.
+	var waitStart, deadline time.Time
+	for {
+		var busy word.Addr // the object whose lock was not free
+		err := func() error {
+			// Deferred unlock: a device fault anywhere in the action
+			// (internal/faultfs) must release the latch and fail the heap.
+			f := field{excl: hp.rlock(), born: born}
+			defer hp.runlock(f.excl)
+			f.obj = read()
+			if !born {
+				if hp.locks.TryAcquire(t.t.ID(), f.obj, m) != nil {
+					busy = f.obj
+					return nil
+				}
+				if !waitStart.IsZero() {
+					hp.met.LockWait.Since(waitStart)
+				}
+			}
+			if f.fresh = born && t.chunk.holds(f.obj); f.fresh {
+				f.d = r.Shape()
+			} else {
+				f.d = hp.descriptorOf(f.obj)
+			}
+			switch k {
+			case wholeObject:
+				fn(f)
+				return nil
+			case ptrSlot:
+				if i < 0 || i >= f.d.NPtrs() {
+					return fmt.Errorf("core: pointer index %d out of range [0,%d)", i, f.d.NPtrs())
+				}
+				f.slot = f.obj + word.Addr(heap.PtrOffset(i))
+			case dataSlot:
+				if i < 0 || i >= f.d.NData() {
+					return fmt.Errorf("core: data index %d out of range [0,%d)", i, f.d.NData())
+				}
+				f.slot = f.obj + word.Addr(heap.DataOffset(f.d.NPtrs(), i))
+			}
+			if !f.fresh {
+				hp.mem.EnsureAccessible(f.slot, word.WordSize)
+			}
+			fn(f)
+			if hp.hist != nil {
+				rec(hp.hist, t.t.ID(), f.obj)
+			}
+			hp.pace()
+			return nil
+		}()
+		if busy == word.NilAddr {
 			return err
 		}
-	}
-	hp := t.hp
-	f := field{excl: hp.rlock(), born: born}
-	defer hp.runlock(f.excl)
-	f.obj = read()
-	if f.fresh = born && t.chunk.holds(f.obj); f.fresh {
-		f.d = r.Shape()
-	} else {
-		f.d = hp.descriptorOf(f.obj)
-	}
-	switch k {
-	case wholeObject:
-		fn(f)
-		return nil
-	case ptrSlot:
-		if i < 0 || i >= f.d.NPtrs() {
-			return fmt.Errorf("core: pointer index %d out of range [0,%d)", i, f.d.NPtrs())
+		if waitStart.IsZero() {
+			waitStart = time.Now()
 		}
-		f.slot = f.obj + word.Addr(heap.PtrOffset(i))
-	case dataSlot:
-		if i < 0 || i >= f.d.NData() {
-			return fmt.Errorf("core: data index %d out of range [0,%d)", i, f.d.NData())
+		if hp.cfg.LockWait == 0 {
+			hp.met.LockWait.Since(waitStart)
+			return t.fail(ErrConflict)
 		}
-		f.slot = f.obj + word.Addr(heap.DataOffset(f.d.NPtrs(), i))
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(hp.cfg.LockWait)
+		} else if now.After(deadline) {
+			hp.met.LockWait.Since(waitStart)
+			return t.fail(ErrConflict)
+		}
+		if werr := hp.locks.WaitFree(t.t.ID(), busy, m, deadline.Sub(now)); werr != nil {
+			hp.met.LockWait.Since(waitStart)
+			return t.fail(ErrConflict)
+		}
 	}
-	if !f.fresh {
-		hp.mem.EnsureAccessible(f.slot, word.WordSize)
-	}
-	fn(f)
-	if hp.hist != nil {
-		rec(hp.hist, t.t.ID(), f.obj)
-	}
-	hp.pace()
-	return nil
 }
 
 // loadPtr is the mutator's one pointer load: the word at slot, passed
@@ -1508,8 +1484,10 @@ func (t *Tx) Commit() error {
 // (wal.Manager.ForceCommit), while nobody's action queues behind it — then
 // release the locks under the shared latch. It logs nothing: the commit
 // record is the transaction's last. A transaction that logged nothing has
-// no commit record (lsn is NilLSN) and waits for no force.
+// no commit record (lsn is NilLSN) and waits for no force. A device fault
+// in the force fail-stops the heap (failStop).
 func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
+	defer hp.failStop()
 	if lsn != word.NilLSN {
 		usualOpen, span := hp.txm.CommitShape()
 		hp.log.ForceCommit(lsn, usualOpen, span)
@@ -1524,16 +1502,21 @@ func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
 }
 
 // commitExclusive is the stop-the-heap first step of a commit or a prepare:
-// stability tracking, sticky-error aborts, and prepared (2PC) commits. It
-// returns the LSN of the record logOutcome (PrepareCommit, Prepare) wrote,
-// or the error the transaction was aborted with.
+// stability tracking and prepared (2PC) commits. A transaction with a
+// sticky error is aborted instead. It returns the LSN of the record
+// logOutcome (PrepareCommit, Prepare) wrote, or the error the transaction
+// was aborted with.
 func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) (word.LSN, error) {
+	if t.err != nil {
+		t.Abort()
+		return 0, t.err
+	}
 	hp := t.hp
 	hp.lockExclusive()
 	defer hp.unlockExclusive()
 	cands := t.cands
 	t.cands = nil
-	if t.err == nil && hp.track != nil && !t.t.Prepared() {
+	if hp.track != nil && !t.t.Prepared() {
 		if err := hp.track.Track(t.t, cands, t.chunk.holds); err != nil {
 			hp.txm.Abort(t.t)
 			if hp.hist != nil {
@@ -1544,15 +1527,6 @@ func (t *Tx) commitExclusive(start time.Time, logOutcome func(*tx.Tx) word.LSN) 
 			hp.bb.Span(obs.EvTxConflict, wait, uint64(t.t.ID()), 0, 0)
 			return 0, t.fail(ErrConflict)
 		}
-	}
-	if t.err != nil {
-		hp.txm.Abort(t.t)
-		if hp.hist != nil {
-			hp.hist.Abort(t.t.ID())
-		}
-		hp.met.TxAbort.Since(start)
-		hp.bb.Record(obs.EvTxAbort, uint64(t.t.ID()), 0, 0)
-		return 0, t.err
 	}
 	return logOutcome(t.t), nil
 }
@@ -1573,6 +1547,7 @@ func (t *Tx) Prepare() error {
 		return err
 	}
 	// Like a commit, the prepare force is waited for with no latch held.
+	defer hp.failStop()
 	hp.log.Force(lsn)
 	hp.ckpt.Promote()
 	return nil

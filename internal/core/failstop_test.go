@@ -177,3 +177,106 @@ func TestFailStopMarkedOnce(t *testing.T) {
 			marks, markAt, crashAt, len(evs), obs.FormatTail(evs, 8))
 	}
 }
+
+// A commit's force and a prepare's, and the checkpointer's promotion after
+// them, run with no latch held; a device fault there fail-stops the heap
+// all the same. Once the log's syncs fail, the faulted Commit, Prepare or
+// ResolveCommit panics with the fault, Begin on another goroutine re-raises
+// it, the flight recorder marks it once, and Crash and a reopen bring back
+// every acknowledged commit.
+func TestUnlatchedForceFaultFailsTheHeap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// run makes tr's faulted call; arm makes every log sync fail.
+		run func(hp *Heap, tr *Tx, arm func())
+	}{
+		{"Commit", func(hp *Heap, tr *Tx, arm func()) { arm(); tr.Commit() }},
+		{"Prepare", func(hp *Heap, tr *Tx, arm func()) { arm(); tr.Prepare() }},
+		{"ResolveCommit", func(hp *Heap, tr *Tx, arm func()) {
+			if tr.Prepare() == nil {
+				arm()
+				hp.ResolveCommit(tr.ID())
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := smallCfg()
+			c.FlightRecorder = true
+			var armed atomic.Bool
+			hp := mustOpen(c, storage.NewMemBacking(), faultfs.OnSync(storage.NewMemBacking(), func() error {
+				if armed.Load() {
+					return errors.New("sync failed")
+				}
+				return nil
+			}))
+			const slots = 4
+			seedSlots(t, hp, slots)
+			acked := hp.Begin()
+			for w := 0; w < slots; w++ {
+				obj, err := acked.Root(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := acked.SetData(obj, 0, uint64(10+w)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(t, acked)
+
+			// The faulted transaction writes the last slot only.
+			tr := hp.Begin()
+			obj, err := tr.Root(slots - 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.SetData(obj, 0, 99); err != nil {
+				t.Fatal(err)
+			}
+			first := deviceFault(func() { tc.run(hp, tr, func() { armed.Store(true) }) })
+			if first == nil {
+				t.Fatal("the failing force did not surface")
+			}
+			var got error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				got = deviceFault(func() { hp.Begin() })
+			}()
+			<-done
+			if got != first {
+				t.Fatalf("Begin after the faulted %s: got %v, want the fault %v", tc.name, got, first)
+			}
+
+			disk, dev := hp.Crash()
+			marks := 0
+			for _, ev := range hp.FlightEvents() {
+				if ev.Kind == obs.EvCrash && ev.A == 1 {
+					marks++
+				}
+			}
+			if marks != 1 {
+				t.Fatalf("%d fail-stop markers in the ring, want 1", marks)
+			}
+
+			armed.Store(false)
+			rec, err := reopen(c, disk, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			// The faulted transaction's slot may be in doubt (a durable
+			// prepare); every other slot holds its acknowledged value.
+			rt := rec.Begin()
+			for w := 0; w < slots-1; w++ {
+				obj, err := rt.Root(w)
+				if err != nil || obj == nil {
+					t.Fatalf("slot %d after recovery: %v %v", w, obj, err)
+				}
+				if v, err := rt.Data(obj, 0); err != nil || v != uint64(10+w) {
+					t.Fatalf("slot %d after recovery: %d %v, want %d", w, v, err, 10+w)
+				}
+			}
+			commit(t, rt)
+		})
+	}
+}

@@ -117,6 +117,16 @@ func (hp *Heap) noteFault(r any) {
 	}
 }
 
+// failStop is deferred around the device work a commit or a prepare does
+// with no latch held — its force and the checkpointer's promotion: a fault
+// there fail-stops the heap just as one under the latch does, and goes on.
+func (hp *Heap) failStop() {
+	if r := recover(); r != nil {
+		hp.noteFault(r)
+		panic(r)
+	}
+}
+
 // scanning reports whether either area's concurrent scan is in flight (the
 // two atomic loads every action pays for the concurrent modes).
 func (hp *Heap) scanning() bool { return hp.vscan.on.Load() || hp.sscan.on.Load() }

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"stableheap/internal/word"
 )
@@ -49,5 +50,98 @@ func TestLockShardsForCopyPinsExactlyThePagesShards(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAccessTakesLatchOnce: an object operation is one latched action.
+// While an op-paced stable collection runs, every action stops the heap, so
+// N re-reads of an object the transaction already holds are exactly N heap
+// stops — the lock, the address and the word all come from one hold.
+func TestAccessTakesLatchOnce(t *testing.T) {
+	hp := openMem(smallCfg())
+	defer hp.Close()
+	// Enough live data in the stable area to outlast the reads.
+	buildList(t, hp, 0, 1000, 0)
+	if _, err := hp.CollectVolatile(); err != nil {
+		t.Fatal(err)
+	}
+	tr := hp.Begin()
+	defer tr.Abort()
+	head, err := tr.Root(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Data(head, 0); err != nil { // takes head's read lock
+		t.Fatal(err)
+	}
+	hp.StartStableCollection()
+	const n = 40
+	stops := hp.Metrics().Hist("latch_stop_wait_ns").Count
+	for i := 0; i < n; i++ {
+		if v, err := tr.Data(head, 0); err != nil || v != 0 {
+			t.Fatalf("re-read %d: %d, %v", i, v, err)
+		}
+	}
+	got := hp.Metrics().Hist("latch_stop_wait_ns").Count - stops
+	if !hp.sgc.Active() {
+		t.Fatal("the collection finished during the re-reads")
+	}
+	if got != n {
+		t.Fatalf("%d re-reads stopped the heap %d times, want %d", n, got, n)
+	}
+}
+
+// TestAccessWaitsWithLatchReleased: an access whose object lock is taken
+// waits with the latch released, so a heap stop completes meanwhile; once
+// the holder commits, the access takes the lock, reads the committed value
+// and counts one lock wait.
+func TestAccessWaitsWithLatchReleased(t *testing.T) {
+	c := smallCfg()
+	c.LockWait = 10 * time.Second
+	hp := openMem(c)
+	defer hp.Close()
+	seedSlots(t, hp, 1)
+	holder := hp.Begin()
+	obj, err := holder.Root(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.SetData(obj, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	waits := hp.Metrics().Hist("lock_wait_ns").Count
+	type read struct {
+		v   uint64
+		err error
+	}
+	got := make(chan read, 1)
+	go func() {
+		tr := hp.Begin()
+		defer tr.Abort()
+		o, err := tr.Root(0)
+		if err != nil {
+			got <- read{err: err}
+			return
+		}
+		v, err := tr.Data(o, 0) // waits for holder's write lock
+		got <- read{v, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the reader reach the wait
+	stopped := make(chan struct{})
+	go func() {
+		hp.Checkpoint() // stops the heap
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a heap stop waited on an access blocked for its lock")
+	}
+	commit(t, holder)
+	if r := <-got; r.err != nil || r.v != 7 {
+		t.Fatalf("the waiting read: %d, %v; want 7", r.v, r.err)
+	}
+	if n := hp.Metrics().Hist("lock_wait_ns").Count - waits; n != 1 {
+		t.Fatalf("%d lock waits counted, want 1", n)
 	}
 }

@@ -52,6 +52,16 @@ func newVolEnv(t *testing.T) *volEnv {
 	return e
 }
 
+// nursery carves one object's run at the nursery frontier, as a core
+// allocation chunk the object fills exactly would be carved.
+func (e *volEnv) nursery(sizeWords int) (word.Addr, bool) {
+	a, _, ok := e.v.CarveNursery(sizeWords, sizeWords)
+	if ok {
+		e.v.CountNursery(sizeWords)
+	}
+	return a, ok
+}
+
 // obj writes an object with nptrs nil pointer slots and id in its one data
 // word at an address obtained from alloc.
 func (e *volEnv) obj(alloc func(int) (word.Addr, bool), id uint64, nptrs int, as bool) word.Addr {
@@ -132,10 +142,10 @@ func TestCycleFromSets(t *testing.T) {
 			// garbage in both spaces.
 			old := e.v.Current()
 			aged := e.chain(e.v.Alloc, 10, 3)
-			young := e.chain(e.v.AllocNursery, 13, 2)
+			young := e.chain(e.nursery, 13, 2)
 			e.h.SetPtr(e.h.Ptr(e.h.Ptr(aged, 0), 0), 0, young, word.NilLSN)
 			e.obj(e.v.Alloc, 98, 0, false)
-			e.obj(e.v.AllocNursery, 99, 0, false)
+			e.obj(e.nursery, 99, 0, false)
 			e.roots = []word.Addr{aged}
 			if moved := e.v.Collect(); moved != 0 {
 				t.Fatalf("moved %d, want 0", moved)
@@ -206,10 +216,10 @@ func TestCycleFromSets(t *testing.T) {
 			}
 			// Born after the flip: a plain nursery chain, and a newly
 			// stable nursery object a stable slot points at.
-			e.roots[1] = e.chain(e.v.AllocNursery, 60, 3)
+			e.roots[1] = e.chain(e.nursery, 60, 3)
 			s, _ := e.stable.AllocLow(2)
 			e.h.SetDescriptor(s, heap.NewDescriptor(2, 1, 0), 1)
-			e.h.SetPtr(s, 0, e.obj(e.v.AllocNursery, 70, 0, true), 1)
+			e.h.SetPtr(s, 0, e.obj(e.nursery, 70, 0, true), 1)
 			e.stableSlots = []word.Addr{s + word.Addr(heap.PtrOffset(0))}
 			highBefore := e.v.Current().AllocPtr
 			if moved := e.v.CollectNursery(nil); moved != 1 {

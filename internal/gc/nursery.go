@@ -51,22 +51,6 @@ func (v *VolatileCollector) NurseryUsedWords() int {
 	return v.nurseryUsedWords()
 }
 
-// AllocNursery reserves a new object in the nursery; ok is false when the
-// soft cap is reached (the caller runs a minor collection and retries).
-func (v *VolatileCollector) AllocNursery(sizeWords int) (word.Addr, bool) {
-	if v.nursery == nil {
-		return word.NilAddr, false
-	}
-	if v.nurseryUsedWords()+sizeWords > v.nurLimit {
-		return word.NilAddr, false
-	}
-	a, ok := v.nursery.AllocLow(sizeWords)
-	if ok {
-		v.CountNursery(sizeWords)
-	}
-	return a, ok
-}
-
 // CarveNursery reserves a run of up to max words at the nursery's frontier
 // for an allocation chunk: as much as the soft cap leaves, and at least
 // want, or ok is false (the caller runs a minor collection and retries).

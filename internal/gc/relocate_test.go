@@ -87,7 +87,7 @@ func TestRelocateBatchNeverSpansCycles(t *testing.T) {
 	check("gray evacuation")
 	e.v.ScanQuantum(3)
 	check("quantum")
-	sh[70] = e.obj(e.v.AllocNursery, 70, 0, false)
+	sh[70] = e.obj(e.nursery, 70, 0, false)
 	e.roots = append(e.roots, sh[70])
 	e.v.CollectNursery(nil)
 	check("minor under a parked major")
