@@ -144,7 +144,8 @@ func e22Run(concurrent bool) (opsPerSec float64, sgcStall, worst, p99, flip time
 	flip = m.Hist("gc_flip_ns").Delta(base.Hist("gc_flip_ns")).MaxDur()
 	if concurrent {
 		// The mutator-visible stable-GC stalls: the stop-the-world flip and
-		// the gate-held scan quanta (collector goroutine + commit assists).
+		// the scan quanta, each a heap stop (collector goroutine + commit
+		// assists).
 		sgcStall = flip
 		if q := m.Hist("gc_conc_quantum_ns").Delta(base.Hist("gc_conc_quantum_ns")).MaxDur(); q > sgcStall {
 			sgcStall = q
@@ -195,7 +196,7 @@ func E22StableConc() Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"worst sgc stall = the timed CollectStable call (stop-the-world) vs the worst flip or gate-held scan quantum (concurrent)",
+		"worst sgc stall = the timed CollectStable call (stop-the-world) vs the worst flip or scan quantum, each one heap stop (concurrent)",
 		"every loop iteration is timed end to end: transaction + whatever collection work its trigger cadence lands on it (worst op includes volatile collections, shared by both rows)",
 		"stop-the-world runs flip + every scan step inside one exclusive section; concurrent stops the world only for the flip",
 		"volatile collections fire mid-scan in the concurrent row: newly stable objects allocate at to-space's high end instead of draining the scan inline",

@@ -20,22 +20,22 @@ import (
 // LS work — and hands the scan to a concScan. The Heap holds one per area,
 // vscan and sscan; everything here is written once, and the two differ only
 // in the collector plugged in and the area's retire function. The scanner
-// runs one quantum at a time under the gate held exclusively, so mutators
-// are never blocked for longer than one quantum and the stop latch is not
-// involved at all (the stable scan's records keep appending from the
-// collector goroutine, which the WAL protocol permits because every step is
-// restartable). Mutators in between run shared behind load and gray. Any
-// exclusive section that needs the scan gone (a stable flip, the next
-// volatile collection, Close) retires it inline via retire.
+// runs one quantum at a time as a heap stop (lockExclusive …
+// unlockExclusive), the paper's atomic incremental step (Ch. 3): mutators
+// are never blocked for longer than one quantum, and between quanta they
+// run shared behind load and gray. The stable scan's records keep appending
+// from the collector goroutine, which the WAL protocol permits because
+// every step is restartable. Any exclusive section that needs the scan gone
+// (a stable flip, the next volatile collection, Close) retires it inline
+// via retire.
 
 // scanQuantumWords bounds the words scanned per collector-goroutine (or
-// commit-assist) quantum — small enough that a mutator blocked on the gate
-// (or assisting inline) waits a few hundred microseconds at worst, even
-// counting the evacuations a scanned object can trigger through the
-// word-at-a-time page-table read path, large enough to amortize the gate
-// handoff and the stable area's per-page scan records. The volatile scan is
-// slot-granular: an object wider than the remaining budget pauses
-// mid-object and resumes at the next quantum.
+// commit-assist) quantum — small enough that a mutator blocked behind the
+// quantum's heap stop (or assisting inline) waits a few hundred
+// microseconds at worst, even counting the evacuations a scanned object can
+// trigger, large enough to amortize the stop and the stable area's per-page
+// scan records. The volatile scan is slot-granular: an object wider than
+// the remaining budget pauses mid-object and resumes at the next quantum.
 const scanQuantumWords = 256
 
 // scanCollector is what the driver needs of a collector; gc.Collector and
@@ -53,10 +53,15 @@ type scanCollector interface {
 // concScan drives one area's concurrent scans.
 type concScan struct {
 	hp *Heap
-	// on publishes "a scan is in flight": while set, ordinary actions hold
-	// the gate shared (latch.go) and pointer loads go through load. It only
-	// transitions with the stop latch held exclusively.
-	on        atomic.Bool
+	// on publishes "a scan is in flight": while set, pointer loads go
+	// through load and overwrites through gray, and every heap stop drains
+	// the gray stack. It only transitions with the stop latch held
+	// exclusively.
+	on atomic.Bool
+	// epoch is the collector epoch of the scan start last published: a
+	// collector goroutine serving an older one leaves without taking the
+	// latch (stale).
+	epoch     atomic.Uint64
 	c         scanCollector
 	satb      *obs.Counter  // the area's SATB deletion-barrier hits
 	quantumEv obs.EventKind // flight-recorder event of one quantum
@@ -69,57 +74,53 @@ type concScan struct {
 }
 
 // start publishes the scan and starts the collector goroutine. Called with
-// the stop latch held exclusively, right after the flip; the gate is
-// acquired here if this exclusive section does not hold it yet, so the
-// scanner cannot run before the section ends.
+// the stop latch held exclusively, right after the flip, so the scanner's
+// first quantum waits for the section to end.
 func (s *concScan) start() {
-	hp := s.hp
+	epoch := s.c.Epoch()
+	s.epoch.Store(epoch)
 	s.on.Store(true)
-	if !hp.gateHeldExcl {
-		hp.gate.Lock()
-		hp.gateHeldExcl = true
-	}
-	if hp.cfg.ManualScan {
+	if s.hp.cfg.ManualScan {
 		return // paced explicitly via StepVolatileScan / StepStableScan
 	}
-	hp.scanWG.Add(1)
-	go s.loop(s.c.Epoch())
+	s.hp.scanWG.Add(1)
+	go s.loop(epoch)
 }
 
-// step advances an in-flight scan by one quantum under the exclusive gate
-// and reports whether scan work remains. A nonzero epoch names the
-// collection the caller serves (epochs start at 1): if an exclusive section
-// finished that one inline — and possibly started a newer one — step
-// touches nothing. A no-op returning false when no scan is active.
+// stale reports, without a latch, that the collection the caller serves is
+// gone: no scan is in flight, or a nonzero epoch (epochs start at 1) names
+// one an exclusive section has since retired inline — and possibly
+// replaced. A false answer is only a hint; the caller re-checks under the
+// latch.
+func (s *concScan) stale(epoch uint64) bool {
+	return !s.on.Load() || (epoch != 0 && s.epoch.Load() != epoch)
+}
+
+// serves is stale's answer under the stop latch, from the collector
+// itself: the collection epoch names (any, for 0) is still in flight.
+func (s *concScan) serves(epoch uint64) bool {
+	return s.c.ConcurrentActive() && (epoch == 0 || s.c.Epoch() == epoch)
+}
+
+// step advances an in-flight scan by one quantum, one heap stop, and
+// reports whether scan work remains. epoch names the collection the caller
+// serves, or 0 for whichever is in flight: a stale caller touches nothing.
+// The stop drains the gray stack on entry and re-raises a fail-stop fault
+// (lockExclusive). A no-op returning false when no scan is active.
 func (s *concScan) step(epoch uint64) bool {
-	if !s.on.Load() {
+	if s.stale(epoch) {
 		return false
 	}
 	hp := s.hp
-	hp.gate.Lock()
-	defer hp.endQuantum()
-	if e := hp.failed.Load(); e != nil {
-		panic(*e)
-	}
-	if !s.c.ConcurrentActive() || (epoch != 0 && s.c.Epoch() != epoch) {
+	hp.lockExclusive()
+	defer hp.unlockExclusive()
+	if !s.serves(epoch) {
 		return false
 	}
-	hp.drainGrayLocked()
 	start := time.Now()
 	more := s.c.ScanQuantum(scanQuantumWords)
 	hp.bb.Span(s.quantumEv, time.Since(start), 0, s.c.Epoch(), 0)
 	return more
-}
-
-// endQuantum releases the gate a quantum ran under; a device fault that
-// unwinds the quantum fail-stops the heap first, as runlock does.
-func (hp *Heap) endQuantum() {
-	r := recover()
-	hp.noteFault(r)
-	hp.gate.Unlock()
-	if r != nil {
-		panic(r)
-	}
 }
 
 // assist lets a mutator that just committed advance an in-flight scan by
@@ -141,7 +142,7 @@ func (s *concScan) assist() {
 }
 
 // loop is the collector goroutine: it advances the scan of collection epoch
-// in gate-sized quanta and then retires it.
+// one quantum at a time and then retires it.
 func (s *concScan) loop(epoch uint64) {
 	defer s.hp.scanWG.Done()
 	// CPU profiles separate collector work from mutator work by these
@@ -150,9 +151,9 @@ func (s *concScan) loop(epoch uint64) {
 		pprof.Labels("subsystem", s.label, "epoch", strconv.FormatUint(epoch, 10))))
 	// A device fault injected under the scanner (internal/faultfs)
 	// surfaces as a typed panic, which has failed the heap on its way
-	// through the gate or the latch (endQuantum, unlockExclusive); the
-	// scan simply stops, and the next action on the heap re-raises the
-	// fault in a context that can report it.
+	// through the latch (unlockExclusive); the scan simply stops, and the
+	// next action on the heap re-raises the fault in a context that can
+	// report it.
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := storage.AsDeviceError(r); !ok {
@@ -167,11 +168,14 @@ func (s *concScan) loop(epoch uint64) {
 }
 
 // tryFinish retires the collection if it is still the one the caller was
-// serving (epoch as in step).
+// serving (epoch as in step); a stale caller takes no latch.
 func (s *concScan) tryFinish(epoch uint64) {
+	if s.stale(epoch) {
+		return
+	}
 	s.hp.lockExclusive()
 	defer s.hp.unlockExclusive()
-	if s.c.ConcurrentActive() && (epoch == 0 || s.c.Epoch() == epoch) {
+	if s.serves(epoch) {
 		s.retire()
 	}
 }
@@ -204,7 +208,7 @@ func (s *concScan) load(p word.Addr) word.Addr {
 
 // gray is the snapshot-at-the-beginning deletion barrier: a from-space
 // pointer value about to be overwritten joins the gray stack, to be
-// evacuated at the next exclusive section or scan quantum — always before
+// evacuated at the next heap stop (a scan quantum is one) — always before
 // any abort could restore it into a scanned object.
 func (s *concScan) gray(old word.Addr) {
 	if !s.on.Load() || !s.c.ConcFromContains(old) {

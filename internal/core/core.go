@@ -269,22 +269,15 @@ type Heap struct {
 	// nil while it runs.
 	failed atomic.Pointer[error]
 
-	// The concurrent-collection gate (latch.go) and the two concurrent-scan
-	// drivers (concscan.go): while either area's scan is in flight
-	// (scanning()), ordinary actions additionally hold gate shared and the
-	// collector goroutine runs its quanta under gate exclusive — so copying
-	// excludes mutators without ever taking the stop latch. gateHeldExcl
-	// tracks whether the current exclusive section acquired the gate
-	// (single-writer under stop). scanWG joins the collector goroutines on
-	// Close/Crash.
-	gate         sync.RWMutex
-	gateHeldExcl bool
+	// The two concurrent-scan drivers (concscan.go): the collector
+	// goroutine runs each quantum of a scan in flight as a heap stop.
+	// scanWG joins the collector goroutines on Close/Crash.
 	vscan, sscan concScan
 	scanWG       sync.WaitGroup
 
 	// grayQ is the snapshot-at-the-beginning gray stack: pointer values
 	// (volatile or stable) overwritten during a concurrent scan. They are
-	// evacuated at the next exclusive section or scan quantum — always
+	// evacuated at the next heap stop (a scan quantum is one) — always
 	// before any abort could restore them into a scanned object.
 	grayMu sync.Mutex
 	grayQ  []word.Addr

@@ -32,43 +32,38 @@ import (
 //     shard: object read locks already exclude same-slot writers, and the
 //     one-level store copies words out under its own lock.
 //
-//   - coarse mirrors "the stable collector is active". While a collection
-//     is in progress every action goes exclusive, preserving the paper's
-//     GC atomicity argument verbatim (Ch. 3): barrier traps, transports,
-//     and scan steps never interleave with mutator actions. coarse only
-//     transitions inside exclusive sections, so a shared holder that
-//     observed coarse == false keeps that truth for its whole critical
+//   - coarse mirrors "a non-concurrent stable collection is active". While
+//     one is in progress every action goes exclusive, preserving the
+//     paper's GC atomicity argument verbatim (Ch. 3): barrier traps,
+//     transports, and scan steps never interleave with mutator actions.
+//     coarse only transitions inside exclusive sections, so a shared holder
+//     that observed coarse == false keeps that truth for its whole critical
 //     section.
 //
-//   - gate is the mostly-concurrent collection gate (Config.ConcurrentVGC
-//     and the gc.Concurrent stable collector). While a concurrent scan is in flight
-//     (scanning(): either area's concScan flag), ordinary actions
-//     additionally hold gate shared and the collector goroutine
-//     runs each scan quantum under gate exclusive: copying excludes
-//     mutators one quantum at a time without ever taking the stop latch,
-//     which is exactly how the scan stays off the mutator's critical path.
-//     Both flags only transition with stop held exclusively, so a shared
-//     holder's view of them is stable for its whole critical section.
-//     Exclusive sections acquire the gate too (gateHeldExcl) — the
-//     collector goroutine must not run while the heap is stopped — and
-//     drain the SATB gray stack on entry, so aborts always see evacuated
-//     undo values. During a concurrent *stable* scan, coarse stays false:
-//     the collection is active but mutator actions keep running shared,
-//     which is the whole point.
+// A mostly-concurrent collection (Config.ConcurrentVGC, the gc.Concurrent
+// stable collector; concscan.go) keeps the same atomicity with one more
+// kind of exclusive section rather than one more latch: its collector
+// goroutine runs each scan quantum as a heap stop of its own, so a quantum
+// is one indivisible step between mutator actions, like an Ellis step or a
+// trap. coarse stays false meanwhile — the collection is active, but
+// mutator actions between quanta run shared behind the read and deletion
+// barriers, which is the whole point. Every heap stop drains the SATB gray
+// stack on entry while a scan is in flight, so aborts always see evacuated
+// undo values.
 //
-// Lock order: stop → gate → {sgc.transMu → shard, vgc.transMu} →
+// Lock order: commitGate → stop → {sgc.transMu → shard, vgc.transMu} →
 // {ckpt.mu, vm.mu → wal.mu, txm.mu → txm.undoMu, lock.mu, grayMu, remMu}.
 // Ordinary updates take their one shard directly; a stable transport takes
 // transMu first, then the shards of the pages its logged copy writes (no
 // writer ever waits on transMu while holding a shard, so the nesting
 // cannot deadlock). Subsystem mutexes never call back into the latch.
 //
-// The stopper owns vm.mu: stopHeap takes it once, after stop and gate
-// (vm.Store.Own), and releaseExclusive drops it before the gate. Every vm
-// caller holds the stop latch or the gate (or runs before the heap is
-// shared), so no one else can be inside the store meanwhile, and the
-// section's collections, tracking, checkpoint and abort pay no lock per
-// word. Metrics takes no latch: every registered counter is atomic.
+// The stopper owns vm.mu: stopHeap takes it once, after stop (vm.Store.Own),
+// and releaseExclusive drops it before stop. Every vm caller holds the stop
+// latch (or runs before the heap is shared), so no one else can be inside
+// the store meanwhile, and the section's collections, scan quanta,
+// tracking, checkpoint and abort pay no lock per word. Metrics takes no
+// latch: every registered counter is atomic.
 //
 // Fail-stop: a device fault (a typed storage panic, storage.AsDeviceError)
 // that unwinds a latched section leaves an action half done — space
@@ -94,11 +89,6 @@ func (hp *Heap) rlock() (excl bool) {
 		if e := hp.failed.Load(); e != nil {
 			hp.stop.RUnlock()
 			panic(*e)
-		}
-		if hp.scanning() {
-			// Neither flag can change while we hold stop shared, so the
-			// matching runlock releases the gate iff one is set here.
-			hp.gate.RLock()
 		}
 		return false
 	}
@@ -127,10 +117,6 @@ func (hp *Heap) failStop() {
 	}
 }
 
-// scanning reports whether either area's concurrent scan is in flight (the
-// two atomic loads every action pays for the concurrent modes).
-func (hp *Heap) scanning() bool { return hp.vscan.on.Load() || hp.sscan.on.Load() }
-
 // runlock releases what rlock acquired. As a deferred call it sees the
 // panic unwinding its section (fail-stop, above) and passes it on.
 func (hp *Heap) runlock(excl bool) {
@@ -139,9 +125,6 @@ func (hp *Heap) runlock(excl bool) {
 	if excl {
 		hp.releaseExclusive()
 	} else {
-		if hp.scanning() {
-			hp.gate.RUnlock()
-		}
 		hp.stop.RUnlock()
 	}
 	if r != nil {
@@ -151,10 +134,9 @@ func (hp *Heap) runlock(excl bool) {
 
 // lockExclusive stops the heap: it waits for every in-flight shared action
 // to drain and blocks new ones. The wait is recorded in the latch_stop
-// histogram (the price of a flip or checkpoint under load; 0 when neither
-// the latch nor the gate was taken). With a concurrent scan in flight it
-// also parks the collector goroutine (gate) and drains the gray stack. On a
-// failed heap it re-raises the fault.
+// histogram (the price of a flip, a scan quantum or a checkpoint under
+// load; 0 when the latch was free). With a concurrent scan in flight it
+// also drains the gray stack. On a failed heap it re-raises the fault.
 func (hp *Heap) lockExclusive() {
 	hp.stopHeap()
 	if e := hp.failed.Load(); e != nil {
@@ -174,21 +156,8 @@ func (hp *Heap) stopHeap() {
 		start = time.Now()
 		hp.stop.Lock()
 	}
-	// The gate is taken unconditionally, not just when scanning: a collector
-	// goroutine whose collection was retired inline can still be between
-	// quanta, and it re-checks liveness under the gate — so any exclusive
-	// section that might restart the collector state must already exclude
-	// it. Uncontended, this is a handful of nanoseconds on a path that just
-	// paid for draining every shared action.
-	if !hp.gate.TryLock() {
-		if start.IsZero() {
-			start = time.Now()
-		}
-		hp.gate.Lock()
-	}
-	hp.gateHeldExcl = true
 	hp.mem.Own()
-	if hp.scanning() && hp.failed.Load() == nil {
+	if (hp.vscan.on.Load() || hp.sscan.on.Load()) && hp.failed.Load() == nil {
 		hp.drainGrayLocked()
 	}
 	var wait time.Duration
@@ -223,18 +192,14 @@ func (hp *Heap) unlockExclusive() {
 func (hp *Heap) releaseExclusive() {
 	hp.syncCoarse()
 	hp.mem.Release()
-	if hp.gateHeldExcl {
-		hp.gateHeldExcl = false
-		hp.gate.Unlock()
-	}
 	hp.stop.Unlock()
 }
 
 // drainGrayLocked evacuates every grayed (SATB-overwritten) pointer
-// target. Callers hold the gate exclusively (via lockExclusive or the
-// collector goroutine), so no mutator races the copies. One queue serves
-// both areas: each entry is dispatched to whichever collector's from-space
-// contains it (the other's evacuate is a cheap range-check no-op).
+// target. Callers hold the stop latch exclusively, so no mutator races the
+// copies. One queue serves both areas: each entry is dispatched to
+// whichever collector's from-space contains it (the other's evacuate is a
+// cheap range-check no-op).
 func (hp *Heap) drainGrayLocked() {
 	for {
 		hp.grayMu.Lock()
@@ -256,8 +221,9 @@ func (hp *Heap) drainGrayLocked() {
 // syncCoarse refreshes the collector-activity mirror. Callers hold the stop
 // latch exclusively (or run single-threaded, during build and recovery).
 // A concurrent stable collection keeps coarse false — mutator actions run
-// shared behind the gate and the read barrier — and this is also where a
-// retired concurrent collection stops routing loads through the barrier.
+// shared between its quanta, behind the read barrier — and this is also
+// where a retired concurrent collection stops routing loads through the
+// barrier.
 func (hp *Heap) syncCoarse() {
 	if hp.sscan.on.Load() && !hp.sgc.ConcurrentActive() {
 		hp.sscan.on.Store(false)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"stableheap/internal/gc"
 	"stableheap/internal/word"
 )
 
@@ -88,6 +91,125 @@ func TestAccessTakesLatchOnce(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("%d re-reads stopped the heap %d times, want %d", n, got, n)
+	}
+}
+
+// TestQuantumIsOneHeapStop: a concurrent scan's quantum is one heap stop,
+// in either area, and a mutator's re-read between quanta stops nothing —
+// mutator actions run shared while a concurrent collection is in flight.
+func TestQuantumIsOneHeapStop(t *testing.T) {
+	cfg := smallCfg()
+	cfg.StableGC, cfg.ConcurrentVGC, cfg.ManualScan = gc.Concurrent, true, true
+	hp := openMem(cfg)
+	defer hp.Close()
+	// A committed list the flip moves to the stable area for the stable
+	// scan, and an open transaction's uncommitted one for the volatile scan.
+	buildList(t, hp, 0, 300, 0)
+	if _, err := hp.CollectVolatile(); err != nil {
+		t.Fatal(err)
+	}
+	hp.FinishVolatileScan()
+	tr := hp.Begin()
+	defer tr.Abort()
+	stableHead, err := tr.Root(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var volHead *Ref
+	for i := 0; i < 300; i++ {
+		node, err := tr.Alloc(1, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.SetPtr(node, 0, volHead); err != nil {
+			t.Fatal(err)
+		}
+		volHead = node
+	}
+	stops := func() uint64 { return hp.Metrics().Hist("latch_stop_wait_ns").Count }
+	reread := func() {
+		t.Helper()
+		before := stops()
+		for _, r := range []*Ref{stableHead, volHead} {
+			if v, err := tr.Data(r, 0); err != nil || v != 0 {
+				t.Fatalf("re-read: %d, %v", v, err)
+			}
+		}
+		if got := stops() - before; got != 0 {
+			t.Fatalf("re-reads during the scan stopped the heap %d times", got)
+		}
+	}
+	for _, area := range []struct {
+		name   string
+		start  func()
+		step   func() bool
+		finish func()
+	}{
+		{"volatile", func() {
+			if _, err := hp.CollectVolatile(); err != nil {
+				t.Fatal(err)
+			}
+		}, hp.StepVolatileScan, hp.FinishVolatileScan},
+		{"stable", hp.StartStableCollection, hp.StepStableScan, hp.FinishStableScan},
+	} {
+		area.start()
+		quanta := 0
+		for more := true; more; quanta++ {
+			reread()
+			before := stops()
+			more = area.step()
+			if got := stops() - before; got != 1 {
+				t.Fatalf("%s quantum %d stopped the heap %d times, want 1", area.name, quanta, got)
+			}
+		}
+		if quanta < 2 {
+			t.Fatalf("the %s scan took %d quanta; the list is too short to test", area.name, quanta)
+		}
+		area.finish()
+	}
+}
+
+// TestStaleCollectorTakesNoLatch: concurrent volatile collections start
+// back to back inside one heap stop, each retiring the one before it
+// inline, and the stop retires the last. Every collector goroutine they
+// started finds its collection gone and leaves without stopping the heap,
+// so the only stop counted is the test's own. GOMAXPROCS 1 with the Go
+// collector off keeps the goroutines from running, and so from seeing
+// their collection live, before the stop ends.
+func TestStaleCollectorTakesNoLatch(t *testing.T) {
+	cfg := smallCfg()
+	cfg.ConcurrentVGC = true
+	hp := openMem(cfg)
+	defer hp.Close()
+	buildList(t, hp, 0, 100, 0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	goroutines := runtime.NumGoroutine()
+	stops := hp.Metrics().Hist("latch_stop_wait_ns").Count
+	const k = 8
+	runtime.Gosched() // a fresh time slice for the stop below
+	func() {
+		hp.lockExclusive()
+		defer hp.unlockExclusive()
+		for i := 0; i < k; i++ {
+			if err := hp.collectVolatile(); err != nil {
+				t.Fatal(err)
+			}
+			if !hp.vscan.on.Load() {
+				t.Fatalf("collection %d left no scan in flight", i)
+			}
+		}
+		hp.finishConcurrentLocked()
+	}()
+	hp.scanWG.Wait()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := hp.Metrics().Hist("latch_stop_wait_ns").Count - stops; got != 1 {
+		t.Fatalf("%d heap stops, want the test's 1: stale collector goroutines stopped the heap", got)
 	}
 }
 

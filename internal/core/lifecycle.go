@@ -577,9 +577,11 @@ func (hp *Heap) Mem() *vm.Store { return hp.mem }
 
 // FlushResident writes back each resident page keep selects, in ascending
 // page order, with the stop latch held so no exclusive section owns the
-// store meanwhile: the crash harness's choice of what a crash finds on
-// disk. It neither drains the gray stack nor checks for a device fault, so
-// it leaves the heap as it found it, failed or not.
+// store meanwhile — a concurrent scan's quantum is one, so no page goes out
+// between a scan record and the fixes it logs: the crash harness's choice
+// of what a crash finds on disk. It neither drains the gray stack nor
+// checks for a device fault, so it leaves the heap as it found it, failed
+// or not.
 func (hp *Heap) FlushResident(keep func(word.PageID) bool) {
 	hp.stop.Lock()
 	defer hp.stop.Unlock()

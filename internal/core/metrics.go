@@ -13,6 +13,8 @@ import (
 // The histograms are always on: Observe is a few atomic adds, so there is
 // no measurement mode to enable and every run can answer "what was the p99
 // commit latency". Recovery is registered only on a heap that recovered.
+// LatchStop counts every heap stop, a concurrent scan's quanta included
+// (each quantum is one).
 type heapMetrics struct {
 	TxCommit     obs.Histogram `obs:"tx_commit_ns"`       // Tx.Commit wall time (tracking + force + finish)
 	TxAbort      obs.Histogram `obs:"tx_abort_ns"`        // Tx.Abort / failed-commit rollback wall time

@@ -687,8 +687,8 @@ func (c *Collector) sequentialScan(quantum int) {
 // unchanged. Baker mode transports a from-space target here (§3.8); the
 // caller holds the action latch exclusively, as every action does while a
 // non-concurrent collection is active. During a Concurrent collection
-// mutators call it under the shared gate, and transport does the same under
-// transMu.
+// mutators call it under the shared latch, between the collector's quanta,
+// and transport does the same under transMu.
 func (c *Collector) Load(p word.Addr) word.Addr {
 	switch {
 	case p.IsNil() || !c.active:

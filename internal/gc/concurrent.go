@@ -12,11 +12,12 @@ import (
 
 // Mostly-concurrent collection (Config.ConcurrentVGC and the Concurrent
 // stable-collector Mode), after PyPy's MostlyConcurrentMarkSweepGC: one machine that
-// both areas plug into. The stop latch is held only for the flip — the space
-// swap plus root, remembered-set, handle, undo and cross-area slot
-// translation — while the scan of to-space runs in quanta (ScanQuantum) on a
-// collector goroutine under the core's gate latch. Mutators running between
-// quanta are protected by two barriers the core maintains:
+// both areas plug into. The flip — the space swap plus root,
+// remembered-set, handle, undo and cross-area slot translation — is one
+// heap stop, and the scan of to-space runs in quanta (ScanQuantum) on a
+// collector goroutine, each quantum a heap stop of its own (the core's stop
+// latch held exclusively). Mutators running between quanta are protected by
+// two barriers the core maintains:
 //
 //   - a transporting read barrier (Load): every pointer load forwards
 //     from-space targets, so mutators never observe — and so never store —
@@ -35,15 +36,15 @@ import (
 // quantum boundary recovers through the existing restartable-scan path —
 // only who holds which latch while the records are written changes. Because
 // stable transports append copy records, and recovery asserts copy records
-// arrive in copy-pointer order, every stable copier is serialized: the flip
-// runs under the exclusive stop latch, scan quanta and gray drains under the
-// exclusive gate, and transports under transMu while holding the shared
-// gate — each pair mutually exclusive.
+// arrive in copy-pointer order, every stable copier is serialized: the flip,
+// scan quanta and gray drains run under the exclusive stop latch, and
+// transports under transMu while holding it shared — each pair mutually
+// exclusive.
 
 // concState is the bookkeeping either collector keeps for a mostly-
 // concurrent collection. transMu serializes mutator transports against each
-// other (the collector goroutine holds the gate exclusively, so it cannot
-// race them). concReserve is the to-space headroom kept free for copies
+// other (the collector goroutine holds the stop latch exclusively, so it
+// cannot race them). concReserve is the to-space headroom kept free for copies
 // still in flight.
 type concState struct {
 	concActive     bool
@@ -105,7 +106,8 @@ func (v *VolatileCollector) StartConcurrent() int {
 
 // ScanQuantum advances the parked cycle's scan by roughly budgetWords of
 // work and reports whether work remains. The caller must exclude mutators
-// (the core's collector goroutine holds the gate exclusively per quantum).
+// (the core's collector goroutine holds the stop latch exclusively per
+// quantum).
 func (v *VolatileCollector) ScanQuantum(budgetWords int) bool {
 	if !v.concActive {
 		return false
@@ -119,9 +121,9 @@ func (v *VolatileCollector) ScanQuantum(budgetWords int) bool {
 
 // Load is the mutator read barrier: it forwards p out of from-space
 // if the concurrent scan has not reached it yet. Mutators call it under
-// the shared gate; transMu serializes their copies against each other
-// (the collector goroutine holds the gate exclusively, so it cannot race
-// them).
+// the shared stop latch; transMu serializes their copies against each
+// other (the collector goroutine holds the latch exclusively, so it cannot
+// race them).
 func (v *VolatileCollector) Load(p word.Addr) word.Addr {
 	v.transMu.Lock()
 	defer v.transMu.Unlock()

@@ -11,9 +11,9 @@ import (
 
 // ScanQuantum advances the logged sweep by roughly budgetWords and reports
 // whether scan work remains. Called on the collector goroutine (or the
-// commit assist) with the gate held exclusively: mutators are parked, so
-// the scan records' {append, write} pairs cannot interleave with mutator
-// updates on the same pages.
+// commit assist) with the stop latch held exclusively: mutators are
+// parked, so the scan records' {append, write} pairs cannot interleave with
+// mutator updates on the same pages.
 func (c *Collector) ScanQuantum(budgetWords int) bool {
 	if !c.concActive {
 		return false
@@ -27,7 +27,7 @@ func (c *Collector) ScanQuantum(budgetWords int) bool {
 
 // transport is Load during a concurrent stable collection: it forwards p out
 // of from-space if the scan has not reached it yet. Mutators run it on the
-// load path under the shared gate. transMu
+// load path under the shared stop latch. transMu
 // serializes the logged copies of concurrent transports against each
 // other (and orders their copy records by copy pointer); the
 // LockShards hook pins the destination pages so the {CopyRec append,
@@ -45,7 +45,7 @@ func (c *Collector) transport(p word.Addr) word.Addr {
 	}
 	if c.hooks.LockShards != nil {
 		// The copy lands at the copy pointer: nothing else can allocate
-		// low while we hold transMu and the shared gate.
+		// low while we hold transMu and the shared stop latch.
 		unlock := c.hooks.LockShards(c.to.CopyPtr, d.SizeWords())
 		defer unlock()
 	}
@@ -55,7 +55,7 @@ func (c *Collector) transport(p word.Addr) word.Addr {
 }
 
 // EvacuateGray evacuates one grayed (SATB-overwritten) stable pointer
-// target. Called with mutators excluded (gate or stop held exclusively),
+// target. Called with mutators excluded (stop latch held exclusively),
 // before any transaction abort can restore the overwritten value.
 func (c *Collector) EvacuateGray(p word.Addr) {
 	if !c.concActive || p.IsNil() || !c.from.Contains(p) {

@@ -11,33 +11,13 @@ import (
 // The one Disk and Log over the memory backing. The file backing runs the
 // same suite in filestore, and faultfs runs it over its wrapped backings.
 
-func TestDiskConformance(t *testing.T) {
-	storagetest.RunDisk(t, func(t *testing.T, pageSize int) (*storage.Disk, storage.Backing) {
-		b := storage.NewMemBacking()
-		d, err := storage.OpenDisk(b, pageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d, b
-	})
+func home(*testing.T) (disk, log storage.Backing) {
+	return storage.NewMemBacking(), storage.NewMemBacking()
 }
 
-func TestLogConformance(t *testing.T) {
-	storagetest.RunLog(t, func(t *testing.T, segBytes int) (*storage.Log, storage.Backing) {
-		b := storage.NewMemBacking()
-		l, err := storage.OpenLog(b, segBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l, b
-	})
-}
-
-func TestReopenConformance(t *testing.T) {
-	storagetest.RunReopen(t, func(t *testing.T) (disk, log storage.Backing) {
-		return storage.NewMemBacking(), storage.NewMemBacking()
-	})
-}
+func TestDiskConformance(t *testing.T)   { storagetest.RunDisk(t, home) }
+func TestLogConformance(t *testing.T)    { storagetest.RunLog(t, home) }
+func TestReopenConformance(t *testing.T) { storagetest.RunReopen(t, home) }
 
 // TestLogMethodBudget is a ratchet on the one log's surface: every
 // exported method of *storage.Log is one storagetest proves on every

@@ -1,7 +1,6 @@
 package filestore_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"stableheap/internal/storage"
@@ -14,44 +13,17 @@ import (
 // driver, which compares every observable after every step, and the
 // restart cases.
 
-func openStore(t *testing.T, pageSize, segBytes int) *filestore.Store {
+// home is a fresh directory as filestore lays out a store: the page store
+// in it, the log in its log subdirectory.
+func home(t *testing.T) (disk, log storage.Backing) {
 	t.Helper()
-	s, err := filestore.Open(t.TempDir(), filestore.Options{PageSize: pageSize, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatalf("filestore.Open: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// backing is the directory dir as a backing, as filestore.Open lays out
-// a store: the page store in dir, the log in dir/log.
-func backing(t *testing.T, dir string) storage.Backing {
-	t.Helper()
-	b, err := filestore.NewBacking(dir)
+	db, lb, err := filestore.Backings(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return db, lb
 }
 
-func TestFileDiskConformance(t *testing.T) {
-	storagetest.RunDisk(t, func(t *testing.T, pageSize int) (*storage.Disk, storage.Backing) {
-		s := openStore(t, pageSize, storage.DefaultSegmentSize)
-		return s.Disk, backing(t, s.Dir)
-	})
-}
-
-func TestFileLogConformance(t *testing.T) {
-	storagetest.RunLog(t, func(t *testing.T, segBytes int) (*storage.Log, storage.Backing) {
-		s := openStore(t, 1024, segBytes)
-		return s.Log, backing(t, filepath.Join(s.Dir, "log"))
-	})
-}
-
-func TestFileReopenConformance(t *testing.T) {
-	storagetest.RunReopen(t, func(t *testing.T) (disk, log storage.Backing) {
-		dir := t.TempDir()
-		return backing(t, dir), backing(t, filepath.Join(dir, "log"))
-	})
-}
+func TestFileDiskConformance(t *testing.T)   { storagetest.RunDisk(t, home) }
+func TestFileLogConformance(t *testing.T)    { storagetest.RunLog(t, home) }
+func TestFileReopenConformance(t *testing.T) { storagetest.RunReopen(t, home) }

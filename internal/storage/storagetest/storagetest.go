@@ -27,16 +27,42 @@ import (
 	"stableheap/internal/word"
 )
 
-// DiskMaker builds a fresh empty page store with the given page size, and
-// returns the backing it lives in.
-type DiskMaker func(t *testing.T, pageSize int) (*storage.Disk, storage.Backing)
+// Home returns two fresh, empty backings one store lives in — the page
+// store's and the log's. It is the one thing a backing kind supplies: every
+// suite opens its devices over a home itself (storage.OpenDisk,
+// storage.OpenLog), and RunReopen opens them again, as a process restart
+// reopens its directory.
+type Home func(t *testing.T) (disk, log storage.Backing)
 
-// LogMaker builds a fresh empty log with the given segment size in bytes,
-// and returns the backing it lives in.
-type LogMaker func(t *testing.T, segBytes int) (*storage.Log, storage.Backing)
+// openDisk opens a fresh page store over a new home's page backing, which
+// it also returns; the test's cleanup abandons the device.
+func openDisk(t *testing.T, home Home, pageSize int) (*storage.Disk, storage.Backing) {
+	t.Helper()
+	b, _ := home(t)
+	d, err := storage.OpenDisk(b, pageSize)
+	if err != nil {
+		t.Fatalf("OpenDisk: %v", err)
+	}
+	t.Cleanup(func() { d.Abandon() })
+	return d, b
+}
+
+// openLog opens a fresh log with the given segment size in bytes over a new
+// home's log backing, which it also returns; the test's cleanup abandons
+// the device.
+func openLog(t *testing.T, home Home, segBytes int) (*storage.Log, storage.Backing) {
+	t.Helper()
+	_, b := home(t)
+	l, err := storage.OpenLog(b, segBytes)
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	t.Cleanup(func() { l.Abandon() })
+	return l, b
+}
 
 // RunDisk runs the page store conformance suite.
-func RunDisk(t *testing.T, mk DiskMaker) {
+func RunDisk(t *testing.T, home Home) {
 	const pageSize = 256
 
 	page := func(fill byte) []byte {
@@ -48,7 +74,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	}
 
 	t.Run("ReadWriteRoundTrip", func(t *testing.T) {
-		d, _ := mk(t, pageSize)
+		d, _ := openDisk(t, home, pageSize)
 		if ps := d.PageSize(); ps != pageSize {
 			t.Fatalf("PageSize = %d, want %d", ps, pageSize)
 		}
@@ -75,7 +101,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("CopyIsolation", func(t *testing.T) {
-		d, _ := mk(t, pageSize)
+		d, _ := openDisk(t, home, pageSize)
 		in := page(0x11)
 		d.WritePage(1, in, 5)
 		in[0] = 0xFF // caller buffer mutation must not leak in
@@ -95,7 +121,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	// rewritten between WritePage calls. Neither may reach the store's
 	// state, and later traffic may not reach a kept read buffer.
 	t.Run("Ownership", func(t *testing.T) {
-		d, _ := mk(t, pageSize)
+		d, _ := openDisk(t, home, pageSize)
 		buf := page(0x11)
 		d.WritePage(1, buf, 5)
 		copy(buf, page(0x22)) // the caller reuses its write buffer
@@ -118,7 +144,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("MasterRoundTrip", func(t *testing.T) {
-		d, _ := mk(t, pageSize)
+		d, _ := openDisk(t, home, pageSize)
 		m := d.Master()
 		if m.Formatted {
 			t.Fatal("fresh store claims to be formatted")
@@ -136,7 +162,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("WrongLengthPanics", func(t *testing.T) {
-		d, _ := mk(t, pageSize)
+		d, _ := openDisk(t, home, pageSize)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("WritePage with a short buffer did not panic")
@@ -146,7 +172,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	})
 
 	t.Run("StatsCount", func(t *testing.T) {
-		d, _ := mk(t, pageSize)
+		d, _ := openDisk(t, home, pageSize)
 		s0 := d.Stats()
 		d.WritePage(0, page(1), 1)
 		d.WritePage(1, page(2), 2)
@@ -165,7 +191,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 	// pages and master at the fork, and neither side's writes reach the
 	// other.
 	t.Run("CloneIndependence", func(t *testing.T) {
-		d, b := mk(t, pageSize)
+		d, b := openDisk(t, home, pageSize)
 		d.WritePage(2, page(0x22), 10)
 		m := d.Master()
 		m.Formatted = true
@@ -199,7 +225,7 @@ func RunDisk(t *testing.T, mk DiskMaker) {
 }
 
 // RunLog runs the log conformance suite.
-func RunLog(t *testing.T, mk LogMaker) {
+func RunLog(t *testing.T, home Home) {
 	rec := func(n int, fill byte) []byte {
 		b := make([]byte, n)
 		for i := range b {
@@ -209,7 +235,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	}
 
 	t.Run("AppendAdvancesByLen", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		if l.EndLSN() != 1 || l.StableLSN() != 1 || l.TruncLSN() != 1 {
 			t.Fatalf("fresh log LSNs: end=%d stable=%d trunc=%d", l.EndLSN(), l.StableLSN(), l.TruncLSN())
 		}
@@ -225,14 +251,14 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("SegmentBytes", func(t *testing.T) {
-		l, _ := mk(t, 128)
+		l, _ := openLog(t, home, 128)
 		if l.SegmentBytes() != 128 {
 			t.Fatalf("SegmentBytes = %d, want 128", l.SegmentBytes())
 		}
 	})
 
 	t.Run("EmptyAppendPanics", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("empty Append did not panic")
@@ -242,7 +268,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ForceAndStability", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		a := l.Append(rec(8, 1))
 		b := l.Append(rec(8, 2))
 		if a < l.StableLSN() || b < l.StableLSN() {
@@ -263,7 +289,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("CrashDropsVolatileTail", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		l.Append(rec(8, 1))
 		l.Force(1)
 		c := l.Append(rec(8, 2))
@@ -280,7 +306,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ReadAtExactStartOnly", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		l.Append(rec(10, 1))
 		second := l.Append(rec(10, 2))
 		storage.ForceAll(l)
@@ -297,7 +323,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ScanStableOnlyStopsAtTail", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		l.Append(rec(6, 1))
 		l.Append(rec(6, 2))
 		storage.ForceAll(l)
@@ -317,7 +343,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	})
 
 	t.Run("ScanBatchesMatchesScan", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		r := rand.New(rand.NewSource(42))
 		for i := 0; i < 40; i++ {
 			l.Append(rec(1+r.Intn(30), byte(i)))
@@ -354,7 +380,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// ends. Equal-sized records in one segment give every batch the same
 	// span — the case in which a recycled read buffer is reused in place.
 	t.Run("ScanRetainsDeliveredBytes", func(t *testing.T) {
-		l, _ := mk(t, 4096)
+		l, _ := openLog(t, home, 4096)
 		for i := 0; i < 48; i++ {
 			l.Append(rec(24, byte(i+1)))
 		}
@@ -398,7 +424,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 
 	t.Run("TruncateBoundaries", func(t *testing.T) {
 		const seg = 64
-		l, _ := mk(t, seg)
+		l, _ := openLog(t, home, seg)
 		// Three segments of 4×16-byte records each.
 		for i := 0; i < 12; i++ {
 			l.Append(rec(16, byte(i)))
@@ -434,7 +460,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 
 	t.Run("StraddlerRetention", func(t *testing.T) {
 		const seg = 64
-		l, _ := mk(t, seg)
+		l, _ := openLog(t, home, seg)
 		l.Append(rec(60, 1))
 		straddler := l.Append(rec(20, 2)) // LSN 61, ends at 81: straddles seg 1 boundary (65)
 		after := l.Append(rec(10, 3))     // LSN 81
@@ -455,7 +481,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// A torn crash repairs the log's tail by rewinding it to the torn
 	// record: the next append reuses that LSN and reads back its own bytes.
 	t.Run("RepairTailRewinds", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		torn := l.Append(rec(8, 2))
@@ -476,7 +502,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// log ends where the torn record began, nothing at or past it reads
 	// back, and the whole records before it are intact.
 	t.Run("CrashTornFragment", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		frag := l.Append(rec(16, 2))
@@ -502,7 +528,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// forced before the fork; neither side's later records reach the
 	// other's bytes.
 	t.Run("CloneIndependence", func(t *testing.T) {
-		l, b := mk(t, 64)
+		l, b := openLog(t, home, 64)
 		first := l.Append(rec(8, 1))
 		storage.ForceAll(l)
 		cb, err := b.Clone()
@@ -548,7 +574,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// tile; a force costs one sync; no file wholly below the point is left.
 	duringForce := func(t *testing.T, truncate bool) {
 		const seg = 256
-		l, b := mk(t, seg)
+		l, b := openLog(t, home, seg)
 		type entry struct {
 			lsn  word.LSN
 			data []byte
@@ -670,7 +696,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 	// Truncate(NilLSN) — or any keep ≤ 1 — frees nothing: the boundary
 	// arithmetic must not wrap below LSN 1.
 	t.Run("TruncateNilIsNoOp", func(t *testing.T) {
-		l, _ := mk(t, 64)
+		l, _ := openLog(t, home, 64)
 		for i := 0; i < 10; i++ {
 			l.Append(rec(40, byte(i)))
 		}
@@ -693,7 +719,7 @@ func RunLog(t *testing.T, mk LogMaker) {
 		for _, seg := range []int{64, 256} {
 			seg := seg
 			t.Run(fmt.Sprintf("seg%d", seg), func(t *testing.T) {
-				dut, _ := mk(t, seg)
+				dut, _ := openLog(t, home, seg)
 				ref := &refLog{seg: seg, stable: 1, end: 1, trunc: 1}
 				r := rand.New(rand.NewSource(int64(seg) * 7919))
 				for step := 0; step < 400; step++ {
@@ -828,11 +854,6 @@ func compareLogs(t *testing.T, step int, dut *storage.Log, ref *refLog) {
 		}
 	}
 }
-
-// Home returns the two backings one store lives in — the page store's and
-// the log's. RunReopen opens the devices over them, abandons or closes
-// them, and opens them again, as a process restart reopens its directory.
-type Home func(t *testing.T) (disk, log storage.Backing)
 
 // RunReopen runs the restart cases over a backing kind: what a reopen of
 // the same backings parses back.

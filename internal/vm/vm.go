@@ -105,12 +105,12 @@ func (s *Store) touch(p *page) {
 // all shared-path readers.
 //
 // Ownership: every caller holds the heap's stop latch (shared or
-// exclusive) or its gate (a concurrent scan quantum), or runs before the
-// heap is shared. So the goroutine that stops the heap is the only caller
-// until it resumes it, and it owns the store for that section (Own …
-// Release): no method takes mu meanwhile. owned changes only with mu, the
-// latch and the gate all held, so every reader is ordered after the change
-// by the latch or gate it holds. Met is atomic and needs neither.
+// exclusive), or runs before the heap is shared. So the goroutine that
+// stops the heap is the only caller until it resumes it, and it owns the
+// store for that section (Own … Release): no method takes mu meanwhile.
+// owned changes only with mu and the latch held, so every reader is
+// ordered after the change by the latch it holds. Met is atomic and needs
+// neither.
 type Store struct {
 	cfg   Config
 	mu    sync.RWMutex
@@ -163,7 +163,7 @@ func (s *Store) SetTrapHandler(h TrapHandler) { s.trap = h }
 
 // Own takes the store for the heap's stopper: it takes mu, waiting out any
 // call still in flight, and until Release no method takes mu again. The
-// caller holds the heap's stop latch and gate exclusively (see Store).
+// caller holds the heap's stop latch exclusively (see Store).
 func (s *Store) Own() {
 	s.mu.Lock()
 	s.owned = true
