@@ -117,8 +117,11 @@ func describe(r wal.Record) string {
 		}
 		return fmt.Sprintf("scan         page=%d %d slots fixed (%s)", rec.Page, len(rec.Fixes), src)
 	case wal.GCEndRec:
-		return fmt.Sprintf("GCEND        epoch=%d (to-space written back, from-space freed)", rec.Epoch)
+		return fmt.Sprintf("GCEND        epoch=%d (from-space freed, to-space owed a write-back)", rec.Epoch)
 	case wal.EndWriteRec:
+		if rec.Pages() > 1 {
+			return fmt.Sprintf("end-write    pages=%d..%d pageLSN=%d (one run)", rec.Page, rec.Page+word.PageID(rec.Pages())-1, rec.PageLSN)
+		}
 		return fmt.Sprintf("end-write    page=%d pageLSN=%d", rec.Page, rec.PageLSN)
 	case wal.CheckpointRec:
 		return fmt.Sprintf("CHECKPOINT   %d dirty pages, %d active txs, GC active=%v, %d LS, %d SRem",

@@ -178,7 +178,7 @@ func E2GCSteps() Table {
 	)
 	t.Rows = append(t.Rows, []string{
 		"whole collection", "1", dur(total),
-		fmt.Sprintf("(%d objs, %d pages, %d flushed at GCEnd)", copies, pages, delta("gc_end_flushes_total")),
+		fmt.Sprintf("(%d objs, %d pages, %d owed at GCEnd)", copies, pages, delta("gc_end_flushes_total")),
 	})
 	t.Notes = append(t.Notes, fmt.Sprintf("flip-done after %s of %s total", dur(flipDone.Sub(start)), dur(total)))
 	return t

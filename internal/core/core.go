@@ -1492,6 +1492,43 @@ func (hp *Heap) finishCommit(t *tx.Tx, lsn word.LSN) {
 	if hp.hist != nil {
 		hp.hist.Commit(t.ID())
 	}
+	if lsn != word.NilLSN && !excl {
+		hp.clean()
+	}
+}
+
+// cleanQuantumPages bounds the owed pages one commit writes back: 32 KiB of
+// the default 1 KiB pages, tens of microseconds of page-cache copying,
+// while the finished collection the debt usually comes from owes hundreds.
+const cleanQuantumPages = 32
+
+// clean is the page cleaner's quantum (vm.Store.Clean), run by a committer
+// right after its force and the release of its locks, with the stop latch
+// held shared: owed pages whose records that force made stable go to disk
+// in runs while the heap keeps running, so neither a finishing collection
+// nor a checkpoint writes them in a stop, and no write-back forces the log.
+// Each run pins its pages' writer stripes for the snapshot. Nothing is
+// cleaned while a stable collection is in flight (a concurrent transport
+// writes a from-space forwarding word under no stripe); its flip drained
+// the debt that mattered. A device fault fails the heap as under any latch,
+// but the commit before it is decided and stays acknowledged: the heap's
+// next call reports the fault.
+func (hp *Heap) clean() {
+	if hp.mem.Owed() == 0 || hp.sgc.Active() {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := storage.AsDeviceError(r); !ok {
+				panic(r)
+			}
+			hp.noteFault(r)
+		}
+	}()
+	ps := hp.cfg.PageSize
+	hp.mem.Clean(cleanQuantumPages, func(first word.PageID, n int) func() {
+		return hp.lockShardsForCopy(first.Base(ps), n*word.BytesToWords(ps))
+	})
 }
 
 // commitExclusive is the stop-the-heap first step of a commit or a prepare:

@@ -51,12 +51,14 @@ import (
 // stack on entry while a scan is in flight, so aborts always see evacuated
 // undo values.
 //
-// Lock order: commitGate → stop → {sgc.transMu → shard, vgc.transMu} →
-// {ckpt.mu, vm.mu → wal.mu, txm.mu → txm.undoMu, lock.mu, grayMu, remMu}.
-// Ordinary updates take their one shard directly; a stable transport takes
-// transMu first, then the shards of the pages its logged copy writes (no
-// writer ever waits on transMu while holding a shard, so the nesting
-// cannot deadlock). Subsystem mutexes never call back into the latch.
+// Lock order: commitGate → stop → {sgc.transMu → shard, vm.cleanMu → shard,
+// vgc.transMu} → {ckpt.mu, vm.mu → wal.mu, txm.mu → txm.undoMu, lock.mu,
+// grayMu, remMu}. Ordinary updates take their one shard directly; a stable
+// transport takes transMu first, then the shards of the pages its logged
+// copy writes, and the page cleaner (Heap.clean) the shards of a run's
+// pages, both in index order (no writer ever waits on either while holding
+// a shard, so the nesting cannot deadlock). Subsystem mutexes never call
+// back into the latch.
 //
 // The stopper owns vm.mu: stopHeap takes it once, after stop (vm.Store.Own),
 // and releaseExclusive drops it before stop. Every vm caller holds the stop

@@ -283,6 +283,15 @@ func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool
 		if cp.StableAllocHigh != 0 {
 			hp.sgc.SetAllocHighFrontier(cp.StableAllocHigh)
 		}
+		// Redo may have replayed the last collection's copies into the
+		// current semispace from the idle one, which is dropped next: the
+		// current semispace is owed to the disk as that collection's
+		// to-space was, and until the cleaner has written it the store
+		// lists the idle pages redo rebuilt among the dirty pages
+		// (vm.Store.DirtyPages), so the closing checkpoint below still
+		// lets a later recovery rebuild them and replay those copies.
+		cur := hp.sgc.Current()
+		hp.mem.Owe(cur.Lo, cur.Hi)
 		// The idle semispace's replayed pages are dead (it was a freed
 		// from-space); drop them.
 		idle := hp.sgc.CurrentIndex() ^ 1
@@ -309,6 +318,13 @@ func recoverHeap(cfg Config, disk *storage.Disk, logDev *storage.Log, media bool
 		hp.volRootObj = hp.allocVolRootObj()
 	}
 
+	// Media recovery rebuilt every page from history that runs through
+	// spaces since freed and reused; the closing checkpoint's drain writes
+	// all of it back, so no later recovery replays that history again
+	// through a from-space whose image the disk no longer holds.
+	if media {
+		hp.mem.OweLogged()
+	}
 	// A fresh checkpoint bounds the next recovery; forced so the master
 	// advances before the heap is used.
 	hp.checkpointLocked()
@@ -575,21 +591,18 @@ func (hp *Heap) SRemCount() int {
 // way to flush.
 func (hp *Heap) Mem() *vm.Store { return hp.mem }
 
-// FlushResident writes back each resident page keep selects, in ascending
-// page order, with the stop latch held so no exclusive section owns the
-// store meanwhile — a concurrent scan's quantum is one, so no page goes out
-// between a scan record and the fixes it logs: the crash harness's choice
-// of what a crash finds on disk. It neither drains the gray stack nor
-// checks for a device fault, so it leaves the heap as it found it, failed
-// or not.
+// FlushResident writes back each dirty resident page keep selects, in one
+// flush pass (vm.Store.FlushIf: at most one log force, then runs), with the
+// stop latch held so no exclusive section owns the store meanwhile — a
+// concurrent scan's quantum is one, so no page goes out between a scan
+// record and the fixes it logs — and no page cleaner is mid-run: the crash
+// harness's choice of what a crash finds on disk. It neither drains the
+// gray stack nor checks for a device fault, so it leaves the heap as it
+// found it, failed or not.
 func (hp *Heap) FlushResident(keep func(word.PageID) bool) {
 	hp.stop.Lock()
 	defer hp.stop.Unlock()
-	for _, pg := range hp.mem.ResidentPages() {
-		if keep(pg) {
-			hp.mem.FlushPage(pg)
-		}
-	}
+	hp.mem.FlushIf(keep)
 }
 
 // recoverMedia rebuilds the entire stable heap from the log alone — the

@@ -310,14 +310,33 @@ func TestKillPointStableScanChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
-	acksPath := os.Getenv(envAcks)
-	gen := lastAck(t, acksPath) + 1
+	commitChains(t, hp, os.Getenv(envAcks), scanChains, scanChainLen, 1)
 
+	// Promote the chains, flip concurrently, pace the scan, die mid-scan.
+	if _, err := hp.CollectVolatile(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	hp.StartStableCollection()
+	for i := 0; i < quanta; i++ {
+		if !hp.StepStableScan() {
+			break
+		}
+	}
+	syscall.Kill(os.Getpid(), syscall.SIGKILL)
+	t.Fatal("unreachable: SIGKILL did not take")
+}
+
+// commitChains commits, as generation lastAck+1, chains lists of length
+// nodes of ndata data words into root slots 2.., node i of chain w holding
+// gen*1000+w*100+i, and acknowledges the generation with an fsync.
+func commitChains(t *testing.T, hp *core.Heap, acksPath string, chains, length, ndata int) {
+	t.Helper()
+	gen := lastAck(t, acksPath) + 1
 	tr := hp.Begin()
-	for w := 0; w < scanChains; w++ {
+	for w := 0; w < chains; w++ {
 		var head *core.Ref
-		for i := scanChainLen - 1; i >= 0; i-- {
-			n, err := tr.Alloc(4, 1, 1)
+		for i := length - 1; i >= 0; i-- {
+			n, err := tr.Alloc(4, 1, ndata)
 			if err != nil {
 				t.Fatalf("alloc: %v", err)
 			}
@@ -346,33 +365,20 @@ func TestKillPointStableScanChild(t *testing.T) {
 	if err := acks.Sync(); err != nil {
 		t.Fatalf("ack sync: %v", err)
 	}
-
-	// Promote the chains, flip concurrently, pace the scan, die mid-scan.
-	if _, err := hp.CollectVolatile(); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	hp.StartStableCollection()
-	for i := 0; i < quanta; i++ {
-		if !hp.StepStableScan() {
-			break
-		}
-	}
-	syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	t.Fatal("unreachable: SIGKILL did not take")
 }
 
-// auditScanChains walks every chain the child acknowledged for generation
-// gen, through whichever semispace the resumed scan left each node in.
-func auditScanChains(t *testing.T, hp *core.Heap, gen uint64) {
+// auditChains walks every chain commitChains wrote for generation gen,
+// through whichever semispace a resumed collection left each node in.
+func auditChains(t *testing.T, hp *core.Heap, gen uint64, chains, length int) {
 	t.Helper()
 	tr := hp.Begin()
 	defer tr.Abort()
-	for w := 0; w < scanChains; w++ {
+	for w := 0; w < chains; w++ {
 		c, err := tr.Root(2 + w)
 		if err != nil {
 			t.Fatalf("gen %d chain %d: root: %v", gen, w, err)
 		}
-		for i := 0; i < scanChainLen; i++ {
+		for i := 0; i < length; i++ {
 			if c == nil {
 				t.Fatalf("gen %d chain %d: truncated at node %d", gen, w, i)
 			}
@@ -417,7 +423,7 @@ func TestKillPointStableScan(t *testing.T) {
 			acksPath := filepath.Join(base, "acks.txt")
 			for cycle := 0; cycle < 2; cycle++ {
 				quanta := 1 + (seed*3+cycle*5)%7
-				runScanChildToKill(t, heapDir, acksPath, quanta)
+				runChildToSIGKILL(t, "^TestKillPointStableScanChild$", heapDir, acksPath, fmt.Sprintf("%s=%d", envQuanta, quanta))
 
 				gen := lastAck(t, acksPath)
 				if gen == 0 {
@@ -427,34 +433,30 @@ func TestKillPointStableScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cycle %d (quanta=%d): recover: %v", cycle, quanta, err)
 				}
-				auditScanChains(t, hp, gen)
+				auditChains(t, hp, gen, scanChains, scanChainLen)
 				for hp.StepStableScan() {
 				}
 				hp.FinishStableScan()
-				auditScanChains(t, hp, gen)
+				auditChains(t, hp, gen, scanChains, scanChainLen)
 				hp.Close()
 			}
 		})
 	}
 }
 
-// runScanChildToKill re-execs the stable-scan child and requires it to
-// die by its own SIGKILL.
-func runScanChildToKill(t *testing.T, heapDir, acksPath string, quanta int) {
+// runChildToSIGKILL re-execs the named child test with env set and
+// requires it to die by its own SIGKILL.
+func runChildToSIGKILL(t *testing.T, run, heapDir, acksPath string, env ...string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestKillPointStableScanChild$")
-	cmd.Env = append(os.Environ(),
-		envDir+"="+heapDir,
-		envAcks+"="+acksPath,
-		fmt.Sprintf("%s=%d", envQuanta, quanta),
-	)
+	cmd := exec.Command(os.Args[0], "-test.run="+run)
+	cmd.Env = append(append(os.Environ(), envDir+"="+heapDir, envAcks+"="+acksPath), env...)
 	out, err := cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
-		t.Fatalf("child (quanta=%d) did not die at the kill point: err=%v\n%s", quanta, err, out)
+		t.Fatalf("child %v did not die at the kill point: err=%v\n%s", env, err, out)
 	}
 	if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		t.Fatalf("child (quanta=%d) exited without the SIGKILL: %v\n%s", quanta, err, out)
+		t.Fatalf("child %v exited without the SIGKILL: %v\n%s", env, err, out)
 	}
 }
 

@@ -151,7 +151,7 @@ type Metrics struct {
 	ScannedPages obs.Counter   `obs:"gc_scanned_pages_total"`
 	ScannedSlots obs.Counter   `obs:"gc_scanned_slots_total"`
 	FillerWords  obs.Counter   `obs:"gc_filler_words_total"`
-	EndFlushes   obs.Counter   `obs:"gc_end_flushes_total"` // to-space pages written back at collection ends
+	EndFlushes   obs.Counter   `obs:"gc_end_flushes_total"` // to-space pages a finished collection owes the disk (vm.Store.Owe)
 	Flip         obs.Histogram `obs:"gc_flip_ns"`
 	Step         obs.Histogram `obs:"gc_step_ns"`
 	Trap         obs.Histogram `obs:"gc_trap_ns"`
@@ -304,6 +304,11 @@ func (c *Collector) StartCollection(rootObj word.Addr) word.Addr {
 	}
 	concurrent := c.cfg.Mode == Concurrent
 	start := time.Now()
+	// The gate of Fig. 4.6 (maybeFinish): the space about to receive
+	// copies was the last collection's from-space, so that collection's
+	// to-space must be on disk first. Normally the cleaner has written it
+	// already and this finds nothing owed.
+	c.mem.DrainSpaces()
 	c.epoch++
 	c.active = true
 	c.from = c.spaces[c.cur]
@@ -362,9 +367,7 @@ func (c *Collector) StartCollection(rootObj word.Addr) word.Addr {
 	case concurrent:
 		c.concActive = true
 	case c.cfg.Mode.protects():
-		for pg := c.to.Lo.Page(c.pageSize()); pg.Base(c.pageSize()) < c.to.Hi; pg++ {
-			c.mem.Protect(pg)
-		}
+		c.mem.ProtectRange(c.to.Lo, c.to.Hi)
 	case c.cfg.Mode == StopTheWorld:
 		// The whole collection is this one pause.
 		c.Finish()
@@ -428,9 +431,8 @@ func (c *Collector) Step() bool {
 		quantum = stepPages * word.BytesToWords(c.pageSize())
 	}
 	c.sequentialScan(quantum)
-	// Collection-end work (the GCEnd write-back) is asynchronous disk
-	// traffic, not a mutator pause; it is excluded here and reported
-	// separately.
+	// Collection-end work (maybeFinish: owing to-space, freeing
+	// from-space) is excluded here.
 	d := time.Since(start)
 	c.Met.Step.Observe(uint64(d))
 	c.bb.Span(obs.EvGCStep, d, 0, c.epoch, 0)
@@ -457,21 +459,19 @@ func (c *Collector) maybeFinish() {
 		return
 	}
 	c.log.Append(wal.GCEndRec{Epoch: c.epoch})
-	// Write the collection's results back before freeing from-space:
-	// replaying this epoch's copy steps reads the from-space image, so
-	// once the space is freed its content must never be needed — flushed
-	// to-space pages condition those replays away, and the space's later
-	// contributions (updates, moves) are self-contained records. This is
-	// the paper's constraint that copy and scan records before the last
-	// completed flip drop out of recovery (Fig. 4.6). The write-back
-	// happens once per collection, but not off the mutator's critical
-	// path: it runs inside the finishing StepStable's exclusive latch, one
-	// pwrite and one end-write record per to-space page — 10.8, 41 and
-	// 145 ms over files for an OO7 module of 32, 128 and 512 assemblies
-	// (ROADMAP item 16 takes it out of the stop). Content-carrying copy
-	// records (E14) are self-contained, so they skip it.
+	// Replaying this epoch's copy steps reads the from-space image, so the
+	// space must not be reused until its image is never needed again: until
+	// every to-space page this collection dirtied is on disk, where it
+	// conditions those replays away (the paper's constraint that copy and
+	// scan records before the last completed flip drop out of recovery,
+	// Fig. 4.6; DESIGN.md §4.2a). That is a gate on the next flip, not a
+	// write here: the to-space joins the store's owed set, the page cleaner
+	// writes it in runs after later commits' forces, outside any heap stop,
+	// and the next flip drains whatever is still owed before it copies into
+	// the space freed below (StartCollection). Content-carrying copy records
+	// (E14) are self-contained, so they owe nothing.
 	if !c.cfg.CopyContents {
-		c.Met.EndFlushes.Add(uint64(c.mem.FlushRange(c.to.Lo, c.to.Hi)))
+		c.Met.EndFlushes.Add(uint64(c.mem.Owe(c.to.Lo, c.to.Hi)))
 	}
 	// Free from-space: drop its pages without writing them back. Their
 	// dirty entries (forwarding-pointer writes) are discarded too — redo
@@ -481,9 +481,7 @@ func (c *Collector) maybeFinish() {
 	// Disarm any leftover protection (pages in the gap or the mutator
 	// allocation region that were never touched).
 	if c.cfg.Mode.protects() {
-		for pg := c.to.Lo.Page(c.pageSize()); pg.Base(c.pageSize()) < c.to.Hi; pg++ {
-			c.mem.Unprotect(pg)
-		}
+		c.mem.UnprotectRange(c.to.Lo, c.to.Hi)
 	}
 	c.active = false
 	c.concActive = false

@@ -25,7 +25,6 @@ type Checkpointer struct {
 	pendingLSN   word.LSN // appended checkpoint not yet in the master
 	pendingTrunc word.LSN // its floor (wal.CheckpointRec.Floor)
 	stableTrunc  word.LSN // the floor of the checkpoint the master names
-	prevTake     word.LSN // LSN of the previous Take: the cleaner horizon
 
 	Met CheckpointMetrics
 }
@@ -34,7 +33,7 @@ type Checkpointer struct {
 type CheckpointMetrics struct {
 	Taken    obs.Counter `obs:"checkpoint_taken_total"`
 	Promoted obs.Counter `obs:"checkpoint_promoted_total"`
-	Cleaned  obs.Counter `obs:"checkpoint_cleaned_pages_total"` // pages written back by the checkpoint-driven cleaner
+	Cleaned  obs.Counter `obs:"checkpoint_cleaned_pages_total"` // pages a checkpoint handed the page cleaner (vm.Store.OweLogged)
 }
 
 // NewCheckpointer creates a checkpointer. It truncates nothing until a
@@ -45,22 +44,28 @@ func NewCheckpointer(log *wal.Manager, mem *vm.Store) *Checkpointer {
 
 // Take builds and spools a checkpoint record: the caller fills every field
 // except Dirty, which the checkpointer composes from the store's dirty
-// page table. Returns the record's LSN.
+// page table. Returns the record's LSN. The caller has the heap stopped.
+//
+// Checkpoint-driven write-back keeps the redo window to about two
+// checkpoint intervals without writing in the stop. Take first drains what
+// the last checkpoint still owes — normally nothing, the page cleaner
+// having written it after the commits since — then hands the cleaner every
+// page holding a logged write not yet on disk. Those are still listed dirty
+// here, and the next checkpoint finds them clean. A finished collection's
+// to-space still owed is left to the cleaner too: the store lists the
+// from-space that collection freed among the dirty pages until it is paid
+// (vm.Store.DirtyPages), so a recovery from this record can still replay
+// the collection's copies (DESIGN.md §4.2a).
 func (c *Checkpointer) Take(cp wal.CheckpointRec) word.LSN {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Checkpoint-driven page cleaning: write back pages dirtied before
-	// the previous checkpoint, so the redo window stays roughly two
-	// checkpoint intervals.
-	if c.prevTake != word.NilLSN {
-		c.Met.Cleaned.Add(uint64(c.mem.FlushOlderThan(c.prevTake)))
-	}
+	c.mem.DrainCheckpoints()
+	c.Met.Cleaned.Add(uint64(c.mem.OweLogged()))
 	cp.Dirty = c.mem.DirtyPages()
 
 	lsn := c.log.Append(cp)
 	c.pendingLSN = lsn
 	c.pendingTrunc = cp.Floor(lsn)
-	c.prevTake = lsn
 	c.Met.Taken.Inc()
 	c.promoteLocked()
 	return lsn

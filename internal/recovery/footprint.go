@@ -111,13 +111,17 @@ func newDirtyPages(pageSize int, seed []wal.DirtyPage, cpLSN word.LSN, media boo
 // note folds the record at lsn into the table.
 func (d *dirtyPages) note(lsn word.LSN, rec wal.Record) {
 	if ew, ok := rec.(wal.EndWriteRec); ok {
-		// The page reached disk: redo for it can start later unless a
-		// subsequent record re-dirties it, or an earlier one is missing.
+		// The pages reached disk: redo for each can start later unless a
+		// subsequent record re-dirties it, or an earlier one is missing. A
+		// run certifies every page of it at the one page LSN it was
+		// written with.
 		if !d.media {
-			if d.last[ew.Page] <= ew.PageLSN {
-				delete(d.recLSN, ew.Page)
+			for pg := ew.Page; pg < ew.Page+word.PageID(ew.Pages()); pg++ {
+				if d.last[pg] <= ew.PageLSN {
+					delete(d.recLSN, pg)
+				}
+				d.certified[pg] = max(d.certified[pg], ew.PageLSN)
 			}
-			d.certified[ew.Page] = max(d.certified[ew.Page], ew.PageLSN)
 		}
 		return
 	}

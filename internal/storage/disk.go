@@ -92,7 +92,7 @@ type Disk struct {
 	f        File // pages.dat
 	pageSize int
 	slotSize int64
-	slot     []byte // WritePage's slot image, reused under mu
+	slot     []byte // WriteRun's slot images, reused under mu
 	lsns     map[word.PageID]word.LSN
 	master   Master
 	stats    DiskStats
@@ -301,23 +301,43 @@ func (d *Disk) ReadPage(id word.PageID) ([]byte, word.LSN, bool) {
 // returns the write is in the backing, and the next SetMaster makes it
 // durable. The slot buffer is the Disk's own, so nothing of data is kept.
 func (d *Disk) WritePage(id word.PageID, data []byte, lsn word.LSN) {
-	if len(data) != d.pageSize {
-		panic(fmt.Sprintf("storage: WritePage %d with %d bytes, want %d", id, len(data), d.pageSize))
+	d.WriteRun(id, [][]byte{data}, lsn)
+}
+
+// WriteRun writes the pages of a run — pages[i] is page first+i — into
+// their consecutive slots with one WriteAt, every slot stamped with the
+// same page LSN: the writer vouches that each page reflects every record
+// up to lsn that touches it (vm's write-back snapshots a run at once). It
+// keeps WritePage's contract: in the backing on return, durable after the
+// next SetMaster, nothing of pages kept.
+func (d *Disk) WriteRun(first word.PageID, pages [][]byte, lsn word.LSN) {
+	for i, data := range pages {
+		if len(data) != d.pageSize {
+			panic(fmt.Sprintf("storage: WriteRun page %d with %d bytes, want %d", first+word.PageID(i), len(data), d.pageSize))
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	buf := d.slot
-	binary.LittleEndian.PutUint32(buf[0:], pageMagic)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(lsn))
-	binary.LittleEndian.PutUint64(buf[16:], PageChecksum(data, lsn))
-	binary.LittleEndian.PutUint32(buf[4:], slotCRC(buf))
-	copy(buf[slotHdrSize:], data)
-	if _, err := d.f.WriteAt(buf, int64(id)*d.slotSize); err != nil {
-		ioPanicPage("write", id, err)
+	if n := int64(len(pages)) * d.slotSize; int64(len(d.slot)) < n {
+		d.slot = make([]byte, n)
 	}
-	d.stats.PageWrites++
-	d.stats.BytesWritten += int64(len(data))
-	d.lsns[id] = lsn
+	buf := d.slot[:int64(len(pages))*d.slotSize]
+	for i, data := range pages {
+		slot := buf[int64(i)*d.slotSize:][:d.slotSize]
+		binary.LittleEndian.PutUint32(slot[0:], pageMagic)
+		binary.LittleEndian.PutUint64(slot[8:], uint64(lsn))
+		binary.LittleEndian.PutUint64(slot[16:], PageChecksum(data, lsn))
+		binary.LittleEndian.PutUint32(slot[4:], slotCRC(slot))
+		copy(slot[slotHdrSize:], data)
+	}
+	if _, err := d.f.WriteAt(buf, int64(first)*d.slotSize); err != nil {
+		ioPanicPage("write", first, err)
+	}
+	for i, data := range pages {
+		d.stats.PageWrites++
+		d.stats.BytesWritten += int64(len(data))
+		d.lsns[first+word.PageID(i)] = lsn
+	}
 }
 
 // PageLSN returns the durable page LSN for id (NilLSN if never written).

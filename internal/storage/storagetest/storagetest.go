@@ -143,6 +143,34 @@ func RunDisk(t *testing.T, home Home) {
 		}
 	})
 
+	// A run is one device write of consecutive slots, every one at the
+	// run's page LSN, under WritePage's contract: the slots around it keep
+	// their own writes, and nothing of the caller's buffers is kept.
+	t.Run("WriteRun", func(t *testing.T) {
+		d, _ := openDisk(t, home, pageSize)
+		d.WritePage(3, page(0x33), 9)
+		d.WritePage(7, page(0x77), 9)
+		s0 := d.Stats()
+		run := [][]byte{page(0x44), page(0x55), page(0x66)}
+		d.WriteRun(4, run, 40)
+		for _, p := range run {
+			copy(p, page(0xFF)) // the caller reuses its buffers
+		}
+		for id, want := range map[word.PageID]byte{3: 0x33, 4: 0x44, 5: 0x55, 6: 0x66, 7: 0x77} {
+			wantLSN := word.LSN(40)
+			if id == 3 || id == 7 {
+				wantLSN = 9
+			}
+			got, lsn, ok := d.ReadPage(id)
+			if !ok || lsn != wantLSN || !bytes.Equal(got, page(want)) {
+				t.Fatalf("page %d: ok=%v lsn=%d first byte %#x, want LSN %d and %#x", id, ok, lsn, got[0], wantLSN, want)
+			}
+		}
+		if s1 := d.Stats(); s1.PageWrites-s0.PageWrites != 3 || s1.BytesWritten-s0.BytesWritten != 3*pageSize {
+			t.Fatalf("a run of 3 counted %d page writes, %d bytes", s1.PageWrites-s0.PageWrites, s1.BytesWritten-s0.BytesWritten)
+		}
+	})
+
 	t.Run("MasterRoundTrip", func(t *testing.T) {
 		d, _ := openDisk(t, home, pageSize)
 		m := d.Master()

@@ -13,10 +13,19 @@
 // victim to such a page, so eviction does not normally force. Every write
 // back spools an end-write record (§2.2.4), from which recovery prunes the
 // dirty page set; a fetch logs nothing (DESIGN.md §4.3).
+//
+// Write-back the heap needs but need not wait for is owed, not done: a
+// finished collection's to-space (Owe) and the pages a checkpoint finds
+// dirty (OweLogged) join the owed set, and the page cleaner (Clean) writes
+// them in contiguous runs after a commit's force, once their records are
+// stable, without stopping the heap. A flip drains what collections still
+// owe (DrainSpaces), a checkpoint what the last checkpoint still owes
+// (DrainCheckpoints), and a clean shutdown writes everything.
 package vm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +55,8 @@ type Metrics struct {
 	Evictions  obs.Counter `obs:"cache_evictions_total"`       // pages dropped from the cache by replacement
 	LogForces  obs.Counter `obs:"wal_constraint_forces_total"` // log forces triggered by the WAL flush constraint
 	FreshPages obs.Counter `obs:"cache_fresh_pages_total"`     // pages materialized zero-filled (never on disk)
+	Cleaned    obs.Counter `obs:"cache_cleaned_pages_total"`   // owed pages the cleaner wrote with the heap running
+	StopWrites obs.Counter `obs:"cache_stop_writes_total"`     // pages written back while the heap was stopped (store owned)
 }
 
 // Config parameterizes the store.
@@ -68,6 +79,14 @@ type page struct {
 	// logged state, so the records before it must reach disk first.
 	ulsn  word.LSN
 	dirty bool // any modification (logged or not) since last flush
+	// owed says why the page is in the owed set — owedSpace (Owe),
+	// owedCheckpoint (OweLogged), or both; 0 once it is written back,
+	// evicted or dropped.
+	owed uint8
+	// writing: the cleaner's snapshot of the page is on its way to disk
+	// with no lock held, so nobody else may write the page back or drop
+	// it until the snapshot lands (Clean).
+	writing bool
 	// ref is the clock reference bit; atomic because lock-free cache hits
 	// set it while holding only the store's read lock.
 	ref atomic.Bool
@@ -119,9 +138,11 @@ type Store struct {
 	log   *wal.Manager
 	pages []*page // indexed by page id; nil when not resident
 	nres  int     // resident pages: the non-nil entries of pages
-	// prot is the set of protected pages; protection is independent of
-	// residency (protecting a page must not fault it in).
-	prot map[word.PageID]struct{}
+	// prot marks, by page id, the protected pages; protection is
+	// independent of residency (protecting a page must not fault it in).
+	// Dense like gone, so arming or disarming a whole to-space is a slice
+	// fill.
+	prot []bool
 	// ring holds resident page ids in insertion order for the clock
 	// replacement sweep; hand indexes the next candidate.
 	ring []word.PageID
@@ -135,8 +156,35 @@ type Store struct {
 	// inTrap guards against recursive traps (a handler touching its own
 	// protected page would loop).
 	inTrap bool
-	Met    Metrics
+	// debt lists the owed set in ascending page order. An entry whose page
+	// is no longer owed (written, evicted, dropped) is skipped and removed
+	// by the next pass over it: the page's owed flag is the truth, and
+	// nowed counts the flags set, so a committer can ask for nothing
+	// without a lock.
+	debt  []word.PageID
+	nowed atomic.Int64
+	// nspace counts the pages owed for owedSpace, and ghosts holds the
+	// dirty entries of the pages a discard dropped while it was nonzero —
+	// a finished collection's freed from-space, still needed by any
+	// recovery that replays that collection's copies into to-space pages
+	// not yet on disk. DirtyPages lists them, so a checkpoint taken in
+	// that window starts redo early enough to rebuild the from-space from
+	// its intact slots; they go once the to-space debt is paid.
+	nspace int
+	ghosts []wal.DirtyPage
+	// bufs gathers a run's page images for one device write under the
+	// write lock; the cleaner, which writes with no lock held, snapshots
+	// into snap and cbufs instead, under cleanMu — one cleaner at a time.
+	bufs    [][]byte
+	cleanMu sync.Mutex
+	snap    []byte
+	cbufs   [][]byte
+	Met     Metrics
 }
+
+// maxRun bounds the pages one device write carries (64 KiB of the heap's
+// default 1 KiB pages).
+const maxRun = 64
 
 // New creates a store over disk, spooling end-write records to log (if
 // not nil).
@@ -148,7 +196,6 @@ func New(cfg Config, disk *storage.Disk, log *wal.Manager) *Store {
 		cfg:  cfg,
 		disk: disk,
 		log:  log,
-		prot: make(map[word.PageID]struct{}),
 	}
 }
 
@@ -270,9 +317,8 @@ func (s *Store) makeRoom() {
 			s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
 			continue
 		}
-		_, prot := s.prot[id]
 		switch {
-		case prot:
+		case s.Protected(id), p.writing:
 		case p.ref.Load():
 			p.ref.Store(false)
 		case tries < laps && p.dirty && s.unstable(p):
@@ -311,16 +357,81 @@ func (s *Store) flushPage(p *page) {
 		s.log.Force(p.walLSN())
 		s.Met.LogForces.Inc()
 	}
-	s.disk.WritePage(p.id, p.data, p.lsn)
+	s.writeRun([]*page{p})
+}
+
+// writeRun writes the dirty pages of run, consecutive ids and every record
+// they reflect stable, with one device write and one end-write record, and
+// leaves them clean. The write lock is held (or the store owned), so no
+// writer races the images: each page reflects every record up to the run's
+// highest page LSN that touches it, which is the LSN the run is written
+// and certified at (storage.Disk.WriteRun).
+func (s *Store) writeRun(run []*page) {
+	var lsn word.LSN
+	s.bufs = s.bufs[:0]
+	for _, p := range run {
+		lsn = max(lsn, p.lsn)
+		s.bufs = append(s.bufs, p.data)
+	}
+	s.disk.WriteRun(run[0].id, s.bufs, lsn)
+	clear(s.bufs)
+	for _, p := range run {
+		p.dirty = false
+		p.recLSN = word.NilLSN
+		s.landed(p, lsn)
+	}
+	if s.owned {
+		s.Met.StopWrites.Add(uint64(len(run)))
+	}
+	s.endWrite(run[0].id, len(run), lsn)
+}
+
+// landed books a page whose image at lsn reached disk: it is no longer
+// owed, and no longer gone. The write lock is held.
+func (s *Store) landed(p *page, lsn word.LSN) {
+	p.lsn = lsn
+	s.pay(p)
 	if s.discarded(p.id) {
 		s.gone[p.id] = false
 	}
-	p.dirty = false
-	p.recLSN = word.NilLSN
-	s.Met.Flushes.Inc()
-	if s.log != nil {
-		s.log.Append(wal.EndWriteRec{Page: p.id, PageLSN: p.lsn})
+}
+
+// endWrite counts n pages from first written at lsn and spools their
+// end-write record: one per run.
+func (s *Store) endWrite(first word.PageID, n int, lsn word.LSN) {
+	s.Met.Flushes.Add(uint64(n))
+	if s.log == nil {
+		return
 	}
+	rec := wal.EndWriteRec{Page: first, PageLSN: lsn}
+	if n > 1 {
+		rec.Count = n
+	}
+	s.log.Append(rec)
+}
+
+// flushPass writes back the dirty pages of ps, in ascending page order: it
+// forces the log once, to the highest record any of them reflects, if that
+// is not yet stable, then writes them in runs of consecutive pages. The
+// write lock is held. It returns the pages written.
+func (s *Store) flushPass(ps []*page) int {
+	var top word.LSN
+	for _, p := range ps {
+		top = max(top, p.walLSN())
+	}
+	if s.log != nil && top != word.NilLSN && !s.log.IsStable(top) {
+		s.log.Force(top)
+		s.Met.LogForces.Inc()
+	}
+	for i := 0; i < len(ps); {
+		j := i + 1
+		for j < len(ps) && j-i < maxRun && ps[j].id == ps[j-1].id+1 {
+			j++
+		}
+		s.writeRun(ps[i:j])
+		i = j
+	}
+	return len(ps)
 }
 
 // FlushPage flushes the page if it is resident and dirty.
@@ -333,20 +444,19 @@ func (s *Store) FlushPage(id word.PageID) {
 }
 
 // FlushRange writes back every dirty resident page whose base lies in
-// [lo, hi). The collector calls it at collection end so the surviving
-// to-space is durable before the from-space is freed — after that, redo
-// never needs to read a freed space (see gc's maybeFinish).
+// [lo, hi) in one flush pass (flushPass: at most one log force, then runs),
+// and returns how many it wrote — now, with the caller waiting. Write-back
+// that may wait for a commit's force is owed instead (Owe).
 func (s *Store) FlushRange(lo, hi word.Addr) int {
 	s.lock()
 	defer s.unlock()
-	n := 0
+	var ps []*page
 	for _, p := range s.span(lo, hi) {
 		if p != nil && p.dirty {
-			s.flushPage(p)
-			n++
+			ps = append(ps, p)
 		}
 	}
-	return n
+	return s.flushPass(ps)
 }
 
 // span returns the part of the page table whose pages have their base in
@@ -362,33 +472,252 @@ func (s *Store) span(lo, hi word.Addr) []*page {
 	return s.pages[first:end]
 }
 
-// FlushOlderThan writes back every dirty resident page whose
-// recLSN lies below horizon: the checkpoint-driven page cleaner that keeps
-// the redo window bounded. Returns the number of pages written.
-func (s *Store) FlushOlderThan(horizon word.LSN) int {
+// FlushIf writes back, in one flush pass, every dirty resident page keep
+// selects (every one, for nil), and returns how many it wrote.
+func (s *Store) FlushIf(keep func(word.PageID) bool) int {
 	s.lock()
 	defer s.unlock()
-	n := 0
+	var ps []*page
 	for _, p := range s.pages {
-		if p == nil || !p.dirty || p.recLSN == word.NilLSN || p.recLSN >= horizon {
-			continue
+		if p != nil && p.dirty && (keep == nil || keep(p.id)) {
+			ps = append(ps, p)
 		}
-		s.flushPage(p)
-		n++
 	}
-	return n
+	return s.flushPass(ps)
 }
 
 // FlushAll flushes every dirty resident page (clean shutdown; also used by
 // tests and by the crash injector to model arbitrary flush orders).
-func (s *Store) FlushAll() {
+func (s *Store) FlushAll() { s.FlushIf(nil) }
+
+// Owe adds every dirty resident page whose base lies in [lo, hi) to the
+// owed set and returns how many it owed: a finished collection's to-space,
+// which must reach disk before its from-space is reused (DESIGN.md §4.2a).
+// A page not resident, or clean, is on disk already.
+func (s *Store) Owe(lo, hi word.Addr) int {
 	s.lock()
 	defer s.unlock()
-	for _, p := range s.pages {
-		if p != nil {
-			s.flushPage(p)
+	return s.owe(s.span(lo, hi), owedSpace, func(*page) bool { return true })
+}
+
+// OweLogged adds every resident page holding a logged write that has not
+// reached disk to the owed set, and returns how many it owed: a
+// checkpoint's share of write-back, which keeps the redo window bounded.
+// Pages dirtied only by unlogged writes never join — redo never needs
+// them.
+func (s *Store) OweLogged() int {
+	s.lock()
+	defer s.unlock()
+	return s.owe(s.pages, owedCheckpoint, func(p *page) bool { return p.recLSN != word.NilLSN })
+}
+
+// Why a page is owed (page.owed).
+const (
+	owedSpace      uint8 = 1 << iota // a finished collection's to-space: the flip's gate
+	owedCheckpoint                   // a checkpoint's share
+)
+
+// owe marks the dirty pages of table (ascending, nil entries allowed) that
+// pick selects owed for why and merges the newly owed into debt. The write
+// lock is held.
+func (s *Store) owe(table []*page, why uint8, pick func(*page) bool) int {
+	had, n := len(s.debt), 0
+	for _, p := range table {
+		if p == nil || !p.dirty || p.owed&why != 0 || !pick(p) {
+			continue
+		}
+		if p.owed == 0 {
+			s.debt = append(s.debt, p.id)
+		}
+		p.owed |= why
+		n++
+	}
+	if why == owedSpace {
+		s.nspace += n
+	}
+	if joined := len(s.debt) - had; joined > 0 {
+		s.nowed.Add(int64(joined))
+		if had > 0 {
+			// A page dropped and owed again has a stale entry already.
+			slices.Sort(s.debt)
+			s.debt = slices.Compact(s.debt)
 		}
 	}
+	return n
+}
+
+// Owed returns how many pages the owed set holds; it takes no lock.
+func (s *Store) Owed() int { return int(s.nowed.Load()) }
+
+// pay takes p out of the owed set: written back, or its debt void. The
+// write lock is held.
+func (s *Store) pay(p *page) {
+	if p.owed == 0 {
+		return
+	}
+	if p.owed&owedSpace != 0 {
+		if s.nspace--; s.nspace == 0 {
+			s.ghosts = nil
+		}
+	}
+	p.owed = 0
+	s.nowed.Add(-1)
+}
+
+// DrainSpaces writes back, in one flush pass — at most one log force, and
+// none if a commit has forced past every page since — what finished
+// collections still owe (Owe): the flip's gate on reusing a from-space,
+// whose collection's to-space must be on disk first. The caller has the
+// heap stopped, or runs alone. It returns the pages written.
+func (s *Store) DrainSpaces() int { return s.drain(owedSpace) }
+
+// DrainCheckpoints is DrainSpaces for what earlier checkpoints still owe
+// (OweLogged): a checkpoint settles the last one's share before it builds
+// its record, so the redo window stays about two checkpoint intervals.
+func (s *Store) DrainCheckpoints() int { return s.drain(owedCheckpoint) }
+
+// drain writes back the owed pages whose debt is in mask and pays those
+// debts; pages owed only for other reasons stay in debt.
+func (s *Store) drain(mask uint8) int {
+	s.lock()
+	defer s.unlock()
+	var ps []*page
+	kept := s.debt[:0]
+	for _, id := range s.debt {
+		switch p := s.lookup(id); {
+		case p == nil || p.owed == 0:
+		case p.owed&mask == 0:
+			kept = append(kept, id)
+		case p.dirty:
+			ps = append(ps, p) // paid as it lands
+		default:
+			s.pay(p) // clean since it was owed
+		}
+	}
+	s.debt = kept
+	return s.flushPass(ps)
+}
+
+// Clean is the page cleaner's quantum: it writes back up to budget owed
+// pages whose records are all stable — so it never forces the log — in
+// runs of consecutive pages, one device write and one end-write record
+// each, and returns how many it wrote. The caller holds the heap's stop
+// latch shared, which excludes every flip, checkpoint, discard and heap
+// stop, and pin pins the writer stripes of a run's pages: with those held
+// no writer is between a record's append and its memory write on any page
+// of the run, so one snapshot of the whole run reflects, on every page,
+// every record up to the run's highest page LSN — the LSN the run is
+// written and certified at. The device write runs with no lock held; until
+// it lands the pages are marked writing, so no eviction writes or drops
+// them, and a write made meanwhile leaves its page dirty again. One cleaner
+// runs at a time; another caller returns at once.
+func (s *Store) Clean(budget int, pin func(first word.PageID, n int) (unpin func())) int {
+	if s.nowed.Load() == 0 || !s.cleanMu.TryLock() {
+		return 0
+	}
+	defer s.cleanMu.Unlock()
+	written := 0
+	for tries := 0; written < budget && tries < budget; tries++ {
+		s.lock()
+		first, n := s.nextRun(min(budget-written, maxRun))
+		s.unlock()
+		if n == 0 {
+			break
+		}
+		unpin := pin(first, n)
+		s.lock()
+		lsn, n := s.snapshot(first, n)
+		s.unlock()
+		unpin()
+		if n == 0 {
+			continue
+		}
+		s.disk.WriteRun(first, s.cbufs, lsn)
+		s.lock()
+		for i := range n {
+			p := s.lookup(first + word.PageID(i))
+			p.writing = false
+			if s.discarded(p.id) {
+				s.gone[p.id] = false
+			}
+		}
+		s.Met.Cleaned.Add(uint64(n))
+		s.endWrite(first, n, lsn)
+		s.unlock()
+		written += n
+	}
+	return written
+}
+
+// nextRun finds the first run of at most limit consecutive owed pages,
+// dirty and with stable records, dropping entries that are no longer owed
+// and keeping in place those whose records are still volatile. The write
+// lock is held.
+func (s *Store) nextRun(limit int) (first word.PageID, n int) {
+	kept, i := 0, 0
+	for ; i < len(s.debt); i++ {
+		p := s.lookup(s.debt[i])
+		switch {
+		case p == nil || p.owed == 0:
+			continue
+		case !p.dirty:
+			s.pay(p)
+			continue
+		case s.unstable(p) || p.writing:
+			s.debt[kept] = s.debt[i]
+			kept++
+			continue
+		}
+		break
+	}
+	if kept == 0 {
+		s.debt = s.debt[i:]
+	} else {
+		s.debt = append(s.debt[:kept], s.debt[i:]...)
+	}
+	if kept == len(s.debt) {
+		return 0, 0
+	}
+	first = s.debt[kept]
+	for n = 1; n < limit && kept+n < len(s.debt) && s.debt[kept+n] == first+word.PageID(n); n++ {
+		if p := s.lookup(first + word.PageID(n)); p == nil || p.owed == 0 || !p.dirty || s.unstable(p) || p.writing {
+			break
+		}
+	}
+	return first, n
+}
+
+// snapshot takes the images of the run [first, first+n) — cut short at the
+// first page a writer made ineligible since nextRun chose it — into the
+// cleaner's buffers, marks those pages writing and clean, and returns the
+// LSN the run is written at and its length. The write lock is held and
+// the run's writer stripes are pinned.
+func (s *Store) snapshot(first word.PageID, n int) (word.LSN, int) {
+	var lsn word.LSN
+	for i := range n {
+		p := s.lookup(first + word.PageID(i))
+		if p == nil || p.owed == 0 || !p.dirty || s.unstable(p) || p.writing {
+			n = i
+			break
+		}
+		lsn = max(lsn, p.lsn)
+	}
+	if size := n * s.cfg.PageSize; len(s.snap) < size {
+		s.snap = make([]byte, size)
+	}
+	s.cbufs = s.cbufs[:0]
+	for i := range n {
+		p := s.lookup(first + word.PageID(i))
+		img := s.snap[i*s.cfg.PageSize:][:s.cfg.PageSize]
+		copy(img, p.data)
+		s.cbufs = append(s.cbufs, img)
+		p.dirty = false
+		p.recLSN = word.NilLSN
+		p.writing = true
+		p.lsn = lsn
+		s.pay(p)
+	}
+	return lsn, n
 }
 
 // ResidentPages returns the ids of cached pages in ascending order.
@@ -405,8 +734,11 @@ func (s *Store) ResidentPages() []word.PageID {
 }
 
 // DirtyPages returns the dirty page table: every resident page with logged
-// modifications not yet on disk, with its recLSN. Pages dirtied only by
-// unlogged (volatile-object) writes are excluded — redo never needs them.
+// modifications not yet on disk, with its recLSN, and, while a finished
+// collection's to-space is owed, the entries its freed from-space lost to
+// the discard (ghosts) — a page can appear twice, and redo starts at the
+// earlier. Pages dirtied only by unlogged (volatile-object) writes are
+// excluded — redo never needs them.
 func (s *Store) DirtyPages() []wal.DirtyPage {
 	s.lock()
 	defer s.unlock()
@@ -416,7 +748,7 @@ func (s *Store) DirtyPages() []wal.DirtyPage {
 			out = append(out, wal.DirtyPage{Page: p.id, RecLSN: p.recLSN})
 		}
 	}
-	return out
+	return append(out, s.ghosts...)
 }
 
 // Crash models a system failure: main memory is lost. Cached pages vanish;
@@ -427,8 +759,12 @@ func (s *Store) Crash() {
 	defer s.unlock()
 	clear(s.pages)
 	s.gone = nil
+	s.debt = nil
+	s.nowed.Store(0)
+	s.nspace = 0
+	s.ghosts = nil
 	s.nres = 0
-	s.prot = make(map[word.PageID]struct{})
+	s.prot = nil
 	s.ring = nil
 	s.hand = 0
 	s.inTrap = false
@@ -437,15 +773,58 @@ func (s *Store) Crash() {
 // Protect arms the read barrier on the page: the next barriered access
 // traps. Protection is pure page-table state; it neither faults the page
 // in nor touches its contents.
-func (s *Store) Protect(id word.PageID) { s.prot[id] = struct{}{} }
+func (s *Store) Protect(id word.PageID) { s.protSpan(id, id+1, true) }
 
 // Unprotect disarms the read barrier on the page.
-func (s *Store) Unprotect(id word.PageID) { delete(s.prot, id) }
+func (s *Store) Unprotect(id word.PageID) {
+	if s.Protected(id) {
+		s.prot[id] = false
+	}
+}
+
+// ProtectRange arms the read barrier on every page overlapping [lo, hi): a
+// flip's whole to-space.
+func (s *Store) ProtectRange(lo, hi word.Addr) {
+	first, end := s.overlap(lo, hi)
+	s.protSpan(first, end, true)
+}
+
+// UnprotectRange disarms the read barrier on every page overlapping
+// [lo, hi) and no other: what a finished collection's sweep left armed.
+func (s *Store) UnprotectRange(lo, hi word.Addr) {
+	first, end := s.overlap(lo, hi)
+	s.protSpan(first, min(end, word.PageID(len(s.prot))), false)
+}
+
+// overlap returns the ids [first, end) of the pages overlapping [lo, hi).
+func (s *Store) overlap(lo, hi word.Addr) (first, end word.PageID) {
+	if hi <= lo {
+		return 0, 0
+	}
+	return lo.Page(s.cfg.PageSize), (hi - 1).Page(s.cfg.PageSize) + 1
+}
+
+// protSpan sets the protection of the pages [first, end), growing prot to
+// cover them when it arms them.
+func (s *Store) protSpan(first, end word.PageID, on bool) {
+	if first >= end {
+		return
+	}
+	if on && uint64(end) > uint64(len(s.prot)) {
+		s.prot = append(s.prot, make([]bool, uint64(end)-uint64(len(s.prot)))...)
+	}
+	if on {
+		for i := range s.prot[first:end] {
+			s.prot[first+word.PageID(i)] = true
+		}
+	} else {
+		clear(s.prot[first:end])
+	}
+}
 
 // Protected reports whether the page currently traps.
 func (s *Store) Protected(id word.PageID) bool {
-	_, ok := s.prot[id]
-	return ok
+	return uint64(id) < uint64(len(s.prot)) && s.prot[id]
 }
 
 // pageRange iterates the pages overlapped by [addr, addr+n).
@@ -465,7 +844,7 @@ func (s *Store) pageRange(addr word.Addr, n int, fn func(id word.PageID)) {
 // before touching memory; the collector bypasses it.
 func (s *Store) EnsureAccessible(addr word.Addr, n int) {
 	s.pageRange(addr, n, func(id word.PageID) {
-		if _, prot := s.prot[id]; !prot {
+		if !s.Protected(id) {
 			return
 		}
 		if s.trap == nil {
@@ -478,7 +857,7 @@ func (s *Store) EnsureAccessible(addr word.Addr, n int) {
 		s.inTrap = true
 		s.trap(id)
 		s.inTrap = false
-		if _, still := s.prot[id]; still {
+		if s.Protected(id) {
 			panic(fmt.Sprintf("vm: trap handler left page %d protected", id))
 		}
 	})
@@ -698,8 +1077,12 @@ func (s *Store) DiscardRange(lo, hi word.Addr) []wal.DirtyPage {
 		if p.dirty && p.recLSN != word.NilLSN {
 			ghosts = append(ghosts, wal.DirtyPage{Page: p.id, RecLSN: p.recLSN})
 		}
+		s.pay(p) // dead contents owe nothing
 		s.drop(p.id)
 		dropped++
+	}
+	if s.nspace > 0 {
+		s.ghosts = append(s.ghosts, ghosts...)
 	}
 	if dropped > 0 {
 		// One compaction pass over the clock ring: dropping page-by-page

@@ -447,16 +447,25 @@ func TestFlushRangeOnlyTouchesRange(t *testing.T) {
 	}
 }
 
-func TestFlushOlderThanHorizon(t *testing.T) {
+// TestOweLoggedSkipsUnlogged: a checkpoint's share of write-back is owed,
+// not written — only pages with a logged write join — and a drain writes
+// exactly those.
+func TestOweLoggedSkipsUnlogged(t *testing.T) {
 	s, disk, _ := newStore(0)
 	s.WriteWord(0, 1, 10)
 	s.WriteWord(ps, 2, 20)
-	s.WriteWord(2*ps, 3, word.NilLSN) // unlogged dirty: never cleaned
-	n := s.FlushOlderThan(15)
-	if n != 1 {
-		t.Fatalf("flushed %d, want 1 (only recLSN<15)", n)
+	s.FlushPage(1)
+	s.WriteWord(2*ps, 3, word.NilLSN) // unlogged dirty: never owed
+	if n := s.OweLogged(); n != 1 || s.Owed() != 1 {
+		t.Fatalf("owed %d (%d in the set), want 1 (only the logged dirty page)", n, s.Owed())
 	}
-	if !hasPage(disk, 0) || hasPage(disk, 1) || hasPage(disk, 2) {
+	if hasPage(disk, 0) {
+		t.Fatal("owing a page wrote it")
+	}
+	if n := s.DrainCheckpoints(); n != 1 || s.Owed() != 0 {
+		t.Fatalf("drain wrote %d, %d still owed; want 1 and 0", n, s.Owed())
+	}
+	if !hasPage(disk, 0) || hasPage(disk, 2) {
 		t.Fatal("wrong pages cleaned")
 	}
 }
@@ -604,5 +613,154 @@ func TestAllocsPerMissOverFilestore(t *testing.T) {
 	}
 	if n > 2 {
 		t.Errorf("%v allocations per vm miss over filestore, want ≤ 2 (the pread buffer and the page)", n)
+	}
+}
+
+// TestUnprotectRangeLeavesOthersArmed: UnprotectRange disarms the pages
+// whose base lies in the range and no other.
+func TestUnprotectRangeLeavesOthersArmed(t *testing.T) {
+	s, _, _ := newStore(0)
+	for _, id := range []word.PageID{1, 2, 4, 9} {
+		s.Protect(id)
+	}
+	s.UnprotectRange(word.Addr(ps), word.Addr(4*ps))
+	for id, want := range map[word.PageID]bool{1: false, 2: false, 4: true, 9: true} {
+		if got := s.Protected(id); got != want {
+			t.Errorf("page %d protected = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestFlushAllForcesOnce: a flush pass over pages whose records are all
+// volatile forces the log once, to the highest of them, not once per page,
+// then writes the consecutive pages as one run under one end-write record.
+func TestFlushAllForcesOnce(t *testing.T) {
+	log := wal.NewManager(storage.NewLog(0))
+	disk := walCheckDisk(t, log)
+	s := New(Config{PageSize: ps}, disk, log)
+	for p := 0; p < 5; p++ {
+		logged(s, log, word.Addr(p*ps), uint64(p))
+	}
+	top := s.PageLSN(4)
+	s.FlushAll()
+	if got := s.Met.LogForces.Load(); got != 1 {
+		t.Fatalf("wal_constraint_forces_total = %d, want 1", got)
+	}
+	if got := log.Device().Stats().Forces; got != 1 {
+		t.Fatalf("device forces = %d, want 1", got)
+	}
+	var runs []wal.EndWriteRec
+	log.ForceAll()
+	log.Scan(1, false, func(_ word.LSN, r wal.Record) bool {
+		if ew, ok := r.(wal.EndWriteRec); ok {
+			runs = append(runs, ew)
+		}
+		return true
+	})
+	if want := (wal.EndWriteRec{Page: 0, PageLSN: top, Count: 5}); len(runs) != 1 || runs[0] != want {
+		t.Fatalf("end-writes %+v, want one %+v", runs, want)
+	}
+	for id := word.PageID(0); id < 5; id++ {
+		if lsn := disk.PageLSN(id); lsn != top {
+			t.Errorf("page %d written at LSN %d, want the run's %d", id, lsn, top)
+		}
+	}
+}
+
+// pinCount is a Clean pin that records each run it was asked to pin.
+type pinCount struct{ runs [][2]int }
+
+func (c *pinCount) pin(first word.PageID, n int) func() {
+	c.runs = append(c.runs, [2]int{int(first), n})
+	return func() {}
+}
+
+// TestCleanNeverForces: the cleaner writes only owed pages whose records
+// are stable — so it never forces — in runs; the pages whose records are
+// still volatile stay owed until a commit's force makes them stable.
+func TestCleanNeverForces(t *testing.T) {
+	log := wal.NewManager(storage.NewLog(0))
+	disk := walCheckDisk(t, log)
+	s := New(Config{PageSize: ps}, disk, log)
+	for p := 0; p < 4; p++ {
+		logged(s, log, word.Addr(p*ps), uint64(p))
+		if p == 1 {
+			log.ForceAll() // pages 0 and 1 are stable, 2 and 3 are not
+		}
+	}
+	if n := s.Owe(0, word.Addr(4*ps)); n != 4 {
+		t.Fatalf("owed %d pages, want 4", n)
+	}
+	var pc pinCount
+	if n := s.Clean(32, pc.pin); n != 2 {
+		t.Fatalf("first quantum wrote %d pages, want the 2 stable ones", n)
+	}
+	if len(pc.runs) != 1 || pc.runs[0] != [2]int{0, 2} {
+		t.Fatalf("pinned runs %v, want one of pages 0..1", pc.runs)
+	}
+	if s.Met.LogForces.Load() != 0 || log.Device().Stats().Forces != 1 {
+		t.Fatal("the cleaner forced the log")
+	}
+	if s.Owed() != 2 || hasPage(disk, 2) || hasPage(disk, 3) {
+		t.Fatalf("%d owed; pages with volatile records were written", s.Owed())
+	}
+	log.ForceAll() // a commit's force
+	if n := s.Clean(32, pc.pin); n != 2 || s.Owed() != 0 {
+		t.Fatalf("second quantum wrote %d pages, %d still owed; want 2 and 0", n, s.Owed())
+	}
+	if s.Met.Cleaned.Load() != 4 || s.Met.StopWrites.Load() != 0 {
+		t.Fatalf("cleaned %d, stop writes %d; want 4 and 0", s.Met.Cleaned.Load(), s.Met.StopWrites.Load())
+	}
+	if len(s.DirtyPages()) != 0 {
+		t.Fatal("cleaned pages are still dirty")
+	}
+}
+
+// TestCleanSnapshotThenWrite: the cleaner writes a snapshot with no lock
+// held. A write between the snapshot and the landing leaves its page dirty
+// from that write on, the disk holds the snapshot, and a page on its way to
+// disk is not evicted meanwhile.
+func TestCleanSnapshotThenWrite(t *testing.T) {
+	s, disk, log := newStore(2)
+	logged(s, log, 0, 7)
+	logged(s, log, ps, 8)
+	log.ForceAll()
+	s.Owe(0, word.Addr(2*ps))
+	var later word.LSN
+	s.Clean(32, func(first word.PageID, n int) func() {
+		return func() { // the stripes open: a writer and a miss get in
+			later = log.Append(wal.CommitRec{})
+			s.WriteWord(8, 9, later)
+			s.ReadWord(5 * ps) // needs room; both pages are being written
+			if got := s.ResidentPages(); !slices.Contains(got, 0) || !slices.Contains(got, 1) {
+				t.Errorf("a page was evicted on its way to disk: resident %v", got)
+			}
+		}
+	})
+	if data, _, _ := disk.ReadPage(0); word.GetWord(data, 8) != 0 || word.GetWord(data, 0) != 7 {
+		t.Fatal("the disk does not hold the snapshot")
+	}
+	dp := s.DirtyPages()
+	if len(dp) != 1 || dp[0].Page != 0 || dp[0].RecLSN != later {
+		t.Fatalf("dirty pages %+v, want page 0 from the later write on", dp)
+	}
+}
+
+// TestDiscardedOwedPageNeverWritten: a page owed and then discarded owes
+// nothing — dead contents never reach its slot — and a page made again in
+// the range is not owed until something owes it.
+func TestDiscardedOwedPageNeverWritten(t *testing.T) {
+	s, disk, log := newStore(0)
+	logged(s, log, ps, 3)
+	log.ForceAll()
+	s.Owe(word.Addr(ps), word.Addr(2*ps))
+	s.DiscardRange(word.Addr(ps), word.Addr(2*ps))
+	if s.Owed() != 0 {
+		t.Fatalf("%d pages still owed after the discard", s.Owed())
+	}
+	s.WriteWord(ps+8, 4, word.NilLSN) // the page made again, zero-filled
+	var pc pinCount
+	if n := s.Clean(32, pc.pin) + s.DrainSpaces() + s.DrainCheckpoints(); n != 0 || hasPage(disk, 1) {
+		t.Fatalf("wrote %d pages of a discarded range", n)
 	}
 }

@@ -195,6 +195,9 @@ func encodeBody(e *enc, r Record) {
 	case EndWriteRec:
 		e.u64(uint64(rec.Page))
 		e.u64(uint64(rec.PageLSN))
+		if rec.Count > 1 {
+			e.u64(uint64(rec.Count))
+		}
 	case CheckpointRec:
 		encodeCheckpoint(e, rec)
 	case LogicalRec:
@@ -365,7 +368,11 @@ func Decode(frame []byte) (Record, error) {
 	case TVFlip:
 		r = VFlipRec{Epoch: d.u64(), Moved: int(d.u64())}
 	case TEndWrite:
-		r = EndWriteRec{Page: word.PageID(d.u64()), PageLSN: word.LSN(d.u64())}
+		rec := EndWriteRec{Page: word.PageID(d.u64()), PageLSN: word.LSN(d.u64())}
+		if d.off < len(d.buf) {
+			rec.Count = int(d.u64()) // a run; a single page omits it
+		}
+		r = rec
 	case TCheckpoint:
 		r = d.checkpoint()
 	case TLogical:

@@ -483,12 +483,19 @@ type VFlipRec struct {
 func (VFlipRec) Type() Type { return TVFlip }
 
 // EndWriteRec records that an updated page reached disk, carrying the page
-// LSN that was written (§2.2.4).
+// LSN that was written (§2.2.4). A run of Count consecutive pages from Page
+// on, written with one device write, takes one record: every page of it was
+// written at PageLSN (storage.Disk.WriteRun). Count 0 is one page, and such
+// a record is laid out as before runs existed.
 type EndWriteRec struct {
 	sysRec
 	Page    word.PageID
 	PageLSN word.LSN
+	Count   int
 }
+
+// Pages returns how many pages the record certifies: Count, at least one.
+func (r EndWriteRec) Pages() int { return max(r.Count, 1) }
 
 // Type implements Record.
 func (EndWriteRec) Type() Type { return TEndWrite }

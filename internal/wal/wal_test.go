@@ -106,6 +106,7 @@ func sampleRecords() []Record {
 		TwoPCDecideRec{GID: 4, Commit: false},
 		TwoPCEndRec{GID: 3},
 		EndWriteRec{Page: 88, PageLSN: 123},
+		EndWriteRec{Page: 90, PageLSN: 124, Count: 7},
 		CheckpointRec{
 			Dirty:       []DirtyPage{{Page: 3, RecLSN: 44}, {Page: 9, RecLSN: 50}},
 			Txs:         []TxEntry{{TxID: 5, FirstLSN: 2, LastLSN: 90, Prepared: true, UTT: []AddrPair{{Orig: 0x100, Cur: 0x200}}}, {TxID: 6, FirstLSN: 7, LastLSN: 8}},
